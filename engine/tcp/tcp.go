@@ -1,9 +1,10 @@
 // Package tcp adapts the socket transport (internal/transport) to the
 // engine.Engine contract: every peer owns a loopback TCP listener and
 // discoveries hop peer-to-peer as length-prefixed binary frames
-// multiplexed over persistent pooled connections. Cancelling a
-// discovery context sends CANCEL frames down the in-flight relay
-// chain, freeing each stream while the shared connections survive.
+// multiplexed over persistent pooled connections: forwarded one way,
+// answered straight to the caller. Cancelling a discovery context
+// withdraws the caller's pending entry and returns at once; hops hold
+// nothing to free and the shared connections survive.
 package tcp
 
 import (

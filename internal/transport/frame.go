@@ -1,21 +1,30 @@
 // The wire protocol: length-prefixed binary frames multiplexed over
-// one long-lived TCP connection per peer pair. Every frame carries a
-// request id so many in-flight relays share a socket; cancellation is
-// an explicit CANCEL frame rather than a connection teardown.
+// one long-lived TCP connection per peer pair. Every frame carries an
+// id, so many conversations share a socket.
 //
 // Frame layout (header is fixed 13 bytes, integers big-endian):
 //
 //	type(1) | id(8) | payloadLen(4) | payload
 //
-// Frame types:
+// Frames come in three kinds (the constants below document each type):
 //
-//	REQUEST  (1) — one routing step; payload is a request
-//	RESPONSE (2) — the result for the same id; payload is a response
-//	CANCEL   (3) — abandon the request with that id; no payload
+//   - Routed frames, REQUEST and QROUTE, travel one way. The caller
+//     stamps the frame with a pending id and the address of one of its
+//     own listeners and sends it to the entry host; every hop advances
+//     the walk and forwards the frame to the next host without waiting
+//     for anything. The peer where routing ends writes one RESPONSE to
+//     the caller's address under the caller's id. Nothing acknowledges
+//     a forward: a frame or a reply lost in flight is the caller's to
+//     notice and re-issue.
+//   - Round trips: REPLICA and the control plane are answered on the
+//     connection they arrived on, under the id the sender chose.
+//   - Streams: QUERY opens one, STREAM/STREAM_END answer on the same
+//     connection, STREAM_ACK returns credit and CANCEL abandons the
+//     stream while the connection survives.
 //
 // Payloads are hand-rolled varint/length-prefixed encodings of the
-// two small wire structs — unlike a per-connection gob stream there
-// is no per-encoder type-descriptor preamble, and every frame is
+// small wire structs — unlike a per-connection gob stream there is no
+// per-encoder type-descriptor preamble, and every frame is
 // independently decodable, which multiplexing requires. Encode
 // buffers are reused through a sync.Pool; each connection's single
 // reader goroutine owns a growable decode buffer.
@@ -39,6 +48,12 @@ import (
 )
 
 const (
+	// frameRequest is a discovery in flight (payload: request): one
+	// way, hop to hop. frameResponse ends it at the originator
+	// (payload: response, id: the request's Origin); it also
+	// acknowledges a REPLICA, LEAVE, APPLY or RESYNC on the connection
+	// that carried it. frameCancel abandons the QUERY stream with that
+	// id; no payload.
 	frameRequest  = 1
 	frameResponse = 2
 	frameCancel   = 3
@@ -61,14 +76,14 @@ const (
 	// topology write lock and acknowledges with a RESPONSE frame whose
 	// Logical field carries the installed count.
 	frameReplica = 8
-	// frameQRoute is one climb/descend routing step of a subtree
-	// query (payload: qroute). It relays hop by hop between listeners
-	// exactly like discovery REQUEST frames until the covering node is
-	// resolved, then a QROUTE_RESP frame carries the anchor and the
-	// route's accumulated counters back to the querying client, which
-	// opens the STREAM walk at the anchor's host.
-	frameQRoute     = 9
-	frameQRouteResp = 10
+	// frameQRoute is the climb/descend route of a subtree query
+	// (payload: qroute). It is forwarded one way between listeners
+	// exactly like a discovery REQUEST until the covering node is
+	// resolved; that peer writes a RESPONSE with the anchor and the
+	// route's accumulated counters straight to the querying client,
+	// which opens the STREAM walk at the anchor's host. (10 was the
+	// chained protocol's QROUTE_RESP.)
+	frameQRoute = 9
 	// The control plane: JOIN negotiates a daemon into the overlay
 	// (reply: HELLO with the assigned ring id, the member table and a
 	// full state snapshot — or a rejection), LEAVE announces a graceful
@@ -136,11 +151,12 @@ var framePool = sync.Pool{
 
 // frameConn frames a net.Conn. Writes are serialized by wmu (response
 // writers race from per-request goroutines); reads belong to exactly
-// one reader goroutine, which owns rbuf.
+// one reader goroutine, which owns hdr and rbuf.
 type frameConn struct {
 	conn net.Conn
 	br   *bufio.Reader
 	wmu  sync.Mutex
+	hdr  [frameHeaderSize]byte
 	rbuf []byte
 	// met, when set, accounts frame bytes in/out (and REPLICA payload
 	// bytes) into the wire counters. Nil-safe.
@@ -159,7 +175,7 @@ func (fc *frameConn) Close() error { return fc.conn.Close() }
 // slice aliases the connection's reader buffer and is valid only
 // until the next call.
 func (fc *frameConn) readFrame() (typ byte, id uint64, tc trace.Context, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
+	hdr := &fc.hdr
 	if _, err = io.ReadFull(fc.br, hdr[:]); err != nil {
 		return 0, 0, tc, nil, err
 	}
@@ -338,16 +354,6 @@ func (fc *frameConn) writeQRoute(id uint64, tc trace.Context, rq *qroute) error 
 	return err
 }
 
-func (fc *frameConn) writeQRouteResp(id uint64, resp *qrouteResp) error {
-	bp := framePool.Get().(*[]byte)
-	buf := beginFrame(*bp, frameQRouteResp, id)
-	buf = appendQRouteResp(buf, resp)
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
-}
-
 func (fc *frameConn) writeStreamAck(id uint64) error {
 	bp := framePool.Get().(*[]byte)
 	buf := beginFrame(*bp, frameStreamAck, id)
@@ -397,42 +403,64 @@ func getBool(p []byte) (bool, []byte, error) {
 	return p[0] != 0, p[1:], nil
 }
 
+// appendRoute encodes the part every routed frame shares.
+func appendRoute(b []byte, r *route) []byte {
+	b = appendString(b, string(r.At))
+	b = binary.AppendUvarint(b, uint64(r.Logical))
+	b = binary.AppendUvarint(b, uint64(r.Physical))
+	b = binary.AppendUvarint(b, uint64(r.Redirects))
+	b = binary.AppendUvarint(b, r.Origin)
+	return appendString(b, r.ReplyTo)
+}
+
+func getRoute(p []byte, r *route) error {
+	var err error
+	var s string
+	var v uint64
+	if s, p, err = getString(p); err != nil {
+		return fmt.Errorf("at: %w", err)
+	}
+	r.At = keys.Key(s)
+	if v, p, err = getUvarint(p); err != nil {
+		return fmt.Errorf("logical: %w", err)
+	}
+	r.Logical = int(v)
+	if v, p, err = getUvarint(p); err != nil {
+		return fmt.Errorf("physical: %w", err)
+	}
+	r.Physical = int(v)
+	if v, p, err = getUvarint(p); err != nil {
+		return fmt.Errorf("redirects: %w", err)
+	}
+	r.Redirects = int(v)
+	if r.Origin, p, err = getUvarint(p); err != nil {
+		return fmt.Errorf("origin: %w", err)
+	}
+	if r.ReplyTo, _, err = getString(p); err != nil {
+		return fmt.Errorf("replyTo: %w", err)
+	}
+	return nil
+}
+
 func appendRequest(b []byte, req *request) []byte {
 	b = appendString(b, string(req.Key))
-	b = appendString(b, string(req.At))
 	b = appendBool(b, req.GoingUp)
-	b = binary.AppendUvarint(b, uint64(req.Logical))
-	b = binary.AppendUvarint(b, uint64(req.Physical))
-	return binary.AppendUvarint(b, uint64(req.Redirects))
+	return appendRoute(b, &req.route)
 }
 
 func decodeRequest(p []byte, req *request) error {
 	var err error
 	var s string
-	var v uint64
 	if s, p, err = getString(p); err != nil {
 		return fmt.Errorf("request key: %w", err)
 	}
 	req.Key = keys.Key(s)
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("request at: %w", err)
-	}
-	req.At = keys.Key(s)
 	if req.GoingUp, p, err = getBool(p); err != nil {
 		return fmt.Errorf("request goingUp: %w", err)
 	}
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("request logical: %w", err)
+	if err = getRoute(p, &req.route); err != nil {
+		return fmt.Errorf("request %w", err)
 	}
-	req.Logical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("request physical: %w", err)
-	}
-	req.Physical = int(v)
-	if v, _, err = getUvarint(p); err != nil {
-		return fmt.Errorf("request redirects: %w", err)
-	}
-	req.Redirects = int(v)
 	return nil
 }
 
@@ -443,9 +471,12 @@ func appendResponse(b []byte, resp *response) []byte {
 	for _, v := range resp.Values {
 		b = appendString(b, v)
 	}
+	b = appendString(b, string(resp.Anchor))
 	b = binary.AppendUvarint(b, uint64(resp.Logical))
 	b = binary.AppendUvarint(b, uint64(resp.Physical))
-	return appendString(b, resp.Err)
+	b = binary.AppendUvarint(b, uint64(resp.Visited))
+	b = appendString(b, resp.Err)
+	return appendBool(b, resp.Retry)
 }
 
 func decodeResponse(p []byte, resp *response) error {
@@ -477,6 +508,11 @@ func decodeResponse(p []byte, resp *response) error {
 			resp.Values = append(resp.Values, s)
 		}
 	}
+	var s string
+	if s, p, err = getString(p); err != nil {
+		return fmt.Errorf("response anchor: %w", err)
+	}
+	resp.Anchor = keys.Key(s)
 	if v, p, err = getUvarint(p); err != nil {
 		return fmt.Errorf("response logical: %w", err)
 	}
@@ -485,8 +521,15 @@ func decodeResponse(p []byte, resp *response) error {
 		return fmt.Errorf("response physical: %w", err)
 	}
 	resp.Physical = int(v)
-	if resp.Err, _, err = getString(p); err != nil {
+	if v, p, err = getUvarint(p); err != nil {
+		return fmt.Errorf("response visited: %w", err)
+	}
+	resp.Visited = int(v)
+	if resp.Err, p, err = getString(p); err != nil {
 		return fmt.Errorf("response err: %w", err)
+	}
+	if resp.Retry, _, err = getBool(p); err != nil {
+		return fmt.Errorf("response retry: %w", err)
 	}
 	return nil
 }
@@ -555,12 +598,9 @@ func decodeQuery(p []byte, q *queryReq) error {
 
 func appendQRoute(b []byte, rq *qroute) []byte {
 	b = appendString(b, string(rq.Anchor))
-	b = appendString(b, string(rq.At))
 	b = appendBool(b, rq.Descending)
-	b = binary.AppendUvarint(b, uint64(rq.Logical))
-	b = binary.AppendUvarint(b, uint64(rq.Physical))
 	b = binary.AppendUvarint(b, uint64(rq.Visited))
-	return binary.AppendUvarint(b, uint64(rq.Redirects))
+	return appendRoute(b, &rq.route)
 }
 
 func decodeQRoute(p []byte, rq *qroute) error {
@@ -571,66 +611,15 @@ func decodeQRoute(p []byte, rq *qroute) error {
 		return fmt.Errorf("qroute anchor: %w", err)
 	}
 	rq.Anchor = keys.Key(s)
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("qroute at: %w", err)
-	}
-	rq.At = keys.Key(s)
 	if rq.Descending, p, err = getBool(p); err != nil {
 		return fmt.Errorf("qroute descending: %w", err)
 	}
 	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("qroute logical: %w", err)
-	}
-	rq.Logical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("qroute physical: %w", err)
-	}
-	rq.Physical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
 		return fmt.Errorf("qroute visited: %w", err)
 	}
 	rq.Visited = int(v)
-	if v, _, err = getUvarint(p); err != nil {
-		return fmt.Errorf("qroute redirects: %w", err)
-	}
-	rq.Redirects = int(v)
-	return nil
-}
-
-func appendQRouteResp(b []byte, resp *qrouteResp) []byte {
-	b = appendBool(b, resp.Found)
-	b = appendString(b, string(resp.Anchor))
-	b = binary.AppendUvarint(b, uint64(resp.Logical))
-	b = binary.AppendUvarint(b, uint64(resp.Physical))
-	b = binary.AppendUvarint(b, uint64(resp.Visited))
-	return appendString(b, resp.Err)
-}
-
-func decodeQRouteResp(p []byte, resp *qrouteResp) error {
-	var err error
-	var s string
-	var v uint64
-	if resp.Found, p, err = getBool(p); err != nil {
-		return fmt.Errorf("qroute-resp found: %w", err)
-	}
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("qroute-resp anchor: %w", err)
-	}
-	resp.Anchor = keys.Key(s)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("qroute-resp logical: %w", err)
-	}
-	resp.Logical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("qroute-resp physical: %w", err)
-	}
-	resp.Physical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("qroute-resp visited: %w", err)
-	}
-	resp.Visited = int(v)
-	if resp.Err, _, err = getString(p); err != nil {
-		return fmt.Errorf("qroute-resp err: %w", err)
+	if err = getRoute(p, &rq.route); err != nil {
+		return fmt.Errorf("qroute %w", err)
 	}
 	return nil
 }

@@ -52,11 +52,14 @@ func (c *fuzzConn) SetWriteDeadline(t time.Time) error { return nil }
 func FuzzFrameDecode(f *testing.F) {
 	// Valid payloads of each shape seed the corpus.
 	var req request
-	f.Add(appendRequest(nil, &request{Key: "abc", At: "ab", GoingUp: true, Logical: 3, Physical: 2, Redirects: 1}))
+	f.Add(appendRequest(nil, &request{Key: "abc", GoingUp: true, route: route{At: "ab", Logical: 3, Physical: 2, Redirects: 1}}))
+	f.Add(appendRequest(nil, &request{Key: "abc", route: route{At: "ab", Physical: 1, Origin: 1 << 40, ReplyTo: "127.0.0.1:4100"}}))
 	f.Add(appendResponse(nil, &response{Found: true, Values: []string{"v1", "v2"}, Logical: 7, Err: "boom"}))
+	f.Add(appendResponse(nil, &response{Physical: 2, Err: "dial refused", Retry: true}))
+	f.Add(appendResponse(nil, &response{Found: true, Anchor: "anc", Logical: 4, Physical: 2, Visited: 5}))
 	f.Add(appendQuery(nil, &queryReq{Range: true, Lo: "a", Hi: "z", Limit: 5, Entry: "m", Walk: true}))
-	f.Add(appendQRoute(nil, &qroute{Anchor: "anc", At: "at", Descending: true, Visited: 9}))
-	f.Add(appendQRouteResp(nil, &qrouteResp{Found: true, Anchor: "anc", Err: "gone"}))
+	f.Add(appendQRoute(nil, &qroute{Anchor: "anc", Descending: true, Visited: 9, route: route{At: "at"}}))
+	f.Add(appendQRoute(nil, &qroute{Anchor: "anc", Visited: 1, route: route{At: "at", Origin: 77, ReplyTo: "[::1]:9"}}))
 	f.Add(appendStreamEnd(nil, &streamEnd{Logical: 1, Physical: 2, Visited: 3, Err: "end"}))
 	f.Add(appendReplicaBatch(nil, &core.ReplicaBatch{
 		From: "p1", To: "p2",
@@ -92,8 +95,6 @@ func FuzzFrameDecode(f *testing.F) {
 		_ = decodeQuery(data, &q)
 		var rq qroute
 		_ = decodeQRoute(data, &rq)
-		var rr qrouteResp
-		_ = decodeQRouteResp(data, &rr)
 		var batch core.ReplicaBatch
 		_ = decodeReplicaBatch(data, &batch)
 		_, _, _ = decodeStreamBatch(data)
@@ -137,7 +138,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		values := splitNonEmpty(blob)
 
-		req := request{Key: keys.Key(key), At: keys.Key(at), GoingUp: flag, Logical: n1, Physical: n2, Redirects: n3}
+		rt := route{At: keys.Key(at), Logical: n1, Physical: n2, Redirects: n3, Origin: traceID, ReplyTo: errStr}
+		req := request{Key: keys.Key(key), GoingUp: flag, route: rt}
 		var gotReq request
 		if err := decodeRequest(appendRequest(nil, &req), &gotReq); err != nil {
 			t.Fatalf("decodeRequest: %v", err)
@@ -146,7 +148,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("request round-trip: %+v != %+v", req, gotReq)
 		}
 
-		resp := response{Found: flag, Dropped: !flag, Values: values, Logical: n1, Physical: n2, Err: errStr}
+		resp := response{Found: flag, Dropped: !flag, Values: values, Anchor: keys.Key(at), Logical: n1, Physical: n2, Visited: n3, Err: errStr, Retry: flag}
 		var gotResp response
 		if err := decodeResponse(appendResponse(nil, &resp), &gotResp); err != nil {
 			t.Fatalf("decodeResponse: %v", err)
@@ -170,7 +172,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("query round-trip: %+v != %+v", q, gotQ)
 		}
 
-		rq := qroute{Anchor: keys.Key(key), At: keys.Key(at), Descending: flag, Logical: n1, Physical: n2, Visited: n3, Redirects: n1}
+		rq := qroute{Anchor: keys.Key(key), Descending: flag, Visited: n3, route: rt}
 		var gotRq qroute
 		if err := decodeQRoute(appendQRoute(nil, &rq), &gotRq); err != nil {
 			t.Fatalf("decodeQRoute: %v", err)

@@ -28,7 +28,9 @@ import (
 // only keeps mirrors convergent when both sides interpret it the
 // same way. Revision 2 added the steward epoch to HELLO, LEAVE and
 // APPLY and the ELECT/EPOCH_OPEN/RESYNC/FETCH failover frames.
-const HandshakeVersion = 2
+// Revision 3 routes REQUEST and QROUTE one way with a direct reply: a
+// revision-2 member would answer up a chain nobody waits on.
+const HandshakeVersion = 3
 
 // Exported frame-type aliases for control round-trips: the daemon
 // package addresses its frames with these, and a control handler

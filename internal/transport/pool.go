@@ -1,15 +1,18 @@
 // The client half of the wire protocol: a pool of persistent,
-// multiplexed connections, one per remote listener address. Relays
-// borrow the shared connection, tag their request with a fresh id and
-// wait for the matching RESPONSE frame; a per-connection demux loop
-// routes frames back by id. Cancelling a waiting relay sends a CANCEL
-// frame — the stream is freed, the connection survives.
+// multiplexed connections, one per remote listener address. Routed
+// frames and their replies are one-way sends on the shared connection
+// (send); REPLICA and control frames are round trips tagged with a
+// fresh id, whose replies a per-connection demux loop routes back by
+// id, as it does the batches of a QUERY stream. Cancelling a waiting
+// round trip or stream sends a CANCEL frame — the id is freed, the
+// connection survives.
 //
 // The pool is keyed by listener address, not peer id: balancing
 // renames re-key peer ids over the same listeners, so pooled
 // connections stay valid across every Balance round by construction.
 // Removing or crashing a peer closes its listener and evicts its
-// pooled connection, so stale relays fail fast and re-resolve.
+// pooled connection, so sends to the stale address fail fast and
+// re-resolve.
 
 package transport
 
@@ -22,9 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dlpt/internal/core"
 	"dlpt/internal/obs"
-	"dlpt/internal/trace"
 )
 
 // dialTimeout bounds a pool dial so a hung connect cannot wedge
@@ -41,8 +42,8 @@ type connPool struct {
 	met *obs.Metrics
 
 	// faults, when set, cuts gets toward partitioned addresses so
-	// injected partitions cover every client path (relays, probes,
-	// control round-trips) at the single choke point. Nil-safe.
+	// injected partitions cover every client path (routed sends,
+	// probes, control round-trips) at the single choke point. Nil-safe.
 	faults *Faults
 
 	mu     sync.Mutex
@@ -55,7 +56,7 @@ type connPool struct {
 	nextID atomic.Uint64
 }
 
-// poolConn is one shared connection plus its in-flight request table.
+// poolConn is one shared connection plus its in-flight tables.
 type poolConn struct {
 	addr string
 
@@ -65,19 +66,18 @@ type poolConn struct {
 	dialErr error
 	fc      *frameConn
 
-	mu      sync.Mutex
-	pending map[uint64]chan rtResult // guarded by mu
+	mu sync.Mutex
 	// streams holds the in-flight streaming queries multiplexed on
-	// this connection, keyed by request id like pending.
+	// this connection, keyed by request id.
 	streams map[uint64]*clientStream // guarded by mu
-	// raw holds the in-flight control-plane round-trips (QROUTE,
-	// JOIN, LEAVE, APPLY, STATUS, ADMIN): their replies come back as
-	// typed frames the pool does not decode.
+	// raw holds the in-flight round trips (REPLICA, JOIN, LEAVE,
+	// APPLY, STATUS, ADMIN, ...): their replies come back as typed
+	// frames the pool does not decode.
 	raw map[uint64]chan rawMsg // guarded by mu
 	err error                  // terminal transport error; set once under mu; guarded by mu
 }
 
-// rawMsg is one demuxed control-plane reply: the reply frame's type
+// rawMsg is one demuxed round-trip reply: the reply frame's type
 // and a copy of its payload (the demux loop's read buffer is reused,
 // so the payload must not alias it), or the transport error that
 // broke the connection.
@@ -115,14 +115,6 @@ func (cs *clientStream) deliver(msg streamMsg) {
 	}
 }
 
-// rtResult is one demuxed round-trip outcome: either the decoded
-// response or the transport-level error that broke the connection
-// (retryable — the request is an idempotent routing step).
-type rtResult struct {
-	resp response
-	err  error
-}
-
 func newConnPool(quit <-chan struct{}, wg *sync.WaitGroup) *connPool {
 	return &connPool{quit: quit, wg: wg, conns: make(map[string]*poolConn)}
 }
@@ -143,7 +135,6 @@ func (p *connPool) get(ctx context.Context, addr string) (*poolConn, error) {
 		pc = &poolConn{
 			addr:    addr,
 			ready:   make(chan struct{}),
-			pending: make(map[uint64]chan rtResult),
 			streams: make(map[uint64]*clientStream),
 			raw:     make(map[uint64]chan rawMsg),
 		}
@@ -203,11 +194,11 @@ func (p *connPool) dial(pc *poolConn) {
 	go p.demux(pc)
 }
 
-// demux is the per-connection reader: it dispatches RESPONSE frames
-// to the waiting round-trips by id. Responses for ids nobody waits
-// for (cancelled upstream) are dropped. A read error breaks the
-// connection: every in-flight round-trip fails fast and the entry
-// leaves the pool.
+// demux is the per-connection reader: it hands reply frames to the
+// waiting round trips and stream events to their consumers, by id.
+// Replies for ids nobody waits for (cancelled upstream) are dropped.
+// A read error breaks the connection: everything in flight on it
+// fails fast and the entry leaves the pool.
 func (p *connPool) demux(pc *poolConn) {
 	defer p.wg.Done()
 	for {
@@ -217,32 +208,7 @@ func (p *connPool) demux(pc *poolConn) {
 			return
 		}
 		switch typ {
-		case frameResponse:
-			// A RESPONSE answers either a routing/replica round-trip
-			// (pending, decoded here) or a control-plane round-trip
-			// acknowledged with an ack (raw, handed over undecoded).
-			pc.mu.Lock()
-			ch := pc.pending[id]
-			delete(pc.pending, id)
-			var rch chan rawMsg
-			if ch == nil {
-				rch = pc.raw[id]
-				delete(pc.raw, id)
-			}
-			pc.mu.Unlock()
-			if rch != nil {
-				rch <- rawMsg{typ: typ, payload: append([]byte(nil), payload...)}
-				continue
-			}
-			var resp response
-			if err := decodeResponse(payload, &resp); err != nil {
-				p.fail(pc, err)
-				return
-			}
-			if ch != nil {
-				ch <- rtResult{resp: resp}
-			}
-		case frameQRouteResp, frameHello, frameStatusResp, frameAdminResp,
+		case frameResponse, frameHello, frameStatusResp, frameAdminResp,
 			frameElectResp, frameEpochOpenResp, frameFetchResp:
 			pc.mu.Lock()
 			rch := pc.raw[id]
@@ -310,69 +276,24 @@ func (pc *poolConn) forgetStream(id uint64) {
 	pc.mu.Unlock()
 }
 
-// roundTrip sends req on the shared connection and waits for its
-// response. Cancellation sends a CANCEL frame and abandons the id;
-// the connection keeps serving the other in-flight round-trips.
-func (p *connPool) roundTrip(ctx context.Context, pc *poolConn, tc trace.Context, req *request) (response, error) {
-	return p.doRoundTrip(ctx, pc, func(id uint64) error {
-		return pc.fc.writeRequest(id, tc, req)
-	})
-}
-
-// doRoundTrip is the shared request/response protocol: register a
-// pending id, put the frame on the wire with write, await the demuxed
-// RESPONSE. An errFrameTooLarge write leaves the connection good
-// (nothing hit the wire — only this request is undeliverable); any
-// other write error breaks it. Cancellation sends a CANCEL frame and
-// abandons the id; the connection keeps serving the other in-flight
-// round-trips.
-func (p *connPool) doRoundTrip(ctx context.Context, pc *poolConn, write func(id uint64) error) (response, error) {
-	id := p.nextID.Add(1)
-	ch := make(chan rtResult, 1)
-	pc.mu.Lock()
-	if pc.err != nil {
-		err := pc.err
-		pc.mu.Unlock()
-		return response{}, err
+// send puts one frame on the shared connection to addr and returns
+// without waiting for anything back — the routed path's only
+// acknowledgement is the reply the originator waits for. An
+// errFrameTooLarge write leaves the connection good (nothing hit the
+// wire); any other write error breaks it, so the next send dials
+// fresh.
+func (p *connPool) send(ctx context.Context, addr string, write func(fc *frameConn) error) error {
+	pc, err := p.get(ctx, addr)
+	if err != nil {
+		return err
 	}
-	pc.pending[id] = ch
-	pc.mu.Unlock()
-
-	if err := write(id); err != nil {
-		pc.forget(id)
+	if err := write(pc.fc); err != nil {
 		if !errors.Is(err, errFrameTooLarge) {
 			p.fail(pc, err)
 		}
-		return response{}, err
+		return err
 	}
-	select {
-	case r := <-ch:
-		return r.resp, r.err
-	case <-ctx.Done():
-		pc.forget(id)
-		_ = pc.fc.writeCancel(id) // best effort: free the remote stream
-		return response{}, ctx.Err()
-	case <-p.quit:
-		pc.forget(id)
-		return response{}, ErrStopped
-	}
-}
-
-// replicaRoundTrip ships one successor replica batch as a REPLICA
-// frame and waits for its acknowledging RESPONSE, with the same
-// cancellation and failure semantics as roundTrip. A batch too large
-// for one frame leaves the connection good; the caller degrades to a
-// direct install.
-func (p *connPool) replicaRoundTrip(ctx context.Context, pc *poolConn, tc trace.Context, b *core.ReplicaBatch) (response, error) {
-	return p.doRoundTrip(ctx, pc, func(id uint64) error {
-		return pc.fc.writeReplica(id, tc, b)
-	})
-}
-
-func (pc *poolConn) forget(id uint64) {
-	pc.mu.Lock()
-	delete(pc.pending, id)
-	pc.mu.Unlock()
+	return nil
 }
 
 func (pc *poolConn) forgetRaw(id uint64) {
@@ -381,11 +302,13 @@ func (pc *poolConn) forgetRaw(id uint64) {
 	pc.mu.Unlock()
 }
 
-// rawRoundTrip is doRoundTrip for the control plane: the reply is a
-// typed frame handed back undecoded. Same cancellation and failure
-// semantics — an errFrameTooLarge write leaves the connection good,
-// any other write error breaks it, and cancellation sends a CANCEL
-// frame and abandons the id.
+// rawRoundTrip is the request/reply protocol: register a fresh id, put
+// the frame on the wire with write, await the demuxed reply, handed
+// back undecoded. An errFrameTooLarge write leaves the connection
+// good (nothing hit the wire — only this request is undeliverable);
+// any other write error breaks it. Cancellation sends a CANCEL frame
+// and abandons the id; the connection keeps serving the other
+// in-flight round trips.
 func (p *connPool) rawRoundTrip(ctx context.Context, pc *poolConn, write func(id uint64) error) (rawMsg, error) {
 	id := p.nextID.Add(1)
 	ch := make(chan rawMsg, 1)
@@ -419,22 +342,17 @@ func (p *connPool) rawRoundTrip(ctx context.Context, pc *poolConn, write func(id
 }
 
 // fail marks pc broken, fails every in-flight round-trip, closes the
-// socket and drops the pool entry so the next relay redials fresh.
+// socket and drops the pool entry so the next send redials fresh.
 func (p *connPool) fail(pc *poolConn, err error) {
 	pc.mu.Lock()
 	if pc.err == nil {
 		pc.err = err
 	}
-	drain := pc.pending
-	pc.pending = make(map[uint64]chan rtResult)
 	drainStreams := pc.streams
 	pc.streams = make(map[uint64]*clientStream)
 	drainRaw := pc.raw
 	pc.raw = make(map[uint64]chan rawMsg)
 	pc.mu.Unlock()
-	for _, ch := range drain {
-		ch <- rtResult{err: err}
-	}
 	for _, cs := range drainStreams {
 		cs.deliver(streamMsg{err: err})
 	}
@@ -455,9 +373,8 @@ func (p *connPool) drop(pc *poolConn) {
 }
 
 // evict closes and forgets the connection to addr, if any. Called
-// when the peer behind addr is removed or crashes: in-flight relays
-// fail fast (feeding the redirect/retry bounds) instead of waiting on
-// a dead socket.
+// when the peer behind addr is removed or crashes: whatever is in
+// flight on it fails fast instead of waiting on a dead socket.
 func (p *connPool) evict(addr string) {
 	p.mu.Lock()
 	pc := p.conns[addr]

@@ -3,14 +3,13 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"strings"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"dlpt/internal/catalog"
 	"dlpt/internal/keys"
-	"dlpt/internal/trace"
 	"dlpt/internal/workload"
 )
 
@@ -68,51 +67,75 @@ func TestPooledConnectionsShared(t *testing.T) {
 	}
 }
 
-// TestCancelMidRelayKeepsConnection cancels a relay while its routing
-// step is blocked server-side and asserts the CANCEL frame frees the
-// stream without killing the shared connection: the pending table
-// drains and the very same pooled connection serves the next relay
-// (no redial).
-func TestCancelMidRelayKeepsConnection(t *testing.T) {
+// pendingCalls reports how many originated calls await a reply.
+func pendingCalls(c *Cluster) int {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	return len(c.pending)
+}
+
+// attemptDiscover issues one attempt of a discovery of key by hand:
+// from the given entry node, sent to addr (normally the entry's host),
+// answered to replyTo.
+func attemptDiscover(ctx context.Context, c *Cluster, addr string, key, entry keys.Key, replyTo string) (resp response, retry bool, err error) {
+	h := &hop{typ: frameRequest, req: request{Key: key, GoingUp: true,
+		route: route{At: entry, Physical: 1, ReplyTo: replyTo}}}
+	p := callPool.Get().(*pendingCall)
+	defer callPool.Put(p)
+	retry, err = c.attempt(ctx, addr, h, p, &resp)
+	return resp, retry, err
+}
+
+// TestCancelMidRouteKeepsConnection cancels a discovery while its
+// frame is blocked at the entry host and asserts what cancellation
+// means on the one-way path: the caller returns promptly with the
+// context error, its pending entry is gone at once (no frame chases
+// the request), the late reply is dropped, and the shared connections
+// serve the next discoveries without a single redial.
+func TestCancelMidRouteKeepsConnection(t *testing.T) {
 	c := startTCP(t, 4)
 	corpus := registerCorpus(t, c, 30)
 	// Warm the pool and grab a live routing target.
 	if res, err := c.Discover(corpus[0]); err != nil || !res.Found {
 		t.Fatalf("warm discover: %v", err)
 	}
-	c.mu.RLock()
-	at, ok := c.net.RandomNodeKey(c.rng)
-	host, _ := c.net.HostOf(at)
-	addr := c.addrs[host]
-	c.mu.RUnlock()
+	entry, _, addr, replyTo, ok := c.drawEntry()
 	if !ok {
 		t.Fatal("no node to route to")
 	}
 	_, dialsBefore := c.PoolStats()
 
-	// Block every routing step, then cancel the relay mid-flight.
+	// Block every routing step, then cancel the call mid-flight.
 	c.mu.Lock()
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan response, 1)
+	done := make(chan error, 1)
 	go func() {
-		done <- c.relay(ctx, trace.Context{}, addr, request{Key: corpus[0], At: at, GoingUp: true, Physical: 1})
+		_, _, err := attemptDiscover(ctx, c, addr, corpus[0], entry, replyTo)
+		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the request frame land server-side
+	for pendingCalls(c) == 0 {
+		time.Sleep(time.Millisecond) // until the call is registered and sent
+	}
 	cancel()
-	var resp response
+	var err error
 	select {
-	case resp = <-done:
+	case err = <-done:
 	case <-time.After(5 * time.Second):
 		c.mu.Unlock()
-		t.Fatal("cancelled relay did not return while server was blocked")
+		t.Fatal("cancelled call did not return while the hop was blocked")
+	}
+	if n := pendingCalls(c); n != 0 {
+		c.mu.Unlock()
+		t.Fatalf("%d pending entries left behind by the cancelled call", n)
 	}
 	c.mu.Unlock()
-	if !strings.Contains(resp.Err, context.Canceled.Error()) {
-		t.Fatalf("cancelled relay Err = %q", resp.Err)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled call returned %v", err)
 	}
 
-	// The shared connection must have survived: the next discovery
-	// succeeds without a single new dial.
+	// The unblocked frame runs out and its reply finds nobody waiting;
+	// the shared connections survived: the next discoveries succeed
+	// without a single new dial.
 	for _, k := range corpus[:5] {
 		res, err := c.Discover(k)
 		if err != nil || !res.Found {
@@ -120,27 +143,11 @@ func TestCancelMidRelayKeepsConnection(t *testing.T) {
 		}
 	}
 	if _, dialsAfter := c.PoolStats(); dialsAfter != dialsBefore {
-		t.Fatalf("cancellation cost %d redials; the pooled conn should survive",
+		t.Fatalf("cancellation cost %d redials; the pooled conns should survive",
 			dialsAfter-dialsBefore)
 	}
-	// The abandoned stream must not leak a pending entry.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		pending := 0
-		c.pool.mu.Lock()
-		for _, pc := range c.pool.conns {
-			pc.mu.Lock()
-			pending += len(pc.pending)
-			pc.mu.Unlock()
-		}
-		c.pool.mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d pending entries leaked after cancellation", pending)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := pendingCalls(c); n != 0 {
+		t.Fatalf("%d pending entries leaked", n)
 	}
 }
 
@@ -206,36 +213,36 @@ func poolHas(c *Cluster, addr string) (*poolConn, bool) {
 	return pc, ok
 }
 
-// TestRelayRetriesStaleAddress drives the rename/removal race window
-// directly: a relay handed an address whose listener is gone must
-// evict, re-resolve the node's current host and succeed on the
-// retried dial.
-func TestRelayRetriesStaleAddress(t *testing.T) {
+// TestForwardRetriesStaleAddress drives the rename/removal race window
+// directly: a frame forwarded to an address whose listener is gone
+// must evict, re-resolve the node's current host once, and be answered
+// from there.
+func TestForwardRetriesStaleAddress(t *testing.T) {
 	c := startTCP(t, 5)
 	corpus := registerCorpus(t, c, 40)
 	c.mu.RLock()
 	ids := c.net.PeerIDs()
+	staleAddr := c.addrs[ids[0]]
 	c.mu.RUnlock()
-	staleAddr := func() string {
-		c.mu.RLock()
-		defer c.mu.RUnlock()
-		return c.addrs[ids[0]]
-	}()
 	if err := c.RemovePeer(ids[0]); err != nil {
 		t.Fatal(err)
 	}
-	// The handed-off nodes now live elsewhere; relaying to the dead
+	// The handed-off nodes now live elsewhere; forwarding to the dead
 	// address must recover via the one-shot re-resolve.
-	c.mu.RLock()
-	at, ok := c.net.RandomNodeKey(c.rng)
-	c.mu.RUnlock()
+	entry, _, _, replyTo, ok := c.drawEntry()
 	if !ok {
 		t.Fatal("no node to route to")
 	}
-	resp := c.relay(context.Background(), trace.Context{},
-		staleAddr, request{Key: corpus[0], At: at, GoingUp: true, Physical: 1})
-	if resp.Err != "" {
-		t.Fatalf("relay to stale addr did not recover: %s", resp.Err)
+	_, dialsBefore := c.PoolStats()
+	resp, retry, err := attemptDiscover(context.Background(), c, staleAddr, corpus[0], entry, replyTo)
+	if err != nil || retry {
+		t.Fatalf("forward to stale addr did not recover: retry=%v err=%v", retry, err)
+	}
+	if !resp.Found || len(resp.Values) != 1 || resp.Values[0] != string(corpus[0]) {
+		t.Fatalf("answer after re-resolve: %+v", resp)
+	}
+	if _, dials := c.PoolStats(); dials-dialsBefore > int64(c.NumPeers()) {
+		t.Fatalf("re-resolve cost %d dials", dials-dialsBefore)
 	}
 }
 
@@ -289,8 +296,8 @@ func TestWireValuesSorted(t *testing.T) {
 // TestFrameRoundTrip pins the frame codec: request and response
 // survive an encode/decode round-trip byte for byte.
 func TestFrameRoundTrip(t *testing.T) {
-	req := request{Key: "pdgesv", At: "pd", GoingUp: true,
-		Logical: 7, Physical: 3, Redirects: 2}
+	req := request{Key: "pdgesv", GoingUp: true, route: route{At: "pd",
+		Logical: 7, Physical: 3, Redirects: 2, Origin: 41, ReplyTo: "127.0.0.1:7001"}}
 	buf := appendRequest(nil, &req)
 	var got request
 	if err := decodeRequest(buf, &got); err != nil {
@@ -301,14 +308,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	resp := response{Found: true, Values: []string{"a", "b"},
-		Logical: 9, Physical: 4, Err: "boom"}
+		Logical: 9, Physical: 4, Err: "boom", Retry: true}
 	buf = appendResponse(nil, &resp)
 	var gotR response
 	if err := decodeResponse(buf, &gotR); err != nil {
 		t.Fatal(err)
 	}
 	if gotR.Found != resp.Found || gotR.Logical != resp.Logical ||
-		gotR.Physical != resp.Physical || gotR.Err != resp.Err ||
+		gotR.Physical != resp.Physical || gotR.Err != resp.Err || !gotR.Retry ||
 		len(gotR.Values) != 2 || gotR.Values[0] != "a" || gotR.Values[1] != "b" {
 		t.Fatalf("response round-trip: got %+v want %+v", gotR, resp)
 	}

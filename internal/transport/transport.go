@@ -2,15 +2,17 @@
 // connections: every peer owns a loopback listener, and discovery
 // requests hop peer-to-peer as length-prefixed binary frames (see
 // frame.go) multiplexed over persistent connections (see pool.go) —
-// each hop is one request/response round-trip on the shared socket
-// to the next peer along the tree route. It demonstrates the overlay
+// each hop is one one-way frame on the shared socket to the next peer
+// along the tree route, and the peer where the route ends answers the
+// caller directly. It demonstrates the overlay
 // as a deployable network service (the Grid'5000 prototype the paper
 // leaves as future work) and exercises the protocol under real
 // sockets in the tests.
 //
 // Topology and tree state are shared through the embedded protocol
 // core exactly as in internal/live; what travels on the wire is the
-// routing dialogue: request in, forwarded hop, response out.
+// routing dialogue: request in, forwarded hop, one response back to
+// the originator.
 package transport
 
 import (
@@ -34,34 +36,57 @@ import (
 	"dlpt/internal/trie"
 )
 
-// request is one on-the-wire discovery step.
-type request struct {
-	Key     keys.Key
+// route is the part of a routed frame every hop handles the same way:
+// where the walk stands, its counters, and who waits for the answer.
+type route struct {
 	At      keys.Key
-	GoingUp bool
 	Logical int
-	// Physical counts TCP hops (every wire transfer is physical).
+	// Physical counts TCP hops (every wire transfer of the request is
+	// physical; the reply is not a hop).
 	Physical int
-	// Redirects counts relays for a node the addressed peer does not
+	// Redirects counts forwards for a node the addressed peer does not
 	// host (stale routing after churn or balancing). A node lost to
-	// an unrecovered crash would relay in a cycle forever, so past
-	// maxRedirects the walk reports not found.
+	// an unrecovered crash would be forwarded in a cycle forever, so
+	// past maxRedirects the walk reports not found.
 	Redirects int
+	// Origin and ReplyTo name the caller: the pending id it waits on
+	// and the advertised address of one of its listeners. The peer
+	// where routing ends writes its answer there, under that id.
+	Origin  uint64
+	ReplyTo string
 }
 
-// maxRedirects bounds stale-routing relays per request.
+// request is a discovery on the wire.
+type request struct {
+	Key     keys.Key
+	GoingUp bool
+	route
+}
+
+// maxRedirects bounds stale-routing forwards per request.
 const maxRedirects = 8
 
-// response is the on-the-wire result.
+// response is the on-the-wire result of a routed frame. A discovery
+// is answered with Found and Values. A query route is answered with
+// the covering node to open the walk at (Found, Anchor), or with the
+// end of the query when the route hit a node lost to churn (!Found —
+// the walk yields nothing, with the route's counters as totals,
+// exactly as the walker behaves at a vanished node).
 type response struct {
 	Found bool
 	// Dropped reports that a saturated peer ignored the request
 	// (capacity gating).
 	Dropped  bool
 	Values   []string
+	Anchor   keys.Key
 	Logical  int
 	Physical int
+	Visited  int
 	Err      string
+	// Retry marks an Err that says nothing about the key: the hop could
+	// not pass the frame on, and the originator should re-issue it from
+	// a fresh entry node.
+	Retry bool
 }
 
 // queryReq is the on-the-wire form of one streaming subtree query:
@@ -83,33 +108,34 @@ type queryReq struct {
 	Visited        int
 }
 
-// qroute is one on-the-wire climb/descend step of a subtree query:
+// qroute is the climb/descend route of a subtree query on the wire:
 // the anchor the route narrows towards, the current node, and the
-// walker counters accumulated so far. It relays between listeners
-// exactly like discovery requests do, so the query's first phases
-// read only tree state the addressed peer hosts.
+// walker counters accumulated so far. It is forwarded between
+// listeners exactly like discovery requests are, so the query's first
+// phases read only tree state the addressed peer hosts.
 type qroute struct {
 	Anchor     keys.Key
-	At         keys.Key
 	Descending bool
-	Logical    int
-	Physical   int
 	Visited    int
-	Redirects  int
+	route
 }
 
-// qrouteResp resolves one routed climb/descend: the covering node to
-// open the walk at (Found), or the end of the query when the route
-// hit a node lost to churn (!Found — the walk yields nothing, with
-// the route's counters as totals, exactly as the walker behaves at a
-// vanished node).
-type qrouteResp struct {
-	Found    bool
-	Anchor   keys.Key
-	Logical  int
-	Physical int
-	Visited  int
-	Err      string
+// hop is one routed frame in memory, at the peer it is addressed to or
+// at its originator: a discovery REQUEST or a query QROUTE — typ says
+// which of req and rq is live.
+type hop struct {
+	typ  byte
+	self keys.Key      // the addressed peer; unset at the originator
+	tc   trace.Context // trace parent of whatever handles the frame next
+	req  request
+	rq   qroute
+}
+
+func (h *hop) route() *route {
+	if h.typ == frameRequest {
+		return &h.req.route
+	}
+	return &h.rq.route
 }
 
 // streamEnd closes one streaming query on the wire.
@@ -227,9 +253,13 @@ type Options struct {
 
 // Cluster is an overlay whose peers communicate over TCP.
 type Cluster struct {
-	mu      sync.RWMutex
-	net     *core.Network       // guarded by mu
-	rng     *rand.Rand          // guarded by mu (writers only)
+	mu  sync.RWMutex
+	net *core.Network // guarded by mu
+	// rng belongs to writers under mu.Lock; readers drawing an entry
+	// node share it under mu.RLock plus entryMu, which orders them
+	// among themselves.
+	rng     *rand.Rand // guarded by mu
+	entryMu sync.Mutex
 	addrs   map[keys.Key]string // guarded by mu
 	place   lb.Strategy         // join placement hook; nil = uniform random
 	gate    bool                // enforce peer capacity on discoveries
@@ -246,6 +276,13 @@ type Cluster struct {
 	// prove a cancelled consumer actually halts the walk.
 	queryVisits atomic.Int64
 
+	// The originator's side of the routed path: calls awaiting their
+	// direct reply by id, and the sweeper's clock that ages them.
+	pmu      sync.Mutex
+	pending  map[uint64]*pendingCall // guarded by pmu
+	lastCall uint64                  // guarded by pmu
+	tick     uint64                  // guarded by pmu
+
 	pool    *connPool
 	servers []*peerServer
 	wg      sync.WaitGroup
@@ -255,6 +292,12 @@ type Cluster struct {
 
 // ErrStopped is returned by operations on a stopped cluster.
 var ErrStopped = errors.New("transport: cluster stopped")
+
+// ErrNoReply is returned by a discovery or query none of whose
+// attempts was answered: each time the frame or its reply was lost, or
+// a hop could not pass the frame on (a crashed or partitioned hop, an
+// unreachable reply address).
+var ErrNoReply = errors.New("transport: no reply from the overlay")
 
 // Start launches a TCP-backed overlay with one listener per capacity
 // entry, all bound to 127.0.0.1 ephemeral ports.
@@ -280,6 +323,7 @@ func StartOpts(alpha *keys.Alphabet, capacities []int, seed int64, opts Options)
 		met:     opts.Obs,
 		rec:     opts.Trace,
 		faults:  opts.Faults,
+		pending: make(map[uint64]*pendingCall),
 		quit:    make(chan struct{}),
 	}
 	// The shared core inherits the instrumentation so every query
@@ -289,6 +333,8 @@ func StartOpts(alpha *keys.Alphabet, capacities []int, seed int64, opts Options)
 	c.pool = newConnPool(c.quit, &c.wg)
 	c.pool.met = c.met
 	c.pool.faults = c.faults
+	c.wg.Add(1)
+	go c.sweep()
 	c.registerCollectors()
 	if opts.Restore {
 		if c.store == nil {
@@ -447,8 +493,8 @@ func (c *Cluster) AddPeer(capacity int) (keys.Key, error) {
 // lives in another process: the ring id is drawn exactly as AddPeer
 // draws it, but addr — the joining daemon's advertised listener —
 // enters the routing table instead of a locally bound one. Every
-// relay, replica frame and stream addressed to the peer then crosses
-// the process boundary transparently.
+// routed frame, replica frame and stream addressed to the peer then
+// crosses the process boundary transparently.
 func (c *Cluster) JoinRemotePeer(capacity int, addr string) (keys.Key, error) {
 	select {
 	case <-c.quit:
@@ -631,18 +677,9 @@ func (c *Cluster) ControlRoundTrip(ctx context.Context, addr string, typ byte, p
 		return 0, nil, ErrStopped
 	default:
 	}
-	act, err := c.faults.onSend(typ, addr)
+	dup, err := c.faultGate(ctx, typ, addr)
 	if err != nil {
 		return 0, nil, err // injected partition or drop
-	}
-	if act.delay > 0 {
-		select {
-		case <-time.After(act.delay):
-		case <-ctx.Done():
-			return 0, nil, ctx.Err()
-		case <-c.quit:
-			return 0, nil, ErrStopped
-		}
 	}
 	pc, err := c.pool.get(ctx, addr)
 	if err != nil {
@@ -652,7 +689,7 @@ func (c *Cluster) ControlRoundTrip(ctx context.Context, addr string, typ byte, p
 		if err := pc.fc.writeRaw(typ, id, payload); err != nil {
 			return err
 		}
-		if act.dup {
+		if dup {
 			// Duplicate delivery: the receiver handles the frame twice;
 			// the demux keeps the first reply for this id and drops the
 			// second.
@@ -666,10 +703,33 @@ func (c *Cluster) ControlRoundTrip(ctx context.Context, addr string, typ byte, p
 	return msg.typ, msg.payload, nil
 }
 
+// faultGate consults the fault plan for one outbound frame: it sleeps
+// an injected delay and reports whether to write the frame twice, or
+// the injected partition or drop as an error. Nil plan: nothing.
+func (c *Cluster) faultGate(ctx context.Context, typ byte, addr string) (dup bool, err error) {
+	if c.faults == nil {
+		return false, nil
+	}
+	act, err := c.faults.onSend(typ, addr)
+	if err != nil {
+		return false, err
+	}
+	if act.delay > 0 {
+		select {
+		case <-time.After(act.delay):
+		case <-ctx.Done():
+			return false, ctx.Err()
+		case <-c.quit:
+			return false, ErrStopped
+		}
+	}
+	return act.dup, nil
+}
+
 // DropEndpointAddr evicts the pooled connection to addr (without
 // touching any local listener). The daemon layer uses it when a
-// remote member departs or is declared crashed, so stale relays fail
-// fast and re-resolve.
+// remote member departs or is declared crashed, so sends to the stale
+// address fail fast and re-resolve.
 func (c *Cluster) DropEndpointAddr(addr string) {
 	c.pool.evict(addr)
 }
@@ -730,7 +790,7 @@ func (c *Cluster) dropServerLocked(id keys.Key) *peerServer {
 
 // dropEndpoint tears a departed peer's endpoint down: listener,
 // accepted server connections, and the pooled client connection.
-// Relays holding the stale address fail fast and re-resolve through
+// Hops holding the stale address fail fast and re-resolve through
 // the redirect/retry bounds instead of waiting on a dead socket.
 func (c *Cluster) dropEndpoint(ps *peerServer) {
 	if ps == nil {
@@ -840,9 +900,15 @@ func (c *Cluster) shipReplicas(ctx context.Context, tc trace.Context, addr strin
 	}
 	span := c.rec.Start(tc, "replica", string(b.To))
 	span.SetAttr("snapshots", strconv.Itoa(len(b.Infos)))
-	resp, err := c.pool.replicaRoundTrip(ctx, pc, span.Context(), &b)
+	msg, err := c.pool.rawRoundTrip(ctx, pc, func(id uint64) error {
+		return pc.fc.writeReplica(id, span.Context(), &b)
+	})
 	span.End()
 	if err != nil {
+		return 0, err
+	}
+	var resp response
+	if err := decodeResponse(msg.payload, &resp); err != nil {
 		return 0, err
 	}
 	if resp.Err != "" {
@@ -865,7 +931,7 @@ func (c *Cluster) ResetUnit() error {
 }
 
 // Balance runs one round of the named load-balancing strategy, then
-// rewires the listener bookkeeping to the renamed peer ids so relays
+// rewires the listener bookkeeping to the renamed peer ids so forwards
 // keep resolving.
 func (c *Cluster) Balance(strategy string) (int, error) {
 	strat, err := lb.ByName(strategy)
@@ -964,8 +1030,8 @@ func (c *Cluster) serve(ps *peerServer) {
 }
 
 // serverConn is the per-connection server state: the framed socket,
-// the table of in-flight requests a CANCEL frame can abort, and the
-// per-stream credit channels STREAM_ACK frames feed.
+// the table of in-flight streaming queries a CANCEL frame can abort,
+// and the per-stream credit channels STREAM_ACK frames feed.
 type serverConn struct {
 	fc     *frameConn
 	amu    sync.Mutex
@@ -987,40 +1053,32 @@ func (sc *serverConn) ackStream(id uint64) {
 	}
 }
 
-// serverReq is one decoded REQUEST frame handed to a worker.
-type serverReq struct {
-	id     uint64
-	self   keys.Key
-	req    request
-	tc     trace.Context // wire parent from the frame header extension
-	ctx    context.Context
-	cancel context.CancelFunc
-}
-
-// handleConn serves one persistent connection: REQUEST frames start a
-// routing step each (concurrently — many relays share the socket),
-// RESPONSE frames carry the results back under the request's id, and
-// a CANCEL frame aborts the matching in-flight step. Closing the
-// connection cancels everything still active, so a crashed client
-// still tears its relay chains down hop by hop.
+// handleConn serves one persistent connection. REQUEST and QROUTE
+// frames are routed frames passing through: each is advanced and sent
+// on, never answered here. RESPONSE frames are direct replies to calls
+// this cluster originated and complete them by id. QUERY opens a
+// stream on this connection (STREAM_ACK feeds it, CANCEL aborts it,
+// closing the connection aborts all of them); REPLICA and control
+// frames are answered on this connection.
 //
-// Requests are handed to a persistent per-connection worker whose
-// warm stack absorbs the routing recursion (a fresh goroutine per
-// request re-pays stack growth on every hop); when the worker is busy
-// with an earlier request, a transient goroutine takes the overflow
-// so multiplexed requests never queue behind each other.
+// Routed frames are handed to a persistent per-connection worker, so
+// the read loop never waits on a downstream dial or write and the
+// worker's warm stack absorbs the routing work (a fresh goroutine per
+// frame re-pays stack growth on every hop); when the worker is busy
+// with an earlier frame, a transient goroutine takes the overflow so
+// multiplexed frames never queue behind each other.
 func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 	sc := &serverConn{fc: newFrameConn(conn),
 		active: make(map[uint64]context.CancelFunc),
 		credit: make(map[uint64]chan struct{})}
 	sc.fc.met = c.met
-	work := make(chan serverReq)
+	work := make(chan hop)
 	defer close(work)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		for item := range work {
-			c.serveReq(sc, item)
+		for h := range work {
+			c.serveHop(&h)
 		}
 	}()
 	defer func() {
@@ -1036,28 +1094,30 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 			return // connection closed (client gone, peer dropped, Stop)
 		}
 		switch typ {
-		case frameRequest:
-			var req request
-			if err := decodeRequest(payload, &req); err != nil {
+		case frameRequest, frameQRoute:
+			h := hop{typ: typ, tc: tc}
+			if typ == frameRequest {
+				err = decodeRequest(payload, &h.req)
+			} else {
+				err = decodeQRoute(payload, &h.rq)
+			}
+			if err != nil {
 				return // protocol violation: drop the connection
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			sc.amu.Lock()
-			sc.active[id] = cancel
-			sc.amu.Unlock()
 			c.mu.RLock()
-			self := ps.id // balancing renames write ps.id under the write lock
+			h.self = ps.id // balancing renames write ps.id under the write lock
 			c.mu.RUnlock()
-			item := serverReq{id: id, self: self, req: req, tc: tc, ctx: ctx, cancel: cancel}
 			select {
-			case work <- item: // idle worker takes it
-			default: // worker busy: overflow goroutine keeps the stream moving
+			case work <- h: // idle worker takes it
+			default: // worker busy: overflow goroutine keeps the frames moving
 				c.wg.Add(1)
-				go func() {
+				go func(h hop) {
 					defer c.wg.Done()
-					c.serveReq(sc, item)
-				}()
+					c.serveHop(&h)
+				}(h)
 			}
+		case frameResponse:
+			c.complete(id, payload)
 		case frameQuery:
 			var q queryReq
 			if err := decodeQuery(payload, &q); err != nil {
@@ -1070,39 +1130,12 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 			sc.amu.Unlock()
 			// Streams are long-lived relative to routing steps: each
 			// gets its own goroutine instead of the shared worker, so
-			// a slow stream never queues discovery steps behind it.
+			// a slow stream never queues routed frames behind it.
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
 				c.serveQuery(sc, id, q, tc, ctx, cancel)
 			}()
-		case frameQRoute:
-			var rq qroute
-			if err := decodeQRoute(payload, &rq); err != nil {
-				return // protocol violation: drop the connection
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			sc.amu.Lock()
-			sc.active[id] = cancel
-			sc.amu.Unlock()
-			c.mu.RLock()
-			self := ps.id
-			c.mu.RUnlock()
-			// Route steps are one-per-query (not one-per-hop like
-			// discovery steps), so a goroutine each is fine.
-			c.wg.Add(1)
-			go func(id uint64, rq qroute, tc trace.Context) {
-				defer c.wg.Done()
-				span := c.rec.Start(tc, obs.PhaseQRoute, string(self))
-				span.SetAttr("anchor", string(rq.Anchor))
-				resp := c.routeStep(ctx, span.Context(), self, rq)
-				span.End()
-				sc.amu.Lock()
-				delete(sc.active, id)
-				sc.amu.Unlock()
-				cancel()
-				_ = sc.fc.writeQRouteResp(id, &resp)
-			}(id, rq, tc)
 		case frameJoin, frameLeave, frameApply, frameStatus, frameAdmin,
 			frameElect, frameEpochOpen, frameResync, frameFetch:
 			// Control plane: hand the frame to the daemon layer. The
@@ -1129,7 +1162,7 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 			}
 			// Replica installs take the topology write lock; a
 			// goroutine per batch keeps the read loop (and the
-			// discovery streams multiplexed on this connection) moving.
+			// frames multiplexed on this connection) moving.
 			c.wg.Add(1)
 			go func(id uint64, b core.ReplicaBatch, tc trace.Context) {
 				defer c.wg.Done()
@@ -1200,8 +1233,8 @@ func (c *Cluster) serveQuery(sc *serverConn, id uint64, q queryReq,
 	if !w.Empty() {
 		c.mu.RLock()
 		if q.Walk {
-			// The climb/descend phases ran as hop-by-hop QROUTE
-			// relays; resume directly in the subtree walk at the
+			// The climb/descend phases ran hop by hop as a QROUTE
+			// frame; resume directly in the subtree walk at the
 			// covering node, folding the route's counters in.
 			w.ResumeWalk(q.Entry, core.QueryResult{
 				LogicalHops:  q.Logical,
@@ -1283,306 +1316,225 @@ func (c *Cluster) serveQuery(sc *serverConn, id uint64, q queryReq,
 // a cancelled consumer halts the walk).
 func (c *Cluster) QueryVisits() int64 { return c.queryVisits.Load() }
 
-// serveReq runs one routing step and writes its RESPONSE frame. A
-// result too large for one frame degrades to an in-band error so the
-// requester fails cleanly instead of timing out on a silent drop.
-func (c *Cluster) serveReq(sc *serverConn, item serverReq) {
-	span := c.rec.Start(item.tc, obs.PhaseRelay, string(item.self))
-	span.SetAttr("key", string(item.req.Key))
-	resp := c.step(item.ctx, span.Context(), item.self, item.req)
-	span.End()
-	sc.amu.Lock()
-	delete(sc.active, item.id)
-	sc.amu.Unlock()
-	item.cancel()
-	if err := sc.fc.writeResponse(item.id, &resp); errors.Is(err, errFrameTooLarge) {
-		resp = response{Err: errFrameTooLarge.Error(),
-			Logical: resp.Logical, Physical: resp.Physical}
-		_ = sc.fc.writeResponse(item.id, &resp)
+// serveHop runs this peer's share of one routed frame and passes the
+// frame on: one way to the next host while the walk continues, or as
+// the answer to the originator where it ends — found, not found,
+// dropped by gating, redirects exhausted, or a forward that failed
+// twice, which the originator cures by re-issuing.
+func (c *Cluster) serveHop(h *hop) {
+	var span trace.Handle
+	if h.typ == frameRequest {
+		span = c.rec.Start(h.tc, obs.PhaseRelay, string(h.self))
+		span.SetAttr("key", string(h.req.Key))
+	} else {
+		span = c.rec.Start(h.tc, obs.PhaseQRoute, string(h.self))
+		span.SetAttr("anchor", string(h.rq.Anchor))
 	}
+	h.tc = span.Context()
+	var resp response
+	next, done := c.advance(h, &resp)
+	if !done {
+		if err := c.forward(context.Background(), next, h); err != nil {
+			resp, done = response{Err: err.Error(), Retry: true}, true
+		}
+	}
+	if done {
+		c.reply(h, &resp)
+	}
+	span.End()
 }
 
-// step executes routing at the peer owning the current node, relaying
-// over TCP when the walk leaves the peer.
-func (c *Cluster) step(ctx context.Context, tc trace.Context, self keys.Key, req request) response {
+// advance routes the frame at h.self for as long as the walk stays on
+// nodes that peer hosts. When the walk leaves the peer it returns the
+// next host's address, with the frame updated in place and ready to
+// forward; where routing ends it reports done with the outcome in resp
+// (reply adds the counters).
+func (c *Cluster) advance(h *hop, resp *response) (next string, done bool) {
+	r := h.route()
 	for {
-		if err := ctx.Err(); err != nil {
-			return response{Err: err.Error()}
-		}
 		c.mu.RLock()
-		peer, ok := c.net.Peer(self)
+		peer, ok := c.net.Peer(h.self)
 		if !ok {
 			c.mu.RUnlock()
-			return response{Err: fmt.Sprintf("peer %q gone", self)}
+			*resp = response{Err: fmt.Sprintf("peer %q gone", h.self), Retry: true}
+			return "", true
 		}
-		node, ok := peer.Nodes[req.At]
+		node, ok := peer.Nodes[r.At]
 		if !ok {
-			// The node lives elsewhere (stale routing): relay to its
-			// current host. A node lost to an unrecovered crash has
-			// no host anywhere: bound the relays and report what the
-			// walk has (not found).
-			host, okh := c.net.HostOf(req.At)
+			// The node lives elsewhere (stale routing): forward to its
+			// current host. A node lost to an unrecovered crash has no
+			// host anywhere: bound the forwards and report what the
+			// walk has (not found; a query yields nothing, exactly as
+			// the walker does at a vanished node).
+			host, okh := c.net.HostOf(r.At)
 			addr := c.addrs[host]
 			c.mu.RUnlock()
-			req.Redirects++
-			if !okh || req.Redirects > maxRedirects {
-				return response{Logical: req.Logical, Physical: req.Physical}
-			}
-			return c.relay(ctx, tc, addr, req)
+			r.Redirects++
+			return addr, !okh || r.Redirects > maxRedirects
 		}
-		node.RecordVisit()
-		if c.met != nil {
-			c.met.Visits.Inc()
-		}
-		if c.gate && !peer.TryProcess() {
-			// Section 4's request model: the visit is received (load
-			// recorded above) but a saturated peer ignores the
-			// request.
-			c.mu.RUnlock()
-			if c.met != nil {
-				c.met.Drops.Inc()
-			}
-			return response{Dropped: true,
-				Logical: req.Logical, Physical: req.Physical}
-		}
-		var next keys.Key
-		done, found := false, false
-		var values []string
-		if node.Key == req.Key {
-			done = true
-			if node.HasData() {
-				found = true
-				for v := range node.Data {
-					values = append(values, v)
-				}
-				// Map iteration order is random: sort so wire
-				// responses are deterministic, matching the
-				// byte-identical cross-engine contract.
-				sort.Strings(values)
-			}
+		var to keys.Key
+		if h.typ == frameRequest {
+			to, done = c.stepLocked(peer, node, &h.req, resp)
 		} else {
-			if req.GoingUp && keys.IsPrefix(node.Key, req.Key) {
-				req.GoingUp = false
-			}
-			if req.GoingUp {
-				if !node.HasFather {
-					done = true
-				} else {
-					next = node.Father
-				}
-			} else {
-				q, okc := node.BestChildFor(req.Key)
-				if !okc || !keys.IsPrefix(q, req.Key) {
-					done = true
-				} else {
-					next = q
-				}
-			}
+			to, done = c.routeStepLocked(node, &h.rq, resp)
 		}
 		if done {
 			c.mu.RUnlock()
-			return response{Found: found, Values: values,
-				Logical: req.Logical, Physical: req.Physical}
+			return "", true
 		}
-		host, _ := c.net.HostOf(next)
+		host, _ := c.net.HostOf(to)
 		addr := c.addrs[host]
 		c.mu.RUnlock()
-		req.At = next
-		req.Logical++
-		if host == self {
+		r.At = to
+		r.Logical++
+		if host == h.self {
 			continue // next node is local: no wire transfer
 		}
-		req.Physical++
-		return c.relay(ctx, tc, addr, req)
+		r.Physical++
+		return addr, false
 	}
 }
 
-// relay forwards the request over the pooled connection to addr and
-// returns the relayed response. Cancelling ctx sends a CANCEL frame
-// (freeing the remote stream, keeping the shared connection) and
-// returns the context error.
-//
-// A transport failure — dial refused, write or read on a broken
+// stepLocked is the discovery transition at one hosted node: the node
+// to move to, or done with the outcome in resp. Callers hold c.mu (the
+// read lock suffices: visit and capacity accounting are atomic).
+func (c *Cluster) stepLocked(peer *core.Peer, node *core.Node, req *request, resp *response) (next keys.Key, done bool) {
+	node.RecordVisit()
+	if c.met != nil {
+		c.met.Visits.Inc()
+	}
+	if c.gate && !peer.TryProcess() {
+		// Section 4's request model: the visit is received (load
+		// recorded above) but a saturated peer ignores the request.
+		if c.met != nil {
+			c.met.Drops.Inc()
+		}
+		resp.Dropped = true
+		return "", true
+	}
+	if node.Key == req.Key {
+		if node.HasData() {
+			resp.Found = true
+			for v := range node.Data {
+				resp.Values = append(resp.Values, v)
+			}
+			// Map iteration order is random: sort so wire responses
+			// are deterministic, matching the byte-identical
+			// cross-engine contract.
+			sort.Strings(resp.Values)
+		}
+		return "", true
+	}
+	if req.GoingUp && keys.IsPrefix(node.Key, req.Key) {
+		req.GoingUp = false
+	}
+	if req.GoingUp {
+		return node.Father, !node.HasFather
+	}
+	q, ok := node.BestChildFor(req.Key)
+	return q, !ok || !keys.IsPrefix(q, req.Key)
+}
+
+// routeStepLocked is the climb/descend transition of a subtree query
+// at one hosted node. The transition logic and counting mirror
+// core.QueryWalker exactly, so on a stable tree the streamed totals
+// match a walker that ran every phase in one process. Callers hold
+// c.mu.
+func (c *Cluster) routeStepLocked(node *core.Node, rq *qroute, resp *response) (next keys.Key, done bool) {
+	if rq.Visited == 0 {
+		rq.Visited = 1 // the entry node, counted as the walker's Start does
+	}
+	if !rq.Descending {
+		// Climb until the current node's subtree covers the anchor
+		// (its label is a prefix of the anchor), or the root.
+		if !keys.IsPrefix(node.Key, rq.Anchor) && node.HasFather {
+			if !c.net.NodeHosted(node.Father) {
+				return "", true
+			}
+			rq.Visited++
+			return node.Father, false
+		}
+		rq.Descending = true
+	}
+	// Descend towards the anchor while a single child still covers
+	// the whole query (narrowing the traversal root).
+	q, ok := node.BestChildFor(rq.Anchor)
+	if !ok || !keys.IsPrefix(q, rq.Anchor) || !c.net.NodeHosted(q) {
+		resp.Found, resp.Anchor = true, node.Key
+		return "", true
+	}
+	rq.Visited++
+	return q, false
+}
+
+// send puts one routed frame — a REQUEST or QROUTE on its way, or the
+// reply that ends it — on the pooled connection to addr, one way.
+// Injected faults act here; a dropped frame is lost silently, the way
+// a receiver crashing after its read loses it.
+func (c *Cluster) send(ctx context.Context, typ byte, addr string, write func(fc *frameConn) error) error {
+	dup, err := c.faultGate(ctx, typ, addr)
+	if err != nil {
+		if errors.Is(err, ErrInjectedDrop) {
+			return nil
+		}
+		return err
+	}
+	err = c.pool.send(ctx, addr, write)
+	if err == nil && dup {
+		err = c.pool.send(ctx, addr, write)
+	}
+	return err
+}
+
+// forward sends the frame one way to addr, the host of the node it
+// stands at. A transport failure — dial refused, write on a broken
 // socket — means the address was stale: the peer behind it departed,
 // crashed, or a Balance round renamed the routing identities while
 // the hop was resolving. The pool has already evicted the dead
-// connection by then, so relay re-resolves the node's current host
-// once and retries on a fresh dial (the routing step is an
-// idempotent read, so the retry is safe even if the first attempt
-// was partially processed).
-func (c *Cluster) relay(ctx context.Context, tc trace.Context, addr string, req request) response {
-	resp, err := c.relayOnce(ctx, tc, addr, req)
-	if err == nil {
-		return resp
+// connection by then, so forward re-resolves the node's current host
+// once and retries on a fresh dial (routing is an idempotent read: a
+// frame the first attempt did deliver costs a duplicate reply, which
+// the originator drops).
+func (c *Cluster) forward(ctx context.Context, addr string, h *hop) error {
+	r := h.route()
+	write := func(fc *frameConn) error {
+		if h.typ == frameRequest {
+			return fc.writeRequest(r.Origin, h.tc, &h.req)
+		}
+		return fc.writeQRoute(r.Origin, h.tc, &h.rq)
 	}
-	if ctx.Err() != nil || errors.Is(err, ErrStopped) {
-		return response{Err: err.Error()}
-	}
-	select {
-	case <-c.quit:
-		return response{Err: ErrStopped.Error()}
-	default:
+	err := c.send(ctx, h.typ, addr, write)
+	if err == nil || ctx.Err() != nil || c.Stopped() {
+		return err
 	}
 	c.mu.RLock()
-	host, ok := c.net.HostOf(req.At)
-	retryAddr := c.addrs[host]
+	host, ok := c.net.HostOf(r.At)
+	addr = c.addrs[host]
 	c.mu.RUnlock()
-	if !ok || retryAddr == "" {
-		return response{Err: err.Error()}
+	if !ok || addr == "" {
+		return err
 	}
-	resp, err = c.relayOnce(ctx, tc, retryAddr, req)
-	if err != nil {
-		return response{Err: err.Error()}
-	}
-	return resp
+	return c.send(ctx, h.typ, addr, write)
 }
 
-// relayOnce performs one round-trip on the shared connection to addr.
-func (c *Cluster) relayOnce(ctx context.Context, tc trace.Context, addr string, req request) (response, error) {
-	pc, err := c.pool.get(ctx, addr)
-	if err != nil {
-		return response{}, err
+// reply writes the answer that ends h straight to its originator: one
+// RESPONSE to the reply address, under the originator's id, carrying
+// the frame's counters. A result too large for one frame degrades to
+// an in-band error so the caller fails cleanly; a reply that cannot be
+// delivered (twice, the second time on a fresh dial) is dropped, and
+// the caller's sweeper re-issues the call.
+func (c *Cluster) reply(h *hop, resp *response) {
+	r := h.route()
+	resp.Logical, resp.Physical, resp.Visited = r.Logical, r.Physical, h.rq.Visited
+	write := func(fc *frameConn) error { return fc.writeResponse(r.Origin, resp) }
+	ctx := context.Background()
+	err := c.send(ctx, frameResponse, r.ReplyTo, write)
+	if errors.Is(err, errFrameTooLarge) {
+		*resp = response{Err: err.Error(), Logical: r.Logical, Physical: r.Physical}
 	}
-	return c.pool.roundTrip(ctx, pc, tc, &req)
-}
-
-// routeStep resolves climb/descend transitions of a subtree query at
-// the peer hosting the current node, relaying to the next hop's
-// listener when the route leaves this peer — the same hop-by-hop
-// dialogue discovery steps use, instead of walking tree state the
-// addressed peer does not host. The transition logic and counting
-// mirror core.QueryWalker exactly, so on a stable tree the streamed
-// totals match a walker that ran every phase in one process.
-func (c *Cluster) routeStep(ctx context.Context, tc trace.Context, self keys.Key, rq qroute) qrouteResp {
-	fail := func(err string) qrouteResp {
-		return qrouteResp{Err: err,
-			Logical: rq.Logical, Physical: rq.Physical, Visited: rq.Visited}
+	if err != nil && !c.Stopped() {
+		_ = c.send(ctx, frameResponse, r.ReplyTo, write)
 	}
-	ended := func() qrouteResp {
-		return qrouteResp{Logical: rq.Logical, Physical: rq.Physical, Visited: rq.Visited}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return fail(err.Error())
-		}
-		c.mu.RLock()
-		peer, ok := c.net.Peer(self)
-		if !ok {
-			c.mu.RUnlock()
-			return fail(fmt.Sprintf("peer %q gone", self))
-		}
-		node, ok := peer.Nodes[rq.At]
-		if !ok {
-			// Stale routing: relay to the node's current host, bounded
-			// like discovery redirects. A node lost to an unrecovered
-			// crash ends the walk with what the route has, exactly as
-			// the walker does at a vanished node.
-			host, okh := c.net.HostOf(rq.At)
-			addr := c.addrs[host]
-			c.mu.RUnlock()
-			rq.Redirects++
-			if !okh || rq.Redirects > maxRedirects {
-				return ended()
-			}
-			return c.routeRelay(ctx, tc, addr, rq)
-		}
-		if rq.Visited == 0 {
-			rq.Visited = 1 // the entry node, counted as the walker's Start does
-		}
-		var next keys.Key
-		if !rq.Descending {
-			// Climb until the current node's subtree covers the
-			// anchor (its label is a prefix of the anchor), or the root.
-			if keys.IsPrefix(node.Key, rq.Anchor) || !node.HasFather {
-				rq.Descending = true
-				c.mu.RUnlock()
-				continue
-			}
-			if !c.net.NodeHosted(node.Father) {
-				c.mu.RUnlock()
-				return ended()
-			}
-			next = node.Father
-		} else {
-			// Descend towards the anchor while a single child still
-			// covers the whole query (narrowing the traversal root).
-			q, okc := node.BestChildFor(rq.Anchor)
-			if !okc || !keys.IsPrefix(q, rq.Anchor) || !c.net.NodeHosted(q) {
-				anchored := qrouteResp{Found: true, Anchor: node.Key,
-					Logical: rq.Logical, Physical: rq.Physical, Visited: rq.Visited}
-				c.mu.RUnlock()
-				return anchored
-			}
-			next = q
-		}
-		host, _ := c.net.HostOf(next)
-		addr := c.addrs[host]
-		c.mu.RUnlock()
-		rq.At = next
-		rq.Logical++
-		rq.Visited++
-		if host == self {
-			continue // next node is local: no wire transfer
-		}
-		rq.Physical++
-		return c.routeRelay(ctx, tc, addr, rq)
-	}
-}
-
-// routeRelay forwards the route step over the pooled connection to
-// addr, with the same single stale-address retry as relay.
-func (c *Cluster) routeRelay(ctx context.Context, tc trace.Context, addr string, rq qroute) qrouteResp {
-	resp, err := c.routeRelayOnce(ctx, tc, addr, rq)
-	if err == nil {
-		return resp
-	}
-	failed := qrouteResp{Err: err.Error(),
-		Logical: rq.Logical, Physical: rq.Physical, Visited: rq.Visited}
-	if ctx.Err() != nil || errors.Is(err, ErrStopped) {
-		return failed
-	}
-	select {
-	case <-c.quit:
-		failed.Err = ErrStopped.Error()
-		return failed
-	default:
-	}
-	c.mu.RLock()
-	host, ok := c.net.HostOf(rq.At)
-	retryAddr := c.addrs[host]
-	c.mu.RUnlock()
-	if !ok || retryAddr == "" {
-		return failed
-	}
-	resp, err = c.routeRelayOnce(ctx, tc, retryAddr, rq)
-	if err != nil {
-		failed.Err = err.Error()
-		return failed
-	}
-	return resp
-}
-
-// routeRelayOnce performs one QROUTE round-trip on the shared
-// connection to addr.
-func (c *Cluster) routeRelayOnce(ctx context.Context, tc trace.Context, addr string, rq qroute) (qrouteResp, error) {
-	pc, err := c.pool.get(ctx, addr)
-	if err != nil {
-		return qrouteResp{}, err
-	}
-	msg, err := c.pool.rawRoundTrip(ctx, pc, func(id uint64) error {
-		return pc.fc.writeQRoute(id, tc, &rq)
-	})
-	if err != nil {
-		return qrouteResp{}, err
-	}
-	if msg.typ != frameQRouteResp {
-		return qrouteResp{}, fmt.Errorf("transport: unexpected reply frame %d to QROUTE", msg.typ)
-	}
-	var resp qrouteResp
-	if err := decodeQRouteResp(msg.payload, &resp); err != nil {
-		return qrouteResp{}, err
-	}
-	return resp, nil
 }
 
 // Register declares a service (topology mutation, serialized).
@@ -1628,15 +1580,199 @@ func (c *Cluster) Stopped() bool {
 	}
 }
 
+// reissueAfter is the sweeper's period: a call still unanswered after
+// one to two periods counts as lost and is re-issued. It is far above
+// any healthy discovery (tens of microseconds on loopback, a dial's
+// worth on a cold pool), because a needless re-issue costs an extra
+// entry draw. maxAttempts bounds the issues of one call.
+const (
+	reissueAfter = 500 * time.Millisecond
+	maxAttempts  = 3
+)
+
+// pendingCall is one originated frame awaiting its direct reply.
+// Whoever removes it from Cluster.pending — complete on the reply, the
+// sweeper when it is overdue — owes done exactly one send (buffered,
+// so that send never blocks); a caller that gives up removes it
+// itself and is owed nothing.
+type pendingCall struct {
+	done chan bool // true: resp and err hold the decoded reply; false: overdue
+	born uint64    // Cluster.tick at registration
+	resp response
+	err  error
+}
+
+// callPool recycles pendingCalls (and their channels) across calls.
+var callPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan bool, 1)} }}
+
+// complete hands a direct reply to the call waiting on id. Replies
+// for ids nobody waits on — late answers to a call already re-issued
+// or abandoned, duplicates — are dropped.
+func (c *Cluster) complete(id uint64, payload []byte) {
+	c.pmu.Lock()
+	p := c.pending[id]
+	delete(c.pending, id)
+	c.pmu.Unlock()
+	if p != nil {
+		p.err = decodeResponse(payload, &p.resp)
+		p.done <- true
+	}
+}
+
+// sweep is the cluster's one timer for every pending call: each period
+// it expires the calls registered before the previous period began, so
+// waiting costs a call no timer and no allocation of its own.
+func (c *Cluster) sweep() {
+	defer c.wg.Done()
+	t := time.NewTicker(reissueAfter)
+	defer t.Stop()
+	for {
+		select {
+		case <-c.quit:
+			return
+		case <-t.C:
+		}
+		c.pmu.Lock()
+		c.tick++
+		for id, p := range c.pending {
+			if c.tick-p.born >= 2 {
+				delete(c.pending, id)
+				p.done <- false
+			}
+		}
+		c.pmu.Unlock()
+	}
+}
+
+// drawEntry draws the entry node of one attempt and resolves its
+// host's address and the address replies should come back to (the
+// first local listener; empty when the cluster has none).
+func (c *Cluster) drawEntry() (entry, host keys.Key, addr, replyTo string, ok bool) {
+	c.entryMu.Lock()
+	c.mu.RLock()
+	if entry, ok = c.net.RandomNodeKey(c.rng); ok {
+		host, _ = c.net.HostOf(entry)
+		addr = c.addrs[host]
+		if len(c.servers) > 0 {
+			replyTo = c.servers[0].addr
+		}
+	}
+	c.mu.RUnlock()
+	c.entryMu.Unlock()
+	return entry, host, addr, replyTo, ok
+}
+
+// originate routes h through the overlay and waits for its direct
+// reply, one attempt at a time (see attempt), each from a fresh entry
+// draw. An attempt is re-issued, up to maxAttempts, when the sweeper
+// finds it overdue (the frame or its reply was lost) or at once when a
+// hop reports that it could not pass the frame on. ok is false on an
+// empty tree (nothing was sent). The root span, named phase, opens
+// with the first attempt and is the caller's to end.
+func (c *Cluster) originate(ctx context.Context, phase string, h *hop, resp *response) (root trace.Handle, ok bool, err error) {
+	r := h.route()
+	fresh := *r
+	p := callPool.Get().(*pendingCall)
+	defer callPool.Put(p)
+	for attempt := 1; ; attempt++ {
+		entry, host, addr, replyTo, drawn := c.drawEntry()
+		if !drawn {
+			return root, false, err
+		}
+		if attempt == 1 {
+			root = c.rec.StartRoot(phase, string(host))
+			h.tc = root.Context()
+		}
+		if replyTo == "" {
+			return root, true, errors.New("transport: no local listener to take the reply")
+		}
+		*r = fresh
+		r.At, r.ReplyTo = entry, replyTo
+		var retry bool
+		if retry, err = c.attempt(ctx, addr, h, p, resp); err == nil {
+			return root, true, nil
+		}
+		// Whatever went wrong, a caller or cluster that gave up
+		// meanwhile reports that instead.
+		if cerr := ctx.Err(); cerr != nil {
+			return root, true, cerr
+		}
+		if c.Stopped() {
+			return root, true, ErrStopped
+		}
+		if !retry {
+			return root, true, err
+		}
+		if attempt == maxAttempts {
+			if !errors.Is(err, ErrNoReply) {
+				err = fmt.Errorf("%w: %v", ErrNoReply, err)
+			}
+			return root, true, err
+		}
+	}
+}
+
+// attempt issues h once: it registers p under a fresh pending id,
+// stamps the frame with it and sends it one way to addr, the entry
+// node's host; the peer where routing ends answers the frame's ReplyTo
+// listener, whose handleConn completes the call. attempt returns when
+// the call is answered or overdue, or the caller or the cluster gives
+// up — in every case with p withdrawn and quiet. retry reports an
+// error a re-issue can cure.
+func (c *Cluster) attempt(ctx context.Context, addr string, h *hop, p *pendingCall, resp *response) (retry bool, err error) {
+	r := h.route()
+	c.pmu.Lock()
+	c.lastCall++
+	r.Origin, p.born = c.lastCall, c.tick
+	c.pending[r.Origin] = p
+	c.pmu.Unlock()
+	if err := c.forward(ctx, addr, h); err != nil {
+		c.abandon(r.Origin, p)
+		return true, err
+	}
+	select {
+	case replied := <-p.done:
+		if !replied {
+			return true, ErrNoReply
+		}
+		*resp, err = p.resp, p.err
+		p.resp, p.err = response{}, nil
+		if err == nil && resp.Err != "" {
+			return resp.Retry, errors.New(resp.Err)
+		}
+		return false, err
+	case <-ctx.Done():
+		c.abandon(r.Origin, p)
+		return false, ctx.Err()
+	case <-c.quit:
+		c.abandon(r.Origin, p)
+		return false, ErrStopped
+	}
+}
+
+// abandon withdraws a call nobody will wait on any longer. If complete
+// or the sweeper got to it first, their send is already owed: take it,
+// so the pendingCall is quiet when it is reused.
+func (c *Cluster) abandon(id uint64, p *pendingCall) {
+	c.pmu.Lock()
+	_, waiting := c.pending[id]
+	delete(c.pending, id)
+	c.pmu.Unlock()
+	if !waiting {
+		<-p.done
+		p.resp, p.err = response{}, nil
+	}
+}
+
 // Discover routes a discovery over TCP, entering at a random node.
 func (c *Cluster) Discover(key keys.Key) (Result, error) {
 	return c.DiscoverContext(context.Background(), key)
 }
 
 // DiscoverContext is Discover under a caller context: cancelling ctx
-// sends CANCEL frames down the in-flight relay chain hop by hop —
-// freeing each stream while the pooled connections survive — and
-// returns the context error.
+// withdraws the pending call and returns the context error at once.
+// The frame still in flight runs out on its own — hops hold no state
+// for it — and its reply is dropped on arrival.
 func (c *Cluster) DiscoverContext(ctx context.Context, key keys.Key) (Result, error) {
 	select {
 	case <-c.quit:
@@ -1646,38 +1782,22 @@ func (c *Cluster) DiscoverContext(ctx context.Context, key keys.Key) (Result, er
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	c.mu.Lock()
-	entry, ok := c.net.RandomNodeKey(c.rng)
-	var addr string
-	var host keys.Key
-	if ok {
-		host, _ = c.net.HostOf(entry)
-		addr = c.addrs[host]
-	}
-	c.mu.Unlock()
-	if !ok {
+	began := time.Now()
+	h := hop{typ: frameRequest, req: request{Key: key, GoingUp: true, route: route{Physical: 1}}}
+	var resp response
+	root, ok, err := c.originate(ctx, obs.PhaseDiscover, &h, &resp)
+	if !ok && err == nil {
 		return Result{Key: key}, nil
 	}
-	began := time.Now()
-	root := c.rec.StartRoot(obs.PhaseDiscover, string(host))
 	root.SetAttr("key", string(key))
-	resp := c.relay(ctx, root.Context(), addr, request{Key: key, At: entry, GoingUp: true, Physical: 1})
 	root.End()
 	if c.met != nil {
 		d := time.Since(began)
 		c.met.DiscoverLatency.Observe(d.Seconds())
 		c.met.RecordPhase(obs.PhaseRelay, resp.Physical, d)
 	}
-	if resp.Err != "" {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		select {
-		case <-c.quit:
-			return Result{}, ErrStopped
-		default:
-		}
-		return Result{Key: key}, errors.New(resp.Err)
+	if err != nil {
+		return Result{Key: key}, err
 	}
 	return Result{
 		Key:          key,
@@ -1687,32 +1807,6 @@ func (c *Cluster) DiscoverContext(ctx context.Context, key keys.Key) (Result, er
 		PhysicalHops: resp.Physical,
 		Dropped:      resp.Dropped,
 	}, nil
-}
-
-// Complete resolves automatic completion of a partial search string.
-// Subtree queries share the protocol state directly (as in
-// internal/live); only unit discoveries travel the wire.
-func (c *Cluster) Complete(prefix keys.Key) (core.QueryResult, error) {
-	select {
-	case <-c.quit:
-		return core.QueryResult{}, ErrStopped
-	default:
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net.Complete(prefix, c.rng), nil
-}
-
-// RangeQuery resolves the lexicographic range query [lo, hi].
-func (c *Cluster) RangeQuery(lo, hi keys.Key) (core.QueryResult, error) {
-	select {
-	case <-c.quit:
-		return core.QueryResult{}, ErrStopped
-	default:
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net.RangeQuery(lo, hi, c.rng), nil
 }
 
 // WireStream is the client half of one streaming query: STREAM
@@ -1754,10 +1848,10 @@ func (s *WireStream) finish() {
 
 // StreamQuery starts a streaming subtree query over the wire in two
 // phases. The entry node is drawn from the same seeded stream the
-// slice queries use; the climb/descend phases then relay hop by hop
-// between listeners as QROUTE frames — each step resolved by the
-// peer hosting the node, like discovery steps — until the covering
-// node is found. The subtree walk opens as a STREAM query at that
+// slice queries use; the climb/descend phases then travel between
+// listeners as one QROUTE frame — each step resolved by the peer
+// hosting the node, like discovery steps — until the covering node is
+// found and reported straight back. The subtree walk opens as a STREAM query at that
 // node's host, seeded with the route's counters, and batches stream
 // back over the pooled connection.
 func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireStream, error) {
@@ -1778,33 +1872,17 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireSt
 	if spec.Range {
 		anchor = keys.GCP(spec.Lo, spec.Hi)
 	}
-	c.mu.Lock()
-	entry, ok := c.net.RandomNodeKey(c.rng)
-	var addr string
-	var entryHost keys.Key
-	if ok {
-		entryHost, _ = c.net.HostOf(entry)
-		addr = c.addrs[entryHost]
-	}
-	c.mu.Unlock()
-	if !ok {
+	began := time.Now()
+	h := hop{typ: frameQRoute, rq: qroute{Anchor: anchor}}
+	var rr response
+	root, ok, err := c.originate(ctx, "query", &h, &rr)
+	if !ok && err == nil {
 		return &WireStream{ended: true, finished: true}, nil
 	}
-	began := time.Now()
-	root := c.rec.StartRoot("query", string(entryHost))
 	root.SetAttr("anchor", string(anchor))
-	rr := c.routeRelay(ctx, root.Context(), addr, qroute{Anchor: anchor, At: entry})
-	if rr.Err != "" {
+	if err != nil {
 		root.End()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		select {
-		case <-c.quit:
-			return nil, ErrStopped
-		default:
-		}
-		return nil, errors.New(rr.Err)
+		return nil, err
 	}
 	if c.met != nil {
 		c.met.RecordPhase(obs.PhaseQRoute, rr.Physical, time.Since(began))
@@ -1825,7 +1903,7 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireSt
 	}
 	c.mu.RLock()
 	host, okh := c.net.HostOf(rr.Anchor)
-	addr = c.addrs[host]
+	addr := c.addrs[host]
 	c.mu.RUnlock()
 	if !okh || addr == "" {
 		ws := &WireStream{ended: true, finished: true, stats: pre,
@@ -1849,7 +1927,7 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireSt
 	if err != nil {
 		// The address was stale (departed peer, Balance rename):
 		// re-resolve the anchor's current host once and retry on a
-		// fresh dial, as relay does for discovery hops.
+		// fresh dial, as forward does for routed frames.
 		if ctx.Err() != nil || errors.Is(err, ErrStopped) {
 			root.End()
 			return nil, err
