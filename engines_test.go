@@ -126,6 +126,54 @@ func TestEnginesDifferential(t *testing.T) {
 	}
 }
 
+// TestEnginesDifferentialLongScan is the differential check at a size
+// where the tcp engine's result crosses frame boundaries: 3,000 keys
+// leave as five slow-start frames and then at least three of the
+// 512-key ceiling. Drained, ranged, limited mid-frame and abandoned
+// mid-frame, every engine must deliver the same key sequence.
+func TestEnginesDifferentialLongScan(t *testing.T) {
+	transcripts := make(map[EngineKind]string, len(engineKinds))
+	for _, kind := range engineKinds {
+		ctx := context.Background()
+		reg := newRegistry(t, 8, WithSeed(17), WithAlphabet(keys.LowerAlnum), WithEngine(kind))
+		corpus := registerLargeCorpus(t, reg, 3000)
+		var b strings.Builder
+		ks, err := reg.Complete(ctx, "", 0)
+		if err != nil || len(ks) != len(corpus) {
+			t.Fatalf("%s: complete: %d keys, err %v", kind, len(ks), err)
+		}
+		fmt.Fprintf(&b, "complete:\n%s\n", strings.Join(ks, "\n"))
+		lo, hi := ks[100], ks[2900]
+		if ks, err = reg.Range(ctx, lo, hi, 0); err != nil || len(ks) != 2801 {
+			t.Fatalf("%s: range: %d keys, err %v", kind, len(ks), err)
+		}
+		fmt.Fprintf(&b, "range:\n%s\n", strings.Join(ks, "\n"))
+		if ks, err = reg.Complete(ctx, "", 1700); err != nil || len(ks) != 1700 {
+			t.Fatalf("%s: limited complete: %d keys, err %v", kind, len(ks), err)
+		}
+		fmt.Fprintf(&b, "limit:\n%s\n", strings.Join(ks, "\n"))
+		ks = ks[:0]
+		for k, err := range reg.RangeSeq(ctx, lo, hi, 0) {
+			if err != nil {
+				t.Fatalf("%s: range seq: %v", kind, err)
+			}
+			if ks = append(ks, k); len(ks) == 1100 {
+				break // early Close inside the second ceiling frame
+			}
+		}
+		fmt.Fprintf(&b, "abandoned:\n%s\n", strings.Join(ks, "\n"))
+		if err := reg.Validate(ctx); err != nil {
+			t.Fatalf("%s: validate: %v", kind, err)
+		}
+		transcripts[kind] = b.String()
+	}
+	for _, kind := range engineKinds[1:] {
+		if ref := transcripts[EngineLocal]; transcripts[kind] != ref {
+			t.Errorf("engine %s diverges from local:\n%s", kind, firstDiff(ref, transcripts[kind]))
+		}
+	}
+}
+
 // firstDiff returns the first differing line pair for a readable
 // failure message.
 func firstDiff(a, b string) string {

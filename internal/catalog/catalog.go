@@ -1,6 +1,6 @@
 // Package catalog is the shared marshalling layer for node
 // catalogues: the sorted set of tree-node states that snapshots
-// persist and REPLICA/STREAM frames ship. Every encoded catalogue is
+// persist and REPLICA frames ship. Every encoded catalogue is
 // a self-describing envelope
 //
 //	version(1) | sections(1) | payload
@@ -33,7 +33,7 @@ import (
 
 // Entry is one catalogue entry: a tree node's key plus the optional
 // sections a particular use carries (snapshots: values only; replica
-// batches: everything; stream batches: keys only).
+// batches: everything).
 type Entry struct {
 	Key       string
 	Values    []string
@@ -140,45 +140,6 @@ func Decode(p []byte) ([]Entry, Sections, error) {
 		return nil, 0, err
 	}
 	return entries, secs, nil
-}
-
-// AppendKeys encodes a bare key list (no sections). Key lists that
-// are already sorted and duplicate-free — every tree walk emits them
-// that way — keep their order through any codec; an unsorted list
-// falls back to the legacy codec's raw (order-preserving) form so
-// the receiver sees exactly the sequence that was sent.
-func AppendKeys(dst []byte, c Codec, ks []string) []byte {
-	entries := make([]Entry, len(ks))
-	for i, k := range ks {
-		entries[i].Key = k
-	}
-	if !sortedUnique(ks) {
-		dst = append(dst, versionLegacy, 0)
-		return appendLegacyPayload(dst, entries, 0)
-	}
-	return Append(dst, c, entries, 0)
-}
-
-// DecodeKeys parses an envelope into its bare key list.
-func DecodeKeys(p []byte) ([]string, error) {
-	entries, _, err := Decode(p)
-	if err != nil {
-		return nil, err
-	}
-	ks := make([]string, len(entries))
-	for i, e := range entries {
-		ks[i] = e.Key
-	}
-	return ks, nil
-}
-
-func sortedUnique(ks []string) bool {
-	for i := 1; i < len(ks); i++ {
-		if ks[i] <= ks[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // canonicalize returns entries sorted by key with later duplicates

@@ -3,7 +3,6 @@ package catalog
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -109,40 +108,6 @@ func TestEmptyCatalogue(t *testing.T) {
 		if len(got) != 0 {
 			t.Fatalf("codec v%d: got %d entries", c.Version(), len(got))
 		}
-	}
-}
-
-func TestKeysRoundTrip(t *testing.T) {
-	sorted := corpus(200)
-	canon := canonicalize(entriesFor(sorted, false))
-	sortedKeys := make([]string, len(canon))
-	for i, e := range canon {
-		sortedKeys[i] = e.Key
-	}
-	// Sorted-unique keys travel through the succinct codec.
-	enc := AppendKeys(nil, LOUDS, sortedKeys)
-	if enc[0] != versionLOUDS {
-		t.Fatalf("sorted keys: codec v%d, want LOUDS", enc[0])
-	}
-	got, err := DecodeKeys(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sortedKeys) {
-		t.Fatal("sorted keys round trip mismatch")
-	}
-	// An unsorted batch must keep its order: the legacy fallback.
-	unsorted := []string{"zz", "aa", "mm"}
-	enc = AppendKeys(nil, LOUDS, unsorted)
-	if enc[0] != versionLegacy {
-		t.Fatalf("unsorted keys: codec v%d, want legacy fallback", enc[0])
-	}
-	got, err = DecodeKeys(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, unsorted) {
-		t.Fatal("unsorted keys lost their order")
 	}
 }
 

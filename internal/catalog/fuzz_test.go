@@ -81,15 +81,15 @@ func expectEntries(entries []Entry, secs Sections) []Entry {
 // FuzzCatalogRoundTrip encodes fuzz-built catalogues through both
 // codecs and demands the decode equal the canonical image — and that
 // the two codecs, fed the same entries, decode to identical values.
-// This is the byte-determinism contract snapshots and REPLICA/STREAM
-// frames rest on.
+// This is the byte-determinism contract snapshots and REPLICA frames
+// rest on.
 func FuzzCatalogRoundTrip(f *testing.F) {
-	f.Add("a\x00ab\x00abc", "v1\x00v2", "a", true, 3, 9, byte(SecAll), false)
-	f.Add("", "", "", false, 0, 0, byte(0), true)
-	f.Add("dup\x00dup\x00z", "x", "dup", true, 1, 2, byte(SecValues|SecLoads), true)
-	f.Add("k\xffe\x00y\x00", "\x01\x02", "\xff", true, 1 << 20, 7, byte(SecStruct), false)
+	f.Add("a\x00ab\x00abc", "v1\x00v2", "a", true, 3, 9, byte(SecAll))
+	f.Add("", "", "", false, 0, 0, byte(0))
+	f.Add("dup\x00dup\x00z", "x", "dup", true, 1, 2, byte(SecValues|SecLoads))
+	f.Add("k\xffe\x00y\x00", "\x01\x02", "\xff", true, 1<<20, 7, byte(SecStruct))
 
-	f.Fuzz(func(t *testing.T, keysBlob, valsBlob, father string, hasFather bool, lp, lc int, secsByte byte, preferLegacy bool) {
+	f.Fuzz(func(t *testing.T, keysBlob, valsBlob, father string, hasFather bool, lp, lc int, secsByte byte) {
 		secs := Sections(secsByte) & SecAll
 		entries := fuzzEntries(keysBlob, valsBlob, father, hasFather, lp, lc)
 		want := expectEntries(entries, secs)
@@ -117,28 +117,6 @@ func FuzzCatalogRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(decoded[0], decoded[1]) {
 			t.Fatalf("codecs disagree:\nlegacy %+v\nlouds  %+v", decoded[0], decoded[1])
-		}
-
-		// The bare key-list form (STREAM batches). Unsorted input takes
-		// the legacy order-preserving fallback; either way DecodeKeys
-		// must return exactly the sequence AppendKeys was given.
-		c := Default
-		if preferLegacy {
-			c = Legacy
-		}
-		ks := splitBlob(keysBlob)
-		gotKs, err := DecodeKeys(AppendKeys(nil, c, ks))
-		if err != nil {
-			t.Fatalf("DecodeKeys: %v", err)
-		}
-		if len(gotKs) == 0 {
-			gotKs = nil
-		}
-		if len(ks) == 0 {
-			ks = nil
-		}
-		if !reflect.DeepEqual(gotKs, ks) {
-			t.Fatalf("key round-trip: %q != %q", gotKs, ks)
 		}
 	})
 }
@@ -179,7 +157,6 @@ func FuzzCatalogDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_, _ = DecodeKeys(data)
 
 		c, ok := ByVersion(data[0])
 		if !ok {

@@ -12,19 +12,12 @@ import (
 // plus every section inline — no sharing, no deduplication. It stays
 // both readable and writable so old snapshots load and mixed-version
 // clusters interoperate during migration.
-//
-// The raw form preserves entry order, which AppendKeys relies on for
-// traversal-ordered key batches; AppendPayload canonicalizes first
-// like every codec.
 type legacyCodec struct{}
 
 func (legacyCodec) Version() byte { return versionLegacy }
 
 func (legacyCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []byte {
-	return appendLegacyPayload(dst, canonicalize(entries), secs)
-}
-
-func appendLegacyPayload(dst []byte, entries []Entry, secs Sections) []byte {
+	entries = canonicalize(entries)
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
 		dst = appendString(dst, e.Key)

@@ -131,28 +131,31 @@ func TestThreeDaemonOverlay(t *testing.T) {
 	}
 }
 
-// A JOIN with the wrong handshake version is rejected in-band and the
-// joiner fails fast instead of retrying.
+// A JOIN with the wrong handshake version — the previous wire revision
+// (3: STREAM frames were catalogue envelopes) as much as a future one
+// — is rejected in-band and the joiner fails fast instead of retrying.
 func TestJoinVersionMismatchRejected(t *testing.T) {
 	s := startDaemon(t, testConfig(1))
-	jr := &transport.JoinRequest{
-		Version:  transport.HandshakeVersion + 98,
-		Alphabet: string(keys.LowerAlnum.Digits()),
-		Addr:     "127.0.0.1:1",
-		Capacity: 8,
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	rtyp, p, err := transport.RawCall(ctx, s.Addr(), transport.FrameJoin, transport.EncodeJoin(jr))
-	if err != nil || rtyp != transport.FrameHello {
-		t.Fatalf("raw join: frame %d, err %v", rtyp, err)
-	}
-	hello, err := transport.DecodeHello(p)
-	if err != nil {
-		t.Fatalf("decode hello: %v", err)
-	}
-	if !strings.Contains(hello.Err, "handshake version") {
-		t.Fatalf("hello.Err = %q, want version rejection", hello.Err)
+	for _, version := range []int{3, transport.HandshakeVersion + 98} {
+		jr := &transport.JoinRequest{
+			Version:  version,
+			Alphabet: string(keys.LowerAlnum.Digits()),
+			Addr:     "127.0.0.1:1",
+			Capacity: 8,
+		}
+		rtyp, p, err := transport.RawCall(ctx, s.Addr(), transport.FrameJoin, transport.EncodeJoin(jr))
+		if err != nil || rtyp != transport.FrameHello {
+			t.Fatalf("raw join v%d: frame %d, err %v", version, rtyp, err)
+		}
+		hello, err := transport.DecodeHello(p)
+		if err != nil {
+			t.Fatalf("decode hello: %v", err)
+		}
+		if !strings.Contains(hello.Err, "handshake version") {
+			t.Fatalf("v%d: hello.Err = %q, want version rejection", version, hello.Err)
+		}
 	}
 	// The daemon-level join loop treats it as permanent.
 	cfg := testConfig(9, s.Addr())

@@ -22,6 +22,15 @@
 //     connection, STREAM_ACK returns credit and CANCEL abandons the
 //     stream while the connection survives.
 //
+// A STREAM payload is the walk's running counters, a key count and the
+// keys front-coded against their predecessor in the frame (uvarints):
+//
+//	logical | physical | visited | n | n × (shared | suffixLen | suffix)
+//
+// shared is the length of the prefix a key has in common with the key
+// before it. A walk emits keys in ascending order, so a key costs its
+// new suffix and two small varints; any order round-trips exactly.
+//
 // Payloads are hand-rolled varint/length-prefixed encodings of the
 // small wire structs — unlike a per-connection gob stream there is no
 // per-encoder type-descriptor preamble, and every frame is
@@ -38,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 
 	"dlpt/internal/catalog"
@@ -61,9 +71,9 @@ const (
 	// the server answers with zero or more STREAM frames carrying
 	// partial result batches and exactly one STREAM_END frame carrying
 	// the traversal totals. The consumer acknowledges each batch it
-	// pulls with a STREAM_ACK (no payload); the server pauses the
-	// traversal after queryWindow unacknowledged batches, so a
-	// consumer that stops reading halts the walk instead of letting
+	// pulls with a STREAM_ACK (no payload); the server's credit is one
+	// small frame and doubles with every ACK (see streamWindowKeys), so
+	// a consumer that stops reading halts the walk instead of letting
 	// it fill socket buffers. A CANCEL frame for the same id aborts
 	// the traversal mid-stream; the connection survives.
 	frameQuery     = 4
@@ -210,7 +220,13 @@ func (fc *frameConn) readFrame() (typ byte, id uint64, tc trace.Context, payload
 // beginFrame starts a frame in a pooled buffer; finishFrame patches
 // the payload length in and writes the whole frame in one call.
 func beginFrame(buf []byte, typ byte, id uint64) []byte {
-	buf = append(buf[:0], typ)
+	return appendFrameHeader(buf[:0], typ, id)
+}
+
+// appendFrameHeader starts a frame behind whatever buf already holds,
+// so several frames can leave in one write (see writeStream).
+func appendFrameHeader(buf []byte, typ byte, id uint64) []byte {
+	buf = append(buf, typ)
 	buf = binary.BigEndian.AppendUint64(buf, id)
 	return append(buf, 0, 0, 0, 0) // payload length placeholder
 }
@@ -229,14 +245,29 @@ func beginTracedFrame(buf []byte, typ byte, id uint64, tc trace.Context) []byte 
 }
 
 func (fc *frameConn) finishFrame(buf []byte) error {
-	if len(buf)-frameHeaderSize > maxFramePayload {
+	if err := sealFrame(buf, 0); err != nil {
+		return err
+	}
+	return fc.write(buf)
+}
+
+// sealFrame patches the payload length into the frame that starts at
+// buf[start] and runs to the end of buf.
+func sealFrame(buf []byte, start int) error {
+	n := len(buf) - start - frameHeaderSize
+	if n > maxFramePayload {
 		// Never put an oversized frame on the wire: the receiver
 		// would kill the shared connection (and every multiplexed
 		// request on it). Nothing was written; the connection stays
 		// consistent and the caller degrades per frame type.
 		return errFrameTooLarge
 	}
-	binary.BigEndian.PutUint32(buf[9:13], uint32(len(buf)-frameHeaderSize))
+	binary.BigEndian.PutUint32(buf[start+9:start+13], uint32(n))
+	return nil
+}
+
+// write puts sealed frames on the wire in one conn.Write.
+func (fc *frameConn) write(buf []byte) error {
 	fc.wmu.Lock()
 	_, err := fc.conn.Write(buf)
 	fc.wmu.Unlock()
@@ -246,65 +277,53 @@ func (fc *frameConn) finishFrame(buf []byte) error {
 	return err
 }
 
-func (fc *frameConn) writeRequest(id uint64, tc trace.Context, req *request) error {
-	bp := framePool.Get().(*[]byte)
-	buf := beginTracedFrame(*bp, frameRequest, id, tc)
-	buf = appendRequest(buf, req)
+// writeFrame is finishFrame for a frame built in pooled storage, which
+// goes back to the pool.
+func (fc *frameConn) writeFrame(bp *[]byte, buf []byte) error {
 	err := fc.finishFrame(buf)
 	*bp = buf
 	framePool.Put(bp)
 	return err
+}
+
+func (fc *frameConn) writeRequest(id uint64, tc trace.Context, req *request) error {
+	bp := framePool.Get().(*[]byte)
+	return fc.writeFrame(bp, appendRequest(beginTracedFrame(*bp, frameRequest, id, tc), req))
 }
 
 func (fc *frameConn) writeResponse(id uint64, resp *response) error {
 	bp := framePool.Get().(*[]byte)
-	buf := beginFrame(*bp, frameResponse, id)
-	buf = appendResponse(buf, resp)
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	return fc.writeFrame(bp, appendResponse(beginFrame(*bp, frameResponse, id), resp))
 }
 
 func (fc *frameConn) writeQuery(id uint64, tc trace.Context, q *queryReq) error {
 	bp := framePool.Get().(*[]byte)
-	buf := beginTracedFrame(*bp, frameQuery, id, tc)
-	buf = appendQuery(buf, q)
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	return fc.writeFrame(bp, appendQuery(beginTracedFrame(*bp, frameQuery, id, tc), q))
 }
 
-// writeStream carries one partial result batch plus the traversal
-// counters accumulated so far (progress.Err unused), so the client
-// can report live stats mid-stream like the in-process engines do.
-// The batch keys ride in a catalogue envelope: walk chunks arrive in
-// ascending order, so the succinct codec compresses their shared
-// prefixes (an unsorted batch falls back to the order-preserving
-// legacy encoding).
-func (fc *frameConn) writeStream(id uint64, batch []keys.Key, progress *streamEnd) error {
+// writeStream puts one step of a stream on the wire in a single
+// write: unless batch is empty, a STREAM frame with batch and the
+// traversal counters so far (the client reports live stats mid-stream
+// like the in-process engines); when last is set, the STREAM_END frame
+// with the same counters and st.Err behind it.
+func (fc *frameConn) writeStream(id uint64, batch []keys.Key, st *streamEnd, last bool) error {
 	bp := framePool.Get().(*[]byte)
-	buf := beginFrame(*bp, frameStream, id)
-	buf = binary.AppendUvarint(buf, uint64(progress.Logical))
-	buf = binary.AppendUvarint(buf, uint64(progress.Physical))
-	buf = binary.AppendUvarint(buf, uint64(progress.Visited))
-	ks := make([]string, len(batch))
-	for i, k := range batch {
-		ks[i] = string(k)
+	buf := (*bp)[:0]
+	var err error
+	if len(batch) > 0 {
+		buf = appendFrameHeader(buf, frameStream, id)
+		buf = appendStreamBatch(buf, batch, st)
+		err = sealFrame(buf, 0)
 	}
-	buf = catalog.AppendKeys(buf, catalog.Default, ks)
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
-}
-
-func (fc *frameConn) writeStreamEnd(id uint64, end *streamEnd) error {
-	bp := framePool.Get().(*[]byte)
-	buf := beginFrame(*bp, frameStreamEnd, id)
-	buf = appendStreamEnd(buf, end)
-	err := fc.finishFrame(buf)
+	if last && err == nil {
+		start := len(buf)
+		buf = appendFrameHeader(buf, frameStreamEnd, id)
+		buf = appendStreamEnd(buf, st)
+		err = sealFrame(buf, start)
+	}
+	if err == nil {
+		err = fc.write(buf)
+	}
 	*bp = buf
 	framePool.Put(bp)
 	return err
@@ -312,11 +331,7 @@ func (fc *frameConn) writeStreamEnd(id uint64, end *streamEnd) error {
 
 func (fc *frameConn) writeCancel(id uint64) error {
 	bp := framePool.Get().(*[]byte)
-	buf := beginFrame(*bp, frameCancel, id)
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	return fc.writeFrame(bp, beginFrame(*bp, frameCancel, id))
 }
 
 func (fc *frameConn) writeReplica(id uint64, tc trace.Context, b *core.ReplicaBatch) error {
@@ -326,41 +341,24 @@ func (fc *frameConn) writeReplica(id uint64, tc trace.Context, b *core.ReplicaBa
 	if fc.met != nil {
 		fc.met.ReplicaTransferBytes.Add(float64(len(buf) - frameHeaderSize))
 	}
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	return fc.writeFrame(bp, buf)
 }
 
 // writeRaw frames an already-encoded payload: the control plane and
 // the admin plane build their payloads outside the transport.
 func (fc *frameConn) writeRaw(typ byte, id uint64, payload []byte) error {
 	bp := framePool.Get().(*[]byte)
-	buf := beginFrame(*bp, typ, id)
-	buf = append(buf, payload...)
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	return fc.writeFrame(bp, append(beginFrame(*bp, typ, id), payload...))
 }
 
 func (fc *frameConn) writeQRoute(id uint64, tc trace.Context, rq *qroute) error {
 	bp := framePool.Get().(*[]byte)
-	buf := beginTracedFrame(*bp, frameQRoute, id, tc)
-	buf = appendQRoute(buf, rq)
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	return fc.writeFrame(bp, appendQRoute(beginTracedFrame(*bp, frameQRoute, id, tc), rq))
 }
 
 func (fc *frameConn) writeStreamAck(id uint64) error {
 	bp := framePool.Get().(*[]byte)
-	buf := beginFrame(*bp, frameStreamAck, id)
-	err := fc.finishFrame(buf)
-	*bp = buf
-	framePool.Put(bp)
-	return err
+	return fc.writeFrame(bp, beginFrame(*bp, frameStreamAck, id))
 }
 
 // --- payload encoding --------------------------------------------------------
@@ -687,53 +685,101 @@ func decodeReplicaBatch(p []byte, batch *core.ReplicaBatch) error {
 	return nil
 }
 
-func decodeStreamBatch(p []byte) ([]string, streamEnd, error) {
-	var progress streamEnd
-	var v uint64
+// appendCounters and getCounters code the traversal counters every
+// STREAM and STREAM_END payload starts with.
+func appendCounters(b []byte, st *streamEnd) []byte {
+	b = binary.AppendUvarint(b, uint64(st.Logical))
+	b = binary.AppendUvarint(b, uint64(st.Physical))
+	return binary.AppendUvarint(b, uint64(st.Visited))
+}
+
+func getCounters(p []byte, st *streamEnd) ([]byte, error) {
+	var v [3]uint64
 	var err error
-	if v, p, err = getUvarint(p); err != nil {
-		return nil, progress, fmt.Errorf("stream logical: %w", err)
+	for i := range v {
+		if v[i], p, err = getUvarint(p); err != nil {
+			return nil, fmt.Errorf("stream counters: %w", err)
+		}
 	}
-	progress.Logical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return nil, progress, fmt.Errorf("stream physical: %w", err)
+	st.Logical, st.Physical, st.Visited = int(v[0]), int(v[1]), int(v[2])
+	return p, nil
+}
+
+// appendStreamBatch encodes a STREAM payload: the counters of
+// progress (Err unused), then batch front-coded key by key.
+func appendStreamBatch(b []byte, batch []keys.Key, progress *streamEnd) []byte {
+	b = appendCounters(b, progress)
+	b = binary.AppendUvarint(b, uint64(len(batch)))
+	var prev keys.Key
+	for _, k := range batch {
+		shared := len(keys.GCP(prev, k))
+		b = binary.AppendUvarint(b, uint64(shared))
+		b = appendString(b, string(k[shared:]))
+		prev = k
 	}
-	progress.Physical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return nil, progress, fmt.Errorf("stream visited: %w", err)
-	}
-	progress.Visited = int(v)
-	out, err := catalog.DecodeKeys(p)
+	return b
+}
+
+// decodeStreamBatch parses a STREAM payload. The returned keys are
+// substrings of one string allocated for the frame. A first pass
+// checks every length against the payload and sizes that arena, so a
+// hostile frame — a shared longer than the previous key, a count or a
+// suffix beyond the payload, keys expanding past maxFramePayload — is
+// an error before anything is allocated from it.
+func decodeStreamBatch(p []byte) ([]keys.Key, streamEnd, error) {
+	var progress streamEnd
+	p, err := getCounters(p, &progress)
 	if err != nil {
-		return nil, progress, fmt.Errorf("stream batch: %w", err)
+		return nil, progress, err
+	}
+	n, p, err := getUvarint(p)
+	if err != nil || n > streamFrameKeys { // no server fills a frame beyond the ceiling
+		return nil, progress, errors.New("transport: implausible stream key count")
+	}
+	total, prevLen := uint64(0), uint64(0)
+	for q, i := p, uint64(0); i < n; i++ {
+		var shared, suffix uint64
+		if shared, q, err = getUvarint(q); err == nil {
+			suffix, q, err = getUvarint(q)
+		}
+		if err != nil || shared > prevLen || suffix > uint64(len(q)) {
+			return nil, progress, fmt.Errorf("transport: corrupt stream key %d of %d", i, n)
+		}
+		q = q[suffix:]
+		prevLen = shared + suffix
+		if total += prevLen; total > maxFramePayload {
+			return nil, progress, errFrameTooLarge
+		}
+	}
+	out := make([]keys.Key, n)
+	var arena strings.Builder
+	arena.Grow(int(total)) // no reallocation below: one arena per frame
+	var prev string
+	for i := range out {
+		var shared, suffix uint64
+		shared, p, _ = getUvarint(p)
+		suffix, p, _ = getUvarint(p)
+		start := arena.Len()
+		arena.WriteString(prev[:shared])
+		arena.Write(p[:suffix])
+		p = p[suffix:]
+		prev = arena.String()[start:]
+		out[i] = keys.Key(prev)
 	}
 	return out, progress, nil
 }
 
 func appendStreamEnd(b []byte, end *streamEnd) []byte {
-	b = binary.AppendUvarint(b, uint64(end.Logical))
-	b = binary.AppendUvarint(b, uint64(end.Physical))
-	b = binary.AppendUvarint(b, uint64(end.Visited))
-	return appendString(b, end.Err)
+	return appendString(appendCounters(b, end), end.Err)
 }
 
 func decodeStreamEnd(p []byte, end *streamEnd) error {
-	var err error
-	var v uint64
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("stream-end logical: %w", err)
+	p, err := getCounters(p, end)
+	if err == nil {
+		end.Err, _, err = getString(p)
 	}
-	end.Logical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("stream-end physical: %w", err)
-	}
-	end.Physical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("stream-end visited: %w", err)
-	}
-	end.Visited = int(v)
-	if end.Err, _, err = getString(p); err != nil {
-		return fmt.Errorf("stream-end err: %w", err)
+	if err != nil {
+		return fmt.Errorf("stream-end: %w", err)
 	}
 	return nil
 }

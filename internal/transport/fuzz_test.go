@@ -61,6 +61,11 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendQRoute(nil, &qroute{Anchor: "anc", Descending: true, Visited: 9, route: route{At: "at"}}))
 	f.Add(appendQRoute(nil, &qroute{Anchor: "anc", Visited: 1, route: route{At: "at", Origin: 77, ReplyTo: "[::1]:9"}}))
 	f.Add(appendStreamEnd(nil, &streamEnd{Logical: 1, Physical: 2, Visited: 3, Err: "end"}))
+	// STREAM payloads: front-coded keys, an empty batch, and a key
+	// claiming to share more bytes than its predecessor has.
+	f.Add(appendStreamBatch(nil, []keys.Key{"dgemm", "dgemv", "dgetrf", "dge", "sgemm"}, &streamEnd{Logical: 4, Physical: 2, Visited: 9}))
+	f.Add(appendStreamBatch(nil, nil, &streamEnd{Visited: 1}))
+	f.Add([]byte{0, 0, 0, 2, 0, 2, 'a', 'b', 3, 1, 'c'})
 	f.Add(appendReplicaBatch(nil, &core.ReplicaBatch{
 		From: "p1", To: "p2",
 		Infos: []core.NodeInfo{{Key: "k", Father: "f", HasFather: true, Children: []keys.Key{"c1"}, Data: []string{"d"}, LoadCur: 2}},
@@ -97,7 +102,20 @@ func FuzzFrameDecode(f *testing.F) {
 		_ = decodeQRoute(data, &rq)
 		var batch core.ReplicaBatch
 		_ = decodeReplicaBatch(data, &batch)
-		_, _, _ = decodeStreamBatch(data)
+		if batch, _, err := decodeStreamBatch(data); err == nil {
+			// Whatever decodes re-encodes to a payload that decodes to
+			// the same keys (the encoder picks the longest shared
+			// prefix, the input need not have).
+			again, _, err := decodeStreamBatch(appendStreamBatch(nil, batch, &streamEnd{}))
+			if err != nil || len(again) != len(batch) {
+				t.Fatalf("re-encoded stream batch: %d keys, err %v, want %d", len(again), err, len(batch))
+			}
+			for i := range batch {
+				if again[i] != batch[i] {
+					t.Fatalf("re-encoded stream key %d: %q != %q", i, again[i], batch[i])
+				}
+			}
+		}
 		var end streamEnd
 		_ = decodeStreamEnd(data, &end)
 
@@ -188,6 +206,21 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(end, gotEnd) {
 			t.Fatalf("streamEnd round-trip: %+v != %+v", end, gotEnd)
+		}
+
+		// A STREAM batch keeps its order whatever it is: the values as
+		// they come, then the key and its prefixes.
+		walk := []keys.Key{keys.Key(key), keys.Key(key[:len(key)/2]), keys.Key(at), keys.Key(key)}
+		for _, v := range values {
+			walk = append(walk, keys.Key(v))
+		}
+		walk = walk[:min(len(walk), streamFrameKeys)] // the decoder refuses a frame beyond the ceiling
+		gotStream, gotProgress, err := decodeStreamBatch(appendStreamBatch(nil, walk, &streamEnd{Logical: n1, Physical: n2, Visited: n3}))
+		if err != nil {
+			t.Fatalf("decodeStreamBatch: %v", err)
+		}
+		if !reflect.DeepEqual(walk, gotStream) || gotProgress != (streamEnd{Logical: n1, Physical: n2, Visited: n3}) {
+			t.Fatalf("stream round-trip: %q %+v != %q", gotStream, gotProgress, walk)
 		}
 
 		batch := core.ReplicaBatch{From: keys.Key(key), To: keys.Key(at)}

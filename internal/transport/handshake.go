@@ -30,7 +30,9 @@ import (
 // APPLY and the ELECT/EPOCH_OPEN/RESYNC/FETCH failover frames.
 // Revision 3 routes REQUEST and QROUTE one way with a direct reply: a
 // revision-2 member would answer up a chain nobody waits on.
-const HandshakeVersion = 3
+// Revision 4 front-codes STREAM payloads and slow-starts their credit:
+// a revision-3 member would parse the keys as a catalogue envelope.
+const HandshakeVersion = 4
 
 // Exported frame-type aliases for control round-trips: the daemon
 // package addresses its frames with these, and a control handler

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dlpt/internal/keys"
 	"dlpt/internal/obs"
 )
 
@@ -91,7 +92,7 @@ type rawMsg struct {
 // carries the traversal counters so far), the STREAM_END totals, or
 // the transport error that broke the connection.
 type streamMsg struct {
-	batch []string
+	batch []keys.Key
 	end   bool
 	info  streamEnd
 	err   error
@@ -218,17 +219,18 @@ func (p *connPool) demux(pc *poolConn) {
 				rch <- rawMsg{typ: typ, payload: append([]byte(nil), payload...)}
 			}
 		case frameStream:
+			pc.mu.Lock()
+			cs := pc.streams[id]
+			pc.mu.Unlock()
+			if cs == nil {
+				continue // consumer closed the stream: don't decode what is still in flight
+			}
 			batch, progress, err := decodeStreamBatch(payload)
 			if err != nil {
 				p.fail(pc, err)
 				return
 			}
-			pc.mu.Lock()
-			cs := pc.streams[id]
-			pc.mu.Unlock()
-			if cs != nil {
-				cs.deliver(streamMsg{batch: batch, info: progress})
-			}
+			cs.deliver(streamMsg{batch: batch, info: progress})
 		case frameStreamEnd:
 			var end streamEnd
 			if err := decodeStreamEnd(payload, &end); err != nil {
@@ -252,11 +254,11 @@ func (p *connPool) demux(pc *poolConn) {
 // id and demux handle. The caller writes the QUERY frame itself.
 // The delivery channel holds a full server credit window plus the
 // STREAM_END, so the demux loop never blocks on a slow-but-alive
-// consumer — only on one that is queryWindow batches behind, which
-// the server-side credit pause prevents from ever happening.
+// consumer — only on one that is further behind than that, which the
+// server-side credit pause prevents from ever happening.
 func (p *connPool) openStream(pc *poolConn) (uint64, *clientStream, error) {
 	id := p.nextID.Add(1)
-	cs := &clientStream{ch: make(chan streamMsg, queryWindow+1), gone: make(chan struct{})}
+	cs := &clientStream{ch: make(chan streamMsg, streamMaxInflight+1), gone: make(chan struct{})}
 	pc.mu.Lock()
 	if pc.err != nil {
 		err := pc.err

@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"dlpt/internal/catalog"
 	"dlpt/internal/keys"
 	"dlpt/internal/workload"
 )
@@ -365,19 +365,11 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	batch := []keys.Key{"pdgesv", "pdgetrf", "s3l_fft"}
 	progress := streamEnd{Logical: 3, Physical: 1, Visited: 6}
-	bbuf := binary.AppendUvarint(nil, uint64(progress.Logical))
-	bbuf = binary.AppendUvarint(bbuf, uint64(progress.Physical))
-	bbuf = binary.AppendUvarint(bbuf, uint64(progress.Visited))
-	ks := make([]string, len(batch))
-	for i, k := range batch {
-		ks[i] = string(k)
-	}
-	bbuf = catalog.AppendKeys(bbuf, catalog.Default, ks)
-	gotB, gotP, err := decodeStreamBatch(bbuf)
+	gotB, gotP, err := decodeStreamBatch(appendStreamBatch(nil, batch, &progress))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotB) != 3 || gotB[0] != "pdgesv" || gotB[2] != "s3l_fft" {
+	if !reflect.DeepEqual(gotB, batch) {
 		t.Fatalf("stream batch round-trip: %v", gotB)
 	}
 	if gotP != progress {

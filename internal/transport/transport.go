@@ -144,6 +144,10 @@ type streamEnd struct {
 	Err                        string
 }
 
+func (e *streamEnd) result() core.QueryResult {
+	return core.QueryResult{LogicalHops: e.Logical, PhysicalHops: e.Physical, NodesVisited: e.Visited}
+}
+
 // Result is the outcome of a TCP-routed discovery.
 type Result struct {
 	Key          keys.Key
@@ -1029,26 +1033,33 @@ func (c *Cluster) serve(ps *peerServer) {
 	}
 }
 
-// serverConn is the per-connection server state: the framed socket,
-// the table of in-flight streaming queries a CANCEL frame can abort,
-// and the per-stream credit channels STREAM_ACK frames feed.
+// serverConn is the per-connection server state: the framed socket
+// and the table of in-flight streaming queries.
 type serverConn struct {
-	fc     *frameConn
-	amu    sync.Mutex
-	active map[uint64]context.CancelFunc
-	credit map[uint64]chan struct{}
+	fc      *frameConn
+	amu     sync.Mutex
+	streams map[uint64]serverStream
 }
 
-// ackStream feeds one batch credit to the streaming query with the
-// given id, if it is still active.
+// serverStream is what the connection's read loop holds of one
+// streaming query: cancel (a CANCEL frame, or teardown) aborts it, and
+// acks takes one token per STREAM_ACK, with a slot for every frame
+// that can be in flight so an ACK is never dropped.
+type serverStream struct {
+	cancel context.CancelFunc
+	acks   chan struct{}
+}
+
+// ackStream feeds one frame's acknowledgement to the streaming query
+// with the given id, if it is still active.
 func (sc *serverConn) ackStream(id uint64) {
 	sc.amu.Lock()
-	ch := sc.credit[id]
+	st, ok := sc.streams[id]
 	sc.amu.Unlock()
-	if ch != nil {
+	if ok {
 		select {
-		case ch <- struct{}{}:
-		default: // credit channel full: the walker is far behind anyway
+		case st.acks <- struct{}{}:
+		default: // more ACKs than frames in flight: not ours to count
 		}
 	}
 }
@@ -1068,9 +1079,7 @@ func (sc *serverConn) ackStream(id uint64) {
 // with an earlier frame, a transient goroutine takes the overflow so
 // multiplexed frames never queue behind each other.
 func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
-	sc := &serverConn{fc: newFrameConn(conn),
-		active: make(map[uint64]context.CancelFunc),
-		credit: make(map[uint64]chan struct{})}
+	sc := &serverConn{fc: newFrameConn(conn), streams: make(map[uint64]serverStream)}
 	sc.fc.met = c.met
 	work := make(chan hop)
 	defer close(work)
@@ -1083,8 +1092,8 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 	}()
 	defer func() {
 		sc.amu.Lock()
-		for _, cancel := range sc.active {
-			cancel()
+		for _, st := range sc.streams {
+			st.cancel()
 		}
 		sc.amu.Unlock()
 	}()
@@ -1124,9 +1133,9 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 				return // protocol violation: drop the connection
 			}
 			ctx, cancel := context.WithCancel(context.Background())
+			st := serverStream{cancel: cancel, acks: make(chan struct{}, streamMaxInflight)}
 			sc.amu.Lock()
-			sc.active[id] = cancel
-			sc.credit[id] = make(chan struct{}, queryWindow)
+			sc.streams[id] = st
 			sc.amu.Unlock()
 			// Streams are long-lived relative to routing steps: each
 			// gets its own goroutine instead of the shared worker, so
@@ -1134,7 +1143,7 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
-				c.serveQuery(sc, id, q, tc, ctx, cancel)
+				c.serveQuery(ctx, sc, id, st, q, tc)
 			}()
 		case frameJoin, frameLeave, frameApply, frameStatus, frameAdmin,
 			frameElect, frameEpochOpen, frameResync, frameFetch:
@@ -1178,45 +1187,52 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 			sc.ackStream(id)
 		case frameCancel:
 			sc.amu.Lock()
-			if cancel, ok := sc.active[id]; ok {
-				cancel()
+			if st, ok := sc.streams[id]; ok {
+				st.cancel()
 			}
 			sc.amu.Unlock()
 		}
 	}
 }
 
-// queryBatchKeys bounds the matches per STREAM frame, and
-// queryBatchVisits the node visits per read-lock hold of the
-// server-side traversal. queryWindow is the credit window: the
-// traversal pauses after that many unacknowledged STREAM frames, so
-// a consumer that stops pulling halts the walk (flow control the
-// kernel's socket buffers cannot provide).
+// queryBatchVisits bounds the node visits per read-lock hold of the
+// server-side traversal; a frame is filled over as many holds as it
+// takes. The stream's flow control is one slow-started variable, the
+// credit window in keys: it starts at streamInitKeys and doubles with
+// every STREAM_ACK up to streamWindowKeys. A frame carries up to
+// min(window, streamFrameKeys) keys (it leaves early once its keys
+// pass streamFrameBytes) and window/frame-size frames may be
+// unacknowledged. So the first key leaves after one short step, an
+// abandoned stream has cost a frame or two, a consumer that stops
+// pulling halts the walk (flow control the kernel's socket buffers
+// cannot provide), and a drained scan soon moves 512 keys per write
+// and ACK. The values come from a sweep on scan-tcp (CHANGES.md PR 13).
 const (
-	queryBatchKeys   = 32
 	queryBatchVisits = 256
-	queryWindow      = 16
+	streamInitKeys   = 32
+	streamFrameKeys  = 512
+	streamFrameBytes = 16 << 10
+	streamWindowKeys = 2048
+	// streamMaxInflight is the most STREAM frames ever unacknowledged.
+	streamMaxInflight = streamWindowKeys / streamFrameKeys
 )
 
 // serveQuery runs one streaming subtree query server-side: the walker
-// advances in bounded read-locked batches, every batch of matches
-// leaves as a STREAM frame, and the traversal totals close the stream
-// as a STREAM_END frame. The registered cancel (CANCEL frame from the
-// consumer, or connection teardown) aborts the traversal at the next
-// batch boundary — the limit pushdown and early-exit contract on the
-// wire.
-func (c *Cluster) serveQuery(sc *serverConn, id uint64, q queryReq,
-	tc trace.Context, ctx context.Context, cancel context.CancelFunc) {
+// advances in bounded read-locked steps, its matches leave as STREAM
+// frames sized by the slow-started credit window, and the traversal
+// totals close the stream as a STREAM_END frame — in the same write as
+// the last STREAM when the walk ends inside a frame. The registered
+// cancel (CANCEL frame from the consumer, or connection teardown)
+// aborts the traversal at the next step boundary — the limit pushdown
+// and early-exit contract on the wire.
+func (c *Cluster) serveQuery(ctx context.Context, sc *serverConn, id uint64,
+	stream serverStream, q queryReq, tc trace.Context) {
 
-	sc.amu.Lock()
-	creditCh := sc.credit[id]
-	sc.amu.Unlock()
 	defer func() {
 		sc.amu.Lock()
-		delete(sc.active, id)
-		delete(sc.credit, id)
+		delete(sc.streams, id)
 		sc.amu.Unlock()
-		cancel()
+		stream.cancel()
 	}()
 	w := core.NewQueryWalker(c.net, core.QuerySpec{
 		Range:  q.Range,
@@ -1246,69 +1262,50 @@ func (c *Cluster) serveQuery(sc *serverConn, id uint64, q queryReq,
 		}
 		c.mu.RUnlock()
 	}
-	var errStr string
-	visited, credits := 0, queryWindow
-	for !w.Empty() {
-		if credits == 0 {
-			// Window exhausted: wait for the consumer to pull a batch
+	var out []keys.Key // one batch buffer for the whole stream
+	var st streamEnd
+	// inflight counts the STREAM frames not yet acknowledged.
+	inflight, window, more := 0, streamInitKeys, !w.Empty()
+	for {
+		frameKeys := min(window, streamFrameKeys)
+		if inflight >= window/frameKeys {
+			// Window exhausted: wait for the consumer to pull a frame
 			// (or give up) before touching any more of the tree.
 			select {
-			case <-creditCh:
-				credits++
+			case <-stream.acks:
+				inflight--
+				window = min(2*window, streamWindowKeys)
+				continue
 			case <-ctx.Done():
 			case <-c.quit:
 			}
 		}
-		// Fold in any further credits that arrived meanwhile.
-		for credits < queryWindow {
+		out = out[:0]
+		for size := 0; more && st.Err == "" && len(out) < frameKeys && size < streamFrameBytes; {
 			select {
-			case <-creditCh:
-				credits++
-				continue
+			case <-ctx.Done():
+				st.Err = ctx.Err().Error()
+			case <-c.quit:
+				st.Err = ErrStopped.Error()
 			default:
+				n0 := len(out)
+				c.mu.RLock()
+				out, more = w.StepN(out, frameKeys-n0, queryBatchVisits)
+				c.mu.RUnlock()
+				for _, k := range out[n0:] {
+					size += len(k)
+				}
 			}
-			break
 		}
-		if err := ctx.Err(); err != nil {
-			errStr = err.Error()
-			break
+		ws := w.Stats()
+		c.queryVisits.Add(int64(ws.NodesVisited - st.Visited))
+		st.Logical, st.Physical, st.Visited = ws.LogicalHops, ws.PhysicalHops, ws.NodesVisited
+		last := !more || st.Err != ""
+		if err := sc.fc.writeStream(id, out, &st, last); err != nil || last {
+			return // the stream ended, or the connection is gone
 		}
-		select {
-		case <-c.quit:
-			errStr = ErrStopped.Error()
-		default:
-		}
-		if errStr != "" {
-			break
-		}
-		if credits == 0 {
-			continue
-		}
-		c.mu.RLock()
-		batch, more := w.StepN(nil, queryBatchKeys, queryBatchVisits)
-		c.mu.RUnlock()
-		st := w.Stats()
-		c.queryVisits.Add(int64(st.NodesVisited - visited))
-		visited = st.NodesVisited
-		if len(batch) > 0 {
-			progress := streamEnd{Logical: st.LogicalHops,
-				Physical: st.PhysicalHops, Visited: st.NodesVisited}
-			if err := sc.fc.writeStream(id, batch, &progress); err != nil {
-				return // connection gone: nothing left to tell
-			}
-			credits--
-		}
-		if !more {
-			break
-		}
+		inflight++
 	}
-	st := w.Stats()
-	_ = sc.fc.writeStreamEnd(id, &streamEnd{
-		Logical:  st.LogicalHops,
-		Physical: st.PhysicalHops,
-		Visited:  st.NodesVisited,
-		Err:      errStr,
-	})
 }
 
 // QueryVisits reports the cumulative node visits of server-side
@@ -1822,7 +1819,7 @@ type WireStream struct {
 	cs  *clientStream
 	ctx context.Context
 
-	cur      []string
+	cur      []keys.Key // the frame being consumed; all substrings of one arena
 	pos      int
 	ended    bool // no more events will be consumed
 	finished bool // STREAM_END received: the server is already done
@@ -1971,13 +1968,16 @@ func (c *Cluster) openWireQuery(ctx context.Context, tc trace.Context, addr stri
 }
 
 // Next returns the next matching key; ok == false means the stream is
-// exhausted (see Err).
+// exhausted (see Err). The keys of one STREAM frame are substrings of
+// a single string decoded for that frame, so retaining one key retains
+// at most one frame (streamFrameBytes or so); strings.Clone a key kept
+// far beyond the stream.
 func (s *WireStream) Next() (keys.Key, bool) {
 	for {
 		if s.pos < len(s.cur) {
 			k := s.cur[s.pos]
 			s.pos++
-			return keys.Key(k), true
+			return k, true
 		}
 		if s.ended {
 			return keys.Epsilon, false
@@ -1991,11 +1991,7 @@ func (s *WireStream) Next() (keys.Key, bool) {
 				return keys.Epsilon, false
 			case msg.end:
 				s.ended, s.finished = true, true
-				s.stats = core.QueryResult{
-					LogicalHops:  msg.info.Logical,
-					PhysicalHops: msg.info.Physical,
-					NodesVisited: msg.info.Visited,
-				}
+				s.stats = msg.info.result()
 				if msg.info.Err != "" {
 					s.err = errors.New(msg.info.Err)
 				}
@@ -2003,14 +1999,10 @@ func (s *WireStream) Next() (keys.Key, bool) {
 				return keys.Epsilon, false
 			default:
 				s.cur, s.pos = msg.batch, 0
-				s.stats = core.QueryResult{
-					LogicalHops:  msg.info.Logical,
-					PhysicalHops: msg.info.Physical,
-					NodesVisited: msg.info.Visited,
-				}
-				// Feed the server's credit window: one ACK per batch
-				// pulled keeps the traversal flowing; a consumer that
-				// stops pulling starves it into pausing.
+				s.stats = msg.info.result()
+				// Feed the server's credit window: one ACK per frame
+				// pulled keeps the traversal flowing (and, early on,
+				// growing); a consumer that stops pulling starves it.
 				_ = s.pc.fc.writeStreamAck(s.id)
 			}
 		case <-s.ctx.Done():
