@@ -7,12 +7,18 @@
 // Three first-class implementations ship with the module:
 //
 //   - engine/local — the sequential protocol core behind one mutex;
-//     deterministic, no goroutines, the shape of the paper's simulator.
+//     deterministic, no goroutines, the shape of the paper's simulator
+//     and the reference the differential tests compare against.
 //   - engine/live  — one goroutine per peer with channel mailboxes and
 //     hop-by-hop concurrent discovery routing (the default backend).
 //   - engine/tcp   — every peer owns a loopback TCP listener and
 //     discoveries hop peer-to-peer as binary frames multiplexed over
 //     persistent pooled connections.
+//
+// live and tcp are one runtime (internal/overlay) behind one adapter
+// (Concurrent, in concurrent.go); they differ in how a hop, a replica
+// batch and a stream chunk travel, and in nothing this package sees
+// beyond their constructors.
 //
 // Every operation takes a context.Context; cancelling it aborts
 // in-flight routed traversals and returns the context error.
@@ -186,19 +192,6 @@ func (s *ListStream) Close() error {
 	return nil
 }
 
-// QueryResultFrom converts an internal key slice plus hop counters
-// into a QueryResult; shared by the engine implementations.
-func QueryResultFrom(ks []keys.Key, logical, physical int) QueryResult {
-	out := QueryResult{LogicalHops: logical, PhysicalHops: physical}
-	if len(ks) > 0 {
-		out.Keys = make([]string, len(ks))
-		for i, k := range ks {
-			out.Keys[i] = string(k)
-		}
-	}
-	return out
-}
-
 // PeerInfo is a read-only view of one live peer.
 type PeerInfo struct {
 	// ID is the peer's ring identifier.
@@ -259,36 +252,6 @@ type RecoveryReport struct {
 	LostKeys []string
 }
 
-// RegisterObsCollectors wires the scrape-time mirrors an in-process
-// engine needs: per-peer visit-load and node-count gauges (replaced
-// wholesale each scrape, so balance renames never leave stale series)
-// and the core's never-reset replication counters (mirrored with Set,
-// so they stay monotonic across crash/recover and Balance). The
-// callbacks run at scrape time under the engine's own locking.
-func RegisterObsCollectors(m *obs.Metrics,
-	peers func() []core.PeerSummary, repl func() core.ReplicationCounters) {
-	if m == nil {
-		return
-	}
-	m.Registry.OnScrape(func() {
-		sums := peers()
-		loads := make(map[string]float64, len(sums))
-		nodes := make(map[string]float64, len(sums))
-		for _, s := range sums {
-			loads[string(s.ID)] = float64(s.LoadPrev)
-			nodes[string(s.ID)] = float64(s.Nodes)
-		}
-		m.Registry.ReplaceGauges(obs.SeriesVisitLoad,
-			"Discovery visits received per peer in the last load unit.", "peer", loads)
-		m.Registry.ReplaceGauges(obs.SeriesPeerNodes,
-			"Tree nodes hosted per peer.", "peer", nodes)
-		rs := repl()
-		m.ReplicaSnapshotMsgs.Set(float64(rs.SnapshotMsgs))
-		m.ReplicaTransferMsgs.Set(float64(rs.TransferMsgs))
-		m.ReplicaTransferNodes.Set(float64(rs.TransferredNodes))
-	})
-}
-
 // PeerInfosFrom converts protocol-core peer summaries into the public
 // view; shared by the engine implementations.
 func PeerInfosFrom(ps []core.PeerSummary) []PeerInfo {
@@ -302,6 +265,20 @@ func PeerInfosFrom(ps []core.PeerSummary) []PeerInfo {
 		}
 	}
 	return out
+}
+
+// RecoveryReportFrom builds the public recovery report from the
+// protocol core's restored count and lost key set; shared by the
+// engine implementations.
+func RecoveryReportFrom(restored int, lost []keys.Key) RecoveryReport {
+	rep := RecoveryReport{Restored: restored, Lost: len(lost)}
+	if len(lost) > 0 {
+		rep.LostKeys = make([]string, len(lost))
+		for i, k := range lost {
+			rep.LostKeys[i] = string(k)
+		}
+	}
+	return rep
 }
 
 // Config collects the deployment parameters every engine constructor

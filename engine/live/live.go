@@ -1,242 +1,35 @@
-// Package live adapts the concurrent goroutine-per-peer runtime
-// (internal/live) to the engine.Engine contract. It is the default
-// backend of the public API: writes serialize over the protocol
-// state, discoveries travel concurrently through the peer goroutines,
-// and cancelling a discovery context aborts the in-flight hop-by-hop
-// traversal.
+// Package live is the engine.Concurrent adapter over the goroutine-
+// per-peer cluster (internal/live): the default backend of the public
+// API. Writes serialize over the shared overlay runtime, discoveries
+// travel concurrently through the peer goroutines, and cancelling a
+// discovery context aborts the in-flight hop-by-hop traversal. The
+// package owns the constructor only.
 package live
 
 import (
-	"context"
-	"errors"
-	"sort"
-
 	"dlpt/engine"
-	"dlpt/internal/core"
-	"dlpt/internal/keys"
-	"dlpt/internal/lb"
 	ilive "dlpt/internal/live"
-	"dlpt/internal/trie"
 )
 
-// Engine wraps a running live cluster. The membership half of the
-// contract (RemovePeer, CrashPeer, Recover, Replicate, Peers,
-// MembershipStats, Tick, Balance) comes from the embedded adapter:
-// the cluster drains departed goroutines and rewires mailboxes across
-// balancing renames.
-type Engine struct {
-	*engine.Membership
-	cluster *ilive.Cluster
-	alpha   *keys.Alphabet
-}
+// Engine is a running live cluster behind the engine contract.
+type Engine = engine.Concurrent[*ilive.QueryStream, *ilive.Cluster]
 
 // New starts a concurrent overlay with one peer goroutine per
 // capacity entry.
 func New(cfg engine.Config) (*Engine, error) {
-	alpha := cfg.Alphabet
-	if alpha == nil {
-		alpha = keys.PrintableASCII
+	alpha, opts, err := engine.RuntimeOptions(cfg)
+	if err != nil {
+		return nil, err
 	}
-	var opts ilive.Options
-	if cfg.JoinPlacement != "" {
-		strat, err := lb.ByName(cfg.JoinPlacement)
-		if err != nil {
-			return nil, err
-		}
-		opts.Placement = strat
-	}
-	opts.Gate = cfg.GateCapacity
-	opts.Persist = cfg.Persist
-	opts.Restore = cfg.Restore
-	opts.Obs = cfg.Obs
-	opts.Trace = cfg.Trace
 	c, err := ilive.StartOpts(alpha, cfg.Capacities, cfg.Seed, opts)
 	if err != nil {
 		return nil, err
 	}
-	engine.RegisterObsCollectors(cfg.Obs, c.PeerSummaries, c.ReplicationStats)
-	return &Engine{
-		Membership: engine.NewMembership(c, mapErr),
-		cluster:    c,
-		alpha:      alpha,
-	}, nil
+	return engine.NewConcurrent("live", alpha, c, &c.Runtime), nil
 }
 
 // Factory adapts New to the engine.Factory signature.
 func Factory(cfg engine.Config) (engine.Engine, error) { return New(cfg) }
-
-// Name identifies the backend.
-func (e *Engine) Name() string { return "live" }
-
-// Alphabet returns the overlay's key alphabet.
-func (e *Engine) Alphabet() *keys.Alphabet { return e.alpha }
-
-// mapErr normalizes the cluster's stopped error to engine.ErrClosed.
-func mapErr(err error) error {
-	if errors.Is(err, ilive.ErrStopped) {
-		return engine.ErrClosed
-	}
-	return err
-}
-
-// Register declares key with a value.
-func (e *Engine) Register(ctx context.Context, key, value string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return mapErr(e.cluster.Register(keys.Key(key), value))
-}
-
-// RegisterBatch declares every entry under one write-lock
-// acquisition.
-func (e *Engine) RegisterBatch(ctx context.Context, entries []engine.Entry) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	kvs := make([]core.KV, len(entries))
-	for i, ent := range entries {
-		kvs[i] = core.KV{Key: keys.Key(ent.Key), Value: ent.Value}
-	}
-	return mapErr(e.cluster.RegisterBatch(kvs))
-}
-
-// Unregister removes value from key.
-func (e *Engine) Unregister(ctx context.Context, key, value string) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	if e.cluster.Stopped() {
-		return false, engine.ErrClosed
-	}
-	return e.cluster.Unregister(keys.Key(key), value), nil
-}
-
-// Discover routes a discovery through the peer goroutines. On a
-// capacity-gated engine a saturated peer drops the request and
-// Discover returns ErrSaturated.
-func (e *Engine) Discover(ctx context.Context, key string) (engine.Result, error) {
-	res, err := e.cluster.DiscoverContext(ctx, keys.Key(key))
-	if err != nil {
-		return engine.Result{}, mapErr(err)
-	}
-	out := engine.Result{
-		Key:          key,
-		Found:        res.Found,
-		LogicalHops:  res.LogicalHops,
-		PhysicalHops: res.PhysicalHops,
-	}
-	if res.Dropped {
-		return out, engine.ErrSaturated
-	}
-	if res.Found {
-		out.Values = append([]string(nil), res.Values...)
-		sort.Strings(out.Values)
-	}
-	return out, nil
-}
-
-// stream adapts the cluster's QueryStream to the engine contract.
-type stream struct {
-	s *ilive.QueryStream
-}
-
-func (s stream) Next() (string, bool) {
-	k, ok := s.s.Next()
-	return string(k), ok
-}
-
-func (s stream) Err() error { return mapErr(s.s.Err()) }
-
-func (s stream) Stats() engine.QueryStats {
-	st := s.s.Stats()
-	return engine.QueryStats{
-		LogicalHops:  st.LogicalHops,
-		PhysicalHops: st.PhysicalHops,
-		NodesVisited: st.NodesVisited,
-	}
-}
-
-func (s stream) Close() error { return s.s.Close() }
-
-// Query starts a streaming query: a walker goroutine advances the
-// traversal in bounded read-locked batches and fans the matches into
-// the stream's channel; closing the stream or cancelling ctx halts
-// the traversal at the next batch boundary.
-func (e *Engine) Query(ctx context.Context, q engine.Query) (engine.Stream, error) {
-	s, err := e.cluster.StreamQuery(ctx, core.QuerySpec{
-		Range:  q.Kind == engine.QueryRange,
-		Prefix: keys.Key(q.Prefix),
-		Lo:     keys.Key(q.Lo),
-		Hi:     keys.Key(q.Hi),
-		Limit:  q.Limit,
-	})
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return stream{s}, nil
-}
-
-// Complete resolves automatic completion of a partial search string
-// by draining an unlimited Query stream.
-func (e *Engine) Complete(ctx context.Context, prefix string) (engine.QueryResult, error) {
-	return engine.CollectQuery(ctx, e, engine.Query{Kind: engine.QueryComplete, Prefix: prefix})
-}
-
-// Range resolves the lexicographic range query [lo, hi] by draining
-// an unlimited Query stream.
-func (e *Engine) Range(ctx context.Context, lo, hi string) (engine.QueryResult, error) {
-	return engine.CollectQuery(ctx, e, engine.Query{Kind: engine.QueryRange, Lo: lo, Hi: hi})
-}
-
-// AddPeer grows the overlay by one peer goroutine.
-func (e *Engine) AddPeer(ctx context.Context, capacity int) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	id, err := e.cluster.AddPeer(capacity)
-	if err == nil {
-		e.CountJoin()
-	}
-	return string(id), mapErr(err)
-}
-
-// Snapshot returns a consistent copy of the whole tree.
-func (e *Engine) Snapshot(ctx context.Context) (*trie.Tree, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e.cluster.Stopped() {
-		return nil, engine.ErrClosed
-	}
-	return e.cluster.Snapshot(), nil
-}
-
-// Validate cross-checks every overlay invariant.
-func (e *Engine) Validate(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if e.cluster.Stopped() {
-		return engine.ErrClosed
-	}
-	return e.cluster.Validate()
-}
-
-// NumPeers returns the peer count.
-func (e *Engine) NumPeers() int { return e.cluster.NumPeers() }
-
-// NumNodes returns the tree size.
-func (e *Engine) NumNodes() int { return e.cluster.NumNodes() }
-
-// Close stops every peer goroutine. It is idempotent.
-func (e *Engine) Close() error {
-	e.cluster.Stop()
-	return nil
-}
-
-// Cluster exposes the underlying runtime for callers needing
-// runtime-specific operations (peer removal, traced discoveries).
-func (e *Engine) Cluster() *ilive.Cluster { return e.cluster }
 
 // Compile-time conformance check.
 var _ engine.Engine = (*Engine)(nil)

@@ -19,6 +19,7 @@ import (
 	"dlpt/internal/keys"
 	"dlpt/internal/lb"
 	"dlpt/internal/obs"
+	"dlpt/internal/overlay"
 	"dlpt/internal/persist"
 	"dlpt/internal/trie"
 )
@@ -59,7 +60,7 @@ func New(cfg engine.Config) (*Engine, error) {
 	// counters at scrape time under the engine mutex.
 	e.net.Obs = cfg.Obs
 	e.net.Tracer = cfg.Trace
-	engine.RegisterObsCollectors(cfg.Obs,
+	overlay.RegisterCollectors(cfg.Obs,
 		func() []core.PeerSummary {
 			e.mu.Lock()
 			defer e.mu.Unlock()
@@ -406,30 +407,12 @@ func (e *Engine) Replicate(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	n := e.net.Replicate()
-	var pending *persist.PendingSnapshot
-	var peers []persist.PeerState
-	var cat *core.CatalogueCapture
-	var stall time.Duration
-	if e.store != nil {
-		start := time.Now()
-		peers, cat = e.net.CaptureSnapshot()
-		var err error
-		if pending, err = e.store.BeginSnapshot(); err != nil {
-			e.mu.Unlock()
-			return n, err
-		}
-		stall = time.Since(start)
-	}
-	obs := e.net.Obs
+	commit, err := overlay.BeginSnapshot(e.net, e.store)
 	e.mu.Unlock()
-	if pending != nil {
-		if _, err := pending.Commit(peers, cat); err != nil {
-			return n, err
-		}
-		obs.MarkSnapshot(stall, pending.Bytes(), cat.Len())
+	if err != nil {
+		return n, err
 	}
-	obs.MarkReplicated()
-	return n, nil
+	return n, commit()
 }
 
 // Peers lists the live peers in ring order.

@@ -14,13 +14,16 @@
 //
 // The backquoted pattern is a regexp matched against the diagnostic
 // message; several patterns on one line demand several diagnostics.
-// Fixture imports resolve from source (GOROOT), so fixtures may use
-// any standard library package but nothing module-internal — which
-// keeps each analyzer's contract self-contained and documented by its
-// own testdata.
+// Fixture imports resolve to a sibling fixture directory when
+// testdata/src has one by that path, and otherwise from source
+// (GOROOT), so fixtures may use other fixtures and any standard
+// library package but nothing module-internal — which keeps each
+// analyzer's contract self-contained and documented by its own
+// testdata.
 package analysistest
 
 import (
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -50,38 +53,12 @@ type expectation struct {
 // between diagnostics and want comments on t.
 func Run(t *testing.T, dir, pkg string, a *analysis.Analyzer) {
 	t.Helper()
-	fixture := filepath.Join(dir, "testdata", "src", pkg)
-	entries, err := os.ReadDir(fixture)
-	if err != nil {
-		t.Fatalf("fixture %s: %v", fixture, err)
-	}
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(fixture, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("parse fixture: %v", err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		t.Fatalf("fixture %s holds no Go files", fixture)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	cfg := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := cfg.Check(pkg, fset, files, info)
+	im := &fixtureImporter{src: filepath.Join(dir, "testdata", "src"), fset: fset,
+		std: importer.ForCompiler(fset, "source", nil)}
+	files, tpkg, info, err := im.check(pkg)
 	if err != nil {
-		t.Fatalf("typecheck fixture: %v", err)
+		t.Fatalf("fixture %s: %v", pkg, err)
 	}
 
 	diags, err := analysis.RunPackage(a, fset, files, tpkg, info, pkg)
@@ -101,6 +78,55 @@ func Run(t *testing.T, dir, pkg string, a *analysis.Analyzer) {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.pattern)
 		}
 	}
+}
+
+// fixtureImporter type-checks fixture packages from testdata/src and
+// hands every other import path to the source importer.
+type fixtureImporter struct {
+	src  string
+	fset *token.FileSet
+	std  types.Importer
+}
+
+func (im *fixtureImporter) Import(path string) (*types.Package, error) {
+	if st, err := os.Stat(filepath.Join(im.src, path)); err != nil || !st.IsDir() {
+		return im.std.Import(path)
+	}
+	_, tpkg, _, err := im.check(path)
+	return tpkg, err
+}
+
+// check parses and type-checks the fixture package at src/<pkg>.
+func (im *fixtureImporter) check(pkg string) ([]*ast.File, *types.Package, *types.Info, error) {
+	fixture := filepath.Join(im.src, pkg)
+	entries, err := os.ReadDir(fixture)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(im.fset, filepath.Join(fixture, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, nil, nil, fmt.Errorf("%s holds no Go files", fixture)
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	tpkg, err := (&types.Config{Importer: im}).Check(pkg, im.fset, files, info)
+	return files, tpkg, info, err
 }
 
 func match(wants []*expectation, pos token.Position, msg string) *expectation {

@@ -20,6 +20,11 @@
 //     construction before the value escapes, teardown after the
 //     last goroutine exited).
 //
+// The annotation travels with the field: an exported guarded field of
+// another package (a shared core two packages embed, say) is held to
+// the same rule wherever it is selected — its annotation is read from
+// the file that declares it.
+//
 // The check is deliberately flow-insensitive: it proves that every
 // call site THOUGHT about the lock, not that the lock is held at the
 // exact instruction — that is what `go test -race` is for. The two
@@ -35,6 +40,8 @@ package lockcheck
 
 import (
 	"go/ast"
+	"go/parser"
+	"go/token"
 	"go/types"
 	"regexp"
 	"strings"
@@ -53,40 +60,70 @@ var guardedRE = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 var heldRE = regexp.MustCompile(`dlptlint:held ([A-Za-z_][A-Za-z0-9_]*)`)
 
 func run(pass *analysis.Pass) error {
-	guards := collectGuards(pass)
-	if len(guards) == 0 {
-		return nil
+	g := &guards{pass: pass, local: make(map[*types.Var]string), foreign: make(map[string]map[int]string)}
+	for _, f := range pass.Files {
+		eachGuardedName(f, func(name *ast.Ident, guard string) {
+			if v, ok := pass.Info.Defs[name].(*types.Var); ok {
+				g.local[v] = guard
+			}
+		})
 	}
 	for _, f := range pass.Files {
-		checkFile(pass, f, guards)
+		checkFile(pass, f, g)
 	}
 	return nil
 }
 
-// collectGuards maps annotated field objects to their guard names.
-func collectGuards(pass *analysis.Pass) map[*types.Var]string {
-	guards := make(map[*types.Var]string)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				guard := guardAnnotation(fld)
-				if guard == "" {
-					continue
-				}
-				for _, name := range fld.Names {
-					if v, ok := pass.Info.Defs[name].(*types.Var); ok {
-						guards[v] = guard
-					}
-				}
-			}
-			return true
-		})
+// guards resolves a field to the mutex its annotation names.
+type guards struct {
+	pass  *analysis.Pass
+	local map[*types.Var]string // fields this package declares
+	// foreign caches, per declaring file of an imported field, the
+	// guard of each annotated field name by its line.
+	foreign map[string]map[int]string
+}
+
+// of returns the guard of field v, "" when it has none.
+func (g *guards) of(v *types.Var) string {
+	if v.Pkg() == g.pass.Pkg || v.Pkg() == nil {
+		return g.local[v]
 	}
-	return guards
+	// Declared elsewhere: only its position crossed the package
+	// boundary, so read the annotation off the declaring file.
+	pos := g.pass.Fset.Position(v.Pos())
+	if !pos.IsValid() {
+		return ""
+	}
+	byLine, ok := g.foreign[pos.Filename]
+	if !ok {
+		byLine = make(map[int]string)
+		fset := token.NewFileSet()
+		if f, err := parser.ParseFile(fset, pos.Filename, nil, parser.ParseComments|parser.SkipObjectResolution); err == nil {
+			eachGuardedName(f, func(name *ast.Ident, guard string) {
+				byLine[fset.Position(name.Pos()).Line] = guard
+			})
+		}
+		g.foreign[pos.Filename] = byLine
+	}
+	return byLine[pos.Line]
+}
+
+// eachGuardedName calls fn for every annotated struct field name in f.
+func eachGuardedName(f *ast.File, fn func(name *ast.Ident, guard string)) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		st, ok := n.(*ast.StructType)
+		if !ok || st.Fields == nil {
+			return true
+		}
+		for _, fld := range st.Fields.List {
+			if guard := guardAnnotation(fld); guard != "" {
+				for _, name := range fld.Names {
+					fn(name, guard)
+				}
+			}
+		}
+		return true
+	})
 }
 
 func guardAnnotation(fld *ast.Field) string {
@@ -108,7 +145,7 @@ type funcScope struct {
 	body *ast.BlockStmt
 }
 
-func checkFile(pass *analysis.Pass, f *ast.File, guards map[*types.Var]string) {
+func checkFile(pass *analysis.Pass, f *ast.File, g *guards) {
 	var stack []funcScope
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
@@ -139,8 +176,8 @@ func checkFile(pass *analysis.Pass, f *ast.File, guards map[*types.Var]string) {
 			if !ok {
 				return true
 			}
-			guard, guarded := guards[v]
-			if !guarded {
+			guard := g.of(v)
+			if guard == "" {
 				return true
 			}
 			if !accessAllowed(stack, analysis.ExprString(n.X), guard) {

@@ -1,12 +1,15 @@
 // Package lockfix exercises the lockcheck contract: guarded-field
 // accesses with and without lock evidence, the *Locked naming
-// convention, the held/exclusive directives, closure inheritance, and
-// the PR 8 stderr-capture race shape.
+// convention, the held/exclusive directives, closure inheritance, the
+// PR 8 stderr-capture race shape, and a guarded field another package
+// declares.
 package lockfix
 
 import (
 	"bytes"
 	"sync"
+
+	"lockdep"
 )
 
 type counterSet struct {
@@ -108,4 +111,24 @@ func (b *pipeBuffer) StringFixed() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// shell embeds a locked core another package declares; the guard on
+// the core's exported field binds here too, and the shell's own field
+// can name the promoted mutex as its guard.
+type shell struct {
+	lockdep.Core
+	extra int // guarded by Mu
+}
+
+func (s *shell) good(k string) int {
+	s.Mu.RLock()
+	defer s.Mu.RUnlock()
+	return s.Items[k] + s.extra
+}
+
+func (s *shell) bad(k string) int {
+	_ = s.Label
+	return s.Items[k] + // want `field s.Items is guarded by "Mu"`
+		s.extra // want `field s.extra is guarded by "Mu"`
 }

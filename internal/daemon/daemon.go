@@ -75,6 +75,7 @@ import (
 	"dlpt/internal/keys"
 	"dlpt/internal/lb"
 	"dlpt/internal/obs"
+	"dlpt/internal/overlay"
 	"dlpt/internal/peering"
 	"dlpt/internal/persist"
 	"dlpt/internal/trace"
@@ -278,12 +279,10 @@ func (d *Daemon) startSteward() error {
 		st.Release()
 	}
 	opts := transport.Options{
+		Options:       overlay.Options{Persist: d.store, Obs: d.met, Trace: d.rec},
 		Bind:          d.cfg.Listen,
 		AdvertiseHost: d.cfg.Advertise,
-		Persist:       d.store,
 		Control:       d.control,
-		Obs:           d.met,
-		Trace:         d.rec,
 		Faults:        d.cfg.Faults,
 	}
 	if d.placementName != "" {
@@ -386,11 +385,10 @@ func (d *Daemon) startMember() error {
 	}
 	d.selfAddr = transport.AdvertiseAddr(ln.Addr().String(), d.cfg.Advertise)
 	c, err := transport.StartOpts(d.alpha, nil, d.cfg.Seed, transport.Options{
+		Options:       overlay.Options{Obs: d.met, Trace: d.rec},
 		AllowEmpty:    true,
 		AdvertiseHost: d.cfg.Advertise,
 		Control:       d.control,
-		Obs:           d.met,
-		Trace:         d.rec,
 		Faults:        d.cfg.Faults,
 	})
 	if err != nil {
@@ -739,8 +737,8 @@ func (d *Daemon) applyLocked(rec *transport.ApplyRecord) error {
 	case transport.OpRegister:
 		return d.cluster.Register(rec.Key, rec.Value)
 	case transport.OpUnregister:
-		d.cluster.Unregister(rec.Key, rec.Value)
-		return nil
+		_, err := d.cluster.Unregister(rec.Key, rec.Value)
+		return err
 	case transport.OpJoin:
 		if err := d.cluster.AddRemotePeerWithID(rec.ID, rec.Capacity, rec.Addr); err != nil {
 			return err

@@ -1,71 +1,32 @@
-// Package live runs the DLPT overlay as a concurrent message-passing
-// system: one goroutine per peer, channel mailboxes, and hop-by-hop
-// discovery routing between goroutines — the shape a deployment of
-// the paper's protocol would take (the authors' future-work
-// prototype; see DESIGN.md substitutions).
+// Package live is the in-process data path of the overlay runtime
+// (internal/overlay): one goroutine per peer, channel mailboxes, and
+// hop-by-hop discovery routing between goroutines — the shape a
+// deployment of the paper's protocol would take (the authors'
+// future-work prototype; see DESIGN.md substitutions).
 //
-// Topology mutations (peer join/leave, service registration) are
-// serialized writers over the embedded protocol state; discovery
-// requests travel concurrently through the peer goroutines and only
-// take read locks. Correctness against the sequential engine is
-// checked by differential tests, and the package is exercised under
-// the race detector.
+// Membership, replication, balancing, registration and the discovery
+// transition itself are the embedded overlay.Runtime's. This package
+// owns what is specific to goroutines and channels: the peer procs
+// behind the runtime's Link (spawn, retire and drain, re-key, replica
+// batches on the ctrl channel), mailbox forwarding, the entry draw and
+// the channel-fed QueryStream. Correctness against the sequential
+// engine is checked by differential tests, and the package is
+// exercised under the race detector.
 package live
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
-	"dlpt/internal/lb"
 	"dlpt/internal/obs"
-	"dlpt/internal/persist"
+	"dlpt/internal/overlay"
 	"dlpt/internal/trace"
-	"dlpt/internal/trie"
 )
-
-// Result is the outcome of a live discovery.
-type Result struct {
-	Key          keys.Key
-	Found        bool
-	Values       []string
-	LogicalHops  int
-	PhysicalHops int
-	// Dropped reports that a saturated peer ignored the request
-	// (capacity gating).
-	Dropped bool
-	// Path records the peer ids traversed (for tracing/demos).
-	Path []keys.Key
-}
-
-// Options are the optional cluster construction parameters.
-type Options struct {
-	// Placement picks ring identifiers for joining peers; nil draws
-	// uniformly random identifiers.
-	Placement lb.Strategy
-	// Gate enforces per-peer capacity on the discovery path: every
-	// visit consumes capacity and saturated peers drop requests.
-	Gate bool
-	// Persist, when non-nil, makes the cluster durable: Replicate
-	// writes fsynced snapshots and catalogue mutations append to the
-	// journal.
-	Persist *persist.Store
-	// Restore rebuilds the overlay from Persist instead of starting
-	// fresh from the capacities (which are then ignored).
-	Restore bool
-	// Obs, when non-nil, receives visit/drop counters, per-phase hop
-	// latencies and replication marks from the running overlay.
-	Obs *obs.Metrics
-	// Trace, when non-nil, records per-hop spans for every routed
-	// discovery and replication tick.
-	Trace *trace.Recorder
-}
 
 // discoverMsg is one in-flight discovery request. ctx is the
 // originating caller's context: every hop checks it, so cancelling
@@ -86,8 +47,8 @@ type discoverMsg struct {
 	// hop or two; a crashed, unrecovered node would redirect forever,
 	// so the walk gives up past maxRedirects.
 	redirects int
-	res       Result
-	reply     chan Result
+	res       overlay.Result
+	reply     chan overlay.Result
 }
 
 // maxRedirects bounds re-deliveries of a request addressed to a node
@@ -105,7 +66,7 @@ type replicaMsg struct {
 // peerProc is the goroutine-owned handle of one peer.
 type peerProc struct {
 	// id is the peer's current ring identifier: written only under
-	// Cluster.mu's write lock (balancing renames), read under either
+	// Cluster.Mu's write lock (balancing renames), read under either
 	// side of it.
 	id      keys.Key
 	mailbox chan discoverMsg
@@ -120,16 +81,10 @@ type peerProc struct {
 	senders sync.WaitGroup
 }
 
-// Cluster is a running overlay.
+// Cluster is a running overlay: the shared runtime plus one proc per
+// peer.
 type Cluster struct {
-	mu    sync.RWMutex   // guards net topology and tree state
-	net   *core.Network  // guarded by mu
-	rng   *rand.Rand     // guarded by mu (writers only)
-	place lb.Strategy    // join placement hook; nil = uniform random
-	gate  bool           // enforce peer capacity on discoveries
-	store *persist.Store // durability layer; nil = in-memory only
-	met   *obs.Metrics   // nil = no metrics; see Options.Obs
-	rec   *trace.Recorder
+	overlay.Runtime
 
 	entryMu  sync.Mutex
 	entryRng *rand.Rand // guarded by entryMu (used by Discover readers)
@@ -137,467 +92,102 @@ type Cluster struct {
 	procMu sync.RWMutex
 	procs  map[keys.Key]*peerProc // guarded by procMu
 
-	quit chan struct{}
-	wg   sync.WaitGroup
-
-	stopOnce sync.Once
+	wg sync.WaitGroup
 }
 
 // ErrStopped is returned by operations on a stopped cluster.
-var ErrStopped = errors.New("live: cluster stopped")
+var ErrStopped = overlay.ErrStopped
+
+// errNoProc fails a replica shipment whose target has no goroutine
+// (any more); the runtime then installs the batch directly.
+var errNoProc = errors.New("live: no goroutine serves the peer")
 
 const mailboxDepth = 128
 
 // Start launches a cluster with one peer per capacity entry.
 func Start(alpha *keys.Alphabet, capacities []int, seed int64) (*Cluster, error) {
-	return StartOpts(alpha, capacities, seed, Options{})
+	return StartOpts(alpha, capacities, seed, overlay.Options{})
 }
 
-// StartOpts is Start with explicit Options.
-//
-// dlptlint:exclusive — the cluster is under construction and has not
-// escaped; peer goroutines spawned here synchronize through their own
-// mailboxes before touching shared state.
-func StartOpts(alpha *keys.Alphabet, capacities []int, seed int64, opts Options) (*Cluster, error) {
+// StartOpts is Start with explicit options.
+func StartOpts(alpha *keys.Alphabet, capacities []int, seed int64, opts overlay.Options) (*Cluster, error) {
 	if len(capacities) == 0 && !opts.Restore {
-		return nil, fmt.Errorf("live: no peers")
+		return nil, errors.New("live: no peers")
 	}
 	c := &Cluster{
-		net:      core.NewNetwork(alpha, core.PlacementLexicographic),
-		rng:      rand.New(rand.NewSource(seed)),
 		entryRng: rand.New(rand.NewSource(seed + 1)),
-		place:    opts.Placement,
-		gate:     opts.Gate,
-		store:    opts.Persist,
-		met:      opts.Obs,
-		rec:      opts.Trace,
 		procs:    make(map[keys.Key]*peerProc),
-		quit:     make(chan struct{}),
 	}
-	c.net.Obs = opts.Obs
-	c.net.Tracer = opts.Trace
-	if opts.Restore {
-		if c.store == nil {
-			c.Stop()
-			return nil, fmt.Errorf("live: restore without a persistence store")
-		}
-		if err := c.net.RestoreFromStore(c.store, c.rng); err != nil {
-			c.Stop()
-			return nil, err
-		}
-		for _, id := range c.net.PeerIDs() {
-			c.spawnProc(id)
-		}
-	} else {
-		for _, capacity := range capacities {
-			if _, err := c.addPeerLocked(capacity); err != nil {
-				c.Stop()
-				return nil, err
-			}
-		}
+	c.Init(alpha, seed, opts)
+	if err := c.Attach(link{c}, capacities); err != nil {
+		c.Stop()
+		return nil, err
 	}
-	// Callers of the mutation paths hold c.mu, serializing appends.
-	c.net.AttachJournal(c.store)
 	return c, nil
 }
 
-// spawnProc starts the goroutine serving peer id.
-func (c *Cluster) spawnProc(id keys.Key) {
+// link is the cluster seen as the runtime's overlay.Link: a peer's
+// endpoint is its proc.
+type link struct{ c *Cluster }
+
+// PeerUp starts the goroutine serving peer id.
+func (l link) PeerUp(id keys.Key) error {
 	p := &peerProc{
 		id:      id,
 		mailbox: make(chan discoverMsg, mailboxDepth),
 		ctrl:    make(chan replicaMsg),
 		quit:    make(chan struct{}),
 	}
-	c.procMu.Lock()
-	c.procs[id] = p
-	c.procMu.Unlock()
-	c.wg.Add(1)
-	go c.run(p)
-}
-
-// addPeerLocked joins a new peer and spawns its goroutine. Callers
-// must not hold mu.
-func (c *Cluster) addPeerLocked(capacity int) (keys.Key, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var id keys.Key
-	if c.place != nil {
-		id = c.place.PlaceJoin(c.net, c.rng, capacity)
-	} else {
-		for {
-			id = c.net.Alphabet.RandomKey(c.rng, 12, 12)
-			if _, exists := c.net.Peer(id); !exists {
-				break
-			}
-		}
-	}
-	if err := c.net.JoinPeer(id, capacity, c.rng); err != nil {
-		return "", err
-	}
-	c.spawnProc(id)
-	c.met.TopologyEvent("join")
-	return id, nil
-}
-
-// AddPeer joins one peer with the given capacity and returns its id.
-func (c *Cluster) AddPeer(capacity int) (keys.Key, error) {
-	select {
-	case <-c.quit:
-		return "", ErrStopped
-	default:
-	}
-	return c.addPeerLocked(capacity)
-}
-
-// RemovePeer gracefully removes the peer with the given id: its tree
-// nodes hand off to the peers becoming responsible for them and its
-// goroutine drains and exits.
-func (c *Cluster) RemovePeer(id keys.Key) error {
-	select {
-	case <-c.quit:
-		return ErrStopped
-	default:
-	}
-	c.mu.Lock()
-	err := c.net.LeavePeer(id)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	c.retireProc(id)
-	c.met.TopologyEvent("leave")
+	l.c.procMu.Lock()
+	l.c.procs[id] = p
+	l.c.procMu.Unlock()
+	l.c.wg.Add(1)
+	go l.c.run(p)
 	return nil
 }
 
-// FailPeer crashes the peer with the given id: its node states vanish
-// without transfer and its goroutine drains and exits. The tree stays
-// degraded until Recover runs.
-func (c *Cluster) FailPeer(id keys.Key) error {
-	select {
-	case <-c.quit:
-		return ErrStopped
-	default:
-	}
-	c.mu.Lock()
-	err := c.net.FailPeer(id)
-	c.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	c.retireProc(id)
-	c.met.TopologyEvent("crash")
-	return nil
-}
-
-// retireProc unroutes a departed peer's proc and signals its
-// goroutine to drain. Safe to call for ids without a proc.
-func (c *Cluster) retireProc(id keys.Key) {
-	c.procMu.Lock()
-	p, ok := c.procs[id]
-	if ok {
-		delete(c.procs, id)
-	}
-	c.procMu.Unlock()
+// PeerDown unroutes a departed peer's proc and signals its goroutine
+// to drain.
+func (l link) PeerDown(id keys.Key) {
+	l.c.procMu.Lock()
+	p, ok := l.c.procs[id]
+	delete(l.c.procs, id)
+	l.c.procMu.Unlock()
 	if ok {
 		close(p.quit)
 	}
 }
 
-// Recover restores crashed node state from the successor replicas and
-// rebuilds the canonical tree structure.
-func (c *Cluster) Recover() (restored int, lost []keys.Key, err error) {
-	select {
-	case <-c.quit:
-		return 0, nil, ErrStopped
-	default:
+// Rename re-keys the proc serving from. The caller holds Mu's write
+// lock, which licenses the p.id write.
+func (l link) Rename(from, to keys.Key) {
+	l.c.procMu.Lock()
+	defer l.c.procMu.Unlock()
+	if p, ok := l.c.procs[from]; ok {
+		delete(l.c.procs, from)
+		p.id = to
+		l.c.procs[to] = p
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	restored, lost = c.net.Recover()
-	c.met.TopologyEvent("recover")
-	return restored, lost, nil
 }
 
-// Replicate snapshots every tree node to its host's ring successor.
-// The batches travel the cluster's real per-peer path: each successor
-// peer's goroutine installs the replica set shipped to it through its
-// ctrl channel (concurrent discoveries keep flowing on the mailboxes
-// meanwhile); a batch whose target departed mid-tick falls back to a
-// direct install, which re-routes per entry. On a durable cluster the
-// tick finishes by writing the fsynced on-disk snapshot.
-func (c *Cluster) Replicate() (int, error) {
-	select {
-	case <-c.quit:
-		return 0, ErrStopped
-	default:
-	}
-	c.mu.Lock()
-	plan := c.net.ReplicaPlan()
-	c.mu.Unlock()
-	tick := c.rec.StartRoot("replicate", "")
-	tick.SetAttr("batches", fmt.Sprintf("%d", len(plan)))
-	total := 0
-	for _, b := range plan {
-		total += c.shipReplicas(tick.Context(), b)
-	}
-	tick.SetAttr("snapshots", fmt.Sprintf("%d", total))
-	tick.End()
-	c.met.MarkReplicated()
-	c.mu.Lock()
-	c.net.CompactReplicas()
-	var pending *persist.PendingSnapshot
-	var peers []persist.PeerState
-	var cat *core.CatalogueCapture
-	var stall time.Duration
-	if c.store != nil {
-		// Capture and journal rotation under c.mu, atomically: a
-		// racing mutation journals either into the epoch this
-		// snapshot supersedes AND is contained in the capture, or
-		// into the new epoch and replays on top of it. The capture is
-		// O(1) (copy-on-write catalogue image) and the encode + fsync
-		// run after the lock is released, so the write stall is
-		// independent of the catalogue size.
-		start := time.Now()
-		peers, cat = c.net.CaptureSnapshot()
-		var err error
-		if pending, err = c.store.BeginSnapshot(); err != nil {
-			c.mu.Unlock()
-			return total, err
-		}
-		stall = time.Since(start)
-	}
-	c.mu.Unlock()
-	if pending != nil {
-		if _, err := pending.Commit(peers, cat); err != nil {
-			return total, err
-		}
-		c.met.MarkSnapshot(stall, pending.Bytes(), cat.Len())
-	}
-	return total, nil
-}
-
-// shipReplicas delivers one successor batch through the target peer's
-// goroutine, falling back to a direct install when the target is gone
-// or the cluster is stopping.
-func (c *Cluster) shipReplicas(tc trace.Context, b core.ReplicaBatch) int {
-	span := c.rec.Start(tc, "replica", string(b.To))
-	span.SetAttr("snapshots", fmt.Sprintf("%d", len(b.Infos)))
-	defer span.End()
-	applyDirect := func() int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.net.AcceptReplicas(b.From, b.To, b.Infos)
-	}
-	p, ok := c.lookupProc(b.To)
+// Ship delivers one successor batch through the target peer's
+// goroutine, which installs it while discoveries keep flowing on the
+// mailboxes.
+func (l link) Ship(_ trace.Context, b core.ReplicaBatch) (int, error) {
+	p, ok := l.c.lookupProc(b.To)
 	if !ok {
-		return applyDirect()
+		return 0, errNoProc
 	}
+	defer p.senders.Done()
 	msg := replicaMsg{batch: b, done: make(chan int, 1)}
 	select {
 	case p.ctrl <- msg:
-		p.senders.Done()
-		return <-msg.done
+		return <-msg.done, nil
 	case <-p.quit:
-		p.senders.Done()
-		return applyDirect()
-	case <-c.quit:
-		p.senders.Done()
-		return applyDirect()
-	}
-}
-
-// ResetUnit ends the current load-accounting time unit.
-func (c *Cluster) ResetUnit() error {
-	select {
-	case <-c.quit:
-		return ErrStopped
-	default:
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.net.ResetUnit()
-	return nil
-}
-
-// Balance runs one round of the named load-balancing strategy over
-// every peer, then rewires the proc table to the renamed peer ids so
-// mailbox routing keeps resolving.
-func (c *Cluster) Balance(strategy string) (int, error) {
-	strat, err := lb.ByName(strategy)
-	if err != nil {
-		return 0, err
-	}
-	select {
-	case <-c.quit:
+		return 0, errNoProc
+	case <-l.c.Quit:
 		return 0, ErrStopped
-	default:
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	moves, rerr := lb.RunRound(c.net, strat)
-	c.rewireProcs()
-	c.met.TopologyEvent("balance")
-	return moves, rerr
-}
-
-// rewireProcs re-keys the proc table to the current peer ids after
-// balancing renames. Which goroutine serves which id is immaterial —
-// all state lives in the shared network — so orphaned procs are
-// paired with unclaimed ids in sorted order. Callers hold c.mu's
-// write lock (dlptlint:held mu), which also licenses the p.id writes.
-func (c *Cluster) rewireProcs() {
-	current := make(map[keys.Key]bool, c.net.NumPeers())
-	for _, id := range c.net.PeerIDs() {
-		current[id] = true
-	}
-	c.procMu.Lock()
-	defer c.procMu.Unlock()
-	var orphans []*peerProc
-	for id, p := range c.procs {
-		if !current[id] {
-			delete(c.procs, id)
-			orphans = append(orphans, p)
-		}
-	}
-	if len(orphans) == 0 {
-		return
-	}
-	var free []keys.Key
-	for id := range current {
-		if _, ok := c.procs[id]; !ok {
-			free = append(free, id)
-		}
-	}
-	keys.SortKeys(free)
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].id < orphans[j].id })
-	n := len(free)
-	if len(orphans) < n {
-		n = len(orphans)
-	}
-	for i := 0; i < n; i++ {
-		orphans[i].id = free[i]
-		c.procs[free[i]] = orphans[i]
-	}
-	for _, p := range orphans[n:] { // more procs than peers: retire
-		close(p.quit)
-	}
-}
-
-// PeerSummaries returns one summary per peer in ring order.
-func (c *Cluster) PeerSummaries() []core.PeerSummary {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.PeerSummaries()
-}
-
-// ReplicationStats returns the replication traffic counters.
-func (c *Cluster) ReplicationStats() core.ReplicationCounters {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Replication
-}
-
-// NumPeers returns the current peer count.
-func (c *Cluster) NumPeers() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.NumPeers()
-}
-
-// NumNodes returns the current tree size.
-func (c *Cluster) NumNodes() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.NumNodes()
-}
-
-// Register declares a service key with a value.
-func (c *Cluster) Register(key keys.Key, value string) error {
-	select {
-	case <-c.quit:
-		return ErrStopped
-	default:
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net.InsertData(key, value, c.rng)
-}
-
-// RegisterBatch declares every entry under a single acquisition of
-// the topology write lock, stopping at the first failure.
-func (c *Cluster) RegisterBatch(entries []core.KV) error {
-	select {
-	case <-c.quit:
-		return ErrStopped
-	default:
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net.InsertBatch(entries, c.rng)
-}
-
-// Unregister removes a value from a key.
-func (c *Cluster) Unregister(key keys.Key, value string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net.RemoveData(key, value)
-}
-
-// Stopped reports whether the cluster has been stopped.
-func (c *Cluster) Stopped() bool {
-	select {
-	case <-c.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// Snapshot returns a consistent copy of the whole tree (used by
-// whole-catalogue reads).
-func (c *Cluster) Snapshot() *trie.Tree {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.TreeSnapshot()
-}
-
-// RangeQuery resolves a lexicographic range query through the overlay
-// (entry at a random node, climb, pruned subtree traversal), with hop
-// accounting.
-func (c *Cluster) RangeQuery(lo, hi keys.Key) (core.QueryResult, error) {
-	select {
-	case <-c.quit:
-		return core.QueryResult{}, ErrStopped
-	default:
-	}
-	c.entryMu.Lock()
-	defer c.entryMu.Unlock()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.RangeQuery(lo, hi, c.entryRng), nil
-}
-
-// Complete resolves automatic completion of a partial search string
-// through the overlay.
-func (c *Cluster) Complete(prefix keys.Key) (core.QueryResult, error) {
-	select {
-	case <-c.quit:
-		return core.QueryResult{}, ErrStopped
-	default:
-	}
-	c.entryMu.Lock()
-	defer c.entryMu.Unlock()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Complete(prefix, c.entryRng), nil
-}
-
-// Validate cross-checks all overlay invariants.
-func (c *Cluster) Validate() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.net.Validate()
 }
 
 // streamBatchKeys bounds the matches emitted per walker batch (one
@@ -630,30 +220,28 @@ type QueryStream struct {
 }
 
 // StreamQuery starts a streaming subtree query. The entry point is
-// drawn from the same seeded stream the slice queries use, so slice
-// and streaming paths are byte-identical on identical workloads.
+// drawn from the seeded stream discoveries draw theirs from, so a
+// replayed workload enters the tree at the same nodes.
 func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*QueryStream, error) {
-	select {
-	case <-c.quit:
+	if c.Stopped() {
 		return nil, ErrStopped
-	default:
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	w := core.NewQueryWalker(c.net, spec)
+	w := core.NewQueryWalker(c.Net, spec)
 	s := &QueryStream{
 		out:  make(chan []keys.Key, 4),
 		quit: make(chan struct{}),
 	}
 	if !w.Empty() {
 		c.entryMu.Lock()
-		c.mu.RLock()
-		entry, ok := c.net.RandomNodeKey(c.entryRng)
+		c.Mu.RLock()
+		entry, ok := c.Net.RandomNodeKey(c.entryRng)
 		if ok {
 			w.Start(entry)
 		}
-		c.mu.RUnlock()
+		c.Mu.RUnlock()
 		c.entryMu.Unlock()
 	}
 	c.wg.Add(1)
@@ -670,8 +258,8 @@ func (c *Cluster) runStream(ctx context.Context, w *core.QueryWalker, s *QuerySt
 		// Flush the walker's open phase span even when the stream is
 		// closed or cancelled mid-traversal.
 		w.FinishTrace()
-		if c.met != nil {
-			c.met.QueryLatency.Observe(time.Since(began).Seconds())
+		if c.Met != nil {
+			c.Met.QueryLatency.Observe(time.Since(began).Seconds())
 		}
 	}()
 	for {
@@ -681,14 +269,14 @@ func (c *Cluster) runStream(ctx context.Context, w *core.QueryWalker, s *QuerySt
 			return
 		case <-s.quit:
 			return
-		case <-c.quit:
+		case <-c.Quit:
 			s.fail(ErrStopped)
 			return
 		default:
 		}
-		c.mu.RLock()
+		c.Mu.RLock()
 		batch, more := w.StepN(nil, streamBatchKeys, streamBatchVisits)
-		c.mu.RUnlock()
+		c.Mu.RUnlock()
 		s.mu.Lock()
 		s.stats = w.Stats()
 		s.mu.Unlock()
@@ -700,7 +288,7 @@ func (c *Cluster) runStream(ctx context.Context, w *core.QueryWalker, s *QuerySt
 				return
 			case <-s.quit:
 				return
-			case <-c.quit:
+			case <-c.Quit:
 				s.fail(ErrStopped)
 				return
 			}
@@ -768,73 +356,57 @@ func (s *QueryStream) Close() error {
 
 // Discover routes a discovery request for key through the peer
 // goroutines, entering the tree at a random node.
-func (c *Cluster) Discover(key keys.Key) (Result, error) {
+func (c *Cluster) Discover(key keys.Key) (overlay.Result, error) {
 	return c.DiscoverContext(context.Background(), key)
 }
 
 // DiscoverContext is Discover under a caller context: cancelling ctx
 // aborts the in-flight routed traversal and returns the context
 // error.
-func (c *Cluster) DiscoverContext(ctx context.Context, key keys.Key) (Result, error) {
-	select {
-	case <-c.quit:
-		return Result{}, ErrStopped
-	default:
+func (c *Cluster) DiscoverContext(ctx context.Context, key keys.Key) (overlay.Result, error) {
+	if c.Stopped() {
+		return overlay.Result{}, ErrStopped
 	}
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return overlay.Result{}, err
 	}
 	c.entryMu.Lock()
-	c.mu.RLock()
-	entry, ok := c.net.RandomNodeKey(c.entryRng)
-	c.mu.RUnlock()
+	c.Mu.RLock()
+	entry, ok := c.Net.RandomNodeKey(c.entryRng)
+	c.Mu.RUnlock()
 	c.entryMu.Unlock()
 	if !ok {
-		return Result{Key: key}, nil
+		return overlay.Result{Key: key}, nil
 	}
-	return c.discoverFrom(ctx, key, entry)
-}
-
-// DiscoverFrom routes a discovery entering at a chosen node key.
-func (c *Cluster) DiscoverFrom(key, entry keys.Key) (Result, error) {
-	select {
-	case <-c.quit:
-		return Result{}, ErrStopped
-	default:
-	}
-	return c.discoverFrom(context.Background(), key, entry)
-}
-
-func (c *Cluster) discoverFrom(ctx context.Context, key, entry keys.Key) (Result, error) {
 	began := time.Now()
-	root := c.rec.StartRoot(obs.PhaseDiscover, string(entry))
+	root := c.Rec.StartRoot(obs.PhaseDiscover, string(entry))
 	root.SetAttr("key", string(key))
 	defer root.End()
-	reply := make(chan Result, 1)
+	reply := make(chan overlay.Result, 1)
 	msg := discoverMsg{
 		ctx:     ctx,
 		key:     key,
 		at:      entry,
 		goingUp: true,
 		tc:      root.Context(),
-		res:     Result{Key: key},
+		res:     overlay.Result{Key: key},
 		reply:   reply,
 	}
 	if !c.forward(msg, keys.Epsilon) {
-		return Result{Key: key}, ErrStopped
+		return overlay.Result{Key: key}, ErrStopped
 	}
 	select {
 	case res := <-reply:
-		if c.met != nil {
+		if c.Met != nil {
 			d := time.Since(began)
-			c.met.DiscoverLatency.Observe(d.Seconds())
-			c.met.RecordPhase(obs.PhaseDiscover, res.LogicalHops, d)
+			c.Met.DiscoverLatency.Observe(d.Seconds())
+			c.Met.RecordPhase(obs.PhaseDiscover, res.LogicalHops, d)
 		}
 		return res, nil
 	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	case <-c.quit:
-		return Result{}, ErrStopped
+		return overlay.Result{}, ctx.Err()
+	case <-c.Quit:
+		return overlay.Result{}, ErrStopped
 	}
 }
 
@@ -842,9 +414,9 @@ func (c *Cluster) discoverFrom(ctx context.Context, key, entry keys.Key) (Result
 // sending peer (ε for client injection). It returns false when the
 // cluster is stopping.
 func (c *Cluster) forward(msg discoverMsg, from keys.Key) bool {
-	c.mu.RLock()
-	host, ok := c.net.HostOf(msg.at)
-	c.mu.RUnlock()
+	c.Mu.RLock()
+	host, ok := c.Net.HostOf(msg.at)
+	c.Mu.RUnlock()
 	if !ok {
 		msg.reply <- msg.res
 		return true
@@ -859,9 +431,9 @@ func (c *Cluster) forward(msg discoverMsg, from keys.Key) bool {
 	if !ok {
 		// Host raced with a leave; re-resolve once more via the
 		// updated topology.
-		c.mu.RLock()
-		host2, ok2 := c.net.HostOf(msg.at)
-		c.mu.RUnlock()
+		c.Mu.RLock()
+		host2, ok2 := c.Net.HostOf(msg.at)
+		c.Mu.RUnlock()
 		if ok2 {
 			p, ok = c.lookupProc(host2)
 		}
@@ -880,7 +452,7 @@ func (c *Cluster) forward(msg discoverMsg, from keys.Key) bool {
 		// The caller gave up: drop the request. The originator's
 		// select on ctx.Done already returned the context error.
 		return true
-	case <-c.quit:
+	case <-c.Quit:
 		return false
 	}
 }
@@ -904,7 +476,7 @@ func (c *Cluster) run(p *peerProc) {
 	defer c.wg.Done()
 	for {
 		select {
-		case <-c.quit:
+		case <-c.Quit:
 			return
 		case <-p.quit:
 			c.drain(p)
@@ -914,10 +486,7 @@ func (c *Cluster) run(p *peerProc) {
 		case rm := <-p.ctrl:
 			// A successor replica batch addressed to this peer: install
 			// it under the topology write lock and acknowledge.
-			c.mu.Lock()
-			n := c.net.AcceptReplicas(rm.batch.From, rm.batch.To, rm.batch.Infos)
-			c.mu.Unlock()
-			rm.done <- n
+			rm.done <- c.InstallReplicas(rm.batch)
 		}
 	}
 }
@@ -946,40 +515,38 @@ func (c *Cluster) drain(p *peerProc) {
 					return
 				}
 			}
-		case <-c.quit:
+		case <-c.Quit:
 			return
 		}
 	}
 }
 
-// process performs one routing step of the Section 2 discovery walk.
+// process performs one routing step of the discovery walk at the node
+// msg is addressed to; the transition itself is the runtime's.
 func (c *Cluster) process(p *peerProc, msg discoverMsg) {
 	select {
 	case <-msg.ctx.Done():
 		return // cancelled mid-flight: abort the traversal
 	default:
 	}
-	c.mu.RLock()
+	c.Mu.RLock()
 	self := p.id // balancing renames write p.id under the write lock
 	// One span per routing hop, parented under the previous hop's so
 	// the whole traversal forms a single tree rooted at the client.
-	span := c.rec.Start(msg.tc, obs.PhaseRelay, string(self))
+	span := c.Rec.Start(msg.tc, obs.PhaseRelay, string(self))
 	defer span.End()
 	msg.tc = span.Context()
-	peer, ok := c.net.Peer(self)
+	peer, ok := c.Net.Peer(self)
 	var node *core.Node
 	if ok {
 		node = peer.Nodes[msg.at]
 	}
-	var next keys.Key
-	done := false
 	if node == nil {
 		// The node moved (churn/balancing); re-deliver to the new
 		// host without counting a tree hop. A node lost to an
 		// unrecovered crash has no host at all: past the redirect
 		// bound the walk reports what it has (not found).
-		c.mu.RUnlock()
-		msg.res.Path = append(msg.res.Path, self)
+		c.Mu.RUnlock()
 		msg.redirects++
 		if msg.redirects > maxRedirects {
 			msg.reply <- msg.res
@@ -990,51 +557,8 @@ func (c *Cluster) process(p *peerProc, msg discoverMsg) {
 		c.forward(msg, keys.Epsilon)
 		return
 	}
-	node.RecordVisit()
-	if c.met != nil {
-		c.met.Visits.Inc()
-	}
-	if c.gate && !peer.TryProcess() {
-		// Section 4's request model: the visit is received (load
-		// recorded above) but a saturated peer ignores the request.
-		c.mu.RUnlock()
-		if c.met != nil {
-			c.met.Drops.Inc()
-		}
-		msg.res.Dropped = true
-		msg.reply <- msg.res
-		return
-	}
-	msg.res.Path = append(msg.res.Path, self)
-	switch {
-	case node.Key == msg.key:
-		if node.HasData() {
-			msg.res.Found = true
-			for v := range node.Data {
-				msg.res.Values = append(msg.res.Values, v)
-			}
-		}
-		done = true
-	default:
-		if msg.goingUp && keys.IsPrefix(node.Key, msg.key) {
-			msg.goingUp = false
-		}
-		if msg.goingUp {
-			if !node.HasFather {
-				done = true // root does not prefix the key: absent
-			} else {
-				next = node.Father
-			}
-		} else {
-			q, okc := node.BestChildFor(msg.key)
-			if !okc || !keys.IsPrefix(q, msg.key) {
-				done = true
-			} else {
-				next = q
-			}
-		}
-	}
-	c.mu.RUnlock()
+	next, done := c.StepLocked(peer, node, msg.key, &msg.goingUp, &msg.res)
+	c.Mu.RUnlock()
 	if done {
 		msg.reply <- msg.res
 		return
@@ -1045,8 +569,6 @@ func (c *Cluster) process(p *peerProc, msg discoverMsg) {
 
 // Stop terminates all peer goroutines. It is idempotent.
 func (c *Cluster) Stop() {
-	c.stopOnce.Do(func() {
-		close(c.quit)
-	})
+	c.Halt()
 	c.wg.Wait()
 }

@@ -1,11 +1,13 @@
 package live
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/workload"
 )
@@ -54,9 +56,6 @@ func TestRegisterAndDiscover(t *testing.T) {
 		}
 		if res.PhysicalHops > res.LogicalHops {
 			t.Fatalf("physical %d > logical %d", res.PhysicalHops, res.LogicalHops)
-		}
-		if len(res.Path) == 0 {
-			t.Fatalf("empty path")
 		}
 	}
 	res, err := c.Discover("zz_missing")
@@ -218,10 +217,10 @@ func TestUnregister(t *testing.T) {
 	if err := c.Register("dgemm", "h1"); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Unregister("dgemm", "h1") {
-		t.Fatalf("unregister failed")
+	if ok, err := c.Unregister("dgemm", "h1"); !ok || err != nil {
+		t.Fatalf("unregister = %v, %v", ok, err)
 	}
-	if c.Unregister("dgemm", "h1") {
+	if ok, _ := c.Unregister("dgemm", "h1"); ok {
 		t.Fatalf("double unregister must fail")
 	}
 	res, err := c.Discover("dgemm")
@@ -233,6 +232,20 @@ func TestUnregister(t *testing.T) {
 	}
 }
 
+// drain pulls a stream to its end and returns its keys and totals.
+func drain(t *testing.T, s *QueryStream) ([]keys.Key, core.QueryResult) {
+	t.Helper()
+	defer s.Close()
+	var ks []keys.Key
+	for k, ok := s.Next(); ok; k, ok = s.Next() {
+		ks = append(ks, k)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return ks, s.Stats()
+}
+
 func TestRoutedRangeAndComplete(t *testing.T) {
 	c := startCluster(t, 6)
 	for _, k := range []keys.Key{"sgemm", "sgemv", "strsm", "dgemm", "saxpy"} {
@@ -240,29 +253,31 @@ func TestRoutedRangeAndComplete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := c.Complete("sge")
+	ctx := context.Background()
+	s, err := c.StreamQuery(ctx, core.QuerySpec{Prefix: "sge"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Keys) != 2 {
-		t.Fatalf("Complete = %v", res.Keys)
+	ks, st := drain(t, s)
+	if len(ks) != 2 {
+		t.Fatalf("completion of sge = %v", ks)
 	}
-	if res.NodesVisited == 0 {
+	if st.NodesVisited == 0 {
 		t.Fatalf("routed completion must visit nodes")
 	}
-	rr, err := c.RangeQuery("saxpy", "sgemv")
+	s, err = c.StreamQuery(ctx, core.QuerySpec{Range: true, Lo: "saxpy", Hi: "sgemv"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rr.Keys) != 3 {
-		t.Fatalf("RangeQuery = %v", rr.Keys)
+	if ks, _ := drain(t, s); len(ks) != 3 {
+		t.Fatalf("range saxpy..sgemv = %v", ks)
 	}
 	c.Stop()
-	if _, err := c.Complete("s"); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Complete after stop = %v", err)
+	if _, err := c.StreamQuery(ctx, core.QuerySpec{Prefix: "s"}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("completion after stop = %v", err)
 	}
-	if _, err := c.RangeQuery("a", "z"); !errors.Is(err, ErrStopped) {
-		t.Fatalf("RangeQuery after stop = %v", err)
+	if _, err := c.StreamQuery(ctx, core.QuerySpec{Range: true, Lo: "a", Hi: "z"}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("range after stop = %v", err)
 	}
 }
 
@@ -303,6 +318,12 @@ func TestStopIsIdempotentAndRejectsOps(t *testing.T) {
 	}
 	if err := c.RemovePeer("x"); !errors.Is(err, ErrStopped) {
 		t.Fatalf("RemovePeer after stop = %v", err)
+	}
+	if ok, err := c.Unregister("k1", "v"); ok || !errors.Is(err, ErrStopped) {
+		t.Fatalf("Unregister after stop = %v, %v", ok, err)
+	}
+	if c.Snapshot().NumKeys() != 1 {
+		t.Fatalf("Unregister after stop edited the tree")
 	}
 }
 

@@ -1,0 +1,580 @@
+// Package overlay is the one runtime behind the concurrent engines.
+// The paper's protocol — the Section 2 climb/descend step, peer join
+// and leave, successor replication and load-balancing renames — is
+// written here once, over one locked core.Network; internal/live and
+// internal/transport embed a Runtime and add only their data path: how
+// a hop, a replica batch and a stream chunk travel (a channel send or a
+// pooled framed socket).
+//
+// What differs between the two at membership and replication ticks
+// goes through the four-method Link. The data path never does: it
+// takes Mu and reads Net directly, so a hop costs what it cost when
+// each package owned its own lock.
+package overlay
+
+import (
+	"errors"
+	"math/rand"
+	"sort"
+	"strconv"
+	"sync"
+	"time"
+
+	"dlpt/internal/core"
+	"dlpt/internal/keys"
+	"dlpt/internal/lb"
+	"dlpt/internal/obs"
+	"dlpt/internal/persist"
+	"dlpt/internal/trace"
+	"dlpt/internal/trie"
+)
+
+// ErrStopped is returned by operations on a stopped cluster.
+var ErrStopped = errors.New("overlay: cluster stopped")
+
+// Result is the outcome of a routed discovery.
+type Result struct {
+	Key   keys.Key
+	Found bool
+	// Values holds the registered values in lexicographic order.
+	Values       []string
+	LogicalHops  int
+	PhysicalHops int
+	// Dropped reports that a saturated peer ignored the request
+	// (capacity gating).
+	Dropped bool
+}
+
+// Options are the construction parameters every runtime accepts.
+type Options struct {
+	// Placement picks ring identifiers for joining peers; nil draws
+	// uniformly random identifiers.
+	Placement lb.Strategy
+	// Gate enforces per-peer capacity on the discovery path: every
+	// visit consumes capacity and saturated peers drop requests.
+	Gate bool
+	// Persist, when non-nil, makes the cluster durable: Replicate
+	// writes fsynced snapshots and catalogue mutations append to the
+	// journal.
+	Persist *persist.Store
+	// Restore rebuilds the overlay from Persist instead of starting
+	// fresh from the capacities (which are then ignored).
+	Restore bool
+	// Obs, when non-nil, receives visit/drop counters, per-phase hop
+	// latencies and replication marks, and scrape-time collectors
+	// mirror the peer-load and replication state into its registry.
+	Obs *obs.Metrics
+	// Trace, when non-nil, records per-hop spans for every routed
+	// traversal and replication tick.
+	Trace *trace.Recorder
+}
+
+// Link is what a runtime's data path owes the shared membership and
+// replication code: the per-peer endpoint (a goroutine and its
+// mailboxes, a listener and its address) and the way a replica batch
+// reaches one. It is called on membership changes and replication
+// ticks only, never per hop.
+type Link interface {
+	// PeerUp brings up the endpoint of a peer about to enter the ring.
+	// The caller holds Mu, so the endpoint becomes routable atomically
+	// with the peer's membership. An error leaves nothing behind.
+	PeerUp(id keys.Key) error
+	// PeerDown retires the endpoint of a peer that left the ring or
+	// never made it in. Called without Mu; a no-op for an id that has
+	// no endpoint here.
+	PeerDown(id keys.Key)
+	// Rename re-keys the endpoint serving from to serve to, after a
+	// balancing round renamed the peer. The caller holds Mu.
+	Rename(from, to keys.Key)
+	// Ship delivers one successor batch to the peer that must hold it
+	// and returns the number of snapshots installed there. On an error
+	// the runtime installs the batch directly.
+	Ship(tc trace.Context, b core.ReplicaBatch) (int, error)
+}
+
+// Runtime is the state and the protocol both cluster runtimes share.
+// The exported fields are what their data paths read; everything else
+// goes through the methods.
+type Runtime struct {
+	Mu  sync.RWMutex
+	Net *core.Network // guarded by Mu
+	// Rng belongs to writers under Mu.Lock; a data path that draws from
+	// it holding only Mu.RLock orders its readers with a lock of its
+	// own.
+	Rng   *rand.Rand      // guarded by Mu
+	Met   *obs.Metrics    // nil disables metrics
+	Rec   *trace.Recorder // nil disables span recording
+	Store *persist.Store  // durability layer; nil = in-memory only
+	// Quit is closed by Halt; every blocking wait selects on it.
+	Quit chan struct{}
+
+	link    Link
+	place   lb.Strategy // join placement hook; nil = uniform random
+	gate    bool        // enforce peer capacity on discoveries
+	restore bool
+	halt    sync.Once
+}
+
+// Init prepares an empty overlay. The embedding cluster then starts
+// whatever its endpoints need (Quit exists from here on) and calls
+// Attach.
+//
+// dlptlint:exclusive — the runtime is under construction and has not
+// escaped.
+func (r *Runtime) Init(alpha *keys.Alphabet, seed int64, opts Options) {
+	r.Net = core.NewNetwork(alpha, core.PlacementLexicographic)
+	r.Rng = rand.New(rand.NewSource(seed))
+	r.Met, r.Rec, r.Store = opts.Obs, opts.Trace, opts.Persist
+	r.place, r.gate, r.restore = opts.Placement, opts.Gate, opts.Restore
+	r.Quit = make(chan struct{})
+	// The network inherits the instrumentation so every query walker
+	// built over it records phase spans and counters.
+	r.Net.Obs, r.Net.Tracer = r.Met, r.Rec
+	RegisterCollectors(r.Met, r.PeerSummaries, r.ReplicationStats)
+}
+
+// Attach wires the link and populates the ring through it: one join
+// per capacity entry, or with Options.Restore the persisted ring. On
+// an error the caller stops the cluster, which tears down the
+// endpoints already up.
+func (r *Runtime) Attach(link Link, capacities []int) error {
+	r.link = link
+	if r.restore {
+		if r.Store == nil {
+			return errors.New("overlay: restore without a persistence store")
+		}
+		r.Mu.Lock()
+		err := r.Net.RestoreFromStore(r.Store, r.Rng)
+		if err == nil {
+			for _, id := range r.Net.PeerIDs() {
+				if err = link.PeerUp(id); err != nil {
+					break
+				}
+			}
+		}
+		r.Mu.Unlock()
+		if err != nil {
+			return err
+		}
+	} else {
+		for _, capacity := range capacities {
+			if _, err := r.AddPeer(capacity); err != nil {
+				return err
+			}
+		}
+	}
+	// Callers of the mutation paths hold Mu, serializing appends.
+	r.Mu.Lock()
+	r.Net.AttachJournal(r.Store)
+	r.Mu.Unlock()
+	return nil
+}
+
+// RegisterCollectors mirrors state the hot paths do not instrument
+// into the registry at scrape time: the per-peer visit load and node
+// gauges (replaced wholesale, so balance renames never leave stale
+// series) and the core's never-reset replication counters (mirrored
+// with Set, so they stay monotonic across crash/recover and Balance).
+// The callbacks run at scrape time under the caller's own locking.
+func RegisterCollectors(m *obs.Metrics,
+	peers func() []core.PeerSummary, repl func() core.ReplicationCounters) {
+	if m == nil {
+		return
+	}
+	m.Registry.OnScrape(func() {
+		sums := peers()
+		loads := make(map[string]float64, len(sums))
+		nodes := make(map[string]float64, len(sums))
+		for _, s := range sums {
+			loads[string(s.ID)] = float64(s.LoadPrev)
+			nodes[string(s.ID)] = float64(s.Nodes)
+		}
+		m.Registry.ReplaceGauges(obs.SeriesVisitLoad,
+			"Discovery visits received per peer in the last load unit.", "peer", loads)
+		m.Registry.ReplaceGauges(obs.SeriesPeerNodes,
+			"Tree nodes hosted per peer.", "peer", nodes)
+		rs := repl()
+		m.ReplicaSnapshotMsgs.Set(float64(rs.SnapshotMsgs))
+		m.ReplicaTransferMsgs.Set(float64(rs.TransferMsgs))
+		m.ReplicaTransferNodes.Set(float64(rs.TransferredNodes))
+	})
+}
+
+// Halt closes Quit and reports whether this call did; the embedding
+// cluster's Stop tears its endpoints down on true and then waits for
+// its goroutines either way.
+func (r *Runtime) Halt() (first bool) {
+	r.halt.Do(func() {
+		close(r.Quit)
+		first = true
+	})
+	return first
+}
+
+// Stopped reports whether the cluster has been stopped.
+func (r *Runtime) Stopped() bool {
+	select {
+	case <-r.Quit:
+		return true
+	default:
+		return false
+	}
+}
+
+// AddPeer joins one peer with the given capacity and returns its id.
+func (r *Runtime) AddPeer(capacity int) (keys.Key, error) {
+	return r.Join(capacity, r.link.PeerUp)
+}
+
+// Join draws a ring id, brings the peer's endpoint up through up and
+// joins the ring — in that order, so a peer whose endpoint cannot
+// come up never enters the ring (every walk through its nodes would
+// fail). AddPeer passes the link's PeerUp; a runtime whose peer lives
+// in another process passes a function that records its address.
+func (r *Runtime) Join(capacity int, up func(keys.Key) error) (keys.Key, error) {
+	if r.Stopped() {
+		return "", ErrStopped
+	}
+	r.Mu.Lock()
+	var id keys.Key
+	if r.place != nil {
+		id = r.place.PlaceJoin(r.Net, r.Rng, capacity)
+	} else {
+		for {
+			id = r.Net.Alphabet.RandomKey(r.Rng, 12, 12)
+			if _, exists := r.Net.Peer(id); !exists {
+				break
+			}
+		}
+	}
+	if err := up(id); err != nil {
+		r.Mu.Unlock()
+		return "", err
+	}
+	err := r.Net.JoinPeer(id, capacity, r.Rng)
+	r.Mu.Unlock()
+	if err != nil {
+		r.link.PeerDown(id)
+		return "", err
+	}
+	r.Met.TopologyEvent("join")
+	return id, nil
+}
+
+// RemovePeer removes a peer gracefully: its tree nodes hand off to the
+// peers becoming responsible for them, then its endpoint retires.
+// Traffic still addressed to it re-resolves through the per-hop HostOf
+// lookups.
+func (r *Runtime) RemovePeer(id keys.Key) error {
+	return r.depart(id, "leave", (*core.Network).LeavePeer)
+}
+
+// FailPeer crashes a peer: its node states vanish without transfer and
+// its endpoint retires. The tree stays degraded until Recover runs.
+func (r *Runtime) FailPeer(id keys.Key) error {
+	return r.depart(id, "crash", (*core.Network).FailPeer)
+}
+
+func (r *Runtime) depart(id keys.Key, event string, leave func(*core.Network, keys.Key) error) error {
+	if r.Stopped() {
+		return ErrStopped
+	}
+	r.Mu.Lock()
+	err := leave(r.Net, id)
+	r.Mu.Unlock()
+	if err != nil {
+		return err
+	}
+	r.link.PeerDown(id)
+	r.Met.TopologyEvent(event)
+	return nil
+}
+
+// Recover restores crashed node state from the successor replicas and
+// rebuilds the canonical tree structure.
+func (r *Runtime) Recover() (restored int, lost []keys.Key, err error) {
+	if r.Stopped() {
+		return 0, nil, ErrStopped
+	}
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	restored, lost = r.Net.Recover()
+	r.Met.TopologyEvent("recover")
+	return restored, lost, nil
+}
+
+// Replicate snapshots every tree node to its host's ring successor.
+// Each batch travels the link — the runtime's real per-peer path —
+// while discoveries keep flowing; a batch the link cannot deliver
+// (departed target, racing endpoint close) is installed directly,
+// which re-routes per entry. Delivery is at-least-once: a link that
+// fails after the far side installed the batch makes the fallback
+// re-install it idempotently, and the snapshot counters count it
+// twice. On a durable cluster the tick ends with the fsynced on-disk
+// snapshot.
+func (r *Runtime) Replicate() (int, error) {
+	if r.Stopped() {
+		return 0, ErrStopped
+	}
+	r.Mu.Lock()
+	plan := r.Net.ReplicaPlan()
+	r.Mu.Unlock()
+	tick := r.Rec.StartRoot("replicate", "")
+	total := 0
+	for _, b := range plan {
+		span := r.Rec.Start(tick.Context(), "replica", string(b.To))
+		span.SetAttr("snapshots", strconv.Itoa(len(b.Infos)))
+		n, err := r.link.Ship(span.Context(), b)
+		if err != nil {
+			n = r.InstallReplicas(b)
+		}
+		span.End()
+		total += n
+	}
+	tick.SetAttr("batches", strconv.Itoa(len(plan)))
+	tick.SetAttr("snapshots", strconv.Itoa(total))
+	tick.End()
+	r.Mu.Lock()
+	r.Net.CompactReplicas()
+	commit, err := BeginSnapshot(r.Net, r.Store)
+	r.Mu.Unlock()
+	if err != nil {
+		return total, err
+	}
+	return total, commit()
+}
+
+// ReplicateLocal runs one replication tick wholly in-process: plan,
+// install, compact and, on a durable cluster, the snapshot — the core
+// path engine/local uses. The daemon deployment calls this on every
+// process: each holds a full mirror, so shipping batches to peers that
+// already have identical state would be pure overhead.
+func (r *Runtime) ReplicateLocal() (int, error) {
+	if r.Stopped() {
+		return 0, ErrStopped
+	}
+	r.Mu.Lock()
+	n := r.Net.Replicate()
+	commit, err := BeginSnapshot(r.Net, r.Store)
+	r.Mu.Unlock()
+	if err != nil {
+		return n, err
+	}
+	return n, commit()
+}
+
+// InstallReplicas installs one successor batch under the write lock
+// and returns the number of snapshots installed: the receiving end of
+// every link, and Replicate's fallback for a batch no link delivered.
+func (r *Runtime) InstallReplicas(b core.ReplicaBatch) int {
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	return r.Net.AcceptReplicas(b.From, b.To, b.Infos)
+}
+
+// BeginSnapshot is the tail of a replication tick on a durable
+// overlay. The caller holds the lock that serializes net's mutations,
+// so the capture and the journal rotation are atomic: a racing
+// mutation journals either into the epoch this snapshot supersedes and
+// is contained in the capture, or into the new epoch and replays on
+// top of it. The capture is O(1) (a copy-on-write catalogue image);
+// commit encodes and fsyncs and is to be called after the lock is
+// released, so the write stall is independent of the catalogue size.
+// commit also stamps the tick as completed, with or without a store.
+func BeginSnapshot(net *core.Network, store *persist.Store) (commit func() error, err error) {
+	met := net.Obs
+	if store == nil {
+		return func() error { met.MarkReplicated(); return nil }, nil
+	}
+	start := time.Now()
+	peers, cat := net.CaptureSnapshot()
+	pending, err := store.BeginSnapshot()
+	if err != nil {
+		return nil, err
+	}
+	stall := time.Since(start)
+	return func() error {
+		if _, err := pending.Commit(peers, cat); err != nil {
+			return err
+		}
+		met.MarkSnapshot(stall, pending.Bytes(), cat.Len())
+		met.MarkReplicated()
+		return nil
+	}, nil
+}
+
+// ResetUnit ends the current load-accounting time unit.
+func (r *Runtime) ResetUnit() error {
+	if r.Stopped() {
+		return ErrStopped
+	}
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	r.Net.ResetUnit()
+	return nil
+}
+
+// Balance runs one round of the named load-balancing strategy over
+// every peer, then re-keys the link's endpoints to the renamed peer
+// ids so routing keeps resolving.
+func (r *Runtime) Balance(strategy string) (int, error) {
+	strat, err := lb.ByName(strategy)
+	if err != nil {
+		return 0, err
+	}
+	if r.Stopped() {
+		return 0, ErrStopped
+	}
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	before := r.Net.PeerIDs()
+	moves, rerr := lb.RunRound(r.Net, strat)
+	r.rewireLocked(before)
+	r.Met.TopologyEvent("balance")
+	return moves, rerr
+}
+
+// rewireLocked pairs the ring ids a balancing round retired with the
+// ids it introduced and has the link re-key one endpoint per pair.
+// Which endpoint serves which id is immaterial — all state lives in
+// the shared network — so the pairing is by sorted order. A rename
+// keeps the peer count, so both lists have the same length.
+func (r *Runtime) rewireLocked(before []keys.Key) {
+	after := r.Net.PeerIDs()
+	var retired, introduced []keys.Key
+	for i, j := 0, 0; i < len(before) || j < len(after); {
+		switch {
+		case j == len(after) || i < len(before) && before[i] < after[j]:
+			retired = append(retired, before[i])
+			i++
+		case i == len(before) || after[j] < before[i]:
+			introduced = append(introduced, after[j])
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	for i, from := range retired {
+		r.link.Rename(from, introduced[i])
+	}
+}
+
+// Register declares a service key with a value.
+func (r *Runtime) Register(key keys.Key, value string) error {
+	if r.Stopped() {
+		return ErrStopped
+	}
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	return r.Net.InsertData(key, value, r.Rng)
+}
+
+// RegisterBatch declares every entry under a single acquisition of
+// the write lock, stopping at the first failure.
+func (r *Runtime) RegisterBatch(entries []core.KV) error {
+	if r.Stopped() {
+		return ErrStopped
+	}
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	return r.Net.InsertBatch(entries, r.Rng)
+}
+
+// Unregister removes a value from a key, reporting whether it was
+// registered. A stopped cluster refuses, like every other mutation:
+// its owner may already have closed the store the journal appends to.
+func (r *Runtime) Unregister(key keys.Key, value string) (bool, error) {
+	if r.Stopped() {
+		return false, ErrStopped
+	}
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	return r.Net.RemoveData(key, value), nil
+}
+
+// PeerSummaries returns one summary per peer in ring order.
+func (r *Runtime) PeerSummaries() []core.PeerSummary {
+	r.Mu.RLock()
+	defer r.Mu.RUnlock()
+	return r.Net.PeerSummaries()
+}
+
+// ReplicationStats returns the replication traffic counters.
+func (r *Runtime) ReplicationStats() core.ReplicationCounters {
+	r.Mu.RLock()
+	defer r.Mu.RUnlock()
+	return r.Net.Replication
+}
+
+// NumPeers returns the current peer count.
+func (r *Runtime) NumPeers() int {
+	r.Mu.RLock()
+	defer r.Mu.RUnlock()
+	return r.Net.NumPeers()
+}
+
+// NumNodes returns the current tree size.
+func (r *Runtime) NumNodes() int {
+	r.Mu.RLock()
+	defer r.Mu.RUnlock()
+	return r.Net.NumNodes()
+}
+
+// Snapshot returns a consistent copy of the whole tree (used by
+// whole-catalogue reads).
+func (r *Runtime) Snapshot() *trie.Tree {
+	r.Mu.RLock()
+	defer r.Mu.RUnlock()
+	return r.Net.TreeSnapshot()
+}
+
+// Validate cross-checks all overlay invariants.
+func (r *Runtime) Validate() error {
+	r.Mu.RLock()
+	defer r.Mu.RUnlock()
+	return r.Net.Validate()
+}
+
+// StepLocked is the Section 2 discovery transition at node, hosted by
+// peer, for a request looking for key: the node to move to, or done
+// with the outcome in res (Found and Values, or Dropped). goingUp is
+// the request's phase, flipped here once a prefix of key is reached.
+// core.Discover is the sequential reference the differential tests
+// hold this against. Callers hold Mu; the read side suffices, visit
+// and capacity accounting being atomic.
+func (r *Runtime) StepLocked(peer *core.Peer, node *core.Node, key keys.Key, goingUp *bool, res *Result) (next keys.Key, done bool) {
+	node.RecordVisit()
+	if r.Met != nil {
+		r.Met.Visits.Inc()
+	}
+	if r.gate && !peer.TryProcess() {
+		// Section 4's request model: the visit is received (load
+		// recorded above) but a saturated peer ignores the request.
+		if r.Met != nil {
+			r.Met.Drops.Inc()
+		}
+		res.Dropped = true
+		return "", true
+	}
+	if node.Key == key {
+		if node.HasData() {
+			res.Found = true
+			for v := range node.Data {
+				res.Values = append(res.Values, v)
+			}
+			// Map iteration order is random: sort, so results are
+			// byte-identical across engines and on the wire.
+			sort.Strings(res.Values)
+		}
+		return "", true
+	}
+	if *goingUp && keys.IsPrefix(node.Key, key) {
+		*goingUp = false
+	}
+	if *goingUp {
+		return node.Father, !node.HasFather // a root that is no prefix of key: absent
+	}
+	q, ok := node.BestChildFor(key)
+	return q, !ok || !keys.IsPrefix(q, key)
+}

@@ -1,0 +1,237 @@
+package overlay
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"dlpt/internal/core"
+	"dlpt/internal/keys"
+	"dlpt/internal/trace"
+)
+
+// fakeLink records what the runtime asks of its link. Ship installs
+// through the runtime, as both real links' receiving ends do, unless
+// told to fail.
+type fakeLink struct {
+	rt      *Runtime
+	upErr   error
+	shipErr error
+	ups     []keys.Key
+	downs   []keys.Key
+	renames [][2]keys.Key
+	shipped int
+}
+
+func (f *fakeLink) PeerUp(id keys.Key) error {
+	if f.upErr != nil {
+		return f.upErr
+	}
+	f.ups = append(f.ups, id)
+	return nil
+}
+
+func (f *fakeLink) PeerDown(id keys.Key) { f.downs = append(f.downs, id) }
+
+func (f *fakeLink) Rename(from, to keys.Key) { f.renames = append(f.renames, [2]keys.Key{from, to}) }
+
+func (f *fakeLink) Ship(_ trace.Context, b core.ReplicaBatch) (int, error) {
+	if f.shipErr != nil {
+		return 0, f.shipErr
+	}
+	f.shipped++
+	return f.rt.InstallReplicas(b), nil
+}
+
+// start brings up a runtime of n peers over a fake link and registers
+// nkeys keys.
+func start(t *testing.T, n, nkeys int) (*Runtime, *fakeLink) {
+	t.Helper()
+	r := new(Runtime)
+	r.Init(keys.LowerAlnum, 7, Options{})
+	f := &fakeLink{rt: r}
+	caps := make([]int, n)
+	for i := range caps {
+		caps[i] = 100
+	}
+	if err := r.Attach(f, caps); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Halt() })
+	for i := 0; i < nkeys; i++ {
+		if err := r.Register(keys.Key(fmt.Sprintf("svc%03d", i)), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r, f
+}
+
+// ringIDs returns the peer ids in ring order.
+func ringIDs(r *Runtime) []keys.Key {
+	r.Mu.RLock()
+	defer r.Mu.RUnlock()
+	return r.Net.PeerIDs()
+}
+
+// A batch the link fails to ship is installed directly: the tick
+// reports the same count, leaves the same replica state, and a crash
+// recovers from it all the same.
+func TestShipErrorInstallsDirectly(t *testing.T) {
+	shipped, fs := start(t, 5, 60)
+	direct, fd := start(t, 5, 60)
+	fd.shipErr = errors.New("link down")
+
+	ns, err := shipped.Replicate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := direct.Replicate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs.shipped == 0 || fd.shipped != 0 {
+		t.Fatalf("batches through the link: %d and %d, want some and none", fs.shipped, fd.shipped)
+	}
+	if ns == 0 || ns != nd {
+		t.Fatalf("installed %d through the link, %d directly", ns, nd)
+	}
+	if s, d := shipped.ReplicationStats(), direct.ReplicationStats(); s != d {
+		t.Fatalf("replication counters differ: %+v vs %+v", s, d)
+	}
+	victim := direct.PeerSummaries()[2].ID
+	if err := direct.FailPeer(victim); err != nil {
+		t.Fatal(err)
+	}
+	if _, lost, err := direct.Recover(); err != nil || len(lost) != 0 {
+		t.Fatalf("recover after a direct install: lost %v, err %v", lost, err)
+	}
+	if err := direct.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The link hears of every id a balancing round retired, paired in
+// sorted order with the ids the round introduced, and of nothing else.
+// A rename keeps the peer count, so the two lists cannot differ in
+// length: there is no surplus endpoint to retire and no peer left
+// without one.
+func TestRewirePairsRenamedIDsInSortedOrder(t *testing.T) {
+	r, f := start(t, 6, 0)
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	b := r.Net.PeerIDs()
+	// A rename keeps a peer between its ring neighbours. Rename three
+	// peers out of order, then move one more onto an id the round just
+	// vacated: an id still on the ring afterwards needs no rewiring,
+	// whichever peer carries it.
+	for _, mv := range [][2]keys.Key{{b[4], b[4] + "x"}, {b[1], b[1] + "x"}, {b[3], b[3] + "x"}, {b[2], b[3]}} {
+		if err := r.Net.RenamePeer(mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.rewireLocked(b)
+	want := [][2]keys.Key{{b[1], b[1] + "x"}, {b[2], b[3] + "x"}, {b[4], b[4] + "x"}}
+	if !reflect.DeepEqual(f.renames, want) {
+		t.Fatalf("renames = %v, want %v", f.renames, want)
+	}
+	if len(f.downs) != 0 {
+		t.Fatalf("rewiring retired endpoints %v", f.downs)
+	}
+	f.renames = nil
+	r.rewireLocked(r.Net.PeerIDs())
+	if len(f.renames) != 0 {
+		t.Fatalf("a round without renames rewired %v", f.renames)
+	}
+}
+
+// Every departure retires the endpoint exactly once — a leave, a
+// crash, and a join that fails after its endpoint came up — and a
+// refused departure retires nothing.
+func TestPeerDownOncePerDeparture(t *testing.T) {
+	r, f := start(t, 4, 20)
+	ids := ringIDs(r)
+	if len(f.ups) != len(ids) {
+		t.Fatalf("endpoints up %v for peers %v", f.ups, ids)
+	}
+	if err := r.RemovePeer(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.FailPeer(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RemovePeer("nosuchpeer"); err == nil {
+		t.Fatal("removing an unknown peer succeeded")
+	}
+	if want := []keys.Key{ids[0], ids[1]}; !reflect.DeepEqual(f.downs, want) {
+		t.Fatalf("PeerDown calls = %v, want %v", f.downs, want)
+	}
+	f.ups, f.downs = nil, nil
+	if _, err := r.AddPeer(0); err == nil { // the ring refuses capacity 0
+		t.Fatal("joining with capacity 0 succeeded")
+	}
+	if len(f.ups) != 1 || !reflect.DeepEqual(f.downs, f.ups) {
+		t.Fatalf("failed join: endpoints up %v, down %v", f.ups, f.downs)
+	}
+}
+
+// A peer whose endpoint cannot come up never enters the ring.
+func TestAddPeerEndpointFailureLeavesRingUnchanged(t *testing.T) {
+	r, f := start(t, 3, 30)
+	before := ringIDs(r)
+	f.upErr = errors.New("bind: address already in use")
+	if _, err := r.AddPeer(100); !errors.Is(err, f.upErr) {
+		t.Fatalf("AddPeer = %v, want the link's error", err)
+	}
+	if after := ringIDs(r); !reflect.DeepEqual(after, before) {
+		t.Fatalf("ring changed: %v -> %v", before, after)
+	}
+	if r.NumPeers() != 3 {
+		t.Fatalf("NumPeers = %d", r.NumPeers())
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.downs) != 0 {
+		t.Fatalf("PeerDown for an endpoint that never came up: %v", f.downs)
+	}
+	f.upErr = nil
+	if _, err := r.AddPeer(100); err != nil {
+		t.Fatalf("AddPeer after the link healed: %v", err)
+	}
+}
+
+// Every mutation refuses a stopped runtime, and leaves the tree alone.
+func TestStoppedRuntimeRefusesMutations(t *testing.T) {
+	r, _ := start(t, 3, 10)
+	r.Halt()
+	if r.Halt() {
+		t.Fatal("second Halt reported it closed Quit")
+	}
+	check := func(op string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrStopped) {
+			t.Errorf("%s after stop = %v", op, err)
+		}
+	}
+	check("Register", r.Register("late", "v"))
+	check("RegisterBatch", r.RegisterBatch([]core.KV{{Key: "late", Value: "v"}}))
+	_, err := r.Unregister("svc000", "v")
+	check("Unregister", err)
+	_, err = r.AddPeer(10)
+	check("AddPeer", err)
+	check("RemovePeer", r.RemovePeer(r.PeerSummaries()[0].ID))
+	check("FailPeer", r.FailPeer(r.PeerSummaries()[0].ID))
+	_, _, err = r.Recover()
+	check("Recover", err)
+	_, err = r.Replicate()
+	check("Replicate", err)
+	_, err = r.ReplicateLocal()
+	check("ReplicateLocal", err)
+	check("ResetUnit", r.ResetUnit())
+	_, err = r.Balance("MLT")
+	check("Balance", err)
+	if n := r.Snapshot().NumKeys(); n != 10 {
+		t.Fatalf("tree holds %d keys after refused mutations, want 10", n)
+	}
+}

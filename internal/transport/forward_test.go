@@ -50,9 +50,9 @@ func rulesLeft(f *Faults) int {
 
 // hostAddr resolves the listener address of the peer hosting node k.
 func hostAddr(c *Cluster, k keys.Key) string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	host, _ := c.net.HostOf(k)
+	c.Mu.RLock()
+	defer c.Mu.RUnlock()
+	host, _ := c.Net.HostOf(k)
 	return c.addrs[host]
 }
 
@@ -190,9 +190,9 @@ func TestFailPeerWithRequestsInFlight(t *testing.T) {
 	if _, err := c.Replicate(); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.RLock()
+	c.Mu.RLock()
 	victim := c.servers[0].id
-	c.mu.RUnlock()
+	c.Mu.RUnlock()
 
 	var wg sync.WaitGroup
 	var recovered sync.WaitGroup

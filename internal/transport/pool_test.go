@@ -106,7 +106,7 @@ func TestCancelMidRouteKeepsConnection(t *testing.T) {
 	_, dialsBefore := c.PoolStats()
 
 	// Block every routing step, then cancel the call mid-flight.
-	c.mu.Lock()
+	c.Mu.Lock()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -121,14 +121,14 @@ func TestCancelMidRouteKeepsConnection(t *testing.T) {
 	select {
 	case err = <-done:
 	case <-time.After(5 * time.Second):
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		t.Fatal("cancelled call did not return while the hop was blocked")
 	}
 	if n := pendingCalls(c); n != 0 {
-		c.mu.Unlock()
+		c.Mu.Unlock()
 		t.Fatalf("%d pending entries left behind by the cancelled call", n)
 	}
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled call returned %v", err)
 	}
@@ -163,11 +163,11 @@ func TestPoolEvictsDepartedPeers(t *testing.T) {
 		}
 	}
 
-	c.mu.RLock()
-	ids := c.net.PeerIDs()
+	c.Mu.RLock()
+	ids := c.Net.PeerIDs()
 	removedAddr := c.addrs[ids[0]]
 	crashedAddr := c.addrs[ids[1]]
-	c.mu.RUnlock()
+	c.Mu.RUnlock()
 	// Random routes need not touch every peer: pin both targets.
 	for _, addr := range []string{removedAddr, crashedAddr} {
 		if _, err := c.pool.get(context.Background(), addr); err != nil {
@@ -220,10 +220,10 @@ func poolHas(c *Cluster, addr string) (*poolConn, bool) {
 func TestForwardRetriesStaleAddress(t *testing.T) {
 	c := startTCP(t, 5)
 	corpus := registerCorpus(t, c, 40)
-	c.mu.RLock()
-	ids := c.net.PeerIDs()
+	c.Mu.RLock()
+	ids := c.Net.PeerIDs()
 	staleAddr := c.addrs[ids[0]]
-	c.mu.RUnlock()
+	c.Mu.RUnlock()
 	if err := c.RemovePeer(ids[0]); err != nil {
 		t.Fatal(err)
 	}

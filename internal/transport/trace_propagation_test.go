@@ -9,6 +9,7 @@ import (
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/obs"
+	"dlpt/internal/overlay"
 	"dlpt/internal/trace"
 	"dlpt/internal/workload"
 )
@@ -23,10 +24,10 @@ func startTracedTCP(t *testing.T, n int) (*Cluster, *trace.Recorder, *obs.Regist
 	for i := range caps {
 		caps[i] = 1 << 20
 	}
-	c, err := StartOpts(keys.LowerAlnum, caps, 3, Options{
+	c, err := StartOpts(keys.LowerAlnum, caps, 3, Options{Options: overlay.Options{
 		Obs:   obs.NewMetrics(reg),
 		Trace: rec,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +185,21 @@ func TestDiscoverTraceCrossesHosts(t *testing.T) {
 	if root.ID == 0 {
 		t.Fatal("no discover root span recorded")
 	}
-	spans := spansOf(rec, root.Trace)
-	relays := 0
-	for _, s := range spans {
-		if s.Phase == obs.PhaseRelay {
-			relays++
+	// Every wire transfer is one relay span, and a hop ends its span
+	// once it has passed the frame on (or answered), so the spans may
+	// trail the result by a moment.
+	relays := func() (n int) {
+		for _, s := range spansOf(rec, root.Trace) {
+			if s.Phase == obs.PhaseRelay {
+				n++
+			}
 		}
+		return n
 	}
-	if relays < 1 {
-		t.Fatalf("discover trace has no relay spans (spans: %d)", len(spans))
+	for deadline := time.Now().Add(2 * time.Second); relays() < res.PhysicalHops; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("discover trace has %d relay spans for %d physical hops", relays(), res.PhysicalHops)
+		}
 	}
 	for _, n := range rec.Trees() {
 		if n.Trace == root.Trace && n.Orphan {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"testing"
 
@@ -165,6 +166,50 @@ func TestStopRejectsOps(t *testing.T) {
 	}
 	if _, err := c.AddPeer(5); !errors.Is(err, ErrStopped) {
 		t.Fatalf("AddPeer after stop = %v", err)
+	}
+	if ok, err := c.Unregister("k", "v"); ok || !errors.Is(err, ErrStopped) {
+		t.Fatalf("Unregister after stop = %v, %v", ok, err)
+	}
+	if c.Snapshot().NumKeys() != 1 {
+		t.Fatalf("Unregister after stop edited the tree")
+	}
+}
+
+// TestAddPeerBindFailure pins the join order on real sockets: with a
+// fixed-port Bind the second local peer cannot bind, and it must not
+// be left in the ring without an address — every walk through its
+// nodes would fail.
+func TestAddPeerBindFailure(t *testing.T) {
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bind := probe.Addr().String()
+	probe.Close()
+	c, err := StartOpts(keys.LowerAlnum, []int{1 << 20}, 3, Options{Bind: bind})
+	if err != nil {
+		t.Skipf("fixed port %s was taken meanwhile: %v", bind, err)
+	}
+	t.Cleanup(c.Stop)
+	corpus := workload.GridCorpus(30)
+	for _, k := range corpus {
+		if err := c.Register(k, string(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.AddPeer(1 << 20); err == nil {
+		t.Fatal("second peer bound an address already in use")
+	}
+	if c.NumPeers() != 1 || len(c.Addrs()) != 1 {
+		t.Fatalf("failed join left %d peers, %d addresses", c.NumPeers(), len(c.Addrs()))
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range corpus {
+		if res, err := c.Discover(k); err != nil || !res.Found {
+			t.Fatalf("%q after the failed join: found=%v err=%v", k, res.Found, err)
+		}
 	}
 }
 
