@@ -306,6 +306,7 @@ func TestSmokeStewardFailover(t *testing.T) {
 		errs          []string
 	}
 	results := make([]loadResult, len(members))
+	postKillAcks := make([]atomic.Int32, len(members)) // len(ackedPostKill), readable while the load runs
 	var wg sync.WaitGroup
 	for i, m := range members {
 		wg.Add(1)
@@ -323,6 +324,7 @@ func TestSmokeStewardFailover(t *testing.T) {
 					results[i].errs = append(results[i].errs, fmt.Sprintf("%s: %v", k, err))
 				} else if postKill {
 					results[i].ackedPostKill = append(results[i].ackedPostKill, k)
+					postKillAcks[i].Add(1)
 				}
 				if _, err := daemon.Admin(ctx, m.addr, &daemon.AdminRequest{Op: "discover", Key: "seed00"}); err != nil {
 					results[i].errs = append(results[i].errs, fmt.Sprintf("discover: %v", err))
@@ -363,8 +365,19 @@ func TestSmokeStewardFailover(t *testing.T) {
 		}, fmt.Sprintf("survivor %d converges on epoch 2; stderr:\n%s", i, p.stderr.String()))
 	}
 
-	// Let the load run a beat under the new steward, then stop it.
-	time.Sleep(700 * time.Millisecond)
+	// Let the load run under the new steward until every member has had
+	// a write acknowledged that started after the kill, then stop it. The
+	// write a member had in flight at the kill carries no claim and can
+	// sit out a retry backoff of up to two seconds past the election, so
+	// a fixed beat here sometimes ended before that member's next write.
+	waitUntil(t, 30*time.Second, func() bool {
+		for i := range postKillAcks {
+			if postKillAcks[i].Load() == 0 {
+				return false
+			}
+		}
+		return true
+	}, "every member has a write acknowledged that started after the kill")
 	close(stop)
 	wg.Wait()
 
@@ -377,7 +390,6 @@ func TestSmokeStewardFailover(t *testing.T) {
 			t.Fatalf("member %d acked no writes after the kill; errors: %v", i, results[i].errs)
 		}
 	}
-	seqs := make(map[string]uint64)
 	for i, p := range members {
 		for j := range results {
 			for _, k := range results[j].ackedPostKill {
@@ -397,17 +409,22 @@ func TestSmokeStewardFailover(t *testing.T) {
 		if _, err := daemon.Admin(ctx, p.addr, &daemon.AdminRequest{Op: "validate"}); err != nil {
 			t.Fatalf("validate on survivor %d: %v", i, err)
 		}
-		st, err := daemon.GetStatus(ctx, p.addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs[p.addr] = st.Seq
 	}
-	for addr, s := range seqs {
-		if s != seqs[newSteward.addr] {
-			t.Fatalf("seq diverged: %s at %d, steward at %d", addr, s, seqs[newSteward.addr])
+	// The survivors agree on the sequence number. The new steward's
+	// replication tick keeps advancing it, so all are read in one sweep,
+	// and a sweep that straddled a tick is repeated; a survivor that
+	// really diverged never agrees.
+	waitUntil(t, 10*time.Second, func() bool {
+		var want uint64
+		for i, p := range members {
+			st, err := daemon.GetStatus(ctx, p.addr)
+			if err != nil || i > 0 && st.Seq != want {
+				return false
+			}
+			want = st.Seq
 		}
-	}
+		return true
+	}, "survivors agree on the sequence number")
 
 	// Fresh writes land through every survivor under the new epoch.
 	for i, p := range members {

@@ -74,7 +74,6 @@ import (
 	enginelive "dlpt/engine/live"
 	enginelocal "dlpt/engine/local"
 	enginetcp "dlpt/engine/tcp"
-	"dlpt/internal/catalog"
 	"dlpt/internal/keys"
 	"dlpt/internal/obs"
 	"dlpt/internal/persist"
@@ -140,7 +139,6 @@ type options struct {
 	placement  string
 	gated      bool
 	persistDir string
-	codecName  string
 	bind       string
 	advHost    string
 	ob         *Observability
@@ -209,17 +207,6 @@ func WithCapacityGating() Option {
 // continues its epoch sequence.
 func WithPersistence(dir string) Option {
 	return func(o *options) { o.persistDir = dir }
-}
-
-// WithSnapshotCodec forces the catalogue codec new snapshots are
-// written with: "louds" (the succinct default) or "legacy" (the
-// verbose version-0 format). Decoding always accepts every versioned
-// format regardless of this setting, so the option is a migration
-// escape hatch — a fleet can be rolled back to legacy snapshots, or a
-// directory written by an old build restarted under the new default,
-// without any conversion step. Only meaningful with WithPersistence.
-func WithSnapshotCodec(name string) Option {
-	return func(o *options) { o.codecName = name }
 }
 
 // WithBindAddress sets where the socket-backed engine (EngineTCP)
@@ -302,14 +289,6 @@ func buildEngine(numPeers int, opts []Option, restore bool) (engine.Engine, *key
 		var err error
 		if store, err = persist.Open(o.persistDir); err != nil {
 			return nil, nil, nil, nil, err
-		}
-		if o.codecName != "" {
-			c, ok := catalog.ByName(o.codecName)
-			if !ok {
-				store.Close()
-				return nil, nil, nil, nil, fmt.Errorf("dlpt: unknown snapshot codec %q", o.codecName)
-			}
-			store.SetCodec(c)
 		}
 	} else if restore {
 		return nil, nil, nil, nil, errors.New("dlpt: restart without a persistence directory")

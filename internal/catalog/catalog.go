@@ -7,11 +7,11 @@
 //
 // where the version byte selects the codec and the sections byte
 // records which optional per-entry sections (values, structure,
-// loads) the payload carries. Two codecs exist:
+// loads) the payload carries. Two versions exist:
 //
-//	version 0 — Legacy: the verbose length-prefixed encoding the
-//	            transport frames used historically; kept readable
-//	            (and writable, for mixed-version interop) forever.
+//	version 0 — legacy: the verbose length-prefixed encoding the
+//	            transport frames used historically. Read-only: it
+//	            decodes forever (see legacy.go), nothing writes it.
 //	version 1 — LOUDS: a succinct trie encoding (see louds.go) that
 //	            stores the key set as a breadth-first LOUDS bitmap
 //	            with a rank/select directory, one label byte per trie
@@ -19,10 +19,9 @@
 //	            prefix-sharing service-key corpora it is roughly an
 //	            order of magnitude smaller than the legacy form.
 //
-// Decoding dispatches on the version byte, so a reader that knows
-// both codecs accepts either — old snapshots stay loadable and
-// mixed-version clusters interoperate. Entries decode in ascending
-// key order regardless of codec.
+// Decoding dispatches on the version byte, so every snapshot ever
+// written stays loadable. Entries decode in ascending key order
+// regardless of version.
 package catalog
 
 import (
@@ -75,39 +74,36 @@ type Codec interface {
 	DecodePayload(p []byte, secs Sections) ([]Entry, error)
 }
 
-// The codec registry. Default is what new snapshots and frames are
-// written with; decoding accepts every registered version.
 var (
-	// Legacy is the version-0 verbose codec.
-	Legacy Codec = legacyCodec{}
 	// LOUDS is the version-1 succinct codec.
 	LOUDS Codec = loudsCodec{}
-	// Default is the codec used when the caller does not choose one.
+	// Default is the codec snapshots and frames are written with.
 	Default = LOUDS
 )
 
-// ByVersion returns the codec registered for an envelope version
-// byte.
-func ByVersion(v byte) (Codec, bool) {
-	switch v {
-	case versionLegacy:
-		return Legacy, true
-	case versionLOUDS:
-		return LOUDS, true
-	}
-	return nil, false
+// decoder is the read half of a codec — all that is left of a
+// version nothing writes any more.
+type decoder interface {
+	DecodePayload(p []byte, secs Sections) ([]Entry, error)
 }
 
-// ByName resolves a codec by its human name ("legacy", "louds") —
-// the configuration surface for forcing the migration codec.
-func ByName(name string) (Codec, bool) {
-	switch name {
-	case "legacy":
-		return Legacy, true
-	case "louds", "":
-		return LOUDS, true
+// envelope checks the header of a full envelope and splits it into
+// the decoder its version byte selects, its sections and its payload.
+func envelope(p []byte) (decoder, Sections, []byte, error) {
+	if len(p) < 2 {
+		return nil, 0, nil, errors.New("catalog: truncated envelope")
 	}
-	return nil, false
+	secs := Sections(p[1])
+	if secs&^SecAll != 0 {
+		return nil, 0, nil, fmt.Errorf("catalog: unknown sections 0x%02x", p[1])
+	}
+	switch p[0] {
+	case versionLegacy:
+		return legacyCodec{}, secs, p[2:], nil
+	case versionLOUDS:
+		return loudsCodec{}, secs, p[2:], nil
+	}
+	return nil, 0, nil, fmt.Errorf("catalog: unknown codec version %d", p[0])
 }
 
 const (
@@ -124,18 +120,11 @@ func Append(dst []byte, c Codec, entries []Entry, secs Sections) []byte {
 // Decode parses a full envelope, dispatching on its version byte.
 // Entries come back in ascending key order.
 func Decode(p []byte) ([]Entry, Sections, error) {
-	if len(p) < 2 {
-		return nil, 0, errors.New("catalog: truncated envelope")
+	c, secs, payload, err := envelope(p)
+	if err != nil {
+		return nil, 0, err
 	}
-	c, ok := ByVersion(p[0])
-	if !ok {
-		return nil, 0, fmt.Errorf("catalog: unknown codec version %d", p[0])
-	}
-	secs := Sections(p[1])
-	if secs&^SecAll != 0 {
-		return nil, 0, fmt.Errorf("catalog: unknown sections 0x%02x", p[1])
-	}
-	entries, err := c.DecodePayload(p[2:], secs)
+	entries, err := c.DecodePayload(payload, secs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -143,7 +132,7 @@ func Decode(p []byte) ([]Entry, Sections, error) {
 }
 
 // canonicalize returns entries sorted by key with later duplicates
-// winning — the canonical form both codecs encode. The input slice is
+// winning — the canonical form every encoder writes. The input slice is
 // never mutated; when it is already canonical it is returned as is.
 func canonicalize(entries []Entry) []Entry {
 	canon := true

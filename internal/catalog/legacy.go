@@ -6,49 +6,14 @@ import (
 	"fmt"
 )
 
-// legacyCodec is the version-0 codec: the verbose length-prefixed
-// entry encoding the transport REPLICA frames and snapshots used
-// before the succinct codec existed. One entry costs its full key
-// plus every section inline — no sharing, no deduplication. It stays
-// both readable and writable so old snapshots load and mixed-version
-// clusters interoperate during migration.
+// legacyCodec decodes version 0: the verbose length-prefixed entry
+// encoding the transport REPLICA frames and snapshots used before the
+// succinct codec existed. One entry costs its full key plus every
+// section inline — no sharing, no deduplication. Nothing writes it any
+// more (the encoder survives in legacy_test.go as the reference the
+// fuzzers hold LOUDS against); it stays readable so every snapshot
+// ever written loads.
 type legacyCodec struct{}
-
-func (legacyCodec) Version() byte { return versionLegacy }
-
-func (legacyCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []byte {
-	entries = canonicalize(entries)
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	for _, e := range entries {
-		dst = appendString(dst, e.Key)
-		if secs&SecStruct != 0 {
-			// The father of a fatherless entry encodes empty — the
-			// canonical form every codec agrees on.
-			if e.HasFather {
-				dst = appendString(dst, e.Father)
-				dst = append(dst, 1)
-			} else {
-				dst = appendString(dst, "")
-				dst = append(dst, 0)
-			}
-			dst = binary.AppendUvarint(dst, uint64(len(e.Children)))
-			for _, c := range e.Children {
-				dst = appendString(dst, c)
-			}
-		}
-		if secs&SecValues != 0 {
-			dst = binary.AppendUvarint(dst, uint64(len(e.Values)))
-			for _, v := range e.Values {
-				dst = appendString(dst, v)
-			}
-		}
-		if secs&SecLoads != 0 {
-			dst = binary.AppendUvarint(dst, uint64(e.LoadPrev))
-			dst = binary.AppendUvarint(dst, uint64(e.LoadCur))
-		}
-	}
-	return dst
-}
 
 func (legacyCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
 	n, p, err := getUvarint(p)

@@ -40,21 +40,14 @@ type span struct{ off, end int }
 // NewView opens a full envelope for lazy iteration, dispatching on
 // the version byte like Decode.
 func NewView(p []byte) (*View, error) {
-	if len(p) < 2 {
-		return nil, errors.New("catalog: truncated envelope")
-	}
-	c, ok := ByVersion(p[0])
-	if !ok {
-		return nil, fmt.Errorf("catalog: unknown codec version %d", p[0])
-	}
-	secs := Sections(p[1])
-	if secs&^SecAll != 0 {
-		return nil, fmt.Errorf("catalog: unknown sections 0x%02x", p[1])
+	c, secs, payload, err := envelope(p)
+	if err != nil {
+		return nil, err
 	}
 	if _, lazy := c.(loudsCodec); lazy {
-		return viewFromPayload(p[2:], secs)
+		return viewFromPayload(payload, secs)
 	}
-	entries, err := c.DecodePayload(p[2:], secs)
+	entries, err := c.DecodePayload(payload, secs)
 	if err != nil {
 		return nil, err
 	}

@@ -76,12 +76,16 @@ func (c *CatalogueCapture) Ascend(yield func(catalog.Entry) bool) {
 
 var _ persist.EntrySource = (*CatalogueCapture)(nil)
 
-// CaptureSnapshot freezes the current peer list and catalogue for one
-// durable snapshot. It must run under the same critical section as
-// the store's BeginSnapshot so the journal rotation is atomic with
-// the captured state; its cost is O(peers) + O(1) on the catalogue —
-// independent of the catalogue size once the image exists (the first
-// capture after a restore or a lossy recovery rebuilds it).
+// CaptureSnapshot freezes the current peer list and catalogue: the
+// whole-overlay state a durable snapshot writes and a steward sends a
+// joining daemon. For a snapshot it must run under the same critical
+// section as the store's BeginSnapshot so the journal rotation is
+// atomic with the captured state. On a journaled network the cost is
+// O(peers) + O(1) on the catalogue — independent of the catalogue
+// size once the image exists (the first capture after a restore or a
+// lossy recovery rebuilds it). A network with no journal captures
+// rarely (a store-less steward, once per join), so it builds the
+// image for the capture alone and keeps nothing to maintain.
 func (net *Network) CaptureSnapshot() ([]persist.PeerState, *CatalogueCapture) {
 	ids := net.ring.IDs()
 	peers := make([]persist.PeerState, 0, len(ids))
@@ -91,15 +95,23 @@ func (net *Network) CaptureSnapshot() ([]persist.PeerState, *CatalogueCapture) {
 	if net.cat == nil {
 		net.cat = net.buildCatImage()
 	}
-	net.cat.shared = true
-	net.cat.epoch++
-	return peers, &CatalogueCapture{chunks: net.cat.chunks, nkeys: net.cat.nkeys}
+	img := net.cat
+	img.shared = true
+	img.epoch++
+	if net.Journal == nil {
+		net.cat = nil
+	}
+	return peers, &CatalogueCapture{chunks: img.chunks, nkeys: img.nkeys}
 }
 
 // catalogueData collects the durable catalogue: the union of the
 // replicated data nodes and the live tree's data nodes, live values
-// winning (see PersistState for why the union matters). Keys are
-// returned ascending with values ascending per key.
+// winning — they are at least as fresh. The union matters on the
+// concurrent engines: a registration racing the Replicate tick has
+// journaled into the epoch this snapshot supersedes, so the snapshot
+// itself must contain it; conversely a crashed, unrecovered node
+// exists only in its replica. Keys are returned ascending with values
+// ascending per key.
 func (net *Network) catalogueData() ([]keys.Key, map[keys.Key][]string) {
 	data := make(map[keys.Key][]string, len(net.replicaLoc))
 	for k, loc := range net.replicaLoc {

@@ -10,17 +10,40 @@ import (
 	"dlpt/internal/persist"
 )
 
-func captureToNodes(c *CatalogueCapture) []persist.NodeState {
-	out := make([]persist.NodeState, 0, c.Len())
+// PersistState is the eager reference the copy-on-write capture is
+// held against: every peer (id, capacity) in ring order and the
+// durable catalogue, collected by walking the whole overlay.
+func (net *Network) PersistState() ([]persist.PeerState, []catalog.Entry) {
+	ids := net.ring.IDs()
+	peers := make([]persist.PeerState, 0, len(ids))
+	for _, id := range ids {
+		peers = append(peers, persist.PeerState{ID: string(id), Capacity: net.peers[id].Capacity})
+	}
+	ks, data := net.catalogueData()
+	nodes := make([]catalog.Entry, 0, len(ks))
+	for _, k := range ks {
+		nodes = append(nodes, catalog.Entry{Key: string(k), Values: data[k]})
+	}
+	return peers, nodes
+}
+
+// journaled attaches a no-op journal: a network keeps its catalogue
+// image between captures only when it has a journal to snapshot for.
+func journaled(net *Network) {
+	net.Journal = func(bool, keys.Key, string) {}
+}
+
+func captureToNodes(c *CatalogueCapture) []catalog.Entry {
+	out := make([]catalog.Entry, 0, c.Len())
 	c.Ascend(func(e catalog.Entry) bool {
 		vals := append([]string(nil), e.Values...)
-		out = append(out, persist.NodeState{Key: e.Key, Values: vals})
+		out = append(out, catalog.Entry{Key: e.Key, Values: vals})
 		return true
 	})
 	return out
 }
 
-func nodesEqual(a, b []persist.NodeState) bool {
+func nodesEqual(a, b []catalog.Entry) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -45,9 +68,10 @@ func nodesEqual(a, b []persist.NodeState) bool {
 func TestCaptureSnapshotMatchesPersistState(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	net, _ := buildNetwork(t, 6, 1<<30, 51)
+	journaled(net)
 	type frozen struct {
 		cap  *CatalogueCapture
-		want []persist.NodeState
+		want []catalog.Entry
 	}
 	var caps []frozen
 	live := make([]KV, 0, 256)
@@ -115,6 +139,7 @@ func TestCaptureSnapshotMatchesPersistState(t *testing.T) {
 func TestCaptureSnapshotChunkSplits(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	net, _ := buildNetwork(t, 3, 1<<30, 52)
+	journaled(net)
 	var inserted []keys.Key
 	for i := 0; i < 3*catChunkMax; i++ {
 		k := keys.Key(fmt.Sprintf("svc%04d", i))
@@ -145,5 +170,38 @@ func TestCaptureSnapshotChunkSplits(t *testing.T) {
 	}
 	if got := captureToNodes(c); len(got) != 3*catChunkMax {
 		t.Fatalf("first capture shrank to %d entries", len(got))
+	}
+}
+
+// TestCaptureWithoutJournalKeepsNoImage pins what a store-less steward
+// pays between joins: nothing. With no journal to snapshot for, a
+// capture is built for the caller alone — later mutations maintain no
+// image, leave the capture untouched, and show up in the next one.
+func TestCaptureWithoutJournalKeepsNoImage(t *testing.T) {
+	net, r := buildNetwork(t, 3, 1<<30, 53)
+	for i := 0; i < 2*catChunkMax; i++ {
+		if err := net.InsertKey(keys.Key(fmt.Sprintf("svc%04d", i)), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, first := net.CaptureSnapshot()
+	if net.cat != nil {
+		t.Fatal("journal-less network retained its catalogue image")
+	}
+	want := captureToNodes(first)
+	if err := net.InsertKey("svc0000x", r); err != nil {
+		t.Fatal(err)
+	}
+	net.RemoveData("svc0001", "svc0001")
+	if net.cat != nil {
+		t.Fatal("mutations rebuilt an image nobody asked for")
+	}
+	if got := captureToNodes(first); !nodesEqual(got, want) {
+		t.Fatal("capture changed after the fact")
+	}
+	_, wantNow := net.PersistState()
+	_, second := net.CaptureSnapshot()
+	if got := captureToNodes(second); !nodesEqual(got, wantNow) || second.Len() != first.Len() {
+		t.Fatalf("second capture has %d entries, first %d", second.Len(), first.Len())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dlpt/internal/catalog"
 	"dlpt/internal/keys"
 	"dlpt/internal/persist"
 )
@@ -13,30 +14,6 @@ import (
 // peer ring, so a cold restart recovers precisely what the paper's
 // replication model guarantees: everything declared before the last
 // Replicate (journal replay then carries registrations past it).
-
-// PersistState captures the current ring and catalogue for one
-// durable snapshot: every peer (id, capacity) in ring order, and the
-// union of the replicated data nodes and the live tree's data nodes
-// (live values win — they are at least as fresh). The union matters
-// on the concurrent engines: a registration racing the Replicate tick
-// has journaled into the epoch this snapshot supersedes, so the
-// snapshot itself must contain it; conversely a crashed, unrecovered
-// node exists only in its replica. Structural nodes are omitted — the
-// canonical PGCP structure is derivable and the restore path rebuilds
-// it by anti-entropy.
-func (net *Network) PersistState() ([]persist.PeerState, []persist.NodeState) {
-	ids := net.ring.IDs()
-	peers := make([]persist.PeerState, 0, len(ids))
-	for _, id := range ids {
-		peers = append(peers, persist.PeerState{ID: string(id), Capacity: net.peers[id].Capacity})
-	}
-	ks, data := net.catalogueData()
-	nodes := make([]persist.NodeState, 0, len(ks))
-	for _, k := range ks {
-		nodes = append(nodes, persist.NodeState{Key: string(k), Values: data[k]})
-	}
-	return peers, nodes
-}
 
 // RestoreFromStore is RestoreFrom over a store's loaded state — the
 // one-call restore path the engines share. The snapshot mapping is
@@ -84,14 +61,14 @@ func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	// Stream the snapshot's catalogue: for a mapped version-2 snapshot
 	// each subtree materializes as the walk first touches it.
 	var restoreErr error
-	err := st.Snapshot.AscendNodes(func(n persist.NodeState) bool {
-		k := keys.Key(n.Key)
+	err := st.Snapshot.Ascend(func(e catalog.Entry) bool {
+		k := keys.Key(e.Key)
 		tgt, ok := net.replicaTarget(k)
 		if !ok {
-			restoreErr = fmt.Errorf("core: restore replica %q: no peers", n.Key)
+			restoreErr = fmt.Errorf("core: restore replica %q: no peers", e.Key)
 			return false
 		}
-		net.placeReplica(k, NodeInfo{Key: k, Data: n.Values}, tgt)
+		net.placeReplica(k, NodeInfo{Key: k, Data: e.Values}, tgt)
 		return true
 	})
 	if err == nil {

@@ -19,10 +19,14 @@
 // address and sends JOIN (version, alphabet, placement, advertised
 // address, capacity). The steward validates compatibility, admits the
 // peer through the ordinary membership path, broadcasts the join to
-// the existing members, and answers HELLO with the assigned ring id,
-// the member table and a state snapshot consistent with the handshake
-// sequence number, which the joiner installs as its mirror. A member
-// that receives JOIN redirects the joiner to the steward.
+// the existing members, and answers HELLO with the assigned ring id
+// and a transport.Mirror: epoch, sequence number, member table and the
+// overlay image (the bytes a snapshot file holds, captured
+// copy-on-write and encoded off the cluster lock) consistent with that
+// sequence number. The joiner installs it through installMirrorLocked,
+// the one install a first join, a RESYNC and a deposed steward's rejoin
+// share. A member that receives JOIN redirects the joiner to the
+// steward.
 //
 // Mutating: members forward Register/Unregister to the steward as an
 // APPLY with sequence 0 (an origination request); the steward applies
@@ -46,7 +50,7 @@
 // voter, then runs the epoch-open barrier: every member adopts the
 // new epoch and steward address and reports its last applied sequence
 // number — gaps replay from the winner's bounded apply log, members
-// too far behind (or ahead) install a full RESYNC snapshot — and
+// too far behind (or ahead) install a full RESYNC mirror — and
 // finally the old steward's crash is serialized under the new epoch.
 // Receivers refuse control traffic fenced behind their epoch, so a
 // paused-then-resumed old steward's late broadcasts bounce; the
@@ -71,6 +75,7 @@ import (
 	"sync"
 	"time"
 
+	"dlpt/internal/catalog"
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/lb"
@@ -335,9 +340,9 @@ func foldCatalogue(st *persist.LoadedState) []core.KV {
 		vals[k][v] = true
 	}
 	if st.Snapshot != nil {
-		_ = st.Snapshot.AscendNodes(func(ns persist.NodeState) bool {
-			for _, v := range ns.Values {
-				add(ns.Key, v)
+		_ = st.Snapshot.Ascend(func(e catalog.Entry) bool {
+			for _, v := range e.Values {
+				add(e.Key, v)
 			}
 			return true
 		})
@@ -374,10 +379,9 @@ func foldCatalogue(st *persist.LoadedState) []core.KV {
 
 // startMember binds the listener first (so JOIN can advertise it),
 // starts an empty cluster, joins through the bootstrap list and
-// installs the steward's state snapshot as this process's mirror. The
-// daemon lock is held across join and install: APPLY broadcasts that
-// race the installation queue behind it and then extend the sequence
-// in order.
+// installs the steward's mirror, adopting that listener. The daemon
+// lock is held across join and install: APPLY broadcasts that race the
+// installation queue behind it and then extend the sequence in order.
 func (d *Daemon) startMember() error {
 	ln, err := net.Listen("tcp", transport.NormalizeBind(d.cfg.Listen))
 	if err != nil {
@@ -398,35 +402,46 @@ func (d *Daemon) startMember() error {
 	d.cluster = c
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	hello, err := d.joinOverlay()
+	hello, err := d.joinVia(d.cfg.Bootstrap)
 	if err != nil {
 		ln.Close()
 		c.Stop()
 		return err
 	}
-	memberAddrs := make(map[keys.Key]string, len(hello.Members))
-	for _, m := range hello.Members {
-		d.members[m.ID] = m
-		memberAddrs[m.ID] = m.Addr
-	}
-	if err := c.InstallMirror(hello.Peers, hello.Nodes, memberAddrs, hello.AssignedID, ln); err != nil {
+	if err := d.installMirrorLocked(&hello.Mirror, hello.AssignedID, ln); err != nil {
 		ln.Close()
 		c.Stop()
 		return fmt.Errorf("daemon: install mirror: %w", err)
 	}
-	d.selfID = hello.AssignedID
-	d.seq = hello.Seq
-	d.met.MarkApplied(d.seq)
-	d.epoch, d.promised = hello.Epoch, hello.Epoch
-	d.met.MarkEpoch(d.epoch)
-	d.stewardAddr = hello.StewardAddr
 	return nil
 }
 
-// joinOverlay runs the bootstrap handshake loop against the
-// configured bootstrap list.
-func (d *Daemon) joinOverlay() (*transport.HelloInfo, error) {
-	return d.joinVia(d.cfg.Bootstrap)
+// installMirrorLocked replaces this daemon's overlay identity and
+// mirror with the state a steward sent: the one install behind a first
+// join (ln is the listener bound for it), a deposed steward's rejoin
+// and a RESYNC (ln nil: the bound listener is kept and re-keyed to
+// self). Nothing changes when the cluster refuses the image.
+func (d *Daemon) installMirrorLocked(m *transport.Mirror, self keys.Key, ln net.Listener) error {
+	members := make(map[keys.Key]transport.Member, len(m.Members))
+	addrs := make(map[keys.Key]string, len(m.Members))
+	for _, mb := range m.Members {
+		members[mb.ID] = mb
+		addrs[mb.ID] = mb.Addr
+	}
+	if err := d.cluster.InstallMirror(m.Image, addrs, self, ln); err != nil {
+		return err
+	}
+	d.members = members
+	d.selfID = self
+	d.seq = m.Seq
+	d.met.MarkApplied(d.seq)
+	d.epoch = m.Epoch
+	d.promised = max(d.promised, m.Epoch)
+	d.met.MarkEpoch(d.epoch)
+	d.stewardAddr = m.StewardAddr
+	d.applyLog = nil
+	d.syncLinksLocked()
+	return nil
 }
 
 // joinVia runs the bootstrap handshake loop: every base address is
@@ -475,8 +490,11 @@ func (d *Daemon) joinVia(base []string) (*transport.HelloInfo, error) {
 				continue
 			}
 			if rtyp != transport.FrameHello {
-				lastErr = fmt.Errorf("join %s: unexpected reply frame %d", addr, rtyp)
-				continue
+				// Not the handshake's own refusal (a HELLO carrying Err):
+				// the far side could not answer JOIN at all — no daemon
+				// behind the listener, or an admission too large for one
+				// frame. Retrying cannot change that.
+				return nil, fmt.Errorf("daemon: join %s: %w", addr, replyError(rtyp, rp))
 			}
 			hello, err := transport.DecodeHello(rp)
 			if err != nil {
@@ -556,11 +574,12 @@ func (d *Daemon) control(typ byte, payload []byte) (byte, []byte) {
 // to the steward; the steward validates compatibility, runs the
 // ordinary membership join with the joiner's advertised address,
 // broadcasts the join to the existing members and replies with the
-// full mirror state.
+// mirror.
 func (d *Daemon) handleJoin(payload []byte) (byte, []byte) {
 	reject := func(errStr, steward string) (byte, []byte) {
 		return transport.FrameHello, transport.EncodeHello(&transport.HelloInfo{
-			Version: transport.HandshakeVersion, Err: errStr, StewardAddr: steward,
+			Version: transport.HandshakeVersion, Err: errStr,
+			Mirror: transport.Mirror{StewardAddr: steward},
 		})
 	}
 	jr, err := transport.DecodeJoin(payload)
@@ -606,20 +625,27 @@ func (d *Daemon) handleJoin(payload []byte) (byte, []byte) {
 	})
 	d.members[id] = transport.Member{ID: id, Addr: jr.Addr, Capacity: jr.Capacity}
 	d.syncLinksLocked()
-	peers, nodes := d.cluster.PersistStateView()
 	d.logf("dlptd steward admitted peer %s at %s (overlay now %d daemons)", id, jr.Addr, len(d.members))
 	return transport.FrameHello, transport.EncodeHello(&transport.HelloInfo{
-		Version:     transport.HandshakeVersion,
-		StewardAddr: d.selfAddr,
-		Alphabet:    d.alphaDigits,
-		Placement:   d.placementName,
-		AssignedID:  id,
-		Seq:         d.seq,
-		Epoch:       d.epoch,
-		Members:     d.memberListLocked(),
-		Peers:       peers,
-		Nodes:       nodes,
+		Version:    transport.HandshakeVersion,
+		Alphabet:   d.alphaDigits,
+		Placement:  d.placementName,
+		AssignedID: id,
+		Mirror:     d.mirrorLocked(),
 	})
+}
+
+// mirrorLocked captures what a joining or resynchronizing daemon
+// installs. The daemon lock serializes every overlay mutation, so the
+// image is consistent with d.seq.
+func (d *Daemon) mirrorLocked() transport.Mirror {
+	return transport.Mirror{
+		Epoch:       d.epoch,
+		Seq:         d.seq,
+		StewardAddr: d.selfAddr,
+		Members:     d.memberListLocked(),
+		Image:       d.cluster.MirrorImage(),
+	}
 }
 
 // handleLeave runs a member's graceful departure: the peer's nodes

@@ -4,6 +4,10 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -132,13 +136,13 @@ func TestThreeDaemonOverlay(t *testing.T) {
 }
 
 // A JOIN with the wrong handshake version — the previous wire revision
-// (3: STREAM frames were catalogue envelopes) as much as a future one
-// — is rejected in-band and the joiner fails fast instead of retrying.
+// (4: HELLO and RESYNC carried an inline node list) as much as a
+// future one — is rejected in-band and the joiner fails fast instead of retrying.
 func TestJoinVersionMismatchRejected(t *testing.T) {
 	s := startDaemon(t, testConfig(1))
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	for _, version := range []int{3, transport.HandshakeVersion + 98} {
+	for _, version := range []int{4, transport.HandshakeVersion + 98} {
 		jr := &transport.JoinRequest{
 			Version:  version,
 			Alphabet: string(keys.LowerAlnum.Digits()),
@@ -362,5 +366,110 @@ func TestStewardCatalogueRestart(t *testing.T) {
 	}
 	if _, err := Admin(ctx, s2.Addr(), &AdminRequest{Op: "validate"}); err != nil {
 		t.Fatalf("validate after restart: %v", err)
+	}
+}
+
+// The overlay has one byte form: for one state, the image a joiner is
+// sent in HELLO and the snapshot file the next replication tick writes
+// parse to the same peers and entries, and a daemon that installed the
+// image holds the steward's catalogue.
+func TestJoinImageMatchesSnapshotFile(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.DataDir = t.TempDir()
+	cfg.ProbeEvery = Duration(time.Hour) // the raw joiner below never answers: keep it from being crashed out
+	s := startDaemon(t, cfg)
+	// Multi-valued, unregistered, re-registered and emptied keys, so the
+	// copy-on-write image has seen every kind of mutation.
+	for i := 0; i < 40; i++ {
+		register(t, s, fmt.Sprintf("svc%02d", i), "ep://a")
+	}
+	for i := 0; i < 40; i += 3 {
+		register(t, s, fmt.Sprintf("svc%02d", i), "ep://b")
+	}
+	for i := 0; i < 40; i += 4 {
+		if err := s.mutate(transport.OpUnregister, fmt.Sprintf("svc%02d", i), "ep://a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i += 8 {
+		register(t, s, fmt.Sprintf("svc%02d", i), "ep://a")
+	}
+	if err := s.ReplicateNow(); err != nil {
+		t.Fatal(err)
+	}
+	register(t, s, "svc99", "ep://late") // past the last snapshot
+
+	m := startDaemon(t, testConfig(2, s.Addr()))
+	if got, want := mirrorState(t, m), mirrorState(t, s); got != want {
+		t.Fatalf("joiner installed a different state:\n got %s\nwant %s", got, want)
+	}
+	for _, d := range []*Daemon{s, m} {
+		if err := d.Cluster().Validate(); err != nil {
+			t.Fatalf("validate %s: %v", d.Addr(), err)
+		}
+	}
+
+	// A raw JOIN shows the bytes a joiner is sent.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rtyp, p, err := transport.RawCall(ctx, s.Addr(), transport.FrameJoin, transport.EncodeJoin(&transport.JoinRequest{
+		Version:  transport.HandshakeVersion,
+		Alphabet: string(keys.LowerAlnum.Digits()),
+		Addr:     "127.0.0.1:1",
+		Capacity: 8,
+	}))
+	if err != nil || rtyp != transport.FrameHello {
+		t.Fatalf("raw join: frame %d, err %v", rtyp, err)
+	}
+	hello, err := transport.DecodeHello(p)
+	if err != nil || hello.Err != "" {
+		t.Fatalf("raw join: %v %s", err, hello.Err)
+	}
+	if err := s.ReplicateNow(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(cfg.DataDir, "snapshot-*.snap"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no snapshot written: %v", err)
+	}
+	sort.Slice(files, func(i, j int) bool { // snapshot-<epoch>.snap, newest last
+		return len(files[i]) < len(files[j]) || len(files[i]) == len(files[j]) && files[i] < files[j]
+	})
+	file, err := os.ReadFile(files[len(files)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentPeers, sentNodes := parseImage(t, hello.Image)
+	filePeers, fileNodes := parseImage(t, file)
+	if len(sentPeers) != 3 || len(sentNodes) != 38 {
+		t.Fatalf("image carries %d peers and %d entries, want 3 and 38", len(sentPeers), len(sentNodes))
+	}
+	if !reflect.DeepEqual(sentPeers, filePeers) || !reflect.DeepEqual(sentNodes, fileNodes) {
+		t.Fatalf("HELLO image and snapshot file differ:\nhello %+v %+v\n file %+v %+v",
+			sentPeers, sentNodes, filePeers, fileNodes)
+	}
+}
+
+// A bootstrap address that answers JOIN with a bare ack — here a
+// listener with no daemon behind it; in production an admission too
+// large for one frame — is a refusal no retry can change: the joiner
+// fails at once, with the reason.
+func TestJoinAnsweredByAckFailsFast(t *testing.T) {
+	c, err := transport.Start(keys.LowerAlnum, []int{8}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	var addr string
+	for _, a := range c.Addrs() {
+		addr = a
+	}
+	start := time.Now()
+	_, err = Start(testConfig(2, addr), quietf(t))
+	if err == nil || !strings.Contains(err.Error(), "no control handler") {
+		t.Fatalf("join error = %v, want the ack's reason", err)
+	}
+	if time.Since(start) > 5*time.Second {
+		t.Fatal("join retried a refusal that cannot heal")
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"dlpt/internal/keys"
 	"dlpt/internal/peering"
-	"dlpt/internal/persist"
 	"dlpt/internal/transport"
 )
 
@@ -77,7 +76,7 @@ func (d *Daemon) deposeLocked(epoch uint64, stewardAddr string) {
 
 // rejoinAsMember runs a deposed steward's re-entry: a fresh JOIN
 // through the new steward (falling back to any member for a
-// redirect), then a full mirror reset under the assigned id. The
+// redirect), then the mirror install under the assigned id. The
 // daemon lock is held across join and install for the same reason
 // startMember holds it: racing APPLY broadcasts queue behind the
 // installation and then extend the sequence in order.
@@ -102,38 +101,13 @@ func (d *Daemon) rejoinAsMember() {
 		d.logf("dlptd: deposed steward rejoin failed: %v", err)
 		return
 	}
-	if err := d.installHelloLocked(hello); err != nil {
+	if err := d.installMirrorLocked(&hello.Mirror, hello.AssignedID, nil); err != nil {
 		d.logf("dlptd: deposed steward rejoin install: %v", err)
 		return
 	}
-	d.logf("dlptd: rejoined overlay as member %s (epoch %d, seq %d)", d.selfID, d.epoch, d.seq)
-}
-
-// installHelloLocked replaces this daemon's overlay identity and
-// mirror with a join handshake's state (the rejoin counterpart of
-// startMember's install).
-func (d *Daemon) installHelloLocked(hello *transport.HelloInfo) error {
-	members := make(map[keys.Key]transport.Member, len(hello.Members))
-	memberAddrs := make(map[keys.Key]string, len(hello.Members))
-	for _, m := range hello.Members {
-		members[m.ID] = m
-		memberAddrs[m.ID] = m.Addr
-	}
-	if err := d.cluster.ResetToMirror(hello.Peers, hello.Nodes, memberAddrs, hello.AssignedID); err != nil {
-		return err
-	}
-	d.members = members
-	d.selfID = hello.AssignedID
-	d.seq = hello.Seq
-	d.met.MarkApplied(d.seq)
-	d.epoch = hello.Epoch
-	d.promised = max(d.promised, hello.Epoch)
-	d.met.MarkEpoch(d.epoch)
-	d.stewardAddr = hello.StewardAddr
-	d.applyLog = nil
+	// Suspicions belonged to the deposed identity's view of the overlay.
 	d.suspected = make(map[string]bool)
-	d.syncLinksLocked()
-	return nil
+	d.logf("dlptd: rejoined overlay as member %s (epoch %d, seq %d)", d.selfID, d.epoch, d.seq)
 }
 
 // maybeElectLocked starts this member's candidate loop when the
@@ -361,7 +335,7 @@ func (d *Daemon) catchUp(addr string, target uint64) {
 // logged and left to the probe loop's crash path — the barrier must
 // not wedge stewardship on an unreachable member.
 func (d *Daemon) openEpochLocked() {
-	peers, nodes := d.cluster.PersistStateView()
+	var mirror []byte // the RESYNC payload, encoded for the first member that needs it
 	open := transport.EncodeEpochOpen(&transport.EpochOpen{
 		Epoch: d.epoch, StewardID: d.selfID, StewardAddr: d.selfAddr, Seq: d.seq,
 	})
@@ -392,8 +366,13 @@ func (d *Daemon) openEpochLocked() {
 			d.replayLocked(m, rep.Seq)
 		default:
 			// Too far behind for the log, or ahead of the committed
-			// stream: re-bootstrap the mirror wholesale.
-			d.resyncLocked(m, peers, nodes)
+			// stream: re-bootstrap the mirror wholesale. The barrier holds
+			// the daemon lock, so one capture serves every such member.
+			if mirror == nil {
+				state := d.mirrorLocked()
+				mirror = transport.EncodeMirror(&state)
+			}
+			d.resyncLocked(m, mirror)
 		}
 	}
 }
@@ -428,19 +407,11 @@ func (d *Daemon) replayLocked(m transport.Member, afterSeq uint64) {
 	}
 }
 
-// resyncLocked re-bootstraps one member's mirror with a full snapshot
-// of the new steward's state — the member-side install keeps its ring
-// id and listener, so the overlay's membership is undisturbed.
-func (d *Daemon) resyncLocked(m transport.Member, peers []persist.PeerState, nodes []persist.NodeState) {
+// resyncLocked re-bootstraps one member's mirror with the new
+// steward's — the member-side install keeps its ring id and listener,
+// so the overlay's membership is undisturbed.
+func (d *Daemon) resyncLocked(m transport.Member, payload []byte) {
 	d.logf("dlptd: resyncing %s at %s to epoch %d seq %d", m.ID, m.Addr, d.epoch, d.seq)
-	payload := transport.EncodeResync(&transport.ResyncState{
-		Epoch:       d.epoch,
-		Seq:         d.seq,
-		StewardAddr: d.selfAddr,
-		Members:     d.memberListLocked(),
-		Peers:       peers,
-		Nodes:       nodes,
-	})
 	ctx, cancel := context.WithTimeout(d.ctx, 10*time.Second)
 	rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, m.Addr, transport.FrameResync, payload)
 	cancel()
@@ -528,14 +499,14 @@ func (d *Daemon) handleEpochOpen(payload []byte) (byte, []byte) {
 	return transport.FrameEpochOpenResp, transport.EncodeEpochOpenReply(rep)
 }
 
-// handleResync installs a full state snapshot from the new steward,
-// keeping this daemon's ring id and listener: the re-bootstrap path
-// for members whose gap outran the steward's apply log.
+// handleResync installs the new steward's mirror, keeping this
+// daemon's ring id and listener: the re-bootstrap path for members
+// whose gap outran the steward's apply log.
 func (d *Daemon) handleResync(payload []byte) (byte, []byte) {
 	ack := func(errStr string) (byte, []byte) {
 		return transport.FrameAck, transport.EncodeAck(errStr)
 	}
-	rs, err := transport.DecodeResync(payload)
+	rs, err := transport.DecodeMirror(payload)
 	if err != nil {
 		return ack("daemon: malformed resync: " + err.Error())
 	}
@@ -558,25 +529,9 @@ func (d *Daemon) handleResync(payload []byte) (byte, []byte) {
 	if !found {
 		return ack("daemon: resync state lacks this member")
 	}
-	members := make(map[keys.Key]transport.Member, len(rs.Members))
-	memberAddrs := make(map[keys.Key]string, len(rs.Members))
-	for _, m := range rs.Members {
-		members[m.ID] = m
-		memberAddrs[m.ID] = m.Addr
-	}
-	if err := d.cluster.ResetToMirror(rs.Peers, rs.Nodes, memberAddrs, selfID); err != nil {
+	if err := d.installMirrorLocked(rs, selfID, nil); err != nil {
 		return ack("daemon: resync install: " + err.Error())
 	}
-	d.members = members
-	d.selfID = selfID
-	d.seq = rs.Seq
-	d.met.MarkApplied(d.seq)
-	d.epoch = rs.Epoch
-	d.promised = max(d.promised, rs.Epoch)
-	d.met.MarkEpoch(d.epoch)
-	d.stewardAddr = rs.StewardAddr
-	d.applyLog = nil
-	d.syncLinksLocked()
 	d.logf("dlptd: mirror re-bootstrapped by resync at epoch %d seq %d", d.epoch, d.seq)
 	return ack("")
 }

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"dlpt/internal/catalog"
+	"dlpt/internal/persist"
 	"dlpt/internal/transport"
 )
 
@@ -26,10 +28,10 @@ func failoverConfig(seed int64, bootstrap ...string) Config {
 
 // mirrorState marshals a daemon's deterministic mirror state — the
 // peer table and the catalogue, the byte-identical-by-construction
-// part (load counters are excluded by the persist view itself).
+// part (load counters are no part of the overlay image).
 func mirrorState(t *testing.T, d *Daemon) string {
 	t.Helper()
-	peers, nodes := d.Cluster().PersistStateView()
+	peers, nodes := parseImage(t, d.Cluster().MirrorImage())
 	b, err := json.Marshal(struct {
 		Peers any
 		Nodes any
@@ -38,6 +40,23 @@ func mirrorState(t *testing.T, d *Daemon) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// parseImage parses an overlay image into its peers and entries.
+func parseImage(t *testing.T, image []byte) ([]persist.PeerState, []catalog.Entry) {
+	t.Helper()
+	snap, err := persist.ParseImage(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []catalog.Entry
+	if err := snap.Ascend(func(e catalog.Entry) bool {
+		nodes = append(nodes, e)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Peers, nodes
 }
 
 // waitSteward waits until exactly one of ds holds stewardship at

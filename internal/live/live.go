@@ -45,15 +45,11 @@ type discoverMsg struct {
 	// redirects counts re-deliveries for a node the addressed peer
 	// does not host. Transient moves (churn, balancing) resolve in a
 	// hop or two; a crashed, unrecovered node would redirect forever,
-	// so the walk gives up past maxRedirects.
+	// so the walk gives up past overlay.MaxRedirects.
 	redirects int
 	res       overlay.Result
 	reply     chan overlay.Result
 }
-
-// maxRedirects bounds re-deliveries of a request addressed to a node
-// its mapped peer does not host.
-const maxRedirects = 4
 
 // replicaMsg carries one successor replica batch to the peer that
 // must hold it (the per-peer delivery path of the Replicate tick).
@@ -548,7 +544,7 @@ func (c *Cluster) process(p *peerProc, msg discoverMsg) {
 		// bound the walk reports what it has (not found).
 		c.Mu.RUnlock()
 		msg.redirects++
-		if msg.redirects > maxRedirects {
+		if msg.redirects > overlay.MaxRedirects {
 			msg.reply <- msg.res
 			return
 		}

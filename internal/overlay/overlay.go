@@ -32,6 +32,13 @@ import (
 // ErrStopped is returned by operations on a stopped cluster.
 var ErrStopped = errors.New("overlay: cluster stopped")
 
+// MaxRedirects bounds how often one request is passed on for a node
+// the addressed peer does not host. A move (churn, balancing) resolves
+// in a hop or two; a node lost to an unrecovered crash has no host and
+// would be passed on forever, so past the bound the walk reports not
+// found. Giving up early reads as a false "not found", hence the slack.
+const MaxRedirects = 8
+
 // Result is the outcome of a routed discovery.
 type Result struct {
 	Key   keys.Key

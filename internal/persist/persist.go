@@ -25,8 +25,7 @@
 // cluster's registration path) never stall behind an fsync. A crash
 // between Begin and Commit is safe by construction: Load falls back
 // to the previous epoch's snapshot and replays both epochs' journals
-// forward. WriteSnapshot composes the two for callers that have no
-// lock to get off of.
+// forward.
 //
 // Journal records land in the journal of the epoch they follow. Load
 // is corruption-tolerant: it walks the snapshots newest-first until
@@ -37,11 +36,16 @@
 // torn snapshot write can always fall back one epoch (the journals
 // of the older epoch bridge the gap forward).
 //
-// Snapshot catalogues are encoded with the catalog codec (version-2
-// snapshot files; the succinct LOUDS codec by default, see
-// internal/catalog) and memory-mapped at load so a cold restart
-// materializes entries lazily while streaming them into the overlay;
-// version-1 snapshot files (inline node list) stay loadable forever.
+// A snapshot file is one overlay image (AppendImage / ParseImage):
+// magic, version, epoch, the peer ring, the catalogue as one LOUDS
+// catalog envelope (see internal/catalog) and a CRC. The same bytes
+// are what a steward sends a joining or resynchronizing daemon in
+// HELLO and RESYNC, so the whole-overlay state has one byte form, one
+// encoder and one parser. Files are memory-mapped at load so a cold
+// restart materializes entries lazily while streaming them into the
+// overlay. Nothing writes the older encodings any more, but both
+// still parse: version-1 images (inline node list) and version-2
+// images whose envelope is legacy-coded.
 //
 // Only snapshots are fsynced; journal appends ride the OS cache. The
 // durability contract is therefore exactly the paper's replication
@@ -70,15 +74,6 @@ type PeerState struct {
 	Capacity int
 }
 
-// NodeState is one persisted replicated data node: the declared key
-// and its registered values. Structural (dataless) tree nodes are not
-// persisted — the canonical PGCP structure over the data keys is
-// derivable, and the restore path rebuilds it by anti-entropy.
-type NodeState struct {
-	Key    string
-	Values []string
-}
-
 // Record is one journaled catalogue mutation.
 type Record struct {
 	// Remove distinguishes an unregister from a register.
@@ -87,58 +82,35 @@ type Record struct {
 	Value  string
 }
 
-// Snapshot is the full persisted replica state of one epoch. For a
-// version-2 snapshot loaded from disk the catalogue stays in its
-// memory-mapped succinct form (view) and Nodes is nil; constructed
-// in-memory snapshots (mirrors, tests) fill Nodes directly. Iterate
-// with AscendNodes, which handles both.
+// Snapshot is one parsed overlay image: the peer ring and the
+// catalogue of replicated data nodes (key and values). Structural
+// (dataless) tree nodes are not part of it — the canonical PGCP
+// structure over the data keys is derivable, and the restore path
+// rebuilds it by anti-entropy. The catalogue of a version-2 image
+// stays in its encoded form, aliasing the parsed bytes, until Ascend
+// walks it.
 type Snapshot struct {
 	Seq   uint64
 	Peers []PeerState
-	Nodes []NodeState
 
-	view *catalog.View
+	view  *catalog.View
+	nodes []catalog.Entry // version-1 image: decoded eagerly
 }
 
-// AscendNodes streams the snapshot's catalogue in ascending key
-// order, materializing one node at a time — for a mapped snapshot
-// this is the lazy cold-restart path: entries (and the pages that
-// spell them) are touched only as the walk reaches them.
-func (sn *Snapshot) AscendNodes(yield func(NodeState) bool) error {
-	if sn.view == nil {
-		for _, ns := range sn.Nodes {
-			if !yield(ns) {
-				return nil
-			}
-		}
-		return nil
-	}
-	return sn.view.Ascend(func(e catalog.Entry) bool {
-		return yield(NodeState{Key: e.Key, Values: e.Values})
-	})
-}
-
-// NodeList materializes the full catalogue as a slice — convenience
-// for mirrors and tests; large restores should stream with
-// AscendNodes instead.
-func (sn *Snapshot) NodeList() []NodeState {
-	if sn.view == nil {
-		return sn.Nodes
-	}
-	out := make([]NodeState, 0, sn.view.Len())
-	_ = sn.AscendNodes(func(ns NodeState) bool {
-		out = append(out, ns)
-		return true
-	})
-	return out
-}
-
-// NumNodes returns the catalogue entry count.
-func (sn *Snapshot) NumNodes() int {
+// Ascend streams the catalogue in ascending key order, materializing
+// one entry at a time — for a mapped snapshot this is the lazy
+// cold-restart path: entries (and the pages that spell them) are
+// touched only as the walk reaches them.
+func (sn *Snapshot) Ascend(yield func(catalog.Entry) bool) error {
 	if sn.view != nil {
-		return sn.view.Len()
+		return sn.view.Ascend(yield)
 	}
-	return len(sn.Nodes)
+	for _, e := range sn.nodes {
+		if !yield(e) {
+			break
+		}
+	}
+	return nil
 }
 
 // LoadedState is what Load recovered from disk: the newest valid
@@ -187,8 +159,7 @@ const keepSnapshots = 2
 // Store is one persistence directory. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir   string
-	codec catalog.Codec
+	dir string
 
 	mu      sync.Mutex
 	seq     uint64 // current epoch: newest snapshot or rotated journal
@@ -213,7 +184,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	s := &Store{dir: dir, codec: catalog.Default}
+	s := &Store{dir: dir}
 	seqs, err := s.snapshotSeqs()
 	if err != nil {
 		return nil, err
@@ -236,15 +207,6 @@ func Open(dir string) (*Store, error) {
 
 // Dir returns the persistence directory path.
 func (s *Store) Dir() string { return s.dir }
-
-// SetCodec forces the catalogue codec future snapshots are written
-// with — the migration escape hatch (decoding always accepts every
-// registered codec, whatever is configured here).
-func (s *Store) SetCodec(c catalog.Codec) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.codec = c
-}
 
 // Close releases the journal handle. The store's files stay on disk.
 func (s *Store) Close() error {
@@ -395,25 +357,37 @@ func (s *Store) Append(remove bool, key, value string) error {
 	return err
 }
 
-// EntrySource is a sorted stream of catalogue entries — what a
-// snapshot commit encodes. The core's copy-on-write capture and the
-// eager node lists both satisfy it.
+// EntrySource is a sorted stream of catalogue entries — what an
+// image encodes. The core's copy-on-write capture is the one product
+// code has.
 type EntrySource interface {
 	Len() int
 	Ascend(yield func(catalog.Entry) bool)
 }
 
-// nodesSource adapts an eager []NodeState to EntrySource.
-type nodesSource []NodeState
-
-func (ns nodesSource) Len() int { return len(ns) }
-
-func (ns nodesSource) Ascend(yield func(catalog.Entry) bool) {
-	for _, n := range ns {
-		if !yield(catalog.Entry{Key: n.Key, Values: n.Values}) {
-			return
-		}
+// AppendImage appends the overlay image of (peers, cat) to dst: the
+// one byte form of the whole-overlay state, written to snapshot files
+// by Commit and carried by the daemon's HELLO and RESYNC payloads.
+// seq is the snapshot epoch on disk and unused on the wire.
+func AppendImage(dst []byte, seq uint64, peers []PeerState, cat EntrySource) []byte {
+	start := len(dst)
+	dst = append(dst, snapMagic...)
+	dst = binary.AppendUvarint(dst, snapVersionCatalog)
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, uint64(len(peers)))
+	for _, ps := range peers {
+		dst = appendString(dst, ps.ID)
+		dst = binary.AppendUvarint(dst, uint64(ps.Capacity))
 	}
+	entries := make([]catalog.Entry, 0, cat.Len())
+	cat.Ascend(func(e catalog.Entry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	blob := catalog.Append(nil, catalog.Default, entries, catalog.SecValues)
+	dst = binary.AppendUvarint(dst, uint64(len(blob)))
+	dst = append(dst, blob...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // PendingSnapshot is an epoch allocated by BeginSnapshot whose
@@ -469,27 +443,7 @@ func (s *Store) BeginSnapshot() (*PendingSnapshot, error) {
 // proceed. It returns the committed epoch number.
 func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, error) {
 	s := p.s
-	s.mu.Lock()
-	codec := s.codec
-	s.mu.Unlock()
-
-	buf := []byte(snapMagic)
-	buf = binary.AppendUvarint(buf, snapVersionCatalog)
-	buf = binary.AppendUvarint(buf, p.seq)
-	buf = binary.AppendUvarint(buf, uint64(len(peers)))
-	for _, ps := range peers {
-		buf = appendString(buf, ps.ID)
-		buf = binary.AppendUvarint(buf, uint64(ps.Capacity))
-	}
-	entries := make([]catalog.Entry, 0, cat.Len())
-	cat.Ascend(func(e catalog.Entry) bool {
-		entries = append(entries, e)
-		return true
-	})
-	blob := catalog.Append(nil, codec, entries, catalog.SecValues)
-	buf = binary.AppendUvarint(buf, uint64(len(blob)))
-	buf = append(buf, blob...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	buf := AppendImage(nil, p.seq, peers, cat)
 	p.bytes = len(buf)
 
 	tmp := s.snapPath(p.seq) + ".tmp"
@@ -530,17 +484,6 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 			p.seq, p.healErr)
 	}
 	return p.seq, nil
-}
-
-// WriteSnapshot persists the full replica state as the next epoch in
-// one call — BeginSnapshot plus Commit for callers with no cluster
-// lock to get off of. It returns the new epoch number.
-func (s *Store) WriteSnapshot(peers []PeerState, nodes []NodeState) (uint64, error) {
-	p, err := s.BeginSnapshot()
-	if err != nil {
-		return 0, err
-	}
-	return p.Commit(peers, nodesSource(nodes))
 }
 
 // pruneLocked removes snapshots (and their journals) older than the
@@ -607,102 +550,93 @@ func (s *Store) Load() (*LoadedState, error) {
 	return st, nil
 }
 
-// loadSnapshot memory-maps and CRC-verifies one snapshot file. A
-// version-2 snapshot keeps its catalogue in the mapping behind a
-// lazy catalog view; the returned release function unmaps it. A
-// version-1 snapshot decodes eagerly (its strings are copies) and
-// releases the mapping before returning.
+// loadSnapshot memory-maps and parses one snapshot file. The
+// catalogue stays in the mapping behind a lazy catalog view; the
+// returned release function unmaps it.
 func loadSnapshot(path string) (*Snapshot, func(), error) {
 	buf, release, err := mapFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	snap, lazy, err := parseSnapshot(buf)
-	if err != nil || !lazy {
-		release()
-		release = func() {}
-	}
+	snap, err := ParseImage(buf)
 	if err != nil {
+		release()
 		return nil, nil, err
 	}
 	return snap, release, nil
 }
 
-// parseSnapshot decodes a snapshot image. The bool reports whether
-// the returned Snapshot still aliases buf (a lazy catalogue view).
-func parseSnapshot(buf []byte) (*Snapshot, bool, error) {
+// ParseImage CRC-verifies and parses an overlay image: what
+// AppendImage wrote, or either encoding older builds left on disk.
+// The bytes come from a file or from another process, so every count
+// is checked against the bytes that remain before anything is
+// allocated from it. The returned Snapshot aliases buf until its
+// catalogue has been walked.
+func ParseImage(buf []byte) (*Snapshot, error) {
 	if len(buf) < len(snapMagic)+4 || string(buf[:len(snapMagic)]) != snapMagic {
-		return nil, false, errors.New("persist: bad snapshot magic")
+		return nil, errors.New("persist: bad snapshot magic")
 	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tail) {
-		return nil, false, errors.New("persist: snapshot checksum mismatch")
+		return nil, errors.New("persist: snapshot checksum mismatch")
 	}
 	p := body[len(snapMagic):]
-	var v uint64
-	var err error
-	if v, p, err = getUvarint(p); err != nil {
-		return nil, false, err
+	version, p, err := getUvarint(p)
+	if err != nil {
+		return nil, err
 	}
-	if v != snapVersionNodes && v != snapVersionCatalog {
-		return nil, false, fmt.Errorf("persist: unsupported snapshot version %d", v)
+	if version != snapVersionNodes && version != snapVersionCatalog {
+		return nil, fmt.Errorf("persist: unsupported snapshot version %d", version)
 	}
-	version := v
 	snap := &Snapshot{}
 	if snap.Seq, p, err = getUvarint(p); err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	var n uint64
-	if n, p, err = getUvarint(p); err != nil {
-		return nil, false, err
+	var n, v uint64
+	if n, p, err = getCount(p); err != nil {
+		return nil, err
 	}
 	for i := uint64(0); i < n; i++ {
 		var ps PeerState
 		if ps.ID, p, err = getString(p); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if v, p, err = getUvarint(p); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		ps.Capacity = int(v)
 		snap.Peers = append(snap.Peers, ps)
 	}
 	if version == snapVersionCatalog {
-		var blobLen uint64
-		if blobLen, p, err = getUvarint(p); err != nil {
-			return nil, false, err
+		if n, p, err = getCount(p); err != nil {
+			return nil, err
 		}
-		if blobLen > uint64(len(p)) {
-			return nil, false, errors.New("persist: truncated catalogue blob")
+		if snap.view, err = catalog.NewView(p[:n]); err != nil {
+			return nil, fmt.Errorf("persist: %w", err)
 		}
-		view, err := catalog.NewView(p[:blobLen])
-		if err != nil {
-			return nil, false, fmt.Errorf("persist: %w", err)
-		}
-		snap.view = view
-		return snap, true, nil
+		return snap, nil
 	}
-	if n, p, err = getUvarint(p); err != nil {
-		return nil, false, err
+	if n, p, err = getCount(p); err != nil {
+		return nil, err
 	}
 	for i := uint64(0); i < n; i++ {
-		var ns NodeState
-		if ns.Key, p, err = getString(p); err != nil {
-			return nil, false, err
+		var e catalog.Entry
+		if e.Key, p, err = getString(p); err != nil {
+			return nil, err
 		}
-		if v, p, err = getUvarint(p); err != nil {
-			return nil, false, err
+		if v, p, err = getCount(p); err != nil {
+			return nil, err
 		}
 		for j := uint64(0); j < v; j++ {
 			var s string
 			if s, p, err = getString(p); err != nil {
-				return nil, false, err
+				return nil, err
 			}
-			ns.Values = append(ns.Values, s)
+			e.Values = append(e.Values, s)
 		}
-		snap.Nodes = append(snap.Nodes, ns)
+		snap.nodes = append(snap.nodes, e)
 	}
-	return snap, false, nil
+	return snap, nil
 }
 
 // readJournal replays one journal file until EOF or the first record
@@ -774,13 +708,24 @@ func getUvarint(p []byte) (uint64, []byte, error) {
 	return v, p[n:], nil
 }
 
-func getString(p []byte) (string, []byte, error) {
+// getCount reads a count or length field and refuses one the
+// remaining bytes cannot hold — every counted item costs at least a
+// byte — so a forged field never drives a loop or an allocation.
+func getCount(p []byte) (uint64, []byte, error) {
 	n, p, err := getUvarint(p)
 	if err != nil {
-		return "", nil, err
+		return 0, nil, err
 	}
-	if uint64(len(p)) < n {
-		return "", nil, errors.New("persist: truncated string")
+	if n > uint64(len(p)) {
+		return 0, nil, errors.New("persist: count or length exceeds the remaining bytes")
+	}
+	return n, p, nil
+}
+
+func getString(p []byte) (string, []byte, error) {
+	n, p, err := getCount(p)
+	if err != nil {
+		return "", nil, err
 	}
 	return string(p[:n]), p[n:], nil
 }

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -11,13 +12,49 @@ import (
 	"dlpt/internal/catalog"
 )
 
-func testState() ([]PeerState, []NodeState) {
+func testState() ([]PeerState, []catalog.Entry) {
 	peers := []PeerState{{ID: "aaa", Capacity: 100}, {ID: "mmm", Capacity: 200}}
-	nodes := []NodeState{
+	nodes := []catalog.Entry{
 		{Key: "dgemm", Values: []string{"ep://1", "ep://2"}},
 		{Key: "dgemv", Values: []string{"ep://3"}},
 	}
 	return peers, nodes
+}
+
+// entrySource adapts an eager sorted entry list to EntrySource.
+type entrySource []catalog.Entry
+
+func (es entrySource) Len() int { return len(es) }
+
+func (es entrySource) Ascend(yield func(catalog.Entry) bool) {
+	for _, e := range es {
+		if !yield(e) {
+			return
+		}
+	}
+}
+
+// writeSnapshot persists the state as the next epoch in one call:
+// BeginSnapshot plus Commit, with no cluster lock to get off of.
+func writeSnapshot(s *Store, peers []PeerState, nodes []catalog.Entry) (uint64, error) {
+	p, err := s.BeginSnapshot()
+	if err != nil {
+		return 0, err
+	}
+	return p.Commit(peers, entrySource(nodes))
+}
+
+// nodeList materializes a snapshot's catalogue.
+func nodeList(t *testing.T, sn *Snapshot) []catalog.Entry {
+	t.Helper()
+	var out []catalog.Entry
+	if err := sn.Ascend(func(e catalog.Entry) bool {
+		out = append(out, e)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -27,7 +64,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers, nodes := testState()
-	seq, err := s.WriteSnapshot(peers, nodes)
+	seq, err := writeSnapshot(s, peers, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +96,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(st.Snapshot.Peers) != 2 || st.Snapshot.Peers[1].Capacity != 200 {
 		t.Fatalf("peers = %+v", st.Snapshot.Peers)
 	}
-	if got := st.Snapshot.NodeList(); len(got) != 2 || len(got[0].Values) != 2 {
+	if got := nodeList(t, st.Snapshot); len(got) != 2 || len(got[0].Values) != 2 {
 		t.Fatalf("nodes = %+v", got)
 	}
 	if len(st.Journal) != 2 {
@@ -82,7 +119,7 @@ func TestSnapshotRotationPrunesOldEpochs(t *testing.T) {
 	defer s.Close()
 	peers, nodes := testState()
 	for i := 0; i < 4; i++ {
-		if _, err := s.WriteSnapshot(peers, nodes); err != nil {
+		if _, err := writeSnapshot(s, peers, nodes); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Append(false, "k", "v"); err != nil {
@@ -116,7 +153,7 @@ func TestTruncatedJournalStopsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers, nodes := testState()
-	if _, err := s.WriteSnapshot(peers, nodes); err != nil {
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -157,7 +194,7 @@ func TestCorruptJournalRecordStopsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers, nodes := testState()
-	if _, err := s.WriteSnapshot(peers, nodes); err != nil {
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -200,13 +237,13 @@ func TestCorruptSnapshotFallsBackOneEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers, nodes := testState()
-	if _, err := s.WriteSnapshot(peers, nodes[:1]); err != nil {
+	if _, err := writeSnapshot(s, peers, nodes[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(false, "bridge", "ep"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteSnapshot(peers, nodes); err != nil {
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(false, "tail", "ep"); err != nil {
@@ -274,7 +311,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := s.Append(false, "k", "v"); err == nil {
 		t.Fatal("append on closed store succeeded")
 	}
-	if _, err := s.WriteSnapshot(nil, nil); err == nil {
+	if _, err := writeSnapshot(s, nil, nil); err == nil {
 		t.Fatal("snapshot on closed store succeeded")
 	}
 }
@@ -289,7 +326,7 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers, nodes := testState()
-	if _, err := s.WriteSnapshot(peers, nodes); err != nil {
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(false, "before", "ep"); err != nil {
@@ -343,7 +380,7 @@ func TestBeginCommitCrashWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	peers, nodes := testState()
-	if _, err := s.WriteSnapshot(peers, nodes); err != nil {
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Append(false, "preCapture", "ep"); err != nil {
@@ -385,7 +422,7 @@ func TestBeginCommitCrashWindow(t *testing.T) {
 	if err := s2.Append(false, "postCrash", "ep"); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := s2.WriteSnapshot(peers, nodes)
+	seq, err := writeSnapshot(s2, peers, nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,14 +431,9 @@ func TestBeginCommitCrashWindow(t *testing.T) {
 	}
 }
 
-// TestV1SnapshotStillLoads pins the migration contract: snapshot
-// files written by the original inline-node-list format load
-// unchanged.
-func TestV1SnapshotStillLoads(t *testing.T) {
-	dir := t.TempDir()
-	peers, nodes := testState()
-	// Hand-roll a version-1 snapshot image, byte-compatible with the
-	// original writer.
+// v1Image hand-rolls a version-1 snapshot image (inline node list),
+// byte-compatible with the original writer.
+func v1Image(peers []PeerState, nodes []catalog.Entry) []byte {
 	buf := []byte(snapMagic)
 	buf = binary.AppendUvarint(buf, snapVersionNodes)
 	buf = binary.AppendUvarint(buf, 1) // seq
@@ -418,7 +450,16 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 			buf = appendString(buf, v)
 		}
 	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// TestV1SnapshotStillLoads pins the migration contract: snapshot
+// files written by the original inline-node-list format load
+// unchanged.
+func TestV1SnapshotStillLoads(t *testing.T) {
+	dir := t.TempDir()
+	peers, nodes := testState()
+	buf := v1Image(peers, nodes)
 	if err := os.WriteFile(filepath.Join(dir, "snapshot-1.snap"), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -436,45 +477,61 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 	if st.Snapshot == nil || st.Snapshot.Seq != 1 {
 		t.Fatalf("v1 snapshot not loaded: %+v", st.Snapshot)
 	}
-	if !reflect.DeepEqual(st.Snapshot.NodeList(), nodes) {
-		t.Fatalf("v1 nodes = %+v", st.Snapshot.NodeList())
+	if !reflect.DeepEqual(nodeList(t, st.Snapshot), nodes) {
+		t.Fatalf("v1 nodes = %+v", nodeList(t, st.Snapshot))
 	}
 }
 
-// TestCodecChoiceRoundTrips pins that a store writing with the
-// legacy codec produces snapshots any store can read, identical to
-// the succinct ones.
-func TestCodecChoiceRoundTrips(t *testing.T) {
-	peers, nodes := testState()
-	var got [][]NodeState
-	for _, c := range []catalog.Codec{catalog.Legacy, catalog.LOUDS} {
-		dir := t.TempDir()
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.SetCodec(c)
-		if _, err := s.WriteSnapshot(peers, nodes); err != nil {
-			t.Fatal(err)
-		}
-		st, err := s.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, st.Snapshot.NodeList())
-		st.Release()
-		s.Close()
+// TestLegacyCodedSnapshotStillLoads pins the other half of the
+// migration contract on a directory an older build left behind:
+// testdata/legacy-v2 was written by the last build that could still
+// select the verbose catalogue encoding (version-2 snapshot files
+// around a version-0 envelope, plus a journal tail). It loads, and its
+// catalogue is entry for entry what the image written today restores.
+func TestLegacyCodedSnapshotStillLoads(t *testing.T) {
+	dir := t.TempDir() // Open appends to the newest journal: work on a copy
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "legacy-v2"))); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got[0], got[1]) {
-		t.Fatalf("codec divergence: %+v vs %+v", got[0], got[1])
+	raw, err := os.ReadFile(filepath.Join(dir, "snapshot-3.snap"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got[0], nodes) {
-		t.Fatalf("restored nodes = %+v", got[0])
+	// Only the verbose encoding spells a key inline before its values.
+	if !bytes.Contains(raw, []byte("\x05daxpy\x01\x0aep://daxpy")) {
+		t.Fatal("fixture snapshot is not legacy-coded")
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Release()
+	if st.Snapshot == nil || st.Snapshot.Seq != 3 || len(st.Snapshot.Peers) != 6 {
+		t.Fatalf("fixture snapshot = %+v", st.Snapshot)
+	}
+	if len(st.Journal) != 4 {
+		t.Fatalf("fixture journal tail = %+v", st.Journal)
+	}
+	old := nodeList(t, st.Snapshot)
+	if len(old) != 46 {
+		t.Fatalf("fixture catalogue has %d entries, want 46", len(old))
+	}
+	again, err := ParseImage(AppendImage(nil, st.Snapshot.Seq, st.Snapshot.Peers, entrySource(old)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Peers, st.Snapshot.Peers) || !reflect.DeepEqual(nodeList(t, again), old) {
+		t.Fatalf("re-encoded image restores a different state:\n got %+v\nwant %+v", nodeList(t, again), old)
 	}
 }
 
 // TestAppendErrorSurfacesAtSnapshot pins the journal-failure
-// contract: a failed append is reported by the next WriteSnapshot
+// contract: a failed append is reported by the next snapshot
 // (which heals the gap) instead of passing silently.
 func TestAppendErrorSurfacesAtSnapshot(t *testing.T) {
 	dir := t.TempDir()
@@ -491,12 +548,12 @@ func TestAppendErrorSurfacesAtSnapshot(t *testing.T) {
 		t.Fatal("append on a closed handle succeeded")
 	}
 	peers, nodes := testState()
-	if _, err := s.WriteSnapshot(peers, nodes); err == nil {
+	if _, err := writeSnapshot(s, peers, nodes); err == nil {
 		t.Fatal("snapshot after failed appends reported no error")
 	}
 	// The epoch turned over; the failure was surfaced once and the
 	// store is whole again.
-	if _, err := s.WriteSnapshot(peers, nodes); err != nil {
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		t.Fatalf("second snapshot still failing: %v", err)
 	}
 }

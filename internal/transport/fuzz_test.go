@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"dlpt/internal/catalog"
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
+	"dlpt/internal/persist"
 	"dlpt/internal/trace"
 )
 
@@ -90,8 +92,53 @@ func FuzzFrameDecode(f *testing.F) {
 	hostile := beginFrame(nil, frameResponse, 4)
 	binary.BigEndian.PutUint32(hostile[9:13], maxFramePayload+1)
 	f.Add(hostile)
+	// The control plane: one valid payload per decoder. The daemon
+	// feeds every one of these bytes from another process.
+	mirror := Mirror{
+		Epoch: 2, Seq: 41, StewardAddr: "[::1]:7",
+		Members: []Member{{ID: "m1", Addr: "[::1]:7", Capacity: 8}, {ID: "m2", Addr: "[::1]:9", Capacity: 8}},
+		Image: persist.AppendImage(nil, 0,
+			[]persist.PeerState{{ID: "m1", Capacity: 8}, {ID: "m2", Capacity: 8}}, fuzzCatalogue{}),
+	}
+	apply := &ApplyRecord{Seq: 41, Epoch: 2, Op: OpJoin, Key: "k", Value: "v", ID: "m2", Capacity: 8, Addr: "[::1]:9"}
+	f.Add(EncodeJoin(&JoinRequest{Version: HandshakeVersion, Alphabet: "ab", Placement: "KC", Addr: "[::1]:9", Capacity: 8}))
+	f.Add(EncodeHello(&HelloInfo{Version: HandshakeVersion, Alphabet: "ab", Placement: "KC", AssignedID: "m2", Mirror: mirror}))
+	f.Add(EncodeMirror(&mirror))
+	f.Add(EncodeLeave(&LeaveNotice{ID: "m2", Addr: "[::1]:9", Epoch: 2}))
+	f.Add(EncodeApply(apply))
+	f.Add(EncodeElect(&ElectRequest{Epoch: 3, ID: "m2", Addr: "[::1]:9", Seq: 41}))
+	f.Add(EncodeElectReply(&ElectReply{Granted: true, Epoch: 3, Seq: 40, StewardAddr: "[::1]:7", Err: "e"}))
+	f.Add(EncodeEpochOpen(&EpochOpen{Epoch: 3, StewardID: "m2", StewardAddr: "[::1]:9", Seq: 41}))
+	f.Add(EncodeEpochOpenReply(&EpochOpenReply{Seq: 40, Err: "e"}))
+	f.Add(EncodeFetch(&FetchRequest{From: 40}))
+	f.Add(EncodeFetchReply(&FetchReply{Records: []*ApplyRecord{apply}, Err: "e"}))
+	f.Add(EncodeAck("refused"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = DecodeJoin(data)
+		_, _ = DecodeLeave(data)
+		_, _ = DecodeApply(data)
+		_, _ = DecodeElect(data)
+		_, _ = DecodeElectReply(data)
+		_, _ = DecodeEpochOpen(data)
+		_, _ = DecodeEpochOpenReply(data)
+		_, _ = DecodeFetch(data)
+		_, _ = DecodeFetchReply(data)
+		_, _ = DecodeAck(data)
+		// A mirror that decodes carries an image the installer will
+		// parse: that, too, must refuse rather than panic.
+		var mirrors []*Mirror
+		if m, err := DecodeMirror(data); err == nil {
+			mirrors = append(mirrors, m)
+		}
+		if h, err := DecodeHello(data); err == nil {
+			mirrors = append(mirrors, &h.Mirror)
+		}
+		for _, m := range mirrors {
+			if snap, err := persist.ParseImage(m.Image); err == nil {
+				_ = snap.Ascend(func(catalog.Entry) bool { return true })
+			}
+		}
 		var req request
 		_ = decodeRequest(data, &req)
 		var resp response
@@ -302,6 +349,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("payload round-trip: %x != %x", gotPayload, payload)
 		}
 	})
+}
+
+// fuzzCatalogue is the two-entry catalogue of the mirror seeds.
+type fuzzCatalogue struct{}
+
+func (fuzzCatalogue) Len() int { return 2 }
+
+func (fuzzCatalogue) Ascend(yield func(catalog.Entry) bool) {
+	_ = yield(catalog.Entry{Key: "dgemm", Values: []string{"ep://1", "ep://2"}}) &&
+		yield(catalog.Entry{Key: "dgemv", Values: []string{"ep://3"}})
 }
 
 // splitNonEmpty splits blob at NUL bytes, dropping empty segments

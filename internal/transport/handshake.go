@@ -7,7 +7,9 @@
 // the protocol. Payloads use the same hand-rolled varint codecs as
 // the routing frames; the handshake is explicitly versioned so
 // incompatible daemons reject each other instead of corrupting a
-// shared overlay.
+// shared overlay. The whole overlay travels (Mirror, in HELLO and
+// RESYNC) as the image internal/persist writes to snapshot files: it
+// has no wire codec of its own.
 
 package transport
 
@@ -20,7 +22,6 @@ import (
 	"time"
 
 	"dlpt/internal/keys"
-	"dlpt/internal/persist"
 )
 
 // HandshakeVersion is the JOIN/HELLO protocol revision. A joiner and
@@ -32,7 +33,9 @@ import (
 // revision-2 member would answer up a chain nobody waits on.
 // Revision 4 front-codes STREAM payloads and slow-starts their credit:
 // a revision-3 member would parse the keys as a catalogue envelope.
-const HandshakeVersion = 4
+// Revision 5 ships HELLO and RESYNC state as one overlay image: a
+// revision-4 member would parse it as an inline node list.
+const HandshakeVersion = 5
 
 // Exported frame-type aliases for control round-trips: the daemon
 // package addresses its frames with these, and a control handler
@@ -91,24 +94,31 @@ type Member struct {
 	Capacity int
 }
 
+// Mirror is the whole overlay as a steward hands it to a daemon to
+// install: the body of an admitting HELLO, and all of a RESYNC — the
+// re-bootstrap of a member too far behind (or ahead of) a new steward
+// to reconcile by replay. Image is the overlay image
+// (persist.AppendImage) consistent with sequence number Seq; decoded,
+// it aliases the payload.
+type Mirror struct {
+	Epoch       uint64
+	Seq         uint64
+	StewardAddr string
+	Members     []Member
+	Image       []byte
+}
+
 // HelloInfo answers a JoinRequest. A rejection carries only Err (and
 // StewardAddr when the refusing daemon is a member redirecting the
-// joiner to the steward). An admission carries the assigned ring id,
-// the member table, the mutation sequence number the snapshot is
-// consistent with, and the full overlay state the joiner installs as
-// its mirror.
+// joiner to the steward). An admission carries the assigned ring id
+// and the mirror the joiner installs.
 type HelloInfo struct {
-	Version     int
-	Err         string
-	StewardAddr string
-	Alphabet    string
-	Placement   string
-	AssignedID  keys.Key
-	Seq         uint64
-	Epoch       uint64
-	Members     []Member
-	Peers       []persist.PeerState
-	Nodes       []persist.NodeState
+	Version    int
+	Err        string
+	Alphabet   string
+	Placement  string
+	AssignedID keys.Key
+	Mirror
 }
 
 // LeaveNotice announces a graceful departure: the steward hands the
@@ -179,15 +189,57 @@ func DecodeJoin(p []byte) (*JoinRequest, error) {
 func EncodeHello(h *HelloInfo) []byte {
 	b := binary.AppendUvarint(nil, uint64(h.Version))
 	b = appendString(b, h.Err)
-	b = appendString(b, h.StewardAddr)
 	b = appendString(b, h.Alphabet)
 	b = appendString(b, h.Placement)
 	b = appendString(b, string(h.AssignedID))
-	b = binary.AppendUvarint(b, h.Seq)
-	b = binary.AppendUvarint(b, h.Epoch)
-	b = appendMembers(b, h.Members)
-	b = appendPeerStates(b, h.Peers)
-	return appendNodeStates(b, h.Nodes)
+	return appendMirror(b, &h.Mirror)
+}
+
+// EncodeMirror marshals a RESYNC payload.
+func EncodeMirror(m *Mirror) []byte { return appendMirror(nil, m) }
+
+// DecodeMirror unmarshals a RESYNC payload.
+func DecodeMirror(p []byte) (*Mirror, error) {
+	var m Mirror
+	if err := getMirror(p, &m); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+func appendMirror(b []byte, m *Mirror) []byte {
+	b = binary.AppendUvarint(b, m.Epoch)
+	b = binary.AppendUvarint(b, m.Seq)
+	b = appendString(b, m.StewardAddr)
+	b = appendMembers(b, m.Members)
+	b = binary.AppendUvarint(b, uint64(len(m.Image)))
+	return append(b, m.Image...)
+}
+
+// getMirror decodes a Mirror that runs to the end of p.
+func getMirror(p []byte, m *Mirror) error {
+	var err error
+	if m.Epoch, p, err = getUvarint(p); err != nil {
+		return fmt.Errorf("mirror epoch: %w", err)
+	}
+	if m.Seq, p, err = getUvarint(p); err != nil {
+		return fmt.Errorf("mirror seq: %w", err)
+	}
+	if m.StewardAddr, p, err = getString(p); err != nil {
+		return fmt.Errorf("mirror steward: %w", err)
+	}
+	if m.Members, p, err = getMembers(p); err != nil {
+		return fmt.Errorf("mirror: %w", err)
+	}
+	n, p, err := getUvarint(p)
+	if err != nil {
+		return fmt.Errorf("mirror image length: %w", err)
+	}
+	if n > uint64(len(p)) {
+		return errors.New("transport: truncated mirror image")
+	}
+	m.Image = p[:n:n]
+	return nil
 }
 
 // appendMembers encodes a count-prefixed member table.
@@ -231,88 +283,6 @@ func getMembers(p []byte) ([]Member, []byte, error) {
 	return ms, p, nil
 }
 
-// appendPeerStates encodes a count-prefixed overlay peer list.
-func appendPeerStates(b []byte, peers []persist.PeerState) []byte {
-	b = binary.AppendUvarint(b, uint64(len(peers)))
-	for _, ps := range peers {
-		b = appendString(b, ps.ID)
-		b = binary.AppendUvarint(b, uint64(ps.Capacity))
-	}
-	return b
-}
-
-// getPeerStates decodes a count-prefixed overlay peer list.
-func getPeerStates(p []byte) ([]persist.PeerState, []byte, error) {
-	v, p, err := getUvarint(p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("peer count: %w", err)
-	}
-	if v > uint64(len(p)) {
-		return nil, nil, errors.New("transport: implausible peer count")
-	}
-	peers := make([]persist.PeerState, 0, v)
-	for i := uint64(0); i < v; i++ {
-		var ps persist.PeerState
-		var c uint64
-		if ps.ID, p, err = getString(p); err != nil {
-			return nil, nil, fmt.Errorf("peer %d id: %w", i, err)
-		}
-		if c, p, err = getUvarint(p); err != nil {
-			return nil, nil, fmt.Errorf("peer %d capacity: %w", i, err)
-		}
-		ps.Capacity = int(c)
-		peers = append(peers, ps)
-	}
-	return peers, p, nil
-}
-
-// appendNodeStates encodes a count-prefixed catalogue node list.
-func appendNodeStates(b []byte, nodes []persist.NodeState) []byte {
-	b = binary.AppendUvarint(b, uint64(len(nodes)))
-	for _, ns := range nodes {
-		b = appendString(b, ns.Key)
-		b = binary.AppendUvarint(b, uint64(len(ns.Values)))
-		for _, v := range ns.Values {
-			b = appendString(b, v)
-		}
-	}
-	return b
-}
-
-// getNodeStates decodes a count-prefixed catalogue node list.
-func getNodeStates(p []byte) ([]persist.NodeState, []byte, error) {
-	v, p, err := getUvarint(p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("node count: %w", err)
-	}
-	if v > uint64(len(p)) {
-		return nil, nil, errors.New("transport: implausible node count")
-	}
-	nodes := make([]persist.NodeState, 0, v)
-	for i := uint64(0); i < v; i++ {
-		var ns persist.NodeState
-		var m uint64
-		var s string
-		if ns.Key, p, err = getString(p); err != nil {
-			return nil, nil, fmt.Errorf("node %d key: %w", i, err)
-		}
-		if m, p, err = getUvarint(p); err != nil {
-			return nil, nil, fmt.Errorf("node %d value count: %w", i, err)
-		}
-		if m > uint64(len(p)) {
-			return nil, nil, errors.New("transport: implausible value count")
-		}
-		for j := uint64(0); j < m; j++ {
-			if s, p, err = getString(p); err != nil {
-				return nil, nil, fmt.Errorf("node %d value %d: %w", i, j, err)
-			}
-			ns.Values = append(ns.Values, s)
-		}
-		nodes = append(nodes, ns)
-	}
-	return nodes, p, nil
-}
-
 // DecodeHello unmarshals a HelloInfo payload.
 func DecodeHello(p []byte) (*HelloInfo, error) {
 	var h HelloInfo
@@ -326,9 +296,6 @@ func DecodeHello(p []byte) (*HelloInfo, error) {
 	if h.Err, p, err = getString(p); err != nil {
 		return nil, fmt.Errorf("hello err: %w", err)
 	}
-	if h.StewardAddr, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("hello steward: %w", err)
-	}
 	if h.Alphabet, p, err = getString(p); err != nil {
 		return nil, fmt.Errorf("hello alphabet: %w", err)
 	}
@@ -339,19 +306,7 @@ func DecodeHello(p []byte) (*HelloInfo, error) {
 		return nil, fmt.Errorf("hello assigned id: %w", err)
 	}
 	h.AssignedID = keys.Key(s)
-	if h.Seq, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("hello seq: %w", err)
-	}
-	if h.Epoch, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("hello epoch: %w", err)
-	}
-	if h.Members, p, err = getMembers(p); err != nil {
-		return nil, fmt.Errorf("hello: %w", err)
-	}
-	if h.Peers, p, err = getPeerStates(p); err != nil {
-		return nil, fmt.Errorf("hello: %w", err)
-	}
-	if h.Nodes, _, err = getNodeStates(p); err != nil {
+	if err = getMirror(p, &h.Mirror); err != nil {
 		return nil, fmt.Errorf("hello: %w", err)
 	}
 	return &h, nil
@@ -471,22 +426,11 @@ type EpochOpen struct {
 }
 
 // EpochOpenReply reports the member's last applied sequence number so
-// the steward can replay the gap (or fall back to a full RESYNC).
+// the steward can replay the gap (or fall back to a full RESYNC, whose
+// payload is a Mirror).
 type EpochOpenReply struct {
 	Seq uint64
 	Err string
-}
-
-// ResyncState is a full mirror replacement for a member too far
-// behind (or ahead of) the new steward to reconcile by replay: the
-// member installs the snapshot wholesale, exactly like a fresh HELLO.
-type ResyncState struct {
-	Epoch       uint64
-	Seq         uint64
-	StewardAddr string
-	Members     []Member
-	Peers       []persist.PeerState
-	Nodes       []persist.NodeState
 }
 
 // FetchRequest asks a member for its applied records from sequence
@@ -610,41 +554,6 @@ func DecodeEpochOpenReply(p []byte) (*EpochOpenReply, error) {
 		return nil, fmt.Errorf("epoch open reply err: %w", err)
 	}
 	return &eo, nil
-}
-
-// EncodeResync marshals a ResyncState payload.
-func EncodeResync(rs *ResyncState) []byte {
-	b := binary.AppendUvarint(nil, rs.Epoch)
-	b = binary.AppendUvarint(b, rs.Seq)
-	b = appendString(b, rs.StewardAddr)
-	b = appendMembers(b, rs.Members)
-	b = appendPeerStates(b, rs.Peers)
-	return appendNodeStates(b, rs.Nodes)
-}
-
-// DecodeResync unmarshals a ResyncState payload.
-func DecodeResync(p []byte) (*ResyncState, error) {
-	var rs ResyncState
-	var err error
-	if rs.Epoch, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("resync epoch: %w", err)
-	}
-	if rs.Seq, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("resync seq: %w", err)
-	}
-	if rs.StewardAddr, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("resync steward: %w", err)
-	}
-	if rs.Members, p, err = getMembers(p); err != nil {
-		return nil, fmt.Errorf("resync: %w", err)
-	}
-	if rs.Peers, p, err = getPeerStates(p); err != nil {
-		return nil, fmt.Errorf("resync: %w", err)
-	}
-	if rs.Nodes, _, err = getNodeStates(p); err != nil {
-		return nil, fmt.Errorf("resync: %w", err)
-	}
-	return &rs, nil
 }
 
 // EncodeFetch marshals a FetchRequest payload.

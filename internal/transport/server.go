@@ -172,7 +172,12 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 					return
 				}
 				rtyp, rp := h(typ, cp)
-				_ = sc.fc.writeRaw(rtyp, id, rp)
+				if err := sc.fc.writeRaw(rtyp, id, rp); errors.Is(err, errFrameTooLarge) {
+					// Nothing reached the wire. Answer in band, as reply
+					// does for RESPONSE, so the caller fails with the reason
+					// now instead of waiting out its timeout.
+					_ = sc.fc.writeResponse(id, &response{Err: err.Error()})
+				}
 			}(typ, id, cp)
 		case frameReplica:
 			var b core.ReplicaBatch
@@ -257,7 +262,7 @@ func (c *Cluster) advance(h *hop, resp *response) (next string, done bool) {
 			addr := c.addrs[host]
 			c.Mu.RUnlock()
 			r.Redirects++
-			return addr, !okh || r.Redirects > maxRedirects
+			return addr, !okh || r.Redirects > overlay.MaxRedirects
 		}
 		var to keys.Key
 		if h.typ == frameRequest {

@@ -45,7 +45,7 @@ type route struct {
 	// Redirects counts forwards for a node the addressed peer does not
 	// host (stale routing after churn or balancing). A node lost to
 	// an unrecovered crash would be forwarded in a cycle forever, so
-	// past maxRedirects the walk reports not found.
+	// past overlay.MaxRedirects the walk reports not found.
 	Redirects int
 	// Origin and ReplyTo name the caller: the pending id it waits on
 	// and the advertised address of one of its listeners. The peer
@@ -60,9 +60,6 @@ type request struct {
 	GoingUp bool
 	route
 }
-
-// maxRedirects bounds stale-routing forwards per request.
-const maxRedirects = 8
 
 // response is the on-the-wire result of a routed frame. A discovery
 // is answered with Found and Values. A query route is answered with
@@ -289,85 +286,62 @@ func (c *Cluster) AddRemotePeerWithID(id keys.Key, capacity int, addr string) er
 	return nil
 }
 
-// InstallMirror populates an empty cluster (Options.AllowEmpty) with
-// a full overlay mirror: the peers and nodes of a state snapshot the
-// steward captured, the advertised address of every remote member,
-// and this process's own peer, which adopts the pre-bound listener ln
-// (bound before the join so the JOIN frame could advertise it). The
-// snapshot was captured under the steward's apply lock, so no journal
-// tail is needed: the mirror is consistent as of the handshake's
-// sequence number.
-func (c *Cluster) InstallMirror(peers []persist.PeerState, nodes []persist.NodeState,
-	members map[keys.Key]string, self keys.Key, ln net.Listener) error {
+// InstallMirror replaces the cluster's overlay state wholesale with
+// the mirror a steward sent: the image (captured under the steward's
+// apply lock, so it needs no journal tail) restores into a fresh
+// network that is then swapped in, and members becomes the address
+// table. A daemon joining with an empty cluster (Options.AllowEmpty)
+// passes ln, the listener it bound so the JOIN could advertise it, and
+// its own peer adopts it; a running daemon — resynchronized, or a
+// deposed steward rejoining under a fresh ring id — passes nil and
+// keeps its one bound listener, re-keyed to self.
+func (c *Cluster) InstallMirror(image []byte, members map[keys.Key]string, self keys.Key, ln net.Listener) error {
 	if c.Stopped() {
 		return ErrStopped
 	}
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
-	st := &persist.LoadedState{Snapshot: &persist.Snapshot{Peers: peers, Nodes: nodes}}
-	if err := c.Net.RestoreFrom(st, c.Rng); err != nil {
+	snap, err := persist.ParseImage(image)
+	if err != nil {
 		return err
 	}
-	if _, ok := c.Net.Peer(self); !ok {
-		return fmt.Errorf("transport: mirror state lacks own peer %q", self)
-	}
-	for id, addr := range members {
-		if id != self {
-			c.addrs[id] = addr
-		}
-	}
-	c.adoptListenerLocked(self, ln)
-	return nil
-}
-
-// ResetToMirror replaces a running daemon cluster's overlay state
-// wholesale with a fresh mirror: a member too far behind the new
-// steward to reconcile by replay, or a deposed steward rejoining
-// under a fresh ring id, installs the snapshot exactly like a fresh
-// HELLO — but keeps its already-bound listener, which is re-keyed to
-// self. Requires the single-local-listener shape of the daemon
-// deployment.
-func (c *Cluster) ResetToMirror(peers []persist.PeerState, nodes []persist.NodeState,
-	members map[keys.Key]string, self keys.Key) error {
-	if c.Stopped() {
-		return ErrStopped
-	}
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	if len(c.servers) != 1 {
+	if ln == nil && len(c.servers) != 1 {
 		return fmt.Errorf("transport: reset needs exactly one local listener, have %d", len(c.servers))
 	}
 	fresh := core.NewNetwork(c.Net.Alphabet, c.Net.Placement)
-	fresh.Obs = c.Met
-	fresh.Tracer = c.Rec
-	st := &persist.LoadedState{Snapshot: &persist.Snapshot{Peers: peers, Nodes: nodes}}
-	if err := fresh.RestoreFrom(st, c.Rng); err != nil {
+	fresh.Obs, fresh.Tracer = c.Met, c.Rec
+	if err := fresh.RestoreFrom(&persist.LoadedState{Snapshot: snap}, c.Rng); err != nil {
 		return err
 	}
 	if _, ok := fresh.Peer(self); !ok {
 		return fmt.Errorf("transport: mirror state lacks own peer %q", self)
 	}
+	fresh.AttachJournal(c.Store)
 	c.Net = fresh
-	c.Net.AttachJournal(c.Store)
-	ps := c.servers[0]
 	c.addrs = make(map[keys.Key]string, len(members)+1)
 	for id, addr := range members {
 		if id != self {
 			c.addrs[id] = addr
 		}
 	}
-	ps.id = self
-	c.addrs[self] = ps.addr
+	if ln != nil {
+		c.adoptListenerLocked(self, ln)
+	} else {
+		c.servers[0].id = self
+		c.addrs[self] = c.servers[0].addr
+	}
 	return nil
 }
 
-// PersistStateView captures the persistable overlay state — the ring
-// and the full catalogue — under the read lock. The steward answers
-// JOIN with this as the joiner's initial mirror.
-func (c *Cluster) PersistStateView() ([]persist.PeerState, []persist.NodeState) {
-	c.Mu.RLock()
-	defer c.Mu.RUnlock()
-	return c.Net.PersistState()
+// MirrorImage returns the overlay image of the current state, for a
+// steward's Mirror. Only the capture holds the write lock (it freezes
+// the copy-on-write catalogue: O(1) on a durable steward); the encode,
+// which scales with the catalogue, runs after it.
+func (c *Cluster) MirrorImage() []byte {
+	c.Mu.Lock()
+	peers, cat := c.Net.CaptureSnapshot()
+	c.Mu.Unlock()
+	return persist.AppendImage(nil, 0, peers, cat)
 }
 
 // ControlRoundTrip sends one control frame (JOIN, LEAVE, APPLY,

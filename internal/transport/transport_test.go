@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"dlpt/internal/keys"
 	"dlpt/internal/workload"
@@ -235,5 +237,36 @@ func TestHopCountsMatchSequentialEngine(t *testing.T) {
 		if res.LogicalHops > 40 {
 			t.Fatalf("implausible path length %d", res.LogicalHops)
 		}
+	}
+}
+
+// A control reply too large for one frame (a HELLO for a huge
+// catalogue, an ADMIN completion) cannot be written; the server must
+// say so in band instead of leaving the caller to its timeout.
+func TestOversizedControlReplyAnsweredInBand(t *testing.T) {
+	srv, err := StartOpts(keys.LowerAlnum, []int{8}, 1, Options{
+		Control: func(typ byte, payload []byte) (byte, []byte) {
+			return FrameHello, make([]byte, maxFramePayload+1)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Stop)
+	var addr string
+	for _, a := range srv.Addrs() {
+		addr = a
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rtyp, p, err := RawCall(ctx, addr, FrameJoin, nil)
+	if err != nil {
+		t.Fatalf("oversized reply left the caller waiting: %v", err)
+	}
+	if rtyp != FrameAck {
+		t.Fatalf("reply frame %d, want an ack", rtyp)
+	}
+	if es, err := DecodeAck(p); err != nil || es != errFrameTooLarge.Error() {
+		t.Fatalf("ack = %q, %v; want %q", es, err, errFrameTooLarge)
 	}
 }

@@ -9,6 +9,8 @@ package dlpt
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -17,25 +19,17 @@ import (
 )
 
 // runColdRestartWorkload drives the scripted durable workload on one
-// engine, writing snapshots with the named catalogue codec ("" means
-// the default), kills every peer, restarts from disk and returns the
-// engine-independent transcript. The restart never names a codec:
-// recovery must dispatch on the version byte alone, so the transcript
-// is also codec-independent.
-func runColdRestartWorkload(t *testing.T, kind EngineKind, codec string) string {
+// engine, kills every peer, restarts from disk and returns the
+// engine-independent transcript.
+func runColdRestartWorkload(t *testing.T, kind EngineKind) string {
 	t.Helper()
 	ctx := context.Background()
 	dir := t.TempDir()
-	opts := []Option{WithSeed(29), WithAlphabet(keys.LowerAlnum),
-		WithEngine(kind), WithPersistence(dir)}
-	if codec != "" {
-		opts = append(opts, WithSnapshotCodec(codec))
-	}
-	reg, err := New(6, opts...)
+	reg, err := New(6, WithSeed(29), WithAlphabet(keys.LowerAlnum),
+		WithEngine(kind), WithPersistence(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
 
 	// Epoch 1: a replicated corpus.
 	corpus := workload.GridCorpus(40)
@@ -86,10 +80,17 @@ func runColdRestartWorkload(t *testing.T, kind EngineKind, codec string) string 
 	if err := reg.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return coldRestartTranscript(t, kind, dir, pre)
+}
 
-	// Cold restart from the persistence directory alone. The journal
-	// holds every mutation since the final snapshot, so the restored
-	// catalogue matches the pre-crash one exactly.
+// coldRestartTranscript restarts an overlay from the persistence
+// directory alone and returns the engine-independent transcript. The
+// journal holds every mutation since the final snapshot, so the
+// restored catalogue must equal pre, the pre-crash one, when the
+// caller has it.
+func coldRestartTranscript(t *testing.T, kind EngineKind, dir, pre string) string {
+	t.Helper()
+	ctx := context.Background()
 	restarted, err := Restart(dir, WithSeed(29), WithAlphabet(keys.LowerAlnum), WithEngine(kind))
 	if err != nil {
 		t.Fatalf("%s: restart: %v", kind, err)
@@ -99,9 +100,10 @@ func runColdRestartWorkload(t *testing.T, kind EngineKind, codec string) string 
 		t.Fatalf("%s: restored overlay invalid: %v", kind, err)
 	}
 	post := catalogue(t, restarted)
-	if post != pre {
+	if pre != "" && post != pre {
 		t.Fatalf("%s: cold restart changed the catalogue:\n%s", kind, firstDiff(pre, post))
 	}
+	var b strings.Builder
 	fmt.Fprintf(&b, "peers=%d nodes=%d\n%s", restarted.NumPeers(), restarted.NumNodes(), post)
 
 	// The restored overlay is a normal overlay: it keeps working and
@@ -120,28 +122,31 @@ func runColdRestartWorkload(t *testing.T, kind EngineKind, codec string) string 
 	return b.String()
 }
 
-// TestColdRestartDifferential requires every engine × snapshot-codec
-// combination to come back from a whole-overlay crash with
-// byte-identical catalogues: the three engines must agree with each
-// other, and snapshots written with the legacy verbose codec must
-// restore exactly what the succinct default restores — the wire
-// format is an encoding choice, never a semantic one.
+// TestColdRestartDifferential requires every engine to come back from
+// a whole-overlay crash with a byte-identical catalogue — and a
+// directory an older build left behind to restart into the same one:
+// internal/persist/testdata/legacy-v2 is this workload's directory as
+// written, up to the crash, by the last build that could still select
+// the verbose catalogue encoding (the local engine with
+// WithSnapshotCodec("legacy")). The byte format is an encoding choice,
+// never a semantic one.
 func TestColdRestartDifferential(t *testing.T) {
-	codecs := []string{"louds", "legacy"}
-	ref := runColdRestartWorkload(t, EngineLocal, codecs[0])
+	ref := runColdRestartWorkload(t, EngineLocal)
 	if ref == "" {
 		t.Fatal("empty reference transcript")
 	}
 	for _, kind := range engineKinds {
-		for _, codec := range codecs {
-			if kind == EngineLocal && codec == codecs[0] {
-				continue
+		if kind != EngineLocal {
+			if got := runColdRestartWorkload(t, kind); got != ref {
+				t.Errorf("engine %s diverges from local:\n%s", kind, firstDiff(ref, got))
 			}
-			got := runColdRestartWorkload(t, kind, codec)
-			if got != ref {
-				t.Errorf("engine %s codec %s diverges from local/%s:\n%s",
-					kind, codec, codecs[0], firstDiff(ref, got))
-			}
+		}
+		dir := t.TempDir() // a restart appends and snapshots: work on a copy
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("internal", "persist", "testdata", "legacy-v2"))); err != nil {
+			t.Fatal(err)
+		}
+		if got := coldRestartTranscript(t, kind, dir, ""); got != ref {
+			t.Errorf("engine %s restarts the legacy-coded directory differently:\n%s", kind, firstDiff(ref, got))
 		}
 	}
 }
