@@ -1,35 +1,17 @@
 // Command dlptlint runs the project's analyzer suite
-// (internal/analysis/...) over the module. Two modes:
-//
-// Direct (the CI entry point):
+// (internal/analysis/...) over the module:
 //
 //	go run ./cmd/dlptlint ./...
 //
 // loads, type-checks and analyzes the matched packages and exits 1 if
 // any analyzer reports a finding. -run narrows to a comma-separated
 // analyzer subset, -list prints the suite.
-//
-// Vettool: when invoked by `go vet -vettool=$(which dlptlint)` the
-// tool speaks the unitchecker protocol — go vet probes with -V=full
-// and -flags, then invokes the tool once per package with a *.cfg
-// JSON file describing the unit. Diagnostics go to stderr and exit
-// status 2 marks findings, mirroring the real
-// golang.org/x/tools/go/analysis/unitchecker.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"dlpt/internal/analysis"
@@ -37,26 +19,7 @@ import (
 	"dlpt/internal/analysis/suite"
 )
 
-// modulePath scopes vettool mode: analyzers only run on this module's
-// packages, never on the stdlib units go vet also feeds the tool.
-const modulePath = "dlpt"
-
 func main() {
-	// go vet probes the vettool before handing it work.
-	if len(os.Args) == 2 {
-		switch os.Args[1] {
-		case "-V=full":
-			printVersion()
-			return
-		case "-flags":
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(vetUnit(os.Args[1]))
-	}
-
 	var (
 		runFlag  = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 		listFlag = flag.Bool("list", false, "list registered analyzers and exit")
@@ -109,7 +72,7 @@ func selectAnalyzers(runSpec string) []*analysis.Analyzer {
 	}
 	var out []*analysis.Analyzer
 	for _, name := range strings.Split(runSpec, ",") {
-		a := analysis.Lookup(strings.TrimSpace(name))
+		a := suite.Lookup(strings.TrimSpace(name))
 		if a == nil {
 			fatal(fmt.Errorf("unknown analyzer %q (use -list)", name))
 		}
@@ -121,122 +84,4 @@ func selectAnalyzers(runSpec string) []*analysis.Analyzer {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "dlptlint:", err)
 	os.Exit(1)
-}
-
-// printVersion answers go vet's -V=full probe. The version string
-// must be stable per build; hash the binary itself the way
-// unitchecker does.
-func printVersion() {
-	name := filepath.Base(os.Args[0])
-	exe, err := os.Executable()
-	if err == nil {
-		if f, err := os.Open(exe); err == nil {
-			h := sha256.New()
-			_, _ = io.Copy(h, f)
-			f.Close()
-			fmt.Printf("%s version dev sha256=%x\n", name, h.Sum(nil))
-			return
-		}
-	}
-	fmt.Printf("%s version dev\n", name)
-}
-
-// vetConfig is the unitchecker *.cfg schema (the subset dlptlint
-// consumes).
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one go vet unit described by cfgFile and returns
-// the process exit code (0 clean, 2 findings — go vet's convention).
-func vetUnit(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fatal(fmt.Errorf("parse %s: %w", cfgFile, err))
-	}
-
-	// go vet hands the tool every dependency unit (for fact
-	// propagation); dlptlint's invariants are this module's, so
-	// stdlib and vendored deps pass through untouched.
-	if cfg.ImportPath != modulePath && !strings.HasPrefix(cfg.ImportPath, modulePath+"/") {
-		writeVetx(cfg.VetxOutput)
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fatal(err)
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		f, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(f)
-	}
-	tcfg := &types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	pkg, err := tcfg.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			writeVetx(cfg.VetxOutput)
-			return 0
-		}
-		fatal(err)
-	}
-
-	findings := 0
-	for _, a := range suite.All() {
-		diags, err := analysis.RunPackage(a, fset, files, pkg, info, cfg.ImportPath)
-		if err != nil {
-			fatal(err)
-		}
-		for _, d := range diags {
-			findings++
-			fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-		}
-	}
-	writeVetx(cfg.VetxOutput)
-	if findings > 0 {
-		return 2
-	}
-	return 0
-}
-
-// writeVetx emits the (empty) facts file go vet expects at
-// VetxOutput; dlptlint's analyzers are fact-free.
-func writeVetx(path string) {
-	if path == "" {
-		return
-	}
-	if err := os.WriteFile(path, []byte{}, 0o666); err != nil {
-		fatal(err)
-	}
 }

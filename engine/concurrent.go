@@ -12,7 +12,7 @@ import (
 	"dlpt/internal/trie"
 )
 
-// KeyStream is the streaming-query handle of a concurrent cluster.
+// KeyStream is the streaming-query handle of a cluster.
 type KeyStream interface {
 	Next() (keys.Key, bool)
 	Err() error
@@ -20,8 +20,8 @@ type KeyStream interface {
 	Close() error
 }
 
-// DataPath is the part of a concurrent cluster that is its own: how a
-// discovery and a query stream travel, and how it shuts down.
+// DataPath is the part of a cluster that is its own: how a discovery
+// and a query stream travel, and how it shuts down.
 // Everything else the adapter drives is the overlay.Runtime the
 // cluster embeds.
 type DataPath[S KeyStream] interface {
@@ -31,8 +31,8 @@ type DataPath[S KeyStream] interface {
 }
 
 // Concurrent adapts a cluster built on the shared overlay runtime to
-// the Engine contract. engine/live and engine/tcp are this adapter
-// over their cluster type; only their constructors differ.
+// the Engine contract. engine/local, engine/live and engine/tcp are
+// this adapter over their cluster type; only their constructors differ.
 type Concurrent[S KeyStream, C DataPath[S]] struct {
 	name    string
 	alpha   *keys.Alphabet
@@ -42,9 +42,9 @@ type Concurrent[S KeyStream, C DataPath[S]] struct {
 	joins, leaves, crashes, recoveries, balanceMoves atomic.Int64
 }
 
-// RuntimeOptions resolves the part of cfg every concurrent cluster
-// takes: the alphabet (printable ASCII by default) and the shared
-// runtime options, with the join placement looked up by name.
+// RuntimeOptions resolves the part of cfg every cluster takes: the
+// alphabet (printable ASCII by default) and the shared runtime
+// options, with the join placement looked up by name.
 func RuntimeOptions(cfg Config) (*keys.Alphabet, overlay.Options, error) {
 	alpha := cfg.Alphabet
 	if alpha == nil {

@@ -6,16 +6,17 @@
 //
 // Three first-class implementations ship with the module:
 //
-//   - engine/local — the sequential protocol core behind one mutex;
-//     deterministic, no goroutines, the shape of the paper's simulator
-//     and the reference the differential tests compare against.
+//   - engine/local — the sequential protocol core behind the runtime's
+//     lock; deterministic, no goroutines, the shape of the paper's
+//     simulator and the reference the differential tests compare
+//     against.
 //   - engine/live  — one goroutine per peer with channel mailboxes and
 //     hop-by-hop concurrent discovery routing (the default backend).
 //   - engine/tcp   — every peer owns a loopback TCP listener and
 //     discoveries hop peer-to-peer as binary frames multiplexed over
 //     persistent pooled connections.
 //
-// live and tcp are one runtime (internal/overlay) behind one adapter
+// All three are one runtime (internal/overlay) behind one adapter
 // (Concurrent, in concurrent.go); they differ in how a hop, a replica
 // batch and a stream chunk travel, and in nothing this package sees
 // beyond their constructors.
@@ -154,42 +155,6 @@ func CollectQuery(ctx context.Context, e Querier, q Query) (QueryResult, error) 
 	}
 	st := s.Stats()
 	return QueryResult{Keys: ks, LogicalHops: st.LogicalHops, PhysicalHops: st.PhysicalHops}, nil
-}
-
-// ListStream is a Stream over an already-materialized result — the
-// easy way for a custom backend (WithEngineFactory) to satisfy the
-// streaming contract before it has a genuinely incremental traversal.
-type ListStream struct {
-	keys  []string
-	stats QueryStats
-	pos   int
-}
-
-// NewListStream wraps keys and their traversal stats in a Stream.
-func NewListStream(keys []string, stats QueryStats) *ListStream {
-	return &ListStream{keys: keys, stats: stats}
-}
-
-// Next implements Stream.
-func (s *ListStream) Next() (string, bool) {
-	if s.pos >= len(s.keys) {
-		return "", false
-	}
-	k := s.keys[s.pos]
-	s.pos++
-	return k, true
-}
-
-// Err implements Stream (a materialized stream cannot fail).
-func (s *ListStream) Err() error { return nil }
-
-// Stats implements Stream.
-func (s *ListStream) Stats() QueryStats { return s.stats }
-
-// Close implements Stream.
-func (s *ListStream) Close() error {
-	s.pos = len(s.keys)
-	return nil
 }
 
 // PeerInfo is a read-only view of one live peer.

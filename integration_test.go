@@ -280,3 +280,53 @@ func TestIntegrationTCPRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLocalWrapRoutesFromTheSeededEntry pins the alignment
+// benchmark/layers.go's ladder relies on (harness.ladder_aligned_share
+// = 1.0): a network built by the seeded call sequence the engines use,
+// wrapped with local.Wrap(net, 7), enters the tree for its n-th
+// discovery where rand.New(rand.NewSource(7))'s n-th RandomNodeKey draw
+// says — one draw per discovery and nothing else taken from the
+// engine's stream — so the registry and core.Network.DiscoverRandom on
+// an identically built twin take equal logical hops op by op.
+func TestLocalWrapRoutesFromTheSeededEntry(t *testing.T) {
+	const overlaySeed, ladderSeed = 1, 7
+	corpus := workload.GridCorpus(600)
+	build := func() *core.Network {
+		net := core.NewNetwork(keys.LowerAlnum, core.PlacementLexicographic)
+		rng := rand.New(rand.NewSource(overlaySeed))
+		for i := 0; i < 16; i++ {
+			var id keys.Key
+			for {
+				id = keys.LowerAlnum.RandomKey(rng, 12, 12)
+				if _, exists := net.Peer(id); !exists {
+					break
+				}
+			}
+			if err := net.JoinPeer(id, 1<<20, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range corpus {
+			if err := net.InsertData(k, "ep", rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return net
+	}
+	reg := NewWithEngine(local.Wrap(build(), ladderSeed))
+	twin, rng := build(), rand.New(rand.NewSource(ladderSeed))
+	ctx := context.Background()
+	for i := 0; i < 500; i++ {
+		k := corpus[(i*7)%len(corpus)]
+		svc, ok, err := reg.Discover(ctx, string(k))
+		if err != nil || !ok {
+			t.Fatalf("op %d: discover %q through the engine: found %v, err %v", i, k, ok, err)
+		}
+		ref := twin.DiscoverRandom(k, false, rng)
+		if !ref.Satisfied || svc.LogicalHops != ref.LogicalHops || svc.PhysicalHops != ref.PhysicalHops {
+			t.Fatalf("op %d (%q): engine took %d/%d logical/physical hops, the core from the seeded entry %d/%d",
+				i, k, svc.LogicalHops, svc.PhysicalHops, ref.LogicalHops, ref.PhysicalHops)
+		}
+	}
+}

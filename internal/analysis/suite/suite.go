@@ -1,7 +1,6 @@
-// Package suite aggregates the project's analyzers into the list that
-// cmd/dlptlint and the whole-repo conformance test share. Importing
-// this package is the single point where an analyzer joins the
-// enforced set.
+// Package suite is the project's analyzer list, the one cmd/dlptlint
+// and the whole-repo conformance test share. Adding an analyzer to All
+// is the single point where it joins the enforced set.
 package suite
 
 import (
@@ -12,14 +11,22 @@ import (
 	"dlpt/internal/analysis/lockcheck"
 )
 
-func init() {
-	analysis.Register(lockcheck.Analyzer)
-	analysis.Register(determinism.Analyzer)
-	analysis.Register(ctxflow.Analyzer)
-	analysis.Register(epochfence.Analyzer)
+// All returns the enforced analyzers, in the order they run.
+func All() []*analysis.Analyzer {
+	return []*analysis.Analyzer{
+		lockcheck.Analyzer,
+		determinism.Analyzer,
+		ctxflow.Analyzer,
+		epochfence.Analyzer,
+	}
 }
 
-// All returns the registered analyzers.
-func All() []*analysis.Analyzer {
-	return analysis.Suite
+// Lookup returns the analyzer with the given name, or nil.
+func Lookup(name string) *analysis.Analyzer {
+	for _, a := range All() {
+		if a.Name == name {
+			return a
+		}
+	}
+	return nil
 }

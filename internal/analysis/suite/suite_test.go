@@ -39,7 +39,7 @@ func TestSuiteCleanOverRepo(t *testing.T) {
 }
 
 // TestRegistry pins the suite contents: dropping an analyzer from the
-// registry would silently stop enforcing its invariant.
+// list would silently stop enforcing its invariant.
 func TestRegistry(t *testing.T) {
 	want := []string{"lockcheck", "determinism", "ctxflow", "epochfence"}
 	got := suite.All()
@@ -50,7 +50,7 @@ func TestRegistry(t *testing.T) {
 		if got[i].Name != name {
 			t.Errorf("suite[%d] = %s, want %s", i, got[i].Name, name)
 		}
-		if analysis.Lookup(name) == nil {
+		if suite.Lookup(name) == nil {
 			t.Errorf("Lookup(%q) = nil", name)
 		}
 	}

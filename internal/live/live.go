@@ -8,10 +8,11 @@
 // transition itself are the embedded overlay.Runtime's. This package
 // owns what is specific to goroutines and channels: the peer procs
 // behind the runtime's Link (spawn, retire and drain, re-key, replica
-// batches on the ctrl channel), mailbox forwarding, the entry draw and
-// the channel-fed QueryStream. Correctness against the sequential
-// engine is checked by differential tests, and the package is
-// exercised under the race detector.
+// batches on the ctrl channel), mailbox forwarding and the entry draw.
+// A subtree query is the runtime's pull stream (overlay.Stream): the
+// walk reads the shared network and needs no goroutine. Correctness
+// against the sequential engine is checked by differential tests, and
+// the package is exercised under the race detector.
 package live
 
 import (
@@ -186,39 +187,12 @@ func (l link) Ship(_ trace.Context, b core.ReplicaBatch) (int, error) {
 	}
 }
 
-// streamBatchKeys bounds the matches emitted per walker batch (one
-// channel send each), and streamBatchVisits bounds the node visits
-// per read-lock hold so a sparse traversal cannot pin the lock.
-const (
-	streamBatchKeys   = 32
-	streamBatchVisits = 256
-)
-
-// QueryStream is an in-flight streaming subtree query: a walker
-// goroutine advances the traversal in bounded read-locked batches and
-// fans the matches into a channel with backpressure; the consumer
-// pulls them in lexicographic order. Closing the stream (or
-// cancelling the query context) halts the traversal at the next
-// batch boundary instead of letting it run to completion against a
-// departed consumer.
-type QueryStream struct {
-	out  chan []keys.Key
-	quit chan struct{}
-
-	mu    sync.Mutex
-	stats core.QueryResult
-	err   error
-
-	cur       []keys.Key
-	pos       int
-	closed    bool // set by Close; owned by the consumer goroutine
-	closeOnce sync.Once
-}
-
-// StreamQuery starts a streaming subtree query. The entry point is
-// drawn from the seeded stream discoveries draw theirs from, so a
-// replayed workload enters the tree at the same nodes.
-func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*QueryStream, error) {
+// StreamQuery starts a streaming subtree query: the runtime's pull
+// stream over a walker entered where the seeded stream discoveries
+// draw theirs from says, so a replayed workload enters the tree at the
+// same nodes. The walk reads the shared network under Mu and never
+// touches a peer goroutine.
+func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*overlay.Stream, error) {
 	if c.Stopped() {
 		return nil, ErrStopped
 	}
@@ -226,128 +200,16 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*QueryS
 		return nil, err
 	}
 	w := core.NewQueryWalker(c.Net, spec)
-	s := &QueryStream{
-		out:  make(chan []keys.Key, 4),
-		quit: make(chan struct{}),
-	}
 	if !w.Empty() {
 		c.entryMu.Lock()
 		c.Mu.RLock()
-		entry, ok := c.Net.RandomNodeKey(c.entryRng)
-		if ok {
+		if entry, ok := c.Net.RandomNodeKey(c.entryRng); ok {
 			w.Start(entry)
 		}
 		c.Mu.RUnlock()
 		c.entryMu.Unlock()
 	}
-	c.wg.Add(1)
-	go c.runStream(ctx, w, s)
-	return s, nil
-}
-
-// runStream is the walker goroutine behind one QueryStream.
-func (c *Cluster) runStream(ctx context.Context, w *core.QueryWalker, s *QueryStream) {
-	defer c.wg.Done()
-	defer close(s.out)
-	began := time.Now()
-	defer func() {
-		// Flush the walker's open phase span even when the stream is
-		// closed or cancelled mid-traversal.
-		w.FinishTrace()
-		if c.Met != nil {
-			c.Met.QueryLatency.Observe(time.Since(began).Seconds())
-		}
-	}()
-	for {
-		select {
-		case <-ctx.Done():
-			s.fail(ctx.Err())
-			return
-		case <-s.quit:
-			return
-		case <-c.Quit:
-			s.fail(ErrStopped)
-			return
-		default:
-		}
-		c.Mu.RLock()
-		batch, more := w.StepN(nil, streamBatchKeys, streamBatchVisits)
-		c.Mu.RUnlock()
-		s.mu.Lock()
-		s.stats = w.Stats()
-		s.mu.Unlock()
-		if len(batch) > 0 {
-			select {
-			case s.out <- batch:
-			case <-ctx.Done():
-				s.fail(ctx.Err())
-				return
-			case <-s.quit:
-				return
-			case <-c.Quit:
-				s.fail(ErrStopped)
-				return
-			}
-		}
-		if !more {
-			return
-		}
-	}
-}
-
-// fail records the error that terminated the stream early.
-func (s *QueryStream) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-}
-
-// Next returns the next matching key; ok == false means the stream is
-// exhausted (see Err) or closed.
-func (s *QueryStream) Next() (keys.Key, bool) {
-	for {
-		if s.closed {
-			return keys.Epsilon, false
-		}
-		if s.pos < len(s.cur) {
-			k := s.cur[s.pos]
-			s.pos++
-			return k, true
-		}
-		batch, ok := <-s.out
-		if !ok {
-			return keys.Epsilon, false
-		}
-		s.cur, s.pos = batch, 0
-	}
-}
-
-// Err reports the error that terminated the stream early, nil after a
-// normal end of stream.
-func (s *QueryStream) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Stats returns the traversal counters accumulated so far.
-func (s *QueryStream) Stats() core.QueryResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Close halts the traversal — the walker goroutine exits at the next
-// batch boundary — and discards buffered keys: Next reports end of
-// stream afterwards. Idempotent; not safe to race with Next (streams
-// are single-consumer).
-func (s *QueryStream) Close() error {
-	s.closeOnce.Do(func() { close(s.quit) })
-	s.closed = true
-	s.cur, s.pos = nil, 0
-	return nil
+	return c.Stream(ctx, w), nil
 }
 
 // Discover routes a discovery request for key through the peer

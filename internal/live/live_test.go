@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
+	"dlpt/internal/leakcheck"
+	"dlpt/internal/overlay"
 	"dlpt/internal/workload"
 )
 
@@ -233,7 +236,7 @@ func TestUnregister(t *testing.T) {
 }
 
 // drain pulls a stream to its end and returns its keys and totals.
-func drain(t *testing.T, s *QueryStream) ([]keys.Key, core.QueryResult) {
+func drain(t *testing.T, s *overlay.Stream) ([]keys.Key, core.QueryResult) {
 	t.Helper()
 	defer s.Close()
 	var ks []keys.Key
@@ -278,6 +281,37 @@ func TestRoutedRangeAndComplete(t *testing.T) {
 	}
 	if _, err := c.StreamQuery(ctx, core.QuerySpec{Range: true, Lo: "a", Hi: "z"}); !errors.Is(err, ErrStopped) {
 		t.Fatalf("range after stop = %v", err)
+	}
+}
+
+// A consumer that walks away from a stream without Close leaves
+// nothing behind on a running cluster: no goroutine parked on a
+// hand-off until Stop, nothing to join.
+func TestAbandonedStreamsHoldNoGoroutine(t *testing.T) {
+	c := startCluster(t, 6)
+	corpus := workload.GridCorpus(600) // more than any buffer between walker and consumer absorbs
+	for _, k := range corpus {
+		if err := c.Register(k, string(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := len(leakcheck.Check(0))
+	for i := 0; i < 200; i++ {
+		s, err := c.StreamQuery(context.Background(), core.QuerySpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Next(); !ok {
+			t.Fatalf("stream %d yielded nothing: %v", i, s.Err())
+		}
+	}
+	after := len(leakcheck.Check(0))
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		after = len(leakcheck.Check(0))
+	}
+	if after > before {
+		t.Fatalf("%d goroutines before 200 abandoned streams, %d after", before, after)
 	}
 }
 

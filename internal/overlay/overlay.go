@@ -1,15 +1,17 @@
-// Package overlay is the one runtime behind the concurrent engines.
-// The paper's protocol — the Section 2 climb/descend step, peer join
-// and leave, successor replication and load-balancing renames — is
-// written here once, over one locked core.Network; internal/live and
-// internal/transport embed a Runtime and add only their data path: how
-// a hop, a replica batch and a stream chunk travel (a channel send or a
-// pooled framed socket).
+// Package overlay is the one runtime behind all three engines. The
+// paper's protocol — the Section 2 climb/descend step, peer join and
+// leave, successor replication and load-balancing renames — is written
+// here once, over one locked core.Network; engine/local, internal/live
+// and internal/transport embed a Runtime and add only their data path:
+// how a hop and a replica batch travel (a call into the sequential
+// core, a channel send, a pooled framed socket). The two in-process
+// ones share the pull-based Stream (stream.go); the socket one frames
+// its own.
 //
-// What differs between the two at membership and replication ticks
-// goes through the four-method Link. The data path never does: it
-// takes Mu and reads Net directly, so a hop costs what it cost when
-// each package owned its own lock.
+// What differs between them at membership and replication ticks goes
+// through the four-method Link. The data path never does: it takes Mu
+// and reads Net directly, so a hop costs what it cost when each
+// package owned its own lock.
 package overlay
 
 import (
@@ -99,7 +101,7 @@ type Link interface {
 	Ship(tc trace.Context, b core.ReplicaBatch) (int, error)
 }
 
-// Runtime is the state and the protocol both cluster runtimes share.
+// Runtime is the state and the protocol every cluster shares.
 // The exported fields are what their data paths read; everything else
 // goes through the methods.
 type Runtime struct {
@@ -112,12 +114,12 @@ type Runtime struct {
 	Met   *obs.Metrics    // nil disables metrics
 	Rec   *trace.Recorder // nil disables span recording
 	Store *persist.Store  // durability layer; nil = in-memory only
+	Gate  bool            // enforce peer capacity on discoveries
 	// Quit is closed by Halt; every blocking wait selects on it.
 	Quit chan struct{}
 
 	link    Link
 	place   lb.Strategy // join placement hook; nil = uniform random
-	gate    bool        // enforce peer capacity on discoveries
 	restore bool
 	halt    sync.Once
 }
@@ -129,15 +131,24 @@ type Runtime struct {
 // dlptlint:exclusive — the runtime is under construction and has not
 // escaped.
 func (r *Runtime) Init(alpha *keys.Alphabet, seed int64, opts Options) {
-	r.Net = core.NewNetwork(alpha, core.PlacementLexicographic)
+	r.Adopt(core.NewNetwork(alpha, core.PlacementLexicographic), seed, opts)
+}
+
+// Adopt is Init over a network the caller built (engine/local's Wrap).
+// The caller keeps the network's peer lifecycle and calls Attach with
+// no capacities.
+//
+// dlptlint:exclusive — as Init.
+func (r *Runtime) Adopt(net *core.Network, seed int64, opts Options) {
+	r.Net = net
 	r.Rng = rand.New(rand.NewSource(seed))
 	r.Met, r.Rec, r.Store = opts.Obs, opts.Trace, opts.Persist
-	r.place, r.gate, r.restore = opts.Placement, opts.Gate, opts.Restore
+	r.place, r.Gate, r.restore = opts.Placement, opts.Gate, opts.Restore
 	r.Quit = make(chan struct{})
 	// The network inherits the instrumentation so every query walker
 	// built over it records phase spans and counters.
 	r.Net.Obs, r.Net.Tracer = r.Met, r.Rec
-	RegisterCollectors(r.Met, r.PeerSummaries, r.ReplicationStats)
+	r.registerCollectors()
 }
 
 // Attach wires the link and populates the ring through it: one join
@@ -177,19 +188,18 @@ func (r *Runtime) Attach(link Link, capacities []int) error {
 	return nil
 }
 
-// RegisterCollectors mirrors state the hot paths do not instrument
+// registerCollectors mirrors state the hot paths do not instrument
 // into the registry at scrape time: the per-peer visit load and node
 // gauges (replaced wholesale, so balance renames never leave stale
 // series) and the core's never-reset replication counters (mirrored
 // with Set, so they stay monotonic across crash/recover and Balance).
-// The callbacks run at scrape time under the caller's own locking.
-func RegisterCollectors(m *obs.Metrics,
-	peers func() []core.PeerSummary, repl func() core.ReplicationCounters) {
+func (r *Runtime) registerCollectors() {
+	m := r.Met
 	if m == nil {
 		return
 	}
 	m.Registry.OnScrape(func() {
-		sums := peers()
+		sums := r.PeerSummaries()
 		loads := make(map[string]float64, len(sums))
 		nodes := make(map[string]float64, len(sums))
 		for _, s := range sums {
@@ -200,7 +210,7 @@ func RegisterCollectors(m *obs.Metrics,
 			"Discovery visits received per peer in the last load unit.", "peer", loads)
 		m.Registry.ReplaceGauges(obs.SeriesPeerNodes,
 			"Tree nodes hosted per peer.", "peer", nodes)
-		rs := repl()
+		rs := r.ReplicationStats()
 		m.ReplicaSnapshotMsgs.Set(float64(rs.SnapshotMsgs))
 		m.ReplicaTransferMsgs.Set(float64(rs.TransferMsgs))
 		m.ReplicaTransferNodes.Set(float64(rs.TransferredNodes))
@@ -343,7 +353,7 @@ func (r *Runtime) Replicate() (int, error) {
 	tick.End()
 	r.Mu.Lock()
 	r.Net.CompactReplicas()
-	commit, err := BeginSnapshot(r.Net, r.Store)
+	commit, err := r.beginSnapshotLocked()
 	r.Mu.Unlock()
 	if err != nil {
 		return total, err
@@ -351,18 +361,19 @@ func (r *Runtime) Replicate() (int, error) {
 	return total, commit()
 }
 
-// ReplicateLocal runs one replication tick wholly in-process: plan,
-// install, compact and, on a durable cluster, the snapshot — the core
-// path engine/local uses. The daemon deployment calls this on every
-// process: each holds a full mirror, so shipping batches to peers that
-// already have identical state would be pure overhead.
+// ReplicateLocal runs one replication tick under a single hold of the
+// write lock, bypassing the link: core.Network.Replicate (plan, install,
+// compact) and, on a durable cluster, the snapshot. The daemon
+// deployment calls this on every process: each holds a full mirror, so
+// shipping batches to peers that already have identical state would be
+// pure overhead.
 func (r *Runtime) ReplicateLocal() (int, error) {
 	if r.Stopped() {
 		return 0, ErrStopped
 	}
 	r.Mu.Lock()
 	n := r.Net.Replicate()
-	commit, err := BeginSnapshot(r.Net, r.Store)
+	commit, err := r.beginSnapshotLocked()
 	r.Mu.Unlock()
 	if err != nil {
 		return n, err
@@ -379,23 +390,23 @@ func (r *Runtime) InstallReplicas(b core.ReplicaBatch) int {
 	return r.Net.AcceptReplicas(b.From, b.To, b.Infos)
 }
 
-// BeginSnapshot is the tail of a replication tick on a durable
-// overlay. The caller holds the lock that serializes net's mutations,
-// so the capture and the journal rotation are atomic: a racing
-// mutation journals either into the epoch this snapshot supersedes and
-// is contained in the capture, or into the new epoch and replays on
-// top of it. The capture is O(1) (a copy-on-write catalogue image);
-// commit encodes and fsyncs and is to be called after the lock is
-// released, so the write stall is independent of the catalogue size.
-// commit also stamps the tick as completed, with or without a store.
-func BeginSnapshot(net *core.Network, store *persist.Store) (commit func() error, err error) {
-	met := net.Obs
-	if store == nil {
+// beginSnapshotLocked is the tail of a replication tick on a durable
+// overlay. The caller holds Mu's write side, so the capture and the
+// journal rotation are atomic: a racing mutation journals either into
+// the epoch this snapshot supersedes and is contained in the capture,
+// or into the new epoch and replays on top of it. The capture is O(1)
+// (a copy-on-write catalogue image); commit encodes and fsyncs and is
+// to be called after the lock is released, so the write stall is
+// independent of the catalogue size. commit also stamps the tick as
+// completed, with or without a store.
+func (r *Runtime) beginSnapshotLocked() (commit func() error, err error) {
+	met := r.Met
+	if r.Store == nil {
 		return func() error { met.MarkReplicated(); return nil }, nil
 	}
 	start := time.Now()
-	peers, cat := net.CaptureSnapshot()
-	pending, err := store.BeginSnapshot()
+	peers, cat := r.Net.CaptureSnapshot()
+	pending, err := r.Store.BeginSnapshot()
 	if err != nil {
 		return nil, err
 	}
@@ -555,7 +566,7 @@ func (r *Runtime) StepLocked(peer *core.Peer, node *core.Node, key keys.Key, goi
 	if r.Met != nil {
 		r.Met.Visits.Inc()
 	}
-	if r.gate && !peer.TryProcess() {
+	if r.Gate && !peer.TryProcess() {
 		// Section 4's request model: the visit is received (load
 		// recorded above) but a saturated peer ignores the request.
 		if r.Met != nil {

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
+	"dlpt/internal/obs"
 	"dlpt/internal/trace"
 )
 
@@ -49,7 +51,7 @@ func (f *fakeLink) Ship(_ trace.Context, b core.ReplicaBatch) (int, error) {
 func start(t *testing.T, n, nkeys int) (*Runtime, *fakeLink) {
 	t.Helper()
 	r := new(Runtime)
-	r.Init(keys.LowerAlnum, 7, Options{})
+	r.Init(keys.LowerAlnum, 7, Options{Obs: obs.NewMetrics(obs.NewRegistry())})
 	f := &fakeLink{rt: r}
 	caps := make([]int, n)
 	for i := range caps {
@@ -201,37 +203,44 @@ func TestAddPeerEndpointFailureLeavesRingUnchanged(t *testing.T) {
 	}
 }
 
-// Every mutation refuses a stopped runtime, and leaves the tree alone.
-func TestStoppedRuntimeRefusesMutations(t *testing.T) {
-	r, _ := start(t, 3, 10)
-	r.Halt()
-	if r.Halt() {
-		t.Fatal("second Halt reported it closed Quit")
-	}
-	check := func(op string, err error) {
-		t.Helper()
-		if !errors.Is(err, ErrStopped) {
-			t.Errorf("%s after stop = %v", op, err)
+// However a stream ends — drained, closed early, its context
+// cancelled, the cluster stopped under it — it reports the matching
+// error, yields nothing more, and observes the query latency exactly
+// once, whatever the consumer calls afterwards.
+func TestStreamEndsOnce(t *testing.T) {
+	r, _ := start(t, 3, 100) // several chunks
+	for _, tc := range []struct {
+		name string
+		end  func(s *Stream, cancel func()) // after the first key
+		keys int
+		err  error
+	}{
+		{"drained", func(*Stream, func()) {}, 100, nil},
+		{"closed", func(s *Stream, _ func()) { s.Close() }, 1, nil},
+		{"cancelled", func(_ *Stream, cancel func()) { cancel() }, chunkKeys, context.Canceled},
+		{"stopped", func(*Stream, func()) { r.Halt() }, chunkKeys, ErrStopped},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		before := r.Met.QueryLatency.Count()
+		r.Mu.Lock()
+		w := core.NewQueryWalker(r.Net, core.QuerySpec{})
+		entry, _ := r.Net.RandomNodeKey(r.Rng)
+		w.Start(entry)
+		r.Mu.Unlock()
+		s := r.Stream(ctx, w)
+		n := 0
+		for _, ok := s.Next(); ok; _, ok = s.Next() {
+			if n++; n == 1 {
+				tc.end(s, cancel)
+			}
 		}
-	}
-	check("Register", r.Register("late", "v"))
-	check("RegisterBatch", r.RegisterBatch([]core.KV{{Key: "late", Value: "v"}}))
-	_, err := r.Unregister("svc000", "v")
-	check("Unregister", err)
-	_, err = r.AddPeer(10)
-	check("AddPeer", err)
-	check("RemovePeer", r.RemovePeer(r.PeerSummaries()[0].ID))
-	check("FailPeer", r.FailPeer(r.PeerSummaries()[0].ID))
-	_, _, err = r.Recover()
-	check("Recover", err)
-	_, err = r.Replicate()
-	check("Replicate", err)
-	_, err = r.ReplicateLocal()
-	check("ReplicateLocal", err)
-	check("ResetUnit", r.ResetUnit())
-	_, err = r.Balance("MLT")
-	check("Balance", err)
-	if n := r.Snapshot().NumKeys(); n != 10 {
-		t.Fatalf("tree holds %d keys after refused mutations, want 10", n)
+		s.Close()
+		if _, ok := s.Next(); ok || n != tc.keys || !errors.Is(s.Err(), tc.err) {
+			t.Errorf("%s: %d keys (want %d), err %v (want %v), more after the end: %v", tc.name, n, tc.keys, s.Err(), tc.err, ok)
+		}
+		if got := r.Met.QueryLatency.Count() - before; got != 1 {
+			t.Errorf("%s: query latency observed %d times", tc.name, got)
+		}
 	}
 }

@@ -8,8 +8,11 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"dlpt/internal/keys"
 	"dlpt/internal/obs"
+	"dlpt/internal/workload"
 )
 
 // scrapeMetrics GETs the exposition endpoint and returns the body.
@@ -219,4 +222,64 @@ func TestObsSnapshotWithoutObservability(t *testing.T) {
 	if _, found, err := reg.Discover(ctx, "svc"); err != nil || !found {
 		t.Fatalf("discover uninstrumented: %v %v", err, found)
 	}
+}
+
+// TestStreamInstrumentationOnEveryEnding holds every engine to one
+// account of a streaming query: drained or abandoned on the first key,
+// it observes dlpt_query_latency_seconds{op="query"} exactly once and
+// ends the span of the phase the walker was in (a "walk" span per
+// query: keys only come out of the subtree walk). The tcp engine
+// settles the server side after the consumer returns, hence the wait.
+func TestStreamInstrumentationOnEveryEnding(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, kind EngineKind) {
+		ctx := context.Background()
+		ob := NewObservability()
+		reg := newRegistry(t, 4, WithSeed(33), WithAlphabet(keys.LowerAlnum),
+			WithEngine(kind), WithObservability(ob))
+		corpus := workload.GridCorpus(300)
+		batch := make([]Registration, len(corpus))
+		for i, k := range corpus {
+			batch[i] = Registration{Name: string(k), Endpoint: "ep"}
+		}
+		if err := reg.RegisterBatch(ctx, batch); err != nil {
+			t.Fatal(err)
+		}
+		counts := func() (latency float64, walks int) {
+			for _, sp := range ob.Trace.Spans() {
+				if sp.Phase == obs.PhaseWalk {
+					walks++
+				}
+			}
+			return reg.ObsSnapshot().Get(obs.SeriesQueryLatency + `_count{op="query"}`), walks
+		}
+		for _, tc := range []struct {
+			name  string
+			pulls int // keys consumed before leaving the loop; 0 drains
+		}{{"drained", 0}, {"break on the first key", 1}} {
+			lat0, walks0 := counts()
+			n := 0
+			for _, err := range reg.CompleteSeq(ctx, "", 0) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n++; n == tc.pulls {
+					break
+				}
+			}
+			if tc.pulls == 0 && n != len(corpus) {
+				t.Fatalf("%s: %d keys, want %d", tc.name, n, len(corpus))
+			}
+			lat, walks := counts()
+			for deadline := time.Now().Add(2 * time.Second); (lat < lat0+1 || walks < walks0+1) && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+				lat, walks = counts()
+			}
+			if lat != lat0+1 {
+				t.Errorf("%s: query latency observed %v times, want once", tc.name, lat-lat0)
+			}
+			if walks != walks0+1 {
+				t.Errorf("%s: %d walk spans ended, want one", tc.name, walks-walks0)
+			}
+		}
+	})
 }
