@@ -7,13 +7,13 @@
 //
 //	dlptsim [-quick] [-format gnuplot|csv] [-seed N] fig4..fig9|table1|table2|ablation|objective|engines|all
 //	dlptsim churn [-engine local|live|tcp] [-peers N] [-ops N] [-strategy MLT] ...
-//	dlptsim bench [-json] [-out BENCH_engines.json] [-quick] ...
 //
 // The default scale matches the paper (100 peers, 1000 keys, 30-100
-// runs); -quick runs a reduced scale in a few seconds. The churn
+// runs); -quick runs a reduced scale in a few seconds. engines prints
+// the three execution engines side by side on one workload. The churn
 // subcommand soaks an engine under membership churn (joins, graceful
-// leaves, crashes, recoveries, periodic balancing); bench runs the
-// cross-engine comparison and emits machine-readable results.
+// leaves, crashes, recoveries, periodic balancing). Performance is
+// measured by benchmark/ (see benchmark/README.md), not here.
 package main
 
 import (
@@ -34,8 +34,7 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: dlptsim [flags] fig4|fig5|fig6|fig7|fig8|fig9|table1|table2|ablation|objective|engines|all\n"+
-				"       dlptsim churn [churn flags]\n"+
-				"       dlptsim bench [bench flags]\n")
+				"       dlptsim churn [churn flags]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -45,20 +44,15 @@ func main() {
 	}
 	var err error
 	switch flag.Arg(0) {
-	case "churn", "bench":
-		// Subcommands own their flags; top-level flags before the
-		// subcommand would be silently dropped, so refuse them.
+	case "churn":
+		// The subcommand owns its flags; top-level flags before it
+		// would be silently dropped, so refuse them.
 		if flag.NFlag() > 0 {
-			fmt.Fprintf(os.Stderr,
-				"dlptsim: pass flags after the subcommand, e.g. dlptsim %s -seed 7\n",
-				flag.Arg(0))
+			fmt.Fprintln(os.Stderr,
+				"dlptsim: pass flags after the subcommand, e.g. dlptsim churn -seed 7")
 			os.Exit(2)
 		}
-		if flag.Arg(0) == "churn" {
-			err = runChurn(flag.Args()[1:], os.Stdout)
-		} else {
-			err = runBench(flag.Args()[1:], os.Stdout)
-		}
+		err = runChurn(flag.Args()[1:], os.Stdout)
 	default:
 		if flag.NArg() != 1 {
 			flag.Usage()

@@ -6,9 +6,13 @@ import (
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
-	var b strings.Builder
-	if err := run("nope", true, "gnuplot", 1, &b); err == nil {
-		t.Fatalf("unknown experiment must error")
+	// "bench": performance is measured by benchmark/, the usage text
+	// lists no such name, and it must not resolve to anything.
+	for _, name := range []string{"nope", "bench"} {
+		var b strings.Builder
+		if err := run(name, true, "gnuplot", 1, &b); err == nil {
+			t.Fatalf("unknown experiment %q must error", name)
+		}
 	}
 }
 

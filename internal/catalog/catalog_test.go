@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"dlpt/internal/workload"
 )
 
 // corpus builds a service-name-like key set with heavy prefix
@@ -113,7 +115,11 @@ func TestEmptyCatalogue(t *testing.T) {
 
 // TestSuccinctSizeWin pins the reason this codec exists: on a
 // prefix-sharing corpus with shared endpoint values, the succinct
-// form must be at least 5x smaller than the legacy form.
+// form must be at least 5x smaller than the legacy form, and a
+// snapshot of the 10k-key grid catalogue behind one shared endpoint —
+// the key structure alone, which is what the trie compresses — costs
+// at most 3 bytes a key (the verbose encoding LOUDS replaced cost 14).
+// Encoded sizes are deterministic, so the ceiling needs no allowance.
 func TestSuccinctSizeWin(t *testing.T) {
 	entries := entriesFor(corpus(10000), false)
 	legacy := len(Append(nil, Legacy, entries, SecValues))
@@ -123,6 +129,17 @@ func TestSuccinctSizeWin(t *testing.T) {
 		float64(legacy)/float64(louds))
 	if louds*5 > legacy {
 		t.Fatalf("succinct codec too large: legacy=%d louds=%d (<5x)", legacy, louds)
+	}
+
+	grid := workload.GridCorpus(10000)
+	shared := make([]Entry, len(grid))
+	for i, k := range grid {
+		shared[i] = Entry{Key: string(k), Values: []string{"ep"}}
+	}
+	perKey := float64(len(Append(nil, LOUDS, shared, SecValues))) / float64(len(grid))
+	t.Logf("shared endpoint: %.2f bytes/key", perKey)
+	if perKey > 3 {
+		t.Fatalf("snapshot costs %.2f B/key on %d keys (ceiling 3)", perKey, len(grid))
 	}
 }
 

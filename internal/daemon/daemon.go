@@ -589,10 +589,10 @@ func (d *Daemon) handleJoin(payload []byte) (byte, []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return reject("daemon: shutting down", "")
+		return reject(ackShuttingDown, "")
 	}
 	if !d.steward {
-		return reject("daemon: not steward", d.stewardAddr)
+		return reject(ackNotSteward, d.stewardAddr)
 	}
 	if jr.Version != transport.HandshakeVersion {
 		return reject(fmt.Sprintf("%shandshake version %d, want %d",
@@ -658,7 +658,7 @@ func (d *Daemon) handleLeave(payload []byte) (byte, []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !d.steward {
-		return transport.FrameAck, transport.EncodeAck("daemon: not steward")
+		return transport.FrameAck, transport.EncodeAck(ackNotSteward)
 	}
 	if notice.Epoch < d.epoch {
 		return transport.FrameAck, transport.EncodeAck(staleEpochAck(d.epoch, d.stewardAddr))
@@ -698,7 +698,7 @@ func (d *Daemon) handleApply(payload []byte) (byte, []byte) {
 		// fencing does not apply: the steward serializes them under its
 		// own epoch.
 		if !d.steward {
-			return ack("daemon: not steward")
+			return ack(ackNotSteward)
 		}
 		if rec.Op != transport.OpRegister && rec.Op != transport.OpUnregister {
 			return ack("daemon: only catalogue mutations originate remotely")
@@ -713,7 +713,7 @@ func (d *Daemon) handleApply(payload []byte) (byte, []byte) {
 			// write was never committed under a live epoch. Refuse it —
 			// the originator retries against the new steward, and the
 			// rejoin reset discards this mirror's divergence.
-			return ack("daemon: deposed during broadcast, retry")
+			return ack(ackDeposed)
 		}
 		return ack("")
 	}
@@ -827,22 +827,14 @@ func (d *Daemon) broadcastLocked(rec *transport.ApplyRecord) bool {
 	var deposedSteward string
 	for _, id := range ids {
 		m := d.members[id]
-		ctx, cancel := context.WithTimeout(d.ctx, 5*time.Second)
-		rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, m.Addr, transport.FrameApply, payload)
-		cancel()
+		es, err := d.ackRoundTrip(5*time.Second, m.Addr, transport.FrameApply, payload)
 		if err != nil {
 			d.logf("dlptd: apply seq %d to %s (%s) failed: %v", rec.Seq, id, m.Addr, err)
-			continue
-		}
-		if rtyp == transport.FrameAck {
-			if es, derr := transport.DecodeAck(rp); derr == nil && es != "" {
-				if e, saddr, ok := parseStaleEpoch(es); ok && e > d.epoch {
-					deposedEpoch, deposedSteward = e, saddr
-					d.logf("dlptd: apply seq %d fenced by %s: %s", rec.Seq, id, es)
-					continue
-				}
-				d.logf("dlptd: apply seq %d refused by %s: %s", rec.Seq, id, es)
-			}
+		} else if e, saddr, ok := parseStaleEpoch(es); ok && e > d.epoch {
+			deposedEpoch, deposedSteward = e, saddr
+			d.logf("dlptd: apply seq %d fenced by %s: %s", rec.Seq, id, es)
+		} else if es != "" {
+			d.logf("dlptd: apply seq %d refused by %s: %s", rec.Seq, id, es)
 		}
 	}
 	if deposedEpoch > d.epoch {
@@ -850,6 +842,29 @@ func (d *Daemon) broadcastLocked(rec *transport.ApplyRecord) bool {
 		return true
 	}
 	return false
+}
+
+// errBadAck marks a reply that is not a decodable ACK frame: the peer
+// answered, so it is a protocol fault and not a link failure.
+var errBadAck = errors.New("daemon: malformed ack")
+
+// ackRoundTrip sends one control frame and waits up to timeout for
+// its ACK. refusal is the receiver's in-band answer ("" means
+// accepted); err reports that no answer was obtained.
+func (d *Daemon) ackRoundTrip(timeout time.Duration, addr string, typ byte, payload []byte) (refusal string, err error) {
+	ctx, cancel := context.WithTimeout(d.ctx, timeout)
+	defer cancel()
+	rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, addr, typ, payload)
+	if err != nil {
+		return "", err
+	}
+	if rtyp != transport.FrameAck {
+		return "", fmt.Errorf("%w: reply frame %d", errBadAck, rtyp)
+	}
+	if refusal, err = transport.DecodeAck(rp); err != nil {
+		return "", fmt.Errorf("%w: %v", errBadAck, err)
+	}
+	return refusal, nil
 }
 
 // probe is the link-maintenance health check: one STATUS round-trip
@@ -1057,15 +1072,11 @@ func (d *Daemon) Close() error {
 	d.mu.Unlock()
 	if !steward {
 		payload := transport.EncodeLeave(&transport.LeaveNotice{ID: selfID, Addr: selfAddr, Epoch: epoch})
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, stewardAddr, transport.FrameLeave, payload)
-		cancel()
+		es, err := d.ackRoundTrip(5*time.Second, stewardAddr, transport.FrameLeave, payload)
 		if err != nil {
 			d.logf("dlptd: graceful leave failed: %v", err)
-		} else if rtyp == transport.FrameAck {
-			if es, derr := transport.DecodeAck(rp); derr == nil && es != "" {
-				d.logf("dlptd: leave refused: %s", es)
-			}
+		} else if es != "" {
+			d.logf("dlptd: leave refused: %s", es)
 		}
 	}
 	d.cancel()
@@ -1269,7 +1280,7 @@ func (d *Daemon) mutate(op byte, key, value string) error {
 		d.mu.Lock()
 		if d.closed {
 			d.mu.Unlock()
-			return errors.New("daemon: shutting down")
+			return errors.New(ackShuttingDown)
 		}
 		if d.steward {
 			rec := &transport.ApplyRecord{Op: op, Key: keys.Key(key), Value: value}
@@ -1288,20 +1299,28 @@ func (d *Daemon) mutate(op byte, key, value string) error {
 			// live epoch (the rejoin reset discards the local apply).
 			// Fall through to the retry loop — the next attempt forwards
 			// to the steward that fenced us.
-			lastErr = errors.New("daemon: deposed during broadcast")
+			lastErr = errors.New(ackDeposed)
 		} else {
 			stewardAddr := d.stewardAddr
 			d.mu.Unlock()
-			lastErr = d.forwardOnce(stewardAddr, op, key, value)
-			if lastErr == nil {
+			payload := transport.EncodeApply(&transport.ApplyRecord{Op: op, Key: keys.Key(key), Value: value})
+			es, err := d.ackRoundTrip(5*time.Second, stewardAddr, transport.FrameApply, payload)
+			switch {
+			case errors.Is(err, errBadAck):
+				return err
+			case err != nil: // no answer: a failover window looks like this
+				lastErr = fmt.Errorf("daemon: forward to steward: %w", err)
+			case es == "":
 				return nil
-			}
-			retry, hintEpoch, hintAddr := retryableForwardErr(lastErr)
-			if !retry {
-				return lastErr
-			}
-			if hintAddr != "" {
-				d.noteEpoch(hintEpoch, hintAddr)
+			default:
+				lastErr = errors.New(es)
+				retry, hintEpoch, hintAddr := retryableRefusal(es)
+				if !retry {
+					return lastErr
+				}
+				if hintAddr != "" {
+					d.noteEpoch(hintEpoch, hintAddr)
+				}
 			}
 			d.cluster.DropEndpointAddr(stewardAddr)
 		}
@@ -1316,43 +1335,27 @@ func (d *Daemon) mutate(op byte, key, value string) error {
 	}
 }
 
-// forwardOnce sends one origination APPLY to the presumed steward.
-func (d *Daemon) forwardOnce(stewardAddr string, op byte, key, value string) error {
-	payload := transport.EncodeApply(&transport.ApplyRecord{Op: op, Key: keys.Key(key), Value: value})
-	ctx, cancel := context.WithTimeout(d.ctx, 5*time.Second)
-	defer cancel()
-	rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, stewardAddr, transport.FrameApply, payload)
-	if err != nil {
-		return fmt.Errorf("daemon: forward to steward: %w", err)
-	}
-	if rtyp != transport.FrameAck {
-		return fmt.Errorf("daemon: forward reply frame %d", rtyp)
-	}
-	es, err := transport.DecodeAck(rp)
-	if err != nil {
-		return err
-	}
-	if es != "" {
-		return fmt.Errorf("%s", es)
-	}
-	return nil
-}
+// Steward-churn refusals: in-band answers that say nothing about the
+// mutation and heal once the failover settles.
+const (
+	ackNotSteward   = "daemon: not steward"
+	ackDeposed      = "daemon: deposed during broadcast, retry"
+	ackShuttingDown = "daemon: shutting down"
+)
 
-// retryableForwardErr classifies a forwarding failure: transport
-// errors and steward-churn refusals heal after the failover settles,
-// so the origination loop keeps retrying them; anything else is a
-// semantic refusal surfaced immediately. A stale-epoch fence also
-// yields the refuser's (epoch, steward address) hint.
-func retryableForwardErr(err error) (retry bool, hintEpoch uint64, hintAddr string) {
-	msg := err.Error()
-	if e, saddr, ok := parseStaleEpoch(msg); ok {
+// retryableRefusal classifies the steward's in-band refusal of a
+// forwarded mutation: the origination loop keeps retrying steward
+// churn; anything else is a semantic refusal surfaced immediately. A
+// stale-epoch fence also yields the refuser's (epoch, steward address)
+// hint. The match is on the whole fixed strings the daemon emits, never
+// on a substring: a semantic refusal quotes client input, which may
+// spell any phrase.
+func retryableRefusal(es string) (retry bool, hintEpoch uint64, hintAddr string) {
+	if e, saddr, ok := parseStaleEpoch(es); ok {
 		return true, e, saddr
 	}
-	switch {
-	case strings.Contains(msg, "forward to steward"), // transport failure
-		strings.Contains(msg, "daemon: not steward"),
-		strings.Contains(msg, "deposed during broadcast"),
-		strings.Contains(msg, "daemon: shutting down"):
+	switch es {
+	case ackNotSteward, ackDeposed, ackShuttingDown:
 		return true, 0, ""
 	}
 	return false, 0, ""

@@ -391,18 +391,14 @@ func (d *Daemon) replayLocked(m transport.Member, afterSeq uint64) {
 	for i := range gap {
 		rec := gap[i]
 		rec.Epoch = d.epoch
-		ctx, cancel := context.WithTimeout(d.ctx, 5*time.Second)
-		rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, m.Addr, transport.FrameApply, transport.EncodeApply(&rec))
-		cancel()
+		es, err := d.ackRoundTrip(5*time.Second, m.Addr, transport.FrameApply, transport.EncodeApply(&rec))
 		if err != nil {
 			d.logf("dlptd: replay seq %d to %s failed: %v", rec.Seq, m.Addr, err)
 			return
 		}
-		if rtyp == transport.FrameAck {
-			if es, derr := transport.DecodeAck(rp); derr == nil && es != "" {
-				d.logf("dlptd: replay seq %d refused by %s: %s", rec.Seq, m.Addr, es)
-				return
-			}
+		if es != "" {
+			d.logf("dlptd: replay seq %d refused by %s: %s", rec.Seq, m.Addr, es)
+			return
 		}
 	}
 }
@@ -412,18 +408,10 @@ func (d *Daemon) replayLocked(m transport.Member, afterSeq uint64) {
 // so the overlay's membership is undisturbed.
 func (d *Daemon) resyncLocked(m transport.Member, payload []byte) {
 	d.logf("dlptd: resyncing %s at %s to epoch %d seq %d", m.ID, m.Addr, d.epoch, d.seq)
-	ctx, cancel := context.WithTimeout(d.ctx, 10*time.Second)
-	rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, m.Addr, transport.FrameResync, payload)
-	cancel()
+	es, err := d.ackRoundTrip(10*time.Second, m.Addr, transport.FrameResync, payload)
 	if err != nil {
 		d.logf("dlptd: resync %s failed: %v", m.Addr, err)
-		return
-	}
-	if rtyp != transport.FrameAck {
-		d.logf("dlptd: resync %s: reply frame %d", m.Addr, rtyp)
-		return
-	}
-	if es, derr := transport.DecodeAck(rp); derr == nil && es != "" {
+	} else if es != "" {
 		d.logf("dlptd: resync %s refused: %s", m.Addr, es)
 	}
 }
@@ -447,7 +435,7 @@ func (d *Daemon) handleElect(payload []byte) (byte, []byte) {
 	regrant := er.Epoch > d.epoch && er.Epoch == d.promised && d.promisedTo == er.Addr
 	switch {
 	case d.closed:
-		rep.Err = "daemon: shutting down"
+		rep.Err = ackShuttingDown
 	case d.steward:
 		rep.Err = "daemon: i am steward"
 		rep.StewardAddr = d.selfAddr
@@ -479,7 +467,7 @@ func (d *Daemon) handleEpochOpen(payload []byte) (byte, []byte) {
 	rep := &transport.EpochOpenReply{Seq: d.seq}
 	switch {
 	case d.closed:
-		rep.Err = "daemon: shutting down"
+		rep.Err = ackShuttingDown
 	case eo.Epoch < d.epoch:
 		rep.Err = staleEpochAck(d.epoch, d.stewardAddr)
 	case d.steward:
@@ -513,7 +501,7 @@ func (d *Daemon) handleResync(payload []byte) (byte, []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ack("daemon: shutting down")
+		return ack(ackShuttingDown)
 	}
 	if rs.Epoch < d.epoch {
 		return ack(staleEpochAck(d.epoch, d.stewardAddr))

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -388,6 +389,27 @@ func TestOriginationReportsErrNoSteward(t *testing.T) {
 	}
 	if member.IsSteward() {
 		t.Fatalf("two-daemon overlay must not fail over (no quorum)")
+	}
+}
+
+// A steward refusal that quotes client input is still a semantic
+// refusal: a key spelling one of the retry phrases, invalid in the
+// overlay's alphabet, fails at once with the alphabet error instead of
+// being retried as steward churn for the whole ForwardRetry budget.
+func TestRefusalQuotingRetryPhraseFailsFast(t *testing.T) {
+	steward := startDaemon(t, failoverConfig(1))
+	member := startDaemon(t, failoverConfig(2, steward.Addr()))
+
+	start := time.Now()
+	err := member.mutate(transport.OpRegister, "daemon: not steward", "v")
+	if err == nil || !strings.Contains(err.Error(), "not in alphabet") {
+		t.Fatalf("want the alphabet refusal, got %v", err)
+	}
+	if errors.Is(err, ErrNoSteward) {
+		t.Fatalf("semantic refusal reported as steward churn: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("refusal took %v: retried as if the steward were churning", elapsed)
 	}
 }
 

@@ -55,6 +55,12 @@ func (c *Cluster) serveQuery(ctx context.Context, sc *serverConn, id uint64,
 		sc.amu.Unlock()
 		stream.cancel()
 	}()
+	if !q.Walk {
+		// Clients resolve the covering node by QROUTE before they open
+		// a stream; a QUERY that skipped it is refused in-band.
+		_ = sc.fc.writeStream(id, nil, &streamEnd{Err: "transport: QUERY without a routed anchor"}, true)
+		return
+	}
 	w := core.NewQueryWalker(c.Net, core.QuerySpec{
 		Range:  q.Range,
 		Prefix: q.Prefix,
@@ -68,19 +74,15 @@ func (c *Cluster) serveQuery(ctx context.Context, sc *serverConn, id uint64,
 	w.TraceUnder(tc)
 	defer w.FinishTrace()
 	if !w.Empty() {
+		// The climb/descend phases ran hop by hop as a QROUTE frame;
+		// resume directly in the subtree walk at the covering node,
+		// folding the route's counters in.
 		c.Mu.RLock()
-		if q.Walk {
-			// The climb/descend phases ran hop by hop as a QROUTE
-			// frame; resume directly in the subtree walk at the
-			// covering node, folding the route's counters in.
-			w.ResumeWalk(q.Entry, core.QueryResult{
-				LogicalHops:  q.Logical,
-				PhysicalHops: q.Physical,
-				NodesVisited: q.Visited,
-			})
-		} else {
-			w.Start(q.Entry)
-		}
+		w.ResumeWalk(q.Entry, core.QueryResult{
+			LogicalHops:  q.Logical,
+			PhysicalHops: q.Physical,
+			NodesVisited: q.Visited,
+		})
 		c.Mu.RUnlock()
 	}
 	var out []keys.Key // one batch buffer for the whole stream

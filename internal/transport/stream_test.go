@@ -238,14 +238,28 @@ func dialWire(t *testing.T, c *Cluster) *wireClient {
 	return &wireClient{t: t, fc: newFrameConn(conn)}
 }
 
-// next reads one frame of stream id: a STREAM batch, or ok == false
-// when nothing arrives within wait (the server is out of credit).
-func (w *wireClient) next(id uint64, wait time.Duration) (batch []keys.Key, end bool, ok bool) {
+// rootQuery is the QUERY a client sends for a catalogue-wide walk once
+// its QROUTE phase has resolved the covering node: the root.
+func rootQuery(t *testing.T, c *Cluster, limit int) *queryReq {
+	t.Helper()
+	c.Mu.RLock()
+	defer c.Mu.RUnlock()
+	root, ok := c.Net.Root()
+	if !ok {
+		t.Fatal("empty overlay")
+	}
+	return &queryReq{Entry: root, Walk: true, Limit: limit}
+}
+
+// next reads one frame of stream id: a STREAM batch, the STREAM_END
+// (end != nil), or ok == false when nothing arrives within wait (the
+// server is out of credit).
+func (w *wireClient) next(id uint64, wait time.Duration) (batch []keys.Key, end *streamEnd, ok bool) {
 	w.t.Helper()
 	_ = w.fc.conn.SetReadDeadline(time.Now().Add(wait))
 	typ, gotID, _, payload, err := w.fc.readFrame()
 	if ne, isNet := err.(net.Error); isNet && ne.Timeout() {
-		return nil, false, false
+		return nil, nil, false
 	}
 	if err != nil {
 		w.t.Fatal(err)
@@ -259,12 +273,16 @@ func (w *wireClient) next(id uint64, wait time.Duration) (batch []keys.Key, end 
 		if err != nil {
 			w.t.Fatal(err)
 		}
-		return batch, false, true
+		return batch, nil, true
 	case frameStreamEnd:
-		return nil, true, true
+		end = &streamEnd{}
+		if err := decodeStreamEnd(payload, end); err != nil {
+			w.t.Fatal(err)
+		}
+		return nil, end, true
 	}
 	w.t.Fatalf("unexpected frame type %d", typ)
-	return nil, false, false
+	return nil, nil, false
 }
 
 // TestStreamSlowStart watches the credit window from the consumer's
@@ -281,7 +299,7 @@ func TestStreamSlowStart(t *testing.T) {
 
 	w := dialWire(t, c)
 	const id = 7
-	if err := w.fc.writeQuery(id, trace.Context{}, &queryReq{Entry: corpus[0]}); err != nil {
+	if err := w.fc.writeQuery(id, trace.Context{}, rootQuery(t, c, 0)); err != nil {
 		t.Fatal(err)
 	}
 	const stall = 100 * time.Millisecond
@@ -330,7 +348,7 @@ func TestStreamSlowStart(t *testing.T) {
 		if !ok {
 			t.Fatal("no STREAM_END after CANCEL")
 		}
-		if end {
+		if end != nil {
 			break
 		}
 	}
@@ -341,18 +359,41 @@ func TestStreamSlowStart(t *testing.T) {
 // frames back to back — the consumer needs no ACK to see the end.
 func TestStreamEndRidesLastFrame(t *testing.T) {
 	c := startTCP(t, 4)
-	corpus := registerCorpus(t, c, 500)
+	registerCorpus(t, c, 500)
 	w := dialWire(t, c)
 	const id = 9
-	if err := w.fc.writeQuery(id, trace.Context{}, &queryReq{Entry: corpus[0], Limit: 10}); err != nil {
+	if err := w.fc.writeQuery(id, trace.Context{}, rootQuery(t, c, 10)); err != nil {
 		t.Fatal(err)
 	}
 	batch, _, ok := w.next(id, 5*time.Second)
 	if !ok || len(batch) != 10 {
 		t.Fatalf("first frame: %d keys (ok=%v), want 10", len(batch), ok)
 	}
-	if _, end, ok := w.next(id, 5*time.Second); !ok || !end {
-		t.Fatalf("no STREAM_END behind the last STREAM (ok=%v end=%v)", ok, end)
+	if _, end, ok := w.next(id, 5*time.Second); !ok || end == nil || end.Err != "" {
+		t.Fatalf("no clean STREAM_END behind the last STREAM (ok=%v end=%+v)", ok, end)
+	}
+}
+
+// TestQueryWithoutWalkRefused: a QUERY whose route phase never ran
+// (Walk unset — no client sends one) walks nothing; the stream ends at
+// once with an in-band refusal and the connection stays usable.
+func TestQueryWithoutWalkRefused(t *testing.T) {
+	c := startTCP(t, 4)
+	registerCorpus(t, c, 100)
+	w := dialWire(t, c)
+	unrouted := rootQuery(t, c, 10)
+	unrouted.Walk = false
+	if err := w.fc.writeQuery(3, trace.Context{}, unrouted); err != nil {
+		t.Fatal(err)
+	}
+	if batch, end, ok := w.next(3, 5*time.Second); !ok || end == nil || end.Err == "" {
+		t.Fatalf("unrouted QUERY not refused: %d keys, ok=%v end=%+v", len(batch), ok, end)
+	}
+	if err := w.fc.writeQuery(4, trace.Context{}, rootQuery(t, c, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if batch, _, ok := w.next(4, 5*time.Second); !ok || len(batch) != 10 {
+		t.Fatalf("routed QUERY after the refusal: %d keys (ok=%v), want 10", len(batch), ok)
 	}
 }
 

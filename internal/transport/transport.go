@@ -85,13 +85,12 @@ type response struct {
 }
 
 // queryReq is the on-the-wire form of one streaming subtree query:
-// the traversal spec plus the node to run it from. With Walk set,
-// Entry is the covering node a hop-by-hop QROUTE phase resolved and
+// the traversal spec plus the node to run it from. Entry is the
+// covering node a hop-by-hop QROUTE phase resolved and
 // Logical/Physical/Visited carry the route's counters — the server
-// resumes directly in the subtree walk. Without Walk (not produced
-// by current clients, kept for protocol completeness) the server
-// runs all three phases from Entry. Either way it answers with
-// STREAM batches and one STREAM_END carrying the traversal totals.
+// resumes directly in the subtree walk and answers with STREAM batches
+// and one STREAM_END carrying the traversal totals. Walk says the
+// route ran; the server refuses a QUERY without it in its STREAM_END.
 type queryReq struct {
 	Range          bool
 	Prefix, Lo, Hi keys.Key
