@@ -2,8 +2,8 @@
 // per-peer cluster (internal/live): the default backend of the public
 // API. Writes serialize over the shared overlay runtime, discoveries
 // travel concurrently through the peer goroutines, and cancelling a
-// discovery context aborts the in-flight hop-by-hop traversal. The
-// package owns the constructor only.
+// discovery context withdraws the caller's pending entry and returns at
+// once. The package owns the constructor only.
 package live
 
 import (

@@ -2,17 +2,19 @@
 // cluster on the shared overlay runtime (internal/overlay): every peer
 // lives in the one locked core.Network, so the Link has nothing to
 // bring up, retire or re-key and a replica batch is installed where it
-// is planned. No goroutines, no sockets, fully deterministic given a
-// seed. What is local's own is the data path: a discovery is one call
-// into the sequential core (core.Network.DiscoverRandom) under the
-// write lock — the reference the differential tests hold the concurrent
-// backends' hop-by-hop transition against.
+// is planned. No goroutines (not even the runtime's sweeper: nothing is
+// ever pending), no sockets, fully deterministic given a seed. What is
+// local's own is the data path: a discovery is one call into the
+// sequential core (core.Network.DiscoverRandom) under the write lock,
+// shadowing the runtime's routed DiscoverContext — the reference the
+// differential tests hold the concurrent backends' hop-by-hop driver
+// against.
 package local
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"dlpt/engine"
@@ -74,6 +76,13 @@ func (c *cluster) Ship(_ trace.Context, b core.ReplicaBatch) (int, error) {
 	return c.InstallReplicas(b), nil
 }
 
+// Nothing is routed hop by hop here (see DiscoverContext), so no hop
+// is ever sent or answered.
+func (c *cluster) Send(context.Context, keys.Key, overlay.Hop) error { return errNoRoute }
+func (c *cluster) Reply(overlay.Hop, overlay.Reply) error            { return errNoRoute }
+
+var errNoRoute = errors.New("local: no routed path")
+
 // Stop marks the cluster stopped. It is idempotent.
 func (c *cluster) Stop() { c.Halt() }
 
@@ -114,7 +123,6 @@ func (c *cluster) DiscoverContext(ctx context.Context, key keys.Key) (overlay.Re
 	}
 	if res.Satisfied && !res.Dropped {
 		out.Values, _ = c.Net.Values(key)
-		sort.Strings(out.Values)
 	}
 	return out, nil
 }

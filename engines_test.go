@@ -232,6 +232,50 @@ func TestDiscoverCancelInFlight(t *testing.T) {
 	}
 }
 
+// TestManyDiscoveriesInFlight holds the two routing engines to one
+// liveness contract: with far more discoveries in flight than any
+// queue on the way holds (512 callers; a live mailbox has 128 slots),
+// every call completes, and finds its key.
+func TestManyDiscoveriesInFlight(t *testing.T) {
+	for _, kind := range []EngineKind{EngineLive, EngineTCP} {
+		t.Run(string(kind), func(t *testing.T) {
+			ctx := context.Background()
+			reg := newRegistry(t, 8, WithSeed(5), WithAlphabet(keys.LowerAlnum), WithEngine(kind))
+			corpus := workload.GridCorpus(200)
+			for _, k := range corpus {
+				if err := reg.Register(ctx, string(k), "ep"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const callers, each = 512, 50
+			errs := make(chan error, callers)
+			for w := 0; w < callers; w++ {
+				go func(w int) {
+					for i := 0; i < each; i++ {
+						k := string(corpus[(w*31+i)%len(corpus)])
+						if _, found, err := reg.Discover(ctx, k); err != nil || !found {
+							errs <- fmt.Errorf("discover %q: found=%v err=%v", k, found, err)
+							return
+						}
+					}
+					errs <- nil
+				}(w)
+			}
+			deadline := time.After(10 * time.Second)
+			for w := 0; w < callers; w++ {
+				select {
+				case err := <-errs:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-deadline:
+					t.Fatalf("%d of %d callers still waiting after 10s: the engine is wedged", callers-w, callers)
+				}
+			}
+		})
+	}
+}
+
 // TestDiscoverDeadline exercises the context deadline path.
 func TestDiscoverDeadline(t *testing.T) {
 	reg := newRegistry(t, 4, WithSeed(2))

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"dlpt/internal/keys"
 )
@@ -101,30 +100,19 @@ func (net *Network) Lookup(k keys.Key, r *rand.Rand) ([]string, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]string, 0, len(n.Data))
-	for v := range n.Data {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out, true
+	return n.SortedValues(), true
 }
 
 // Values returns the values stored under k by direct state access on
 // the owner peer (no routing, no cost accounting). Engines use it to
 // read a node's data after a discovery already routed to it. The
-// values come back sorted: they cross the wire in responses, so the
-// set's presentation must not leak map order.
+// values come back sorted (see SortedValues).
 func (net *Network) Values(k keys.Key) ([]string, bool) {
 	n, _, ok := net.nodeState(k)
 	if !ok || !n.HasData() {
 		return nil, false
 	}
-	out := make([]string, 0, len(n.Data))
-	for v := range n.Data {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out, true
+	return n.SortedValues(), true
 }
 
 // String summarizes the network.

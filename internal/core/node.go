@@ -73,6 +73,21 @@ func NewNodeState(key keys.Key) *Node {
 // HasData reports whether any value is registered at the node.
 func (n *Node) HasData() bool { return len(n.Data) > 0 }
 
+// SortedValues returns the registered values in lexicographic order,
+// nil when there are none. They cross the wire and are compared across
+// engines, so the set's presentation must not leak map order.
+func (n *Node) SortedValues() []string {
+	if len(n.Data) == 0 {
+		return nil
+	}
+	out := make([]string, 0, len(n.Data))
+	for v := range n.Data {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // RecordVisit counts one discovery visit from a concurrent engine.
 // Safe to call under a read lock.
 func (n *Node) RecordVisit() { n.visits.Add(1) }

@@ -271,59 +271,37 @@ func (w *QueryWalker) StepN(out []keys.Key, maxEmit, maxVisits int) ([]keys.Key,
 		case phaseDone:
 			return out, false
 
-		case phaseClimb:
+		case phaseClimb, phaseDescend:
 			n, h, ok := w.net.nodeState(w.cur)
 			if !ok {
 				w.done()
 				return out, false
 			}
 			w.curHost = h.ID
-			// Climb until the current node's subtree covers the
-			// anchor (its label is a prefix of the anchor), or the root.
-			if keys.IsPrefix(n.Key, w.anchor) || !n.HasFather {
+			down := w.phase == phaseDescend
+			q, covers := RouteStep(n, w.anchor, &down)
+			if down && w.phase == phaseClimb {
 				w.phase = phaseDescend
 				w.enterPhase(obs.PhaseDescend, w.curHost)
-				continue
 			}
-			next, nextHost, ok := w.net.nodeState(n.Father)
-			if !ok {
-				w.done()
-				return out, false
+			if !covers {
+				if next, nextHost, ok := w.net.nodeState(q); ok {
+					w.res.LogicalHops++
+					w.res.NodesVisited++
+					visits++
+					if nextHost.ID != h.ID {
+						w.res.PhysicalHops++
+					}
+					w.cur, w.curHost = next.Key, nextHost.ID
+					continue
+				}
+				if !down {
+					w.done() // the father vanished: the walk yields nothing
+					return out, false
+				}
 			}
-			w.res.LogicalHops++
-			w.res.NodesVisited++
-			visits++
-			if nextHost.ID != h.ID {
-				w.res.PhysicalHops++
-			}
-			w.cur, w.curHost = next.Key, nextHost.ID
-
-		case phaseDescend:
-			// Descend towards the anchor while a single child still
-			// covers the whole query (narrowing the traversal root).
-			n, h, ok := w.net.nodeState(w.cur)
-			if !ok {
-				w.done()
-				return out, false
-			}
-			w.curHost = h.ID
-			q, ok := n.BestChildFor(w.anchor)
-			if !ok || !keys.IsPrefix(q, w.anchor) {
-				w.beginWalk(n)
-				continue
-			}
-			next, nextHost, okn := w.net.nodeState(q)
-			if !okn {
-				w.beginWalk(n)
-				continue
-			}
-			w.res.LogicalHops++
-			w.res.NodesVisited++
-			visits++
-			if nextHost.ID != h.ID {
-				w.res.PhysicalHops++
-			}
-			w.cur, w.curHost = next.Key, nextHost.ID
+			// n covers the query, or the child that would has vanished.
+			w.beginWalk(n)
 
 		case phaseWalk:
 			if len(w.stack) == 0 {
@@ -389,6 +367,29 @@ func (w *QueryWalker) ResumeWalk(anchor keys.Key, pre QueryResult) {
 	}
 	w.curHost = h.ID
 	w.beginWalk(n)
+}
+
+// RouteStep is the Section 2 transition of a subtree query standing at
+// n: climb until the node's subtree covers the anchor (its label is a
+// prefix of the anchor) or the root is reached, then descend while a
+// single child still covers the whole query, narrowing the traversal
+// root. It returns the node to move to, or covers when n is where the
+// subtree walk starts; down is the route's phase, flipped here when the
+// climb ends. The rule is pure: the drivers (the walker above, the
+// hop-by-hop route of internal/overlay) check that next still exists
+// and do the counting.
+func RouteStep(n *Node, anchor keys.Key, down *bool) (next keys.Key, covers bool) {
+	if !*down {
+		if !keys.IsPrefix(n.Key, anchor) && n.HasFather {
+			return n.Father, false
+		}
+		*down = true
+	}
+	q, ok := n.BestChildFor(anchor)
+	if !ok || !keys.IsPrefix(q, anchor) {
+		return keys.Epsilon, true
+	}
+	return q, false
 }
 
 // NodeHosted reports whether k is a live, hosted tree node — the

@@ -1,56 +1,32 @@
-// Package live is the in-process data path of the overlay runtime
-// (internal/overlay): one goroutine per peer, channel mailboxes, and
-// hop-by-hop discovery routing between goroutines — the shape a
-// deployment of the paper's protocol would take (the authors'
-// future-work prototype; see DESIGN.md substitutions).
+// Package live is the in-process link of the overlay runtime
+// (internal/overlay): one goroutine per peer and a channel mailbox each
+// — the shape a deployment of the paper's protocol would take (the
+// authors' future-work prototype; see DESIGN.md substitutions).
 //
-// Membership, replication, balancing, registration and the discovery
-// transition itself are the embedded overlay.Runtime's. This package
-// owns what is specific to goroutines and channels: the peer procs
-// behind the runtime's Link (spawn, retire and drain, re-key, replica
-// batches on the ctrl channel), mailbox forwarding and the entry draw.
-// A subtree query is the runtime's pull stream (overlay.Stream): the
-// walk reads the shared network and needs no goroutine. Correctness
-// against the sequential engine is checked by differential tests, and
-// the package is exercised under the race detector.
+// Membership, replication, balancing, registration and the routed
+// request end to end — the hop, the driver that takes it through a
+// peer, the originator and its re-issue — are the embedded
+// overlay.Runtime's. This package owns what is specific to goroutines
+// and channels: the peer procs behind the runtime's Link (spawn, retire
+// and drain, re-key, replica batches on the ctrl channel) and how a hop
+// and its answer travel: a mailbox push that never blocks the pusher,
+// and a direct call into the runtime's pending table. A subtree query
+// is the runtime's pull stream (overlay.Stream): the walk reads the
+// shared network and needs no goroutine. Correctness against the
+// sequential engine is checked by differential tests, and the package
+// is exercised under the race detector.
 package live
 
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
-	"time"
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
-	"dlpt/internal/obs"
 	"dlpt/internal/overlay"
 	"dlpt/internal/trace"
 )
-
-// discoverMsg is one in-flight discovery request. ctx is the
-// originating caller's context: every hop checks it, so cancelling
-// the discovery aborts the routed traversal mid-flight instead of
-// letting it run to completion against a departed client.
-type discoverMsg struct {
-	ctx     context.Context
-	key     keys.Key
-	at      keys.Key // node the request is addressed to
-	goingUp bool
-	// tc is the trace context of the previous hop's span (the
-	// discovery root for the first hop): each processing step parents
-	// its span under it and replaces it with its own, chaining the
-	// hops into one tree.
-	tc trace.Context
-	// redirects counts re-deliveries for a node the addressed peer
-	// does not host. Transient moves (churn, balancing) resolve in a
-	// hop or two; a crashed, unrecovered node would redirect forever,
-	// so the walk gives up past overlay.MaxRedirects.
-	redirects int
-	res       overlay.Result
-	reply     chan overlay.Result
-}
 
 // replicaMsg carries one successor replica batch to the peer that
 // must hold it (the per-peer delivery path of the Replicate tick).
@@ -66,15 +42,15 @@ type peerProc struct {
 	// Cluster.Mu's write lock (balancing renames), read under either
 	// side of it.
 	id      keys.Key
-	mailbox chan discoverMsg
+	mailbox chan overlay.Hop
 	// ctrl delivers successor replica batches to the peer goroutine,
 	// off the discovery fast path.
 	ctrl chan replicaMsg
 	// quit is closed when the peer leaves or crashes; the goroutine
 	// then drains its mailbox and exits.
 	quit chan struct{}
-	// senders tracks in-flight forwards that hold a reference to this
-	// proc, so draining can wait for the last possible send.
+	// senders tracks in-flight sends that hold a reference to this
+	// proc, so draining can wait for the last possible push.
 	senders sync.WaitGroup
 }
 
@@ -82,9 +58,6 @@ type peerProc struct {
 // peer.
 type Cluster struct {
 	overlay.Runtime
-
-	entryMu  sync.Mutex
-	entryRng *rand.Rand // guarded by entryMu (used by Discover readers)
 
 	procMu sync.RWMutex
 	procs  map[keys.Key]*peerProc // guarded by procMu
@@ -95,8 +68,9 @@ type Cluster struct {
 // ErrStopped is returned by operations on a stopped cluster.
 var ErrStopped = overlay.ErrStopped
 
-// errNoProc fails a replica shipment whose target has no goroutine
-// (any more); the runtime then installs the batch directly.
+// errNoProc fails a send whose target has no goroutine (any more): the
+// runtime installs a replica batch directly, and answers a hop with
+// Retry so its originator re-issues it.
 var errNoProc = errors.New("live: no goroutine serves the peer")
 
 const mailboxDepth = 128
@@ -111,11 +85,16 @@ func StartOpts(alpha *keys.Alphabet, capacities []int, seed int64, opts overlay.
 	if len(capacities) == 0 && !opts.Restore {
 		return nil, errors.New("live: no peers")
 	}
-	c := &Cluster{
-		entryRng: rand.New(rand.NewSource(seed + 1)),
-		procs:    make(map[keys.Key]*peerProc),
-	}
+	c := &Cluster{procs: make(map[keys.Key]*peerProc)}
 	c.Init(alpha, seed, opts)
+	// Entry points come from a second stream, so a replayed workload
+	// enters the tree at the same nodes whatever it writes in between.
+	c.SeedEntries(seed + 1)
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		c.Sweep()
+	}()
 	if err := c.Attach(link{c}, capacities); err != nil {
 		c.Stop()
 		return nil, err
@@ -131,7 +110,7 @@ type link struct{ c *Cluster }
 func (l link) PeerUp(id keys.Key) error {
 	p := &peerProc{
 		id:      id,
-		mailbox: make(chan discoverMsg, mailboxDepth),
+		mailbox: make(chan overlay.Hop, mailboxDepth),
 		ctrl:    make(chan replicaMsg),
 		quit:    make(chan struct{}),
 	}
@@ -187,6 +166,41 @@ func (l link) Ship(_ trace.Context, b core.ReplicaBatch) (int, error) {
 	}
 }
 
+// Send pushes the hop into peer to's mailbox. The pusher is often a
+// peer goroutine — possibly the very one that drains that mailbox — and
+// a goroutine that drains a mailbox must never block on one: a full
+// mailbox hands the push to a transient goroutine, so the hops keep
+// moving however many are in flight. There are never more of those
+// goroutines than hops, and a caller has one hop in flight per attempt.
+func (l link) Send(_ context.Context, to keys.Key, h overlay.Hop) error {
+	p, ok := l.c.lookupProc(to)
+	if !ok {
+		return errNoProc
+	}
+	// The sender registration taken by lookupProc lets a departed
+	// proc's drain wait out every push still holding its reference.
+	select {
+	case p.mailbox <- h:
+		p.senders.Done()
+	default:
+		go func() {
+			defer p.senders.Done()
+			select {
+			case p.mailbox <- h:
+			case <-l.c.Quit:
+			}
+		}()
+	}
+	return nil
+}
+
+// Reply hands the answer to the originator, which lives in this
+// process.
+func (l link) Reply(h overlay.Hop, rep overlay.Reply) error {
+	l.c.Complete(h.Origin, rep)
+	return nil
+}
+
 // StreamQuery starts a streaming subtree query: the runtime's pull
 // stream over a walker entered where the seeded stream discoveries
 // draw theirs from says, so a replayed workload enters the tree at the
@@ -201,118 +215,13 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*overla
 	}
 	w := core.NewQueryWalker(c.Net, spec)
 	if !w.Empty() {
-		c.entryMu.Lock()
 		c.Mu.RLock()
-		if entry, ok := c.Net.RandomNodeKey(c.entryRng); ok {
+		if entry, ok := c.DrawEntryLocked(); ok {
 			w.Start(entry)
 		}
 		c.Mu.RUnlock()
-		c.entryMu.Unlock()
 	}
 	return c.Stream(ctx, w), nil
-}
-
-// Discover routes a discovery request for key through the peer
-// goroutines, entering the tree at a random node.
-func (c *Cluster) Discover(key keys.Key) (overlay.Result, error) {
-	return c.DiscoverContext(context.Background(), key)
-}
-
-// DiscoverContext is Discover under a caller context: cancelling ctx
-// aborts the in-flight routed traversal and returns the context
-// error.
-func (c *Cluster) DiscoverContext(ctx context.Context, key keys.Key) (overlay.Result, error) {
-	if c.Stopped() {
-		return overlay.Result{}, ErrStopped
-	}
-	if err := ctx.Err(); err != nil {
-		return overlay.Result{}, err
-	}
-	c.entryMu.Lock()
-	c.Mu.RLock()
-	entry, ok := c.Net.RandomNodeKey(c.entryRng)
-	c.Mu.RUnlock()
-	c.entryMu.Unlock()
-	if !ok {
-		return overlay.Result{Key: key}, nil
-	}
-	began := time.Now()
-	root := c.Rec.StartRoot(obs.PhaseDiscover, string(entry))
-	root.SetAttr("key", string(key))
-	defer root.End()
-	reply := make(chan overlay.Result, 1)
-	msg := discoverMsg{
-		ctx:     ctx,
-		key:     key,
-		at:      entry,
-		goingUp: true,
-		tc:      root.Context(),
-		res:     overlay.Result{Key: key},
-		reply:   reply,
-	}
-	if !c.forward(msg, keys.Epsilon) {
-		return overlay.Result{Key: key}, ErrStopped
-	}
-	select {
-	case res := <-reply:
-		if c.Met != nil {
-			d := time.Since(began)
-			c.Met.DiscoverLatency.Observe(d.Seconds())
-			c.Met.RecordPhase(obs.PhaseDiscover, res.LogicalHops, d)
-		}
-		return res, nil
-	case <-ctx.Done():
-		return overlay.Result{}, ctx.Err()
-	case <-c.Quit:
-		return overlay.Result{}, ErrStopped
-	}
-}
-
-// forward delivers msg to the peer hosting msg.at. from is the
-// sending peer (ε for client injection). It returns false when the
-// cluster is stopping.
-func (c *Cluster) forward(msg discoverMsg, from keys.Key) bool {
-	c.Mu.RLock()
-	host, ok := c.Net.HostOf(msg.at)
-	c.Mu.RUnlock()
-	if !ok {
-		msg.reply <- msg.res
-		return true
-	}
-	if from != keys.Epsilon {
-		msg.res.LogicalHops++
-		if host != from {
-			msg.res.PhysicalHops++
-		}
-	}
-	p, ok := c.lookupProc(host)
-	if !ok {
-		// Host raced with a leave; re-resolve once more via the
-		// updated topology.
-		c.Mu.RLock()
-		host2, ok2 := c.Net.HostOf(msg.at)
-		c.Mu.RUnlock()
-		if ok2 {
-			p, ok = c.lookupProc(host2)
-		}
-		if !ok {
-			msg.reply <- msg.res
-			return true
-		}
-	}
-	// The sender registration taken by lookupProc lets a departed
-	// proc's drain wait out every send still holding its reference.
-	defer p.senders.Done()
-	select {
-	case p.mailbox <- msg:
-		return true
-	case <-msg.ctx.Done():
-		// The caller gave up: drop the request. The originator's
-		// select on ctx.Done already returned the context error.
-		return true
-	case <-c.Quit:
-		return false
-	}
 }
 
 // lookupProc resolves a peer id to its proc, registering the caller
@@ -327,9 +236,9 @@ func (c *Cluster) lookupProc(id keys.Key) (*peerProc, bool) {
 	return p, ok
 }
 
-// run is the peer goroutine: process discovery messages hop by hop.
-// When the peer leaves or crashes it drains its mailbox before
-// exiting so no in-flight discovery is stranded.
+// run is the peer goroutine: it takes each hop in its mailbox through
+// the runtime's driver. When the peer leaves or crashes it drains its
+// mailbox before exiting so no in-flight discovery is stranded.
 func (c *Cluster) run(p *peerProc) {
 	defer c.wg.Done()
 	for {
@@ -339,8 +248,8 @@ func (c *Cluster) run(p *peerProc) {
 		case <-p.quit:
 			c.drain(p)
 			return
-		case msg := <-p.mailbox:
-			c.process(p, msg)
+		case h := <-p.mailbox:
+			c.ServeHop(&p.id, &h)
 		case rm := <-p.ctrl:
 			// A successor replica batch addressed to this peer: install
 			// it under the topology write lock and acknowledge.
@@ -349,11 +258,11 @@ func (c *Cluster) run(p *peerProc) {
 	}
 }
 
-// drain runs after a peer departed: the proc is already unrouted, so
-// every remaining message takes the re-delivery path to the node's
-// new host. Exit is safe only once all senders registered before the
-// unrouting have finished, since they may still append to the
-// mailbox.
+// drain runs after a peer departed: the proc is already unrouted and
+// its id no longer on the ring, so every remaining hop is answered
+// Retry and re-issued by its originator. Exit is safe only once all
+// senders registered before the unrouting have finished, since they
+// may still append to the mailbox.
 func (c *Cluster) drain(p *peerProc) {
 	sdone := make(chan struct{})
 	go func() {
@@ -362,13 +271,13 @@ func (c *Cluster) drain(p *peerProc) {
 	}()
 	for {
 		select {
-		case msg := <-p.mailbox:
-			c.process(p, msg)
+		case h := <-p.mailbox:
+			c.ServeHop(&p.id, &h)
 		case <-sdone:
 			for {
 				select {
-				case msg := <-p.mailbox:
-					c.process(p, msg)
+				case h := <-p.mailbox:
+					c.ServeHop(&p.id, &h)
 				default:
 					return
 				}
@@ -377,52 +286,6 @@ func (c *Cluster) drain(p *peerProc) {
 			return
 		}
 	}
-}
-
-// process performs one routing step of the discovery walk at the node
-// msg is addressed to; the transition itself is the runtime's.
-func (c *Cluster) process(p *peerProc, msg discoverMsg) {
-	select {
-	case <-msg.ctx.Done():
-		return // cancelled mid-flight: abort the traversal
-	default:
-	}
-	c.Mu.RLock()
-	self := p.id // balancing renames write p.id under the write lock
-	// One span per routing hop, parented under the previous hop's so
-	// the whole traversal forms a single tree rooted at the client.
-	span := c.Rec.Start(msg.tc, obs.PhaseRelay, string(self))
-	defer span.End()
-	msg.tc = span.Context()
-	peer, ok := c.Net.Peer(self)
-	var node *core.Node
-	if ok {
-		node = peer.Nodes[msg.at]
-	}
-	if node == nil {
-		// The node moved (churn/balancing); re-deliver to the new
-		// host without counting a tree hop. A node lost to an
-		// unrecovered crash has no host at all: past the redirect
-		// bound the walk reports what it has (not found).
-		c.Mu.RUnlock()
-		msg.redirects++
-		if msg.redirects > overlay.MaxRedirects {
-			msg.reply <- msg.res
-			return
-		}
-		// Re-deliver as an injection (from ε) so the redirect counts
-		// no tree hop, matching the tcp engine's stale-routing relay.
-		c.forward(msg, keys.Epsilon)
-		return
-	}
-	next, done := c.StepLocked(peer, node, msg.key, &msg.goingUp, &msg.res)
-	c.Mu.RUnlock()
-	if done {
-		msg.reply <- msg.res
-		return
-	}
-	msg.at = next
-	c.forward(msg, self)
 }
 
 // Stop terminates all peer goroutines. It is idempotent.

@@ -2,22 +2,26 @@
 // paper's protocol — the Section 2 climb/descend step, peer join and
 // leave, successor replication and load-balancing renames — is written
 // here once, over one locked core.Network; engine/local, internal/live
-// and internal/transport embed a Runtime and add only their data path:
-// how a hop and a replica batch travel (a call into the sequential
-// core, a channel send, a pooled framed socket). The two in-process
-// ones share the pull-based Stream (stream.go); the socket one frames
-// its own.
+// and internal/transport embed a Runtime and add only how things
+// travel: a hop, its answer and a replica batch (a call into the
+// sequential core, a channel send, a pooled framed socket). The routed
+// request itself — the hop, the driver that takes it through a peer,
+// the originator that waits for the answer and re-issues what was lost
+// — is route.go, shared by the two clusters that route; the two
+// in-process ones share the pull-based Stream (stream.go); the socket
+// one frames its own.
 //
-// What differs between them at membership and replication ticks goes
-// through the four-method Link. The data path never does: it takes Mu
-// and reads Net directly, so a hop costs what it cost when each
-// package owned its own lock.
+// What differs between them goes through the six-method Link:
+// membership changes and replication ticks, and, once per physical hop,
+// the send that moves a request to the next peer or its answer to the
+// caller. The per-node transition never does: it takes Mu and reads Net
+// directly.
 package overlay
 
 import (
+	"context"
 	"errors"
 	"math/rand"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -78,11 +82,14 @@ type Options struct {
 	Trace *trace.Recorder
 }
 
-// Link is what a runtime's data path owes the shared membership and
-// replication code: the per-peer endpoint (a goroutine and its
-// mailboxes, a listener and its address) and the way a replica batch
-// reaches one. It is called on membership changes and replication
-// ticks only, never per hop.
+// Link is what a cluster owes the shared runtime: the per-peer endpoint
+// (a goroutine and its mailbox, a listener and its address) and the way
+// a replica batch, a hop and an answer reach one. PeerUp, PeerDown,
+// Rename and Ship are called on membership changes and replication
+// ticks; Send or Reply once per physical hop — one dynamic call where a
+// request leaves a peer, never per tree node. Hop and Reply travel by
+// value: a pointer handed to an interface escapes, and a routed hop
+// allocates nothing the wire does not make it.
 type Link interface {
 	// PeerUp brings up the endpoint of a peer about to enter the ring.
 	// The caller holds Mu, so the endpoint becomes routable atomically
@@ -99,6 +106,15 @@ type Link interface {
 	// and returns the number of snapshots installed there. On an error
 	// the runtime installs the batch directly.
 	Ship(tc trace.Context, b core.ReplicaBatch) (int, error)
+	// Send passes h one way to peer to's endpoint, which runs ServeHop
+	// on it; nothing comes back. It must not wait on the peer it is
+	// called from, which may be the one it sends to. An error means the
+	// hop went nowhere: the driver answers Retry, the originator
+	// re-issues. ctx bounds a link that dials.
+	Send(ctx context.Context, to keys.Key, h Hop) error
+	// Reply delivers the answer that ends h to its originator, whose
+	// end of the link hands it to Complete under h.Origin.
+	Reply(h Hop, rep Reply) error
 }
 
 // Runtime is the state and the protocol every cluster shares.
@@ -115,8 +131,26 @@ type Runtime struct {
 	Rec   *trace.Recorder // nil disables span recording
 	Store *persist.Store  // durability layer; nil = in-memory only
 	Gate  bool            // enforce peer capacity on discoveries
+	// ClientHops is what a discovery has cost when its entry node sees
+	// it: 1 where the caller's request crosses a wire to get there, 0 in
+	// process. The embedding cluster sets it before Attach.
+	ClientHops int
 	// Quit is closed by Halt; every blocking wait selects on it.
 	Quit chan struct{}
+
+	// entryRng is where entry nodes are drawn from: Rng (readers hold
+	// Mu.RLock and entryMu, writers Mu.Lock) unless SeedEntries gave
+	// the draws a stream of their own.
+	entryMu  sync.Mutex
+	entryRng *rand.Rand // guarded by entryMu
+
+	// The originator's side of the routed path (route.go): calls
+	// awaiting their direct reply by id, and the sweeper's clock that
+	// ages them.
+	pmu      sync.Mutex
+	pending  map[uint64]*pendingCall // guarded by pmu
+	lastCall uint64                  // guarded by pmu
+	tick     uint64                  // guarded by pmu
 
 	link    Link
 	place   lb.Strategy // join placement hook; nil = uniform random
@@ -142,6 +176,8 @@ func (r *Runtime) Init(alpha *keys.Alphabet, seed int64, opts Options) {
 func (r *Runtime) Adopt(net *core.Network, seed int64, opts Options) {
 	r.Net = net
 	r.Rng = rand.New(rand.NewSource(seed))
+	r.entryRng = r.Rng
+	r.pending = make(map[uint64]*pendingCall)
 	r.Met, r.Rec, r.Store = opts.Obs, opts.Trace, opts.Persist
 	r.place, r.Gate, r.restore = opts.Placement, opts.Gate, opts.Restore
 	r.Quit = make(chan struct{})
@@ -149,6 +185,15 @@ func (r *Runtime) Adopt(net *core.Network, seed int64, opts Options) {
 	// built over it records phase spans and counters.
 	r.Net.Obs, r.Net.Tracer = r.Met, r.Rec
 	r.registerCollectors()
+}
+
+// SeedEntries takes the entry draws off Rng onto a generator of their
+// own, so the cluster's writes do not shift the entry sequence. Call
+// between Init and Attach.
+//
+// dlptlint:exclusive — as Init.
+func (r *Runtime) SeedEntries(seed int64) {
+	r.entryRng = rand.New(rand.NewSource(seed))
 }
 
 // Attach wires the link and populates the ring through it: one join
@@ -552,47 +597,4 @@ func (r *Runtime) Validate() error {
 	r.Mu.RLock()
 	defer r.Mu.RUnlock()
 	return r.Net.Validate()
-}
-
-// StepLocked is the Section 2 discovery transition at node, hosted by
-// peer, for a request looking for key: the node to move to, or done
-// with the outcome in res (Found and Values, or Dropped). goingUp is
-// the request's phase, flipped here once a prefix of key is reached.
-// core.Discover is the sequential reference the differential tests
-// hold this against. Callers hold Mu; the read side suffices, visit
-// and capacity accounting being atomic.
-func (r *Runtime) StepLocked(peer *core.Peer, node *core.Node, key keys.Key, goingUp *bool, res *Result) (next keys.Key, done bool) {
-	node.RecordVisit()
-	if r.Met != nil {
-		r.Met.Visits.Inc()
-	}
-	if r.Gate && !peer.TryProcess() {
-		// Section 4's request model: the visit is received (load
-		// recorded above) but a saturated peer ignores the request.
-		if r.Met != nil {
-			r.Met.Drops.Inc()
-		}
-		res.Dropped = true
-		return "", true
-	}
-	if node.Key == key {
-		if node.HasData() {
-			res.Found = true
-			for v := range node.Data {
-				res.Values = append(res.Values, v)
-			}
-			// Map iteration order is random: sort, so results are
-			// byte-identical across engines and on the wire.
-			sort.Strings(res.Values)
-		}
-		return "", true
-	}
-	if *goingUp && keys.IsPrefix(node.Key, key) {
-		*goingUp = false
-	}
-	if *goingUp {
-		return node.Father, !node.HasFather // a root that is no prefix of key: absent
-	}
-	q, ok := node.BestChildFor(key)
-	return q, !ok || !keys.IsPrefix(q, key)
 }

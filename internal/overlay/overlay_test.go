@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dlpt/internal/core"
@@ -15,7 +16,11 @@ import (
 
 // fakeLink records what the runtime asks of its link. Ship installs
 // through the runtime, as both real links' receiving ends do, unless
-// told to fail.
+// told to fail. Send and Reply are the routed path in memory: a hop is
+// served on a goroutine of its own, as an endpoint would, and an answer
+// goes straight to the pending table — unless onSend or onReply, which
+// see every hop and answer with its 1-based count, lose, fail or
+// double it.
 type fakeLink struct {
 	rt      *Runtime
 	upErr   error
@@ -24,6 +29,13 @@ type fakeLink struct {
 	downs   []keys.Key
 	renames [][2]keys.Key
 	shipped int
+
+	mu      sync.Mutex
+	sends   int
+	replies int
+	onSend  func(n int, h Hop) (drop bool, err error)
+	onReply func(n int, rep Reply) (drop, dup bool)
+	hops    sync.WaitGroup
 }
 
 func (f *fakeLink) PeerUp(id keys.Key) error {
@@ -46,13 +58,74 @@ func (f *fakeLink) Ship(_ trace.Context, b core.ReplicaBatch) (int, error) {
 	return f.rt.InstallReplicas(b), nil
 }
 
-// start brings up a runtime of n peers over a fake link and registers
-// nkeys keys.
+func (f *fakeLink) Send(_ context.Context, to keys.Key, h Hop) error {
+	f.mu.Lock()
+	f.sends++
+	var drop bool
+	var err error
+	if f.onSend != nil {
+		drop, err = f.onSend(f.sends, h) // under mu: the hooks run one at a time
+	}
+	f.mu.Unlock()
+	if drop || err != nil {
+		return err
+	}
+	f.hops.Add(1)
+	go func() {
+		defer f.hops.Done()
+		f.rt.ServeHop(&to, &h)
+	}()
+	return nil
+}
+
+func (f *fakeLink) Reply(h Hop, rep Reply) error {
+	f.mu.Lock()
+	f.replies++
+	var drop, dup bool
+	if f.onReply != nil {
+		drop, dup = f.onReply(f.replies, rep)
+	}
+	f.mu.Unlock()
+	if !drop {
+		f.rt.Complete(h.Origin, rep)
+	}
+	if dup {
+		f.rt.Complete(h.Origin, rep)
+	}
+	return nil
+}
+
+// hook installs the fault hooks; nil clears one.
+func (f *fakeLink) hook(onSend func(int, Hop) (bool, error), onReply func(int, Reply) (bool, bool)) {
+	f.mu.Lock()
+	f.onSend, f.onReply = onSend, onReply
+	f.mu.Unlock()
+}
+
+// sent reports how many hops the link was handed.
+func (f *fakeLink) sent() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sends
+}
+
+// start brings up a runtime of n peers over a fake link, with its
+// sweeper running, and registers nkeys keys.
 func start(t *testing.T, n, nkeys int) (*Runtime, *fakeLink) {
 	t.Helper()
 	r := new(Runtime)
 	r.Init(keys.LowerAlnum, 7, Options{Obs: obs.NewMetrics(obs.NewRegistry())})
 	f := &fakeLink{rt: r}
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		r.Sweep()
+	}()
+	t.Cleanup(func() {
+		r.Halt()
+		<-swept
+		f.hops.Wait()
+	})
 	caps := make([]int, n)
 	for i := range caps {
 		caps[i] = 100
@@ -60,7 +133,6 @@ func start(t *testing.T, n, nkeys int) (*Runtime, *fakeLink) {
 	if err := r.Attach(f, caps); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { r.Halt() })
 	for i := 0; i < nkeys; i++ {
 		if err := r.Register(keys.Key(fmt.Sprintf("svc%03d", i)), "v"); err != nil {
 			t.Fatal(err)

@@ -54,13 +54,14 @@ import (
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/obs"
+	"dlpt/internal/overlay"
 	"dlpt/internal/trace"
 )
 
 const (
-	// frameRequest is a discovery in flight (payload: request): one
-	// way, hop to hop. frameResponse ends it at the originator
-	// (payload: response, id: the request's Origin); it also
+	// frameRequest is a discovery in flight (payload: an overlay.Hop):
+	// one way, hop to hop. frameResponse ends it at the originator
+	// (payload: an overlay.Reply, id: the hop's Origin); it also
 	// acknowledges a REPLICA, LEAVE, APPLY or RESYNC on the connection
 	// that carried it. frameCancel abandons the QUERY stream with that
 	// id; no payload.
@@ -87,7 +88,7 @@ const (
 	// Logical field carries the installed count.
 	frameReplica = 8
 	// frameQRoute is the climb/descend route of a subtree query
-	// (payload: qroute). It is forwarded one way between listeners
+	// (payload: an overlay.Hop). It is forwarded one way between listeners
 	// exactly like a discovery REQUEST until the covering node is
 	// resolved; that peer writes a RESPONSE with the anchor and the
 	// route's accumulated counters straight to the querying client,
@@ -286,12 +287,22 @@ func (fc *frameConn) writeFrame(bp *[]byte, buf []byte) error {
 	return err
 }
 
-func (fc *frameConn) writeRequest(id uint64, tc trace.Context, req *request) error {
+// writeHop puts a routed hop on the wire under its originator's id: a
+// REQUEST for a discovery, a QROUTE for a query route.
+func (fc *frameConn) writeHop(h *overlay.Hop) error {
 	bp := framePool.Get().(*[]byte)
-	return fc.writeFrame(bp, appendRequest(beginTracedFrame(*bp, frameRequest, id, tc), req))
+	return fc.writeFrame(bp, appendHop(beginTracedFrame(*bp, hopFrame(h), h.Origin, h.TC), h))
 }
 
-func (fc *frameConn) writeResponse(id uint64, resp *response) error {
+// hopFrame is the frame type a hop travels as.
+func hopFrame(h *overlay.Hop) byte {
+	if h.Query {
+		return frameQRoute
+	}
+	return frameRequest
+}
+
+func (fc *frameConn) writeResponse(id uint64, resp *overlay.Reply) error {
 	bp := framePool.Get().(*[]byte)
 	return fc.writeFrame(bp, appendResponse(beginFrame(*bp, frameResponse, id), resp))
 }
@@ -351,11 +362,6 @@ func (fc *frameConn) writeRaw(typ byte, id uint64, payload []byte) error {
 	return fc.writeFrame(bp, append(beginFrame(*bp, typ, id), payload...))
 }
 
-func (fc *frameConn) writeQRoute(id uint64, tc trace.Context, rq *qroute) error {
-	bp := framePool.Get().(*[]byte)
-	return fc.writeFrame(bp, appendQRoute(beginTracedFrame(*bp, frameQRoute, id, tc), rq))
-}
-
 func (fc *frameConn) writeStreamAck(id uint64) error {
 	bp := framePool.Get().(*[]byte)
 	return fc.writeFrame(bp, beginFrame(*bp, frameStreamAck, id))
@@ -401,68 +407,65 @@ func getBool(p []byte) (bool, []byte, error) {
 	return p[0] != 0, p[1:], nil
 }
 
-// appendRoute encodes the part every routed frame shares.
-func appendRoute(b []byte, r *route) []byte {
-	b = appendString(b, string(r.At))
-	b = binary.AppendUvarint(b, uint64(r.Logical))
-	b = binary.AppendUvarint(b, uint64(r.Physical))
-	b = binary.AppendUvarint(b, uint64(r.Redirects))
-	b = binary.AppendUvarint(b, r.Origin)
-	return appendString(b, r.ReplyTo)
+// appendHop encodes a routed hop. A REQUEST payload is the key, the
+// phase as "going up" and the route; a QROUTE payload the anchor, the
+// phase as "descending", the nodes visited and the route. The route is
+// what every hop handles the same way: where the walk stands, its
+// counters, and who waits for the answer.
+func appendHop(b []byte, h *overlay.Hop) []byte {
+	b = appendString(b, string(h.Key))
+	b = appendBool(b, h.Down == h.Query)
+	if h.Query {
+		b = binary.AppendUvarint(b, uint64(h.Visited))
+	}
+	b = appendString(b, string(h.At))
+	b = binary.AppendUvarint(b, uint64(h.Logical))
+	b = binary.AppendUvarint(b, uint64(h.Physical))
+	b = binary.AppendUvarint(b, uint64(h.Redirects))
+	b = binary.AppendUvarint(b, h.Origin)
+	return appendString(b, h.ReplyTo)
 }
 
-func getRoute(p []byte, r *route) error {
+// decodeHop parses a REQUEST payload or, with h.Query set, a QROUTE's.
+func decodeHop(p []byte, h *overlay.Hop) error {
 	var err error
 	var s string
 	var v uint64
+	var flag bool
 	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("at: %w", err)
+		return fmt.Errorf("hop key: %w", err)
 	}
-	r.At = keys.Key(s)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("logical: %w", err)
+	h.Key = keys.Key(s)
+	if flag, p, err = getBool(p); err != nil {
+		return fmt.Errorf("hop phase: %w", err)
 	}
-	r.Logical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("physical: %w", err)
+	h.Down = flag == h.Query
+	if h.Query {
+		if v, p, err = getUvarint(p); err != nil {
+			return fmt.Errorf("hop visited: %w", err)
+		}
+		h.Visited = int(v)
 	}
-	r.Physical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("redirects: %w", err)
+	if s, p, err = getString(p); err != nil {
+		return fmt.Errorf("hop at: %w", err)
 	}
-	r.Redirects = int(v)
-	if r.Origin, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("origin: %w", err)
+	h.At = keys.Key(s)
+	for _, c := range [...]*int{&h.Logical, &h.Physical, &h.Redirects} {
+		if v, p, err = getUvarint(p); err != nil {
+			return fmt.Errorf("hop counters: %w", err)
+		}
+		*c = int(v)
 	}
-	if r.ReplyTo, _, err = getString(p); err != nil {
-		return fmt.Errorf("replyTo: %w", err)
+	if h.Origin, p, err = getUvarint(p); err != nil {
+		return fmt.Errorf("hop origin: %w", err)
+	}
+	if h.ReplyTo, _, err = getString(p); err != nil {
+		return fmt.Errorf("hop replyTo: %w", err)
 	}
 	return nil
 }
 
-func appendRequest(b []byte, req *request) []byte {
-	b = appendString(b, string(req.Key))
-	b = appendBool(b, req.GoingUp)
-	return appendRoute(b, &req.route)
-}
-
-func decodeRequest(p []byte, req *request) error {
-	var err error
-	var s string
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("request key: %w", err)
-	}
-	req.Key = keys.Key(s)
-	if req.GoingUp, p, err = getBool(p); err != nil {
-		return fmt.Errorf("request goingUp: %w", err)
-	}
-	if err = getRoute(p, &req.route); err != nil {
-		return fmt.Errorf("request %w", err)
-	}
-	return nil
-}
-
-func appendResponse(b []byte, resp *response) []byte {
+func appendResponse(b []byte, resp *overlay.Reply) []byte {
 	b = appendBool(b, resp.Found)
 	b = appendBool(b, resp.Dropped)
 	b = binary.AppendUvarint(b, uint64(len(resp.Values)))
@@ -477,7 +480,7 @@ func appendResponse(b []byte, resp *response) []byte {
 	return appendBool(b, resp.Retry)
 }
 
-func decodeResponse(p []byte, resp *response) error {
+func decodeResponse(p []byte, resp *overlay.Reply) error {
 	var err error
 	var v uint64
 	if resp.Found, p, err = getBool(p); err != nil {
@@ -591,34 +594,6 @@ func decodeQuery(p []byte, q *queryReq) error {
 		return fmt.Errorf("query visited: %w", err)
 	}
 	q.Visited = int(v)
-	return nil
-}
-
-func appendQRoute(b []byte, rq *qroute) []byte {
-	b = appendString(b, string(rq.Anchor))
-	b = appendBool(b, rq.Descending)
-	b = binary.AppendUvarint(b, uint64(rq.Visited))
-	return appendRoute(b, &rq.route)
-}
-
-func decodeQRoute(p []byte, rq *qroute) error {
-	var err error
-	var s string
-	var v uint64
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("qroute anchor: %w", err)
-	}
-	rq.Anchor = keys.Key(s)
-	if rq.Descending, p, err = getBool(p); err != nil {
-		return fmt.Errorf("qroute descending: %w", err)
-	}
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("qroute visited: %w", err)
-	}
-	rq.Visited = int(v)
-	if err = getRoute(p, &rq.route); err != nil {
-		return fmt.Errorf("qroute %w", err)
-	}
 	return nil
 }
 

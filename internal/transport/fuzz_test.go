@@ -14,6 +14,7 @@ import (
 	"dlpt/internal/catalog"
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
+	"dlpt/internal/overlay"
 	"dlpt/internal/persist"
 	"dlpt/internal/trace"
 )
@@ -53,15 +54,15 @@ func (c *fuzzConn) SetWriteDeadline(t time.Time) error { return nil }
 // bytes, they must return an error rather than panic or over-allocate.
 func FuzzFrameDecode(f *testing.F) {
 	// Valid payloads of each shape seed the corpus.
-	var req request
-	f.Add(appendRequest(nil, &request{Key: "abc", GoingUp: true, route: route{At: "ab", Logical: 3, Physical: 2, Redirects: 1}}))
-	f.Add(appendRequest(nil, &request{Key: "abc", route: route{At: "ab", Physical: 1, Origin: 1 << 40, ReplyTo: "127.0.0.1:4100"}}))
-	f.Add(appendResponse(nil, &response{Found: true, Values: []string{"v1", "v2"}, Logical: 7, Err: "boom"}))
-	f.Add(appendResponse(nil, &response{Physical: 2, Err: "dial refused", Retry: true}))
-	f.Add(appendResponse(nil, &response{Found: true, Anchor: "anc", Logical: 4, Physical: 2, Visited: 5}))
+	var req overlay.Hop
+	f.Add(appendHop(nil, &overlay.Hop{Key: "abc", At: "ab", Logical: 3, Physical: 2, Redirects: 1}))
+	f.Add(appendHop(nil, &overlay.Hop{Key: "abc", Down: true, At: "ab", Physical: 1, Origin: 1 << 40, ReplyTo: "127.0.0.1:4100"}))
+	f.Add(appendResponse(nil, &overlay.Reply{Found: true, Values: []string{"v1", "v2"}, Logical: 7, Err: "boom"}))
+	f.Add(appendResponse(nil, &overlay.Reply{Physical: 2, Err: "dial refused", Retry: true}))
+	f.Add(appendResponse(nil, &overlay.Reply{Found: true, Anchor: "anc", Logical: 4, Physical: 2, Visited: 5}))
 	f.Add(appendQuery(nil, &queryReq{Range: true, Lo: "a", Hi: "z", Limit: 5, Entry: "m", Walk: true}))
-	f.Add(appendQRoute(nil, &qroute{Anchor: "anc", Descending: true, Visited: 9, route: route{At: "at"}}))
-	f.Add(appendQRoute(nil, &qroute{Anchor: "anc", Visited: 1, route: route{At: "at", Origin: 77, ReplyTo: "[::1]:9"}}))
+	f.Add(appendHop(nil, &overlay.Hop{Query: true, Key: "anc", Down: true, Visited: 9, At: "at"}))
+	f.Add(appendHop(nil, &overlay.Hop{Query: true, Key: "anc", Visited: 1, At: "at", Origin: 77, ReplyTo: "[::1]:9"}))
 	f.Add(appendStreamEnd(nil, &streamEnd{Logical: 1, Physical: 2, Visited: 3, Err: "end"}))
 	// STREAM payloads: front-coded keys, an empty batch, and a key
 	// claiming to share more bytes than its predecessor has.
@@ -77,11 +78,11 @@ func FuzzFrameDecode(f *testing.F) {
 	fc := &frameConn{conn: &fuzzConn{}}
 	var stream bytes.Buffer
 	fc.conn = &fuzzConn{w: &stream}
-	if err := fc.writeRaw(frameRequest, 1, appendRequest(nil, &req)); err != nil {
+	if err := fc.writeRaw(frameRequest, 1, appendHop(nil, &req)); err != nil {
 		f.Fatal(err)
 	}
 	buf := beginTracedFrame(nil, frameRequest, 2, trace.Context{Trace: 7, Span: 9})
-	buf = appendRequest(buf, &req)
+	buf = appendHop(buf, &req)
 	if err := fc.finishFrame(buf); err != nil {
 		f.Fatal(err)
 	}
@@ -139,14 +140,14 @@ func FuzzFrameDecode(f *testing.F) {
 				_ = snap.Ascend(func(catalog.Entry) bool { return true })
 			}
 		}
-		var req request
-		_ = decodeRequest(data, &req)
-		var resp response
+		var req overlay.Hop
+		_ = decodeHop(data, &req)
+		var resp overlay.Reply
 		_ = decodeResponse(data, &resp)
 		var q queryReq
 		_ = decodeQuery(data, &q)
-		var rq qroute
-		_ = decodeQRoute(data, &rq)
+		rq := overlay.Hop{Query: true}
+		_ = decodeHop(data, &rq)
 		var batch core.ReplicaBatch
 		_ = decodeReplicaBatch(data, &batch)
 		if batch, _, err := decodeStreamBatch(data); err == nil {
@@ -203,18 +204,17 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		values := splitNonEmpty(blob)
 
-		rt := route{At: keys.Key(at), Logical: n1, Physical: n2, Redirects: n3, Origin: traceID, ReplyTo: errStr}
-		req := request{Key: keys.Key(key), GoingUp: flag, route: rt}
-		var gotReq request
-		if err := decodeRequest(appendRequest(nil, &req), &gotReq); err != nil {
-			t.Fatalf("decodeRequest: %v", err)
+		req := overlay.Hop{Key: keys.Key(key), Down: !flag, At: keys.Key(at), Logical: n1, Physical: n2, Redirects: n3, Origin: traceID, ReplyTo: errStr}
+		var gotReq overlay.Hop
+		if err := decodeHop(appendHop(nil, &req), &gotReq); err != nil {
+			t.Fatalf("decodeHop: %v", err)
 		}
 		if !reflect.DeepEqual(req, gotReq) {
 			t.Fatalf("request round-trip: %+v != %+v", req, gotReq)
 		}
 
-		resp := response{Found: flag, Dropped: !flag, Values: values, Anchor: keys.Key(at), Logical: n1, Physical: n2, Visited: n3, Err: errStr, Retry: flag}
-		var gotResp response
+		resp := overlay.Reply{Found: flag, Dropped: !flag, Values: values, Anchor: keys.Key(at), Logical: n1, Physical: n2, Visited: n3, Err: errStr, Retry: flag}
+		var gotResp overlay.Reply
 		if err := decodeResponse(appendResponse(nil, &resp), &gotResp); err != nil {
 			t.Fatalf("decodeResponse: %v", err)
 		}
@@ -237,10 +237,11 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("query round-trip: %+v != %+v", q, gotQ)
 		}
 
-		rq := qroute{Anchor: keys.Key(key), Descending: flag, Visited: n3, route: rt}
-		var gotRq qroute
-		if err := decodeQRoute(appendQRoute(nil, &rq), &gotRq); err != nil {
-			t.Fatalf("decodeQRoute: %v", err)
+		rq := req
+		rq.Query, rq.Down, rq.Visited = true, flag, n3
+		gotRq := overlay.Hop{Query: true}
+		if err := decodeHop(appendHop(nil, &rq), &gotRq); err != nil {
+			t.Fatalf("decodeHop: %v", err)
 		}
 		if !reflect.DeepEqual(rq, gotRq) {
 			t.Fatalf("qroute round-trip: %+v != %+v", rq, gotRq)

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"dlpt/internal/keys"
+	"dlpt/internal/overlay"
 )
 
 // HandshakeVersion is the JOIN/HELLO protocol revision. A joiner and
@@ -654,14 +655,14 @@ func RawCall(ctx context.Context, addr string, typ byte, payload []byte) (byte, 
 // EncodeAck marshals a LEAVE/APPLY acknowledgement (a RESPONSE frame
 // carrying only an error string; empty means success).
 func EncodeAck(errStr string) []byte {
-	resp := response{Err: errStr}
+	resp := overlay.Reply{Err: errStr}
 	return appendResponse(nil, &resp)
 }
 
 // DecodeAck unmarshals an acknowledgement, returning its in-band
 // error string.
 func DecodeAck(p []byte) (string, error) {
-	var resp response
+	var resp overlay.Reply
 	if err := decodeResponse(p, &resp); err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 // The cluster's side of the runtime's Link: one listener per local
-// peer, the address table that routes to every peer, and REPLICA
-// frames for successor batches.
+// peer, the address table that routes to every peer, REPLICA frames
+// for successor batches, and the one-way frames a routed hop and its
+// answer travel as.
 
 package transport
 
@@ -13,6 +14,7 @@ import (
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
+	"dlpt/internal/overlay"
 	"dlpt/internal/trace"
 )
 
@@ -191,7 +193,7 @@ func (l link) Ship(tc trace.Context, b core.ReplicaBatch) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var resp response
+	var resp overlay.Reply
 	if err := decodeResponse(msg.payload, &resp); err != nil {
 		return 0, err
 	}
@@ -199,4 +201,85 @@ func (l link) Ship(tc trace.Context, b core.ReplicaBatch) (int, error) {
 		return 0, errors.New(resp.Err)
 	}
 	return resp.Logical, nil
+}
+
+// send puts one routed frame — a REQUEST or QROUTE on its way, or the
+// reply that ends it — on the pooled connection to addr, one way.
+// Injected faults act here; a dropped frame is lost silently, the way
+// a receiver crashing after its read loses it.
+func (c *Cluster) send(ctx context.Context, typ byte, addr string, write func(fc *frameConn) error) error {
+	dup, err := c.faultGate(ctx, typ, addr)
+	if err != nil {
+		if errors.Is(err, ErrInjectedDrop) {
+			return nil
+		}
+		return err
+	}
+	err = c.pool.send(ctx, addr, write)
+	if err == nil && dup {
+		err = c.pool.send(ctx, addr, write)
+	}
+	return err
+}
+
+// Send writes the hop as one frame to peer to's listener. A hop with
+// no return address comes from this cluster's own originator: it is
+// stamped with the first local listener's, where handleConn completes
+// the call. A transport failure — dial refused, write on a broken
+// socket — means the address was stale: the peer behind it departed,
+// crashed, or a Balance round renamed the routing identities while the
+// hop was resolving. The pool has already evicted the dead connection
+// by then, so Send re-resolves the node's current host once and retries
+// on a fresh dial (routing is an idempotent read: a frame the first
+// attempt did deliver costs a duplicate reply, which the originator
+// drops).
+func (l link) Send(ctx context.Context, to keys.Key, h overlay.Hop) error {
+	c := l.c
+	c.Mu.RLock()
+	addr := c.addrs[to]
+	if h.ReplyTo == "" && len(c.servers) > 0 {
+		h.ReplyTo = c.servers[0].addr
+	}
+	c.Mu.RUnlock()
+	if h.ReplyTo == "" {
+		return errors.New("transport: no local listener to take the reply")
+	}
+	typ := hopFrame(&h)
+	write := func(fc *frameConn) error { return fc.writeHop(&h) }
+	err := c.send(ctx, typ, addr, write)
+	if err == nil || ctx.Err() != nil || c.Stopped() {
+		return err
+	}
+	if addr = c.hostAddr(h.At); addr == "" {
+		return err
+	}
+	return c.send(ctx, typ, addr, write)
+}
+
+// hostAddr resolves the listener address of the peer hosting node k
+// now; empty when the node has no host or the host no address.
+func (c *Cluster) hostAddr(k keys.Key) string {
+	c.Mu.RLock()
+	defer c.Mu.RUnlock()
+	host, _ := c.Net.HostOf(k)
+	return c.addrs[host]
+}
+
+// Reply writes the answer that ends h straight to its originator: one
+// RESPONSE to the hop's return address, under the originator's id. A
+// result too large for one frame degrades to an in-band error so the
+// caller fails cleanly; a reply that cannot be delivered is tried once
+// more on a fresh dial.
+func (l link) Reply(h overlay.Hop, rep overlay.Reply) error {
+	c := l.c
+	write := func(fc *frameConn) error { return fc.writeResponse(h.Origin, &rep) }
+	ctx := context.Background()
+	err := c.send(ctx, frameResponse, h.ReplyTo, write)
+	if errors.Is(err, errFrameTooLarge) {
+		rep = overlay.Reply{Err: err.Error(), Logical: rep.Logical, Physical: rep.Physical}
+	}
+	if err != nil && !c.Stopped() {
+		err = c.send(ctx, frameResponse, h.ReplyTo, write)
+	}
+	return err
 }

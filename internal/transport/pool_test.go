@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"dlpt/internal/keys"
+	"dlpt/internal/overlay"
 	"dlpt/internal/workload"
 )
 
@@ -67,74 +69,49 @@ func TestPooledConnectionsShared(t *testing.T) {
 	}
 }
 
-// pendingCalls reports how many originated calls await a reply.
-func pendingCalls(c *Cluster) int {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	return len(c.pending)
-}
-
-// attemptDiscover issues one attempt of a discovery of key by hand:
-// from the given entry node, sent to addr (normally the entry's host),
-// answered to replyTo.
-func attemptDiscover(ctx context.Context, c *Cluster, addr string, key, entry keys.Key, replyTo string) (resp response, retry bool, err error) {
-	h := &hop{typ: frameRequest, req: request{Key: key, GoingUp: true,
-		route: route{At: entry, Physical: 1, ReplyTo: replyTo}}}
-	p := callPool.Get().(*pendingCall)
-	defer callPool.Put(p)
-	retry, err = c.attempt(ctx, addr, h, p, &resp)
-	return resp, retry, err
-}
-
 // TestCancelMidRouteKeepsConnection cancels a discovery while its
-// frame is blocked at the entry host and asserts what cancellation
-// means on the one-way path: the caller returns promptly with the
-// context error, its pending entry is gone at once (no frame chases
-// the request), the late reply is dropped, and the shared connections
-// serve the next discoveries without a single redial.
+// answer is held back and asserts what cancellation means on the
+// one-way path: the caller returns promptly with the context error,
+// its pending entry is gone at once (no frame chases the request), the
+// late reply is dropped, and the shared connections serve the next
+// discoveries without a single redial.
 func TestCancelMidRouteKeepsConnection(t *testing.T) {
-	c := startTCP(t, 4)
-	corpus := registerCorpus(t, c, 30)
-	// Warm the pool and grab a live routing target.
-	if res, err := c.Discover(corpus[0]); err != nil || !res.Found {
-		t.Fatalf("warm discover: %v", err)
-	}
-	entry, _, addr, replyTo, ok := c.drawEntry()
-	if !ok {
-		t.Fatal("no node to route to")
+	c, faults, corpus := startFaultyTCP(t, 4, 30)
+	for i := 0; i < 2; i++ { // warm the pool: every route, every reply path
+		for _, k := range corpus {
+			if res, err := c.Discover(k); err != nil || !res.Found {
+				t.Fatalf("warm discover: %v", err)
+			}
+		}
 	}
 	_, dialsBefore := c.PoolStats()
 
-	// Block every routing step, then cancel the call mid-flight.
-	c.Mu.Lock()
+	// Hold the next answer back until Stop, then cancel the call
+	// waiting for it.
+	faults.Inject(FaultRule{Type: frameResponse, Count: 1, Delay: time.Hour})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := attemptDiscover(ctx, c, addr, corpus[0], entry, replyTo)
+		_, err := c.DiscoverContext(ctx, corpus[0])
 		done <- err
 	}()
-	for pendingCalls(c) == 0 {
+	for c.PendingCalls() == 0 {
 		time.Sleep(time.Millisecond) // until the call is registered and sent
 	}
 	cancel()
-	var err error
 	select {
-	case err = <-done:
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled call returned %v", err)
+		}
 	case <-time.After(5 * time.Second):
-		c.Mu.Unlock()
-		t.Fatal("cancelled call did not return while the hop was blocked")
+		t.Fatal("cancelled call did not return while its answer was held back")
 	}
-	if n := pendingCalls(c); n != 0 {
-		c.Mu.Unlock()
+	if n := c.PendingCalls(); n != 0 {
 		t.Fatalf("%d pending entries left behind by the cancelled call", n)
 	}
-	c.Mu.Unlock()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled call returned %v", err)
-	}
 
-	// The unblocked frame runs out and its reply finds nobody waiting;
-	// the shared connections survived: the next discoveries succeed
+	// The shared connections survived: the next discoveries succeed
 	// without a single new dial.
 	for _, k := range corpus[:5] {
 		res, err := c.Discover(k)
@@ -146,7 +123,7 @@ func TestCancelMidRouteKeepsConnection(t *testing.T) {
 		t.Fatalf("cancellation cost %d redials; the pooled conns should survive",
 			dialsAfter-dialsBefore)
 	}
-	if n := pendingCalls(c); n != 0 {
+	if n := c.PendingCalls(); n != 0 {
 		t.Fatalf("%d pending entries leaked", n)
 	}
 }
@@ -214,32 +191,52 @@ func poolHas(c *Cluster, addr string) (*poolConn, bool) {
 }
 
 // TestForwardRetriesStaleAddress drives the rename/removal race window
-// directly: a frame forwarded to an address whose listener is gone
-// must evict, re-resolve the node's current host once, and be answered
-// from there.
+// directly: a hop sent to an address whose listener is gone must evict,
+// re-resolve the node's current host once, and be answered from there —
+// straight to the return address the hop carries, here a bare listener
+// standing in for the originator.
 func TestForwardRetriesStaleAddress(t *testing.T) {
 	c := startTCP(t, 5)
 	corpus := registerCorpus(t, c, 40)
 	c.Mu.RLock()
-	ids := c.Net.PeerIDs()
-	staleAddr := c.addrs[ids[0]]
+	gone := c.Net.PeerIDs()[0]
+	staleAddr := c.addrs[gone]
 	c.Mu.RUnlock()
-	if err := c.RemovePeer(ids[0]); err != nil {
+	if err := c.RemovePeer(gone); err != nil {
 		t.Fatal(err)
 	}
-	// The handed-off nodes now live elsewhere; forwarding to the dead
-	// address must recover via the one-shot re-resolve.
-	entry, _, _, replyTo, ok := c.drawEntry()
-	if !ok {
-		t.Fatal("no node to route to")
+	// The handed-off nodes now live elsewhere. The departed id keeps its
+	// dead address, the way a hop that resolved it before the removal
+	// holds it.
+	c.Mu.Lock()
+	c.addrs[gone] = staleAddr
+	c.Mu.Unlock()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ln.Close()
+	_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(5 * time.Second))
 	_, dialsBefore := c.PoolStats()
-	resp, retry, err := attemptDiscover(context.Background(), c, staleAddr, corpus[0], entry, replyTo)
-	if err != nil || retry {
-		t.Fatalf("forward to stale addr did not recover: retry=%v err=%v", retry, err)
+	h := overlay.Hop{Key: corpus[0], At: corpus[0], Physical: 1, Origin: 99, ReplyTo: ln.Addr().String()}
+	if err := (link{c}).Send(context.Background(), gone, h); err != nil {
+		t.Fatalf("send to a stale address did not recover: %v", err)
 	}
-	if !resp.Found || len(resp.Values) != 1 || resp.Values[0] != string(corpus[0]) {
-		t.Fatalf("answer after re-resolve: %+v", resp)
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("no answer reached the return address: %v", err)
+	}
+	defer conn.Close()
+	typ, id, _, payload, err := newFrameConn(conn).readFrame()
+	if err != nil || typ != frameResponse || id != h.Origin {
+		t.Fatalf("answer frame: type %d id %d err %v", typ, id, err)
+	}
+	var rep overlay.Reply
+	if err := decodeResponse(payload, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Found || len(rep.Values) != 1 || rep.Values[0] != string(corpus[0]) {
+		t.Fatalf("answer after re-resolve: %+v", rep)
 	}
 	if _, dials := c.PoolStats(); dials-dialsBefore > int64(c.NumPeers()) {
 		t.Fatalf("re-resolve cost %d dials", dials-dialsBefore)
@@ -296,21 +293,21 @@ func TestWireValuesSorted(t *testing.T) {
 // TestFrameRoundTrip pins the frame codec: request and response
 // survive an encode/decode round-trip byte for byte.
 func TestFrameRoundTrip(t *testing.T) {
-	req := request{Key: "pdgesv", GoingUp: true, route: route{At: "pd",
-		Logical: 7, Physical: 3, Redirects: 2, Origin: 41, ReplyTo: "127.0.0.1:7001"}}
-	buf := appendRequest(nil, &req)
-	var got request
-	if err := decodeRequest(buf, &got); err != nil {
+	req := overlay.Hop{Key: "pdgesv", At: "pd",
+		Logical: 7, Physical: 3, Redirects: 2, Origin: 41, ReplyTo: "127.0.0.1:7001"}
+	buf := appendHop(nil, &req)
+	var got overlay.Hop
+	if err := decodeHop(buf, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != req {
 		t.Fatalf("request round-trip: got %+v want %+v", got, req)
 	}
 
-	resp := response{Found: true, Values: []string{"a", "b"},
+	resp := overlay.Reply{Found: true, Values: []string{"a", "b"},
 		Logical: 9, Physical: 4, Err: "boom", Retry: true}
 	buf = appendResponse(nil, &resp)
-	var gotR response
+	var gotR overlay.Reply
 	if err := decodeResponse(buf, &gotR); err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +317,14 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("response round-trip: got %+v want %+v", gotR, resp)
 	}
 
-	var truncated request
-	if err := decodeRequest(buf[:1], &truncated); err == nil {
+	var truncated overlay.Hop
+	if err := decodeHop(buf[:1], &truncated); err == nil {
 		t.Fatal("truncated payload decoded without error")
 	}
 
-	resp = response{Dropped: true}
+	resp = overlay.Reply{Dropped: true}
 	buf = appendResponse(buf[:0], &resp)
-	gotR = response{}
+	gotR = overlay.Reply{}
 	if err := decodeResponse(buf, &gotR); err != nil {
 		t.Fatal(err)
 	}

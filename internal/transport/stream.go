@@ -13,6 +13,7 @@ import (
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/obs"
+	"dlpt/internal/overlay"
 	"dlpt/internal/trace"
 )
 
@@ -198,9 +199,8 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireSt
 		anchor = keys.GCP(spec.Lo, spec.Hi)
 	}
 	began := time.Now()
-	h := hop{typ: frameQRoute, rq: qroute{Anchor: anchor}}
-	var rr response
-	root, ok, err := c.originate(ctx, "query", &h, &rr)
+	var rr overlay.Reply
+	root, ok, err := c.Originate(ctx, "query", overlay.Hop{Query: true, Key: anchor}, &rr)
 	if !ok && err == nil {
 		return &WireStream{ended: true, finished: true}, nil
 	}
@@ -218,19 +218,14 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireSt
 	}
 	pre := core.QueryResult{LogicalHops: rr.Logical,
 		PhysicalHops: rr.Physical, NodesVisited: rr.Visited}
-	if !rr.Found {
-		// The route hit a node lost to churn: the walk yields nothing,
-		// with the route's counters as totals (walker behaviour).
-		ws := &WireStream{ended: true, finished: true, stats: pre,
-			span: root, met: c.Met, began: began}
-		ws.finish()
-		return ws, nil
+	var addr string
+	if rr.Found {
+		addr = c.hostAddr(rr.Anchor)
 	}
-	c.Mu.RLock()
-	host, okh := c.Net.HostOf(rr.Anchor)
-	addr := c.addrs[host]
-	c.Mu.RUnlock()
-	if !okh || addr == "" {
+	if addr == "" {
+		// The route hit a node lost to churn, or the anchor has no host
+		// any more: the walk yields nothing, with the route's counters
+		// as totals (walker behaviour).
 		ws := &WireStream{ended: true, finished: true, stats: pre,
 			span: root, met: c.Met, began: began}
 		ws.finish()
@@ -252,16 +247,13 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireSt
 	if err != nil {
 		// The address was stale (departed peer, Balance rename):
 		// re-resolve the anchor's current host once and retry on a
-		// fresh dial, as forward does for routed frames.
+		// fresh dial, as Send does for routed hops.
 		if ctx.Err() != nil || errors.Is(err, ErrStopped) {
 			root.End()
 			return nil, err
 		}
-		c.Mu.RLock()
-		host, okh := c.Net.HostOf(rr.Anchor)
-		retryAddr := c.addrs[host]
-		c.Mu.RUnlock()
-		if !okh || retryAddr == "" {
+		retryAddr := c.hostAddr(rr.Anchor)
+		if retryAddr == "" {
 			root.End()
 			return nil, err
 		}

@@ -1,4 +1,4 @@
-// Package transport is the socket data path of the overlay runtime
+// Package transport is the socket link of the overlay runtime
 // (internal/overlay): every peer owns a loopback listener, and
 // discovery requests hop peer-to-peer as length-prefixed binary frames
 // (see frame.go) multiplexed over persistent connections (see pool.go)
@@ -8,12 +8,13 @@
 // service (the Grid'5000 prototype the paper leaves as future work) and
 // exercises the protocol under real sockets in the tests.
 //
-// Membership, replication, balancing, registration and the discovery
-// transition are the embedded overlay.Runtime's, exactly as in
-// internal/live. This package owns what is specific to sockets: the
-// listeners and address table behind the runtime's Link (link.go), the
-// per-connection server loop and hop forwarding (server.go), the
-// originator's pending table and re-issue sweeper (originate.go), the
+// Membership, replication, balancing, registration and the routed
+// request end to end — the hop, the driver that takes it through a
+// peer, the originator's pending table, sweeper and re-issue — are the
+// embedded overlay.Runtime's, exactly as in internal/live. This package
+// owns what is specific to sockets: the listeners and address table
+// behind the runtime's Link and the frames a hop and its answer travel
+// as (link.go), the per-connection server loop (server.go), the
 // credit-windowed STREAM path (stream.go), the frame codec, the pool,
 // injected faults, and the mirror methods the daemon deployment drives.
 package transport
@@ -31,58 +32,7 @@ import (
 	"dlpt/internal/keys"
 	"dlpt/internal/overlay"
 	"dlpt/internal/persist"
-	"dlpt/internal/trace"
 )
-
-// route is the part of a routed frame every hop handles the same way:
-// where the walk stands, its counters, and who waits for the answer.
-type route struct {
-	At      keys.Key
-	Logical int
-	// Physical counts TCP hops (every wire transfer of the request is
-	// physical; the reply is not a hop).
-	Physical int
-	// Redirects counts forwards for a node the addressed peer does not
-	// host (stale routing after churn or balancing). A node lost to
-	// an unrecovered crash would be forwarded in a cycle forever, so
-	// past overlay.MaxRedirects the walk reports not found.
-	Redirects int
-	// Origin and ReplyTo name the caller: the pending id it waits on
-	// and the advertised address of one of its listeners. The peer
-	// where routing ends writes its answer there, under that id.
-	Origin  uint64
-	ReplyTo string
-}
-
-// request is a discovery on the wire.
-type request struct {
-	Key     keys.Key
-	GoingUp bool
-	route
-}
-
-// response is the on-the-wire result of a routed frame. A discovery
-// is answered with Found and Values. A query route is answered with
-// the covering node to open the walk at (Found, Anchor), or with the
-// end of the query when the route hit a node lost to churn (!Found —
-// the walk yields nothing, with the route's counters as totals,
-// exactly as the walker behaves at a vanished node).
-type response struct {
-	Found bool
-	// Dropped reports that a saturated peer ignored the request
-	// (capacity gating).
-	Dropped  bool
-	Values   []string
-	Anchor   keys.Key
-	Logical  int
-	Physical int
-	Visited  int
-	Err      string
-	// Retry marks an Err that says nothing about the key: the hop could
-	// not pass the frame on, and the originator should re-issue it from
-	// a fresh entry node.
-	Retry bool
-}
 
 // queryReq is the on-the-wire form of one streaming subtree query:
 // the traversal spec plus the node to run it from. Entry is the
@@ -100,36 +50,6 @@ type queryReq struct {
 	Logical        int
 	Physical       int
 	Visited        int
-}
-
-// qroute is the climb/descend route of a subtree query on the wire:
-// the anchor the route narrows towards, the current node, and the
-// walker counters accumulated so far. It is forwarded between
-// listeners exactly like discovery requests are, so the query's first
-// phases read only tree state the addressed peer hosts.
-type qroute struct {
-	Anchor     keys.Key
-	Descending bool
-	Visited    int
-	route
-}
-
-// hop is one routed frame in memory, at the peer it is addressed to or
-// at its originator: a discovery REQUEST or a query QROUTE — typ says
-// which of req and rq is live.
-type hop struct {
-	typ  byte
-	self keys.Key      // the addressed peer; unset at the originator
-	tc   trace.Context // trace parent of whatever handles the frame next
-	req  request
-	rq   qroute
-}
-
-func (h *hop) route() *route {
-	if h.typ == frameRequest {
-		return &h.req.route
-	}
-	return &h.rq.route
 }
 
 // streamEnd closes one streaming query on the wire.
@@ -176,9 +96,6 @@ type Options struct {
 // peer.
 type Cluster struct {
 	overlay.Runtime
-	// entryMu orders the readers that draw an entry node from the
-	// runtime's Rng holding only Mu.RLock.
-	entryMu sync.Mutex
 	addrs   map[keys.Key]string // guarded by Mu
 	bind    string              // listener bind address template
 	advHost string              // advertised host override
@@ -190,13 +107,6 @@ type Cluster struct {
 	// prove a cancelled consumer actually halts the walk.
 	queryVisits atomic.Int64
 
-	// The originator's side of the routed path: calls awaiting their
-	// direct reply by id, and the sweeper's clock that ages them.
-	pmu      sync.Mutex
-	pending  map[uint64]*pendingCall // guarded by pmu
-	lastCall uint64                  // guarded by pmu
-	tick     uint64                  // guarded by pmu
-
 	pool    *connPool
 	servers []*peerServer // guarded by Mu
 	wg      sync.WaitGroup
@@ -206,10 +116,8 @@ type Cluster struct {
 var ErrStopped = overlay.ErrStopped
 
 // ErrNoReply is returned by a discovery or query none of whose
-// attempts was answered: each time the frame or its reply was lost, or
-// a hop could not pass the frame on (a crashed or partitioned hop, an
-// unreachable reply address).
-var ErrNoReply = errors.New("transport: no reply from the overlay")
+// attempts was answered (see overlay.ErrNoReply).
+var ErrNoReply = overlay.ErrNoReply
 
 // Start launches a TCP-backed overlay with one listener per capacity
 // entry, all bound to 127.0.0.1 ephemeral ports.
@@ -228,14 +136,19 @@ func StartOpts(alpha *keys.Alphabet, capacities []int, seed int64, opts Options)
 		advHost: opts.AdvertiseHost,
 		control: opts.Control,
 		faults:  opts.Faults,
-		pending: make(map[uint64]*pendingCall),
 	}
 	c.Init(alpha, seed, opts.Options)
+	// The caller is no peer: its request crosses a wire to reach the
+	// entry host, and every wire transfer counts.
+	c.ClientHops = 1
 	c.pool = newConnPool(c.Quit, &c.wg)
 	c.pool.met = c.Met
 	c.pool.faults = c.faults
 	c.wg.Add(1)
-	go c.sweep()
+	go func() {
+		defer c.wg.Done()
+		c.Sweep()
+	}()
 	if m := c.Met; m != nil {
 		// Pool depth and lifetime dials, mirrored at scrape time beside
 		// the runtime's own collectors.

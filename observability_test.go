@@ -204,6 +204,46 @@ func TestMetricsEndpointChurnSoak(t *testing.T) {
 	}
 }
 
+// TestDiscoverHopSeriesOnBothRoutingEngines pins metrics parity: the
+// one originator behind live and tcp accounts every discovery into
+// dlpt_hops_total twice — tree edges under phase="discover", transfers
+// between peers under phase="relay" — so one dashboard compares the two
+// engines. Both series equal what the calls themselves reported.
+func TestDiscoverHopSeriesOnBothRoutingEngines(t *testing.T) {
+	for _, kind := range []EngineKind{EngineLive, EngineTCP} {
+		t.Run(string(kind), func(t *testing.T) {
+			ctx := context.Background()
+			reg := newRegistry(t, 6, WithSeed(21), WithAlphabet(keys.LowerAlnum),
+				WithEngine(kind), WithObservability(NewObservability()))
+			corpus := workload.GridCorpus(120)
+			for _, k := range corpus {
+				if err := reg.Register(ctx, string(k), "ep"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			logical, physical := 0, 0
+			for _, k := range corpus {
+				svc, found, err := reg.Discover(ctx, string(k))
+				if err != nil || !found {
+					t.Fatalf("discover %q: found=%v err=%v", k, found, err)
+				}
+				logical += svc.LogicalHops
+				physical += svc.PhysicalHops
+			}
+			if logical == 0 || physical == 0 {
+				t.Fatalf("%d logical, %d physical hops: the corpus never left a peer", logical, physical)
+			}
+			snap := reg.ObsSnapshot()
+			if got := snap.Get(obs.SeriesHops + `{phase="discover"}`); got != float64(logical) {
+				t.Errorf(`hops{phase="discover"} = %v, the calls reported %d logical hops`, got, logical)
+			}
+			if got := snap.Get(obs.SeriesHops + `{phase="relay"}`); got != float64(physical) {
+				t.Errorf(`hops{phase="relay"} = %v, the calls reported %d physical hops`, got, physical)
+			}
+		})
+	}
+}
+
 // TestObsSnapshotWithoutObservability pins the opt-out: a registry
 // built without WithObservability reports an empty snapshot and nil
 // bundle rather than failing.
