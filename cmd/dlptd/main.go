@@ -168,8 +168,9 @@ func cmdStatus(args []string, w io.Writer) error {
 }
 
 // printObs renders the counters `dlptd status -obs` surfaces: the ten
-// most loaded peers, the connection pool's depth and dial count, and
-// the replication/apply lag.
+// most loaded peers, the connection pool's depth and dial count, the
+// replication/apply lag, and the mirror repairs this daemon started as
+// steward beside the APPLY records it refused as a member.
 func printObs(w io.Writer, snap obs.Snapshot) {
 	type load struct {
 		peer string
@@ -201,6 +202,9 @@ func printObs(w io.Writer, snap obs.Snapshot) {
 		snap.Get(obs.SeriesVisits), snap.Get(obs.SeriesSaturationDrops))
 	fmt.Fprintf(w, "replication lag: %gs (apply seq %g, lag %gs)\n",
 		snap.Get(obs.SeriesReplicationLag), snap.Get(obs.SeriesApplySeq), snap.Get(obs.SeriesApplyLag))
+	fmt.Fprintf(w, "mirror repairs: %g by records, %g by image; applies refused: %g\n",
+		snap.Get(obs.SeriesMirrorRepairs+`{kind="records"}`), snap.Get(obs.SeriesMirrorRepairs+`{kind="image"}`),
+		snap.Get(obs.SeriesApplyRefusals))
 }
 
 // cmdOp runs one admin operation against a daemon.

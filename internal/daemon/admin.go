@@ -1,7 +1,7 @@
-// The admin wire contract: STATUS and ADMIN frames carry JSON both
-// ways, so `dlptd status`/`dlptd op` and the smoke tests can drive a
-// running daemon with one raw TCP round-trip and no cluster of their
-// own.
+// The admin wire contract, both ends: STATUS and ADMIN frames carry
+// JSON both ways, so `dlptd status`/`dlptd op` and the smoke tests can
+// drive a running daemon with one raw TCP round-trip and no cluster of
+// their own.
 
 package daemon
 
@@ -9,7 +9,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"time"
 
+	"dlpt/internal/core"
+	"dlpt/internal/keys"
 	"dlpt/internal/obs"
 	"dlpt/internal/peering"
 	"dlpt/internal/transport"
@@ -116,4 +119,118 @@ func replyError(rtyp byte, p []byte) error {
 		}
 	}
 	return fmt.Errorf("daemon: unexpected reply frame %d", rtyp)
+}
+
+// Status captures the daemon's externally visible state (the
+// handleStatus reply and the local view share this path).
+func (d *Daemon) Status() *Status {
+	d.mu.Lock()
+	role := "member"
+	if d.steward {
+		role = "steward"
+	}
+	st := &Status{
+		Role:        role,
+		ID:          string(d.selfID),
+		Addr:        d.selfAddr,
+		StewardAddr: d.stewardAddr,
+		Epoch:       d.epoch,
+		Seq:         d.seq,
+	}
+	for _, m := range d.memberListLocked() {
+		st.Members = append(st.Members, MemberInfo{ID: string(m.ID), Addr: m.Addr, Capacity: m.Capacity})
+	}
+	d.mu.Unlock()
+	st.Peers = d.cluster.NumPeers()
+	st.Nodes = d.cluster.NumNodes()
+	st.Links = d.maint.Snapshot()
+	return st
+}
+
+func (d *Daemon) handleStatus() (byte, []byte) {
+	b, err := json.Marshal(d.Status())
+	if err != nil {
+		return ack("daemon: status: " + err.Error())
+	}
+	return transport.FrameStatusResp, b
+}
+
+func (d *Daemon) handleAdmin(payload []byte) (byte, []byte) {
+	var req AdminRequest
+	if err := json.Unmarshal(payload, &req); err != nil {
+		b, _ := json.Marshal(&AdminResponse{Err: "daemon: malformed admin request: " + err.Error()})
+		return transport.FrameAdminResp, b
+	}
+	resp := d.admin(&req)
+	b, err := json.Marshal(resp)
+	if err != nil {
+		b, _ = json.Marshal(&AdminResponse{Err: "daemon: admin: " + err.Error()})
+	}
+	return transport.FrameAdminResp, b
+}
+
+// admin executes one admin operation against the overlay. Catalogue
+// mutations route through the serialized apply stream; reads run
+// directly on the local mirror (discoveries and streamed queries
+// still hop to the owning daemons over the wire).
+func (d *Daemon) admin(req *AdminRequest) *AdminResponse {
+	resp := &AdminResponse{}
+	ctx, cancel := context.WithTimeout(d.ctx, 30*time.Second)
+	defer cancel()
+	switch req.Op {
+	case "register":
+		if err := d.mutate(transport.OpRegister, req.Key, req.Value); err != nil {
+			resp.Err = err.Error()
+		}
+	case "unregister":
+		if err := d.mutate(transport.OpUnregister, req.Key, req.Value); err != nil {
+			resp.Err = err.Error()
+		}
+	case "discover":
+		res, err := d.cluster.DiscoverContext(ctx, keys.Key(req.Key))
+		if err != nil {
+			resp.Err = err.Error()
+			break
+		}
+		resp.Found = res.Found
+		resp.Values = res.Values
+		resp.Logical = res.LogicalHops
+		resp.Physical = res.PhysicalHops
+		resp.Dropped = res.Dropped
+	case "complete", "range":
+		spec := core.QuerySpec{Limit: req.Limit}
+		if req.Op == "range" {
+			spec.Range = true
+			spec.Lo, spec.Hi = keys.Key(req.Lo), keys.Key(req.Hi)
+		} else {
+			spec.Prefix = keys.Key(req.Prefix)
+		}
+		s, err := d.cluster.StreamQuery(ctx, spec)
+		if err != nil {
+			resp.Err = err.Error()
+			break
+		}
+		for k, ok := s.Next(); ok; k, ok = s.Next() {
+			resp.Keys = append(resp.Keys, string(k))
+		}
+		if err := s.Err(); err != nil {
+			resp.Err = err.Error()
+		}
+		st := s.Stats()
+		resp.Logical = st.LogicalHops
+		resp.Physical = st.PhysicalHops
+		resp.Visited = st.NodesVisited
+		s.Close()
+	case "validate":
+		if err := d.cluster.Validate(); err != nil {
+			resp.Err = err.Error()
+		}
+	case "obs":
+		// The same counters the /metrics endpoint exports, over the
+		// admin wire path (dlptd status -obs) — no HTTP listener needed.
+		resp.Obs = d.obsReg.Snapshot()
+	default:
+		resp.Err = fmt.Sprintf("daemon: unknown admin op %q", req.Op)
+	}
+	return resp
 }

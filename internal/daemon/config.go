@@ -94,11 +94,6 @@ type Config struct {
 	// covering a failover window — before reporting ErrNoSteward
 	// (default 10s).
 	ForwardRetry Duration `json:"forward_retry,omitempty"`
-	// ResyncLogSize bounds the in-memory tail of applied records every
-	// daemon keeps for post-election gap replay; members further
-	// behind the new steward re-bootstrap with a full snapshot
-	// (default 512).
-	ResyncLogSize int `json:"resync_log_size,omitempty"`
 	// MetricsAddr, when non-empty, opens an HTTP listener at this
 	// address serving /metrics (Prometheus text format) and
 	// /debug/trace (recent per-hop span trees as JSON). Empty disables
@@ -146,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ForwardRetry <= 0 {
 		c.ForwardRetry = Duration(10 * time.Second)
-	}
-	if c.ResyncLogSize <= 0 {
-		c.ResyncLogSize = 512
 	}
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano()

@@ -14,41 +14,15 @@
 package daemon
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 	"time"
 
 	"dlpt/internal/keys"
 	"dlpt/internal/peering"
 	"dlpt/internal/transport"
 )
-
-// staleEpochPrefix marks the machine-parsable fencing refusal:
-// "daemon: stale epoch: <epoch> <stewardAddr>". A deposed steward
-// parses it to learn who replaced it.
-const staleEpochPrefix = "daemon: stale epoch: "
-
-// staleEpochAck formats the fencing refusal.
-func staleEpochAck(epoch uint64, stewardAddr string) string {
-	return staleEpochPrefix + strconv.FormatUint(epoch, 10) + " " + stewardAddr
-}
-
-// parseStaleEpoch recovers (epoch, stewardAddr) from a fencing
-// refusal; ok is false for any other string.
-func parseStaleEpoch(es string) (epoch uint64, stewardAddr string, ok bool) {
-	rest, found := strings.CutPrefix(es, staleEpochPrefix)
-	if !found {
-		return 0, "", false
-	}
-	num, addr, _ := strings.Cut(rest, " ")
-	e, err := strconv.ParseUint(num, 10, 64)
-	if err != nil {
-		return 0, "", false
-	}
-	return e, addr, true
-}
 
 // deposeLocked demotes this steward after evidence of a higher epoch
 // (a member's fencing refusal or a probed STATUS reply). The daemon
@@ -64,12 +38,7 @@ func (d *Daemon) deposeLocked(epoch uint64, stewardAddr string) {
 	d.logf("dlptd: deposed by epoch %d steward at %s; rejoining as member", epoch, stewardAddr)
 	d.met.ElectionEvent("deposed")
 	d.steward = false
-	d.epoch = epoch
-	d.promised = max(d.promised, epoch)
-	if stewardAddr != "" {
-		d.stewardAddr = stewardAddr
-	}
-	d.met.MarkEpoch(d.epoch)
+	d.adoptEpochLocked(epoch, stewardAddr)
 	d.wg.Add(1)
 	go d.rejoinAsMember()
 }
@@ -92,7 +61,7 @@ func (d *Daemon) rejoinAsMember() {
 		targets = append(targets, d.stewardAddr)
 	}
 	for id, m := range d.members {
-		if id != d.selfID && m.Addr != d.selfAddr && !contains(targets, m.Addr) {
+		if id != d.selfID && m.Addr != d.selfAddr && !slices.Contains(targets, m.Addr) {
 			targets = append(targets, m.Addr)
 		}
 	}
@@ -196,15 +165,10 @@ func (d *Daemon) runElection() {
 			Epoch: proposed, ID: selfID, Addr: selfAddr, Seq: selfSeq,
 		})
 		for _, v := range voters {
-			ctx, cancel := context.WithTimeout(d.ctx, et)
-			rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, v.Addr, transport.FrameElect, req)
-			cancel()
+			rp, err := d.roundTrip(et, v.Addr, transport.FrameElect, req, transport.FrameElectResp)
 			if err != nil {
 				d.logf("dlptd: election epoch %d: vote from %s failed: %v", proposed, v.Addr, err)
 				d.cluster.DropEndpointAddr(v.Addr)
-				continue
-			}
-			if rtyp != transport.FrameElectResp {
 				continue
 			}
 			rep, err := transport.DecodeElectReply(rp)
@@ -262,19 +226,9 @@ func (d *Daemon) winElection(epoch, maxSeq uint64, maxSeqAddr string) {
 		return
 	}
 	oldAddr := d.stewardAddr
-	var oldID keys.Key
-	oldFound := false
-	for id, m := range d.members {
-		if m.Addr == oldAddr {
-			oldID, oldFound = id, true
-			break
-		}
-	}
-	d.epoch = epoch
-	d.promised = max(d.promised, epoch)
+	oldID, oldFound := d.memberAtLocked(oldAddr)
 	d.steward = true
-	d.stewardAddr = d.selfAddr
-	d.met.MarkEpoch(d.epoch)
+	d.adoptEpochLocked(epoch, d.selfAddr)
 	d.met.ElectionEvent("won")
 	d.logf("dlptd: won election: steward of epoch %d at seq %d", d.epoch, d.seq)
 	d.openEpochLocked()
@@ -293,49 +247,39 @@ func (d *Daemon) catchUp(addr string, target uint64) {
 	d.mu.Lock()
 	from := d.seq + 1
 	d.mu.Unlock()
-	ctx, cancel := context.WithTimeout(d.ctx, time.Duration(d.cfg.ElectionTimeout))
-	rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, addr,
-		transport.FrameFetch, transport.EncodeFetch(&transport.FetchRequest{From: from}))
-	cancel()
+	rp, err := d.roundTrip(time.Duration(d.cfg.ElectionTimeout), addr, transport.FrameFetch,
+		transport.EncodeFetch(&transport.FetchRequest{From: from}), transport.FrameFetchResp)
+	var rep *transport.FetchReply
+	if err == nil {
+		rep, err = transport.DecodeFetchReply(rp)
+	}
+	if err == nil && rep.Err != "" {
+		err = errors.New(rep.Err)
+	}
 	if err != nil {
 		d.logf("dlptd: catch-up fetch from %s: %v", addr, err)
-		return
-	}
-	if rtyp != transport.FrameFetchResp {
-		d.logf("dlptd: catch-up fetch from %s: reply frame %d", addr, rtyp)
-		return
-	}
-	rep, err := transport.DecodeFetchReply(rp)
-	if err != nil || rep.Err != "" {
-		d.logf("dlptd: catch-up fetch from %s: %v%s", addr, err, rep.Err)
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, rec := range rep.Records {
-		if rec.Seq != d.seq+1 {
-			continue
+		if rec.Seq <= d.seq {
+			continue // reached us while the fetch was in flight
 		}
-		if err := d.applyLocked(rec); err != nil {
-			d.logf("dlptd: catch-up apply seq %d: %v", rec.Seq, err)
+		if err := d.advanceLocked(rec); err != nil {
+			d.logf("dlptd: catch-up seq %d: %v", rec.Seq, err)
 			return
 		}
-		d.seq = rec.Seq
-		d.met.MarkApplied(d.seq)
-		d.appendLogLocked(rec)
 	}
 	d.logf("dlptd: caught up to seq %d (target %d) from %s", d.seq, target, addr)
 }
 
 // openEpochLocked runs the epoch-open barrier: every unsuspected
-// member adopts the new epoch and reports its last applied sequence;
-// members behind by a gap the apply log covers get a replay, members
-// too far behind (or ahead, holding uncommitted records from the old
-// steward's torn broadcast) get a full RESYNC snapshot. Failures are
-// logged and left to the probe loop's crash path — the barrier must
-// not wedge stewardship on an unreachable member.
+// member adopts the new epoch and reports its last applied sequence,
+// and repairLocked brings it into step. Failures are logged and left
+// to the next commit's repair or the probe loop's crash path — the
+// barrier must not wedge stewardship on an unreachable member.
 func (d *Daemon) openEpochLocked() {
-	var mirror []byte // the RESYNC payload, encoded for the first member that needs it
 	open := transport.EncodeEpochOpen(&transport.EpochOpen{
 		Epoch: d.epoch, StewardID: d.selfID, StewardAddr: d.selfAddr, Seq: d.seq,
 	})
@@ -343,76 +287,19 @@ func (d *Daemon) openEpochLocked() {
 		if m.ID == d.selfID || d.suspected[m.Addr] {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(d.ctx, 5*time.Second)
-		rtyp, rp, err := d.cluster.ControlRoundTrip(ctx, m.Addr, transport.FrameEpochOpen, open)
-		cancel()
+		rp, err := d.roundTrip(5*time.Second, m.Addr, transport.FrameEpochOpen, open, transport.FrameEpochOpenResp)
+		var rep *transport.EpochOpenReply
+		if err == nil {
+			rep, err = transport.DecodeEpochOpenReply(rp)
+		}
+		if err == nil && rep.Err != "" {
+			err = errors.New(rep.Err)
+		}
 		if err != nil {
-			d.logf("dlptd: epoch-open to %s failed: %v", m.Addr, err)
+			d.logf("dlptd: epoch-open to %s: %v", m.Addr, err)
 			continue
 		}
-		if rtyp != transport.FrameEpochOpenResp {
-			d.logf("dlptd: epoch-open to %s: reply frame %d", m.Addr, rtyp)
-			continue
-		}
-		rep, err := transport.DecodeEpochOpenReply(rp)
-		if err != nil || rep.Err != "" {
-			d.logf("dlptd: epoch-open to %s refused: %v%s", m.Addr, err, rep.Err)
-			continue
-		}
-		switch {
-		case rep.Seq == d.seq:
-			// In step already.
-		case rep.Seq < d.seq && d.logCoversLocked(rep.Seq+1):
-			d.replayLocked(m, rep.Seq)
-		default:
-			// Too far behind for the log, or ahead of the committed
-			// stream: re-bootstrap the mirror wholesale. The barrier holds
-			// the daemon lock, so one capture serves every such member.
-			if mirror == nil {
-				state := d.mirrorLocked()
-				mirror = transport.EncodeMirror(&state)
-			}
-			d.resyncLocked(m, mirror)
-		}
-	}
-}
-
-// logCoversLocked reports whether the apply log's contiguous tail
-// reaches back to sequence from.
-func (d *Daemon) logCoversLocked(from uint64) bool {
-	return len(d.applyLog) > 0 && d.applyLog[0].Seq <= from
-}
-
-// replayLocked re-ships the records a member missed, re-stamped under
-// the current epoch so the member's fence admits them.
-func (d *Daemon) replayLocked(m transport.Member, afterSeq uint64) {
-	gap := d.applyLog[len(d.applyLog)-int(d.seq-afterSeq):]
-	d.logf("dlptd: replaying seq %d..%d to %s", afterSeq+1, d.seq, m.Addr)
-	for i := range gap {
-		rec := gap[i]
-		rec.Epoch = d.epoch
-		es, err := d.ackRoundTrip(5*time.Second, m.Addr, transport.FrameApply, transport.EncodeApply(&rec))
-		if err != nil {
-			d.logf("dlptd: replay seq %d to %s failed: %v", rec.Seq, m.Addr, err)
-			return
-		}
-		if es != "" {
-			d.logf("dlptd: replay seq %d refused by %s: %s", rec.Seq, m.Addr, es)
-			return
-		}
-	}
-}
-
-// resyncLocked re-bootstraps one member's mirror with the new
-// steward's — the member-side install keeps its ring id and listener,
-// so the overlay's membership is undisturbed.
-func (d *Daemon) resyncLocked(m transport.Member, payload []byte) {
-	d.logf("dlptd: resyncing %s at %s to epoch %d seq %d", m.ID, m.Addr, d.epoch, d.seq)
-	es, err := d.ackRoundTrip(10*time.Second, m.Addr, transport.FrameResync, payload)
-	if err != nil {
-		d.logf("dlptd: resync %s failed: %v", m.Addr, err)
-	} else if es != "" {
-		d.logf("dlptd: resync %s refused: %s", m.Addr, es)
+		d.repairLocked(m, rep.Seq)
 	}
 }
 
@@ -424,7 +311,7 @@ func (d *Daemon) resyncLocked(m transport.Member, payload []byte) {
 func (d *Daemon) handleElect(payload []byte) (byte, []byte) {
 	er, err := transport.DecodeElect(payload)
 	if err != nil {
-		return transport.FrameAck, transport.EncodeAck("daemon: malformed elect: " + err.Error())
+		return ack("daemon: malformed elect: " + err.Error())
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -460,7 +347,7 @@ func (d *Daemon) handleElect(payload []byte) (byte, []byte) {
 func (d *Daemon) handleEpochOpen(payload []byte) (byte, []byte) {
 	eo, err := transport.DecodeEpochOpen(payload)
 	if err != nil {
-		return transport.FrameAck, transport.EncodeAck("daemon: malformed epoch-open: " + err.Error())
+		return ack("daemon: malformed epoch-open: " + err.Error())
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -476,11 +363,8 @@ func (d *Daemon) handleEpochOpen(payload []byte) (byte, []byte) {
 		d.deposeLocked(eo.Epoch, eo.StewardAddr)
 		rep.Err = "daemon: deposed, rejoining"
 	default:
-		d.epoch = eo.Epoch
-		d.promised = max(d.promised, eo.Epoch)
-		d.stewardAddr = eo.StewardAddr
+		d.adoptEpochLocked(eo.Epoch, eo.StewardAddr)
 		delete(d.suspected, eo.StewardAddr)
-		d.met.MarkEpoch(d.epoch)
 		d.logf("dlptd: epoch %d opened by steward %s at %s (local seq %d, steward seq %d)",
 			eo.Epoch, eo.StewardID, eo.StewardAddr, d.seq, eo.Seq)
 	}
@@ -491,9 +375,6 @@ func (d *Daemon) handleEpochOpen(payload []byte) (byte, []byte) {
 // daemon's ring id and listener: the re-bootstrap path for members
 // whose gap outran the steward's apply log.
 func (d *Daemon) handleResync(payload []byte) (byte, []byte) {
-	ack := func(errStr string) (byte, []byte) {
-		return transport.FrameAck, transport.EncodeAck(errStr)
-	}
 	rs, err := transport.DecodeMirror(payload)
 	if err != nil {
 		return ack("daemon: malformed resync: " + err.Error())
@@ -531,7 +412,7 @@ func (d *Daemon) handleResync(payload []byte) (byte, []byte) {
 func (d *Daemon) handleFetch(payload []byte) (byte, []byte) {
 	fr, err := transport.DecodeFetch(payload)
 	if err != nil {
-		return transport.FrameAck, transport.EncodeAck("daemon: malformed fetch: " + err.Error())
+		return ack("daemon: malformed fetch: " + err.Error())
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()

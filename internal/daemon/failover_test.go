@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dlpt/internal/catalog"
+	"dlpt/internal/keys"
 	"dlpt/internal/persist"
 	"dlpt/internal/transport"
 )
@@ -232,15 +233,9 @@ func TestFailoverResyncsMemberTooFarBehind(t *testing.T) {
 	faults := transport.NewFaults(13)
 	cfg := failoverConfig(1)
 	cfg.Faults = faults
-	mk := func(seed int64, bootstrap ...string) Config {
-		c := failoverConfig(seed, bootstrap...)
-		c.ResyncLogSize = 3 // force the gap past the log
-		return c
-	}
-	cfg.ResyncLogSize = 3
 	ds := []*Daemon{startDaemon(t, cfg)}
 	for i := 1; i < 4; i++ {
-		ds = append(ds, startDaemon(t, mk(int64(i+1), ds[0].Addr())))
+		ds = append(ds, startDaemon(t, failoverConfig(int64(i+1), ds[0].Addr())))
 	}
 	register(t, ds[0], "base", "v")
 
@@ -251,10 +246,10 @@ func TestFailoverResyncsMemberTooFarBehind(t *testing.T) {
 		}
 	}
 	faults.Inject(transport.FaultRule{Type: transport.FrameApply, Addr: lagging.Addr(), Drop: true})
-	// 8 missed records against a 3-record log: logCovers fails and the
-	// barrier must take the RESYNC branch.
-	for i := 0; i < 8; i++ {
-		register(t, ds[0], fmt.Sprintf("far%02d", i), "v")
+	// More missed records than the apply log holds: it no longer covers
+	// the gap and the barrier must take the RESYNC branch.
+	for i := 0; i < applyLogSize+8; i++ {
+		register(t, ds[0], fmt.Sprintf("far%03d", i), "v")
 	}
 	if err := ds[0].ReplicateNow(); err != nil {
 		t.Fatalf("replicate: %v", err)
@@ -272,8 +267,8 @@ func TestFailoverResyncsMemberTooFarBehind(t *testing.T) {
 		t.Fatalf("mirror diverged after resync:\n got %s\nwant %s", got, want)
 	}
 	ctx := context.Background()
-	for i := 0; i < 8; i++ {
-		k := fmt.Sprintf("far%02d", i)
+	for i := 0; i < applyLogSize+8; i += 40 {
+		k := fmt.Sprintf("far%03d", i)
 		resp, err := Admin(ctx, lagging.Addr(), &AdminRequest{Op: "discover", Key: k})
 		if err != nil || !resp.Found {
 			t.Fatalf("key %s missing after resync: err=%v", k, err)
@@ -284,28 +279,26 @@ func TestFailoverResyncsMemberTooFarBehind(t *testing.T) {
 	}
 }
 
-// A paused-then-resumed old steward is fenced by the new epoch: its
-// late traffic bounces, it deposes itself and rejoins as a plain
-// member, and a write originated on it lands through the new steward.
-// Every daemon gets its own fault plan; the old steward is
-// partitioned from the members in both directions while the members
-// elect under epoch 2, then the partition heals.
-func TestDeposedStewardFencedAndRejoins(t *testing.T) {
-	fOld := transport.NewFaults(17)
-	fM1 := transport.NewFaults(18)
-	fM2 := transport.NewFaults(19)
+// partitionedSteward builds the paused-old-steward scene: three
+// daemons, each with its own fault plan; the steward (which never
+// crashes anyone out: huge miss threshold) is partitioned from the two
+// members in both directions, and the members have elected one of
+// themselves under epoch 2 while it still believes in epoch 1.
+func partitionedSteward(t *testing.T) (old, m1, m2, steward *Daemon, fOld, fM1, fM2 *transport.Faults) {
+	t.Helper()
+	fOld, fM1, fM2 = transport.NewFaults(17), transport.NewFaults(18), transport.NewFaults(19)
 
 	cfgOld := failoverConfig(1)
 	cfgOld.Faults = fOld
 	cfgOld.MissThreshold = 1 << 20 // the pause: old steward never crashes anyone out
-	old := startDaemon(t, cfgOld)
+	old = startDaemon(t, cfgOld)
 
 	cfgM1 := failoverConfig(2, old.Addr())
 	cfgM1.Faults = fM1
-	m1 := startDaemon(t, cfgM1)
+	m1 = startDaemon(t, cfgM1)
 	cfgM2 := failoverConfig(3, old.Addr())
 	cfgM2.Faults = fM2
-	m2 := startDaemon(t, cfgM2)
+	m2 = startDaemon(t, cfgM2)
 
 	register(t, old, "before", "v")
 	// Snapshot replicas onto ring successors so the old steward's
@@ -319,15 +312,22 @@ func TestDeposedStewardFencedAndRejoins(t *testing.T) {
 
 	// Both directions go dark: the members see the steward dead and
 	// elect; the paused steward sees nothing (huge miss threshold).
-	oldAddr := old.Addr()
 	fOld.Partition(m1.Addr(), m2.Addr())
-	fM1.Partition(oldAddr)
-	fM2.Partition(oldAddr)
+	fM1.Partition(old.Addr())
+	fM2.Partition(old.Addr())
 
-	steward := waitSteward(t, []*Daemon{m1, m2}, 2)
+	steward = waitSteward(t, []*Daemon{m1, m2}, 2)
 	if !old.IsSteward() {
 		t.Fatalf("old steward must still believe in epoch 1 while partitioned")
 	}
+	return old, m1, m2, steward, fOld, fM1, fM2
+}
+
+// A paused-then-resumed old steward is fenced by the new epoch: its
+// late traffic bounces, it deposes itself and rejoins as a plain
+// member, and a write originated on it lands through the new steward.
+func TestDeposedStewardFencedAndRejoins(t *testing.T) {
+	old, m1, m2, steward, fOld, fM1, fM2 := partitionedSteward(t)
 
 	// Heal. The old steward's next act — a write broadcast or a probed
 	// STATUS reply — hits the epoch fence, deposes it and triggers the
@@ -361,6 +361,41 @@ func TestDeposedStewardFencedAndRejoins(t *testing.T) {
 	}
 	if st, err := GetStatus(ctx, old.Addr()); err != nil || st.Role != "member" {
 		t.Fatalf("old steward status = %+v, err %v", st, err)
+	}
+}
+
+// A JOIN that reaches a steward which is fenced during that very join's
+// broadcast is refused with a redirect to the steward that deposed it —
+// not answered with a mirror of the dead epoch naming the deposed
+// daemon as steward.
+func TestJoinThroughFencedStewardRedirected(t *testing.T) {
+	old, m1, m2, steward, fOld, _, _ := partitionedSteward(t)
+	// Let the old steward's broadcasts through again, but not its probes:
+	// the join's APPLY must be what meets the fence, not a STATUS reply.
+	fOld.Inject(transport.FaultRule{Type: transport.FrameStatus, Drop: true})
+	fOld.Heal(m1.Addr(), m2.Addr())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rtyp, p, err := transport.RawCall(ctx, old.Addr(), transport.FrameJoin, transport.EncodeJoin(&transport.JoinRequest{
+		Version:  transport.HandshakeVersion,
+		Alphabet: string(keys.LowerAlnum.Digits()),
+		Addr:     "127.0.0.1:1",
+		Capacity: 8,
+	}))
+	if err != nil || rtyp != transport.FrameHello {
+		t.Fatalf("raw join: frame %d, err %v", rtyp, err)
+	}
+	hello, err := transport.DecodeHello(p)
+	if err != nil {
+		t.Fatalf("decode hello: %v", err)
+	}
+	if hello.Err != ackDeposed || hello.StewardAddr != steward.Addr() || len(hello.Image) != 0 {
+		t.Fatalf("fenced join answered Err=%q steward=%q epoch=%d image=%dB; want %q, a redirect to %s and no mirror",
+			hello.Err, hello.StewardAddr, hello.Epoch, len(hello.Image), ackDeposed, steward.Addr())
+	}
+	if old.IsSteward() {
+		t.Fatalf("old steward still believes in itself after the fence")
 	}
 }
 

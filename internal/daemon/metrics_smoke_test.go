@@ -63,6 +63,8 @@ func TestMetricsEndpointThreeDaemonOverlay(t *testing.T) {
 		obs.SeriesVisits,
 		obs.SeriesWireBytesIn,
 		obs.SeriesApplySeq,
+		obs.SeriesMirrorRepairs,
+		obs.SeriesApplyRefusals,
 	}
 	for i, d := range ds {
 		addr := d.MetricsAddr()

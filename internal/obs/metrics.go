@@ -30,6 +30,8 @@ const (
 	SeriesEpoch             = "dlpt_epoch"
 	SeriesElections         = "dlpt_elections_total"
 	SeriesFailoverDuration  = "dlpt_failover_seconds"
+	SeriesMirrorRepairs     = "dlpt_mirror_repairs_total"
+	SeriesApplyRefusals     = "dlpt_apply_refusals_total"
 	SeriesSnapshotStall     = "dlpt_snapshot_write_stall_seconds"
 	SeriesSnapshotBytes     = "dlpt_snapshot_bytes"
 	SeriesSnapshotKeys      = "dlpt_snapshot_keys"
@@ -78,6 +80,7 @@ type Metrics struct {
 
 	Epoch            *Gauge
 	FailoverDuration *Histogram
+	ApplyRefusals    *Counter
 
 	SnapshotStall *Gauge
 	SnapshotBytes *Gauge
@@ -85,6 +88,7 @@ type Metrics struct {
 
 	topo      map[string]*Counter
 	elections map[string]*Counter
+	repairs   map[string]*Counter
 
 	// lastReplicate / lastApply are unix-nano stamps the lag gauges
 	// derive from at scrape time.
@@ -128,6 +132,8 @@ func NewMetrics(reg *Registry) *Metrics {
 		Epoch: reg.Gauge(SeriesEpoch, "Current steward epoch of the overlay."),
 		FailoverDuration: reg.Histogram(SeriesFailoverDuration,
 			"Steward failover duration: steward declared dead to new steward open.", nil),
+		ApplyRefusals: reg.Counter(SeriesApplyRefusals,
+			"Sequenced APPLY records this mirror refused (sequence gap or failed apply)."),
 		SnapshotStall: reg.Gauge(SeriesSnapshotStall,
 			"Write-lock stall of the last durable snapshot: catalogue capture plus journal rotation."),
 		SnapshotBytes: reg.Gauge(SeriesSnapshotBytes,
@@ -136,6 +142,7 @@ func NewMetrics(reg *Registry) *Metrics {
 			"Catalogue entries in the last durable snapshot."),
 		topo:      make(map[string]*Counter, 6),
 		elections: make(map[string]*Counter, 4),
+		repairs:   make(map[string]*Counter, 2),
 	}
 	for _, ph := range phases {
 		m.hops[ph] = reg.Counter(SeriesHops, "Tree edges traversed, by traversal phase.", "phase", ph)
@@ -147,6 +154,10 @@ func NewMetrics(reg *Registry) *Metrics {
 	}
 	for _, ev := range []string{"started", "won", "lost", "deposed"} {
 		m.elections[ev] = reg.Counter(SeriesElections, "Steward election events.", "event", ev)
+	}
+	for _, kind := range []string{"records", "image"} {
+		m.repairs[kind] = reg.Counter(SeriesMirrorRepairs,
+			"Mirror repairs a steward started for a lagging member, by payload.", "kind", kind)
 	}
 	reg.OnScrape(func() {
 		if t := m.lastReplicate.Load(); t != 0 {
@@ -240,6 +251,16 @@ func (m *Metrics) ElectionEvent(event string) {
 		c = m.Registry.Counter(SeriesElections, "", "event", event)
 	}
 	c.Inc()
+}
+
+// MirrorRepair counts one repair a steward starts for a member whose
+// mirror is out of step: kind is the payload, "records" (apply-log
+// tail) or "image" (the whole overlay).
+func (m *Metrics) MirrorRepair(kind string) {
+	if m == nil {
+		return
+	}
+	m.repairs[kind].Inc()
 }
 
 // ObserveFailover records one completed steward failover's duration.

@@ -283,33 +283,17 @@ func (r *Runtime) Stopped() bool {
 	}
 }
 
-// AddPeer joins one peer with the given capacity and returns its id.
+// AddPeer joins one peer with the given capacity and returns its id:
+// draw a ring id, bring the peer's endpoint up through the link, join
+// the ring — in that order, so a peer whose endpoint cannot come up
+// never enters the ring (every walk through its nodes would fail).
 func (r *Runtime) AddPeer(capacity int) (keys.Key, error) {
-	return r.Join(capacity, r.link.PeerUp)
-}
-
-// Join draws a ring id, brings the peer's endpoint up through up and
-// joins the ring — in that order, so a peer whose endpoint cannot
-// come up never enters the ring (every walk through its nodes would
-// fail). AddPeer passes the link's PeerUp; a runtime whose peer lives
-// in another process passes a function that records its address.
-func (r *Runtime) Join(capacity int, up func(keys.Key) error) (keys.Key, error) {
 	if r.Stopped() {
 		return "", ErrStopped
 	}
 	r.Mu.Lock()
-	var id keys.Key
-	if r.place != nil {
-		id = r.place.PlaceJoin(r.Net, r.Rng, capacity)
-	} else {
-		for {
-			id = r.Net.Alphabet.RandomKey(r.Rng, 12, 12)
-			if _, exists := r.Net.Peer(id); !exists {
-				break
-			}
-		}
-	}
-	if err := up(id); err != nil {
+	id := r.drawJoinIDLocked(capacity)
+	if err := r.link.PeerUp(id); err != nil {
 		r.Mu.Unlock()
 		return "", err
 	}
@@ -321,6 +305,29 @@ func (r *Runtime) Join(capacity int, up func(keys.Key) error) (keys.Key, error) 
 	}
 	r.Met.TopologyEvent("join")
 	return id, nil
+}
+
+// DrawJoinID draws the ring id AddPeer would give the next joiner —
+// the placement policy's choice, or a uniformly random unused id —
+// without joining anyone. The daemon's steward draws here and then
+// commits the join through the same record its members replay, so a
+// seed replays the same ids either way.
+func (r *Runtime) DrawJoinID(capacity int) keys.Key {
+	r.Mu.Lock()
+	defer r.Mu.Unlock()
+	return r.drawJoinIDLocked(capacity)
+}
+
+func (r *Runtime) drawJoinIDLocked(capacity int) keys.Key {
+	if r.place != nil {
+		return r.place.PlaceJoin(r.Net, r.Rng, capacity)
+	}
+	for {
+		id := r.Net.Alphabet.RandomKey(r.Rng, 12, 12)
+		if _, exists := r.Net.Peer(id); !exists {
+			return id
+		}
+	}
 }
 
 // RemovePeer removes a peer gracefully: its tree nodes hand off to the

@@ -165,25 +165,12 @@ func StartOpts(alpha *keys.Alphabet, capacities []int, seed int64, opts Options)
 	return c, nil
 }
 
-// JoinRemotePeer performs the protocol join for a peer whose listener
-// lives in another process: the ring id is drawn exactly as AddPeer
-// draws it, but addr — the joining daemon's advertised listener —
-// enters the routing table instead of a locally bound one. Every
-// routed frame, replica frame and stream addressed to the peer then
-// crosses the process boundary transparently.
-//
-// dlptlint:held Mu — Join runs the callback under the write lock.
-func (c *Cluster) JoinRemotePeer(capacity int, addr string) (keys.Key, error) {
-	return c.Join(capacity, func(id keys.Key) error {
-		c.addrs[id] = addr
-		return nil
-	})
-}
-
-// AddRemotePeerWithID mirrors a join another process already
-// serialized: the assigned id and advertised address are given, only
-// the deterministic tree-side join runs locally. The daemon's APPLY
-// replication uses this to keep member mirrors convergent.
+// AddRemotePeerWithID joins a peer whose listener lives in another
+// process: the steward drew the id (DrawJoinID) and addr — the joining
+// daemon's advertised listener — enters the routing table instead of a
+// locally bound one, so every routed frame, replica frame and stream
+// addressed to the peer crosses the process boundary transparently.
+// Every daemon, the steward included, runs this for an OpJoin record.
 func (c *Cluster) AddRemotePeerWithID(id keys.Key, capacity int, addr string) error {
 	if c.Stopped() {
 		return ErrStopped
