@@ -1,14 +1,29 @@
 // The admin wire contract, both ends: STATUS and ADMIN frames carry
-// JSON both ways, so `dlptd status`/`dlptd op` and the smoke tests can
-// drive a running daemon with one raw TCP round-trip and no cluster of
-// their own.
+// JSON both ways, so `dlptd status`/`dlptd op`, the smoke tests and the
+// benchmark can drive a running daemon with no cluster of their own.
+//
+// The client end keeps its connections: Admin and GetStatus share one
+// process-wide adminClient, so a call is one round trip on a kept
+// connection, not a dial. A kept connection that turns out dead before
+// any reply byte (its daemon restarted on the same address) is retried
+// once on a fresh dial. That can deliver a request twice, which is safe
+// because every admin op is idempotent: register and unregister of a
+// (key, value) pair are set operations, the rest only read. A
+// connection whose call failed, timed out or was cancelled is closed,
+// never kept, so a late reply has nowhere to arrive. How many
+// connections stay idle is capped by constants, oldest closed first;
+// the client starts no goroutine and no timer.
 
 package daemon
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dlpt/internal/core"
@@ -68,10 +83,91 @@ type AdminResponse struct {
 	Obs obs.Snapshot `json:"obs,omitempty"`
 }
 
-// GetStatus queries a running daemon's status over one raw TCP
-// round-trip.
+// Idle connections the admin client keeps, per address and in all.
+// Constants, not options: a sequential caller needs one per daemon.
+const (
+	adminIdlePerAddr = 4
+	adminIdleTotal   = 16
+)
+
+// adminClient is the keep-alive policy over transport.ControlConn.
+type adminClient struct {
+	mu    sync.Mutex
+	idle  []idleConn // guarded by mu; oldest first
+	dials atomic.Int64
+}
+
+type idleConn struct {
+	addr string
+	cc   *transport.ControlConn
+}
+
+// adminConns is the process-wide client behind Admin and GetStatus.
+var adminConns adminClient
+
+// call sends one frame to addr over an idle connection, or a fresh one,
+// and keeps the connection if the call succeeded.
+func (cl *adminClient) call(ctx context.Context, addr string, typ byte, payload []byte) (byte, []byte, error) {
+	cc := cl.take(addr)
+	for reused := cc != nil; ; reused = false {
+		if !reused {
+			var err error
+			if cc, err = transport.DialControl(ctx, addr); err != nil {
+				return 0, nil, err
+			}
+			cl.dials.Add(1)
+		}
+		rtyp, p, err := cc.Call(ctx, typ, payload)
+		if err == nil {
+			cl.put(addr, cc)
+			return rtyp, p, nil
+		}
+		_ = cc.Close()
+		if !reused || !errors.Is(err, transport.ErrConnLost) {
+			return 0, nil, err
+		}
+		// A kept connection that was dead already: once more, dialling.
+	}
+}
+
+// take removes and returns the most recently used idle connection to
+// addr, nil when there is none.
+func (cl *adminClient) take(addr string) *transport.ControlConn {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for i := len(cl.idle) - 1; i >= 0; i-- {
+		if ic := cl.idle[i]; ic.addr == addr {
+			cl.idle = slices.Delete(cl.idle, i, i+1)
+			return ic.cc
+		}
+	}
+	return nil
+}
+
+// put keeps cc for the next call, closing the oldest idle connection
+// to the same address, or of all, when a cap is reached.
+func (cl *adminClient) put(addr string, cc *transport.ControlConn) {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	same, oldest := 0, 0
+	for i := len(cl.idle) - 1; i >= 0; i-- {
+		if cl.idle[i].addr == addr {
+			same, oldest = same+1, i
+		}
+	}
+	if same < adminIdlePerAddr {
+		oldest = 0 // under the address cap only the total can evict
+	}
+	if same >= adminIdlePerAddr || len(cl.idle) >= adminIdleTotal {
+		_ = cl.idle[oldest].cc.Close()
+		cl.idle = slices.Delete(cl.idle, oldest, oldest+1)
+	}
+	cl.idle = append(cl.idle, idleConn{addr, cc})
+}
+
+// GetStatus queries a running daemon's status in one round trip.
 func GetStatus(ctx context.Context, addr string) (*Status, error) {
-	rtyp, p, err := transport.RawCall(ctx, addr, transport.FrameStatus, nil)
+	rtyp, p, err := adminConns.call(ctx, addr, transport.FrameStatus, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -85,15 +181,14 @@ func GetStatus(ctx context.Context, addr string) (*Status, error) {
 	return &st, nil
 }
 
-// Admin executes one admin operation on a running daemon over one raw
-// TCP round-trip. A non-empty AdminResponse.Err is returned as the
-// error.
+// Admin executes one admin operation on a running daemon in one round
+// trip. A non-empty AdminResponse.Err is returned as the error.
 func Admin(ctx context.Context, addr string, req *AdminRequest) (*AdminResponse, error) {
 	b, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	rtyp, p, err := transport.RawCall(ctx, addr, transport.FrameAdmin, b)
+	rtyp, p, err := adminConns.call(ctx, addr, transport.FrameAdmin, b)
 	if err != nil {
 		return nil, err
 	}
@@ -169,14 +264,16 @@ func (d *Daemon) handleAdmin(payload []byte) (byte, []byte) {
 	return transport.FrameAdminResp, b
 }
 
+// adminQueryTimeout bounds the routed ops (discover, complete, range);
+// the others never wait on another daemon through a context.
+const adminQueryTimeout = 30 * time.Second
+
 // admin executes one admin operation against the overlay. Catalogue
 // mutations route through the serialized apply stream; reads run
 // directly on the local mirror (discoveries and streamed queries
 // still hop to the owning daemons over the wire).
 func (d *Daemon) admin(req *AdminRequest) *AdminResponse {
 	resp := &AdminResponse{}
-	ctx, cancel := context.WithTimeout(d.ctx, 30*time.Second)
-	defer cancel()
 	switch req.Op {
 	case "register":
 		if err := d.mutate(transport.OpRegister, req.Key, req.Value); err != nil {
@@ -187,6 +284,8 @@ func (d *Daemon) admin(req *AdminRequest) *AdminResponse {
 			resp.Err = err.Error()
 		}
 	case "discover":
+		ctx, cancel := context.WithTimeout(d.ctx, adminQueryTimeout)
+		defer cancel()
 		res, err := d.cluster.DiscoverContext(ctx, keys.Key(req.Key))
 		if err != nil {
 			resp.Err = err.Error()
@@ -205,6 +304,8 @@ func (d *Daemon) admin(req *AdminRequest) *AdminResponse {
 		} else {
 			spec.Prefix = keys.Key(req.Prefix)
 		}
+		ctx, cancel := context.WithTimeout(d.ctx, adminQueryTimeout)
+		defer cancel()
 		s, err := d.cluster.StreamQuery(ctx, spec)
 		if err != nil {
 			resp.Err = err.Error()

@@ -137,8 +137,8 @@ type Daemon struct {
 	// re-propose its own promised epoch across retry rounds, so slow
 	// voters don't inflate the epoch). suspected tracks addresses
 	// whose links crossed the miss threshold; electing serializes this
-	// daemon's candidate loop. applyLog is the bounded contiguous tail
-	// of applied records ending at seq, what a repair replays from.
+	// daemon's candidate loop. applyLog holds the applied records ending
+	// at seq; logTailLocked is the bounded tail a repair replays from.
 	epoch         uint64                  // guarded by mu
 	promised      uint64                  // guarded by mu
 	promisedTo    string                  // guarded by mu

@@ -421,9 +421,8 @@ func (d *Daemon) handleFetch(payload []byte) (byte, []byte) {
 	case fr.From > d.seq:
 		// Nothing to serve: the requester is already at or past us.
 	case d.logCoversLocked(fr.From):
-		for i := range d.applyLog {
-			if d.applyLog[i].Seq >= fr.From {
-				rec := d.applyLog[i]
+		for _, rec := range d.logTailLocked() {
+			if rec.Seq >= fr.From {
 				rep.Records = append(rep.Records, &rec)
 			}
 		}

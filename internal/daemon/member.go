@@ -247,19 +247,33 @@ func (d *Daemon) advanceLocked(rec *transport.ApplyRecord) error {
 	return nil
 }
 
-// appendLogLocked keeps the bounded contiguous tail of applied
-// records ending at d.seq.
+// appendLogLocked logs one applied record. The log slides inside one
+// backing array of twice the bound: when that is full, the newest
+// applyLogSize-1 records move to its front — once per applyLogSize
+// appends, no allocation — so every commit does not copy the whole log.
 func (d *Daemon) appendLogLocked(rec *transport.ApplyRecord) {
-	d.applyLog = append(d.applyLog, *rec)
-	if len(d.applyLog) > applyLogSize {
-		d.applyLog = append(d.applyLog[:0:0], d.applyLog[len(d.applyLog)-applyLogSize:]...)
+	if d.applyLog == nil {
+		d.applyLog = make([]transport.ApplyRecord, 0, 2*applyLogSize)
 	}
+	if len(d.applyLog) == cap(d.applyLog) {
+		n := copy(d.applyLog, d.applyLog[len(d.applyLog)-(applyLogSize-1):])
+		clear(d.applyLog[n:]) // let go of the strings slid out
+		d.applyLog = d.applyLog[:n]
+	}
+	d.applyLog = append(d.applyLog, *rec)
 }
 
-// logCoversLocked reports whether the apply log's contiguous tail
-// reaches back to sequence from.
+// logTailLocked is the log every reader sees: the contiguous run of at
+// most applyLogSize applied records ending at d.seq.
+func (d *Daemon) logTailLocked() []transport.ApplyRecord {
+	return d.applyLog[max(0, len(d.applyLog)-applyLogSize):]
+}
+
+// logCoversLocked reports whether the log tail reaches back to
+// sequence from.
 func (d *Daemon) logCoversLocked(from uint64) bool {
-	return len(d.applyLog) > 0 && d.applyLog[0].Seq <= from
+	tail := d.logTailLocked()
+	return len(tail) > 0 && tail[0].Seq <= from
 }
 
 // ErrNoSteward is reported (wrapped) when a member exhausts its
@@ -281,7 +295,7 @@ var ErrNoSteward = errors.New("daemon: no steward reachable")
 // a member elected mid-retry commits locally. Semantic refusals — the
 // mutation itself is invalid — fail immediately.
 func (d *Daemon) mutate(op byte, key, value string) error {
-	bo := peering.NewBackoff(100*time.Millisecond, 2*time.Second, 0.2, d.cfg.Seed+0x5eed)
+	var bo *peering.Backoff // built on the first retry: seeding its source costs more than a commit
 	deadline := time.Now().Add(time.Duration(d.cfg.ForwardRetry))
 	var lastErr error
 	for {
@@ -324,6 +338,9 @@ func (d *Daemon) mutate(op byte, key, value string) error {
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("%w after %v: %v", ErrNoSteward, time.Duration(d.cfg.ForwardRetry), lastErr)
+		}
+		if bo == nil {
+			bo = peering.NewBackoff(100*time.Millisecond, 2*time.Second, 0.2, d.cfg.Seed+0x5eed)
 		}
 		select {
 		case <-d.ctx.Done():

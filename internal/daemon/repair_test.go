@@ -56,7 +56,10 @@ func TestMissedBroadcastHealsMidEpoch(t *testing.T) {
 		payload string // the repair kind the steward must count; "" for none
 	}{
 		{name: "records", rule: transport.FaultRule{Drop: true, Count: 1}, payload: "records"},
-		{name: "image", rule: transport.FaultRule{Drop: true, Count: applyLogSize + 1}, filler: applyLogSize, payload: "image"},
+		// The boundary: the commit after n drops finds the member n+1
+		// records behind; applyLogSize behind is the last gap the log covers.
+		{name: "records-at-bound", rule: transport.FaultRule{Drop: true, Count: applyLogSize - 1}, filler: applyLogSize - 2, payload: "records"},
+		{name: "image", rule: transport.FaultRule{Drop: true, Count: applyLogSize}, filler: applyLogSize - 1, payload: "image"},
 		{name: "dup", rule: transport.FaultRule{Dup: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -200,7 +200,8 @@ func (d *Daemon) repairLocked(m transport.Member, memberSeq uint64) {
 	case memberSeq < d.seq && d.logCoversLocked(memberSeq+1):
 		d.met.MirrorRepair("records")
 		d.logf("dlptd: replaying seq %d..%d to %s", memberSeq+1, d.seq, m.Addr)
-		for _, rec := range d.applyLog[len(d.applyLog)-int(d.seq-memberSeq):] {
+		tail := d.logTailLocked()
+		for _, rec := range tail[len(tail)-int(d.seq-memberSeq):] {
 			rec.Epoch = d.epoch // re-stamped, so the member's fence admits a record of an earlier epoch
 			if !ship(transport.FrameApply, transport.EncodeApply(&rec), rec.Seq) {
 				return

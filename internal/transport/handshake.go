@@ -2,7 +2,7 @@
 // process into the overlay, LEAVE announces a graceful departure, and
 // APPLY replicates one serialized overlay mutation to a member's
 // full-state mirror. The transport frames and round-trips these
-// (Options.Control on the server side, ControlRoundTrip and RawCall
+// (Options.Control on the server side, ControlRoundTrip and client.go
 // on the client side) but does not act on them — internal/daemon owns
 // the protocol. Payloads use the same hand-rolled varint codecs as
 // the routing frames; the handshake is explicitly versioned so
@@ -14,12 +14,9 @@
 package transport
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
-	"time"
 
 	"dlpt/internal/keys"
 	"dlpt/internal/overlay"
@@ -616,40 +613,6 @@ func DecodeFetchReply(p []byte) (*FetchReply, error) {
 		fr.Records = append(fr.Records, rec)
 	}
 	return &fr, nil
-}
-
-// RawCall dials addr, sends one control frame and waits for its
-// reply — the connectionless client path for admin tools (dlptd
-// status, dlptd op) that have no cluster of their own. The context
-// deadline bounds the whole call; without one, a 10s default applies
-// so a hung daemon cannot wedge the tool.
-func RawCall(ctx context.Context, addr string, typ byte, payload []byte) (byte, []byte, error) {
-	d := net.Dialer{}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer conn.Close()
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Now().Add(10 * time.Second) //dlptlint:ignore determinism I/O deadline, not a wire value
-	}
-	_ = conn.SetDeadline(deadline)
-	fc := newFrameConn(conn)
-	const callID = 1
-	if err := fc.writeRaw(typ, callID, payload); err != nil {
-		return 0, nil, err
-	}
-	for {
-		rtyp, id, _, p, err := fc.readFrame()
-		if err != nil {
-			return 0, nil, err
-		}
-		if id != callID {
-			continue
-		}
-		return rtyp, append([]byte(nil), p...), nil
-	}
 }
 
 // EncodeAck marshals a LEAVE/APPLY acknowledgement (a RESPONSE frame
