@@ -12,28 +12,21 @@ import (
 	"dlpt/internal/trie"
 )
 
-// KeyStream is the streaming-query handle of a cluster.
-type KeyStream interface {
-	Next() (keys.Key, bool)
-	Err() error
-	Stats() core.QueryResult
-	Close() error
-}
-
 // DataPath is the part of a cluster that is its own: how a discovery
-// and a query stream travel, and how it shuts down.
-// Everything else the adapter drives is the overlay.Runtime the
+// and a query stream travel — the stream is an overlay.Stream on every
+// cluster, fed by the Source the cluster picks — and how it shuts
+// down. Everything else the adapter drives is the overlay.Runtime the
 // cluster embeds.
-type DataPath[S KeyStream] interface {
+type DataPath interface {
 	DiscoverContext(ctx context.Context, key keys.Key) (overlay.Result, error)
-	StreamQuery(ctx context.Context, spec core.QuerySpec) (S, error)
+	StreamQuery(ctx context.Context, spec core.QuerySpec) (*overlay.Stream, error)
 	Stop()
 }
 
 // Concurrent adapts a cluster built on the shared overlay runtime to
 // the Engine contract. engine/local, engine/live and engine/tcp are
 // this adapter over their cluster type; only their constructors differ.
-type Concurrent[S KeyStream, C DataPath[S]] struct {
+type Concurrent[C DataPath] struct {
 	name    string
 	alpha   *keys.Alphabet
 	cluster C
@@ -68,19 +61,19 @@ func RuntimeOptions(cfg Config) (*keys.Alphabet, overlay.Options, error) {
 }
 
 // NewConcurrent wraps a started cluster and the runtime it embeds.
-func NewConcurrent[S KeyStream, C DataPath[S]](name string, alpha *keys.Alphabet, cluster C, rt *overlay.Runtime) *Concurrent[S, C] {
-	return &Concurrent[S, C]{name: name, alpha: alpha, cluster: cluster, rt: rt}
+func NewConcurrent[C DataPath](name string, alpha *keys.Alphabet, cluster C, rt *overlay.Runtime) *Concurrent[C] {
+	return &Concurrent[C]{name: name, alpha: alpha, cluster: cluster, rt: rt}
 }
 
 // Name identifies the backend.
-func (e *Concurrent[S, C]) Name() string { return e.name }
+func (e *Concurrent[C]) Name() string { return e.name }
 
 // Alphabet returns the overlay's key alphabet.
-func (e *Concurrent[S, C]) Alphabet() *keys.Alphabet { return e.alpha }
+func (e *Concurrent[C]) Alphabet() *keys.Alphabet { return e.alpha }
 
 // Cluster exposes the underlying cluster for callers needing
 // runtime-specific operations (listener addresses, pool statistics).
-func (e *Concurrent[S, C]) Cluster() C { return e.cluster }
+func (e *Concurrent[C]) Cluster() C { return e.cluster }
 
 // mapErr normalizes the runtime's stopped error to ErrClosed.
 func mapErr(err error) error {
@@ -92,7 +85,7 @@ func mapErr(err error) error {
 
 // readable reports why a read cannot start: a cancelled context, or a
 // closed engine — the runtime itself still answers reads after Stop.
-func (e *Concurrent[S, C]) readable(ctx context.Context) error {
+func (e *Concurrent[C]) readable(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -103,7 +96,7 @@ func (e *Concurrent[S, C]) readable(ctx context.Context) error {
 }
 
 // Register declares key with a value.
-func (e *Concurrent[S, C]) Register(ctx context.Context, key, value string) error {
+func (e *Concurrent[C]) Register(ctx context.Context, key, value string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -112,7 +105,7 @@ func (e *Concurrent[S, C]) Register(ctx context.Context, key, value string) erro
 
 // RegisterBatch declares every entry under one write-lock
 // acquisition.
-func (e *Concurrent[S, C]) RegisterBatch(ctx context.Context, entries []Entry) error {
+func (e *Concurrent[C]) RegisterBatch(ctx context.Context, entries []Entry) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -124,7 +117,7 @@ func (e *Concurrent[S, C]) RegisterBatch(ctx context.Context, entries []Entry) e
 }
 
 // Unregister removes value from key.
-func (e *Concurrent[S, C]) Unregister(ctx context.Context, key, value string) (bool, error) {
+func (e *Concurrent[C]) Unregister(ctx context.Context, key, value string) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -135,7 +128,7 @@ func (e *Concurrent[S, C]) Unregister(ctx context.Context, key, value string) (b
 // Discover routes a discovery through the cluster's data path. On a
 // capacity-gated engine a saturated peer drops the request and
 // Discover returns ErrSaturated.
-func (e *Concurrent[S, C]) Discover(ctx context.Context, key string) (Result, error) {
+func (e *Concurrent[C]) Discover(ctx context.Context, key string) (Result, error) {
 	res, err := e.cluster.DiscoverContext(ctx, keys.Key(key))
 	if err != nil {
 		return Result{}, mapErr(err)
@@ -154,16 +147,16 @@ func (e *Concurrent[S, C]) Discover(ctx context.Context, key string) (Result, er
 }
 
 // stream adapts the cluster's stream to the engine contract.
-type stream[S KeyStream] struct{ s S }
+type stream struct{ s *overlay.Stream }
 
-func (s stream[S]) Next() (string, bool) {
+func (s stream) Next() (string, bool) {
 	k, ok := s.s.Next()
 	return string(k), ok
 }
 
-func (s stream[S]) Err() error { return mapErr(s.s.Err()) }
+func (s stream) Err() error { return mapErr(s.s.Err()) }
 
-func (s stream[S]) Stats() QueryStats {
+func (s stream) Stats() QueryStats {
 	st := s.s.Stats()
 	return QueryStats{
 		LogicalHops:  st.LogicalHops,
@@ -172,11 +165,11 @@ func (s stream[S]) Stats() QueryStats {
 	}
 }
 
-func (s stream[S]) Close() error { return s.s.Close() }
+func (s stream) Close() error { return s.s.Close() }
 
 // Query starts a streaming query on the cluster's data path; closing
 // the stream or cancelling ctx halts the traversal.
-func (e *Concurrent[S, C]) Query(ctx context.Context, q Query) (Stream, error) {
+func (e *Concurrent[C]) Query(ctx context.Context, q Query) (Stream, error) {
 	s, err := e.cluster.StreamQuery(ctx, core.QuerySpec{
 		Range:  q.Kind == QueryRange,
 		Prefix: keys.Key(q.Prefix),
@@ -187,23 +180,23 @@ func (e *Concurrent[S, C]) Query(ctx context.Context, q Query) (Stream, error) {
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	return stream[S]{s}, nil
+	return stream{s}, nil
 }
 
 // Complete resolves automatic completion of a partial search string
 // by draining an unlimited Query stream.
-func (e *Concurrent[S, C]) Complete(ctx context.Context, prefix string) (QueryResult, error) {
+func (e *Concurrent[C]) Complete(ctx context.Context, prefix string) (QueryResult, error) {
 	return CollectQuery(ctx, e, Query{Kind: QueryComplete, Prefix: prefix})
 }
 
 // Range resolves the lexicographic range query [lo, hi] by draining
 // an unlimited Query stream.
-func (e *Concurrent[S, C]) Range(ctx context.Context, lo, hi string) (QueryResult, error) {
+func (e *Concurrent[C]) Range(ctx context.Context, lo, hi string) (QueryResult, error) {
 	return CollectQuery(ctx, e, Query{Kind: QueryRange, Lo: lo, Hi: hi})
 }
 
 // AddPeer grows the overlay by one peer.
-func (e *Concurrent[S, C]) AddPeer(ctx context.Context, capacity int) (string, error) {
+func (e *Concurrent[C]) AddPeer(ctx context.Context, capacity int) (string, error) {
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
@@ -216,7 +209,7 @@ func (e *Concurrent[S, C]) AddPeer(ctx context.Context, capacity int) (string, e
 
 // RemovePeer removes a peer gracefully; its tree nodes hand off to
 // the peers becoming responsible for them.
-func (e *Concurrent[S, C]) RemovePeer(ctx context.Context, id string) error {
+func (e *Concurrent[C]) RemovePeer(ctx context.Context, id string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -229,7 +222,7 @@ func (e *Concurrent[S, C]) RemovePeer(ctx context.Context, id string) error {
 
 // CrashPeer fails a peer abruptly: its node states vanish without
 // transfer.
-func (e *Concurrent[S, C]) CrashPeer(ctx context.Context, id string) error {
+func (e *Concurrent[C]) CrashPeer(ctx context.Context, id string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -241,7 +234,7 @@ func (e *Concurrent[S, C]) CrashPeer(ctx context.Context, id string) error {
 }
 
 // Recover restores crashed node state from the replica store.
-func (e *Concurrent[S, C]) Recover(ctx context.Context) (RecoveryReport, error) {
+func (e *Concurrent[C]) Recover(ctx context.Context) (RecoveryReport, error) {
 	if err := ctx.Err(); err != nil {
 		return RecoveryReport{}, err
 	}
@@ -254,7 +247,7 @@ func (e *Concurrent[S, C]) Recover(ctx context.Context) (RecoveryReport, error) 
 }
 
 // Replicate snapshots every tree node to the replica store.
-func (e *Concurrent[S, C]) Replicate(ctx context.Context) (int, error) {
+func (e *Concurrent[C]) Replicate(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -263,7 +256,7 @@ func (e *Concurrent[S, C]) Replicate(ctx context.Context) (int, error) {
 }
 
 // Peers lists the live peers in ring order.
-func (e *Concurrent[S, C]) Peers(ctx context.Context) ([]PeerInfo, error) {
+func (e *Concurrent[C]) Peers(ctx context.Context) ([]PeerInfo, error) {
 	if err := e.readable(ctx); err != nil {
 		return nil, err
 	}
@@ -271,7 +264,7 @@ func (e *Concurrent[S, C]) Peers(ctx context.Context) ([]PeerInfo, error) {
 }
 
 // MembershipStats reports the lifecycle and replication counters.
-func (e *Concurrent[S, C]) MembershipStats(ctx context.Context) (MembershipStats, error) {
+func (e *Concurrent[C]) MembershipStats(ctx context.Context) (MembershipStats, error) {
 	if err := e.readable(ctx); err != nil {
 		return MembershipStats{}, err
 	}
@@ -292,7 +285,7 @@ func (e *Concurrent[S, C]) MembershipStats(ctx context.Context) (MembershipStats
 }
 
 // Tick ends the current load-accounting time unit.
-func (e *Concurrent[S, C]) Tick(ctx context.Context) error {
+func (e *Concurrent[C]) Tick(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -301,7 +294,7 @@ func (e *Concurrent[S, C]) Tick(ctx context.Context) error {
 
 // Balance runs one round of the named strategy; the cluster re-keys
 // its routing identities across the renames the round applies.
-func (e *Concurrent[S, C]) Balance(ctx context.Context, strategy string) (int, error) {
+func (e *Concurrent[C]) Balance(ctx context.Context, strategy string) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -311,7 +304,7 @@ func (e *Concurrent[S, C]) Balance(ctx context.Context, strategy string) (int, e
 }
 
 // Snapshot returns a consistent copy of the whole tree.
-func (e *Concurrent[S, C]) Snapshot(ctx context.Context) (*trie.Tree, error) {
+func (e *Concurrent[C]) Snapshot(ctx context.Context) (*trie.Tree, error) {
 	if err := e.readable(ctx); err != nil {
 		return nil, err
 	}
@@ -319,7 +312,7 @@ func (e *Concurrent[S, C]) Snapshot(ctx context.Context) (*trie.Tree, error) {
 }
 
 // Validate cross-checks every overlay invariant.
-func (e *Concurrent[S, C]) Validate(ctx context.Context) error {
+func (e *Concurrent[C]) Validate(ctx context.Context) error {
 	if err := e.readable(ctx); err != nil {
 		return err
 	}
@@ -327,13 +320,13 @@ func (e *Concurrent[S, C]) Validate(ctx context.Context) error {
 }
 
 // NumPeers returns the peer count.
-func (e *Concurrent[S, C]) NumPeers() int { return e.rt.NumPeers() }
+func (e *Concurrent[C]) NumPeers() int { return e.rt.NumPeers() }
 
 // NumNodes returns the tree size.
-func (e *Concurrent[S, C]) NumNodes() int { return e.rt.NumNodes() }
+func (e *Concurrent[C]) NumNodes() int { return e.rt.NumNodes() }
 
 // Close stops the cluster. It is idempotent.
-func (e *Concurrent[S, C]) Close() error {
+func (e *Concurrent[C]) Close() error {
 	e.cluster.Stop()
 	return nil
 }

@@ -17,9 +17,10 @@
 //     persistent pooled connections.
 //
 // All three are one runtime (internal/overlay) behind one adapter
-// (Concurrent, in concurrent.go); they differ in how a hop, a replica
-// batch and a stream chunk travel, and in nothing this package sees
-// beyond their constructors.
+// (Concurrent, in concurrent.go), and every query is one
+// overlay.Stream; they differ in how a hop, a replica batch and a
+// stream's batches travel, and in nothing this package sees beyond
+// their constructors.
 //
 // Every operation takes a context.Context; cancelling it aborts
 // in-flight routed traversals and returns the context error.

@@ -9,11 +9,10 @@ package live
 import (
 	"dlpt/engine"
 	ilive "dlpt/internal/live"
-	"dlpt/internal/overlay"
 )
 
 // Engine is a running live cluster behind the engine contract.
-type Engine = engine.Concurrent[*overlay.Stream, *ilive.Cluster]
+type Engine = engine.Concurrent[*ilive.Cluster]
 
 // New starts a concurrent overlay with one peer goroutine per
 // capacity entry.

@@ -8,7 +8,9 @@
 // sequential core (core.Network.DiscoverRandom) under the write lock,
 // shadowing the runtime's routed DiscoverContext — the reference the
 // differential tests hold the concurrent backends' hop-by-hop driver
-// against.
+// against. A subtree query is the runtime's StreamQuery, as on live;
+// its entry draws come off the generator registrations and discoveries
+// consume, so one seed replays one sequence.
 package local
 
 import (
@@ -26,7 +28,7 @@ import (
 )
 
 // Engine is a sequential overlay behind the engine contract.
-type Engine = engine.Concurrent[*overlay.Stream, *cluster]
+type Engine = engine.Concurrent[*cluster]
 
 // cluster is the shared runtime plus the sequential data path. It is
 // its own overlay.Link.
@@ -125,28 +127,6 @@ func (c *cluster) DiscoverContext(ctx context.Context, key keys.Key) (overlay.Re
 		out.Values, _ = c.Net.Values(key)
 	}
 	return out, nil
-}
-
-// StreamQuery starts a streaming query: the runtime's pull stream over
-// a walker whose entry is drawn eagerly, from the same seeded stream
-// registrations and discoveries consume, so traversal happens lazily as
-// the consumer pulls and a limit or an early exit prunes the walk.
-func (c *cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*overlay.Stream, error) {
-	if c.Stopped() {
-		return nil, overlay.ErrStopped
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
-	w := core.NewQueryWalker(c.Net, spec)
-	if !w.Empty() {
-		if entry, ok := c.Net.RandomNodeKey(c.Rng); ok {
-			w.Start(entry)
-		}
-	}
-	return c.Stream(ctx, w), nil
 }
 
 // Compile-time conformance check.

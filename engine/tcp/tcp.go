@@ -3,9 +3,10 @@
 // discoveries hop peer-to-peer as length-prefixed binary frames
 // multiplexed over persistent pooled connections — forwarded one way,
 // answered straight to the caller. Cancelling a discovery context
-// withdraws the caller's pending entry and returns at once; closing a
-// query stream early sends a CANCEL frame and the shared connection
-// survives. The package owns the constructor only.
+// withdraws the caller's pending entry and returns at once; a query
+// stream that ends early, closed or cancelled, sends a CANCEL frame and
+// the shared connection survives. The package owns the constructor
+// only.
 package tcp
 
 import (
@@ -14,7 +15,7 @@ import (
 )
 
 // Engine is a running TCP cluster behind the engine contract.
-type Engine = engine.Concurrent[*itransport.WireStream, *itransport.Cluster]
+type Engine = engine.Concurrent[*itransport.Cluster]
 
 // New starts a TCP-backed overlay with one listener per capacity
 // entry, bound to cfg.Bind (127.0.0.1 ephemeral ports by default).

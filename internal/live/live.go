@@ -11,10 +11,10 @@
 // and drain, re-key, replica batches on the ctrl channel) and how a hop
 // and its answer travel: a mailbox push that never blocks the pusher,
 // and a direct call into the runtime's pending table. A subtree query
-// is the runtime's pull stream (overlay.Stream): the walk reads the
-// shared network and needs no goroutine. Correctness against the
-// sequential engine is checked by differential tests, and the package
-// is exercised under the race detector.
+// is the runtime's own (Runtime.StreamQuery): the walk reads the
+// shared network under the read lock and needs no goroutine.
+// Correctness against the sequential engine is checked by differential
+// tests, and the package is exercised under the race detector.
 package live
 
 import (
@@ -199,29 +199,6 @@ func (l link) Send(_ context.Context, to keys.Key, h overlay.Hop) error {
 func (l link) Reply(h overlay.Hop, rep overlay.Reply) error {
 	l.c.Complete(h.Origin, rep)
 	return nil
-}
-
-// StreamQuery starts a streaming subtree query: the runtime's pull
-// stream over a walker entered where the seeded stream discoveries
-// draw theirs from says, so a replayed workload enters the tree at the
-// same nodes. The walk reads the shared network under Mu and never
-// touches a peer goroutine.
-func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*overlay.Stream, error) {
-	if c.Stopped() {
-		return nil, ErrStopped
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w := core.NewQueryWalker(c.Net, spec)
-	if !w.Empty() {
-		c.Mu.RLock()
-		if entry, ok := c.DrawEntryLocked(); ok {
-			w.Start(entry)
-		}
-		c.Mu.RUnlock()
-	}
-	return c.Stream(ctx, w), nil
 }
 
 // lookupProc resolves a peer id to its proc, registering the caller

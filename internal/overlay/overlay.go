@@ -7,9 +7,10 @@
 // sequential core, a channel send, a pooled framed socket). The routed
 // request itself — the hop, the driver that takes it through a peer,
 // the originator that waits for the answer and re-issues what was lost
-// — is route.go, shared by the two clusters that route; the two
-// in-process ones share the pull-based Stream (stream.go); the socket
-// one frames its own.
+// — is route.go, shared by the two clusters that route. A subtree query
+// is one pull-based Stream (stream.go) over a Source: in process, the
+// walk under the read lock; on sockets, the same walk on the serving
+// peer (WalkFrom) and, on the client, the frames it arrives in.
 //
 // What differs between them goes through the six-method Link:
 // membership changes and replication ticks, and, once per physical hop,

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
@@ -275,12 +276,65 @@ func TestAddPeerEndpointFailureLeavesRingUnchanged(t *testing.T) {
 	}
 }
 
+// failingSource yields one key per pull and fails on pull fail,
+// counting its halts.
+type failingSource struct {
+	pulls, fail, halts int
+}
+
+var errSourceFailed = errors.New("source failed")
+
+func (f *failingSource) Pull(_ context.Context, dst []keys.Key) ([]keys.Key, bool, error) {
+	if f.pulls++; f.pulls == f.fail {
+		return dst, false, errSourceFailed
+	}
+	return append(dst, keys.Key(fmt.Sprintf("k%d", f.pulls))), true, nil
+}
+
+func (f *failingSource) Stats() core.QueryResult { return core.QueryResult{NodesVisited: f.pulls} }
+func (f *failingSource) Halt()                   { f.halts++ }
+
 // However a stream ends — drained, closed early, its context
-// cancelled, the cluster stopped under it — it reports the matching
-// error, yields nothing more, and observes the query latency exactly
-// once, whatever the consumer calls afterwards.
+// cancelled, the cluster stopped under it, its source failing — it
+// reports the matching error, yields nothing more, halts its source
+// and observes the query latency exactly once, whatever the consumer
+// calls afterwards. A stream serving a walk routed elsewhere (WalkFrom)
+// observes none: its client does.
 func TestStreamEndsOnce(t *testing.T) {
 	r, _ := start(t, 3, 100) // several chunks
+	ctx := context.Background()
+
+	before := r.Met.QueryLatency.Count()
+	src := &failingSource{fail: 3}
+	s := r.Stream(ctx, src, time.Now())
+	n := 0
+	for _, ok := s.Next(); ok; _, ok = s.Next() {
+		n++
+	}
+	s.Close()
+	if _, ok := s.Next(); ok || n != 2 || !errors.Is(s.Err(), errSourceFailed) || s.Stats().NodesVisited != 3 {
+		t.Errorf("failing source: %d keys (want 2), err %v, stats %+v, more after the end: %v", n, s.Err(), s.Stats(), ok)
+	}
+	if got := r.Met.QueryLatency.Count() - before; src.halts != 1 || got != 1 {
+		t.Errorf("failing source: halted %d times, latency observed %d times", src.halts, got)
+	}
+
+	before = r.Met.QueryLatency.Count()
+	r.Mu.RLock()
+	root, _ := r.Net.Root()
+	r.Mu.RUnlock()
+	s = r.WalkFrom(ctx, core.QuerySpec{}, root, core.QueryResult{}, trace.Context{})
+	n = 0
+	for _, ok := s.Next(); ok; _, ok = s.Next() {
+		n++
+	}
+	if n != 100 || s.Err() != nil || !s.Ended() {
+		t.Errorf("walk from the root: %d keys, err %v, ended %v", n, s.Err(), s.Ended())
+	}
+	if got := r.Met.QueryLatency.Count() - before; got != 0 {
+		t.Errorf("a served walk observed the query latency %d times", got)
+	}
+
 	for _, tc := range []struct {
 		name string
 		end  func(s *Stream, cancel func()) // after the first key
@@ -295,12 +349,10 @@ func TestStreamEndsOnce(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		before := r.Met.QueryLatency.Count()
-		r.Mu.Lock()
-		w := core.NewQueryWalker(r.Net, core.QuerySpec{})
-		entry, _ := r.Net.RandomNodeKey(r.Rng)
-		w.Start(entry)
-		r.Mu.Unlock()
-		s := r.Stream(ctx, w)
+		s, err := r.StreamQuery(ctx, core.QuerySpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := 0
 		for _, ok := s.Next(); ok; _, ok = s.Next() {
 			if n++; n == 1 {

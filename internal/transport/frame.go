@@ -547,9 +547,7 @@ func appendQuery(b []byte, q *queryReq) []byte {
 	b = binary.AppendUvarint(b, uint64(limit))
 	b = appendString(b, string(q.Entry))
 	b = appendBool(b, q.Walk)
-	b = binary.AppendUvarint(b, uint64(q.Logical))
-	b = binary.AppendUvarint(b, uint64(q.Physical))
-	return binary.AppendUvarint(b, uint64(q.Visited))
+	return appendCounters(b, &q.QueryResult)
 }
 
 func decodeQuery(p []byte, q *queryReq) error {
@@ -582,18 +580,9 @@ func decodeQuery(p []byte, q *queryReq) error {
 	if q.Walk, p, err = getBool(p); err != nil {
 		return fmt.Errorf("query walk: %w", err)
 	}
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("query logical: %w", err)
+	if _, err = getCounters(p, &q.QueryResult); err != nil {
+		return fmt.Errorf("query: %w", err)
 	}
-	q.Logical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("query physical: %w", err)
-	}
-	q.Physical = int(v)
-	if v, _, err = getUvarint(p); err != nil {
-		return fmt.Errorf("query visited: %w", err)
-	}
-	q.Visited = int(v)
 	return nil
 }
 
@@ -660,30 +649,31 @@ func decodeReplicaBatch(p []byte, batch *core.ReplicaBatch) error {
 	return nil
 }
 
-// appendCounters and getCounters code the traversal counters every
-// STREAM and STREAM_END payload starts with.
-func appendCounters(b []byte, st *streamEnd) []byte {
-	b = binary.AppendUvarint(b, uint64(st.Logical))
-	b = binary.AppendUvarint(b, uint64(st.Physical))
-	return binary.AppendUvarint(b, uint64(st.Visited))
+// appendCounters and getCounters code the traversal counters a QUERY
+// payload ends with and every STREAM and STREAM_END payload starts
+// with.
+func appendCounters(b []byte, r *core.QueryResult) []byte {
+	b = binary.AppendUvarint(b, uint64(r.LogicalHops))
+	b = binary.AppendUvarint(b, uint64(r.PhysicalHops))
+	return binary.AppendUvarint(b, uint64(r.NodesVisited))
 }
 
-func getCounters(p []byte, st *streamEnd) ([]byte, error) {
+func getCounters(p []byte, r *core.QueryResult) ([]byte, error) {
 	var v [3]uint64
 	var err error
 	for i := range v {
 		if v[i], p, err = getUvarint(p); err != nil {
-			return nil, fmt.Errorf("stream counters: %w", err)
+			return nil, fmt.Errorf("counters: %w", err)
 		}
 	}
-	st.Logical, st.Physical, st.Visited = int(v[0]), int(v[1]), int(v[2])
+	r.LogicalHops, r.PhysicalHops, r.NodesVisited = int(v[0]), int(v[1]), int(v[2])
 	return p, nil
 }
 
 // appendStreamBatch encodes a STREAM payload: the counters of
 // progress (Err unused), then batch front-coded key by key.
 func appendStreamBatch(b []byte, batch []keys.Key, progress *streamEnd) []byte {
-	b = appendCounters(b, progress)
+	b = appendCounters(b, &progress.QueryResult)
 	b = binary.AppendUvarint(b, uint64(len(batch)))
 	var prev keys.Key
 	for _, k := range batch {
@@ -703,9 +693,9 @@ func appendStreamBatch(b []byte, batch []keys.Key, progress *streamEnd) []byte {
 // an error before anything is allocated from it.
 func decodeStreamBatch(p []byte) ([]keys.Key, streamEnd, error) {
 	var progress streamEnd
-	p, err := getCounters(p, &progress)
+	p, err := getCounters(p, &progress.QueryResult)
 	if err != nil {
-		return nil, progress, err
+		return nil, progress, fmt.Errorf("stream %w", err)
 	}
 	n, p, err := getUvarint(p)
 	if err != nil || n > streamFrameKeys { // no server fills a frame beyond the ceiling
@@ -745,11 +735,11 @@ func decodeStreamBatch(p []byte) ([]keys.Key, streamEnd, error) {
 }
 
 func appendStreamEnd(b []byte, end *streamEnd) []byte {
-	return appendString(appendCounters(b, end), end.Err)
+	return appendString(appendCounters(b, &end.QueryResult), end.Err)
 }
 
 func decodeStreamEnd(p []byte, end *streamEnd) error {
-	p, err := getCounters(p, end)
+	p, err := getCounters(p, &end.QueryResult)
 	if err == nil {
 		end.Err, _, err = getString(p)
 	}

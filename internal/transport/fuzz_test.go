@@ -60,14 +60,14 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendResponse(nil, &overlay.Reply{Found: true, Values: []string{"v1", "v2"}, Logical: 7, Err: "boom"}))
 	f.Add(appendResponse(nil, &overlay.Reply{Physical: 2, Err: "dial refused", Retry: true}))
 	f.Add(appendResponse(nil, &overlay.Reply{Found: true, Anchor: "anc", Logical: 4, Physical: 2, Visited: 5}))
-	f.Add(appendQuery(nil, &queryReq{Range: true, Lo: "a", Hi: "z", Limit: 5, Entry: "m", Walk: true}))
+	f.Add(appendQuery(nil, &queryReq{QuerySpec: core.QuerySpec{Range: true, Lo: "a", Hi: "z", Limit: 5}, Entry: "m", Walk: true}))
 	f.Add(appendHop(nil, &overlay.Hop{Query: true, Key: "anc", Down: true, Visited: 9, At: "at"}))
 	f.Add(appendHop(nil, &overlay.Hop{Query: true, Key: "anc", Visited: 1, At: "at", Origin: 77, ReplyTo: "[::1]:9"}))
-	f.Add(appendStreamEnd(nil, &streamEnd{Logical: 1, Physical: 2, Visited: 3, Err: "end"}))
+	f.Add(appendStreamEnd(nil, &streamEnd{QueryResult: counters(1, 2, 3), Err: "end"}))
 	// STREAM payloads: front-coded keys, an empty batch, and a key
 	// claiming to share more bytes than its predecessor has.
-	f.Add(appendStreamBatch(nil, []keys.Key{"dgemm", "dgemv", "dgetrf", "dge", "sgemm"}, &streamEnd{Logical: 4, Physical: 2, Visited: 9}))
-	f.Add(appendStreamBatch(nil, nil, &streamEnd{Visited: 1}))
+	f.Add(appendStreamBatch(nil, []keys.Key{"dgemm", "dgemv", "dgetrf", "dge", "sgemm"}, &streamEnd{QueryResult: counters(4, 2, 9)}))
+	f.Add(appendStreamBatch(nil, nil, &streamEnd{QueryResult: counters(0, 0, 1)}))
 	f.Add([]byte{0, 0, 0, 2, 0, 2, 'a', 'b', 3, 1, 'c'})
 	f.Add(appendReplicaBatch(nil, &core.ReplicaBatch{
 		From: "p1", To: "p2",
@@ -228,7 +228,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("response round-trip: %+v != %+v", resp, gotResp)
 		}
 
-		q := queryReq{Range: flag, Prefix: keys.Key(key), Lo: keys.Key(at), Hi: keys.Key(errStr), Limit: n1, Entry: keys.Key(blob), Walk: !flag, Logical: n2, Physical: n3, Visited: n1}
+		q := queryReq{
+			QuerySpec: core.QuerySpec{Range: flag, Prefix: keys.Key(key), Lo: keys.Key(at), Hi: keys.Key(errStr), Limit: n1},
+			Entry:     keys.Key(blob), Walk: !flag, QueryResult: counters(n2, n3, n1),
+		}
 		var gotQ queryReq
 		if err := decodeQuery(appendQuery(nil, &q), &gotQ); err != nil {
 			t.Fatalf("decodeQuery: %v", err)
@@ -247,7 +250,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("qroute round-trip: %+v != %+v", rq, gotRq)
 		}
 
-		end := streamEnd{Logical: n1, Physical: n2, Visited: n3, Err: errStr}
+		end := streamEnd{QueryResult: counters(n1, n2, n3), Err: errStr}
 		var gotEnd streamEnd
 		if err := decodeStreamEnd(appendStreamEnd(nil, &end), &gotEnd); err != nil {
 			t.Fatalf("decodeStreamEnd: %v", err)
@@ -263,11 +266,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			walk = append(walk, keys.Key(v))
 		}
 		walk = walk[:min(len(walk), streamFrameKeys)] // the decoder refuses a frame beyond the ceiling
-		gotStream, gotProgress, err := decodeStreamBatch(appendStreamBatch(nil, walk, &streamEnd{Logical: n1, Physical: n2, Visited: n3}))
+		progress := streamEnd{QueryResult: counters(n1, n2, n3)}
+		gotStream, gotProgress, err := decodeStreamBatch(appendStreamBatch(nil, walk, &progress))
 		if err != nil {
 			t.Fatalf("decodeStreamBatch: %v", err)
 		}
-		if !reflect.DeepEqual(walk, gotStream) || gotProgress != (streamEnd{Logical: n1, Physical: n2, Visited: n3}) {
+		if !reflect.DeepEqual(walk, gotStream) || !reflect.DeepEqual(gotProgress, progress) {
 			t.Fatalf("stream round-trip: %q %+v != %q", gotStream, gotProgress, walk)
 		}
 
@@ -350,6 +354,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("payload round-trip: %x != %x", gotPayload, payload)
 		}
 	})
+}
+
+// counters builds the traversal counters the QUERY, STREAM and
+// STREAM_END payloads carry.
+func counters(logical, physical, visited int) core.QueryResult {
+	return core.QueryResult{LogicalHops: logical, PhysicalHops: physical, NodesVisited: visited}
 }
 
 // fuzzCatalogue is the two-entry catalogue of the mirror seeds.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/overlay"
 	"dlpt/internal/workload"
@@ -332,16 +333,16 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("dropped response round-trip: got %+v", gotR)
 	}
 
-	q := queryReq{Range: true, Lo: "aa", Hi: "zz", Limit: 10, Entry: "m"}
+	q := queryReq{QuerySpec: core.QuerySpec{Range: true, Lo: "aa", Hi: "zz", Limit: 10}, Entry: "m"}
 	buf = appendQuery(nil, &q)
 	var gotQ queryReq
 	if err := decodeQuery(buf, &gotQ); err != nil {
 		t.Fatal(err)
 	}
-	if gotQ != q {
+	if !reflect.DeepEqual(gotQ, q) {
 		t.Fatalf("query round-trip: got %+v want %+v", gotQ, q)
 	}
-	neg := queryReq{Prefix: "pd", Limit: -5}
+	neg := queryReq{QuerySpec: core.QuerySpec{Prefix: "pd", Limit: -5}}
 	buf = appendQuery(buf[:0], &neg)
 	if err := decodeQuery(buf, &gotQ); err != nil {
 		t.Fatal(err)
@@ -350,18 +351,18 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("negative limit must normalize to 0 on the wire, got %d", gotQ.Limit)
 	}
 
-	end := streamEnd{Logical: 11, Physical: 5, Visited: 42, Err: "halt"}
+	end := streamEnd{QueryResult: counters(11, 5, 42), Err: "halt"}
 	buf = appendStreamEnd(nil, &end)
 	var gotE streamEnd
 	if err := decodeStreamEnd(buf, &gotE); err != nil {
 		t.Fatal(err)
 	}
-	if gotE != end {
+	if !reflect.DeepEqual(gotE, end) {
 		t.Fatalf("stream-end round-trip: got %+v want %+v", gotE, end)
 	}
 
 	batch := []keys.Key{"pdgesv", "pdgetrf", "s3l_fft"}
-	progress := streamEnd{Logical: 3, Physical: 1, Visited: 6}
+	progress := streamEnd{QueryResult: counters(3, 1, 6)}
 	gotB, gotP, err := decodeStreamBatch(appendStreamBatch(nil, batch, &progress))
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +370,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(gotB, batch) {
 		t.Fatalf("stream batch round-trip: %v", gotB)
 	}
-	if gotP != progress {
+	if !reflect.DeepEqual(gotP, progress) {
 		t.Fatalf("stream progress round-trip: got %+v want %+v", gotP, progress)
 	}
 	corrupt := binary.AppendUvarint(nil, 0)

@@ -1,13 +1,13 @@
-// The STREAM path, both ends: the server-side walk that leaves as
-// credit-windowed front-coded frames, and the client's WireStream that
-// pulls them off the pooled connection and feeds the window.
+// The STREAM path, both ends of one overlay.Stream: the serving peer
+// fills credit-windowed front-coded frames from a stream over its walk,
+// and the client's stream pulls those frames off the pooled connection
+// (wireSource) and feeds the window.
 
 package transport
 
 import (
 	"context"
 	"errors"
-	"sync"
 	"time"
 
 	"dlpt/internal/core"
@@ -17,11 +17,9 @@ import (
 	"dlpt/internal/trace"
 )
 
-// queryBatchVisits bounds the node visits per read-lock hold of the
-// server-side traversal; a frame is filled over as many holds as it
-// takes. The stream's flow control is one slow-started variable, the
-// credit window in keys: it starts at streamInitKeys and doubles with
-// every STREAM_ACK up to streamWindowKeys. A frame carries up to
+// The stream's flow control is one slow-started variable, the credit
+// window in keys: it starts at streamInitKeys and doubles with every
+// STREAM_ACK up to streamWindowKeys. A frame carries up to
 // min(window, streamFrameKeys) keys (it leaves early once its keys
 // pass streamFrameBytes) and window/frame-size frames may be
 // unacknowledged. So the first key leaves after one short step, an
@@ -30,7 +28,6 @@ import (
 // cannot provide), and a drained scan soon moves 512 keys per write
 // and ACK. The values come from a sweep on scan-tcp (CHANGES.md PR 13).
 const (
-	queryBatchVisits = 256
 	streamInitKeys   = 32
 	streamFrameKeys  = 512
 	streamFrameBytes = 16 << 10
@@ -39,14 +36,14 @@ const (
 	streamMaxInflight = streamWindowKeys / streamFrameKeys
 )
 
-// serveQuery runs one streaming subtree query server-side: the walker
-// advances in bounded read-locked steps, its matches leave as STREAM
-// frames sized by the slow-started credit window, and the traversal
-// totals close the stream as a STREAM_END frame — in the same write as
-// the last STREAM when the walk ends inside a frame. The registered
-// cancel (CANCEL frame from the consumer, or connection teardown)
-// aborts the traversal at the next step boundary — the limit pushdown
-// and early-exit contract on the wire.
+// serveQuery runs one streaming subtree query server-side: a stream
+// over the walk resumed at the routed anchor fills STREAM frames sized
+// by the slow-started credit window, and the traversal totals close
+// the stream as a STREAM_END frame — in the same write as the last
+// STREAM when the walk ends inside a frame. The registered cancel
+// (CANCEL frame from the consumer, or connection teardown) ends the
+// stream at its next pull — the limit pushdown and early-exit contract
+// on the wire.
 func (c *Cluster) serveQuery(ctx context.Context, sc *serverConn, id uint64,
 	stream serverStream, q queryReq, tc trace.Context) {
 
@@ -62,34 +59,15 @@ func (c *Cluster) serveQuery(ctx context.Context, sc *serverConn, id uint64,
 		_ = sc.fc.writeStream(id, nil, &streamEnd{Err: "transport: QUERY without a routed anchor"}, true)
 		return
 	}
-	w := core.NewQueryWalker(c.Net, core.QuerySpec{
-		Range:  q.Range,
-		Prefix: q.Prefix,
-		Lo:     q.Lo,
-		Hi:     q.Hi,
-		Limit:  q.Limit,
-	})
-	// The walker's phase spans parent under the wire context, so the
-	// server-side walk joins the client's trace; FinishTrace flushes
-	// the final phase even when the stream aborts early.
-	w.TraceUnder(tc)
-	defer w.FinishTrace()
-	if !w.Empty() {
-		// The climb/descend phases ran hop by hop as a QROUTE frame;
-		// resume directly in the subtree walk at the covering node,
-		// folding the route's counters in.
-		c.Mu.RLock()
-		w.ResumeWalk(q.Entry, core.QueryResult{
-			LogicalHops:  q.Logical,
-			PhysicalHops: q.Physical,
-			NodesVisited: q.Visited,
-		})
-		c.Mu.RUnlock()
-	}
-	var out []keys.Key // one batch buffer for the whole stream
+	// The climb/descend phases ran hop by hop as a QROUTE frame: the
+	// walk resumes at the covering node with the route's counters, its
+	// phase spans under the client's trace.
+	s := c.WalkFrom(ctx, q.QuerySpec, q.Entry, q.QueryResult, tc)
+	defer s.Close()
+	out := make([]keys.Key, 0, streamInitKeys) // one frame buffer for the whole stream
 	var st streamEnd
 	// inflight counts the STREAM frames not yet acknowledged.
-	inflight, window, more := 0, streamInitKeys, !w.Empty()
+	inflight, window := 0, streamInitKeys
 	for {
 		frameKeys := min(window, streamFrameKeys)
 		if inflight >= window/frameKeys {
@@ -105,26 +83,21 @@ func (c *Cluster) serveQuery(ctx context.Context, sc *serverConn, id uint64,
 			}
 		}
 		out = out[:0]
-		for size := 0; more && st.Err == "" && len(out) < frameKeys && size < streamFrameBytes; {
-			select {
-			case <-ctx.Done():
-				st.Err = ctx.Err().Error()
-			case <-c.Quit:
-				st.Err = ErrStopped.Error()
-			default:
-				n0 := len(out)
-				c.Mu.RLock()
-				out, more = w.StepN(out, frameKeys-n0, queryBatchVisits)
-				c.Mu.RUnlock()
-				for _, k := range out[n0:] {
-					size += len(k)
-				}
+		for size := 0; len(out) < frameKeys && size < streamFrameBytes; {
+			k, ok := s.Next()
+			if !ok {
+				break
 			}
+			out = append(out, k)
+			size += len(k)
 		}
-		ws := w.Stats()
-		c.queryVisits.Add(int64(ws.NodesVisited - st.Visited))
-		st.Logical, st.Physical, st.Visited = ws.LogicalHops, ws.PhysicalHops, ws.NodesVisited
-		last := !more || st.Err != ""
+		ws := s.Stats()
+		c.queryVisits.Add(int64(ws.NodesVisited - st.NodesVisited))
+		st.QueryResult = ws
+		last := s.Ended()
+		if err := s.Err(); err != nil {
+			st.Err = err.Error()
+		}
 		if err := sc.fc.writeStream(id, out, &st, last); err != nil || last {
 			return // the stream ended, or the connection is gone
 		}
@@ -137,72 +110,39 @@ func (c *Cluster) serveQuery(ctx context.Context, sc *serverConn, id uint64,
 // a cancelled consumer halts the walk).
 func (c *Cluster) QueryVisits() int64 { return c.queryVisits.Load() }
 
-// WireStream is the client half of one streaming query: STREAM
-// batches arrive multiplexed on the pooled connection and are pulled
-// off in lexicographic order; STREAM_END closes the stream with the
-// traversal totals. Closing early (or cancelling the query context)
-// sends a CANCEL frame that frees the server-side traversal while the
-// shared connection survives.
-type WireStream struct {
-	c   *Cluster
-	pc  *poolConn
-	id  uint64
-	cs  *clientStream
-	ctx context.Context
-
-	cur      []keys.Key // the frame being consumed; all substrings of one arena
-	pos      int
-	ended    bool // no more events will be consumed
-	finished bool // STREAM_END received: the server is already done
-	stats    core.QueryResult
-	err      error
-
-	span  trace.Handle // the query's root span (inactive untraced)
-	met   *obs.Metrics // cleared once the end-to-end latency is observed
-	began time.Time
-
-	closeOnce sync.Once
-}
-
-// finish closes the query's root span and observes its end-to-end
-// latency; idempotent across the stream's several end paths.
-func (s *WireStream) finish() {
-	s.span.End()
-	if s.met != nil && !s.began.IsZero() {
-		s.met.QueryLatency.Observe(time.Since(s.began).Seconds())
-		s.met = nil
-	}
-}
-
 // StreamQuery starts a streaming subtree query over the wire in two
-// phases. The entry node is drawn from the same seeded stream the
-// slice queries use; the climb/descend phases then travel between
-// listeners as one QROUTE frame — each step resolved by the peer
-// hosting the node, like discovery steps — until the covering node is
-// found and reported straight back. The subtree walk opens as a STREAM query at that
-// node's host, seeded with the route's counters, and batches stream
-// back over the pooled connection.
-func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireStream, error) {
+// phases, shadowing the runtime's in-process StreamQuery. The entry
+// node is drawn from the same seeded stream discoveries draw from; the
+// climb/descend phases then travel between listeners as one QROUTE
+// frame — each step resolved by the peer hosting the node, like
+// discovery steps — until the covering node is found and reported
+// straight back. The subtree walk opens as a STREAM query at that
+// node's host, seeded with the route's counters, and its batches feed
+// the returned stream over the pooled connection. Every query that
+// gets this far is one overlay.Stream — void, on an empty tree, routed
+// into churn or opened — so each observes its latency once.
+func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*overlay.Stream, error) {
 	if c.Stopped() {
 		return nil, ErrStopped
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	began := time.Now()
+	src := &wireSource{c: c}
 	if spec.Range && spec.Hi < spec.Lo {
 		// Void by construction: no entry draw, no wire traffic,
-		// matching the slice path.
-		return &WireStream{ended: true, finished: true}, nil
+		// matching the in-process walker.
+		return c.Stream(ctx, src, began), nil
 	}
 	anchor := spec.Prefix
 	if spec.Range {
 		anchor = keys.GCP(spec.Lo, spec.Hi)
 	}
-	began := time.Now()
 	var rr overlay.Reply
 	root, ok, err := c.Originate(ctx, "query", overlay.Hop{Query: true, Key: anchor}, &rr)
 	if !ok && err == nil {
-		return &WireStream{ended: true, finished: true}, nil
+		return c.Stream(ctx, src, began), nil // an empty tree yields nothing
 	}
 	root.SetAttr("anchor", string(anchor))
 	if err != nil {
@@ -216,7 +156,8 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireSt
 		// walker's baseline, so nothing is double counted.
 		c.Met.Visits.Add(float64(rr.Visited))
 	}
-	pre := core.QueryResult{LogicalHops: rr.Logical,
+	src.span = root
+	src.stats = core.QueryResult{LogicalHops: rr.Logical,
 		PhysicalHops: rr.Physical, NodesVisited: rr.Visited}
 	var addr string
 	if rr.Found {
@@ -226,143 +167,114 @@ func (c *Cluster) StreamQuery(ctx context.Context, spec core.QuerySpec) (*WireSt
 		// The route hit a node lost to churn, or the anchor has no host
 		// any more: the walk yields nothing, with the route's counters
 		// as totals (walker behaviour).
-		ws := &WireStream{ended: true, finished: true, stats: pre,
-			span: root, met: c.Met, began: began}
-		ws.finish()
-		return ws, nil
+		return c.Stream(ctx, src, began), nil
 	}
-	q := &queryReq{
-		Range:    spec.Range,
-		Prefix:   spec.Prefix,
-		Lo:       spec.Lo,
-		Hi:       spec.Hi,
-		Limit:    spec.Limit,
-		Entry:    rr.Anchor,
-		Walk:     true,
-		Logical:  rr.Logical,
-		Physical: rr.Physical,
-		Visited:  rr.Visited,
-	}
-	pc, id, cs, err := c.openWireQuery(ctx, root.Context(), addr, q)
-	if err != nil {
+	q := &queryReq{QuerySpec: spec, Entry: rr.Anchor, Walk: true, QueryResult: src.stats}
+	if err := src.open(ctx, root.Context(), addr, q); err != nil {
 		// The address was stale (departed peer, Balance rename):
 		// re-resolve the anchor's current host once and retry on a
 		// fresh dial, as Send does for routed hops.
-		if ctx.Err() != nil || errors.Is(err, ErrStopped) {
-			root.End()
-			return nil, err
-		}
 		retryAddr := c.hostAddr(rr.Anchor)
-		if retryAddr == "" {
+		if ctx.Err() != nil || errors.Is(err, ErrStopped) || retryAddr == "" {
 			root.End()
 			return nil, err
 		}
-		if pc, id, cs, err = c.openWireQuery(ctx, root.Context(), retryAddr, q); err != nil {
+		if err := src.open(ctx, root.Context(), retryAddr, q); err != nil {
 			root.End()
 			return nil, err
 		}
 	}
-	return &WireStream{c: c, pc: pc, id: id, cs: cs, ctx: ctx, stats: pre,
-		span: root, met: c.Met, began: began}, nil
+	return c.Stream(ctx, src, began), nil
 }
 
-// openWireQuery registers a stream on the pooled connection to addr
-// and puts its QUERY frame on the wire.
-func (c *Cluster) openWireQuery(ctx context.Context, tc trace.Context, addr string, q *queryReq) (*poolConn, uint64, *clientStream, error) {
-	pc, err := c.pool.get(ctx, addr)
+// wireSource is the client end of one streaming query, the source of
+// its overlay.Stream: STREAM batches arrive multiplexed on the pooled
+// connection and are pulled off one frame at a time; STREAM_END brings
+// the traversal totals. A stream that ends any other way — closed,
+// cancelled, the cluster stopped — sends a CANCEL frame that frees the
+// server-side walk while the shared connection survives.
+type wireSource struct {
+	c  *Cluster
+	pc *poolConn
+	id uint64
+	cs *clientStream // nil: nothing was opened, the stream ends at once
+
+	stats    core.QueryResult
+	finished bool         // STREAM_END received: the server is already done
+	span     trace.Handle // the query's root span (inactive untraced)
+}
+
+// open registers the stream on the pooled connection to addr and puts
+// its QUERY frame on the wire.
+func (w *wireSource) open(ctx context.Context, tc trace.Context, addr string, q *queryReq) error {
+	pool := w.c.pool
+	pc, err := pool.get(ctx, addr)
 	if err != nil {
-		return nil, 0, nil, err
+		return err
 	}
-	id, cs, err := c.pool.openStream(pc)
+	id, cs, err := pool.openStream(pc)
 	if err != nil {
-		return nil, 0, nil, err
+		return err
 	}
 	if err := pc.fc.writeQuery(id, tc, q); err != nil {
 		pc.forgetStream(id)
 		if !errors.Is(err, errFrameTooLarge) {
-			c.pool.fail(pc, err)
+			pool.fail(pc, err)
 		}
-		return nil, 0, nil, err
+		return err
 	}
-	return pc, id, cs, nil
-}
-
-// Next returns the next matching key; ok == false means the stream is
-// exhausted (see Err). The keys of one STREAM frame are substrings of
-// a single string decoded for that frame, so retaining one key retains
-// at most one frame (streamFrameBytes or so); strings.Clone a key kept
-// far beyond the stream.
-func (s *WireStream) Next() (keys.Key, bool) {
-	for {
-		if s.pos < len(s.cur) {
-			k := s.cur[s.pos]
-			s.pos++
-			return k, true
-		}
-		if s.ended {
-			return keys.Epsilon, false
-		}
-		select {
-		case msg := <-s.cs.ch:
-			switch {
-			case msg.err != nil:
-				s.err, s.ended = msg.err, true
-				s.finish()
-				return keys.Epsilon, false
-			case msg.end:
-				s.ended, s.finished = true, true
-				s.stats = msg.info.result()
-				if msg.info.Err != "" {
-					s.err = errors.New(msg.info.Err)
-				}
-				s.finish()
-				return keys.Epsilon, false
-			default:
-				s.cur, s.pos = msg.batch, 0
-				s.stats = msg.info.result()
-				// Feed the server's credit window: one ACK per frame
-				// pulled keeps the traversal flowing (and, early on,
-				// growing); a consumer that stops pulling starves it.
-				_ = s.pc.fc.writeStreamAck(s.id)
-			}
-		case <-s.ctx.Done():
-			s.err, s.ended = s.ctx.Err(), true
-			s.finish()
-			return keys.Epsilon, false
-		case <-s.c.Quit:
-			s.err, s.ended = ErrStopped, true
-			s.finish()
-			return keys.Epsilon, false
-		}
-	}
-}
-
-// Err reports the error that terminated the stream early, nil after a
-// normal end of stream.
-func (s *WireStream) Err() error { return s.err }
-
-// Stats returns the traversal counters as of the last batch pulled
-// (every STREAM frame carries the server's running totals);
-// STREAM_END replaces them with the final totals.
-func (s *WireStream) Stats() core.QueryResult { return s.stats }
-
-// Close releases the stream. If the server is still traversing, the
-// demux entry is dropped and a CANCEL frame frees the server-side
-// walk — the pooled connection itself stays open and keeps serving
-// the other multiplexed requests. After Close, Next reports end of
-// stream even if batches were still buffered.
-func (s *WireStream) Close() error {
-	s.closeOnce.Do(func() {
-		if s.cs != nil {
-			if !s.finished {
-				s.pc.forgetStream(s.id)
-				_ = s.pc.fc.writeCancel(s.id)
-			}
-			close(s.cs.gone)
-		}
-		s.ended = true
-		s.cur, s.pos = nil, 0
-		s.finish()
-	})
+	w.pc, w.id, w.cs = pc, id, cs
 	return nil
+}
+
+// Pull takes the next frame. The keys of one STREAM frame are
+// substrings of a single string decoded for that frame, so retaining
+// one key retains at most one frame (streamFrameBytes or so);
+// strings.Clone a key kept far beyond the stream.
+func (w *wireSource) Pull(ctx context.Context, _ []keys.Key) ([]keys.Key, bool, error) {
+	if w.cs == nil {
+		return nil, false, nil
+	}
+	select {
+	case msg := <-w.cs.ch:
+		switch {
+		case msg.err != nil:
+			return nil, false, msg.err
+		case msg.end:
+			w.finished, w.stats = true, msg.info.QueryResult
+			if msg.info.Err != "" {
+				return nil, false, errors.New(msg.info.Err)
+			}
+			return nil, false, nil
+		}
+		// Every STREAM frame carries the server's running totals. One
+		// ACK per frame pulled feeds the server's credit window, keeping
+		// the traversal flowing (and, early on, growing); a consumer
+		// that stops pulling starves it.
+		w.stats = msg.info.QueryResult
+		_ = w.pc.fc.writeStreamAck(w.id)
+		return msg.batch, true, nil
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	case <-w.c.Quit:
+		return nil, false, ErrStopped
+	}
+}
+
+// Stats returns the traversal counters as of the last frame pulled.
+func (w *wireSource) Stats() core.QueryResult { return w.stats }
+
+// Halt releases the stream: if the server is still traversing, the
+// demux entry is dropped and a CANCEL frame frees the server-side walk
+// — the pooled connection itself stays open and keeps serving the
+// other multiplexed requests. The query's root span ends here.
+func (w *wireSource) Halt() {
+	if w.cs != nil {
+		if !w.finished {
+			w.pc.forgetStream(w.id)
+			_ = w.pc.fc.writeCancel(w.id)
+		}
+		close(w.cs.gone)
+	}
+	w.span.End()
 }

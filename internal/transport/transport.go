@@ -8,15 +8,15 @@
 // service (the Grid'5000 prototype the paper leaves as future work) and
 // exercises the protocol under real sockets in the tests.
 //
-// Membership, replication, balancing, registration and the routed
-// request end to end — the hop, the driver that takes it through a
-// peer, the originator's pending table, sweeper and re-issue — are the
-// embedded overlay.Runtime's, exactly as in internal/live. This package
-// owns what is specific to sockets: the listeners and address table
-// behind the runtime's Link and the frames a hop and its answer travel
-// as (link.go), the per-connection server loop (server.go), the
-// credit-windowed STREAM path (stream.go), the frame codec, the pool,
-// injected faults, and the mirror methods the daemon deployment drives.
+// Membership, replication, balancing, registration, the routed request
+// (hop, driver, the originator's pending table, sweeper and re-issue)
+// and the query stream are the embedded overlay.Runtime's, exactly as
+// in internal/live. This package owns what is specific to sockets: the
+// listeners and address table behind the runtime's Link and the frames
+// a hop and its answer travel as (link.go), the per-connection server
+// loop (server.go), the credit-windowed frames that carry a stream's
+// batches from the serving walk to the client (stream.go), the frame
+// codec, the pool, injected faults, and the daemon's mirror methods.
 package transport
 
 import (
@@ -36,30 +36,23 @@ import (
 
 // queryReq is the on-the-wire form of one streaming subtree query:
 // the traversal spec plus the node to run it from. Entry is the
-// covering node a hop-by-hop QROUTE phase resolved and
-// Logical/Physical/Visited carry the route's counters — the server
-// resumes directly in the subtree walk and answers with STREAM batches
-// and one STREAM_END carrying the traversal totals. Walk says the
-// route ran; the server refuses a QUERY without it in its STREAM_END.
+// covering node a hop-by-hop QROUTE phase resolved and the counters
+// are the route's — the server resumes directly in the subtree walk
+// and answers with STREAM batches and one STREAM_END carrying the
+// traversal totals. Walk says the route ran; the server refuses a
+// QUERY without it in its STREAM_END.
 type queryReq struct {
-	Range          bool
-	Prefix, Lo, Hi keys.Key
-	Limit          int
-	Entry          keys.Key
-	Walk           bool
-	Logical        int
-	Physical       int
-	Visited        int
+	core.QuerySpec
+	Entry            keys.Key
+	Walk             bool
+	core.QueryResult // Keys unused
 }
 
-// streamEnd closes one streaming query on the wire.
+// streamEnd is the traversal counters every STREAM and STREAM_END
+// carries; Err closes a stream that ended early.
 type streamEnd struct {
-	Logical, Physical, Visited int
-	Err                        string
-}
-
-func (e *streamEnd) result() core.QueryResult {
-	return core.QueryResult{LogicalHops: e.Logical, PhysicalHops: e.Physical, NodesVisited: e.Visited}
+	core.QueryResult // Keys unused
+	Err              string
 }
 
 // Options are the optional cluster construction parameters: the ones

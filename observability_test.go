@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"iter"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -265,11 +266,13 @@ func TestObsSnapshotWithoutObservability(t *testing.T) {
 }
 
 // TestStreamInstrumentationOnEveryEnding holds every engine to one
-// account of a streaming query: drained or abandoned on the first key,
-// it observes dlpt_query_latency_seconds{op="query"} exactly once and
-// ends the span of the phase the walker was in (a "walk" span per
-// query: keys only come out of the subtree walk). The tcp engine
-// settles the server side after the consumer returns, hence the wait.
+// account of a streaming query: drained, abandoned on the first key or
+// void by construction (an inverted range), it observes
+// dlpt_query_latency_seconds{op="query"} exactly once and ends the
+// span of the phase the walker was in (a "walk" span per query that
+// walked: keys only come out of the subtree walk; a void range never
+// enters the tree). The tcp engine settles the server side after the
+// consumer returns, hence the wait.
 func TestStreamInstrumentationOnEveryEnding(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, kind EngineKind) {
 		ctx := context.Background()
@@ -294,11 +297,18 @@ func TestStreamInstrumentationOnEveryEnding(t *testing.T) {
 		}
 		for _, tc := range []struct {
 			name  string
+			seq   iter.Seq2[string, error]
 			pulls int // keys consumed before leaving the loop; 0 drains
-		}{{"drained", 0}, {"break on the first key", 1}} {
+			keys  int // keys a drain yields
+			walks int // walk spans the query ends
+		}{
+			{"drained", reg.CompleteSeq(ctx, "", 0), 0, len(corpus), 1},
+			{"break on the first key", reg.CompleteSeq(ctx, "", 0), 1, 1, 1},
+			{"void range", reg.RangeSeq(ctx, "z", "a", 0), 0, 0, 0},
+		} {
 			lat0, walks0 := counts()
 			n := 0
-			for _, err := range reg.CompleteSeq(ctx, "", 0) {
+			for _, err := range tc.seq {
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -306,19 +316,19 @@ func TestStreamInstrumentationOnEveryEnding(t *testing.T) {
 					break
 				}
 			}
-			if tc.pulls == 0 && n != len(corpus) {
-				t.Fatalf("%s: %d keys, want %d", tc.name, n, len(corpus))
+			if n != tc.keys {
+				t.Fatalf("%s: %d keys, want %d", tc.name, n, tc.keys)
 			}
 			lat, walks := counts()
-			for deadline := time.Now().Add(2 * time.Second); (lat < lat0+1 || walks < walks0+1) && time.Now().Before(deadline); {
+			for deadline := time.Now().Add(2 * time.Second); (lat < lat0+1 || walks < walks0+tc.walks) && time.Now().Before(deadline); {
 				time.Sleep(5 * time.Millisecond)
 				lat, walks = counts()
 			}
 			if lat != lat0+1 {
 				t.Errorf("%s: query latency observed %v times, want once", tc.name, lat-lat0)
 			}
-			if walks != walks0+1 {
-				t.Errorf("%s: %d walk spans ended, want one", tc.name, walks-walks0)
+			if walks != walks0+tc.walks {
+				t.Errorf("%s: %d walk spans ended, want %d", tc.name, walks-walks0, tc.walks)
 			}
 		}
 	})
