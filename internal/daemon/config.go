@@ -100,10 +100,9 @@ type Config struct {
 	// the listener; the daemon still aggregates metrics internally and
 	// serves them over the ADMIN wire path (`dlptd status -obs`).
 	MetricsAddr string `json:"metrics_addr,omitempty"`
-	// Faults, when non-nil, injects deterministic transport faults
-	// (drops, delays, duplicates, partitions) into this daemon's
-	// outbound frame path. Test-only; never read from config files.
-	Faults *transport.Faults `json:"-"`
+	// Net opens the daemon's listeners and pool connections (nil:
+	// transport.TCP); tests set it, config files never do.
+	Net transport.Net `json:"-"`
 }
 
 // LoadConfig reads a JSON config file.
@@ -144,6 +143,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano()
+	}
+	if c.Net == nil {
+		c.Net = transport.TCP
 	}
 	return c
 }

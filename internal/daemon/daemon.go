@@ -226,7 +226,7 @@ func Start(cfg Config, logf func(format string, args ...any)) (*Daemon, error) {
 // serves the Prometheus exposition text and /debug/trace the recent
 // span trees as JSON.
 func (d *Daemon) startMetrics(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := d.cfg.Net.Listen(addr)
 	if err != nil {
 		return fmt.Errorf("daemon: metrics listener: %w", err)
 	}

@@ -174,7 +174,7 @@ func TestStewardFailoverElectsLowestSurvivor(t *testing.T) {
 func TestFailoverReplaysDroppedBroadcasts(t *testing.T) {
 	faults := transport.NewFaults(11)
 	cfg := failoverConfig(1)
-	cfg.Faults = faults
+	cfg.Net = faults
 	ds := []*Daemon{startDaemon(t, cfg)}
 	for i := 1; i < 4; i++ {
 		ds = append(ds, startDaemon(t, failoverConfig(int64(i+1), ds[0].Addr())))
@@ -232,7 +232,7 @@ func TestFailoverReplaysDroppedBroadcasts(t *testing.T) {
 func TestFailoverResyncsMemberTooFarBehind(t *testing.T) {
 	faults := transport.NewFaults(13)
 	cfg := failoverConfig(1)
-	cfg.Faults = faults
+	cfg.Net = faults
 	ds := []*Daemon{startDaemon(t, cfg)}
 	for i := 1; i < 4; i++ {
 		ds = append(ds, startDaemon(t, failoverConfig(int64(i+1), ds[0].Addr())))
@@ -289,15 +289,15 @@ func partitionedSteward(t *testing.T) (old, m1, m2, steward *Daemon, fOld, fM1, 
 	fOld, fM1, fM2 = transport.NewFaults(17), transport.NewFaults(18), transport.NewFaults(19)
 
 	cfgOld := failoverConfig(1)
-	cfgOld.Faults = fOld
+	cfgOld.Net = fOld
 	cfgOld.MissThreshold = 1 << 20 // the pause: old steward never crashes anyone out
 	old = startDaemon(t, cfgOld)
 
 	cfgM1 := failoverConfig(2, old.Addr())
-	cfgM1.Faults = fM1
+	cfgM1.Net = fM1
 	m1 = startDaemon(t, cfgM1)
 	cfgM2 := failoverConfig(3, old.Addr())
-	cfgM2.Faults = fM2
+	cfgM2.Net = fM2
 	m2 = startDaemon(t, cfgM2)
 
 	register(t, old, "before", "v")
@@ -491,7 +491,7 @@ func TestFailoverUnderElectionDelay(t *testing.T) {
 		if i > 0 {
 			cfg.Bootstrap = []string{ds[0].Addr()}
 		}
-		cfg.Faults = faults[i]
+		cfg.Net = faults[i]
 		ds = append(ds, startDaemon(t, cfg))
 	}
 	register(t, ds[0], "delayed", "v")

@@ -35,7 +35,7 @@ const applyLogSize = 512
 // lock is held across join and install: APPLY broadcasts that race the
 // installation queue behind it and then extend the sequence in order.
 func (d *Daemon) startMember() error {
-	ln, err := net.Listen("tcp", transport.NormalizeBind(d.cfg.Listen))
+	ln, err := d.cfg.Net.Listen(transport.NormalizeBind(d.cfg.Listen))
 	if err != nil {
 		return err
 	}
@@ -45,7 +45,7 @@ func (d *Daemon) startMember() error {
 		AllowEmpty:    true,
 		AdvertiseHost: d.cfg.Advertise,
 		Control:       d.control,
-		Faults:        d.cfg.Faults,
+		Net:           d.cfg.Net,
 	})
 	if err != nil {
 		ln.Close()

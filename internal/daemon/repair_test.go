@@ -65,7 +65,7 @@ func TestMissedBroadcastHealsMidEpoch(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			faults := transport.NewFaults(29)
 			cfg := testConfig(1)
-			cfg.Faults = faults
+			cfg.Net = faults
 			steward := startDaemon(t, cfg)
 			m1 := startDaemon(t, testConfig(2, steward.Addr()))
 			m2 := startDaemon(t, testConfig(3, steward.Addr()))
@@ -133,7 +133,7 @@ func TestMissedBroadcastHealsMidEpoch(t *testing.T) {
 func TestCommitPathDifferential(t *testing.T) {
 	faults := transport.NewFaults(31)
 	cfg := testConfig(1)
-	cfg.Faults = faults
+	cfg.Net = faults
 	steward := startDaemon(t, cfg)
 	members := []*Daemon{}
 	nextSeed := int64(2)

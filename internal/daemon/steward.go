@@ -46,7 +46,7 @@ func (d *Daemon) startSteward() error {
 		Bind:          d.cfg.Listen,
 		AdvertiseHost: d.cfg.Advertise,
 		Control:       d.control,
-		Faults:        d.cfg.Faults,
+		Net:           d.cfg.Net,
 	}
 	c, err := transport.StartOpts(d.alpha, []int{d.cfg.Capacity}, d.cfg.Seed, opts)
 	if err != nil {

@@ -1,12 +1,10 @@
 // The cluster-less client side: control round trips for callers with
 // no Cluster of their own (dlptd status, dlptd op, daemon.Admin). A
-// ControlConn is one connection such a caller may keep between calls —
-// the serving side (handleConn) is persistent and multiplexed by frame
-// id already — and RawCall is its one-shot form. connPool is not reused
-// on purpose: it lives and dies with a Cluster (quit channel, wait
-// group, fault gate, a demux goroutine per connection), and a caller
-// without a cluster has no lifetime to hang those on. A ControlConn
-// starts no goroutine: the reply is read on the calling goroutine.
+// ControlConn is one TCP connection such a caller may keep between
+// calls (handleConn serves it persistent and multiplexed by frame id);
+// RawCall is its one-shot form. It starts no goroutine, reading the
+// reply on the calling goroutine: a connPool's quit channel, wait group
+// and demux loops live and die with a Cluster.
 
 package transport
 
@@ -15,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"time"
 )
@@ -35,8 +32,7 @@ type ControlConn struct {
 
 // DialControl connects to the listener of a daemon or cluster peer.
 func DialControl(ctx context.Context, addr string) (*ControlConn, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
+	conn, err := TCP.DialContext(ctx, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,11 @@ package transport
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"dlpt/internal/core"
 	"dlpt/internal/keys"
 )
 
@@ -75,33 +77,24 @@ func TestFaultDelayJitterDeterministic(t *testing.T) {
 func TestFaultPartitionHealClear(t *testing.T) {
 	f := NewFaults(1)
 	f.Partition("a:1", "b:2")
-	if !f.isPartitioned("a:1") || !f.isPartitioned("b:2") {
+	cut := func(addr string) bool {
+		_, err := f.onSend(frameStatus, addr)
+		return errors.Is(err, ErrPartitioned)
+	}
+	if !cut("a:1") || !cut("b:2") {
 		t.Fatal("partition not recorded")
 	}
-	if _, err := f.onSend(frameStatus, "a:1"); !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("want ErrPartitioned, got %v", err)
-	}
 	f.Heal("a:1")
-	if f.isPartitioned("a:1") || !f.isPartitioned("b:2") {
+	if cut("a:1") || !cut("b:2") {
 		t.Fatal("heal must be per-address")
 	}
 	f.Inject(FaultRule{Drop: true})
 	f.Clear()
-	if f.isPartitioned("b:2") {
+	if cut("b:2") {
 		t.Fatal("clear must lift partitions")
 	}
 	if _, err := f.onSend(frameApply, "b:2"); err != nil {
 		t.Fatalf("clear must drop rules: %v", err)
-	}
-}
-
-func TestNilFaultsInjectNothing(t *testing.T) {
-	var f *Faults
-	if f.isPartitioned("a:1") {
-		t.Fatal("nil Faults must not partition")
-	}
-	if act, err := f.onSend(frameApply, "a:1"); err != nil || act.drop || act.dup || act.delay != 0 {
-		t.Fatalf("nil Faults must no-op: act=%+v err=%v", act, err)
 	}
 }
 
@@ -114,7 +107,7 @@ func TestFaultsOnWire(t *testing.T) {
 	faults := NewFaults(3)
 	seen := make(chan byte, 8)
 	opts := Options{
-		Faults: faults,
+		Net: faults,
 		Control: func(typ byte, payload []byte) (byte, []byte) {
 			seen <- typ
 			return FrameAck, EncodeAck("")
@@ -129,7 +122,7 @@ func TestFaultsOnWire(t *testing.T) {
 	for _, a := range srv.Addrs() {
 		addr = a
 	}
-	cli, err := StartOpts(keys.LowerAlnum, []int{8}, 2, Options{Faults: faults})
+	cli, err := StartOpts(keys.LowerAlnum, []int{8}, 2, Options{Net: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,5 +162,59 @@ func TestFaultsOnWire(t *testing.T) {
 	faults.Heal(addr)
 	if _, _, err := cli.ControlRoundTrip(ctx, addr, frameStatus, nil); err != nil {
 		t.Fatalf("healed round-trip: %v", err)
+	}
+}
+
+// TestFaultsReachEveryDialedFrame drops frames of the kinds a fault
+// plan once never saw: one REPLICA, then one QUERY. The dropped REPLICA
+// costs its batch the wire, not the tick — the runtime installs it
+// directly, so Replicate reports the fault-free snapshot count — and
+// the dropped QUERY is sent again by StreamQuery's retry on the same
+// pooled connection.
+func TestFaultsReachEveryDialedFrame(t *testing.T) {
+	c, faults, corpus := startFaultyTCP(t, 5, 60)
+	want, err := c.Replicate()
+	if err != nil || want == 0 {
+		t.Fatalf("fault-free replicate: %d snapshots, %v", want, err)
+	}
+	faults.Inject(FaultRule{Type: frameReplica, Count: 1, Drop: true})
+	if got, err := c.Replicate(); err != nil || got != want {
+		t.Fatalf("replicate across a dropped REPLICA: %d snapshots, %v; fault-free %d", got, err, want)
+	}
+	if rulesLeft(faults) != 0 {
+		t.Fatal("the REPLICA drop never matched")
+	}
+
+	ctx := context.Background()
+	for _, addr := range c.Addrs() { // warm the pool: a connection to every listener
+		if _, err := c.pool.get(ctx, addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, dialsBefore := c.PoolStats()
+	prefix := corpus[7][:2]
+	wantKeys := 0
+	for _, k := range corpus {
+		if strings.HasPrefix(string(k), string(prefix)) {
+			wantKeys++
+		}
+	}
+	faults.Inject(FaultRule{Type: frameQuery, Count: 1, Drop: true})
+	ws, err := c.StreamQuery(ctx, core.QuerySpec{Prefix: prefix})
+	if err != nil {
+		t.Fatalf("query across a dropped QUERY: %v", err)
+	}
+	got := 0
+	for _, ok := ws.Next(); ok; _, ok = ws.Next() {
+		got++
+	}
+	if err := errors.Join(ws.Err(), ws.Close()); err != nil || got != wantKeys {
+		t.Fatalf("query across a dropped QUERY: %d keys, want %d, %v", got, wantKeys, err)
+	}
+	if rulesLeft(faults) != 0 {
+		t.Fatal("the QUERY drop never matched")
+	}
+	if _, dials := c.PoolStats(); dials != dialsBefore {
+		t.Fatalf("a dropped QUERY cost %d redials", dials-dialsBefore)
 	}
 }

@@ -37,7 +37,7 @@ func startFaultyTCP(t *testing.T, n, corpus int) (*Cluster, *Faults, []keys.Key)
 	for i := range caps {
 		caps[i] = 1 << 20
 	}
-	c, err := StartOpts(keys.LowerAlnum, caps, 3, Options{Faults: faults})
+	c, err := StartOpts(keys.LowerAlnum, caps, 3, Options{Net: faults})
 	if err != nil {
 		t.Fatal(err)
 	}

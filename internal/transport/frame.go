@@ -290,16 +290,12 @@ func (fc *frameConn) writeFrame(bp *[]byte, buf []byte) error {
 // writeHop puts a routed hop on the wire under its originator's id: a
 // REQUEST for a discovery, a QROUTE for a query route.
 func (fc *frameConn) writeHop(h *overlay.Hop) error {
-	bp := framePool.Get().(*[]byte)
-	return fc.writeFrame(bp, appendHop(beginTracedFrame(*bp, hopFrame(h), h.Origin, h.TC), h))
-}
-
-// hopFrame is the frame type a hop travels as.
-func hopFrame(h *overlay.Hop) byte {
+	typ := byte(frameRequest)
 	if h.Query {
-		return frameQRoute
+		typ = frameQRoute
 	}
-	return frameRequest
+	bp := framePool.Get().(*[]byte)
+	return fc.writeFrame(bp, appendHop(beginTracedFrame(*bp, typ, h.Origin, h.TC), h))
 }
 
 func (fc *frameConn) writeResponse(id uint64, resp *overlay.Reply) error {

@@ -101,13 +101,13 @@ func AdvertiseAddr(listen, advertiseHost string) string {
 // endpoint is its listener and its entry in the address table.
 type link struct{ c *Cluster }
 
-// PeerUp binds a fresh listener for peer id on the cluster's bind
-// address (loopback-ephemeral by default) and starts serving it. The
+// PeerUp binds a fresh listener from the cluster's Net for peer id on
+// the bind address (loopback-ephemeral by default) and serves it. The
 // runtime holds Mu: the address table entry becomes visible atomically
 // with the peer's ring membership, or a concurrent discovery could
 // resolve the peer as host and find no address.
 func (l link) PeerUp(id keys.Key) error {
-	ln, err := net.Listen("tcp", NormalizeBind(l.c.bind))
+	ln, err := l.c.pool.net.Listen(NormalizeBind(l.c.bind))
 	if err != nil {
 		return err
 	}
@@ -182,13 +182,8 @@ func (l link) Ship(tc trace.Context, b core.ReplicaBatch) (int, error) {
 	if addr == "" {
 		return 0, fmt.Errorf("transport: no address for replica target %q", b.To)
 	}
-	ctx := context.Background()
-	pc, err := c.pool.get(ctx, addr)
-	if err != nil {
-		return 0, err
-	}
-	msg, err := c.pool.rawRoundTrip(ctx, pc, func(id uint64) error {
-		return pc.fc.writeReplica(id, tc, &b)
+	msg, err := c.pool.rawRoundTrip(context.Background(), addr, func(fc *frameConn, id uint64) error {
+		return fc.writeReplica(id, tc, &b)
 	})
 	if err != nil {
 		return 0, err
@@ -201,25 +196,6 @@ func (l link) Ship(tc trace.Context, b core.ReplicaBatch) (int, error) {
 		return 0, errors.New(resp.Err)
 	}
 	return resp.Logical, nil
-}
-
-// send puts one routed frame — a REQUEST or QROUTE on its way, or the
-// reply that ends it — on the pooled connection to addr, one way.
-// Injected faults act here; a dropped frame is lost silently, the way
-// a receiver crashing after its read loses it.
-func (c *Cluster) send(ctx context.Context, typ byte, addr string, write func(fc *frameConn) error) error {
-	dup, err := c.faultGate(ctx, typ, addr)
-	if err != nil {
-		if errors.Is(err, ErrInjectedDrop) {
-			return nil
-		}
-		return err
-	}
-	err = c.pool.send(ctx, addr, write)
-	if err == nil && dup {
-		err = c.pool.send(ctx, addr, write)
-	}
-	return err
 }
 
 // Send writes the hop as one frame to peer to's listener. A hop with
@@ -244,16 +220,15 @@ func (l link) Send(ctx context.Context, to keys.Key, h overlay.Hop) error {
 	if h.ReplyTo == "" {
 		return errors.New("transport: no local listener to take the reply")
 	}
-	typ := hopFrame(&h)
 	write := func(fc *frameConn) error { return fc.writeHop(&h) }
-	err := c.send(ctx, typ, addr, write)
+	err := c.pool.send(ctx, addr, write)
 	if err == nil || ctx.Err() != nil || c.Stopped() {
 		return err
 	}
 	if addr = c.hostAddr(h.At); addr == "" {
 		return err
 	}
-	return c.send(ctx, typ, addr, write)
+	return c.pool.send(ctx, addr, write)
 }
 
 // hostAddr resolves the listener address of the peer hosting node k
@@ -274,12 +249,12 @@ func (l link) Reply(h overlay.Hop, rep overlay.Reply) error {
 	c := l.c
 	write := func(fc *frameConn) error { return fc.writeResponse(h.Origin, &rep) }
 	ctx := context.Background()
-	err := c.send(ctx, frameResponse, h.ReplyTo, write)
+	err := c.pool.send(ctx, h.ReplyTo, write)
 	if errors.Is(err, errFrameTooLarge) {
 		rep = overlay.Reply{Err: err.Error(), Logical: rep.Logical, Physical: rep.Physical}
 	}
 	if err != nil && !c.Stopped() {
-		err = c.send(ctx, frameResponse, h.ReplyTo, write)
+		err = c.pool.send(ctx, h.ReplyTo, write)
 	}
 	return err
 }

@@ -19,8 +19,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,21 +35,14 @@ const dialTimeout = 5 * time.Second
 type connPool struct {
 	quit <-chan struct{}
 	wg   *sync.WaitGroup // cluster's group; tracks demux loops
-
-	// met, when set, is handed to every dialed frameConn for wire-byte
-	// accounting. Nil-safe.
-	met *obs.Metrics
-
-	// faults, when set, cuts gets toward partitioned addresses so
-	// injected partitions cover every client path (routed sends,
-	// probes, control round-trips) at the single choke point. Nil-safe.
-	faults *Faults
+	net  Net             // dials every connection
+	met  *obs.Metrics    // wire-byte accounting of every dialed frameConn; nil-safe
 
 	mu     sync.Mutex
 	conns  map[string]*poolConn // guarded by mu
 	closed bool                 // guarded by mu
 
-	// dials counts TCP dials over the pool's lifetime: the
+	// dials counts dials over the pool's lifetime: the
 	// amortization the pool exists for, asserted by tests.
 	dials  atomic.Int64
 	nextID atomic.Uint64
@@ -116,16 +107,13 @@ func (cs *clientStream) deliver(msg streamMsg) {
 	}
 }
 
-func newConnPool(quit <-chan struct{}, wg *sync.WaitGroup) *connPool {
-	return &connPool{quit: quit, wg: wg, conns: make(map[string]*poolConn)}
+func newConnPool(quit <-chan struct{}, wg *sync.WaitGroup, n Net, met *obs.Metrics) *connPool {
+	return &connPool{quit: quit, wg: wg, net: n, met: met, conns: make(map[string]*poolConn)}
 }
 
 // get returns the shared connection to addr, dialing it on first use.
 // Concurrent getters for one address share a single dial.
 func (p *connPool) get(ctx context.Context, addr string) (*poolConn, error) {
-	if p.faults.isPartitioned(addr) {
-		return nil, fmt.Errorf("%w: %s", ErrPartitioned, addr)
-	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -172,8 +160,9 @@ func (p *connPool) get(ctx context.Context, addr string) (*poolConn, error) {
 func (p *connPool) dial(pc *poolConn) {
 	defer p.wg.Done()
 	defer close(pc.ready)
-	d := net.Dialer{Timeout: dialTimeout}
-	conn, err := d.Dial("tcp", pc.addr)
+	ctx, cancel := context.WithTimeout(context.Background(), dialTimeout)
+	conn, err := p.net.DialContext(ctx, pc.addr)
+	cancel()
 	if err != nil {
 		pc.dialErr = err
 		p.drop(pc)
@@ -280,22 +269,28 @@ func (pc *poolConn) forgetStream(id uint64) {
 
 // send puts one frame on the shared connection to addr and returns
 // without waiting for anything back — the routed path's only
-// acknowledgement is the reply the originator waits for. An
-// errFrameTooLarge write leaves the connection good (nothing hit the
-// wire); any other write error breaks it, so the next send dials
-// fresh.
+// acknowledgement is the reply the originator waits for. An unwritten
+// frame leaves the connection good; any other write error breaks it,
+// so the next send dials fresh.
 func (p *connPool) send(ctx context.Context, addr string, write func(fc *frameConn) error) error {
 	pc, err := p.get(ctx, addr)
 	if err != nil {
 		return err
 	}
 	if err := write(pc.fc); err != nil {
-		if !errors.Is(err, errFrameTooLarge) {
+		if !unwritten(err) {
 			p.fail(pc, err)
 		}
 		return err
 	}
 	return nil
+}
+
+// unwritten reports a write error that put nothing on the wire — a
+// frame over the size limit, or one a fault rule dropped — so only
+// that frame is undeliverable and the connection stays consistent.
+func unwritten(err error) bool {
+	return errors.Is(err, errFrameTooLarge) || errors.Is(err, ErrInjectedDrop)
 }
 
 func (pc *poolConn) forgetRaw(id uint64) {
@@ -304,14 +299,17 @@ func (pc *poolConn) forgetRaw(id uint64) {
 	pc.mu.Unlock()
 }
 
-// rawRoundTrip is the request/reply protocol: register a fresh id, put
-// the frame on the wire with write, await the demuxed reply, handed
-// back undecoded. An errFrameTooLarge write leaves the connection
-// good (nothing hit the wire — only this request is undeliverable);
+// rawRoundTrip is the request/reply protocol on the connection to
+// addr: register a fresh id, write the frame, await the demuxed reply,
+// handed back undecoded. An unwritten frame leaves the connection good;
 // any other write error breaks it. Cancellation sends a CANCEL frame
 // and abandons the id; the connection keeps serving the other
 // in-flight round trips.
-func (p *connPool) rawRoundTrip(ctx context.Context, pc *poolConn, write func(id uint64) error) (rawMsg, error) {
+func (p *connPool) rawRoundTrip(ctx context.Context, addr string, write func(fc *frameConn, id uint64) error) (rawMsg, error) {
+	pc, err := p.get(ctx, addr)
+	if err != nil {
+		return rawMsg{}, err
+	}
 	id := p.nextID.Add(1)
 	ch := make(chan rawMsg, 1)
 	pc.mu.Lock()
@@ -323,9 +321,9 @@ func (p *connPool) rawRoundTrip(ctx context.Context, pc *poolConn, write func(id
 	pc.raw[id] = ch
 	pc.mu.Unlock()
 
-	if err := write(id); err != nil {
+	if err := write(pc.fc, id); err != nil {
 		pc.forgetRaw(id)
-		if !errors.Is(err, errFrameTooLarge) {
+		if !unwritten(err) {
 			p.fail(pc, err)
 		}
 		return rawMsg{}, err

@@ -218,7 +218,7 @@ func (w *wireSource) open(ctx context.Context, tc trace.Context, addr string, q 
 	}
 	if err := pc.fc.writeQuery(id, tc, q); err != nil {
 		pc.forgetStream(id)
-		if !errors.Is(err, errFrameTooLarge) {
+		if !unwritten(err) {
 			pool.fail(pc, err)
 		}
 		return err

@@ -16,7 +16,8 @@
 // a hop and its answer travel as (link.go), the per-connection server
 // loop (server.go), the credit-windowed frames that carry a stream's
 // batches from the serving walk to the client (stream.go), the frame
-// codec, the pool, injected faults, and the daemon's mirror methods.
+// codec, the pool, and the daemon's mirror methods. Every socket comes
+// from one Net (net.go): TCP, a Faults over another Net, or a test's.
 package transport
 
 import (
@@ -26,7 +27,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
@@ -77,11 +77,9 @@ type Options struct {
 	// payload and returns the reply frame. Nil rejects control frames
 	// with an in-band error.
 	Control func(typ byte, payload []byte) (respTyp byte, resp []byte)
-	// Faults, when non-nil, injects deterministic faults into the
-	// outbound frame path: partitions cut dials, typed rules drop,
-	// delay or duplicate control frames. Test-only; nil costs one nil
-	// check per send.
-	Faults *Faults
+	// Net opens the cluster's listeners and pool connections; nil
+	// means TCP. Tests pass a wrapping or an in-process Net.
+	Net Net
 }
 
 // Cluster is an overlay whose peers communicate over TCP: the shared
@@ -93,7 +91,6 @@ type Cluster struct {
 	bind    string              // listener bind address template
 	advHost string              // advertised host override
 	control func(typ byte, payload []byte) (byte, []byte)
-	faults  *Faults // nil injects nothing
 
 	// queryVisits counts tree nodes visited by server-side streaming
 	// query traversals — the observable the early-exit tests watch to
@@ -128,15 +125,15 @@ func StartOpts(alpha *keys.Alphabet, capacities []int, seed int64, opts Options)
 		bind:    opts.Bind,
 		advHost: opts.AdvertiseHost,
 		control: opts.Control,
-		faults:  opts.Faults,
 	}
 	c.Init(alpha, seed, opts.Options)
 	// The caller is no peer: its request crosses a wire to reach the
 	// entry host, and every wire transfer counts.
 	c.ClientHops = 1
-	c.pool = newConnPool(c.Quit, &c.wg)
-	c.pool.met = c.Met
-	c.pool.faults = c.faults
+	if opts.Net == nil {
+		opts.Net = TCP
+	}
+	c.pool = newConnPool(c.Quit, &c.wg, opts.Net, c.Met)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -245,53 +242,13 @@ func (c *Cluster) ControlRoundTrip(ctx context.Context, addr string, typ byte, p
 	if c.Stopped() {
 		return 0, nil, ErrStopped
 	}
-	dup, err := c.faultGate(ctx, typ, addr)
-	if err != nil {
-		return 0, nil, err // injected partition or drop
-	}
-	pc, err := c.pool.get(ctx, addr)
-	if err != nil {
-		return 0, nil, err
-	}
-	msg, err := c.pool.rawRoundTrip(ctx, pc, func(id uint64) error {
-		if err := pc.fc.writeRaw(typ, id, payload); err != nil {
-			return err
-		}
-		if dup {
-			// Duplicate delivery: the receiver handles the frame twice;
-			// the demux keeps the first reply for this id and drops the
-			// second.
-			return pc.fc.writeRaw(typ, id, payload)
-		}
-		return nil
+	msg, err := c.pool.rawRoundTrip(ctx, addr, func(fc *frameConn, id uint64) error {
+		return fc.writeRaw(typ, id, payload)
 	})
 	if err != nil {
 		return 0, nil, err
 	}
 	return msg.typ, msg.payload, nil
-}
-
-// faultGate consults the fault plan for one outbound frame: it sleeps
-// an injected delay and reports whether to write the frame twice, or
-// the injected partition or drop as an error. Nil plan: nothing.
-func (c *Cluster) faultGate(ctx context.Context, typ byte, addr string) (dup bool, err error) {
-	if c.faults == nil {
-		return false, nil
-	}
-	act, err := c.faults.onSend(typ, addr)
-	if err != nil {
-		return false, err
-	}
-	if act.delay > 0 {
-		select {
-		case <-time.After(act.delay):
-		case <-ctx.Done():
-			return false, ctx.Err()
-		case <-c.Quit:
-			return false, ErrStopped
-		}
-	}
-	return act.dup, nil
 }
 
 // DropEndpointAddr evicts the pooled connection to addr (without
