@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"dlpt/internal/catalog"
@@ -129,12 +130,7 @@ func (net *Network) catalogueData() ([]keys.Key, map[keys.Key][]string) {
 	for _, p := range net.peers {
 		for k, n := range p.Nodes {
 			if n.HasData() {
-				vals := make([]string, 0, len(n.Data))
-				for v := range n.Data {
-					vals = append(vals, v)
-				}
-				sort.Strings(vals)
-				data[k] = vals
+				data[k] = slices.Clone(n.Data)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 	switch {
 	case p.Key == k:
 		// Line 3.03: the proper node.
-		p.Data[m.value] = struct{}{}
+		p.addValue(m.value)
 		return nil
 
 	case keys.IsProperPrefix(p.Key, k):
@@ -86,7 +86,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		// Create k as a new child of p; the host search starts at p
 		// itself (line 3.08).
 		info := NodeInfo{Key: k, Father: p.Key, HasFather: true, Data: []string{m.value}}
-		p.Children[k] = struct{}{}
+		p.addChild(k)
 		return net.routeSearchingHost(peer.ID, p.Key, info)
 
 	case keys.IsProperPrefix(k, p.Key):
@@ -198,10 +198,9 @@ func (net *Network) RemoveData(k keys.Key, value string) bool {
 	if !ok {
 		return false
 	}
-	if _, ok := n.Data[value]; !ok {
+	if !n.removeValue(value) {
 		return false
 	}
-	delete(n.Data, value)
 	net.Counters.MaintenanceMsgs++
 	net.compactNode(n, p)
 	net.journal(true, k, value)
@@ -224,16 +223,13 @@ func (net *Network) compactNode(n *Node, p *Peer) {
 			if !ok {
 				return
 			}
-			delete(fn.Children, n.Key)
+			fn.removeChild(n.Key)
 			net.Counters.MaintenanceMsgs++
 			n, p = fn, fp
 		case 1:
+			only := n.Children[0]
 			if !n.HasFather {
 				// Root with a single child: the child becomes root.
-				var only keys.Key
-				for c := range n.Children {
-					only = c
-				}
 				cn, _, _ := net.nodeState(only)
 				cn.HasFather = false
 				cn.Father = keys.Epsilon
@@ -243,15 +239,11 @@ func (net *Network) compactNode(n *Node, p *Peer) {
 				net.Counters.MaintenanceMsgs++
 				return
 			}
-			var only keys.Key
-			for c := range n.Children {
-				only = c
-			}
 			cn, _, _ := net.nodeState(only)
 			fn, _, _ := net.nodeState(n.Father)
 			cn.Father = n.Father
-			delete(fn.Children, n.Key)
-			fn.Children[only] = struct{}{}
+			fn.removeChild(n.Key)
+			fn.addChild(only)
 			p.release(n.Key)
 			net.unindexNode(n.Key)
 			net.Counters.MaintenanceMsgs += 2

@@ -134,8 +134,8 @@ func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Ke
 	if p.ID != fromPeer {
 		net.Counters.MaintenancePhysical++
 	}
-	delete(n.Children, old)
-	n.Children[new] = struct{}{}
+	n.removeChild(old)
+	n.addChild(new)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dlpt/internal/keys"
@@ -459,7 +460,10 @@ func (net *Network) Validate() error {
 			} else if !keys.IsProperPrefix(n.Father, k) {
 				return fmt.Errorf("core: father %q of %q is not a proper prefix", n.Father, k)
 			}
-			for c := range n.Children {
+			if !strictlyAscending(n.Children) || !strictlyAscending(n.Data) {
+				return fmt.Errorf("core: node %q children or values not strictly ascending", k)
+			}
+			for _, c := range n.Children {
 				cn, _, ok := net.nodeState(c)
 				if !ok {
 					return fmt.Errorf("core: child %q of %q does not exist", c, k)
@@ -473,7 +477,7 @@ func (net *Network) Validate() error {
 				if !ok {
 					return fmt.Errorf("core: father %q of %q does not exist", n.Father, k)
 				}
-				if _, ok := fn.Children[k]; !ok {
+				if _, ok := slices.BinarySearch(fn.Children, k); !ok {
 					return fmt.Errorf("core: father %q does not list child %q", n.Father, k)
 				}
 			}
@@ -550,7 +554,7 @@ func (net *Network) TreeSnapshot() *trie.Tree {
 	t := trie.New()
 	for _, p := range net.peers {
 		for k, n := range p.Nodes {
-			for v := range n.Data {
+			for _, v := range n.Data {
 				t.Insert(k, v)
 			}
 		}

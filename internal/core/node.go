@@ -29,10 +29,16 @@
 //     the local peer; that peer is not always the key's successor, so
 //     we finish with an explicit peer-level ring walk to the owner.
 //     The walk is counted as maintenance traffic.
+//
+// A node's children and values are sorted slices, so a routing step is
+// a binary search. They are shifted in place by the node's mutators,
+// which run under the engine's write lock; every accessor that hands
+// them out from under that lock returns a copy.
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"dlpt/internal/keys"
@@ -42,12 +48,18 @@ import (
 // currently hosting it. Father/children are node keys: the protocol
 // routes between nodes through the placement, never through global
 // tree knowledge.
+//
+// Children and Data are ascending and duplicate-free. They change in
+// place, only through addChild, removeChild, addValue and removeValue,
+// and only under the write lock; a slice handed out from under the lock
+// must therefore be a copy (SortedValues, ChildrenSorted, infoOf), or
+// a later mutation shifts the caller's elements.
 type Node struct {
 	Key       keys.Key
 	Father    keys.Key
 	HasFather bool
-	Children  map[keys.Key]struct{}
-	Data      map[string]struct{}
+	Children  []keys.Key
+	Data      []string
 
 	// LoadCur counts requests received by this node during the
 	// current time unit; LoadPrev is the previous unit's count (the
@@ -61,31 +73,45 @@ type Node struct {
 	visits atomic.Int64
 }
 
-// NewNodeState returns a node with the given key and no relations.
-func NewNodeState(key keys.Key) *Node {
-	return &Node{
-		Key:      key,
-		Children: make(map[keys.Key]struct{}),
-		Data:     make(map[string]struct{}),
+// insertSorted adds v to the ascending set s, reporting whether it was
+// absent.
+func insertSorted[T cmp.Ordered](s []T, v T) ([]T, bool) {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s, false
 	}
+	return slices.Insert(s, i, v), true
+}
+
+// deleteSorted removes v from the ascending set s, reporting whether it
+// was present.
+func deleteSorted[T cmp.Ordered](s []T, v T) ([]T, bool) {
+	i, found := slices.BinarySearch(s, v)
+	if !found {
+		return s, false
+	}
+	return slices.Delete(s, i, i+1), true
+}
+
+func (n *Node) addChild(c keys.Key)    { n.Children, _ = insertSorted(n.Children, c) }
+func (n *Node) removeChild(c keys.Key) { n.Children, _ = deleteSorted(n.Children, c) }
+func (n *Node) addValue(v string)      { n.Data, _ = insertSorted(n.Data, v) }
+
+func (n *Node) removeValue(v string) (removed bool) {
+	n.Data, removed = deleteSorted(n.Data, v)
+	return removed
 }
 
 // HasData reports whether any value is registered at the node.
 func (n *Node) HasData() bool { return len(n.Data) > 0 }
 
-// SortedValues returns the registered values in lexicographic order,
-// nil when there are none. They cross the wire and are compared across
-// engines, so the set's presentation must not leak map order.
+// SortedValues returns a copy of the registered values in
+// lexicographic order, nil when there are none.
 func (n *Node) SortedValues() []string {
 	if len(n.Data) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(n.Data))
-	for v := range n.Data {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(n.Data)
 }
 
 // RecordVisit counts one discovery visit from a concurrent engine.
@@ -96,25 +122,20 @@ func (n *Node) RecordVisit() { n.visits.Add(1) }
 // visits.
 func (n *Node) Load() int { return n.LoadCur + int(n.visits.Load()) }
 
-// ChildrenSorted returns the child keys in ascending order.
-func (n *Node) ChildrenSorted() []keys.Key {
-	out := make([]keys.Key, 0, len(n.Children))
-	for c := range n.Children {
-		out = append(out, c)
-	}
-	keys.SortKeys(out)
-	return out
-}
+// ChildrenSorted returns a copy of the child keys in ascending order.
+func (n *Node) ChildrenSorted() []keys.Key { return slices.Clone(n.Children) }
 
 // BestChildFor returns the child sharing a strictly longer prefix
 // with k than the node itself (Algorithm 3 line 3.05). In a valid
-// PGCP tree at most one such child exists.
+// PGCP tree at most one such child exists. In ascending order the
+// common prefix with k only grows towards k's insertion point, so the
+// two children beside it are the only candidates.
 func (n *Node) BestChildFor(k keys.Key) (keys.Key, bool) {
-	base := len(keys.GCP(n.Key, k))
+	i, _ := slices.BinarySearch(n.Children, k)
 	var best keys.Key
-	bestLen := base
+	bestLen := len(keys.GCP(n.Key, k))
 	found := false
-	for c := range n.Children {
+	for _, c := range n.Children[max(i-1, 0):min(i+1, len(n.Children))] {
 		if l := len(keys.GCP(c, k)); l > bestLen {
 			best, bestLen, found = c, l, true
 		}
@@ -127,17 +148,14 @@ func (n *Node) BestChildFor(k keys.Key) (keys.Key, bool) {
 // documented above). The PeerJoin descent uses inclusive=true to
 // allow q == bound as in Algorithm 1 line 1.12.
 func (n *Node) MaxChildAtMost(bound keys.Key, inclusive bool) (keys.Key, bool) {
-	var best keys.Key
-	found := false
-	for c := range n.Children {
-		if c > bound || (!inclusive && c == bound) {
-			continue
-		}
-		if !found || c > best {
-			best, found = c, true
-		}
+	i, found := slices.BinarySearch(n.Children, bound)
+	if found && inclusive {
+		i++
 	}
-	return best, found
+	if i == 0 {
+		return keys.Epsilon, false
+	}
+	return n.Children[i-1], true
 }
 
 // NodeInfo is the serialized form of a node travelling inside
@@ -157,34 +175,46 @@ type NodeInfo struct {
 // either travels with the transfer or stays behind as a dormant
 // replica, so the fold never double-counts a live node.
 func infoOf(n *Node) NodeInfo {
-	info := NodeInfo{
+	return NodeInfo{
 		Key:       n.Key,
 		Father:    n.Father,
 		HasFather: n.HasFather,
 		Children:  n.ChildrenSorted(),
+		Data:      slices.Clone(n.Data),
 		LoadPrev:  n.LoadPrev,
 		LoadCur:   n.Load(),
 	}
-	info.Data = make([]string, 0, len(n.Data))
-	for v := range n.Data {
-		info.Data = append(info.Data, v)
-	}
-	sort.Strings(info.Data)
-	return info
 }
 
-// materialize rebuilds a Node from its transferred form.
+// materialize rebuilds a Node from its transferred form. The node owns
+// private, sorted copies: the form may list children in any order, and
+// its slices stay with the sender (a replica set, a wire buffer).
 func (info NodeInfo) materialize() *Node {
-	n := NewNodeState(info.Key)
-	n.Father = info.Father
-	n.HasFather = info.HasFather
-	for _, c := range info.Children {
-		n.Children[c] = struct{}{}
+	return &Node{
+		Key:       info.Key,
+		Father:    info.Father,
+		HasFather: info.HasFather,
+		Children:  sortedSet(info.Children),
+		Data:      sortedSet(info.Data),
+		LoadPrev:  info.LoadPrev,
+		LoadCur:   info.LoadCur,
 	}
-	for _, v := range info.Data {
-		n.Data[v] = struct{}{}
+}
+
+// sortedSet returns an ascending, duplicate-free copy of s.
+func sortedSet[T cmp.Ordered](s []T) []T {
+	s = slices.Clone(s)
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// strictlyAscending reports whether s is ascending and duplicate-free,
+// the invariant of a node's slices.
+func strictlyAscending[T cmp.Ordered](s []T) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i-1] >= s[i] {
+			return false
+		}
 	}
-	n.LoadPrev = info.LoadPrev
-	n.LoadCur = info.LoadCur
-	return n
+	return true
 }

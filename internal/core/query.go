@@ -411,25 +411,13 @@ func (w *QueryWalker) beginWalk(n *Node) {
 	}
 }
 
-// pushChildren stacks n's explorable children so they pop in
-// ascending label order — the invariant behind the stream's
-// lexicographic yield order. The newly pushed segment is sorted in
-// place (descending, LIFO) to avoid the per-node sorted-copy
-// allocation.
+// pushChildren stacks n's explorable children in descending order so
+// they pop in ascending label order — the invariant behind the
+// stream's lexicographic yield order.
 func (w *QueryWalker) pushChildren(n *Node, host keys.Key) {
-	base := len(w.stack)
-	for c := range n.Children {
-		if !w.explore(c) {
-			continue
-		}
-		//dlptlint:ignore determinism the segment is canonicalized by the insertion sort below
-		w.stack = append(w.stack, walkFrame{key: c, from: host})
-	}
-	seg := w.stack[base:]
-	// Insertion sort, descending by key: child fan-out is small.
-	for i := 1; i < len(seg); i++ {
-		for j := i; j > 0 && seg[j].key > seg[j-1].key; j-- {
-			seg[j], seg[j-1] = seg[j-1], seg[j]
+	for i := len(n.Children) - 1; i >= 0; i-- {
+		if c := n.Children[i]; w.explore(c) {
+			w.stack = append(w.stack, walkFrame{key: c, from: host})
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"dlpt/internal/keys"
 )
@@ -369,10 +370,7 @@ func (net *Network) rebuildLinks() {
 		if linksCanonical(h.n, cn) {
 			continue
 		}
-		h.n.Children = make(map[keys.Key]struct{}, len(cn.kids))
-		for _, c := range cn.kids {
-			h.n.Children[c] = struct{}{}
-		}
+		h.n.Children = slices.Clone(cn.kids)
 		h.n.Father, h.n.HasFather = cn.father, cn.hasFather
 		net.Replication.RepairMsgs++
 		net.Counters.MaintenanceMsgs++
@@ -385,7 +383,7 @@ func (net *Network) rebuildLinks() {
 type canonNode struct {
 	father    keys.Key
 	hasFather bool
-	kids      []keys.Key
+	kids      []keys.Key // ascending, as Node.Children
 }
 
 // linksCanonical reports whether n's links already match the
@@ -394,15 +392,7 @@ func linksCanonical(n *Node, cn *canonNode) bool {
 	if n.HasFather != cn.hasFather || (cn.hasFather && n.Father != cn.father) {
 		return false
 	}
-	if len(n.Children) != len(cn.kids) {
-		return false
-	}
-	for _, c := range cn.kids {
-		if _, ok := n.Children[c]; !ok {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(n.Children, cn.kids)
 }
 
 // buildCanonical computes the canonical PGCP tree over sorted,

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -232,6 +234,69 @@ func TestUnregister(t *testing.T) {
 	}
 	if res.Found {
 		t.Fatalf("unregistered key still discoverable")
+	}
+}
+
+// TestDiscoveredValuesAreCopies reads a discovered node's values while
+// a writer adds and removes values and children at that node, whose
+// slices shift in place under the write lock: the reply must own its
+// values (under -race, a shared backing array is a reported race).
+func TestDiscoveredValuesAreCopies(t *testing.T) {
+	c := startCluster(t, 4)
+	if err := c.Register("a", "a0"); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	writerErr := make(chan error, 1)
+	go func() {
+		defer close(writerErr)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v, child := fmt.Sprintf("a%d", 1+i%5), keys.Key(fmt.Sprintf("a%c", 'b'+i%4))
+			for _, reg := range []struct {
+				k keys.Key
+				v string
+			}{{"a", v}, {child, "x"}} {
+				if err := c.Register(reg.k, reg.v); err != nil {
+					writerErr <- err
+					return
+				}
+				if _, err := c.Unregister(reg.k, reg.v); err != nil {
+					writerErr <- err
+					return
+				}
+			}
+		}
+	}()
+	found := 0
+	for i := 0; i < 2000; i++ {
+		res, err := c.Discover("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Found {
+			continue // a read beside a compaction may miss; not this test's subject
+		}
+		found++
+		seen := slices.Clone(res.Values)
+		if !slices.Contains(seen, "a0") || !slices.IsSorted(seen) {
+			t.Fatalf("values %q: want a0 among sorted values", seen)
+		}
+		runtime.Gosched()
+		if !slices.Equal(res.Values, seen) {
+			t.Fatalf("reply values changed under the caller: %q, then %q", seen, res.Values)
+		}
+	}
+	close(stop)
+	if err := <-writerErr; err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("key a was never found")
 	}
 }
 
