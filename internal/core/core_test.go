@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dlpt/internal/keys"
@@ -553,6 +554,53 @@ func TestMoveNodeErrors(t *testing.T) {
 	}
 	if err := net.MoveNode("abc", other, host); err == nil {
 		t.Fatalf("move of non-hosted node must fail")
+	}
+}
+
+// Validate checks the node index against where nodes live: a node
+// naming the wrong host, an index entry left behind for a node its peer
+// no longer runs, and a node out of its slot in the node list each
+// fail it.
+func TestValidateChecksNodeIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		plant      func(n, other *Node)
+	}{
+		{"wrong host", "not where the index reaches it", func(n, other *Node) {
+			n.host = other.host
+		}},
+		{"stale map entry", "indexed", func(n, _ *Node) {
+			n.host.release(n.Key)
+		}},
+		{"wrong pos", "slot", func(n, other *Node) {
+			n.pos, other.pos = other.pos, n.pos
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, r := buildNetwork(t, 4, 10, 25)
+			for i := 0; i < 40; i++ {
+				if err := net.InsertKey(keys.LowerAlnum.RandomKey(r, 2, 6), r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustValidate(t, net)
+			// Two nodes on different peers.
+			n := net.nodeList[0]
+			var other *Node
+			for _, m := range net.nodeList {
+				if m.host != n.host {
+					other = m
+					break
+				}
+			}
+			if other == nil {
+				t.Fatal("every node on one peer")
+			}
+			tc.plant(n, other)
+			if err := net.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error about %q", err, tc.want)
+			}
+		})
 	}
 }
 

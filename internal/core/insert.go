@@ -26,8 +26,7 @@ func (net *Network) InsertData(k keys.Key, value string, r *rand.Rand) error {
 		net.journal(false, k, value)
 		return nil
 	}
-	entry, _ := net.RandomNodeKey(r)
-	host, _ := net.HostOf(entry)
+	entry, host, _ := net.RandomEntry(r)
 	net.sendToNode(host, entry, message{typ: msgDataInsertion, key: k, value: value})
 	if err := net.drain(); err != nil {
 		return err
@@ -179,8 +178,7 @@ func (net *Network) installNode(info NodeInfo, from keys.Key) {
 	if owner.ID != from {
 		net.Counters.MaintenancePhysical++
 	}
-	owner.absorb(info)
-	net.indexNode(info.Key)
+	net.indexNode(owner.absorb(info))
 	if !info.HasFather {
 		net.root = info.Key
 		net.hasRoot = true

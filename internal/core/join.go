@@ -40,7 +40,7 @@ func (net *Network) JoinPeer(id keys.Key, capacity int, r *rand.Rand) error {
 		net.RehomeReplicas()
 		return nil
 	}
-	entry, ok := net.RandomNodeKey(r)
+	entry, host, ok := net.RandomEntry(r)
 	if !ok {
 		// No tree yet: hand the request straight to the peer layer,
 		// entering the ring at an arbitrary peer.
@@ -56,7 +56,6 @@ func (net *Network) JoinPeer(id keys.Key, capacity int, r *rand.Rand) error {
 		net.RehomeReplicas()
 		return nil
 	}
-	host, _ := net.HostOf(entry)
 	net.sendToNode(host, entry, message{
 		typ:          msgPeerJoin,
 		joinID:       id,
@@ -130,7 +129,7 @@ func (net *Network) handleNewPredecessor(q *Peer, m message) error {
 	for k := range q.Nodes {
 		if keys.BetweenRightIncl(k, q.Pred, P) {
 			n, _ := q.release(k)
-			newp.Nodes[k] = n
+			newp.adopt(n)
 			moved++
 		}
 	}
@@ -178,7 +177,7 @@ func (net *Network) joinHashed(id keys.Key, capacity int) error {
 	for k := range owner.Nodes {
 		if h, _ := net.HostOf(k); h == id {
 			n, _ := owner.release(k)
-			newp.Nodes[k] = n
+			newp.adopt(n)
 			moved++
 		}
 	}
@@ -246,7 +245,7 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	moved := 0
 	for k, n := range p.Nodes {
 		host, _ := net.HostOf(k)
-		net.peers[host].Nodes[k] = n
+		net.peers[host].adopt(n)
 		moved++
 	}
 	net.Counters.NodesTransferred += moved

@@ -83,30 +83,21 @@ func (net *Network) drain() error {
 }
 
 func (net *Network) deliver(m message) error {
-	var host keys.Key
+	var n *Node
+	var p *Peer
+	var ok bool
 	if m.nodeAddressed {
-		h, ok := net.HostOf(m.toNode)
-		if !ok {
-			return fmt.Errorf("core: %v to node %q with no peers", m.typ, m.toNode)
+		if n, p, ok = net.nodeState(m.toNode); !ok {
+			return fmt.Errorf("core: %v addressed to absent node %q", m.typ, m.toNode)
 		}
-		host = h
-	} else {
-		host = m.toPeer
-	}
-	p, ok := net.peers[host]
-	if !ok {
-		return fmt.Errorf("core: %v addressed to unknown peer %q", m.typ, host)
+	} else if p, ok = net.peers[m.toPeer]; !ok {
+		return fmt.Errorf("core: %v addressed to unknown peer %q", m.typ, m.toPeer)
 	}
 	net.Counters.MaintenanceMsgs++
-	if m.fromPeer != host {
+	if m.fromPeer != p.ID {
 		net.Counters.MaintenancePhysical++
 	}
 	if m.nodeAddressed {
-		n, ok := p.Nodes[m.toNode]
-		if !ok {
-			return fmt.Errorf("core: %v addressed to absent node %q on peer %q",
-				m.typ, m.toNode, host)
-		}
 		switch m.typ {
 		case msgPeerJoin:
 			return net.handlePeerJoin(p, n, m)

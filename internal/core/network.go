@@ -117,10 +117,10 @@ type Network struct {
 	hashPeer map[uint64]keys.Key
 	peerHash map[keys.Key]uint64
 
-	// node index: every existing tree node key, for random entry
-	// points and O(1) membership tests.
-	nodeList []keys.Key
-	nodePos  map[keys.Key]int
+	// node index: every tree node by key, and in Node.pos order for
+	// random entry draws.
+	nodes    map[keys.Key]*Node
+	nodeList []*Node
 
 	root    keys.Key
 	hasRoot bool
@@ -138,7 +138,7 @@ func NewNetwork(alpha *keys.Alphabet, placement Placement) *Network {
 		ring:      ring.New(),
 		hashPeer:  make(map[uint64]keys.Key),
 		peerHash:  make(map[keys.Key]uint64),
-		nodePos:   make(map[keys.Key]int),
+		nodes:     make(map[keys.Key]*Node),
 	}
 }
 
@@ -176,10 +176,17 @@ func (net *Network) AggregateCapacity() int {
 
 // RandomNodeKey returns a uniformly random tree node key.
 func (net *Network) RandomNodeKey(r *rand.Rand) (keys.Key, bool) {
+	entry, _, ok := net.RandomEntry(r)
+	return entry, ok
+}
+
+// RandomEntry is RandomNodeKey's draw, also naming the node's host.
+func (net *Network) RandomEntry(r *rand.Rand) (entry, host keys.Key, ok bool) {
 	if len(net.nodeList) == 0 {
-		return keys.Epsilon, false
+		return keys.Epsilon, keys.Epsilon, false
 	}
-	return net.nodeList[r.Intn(len(net.nodeList))], true
+	n := net.nodeList[r.Intn(len(net.nodeList))]
+	return n.Key, n.host.ID, true
 }
 
 // RandomPeerID returns a uniformly random peer id.
@@ -295,44 +302,43 @@ func (net *Network) hashRemovePeer(id keys.Key) {
 
 // --- node index ------------------------------------------------------------
 
-func (net *Network) indexNode(k keys.Key) {
-	if _, ok := net.nodePos[k]; ok {
-		return
+// indexNode enters n in the index, in the slot of a node it replaces.
+func (net *Network) indexNode(n *Node) {
+	if old, ok := net.nodes[n.Key]; ok {
+		n.pos = old.pos
+	} else {
+		n.pos = len(net.nodeList)
+		net.nodeList = append(net.nodeList, nil)
 	}
-	net.nodePos[k] = len(net.nodeList)
-	net.nodeList = append(net.nodeList, k)
+	net.nodes[n.Key], net.nodeList[n.pos] = n, n
 }
 
 func (net *Network) unindexNode(k keys.Key) {
-	i, ok := net.nodePos[k]
+	n, ok := net.nodes[k]
 	if !ok {
 		return
 	}
 	last := len(net.nodeList) - 1
-	net.nodeList[i] = net.nodeList[last]
-	net.nodePos[net.nodeList[i]] = i
+	net.nodeList[n.pos] = net.nodeList[last]
+	net.nodeList[n.pos].pos = n.pos
+	net.nodeList[last] = nil
 	net.nodeList = net.nodeList[:last]
-	delete(net.nodePos, k)
+	delete(net.nodes, k)
 }
 
 // HasNode reports whether a tree node with key k exists.
 func (net *Network) HasNode(k keys.Key) bool {
-	_, ok := net.nodePos[k]
+	_, ok := net.nodes[k]
 	return ok
 }
 
-// nodeState fetches the live state of node k from its host.
+// nodeState fetches node k and its host: one probe of the index.
 func (net *Network) nodeState(k keys.Key) (*Node, *Peer, bool) {
-	host, ok := net.HostOf(k)
+	n, ok := net.nodes[k]
 	if !ok {
 		return nil, nil, false
 	}
-	p := net.peers[host]
-	if p == nil {
-		return nil, nil, false
-	}
-	n, ok := p.Nodes[k]
-	return n, p, ok
+	return n, n.host, true
 }
 
 // --- peer rename (MLT primitive) --------------------------------------------
@@ -398,7 +404,7 @@ func (net *Network) MoveNode(k, fromID, toID keys.Key) error {
 	if !ok {
 		return fmt.Errorf("core: peer %q does not host node %q", fromID, k)
 	}
-	to.Nodes[k] = n
+	to.adopt(n)
 	net.Counters.MaintenanceMsgs++
 	net.Counters.MaintenancePhysical++
 	net.Counters.NodesTransferred++
@@ -408,8 +414,9 @@ func (net *Network) MoveNode(k, fromID, toID keys.Key) error {
 // --- validation -------------------------------------------------------------
 
 // Validate cross-checks every invariant of the overlay: ring order
-// and neighbour links, the mapping rule, tree pointer consistency,
-// and the PGCP property (via a rebuilt reference trie).
+// and neighbour links, the mapping rule, the node index against the
+// peers' node sets, tree pointer consistency, and the PGCP property
+// (via a rebuilt reference trie).
 func (net *Network) Validate() error {
 	if err := net.ring.Validate(); err != nil {
 		return err
@@ -449,8 +456,11 @@ func (net *Network) Validate() error {
 			if host != id {
 				return fmt.Errorf("core: node %q hosted on %q, mapping says %q", k, id, host)
 			}
-			if _, ok := net.nodePos[k]; !ok {
-				return fmt.Errorf("core: node %q missing from index", k)
+			if net.nodes[k] != n || n.host != p {
+				return fmt.Errorf("core: node %q on %q is not where the index reaches it", k, id)
+			}
+			if n.pos < 0 || n.pos >= len(net.nodeList) || net.nodeList[n.pos] != n {
+				return fmt.Errorf("core: node %q is not at its slot %d of the node list", k, n.pos)
 			}
 			if !n.HasFather {
 				roots++
@@ -483,8 +493,8 @@ func (net *Network) Validate() error {
 			}
 		}
 	}
-	if seen != len(net.nodeList) {
-		return fmt.Errorf("core: %d hosted nodes vs %d indexed", seen, len(net.nodeList))
+	if seen != len(net.nodes) || seen != len(net.nodeList) {
+		return fmt.Errorf("core: %d hosted nodes vs %d indexed, %d listed", seen, len(net.nodes), len(net.nodeList))
 	}
 	if net.hasRoot && roots != 1 {
 		return fmt.Errorf("core: %d fatherless nodes, want 1", roots)
@@ -535,9 +545,9 @@ func (net *Network) Validate() error {
 		for _, l := range ref.Labels() {
 			want[l] = true
 		}
-		for _, k := range net.nodeList {
-			if !want[k] {
-				return fmt.Errorf("core: node %q not in reference PGCP tree", k)
+		for _, n := range net.nodeList {
+			if !want[n.Key] {
+				return fmt.Errorf("core: node %q not in reference PGCP tree", n.Key)
 			}
 		}
 		if len(want) != len(net.nodeList) {

@@ -34,6 +34,10 @@
 // a binary search. They are shifted in place by the node's mutators,
 // which run under the engine's write lock; every accessor that hands
 // them out from under that lock returns a copy.
+//
+// A node is reached through the network's node index, one map probe for
+// the node and its host; the mapping rule says where a node must be,
+// and Validate checks that it is there.
 package core
 
 import (
@@ -45,9 +49,9 @@ import (
 )
 
 // Node is the state of one logical tree node, held by the peer
-// currently hosting it. Father/children are node keys: the protocol
-// routes between nodes through the placement, never through global
-// tree knowledge.
+// currently hosting it. Father/children are node keys, each reached
+// through the network's node index (NodeAt); the placement says where
+// a node must live, and Validate checks that it does.
 //
 // Children and Data are ascending and duplicate-free. They change in
 // place, only through addChild, removeChild, addValue and removeValue,
@@ -71,6 +75,9 @@ type Node struct {
 	// engines, whose routing holds only a read lock and therefore
 	// cannot touch LoadCur. ResetUnit folds it into the load history.
 	visits atomic.Int64
+
+	host *Peer // the peer running the node, set only by Peer.adopt
+	pos  int   // the node's slot in Network.nodeList
 }
 
 // insertSorted adds v to the ascending set s, reporting whether it was

@@ -109,8 +109,15 @@ func (p *Peer) TryProcess() bool {
 // absorb installs a transferred node on the peer.
 func (p *Peer) absorb(info NodeInfo) *Node {
 	n := info.materialize()
-	p.Nodes[n.Key] = n
+	p.adopt(n)
 	return n
+}
+
+// adopt makes p the host of n. With release, it is the only writer of
+// Nodes: the node index reaches a node's host through n.host.
+func (p *Peer) adopt(n *Node) {
+	p.Nodes[n.Key] = n
+	n.host = p
 }
 
 // release removes and returns the node with key k.

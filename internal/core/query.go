@@ -392,12 +392,11 @@ func RouteStep(n *Node, anchor keys.Key, down *bool) (next keys.Key, covers bool
 	return q, false
 }
 
-// NodeHosted reports whether k is a live, hosted tree node — the
-// visibility test the walker applies before stepping to a node, made
-// available to the hop-by-hop route relays.
-func (net *Network) NodeHosted(k keys.Key) bool {
-	_, _, ok := net.nodeState(k)
-	return ok
+// NodeAt resolves k to its live tree node and the peer hosting it, as
+// the walker does at every step — made available to the hop-by-hop
+// route relays.
+func (net *Network) NodeAt(k keys.Key) (*Node, *Peer, bool) {
+	return net.nodeState(k)
 }
 
 // beginWalk seeds the subtree traversal at the covering node reached

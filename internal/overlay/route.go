@@ -133,14 +133,14 @@ func (r *Runtime) ServeHop(at *keys.Key, h *Hop) {
 func (r *Runtime) advance(self keys.Key, h *Hop, rep *Reply) (next keys.Key, done bool) {
 	for {
 		r.Mu.RLock()
-		peer, ok := r.Net.Peer(self)
-		if !ok {
-			r.Mu.RUnlock()
-			*rep = Reply{Err: fmt.Sprintf("peer %q gone", self), Retry: true}
-			return "", true
-		}
-		node, ok := peer.Nodes[h.At]
-		if !ok {
+		node, peer, ok := r.Net.NodeAt(h.At)
+		if !ok || peer.ID != self {
+			// self left, crashed or was renamed: the originator re-issues.
+			if _, ok := r.Net.Peer(self); !ok {
+				r.Mu.RUnlock()
+				*rep = Reply{Err: fmt.Sprintf("peer %q gone", self), Retry: true}
+				return "", true
+			}
 			// The node lives elsewhere (stale routing): redirect to its
 			// current host. A node lost to an unrecovered crash has no
 			// host anywhere: bound the redirects and report what the walk
@@ -151,18 +151,16 @@ func (r *Runtime) advance(self keys.Key, h *Hop, rep *Reply) (next keys.Key, don
 			h.Redirects++
 			return host, !okh || h.Redirects > MaxRedirects
 		}
-		var to keys.Key
+		var to, host keys.Key
 		if h.Query {
-			to, done = r.queryStepLocked(node, h, rep)
-		} else {
-			to, done = r.stepLocked(peer, node, h, rep)
+			to, host, done = r.queryStepLocked(node, h, rep)
+		} else if to, done = r.stepLocked(peer, node, h, rep); !done {
+			host = r.hostLocked(to)
 		}
+		r.Mu.RUnlock()
 		if done {
-			r.Mu.RUnlock()
 			return "", true
 		}
-		host, _ := r.Net.HostOf(to)
-		r.Mu.RUnlock()
 		h.At = to
 		h.Logical++
 		if host == self {
@@ -209,28 +207,40 @@ func (r *Runtime) stepLocked(peer *core.Peer, node *core.Node, h *Hop, rep *Repl
 	return q, !ok || !keys.IsPrefix(q, h.Key)
 }
 
+// hostLocked names the peer hosting node k: the index's answer, or for
+// a node it does not hold the placement's, where the hop then ends in
+// redirects. Callers hold Mu.
+func (r *Runtime) hostLocked(k keys.Key) keys.Key {
+	if _, p, ok := r.Net.NodeAt(k); ok {
+		return p.ID
+	}
+	host, _ := r.Net.HostOf(k)
+	return host
+}
+
 // queryStepLocked is a query route's transition at one hosted node:
 // core.RouteStep, which the walker's own climb and descend phases call
 // too, with the walker's counting and its behaviour at a vanished node
 // — so on a stable tree the streamed totals match a walker that ran
-// every phase in one process. Callers hold Mu.
-func (r *Runtime) queryStepLocked(node *core.Node, h *Hop, rep *Reply) (next keys.Key, done bool) {
+// every phase in one process. It returns the next node with its host.
+// Callers hold Mu.
+func (r *Runtime) queryStepLocked(node *core.Node, h *Hop, rep *Reply) (next, host keys.Key, done bool) {
 	if h.Visited == 0 {
 		h.Visited = 1 // the entry node, counted as the walker's Start does
 	}
 	next, covers := core.RouteStep(node, h.Key, &h.Down)
-	if !covers && !r.Net.NodeHosted(next) {
-		if !h.Down {
-			return "", true // the father vanished: the query yields nothing
+	if !covers {
+		if _, p, ok := r.Net.NodeAt(next); ok {
+			h.Visited++
+			return next, p.ID, false
 		}
-		covers = true
+		if !h.Down {
+			return "", "", true // the father vanished: the query yields nothing
+		}
 	}
-	if covers {
-		rep.Found, rep.Anchor = true, node.Key
-		return "", true
-	}
-	h.Visited++
-	return next, false
+	// node covers the query, or the child that would has vanished.
+	rep.Found, rep.Anchor = true, node.Key
+	return "", "", true
 }
 
 // pendingCall is one originated hop awaiting its direct reply. Whoever
@@ -296,12 +306,12 @@ func (r *Runtime) Sweep() {
 }
 
 // DrawEntryLocked draws the node one routed attempt or one stream
-// enters the tree at. Callers hold Mu, either side: the draws order
-// themselves behind entryMu.
-func (r *Runtime) DrawEntryLocked() (keys.Key, bool) {
+// enters the tree at, with its host. Callers hold Mu, either side: the
+// draws order themselves behind entryMu.
+func (r *Runtime) DrawEntryLocked() (entry, host keys.Key, ok bool) {
 	r.entryMu.Lock()
 	defer r.entryMu.Unlock()
-	return r.Net.RandomNodeKey(r.entryRng)
+	return r.Net.RandomEntry(r.entryRng)
 }
 
 // Originate routes h through the overlay and waits for its direct
@@ -317,9 +327,7 @@ func (r *Runtime) Originate(ctx context.Context, phase string, h Hop, rep *Reply
 	for attempt := 1; ; attempt++ {
 		var host keys.Key
 		r.Mu.RLock()
-		if h.At, ok = r.DrawEntryLocked(); ok {
-			host, _ = r.Net.HostOf(h.At)
-		}
+		h.At, host, ok = r.DrawEntryLocked()
 		r.Mu.RUnlock()
 		if !ok {
 			return root, false, err

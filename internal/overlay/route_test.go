@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -256,5 +257,89 @@ func TestCancelAndHaltReleaseWaiters(t *testing.T) {
 	idle(t, r)
 	if _, err := r.Discover(corpus[1]); !errors.Is(err, ErrStopped) {
 		t.Fatalf("discover on a halted runtime: %v", err)
+	}
+}
+
+// A hop standing at a node has three outcomes at the peer serving it:
+// the peer hosts the node and the walk steps on; the peer is gone and
+// the originator is told to retry; or the node lives elsewhere and the
+// hop is redirected to its current host — a bounded number of times,
+// so a node lost to an unrecovered crash ends as not found.
+func TestAdvanceOutcomes(t *testing.T) {
+	r, _, corpus := startCorpus(t, 5, 80)
+	hostOf := func(k keys.Key) keys.Key {
+		r.Mu.RLock()
+		defer r.Mu.RUnlock()
+		host, _ := r.Net.HostOf(k)
+		return host
+	}
+	k := corpus[11]
+	h, rep := Hop{Key: k, At: k}, Reply{}
+	if _, done := r.advance(hostOf(k), &h, &rep); !done || !rep.Found || h.Redirects != 0 {
+		t.Fatalf("hop at its host: done %v, %+v, %d redirects", done, rep, h.Redirects)
+	}
+
+	// A balancing move: a peer hands its lowest node to its predecessor,
+	// which takes the node's key as its id.
+	r.Mu.Lock()
+	var moved, from, to keys.Key
+	ids := r.Net.PeerIDs()
+	for i := 1; i < len(ids) && moved == ""; i++ {
+		if s, _ := r.Net.Peer(ids[i]); s.NumNodes() > 0 {
+			moved, from, to = s.NodeKeys()[0], ids[i], ids[i-1]
+		}
+	}
+	if moved == "" {
+		r.Mu.Unlock()
+		t.Fatal("no peer past the first hosts a node")
+	}
+	err := r.Net.MoveNode(moved, from, to)
+	if err == nil {
+		err = r.Net.RenamePeer(to, moved)
+	}
+	if err == nil {
+		err = r.Net.Validate()
+	}
+	r.Mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, rep = Hop{Key: moved, At: moved}, Reply{}
+	if next, done := r.advance(from, &h, &rep); done || next != moved || h.Redirects != 1 {
+		t.Fatalf("hop at the moved node's old host: next %q (want %q), done %v, %d redirects, %+v",
+			next, moved, done, h.Redirects, rep)
+	}
+
+	// A node lost to a crash nobody recovered: redirected to the peer the
+	// placement names, which does not have it either, until the bound.
+	victim := hostOf(corpus[40])
+	if err := r.FailPeer(victim); err != nil {
+		t.Fatal(err)
+	}
+	lost := corpus[40]
+	h = Hop{Key: lost, At: lost}
+	self := hostOf(lost)
+	for i := 1; ; i++ {
+		var rep Reply
+		next, done := r.advance(self, &h, &rep)
+		if done {
+			if i != MaxRedirects+1 || rep.Found || rep.Err != "" {
+				t.Fatalf("lost node: done after %d hops (want %d), %+v", i, MaxRedirects+1, rep)
+			}
+			break
+		}
+		if next != self {
+			t.Fatalf("lost node redirected to %q, the placement names %q", next, self)
+		}
+	}
+
+	// A hop delivered at a peer that has left.
+	gone := hostOf(k)
+	if err := r.RemovePeer(gone); err != nil {
+		t.Fatal(err)
+	}
+	h, rep = Hop{Key: k, At: k}, Reply{}
+	if _, done := r.advance(gone, &h, &rep); !done || !rep.Retry || !strings.Contains(rep.Err, "gone") {
+		t.Fatalf("hop at a departed peer: done %v, %+v", done, rep)
 	}
 }

@@ -101,7 +101,7 @@ func (r *Runtime) StreamQuery(ctx context.Context, spec core.QuerySpec) (*Stream
 	r.Mu.RLock()
 	w := core.NewQueryWalker(r.Net, spec)
 	if !w.Empty() {
-		if entry, ok := r.DrawEntryLocked(); ok {
+		if entry, _, ok := r.DrawEntryLocked(); ok {
 			w.Start(entry)
 		}
 	}
