@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"dlpt/internal/core"
@@ -10,16 +11,19 @@ import (
 	"dlpt/internal/workload"
 )
 
-// TestBytesPerKey is the memory budget of the distributed tree: the
-// live heap a 20,000-key grid catalogue adds to a 64-peer overlay, per
-// key. It covers the nodes, their children and values, and the peers'
-// and network's node indexes; the key strings themselves are the
-// corpus's and are not counted. Two maps per node read 550 B/key;
-// sorted slices read 266. The ceiling sits an eighth above that.
-func TestBytesPerKey(t *testing.T) {
-	if raceDetector {
-		t.Skip("heap readings are not meaningful under the race detector")
-	}
+// heap is the live heap after two collections.
+func heap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// gridNetwork is a 64-peer overlay holding the 20,000-key grid
+// catalogue, with the live heap the catalogue added to it.
+func gridNetwork(t *testing.T) (*core.Network, []keys.Key, *rand.Rand, int64) {
+	t.Helper()
 	r := rand.New(rand.NewSource(1))
 	net := core.NewNetwork(keys.LowerAlnum, core.PlacementLexicographic)
 	for i := 0; i < 64; i++ {
@@ -28,25 +32,126 @@ func TestBytesPerKey(t *testing.T) {
 		}
 	}
 	corpus := workload.GridCorpus(20000)
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := int64(heap())
+	before := heap()
 	for _, k := range corpus {
 		if err := net.InsertData(k, string(k), r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	perKey := float64(int64(heap())-before) / float64(len(corpus))
+	return net, corpus, r, heap() - before
+}
+
+// TestBytesPerKey is the memory budget of the distributed tree: the
+// live heap a 20,000-key grid catalogue adds to a 64-peer overlay, per
+// key. It covers the nodes, their children and values, and the peers'
+// and network's node indexes; the key strings themselves are the
+// corpus's and are not counted. Two maps per node read 550 B/key;
+// sorted slices of child keys read 266, of edges linking each child's
+// node ~287. The ceiling sits a twentieth above that.
+func TestBytesPerKey(t *testing.T) {
+	if raceDetector {
+		t.Skip("heap readings are not meaningful under the race detector")
+	}
+	net, corpus, _, added := gridNetwork(t)
+	perKey := float64(added) / float64(len(corpus))
 	runtime.KeepAlive(net)
 	runtime.KeepAlive(corpus)
 	t.Logf("%.0f B/key over %d keys, %d nodes", perKey, len(corpus), net.NumNodes())
 	const ceiling = 300
 	if perKey > ceiling {
 		t.Fatalf("%.0f bytes per key, ceiling %d", perKey, ceiling)
+	}
+}
+
+// TestReplicaHeapFlat replays a churning writer's cadence on a 16-peer
+// overlay: every write registers a fresh versioned key and unregisters
+// the one registered 64 writes before, with a replication tick every 500
+// writes and a join or a leave every 2000. The live set stays the same
+// size, so the heap after 4N writes must stay within a few percent of
+// the heap after N: the replica maps may not keep room for every key
+// they ever held.
+func TestReplicaHeapFlat(t *testing.T) {
+	if raceDetector {
+		t.Skip("heap readings are not meaningful under the race detector")
+	}
+	r := rand.New(rand.NewSource(3))
+	net := core.NewNetwork(keys.LowerAlnum, core.PlacementLexicographic)
+	join := func() {
+		if err := net.JoinPeer(keys.LowerAlnum.RandomKey(r, 12, 12), 1<<20, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		join()
+	}
+	corpus := workload.GridCorpus(4000)
+	for _, k := range corpus {
+		if err := net.InsertKey(k, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const lag = 64
+	version := func(i int) keys.Key { return corpus[i%len(corpus)] + keys.Key(strconv.Itoa(i)) }
+	writes := 0
+	replay := func(until int) {
+		for ; writes < until; writes++ {
+			if err := net.InsertKey(version(writes), r); err != nil {
+				t.Fatal(err)
+			}
+			if old := writes - lag; old >= 0 && !net.RemoveData(version(old), string(version(old))) {
+				t.Fatalf("unregister %q: not registered", version(old))
+			}
+			if (writes+1)%500 == 0 {
+				net.Replicate()
+			}
+			if (writes+1)%4000 == 0 {
+				join()
+			} else if (writes+1)%2000 == 0 {
+				ids := net.PeerIDs()
+				if err := net.LeavePeer(ids[r.Intn(len(ids))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	const n = 10000
+	replay(n)
+	atN := heap()
+	replay(4 * n)
+	at4N := heap()
+	if err := net.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("live heap %.2f MB after %d writes, %.2f MB after %d", float64(atN)/1e6, n, float64(at4N)/1e6, 4*n)
+	if at4N > atN+atN/20 {
+		t.Fatalf("live heap grew from %d to %d bytes with a steady live set", atN, at4N)
+	}
+}
+
+// TestAllocsPerWrite is the allocation budget of a write on the
+// TestBytesPerKey overlay: registering one more value under a declared
+// key, routed from a random entry node, and unregistering it. The
+// routed hops reuse the message queue's buffer, so what is left is the
+// value slice's growth. A queue popped by reslicing read 14 per cycle.
+func TestAllocsPerWrite(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, corpus, r, _ := gridNetwork(t)
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		k := corpus[i%len(corpus)]
+		i++
+		if err := net.InsertData(k, "extra", r); err != nil {
+			t.Fatal(err)
+		}
+		if !net.RemoveData(k, "extra") {
+			t.Fatalf("unregister %q: not registered", k)
+		}
+	})
+	t.Logf("%.2f allocs per register/unregister cycle", allocs)
+	const ceiling = 2
+	if allocs > ceiling {
+		t.Fatalf("%.2f allocs per write cycle, ceiling %d", allocs, ceiling)
 	}
 }

@@ -69,7 +69,7 @@ func TestBuildCanonicalMatchesReferenceTrie(t *testing.T) {
 			for _, c := range tn.Children() {
 				found := false
 				for _, k := range cn.kids {
-					if k == c.Label {
+					if k.Key == c.Label {
 						found = true
 					}
 				}

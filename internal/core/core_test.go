@@ -477,6 +477,97 @@ func TestRemoveDataCompacts(t *testing.T) {
 	mustValidate(t, net)
 }
 
+// Removing the last value of a node whose only child, or whose father,
+// was lost to a crash nobody recovered yet leaves the compaction at the
+// lost neighbour instead of dereferencing it; Recover then rebuilds a
+// valid tree. Peers a, ab0, abd and zz host a, ab and abc on three
+// different peers.
+func TestRemoveDataBesideLostNeighbour(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		keys  []keys.Key
+		crash keys.Key
+	}{
+		{"only child lost, no father", []keys.Key{"ab", "abc"}, "abd"},
+		{"only child lost", []keys.Key{"a", "ab", "abc"}, "abd"},
+		{"father lost", []keys.Key{"a", "ab", "abc"}, "a"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(29))
+			net := NewNetwork(keys.LowerAlnum, PlacementLexicographic)
+			for _, id := range []keys.Key{"a", "ab0", "abd", "zz"} {
+				if err := net.JoinPeer(id, 1000, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range tc.keys {
+				if err := net.InsertKey(k, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := net.FailPeer(tc.crash); err != nil {
+				t.Fatal(err)
+			}
+			if !net.RemoveData("ab", "ab") {
+				t.Fatal("RemoveData(ab) found nothing to remove")
+			}
+			net.Recover()
+			mustValidate(t, net)
+		})
+	}
+}
+
+// Validate holds every edge's link to the index: a link to a node out of
+// the index, a link to another indexed node, and no link to an indexed
+// child each fail it.
+func TestValidateChecksLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		plant func(n *Node)
+	}{
+		{"unindexed node", func(n *Node) { n.Children[0].node = NodeInfo{Key: n.Children[0].Key}.materialize() }},
+		{"wrong node", func(n *Node) { n.Children[0].node = n }},
+		{"no link", func(n *Node) { n.Children[0].node = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, r := buildNetwork(t, 4, 10, 25)
+			for i := 0; i < 40; i++ {
+				if err := net.InsertKey(keys.LowerAlnum.RandomKey(r, 2, 6), r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustValidate(t, net)
+			root, _ := net.Root()
+			tc.plant(net.nodes[root])
+			if err := net.Validate(); err == nil || !strings.Contains(err.Error(), "does not link") {
+				t.Fatalf("Validate = %v, want an error about the link", err)
+			}
+		})
+	}
+}
+
+// Follow takes a link only to a node in the index: not to a node
+// materialized but not yet installed, not to a node another install
+// replaced under the same key, not to a node removed from the index.
+func TestFollowOnlyIndexedLinks(t *testing.T) {
+	net, _ := populate(t, 38, "abc", "abd", "b")
+	n := net.nodes["abc"]
+	fresh := infoOf(n).materialize()
+	if got, _, ok := net.Follow(fresh.Edge()); !ok || got != n {
+		t.Fatalf("a materialized node's link reached %p, want the indexed %p", got, n)
+	}
+	net.installNode(infoOf(n), keys.Epsilon)
+	fresh = net.nodes["abc"]
+	if got, _, ok := net.Follow(n.Edge()); !ok || got != fresh || got == n {
+		t.Fatalf("a replaced node's link reached %p, want its replacement %p", got, fresh)
+	}
+	mustValidate(t, net)
+	net.unindexNode("abc")
+	if got, _, ok := net.Follow(fresh.Edge()); ok {
+		t.Fatalf("a removed node's link reached %p", got)
+	}
+}
+
 func TestRenamePeerPreservesInvariants(t *testing.T) {
 	net, r := buildNetwork(t, 6, 1000, 22)
 	for i := 0; i < 60; i++ {

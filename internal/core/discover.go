@@ -48,24 +48,24 @@ func (net *Network) Discover(k keys.Key, entry keys.Key, gated bool) RequestResu
 		if goingUp && keys.IsPrefix(cur.Key, k) {
 			goingUp = false
 		}
-		var next keys.Key
+		var next Child
 		if goingUp {
 			if !cur.HasFather {
 				// Root does not prefix k: the key cannot exist.
 				res.NotFound = true
 				return res
 			}
-			next = cur.Father
+			next = Child{Key: cur.Father}
 		} else {
 			q, ok := cur.BestChildFor(k)
-			if !ok || !keys.IsPrefix(q, k) {
+			if !ok || !keys.IsPrefix(q.Key, k) {
 				// No branch leads towards k: absent key.
 				res.NotFound = true
 				return res
 			}
 			next = q
 		}
-		nextNode, nextHost, ok := net.nodeState(next)
+		nextNode, nextHost, ok := net.Follow(next)
 		if !ok {
 			res.NotFound = true
 			return res

@@ -79,13 +79,13 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 	case keys.IsProperPrefix(p.Key, k):
 		// Lines 3.04-3.09: the sought node is in p's subtree.
 		if q, ok := p.BestChildFor(k); ok {
-			net.sendToNode(peer.ID, q, m)
+			net.sendToNode(peer.ID, q.Key, m)
 			return nil
 		}
 		// Create k as a new child of p; the host search starts at p
 		// itself (line 3.08).
 		info := NodeInfo{Key: k, Father: p.Key, HasFather: true, Data: []string{m.value}}
-		p.addChild(k)
+		p.addChild(k, nil)
 		return net.routeSearchingHost(peer.ID, p.Key, info)
 
 	case keys.IsProperPrefix(k, p.Key):
@@ -205,7 +205,8 @@ func (net *Network) RemoveData(k keys.Key, value string) bool {
 	return true
 }
 
-// compactNode prunes structurally redundant dataless nodes upward.
+// compactNode prunes structurally redundant dataless nodes upward,
+// stopping at a neighbour lost to a crash (Recover drops the rest).
 func (net *Network) compactNode(n *Node, p *Peer) {
 	for n != nil && !n.HasData() {
 		switch len(n.Children) {
@@ -225,23 +226,24 @@ func (net *Network) compactNode(n *Node, p *Peer) {
 			net.Counters.MaintenanceMsgs++
 			n, p = fn, fp
 		case 1:
-			only := n.Children[0]
+			cn, _, ok := net.Follow(n.Children[0])
+			fn, _, okf := net.nodeState(n.Father)
+			if !ok || n.HasFather && !okf {
+				return
+			}
 			if !n.HasFather {
 				// Root with a single child: the child becomes root.
-				cn, _, _ := net.nodeState(only)
 				cn.HasFather = false
 				cn.Father = keys.Epsilon
-				net.root = only
+				net.root = cn.Key
 				p.release(n.Key)
 				net.unindexNode(n.Key)
 				net.Counters.MaintenanceMsgs++
 				return
 			}
-			cn, _, _ := net.nodeState(only)
-			fn, _, _ := net.nodeState(n.Father)
 			cn.Father = n.Father
 			fn.removeChild(n.Key)
-			fn.addChild(only)
+			fn.addChild(cn.Key, cn)
 			p.release(n.Key)
 			net.unindexNode(n.Key)
 			net.Counters.MaintenanceMsgs += 2

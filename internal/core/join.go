@@ -91,7 +91,7 @@ func (net *Network) handlePeerJoin(p *Peer, n *Node, m message) error {
 	}
 	if q, ok := n.MaxChildAtMost(P, true); ok {
 		m2 := m
-		net.sendToNode(p.ID, q, m2)
+		net.sendToNode(p.ID, q.Key, m2)
 		return nil
 	}
 	// n is the highest node <= P known here; delegate to the peer

@@ -70,16 +70,16 @@ func (net *Network) sendToPeer(from keys.Key, to keys.Key, m message) {
 
 // drain processes queued messages to quiescence. Every delivery is a
 // maintenance message; a delivery whose sending peer differs from the
-// receiving peer is additionally a physical communication.
+// receiving peer is additionally a physical communication. The queue
+// keeps its buffer, and is emptied on an error too.
 func (net *Network) drain() error {
-	for len(net.queue) > 0 {
-		m := net.queue[0]
-		net.queue = net.queue[1:]
-		if err := net.deliver(m); err != nil {
-			return err
-		}
+	var err error
+	for i := 0; i < len(net.queue) && err == nil; i++ {
+		err = net.deliver(net.queue[i])
 	}
-	return nil
+	clear(net.queue)
+	net.queue = net.queue[:0]
+	return err
 }
 
 func (net *Network) deliver(m message) error {
@@ -126,7 +126,7 @@ func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Ke
 		net.Counters.MaintenancePhysical++
 	}
 	n.removeChild(old)
-	n.addChild(new)
+	n.addChild(new, net.nodes[new])
 	return nil
 }
 
@@ -137,12 +137,12 @@ func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Ke
 // finishes with the peer-level walk to the true owner). Each hop is
 // accounted as one message.
 func (net *Network) routeSearchingHost(fromPeer keys.Key, at keys.Key, info NodeInfo) error {
-	cur := at
+	cur := Child{Key: at}
 	from := fromPeer
 	for {
-		n, p, ok := net.nodeState(cur)
+		n, p, ok := net.Follow(cur)
 		if !ok {
-			return fmt.Errorf("core: SearchingHost routed to absent node %q", cur)
+			return fmt.Errorf("core: SearchingHost routed to absent node %q", cur.Key)
 		}
 		net.Counters.MaintenanceMsgs++
 		if p.ID != from {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"dlpt/internal/keys"
@@ -302,15 +301,30 @@ func (net *Network) hashRemovePeer(id keys.Key) {
 
 // --- node index ------------------------------------------------------------
 
-// indexNode enters n in the index, in the slot of a node it replaces.
+// indexNode enters n in the index, in the slot of a node it replaces,
+// and links it into its father's edge and its edges to its children.
 func (net *Network) indexNode(n *Node) {
 	if old, ok := net.nodes[n.Key]; ok {
-		n.pos = old.pos
+		n.pos, old.pos = old.pos, -1
 	} else {
 		n.pos = len(net.nodeList)
 		net.nodeList = append(net.nodeList, nil)
 	}
 	net.nodes[n.Key], net.nodeList[n.pos] = n, n
+	if f, ok := net.nodes[n.Father]; ok && n.HasFather {
+		if i, found := f.edge(n.Key); found {
+			f.Children[i].node = n
+		}
+	}
+	net.linkChildren(n)
+}
+
+// linkChildren points every edge of n at the indexed child, nil where
+// there is none.
+func (net *Network) linkChildren(n *Node) {
+	for i := range n.Children {
+		n.Children[i].node = net.nodes[n.Children[i].Key]
+	}
 }
 
 func (net *Network) unindexNode(k keys.Key) {
@@ -324,6 +338,7 @@ func (net *Network) unindexNode(k keys.Key) {
 	net.nodeList[last] = nil
 	net.nodeList = net.nodeList[:last]
 	delete(net.nodes, k)
+	n.pos = -1
 }
 
 // HasNode reports whether a tree node with key k exists.
@@ -339,6 +354,16 @@ func (net *Network) nodeState(k keys.Key) (*Node, *Peer, bool) {
 		return nil, nil, false
 	}
 	return n, n.host, true
+}
+
+// Follow resolves edge e to its node and host: through the link while
+// the linked node is indexed, else by one probe (NodeAt), as for an edge
+// built from a bare key. Callers hold the read lock.
+func (net *Network) Follow(e Child) (*Node, *Peer, bool) {
+	if n := e.node; n != nil && n.pos >= 0 {
+		return n, n.host, true
+	}
+	return net.nodeState(e.Key)
 }
 
 // --- peer rename (MLT primitive) --------------------------------------------
@@ -470,16 +495,19 @@ func (net *Network) Validate() error {
 			} else if !keys.IsProperPrefix(n.Father, k) {
 				return fmt.Errorf("core: father %q of %q is not a proper prefix", n.Father, k)
 			}
-			if !strictlyAscending(n.Children) || !strictlyAscending(n.Data) {
+			if !strictlyAscending(n.ChildrenSorted()) || !strictlyAscending(n.Data) {
 				return fmt.Errorf("core: node %q children or values not strictly ascending", k)
 			}
 			for _, c := range n.Children {
-				cn, _, ok := net.nodeState(c)
+				cn, _, ok := net.nodeState(c.Key)
 				if !ok {
-					return fmt.Errorf("core: child %q of %q does not exist", c, k)
+					return fmt.Errorf("core: child %q of %q does not exist", c.Key, k)
 				}
 				if !cn.HasFather || cn.Father != k {
-					return fmt.Errorf("core: child %q of %q has father %q", c, k, cn.Father)
+					return fmt.Errorf("core: child %q of %q has father %q", c.Key, k, cn.Father)
+				}
+				if c.node != cn {
+					return fmt.Errorf("core: edge %q of %q does not link the indexed child", c.Key, k)
 				}
 			}
 			if n.HasFather {
@@ -487,7 +515,7 @@ func (net *Network) Validate() error {
 				if !ok {
 					return fmt.Errorf("core: father %q of %q does not exist", n.Father, k)
 				}
-				if _, ok := slices.BinarySearch(fn.Children, k); !ok {
+				if _, ok := fn.edge(k); !ok {
 					return fmt.Errorf("core: father %q does not list child %q", n.Father, k)
 				}
 			}

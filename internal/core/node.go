@@ -35,34 +35,34 @@
 // which run under the engine's write lock; every accessor that hands
 // them out from under that lock returns a copy.
 //
-// A node is reached through the network's node index, one map probe for
-// the node and its host; the mapping rule says where a node must be,
-// and Validate checks that it is there.
+// A child is reached through its edge's link while it is in the node
+// index, otherwise (and a father always) by one probe of that index; the
+// mapping rule says where a node must be, and Validate checks both.
 package core
 
 import (
 	"cmp"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"dlpt/internal/keys"
 )
 
 // Node is the state of one logical tree node, held by the peer
-// currently hosting it. Father/children are node keys, each reached
-// through the network's node index (NodeAt); the placement says where
-// a node must live, and Validate checks that it does.
+// currently hosting it. Its father is a node key (NodeAt), its children
+// linked edges (Child, Follow); Validate checks both against the index.
 //
-// Children and Data are ascending and duplicate-free. They change in
-// place, only through addChild, removeChild, addValue and removeValue,
-// and only under the write lock; a slice handed out from under the lock
-// must therefore be a copy (SortedValues, ChildrenSorted, infoOf), or
-// a later mutation shifts the caller's elements.
+// Children (by key) and Data are ascending and duplicate-free. They
+// change in place, only through addChild, removeChild, addValue and
+// removeValue, and only under the write lock; a slice handed out from
+// under the lock must therefore be a copy (SortedValues, ChildrenSorted,
+// infoOf), or a later mutation shifts the caller's elements.
 type Node struct {
 	Key       keys.Key
 	Father    keys.Key
 	HasFather bool
-	Children  []keys.Key
+	Children  []Child
 	Data      []string
 
 	// LoadCur counts requests received by this node during the
@@ -77,8 +77,26 @@ type Node struct {
 	visits atomic.Int64
 
 	host *Peer // the peer running the node, set only by Peer.adopt
-	pos  int   // the node's slot in Network.nodeList
+	pos  int   // the node's slot in Network.nodeList; -1 out of the index
 }
+
+// Child is one tree edge: the child's key, which orders the edges and is
+// what travels (NodeInfo, the codecs), and a link to the child's node,
+// written only by addChild, indexNode and rebuildLinks and followed only
+// while that node is indexed (Follow).
+type Child struct {
+	Key  keys.Key
+	node *Node
+}
+
+// Edge returns an edge linked to n.
+func (n *Node) Edge() Child { return Child{Key: n.Key, node: n} }
+
+// edge returns the position of child key k among n's edges, or where it
+// would be inserted.
+func (n *Node) edge(k keys.Key) (int, bool) { return slices.BinarySearchFunc(n.Children, k, edgeCmp) }
+
+func edgeCmp(c Child, k keys.Key) int { return strings.Compare(string(c.Key), string(k)) }
 
 // insertSorted adds v to the ascending set s, reporting whether it was
 // absent.
@@ -100,9 +118,21 @@ func deleteSorted[T cmp.Ordered](s []T, v T) ([]T, bool) {
 	return slices.Delete(s, i, i+1), true
 }
 
-func (n *Node) addChild(c keys.Key)    { n.Children, _ = insertSorted(n.Children, c) }
-func (n *Node) removeChild(c keys.Key) { n.Children, _ = deleteSorted(n.Children, c) }
-func (n *Node) addValue(v string)      { n.Data, _ = insertSorted(n.Data, v) }
+// addChild adds the edge to k, linked to c: the child's node, or nil
+// when it is not indexed yet (indexNode links it).
+func (n *Node) addChild(k keys.Key, c *Node) {
+	if i, found := n.edge(k); !found {
+		n.Children = slices.Insert(n.Children, i, Child{Key: k, node: c})
+	}
+}
+
+func (n *Node) removeChild(k keys.Key) {
+	if i, found := n.edge(k); found {
+		n.Children = slices.Delete(n.Children, i, i+1)
+	}
+}
+
+func (n *Node) addValue(v string) { n.Data, _ = insertSorted(n.Data, v) }
 
 func (n *Node) removeValue(v string) (removed bool) {
 	n.Data, removed = deleteSorted(n.Data, v)
@@ -130,37 +160,43 @@ func (n *Node) RecordVisit() { n.visits.Add(1) }
 func (n *Node) Load() int { return n.LoadCur + int(n.visits.Load()) }
 
 // ChildrenSorted returns a copy of the child keys in ascending order.
-func (n *Node) ChildrenSorted() []keys.Key { return slices.Clone(n.Children) }
+func (n *Node) ChildrenSorted() []keys.Key {
+	out := make([]keys.Key, len(n.Children))
+	for i, c := range n.Children {
+		out[i] = c.Key
+	}
+	return out
+}
 
-// BestChildFor returns the child sharing a strictly longer prefix
-// with k than the node itself (Algorithm 3 line 3.05). In a valid
-// PGCP tree at most one such child exists. In ascending order the
+// BestChildFor returns the edge to the child sharing a strictly longer
+// prefix with k than the node itself (Algorithm 3 line 3.05). In a
+// valid PGCP tree at most one such child exists. In ascending order the
 // common prefix with k only grows towards k's insertion point, so the
 // two children beside it are the only candidates.
-func (n *Node) BestChildFor(k keys.Key) (keys.Key, bool) {
-	i, _ := slices.BinarySearch(n.Children, k)
-	var best keys.Key
+func (n *Node) BestChildFor(k keys.Key) (Child, bool) {
+	i, _ := n.edge(k)
+	var best Child
 	bestLen := len(keys.GCP(n.Key, k))
 	found := false
 	for _, c := range n.Children[max(i-1, 0):min(i+1, len(n.Children))] {
-		if l := len(keys.GCP(c, k)); l > bestLen {
+		if l := len(keys.GCP(c.Key, k)); l > bestLen {
 			best, bestLen, found = c, l, true
 		}
 	}
 	return best, found
 }
 
-// MaxChildAtMost returns the greatest child key strictly below bound
-// (the SearchingHost descent rule, with the self-exclusion deviation
-// documented above). The PeerJoin descent uses inclusive=true to
-// allow q == bound as in Algorithm 1 line 1.12.
-func (n *Node) MaxChildAtMost(bound keys.Key, inclusive bool) (keys.Key, bool) {
-	i, found := slices.BinarySearch(n.Children, bound)
+// MaxChildAtMost returns the edge to the greatest child strictly below
+// bound (the SearchingHost descent rule, with the self-exclusion
+// deviation documented above). The PeerJoin descent uses inclusive=true
+// to allow q == bound as in Algorithm 1 line 1.12.
+func (n *Node) MaxChildAtMost(bound keys.Key, inclusive bool) (Child, bool) {
+	i, found := n.edge(bound)
 	if found && inclusive {
 		i++
 	}
 	if i == 0 {
-		return keys.Epsilon, false
+		return Child{}, false
 	}
 	return n.Children[i-1], true
 }
@@ -195,16 +231,22 @@ func infoOf(n *Node) NodeInfo {
 
 // materialize rebuilds a Node from its transferred form. The node owns
 // private, sorted copies: the form may list children in any order, and
-// its slices stay with the sender (a replica set, a wire buffer).
+// its slices stay with the sender (a replica set, a wire buffer). It is
+// out of the index (pos -1), its edges unlinked, until indexNode.
 func (info NodeInfo) materialize() *Node {
+	kids := make([]Child, 0, len(info.Children))
+	for _, k := range sortedSet(info.Children) {
+		kids = append(kids, Child{Key: k})
+	}
 	return &Node{
 		Key:       info.Key,
 		Father:    info.Father,
 		HasFather: info.HasFather,
-		Children:  sortedSet(info.Children),
+		Children:  kids,
 		Data:      sortedSet(info.Data),
 		LoadPrev:  info.LoadPrev,
 		LoadCur:   info.LoadCur,
+		pos:       -1,
 	}
 }
 

@@ -55,21 +55,23 @@ func TestChildSearchMatchesScan(t *testing.T) {
 			}
 			n := &Node{Key: prefix()}
 			for c := range set {
-				n.addChild(c)
+				n.addChild(c, nil)
 			}
-			if len(n.Children) != len(set) || !strictlyAscending(n.Children) {
-				t.Fatalf("children %q from set of %d", n.Children, len(set))
+			kids := n.ChildrenSorted()
+			if len(kids) != len(set) || !strictlyAscending(kids) {
+				t.Fatalf("children %q from set of %d", kids, len(set))
 			}
 			probes := []keys.Key{prefix() + alpha.RandomKey(r, 0, 5), stem + alpha.RandomKey(r, 0, 2), prefix()}
-			if len(n.Children) > 0 {
-				probes = append(probes, n.Children[r.Intn(len(n.Children))])
+			if len(kids) > 0 {
+				probes = append(probes, kids[r.Intn(len(kids))])
 			}
 			for _, k := range probes {
-				got, gotOK := n.BestChildFor(k)
+				gotEdge, gotOK := n.BestChildFor(k)
+				got := gotEdge.Key
 				want, wantOK := scanBestChildFor(n.Key, set, k)
 				if gotOK != wantOK || len(keys.GCP(got, k)) != len(keys.GCP(want, k)) {
 					t.Fatalf("BestChildFor(%q) at %q over %q = %q, %v; scan %q, %v",
-						k, n.Key, n.Children, got, gotOK, want, wantOK)
+						k, n.Key, kids, got, gotOK, want, wantOK)
 				}
 				ties := 0
 				for c := range set {
@@ -78,14 +80,14 @@ func TestChildSearchMatchesScan(t *testing.T) {
 					}
 				}
 				if wantOK && ties == 1 && got != want {
-					t.Fatalf("BestChildFor(%q) over %q = %q, unique best %q", k, n.Children, got, want)
+					t.Fatalf("BestChildFor(%q) over %q = %q, unique best %q", k, kids, got, want)
 				}
 				for _, inclusive := range []bool{false, true} {
 					got, gotOK := n.MaxChildAtMost(k, inclusive)
 					want, wantOK := scanMaxChildAtMost(set, k, inclusive)
-					if got != want || gotOK != wantOK {
+					if got.Key != want || gotOK != wantOK {
 						t.Fatalf("MaxChildAtMost(%q, %v) over %q = %q, %v; scan %q, %v",
-							k, inclusive, n.Children, got, gotOK, want, wantOK)
+							k, inclusive, kids, got.Key, gotOK, want, wantOK)
 					}
 				}
 			}
@@ -104,13 +106,13 @@ func TestNodeCopiesOut(t *testing.T) {
 	// Each removal leaves spare capacity, so the insertion after it
 	// shifts the same backing array.
 	n.removeChild("ab")
-	n.addChild("aa")
+	n.addChild("aa", nil)
 	n.removeChild("ae")
-	n.addChild("acc")
+	n.addChild("acc", nil)
 	n.removeValue("v1")
 	n.addValue("v0")
-	if want := []keys.Key{"aa", "ac", "acc", "ad"}; !slices.Equal(n.Children, want) {
-		t.Fatalf("children after mutation %q, want %q", n.Children, want)
+	if want := []keys.Key{"aa", "ac", "acc", "ad"}; !slices.Equal(n.ChildrenSorted(), want) {
+		t.Fatalf("children after mutation %q, want %q", n.ChildrenSorted(), want)
 	}
 	if want := []string{"v0", "v2", "v3"}; !slices.Equal(n.Data, want) {
 		t.Fatalf("values after mutation %q, want %q", n.Data, want)

@@ -87,11 +87,11 @@ const (
 	phaseDone
 )
 
-// walkFrame is one pending subtree node of the traversal: the node
-// key plus the host of the tree edge it was reached over (the
+// walkFrame is one pending subtree node of the traversal: the tree
+// edge it is reached over, plus the host of that edge's parent end (the
 // physical-hop accounting input).
 type walkFrame struct {
-	key  keys.Key
+	edge Child
 	from keys.Key // host id of the parent node; ε for the subtree root
 	root bool     // subtree root: already counted during climb/descend
 }
@@ -112,7 +112,7 @@ type QueryWalker struct {
 	empty   bool
 
 	phase   int
-	cur     keys.Key // current node during climb/descend
+	cur     Child    // current node during climb/descend
 	curHost keys.Key // its host id
 	stack   []walkFrame
 	emitted int
@@ -176,12 +176,12 @@ func (w *QueryWalker) Start(entry keys.Key) {
 	if w.empty {
 		return
 	}
-	_, h, ok := w.net.nodeState(entry)
+	n, h, ok := w.net.nodeState(entry)
 	if !ok {
 		return
 	}
 	w.res.NodesVisited++
-	w.cur = entry
+	w.cur = n.Edge()
 	w.curHost = h.ID
 	w.phase = phaseClimb
 	w.enterPhase(obs.PhaseClimb, h.ID)
@@ -257,10 +257,10 @@ func (w *QueryWalker) Stats() QueryResult {
 // appending matched keys to out (maxEmit > 0 additionally caps the
 // keys appended in this batch). It returns the extended slice and
 // whether the traversal can continue. Callers hold whatever lock
-// guards the network for the duration of one call; node state is
-// re-fetched on every visit, so churn between calls degrades the walk
-// (skipped subtrees) rather than corrupting it — the same behaviour a
-// hop-by-hop discovery has on a degraded tree.
+// guards the network for the duration of one call; every visit Follows
+// its edge afresh, so churn between calls degrades the walk (skipped
+// subtrees) rather than corrupting it — the same behaviour a hop-by-hop
+// discovery has on a degraded tree.
 func (w *QueryWalker) StepN(out []keys.Key, maxEmit, maxVisits int) ([]keys.Key, bool) {
 	if maxVisits <= 0 {
 		maxVisits = 1
@@ -272,7 +272,7 @@ func (w *QueryWalker) StepN(out []keys.Key, maxEmit, maxVisits int) ([]keys.Key,
 			return out, false
 
 		case phaseClimb, phaseDescend:
-			n, h, ok := w.net.nodeState(w.cur)
+			n, h, ok := w.net.Follow(w.cur)
 			if !ok {
 				w.done()
 				return out, false
@@ -285,14 +285,14 @@ func (w *QueryWalker) StepN(out []keys.Key, maxEmit, maxVisits int) ([]keys.Key,
 				w.enterPhase(obs.PhaseDescend, w.curHost)
 			}
 			if !covers {
-				if next, nextHost, ok := w.net.nodeState(q); ok {
+				if next, nextHost, ok := w.net.Follow(q); ok {
 					w.res.LogicalHops++
 					w.res.NodesVisited++
 					visits++
 					if nextHost.ID != h.ID {
 						w.res.PhysicalHops++
 					}
-					w.cur, w.curHost = next.Key, nextHost.ID
+					w.cur, w.curHost = next.Edge(), nextHost.ID
 					continue
 				}
 				if !down {
@@ -310,7 +310,7 @@ func (w *QueryWalker) StepN(out []keys.Key, maxEmit, maxVisits int) ([]keys.Key,
 			}
 			fr := w.stack[len(w.stack)-1]
 			w.stack = w.stack[:len(w.stack)-1]
-			n, h, ok := w.net.nodeState(fr.key)
+			n, h, ok := w.net.Follow(fr.edge)
 			if !ok {
 				continue // pruned by churn/crash: skip, as the slice path does
 			}
@@ -375,26 +375,26 @@ func (w *QueryWalker) ResumeWalk(anchor keys.Key, pre QueryResult) {
 // single child still covers the whole query, narrowing the traversal
 // root. It returns the node to move to, or covers when n is where the
 // subtree walk starts; down is the route's phase, flipped here when the
-// climb ends. The rule is pure: the drivers (the walker above, the
-// hop-by-hop route of internal/overlay) check that next still exists
-// and do the counting.
-func RouteStep(n *Node, anchor keys.Key, down *bool) (next keys.Key, covers bool) {
+// climb ends; a step up names the father by key. The rule is pure: the
+// drivers (the walker above, the hop-by-hop route of internal/overlay)
+// Follow next, which checks that it still exists, and do the counting.
+func RouteStep(n *Node, anchor keys.Key, down *bool) (next Child, covers bool) {
 	if !*down {
 		if !keys.IsPrefix(n.Key, anchor) && n.HasFather {
-			return n.Father, false
+			return Child{Key: n.Father}, false
 		}
 		*down = true
 	}
 	q, ok := n.BestChildFor(anchor)
-	if !ok || !keys.IsPrefix(q, anchor) {
-		return keys.Epsilon, true
+	if !ok || !keys.IsPrefix(q.Key, anchor) {
+		return Child{}, true
 	}
 	return q, false
 }
 
-// NodeAt resolves k to its live tree node and the peer hosting it, as
-// the walker does at every step — made available to the hop-by-hop
-// route relays.
+// NodeAt resolves k to its live tree node and the peer hosting it by
+// one probe of the node index, what Follow falls back to — made
+// available to the hop-by-hop route relays.
 func (net *Network) NodeAt(k keys.Key) (*Node, *Peer, bool) {
 	return net.nodeState(k)
 }
@@ -406,7 +406,7 @@ func (w *QueryWalker) beginWalk(n *Node) {
 	w.enterPhase(obs.PhaseWalk, w.curHost)
 	w.stack = w.stack[:0]
 	if w.explore(n.Key) || w.match(n.Key) {
-		w.stack = append(w.stack, walkFrame{key: n.Key, root: true})
+		w.stack = append(w.stack, walkFrame{edge: n.Edge(), root: true})
 	}
 }
 
@@ -415,8 +415,8 @@ func (w *QueryWalker) beginWalk(n *Node) {
 // stream's lexicographic yield order.
 func (w *QueryWalker) pushChildren(n *Node, host keys.Key) {
 	for i := len(n.Children) - 1; i >= 0; i-- {
-		if c := n.Children[i]; w.explore(c) {
-			w.stack = append(w.stack, walkFrame{key: c, from: host})
+		if c := n.Children[i]; w.explore(c.Key) {
+			w.stack = append(w.stack, walkFrame{edge: c, from: host})
 		}
 	}
 }

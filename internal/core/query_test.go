@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dlpt/internal/keys"
+	"dlpt/internal/workload"
 )
 
 func populate(t *testing.T, seed int64, ks ...keys.Key) (*Network, *rand.Rand) {
@@ -113,6 +114,187 @@ func TestQueryMatchesSnapshot(t *testing.T) {
 			t.Fatalf("trial %d: complete %q = %v, want %v", trial, prefix, got, want)
 		}
 	}
+}
+
+// probeWalker is the walk phase resolving every frame by its key: each
+// popped frame is probed in the index (NodeAt) and children are stacked
+// by key, with QueryWalker's counting. It is the oracle the walker's
+// link following is held against.
+type probeWalker struct {
+	net            *Network
+	match, explore func(keys.Key) bool
+	stack          []probeFrame
+	res            QueryResult
+}
+
+type probeFrame struct {
+	key, from keys.Key
+	root      bool
+}
+
+// step is QueryWalker.StepN(out, 0, 1) in the walk phase: frames are
+// popped until one visit is counted or none is left.
+func (p *probeWalker) step(out []keys.Key) ([]keys.Key, bool) {
+	for len(p.stack) > 0 {
+		fr := p.stack[len(p.stack)-1]
+		p.stack = p.stack[:len(p.stack)-1]
+		n, h, ok := p.net.NodeAt(fr.key)
+		if !ok {
+			continue
+		}
+		if !fr.root {
+			p.res.LogicalHops++
+			p.res.NodesVisited++
+			if h.ID != fr.from {
+				p.res.PhysicalHops++
+			}
+		}
+		if n.HasData() && p.match(n.Key) {
+			out = append(out, n.Key)
+		}
+		kids := n.ChildrenSorted()
+		for i := len(kids) - 1; i >= 0; i-- {
+			if p.explore(kids[i]) {
+				p.stack = append(p.stack, probeFrame{key: kids[i], from: h.ID})
+			}
+		}
+		if !fr.root {
+			return out, true
+		}
+	}
+	return out, false
+}
+
+// TestWalkFollowsLinksAcrossWrites resumes a QueryWalker and the probe
+// walker at the root and steps them one visit at a time in lockstep.
+// Between steps a write lands on a node still stacked for a later visit:
+// a removal that compacts it away, an insertion that splits the edge
+// above it, a move to another peer, a join and a leave, and a crash of
+// its host after its value was removed, recovered from the last
+// snapshot — which re-materializes the node, with the value, under the
+// same key. A link to a node that left the index is never followed, so
+// the two walkers must agree on every step, the keys and the counters.
+func TestWalkFollowsLinksAcrossWrites(t *testing.T) {
+	net, r := buildNetwork(t, 8, 1<<30, 30)
+	for _, k := range workload.GridCorpus(300) {
+		if err := net.InsertKey(k, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, _ := net.Root()
+	w := NewQueryWalker(net, QuerySpec{Prefix: root})
+	w.ResumeWalk(root, QueryResult{})
+	p := &probeWalker{net: net, match: w.match, explore: w.explore,
+		stack: []probeFrame{{key: root, root: true}}}
+
+	// stacked returns the node of a frame waiting for a later visit,
+	// scanning from a step-dependent slot, that satisfies ok.
+	stacked := func(step int, ok func(n *Node) bool) (*Node, bool) {
+		for i := range w.stack {
+			fr := w.stack[(i+step)%len(w.stack)]
+			if n, _, found := net.NodeAt(fr.edge.Key); found && !fr.root && ok(n) {
+				return n, true
+			}
+		}
+		return nil, false
+	}
+	anyNode := func(*Node) bool { return true }
+	removeAll := func(n *Node) {
+		for _, v := range n.SortedValues() {
+			net.RemoveData(n.Key, v)
+		}
+	}
+	var moveBack func()
+	writes := make(map[string]int)
+	write := func(step int) {
+		if moveBack != nil {
+			moveBack()
+			moveBack = nil
+		}
+		switch step % 5 {
+		case 0:
+			if n, ok := stacked(step, func(n *Node) bool { return n.HasData() && len(n.Children) <= 1 }); ok {
+				removeAll(n)
+				writes["remove"]++
+			}
+		case 1:
+			split := func(n *Node) bool { return len(n.Key)-len(n.Father) >= 2 }
+			if n, ok := stacked(step, split); ok {
+				last := n.Key[len(n.Key)-1:]
+				c := keys.Key("z")
+				if last == c {
+					c = "y"
+				}
+				if err := net.InsertKey(n.Key[:len(n.Key)-1]+c, r); err != nil {
+					t.Fatal(err)
+				}
+				writes["split"]++
+			}
+		case 2:
+			if n, ok := stacked(step, anyNode); ok {
+				from := n.host.ID
+				to, _ := net.ring.Successor(from)
+				if err := net.MoveNode(n.Key, from, to); err != nil {
+					t.Fatal(err)
+				}
+				moveBack = func() {
+					if err := net.MoveNode(n.Key, to, from); err != nil {
+						t.Fatal(err)
+					}
+				}
+				writes["move"]++
+			}
+		case 3:
+			if n, ok := stacked(step, anyNode); ok {
+				if err := net.JoinPeer(keys.LowerAlnum.RandomKey(r, 12, 12), 1<<30, r); err != nil {
+					t.Fatal(err)
+				}
+				if err := net.LeavePeer(n.host.ID); err != nil {
+					t.Fatal(err)
+				}
+				writes["join+leave"]++
+			}
+		case 4:
+			if n, ok := stacked(step, (*Node).HasData); ok {
+				net.Replicate()
+				host := n.host.ID
+				removeAll(n)
+				if err := net.FailPeer(host); err != nil {
+					t.Fatal(err)
+				}
+				net.Recover()
+				if err := net.JoinPeer(keys.LowerAlnum.RandomKey(r, 12, 12), 1<<30, r); err != nil {
+					t.Fatal(err)
+				}
+				writes["crash+recover"]++
+			}
+		}
+	}
+
+	var got, want []keys.Key
+	for step := 0; ; step++ {
+		var more, pmore bool
+		got, more = w.StepN(got, 0, 1)
+		want, pmore = p.step(want)
+		if more != pmore || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(w.Stats(), p.res) {
+			t.Fatalf("step %d (writes %v): walker %v, %q, %+v; probe walker %v, %q, %+v",
+				step, writes, more, got, w.Stats(), pmore, want, p.res)
+		}
+		if !more {
+			break
+		}
+		write(step)
+	}
+	if moveBack != nil {
+		moveBack()
+	}
+	mustValidate(t, net)
+	for _, kind := range []string{"remove", "split", "move", "join+leave", "crash+recover"} {
+		if writes[kind] < 5 {
+			t.Errorf("%d %s writes landed on stacked frames, want at least 5", writes[kind], kind)
+		}
+	}
+	t.Logf("%d keys over %d visits, writes %v", len(got), p.res.NodesVisited, writes)
 }
 
 // TestQueryLocality checks that the lexicographic mapping keeps most

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"dlpt/internal/keys"
@@ -154,7 +155,8 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []NodeInfo) int {
 
 // CompactReplicas drops the snapshots of nodes that no longer exist —
 // except those lost to a crash that has not been recovered yet, which
-// are exactly the snapshots Recover needs.
+// are exactly the snapshots Recover needs — and rebuilds the replica
+// maps at size (maps.Clone), as a Go map never shrinks.
 func (net *Network) CompactReplicas() {
 	for k, loc := range net.replicaLoc {
 		if !net.HasNode(k) && !net.pendingLost[k] {
@@ -163,6 +165,10 @@ func (net *Network) CompactReplicas() {
 			}
 			delete(net.replicaLoc, k)
 		}
+	}
+	net.replicaLoc = maps.Clone(net.replicaLoc)
+	for _, p := range net.peers {
+		p.Replicas = maps.Clone(p.Replicas)
 	}
 }
 
@@ -364,16 +370,17 @@ func (net *Network) rebuildLinks() {
 		n, p, _ := net.nodeState(label)
 		existing[label] = hosted{n, p}
 	}
-	// Reset the pointers that deviate from the canonical structure.
+	// Reset the pointers that deviate from the canonical structure; relink
+	// all edges, as matching ones may link nodes replaced above.
 	for label, cn := range want {
 		h := existing[label]
-		if linksCanonical(h.n, cn) {
-			continue
+		if !linksCanonical(h.n, cn) {
+			h.n.Children = cn.kids
+			h.n.Father, h.n.HasFather = cn.father, cn.hasFather
+			net.Replication.RepairMsgs++
+			net.Counters.MaintenanceMsgs++
 		}
-		h.n.Children = slices.Clone(cn.kids)
-		h.n.Father, h.n.HasFather = cn.father, cn.hasFather
-		net.Replication.RepairMsgs++
-		net.Counters.MaintenanceMsgs++
+		net.linkChildren(h.n)
 	}
 	net.root, net.hasRoot = root, hasRoot
 }
@@ -383,7 +390,7 @@ func (net *Network) rebuildLinks() {
 type canonNode struct {
 	father    keys.Key
 	hasFather bool
-	kids      []keys.Key // ascending, as Node.Children
+	kids      []Child // ascending and unlinked, as Node.Children
 }
 
 // linksCanonical reports whether n's links already match the
@@ -392,7 +399,7 @@ func linksCanonical(n *Node, cn *canonNode) bool {
 	if n.HasFather != cn.hasFather || (cn.hasFather && n.Father != cn.father) {
 		return false
 	}
-	return slices.Equal(n.Children, cn.kids)
+	return slices.EqualFunc(n.Children, cn.kids, func(a, b Child) bool { return a.Key == b.Key })
 }
 
 // buildCanonical computes the canonical PGCP tree over sorted,
@@ -417,7 +424,7 @@ func buildCanonical(sorted []keys.Key) (want map[keys.Key]*canonNode, root keys.
 		return n
 	}
 	attach := func(father, child keys.Key) {
-		node(father).kids = append(node(father).kids, child)
+		node(father).kids = append(node(father).kids, Child{Key: child})
 		c := node(child)
 		c.father, c.hasFather = father, true
 	}

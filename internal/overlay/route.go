@@ -129,11 +129,15 @@ func (r *Runtime) ServeHop(at *keys.Key, h *Hop) {
 // advance routes the hop at self for as long as the walk stays on
 // nodes that peer hosts. When the walk leaves the peer it returns the
 // next host, with the hop updated in place and ready to send; where
-// routing ends it reports done with the outcome in rep.
+// routing ends it reports done with the outcome in rep. A step down
+// follows the edge's link and a step up probes the index for the
+// father; either way the next iteration starts from that link
+// (Network.Follow re-checks it), so no node is probed twice.
 func (r *Runtime) advance(self keys.Key, h *Hop, rep *Reply) (next keys.Key, done bool) {
+	at := core.Child{Key: h.At}
 	for {
 		r.Mu.RLock()
-		node, peer, ok := r.Net.NodeAt(h.At)
+		node, peer, ok := r.Net.Follow(at)
 		if !ok || peer.ID != self {
 			// self left, crashed or was renamed: the originator re-issues.
 			if _, ok := r.Net.Peer(self); !ok {
@@ -151,17 +155,17 @@ func (r *Runtime) advance(self keys.Key, h *Hop, rep *Reply) (next keys.Key, don
 			h.Redirects++
 			return host, !okh || h.Redirects > MaxRedirects
 		}
-		var to, host keys.Key
+		var host keys.Key
 		if h.Query {
-			to, host, done = r.queryStepLocked(node, h, rep)
-		} else if to, done = r.stepLocked(peer, node, h, rep); !done {
-			host = r.hostLocked(to)
+			at, host, done = r.queryStepLocked(node, h, rep)
+		} else if at, done = r.stepLocked(peer, node, h, rep); !done {
+			at, host = r.hostLocked(at)
 		}
 		r.Mu.RUnlock()
 		if done {
 			return "", true
 		}
-		h.At = to
+		h.At = at.Key
 		h.Logical++
 		if host == self {
 			continue // next node is local: nothing travels
@@ -177,7 +181,7 @@ func (r *Runtime) advance(self keys.Key, h *Hop, rep *Reply) (next keys.Key, don
 // key is reached. core.Network.Discover is the sequential reference the
 // differential tests hold this against. Callers hold Mu; the read side
 // suffices, visit and capacity accounting being atomic.
-func (r *Runtime) stepLocked(peer *core.Peer, node *core.Node, h *Hop, rep *Reply) (next keys.Key, done bool) {
+func (r *Runtime) stepLocked(peer *core.Peer, node *core.Node, h *Hop, rep *Reply) (next core.Child, done bool) {
 	node.RecordVisit()
 	if r.Met != nil {
 		r.Met.Visits.Inc()
@@ -189,58 +193,58 @@ func (r *Runtime) stepLocked(peer *core.Peer, node *core.Node, h *Hop, rep *Repl
 			r.Met.Drops.Inc()
 		}
 		rep.Dropped = true
-		return "", true
+		return core.Child{}, true
 	}
 	if node.Key == h.Key {
 		// A structural node (no data) means the key was never declared.
 		rep.Values = node.SortedValues()
 		rep.Found = rep.Values != nil
-		return "", true
+		return core.Child{}, true
 	}
 	if !h.Down && keys.IsPrefix(node.Key, h.Key) {
 		h.Down = true
 	}
 	if !h.Down {
-		return node.Father, !node.HasFather // a root that is no prefix of key: absent
+		return core.Child{Key: node.Father}, !node.HasFather // a root that is no prefix of key: absent
 	}
 	q, ok := node.BestChildFor(h.Key)
-	return q, !ok || !keys.IsPrefix(q, h.Key)
+	return q, !ok || !keys.IsPrefix(q.Key, h.Key)
 }
 
-// hostLocked names the peer hosting node k: the index's answer, or for
-// a node it does not hold the placement's, where the hop then ends in
-// redirects. Callers hold Mu.
-func (r *Runtime) hostLocked(k keys.Key) keys.Key {
-	if _, p, ok := r.Net.NodeAt(k); ok {
-		return p.ID
+// hostLocked resolves the node a hop moves to: the edge linked to it and
+// its host, or for a node the index does not hold the placement's host,
+// where the hop then ends in redirects. Callers hold Mu.
+func (r *Runtime) hostLocked(to core.Child) (core.Child, keys.Key) {
+	if n, p, ok := r.Net.Follow(to); ok {
+		return n.Edge(), p.ID
 	}
-	host, _ := r.Net.HostOf(k)
-	return host
+	host, _ := r.Net.HostOf(to.Key)
+	return to, host
 }
 
 // queryStepLocked is a query route's transition at one hosted node:
 // core.RouteStep, which the walker's own climb and descend phases call
 // too, with the walker's counting and its behaviour at a vanished node
 // — so on a stable tree the streamed totals match a walker that ran
-// every phase in one process. It returns the next node with its host.
-// Callers hold Mu.
-func (r *Runtime) queryStepLocked(node *core.Node, h *Hop, rep *Reply) (next, host keys.Key, done bool) {
+// every phase in one process. It returns the edge linked to the next
+// node, with its host. Callers hold Mu.
+func (r *Runtime) queryStepLocked(node *core.Node, h *Hop, rep *Reply) (next core.Child, host keys.Key, done bool) {
 	if h.Visited == 0 {
 		h.Visited = 1 // the entry node, counted as the walker's Start does
 	}
 	next, covers := core.RouteStep(node, h.Key, &h.Down)
 	if !covers {
-		if _, p, ok := r.Net.NodeAt(next); ok {
+		if n, p, ok := r.Net.Follow(next); ok {
 			h.Visited++
-			return next, p.ID, false
+			return n.Edge(), p.ID, false
 		}
 		if !h.Down {
-			return "", "", true // the father vanished: the query yields nothing
+			return core.Child{}, "", true // the father vanished: the query yields nothing
 		}
 	}
 	// node covers the query, or the child that would has vanished.
 	rep.Found, rep.Anchor = true, node.Key
-	return "", "", true
+	return core.Child{}, "", true
 }
 
 // pendingCall is one originated hop awaiting its direct reply. Whoever

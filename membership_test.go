@@ -271,6 +271,40 @@ func TestRemovePeerLastHostingErrors(t *testing.T) {
 	})
 }
 
+// TestUnregisterBesideCrashedPeer unregisters the last endpoint of a
+// key whose only child's host crashed and was not recovered yet: the
+// registry must stay up, and Recover must bring back a valid overlay.
+// The key is the lowest peer id, so it lives on that peer, and its
+// child on the next one.
+func TestUnregisterBesideCrashedPeer(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, kind EngineKind) {
+		ctx := context.Background()
+		reg := newRegistry(t, 4, WithSeed(29), WithAlphabet(keys.LowerAlnum), WithEngine(kind))
+		infos, err := reg.Peers(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, child := infos[0].ID, infos[0].ID+"0"
+		for _, k := range []string{key, child} {
+			if err := reg.Register(ctx, k, "ep"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := reg.CrashPeer(ctx, infos[1].ID); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := reg.Unregister(ctx, key, "ep"); err != nil || !ok {
+			t.Fatalf("unregister %q: %v, %v", key, ok, err)
+		}
+		if _, err := reg.Recover(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Validate(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestRemovePeerDuringDiscoveries removes peers while discoveries
 // stream through the concurrent engines: every discovery must still
 // complete (the live engine drains departed mailboxes, the TCP engine
