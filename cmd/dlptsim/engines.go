@@ -8,13 +8,16 @@ import (
 
 	"dlpt"
 	"dlpt/internal/keys"
+	"dlpt/internal/stats"
 	"dlpt/internal/workload"
 )
 
 // runEngines drives the identical register/discover/range workload
 // through each execution engine and reports wall-clock latency and
 // routing cost side by side — the deployment-shape comparison the
-// paper's future-work prototype asks for.
+// paper's future-work prototype asks for. The last two columns say how
+// the mapping spreads the tree: the peers holding at least one node, and
+// the Gini coefficient of the per-peer node counts.
 func runEngines(quick bool, seed int64, w io.Writer) error {
 	peers, nkeys, queries := 32, 400, 2000
 	if quick {
@@ -28,8 +31,8 @@ func runEngines(quick bool, seed int64, w io.Writer) error {
 
 	fmt.Fprintf(w, "# Engine comparison: %d peers, %d keys, %d discoveries + %d range queries\n",
 		peers, nkeys, queries, queries/10)
-	fmt.Fprintf(w, "%-8s  %12s  %12s  %12s  %10s  %10s\n",
-		"engine", "register", "discover/op", "range/op", "log.hops", "phys.hops")
+	fmt.Fprintf(w, "%-8s  %12s  %12s  %12s  %10s  %10s  %7s  %6s\n",
+		"engine", "register", "discover/op", "range/op", "log.hops", "phys.hops", "holders", "gini")
 
 	ctx := context.Background()
 	for _, kind := range []dlpt.EngineKind{dlpt.EngineLocal, dlpt.EngineLive, dlpt.EngineTCP} {
@@ -68,12 +71,23 @@ func runEngines(quick bool, seed int64, w io.Writer) error {
 			}
 		}
 		rangeDur := time.Since(start) / time.Duration(queries/10)
+		infos, err := reg.Peers(ctx)
 		reg.Close()
+		if err != nil {
+			return err
+		}
+		holders, counts := 0, make([]float64, len(infos))
+		for i, p := range infos {
+			counts[i] = float64(p.Nodes)
+			if p.Nodes > 0 {
+				holders++
+			}
+		}
 
-		fmt.Fprintf(w, "%-8s  %12v  %12v  %12v  %10.2f  %10.2f\n",
+		fmt.Fprintf(w, "%-8s  %12v  %12v  %12v  %10.2f  %10.2f  %7d  %6.3f\n",
 			kind, regDur.Round(time.Microsecond), discDur.Round(time.Microsecond),
-			rangeDur.Round(time.Microsecond),
-			float64(logical)/float64(queries), float64(physical)/float64(queries))
+			rangeDur.Round(time.Microsecond), float64(logical)/float64(queries),
+			float64(physical)/float64(queries), holders, stats.Gini(counts))
 	}
 	return nil
 }

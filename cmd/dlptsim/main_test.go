@@ -103,3 +103,22 @@ func TestDeterministicOutput(t *testing.T) {
 		t.Fatalf("same seed must give identical output")
 	}
 }
+
+// The engines table's last two columns, the peers holding tree nodes and
+// the node-count Gini, describe the mapping, not the engine: every row
+// prints the same pair.
+func TestEnginesNodeSpreadAgrees(t *testing.T) {
+	var b strings.Builder
+	if err := run("engines", true, "gnuplot", 1, &b); err != nil {
+		t.Fatal(err)
+	}
+	var spreads []string
+	for _, l := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(l); len(f) == 8 && f[0] != "engine" {
+			spreads = append(spreads, f[6]+" "+f[7])
+		}
+	}
+	if len(spreads) != 3 || spreads[0] != spreads[1] || spreads[1] != spreads[2] {
+		t.Fatalf("node spread per engine = %q, want three equal rows:\n%s", spreads, b.String())
+	}
+}

@@ -83,3 +83,20 @@ func TestBuildCanonicalMatchesReferenceTrie(t *testing.T) {
 		}
 	}
 }
+
+// rebuildLinks drops every node that is not a canonical label. The stale
+// ones here sit at the end of the node list, where each drop refills the
+// slot the sweep would visit next if it ran forwards.
+func TestRebuildLinksDropsEveryStaleNode(t *testing.T) {
+	net, _ := populate(t, 41, "abc", "abd", "b")
+	root, _ := net.Root()
+	before := net.NumNodes()
+	for _, k := range []keys.Key{"x1", "x2", "x3"} {
+		net.installNode(NodeInfo{Key: k, Father: root, HasFather: true}, keys.Epsilon)
+	}
+	net.rebuildLinks()
+	mustValidate(t, net)
+	if net.NumNodes() != before {
+		t.Fatalf("%d nodes after the rebuild, want %d", net.NumNodes(), before)
+	}
+}

@@ -127,11 +127,9 @@ func (net *Network) catalogueData() ([]keys.Key, map[keys.Key][]string) {
 			data[k] = info.Data
 		}
 	}
-	for _, p := range net.peers {
-		for k, n := range p.Nodes {
-			if n.HasData() {
-				data[k] = slices.Clone(n.Data)
-			}
+	for _, n := range net.nodeList {
+		if n.HasData() {
+			data[n.Key] = slices.Clone(n.Data)
 		}
 	}
 	ks := make([]keys.Key, 0, len(data))

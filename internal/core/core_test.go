@@ -562,7 +562,7 @@ func TestFollowOnlyIndexedLinks(t *testing.T) {
 		t.Fatalf("a replaced node's link reached %p, want its replacement %p", got, fresh)
 	}
 	mustValidate(t, net)
-	net.unindexNode("abc")
+	net.unindexNode(fresh)
 	if got, _, ok := net.Follow(fresh.Edge()); ok {
 		t.Fatalf("a removed node's link reached %p", got)
 	}
@@ -592,7 +592,11 @@ func TestRenamePeerPreservesInvariants(t *testing.T) {
 	// key (what MLT picks): for the minimum peer, whose range wraps,
 	// that is the largest key at or below its id if any, otherwise
 	// the largest wrapped key.
-	ks := target.NodeKeys()
+	var ks []keys.Key
+	for _, n := range target.Nodes() {
+		ks = append(ks, n.Key)
+	}
+	keys.SortKeys(ks)
 	var newID keys.Key
 	havePlain := false
 	for _, k := range ks {
@@ -648,22 +652,29 @@ func TestMoveNodeErrors(t *testing.T) {
 	}
 }
 
-// Validate checks the node index against where nodes live: a node
-// naming the wrong host, an index entry left behind for a node its peer
-// no longer runs, and a node out of its slot in the node list each
-// fail it.
+// Validate holds the peers' node sets to the node index: a node naming
+// the wrong host, two entries of one node set swapped, a node on two
+// peers' sets, a node released but still indexed, and a node out of its
+// slot in the node list each fail it with their own message.
 func TestValidateChecksNodeIndex(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
 		plant      func(n, other *Node)
 	}{
-		{"wrong host", "not where the index reaches it", func(n, other *Node) {
+		{"wrong host", "names another host", func(n, other *Node) {
 			n.host = other.host
 		}},
-		{"stale map entry", "indexed", func(n, _ *Node) {
-			n.host.release(n.Key)
+		{"out of slot", "records slot", func(n, _ *Node) {
+			set := n.host.nodes
+			set[0], set[1] = set[1], set[0]
 		}},
-		{"wrong pos", "slot", func(n, other *Node) {
+		{"on two peers", "listed on both", func(n, other *Node) {
+			other.host.adopt(n)
+		}},
+		{"released but indexed", "hosted nodes vs", func(n, _ *Node) {
+			n.host.release(n)
+		}},
+		{"wrong pos", "of the node list", func(n, other *Node) {
 			n.pos, other.pos = other.pos, n.pos
 		}},
 	} {
@@ -675,17 +686,22 @@ func TestValidateChecksNodeIndex(t *testing.T) {
 				}
 			}
 			mustValidate(t, net)
-			// Two nodes on different peers.
-			n := net.nodeList[0]
-			var other *Node
+			// Two nodes on different peers, the first sharing its peer.
+			var n, other *Node
 			for _, m := range net.nodeList {
-				if m.host != n.host {
+				if m.host.NumNodes() > 1 {
+					n = m
+					break
+				}
+			}
+			for _, m := range net.nodeList {
+				if n != nil && m.host != n.host {
 					other = m
 					break
 				}
 			}
 			if other == nil {
-				t.Fatal("every node on one peer")
+				t.Fatal("no two peers host nodes, or no peer hosts two")
 			}
 			tc.plant(n, other)
 			if err := net.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -769,7 +785,7 @@ func TestUpperNodesReceiveMoreLoad(t *testing.T) {
 	leafLoad, leaves := 0, 0
 	for _, id := range net.PeerIDs() {
 		p, _ := net.Peer(id)
-		for _, n := range p.Nodes {
+		for _, n := range p.Nodes() {
 			if len(n.Children) == 0 {
 				leafLoad += n.LoadCur
 				leaves++

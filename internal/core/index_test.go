@@ -12,8 +12,8 @@ import (
 )
 
 // placementNodeState resolves node k the way routing did before the node
-// index: the placement names the host, the peer map yields it, and the
-// host's own node set yields the node. It is the oracle the index is
+// index: the placement names the host, the peer map yields it, and a
+// scan of the host's own node set yields the node. It is the oracle the index is
 // held against.
 func placementNodeState(net *core.Network, k keys.Key) (*core.Node, *core.Peer, bool) {
 	host, ok := net.HostOf(k)
@@ -24,8 +24,22 @@ func placementNodeState(net *core.Network, k keys.Key) (*core.Node, *core.Peer, 
 	if p == nil {
 		return nil, nil, false
 	}
-	n, ok := p.Nodes[k]
-	return n, p, ok
+	for _, n := range p.Nodes() {
+		if n.Key == k {
+			return n, p, true
+		}
+	}
+	return nil, p, false
+}
+
+// nodeKeys lists the node keys p runs, ascending.
+func nodeKeys(p *core.Peer) []keys.Key {
+	var ks []keys.Key
+	for _, n := range p.Nodes() {
+		ks = append(ks, n.Key)
+	}
+	keys.SortKeys(ks)
+	return ks
 }
 
 // hosted lists the node keys the peers run, in ring order.
@@ -33,7 +47,7 @@ func hosted(net *core.Network) []keys.Key {
 	var ks []keys.Key
 	for _, id := range net.PeerIDs() {
 		p, _ := net.Peer(id)
-		ks = append(ks, p.NodeKeys()...)
+		ks = append(ks, nodeKeys(p)...)
 	}
 	return ks
 }
@@ -119,7 +133,7 @@ func TestNodeIndexMatchesPlacement(t *testing.T) {
 				} else {
 					victim, _ = net.Peer(ids[r.Intn(len(ids))])
 				}
-				lost := victim.NodeKeys()
+				lost := nodeKeys(victim)
 				if err := net.FailPeer(victim.ID); err != nil {
 					t.Fatal(err)
 				}

@@ -192,39 +192,35 @@ func (net *Network) installNode(info NodeInfo, from keys.Key) {
 // from the reference trie semantics: a dataless leaf is deleted and a
 // dataless single-child interior node is spliced out.
 func (net *Network) RemoveData(k keys.Key, value string) bool {
-	n, p, ok := net.nodeState(k)
-	if !ok {
-		return false
-	}
-	if !n.removeValue(value) {
+	n, ok := net.nodes[k]
+	if !ok || !n.removeValue(value) {
 		return false
 	}
 	net.Counters.MaintenanceMsgs++
-	net.compactNode(n, p)
+	net.compactNode(n)
 	net.journal(true, k, value)
 	return true
 }
 
 // compactNode prunes structurally redundant dataless nodes upward,
 // stopping at a neighbour lost to a crash (Recover drops the rest).
-func (net *Network) compactNode(n *Node, p *Peer) {
+func (net *Network) compactNode(n *Node) {
 	for n != nil && !n.HasData() {
 		switch len(n.Children) {
 		case 0:
-			p.release(n.Key)
-			net.unindexNode(n.Key)
+			net.unindexNode(n)
 			if !n.HasFather {
 				net.hasRoot = false
 				net.root = keys.Epsilon
 				return
 			}
-			fn, fp, ok := net.nodeState(n.Father)
+			fn, ok := net.nodes[n.Father]
 			if !ok {
 				return
 			}
 			fn.removeChild(n.Key)
 			net.Counters.MaintenanceMsgs++
-			n, p = fn, fp
+			n = fn
 		case 1:
 			cn, _, ok := net.Follow(n.Children[0])
 			fn, _, okf := net.nodeState(n.Father)
@@ -236,16 +232,14 @@ func (net *Network) compactNode(n *Node, p *Peer) {
 				cn.HasFather = false
 				cn.Father = keys.Epsilon
 				net.root = cn.Key
-				p.release(n.Key)
-				net.unindexNode(n.Key)
+				net.unindexNode(n)
 				net.Counters.MaintenanceMsgs++
 				return
 			}
 			cn.Father = n.Father
 			fn.removeChild(n.Key)
 			fn.addChild(cn.Key, cn)
-			p.release(n.Key)
-			net.unindexNode(n.Key)
+			net.unindexNode(n)
 			net.Counters.MaintenanceMsgs += 2
 			return
 		default:

@@ -125,14 +125,7 @@ func (net *Network) handleNewPredecessor(q *Peer, m message) error {
 
 	// Dispatch ν_Q between P and Q by identifier (lines 2.06-2.07,
 	// circular form): nodes in (pred(Q), P] move to P.
-	moved := 0
-	for k := range q.Nodes {
-		if keys.BetweenRightIncl(k, q.Pred, P) {
-			n, _ := q.release(k)
-			newp.adopt(n)
-			moved++
-		}
-	}
+	moved := q.cede(newp, func(n *Node) bool { return keys.BetweenRightIncl(n.Key, q.Pred, P) })
 	net.Counters.NodesTransferred += moved
 	// YourInformation to P (1 message carrying pred/succ/nodes).
 	net.Counters.MaintenanceMsgs++
@@ -173,14 +166,7 @@ func (net *Network) joinHashed(id keys.Key, capacity int) error {
 	net.ring.Insert(id)
 	net.relink(id)
 
-	moved := 0
-	for k := range owner.Nodes {
-		if h, _ := net.HostOf(k); h == id {
-			n, _ := owner.release(k)
-			newp.adopt(n)
-			moved++
-		}
-	}
+	moved := owner.cede(newp, func(n *Node) bool { h, _ := net.HostOf(n.Key); return h == id })
 	net.Counters.NodesTransferred += moved
 	net.Counters.MaintenanceMsgs += moved
 	net.Counters.MaintenancePhysical += moved
@@ -208,9 +194,9 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	if !ok {
 		return fmt.Errorf("core: leave of unknown peer %q", id)
 	}
-	if net.NumPeers() == 1 && len(p.Nodes) > 0 {
+	if net.NumPeers() == 1 && p.NumNodes() > 0 {
 		return fmt.Errorf("core: last peer %q cannot leave while hosting %d nodes",
-			id, len(p.Nodes))
+			id, p.NumNodes())
 	}
 	if net.NumPeers() == 1 {
 		for k := range p.Replicas {
@@ -242,12 +228,11 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	if net.Placement == PlacementHashed {
 		net.hashRemovePeer(id)
 	}
-	moved := 0
-	for k, n := range p.Nodes {
-		host, _ := net.HostOf(k)
+	for _, n := range p.nodes { // the leaver's ν_P goes with it
+		host, _ := net.HostOf(n.Key)
 		net.peers[host].adopt(n)
-		moved++
 	}
+	moved := len(p.nodes)
 	net.Counters.NodesTransferred += moved
 	net.Counters.MaintenanceMsgs += moved
 	net.Counters.MaintenancePhysical += moved

@@ -204,10 +204,10 @@ func (net *Network) ResetUnit() {
 	for _, p := range net.peers {
 		p.Processed = 0
 		p.procConc.Store(0)
-		for _, n := range p.Nodes {
-			n.LoadPrev = n.LoadCur + int(n.visits.Swap(0))
-			n.LoadCur = 0
-		}
+	}
+	for _, n := range net.nodeList {
+		n.LoadPrev = n.LoadCur + int(n.visits.Swap(0))
+		n.LoadCur = 0
 	}
 }
 
@@ -301,11 +301,13 @@ func (net *Network) hashRemovePeer(id keys.Key) {
 
 // --- node index ------------------------------------------------------------
 
-// indexNode enters n in the index, in the slot of a node it replaces,
-// and links it into its father's edge and its edges to its children.
+// indexNode enters n in the index, in the slot of a node it replaces
+// (which leaves its host's ν_P too), and links it into its father's edge
+// and its edges to its children.
 func (net *Network) indexNode(n *Node) {
 	if old, ok := net.nodes[n.Key]; ok {
 		n.pos, old.pos = old.pos, -1
+		old.host.release(old)
 	} else {
 		n.pos = len(net.nodeList)
 		net.nodeList = append(net.nodeList, nil)
@@ -327,17 +329,15 @@ func (net *Network) linkChildren(n *Node) {
 	}
 }
 
-func (net *Network) unindexNode(k keys.Key) {
-	n, ok := net.nodes[k]
-	if !ok {
-		return
-	}
+// unindexNode takes n out of the index and out of its host's ν_P.
+func (net *Network) unindexNode(n *Node) {
+	n.host.release(n)
 	last := len(net.nodeList) - 1
 	net.nodeList[n.pos] = net.nodeList[last]
 	net.nodeList[n.pos].pos = n.pos
 	net.nodeList[last] = nil
 	net.nodeList = net.nodeList[:last]
-	delete(net.nodes, k)
+	delete(net.nodes, n.Key)
 	n.pos = -1
 }
 
@@ -425,10 +425,11 @@ func (net *Network) MoveNode(k, fromID, toID keys.Key) error {
 	if !ok {
 		return fmt.Errorf("core: move to unknown peer %q", toID)
 	}
-	n, ok := from.release(k)
-	if !ok {
+	n, ok := net.nodes[k]
+	if !ok || n.host != from {
 		return fmt.Errorf("core: peer %q does not host node %q", fromID, k)
 	}
+	from.release(n)
 	to.adopt(n)
 	net.Counters.MaintenanceMsgs++
 	net.Counters.MaintenancePhysical++
@@ -467,62 +468,70 @@ func (net *Network) Validate() error {
 			return fmt.Errorf("core: peer %q pred=%q want %q", id, p.Pred, wantPred)
 		}
 	}
-	// Mapping rule and node accounting.
+	// Node sets against the index: every node of ν_P sits at its slot,
+	// names p as its host and is indexed, and the counts agree, so the
+	// peers' node sets together are exactly the index.
 	seen := 0
-	roots := 0
-	ref := trie.New()
 	for id, p := range net.peers {
-		for k, n := range p.Nodes {
+		for i, n := range p.nodes {
 			seen++
-			if n.Key != k {
-				return fmt.Errorf("core: node map key %q vs node key %q", k, n.Key)
-			}
-			host, _ := net.HostOf(k)
-			if host != id {
-				return fmt.Errorf("core: node %q hosted on %q, mapping says %q", k, id, host)
-			}
-			if net.nodes[k] != n || n.host != p {
-				return fmt.Errorf("core: node %q on %q is not where the index reaches it", k, id)
-			}
-			if n.pos < 0 || n.pos >= len(net.nodeList) || net.nodeList[n.pos] != n {
-				return fmt.Errorf("core: node %q is not at its slot %d of the node list", k, n.pos)
-			}
-			if !n.HasFather {
-				roots++
-				if !net.hasRoot || net.root != k {
-					return fmt.Errorf("core: root pointer %q does not match fatherless node %q", net.root, k)
-				}
-			} else if !keys.IsProperPrefix(n.Father, k) {
-				return fmt.Errorf("core: father %q of %q is not a proper prefix", n.Father, k)
-			}
-			if !strictlyAscending(n.ChildrenSorted()) || !strictlyAscending(n.Data) {
-				return fmt.Errorf("core: node %q children or values not strictly ascending", k)
-			}
-			for _, c := range n.Children {
-				cn, _, ok := net.nodeState(c.Key)
-				if !ok {
-					return fmt.Errorf("core: child %q of %q does not exist", c.Key, k)
-				}
-				if !cn.HasFather || cn.Father != k {
-					return fmt.Errorf("core: child %q of %q has father %q", c.Key, k, cn.Father)
-				}
-				if c.node != cn {
-					return fmt.Errorf("core: edge %q of %q does not link the indexed child", c.Key, k)
-				}
-			}
-			if n.HasFather {
-				fn, _, ok := net.nodeState(n.Father)
-				if !ok {
-					return fmt.Errorf("core: father %q of %q does not exist", n.Father, k)
-				}
-				if _, ok := fn.edge(k); !ok {
-					return fmt.Errorf("core: father %q does not list child %q", n.Father, k)
-				}
+			switch {
+			case n.host == p && int(n.slot) != i:
+				return fmt.Errorf("core: node %q at %d of %q's node set records slot %d", n.Key, i, id, n.slot)
+			case n.host != p && n.host.holds(n):
+				return fmt.Errorf("core: node %q is listed on both %q and %q", n.Key, id, n.host.ID)
+			case n.host != p:
+				return fmt.Errorf("core: node %q listed on %q names another host", n.Key, id)
+			case net.nodes[n.Key] != n:
+				return fmt.Errorf("core: node %q on %q is not where the index reaches it", n.Key, id)
 			}
 		}
 	}
 	if seen != len(net.nodes) || seen != len(net.nodeList) {
 		return fmt.Errorf("core: %d hosted nodes vs %d indexed, %d listed", seen, len(net.nodes), len(net.nodeList))
+	}
+	// Mapping rule and tree pointers, over the index.
+	roots := 0
+	for i, n := range net.nodeList {
+		k := n.Key
+		if net.nodes[k] != n || n.pos != i {
+			return fmt.Errorf("core: node %q is not at its slot %d of the node list", k, n.pos)
+		}
+		if host, _ := net.HostOf(k); host != n.host.ID {
+			return fmt.Errorf("core: node %q hosted on %q, mapping says %q", k, n.host.ID, host)
+		}
+		if !n.HasFather {
+			roots++
+			if !net.hasRoot || net.root != k {
+				return fmt.Errorf("core: root pointer %q does not match fatherless node %q", net.root, k)
+			}
+		} else if !keys.IsProperPrefix(n.Father, k) {
+			return fmt.Errorf("core: father %q of %q is not a proper prefix", n.Father, k)
+		}
+		if !strictlyAscending(n.ChildrenSorted()) || !strictlyAscending(n.Data) {
+			return fmt.Errorf("core: node %q children or values not strictly ascending", k)
+		}
+		for _, c := range n.Children {
+			cn, _, ok := net.nodeState(c.Key)
+			if !ok {
+				return fmt.Errorf("core: child %q of %q does not exist", c.Key, k)
+			}
+			if !cn.HasFather || cn.Father != k {
+				return fmt.Errorf("core: child %q of %q has father %q", c.Key, k, cn.Father)
+			}
+			if c.node != cn {
+				return fmt.Errorf("core: edge %q of %q does not link the indexed child", c.Key, k)
+			}
+		}
+		if n.HasFather {
+			fn, _, ok := net.nodeState(n.Father)
+			if !ok {
+				return fmt.Errorf("core: father %q of %q does not exist", n.Father, k)
+			}
+			if _, ok := fn.edge(k); !ok {
+				return fmt.Errorf("core: father %q does not list child %q", n.Father, k)
+			}
+		}
 	}
 	if net.hasRoot && roots != 1 {
 		return fmt.Errorf("core: %d fatherless nodes, want 1", roots)
@@ -559,11 +568,10 @@ func (net *Network) Validate() error {
 	// PGCP property: rebuild the key set into a reference trie and
 	// require identical node label sets.
 	if net.hasRoot {
-		for id := range net.peers {
-			for k, n := range net.peers[id].Nodes {
-				if n.HasData() {
-					ref.InsertKey(k)
-				}
+		ref := trie.New()
+		for _, n := range net.nodeList {
+			if n.HasData() {
+				ref.InsertKey(n.Key)
 			}
 		}
 		if err := ref.Validate(); err != nil {
@@ -590,11 +598,9 @@ func (net *Network) Validate() error {
 // queries of the public API).
 func (net *Network) TreeSnapshot() *trie.Tree {
 	t := trie.New()
-	for _, p := range net.peers {
-		for k, n := range p.Nodes {
-			for _, v := range n.Data {
-				t.Insert(k, v)
-			}
+	for _, n := range net.nodeList {
+		for _, v := range n.Data {
+			t.Insert(n.Key, v)
 		}
 	}
 	return t

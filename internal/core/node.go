@@ -38,6 +38,10 @@
 // A child is reached through its edge's link while it is in the node
 // index, otherwise (and a father always) by one probe of that index; the
 // mapping rule says where a node must be, and Validate checks both.
+//
+// A node's placement is the index entry and the node's host; the host's
+// node set ν_P is an unordered slice in which the node records its slot.
+// Passes over every node range the index's list, not the peers.
 package core
 
 import (
@@ -62,6 +66,7 @@ type Node struct {
 	Key       keys.Key
 	Father    keys.Key
 	HasFather bool
+	slot      int32 // its slot in the host's ν_P (Peer.nodes), kept by adopt and release
 	Children  []Child
 	Data      []string
 

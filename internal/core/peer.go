@@ -10,14 +10,17 @@ import (
 // neighbours, hosts a set ν_P of tree nodes, and can process at most
 // Capacity discovery visits per time unit (requests received beyond
 // that are ignored, Section 4).
+//
+// ν_P is a slice in no particular order: each node records its slot in
+// it, so adopt appends and release swap-removes in O(1). Only they write
+// it; Nodes hands it out read-only.
 type Peer struct {
 	ID       keys.Key
 	Pred     keys.Key
 	Succ     keys.Key
 	Capacity int
 
-	// Nodes is ν_P, the set of tree nodes this peer runs.
-	Nodes map[keys.Key]*Node
+	nodes []*Node // ν_P; nodes[n.slot] == n
 
 	// Replicas is the replica set this peer holds on behalf of its
 	// ring predecessor: the successor-placed snapshots of the nodes
@@ -44,32 +47,26 @@ func NewPeer(id keys.Key, capacity int) *Peer {
 		Pred:     id,
 		Succ:     id,
 		Capacity: capacity,
-		Nodes:    make(map[keys.Key]*Node),
 		Replicas: make(map[keys.Key]NodeInfo),
 	}
 }
 
 // NumNodes returns |ν_P|.
-func (p *Peer) NumNodes() int { return len(p.Nodes) }
+func (p *Peer) NumNodes() int { return len(p.nodes) }
+
+// Nodes returns ν_P, in no particular order. The slice is the peer's
+// own: read it under the lock that guards the network, and never write
+// it.
+func (p *Peer) Nodes() []*Node { return p.nodes }
 
 // NumReplicas returns the size of the replica set this peer holds.
 func (p *Peer) NumReplicas() int { return len(p.Replicas) }
-
-// NodeKeys returns the hosted node keys in ascending order.
-func (p *Peer) NodeKeys() []keys.Key {
-	out := make([]keys.Key, 0, len(p.Nodes))
-	for k := range p.Nodes {
-		out = append(out, k)
-	}
-	keys.SortKeys(out)
-	return out
-}
 
 // LoadPrev returns L_P of the previous time unit: the sum of the
 // previous-unit loads of the nodes the peer currently runs.
 func (p *Peer) LoadPrev() int {
 	sum := 0
-	for _, n := range p.Nodes {
+	for _, n := range p.nodes {
 		sum += n.LoadPrev
 	}
 	return sum
@@ -78,7 +75,7 @@ func (p *Peer) LoadPrev() int {
 // LoadCur returns the running request count of the current unit.
 func (p *Peer) LoadCur() int {
 	sum := 0
-	for _, n := range p.Nodes {
+	for _, n := range p.nodes {
 		sum += n.LoadCur
 	}
 	return sum
@@ -114,17 +111,36 @@ func (p *Peer) absorb(info NodeInfo) *Node {
 }
 
 // adopt makes p the host of n. With release, it is the only writer of
-// Nodes: the node index reaches a node's host through n.host.
+// ν_P, and it alone sets n.host, through which the index reaches a host.
 func (p *Peer) adopt(n *Node) {
-	p.Nodes[n.Key] = n
-	n.host = p
+	n.host, n.slot = p, int32(len(p.nodes))
+	p.nodes = append(p.nodes, n)
 }
 
-// release removes and returns the node with key k.
-func (p *Peer) release(k keys.Key) (*Node, bool) {
-	n, ok := p.Nodes[k]
-	if ok {
-		delete(p.Nodes, k)
+// release removes n, which p hosts, from ν_P: the last node takes its
+// slot, so a caller releasing while it ranges ν_P ranges backwards.
+func (p *Peer) release(n *Node) {
+	last := p.nodes[len(p.nodes)-1]
+	p.nodes[n.slot], last.slot = last, n.slot
+	p.nodes[len(p.nodes)-1] = nil
+	p.nodes = p.nodes[:len(p.nodes)-1]
+	n.slot = -1
+}
+
+// holds reports whether n sits at its slot in ν_P.
+func (p *Peer) holds(n *Node) bool {
+	return n.slot >= 0 && int(n.slot) < len(p.nodes) && p.nodes[n.slot] == n
+}
+
+// cede moves to peer to every node of ν_P that sel picks, returning how
+// many moved.
+func (p *Peer) cede(to *Peer, sel func(*Node) bool) (moved int) {
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		if n := p.nodes[i]; sel(n) {
+			p.release(n)
+			to.adopt(n)
+			moved++
+		}
 	}
-	return n, ok
+	return moved
 }

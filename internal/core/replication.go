@@ -103,22 +103,22 @@ func (net *Network) placeReplica(k keys.Key, info NodeInfo, tgt keys.Key) {
 
 // ReplicaPlan computes one replication tick without applying it: for
 // every peer, the batch of node snapshots bound for its ring
-// successor, in ascending host order. The sequential engine applies
-// the plan inline (Replicate); the concurrent engines route each
-// batch through their real per-peer delivery paths and apply it with
-// AcceptReplicas.
+// successor, in ascending host order, each batch in ν_P's order. The
+// sequential engine applies the plan inline (Replicate); the concurrent
+// engines route each batch through their real per-peer delivery paths
+// and apply it with AcceptReplicas.
 func (net *Network) ReplicaPlan() []ReplicaBatch {
 	ids := net.ring.IDs()
 	out := make([]ReplicaBatch, 0, len(ids))
 	for _, id := range ids {
 		p := net.peers[id]
-		if len(p.Nodes) == 0 {
+		if len(p.nodes) == 0 {
 			continue
 		}
 		succ, _ := net.ring.Successor(id)
-		b := ReplicaBatch{From: id, To: succ, Infos: make([]NodeInfo, 0, len(p.Nodes))}
-		for _, k := range p.NodeKeys() {
-			b.Infos = append(b.Infos, infoOf(p.Nodes[k]))
+		b := ReplicaBatch{From: id, To: succ, Infos: make([]NodeInfo, 0, len(p.nodes))}
+		for _, n := range p.nodes {
+			b.Infos = append(b.Infos, infoOf(n))
 		}
 		out = append(out, b)
 	}
@@ -257,10 +257,11 @@ func (net *Network) FailPeer(id keys.Key) error {
 	if net.pendingLost == nil {
 		net.pendingLost = make(map[keys.Key]bool)
 	}
-	for k := range p.Nodes {
-		net.unindexNode(k)
-		net.pendingLost[k] = true
-		if net.hasRoot && net.root == k {
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		n := p.nodes[i]
+		net.unindexNode(n)
+		net.pendingLost[n.Key] = true
+		if net.hasRoot && net.root == n.Key {
 			net.hasRoot = false
 			net.root = keys.Epsilon
 		}
@@ -331,30 +332,21 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 // cost nothing, so repeated recoveries of a mostly-intact tree are
 // cheap.
 func (net *Network) rebuildLinks() {
-	type hosted struct {
-		n *Node
-		p *Peer
-	}
-	existing := make(map[keys.Key]hosted)
 	data := make([]keys.Key, 0, len(net.nodeList))
-	for _, p := range net.peers {
-		for k, n := range p.Nodes {
-			existing[k] = hosted{n, p}
-			if n.HasData() {
-				data = append(data, k)
-			}
+	for _, n := range net.nodeList {
+		if n.HasData() {
+			data = append(data, n.Key)
 		}
 	}
 	keys.SortKeys(data)
 	want, root, hasRoot := buildCanonical(data)
 
 	// Drop nodes that are not canonical labels (stale structural
-	// leftovers; data nodes are always canonical).
-	for k, h := range existing {
-		if _, ok := want[k]; !ok {
-			h.p.release(k)
-			net.unindexNode(k)
-			delete(existing, k)
+	// leftovers; data nodes are always canonical), backwards, as a
+	// dropped node's slot takes the last node's.
+	for i := len(net.nodeList) - 1; i >= 0; i-- {
+		if n := net.nodeList[i]; want[n.Key] == nil {
+			net.unindexNode(n)
 			net.Replication.RepairMsgs++
 			net.Counters.MaintenanceMsgs++
 		}
@@ -363,24 +355,21 @@ func (net *Network) rebuildLinks() {
 	// derivable; lost data nodes stay lost unless they were
 	// replicated, which phase 1 already handled).
 	for label := range want {
-		if _, ok := existing[label]; ok {
-			continue
+		if !net.HasNode(label) {
+			net.installNode(NodeInfo{Key: label}, keys.Epsilon)
 		}
-		net.installNode(NodeInfo{Key: label}, keys.Epsilon)
-		n, p, _ := net.nodeState(label)
-		existing[label] = hosted{n, p}
 	}
 	// Reset the pointers that deviate from the canonical structure; relink
 	// all edges, as matching ones may link nodes replaced above.
 	for label, cn := range want {
-		h := existing[label]
-		if !linksCanonical(h.n, cn) {
-			h.n.Children = cn.kids
-			h.n.Father, h.n.HasFather = cn.father, cn.hasFather
+		n := net.nodes[label]
+		if !linksCanonical(n, cn) {
+			n.Children = cn.kids
+			n.Father, n.HasFather = cn.father, cn.hasFather
 			net.Replication.RepairMsgs++
 			net.Counters.MaintenanceMsgs++
 		}
-		net.linkChildren(h.n)
+		net.linkChildren(n)
 	}
 	net.root, net.hasRoot = root, hasRoot
 }

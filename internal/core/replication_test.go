@@ -309,7 +309,8 @@ func TestReplicaSuccessorPlacement(t *testing.T) {
 	for _, id := range net.PeerIDs() {
 		p, _ := net.Peer(id)
 		succ, _ := net.Ring().Successor(id)
-		for k := range p.Nodes {
+		for _, n := range p.Nodes() {
+			k := n.Key
 			loc, ok := net.ReplicaHolder(k)
 			if !ok {
 				t.Fatalf("node %q has no replica", k)

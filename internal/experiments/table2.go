@@ -68,7 +68,7 @@ func Table2(quick bool) (*metrics.Table, error) {
 	dlptState := 0.0
 	for _, id := range net.PeerIDs() {
 		p, _ := net.Peer(id)
-		for _, n := range p.Nodes {
+		for _, n := range p.Nodes() {
 			dlptState += float64(len(n.Children) + 1)
 		}
 	}

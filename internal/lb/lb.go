@@ -16,8 +16,10 @@
 package lb
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dlpt/internal/core"
@@ -70,25 +72,21 @@ func (NoLB) PlaceJoin(net *core.Network, r *rand.Rand, _ int) keys.Key {
 // successor peer pair in circular order.
 type pairState struct {
 	p, s   *core.Peer
-	nodes  []keys.Key // circular order starting after pred(P)
-	loads  []int      // previous-unit load of each node
-	prefix []int      // prefix[i] = sum of loads[0:i]
-	split  int        // current boundary: first split nodes are on P
+	nodes  []*core.Node // circular key order starting after pred(P)
+	prefix []int        // prefix[i] = sum of the previous-unit loads of nodes[0:i]
+	split  int          // current boundary: first split nodes are on P
 }
 
-// circularSort orders ks ascending starting just after anchor on the
+// circularSort orders ns by key, ascending from just after anchor on the
 // circular key space: keys above anchor first, then wrapped keys.
-func circularSort(ks []keys.Key, anchor keys.Key) {
-	keys.SortKeys(ks)
-	// Rotate: find the first key > anchor.
-	i := 0
-	for i < len(ks) && ks[i] <= anchor {
-		i++
-	}
-	rotated := make([]keys.Key, 0, len(ks))
-	rotated = append(rotated, ks[i:]...)
-	rotated = append(rotated, ks[:i]...)
-	copy(ks, rotated)
+func circularSort(ns []*core.Node, anchor keys.Key) {
+	slices.SortFunc(ns, func(a, b *core.Node) int { return cmp.Compare(a.Key, b.Key) })
+	// Rotate left by i, in three reversals: the keys at or below anchor
+	// go to the end.
+	i := sort.Search(len(ns), func(i int) bool { return ns[i].Key > anchor })
+	slices.Reverse(ns[:i])
+	slices.Reverse(ns[i:])
+	slices.Reverse(ns)
 }
 
 // gatherPair collects the pair (pred(S), S) node population. It
@@ -108,26 +106,13 @@ func gatherPair(net *core.Network, sID keys.Key) (*pairState, bool, error) {
 	if !ok {
 		return nil, false, fmt.Errorf("lb: broken pred link %q -> %q", sID, s.Pred)
 	}
-	st := &pairState{p: p, s: s}
-	st.nodes = append(st.nodes, p.NodeKeys()...)
-	st.nodes = append(st.nodes, s.NodeKeys()...)
+	st := &pairState{p: p, s: s, nodes: slices.Concat(p.Nodes(), s.Nodes()), split: p.NumNodes()}
 	if len(st.nodes) < 2 {
 		return nil, false, nil
 	}
 	circularSort(st.nodes, p.Pred)
-	st.split = p.NumNodes()
-	st.loads = make([]int, len(st.nodes))
 	st.prefix = make([]int, len(st.nodes)+1)
-	for i, k := range st.nodes {
-		var n *core.Node
-		if v, ok := p.Nodes[k]; ok {
-			n = v
-		} else if v, ok := s.Nodes[k]; ok {
-			n = v
-		} else {
-			return nil, false, fmt.Errorf("lb: node %q vanished from pair", k)
-		}
-		st.loads[i] = n.LoadPrev
+	for i, n := range st.nodes {
 		st.prefix[i+1] = st.prefix[i] + n.LoadPrev
 	}
 	return st, true, nil
@@ -170,7 +155,7 @@ func (st *pairState) apply(net *core.Network, j int) error {
 	if j < 1 || j > len(st.nodes)-1 {
 		return fmt.Errorf("lb: boundary %d out of range", j)
 	}
-	newID := st.nodes[j-1]
+	newID := st.nodes[j-1].Key
 	if _, exists := net.Peer(newID); exists && newID != st.p.ID {
 		// The boundary node key collides with an existing peer id
 		// (only possible with adversarial identifiers): skip the move
@@ -178,14 +163,14 @@ func (st *pairState) apply(net *core.Network, j int) error {
 		return nil
 	}
 	if j > st.split {
-		for _, k := range st.nodes[st.split:j] {
-			if err := net.MoveNode(k, st.s.ID, st.p.ID); err != nil {
+		for _, n := range st.nodes[st.split:j] {
+			if err := net.MoveNode(n.Key, st.s.ID, st.p.ID); err != nil {
 				return err
 			}
 		}
 	} else {
-		for _, k := range st.nodes[j:st.split] {
-			if err := net.MoveNode(k, st.p.ID, st.s.ID); err != nil {
+		for _, n := range st.nodes[j:st.split] {
+			if err := net.MoveNode(n.Key, st.p.ID, st.s.ID); err != nil {
 				return err
 			}
 		}
@@ -310,8 +295,8 @@ func (kc KChoices) score(net *core.Network, id keys.Key, capacity int) int {
 		return 0
 	}
 	lNew, lQ := 0, 0
-	for k, n := range q.Nodes {
-		if keys.BetweenRightIncl(k, q.Pred, id) {
+	for _, n := range q.Nodes() {
+		if keys.BetweenRightIncl(n.Key, q.Pred, id) {
 			lNew += n.LoadPrev
 		} else {
 			lQ += n.LoadPrev

@@ -69,16 +69,22 @@ func TestNoLB(t *testing.T) {
 }
 
 func TestCircularSort(t *testing.T) {
-	ks := []keys.Key{"a", "d", "m", "x"}
-	circularSort(ks, "f")
-	want := []keys.Key{"m", "x", "a", "d"}
-	if !reflect.DeepEqual(ks, want) {
-		t.Fatalf("circularSort = %v, want %v", ks, want)
+	sorted := func(anchor keys.Key, ks ...keys.Key) []keys.Key {
+		ns := make([]*core.Node, len(ks))
+		for i, k := range ks {
+			ns[i] = &core.Node{Key: k}
+		}
+		circularSort(ns, anchor)
+		for i, n := range ns {
+			ks[i] = n.Key
+		}
+		return ks
 	}
-	ks2 := []keys.Key{"a", "b"}
-	circularSort(ks2, "z")
-	if !reflect.DeepEqual(ks2, []keys.Key{"a", "b"}) {
-		t.Fatalf("wrap-only sort = %v", ks2)
+	if got, want := sorted("f", "x", "d", "m", "a"), []keys.Key{"m", "x", "a", "d"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("circularSort = %v, want %v", got, want)
+	}
+	if got := sorted("z", "b", "a"); !reflect.DeepEqual(got, []keys.Key{"a", "b"}) {
+		t.Fatalf("wrap-only sort = %v", got)
 	}
 }
 
@@ -160,8 +166,7 @@ func TestMLTBoundaryOptimality(t *testing.T) {
 			p: &core.Peer{Capacity: cp},
 			s: &core.Peer{Capacity: cs},
 		}
-		st.loads = loads
-		st.nodes = make([]keys.Key, m)
+		st.nodes = make([]*core.Node, m)
 		st.prefix = make([]int, m+1)
 		for i, l := range loads {
 			st.prefix[i+1] = st.prefix[i] + l

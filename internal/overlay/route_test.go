@@ -1,14 +1,17 @@
 package overlay
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/workload"
 )
@@ -286,7 +289,8 @@ func TestAdvanceOutcomes(t *testing.T) {
 	ids := r.Net.PeerIDs()
 	for i := 1; i < len(ids) && moved == ""; i++ {
 		if s, _ := r.Net.Peer(ids[i]); s.NumNodes() > 0 {
-			moved, from, to = s.NodeKeys()[0], ids[i], ids[i-1]
+			lowest := slices.MinFunc(s.Nodes(), func(a, b *core.Node) int { return cmp.Compare(a.Key, b.Key) })
+			moved, from, to = lowest.Key, ids[i], ids[i-1]
 		}
 	}
 	if moved == "" {
