@@ -59,6 +59,7 @@ var deterministicPkgs = map[string]bool{
 var transportFiles = map[string]bool{
 	"frame.go":     true,
 	"handshake.go": true,
+	"wire.go":      true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -10,3 +10,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, ".", "core", determinism.Analyzer)
 }
+
+func TestDeterminismTransportCodecFiles(t *testing.T) {
+	analysistest.Run(t, ".", "transport", determinism.Analyzer)
+}

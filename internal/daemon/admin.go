@@ -209,8 +209,9 @@ func Admin(ctx context.Context, addr string, req *AdminRequest) (*AdminResponse,
 // (typically a bare ack explaining the refusal).
 func replyError(rtyp byte, p []byte) error {
 	if rtyp == transport.FrameAck {
-		if es, err := transport.DecodeAck(p); err == nil && es != "" {
-			return fmt.Errorf("%s", es)
+		var ack transport.Ack
+		if err := transport.Unmarshal(p, &ack); err == nil && ack.Err != "" {
+			return fmt.Errorf("%s", ack.Err)
 		}
 	}
 	return fmt.Errorf("daemon: unexpected reply frame %d", rtyp)

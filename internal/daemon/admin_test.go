@@ -272,12 +272,12 @@ func TestApplyLogBoundary(t *testing.T) {
 		t.Fatalf("at seq %d: covers(seq-%d+1) = %v, covers(seq-%d) = %v; want true, false", seq, applyLogSize, in, applyLogSize, out)
 	}
 	fetch := func(from uint64) *transport.FetchReply {
-		_, p := d.handleFetch(transport.EncodeFetch(&transport.FetchRequest{From: from}))
-		rep, err := transport.DecodeFetchReply(p)
-		if err != nil {
+		_, p := d.handleFetch(transport.Marshal(&transport.FetchRequest{From: from}))
+		var rep transport.FetchReply
+		if err := transport.Unmarshal(p, &rep); err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return &rep
 	}
 	rep := fetch(seq - applyLogSize + 1)
 	if rep.Err != "" || len(rep.Records) != applyLogSize {

@@ -46,12 +46,13 @@ func (d *Daemon) control(typ byte, payload []byte) (byte, []byte) {
 // mirror.
 func (d *Daemon) handleJoin(payload []byte) (byte, []byte) {
 	reject := func(errStr, steward string) (byte, []byte) {
-		return transport.FrameHello, transport.EncodeHello(&transport.HelloInfo{
+		return transport.FrameHello, transport.Marshal(&transport.HelloInfo{
 			Version: transport.HandshakeVersion, Err: errStr,
 			Mirror: transport.Mirror{StewardAddr: steward},
 		})
 	}
-	jr, err := transport.DecodeJoin(payload)
+	var jr transport.JoinRequest
+	err := transport.Unmarshal(payload, &jr)
 	if err != nil {
 		return reject("daemon: malformed join: "+err.Error(), "")
 	}
@@ -91,7 +92,7 @@ func (d *Daemon) handleJoin(payload []byte) (byte, []byte) {
 		return reject("daemon: join failed: "+err.Error(), "")
 	}
 	d.logf("dlptd steward admitted peer %s at %s (overlay now %d daemons)", id, jr.Addr, len(d.members))
-	return transport.FrameHello, transport.EncodeHello(&transport.HelloInfo{
+	return transport.FrameHello, transport.Marshal(&transport.HelloInfo{
 		Version:    transport.HandshakeVersion,
 		Alphabet:   d.alphaDigits,
 		Placement:  d.placementName,
@@ -103,8 +104,8 @@ func (d *Daemon) handleJoin(payload []byte) (byte, []byte) {
 // handleLeave runs a member's graceful departure: the peer's nodes
 // hand off deterministically in every mirror via the committed record.
 func (d *Daemon) handleLeave(payload []byte) (byte, []byte) {
-	notice, err := transport.DecodeLeave(payload)
-	if err != nil {
+	var notice transport.LeaveNotice
+	if err := transport.Unmarshal(payload, &notice); err != nil {
 		return ack("daemon: malformed leave: " + err.Error())
 	}
 	d.mu.Lock()
@@ -131,8 +132,8 @@ func (d *Daemon) handleLeave(payload []byte) (byte, []byte) {
 // steward's broadcast (or repair replay), which advances the mirror
 // iff it extends its sequence exactly.
 func (d *Daemon) handleApply(payload []byte) (byte, []byte) {
-	rec, err := transport.DecodeApply(payload)
-	if err != nil {
+	var rec transport.ApplyRecord
+	if err := transport.Unmarshal(payload, &rec); err != nil {
 		return ack("daemon: malformed apply: " + err.Error())
 	}
 	d.mu.Lock()
@@ -147,7 +148,7 @@ func (d *Daemon) handleApply(payload []byte) (byte, []byte) {
 		if rec.Op != transport.OpRegister && rec.Op != transport.OpUnregister {
 			return ack("daemon: only catalogue mutations originate remotely")
 		}
-		if err := d.commitLocked(rec); err != nil {
+		if err := d.commitLocked(&rec); err != nil {
 			return ack(err.Error()) // errDeposed reads ackDeposed: the originator retries
 		}
 		return ack("")
@@ -160,7 +161,7 @@ func (d *Daemon) handleApply(payload []byte) (byte, []byte) {
 	if d.steward {
 		return ack("daemon: steward does not accept sequenced applies")
 	}
-	if err := d.advanceLocked(rec); err != nil {
+	if err := d.advanceLocked(&rec); err != nil {
 		d.met.ApplyRefusals.Inc()
 		return ack(err.Error())
 	}
@@ -170,7 +171,7 @@ func (d *Daemon) handleApply(payload []byte) (byte, []byte) {
 // ack is the reply frame of a control handler that answers in band:
 // "" accepts, anything else is the refusal.
 func ack(errStr string) (byte, []byte) {
-	return transport.FrameAck, transport.EncodeAck(errStr)
+	return transport.FrameAck, transport.Marshal(&transport.Ack{Err: errStr})
 }
 
 // errBadReply marks a reply that is not the decodable frame the
@@ -201,10 +202,11 @@ func (d *Daemon) ackRoundTrip(timeout time.Duration, addr string, typ byte, payl
 	if err != nil {
 		return "", err
 	}
-	if es, err = transport.DecodeAck(rp); err != nil {
+	var a transport.Ack
+	if err = transport.Unmarshal(rp, &a); err != nil {
 		return "", fmt.Errorf("%w: %v", errBadReply, err)
 	}
-	return es, nil
+	return a.Err, nil
 }
 
 // Refusals: what a non-empty ACK says. Three fixed phrases and one

@@ -392,7 +392,7 @@ func (d *Daemon) Close() error {
 	stewardAddr := d.stewardAddr
 	var leave []byte
 	if !d.steward {
-		leave = transport.EncodeLeave(&transport.LeaveNotice{ID: d.selfID, Addr: d.selfAddr, Epoch: d.epoch})
+		leave = transport.Marshal(&transport.LeaveNotice{ID: d.selfID, Addr: d.selfAddr, Epoch: d.epoch})
 	}
 	d.mu.Unlock()
 	if leave != nil {

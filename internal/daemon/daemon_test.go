@@ -149,11 +149,12 @@ func TestJoinVersionMismatchRejected(t *testing.T) {
 			Addr:     "127.0.0.1:1",
 			Capacity: 8,
 		}
-		rtyp, p, err := transport.RawCall(ctx, s.Addr(), transport.FrameJoin, transport.EncodeJoin(jr))
+		rtyp, p, err := transport.RawCall(ctx, s.Addr(), transport.FrameJoin, transport.Marshal(jr))
 		if err != nil || rtyp != transport.FrameHello {
 			t.Fatalf("raw join v%d: frame %d, err %v", version, rtyp, err)
 		}
-		hello, err := transport.DecodeHello(p)
+		hello := new(transport.HelloInfo)
+		err = transport.Unmarshal(p, hello)
 		if err != nil {
 			t.Fatalf("decode hello: %v", err)
 		}
@@ -189,11 +190,12 @@ func TestJoinDuplicateAddressRejected(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	rtyp, p, err := transport.RawCall(ctx, ds[0].Addr(), transport.FrameJoin, transport.EncodeJoin(jr))
+	rtyp, p, err := transport.RawCall(ctx, ds[0].Addr(), transport.FrameJoin, transport.Marshal(jr))
 	if err != nil || rtyp != transport.FrameHello {
 		t.Fatalf("raw join: frame %d, err %v", rtyp, err)
 	}
-	hello, err := transport.DecodeHello(p)
+	hello := new(transport.HelloInfo)
+	err = transport.Unmarshal(p, hello)
 	if err != nil {
 		t.Fatalf("decode hello: %v", err)
 	}
@@ -412,7 +414,7 @@ func TestJoinImageMatchesSnapshotFile(t *testing.T) {
 	// A raw JOIN shows the bytes a joiner is sent.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	rtyp, p, err := transport.RawCall(ctx, s.Addr(), transport.FrameJoin, transport.EncodeJoin(&transport.JoinRequest{
+	rtyp, p, err := transport.RawCall(ctx, s.Addr(), transport.FrameJoin, transport.Marshal(&transport.JoinRequest{
 		Version:  transport.HandshakeVersion,
 		Alphabet: string(keys.LowerAlnum.Digits()),
 		Addr:     "127.0.0.1:1",
@@ -421,7 +423,8 @@ func TestJoinImageMatchesSnapshotFile(t *testing.T) {
 	if err != nil || rtyp != transport.FrameHello {
 		t.Fatalf("raw join: frame %d, err %v", rtyp, err)
 	}
-	hello, err := transport.DecodeHello(p)
+	hello := new(transport.HelloInfo)
+	err = transport.Unmarshal(p, hello)
 	if err != nil || hello.Err != "" {
 		t.Fatalf("raw join: %v %s", err, hello.Err)
 	}

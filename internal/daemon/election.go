@@ -161,7 +161,7 @@ func (d *Daemon) runElection() {
 		votes := 1 // self
 		maxSeq, maxSeqAddr := selfSeq, ""
 		var fencedBy uint64
-		req := transport.EncodeElect(&transport.ElectRequest{
+		req := transport.Marshal(&transport.ElectRequest{
 			Epoch: proposed, ID: selfID, Addr: selfAddr, Seq: selfSeq,
 		})
 		for _, v := range voters {
@@ -171,8 +171,8 @@ func (d *Daemon) runElection() {
 				d.cluster.DropEndpointAddr(v.Addr)
 				continue
 			}
-			rep, err := transport.DecodeElectReply(rp)
-			if err != nil {
+			var rep transport.ElectReply
+			if transport.Unmarshal(rp, &rep) != nil {
 				continue
 			}
 			if rep.Granted {
@@ -248,10 +248,10 @@ func (d *Daemon) catchUp(addr string, target uint64) {
 	from := d.seq + 1
 	d.mu.Unlock()
 	rp, err := d.roundTrip(time.Duration(d.cfg.ElectionTimeout), addr, transport.FrameFetch,
-		transport.EncodeFetch(&transport.FetchRequest{From: from}), transport.FrameFetchResp)
-	var rep *transport.FetchReply
+		transport.Marshal(&transport.FetchRequest{From: from}), transport.FrameFetchResp)
+	var rep transport.FetchReply
 	if err == nil {
-		rep, err = transport.DecodeFetchReply(rp)
+		err = transport.Unmarshal(rp, &rep)
 	}
 	if err == nil && rep.Err != "" {
 		err = errors.New(rep.Err)
@@ -280,7 +280,7 @@ func (d *Daemon) catchUp(addr string, target uint64) {
 // to the next commit's repair or the probe loop's crash path — the
 // barrier must not wedge stewardship on an unreachable member.
 func (d *Daemon) openEpochLocked() {
-	open := transport.EncodeEpochOpen(&transport.EpochOpen{
+	open := transport.Marshal(&transport.EpochOpen{
 		Epoch: d.epoch, StewardID: d.selfID, StewardAddr: d.selfAddr, Seq: d.seq,
 	})
 	for _, m := range d.memberListLocked() {
@@ -288,9 +288,9 @@ func (d *Daemon) openEpochLocked() {
 			continue
 		}
 		rp, err := d.roundTrip(5*time.Second, m.Addr, transport.FrameEpochOpen, open, transport.FrameEpochOpenResp)
-		var rep *transport.EpochOpenReply
+		var rep transport.EpochOpenReply
 		if err == nil {
-			rep, err = transport.DecodeEpochOpenReply(rp)
+			err = transport.Unmarshal(rp, &rep)
 		}
 		if err == nil && rep.Err != "" {
 			err = errors.New(rep.Err)
@@ -309,8 +309,8 @@ func (d *Daemon) openEpochLocked() {
 // down — otherwise the refusal carries the floor and a steward hint
 // so the candidate can converge instead of looping.
 func (d *Daemon) handleElect(payload []byte) (byte, []byte) {
-	er, err := transport.DecodeElect(payload)
-	if err != nil {
+	var er transport.ElectRequest
+	if err := transport.Unmarshal(payload, &er); err != nil {
 		return ack("daemon: malformed elect: " + err.Error())
 	}
 	d.mu.Lock()
@@ -338,15 +338,15 @@ func (d *Daemon) handleElect(payload []byte) (byte, []byte) {
 		rep.Epoch = er.Epoch
 		d.logf("dlptd: promised epoch %d to %s at %s", er.Epoch, er.ID, er.Addr)
 	}
-	return transport.FrameElectResp, transport.EncodeElectReply(rep)
+	return transport.FrameElectResp, transport.Marshal(rep)
 }
 
 // handleEpochOpen runs the member side of the barrier: adopt the won
 // epoch and the new steward, report the last applied sequence. Never
 // round-trips back — the steward holds its lock across the barrier.
 func (d *Daemon) handleEpochOpen(payload []byte) (byte, []byte) {
-	eo, err := transport.DecodeEpochOpen(payload)
-	if err != nil {
+	var eo transport.EpochOpen
+	if err := transport.Unmarshal(payload, &eo); err != nil {
 		return ack("daemon: malformed epoch-open: " + err.Error())
 	}
 	d.mu.Lock()
@@ -368,15 +368,15 @@ func (d *Daemon) handleEpochOpen(payload []byte) (byte, []byte) {
 		d.logf("dlptd: epoch %d opened by steward %s at %s (local seq %d, steward seq %d)",
 			eo.Epoch, eo.StewardID, eo.StewardAddr, d.seq, eo.Seq)
 	}
-	return transport.FrameEpochOpenResp, transport.EncodeEpochOpenReply(rep)
+	return transport.FrameEpochOpenResp, transport.Marshal(rep)
 }
 
 // handleResync installs the new steward's mirror, keeping this
 // daemon's ring id and listener: the re-bootstrap path for members
 // whose gap outran the steward's apply log.
 func (d *Daemon) handleResync(payload []byte) (byte, []byte) {
-	rs, err := transport.DecodeMirror(payload)
-	if err != nil {
+	var rs transport.Mirror
+	if err := transport.Unmarshal(payload, &rs); err != nil {
 		return ack("daemon: malformed resync: " + err.Error())
 	}
 	d.mu.Lock()
@@ -398,7 +398,7 @@ func (d *Daemon) handleResync(payload []byte) (byte, []byte) {
 	if !found {
 		return ack("daemon: resync state lacks this member")
 	}
-	if err := d.installMirrorLocked(rs, selfID, nil); err != nil {
+	if err := d.installMirrorLocked(&rs, selfID, nil); err != nil {
 		return ack("daemon: resync install: " + err.Error())
 	}
 	d.logf("dlptd: mirror re-bootstrapped by resync at epoch %d seq %d", d.epoch, d.seq)
@@ -410,8 +410,8 @@ func (d *Daemon) handleResync(payload []byte) (byte, []byte) {
 //
 //dlptlint:ignore epochfence read-only handler: logCoversLocked and the record copies only read; stale fetchers get stale tails, which the election term check rejects
 func (d *Daemon) handleFetch(payload []byte) (byte, []byte) {
-	fr, err := transport.DecodeFetch(payload)
-	if err != nil {
+	var fr transport.FetchRequest
+	if err := transport.Unmarshal(payload, &fr); err != nil {
 		return ack("daemon: malformed fetch: " + err.Error())
 	}
 	d.mu.Lock()
@@ -429,5 +429,5 @@ func (d *Daemon) handleFetch(payload []byte) (byte, []byte) {
 	default:
 		rep.Err = fmt.Sprintf("daemon: apply log starts past seq %d", fr.From)
 	}
-	return transport.FrameFetchResp, transport.EncodeFetchReply(rep)
+	return transport.FrameFetchResp, transport.Marshal(rep)
 }

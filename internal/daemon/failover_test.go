@@ -377,7 +377,7 @@ func TestJoinThroughFencedStewardRedirected(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	rtyp, p, err := transport.RawCall(ctx, old.Addr(), transport.FrameJoin, transport.EncodeJoin(&transport.JoinRequest{
+	rtyp, p, err := transport.RawCall(ctx, old.Addr(), transport.FrameJoin, transport.Marshal(&transport.JoinRequest{
 		Version:  transport.HandshakeVersion,
 		Alphabet: string(keys.LowerAlnum.Digits()),
 		Addr:     "127.0.0.1:1",
@@ -386,7 +386,8 @@ func TestJoinThroughFencedStewardRedirected(t *testing.T) {
 	if err != nil || rtyp != transport.FrameHello {
 		t.Fatalf("raw join: frame %d, err %v", rtyp, err)
 	}
-	hello, err := transport.DecodeHello(p)
+	hello := new(transport.HelloInfo)
+	err = transport.Unmarshal(p, hello)
 	if err != nil {
 		t.Fatalf("decode hello: %v", err)
 	}

@@ -107,7 +107,7 @@ func (d *Daemon) installMirrorLocked(m *transport.Mirror, self keys.Key, ln net.
 // dlptlint:held mu — rejoinAsMember calls this with the lock held;
 // the startup path (startMember) runs before the daemon escapes.
 func (d *Daemon) joinVia(base []string) (*transport.HelloInfo, error) {
-	payload := transport.EncodeJoin(&transport.JoinRequest{
+	payload := transport.Marshal(&transport.JoinRequest{
 		Version:   transport.HandshakeVersion,
 		Alphabet:  d.alphaDigits,
 		Placement: d.placementName,
@@ -142,8 +142,8 @@ func (d *Daemon) joinVia(base []string) (*transport.HelloInfo, error) {
 				lastErr = fmt.Errorf("join %s: %w", addr, err)
 				continue
 			}
-			hello, err := transport.DecodeHello(rp)
-			if err != nil {
+			hello := new(transport.HelloInfo)
+			if err := transport.Unmarshal(rp, hello); err != nil {
 				lastErr = fmt.Errorf("join %s: %w", addr, err)
 				continue
 			}
@@ -315,7 +315,7 @@ func (d *Daemon) mutate(op byte, key, value string) error {
 		} else {
 			stewardAddr := d.stewardAddr
 			d.mu.Unlock()
-			payload := transport.EncodeApply(&transport.ApplyRecord{Op: op, Key: keys.Key(key), Value: value})
+			payload := transport.Marshal(&transport.ApplyRecord{Op: op, Key: keys.Key(key), Value: value})
 			es, err := d.ackRoundTrip(5*time.Second, stewardAddr, transport.FrameApply, payload)
 			switch {
 			case errors.Is(err, errBadReply):

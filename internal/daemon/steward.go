@@ -141,7 +141,7 @@ func (d *Daemon) commitLocked(rec *transport.ApplyRecord) error {
 // return reports that a member's stale-epoch refusal revealed this
 // steward was deposed (the demotion is done when it returns true).
 func (d *Daemon) broadcastLocked(rec *transport.ApplyRecord) (deposed bool) {
-	payload := transport.EncodeApply(rec)
+	payload := transport.Marshal(rec)
 	var fence refusal
 	for _, m := range d.memberListLocked() {
 		// A joiner is not sent its own join: the mirror it installs from
@@ -203,7 +203,7 @@ func (d *Daemon) repairLocked(m transport.Member, memberSeq uint64) {
 		tail := d.logTailLocked()
 		for _, rec := range tail[len(tail)-int(d.seq-memberSeq):] {
 			rec.Epoch = d.epoch // re-stamped, so the member's fence admits a record of an earlier epoch
-			if !ship(transport.FrameApply, transport.EncodeApply(&rec), rec.Seq) {
+			if !ship(transport.FrameApply, transport.Marshal(&rec), rec.Seq) {
 				return
 			}
 		}
@@ -211,7 +211,7 @@ func (d *Daemon) repairLocked(m transport.Member, memberSeq uint64) {
 		d.met.MirrorRepair("image")
 		d.logf("dlptd: resyncing %s at %s to epoch %d seq %d", m.ID, m.Addr, d.epoch, d.seq)
 		state := d.mirrorLocked()
-		ship(transport.FrameResync, transport.EncodeMirror(&state), d.seq)
+		ship(transport.FrameResync, transport.Marshal(&state), d.seq)
 	}
 }
 

@@ -13,22 +13,22 @@ import (
 
 func TestFaultRuleMatchingAndCounts(t *testing.T) {
 	f := NewFaults(1)
-	f.Inject(FaultRule{Type: frameApply, Addr: "a:1", Count: 2, Drop: true})
+	f.Inject(FaultRule{Type: FrameApply, Addr: "a:1", Count: 2, Drop: true})
 
 	// Non-matching type and address pass through.
-	if _, err := f.onSend(frameStatus, "a:1"); err != nil {
+	if _, err := f.onSend(FrameStatus, "a:1"); err != nil {
 		t.Fatalf("type mismatch must pass: %v", err)
 	}
-	if _, err := f.onSend(frameApply, "b:2"); err != nil {
+	if _, err := f.onSend(FrameApply, "b:2"); err != nil {
 		t.Fatalf("addr mismatch must pass: %v", err)
 	}
 	// Two matches consume the rule, the third passes.
 	for i := 0; i < 2; i++ {
-		if _, err := f.onSend(frameApply, "a:1"); !errors.Is(err, ErrInjectedDrop) {
+		if _, err := f.onSend(FrameApply, "a:1"); !errors.Is(err, ErrInjectedDrop) {
 			t.Fatalf("match %d: want ErrInjectedDrop, got %v", i, err)
 		}
 	}
-	if _, err := f.onSend(frameApply, "a:1"); err != nil {
+	if _, err := f.onSend(FrameApply, "a:1"); err != nil {
 		t.Fatalf("expired rule must pass: %v", err)
 	}
 }
@@ -38,12 +38,12 @@ func TestFaultWildcardsAndOrder(t *testing.T) {
 	f.Inject(FaultRule{Addr: "a:1", Count: 1, Dup: true})
 	f.Inject(FaultRule{Drop: true}) // unlimited wildcard behind it
 
-	act, err := f.onSend(frameApply, "a:1")
+	act, err := f.onSend(FrameApply, "a:1")
 	if err != nil || !act.dup {
 		t.Fatalf("first rule must win: act=%+v err=%v", act, err)
 	}
 	// The dup rule expired; the wildcard drop now matches everything.
-	if _, err := f.onSend(frameJoin, "anything"); !errors.Is(err, ErrInjectedDrop) {
+	if _, err := f.onSend(FrameJoin, "anything"); !errors.Is(err, ErrInjectedDrop) {
 		t.Fatalf("wildcard drop must match, got %v", err)
 	}
 }
@@ -54,7 +54,7 @@ func TestFaultDelayJitterDeterministic(t *testing.T) {
 		f.Inject(FaultRule{Delay: 50 * time.Millisecond, Jitter: 0.5})
 		var out []time.Duration
 		for i := 0; i < 5; i++ {
-			act, err := f.onSend(frameApply, "a:1")
+			act, err := f.onSend(FrameApply, "a:1")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestFaultPartitionHealClear(t *testing.T) {
 	f := NewFaults(1)
 	f.Partition("a:1", "b:2")
 	cut := func(addr string) bool {
-		_, err := f.onSend(frameStatus, addr)
+		_, err := f.onSend(FrameStatus, addr)
 		return errors.Is(err, ErrPartitioned)
 	}
 	if !cut("a:1") || !cut("b:2") {
@@ -93,7 +93,7 @@ func TestFaultPartitionHealClear(t *testing.T) {
 	if cut("b:2") {
 		t.Fatal("clear must lift partitions")
 	}
-	if _, err := f.onSend(frameApply, "b:2"); err != nil {
+	if _, err := f.onSend(FrameApply, "b:2"); err != nil {
 		t.Fatalf("clear must drop rules: %v", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestFaultsOnWire(t *testing.T) {
 		Net: faults,
 		Control: func(typ byte, payload []byte) (byte, []byte) {
 			seen <- typ
-			return FrameAck, EncodeAck("")
+			return FrameAck, Marshal(&Ack{})
 		},
 	}
 	srv, err := StartOpts(keys.LowerAlnum, []int{8}, 1, Options{Control: opts.Control})
@@ -132,21 +132,21 @@ func TestFaultsOnWire(t *testing.T) {
 	defer cancel()
 
 	// A dropped frame is a transport error on the sender.
-	faults.Inject(FaultRule{Type: frameApply, Count: 1, Drop: true})
-	if _, _, err := cli.ControlRoundTrip(ctx, addr, frameApply, EncodeAck("")); !errors.Is(err, ErrInjectedDrop) {
+	faults.Inject(FaultRule{Type: FrameApply, Count: 1, Drop: true})
+	if _, _, err := cli.ControlRoundTrip(ctx, addr, FrameApply, Marshal(&Ack{})); !errors.Is(err, ErrInjectedDrop) {
 		t.Fatalf("want ErrInjectedDrop, got %v", err)
 	}
 
 	// A duplicated frame reaches the handler twice; one reply returns.
-	faults.Inject(FaultRule{Type: frameApply, Count: 1, Dup: true})
-	rtyp, _, err := cli.ControlRoundTrip(ctx, addr, frameApply, EncodeAck(""))
+	faults.Inject(FaultRule{Type: FrameApply, Count: 1, Dup: true})
+	rtyp, _, err := cli.ControlRoundTrip(ctx, addr, FrameApply, Marshal(&Ack{}))
 	if err != nil || rtyp != FrameAck {
 		t.Fatalf("dup round-trip: rtyp=%d err=%v", rtyp, err)
 	}
 	for i := 0; i < 2; i++ {
 		select {
 		case typ := <-seen:
-			if typ != frameApply {
+			if typ != FrameApply {
 				t.Fatalf("handler saw frame %d", typ)
 			}
 		case <-time.After(5 * time.Second):
@@ -156,11 +156,11 @@ func TestFaultsOnWire(t *testing.T) {
 
 	// A partition cuts the send before any dial.
 	faults.Partition(addr)
-	if _, _, err := cli.ControlRoundTrip(ctx, addr, frameStatus, nil); !errors.Is(err, ErrPartitioned) {
+	if _, _, err := cli.ControlRoundTrip(ctx, addr, FrameStatus, nil); !errors.Is(err, ErrPartitioned) {
 		t.Fatalf("want ErrPartitioned, got %v", err)
 	}
 	faults.Heal(addr)
-	if _, _, err := cli.ControlRoundTrip(ctx, addr, frameStatus, nil); err != nil {
+	if _, _, err := cli.ControlRoundTrip(ctx, addr, FrameStatus, nil); err != nil {
 		t.Fatalf("healed round-trip: %v", err)
 	}
 }

@@ -31,12 +31,14 @@
 // before it. A walk emits keys in ascending order, so a key costs its
 // new suffix and two small varints; any order round-trips exactly.
 //
-// Payloads are hand-rolled varint/length-prefixed encodings of the
-// small wire structs — unlike a per-connection gob stream there is no
-// per-encoder type-descriptor preamble, and every frame is
-// independently decodable, which multiplexing requires. Encode
-// buffers are reused through a sync.Pool; each connection's single
-// reader goroutine owns a growable decode buffer.
+// Every other payload with a fixed layout — the hop, its reply, the
+// QUERY, the STREAM_END and the control messages — is a Message of the
+// one codec in wire.go: one code method per payload, for both
+// directions. The STREAM batch and the REPLICA batch (a catalogue
+// envelope) each hide a format of their own and keep their encoders,
+// which code their leading fields on the same wire. Encode buffers are
+// reused through a sync.Pool; each connection's single reader
+// goroutine owns a growable decode buffer.
 
 package transport
 
@@ -103,15 +105,15 @@ const (
 	// STATUS/ADMIN carry the admin plane's opaque JSON. The transport
 	// does not interpret these payloads beyond framing: they dispatch
 	// to the Options.Control handler, and internal/daemon owns the
-	// protocol (see handshake.go for the payload codecs).
-	frameJoin       = 11
-	frameHello      = 12
-	frameLeave      = 13
-	frameApply      = 14
-	frameStatus     = 15
-	frameStatusResp = 16
-	frameAdmin      = 17
-	frameAdminResp  = 18
+	// protocol (see handshake.go for the payloads).
+	FrameJoin       = 11
+	FrameHello      = 12
+	FrameLeave      = 13
+	FrameApply      = 14
+	FrameStatus     = 15
+	FrameStatusResp = 16
+	FrameAdmin      = 17
+	FrameAdminResp  = 18
 	// The failover control plane: ELECT asks a surviving member to
 	// vote for the sender's stewardship under a proposed epoch,
 	// EPOCH_OPEN is the winning candidate's barrier (members adopt the
@@ -121,13 +123,16 @@ const (
 	// tail of the apply log from a member that is ahead of the new
 	// steward. Like the rest of the control plane, the payloads belong
 	// to internal/daemon (see handshake.go).
-	frameElect         = 19
-	frameElectResp     = 20
-	frameEpochOpen     = 21
-	frameEpochOpenResp = 22
-	frameResync        = 23
-	frameFetch         = 24
-	frameFetchResp     = 25
+	FrameElect         = 19
+	FrameElectResp     = 20
+	FrameEpochOpen     = 21
+	FrameEpochOpenResp = 22
+	FrameResync        = 23
+	FrameFetch         = 24
+	FrameFetchResp     = 25
+	// FrameAck is the RESPONSE that acknowledges a LEAVE, APPLY or
+	// RESYNC: its payload is an Ack.
+	FrameAck = frameResponse
 )
 
 // frameHeaderSize is type(1) + id(8) + payloadLen(4).
@@ -295,17 +300,17 @@ func (fc *frameConn) writeHop(h *overlay.Hop) error {
 		typ = frameQRoute
 	}
 	bp := framePool.Get().(*[]byte)
-	return fc.writeFrame(bp, appendHop(beginTracedFrame(*bp, typ, h.Origin, h.TC), h))
+	return fc.writeFrame(bp, appendPayload(beginTracedFrame(*bp, typ, h.Origin, h.TC), (*hop)(h)))
 }
 
 func (fc *frameConn) writeResponse(id uint64, resp *overlay.Reply) error {
 	bp := framePool.Get().(*[]byte)
-	return fc.writeFrame(bp, appendResponse(beginFrame(*bp, frameResponse, id), resp))
+	return fc.writeFrame(bp, appendPayload(beginFrame(*bp, frameResponse, id), (*reply)(resp)))
 }
 
 func (fc *frameConn) writeQuery(id uint64, tc trace.Context, q *queryReq) error {
 	bp := framePool.Get().(*[]byte)
-	return fc.writeFrame(bp, appendQuery(beginTracedFrame(*bp, frameQuery, id, tc), q))
+	return fc.writeFrame(bp, appendPayload(beginTracedFrame(*bp, frameQuery, id, tc), q))
 }
 
 // writeStream puts one step of a stream on the wire in a single
@@ -325,7 +330,7 @@ func (fc *frameConn) writeStream(id uint64, batch []keys.Key, st *streamEnd, las
 	if last && err == nil {
 		start := len(buf)
 		buf = appendFrameHeader(buf, frameStreamEnd, id)
-		buf = appendStreamEnd(buf, st)
+		buf = appendPayload(buf, st)
 		err = sealFrame(buf, start)
 	}
 	if err == nil {
@@ -363,223 +368,77 @@ func (fc *frameConn) writeStreamAck(id uint64) error {
 	return fc.writeFrame(bp, beginFrame(*bp, frameStreamAck, id))
 }
 
-// --- payload encoding --------------------------------------------------------
+// --- payloads ----------------------------------------------------------------
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
+// hop is the payload of a routed frame. A REQUEST carries the key, the
+// phase as "going up" and the route; a QROUTE the anchor, the phase as
+// "descending", the nodes visited and the route. The route is what
+// every hop handles the same way: where the walk stands, its counters,
+// and who waits for the answer. The frame type tells the two apart, so
+// a decode reads Query, which the caller sets from the type.
+type hop overlay.Hop
 
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+func (h *hop) code(w *wire) {
+	w.key(&h.Key)
+	phase := h.Down == h.Query
+	w.bool(&phase)
+	if w.dec {
+		h.Down = phase == h.Query
 	}
-	return append(b, 0)
-}
-
-func getUvarint(p []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(p)
-	if n <= 0 {
-		return 0, nil, errors.New("transport: truncated varint")
-	}
-	return v, p[n:], nil
-}
-
-func getString(p []byte) (string, []byte, error) {
-	n, p, err := getUvarint(p)
-	if err != nil {
-		return "", nil, err
-	}
-	if uint64(len(p)) < n {
-		return "", nil, errors.New("transport: truncated string")
-	}
-	return string(p[:n]), p[n:], nil
-}
-
-func getBool(p []byte) (bool, []byte, error) {
-	if len(p) < 1 {
-		return false, nil, errors.New("transport: truncated bool")
-	}
-	return p[0] != 0, p[1:], nil
-}
-
-// appendHop encodes a routed hop. A REQUEST payload is the key, the
-// phase as "going up" and the route; a QROUTE payload the anchor, the
-// phase as "descending", the nodes visited and the route. The route is
-// what every hop handles the same way: where the walk stands, its
-// counters, and who waits for the answer.
-func appendHop(b []byte, h *overlay.Hop) []byte {
-	b = appendString(b, string(h.Key))
-	b = appendBool(b, h.Down == h.Query)
 	if h.Query {
-		b = binary.AppendUvarint(b, uint64(h.Visited))
+		w.int(&h.Visited)
 	}
-	b = appendString(b, string(h.At))
-	b = binary.AppendUvarint(b, uint64(h.Logical))
-	b = binary.AppendUvarint(b, uint64(h.Physical))
-	b = binary.AppendUvarint(b, uint64(h.Redirects))
-	b = binary.AppendUvarint(b, h.Origin)
-	return appendString(b, h.ReplyTo)
+	w.key(&h.At)
+	w.int(&h.Logical)
+	w.int(&h.Physical)
+	w.int(&h.Redirects)
+	w.u64(&h.Origin)
+	w.str(&h.ReplyTo)
 }
 
-// decodeHop parses a REQUEST payload or, with h.Query set, a QROUTE's.
-func decodeHop(p []byte, h *overlay.Hop) error {
-	var err error
-	var s string
-	var v uint64
-	var flag bool
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("hop key: %w", err)
-	}
-	h.Key = keys.Key(s)
-	if flag, p, err = getBool(p); err != nil {
-		return fmt.Errorf("hop phase: %w", err)
-	}
-	h.Down = flag == h.Query
-	if h.Query {
-		if v, p, err = getUvarint(p); err != nil {
-			return fmt.Errorf("hop visited: %w", err)
-		}
-		h.Visited = int(v)
-	}
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("hop at: %w", err)
-	}
-	h.At = keys.Key(s)
-	for _, c := range [...]*int{&h.Logical, &h.Physical, &h.Redirects} {
-		if v, p, err = getUvarint(p); err != nil {
-			return fmt.Errorf("hop counters: %w", err)
-		}
-		*c = int(v)
-	}
-	if h.Origin, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("hop origin: %w", err)
-	}
-	if h.ReplyTo, _, err = getString(p); err != nil {
-		return fmt.Errorf("hop replyTo: %w", err)
-	}
-	return nil
+// reply is the payload of a RESPONSE: the answer that ends a routed
+// request, the installed count (Logical) of a REPLICA, or an Ack.
+type reply overlay.Reply
+
+func (r *reply) code(w *wire) {
+	w.bool(&r.Found)
+	w.bool(&r.Dropped)
+	w.strs(&r.Values)
+	w.key(&r.Anchor)
+	w.int(&r.Logical)
+	w.int(&r.Physical)
+	w.int(&r.Visited)
+	w.str(&r.Err)
+	w.bool(&r.Retry)
 }
 
-func appendResponse(b []byte, resp *overlay.Reply) []byte {
-	b = appendBool(b, resp.Found)
-	b = appendBool(b, resp.Dropped)
-	b = binary.AppendUvarint(b, uint64(len(resp.Values)))
-	for _, v := range resp.Values {
-		b = appendString(b, v)
+// code sends a negative (unlimited) limit as 0, which means the same.
+func (q *queryReq) code(w *wire) {
+	w.bool(&q.Range)
+	w.key(&q.Prefix)
+	w.key(&q.Lo)
+	w.key(&q.Hi)
+	limit := max(q.Limit, 0)
+	w.int(&limit)
+	if w.dec {
+		q.Limit = limit
 	}
-	b = appendString(b, string(resp.Anchor))
-	b = binary.AppendUvarint(b, uint64(resp.Logical))
-	b = binary.AppendUvarint(b, uint64(resp.Physical))
-	b = binary.AppendUvarint(b, uint64(resp.Visited))
-	b = appendString(b, resp.Err)
-	return appendBool(b, resp.Retry)
+	w.key(&q.Entry)
+	w.bool(&q.Walk)
+	codeCounters(w, &q.QueryResult)
 }
 
-func decodeResponse(p []byte, resp *overlay.Reply) error {
-	var err error
-	var v uint64
-	if resp.Found, p, err = getBool(p); err != nil {
-		return fmt.Errorf("response found: %w", err)
-	}
-	if resp.Dropped, p, err = getBool(p); err != nil {
-		return fmt.Errorf("response dropped: %w", err)
-	}
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("response value count: %w", err)
-	}
-	// Each value costs at least one byte on the wire: a count beyond
-	// the remaining payload is corrupt, and pre-allocating from it
-	// would let a tiny frame demand an arbitrary allocation.
-	if v > uint64(len(p)) {
-		return errors.New("transport: implausible value count")
-	}
-	resp.Values = nil
-	if v > 0 {
-		resp.Values = make([]string, 0, v)
-		for i := uint64(0); i < v; i++ {
-			var s string
-			if s, p, err = getString(p); err != nil {
-				return fmt.Errorf("response value %d: %w", i, err)
-			}
-			resp.Values = append(resp.Values, s)
-		}
-	}
-	var s string
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("response anchor: %w", err)
-	}
-	resp.Anchor = keys.Key(s)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("response logical: %w", err)
-	}
-	resp.Logical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("response physical: %w", err)
-	}
-	resp.Physical = int(v)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("response visited: %w", err)
-	}
-	resp.Visited = int(v)
-	if resp.Err, p, err = getString(p); err != nil {
-		return fmt.Errorf("response err: %w", err)
-	}
-	if resp.Retry, _, err = getBool(p); err != nil {
-		return fmt.Errorf("response retry: %w", err)
-	}
-	return nil
+func (end *streamEnd) code(w *wire) {
+	codeCounters(w, &end.QueryResult)
+	w.str(&end.Err)
 }
 
-func appendQuery(b []byte, q *queryReq) []byte {
-	b = appendBool(b, q.Range)
-	b = appendString(b, string(q.Prefix))
-	b = appendString(b, string(q.Lo))
-	b = appendString(b, string(q.Hi))
-	limit := q.Limit
-	if limit < 0 {
-		limit = 0
-	}
-	b = binary.AppendUvarint(b, uint64(limit))
-	b = appendString(b, string(q.Entry))
-	b = appendBool(b, q.Walk)
-	return appendCounters(b, &q.QueryResult)
-}
-
-func decodeQuery(p []byte, q *queryReq) error {
-	var err error
-	var s string
-	var v uint64
-	if q.Range, p, err = getBool(p); err != nil {
-		return fmt.Errorf("query range: %w", err)
-	}
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("query prefix: %w", err)
-	}
-	q.Prefix = keys.Key(s)
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("query lo: %w", err)
-	}
-	q.Lo = keys.Key(s)
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("query hi: %w", err)
-	}
-	q.Hi = keys.Key(s)
-	if v, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("query limit: %w", err)
-	}
-	q.Limit = int(v)
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("query entry: %w", err)
-	}
-	q.Entry = keys.Key(s)
-	if q.Walk, p, err = getBool(p); err != nil {
-		return fmt.Errorf("query walk: %w", err)
-	}
-	if _, err = getCounters(p, &q.QueryResult); err != nil {
-		return fmt.Errorf("query: %w", err)
-	}
-	return nil
+// codeCounters codes the traversal counters a QUERY payload ends with
+// and every STREAM and STREAM_END payload starts with.
+func codeCounters(w *wire, r *core.QueryResult) {
+	w.int(&r.LogicalHops)
+	w.int(&r.PhysicalHops)
+	w.int(&r.NodesVisited)
 }
 
 // appendReplicaBatch frames one successor batch: From and To, then
@@ -589,8 +448,9 @@ func decodeQuery(p []byte, q *queryReq) error {
 // one LOUDS trie instead of repeating every string, and the version
 // byte lets mixed-version peers interoperate during a rollout.
 func appendReplicaBatch(b []byte, batch *core.ReplicaBatch) []byte {
-	b = appendString(b, string(batch.From))
-	b = appendString(b, string(batch.To))
+	w := wire{b: b}
+	w.key(&batch.From)
+	w.key(&batch.To)
 	entries := make([]catalog.Entry, len(batch.Infos))
 	for i, info := range batch.Infos {
 		entries[i] = catalog.Entry{
@@ -606,21 +466,17 @@ func appendReplicaBatch(b []byte, batch *core.ReplicaBatch) []byte {
 			entries[i].Children[j] = string(c)
 		}
 	}
-	return catalog.Append(b, catalog.Default, entries, catalog.SecAll)
+	return catalog.Append(w.b, catalog.Default, entries, catalog.SecAll)
 }
 
 func decodeReplicaBatch(p []byte, batch *core.ReplicaBatch) error {
-	var err error
-	var s string
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("replica from: %w", err)
+	w := wire{p: p, dec: true}
+	w.key(&batch.From)
+	w.key(&batch.To)
+	if w.err != nil {
+		return fmt.Errorf("replica batch: %w", w.err)
 	}
-	batch.From = keys.Key(s)
-	if s, p, err = getString(p); err != nil {
-		return fmt.Errorf("replica to: %w", err)
-	}
-	batch.To = keys.Key(s)
-	entries, _, err := catalog.Decode(p)
+	entries, _, err := catalog.Decode(w.p)
 	if err != nil {
 		return fmt.Errorf("replica batch: %w", err)
 	}
@@ -645,40 +501,22 @@ func decodeReplicaBatch(p []byte, batch *core.ReplicaBatch) error {
 	return nil
 }
 
-// appendCounters and getCounters code the traversal counters a QUERY
-// payload ends with and every STREAM and STREAM_END payload starts
-// with.
-func appendCounters(b []byte, r *core.QueryResult) []byte {
-	b = binary.AppendUvarint(b, uint64(r.LogicalHops))
-	b = binary.AppendUvarint(b, uint64(r.PhysicalHops))
-	return binary.AppendUvarint(b, uint64(r.NodesVisited))
-}
-
-func getCounters(p []byte, r *core.QueryResult) ([]byte, error) {
-	var v [3]uint64
-	var err error
-	for i := range v {
-		if v[i], p, err = getUvarint(p); err != nil {
-			return nil, fmt.Errorf("counters: %w", err)
-		}
-	}
-	r.LogicalHops, r.PhysicalHops, r.NodesVisited = int(v[0]), int(v[1]), int(v[2])
-	return p, nil
-}
-
 // appendStreamBatch encodes a STREAM payload: the counters of
 // progress (Err unused), then batch front-coded key by key.
 func appendStreamBatch(b []byte, batch []keys.Key, progress *streamEnd) []byte {
-	b = appendCounters(b, &progress.QueryResult)
-	b = binary.AppendUvarint(b, uint64(len(batch)))
+	w := wire{b: b}
+	codeCounters(&w, &progress.QueryResult)
+	n := len(batch)
+	w.int(&n)
 	var prev keys.Key
 	for _, k := range batch {
 		shared := len(keys.GCP(prev, k))
-		b = binary.AppendUvarint(b, uint64(shared))
-		b = appendString(b, string(k[shared:]))
+		suffix := k[shared:]
+		w.int(&shared)
+		w.key(&suffix)
 		prev = k
 	}
-	return b
+	return w.b
 }
 
 // decodeStreamBatch parses a STREAM payload. The returned keys are
@@ -689,24 +527,23 @@ func appendStreamBatch(b []byte, batch []keys.Key, progress *streamEnd) []byte {
 // an error before anything is allocated from it.
 func decodeStreamBatch(p []byte) ([]keys.Key, streamEnd, error) {
 	var progress streamEnd
-	p, err := getCounters(p, &progress.QueryResult)
-	if err != nil {
-		return nil, progress, fmt.Errorf("stream %w", err)
+	w := wire{p: p, dec: true}
+	codeCounters(&w, &progress.QueryResult)
+	if w.err != nil {
+		return nil, progress, fmt.Errorf("stream counters: %w", w.err)
 	}
-	n, p, err := getUvarint(p)
-	if err != nil || n > streamFrameKeys { // no server fills a frame beyond the ceiling
+	n, ok := w.uvarint()
+	if !ok || n > streamFrameKeys { // no server fills a frame beyond the ceiling
 		return nil, progress, errors.New("transport: implausible stream key count")
 	}
 	total, prevLen := uint64(0), uint64(0)
-	for q, i := p, uint64(0); i < n; i++ {
-		var shared, suffix uint64
-		if shared, q, err = getUvarint(q); err == nil {
-			suffix, q, err = getUvarint(q)
-		}
-		if err != nil || shared > prevLen || suffix > uint64(len(q)) {
+	for r, i := w, uint64(0); i < n; i++ {
+		shared, _ := r.uvarint()
+		suffix, ok := r.uvarint()
+		if !ok || shared > prevLen || suffix > uint64(len(r.p)) {
 			return nil, progress, fmt.Errorf("transport: corrupt stream key %d of %d", i, n)
 		}
-		q = q[suffix:]
+		r.p = r.p[suffix:]
 		prevLen = shared + suffix
 		if total += prevLen; total > maxFramePayload {
 			return nil, progress, errFrameTooLarge
@@ -717,30 +554,14 @@ func decodeStreamBatch(p []byte) ([]keys.Key, streamEnd, error) {
 	arena.Grow(int(total)) // no reallocation below: one arena per frame
 	var prev string
 	for i := range out {
-		var shared, suffix uint64
-		shared, p, _ = getUvarint(p)
-		suffix, p, _ = getUvarint(p)
+		shared, _ := w.uvarint()
+		suffix, _ := w.uvarint()
 		start := arena.Len()
 		arena.WriteString(prev[:shared])
-		arena.Write(p[:suffix])
-		p = p[suffix:]
+		arena.Write(w.p[:suffix])
+		w.p = w.p[suffix:]
 		prev = arena.String()[start:]
 		out[i] = keys.Key(prev)
 	}
 	return out, progress, nil
-}
-
-func appendStreamEnd(b []byte, end *streamEnd) []byte {
-	return appendString(appendCounters(b, &end.QueryResult), end.Err)
-}
-
-func decodeStreamEnd(p []byte, end *streamEnd) error {
-	p, err := getCounters(p, &end.QueryResult)
-	if err == nil {
-		end.Err, _, err = getString(p)
-	}
-	if err != nil {
-		return fmt.Errorf("stream-end: %w", err)
-	}
-	return nil
 }

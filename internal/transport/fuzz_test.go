@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"reflect"
 	"sort"
@@ -51,19 +52,20 @@ func (c *fuzzConn) SetWriteDeadline(t time.Time) error { return nil }
 // decoder and through the frame reader itself (header parsing, the
 // payload length guard, the 0x80 trace-header extension). The
 // decoders own the trust boundary with remote peers: whatever the
-// bytes, they must return an error rather than panic or over-allocate.
+// bytes, they must return an error rather than panic or over-allocate,
+// and whatever decodes must encode to bytes that decode to the same.
 func FuzzFrameDecode(f *testing.F) {
 	// Valid payloads of each shape seed the corpus.
-	var req overlay.Hop
-	f.Add(appendHop(nil, &overlay.Hop{Key: "abc", At: "ab", Logical: 3, Physical: 2, Redirects: 1}))
-	f.Add(appendHop(nil, &overlay.Hop{Key: "abc", Down: true, At: "ab", Physical: 1, Origin: 1 << 40, ReplyTo: "127.0.0.1:4100"}))
-	f.Add(appendResponse(nil, &overlay.Reply{Found: true, Values: []string{"v1", "v2"}, Logical: 7, Err: "boom"}))
-	f.Add(appendResponse(nil, &overlay.Reply{Physical: 2, Err: "dial refused", Retry: true}))
-	f.Add(appendResponse(nil, &overlay.Reply{Found: true, Anchor: "anc", Logical: 4, Physical: 2, Visited: 5}))
-	f.Add(appendQuery(nil, &queryReq{QuerySpec: core.QuerySpec{Range: true, Lo: "a", Hi: "z", Limit: 5}, Entry: "m", Walk: true}))
-	f.Add(appendHop(nil, &overlay.Hop{Query: true, Key: "anc", Down: true, Visited: 9, At: "at"}))
-	f.Add(appendHop(nil, &overlay.Hop{Query: true, Key: "anc", Visited: 1, At: "at", Origin: 77, ReplyTo: "[::1]:9"}))
-	f.Add(appendStreamEnd(nil, &streamEnd{QueryResult: counters(1, 2, 3), Err: "end"}))
+	var req hop
+	f.Add(Marshal(&hop{Key: "abc", At: "ab", Logical: 3, Physical: 2, Redirects: 1}))
+	f.Add(Marshal(&hop{Key: "abc", Down: true, At: "ab", Physical: 1, Origin: 1 << 40, ReplyTo: "127.0.0.1:4100"}))
+	f.Add(Marshal(&reply{Found: true, Values: []string{"v1", "v2"}, Logical: 7, Err: "boom"}))
+	f.Add(Marshal(&reply{Physical: 2, Err: "dial refused", Retry: true}))
+	f.Add(Marshal(&reply{Found: true, Anchor: "anc", Logical: 4, Physical: 2, Visited: 5}))
+	f.Add(Marshal(&queryReq{QuerySpec: core.QuerySpec{Range: true, Lo: "a", Hi: "z", Limit: 5}, Entry: "m", Walk: true}))
+	f.Add(Marshal(&hop{Query: true, Key: "anc", Down: true, Visited: 9, At: "at"}))
+	f.Add(Marshal(&hop{Query: true, Key: "anc", Visited: 1, At: "at", Origin: 77, ReplyTo: "[::1]:9"}))
+	f.Add(Marshal(&streamEnd{QueryResult: counters(1, 2, 3), Err: "end"}))
 	// STREAM payloads: front-coded keys, an empty batch, and a key
 	// claiming to share more bytes than its predecessor has.
 	f.Add(appendStreamBatch(nil, []keys.Key{"dgemm", "dgemv", "dgetrf", "dge", "sgemm"}, &streamEnd{QueryResult: counters(4, 2, 9)}))
@@ -78,11 +80,11 @@ func FuzzFrameDecode(f *testing.F) {
 	fc := &frameConn{conn: &fuzzConn{}}
 	var stream bytes.Buffer
 	fc.conn = &fuzzConn{w: &stream}
-	if err := fc.writeRaw(frameRequest, 1, appendHop(nil, &req)); err != nil {
+	if err := fc.writeRaw(frameRequest, 1, Marshal(&req)); err != nil {
 		f.Fatal(err)
 	}
 	buf := beginTracedFrame(nil, frameRequest, 2, trace.Context{Trace: 7, Span: 9})
-	buf = appendHop(buf, &req)
+	buf = appendPayload(buf, &req)
 	if err := fc.finishFrame(buf); err != nil {
 		f.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func FuzzFrameDecode(f *testing.F) {
 	hostile := beginFrame(nil, frameResponse, 4)
 	binary.BigEndian.PutUint32(hostile[9:13], maxFramePayload+1)
 	f.Add(hostile)
-	// The control plane: one valid payload per decoder. The daemon
+	// The control plane: one valid payload per message. The daemon
 	// feeds every one of these bytes from another process.
 	mirror := Mirror{
 		Epoch: 2, Seq: 41, StewardAddr: "[::1]:7",
@@ -102,52 +104,46 @@ func FuzzFrameDecode(f *testing.F) {
 			[]persist.PeerState{{ID: "m1", Capacity: 8}, {ID: "m2", Capacity: 8}}, fuzzCatalogue{}),
 	}
 	apply := &ApplyRecord{Seq: 41, Epoch: 2, Op: OpJoin, Key: "k", Value: "v", ID: "m2", Capacity: 8, Addr: "[::1]:9"}
-	f.Add(EncodeJoin(&JoinRequest{Version: HandshakeVersion, Alphabet: "ab", Placement: "KC", Addr: "[::1]:9", Capacity: 8}))
-	f.Add(EncodeHello(&HelloInfo{Version: HandshakeVersion, Alphabet: "ab", Placement: "KC", AssignedID: "m2", Mirror: mirror}))
-	f.Add(EncodeMirror(&mirror))
-	f.Add(EncodeLeave(&LeaveNotice{ID: "m2", Addr: "[::1]:9", Epoch: 2}))
-	f.Add(EncodeApply(apply))
-	f.Add(EncodeElect(&ElectRequest{Epoch: 3, ID: "m2", Addr: "[::1]:9", Seq: 41}))
-	f.Add(EncodeElectReply(&ElectReply{Granted: true, Epoch: 3, Seq: 40, StewardAddr: "[::1]:7", Err: "e"}))
-	f.Add(EncodeEpochOpen(&EpochOpen{Epoch: 3, StewardID: "m2", StewardAddr: "[::1]:9", Seq: 41}))
-	f.Add(EncodeEpochOpenReply(&EpochOpenReply{Seq: 40, Err: "e"}))
-	f.Add(EncodeFetch(&FetchRequest{From: 40}))
-	f.Add(EncodeFetchReply(&FetchReply{Records: []*ApplyRecord{apply}, Err: "e"}))
-	f.Add(EncodeAck("refused"))
+	for _, m := range []Message{
+		&JoinRequest{Version: HandshakeVersion, Alphabet: "ab", Placement: "KC", Addr: "[::1]:9", Capacity: 8},
+		&HelloInfo{Version: HandshakeVersion, Alphabet: "ab", Placement: "KC", AssignedID: "m2", Mirror: mirror},
+		&mirror,
+		&LeaveNotice{ID: "m2", Addr: "[::1]:9", Epoch: 2},
+		apply,
+		&ElectRequest{Epoch: 3, ID: "m2", Addr: "[::1]:9", Seq: 41},
+		&ElectReply{Granted: true, Epoch: 3, Seq: 40, StewardAddr: "[::1]:7", Err: "e"},
+		&EpochOpen{Epoch: 3, StewardID: "m2", StewardAddr: "[::1]:9", Seq: 41},
+		&EpochOpenReply{Seq: 40, Err: "e"},
+		&FetchRequest{From: 40},
+		&FetchReply{Records: []*ApplyRecord{apply}, Err: "e"},
+		&Ack{Err: "refused"},
+	} {
+		f.Add(Marshal(m))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeJoin(data)
-		_, _ = DecodeLeave(data)
-		_, _ = DecodeApply(data)
-		_, _ = DecodeElect(data)
-		_, _ = DecodeElectReply(data)
-		_, _ = DecodeEpochOpen(data)
-		_, _ = DecodeEpochOpenReply(data)
-		_, _ = DecodeFetch(data)
-		_, _ = DecodeFetchReply(data)
-		_, _ = DecodeAck(data)
-		// A mirror that decodes carries an image the installer will
-		// parse: that, too, must refuse rather than panic.
-		var mirrors []*Mirror
-		if m, err := DecodeMirror(data); err == nil {
-			mirrors = append(mirrors, m)
-		}
-		if h, err := DecodeHello(data); err == nil {
-			mirrors = append(mirrors, &h.Mirror)
-		}
-		for _, m := range mirrors {
-			if snap, err := persist.ParseImage(m.Image); err == nil {
+		for _, fresh := range freshMessages {
+			m := fresh()
+			if Unmarshal(data, m) != nil {
+				continue
+			}
+			again := fresh()
+			if err := Unmarshal(Marshal(m), again); err != nil || !reflect.DeepEqual(m, again) {
+				t.Fatalf("%T re-encoded: decoded %+v (err %v), want %+v", m, again, err, m)
+			}
+			// A mirror that decodes carries an image the installer will
+			// parse: that, too, must refuse rather than panic.
+			var image []byte
+			switch m := m.(type) {
+			case *Mirror:
+				image = m.Image
+			case *HelloInfo:
+				image = m.Image
+			}
+			if snap, err := persist.ParseImage(image); image != nil && err == nil {
 				_ = snap.Ascend(func(catalog.Entry) bool { return true })
 			}
 		}
-		var req overlay.Hop
-		_ = decodeHop(data, &req)
-		var resp overlay.Reply
-		_ = decodeResponse(data, &resp)
-		var q queryReq
-		_ = decodeQuery(data, &q)
-		rq := overlay.Hop{Query: true}
-		_ = decodeHop(data, &rq)
 		var batch core.ReplicaBatch
 		_ = decodeReplicaBatch(data, &batch)
 		if batch, _, err := decodeStreamBatch(data); err == nil {
@@ -164,8 +160,6 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			}
 		}
-		var end streamEnd
-		_ = decodeStreamEnd(data, &end)
 
 		// The frame reader over the same bytes as a connection stream:
 		// it must terminate with an error or EOF, never panic, and
@@ -193,70 +187,54 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add("k\xffe\x00y", "a\nt", true, 1<<20, 42, 4, "x", "boom", uint64(1), uint64(0), []byte{0x80, 0xff})
 
 	f.Fuzz(func(t *testing.T, key, at string, flag bool, n1, n2, n3 int, blob, errStr string, traceID, spanID uint64, payload []byte) {
-		if n1 < 0 {
-			n1 = -n1
-		}
-		if n2 < 0 {
-			n2 = -n2
-		}
-		if n3 < 0 {
-			n3 = -n3
-		}
+		// No encoder writes a negative int (the decoder refuses one).
+		n1, n2, n3 = n1&math.MaxInt, n2&math.MaxInt, n3&math.MaxInt
 		values := splitNonEmpty(blob)
 
+		// A hop decodes with Query preset from its frame type.
 		req := overlay.Hop{Key: keys.Key(key), Down: !flag, At: keys.Key(at), Logical: n1, Physical: n2, Redirects: n3, Origin: traceID, ReplyTo: errStr}
-		var gotReq overlay.Hop
-		if err := decodeHop(appendHop(nil, &req), &gotReq); err != nil {
-			t.Fatalf("decodeHop: %v", err)
-		}
-		if !reflect.DeepEqual(req, gotReq) {
-			t.Fatalf("request round-trip: %+v != %+v", req, gotReq)
-		}
-
-		resp := overlay.Reply{Found: flag, Dropped: !flag, Values: values, Anchor: keys.Key(at), Logical: n1, Physical: n2, Visited: n3, Err: errStr, Retry: flag}
-		var gotResp overlay.Reply
-		if err := decodeResponse(appendResponse(nil, &resp), &gotResp); err != nil {
-			t.Fatalf("decodeResponse: %v", err)
-		}
-		if len(gotResp.Values) == 0 {
-			gotResp.Values = nil
-		}
-		if len(resp.Values) == 0 {
-			resp.Values = nil
-		}
-		if !reflect.DeepEqual(resp, gotResp) {
-			t.Fatalf("response round-trip: %+v != %+v", resp, gotResp)
-		}
-
-		q := queryReq{
-			QuerySpec: core.QuerySpec{Range: flag, Prefix: keys.Key(key), Lo: keys.Key(at), Hi: keys.Key(errStr), Limit: n1},
-			Entry:     keys.Key(blob), Walk: !flag, QueryResult: counters(n2, n3, n1),
-		}
-		var gotQ queryReq
-		if err := decodeQuery(appendQuery(nil, &q), &gotQ); err != nil {
-			t.Fatalf("decodeQuery: %v", err)
-		}
-		if !reflect.DeepEqual(q, gotQ) {
-			t.Fatalf("query round-trip: %+v != %+v", q, gotQ)
-		}
-
 		rq := req
 		rq.Query, rq.Down, rq.Visited = true, flag, n3
-		gotRq := overlay.Hop{Query: true}
-		if err := decodeHop(appendHop(nil, &rq), &gotRq); err != nil {
-			t.Fatalf("decodeHop: %v", err)
-		}
-		if !reflect.DeepEqual(rq, gotRq) {
-			t.Fatalf("qroute round-trip: %+v != %+v", rq, gotRq)
+		for _, h := range []overlay.Hop{req, rq} {
+			got := overlay.Hop{Query: h.Query}
+			if err := Unmarshal(Marshal((*hop)(&h)), (*hop)(&got)); err != nil || !reflect.DeepEqual(h, got) {
+				t.Fatalf("hop round-trip: %+v != %+v (err %v)", got, h, err)
+			}
 		}
 
-		end := streamEnd{QueryResult: counters(n1, n2, n3), Err: errStr}
-		var gotEnd streamEnd
-		if err := decodeStreamEnd(appendStreamEnd(nil, &end), &gotEnd); err != nil {
-			t.Fatalf("decodeStreamEnd: %v", err)
+		// Every other Message: empty lists are built as they decode, an
+		// empty string list nil and the others empty.
+		members := []Member{}
+		records := []*ApplyRecord{}
+		for i, v := range values {
+			members = append(members, Member{ID: keys.Key(v), Addr: at, Capacity: n1})
+			records = append(records, &ApplyRecord{Seq: uint64(i), Epoch: spanID, Op: byte(n2), Key: keys.Key(v), Value: key, ID: keys.Key(at), Capacity: n3, Addr: errStr})
 		}
-		if !reflect.DeepEqual(end, gotEnd) {
-			t.Fatalf("streamEnd round-trip: %+v != %+v", end, gotEnd)
+		mirror := Mirror{Epoch: traceID, Seq: spanID, StewardAddr: at, Members: members, Image: append([]byte{}, payload...)}
+		for _, m := range []Message{
+			&JoinRequest{Version: n1, Alphabet: key, Placement: at, Addr: errStr, Capacity: n2},
+			&HelloInfo{Version: n3, Err: errStr, Alphabet: key, Placement: blob, AssignedID: keys.Key(at), Mirror: mirror},
+			&mirror,
+			&LeaveNotice{ID: keys.Key(key), Addr: at, Epoch: traceID},
+			&ApplyRecord{Seq: traceID, Epoch: spanID, Op: byte(n1), Key: keys.Key(key), Value: blob, ID: keys.Key(at), Capacity: n2, Addr: errStr},
+			&ElectRequest{Epoch: traceID, ID: keys.Key(key), Addr: at, Seq: spanID},
+			&ElectReply{Granted: flag, Epoch: traceID, Seq: spanID, StewardAddr: at, Err: errStr},
+			&EpochOpen{Epoch: spanID, StewardID: keys.Key(at), StewardAddr: key, Seq: traceID},
+			&EpochOpenReply{Seq: traceID, Err: errStr},
+			&FetchRequest{From: spanID},
+			&FetchReply{Records: records, Err: errStr},
+			&Ack{Err: errStr},
+			&reply{Found: flag, Dropped: !flag, Values: values, Anchor: keys.Key(at), Logical: n1, Physical: n2, Visited: n3, Err: errStr, Retry: flag},
+			&queryReq{
+				QuerySpec: core.QuerySpec{Range: flag, Prefix: keys.Key(key), Lo: keys.Key(at), Hi: keys.Key(errStr), Limit: n1},
+				Entry:     keys.Key(blob), Walk: !flag, QueryResult: counters(n2, n3, n1),
+			},
+			&streamEnd{QueryResult: counters(n1, n2, n3), Err: errStr},
+		} {
+			got := reflect.New(reflect.TypeOf(m).Elem()).Interface().(Message)
+			if err := Unmarshal(Marshal(m), got); err != nil || !reflect.DeepEqual(m, got) {
+				t.Fatalf("%T round-trip: %+v != %+v (err %v)", m, got, m, err)
+			}
 		}
 
 		// A STREAM batch keeps its order whatever it is: the values as
@@ -354,6 +332,29 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("payload round-trip: %x != %x", gotPayload, payload)
 		}
 	})
+}
+
+// freshMessages makes a zero value of every Message the wire carries:
+// the control messages and the data-path payloads, a QROUTE hop (whose
+// frame type presets Query) among them.
+var freshMessages = []func() Message{
+	func() Message { return new(JoinRequest) },
+	func() Message { return new(HelloInfo) },
+	func() Message { return new(Mirror) },
+	func() Message { return new(LeaveNotice) },
+	func() Message { return new(ApplyRecord) },
+	func() Message { return new(ElectRequest) },
+	func() Message { return new(ElectReply) },
+	func() Message { return new(EpochOpen) },
+	func() Message { return new(EpochOpenReply) },
+	func() Message { return new(FetchRequest) },
+	func() Message { return new(FetchReply) },
+	func() Message { return new(Ack) },
+	func() Message { return new(hop) },
+	func() Message { return &hop{Query: true} },
+	func() Message { return new(reply) },
+	func() Message { return new(queryReq) },
+	func() Message { return new(streamEnd) },
 }
 
 // counters builds the traversal counters the QUERY, STREAM and

@@ -4,8 +4,9 @@
 // full-state mirror. The transport frames and round-trips these
 // (Options.Control on the server side, ControlRoundTrip and client.go
 // on the client side) but does not act on them — internal/daemon owns
-// the protocol. Payloads use the same hand-rolled varint codecs as
-// the routing frames; the handshake is explicitly versioned so
+// the protocol. Each payload is a Message: its code method lists its
+// fields once for both directions (wire.go), and the daemon moves it
+// with Marshal and Unmarshal. The handshake is explicitly versioned so
 // incompatible daemons reject each other instead of corrupting a
 // shared overlay. The whole overlay travels (Mirror, in HELLO and
 // RESYNC) as the image internal/persist writes to snapshot files: it
@@ -13,14 +14,7 @@
 
 package transport
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
-	"dlpt/internal/keys"
-	"dlpt/internal/overlay"
-)
+import "dlpt/internal/keys"
 
 // HandshakeVersion is the JOIN/HELLO protocol revision. A joiner and
 // its bootstrap peer must agree exactly: the APPLY mutation stream
@@ -34,31 +28,6 @@ import (
 // Revision 5 ships HELLO and RESYNC state as one overlay image: a
 // revision-4 member would parse it as an inline node list.
 const HandshakeVersion = 5
-
-// Exported frame-type aliases for control round-trips: the daemon
-// package addresses its frames with these, and a control handler
-// returns one of the *Resp/Ack types.
-const (
-	FrameJoin       = frameJoin
-	FrameHello      = frameHello
-	FrameLeave      = frameLeave
-	FrameApply      = frameApply
-	FrameStatus     = frameStatus
-	FrameStatusResp = frameStatusResp
-	FrameAdmin      = frameAdmin
-	FrameAdminResp  = frameAdminResp
-	// The failover control plane (see frame.go for semantics).
-	FrameElect         = frameElect
-	FrameElectResp     = frameElectResp
-	FrameEpochOpen     = frameEpochOpen
-	FrameEpochOpenResp = frameEpochOpenResp
-	FrameResync        = frameResync
-	FrameFetch         = frameFetch
-	FrameFetchResp     = frameFetchResp
-	// FrameAck acknowledges a LEAVE, APPLY or RESYNC (a plain RESPONSE
-	// frame carrying only an error string; see EncodeAck).
-	FrameAck = frameResponse
-)
 
 // Overlay mutation opcodes carried by ApplyRecord. Every mutation the
 // steward serializes is one of these; members replay them against
@@ -149,239 +118,58 @@ type ApplyRecord struct {
 	Addr     string   // Join: advertised listener address
 }
 
-// EncodeJoin marshals a JoinRequest payload.
-func EncodeJoin(jr *JoinRequest) []byte {
-	b := binary.AppendUvarint(nil, uint64(jr.Version))
-	b = appendString(b, jr.Alphabet)
-	b = appendString(b, jr.Placement)
-	b = appendString(b, jr.Addr)
-	return binary.AppendUvarint(b, uint64(jr.Capacity))
+func (jr *JoinRequest) code(w *wire) {
+	w.int(&jr.Version)
+	w.str(&jr.Alphabet)
+	w.str(&jr.Placement)
+	w.str(&jr.Addr)
+	w.int(&jr.Capacity)
 }
 
-// DecodeJoin unmarshals a JoinRequest payload.
-func DecodeJoin(p []byte) (*JoinRequest, error) {
-	var jr JoinRequest
-	var err error
-	var v uint64
-	if v, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("join version: %w", err)
+// code runs to the end of the payload: a Mirror is all of a RESYNC and
+// the tail of a HELLO.
+func (m *Mirror) code(w *wire) {
+	w.u64(&m.Epoch)
+	w.u64(&m.Seq)
+	w.str(&m.StewardAddr)
+	n := len(m.Members)
+	w.count(&n)
+	if w.dec {
+		m.Members = make([]Member, n)
 	}
-	jr.Version = int(v)
-	if jr.Alphabet, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("join alphabet: %w", err)
+	for i := range m.Members {
+		mb := &m.Members[i]
+		w.key(&mb.ID)
+		w.str(&mb.Addr)
+		w.int(&mb.Capacity)
 	}
-	if jr.Placement, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("join placement: %w", err)
-	}
-	if jr.Addr, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("join addr: %w", err)
-	}
-	if v, _, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("join capacity: %w", err)
-	}
-	jr.Capacity = int(v)
-	return &jr, nil
+	w.raw(&m.Image)
 }
 
-// EncodeHello marshals a HelloInfo payload.
-func EncodeHello(h *HelloInfo) []byte {
-	b := binary.AppendUvarint(nil, uint64(h.Version))
-	b = appendString(b, h.Err)
-	b = appendString(b, h.Alphabet)
-	b = appendString(b, h.Placement)
-	b = appendString(b, string(h.AssignedID))
-	return appendMirror(b, &h.Mirror)
+func (h *HelloInfo) code(w *wire) {
+	w.int(&h.Version)
+	w.str(&h.Err)
+	w.str(&h.Alphabet)
+	w.str(&h.Placement)
+	w.key(&h.AssignedID)
+	h.Mirror.code(w)
 }
 
-// EncodeMirror marshals a RESYNC payload.
-func EncodeMirror(m *Mirror) []byte { return appendMirror(nil, m) }
-
-// DecodeMirror unmarshals a RESYNC payload.
-func DecodeMirror(p []byte) (*Mirror, error) {
-	var m Mirror
-	if err := getMirror(p, &m); err != nil {
-		return nil, err
-	}
-	return &m, nil
+func (ln *LeaveNotice) code(w *wire) {
+	w.key(&ln.ID)
+	w.str(&ln.Addr)
+	w.u64(&ln.Epoch)
 }
 
-func appendMirror(b []byte, m *Mirror) []byte {
-	b = binary.AppendUvarint(b, m.Epoch)
-	b = binary.AppendUvarint(b, m.Seq)
-	b = appendString(b, m.StewardAddr)
-	b = appendMembers(b, m.Members)
-	b = binary.AppendUvarint(b, uint64(len(m.Image)))
-	return append(b, m.Image...)
-}
-
-// getMirror decodes a Mirror that runs to the end of p.
-func getMirror(p []byte, m *Mirror) error {
-	var err error
-	if m.Epoch, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("mirror epoch: %w", err)
-	}
-	if m.Seq, p, err = getUvarint(p); err != nil {
-		return fmt.Errorf("mirror seq: %w", err)
-	}
-	if m.StewardAddr, p, err = getString(p); err != nil {
-		return fmt.Errorf("mirror steward: %w", err)
-	}
-	if m.Members, p, err = getMembers(p); err != nil {
-		return fmt.Errorf("mirror: %w", err)
-	}
-	n, p, err := getUvarint(p)
-	if err != nil {
-		return fmt.Errorf("mirror image length: %w", err)
-	}
-	if n > uint64(len(p)) {
-		return errors.New("transport: truncated mirror image")
-	}
-	m.Image = p[:n:n]
-	return nil
-}
-
-// appendMembers encodes a count-prefixed member table.
-func appendMembers(b []byte, ms []Member) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ms)))
-	for _, m := range ms {
-		b = appendString(b, string(m.ID))
-		b = appendString(b, m.Addr)
-		b = binary.AppendUvarint(b, uint64(m.Capacity))
-	}
-	return b
-}
-
-// getMembers decodes a count-prefixed member table.
-func getMembers(p []byte) ([]Member, []byte, error) {
-	v, p, err := getUvarint(p)
-	if err != nil {
-		return nil, nil, fmt.Errorf("member count: %w", err)
-	}
-	if v > uint64(len(p)) {
-		return nil, nil, errors.New("transport: implausible member count")
-	}
-	ms := make([]Member, 0, v)
-	for i := uint64(0); i < v; i++ {
-		var m Member
-		var s string
-		var c uint64
-		if s, p, err = getString(p); err != nil {
-			return nil, nil, fmt.Errorf("member %d id: %w", i, err)
-		}
-		m.ID = keys.Key(s)
-		if m.Addr, p, err = getString(p); err != nil {
-			return nil, nil, fmt.Errorf("member %d addr: %w", i, err)
-		}
-		if c, p, err = getUvarint(p); err != nil {
-			return nil, nil, fmt.Errorf("member %d capacity: %w", i, err)
-		}
-		m.Capacity = int(c)
-		ms = append(ms, m)
-	}
-	return ms, p, nil
-}
-
-// DecodeHello unmarshals a HelloInfo payload.
-func DecodeHello(p []byte) (*HelloInfo, error) {
-	var h HelloInfo
-	var err error
-	var s string
-	var v uint64
-	if v, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("hello version: %w", err)
-	}
-	h.Version = int(v)
-	if h.Err, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("hello err: %w", err)
-	}
-	if h.Alphabet, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("hello alphabet: %w", err)
-	}
-	if h.Placement, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("hello placement: %w", err)
-	}
-	if s, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("hello assigned id: %w", err)
-	}
-	h.AssignedID = keys.Key(s)
-	if err = getMirror(p, &h.Mirror); err != nil {
-		return nil, fmt.Errorf("hello: %w", err)
-	}
-	return &h, nil
-}
-
-// EncodeLeave marshals a LeaveNotice payload.
-func EncodeLeave(ln *LeaveNotice) []byte {
-	b := appendString(nil, string(ln.ID))
-	b = appendString(b, ln.Addr)
-	return binary.AppendUvarint(b, ln.Epoch)
-}
-
-// DecodeLeave unmarshals a LeaveNotice payload.
-func DecodeLeave(p []byte) (*LeaveNotice, error) {
-	var ln LeaveNotice
-	var err error
-	var s string
-	if s, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("leave id: %w", err)
-	}
-	ln.ID = keys.Key(s)
-	if ln.Addr, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("leave addr: %w", err)
-	}
-	if ln.Epoch, _, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("leave epoch: %w", err)
-	}
-	return &ln, nil
-}
-
-// EncodeApply marshals an ApplyRecord payload.
-func EncodeApply(rec *ApplyRecord) []byte {
-	b := binary.AppendUvarint(nil, rec.Seq)
-	b = binary.AppendUvarint(b, rec.Epoch)
-	b = append(b, rec.Op)
-	b = appendString(b, string(rec.Key))
-	b = appendString(b, rec.Value)
-	b = appendString(b, string(rec.ID))
-	b = binary.AppendUvarint(b, uint64(rec.Capacity))
-	return appendString(b, rec.Addr)
-}
-
-// DecodeApply unmarshals an ApplyRecord payload.
-func DecodeApply(p []byte) (*ApplyRecord, error) {
-	var rec ApplyRecord
-	var err error
-	var s string
-	var v uint64
-	if rec.Seq, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("apply seq: %w", err)
-	}
-	if rec.Epoch, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("apply epoch: %w", err)
-	}
-	if len(p) < 1 {
-		return nil, errors.New("apply op: truncated")
-	}
-	rec.Op, p = p[0], p[1:]
-	if s, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("apply key: %w", err)
-	}
-	rec.Key = keys.Key(s)
-	if rec.Value, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("apply value: %w", err)
-	}
-	if s, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("apply id: %w", err)
-	}
-	rec.ID = keys.Key(s)
-	if v, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("apply capacity: %w", err)
-	}
-	rec.Capacity = int(v)
-	if rec.Addr, _, err = getString(p); err != nil {
-		return nil, fmt.Errorf("apply addr: %w", err)
-	}
-	return &rec, nil
+func (rec *ApplyRecord) code(w *wire) {
+	w.u64(&rec.Seq)
+	w.u64(&rec.Epoch)
+	w.byte(&rec.Op)
+	w.key(&rec.Key)
+	w.str(&rec.Value)
+	w.key(&rec.ID)
+	w.int(&rec.Capacity)
+	w.str(&rec.Addr)
 }
 
 // ElectRequest asks a surviving member to vote for the sender as the
@@ -446,188 +234,72 @@ type FetchReply struct {
 	Err     string
 }
 
-// EncodeElect marshals an ElectRequest payload.
-func EncodeElect(er *ElectRequest) []byte {
-	b := binary.AppendUvarint(nil, er.Epoch)
-	b = appendString(b, string(er.ID))
-	b = appendString(b, er.Addr)
-	return binary.AppendUvarint(b, er.Seq)
+// Ack acknowledges a LEAVE, APPLY or RESYNC in band: an empty Err
+// accepts, anything else is the refusal. It travels as a RESPONSE
+// (FrameAck) carrying nothing but the error.
+type Ack struct {
+	Err string
 }
 
-// DecodeElect unmarshals an ElectRequest payload.
-func DecodeElect(p []byte) (*ElectRequest, error) {
-	var er ElectRequest
-	var err error
-	var s string
-	if er.Epoch, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("elect epoch: %w", err)
-	}
-	if s, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("elect id: %w", err)
-	}
-	er.ID = keys.Key(s)
-	if er.Addr, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("elect addr: %w", err)
-	}
-	if er.Seq, _, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("elect seq: %w", err)
-	}
-	return &er, nil
+func (er *ElectRequest) code(w *wire) {
+	w.u64(&er.Epoch)
+	w.key(&er.ID)
+	w.str(&er.Addr)
+	w.u64(&er.Seq)
 }
 
-// EncodeElectReply marshals an ElectReply payload.
-func EncodeElectReply(er *ElectReply) []byte {
-	b := appendBool(nil, er.Granted)
-	b = binary.AppendUvarint(b, er.Epoch)
-	b = binary.AppendUvarint(b, er.Seq)
-	b = appendString(b, er.StewardAddr)
-	return appendString(b, er.Err)
+func (er *ElectReply) code(w *wire) {
+	w.bool(&er.Granted)
+	w.u64(&er.Epoch)
+	w.u64(&er.Seq)
+	w.str(&er.StewardAddr)
+	w.str(&er.Err)
 }
 
-// DecodeElectReply unmarshals an ElectReply payload.
-func DecodeElectReply(p []byte) (*ElectReply, error) {
-	var er ElectReply
-	var err error
-	if er.Granted, p, err = getBool(p); err != nil {
-		return nil, fmt.Errorf("elect reply granted: %w", err)
-	}
-	if er.Epoch, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("elect reply epoch: %w", err)
-	}
-	if er.Seq, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("elect reply seq: %w", err)
-	}
-	if er.StewardAddr, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("elect reply steward: %w", err)
-	}
-	if er.Err, _, err = getString(p); err != nil {
-		return nil, fmt.Errorf("elect reply err: %w", err)
-	}
-	return &er, nil
+func (eo *EpochOpen) code(w *wire) {
+	w.u64(&eo.Epoch)
+	w.key(&eo.StewardID)
+	w.str(&eo.StewardAddr)
+	w.u64(&eo.Seq)
 }
 
-// EncodeEpochOpen marshals an EpochOpen payload.
-func EncodeEpochOpen(eo *EpochOpen) []byte {
-	b := binary.AppendUvarint(nil, eo.Epoch)
-	b = appendString(b, string(eo.StewardID))
-	b = appendString(b, eo.StewardAddr)
-	return binary.AppendUvarint(b, eo.Seq)
+func (eo *EpochOpenReply) code(w *wire) {
+	w.u64(&eo.Seq)
+	w.str(&eo.Err)
 }
 
-// DecodeEpochOpen unmarshals an EpochOpen payload.
-func DecodeEpochOpen(p []byte) (*EpochOpen, error) {
-	var eo EpochOpen
-	var err error
-	var s string
-	if eo.Epoch, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("epoch open epoch: %w", err)
-	}
-	if s, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("epoch open steward id: %w", err)
-	}
-	eo.StewardID = keys.Key(s)
-	if eo.StewardAddr, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("epoch open steward addr: %w", err)
-	}
-	if eo.Seq, _, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("epoch open seq: %w", err)
-	}
-	return &eo, nil
-}
+func (fr *FetchRequest) code(w *wire) { w.u64(&fr.From) }
 
-// EncodeEpochOpenReply marshals an EpochOpenReply payload.
-func EncodeEpochOpenReply(eo *EpochOpenReply) []byte {
-	b := binary.AppendUvarint(nil, eo.Seq)
-	return appendString(b, eo.Err)
-}
-
-// DecodeEpochOpenReply unmarshals an EpochOpenReply payload.
-func DecodeEpochOpenReply(p []byte) (*EpochOpenReply, error) {
-	var eo EpochOpenReply
-	var err error
-	if eo.Seq, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("epoch open reply seq: %w", err)
+// code nests each record as a length-prefixed ApplyRecord payload.
+func (fr *FetchReply) code(w *wire) {
+	w.str(&fr.Err)
+	n := len(fr.Records)
+	w.count(&n)
+	if w.dec {
+		fr.Records = make([]*ApplyRecord, n)
 	}
-	if eo.Err, _, err = getString(p); err != nil {
-		return nil, fmt.Errorf("epoch open reply err: %w", err)
-	}
-	return &eo, nil
-}
-
-// EncodeFetch marshals a FetchRequest payload.
-func EncodeFetch(fr *FetchRequest) []byte {
-	return binary.AppendUvarint(nil, fr.From)
-}
-
-// DecodeFetch unmarshals a FetchRequest payload.
-func DecodeFetch(p []byte) (*FetchRequest, error) {
-	var fr FetchRequest
-	var err error
-	if fr.From, _, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("fetch from: %w", err)
-	}
-	return &fr, nil
-}
-
-// EncodeFetchReply marshals a FetchReply payload. Records nest as
-// length-prefixed EncodeApply payloads.
-func EncodeFetchReply(fr *FetchReply) []byte {
-	b := appendString(nil, fr.Err)
-	b = binary.AppendUvarint(b, uint64(len(fr.Records)))
-	for _, rec := range fr.Records {
-		rb := EncodeApply(rec)
-		b = binary.AppendUvarint(b, uint64(len(rb)))
-		b = append(b, rb...)
-	}
-	return b
-}
-
-// DecodeFetchReply unmarshals a FetchReply payload.
-func DecodeFetchReply(p []byte) (*FetchReply, error) {
-	var fr FetchReply
-	var err error
-	var v uint64
-	if fr.Err, p, err = getString(p); err != nil {
-		return nil, fmt.Errorf("fetch reply err: %w", err)
-	}
-	if v, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("fetch reply record count: %w", err)
-	}
-	if v > uint64(len(p)) {
-		return nil, errors.New("transport: implausible record count")
-	}
-	fr.Records = make([]*ApplyRecord, 0, v)
-	for i := uint64(0); i < v; i++ {
-		var n uint64
-		if n, p, err = getUvarint(p); err != nil {
-			return nil, fmt.Errorf("fetch reply record %d len: %w", i, err)
+	for i := range fr.Records {
+		var p []byte
+		if !w.dec {
+			p = Marshal(fr.Records[i])
 		}
-		if n > uint64(len(p)) {
-			return nil, errors.New("transport: truncated fetch record")
+		w.raw(&p)
+		if w.dec && w.err == nil {
+			fr.Records[i] = new(ApplyRecord)
+			w.err = Unmarshal(p, fr.Records[i])
 		}
-		rec, err := DecodeApply(p[:n])
-		if err != nil {
-			return nil, fmt.Errorf("fetch reply record %d: %w", i, err)
-		}
-		p = p[n:]
-		fr.Records = append(fr.Records, rec)
 	}
-	return &fr, nil
 }
 
-// EncodeAck marshals a LEAVE/APPLY acknowledgement (a RESPONSE frame
-// carrying only an error string; empty means success).
-func EncodeAck(errStr string) []byte {
-	resp := overlay.Reply{Err: errStr}
-	return appendResponse(nil, &resp)
-}
-
-// DecodeAck unmarshals an acknowledgement, returning its in-band
-// error string.
-func DecodeAck(p []byte) (string, error) {
-	var resp overlay.Reply
-	if err := decodeResponse(p, &resp); err != nil {
-		return "", err
+// code keeps the reply it encodes apart from the one it decodes: an
+// Err that only passes through to the wire then stays off the heap.
+func (a *Ack) code(w *wire) {
+	if !w.dec {
+		r := reply{Err: a.Err}
+		r.code(w)
+		return
 	}
-	return resp.Err, nil
+	var r reply
+	r.code(w)
+	a.Err = r.Err
 }

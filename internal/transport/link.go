@@ -189,7 +189,7 @@ func (l link) Ship(tc trace.Context, b core.ReplicaBatch) (int, error) {
 		return 0, err
 	}
 	var resp overlay.Reply
-	if err := decodeResponse(msg.payload, &resp); err != nil {
+	if err := Unmarshal(msg.payload, (*reply)(&resp)); err != nil {
 		return 0, err
 	}
 	if resp.Err != "" {

@@ -198,8 +198,8 @@ func (p *connPool) demux(pc *poolConn) {
 			return
 		}
 		switch typ {
-		case frameResponse, frameHello, frameStatusResp, frameAdminResp,
-			frameElectResp, frameEpochOpenResp, frameFetchResp:
+		case frameResponse, FrameHello, FrameStatusResp, FrameAdminResp,
+			FrameElectResp, FrameEpochOpenResp, FrameFetchResp:
 			pc.mu.Lock()
 			rch := pc.raw[id]
 			delete(pc.raw, id)
@@ -222,7 +222,7 @@ func (p *connPool) demux(pc *poolConn) {
 			cs.deliver(streamMsg{batch: batch, info: progress})
 		case frameStreamEnd:
 			var end streamEnd
-			if err := decodeStreamEnd(payload, &end); err != nil {
+			if err := Unmarshal(payload, &end); err != nil {
 				p.fail(pc, err)
 				return
 			}

@@ -3,7 +3,9 @@ package transport
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"sync"
@@ -233,7 +235,7 @@ func TestForwardRetriesStaleAddress(t *testing.T) {
 		t.Fatalf("answer frame: type %d id %d err %v", typ, id, err)
 	}
 	var rep overlay.Reply
-	if err := decodeResponse(payload, &rep); err != nil {
+	if err := Unmarshal(payload, (*reply)(&rep)); err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Found || len(rep.Values) != 1 || rep.Values[0] != string(corpus[0]) {
@@ -296,9 +298,9 @@ func TestWireValuesSorted(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	req := overlay.Hop{Key: "pdgesv", At: "pd",
 		Logical: 7, Physical: 3, Redirects: 2, Origin: 41, ReplyTo: "127.0.0.1:7001"}
-	buf := appendHop(nil, &req)
+	buf := Marshal((*hop)(&req))
 	var got overlay.Hop
-	if err := decodeHop(buf, &got); err != nil {
+	if err := Unmarshal(buf, (*hop)(&got)); err != nil {
 		t.Fatal(err)
 	}
 	if got != req {
@@ -307,9 +309,9 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	resp := overlay.Reply{Found: true, Values: []string{"a", "b"},
 		Logical: 9, Physical: 4, Err: "boom", Retry: true}
-	buf = appendResponse(nil, &resp)
+	buf = Marshal((*reply)(&resp))
 	var gotR overlay.Reply
-	if err := decodeResponse(buf, &gotR); err != nil {
+	if err := Unmarshal(buf, (*reply)(&gotR)); err != nil {
 		t.Fatal(err)
 	}
 	if gotR.Found != resp.Found || gotR.Logical != resp.Logical ||
@@ -319,14 +321,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	var truncated overlay.Hop
-	if err := decodeHop(buf[:1], &truncated); err == nil {
+	if err := Unmarshal(buf[:1], (*hop)(&truncated)); err == nil {
 		t.Fatal("truncated payload decoded without error")
 	}
 
 	resp = overlay.Reply{Dropped: true}
-	buf = appendResponse(buf[:0], &resp)
+	buf = appendPayload(buf[:0], (*reply)(&resp))
 	gotR = overlay.Reply{}
-	if err := decodeResponse(buf, &gotR); err != nil {
+	if err := Unmarshal(buf, (*reply)(&gotR)); err != nil {
 		t.Fatal(err)
 	}
 	if !gotR.Dropped || gotR.Found {
@@ -334,17 +336,17 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	q := queryReq{QuerySpec: core.QuerySpec{Range: true, Lo: "aa", Hi: "zz", Limit: 10}, Entry: "m"}
-	buf = appendQuery(nil, &q)
+	buf = Marshal(&q)
 	var gotQ queryReq
-	if err := decodeQuery(buf, &gotQ); err != nil {
+	if err := Unmarshal(buf, &gotQ); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotQ, q) {
 		t.Fatalf("query round-trip: got %+v want %+v", gotQ, q)
 	}
 	neg := queryReq{QuerySpec: core.QuerySpec{Prefix: "pd", Limit: -5}}
-	buf = appendQuery(buf[:0], &neg)
-	if err := decodeQuery(buf, &gotQ); err != nil {
+	buf = appendPayload(buf[:0], &neg)
+	if err := Unmarshal(buf, &gotQ); err != nil {
 		t.Fatal(err)
 	}
 	if gotQ.Limit != 0 {
@@ -352,9 +354,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 
 	end := streamEnd{QueryResult: counters(11, 5, 42), Err: "halt"}
-	buf = appendStreamEnd(nil, &end)
+	buf = Marshal(&end)
 	var gotE streamEnd
-	if err := decodeStreamEnd(buf, &gotE); err != nil {
+	if err := Unmarshal(buf, &gotE); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotE, end) {
@@ -379,5 +381,33 @@ func TestFrameRoundTrip(t *testing.T) {
 	corrupt = binary.AppendUvarint(corrupt, 1<<40)
 	if _, _, err := decodeStreamBatch(corrupt); err == nil {
 		t.Fatal("implausible stream count decoded without error")
+	}
+}
+
+// TestHostileCountersRefused pins the decode of an integer beyond int.
+// No encoder writes a negative one, and a uvarint of 2⁶³ or more would
+// come back negative: a REQUEST whose Redirects wrapped would pass
+// MaxRedirects and bounce off its own host without end. Each payload
+// is the field's neighbours in hex around the counter under test.
+func TestHostileCountersRefused(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		msg           func() Message
+		before, after string
+	}{
+		{"REQUEST redirects", func() Message { return new(hop) }, "016b00016b0000", "0000"},
+		{"QROUTE visited", func() Message { return &hop{Query: true} }, "016b00", "016b0000000000"},
+		{"RESPONSE logical", func() Message { return new(reply) }, "00000000", "00000000"},
+		{"JOIN capacity", func() Message { return new(JoinRequest) }, "05026162024b43075b3a3a315d3a39", ""},
+	} {
+		for _, n := range []uint64{math.MaxInt, 1 << 63, math.MaxUint64} {
+			before, _ := hex.DecodeString(c.before)
+			after, _ := hex.DecodeString(c.after)
+			p := append(binary.AppendUvarint(before, n), after...)
+			err := Unmarshal(p, c.msg())
+			if fits := n <= math.MaxInt; fits != (err == nil) {
+				t.Errorf("%s = %d: decode error %v", c.name, n, err)
+			}
+		}
 	}
 }

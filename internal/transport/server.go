@@ -112,7 +112,7 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 		switch typ {
 		case frameRequest, frameQRoute:
 			h := overlay.Hop{Query: typ == frameQRoute, TC: tc}
-			if err := decodeHop(payload, &h); err != nil {
+			if err := Unmarshal(payload, (*hop)(&h)); err != nil {
 				return // protocol violation: drop the connection
 			}
 			select {
@@ -126,13 +126,13 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 			}
 		case frameResponse:
 			var rep overlay.Reply
-			if err := decodeResponse(payload, &rep); err != nil {
+			if err := Unmarshal(payload, (*reply)(&rep)); err != nil {
 				rep = overlay.Reply{Err: err.Error()}
 			}
 			c.Complete(id, rep)
 		case frameQuery:
 			var q queryReq
-			if err := decodeQuery(payload, &q); err != nil {
+			if err := Unmarshal(payload, &q); err != nil {
 				return // protocol violation: drop the connection
 			}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -148,8 +148,8 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 				defer c.wg.Done()
 				c.serveQuery(ctx, sc, id, st, q, tc)
 			}()
-		case frameJoin, frameLeave, frameApply, frameStatus, frameAdmin,
-			frameElect, frameEpochOpen, frameResync, frameFetch:
+		case FrameJoin, FrameLeave, FrameApply, FrameStatus, FrameAdmin,
+			FrameElect, FrameEpochOpen, FrameResync, FrameFetch:
 			// Control plane: hand the frame to the daemon layer. The
 			// payload aliases the read buffer, so the handler gets a
 			// copy; a goroutine per frame keeps the read loop moving

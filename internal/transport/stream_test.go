@@ -65,8 +65,9 @@ func TestStreamBatchFrontCoding(t *testing.T) {
 		return binary.AppendUvarint(b, n)
 	}
 	key := func(b []byte, shared uint64, suffix string) []byte {
-		b = binary.AppendUvarint(b, shared)
-		return appendString(b, suffix)
+		w := wire{b: binary.AppendUvarint(b, shared)}
+		w.str(&suffix)
+		return w.b
 	}
 	bomb := key(head(64), 0, strings.Repeat("x", 1<<20))
 	for i := 1; i < 64; i++ {
@@ -317,7 +318,7 @@ func (w *wireClient) next(id uint64, wait time.Duration) (batch []keys.Key, end 
 		return batch, nil, true
 	case frameStreamEnd:
 		end = &streamEnd{}
-		if err := decodeStreamEnd(payload, end); err != nil {
+		if err := Unmarshal(payload, end); err != nil {
 			w.t.Fatal(err)
 		}
 		return nil, end, true

@@ -266,7 +266,8 @@ func TestOversizedControlReplyAnsweredInBand(t *testing.T) {
 	if rtyp != FrameAck {
 		t.Fatalf("reply frame %d, want an ack", rtyp)
 	}
-	if es, err := DecodeAck(p); err != nil || es != errFrameTooLarge.Error() {
-		t.Fatalf("ack = %q, %v; want %q", es, err, errFrameTooLarge)
+	var ack Ack
+	if err := Unmarshal(p, &ack); err != nil || ack.Err != errFrameTooLarge.Error() {
+		t.Fatalf("ack = %q, %v; want %q", ack.Err, err, errFrameTooLarge)
 	}
 }

@@ -68,7 +68,7 @@ func TestFramesOfPreviousEncoderDecode(t *testing.T) {
 		switch {
 		case f.hop != nil:
 			h := overlay.Hop{Query: typ == frameQRoute, TC: gotTC}
-			err = decodeHop(payload, &h)
+			err = Unmarshal(payload, (*hop)(&h))
 			got, wantV = h, *f.hop
 			if id != f.hop.Origin {
 				t.Errorf("%s: decoded under id %d, want %d", f.name, id, f.hop.Origin)
@@ -78,14 +78,14 @@ func TestFramesOfPreviousEncoderDecode(t *testing.T) {
 			}
 		case f.reply != nil:
 			var rep overlay.Reply
-			err = decodeResponse(payload, &rep)
+			err = Unmarshal(payload, (*reply)(&rep))
 			got, wantV = rep, *f.reply
 			if err == nil {
 				err = fc.writeResponse(id, f.reply)
 			}
 		case f.query != nil:
 			var q queryReq
-			err = decodeQuery(payload, &q)
+			err = Unmarshal(payload, &q)
 			got, wantV = q, *f.query
 			if err == nil {
 				err = fc.writeQuery(id, gotTC, f.query)
@@ -100,7 +100,7 @@ func TestFramesOfPreviousEncoderDecode(t *testing.T) {
 			}
 		default:
 			var end streamEnd
-			err = decodeStreamEnd(payload, &end)
+			err = Unmarshal(payload, &end)
 			got, wantV = end, *f.end
 			if err == nil {
 				err = fc.writeStream(id, nil, f.end, true)
