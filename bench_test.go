@@ -22,7 +22,6 @@ import (
 	"dlpt/internal/lb"
 	"dlpt/internal/pgrid"
 	"dlpt/internal/pht"
-	"dlpt/internal/sim"
 	"dlpt/internal/transport"
 	"dlpt/internal/trie"
 	"dlpt/internal/workload"
@@ -59,7 +58,7 @@ func BenchmarkFigure8(b *testing.B) { benchSpec(b, experiments.Figure8(true)) }
 // lexicographic mapping).
 func BenchmarkFigure9(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunFigure9(true); err != nil {
+		if _, err := experiments.RunFigure9(experiments.Figure9(true)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,7 +67,7 @@ func BenchmarkFigure9(b *testing.B) {
 // BenchmarkTable1 regenerates the Table 1 gain summary.
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(true); err != nil {
+		if _, err := experiments.Table1(true, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +76,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the Table 2 complexity comparison.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(true); err != nil {
+		if _, err := experiments.Table2(true, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +86,7 @@ func BenchmarkTable2(b *testing.B) {
 // maintenance-cost ablation.
 func BenchmarkAblationMaintenance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMaintenance(true); err != nil {
+		if _, err := experiments.AblationMaintenance(true, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -302,18 +301,15 @@ func BenchmarkPGridLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkSimUnit measures one full simulation time unit at paper
-// scale (100 peers, 1000 keys) with MLT enabled.
-func BenchmarkSimUnit(b *testing.B) {
-	cfg := sim.DefaultConfig()
-	cfg.Runs = 1
+// BenchmarkRunPaperScale measures one run of the per-unit loop at
+// paper scale (100 peers, 1000 keys, 50 units) with MLT enabled.
+func BenchmarkRunPaperScale(b *testing.B) {
+	cfg := experiments.DefaultConfig()
 	cfg.Strategy = "MLT"
 	cfg.LoadFraction = 0.4
-	// Amortize: each iteration simulates TimeUnits units.
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		if _, err := sim.Run(cfg); err != nil {
+		if _, err := experiments.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,7 +321,7 @@ func BenchmarkZipf(b *testing.B) { benchSpec(b, experiments.Zipf(true)) }
 // BenchmarkAblationObjective regenerates the MLT-objective ablation.
 func BenchmarkAblationObjective(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationObjective(true); err != nil {
+		if _, err := experiments.AblationObjective(true, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -100,31 +100,33 @@ func run(name string, quick bool, format string, seed int64, w io.Writer) error 
 	case "zipf":
 		return runFigure(experiments.Zipf(quick))
 	case "fig9":
-		ds, err := experiments.RunFigure9(quick)
+		spec := experiments.Figure9(quick)
+		spec.Base.Seed = seed
+		ds, err := experiments.RunFigure9(spec)
 		if err != nil {
 			return err
 		}
 		return writeDS(ds)
 	case "table1":
-		tb, err := experiments.Table1(quick)
+		tb, err := experiments.Table1(quick, seed)
 		if err != nil {
 			return err
 		}
 		return tb.Render(w)
 	case "table2":
-		tb, err := experiments.Table2(quick)
+		tb, err := experiments.Table2(quick, seed)
 		if err != nil {
 			return err
 		}
 		return tb.Render(w)
 	case "ablation":
-		tb, err := experiments.AblationMaintenance(quick)
+		tb, err := experiments.AblationMaintenance(quick, seed)
 		if err != nil {
 			return err
 		}
 		return tb.Render(w)
 	case "objective":
-		tb, err := experiments.AblationObjective(quick)
+		tb, err := experiments.AblationObjective(quick, seed)
 		if err != nil {
 			return err
 		}

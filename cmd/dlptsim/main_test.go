@@ -122,3 +122,21 @@ func TestEnginesNodeSpreadAgrees(t *testing.T) {
 		t.Fatalf("node spread per engine = %q, want three equal rows:\n%s", spreads, b.String())
 	}
 }
+
+// Every experiment draws from -seed: two seeds print two outputs.
+func TestSeedChangesOutput(t *testing.T) {
+	for _, name := range []string{"table1", "fig9", "objective", "table2", "ablation"} {
+		t.Run(name, func(t *testing.T) {
+			var a, b strings.Builder
+			if err := run(name, true, "gnuplot", 1, &a); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(name, true, "gnuplot", 2, &b); err != nil {
+				t.Fatal(err)
+			}
+			if a.String() == b.String() {
+				t.Fatalf("seeds 1 and 2 print the same %s:\n%s", name, a.String())
+			}
+		})
+	}
+}

@@ -9,8 +9,9 @@
 // tree of the declared keys directly over a ring of peers — no
 // underlying DHT — supporting exact discovery, automatic completion
 // of partial search strings, and lexicographic range queries, with
-// the paper's MLT load balancing available in the simulation engine
-// (internal/sim, internal/lb).
+// the paper's MLT and k-choices load balancing (internal/lb) running
+// on every engine; internal/experiments drives them through
+// engine/local to reproduce the paper's evaluation.
 //
 // # Execution engines
 //
@@ -182,9 +183,8 @@ func WithEngineFactory(f engine.Factory) Option {
 
 // WithJoinPlacement names the load-balancing strategy whose join
 // placement picks ring identifiers for joining peers ("KC" runs
-// k-choices, as in the paper's dynamic scenarios) on every engine —
-// the simulator-only placement hook promoted to the deployment
-// backends. The default draws uniformly random identifiers.
+// k-choices, as in the paper's dynamic scenarios) on every engine.
+// The default draws uniformly random identifiers.
 func WithJoinPlacement(strategy string) Option {
 	return func(o *options) { o.placement = strategy }
 }

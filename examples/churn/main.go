@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"log"
 
-	"dlpt/internal/sim"
+	"dlpt/internal/experiments"
 )
 
 func main() {
-	base := sim.DefaultConfig()
+	base := experiments.DefaultConfig()
 	base.Runs = 5
 	base.NumPeers = 40
 	base.NumKeys = 400
@@ -23,21 +23,21 @@ func main() {
 	base.LeaveFraction = 0.10
 
 	fmt.Println("dynamic network: 10% of peers replaced per time unit, 40% load")
-	fmt.Printf("%-6s  %-24s  %-18s\n", "LB", "steady-state satisfied", "maintenance msgs/unit")
+	fmt.Printf("%-6s  %-24s  %-18s\n", "LB", "steady-state satisfied", "balancing moves/unit")
 	for _, strategy := range []string{"MLT", "KC", "NoLB"} {
 		cfg := base
 		cfg.Strategy = strategy
-		res, err := sim.Run(cfg)
+		res, err := experiments.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		maint := 0.0
-		for _, v := range res.Maintenance.Means() {
-			maint += v
+		moves := 0.0
+		for _, v := range res.LBMoves.Means() {
+			moves += v
 		}
-		maint /= float64(cfg.TimeUnits)
-		fmt.Printf("%-6s  %21.1f%%  %18.0f\n",
-			strategy, res.SteadyStateSatisfaction(), maint)
+		moves /= float64(cfg.TimeUnits)
+		fmt.Printf("%-6s  %21.1f%%  %18.1f\n",
+			strategy, res.SteadyStateSatisfaction(), moves)
 	}
 	fmt.Println("\nKC balances at join time, so a churning network keeps it")
 	fmt.Println("effective without periodic balancing traffic (paper Figs. 6-7).")

@@ -14,7 +14,7 @@ import (
 func main() {
 	fmt.Println("Comparing trie-structured discovery overlays (quick scale).")
 	fmt.Println()
-	tb, err := experiments.Table2(true)
+	tb, err := experiments.Table2(true, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	ab, err := experiments.AblationMaintenance(true)
+	ab, err := experiments.AblationMaintenance(true, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,12 +9,12 @@ import (
 	"fmt"
 	"log"
 
-	"dlpt/internal/sim"
+	"dlpt/internal/experiments"
 	"dlpt/internal/workload"
 )
 
 func main() {
-	base := sim.DefaultConfig()
+	base := experiments.DefaultConfig()
 	base.Runs = 5
 	base.NumPeers = 40
 	base.NumKeys = 400
@@ -26,10 +26,10 @@ func main() {
 		{From: 30, To: 45, Prefix: "p", Bias: 0.9},
 	}}
 
-	run := func(strategy string) *sim.Result {
+	run := func(strategy string) *experiments.Result {
 		cfg := base
 		cfg.Strategy = strategy
-		res, err := sim.Run(cfg)
+		res, err := experiments.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

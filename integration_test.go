@@ -17,7 +17,6 @@ import (
 	"dlpt/internal/keys"
 	"dlpt/internal/lb"
 	"dlpt/internal/pht"
-	"dlpt/internal/sim"
 	"dlpt/internal/transport"
 	"dlpt/internal/workload"
 )
@@ -116,16 +115,19 @@ func TestIntegrationLifecycle(t *testing.T) {
 	}
 }
 
-// TestIntegrationSimAgainstDirectDrive cross-checks the simulation
-// engine's satisfaction accounting against a hand-driven overlay with
-// the same structure of operations.
-func TestIntegrationSimMatchesShape(t *testing.T) {
-	cfg := sim.DefaultConfig()
+// TestIntegrationRunMatchesShape drives every balancing strategy, and
+// the hashed mapping, through the paper's per-unit loop under 5 %
+// churn, validating the overlay's invariants after every unit: each
+// run must satisfy requests.
+func TestIntegrationRunMatchesShape(t *testing.T) {
+	cfg := experiments.DefaultConfig()
 	cfg.Runs = 2
 	cfg.TimeUnits = 14
 	cfg.NumPeers = 24
 	cfg.NumKeys = 150
 	cfg.GrowUnits = 4
+	cfg.JoinFraction = 0.05
+	cfg.LeaveFraction = 0.05
 	cfg.Validate = true
 	for _, placement := range []core.Placement{core.PlacementLexicographic, core.PlacementHashed} {
 		for _, strategy := range []string{"NoLB", "MLT", "KC", "EqualLoad"} {
@@ -135,7 +137,7 @@ func TestIntegrationSimMatchesShape(t *testing.T) {
 			c := cfg
 			c.Placement = placement
 			c.Strategy = strategy
-			res, err := sim.Run(c)
+			res, err := experiments.Run(c)
 			if err != nil {
 				t.Fatalf("%v/%s: %v", placement, strategy, err)
 			}

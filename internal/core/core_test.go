@@ -728,13 +728,6 @@ func TestMaintenanceCounters(t *testing.T) {
 	}
 }
 
-func TestAggregateCapacity(t *testing.T) {
-	net, _ := buildNetwork(t, 4, 25, 26)
-	if got := net.AggregateCapacity(); got != 100 {
-		t.Fatalf("AggregateCapacity = %d, want 100", got)
-	}
-}
-
 func TestStringer(t *testing.T) {
 	net, _ := buildNetwork(t, 2, 10, 27)
 	if s := net.String(); s == "" {

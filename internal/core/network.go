@@ -163,16 +163,6 @@ func (net *Network) Ring() *ring.Ring { return net.ring }
 // Root returns the current tree root key.
 func (net *Network) Root() (keys.Key, bool) { return net.root, net.hasRoot }
 
-// AggregateCapacity returns the sum of peer capacities (the
-// denominator of the paper's load percentages).
-func (net *Network) AggregateCapacity() int {
-	sum := 0
-	for _, p := range net.peers {
-		sum += p.Capacity
-	}
-	return sum
-}
-
 // RandomNodeKey returns a uniformly random tree node key.
 func (net *Network) RandomNodeKey(r *rand.Rand) (keys.Key, bool) {
 	entry, _, ok := net.RandomEntry(r)

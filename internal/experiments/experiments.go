@@ -1,8 +1,10 @@
 // Package experiments defines one runnable reproduction per table and
 // figure of the paper's evaluation (RR-6557 Section 4 and 5), mapping
-// each to the simulation engine with the paper's parameters. Every
-// experiment exists in two scales: the paper scale (100 peers, 1000
-// keys, 30-100 runs) and a quick scale for tests and benchmarks.
+// each to the per-unit loop (Run, in run.go) with the paper's
+// parameters. The loop drives engine/local through the engine.Engine
+// contract, so the figures exercise the runtime a deployment runs.
+// Every experiment exists in two scales: the paper scale (100 peers,
+// 1000 keys, 30-100 runs) and a quick scale for tests and benchmarks.
 package experiments
 
 import (
@@ -11,7 +13,6 @@ import (
 
 	"dlpt/internal/core"
 	"dlpt/internal/metrics"
-	"dlpt/internal/sim"
 	"dlpt/internal/workload"
 )
 
@@ -27,7 +28,7 @@ type Variant struct {
 type Spec struct {
 	ID       string
 	Title    string
-	Base     sim.Config
+	Base     Config
 	Variants []Variant
 }
 
@@ -42,8 +43,8 @@ func paperVariants() []Variant {
 
 // baseConfig returns the shared Section 4 parameters at the requested
 // scale.
-func baseConfig(quick bool) sim.Config {
-	cfg := sim.DefaultConfig()
+func baseConfig(quick bool) Config {
+	cfg := DefaultConfig()
 	if quick {
 		cfg.Runs = 2
 		cfg.NumPeers = 24
@@ -189,7 +190,7 @@ func RunSpec(spec Spec) (*metrics.Dataset, error) {
 		cfg := spec.Base
 		cfg.Strategy = v.Strategy
 		cfg.Placement = v.Placement
-		res, err := sim.Run(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", spec.ID, v.Name, err)
 		}
@@ -223,10 +224,9 @@ func Figure9(quick bool) Spec {
 	}
 }
 
-// RunFigure9 runs the two placements and assembles the three curves
-// the paper plots.
-func RunFigure9(quick bool) (*metrics.Dataset, error) {
-	spec := Figure9(quick)
+// RunFigure9 runs the two placements of spec (a Figure9 spec) and
+// assembles the three curves the paper plots.
+func RunFigure9(spec Spec) (*metrics.Dataset, error) {
 	index := make([]float64, spec.Base.TimeUnits)
 	for i := range index {
 		index[i] = float64(i)
@@ -236,14 +236,14 @@ func RunFigure9(quick bool) (*metrics.Dataset, error) {
 	lex := spec.Base
 	lex.Strategy = "MLT"
 	lex.Placement = core.PlacementLexicographic
-	lexRes, err := sim.Run(lex)
+	lexRes, err := Run(lex)
 	if err != nil {
 		return nil, err
 	}
 	rnd := spec.Base
 	rnd.Strategy = "NoLB"
 	rnd.Placement = core.PlacementHashed
-	rndRes, err := sim.Run(rnd)
+	rndRes, err := Run(rnd)
 	if err != nil {
 		return nil, err
 	}
@@ -264,8 +264,9 @@ var Table1Loads = []float64{0.05, 0.10, 0.16, 0.24, 0.40, 0.80}
 
 // Table1 reproduces the gain summary: the percentage improvement in
 // satisfied requests of MLT and KC over no load balancing, on stable
-// and dynamic networks, per load level.
-func Table1(quick bool) (*metrics.Table, error) {
+// and dynamic networks, per load level. Each cell's runs are seeded
+// seed, seed+1, and so on.
+func Table1(quick bool, seed int64) (*metrics.Table, error) {
 	loads := Table1Loads
 	if quick {
 		loads = []float64{0.10, 0.40}
@@ -279,11 +280,7 @@ func Table1(quick bool) (*metrics.Table, error) {
 			var satisfied [3]int // MLT, KC, NoLB
 			for i, strategy := range []string{"MLT", "KC", "NoLB"} {
 				cfg := baseConfig(quick)
-				if quick {
-					cfg.Runs = 2
-				} else {
-					cfg.Runs = 30
-				}
+				cfg.Seed = seed
 				cfg.LoadFraction = load
 				cfg.Strategy = strategy
 				if dynamic {
@@ -293,7 +290,7 @@ func Table1(quick bool) (*metrics.Table, error) {
 					cfg.JoinFraction = stableChurn
 					cfg.LeaveFraction = stableChurn
 				}
-				res, err := sim.Run(cfg)
+				res, err := Run(cfg)
 				if err != nil {
 					return nil, fmt.Errorf("table1 load=%.2f %s: %w", load, strategy, err)
 				}

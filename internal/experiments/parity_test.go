@@ -3,14 +3,14 @@ package experiments
 import (
 	"testing"
 
-	"dlpt/internal/sim"
 	"dlpt/internal/stats"
 )
 
 // table1Reference pins, per Table 1 cell, the mean and the 95 %
 // confidence half-width of the paired per-seed gain in satisfied share
-// over NoLB (percent) that the discrete-time driver measured at paper
-// scale over seeds 1..20.
+// over NoLB (percent) that internal/sim, the separate per-unit loop
+// over a bare core.Network that Run replaced, measured at paper scale
+// over seeds 1..20.
 var table1Reference = []struct {
 	load     float64
 	dynamic  bool
@@ -43,7 +43,7 @@ func TestTable1MatchesSimReference(t *testing.T) {
 		if dynamic {
 			cfg.JoinFraction, cfg.LeaveFraction = churn, churn
 		}
-		res, err := sim.Run(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"dlpt/internal/metrics"
 	"dlpt/internal/pgrid"
 	"dlpt/internal/pht"
-	"dlpt/internal/sim"
 	"dlpt/internal/workload"
 )
 
@@ -31,9 +30,9 @@ func scaleFor(quick bool) table2Scale {
 // quantities the paper compares analytically: routing cost per query
 // and local state per peer. D is the maximal identifier length, P the
 // peer count, |Π| the number of P-Grid partitions, A the alphabet.
-func Table2(quick bool) (*metrics.Table, error) {
+func Table2(quick bool, seed int64) (*metrics.Table, error) {
 	sc := scaleFor(quick)
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed + 6))
 	corpus := workload.GridCorpus(sc.nkeys)
 	maxLen := 0
 	for _, k := range corpus {
@@ -148,8 +147,9 @@ func Table2(quick bool) (*metrics.Table, error) {
 // the paper's 4x capacity heterogeneity. Reported per strategy:
 // steady-state satisfaction and the Gini coefficient of per-peer
 // utilization.
-func AblationObjective(quick bool) (*metrics.Table, error) {
+func AblationObjective(quick bool, seed int64) (*metrics.Table, error) {
 	cfg := baseConfig(quick)
+	cfg.Seed = seed
 	cfg.LoadFraction = highLoad
 	cfg.JoinFraction = stableChurn
 	cfg.LeaveFraction = stableChurn
@@ -160,7 +160,7 @@ func AblationObjective(quick bool) (*metrics.Table, error) {
 	for _, strategy := range []string{"MLT", "EqualLoad", "Directory", "NoLB"} {
 		c := cfg
 		c.Strategy = strategy
-		res, err := sim.Run(c)
+		res, err := Run(c)
 		if err != nil {
 			return nil, fmt.Errorf("objective/%s: %w", strategy, err)
 		}
@@ -180,7 +180,7 @@ func AblationObjective(quick bool) (*metrics.Table, error) {
 // avoidance of the DHT): protocol messages per peer join and per key
 // insert for the self-contained DLPT versus the DHT-backed designs
 // (the hashed-mapping DLPT of [5] and PHT over Chord).
-func AblationMaintenance(quick bool) (*metrics.Table, error) {
+func AblationMaintenance(quick bool, seed int64) (*metrics.Table, error) {
 	sc := scaleFor(quick)
 	nJoins := sc.peers / 2
 	nInserts := sc.nkeys / 2
@@ -188,7 +188,7 @@ func AblationMaintenance(quick bool) (*metrics.Table, error) {
 
 	type cost struct{ perJoin, perInsert float64 }
 	measureDLPT := func(placement core.Placement) (cost, error) {
-		rng := rand.New(rand.NewSource(11))
+		rng := rand.New(rand.NewSource(seed + 10))
 		net := core.NewNetwork(keys.LowerAlnum, placement)
 		for i := 0; i < sc.peers; i++ {
 			if err := net.JoinPeer(keys.LowerAlnum.RandomKey(rng, 12, 12), 1<<30, rng); err != nil {
@@ -228,7 +228,7 @@ func AblationMaintenance(quick bool) (*metrics.Table, error) {
 
 	// PHT over Chord: join cost = Chord join (lookup + finger repairs);
 	// insert cost = PHT insert's DHT traffic.
-	rng := rand.New(rand.NewSource(13))
+	rng := rand.New(rand.NewSource(seed + 12))
 	ring := dht.New()
 	for i := 0; i < sc.peers; i++ {
 		if _, err := ring.Join(fmt.Sprintf("peer-%04d", i)); err != nil {
