@@ -201,27 +201,39 @@ func TestRunDirectoryAllEngines(t *testing.T) {
 }
 
 // TestRunDirectoryDeterministic requires identical stats for
-// identical seeds on the sequential engine.
+// identical seeds on the sequential engine. The second case recovers
+// from crashes whose reconciliation issues Discover calls, which draw
+// from the engine's generator: the calls must not depend on map order.
 func TestRunDirectoryDeterministic(t *testing.T) {
-	run := func() DirectoryStats {
-		dir, err := dlpt.NewDirectory(5,
-			dlpt.WithSeed(21), dlpt.WithEngine(dlpt.EngineLocal))
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		peers   int
+		dirSeed int64
+		runs    int
+		cfg     DirectoryConfig
+	}{
+		{5, 21, 2, DirectoryConfig{Seed: 23, Ops: 200, JoinRate: 0.03, LeaveRate: 0.02, CrashRate: 0.02,
+			Resources: 32}},
+		{6, 9, 8, DirectoryConfig{Seed: 13, Ops: 300, JoinRate: 0.04, LeaveRate: 0.03, CrashRate: 0.02,
+			RecoverRate: 0.01}},
+	} {
+		var first DirectoryStats
+		for i := 0; i < tc.runs; i++ {
+			dir, err := dlpt.NewDirectory(tc.peers,
+				dlpt.WithSeed(tc.dirSeed), dlpt.WithEngine(dlpt.EngineLocal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := RunDirectory(context.Background(), dir, tc.cfg)
+			dir.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = st
+			} else if st != first {
+				t.Fatalf("seed %d run %d diverged:\n  %+v\n  %+v", tc.cfg.Seed, i, first, st)
+			}
 		}
-		defer dir.Close()
-		st, err := RunDirectory(context.Background(), dir, DirectoryConfig{
-			Seed: 23, Ops: 200, JoinRate: 0.03, LeaveRate: 0.02, CrashRate: 0.02,
-			Resources: 32,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	a, b := run(), run()
-	if a != b {
-		t.Fatalf("same seed diverged:\n  %+v\n  %+v", a, b)
 	}
 }
 

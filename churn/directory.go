@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"dlpt"
 )
@@ -135,8 +137,11 @@ func RunDirectory(ctx context.Context, dir *dlpt.Directory, cfg DirectoryConfig)
 		for _, k := range rep.LostKeys {
 			lost[k] = true
 		}
+		// Ids and attributes are visited in order: each Discover
+		// draws from the engine's generator, so map order would make
+		// the run depend on more than its seed.
 		eng := dir.Engine()
-		for id := range live {
+		for _, id := range slices.Sorted(maps.Keys(live)) {
 			name := fmt.Sprintf("res%04d", id)
 			attrs, ok := dir.Describe(name)
 			if !ok {
@@ -144,7 +149,8 @@ func RunDirectory(ctx context.Context, dir *dlpt.Directory, cfg DirectoryConfig)
 				continue
 			}
 			gone := false
-			for a, v := range attrs {
+			for _, a := range slices.Sorted(maps.Keys(attrs)) {
+				v := attrs[a]
 				if lost[a+"="+v] {
 					gone = true
 					break
