@@ -269,3 +269,90 @@ func TestRunColdRestartAllEngines(t *testing.T) {
 		})
 	}
 }
+
+// dirGolden is the part of DirectoryStats the goldens pin.
+type dirGolden struct {
+	Ops, Registers, Unregisters, Finds, Matches int
+	Joins, Leaves, Crashes, Recoveries          int
+	Replications, FinalResources                int
+}
+
+func dirSummary(st DirectoryStats) dirGolden {
+	return dirGolden{st.Ops, st.Registers, st.Unregisters, st.Finds, st.Matches,
+		st.Joins, st.Leaves, st.Crashes, st.Recoveries, st.Replications, st.FinalResources}
+}
+
+// TestGoldenStats pins what Run and RunDirectory do at fixed seeds on
+// the sequential engine, so a change to the driver that moves one
+// random draw or one engine call shows up as a changed count.
+func TestGoldenStats(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		seed int64
+		want Stats
+	}{
+		{3, Stats{
+			Ops: 400, Registers: 93, Unregisters: 86, Discoveries: 183, Found: 73,
+			Joins: 21, Leaves: 8, Crashes: 9, Recoveries: 9, Replications: 6,
+			ReplicatedNodes: 289, RestoredNodes: 49, LostNodes: 5, BalanceRounds: 12, BalanceMoves: 54,
+			FinalPeers: 12, FinalKeys: 45,
+		}},
+		{11, Stats{
+			Ops: 400, Registers: 90, Unregisters: 87, Discoveries: 176, Found: 45,
+			Joins: 22, Leaves: 12, Crashes: 6, Recoveries: 6, Replications: 6,
+			ReplicatedNodes: 225, RestoredNodes: 17, LostNodes: 5, BalanceRounds: 12, BalanceMoves: 43,
+			FinalPeers: 12, FinalKeys: 38,
+		}},
+		{29, Stats{
+			Ops: 400, Registers: 84, Unregisters: 84, Discoveries: 182, Found: 62,
+			Joins: 23, Leaves: 10, Crashes: 9, Recoveries: 8, Replications: 6,
+			ReplicatedNodes: 226, RestoredNodes: 38, LostNodes: 5, BalanceRounds: 12, BalanceMoves: 57,
+			FinalPeers: 12, FinalKeys: 38,
+		}},
+	} {
+		eng := startEngine(t, enginelocal.Factory, 8)
+		st, err := Run(ctx, eng, Config{
+			Seed: tc.seed, Ops: 400, JoinRate: 0.05, LeaveRate: 0.03, CrashRate: 0.02,
+			RecoverRate: 0.01, Strategy: "EqualLoad", Keys: corpus(80),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st != tc.want {
+			t.Errorf("Run seed %d:\n  got  %#v\n  want %#v", tc.seed, st, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		peers   int
+		dirSeed int64
+		cfg     DirectoryConfig
+		want    dirGolden
+	}{
+		{6, 9, DirectoryConfig{Seed: 13, Ops: 300, JoinRate: 0.04, LeaveRate: 0.03, CrashRate: 0.02,
+			RecoverRate: 0.01}, dirGolden{
+			Ops: 300, Registers: 62, Unregisters: 17, Finds: 130, Matches: 681,
+			Joins: 15, Leaves: 14, Crashes: 5, Recoveries: 5, Replications: 4,
+			FinalResources: 22,
+		}},
+		{5, 21, DirectoryConfig{Seed: 23, Ops: 400, JoinRate: 0.03, LeaveRate: 0.02, CrashRate: 0.03,
+			RecoverRate: 0.02}, dirGolden{
+			Ops: 400, Registers: 84, Unregisters: 22, Finds: 185, Matches: 745,
+			Joins: 16, Leaves: 7, Crashes: 12, Recoveries: 12, Replications: 6,
+			FinalResources: 16,
+		}},
+	} {
+		dir, err := dlpt.NewDirectory(tc.peers,
+			dlpt.WithSeed(tc.dirSeed), dlpt.WithEngine(dlpt.EngineLocal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := RunDirectory(ctx, dir, tc.cfg)
+		dir.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dirSummary(st); got != tc.want {
+			t.Errorf("RunDirectory seed %d:\n  got  %#v\n  want %#v", tc.cfg.Seed, got, tc.want)
+		}
+	}
+}
