@@ -7,9 +7,16 @@
 // balanced on a changing ring of peers, not just on the frozen
 // memberships the deployment engines started with.
 //
-// The driver is deterministic given a seed: identical configurations
-// replay identical operation sequences, which the differential tests
-// exploit to require identical surviving catalogues across engines.
+// Run drives keys through a Registry-level workload, RunDirectory
+// drives multi-attribute resources through a Directory, and both
+// share one membership loop (joins, leaves, crashes, recoveries,
+// replication and balancing ticks). RunColdRestart soaks a durable
+// overlay with Run, kills every peer and restarts it from disk.
+//
+// Both workloads are deterministic given a seed on the sequential
+// engine: identical configurations replay identical operation
+// sequences, which the differential tests exploit to require
+// identical surviving catalogues across engines.
 package churn
 
 import (
@@ -21,21 +28,9 @@ import (
 	"dlpt/engine"
 )
 
-// Balancer is the pluggable periodic balancing hook: called at the
-// end of each load-accounting time unit with the engine, it returns
-// the number of balancing moves applied. StrategyBalancer adapts the
-// internal strategy set; custom policies (e.g. an external placement
-// service) plug in the same way.
-type Balancer func(ctx context.Context, eng engine.Engine) (int, error)
-
-// StrategyBalancer returns a Balancer running one round of the named
-// internal strategy ("MLT", "KC", "EqualLoad", "Directory", "NoLB")
-// through the engine's Balance method.
-func StrategyBalancer(strategy string) Balancer {
-	return func(ctx context.Context, eng engine.Engine) (int, error) {
-		return eng.Balance(ctx, strategy)
-	}
-}
+// minPeers floors the overlay size: leaves and crashes are skipped at
+// or below it (the smallest crashable overlay).
+const minPeers = 2
 
 // Config parameterizes one churn run.
 type Config struct {
@@ -46,34 +41,28 @@ type Config struct {
 	Ops int
 
 	// JoinRate, LeaveRate, CrashRate and RecoverRate are per-step
-	// probabilities of the corresponding membership event; the
-	// remainder of the probability mass is data operations.
-	// Recoveries also happen implicitly: the driver repairs the tree
-	// before any mutation, since inserting into a degraded tree is
-	// undefined (see engine.Engine.CrashPeer).
+	// probabilities of the corresponding membership event, each in
+	// [0, 1]; the remainder of the probability mass is data
+	// operations. Recoveries also happen implicitly: the driver
+	// repairs the tree before any mutation, since inserting into a
+	// degraded tree is undefined (see engine.Engine.CrashPeer).
 	JoinRate, LeaveRate, CrashRate, RecoverRate float64
 
 	// JoinCapacity is the capacity of joining peers (default 1<<20).
 	JoinCapacity int
-	// MinPeers floors the overlay size: leaves and crashes are
-	// skipped at or below it (default 2, the smallest crashable
-	// overlay).
-	MinPeers int
 
 	// ReplicateEvery triggers a replication tick every that many
 	// steps (default 64; <0 disables).
 	ReplicateEvery int
-	// BalanceEvery ends a time unit and runs the Balancer every that
-	// many steps (default 32; <0 disables).
+	// BalanceEvery ends a time unit and runs one round of Strategy
+	// every that many steps (default 32; <0 disables).
 	BalanceEvery int
-	// Strategy names the balancing strategy used when Balancer is
-	// nil (default "MLT").
+	// Strategy names the balancing strategy: "MLT" (default), "KC",
+	// "EqualLoad", "Directory" or "NoLB".
 	Strategy string
-	// Balancer overrides the strategy-based balancing hook.
-	Balancer Balancer
 
-	// Keys is the service-key corpus data operations draw from. It
-	// must be non-empty.
+	// Keys is the service-key corpus Run's data operations draw
+	// from. Run requires it non-empty; RunDirectory ignores it.
 	Keys []string
 }
 
@@ -111,14 +100,16 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Ops <= 0 {
 		return out, errors.New("churn: Ops must be positive")
 	}
-	if len(out.Keys) == 0 {
-		return out, errors.New("churn: empty key corpus")
+	for _, r := range []float64{out.JoinRate, out.LeaveRate, out.CrashRate, out.RecoverRate} {
+		if !(r >= 0 && r <= 1) { // written so that NaN fails too
+			return out, fmt.Errorf("churn: membership rate %v outside [0, 1]", r)
+		}
+	}
+	if r := out.JoinRate + out.LeaveRate + out.CrashRate + out.RecoverRate; r > 1 {
+		return out, fmt.Errorf("churn: membership rates sum to %v > 1", r)
 	}
 	if out.JoinCapacity == 0 {
 		out.JoinCapacity = 1 << 20
-	}
-	if out.MinPeers < 2 {
-		out.MinPeers = 2
 	}
 	if out.ReplicateEvery == 0 {
 		out.ReplicateEvery = 64
@@ -129,34 +120,40 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.Strategy == "" {
 		out.Strategy = "MLT"
 	}
-	if out.Balancer == nil {
-		out.Balancer = StrategyBalancer(out.Strategy)
-	}
-	if r := out.JoinRate + out.LeaveRate + out.CrashRate + out.RecoverRate; r > 1 {
-		return out, fmt.Errorf("churn: membership rates sum to %v > 1", r)
-	}
 	return out, nil
 }
 
-// Run drives the engine through cfg.Ops workload steps and returns
-// the run's statistics. The engine is left repaired and validated: a
-// final Recover (if a crash is outstanding) and Validate close the
-// run.
-func Run(ctx context.Context, eng engine.Engine, cfg Config) (Stats, error) {
+// drive runs the membership half of a churn run over eng: every step
+// rolls one of the join, leave, crash and recover bands, or hands the
+// step to data, which draws from r after the roll and calls repair
+// before anything undefined on a degraded tree. recovered, when set,
+// sees every recovery report right after the tree is repaired. The
+// tree is repaired once more at the end.
+func drive(ctx context.Context, eng engine.Engine, cfg Config, st *Stats,
+	data func(i int, r *rand.Rand, repair func() error) error,
+	recovered func(engine.RecoveryReport) error) error {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return Stats{}, err
+		return err
 	}
 	r := rand.New(rand.NewSource(cfg.Seed))
-	var st Stats
 
-	infos, err := eng.Peers(ctx)
-	if err != nil {
-		return st, err
+	var ids []string
+	// peerIDs (re-)reads the peer listing: at the start, and after
+	// balancing renames.
+	peerIDs := func() error {
+		infos, err := eng.Peers(ctx)
+		if err != nil {
+			return err
+		}
+		ids = ids[:0]
+		for _, p := range infos {
+			ids = append(ids, p.ID)
+		}
+		return nil
 	}
-	ids := make([]string, len(infos))
-	for i, p := range infos {
-		ids[i] = p.ID
+	if err := peerIDs(); err != nil {
+		return err
 	}
 
 	degraded := false
@@ -169,7 +166,10 @@ func Run(ctx context.Context, eng engine.Engine, cfg Config) (Stats, error) {
 		st.RestoredNodes += rep.Restored
 		st.LostNodes += rep.Lost
 		degraded = false
-		return nil
+		if recovered == nil {
+			return nil
+		}
+		return recovered(rep)
 	}
 	// repair runs before operations that are undefined on a degraded
 	// tree (mutations, replication ticks, balancing).
@@ -179,50 +179,38 @@ func Run(ctx context.Context, eng engine.Engine, cfg Config) (Stats, error) {
 		}
 		return recoverNow()
 	}
-	// refreshIDs re-reads the peer listing after balancing renames.
-	refreshIDs := func() error {
-		infos, err := eng.Peers(ctx)
-		if err != nil {
-			return err
-		}
-		ids = ids[:0]
-		for _, p := range infos {
-			ids = append(ids, p.ID)
-		}
-		return nil
-	}
 
 	for i := 0; i < cfg.Ops; i++ {
 		if err := ctx.Err(); err != nil {
-			return st, err
+			return err
 		}
 		st.Ops++
 		if cfg.ReplicateEvery > 0 && i%cfg.ReplicateEvery == cfg.ReplicateEvery-1 {
 			if err := repair(); err != nil {
-				return st, err
+				return err
 			}
 			n, err := eng.Replicate(ctx)
 			if err != nil {
-				return st, err
+				return err
 			}
 			st.Replications++
 			st.ReplicatedNodes += n
 		}
 		if cfg.BalanceEvery > 0 && i%cfg.BalanceEvery == cfg.BalanceEvery-1 {
 			if err := repair(); err != nil {
-				return st, err
+				return err
 			}
 			if err := eng.Tick(ctx); err != nil {
-				return st, err
+				return err
 			}
-			moves, err := cfg.Balancer(ctx, eng)
+			moves, err := eng.Balance(ctx, cfg.Strategy)
 			if err != nil {
-				return st, err
+				return err
 			}
 			st.BalanceRounds++
 			st.BalanceMoves += moves
-			if err := refreshIDs(); err != nil {
-				return st, err
+			if err := peerIDs(); err != nil {
+				return err
 			}
 		}
 
@@ -232,31 +220,31 @@ func Run(ctx context.Context, eng engine.Engine, cfg Config) (Stats, error) {
 			// A join routes through the tree (Algorithm 1), so it is
 			// a mutation too: repair first.
 			if err := repair(); err != nil {
-				return st, err
+				return err
 			}
 			id, err := eng.AddPeer(ctx, cfg.JoinCapacity)
 			if err != nil {
-				return st, err
+				return err
 			}
 			ids = append(ids, id)
 			st.Joins++
 		case roll < cfg.JoinRate+cfg.LeaveRate:
-			if len(ids) <= cfg.MinPeers {
+			if len(ids) <= minPeers {
 				continue
 			}
 			v := r.Intn(len(ids))
 			if err := eng.RemovePeer(ctx, ids[v]); err != nil {
-				return st, err
+				return err
 			}
 			ids = append(ids[:v], ids[v+1:]...)
 			st.Leaves++
 		case roll < cfg.JoinRate+cfg.LeaveRate+cfg.CrashRate:
-			if len(ids) <= cfg.MinPeers {
+			if len(ids) <= minPeers {
 				continue
 			}
 			v := r.Intn(len(ids))
 			if err := eng.CrashPeer(ctx, ids[v]); err != nil {
-				return st, err
+				return err
 			}
 			ids = append(ids[:v], ids[v+1:]...)
 			st.Crashes++
@@ -266,41 +254,62 @@ func Run(ctx context.Context, eng engine.Engine, cfg Config) (Stats, error) {
 				continue
 			}
 			if err := recoverNow(); err != nil {
-				return st, err
+				return err
 			}
 		default:
-			key := cfg.Keys[r.Intn(len(cfg.Keys))]
-			switch i % 4 {
-			case 0: // mutate: (re-)register the key
-				if err := repair(); err != nil {
-					return st, err
-				}
-				if err := eng.Register(ctx, key, "ep://"+key); err != nil {
-					return st, err
-				}
-				st.Registers++
-			case 2: // mutate: withdraw one endpoint
-				if err := repair(); err != nil {
-					return st, err
-				}
-				if _, err := eng.Unregister(ctx, key, "ep://"+key); err != nil {
-					return st, err
-				}
-				st.Unregisters++
-			default: // read: routed discovery, allowed degraded
-				res, err := eng.Discover(ctx, key)
-				if err != nil {
-					return st, err
-				}
-				st.Discoveries++
-				if res.Found {
-					st.Found++
-				}
+			if err := data(i, r, repair); err != nil {
+				return err
 			}
 		}
 	}
-
 	if err := repair(); err != nil {
+		return err
+	}
+	st.FinalPeers = eng.NumPeers()
+	return nil
+}
+
+// Run drives the engine through cfg.Ops workload steps over the key
+// corpus cfg.Keys and returns the run's statistics. The engine is
+// left repaired and validated: a final Recover (if a crash is
+// outstanding) and Validate close the run.
+func Run(ctx context.Context, eng engine.Engine, cfg Config) (Stats, error) {
+	var st Stats
+	if len(cfg.Keys) == 0 {
+		return st, errors.New("churn: empty key corpus")
+	}
+	err := drive(ctx, eng, cfg, &st, func(i int, r *rand.Rand, repair func() error) error {
+		key := cfg.Keys[r.Intn(len(cfg.Keys))]
+		switch i % 4 {
+		case 0: // mutate: (re-)register the key
+			if err := repair(); err != nil {
+				return err
+			}
+			if err := eng.Register(ctx, key, "ep://"+key); err != nil {
+				return err
+			}
+			st.Registers++
+		case 2: // mutate: withdraw one endpoint
+			if err := repair(); err != nil {
+				return err
+			}
+			if _, err := eng.Unregister(ctx, key, "ep://"+key); err != nil {
+				return err
+			}
+			st.Unregisters++
+		default: // read: routed discovery, allowed degraded
+			res, err := eng.Discover(ctx, key)
+			if err != nil {
+				return err
+			}
+			st.Discoveries++
+			if res.Found {
+				st.Found++
+			}
+		}
+		return nil
+	}, nil)
+	if err != nil {
 		return st, err
 	}
 	if err := eng.Validate(ctx); err != nil {
@@ -311,6 +320,5 @@ func Run(ctx context.Context, eng engine.Engine, cfg Config) (Stats, error) {
 		return st, err
 	}
 	st.FinalKeys = len(snap.Keys())
-	st.FinalPeers = eng.NumPeers()
 	return st, nil
 }

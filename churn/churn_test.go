@@ -2,6 +2,7 @@ package churn
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"dlpt"
@@ -116,29 +117,25 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestBalancerHook verifies the pluggable hook is invoked once per
-// balancing round.
+// TestBalancerHook verifies one round of the configured strategy
+// runs per BalanceEvery steps and that its moves are counted.
 func TestBalancerHook(t *testing.T) {
 	eng := startEngine(t, enginelocal.Factory, 6)
-	calls := 0
 	st, err := Run(context.Background(), eng, Config{
 		Seed:         5,
 		Ops:          128,
 		BalanceEvery: 16,
+		Strategy:     "EqualLoad",
 		Keys:         corpus(40),
-		Balancer: func(ctx context.Context, e engine.Engine) (int, error) {
-			calls++
-			return e.Balance(ctx, "EqualLoad")
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 128/16 {
-		t.Fatalf("hook called %d times, want %d", calls, 128/16)
+	if st.BalanceRounds != 128/16 {
+		t.Fatalf("BalanceRounds=%d, want %d", st.BalanceRounds, 128/16)
 	}
-	if st.BalanceRounds != calls {
-		t.Fatalf("BalanceRounds=%d, hook calls=%d", st.BalanceRounds, calls)
+	if st.BalanceMoves == 0 {
+		t.Fatalf("EqualLoad applied no moves: %+v", st)
 	}
 }
 
@@ -156,6 +153,16 @@ func TestConfigValidation(t *testing.T) {
 		JoinRate: 0.6, LeaveRate: 0.6}); err == nil {
 		t.Fatal("rates > 1 accepted")
 	}
+	// A negative band would silently resize the others; NaN would
+	// disable every band.
+	if _, err := Run(ctx, eng, Config{Ops: 10, Keys: corpus(4),
+		JoinRate: -0.5, LeaveRate: 0.6}); err == nil {
+		t.Fatal("negative rate accepted")
+	}
+	if _, err := Run(ctx, eng, Config{Ops: 10, Keys: corpus(4),
+		JoinRate: math.NaN()}); err == nil {
+		t.Fatal("NaN rate accepted")
+	}
 }
 
 // TestRunDirectoryAllEngines drives the attribute-level churn
@@ -172,13 +179,12 @@ func TestRunDirectoryAllEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer dir.Close()
-			st, err := RunDirectory(context.Background(), dir, DirectoryConfig{
+			st, err := RunDirectory(context.Background(), dir, Config{
 				Seed:      13,
 				Ops:       300,
 				JoinRate:  0.04,
 				LeaveRate: 0.03,
 				CrashRate: 0.02,
-				Resources: 48,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v (stats %+v)", name, err, st)
@@ -209,11 +215,10 @@ func TestRunDirectoryDeterministic(t *testing.T) {
 		peers   int
 		dirSeed int64
 		runs    int
-		cfg     DirectoryConfig
+		cfg     Config
 	}{
-		{5, 21, 2, DirectoryConfig{Seed: 23, Ops: 200, JoinRate: 0.03, LeaveRate: 0.02, CrashRate: 0.02,
-			Resources: 32}},
-		{6, 9, 8, DirectoryConfig{Seed: 13, Ops: 300, JoinRate: 0.04, LeaveRate: 0.03, CrashRate: 0.02,
+		{5, 21, 2, Config{Seed: 23, Ops: 200, JoinRate: 0.03, LeaveRate: 0.02, CrashRate: 0.02}},
+		{6, 9, 8, Config{Seed: 13, Ops: 300, JoinRate: 0.04, LeaveRate: 0.03, CrashRate: 0.02,
 			RecoverRate: 0.01}},
 	} {
 		var first DirectoryStats
@@ -244,19 +249,22 @@ func TestRunDirectoryDeterministic(t *testing.T) {
 func TestRunColdRestartAllEngines(t *testing.T) {
 	for name := range factories {
 		t.Run(name, func(t *testing.T) {
-			st, err := RunColdRestart(context.Background(), ColdRestartConfig{
-				Dir:    t.TempDir(),
-				Engine: dlpt.EngineKind(name),
-				Peers:  6,
-				Seed:   17,
-				Churn: Config{
-					Ops:       250,
-					JoinRate:  0.04,
-					LeaveRate: 0.03,
-					CrashRate: 0.02,
-					Keys:      corpus(60),
-				},
-			})
+			dir := t.TempDir()
+			opts := []dlpt.Option{dlpt.WithSeed(17), dlpt.WithEngine(dlpt.EngineKind(name)),
+				dlpt.WithPersistence(dir)}
+			reg, err := dlpt.New(6, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reg.Close()
+			st, err := RunColdRestart(context.Background(), reg, dir, Config{
+				Seed:      17,
+				Ops:       250,
+				JoinRate:  0.04,
+				LeaveRate: 0.03,
+				CrashRate: 0.02,
+				Keys:      corpus(60),
+			}, opts...)
 			if err != nil {
 				t.Fatalf("%s: %v (stats %+v)", name, err, st)
 			}
@@ -325,17 +333,19 @@ func TestGoldenStats(t *testing.T) {
 	for _, tc := range []struct {
 		peers   int
 		dirSeed int64
-		cfg     DirectoryConfig
+		cfg     Config
 		want    dirGolden
 	}{
-		{6, 9, DirectoryConfig{Seed: 13, Ops: 300, JoinRate: 0.04, LeaveRate: 0.03, CrashRate: 0.02,
-			RecoverRate: 0.01}, dirGolden{
+		// BalanceEvery -1: the sequence these were captured with ran
+		// no balancing rounds.
+		{6, 9, Config{Seed: 13, Ops: 300, JoinRate: 0.04, LeaveRate: 0.03, CrashRate: 0.02,
+			RecoverRate: 0.01, BalanceEvery: -1}, dirGolden{
 			Ops: 300, Registers: 62, Unregisters: 17, Finds: 130, Matches: 681,
 			Joins: 15, Leaves: 14, Crashes: 5, Recoveries: 5, Replications: 4,
 			FinalResources: 22,
 		}},
-		{5, 21, DirectoryConfig{Seed: 23, Ops: 400, JoinRate: 0.03, LeaveRate: 0.02, CrashRate: 0.03,
-			RecoverRate: 0.02}, dirGolden{
+		{5, 21, Config{Seed: 23, Ops: 400, JoinRate: 0.03, LeaveRate: 0.02, CrashRate: 0.03,
+			RecoverRate: 0.02, BalanceEvery: -1}, dirGolden{
 			Ops: 400, Registers: 84, Unregisters: 22, Finds: 185, Matches: 745,
 			Joins: 16, Leaves: 7, Crashes: 12, Recoveries: 12, Replications: 6,
 			FinalResources: 16,

@@ -9,32 +9,6 @@ import (
 	"dlpt"
 )
 
-// ColdRestartConfig parameterizes the crash-all + cold-restart
-// scenario: a durable overlay soaks under churn, every peer is then
-// killed — the removable ones by explicit crashes, the rest
-// (including the last peer) by abrupt process death — and the overlay
-// restarts from the persistence directory alone.
-type ColdRestartConfig struct {
-	// Dir is the persistence directory (required).
-	Dir string
-	// Engine selects the execution backend (default EngineLive).
-	Engine dlpt.EngineKind
-	// Peers is the initial overlay size (default 8).
-	Peers int
-	// Capacity is the per-peer capacity of the initial overlay
-	// (default 1<<20, effectively unbounded).
-	Capacity int
-	// Seed fixes the overlay and driver randomness.
-	Seed int64
-	// Preload registers the whole key corpus before the soak — the
-	// scale scenario, where the catalogue that must survive the kill
-	// is the full corpus rather than whatever the churn steps happened
-	// to register.
-	Preload bool
-	// Churn is the soak run before the kill; Churn.Keys is required.
-	Churn Config
-}
-
 // ColdRestartStats reports what the scenario did.
 type ColdRestartStats struct {
 	// Soak is the churn run that preceded the kill.
@@ -47,67 +21,31 @@ type ColdRestartStats struct {
 	// the final abrupt death of the remainder.
 	CrashedBeforeKill int
 	// SoakWall, KillWall and RestartWall break the scenario's wall
-	// time into its phases: preload + churn + final replication tick,
-	// the crash-everyone loop, and dlpt.Restart + validation. At the
+	// time into its phases: churn + final replication tick, the
+	// crash-everyone loop, and dlpt.Restart + validation. At the
 	// 1M-key scale the split says which side of the durability path
 	// regressed.
 	SoakWall, KillWall, RestartWall time.Duration
 }
 
-// RunColdRestart drives the full crash-all scenario: churn soak on a
-// durable overlay, a final Replicate, explicit crashes of every
-// removable peer (no recovery — their state survives only as
-// successor replicas and on disk), abrupt death of the rest by
-// closing the engine, then dlpt.Restart from the directory. It
-// validates the restored overlay's invariants and requires the
-// post-restart catalogue to equal the catalogue declared at the final
-// replication tick, byte for byte.
-func RunColdRestart(ctx context.Context, cfg ColdRestartConfig) (ColdRestartStats, error) {
+// RunColdRestart drives the full crash-all scenario on reg, a durable
+// overlay the caller built (and preloaded, for a catalogue larger
+// than what the churn steps register) over the persistence directory
+// dir: a churn soak (Run with cfg), a final Replicate, explicit
+// crashes of every removable peer (no recovery — their state survives
+// only as successor replicas and on disk), abrupt death of the rest
+// by closing reg, then dlpt.Restart from dir with opts, the options
+// reg was built with. It validates the restored overlay's invariants
+// and requires the post-restart catalogue to equal the catalogue
+// declared at the final replication tick, byte for byte.
+func RunColdRestart(ctx context.Context, reg *dlpt.Registry, dir string, cfg Config, opts ...dlpt.Option) (ColdRestartStats, error) {
 	var st ColdRestartStats
-	if cfg.Dir == "" {
+	if dir == "" {
 		return st, fmt.Errorf("churn: cold restart needs a persistence directory")
 	}
-	kind := cfg.Engine
-	if kind == "" {
-		kind = dlpt.EngineLive
-	}
-	peers := cfg.Peers
-	if peers <= 0 {
-		peers = 8
-	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 1 << 20
-	}
-	caps := make([]int, peers)
-	for i := range caps {
-		caps[i] = capacity
-	}
-	reg, err := dlpt.New(peers,
-		dlpt.WithSeed(cfg.Seed),
-		dlpt.WithEngine(kind),
-		dlpt.WithCapacities(caps),
-		dlpt.WithPersistence(cfg.Dir))
-	if err != nil {
-		return st, err
-	}
-	defer reg.Close()
-
-	soak := cfg.Churn
-	if soak.Seed == 0 {
-		soak.Seed = cfg.Seed
-	}
 	phase := time.Now()
-	if cfg.Preload {
-		batch := make([]dlpt.Registration, len(soak.Keys))
-		for i, k := range soak.Keys {
-			batch[i] = dlpt.Registration{Name: k, Endpoint: "ep://" + k}
-		}
-		if err := reg.RegisterBatch(ctx, batch); err != nil {
-			return st, err
-		}
-	}
-	if st.Soak, err = Run(ctx, reg.Engine(), soak); err != nil {
+	var err error
+	if st.Soak, err = Run(ctx, reg.Engine(), cfg); err != nil {
 		return st, err
 	}
 	// The final replication tick: everything declared up to here must
@@ -143,9 +81,7 @@ func RunColdRestart(ctx context.Context, cfg ColdRestartConfig) (ColdRestartStat
 	phase = time.Now()
 
 	// Cold restart: nothing is left but the persistence directory.
-	restarted, err := dlpt.Restart(cfg.Dir,
-		dlpt.WithSeed(cfg.Seed),
-		dlpt.WithEngine(kind))
+	restarted, err := dlpt.Restart(dir, opts...)
 	if err != nil {
 		return st, err
 	}

@@ -2,59 +2,27 @@ package churn
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
 
 	"dlpt"
+	"dlpt/engine"
 )
 
-// DirectoryConfig parameterizes an attribute-level churn run: the
-// workload drives Directory resources (multi-attribute registrations
-// and conjunctive queries over the attribute sub-trees) instead of
-// bare Registry keys, interleaved with the same membership events.
-type DirectoryConfig struct {
-	// Seed fixes the driver's randomness.
-	Seed int64
-	// Ops is the number of workload steps to run.
-	Ops int
+// resources is the size of the resource-id pool RunDirectory
+// registers and withdraws.
+const resources = 64
 
-	// JoinRate, LeaveRate, CrashRate and RecoverRate are per-step
-	// probabilities of the corresponding membership event; the
-	// remainder of the probability mass is resource operations.
-	JoinRate, LeaveRate, CrashRate, RecoverRate float64
-
-	// JoinCapacity is the capacity of joining peers (default 1<<20).
-	JoinCapacity int
-	// MinPeers floors the overlay size (default 2).
-	MinPeers int
-	// ReplicateEvery triggers a replication tick every that many
-	// steps (default 64; <0 disables).
-	ReplicateEvery int
-
-	// Resources is the size of the resource-id pool the workload
-	// registers and withdraws (default 64).
-	Resources int
-}
-
-// DirectoryStats reports what one attribute-level churn run did.
+// DirectoryStats reports what one attribute-level churn run did:
+// Stats for the membership half and the registrations, beside the
+// query counts.
 type DirectoryStats struct {
-	Ops         int
-	Registers   int
-	Unregisters int
-	Finds       int
+	Stats
+	Finds int
 	// Matches counts resource ids returned across all Find calls.
 	Matches int
-
-	Joins      int
-	Leaves     int
-	Crashes    int
-	Recoveries int
-
-	Replications int
-
 	// FinalResources is the registered-resource count after the run
 	// (post final recovery and validation).
 	FinalResources int
@@ -69,9 +37,11 @@ var (
 	dirSites = []string{"lyon", "nancy", "rennes", "sophia", "toulouse"}
 )
 
+func resName(id int) string { return fmt.Sprintf("res%04d", id) }
+
 func dirResource(id int, r *rand.Rand) dlpt.Resource {
 	return dlpt.Resource{
-		ID: fmt.Sprintf("res%04d", id),
+		ID: resName(id),
 		Attributes: map[string]string{
 			"cpu":  dirCPUs[r.Intn(len(dirCPUs))],
 			"mem":  dirMems[r.Intn(len(dirMems))],
@@ -83,66 +53,32 @@ func dirResource(id int, r *rand.Rand) dlpt.Resource {
 // RunDirectory drives a Directory through cfg.Ops steps of resource
 // churn — register/unregister of multi-attribute resources and
 // conjunctive queries (exact, prefix and range predicates) — mixed
-// with membership churn, under the same repair-before-mutation
-// discipline as Run. The directory is left repaired and validated.
-func RunDirectory(ctx context.Context, dir *dlpt.Directory, cfg DirectoryConfig) (DirectoryStats, error) {
+// with the membership churn, replication and balancing ticks of Run,
+// on the directory's engine. The directory is left repaired and
+// validated.
+func RunDirectory(ctx context.Context, dir *dlpt.Directory, cfg Config) (DirectoryStats, error) {
 	var st DirectoryStats
-	if cfg.Ops <= 0 {
-		return st, errors.New("churn: Ops must be positive")
-	}
-	if cfg.JoinCapacity == 0 {
-		cfg.JoinCapacity = 1 << 20
-	}
-	if cfg.MinPeers < 2 {
-		cfg.MinPeers = 2
-	}
-	if cfg.ReplicateEvery == 0 {
-		cfg.ReplicateEvery = 64
-	}
-	if cfg.Resources <= 0 {
-		cfg.Resources = 64
-	}
-	if sum := cfg.JoinRate + cfg.LeaveRate + cfg.CrashRate + cfg.RecoverRate; sum > 1 {
-		return st, fmt.Errorf("churn: membership rates sum to %v > 1", sum)
-	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-
-	infos, err := dir.Peers(ctx)
-	if err != nil {
-		return st, err
-	}
-	ids := make([]string, len(infos))
-	for i, p := range infos {
-		ids[i] = p.ID
-	}
-
 	// live tracks the registered resource ids the driver owns.
 	live := make(map[int]bool)
-	degraded := false
-	recoverNow := func() error {
-		rep, err := dir.Recover(ctx)
-		if err != nil {
-			return err
-		}
-		st.Recoveries++
-		degraded = false
-		// Reconcile the directory bookkeeping against what the crash
-		// actually destroyed. The precise lost-key set names the
-		// "attr=value" nodes that vanished outright; a recovered node
-		// can additionally have dropped the ids declared under it
-		// after the last replication tick (its replica predates them),
-		// so resources touching a lost key are withdrawn immediately
-		// and the rest of the live set is swept for value-level loss.
+	eng := dir.Engine()
+
+	// reconcile squares the bookkeeping with what a crash actually
+	// destroyed. The precise lost-key set names the "attr=value"
+	// nodes that vanished outright; a recovered node can additionally
+	// have dropped the ids declared under it after the last
+	// replication tick (its replica predates them), so resources
+	// touching a lost key are withdrawn immediately and the rest of
+	// the live set is swept for value-level loss. Ids and attributes
+	// are visited in order: each Discover draws from the engine's
+	// generator, so map order would make the run depend on more than
+	// its seed.
+	reconcile := func(rep engine.RecoveryReport) error {
 		lost := make(map[string]bool, len(rep.LostKeys))
 		for _, k := range rep.LostKeys {
 			lost[k] = true
 		}
-		// Ids and attributes are visited in order: each Discover
-		// draws from the engine's generator, so map order would make
-		// the run depend on more than its seed.
-		eng := dir.Engine()
 		for _, id := range slices.Sorted(maps.Keys(live)) {
-			name := fmt.Sprintf("res%04d", id)
+			name := resName(id)
 			attrs, ok := dir.Describe(name)
 			if !ok {
 				delete(live, id)
@@ -150,23 +86,16 @@ func RunDirectory(ctx context.Context, dir *dlpt.Directory, cfg DirectoryConfig)
 			}
 			gone := false
 			for _, a := range slices.Sorted(maps.Keys(attrs)) {
-				v := attrs[a]
-				if lost[a+"="+v] {
+				key := a + "=" + attrs[a]
+				if lost[key] {
 					gone = true
 					break
 				}
-				res, err := eng.Discover(ctx, a+"="+v)
+				res, err := eng.Discover(ctx, key)
 				if err != nil {
 					return err
 				}
-				found := false
-				for _, got := range res.Values {
-					if got == name {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if !slices.Contains(res.Values, name) {
 					gone = true
 					break
 				}
@@ -180,131 +109,70 @@ func RunDirectory(ctx context.Context, dir *dlpt.Directory, cfg DirectoryConfig)
 		}
 		return nil
 	}
-	repair := func() error {
-		if !degraded {
-			return nil
-		}
-		return recoverNow()
-	}
 
-	for i := 0; i < cfg.Ops; i++ {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		st.Ops++
-		if cfg.ReplicateEvery > 0 && i%cfg.ReplicateEvery == cfg.ReplicateEvery-1 {
+	step := func(i int, r *rand.Rand, repair func() error) error {
+		id := r.Intn(resources)
+		switch i % 4 {
+		case 0: // mutate: (re-)register a resource, re-rolling its
+			// attributes — each attribute sub-tree sees churn.
 			if err := repair(); err != nil {
-				return st, err
+				return err
 			}
-			if _, err := dir.Replicate(ctx); err != nil {
-				return st, err
+			if live[id] {
+				if _, err := dir.UnregisterResource(ctx, resName(id)); err != nil {
+					return err
+				}
 			}
-			st.Replications++
-		}
-
-		roll := r.Float64()
-		switch {
-		case roll < cfg.JoinRate:
+			if err := dir.RegisterResource(ctx, dirResource(id, r)); err != nil {
+				return err
+			}
+			live[id] = true
+			st.Registers++
+		case 2: // mutate: withdraw a resource
+			if !live[id] {
+				return nil
+			}
 			if err := repair(); err != nil {
-				return st, err
+				return err
 			}
-			id, err := dir.AddPeerWithCapacity(ctx, cfg.JoinCapacity)
+			if _, err := dir.UnregisterResource(ctx, resName(id)); err != nil {
+				return err
+			}
+			delete(live, id)
+			st.Unregisters++
+		default: // read: a conjunctive attribute query. Queries
+			// traverse the attribute sub-trees, so they too need a
+			// repaired tree.
+			if err := repair(); err != nil {
+				return err
+			}
+			var preds []dlpt.Where
+			switch i % 3 {
+			case 0:
+				preds = []dlpt.Where{
+					{Attr: "cpu", Equals: dirCPUs[r.Intn(len(dirCPUs))]},
+				}
+			case 1:
+				preds = []dlpt.Where{
+					{Attr: "site", HasPrefix: dirSites[r.Intn(len(dirSites))][:2]},
+					{Attr: "cpu", Equals: dirCPUs[r.Intn(len(dirCPUs))]},
+				}
+			default:
+				preds = []dlpt.Where{
+					{Attr: "mem", Min: "032", Max: "128"},
+				}
+			}
+			matches, _, err := dir.Find(ctx, preds...)
 			if err != nil {
-				return st, err
+				return err
 			}
-			ids = append(ids, id)
-			st.Joins++
-		case roll < cfg.JoinRate+cfg.LeaveRate:
-			if len(ids) <= cfg.MinPeers {
-				continue
-			}
-			v := r.Intn(len(ids))
-			if err := dir.RemovePeer(ctx, ids[v]); err != nil {
-				return st, err
-			}
-			ids = append(ids[:v], ids[v+1:]...)
-			st.Leaves++
-		case roll < cfg.JoinRate+cfg.LeaveRate+cfg.CrashRate:
-			if len(ids) <= cfg.MinPeers {
-				continue
-			}
-			v := r.Intn(len(ids))
-			if err := dir.CrashPeer(ctx, ids[v]); err != nil {
-				return st, err
-			}
-			ids = append(ids[:v], ids[v+1:]...)
-			st.Crashes++
-			degraded = true
-		case roll < cfg.JoinRate+cfg.LeaveRate+cfg.CrashRate+cfg.RecoverRate:
-			if !degraded {
-				continue
-			}
-			if err := recoverNow(); err != nil {
-				return st, err
-			}
-		default:
-			id := r.Intn(cfg.Resources)
-			switch i % 4 {
-			case 0: // mutate: (re-)register a resource, re-rolling its
-				// attributes — each attribute sub-tree sees churn.
-				if err := repair(); err != nil {
-					return st, err
-				}
-				if live[id] {
-					if _, err := dir.UnregisterResource(ctx, fmt.Sprintf("res%04d", id)); err != nil {
-						return st, err
-					}
-				}
-				if err := dir.RegisterResource(ctx, dirResource(id, r)); err != nil {
-					return st, err
-				}
-				live[id] = true
-				st.Registers++
-			case 2: // mutate: withdraw a resource
-				if !live[id] {
-					continue
-				}
-				if err := repair(); err != nil {
-					return st, err
-				}
-				if _, err := dir.UnregisterResource(ctx, fmt.Sprintf("res%04d", id)); err != nil {
-					return st, err
-				}
-				delete(live, id)
-				st.Unregisters++
-			default: // read: a conjunctive attribute query. Queries
-				// traverse the attribute sub-trees, so they too need a
-				// repaired tree.
-				if err := repair(); err != nil {
-					return st, err
-				}
-				var preds []dlpt.Where
-				switch i % 3 {
-				case 0:
-					preds = []dlpt.Where{
-						{Attr: "cpu", Equals: dirCPUs[r.Intn(len(dirCPUs))]},
-					}
-				case 1:
-					preds = []dlpt.Where{
-						{Attr: "site", HasPrefix: dirSites[r.Intn(len(dirSites))][:2]},
-						{Attr: "cpu", Equals: dirCPUs[r.Intn(len(dirCPUs))]},
-					}
-				default:
-					preds = []dlpt.Where{
-						{Attr: "mem", Min: "032", Max: "128"},
-					}
-				}
-				matches, _, err := dir.Find(ctx, preds...)
-				if err != nil {
-					return st, err
-				}
-				st.Finds++
-				st.Matches += len(matches)
-			}
+			st.Finds++
+			st.Matches += len(matches)
 		}
+		return nil
 	}
 
-	if err := repair(); err != nil {
+	if err := drive(ctx, eng, cfg, &st.Stats, step, reconcile); err != nil {
 		return st, err
 	}
 	if err := dir.Validate(ctx); err != nil {
