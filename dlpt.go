@@ -198,10 +198,10 @@ func WithCapacityGating() Option {
 	return func(o *options) { o.gated = true }
 }
 
-// WithPersistence makes the overlay durable: every Replicate tick
-// writes an fsynced, versioned snapshot of the replica state into
-// dir, and every registration or unregistration appends to the
-// epoch's journal — so a cold restart after every peer dies
+// WithPersistence makes the overlay durable: every registration or
+// unregistration appends to a journal in dir, and every Replicate tick
+// fsyncs it or, when the journal cannot carry the tick, writes a new
+// versioned snapshot image — so a cold restart after every peer dies
 // (including the last) can rebuild the overlay with Restart. The
 // directory is created if needed; reusing a previous run's directory
 // continues its epoch sequence.
@@ -631,9 +631,9 @@ func (r *Registry) Recover(ctx context.Context) (RecoveryReport, error) {
 	return r.eng.Recover(ctx)
 }
 
-// Replicate snapshots every tree node to the replica store — the
-// periodic replication tick that backs crash recovery. It returns the
-// number of nodes replicated.
+// Replicate brings every tree node's replica up to date — the
+// periodic replication tick that backs crash recovery. It ships the
+// nodes that changed since the last tick and returns how many.
 func (r *Registry) Replicate(ctx context.Context) (int, error) {
 	return r.eng.Replicate(ctx)
 }

@@ -246,7 +246,7 @@ func (e *Concurrent[C]) Recover(ctx context.Context) (RecoveryReport, error) {
 	return RecoveryReportFrom(restored, lost), nil
 }
 
-// Replicate snapshots every tree node to the replica store.
+// Replicate ships the tree nodes that changed since the last tick.
 func (e *Concurrent[C]) Replicate(ctx context.Context) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

@@ -184,8 +184,8 @@ type MembershipStats struct {
 	Crashes int
 	// Recoveries counts Recover calls.
 	Recoveries int
-	// ReplicatedNodes counts node snapshots shipped by Replicate,
-	// cumulatively.
+	// ReplicatedNodes counts node snapshots shipped by Replicate
+	// (the nodes each tick found changed), cumulatively.
 	ReplicatedNodes int
 	// RestoredNodes counts nodes reinstalled from snapshots.
 	RestoredNodes int
@@ -270,9 +270,9 @@ type Config struct {
 	// deployment engines. Off by default.
 	GateCapacity bool
 	// Persist, when non-nil, makes the overlay durable: every
-	// Replicate tick writes an fsynced snapshot of the replica state
-	// to the store and every catalogue mutation appends to its
-	// journal, so a cold restart (Restore) can rebuild the overlay
+	// catalogue mutation appends to the store's journal and every
+	// Replicate tick fsyncs it or writes a new snapshot image, so a
+	// cold restart (Restore) can rebuild the overlay
 	// after every peer dies.
 	Persist *persist.Store
 	// Restore rebuilds the overlay from Persist's newest snapshot and
@@ -359,9 +359,9 @@ type Engine interface {
 	// Validate holds again. Keys declared after the last Replicate on
 	// a crashed peer are counted lost.
 	Recover(ctx context.Context) (RecoveryReport, error)
-	// Replicate snapshots every tree node to the replica store (the
-	// periodic replication tick backing CrashPeer/Recover) and
-	// returns the number of nodes replicated.
+	// Replicate brings every tree node's replica up to date (the
+	// periodic replication tick backing CrashPeer/Recover), shipping
+	// the nodes that changed since the last tick, and returns how many.
 	Replicate(ctx context.Context) (int, error)
 	// Peers lists the live peers in ascending id (ring) order.
 	Peers(ctx context.Context) ([]PeerInfo, error)

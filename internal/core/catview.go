@@ -105,6 +105,27 @@ func (net *Network) CaptureSnapshot() ([]persist.PeerState, *CatalogueCapture) {
 	return peers, &CatalogueCapture{chunks: img.chunks, nkeys: img.nkeys}
 }
 
+// CatalogueImaged reports whether the copy-on-write catalogue image is
+// current: every catalogue change since the last capture went through
+// the journal funnel. It is not after a lossy recovery, nor on a network
+// that has not captured yet.
+func (net *Network) CatalogueImaged() bool { return net.cat != nil }
+
+// RingIs reports whether the ring is exactly peers, in ring order: the
+// same ids with the same capacities.
+func (net *Network) RingIs(peers []persist.PeerState) bool {
+	ids := net.ring.IDs()
+	if len(ids) != len(peers) {
+		return false
+	}
+	for i, id := range ids {
+		if string(id) != peers[i].ID || net.peers[id].Capacity != peers[i].Capacity {
+			return false
+		}
+	}
+	return true
+}
+
 // catalogueData collects the durable catalogue: the union of the
 // replicated data nodes and the live tree's data nodes, live values
 // winning — they are at least as fresh. The union matters on the

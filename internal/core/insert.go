@@ -73,7 +73,9 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 	switch {
 	case p.Key == k:
 		// Line 3.03: the proper node.
-		p.addValue(m.value)
+		if p.addValue(m.value) {
+			net.touch(p)
+		}
 		return nil
 
 	case keys.IsProperPrefix(p.Key, k):
@@ -86,6 +88,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		// itself (line 3.08).
 		info := NodeInfo{Key: k, Father: p.Key, HasFather: true, Data: []string{m.value}}
 		p.addChild(k, nil)
+		net.touch(p)
 		return net.routeSearchingHost(peer.ID, p.Key, info)
 
 	case keys.IsProperPrefix(k, p.Key):
@@ -94,6 +97,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 			// k becomes the new root, adopting p (lines 3.11-3.13).
 			info := NodeInfo{Key: k, Children: []keys.Key{p.Key}, Data: []string{m.value}}
 			p.Father, p.HasFather = k, true
+			net.touch(p)
 			return net.routeSearchingHost(peer.ID, p.Key, info)
 		}
 		if keys.IsPrefix(k, p.Father) {
@@ -106,6 +110,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 			Children: []keys.Key{p.Key}, Data: []string{m.value}}
 		father := p.Father
 		p.Father, p.HasFather = k, true
+		net.touch(p)
 		if err := net.routeSearchingHost(peer.ID, father, info); err != nil {
 			return err
 		}
@@ -129,6 +134,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		kinfo := NodeInfo{Key: k, Father: g, HasFather: true, Data: []string{m.value}}
 		father, hadFather := p.Father, p.HasFather
 		p.Father, p.HasFather = g, true
+		net.touch(p)
 		start := p.Key
 		if hadFather {
 			start = father
@@ -196,6 +202,7 @@ func (net *Network) RemoveData(k keys.Key, value string) bool {
 	if !ok || !n.removeValue(value) {
 		return false
 	}
+	net.touch(n)
 	net.Counters.MaintenanceMsgs++
 	net.compactNode(n)
 	net.journal(true, k, value)
@@ -219,6 +226,7 @@ func (net *Network) compactNode(n *Node) {
 				return
 			}
 			fn.removeChild(n.Key)
+			net.touch(fn)
 			net.Counters.MaintenanceMsgs++
 			n = fn
 		case 1:
@@ -231,6 +239,7 @@ func (net *Network) compactNode(n *Node) {
 				// Root with a single child: the child becomes root.
 				cn.HasFather = false
 				cn.Father = keys.Epsilon
+				net.touch(cn)
 				net.root = cn.Key
 				net.unindexNode(n)
 				net.Counters.MaintenanceMsgs++
@@ -239,6 +248,8 @@ func (net *Network) compactNode(n *Node) {
 			cn.Father = n.Father
 			fn.removeChild(n.Key)
 			fn.addChild(cn.Key, cn)
+			net.touch(cn)
+			net.touch(fn)
 			net.unindexNode(n)
 			net.Counters.MaintenanceMsgs += 2
 			return

@@ -127,6 +127,7 @@ func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Ke
 	}
 	n.removeChild(old)
 	n.addChild(new, net.nodes[new])
+	net.touch(n)
 	return nil
 }
 

@@ -96,6 +96,14 @@ type Network struct {
 	// by crashes since the last Recover (see replication.go).
 	replicaLoc  map[keys.Key]keys.Key
 	pendingLost map[keys.Key]bool
+	// epoch is the replication epoch open since the last ReplicaPlan:
+	// a node touched in it carries it as its stamp. dropped lists the
+	// keys that left the index holding a replica since the last
+	// compaction, the only replicas CompactReplicas has to look at, and
+	// locChurn counts the entries replicaLoc lost since its last rebuild.
+	epoch    uint32
+	dropped  []keys.Key
+	locChurn int
 
 	// Journal, when set, is invoked after every successful catalogue
 	// mutation (register / unregister) — the persistence layer's
@@ -196,8 +204,11 @@ func (net *Network) ResetUnit() {
 		p.procConc.Store(0)
 	}
 	for _, n := range net.nodeList {
-		n.LoadPrev = n.LoadCur + int(n.visits.Swap(0))
-		n.LoadCur = 0
+		load := n.LoadCur + int(n.visits.Swap(0))
+		if load != 0 || n.LoadPrev != 0 {
+			net.touch(n)
+		}
+		n.LoadPrev, n.LoadCur = load, 0
 	}
 }
 
@@ -299,10 +310,11 @@ func (net *Network) indexNode(n *Node) {
 		n.pos, old.pos = old.pos, -1
 		old.host.release(old)
 	} else {
-		n.pos = len(net.nodeList)
+		n.pos = int32(len(net.nodeList))
 		net.nodeList = append(net.nodeList, nil)
 	}
 	net.nodes[n.Key], net.nodeList[n.pos] = n, n
+	net.touch(n)
 	if f, ok := net.nodes[n.Father]; ok && n.HasFather {
 		if i, found := f.edge(n.Key); found {
 			f.Children[i].node = n
@@ -319,8 +331,12 @@ func (net *Network) linkChildren(n *Node) {
 	}
 }
 
-// unindexNode takes n out of the index and out of its host's ν_P.
+// unindexNode takes n out of the index and out of its host's ν_P. A
+// replica of the node is left for CompactReplicas to judge.
 func (net *Network) unindexNode(n *Node) {
+	if _, ok := net.replicaLoc[n.Key]; ok {
+		net.dropped = append(net.dropped, n.Key)
+	}
 	n.host.release(n)
 	last := len(net.nodeList) - 1
 	net.nodeList[n.pos] = net.nodeList[last]
@@ -421,6 +437,7 @@ func (net *Network) MoveNode(k, fromID, toID keys.Key) error {
 	}
 	from.release(n)
 	to.adopt(n)
+	net.touch(n)
 	net.Counters.MaintenanceMsgs++
 	net.Counters.MaintenancePhysical++
 	net.Counters.NodesTransferred++
@@ -484,7 +501,7 @@ func (net *Network) Validate() error {
 	roots := 0
 	for i, n := range net.nodeList {
 		k := n.Key
-		if net.nodes[k] != n || n.pos != i {
+		if net.nodes[k] != n || int(n.pos) != i {
 			return fmt.Errorf("core: node %q is not at its slot %d of the node list", k, n.pos)
 		}
 		if host, _ := net.HostOf(k); host != n.host.ID {

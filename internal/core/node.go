@@ -82,7 +82,12 @@ type Node struct {
 	visits atomic.Int64
 
 	host *Peer // the peer running the node, set only by Peer.adopt
-	pos  int   // the node's slot in Network.nodeList; -1 out of the index
+	pos  int32 // the node's slot in Network.nodeList; -1 out of the index
+	// stamp is the replication epoch in which the node last changed
+	// what infoOf ships or its host (Network.touch): the next
+	// ReplicaPlan ships it. The epoch wraps harmlessly: a stale stamp
+	// that matches again only re-ships an unchanged node.
+	stamp uint32
 }
 
 // Child is one tree edge: the child's key, which orders the edges and is
@@ -137,7 +142,10 @@ func (n *Node) removeChild(k keys.Key) {
 	}
 }
 
-func (n *Node) addValue(v string) { n.Data, _ = insertSorted(n.Data, v) }
+func (n *Node) addValue(v string) (added bool) {
+	n.Data, added = insertSorted(n.Data, v)
+	return added
+}
 
 func (n *Node) removeValue(v string) (removed bool) {
 	n.Data, removed = deleteSorted(n.Data, v)

@@ -27,6 +27,9 @@ type Peer struct {
 	// the predecessor runs (see replication.go). A crash of this peer
 	// loses the set; Replicate rebuilds it.
 	Replicas map[keys.Key]NodeInfo
+	// churn counts the entries Replicas lost, or took by re-homing,
+	// since it was last rebuilt at size (see CompactReplicas).
+	churn int
 
 	// Processed counts discovery visits processed during the current
 	// time unit; reset by ResetUnit.
@@ -58,6 +61,12 @@ func (p *Peer) NumNodes() int { return len(p.nodes) }
 // own: read it under the lock that guards the network, and never write
 // it.
 func (p *Peer) Nodes() []*Node { return p.nodes }
+
+// dropReplica removes the replica of k from the peer's set.
+func (p *Peer) dropReplica(k keys.Key) {
+	delete(p.Replicas, k)
+	p.churn++
+}
 
 // NumReplicas returns the size of the replica set this peer holds.
 func (p *Peer) NumReplicas() int { return len(p.Replicas) }
@@ -132,13 +141,14 @@ func (p *Peer) holds(n *Node) bool {
 	return n.slot >= 0 && int(n.slot) < len(p.nodes) && p.nodes[n.slot] == n
 }
 
-// cede moves to peer to every node of ν_P that sel picks, returning how
-// many moved.
-func (p *Peer) cede(to *Peer, sel func(*Node) bool) (moved int) {
-	for i := len(p.nodes) - 1; i >= 0; i-- {
-		if n := p.nodes[i]; sel(n) {
-			p.release(n)
+// cede moves every node of from's ν_P that sel picks to peer to,
+// returning how many moved.
+func (net *Network) cede(from, to *Peer, sel func(*Node) bool) (moved int) {
+	for i := len(from.nodes) - 1; i >= 0; i-- {
+		if n := from.nodes[i]; sel(n) {
+			from.release(n)
 			to.adopt(n)
+			net.touch(n)
 			moved++
 		}
 	}

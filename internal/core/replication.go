@@ -14,7 +14,17 @@ import (
 // replicating node state so the tree survives crashes. We implement
 // true successor replication: every tree node's snapshot lives on the
 // ring successor of its host peer, refreshed by Replicate — e.g. once
-// per time unit — and used by Recover after a crash. Because replicas
+// per time unit — and used by Recover after a crash. The refresh is by
+// change, as in delta-state replication (Almeida, Shoker and Baquero,
+// JPDC 2018): every write to what a snapshot carries, and every change
+// of a node's host, stamps the node with the open replication epoch
+// (touch), and a tick ships only the nodes stamped since the previous
+// one, plus every node whose current-unit load differs from its
+// replica's (discoveries count visits without a stamp: they run under
+// the read lock). A crash
+// stamps the live nodes whose replicas it took, so the next tick
+// re-protects them; compaction looks only at the keys that left the
+// index holding a replica. Because replicas
 // have a *place*, topology changes have a replication cost: a join,
 // leave, crash recovery or balancing rename moves the affected
 // replica sets to their new successor targets, and that transfer
@@ -72,6 +82,11 @@ type ReplicaBatch struct {
 	Infos    []NodeInfo
 }
 
+// touch stamps n with the open replication epoch: the next ReplicaPlan
+// ships it. Every write to a field infoOf ships, and every change of
+// the node's host, touches the node.
+func (net *Network) touch(n *Node) { n.stamp = net.epoch }
+
 // replicaTarget returns the peer that must hold the replica of node
 // k: the ring successor of k's host.
 func (net *Network) replicaTarget(k keys.Key) (keys.Key, bool) {
@@ -94,35 +109,53 @@ func (net *Network) placeReplica(k keys.Key, info NodeInfo, tgt keys.Key) {
 	}
 	if cur, ok := net.replicaLoc[k]; ok && cur != tgt {
 		if p, ok := net.peers[cur]; ok {
-			delete(p.Replicas, k)
+			p.dropReplica(k)
 		}
 	}
 	net.peers[tgt].Replicas[k] = info
 	net.replicaLoc[k] = tgt
 }
 
-// ReplicaPlan computes one replication tick without applying it: for
-// every peer, the batch of node snapshots bound for its ring
-// successor, in ascending host order, each batch in ν_P's order. The
+// ReplicaPlan computes one replication tick and closes the epoch it
+// ships: for every peer, the batch of snapshots of the nodes it runs
+// that changed since the previous plan or whose current-unit load is
+// not the one their replica holds, bound for its ring successor, in
+// ascending host order, each batch in ν_P's order; peers with nothing
+// to ship have no batch. Applying the plan leaves every live node's
+// replica equal to its infoOf. The
 // sequential engine applies the plan inline (Replicate); the concurrent
 // engines route each batch through their real per-peer delivery paths
 // and apply it with AcceptReplicas.
 func (net *Network) ReplicaPlan() []ReplicaBatch {
-	ids := net.ring.IDs()
-	out := make([]ReplicaBatch, 0, len(ids))
-	for _, id := range ids {
-		p := net.peers[id]
-		if len(p.nodes) == 0 {
-			continue
+	epoch := net.epoch
+	net.epoch++
+	var out []ReplicaBatch
+	for _, id := range net.ring.IDs() {
+		var infos []NodeInfo
+		for _, n := range net.peers[id].nodes {
+			if n.stamp == epoch || n.Load() != 0 && !net.loadReplicated(n) {
+				infos = append(infos, infoOf(n))
+			}
 		}
-		succ, _ := net.ring.Successor(id)
-		b := ReplicaBatch{From: id, To: succ, Infos: make([]NodeInfo, 0, len(p.nodes))}
-		for _, n := range p.nodes {
-			b.Infos = append(b.Infos, infoOf(n))
+		if len(infos) > 0 {
+			succ, _ := net.ring.Successor(id)
+			out = append(out, ReplicaBatch{From: id, To: succ, Infos: infos})
 		}
-		out = append(out, b)
 	}
 	return out
+}
+
+// loadReplicated reports whether n's replica holds n's current-unit
+// load. Discoveries count visits without a stamp (the concurrent
+// engines' run under the read lock), so a loaded node is compared with
+// its replica instead.
+func (net *Network) loadReplicated(n *Node) bool {
+	loc, ok := net.replicaLoc[n.Key]
+	if !ok {
+		return false
+	}
+	info, ok := net.peers[loc].Replicas[n.Key]
+	return ok && info.LoadCur == n.Load()
 }
 
 // AcceptReplicas installs one shipped batch, re-routing entries whose
@@ -143,6 +176,10 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []NodeInfo) int {
 			tgt = to
 		}
 		net.placeReplica(info.Key, info, tgt)
+		if !net.HasNode(info.Key) {
+			// Gone while the batch was in flight: compaction judges it.
+			net.dropped = append(net.dropped, info.Key)
+		}
 		count++
 		net.Counters.MaintenanceMsgs++
 		if tgt != from {
@@ -153,29 +190,48 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []NodeInfo) int {
 	return count
 }
 
+// replicaSlack bounds the room a replica map keeps for entries it no
+// longer holds: a Go map never shrinks, so one that has lost (or taken
+// by re-homing) a replicaSlack-th of its size since it was last built
+// is rebuilt at size. A rebuild costs the whole map, so rebuilding after
+// every loss would make each tick cost the catalogue again.
+const replicaSlack = 8
+
 // CompactReplicas drops the snapshots of nodes that no longer exist —
 // except those lost to a crash that has not been recovered yet, which
-// are exactly the snapshots Recover needs — and rebuilds the replica
-// maps at size (maps.Clone), as a Go map never shrinks.
+// are exactly the snapshots Recover needs. Only the keys that left the
+// index holding a replica since the last compaction can be stale, so
+// only they are looked at. The replica maps that churned by a
+// replicaSlack-th since their last rebuild are rebuilt at size.
 func (net *Network) CompactReplicas() {
-	for k, loc := range net.replicaLoc {
-		if !net.HasNode(k) && !net.pendingLost[k] {
-			if p, ok := net.peers[loc]; ok {
-				delete(p.Replicas, k)
-			}
-			delete(net.replicaLoc, k)
+	stale := 0
+	for _, k := range net.dropped {
+		loc, ok := net.replicaLoc[k]
+		if !ok || net.HasNode(k) || net.pendingLost[k] {
+			continue
 		}
+		if p, ok := net.peers[loc]; ok {
+			p.dropReplica(k)
+		}
+		delete(net.replicaLoc, k)
+		stale++
 	}
-	net.replicaLoc = maps.Clone(net.replicaLoc)
+	net.dropped = nil
+	net.locChurn += stale
+	if net.locChurn > 0 && replicaSlack*net.locChurn >= len(net.replicaLoc) {
+		net.replicaLoc, net.locChurn = maps.Clone(net.replicaLoc), 0
+	}
 	for _, p := range net.peers {
-		p.Replicas = maps.Clone(p.Replicas)
+		if p.churn > 0 && replicaSlack*p.churn >= len(p.Replicas) {
+			p.Replicas, p.churn = maps.Clone(p.Replicas), 0
+		}
 	}
 }
 
-// Replicate snapshots the state of every tree node to its host's ring
-// successor (one message per node, counted as maintenance) and
-// compacts stale snapshots. It returns the number of nodes
-// replicated.
+// Replicate snapshots the state of every tree node that changed since
+// the last tick to its host's ring successor (one message per node,
+// counted as maintenance) and compacts stale snapshots. It returns the
+// number of nodes replicated.
 func (net *Network) Replicate() int {
 	count := 0
 	for _, b := range net.ReplicaPlan() {
@@ -203,8 +259,9 @@ func (net *Network) RehomeReplicas() (msgs, moved int) {
 			continue
 		}
 		info := net.peers[loc].Replicas[k]
-		delete(net.peers[loc].Replicas, k)
+		net.peers[loc].dropReplica(k)
 		net.peers[want].Replicas[k] = info
+		net.peers[want].churn++
 		net.replicaLoc[k] = want
 		batches[pair{loc, want}] = true
 		moved++
@@ -250,9 +307,12 @@ func (net *Network) FailPeer(id keys.Key) error {
 		net.hashRemovePeer(id)
 	}
 	// The crashed peer's replica set is gone with it; its predecessor's
-	// live nodes are re-replicated at the next tick.
+	// live nodes are stamped, so the next tick re-replicates them.
 	for k := range p.Replicas {
 		delete(net.replicaLoc, k)
+		if n, ok := net.nodes[k]; ok {
+			net.touch(n)
+		}
 	}
 	if net.pendingLost == nil {
 		net.pendingLost = make(map[keys.Key]bool)
@@ -366,6 +426,7 @@ func (net *Network) rebuildLinks() {
 		if !linksCanonical(n, cn) {
 			n.Children = cn.kids
 			n.Father, n.HasFather = cn.father, cn.hasFather
+			net.touch(n)
 			net.Replication.RepairMsgs++
 			net.Counters.MaintenanceMsgs++
 		}

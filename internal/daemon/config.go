@@ -75,9 +75,9 @@ type Config struct {
 	// Seed fixes the daemon's rng stream (0 seeds from the clock).
 	Seed int64 `json:"seed,omitempty"`
 	// ReplicateEvery is the steward's replication tick period
-	// (default 10s). Each tick snapshots every tree node to its ring
-	// successor on every mirror and, with DataDir set, fsyncs a
-	// durable snapshot.
+	// (default 10s). Each tick ships the tree nodes that changed to
+	// their ring successor on every mirror and, with DataDir set,
+	// fsyncs the journal or a new snapshot image.
 	ReplicateEvery Duration `json:"replicate_every,omitempty"`
 	// ProbeEvery is the link-maintenance probe interval (default 1s).
 	ProbeEvery Duration `json:"probe_every,omitempty"`

@@ -67,9 +67,9 @@ type Options struct {
 	// Gate enforces per-peer capacity on the discovery path: every
 	// visit consumes capacity and saturated peers drop requests.
 	Gate bool
-	// Persist, when non-nil, makes the cluster durable: Replicate
-	// writes fsynced snapshots and catalogue mutations append to the
-	// journal.
+	// Persist, when non-nil, makes the cluster durable: catalogue
+	// mutations append to the journal, and Replicate fsyncs it or
+	// writes a snapshot image.
 	Persist *persist.Store
 	// Restore rebuilds the overlay from Persist instead of starting
 	// fresh from the capacities (which are then ignored).
@@ -373,15 +373,16 @@ func (r *Runtime) Recover() (restored int, lost []keys.Key, err error) {
 	return restored, lost, nil
 }
 
-// Replicate snapshots every tree node to its host's ring successor.
-// Each batch travels the link — the runtime's real per-peer path —
-// while discoveries keep flowing; a batch the link cannot deliver
-// (departed target, racing endpoint close) is installed directly,
-// which re-routes per entry. Delivery is at-least-once: a link that
-// fails after the far side installed the batch makes the fallback
-// re-install it idempotently, and the snapshot counters count it
-// twice. On a durable cluster the tick ends with the fsynced on-disk
-// snapshot.
+// Replicate snapshots every tree node that changed since the last tick
+// to its host's ring successor. Each batch travels the link — the
+// runtime's real per-peer path — while discoveries keep flowing; a
+// batch the link cannot deliver (departed target, racing endpoint
+// close) is installed directly, which re-routes per entry. Delivery is
+// at-least-once: a link that fails after the far side installed the
+// batch makes the fallback re-install it idempotently, and the snapshot
+// counters count it twice. On a durable cluster the tick ends with its
+// durability point: the fsynced journal, or a new on-disk image where
+// the journal cannot carry the tick.
 func (r *Runtime) Replicate() (int, error) {
 	if r.Stopped() {
 		return 0, ErrStopped
@@ -416,7 +417,7 @@ func (r *Runtime) Replicate() (int, error) {
 
 // ReplicateLocal runs one replication tick under a single hold of the
 // write lock, bypassing the link: core.Network.Replicate (plan, install,
-// compact) and, on a durable cluster, the snapshot. The daemon
+// compact) and, on a durable cluster, the durability point. The daemon
 // deployment calls this on every process: each holds a full mirror, so
 // shipping batches to peers that already have identical state would be
 // pure overhead.
@@ -444,22 +445,37 @@ func (r *Runtime) InstallReplicas(b core.ReplicaBatch) int {
 }
 
 // beginSnapshotLocked is the tail of a replication tick on a durable
-// overlay. The caller holds Mu's write side, so the capture and the
-// journal rotation are atomic: a racing mutation journals either into
-// the epoch this snapshot supersedes and is contained in the capture,
-// or into the new epoch and replays on top of it. The capture is O(1)
-// (a copy-on-write catalogue image); commit encodes and fsyncs and is
-// to be called after the lock is released, so the write stall is
-// independent of the catalogue size. commit also stamps the tick as
-// completed, with or without a store.
+// overlay. Where the journal can carry the tick — the ring is the
+// newest image's, the catalogue image has changed only through journaled
+// records (a lossy Recover or a wholesale mirror install drops it), and
+// the store's own rules hold (persist.Store.JournalCarries) — commit
+// just fsyncs the journal: the image and the records after it replay to
+// the state of this tick. Otherwise the tick writes a new image. The
+// caller holds Mu's write side, so the capture and the journal rotation
+// are atomic: a racing mutation journals either into the epoch this
+// snapshot supersedes and is contained in the capture, or into the new
+// epoch and replays on top of it. The capture is O(1) (a copy-on-write
+// catalogue image); commit encodes and fsyncs and is to be called after
+// the lock is released, so the write stall is independent of the
+// catalogue size. commit also stamps the tick as completed, with or
+// without a store.
 func (r *Runtime) beginSnapshotLocked() (commit func() error, err error) {
-	met := r.Met
-	if r.Store == nil {
+	met, store := r.Met, r.Store
+	if store == nil {
 		return func() error { met.MarkReplicated(); return nil }, nil
+	}
+	if r.Net.CatalogueImaged() && store.JournalCarries(r.Net.RingIs) {
+		return func() error {
+			if err := store.SyncJournal(); err != nil {
+				return err
+			}
+			met.MarkReplicated()
+			return nil
+		}, nil
 	}
 	start := time.Now()
 	peers, cat := r.Net.CaptureSnapshot()
-	pending, err := r.Store.BeginSnapshot()
+	pending, err := store.BeginSnapshot()
 	if err != nil {
 		return nil, err
 	}

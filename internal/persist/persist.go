@@ -47,11 +47,17 @@
 // still parse: version-1 images (inline node list) and version-2
 // images whose envelope is legacy-coded.
 //
-// Only snapshots are fsynced; journal appends ride the OS cache. The
-// durability contract is therefore exactly the paper's replication
-// model: everything declared before the last Replicate survives any
-// crash, and journaled mutations after it survive ordinary process
-// death (but not power loss).
+// Journal appends ride the OS cache; a Replicate tick is the
+// durability point. A tick writes a new image only when the journal
+// cannot carry it (JournalCarries: the ring differs from the newest
+// image's, an append failed, or the records journaled since the image
+// reach a quarter of its keys; the caller adds what only it knows, a
+// catalogue that changed without a record); otherwise the tick fsyncs
+// the journal (SyncJournal), and the newest image plus its journal
+// replay to the same state. The durability contract is therefore
+// exactly the paper's replication model: everything declared before the
+// last Replicate survives any crash, and journaled mutations after it
+// survive ordinary process death (but not power loss).
 package persist
 
 import (
@@ -170,7 +176,26 @@ type Store struct {
 	// surfaces it (the snapshot itself heals the gap — the lost
 	// records described state the new snapshot now contains).
 	appendErr error
+	// records counts the appends since the newest BeginSnapshot; image
+	// is the ring and key count of the newest image this store
+	// committed, nil until one commits and while a newer epoch's image
+	// is pending. buf is the one buffer Append encodes into.
+	records int
+	image   *imageState
+	buf     []byte
 }
+
+// imageState is what JournalCarries compares a tick against: the ring
+// and catalogue size of the newest committed image.
+type imageState struct {
+	peers []PeerState
+	keys  int
+}
+
+// journalShare is the journal's limit, as a share of the newest image's
+// keys: at a quarter, replaying the records costs about what reading a
+// fresh image would, so the next tick writes one.
+const journalShare = 4
 
 // Open creates or reopens the persistence directory. The journal of
 // the newest epoch is opened for appending, so a reopened store
@@ -338,23 +363,60 @@ func (s *Store) Append(remove bool, key, value string) error {
 	if s.closed || s.journal == nil {
 		return errors.New("persist: store closed")
 	}
-	payload := make([]byte, 0, 2+len(key)+len(value)+8)
 	op := byte(0)
 	if remove {
 		op = 1
 	}
-	payload = append(payload, op)
-	payload = appendString(payload, key)
-	payload = appendString(payload, value)
-	frame := make([]byte, 0, len(payload)+8)
-	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	// The frame is length, payload, CRC, encoded in place into the
+	// store's buffer: a durable write allocates nothing here.
+	frame := append(s.buf[:0], 0, 0, 0, 0, op)
+	frame = appendString(frame, key)
+	frame = appendString(frame, value)
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
+	s.buf = frame
 	_, err := s.journal.Write(frame)
 	if err != nil && s.appendErr == nil {
 		s.appendErr = err
 	}
+	s.records++
 	return err
+}
+
+// JournalCarries reports whether the journal can make a replication
+// tick durable without a new image: an image committed by this store is
+// the newest epoch's, no append has failed since, sameRing confirms the
+// overlay's ring is still the image's (ids and capacities, which the
+// journal does not record), and the records journaled since stay under
+// a quarter of the image's keys. The caller fsyncs the journal
+// (SyncJournal) instead of writing an image only on true.
+func (s *Store) JournalCarries(sameRing func([]PeerState) bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	img := s.image
+	return img != nil && !s.closed && s.appendErr == nil &&
+		(s.records == 0 || journalShare*s.records < img.keys) && sameRing(img.peers)
+}
+
+// SyncJournal fsyncs the current epoch's journal: the durability point
+// of a replication tick that writes no image. No store-wide lock is held
+// during the fsync, so concurrent appends proceed; if a snapshot rotates
+// the journal meanwhile, the rotated file is synced by name.
+func (s *Store) SyncJournal() error {
+	s.mu.Lock()
+	f, path := s.journal, s.jrnlPath(s.seq)
+	s.mu.Unlock()
+	if f == nil {
+		return errors.New("persist: store closed")
+	}
+	err := f.Sync()
+	if errors.Is(err, os.ErrClosed) {
+		err = syncFile(path)
+	}
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	return nil
 }
 
 // EntrySource is a sorted stream of catalogue entries — what an
@@ -428,6 +490,7 @@ func (s *Store) BeginSnapshot() (*PendingSnapshot, error) {
 		_ = s.journal.Close()
 	}
 	s.seq = seq
+	s.records, s.image = 0, nil
 	if err := s.openJournalLocked(); err != nil {
 		return nil, err
 	}
@@ -472,6 +535,9 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 	syncDir(s.dir)
 
 	s.mu.Lock()
+	if p.seq == s.seq {
+		s.image = &imageState{peers: peers, keys: cat.Len()}
+	}
 	s.pruneLocked()
 	s.mu.Unlock()
 	if p.healErr != nil {
@@ -728,6 +794,15 @@ func getString(p []byte) (string, []byte, error) {
 		return "", nil, err
 	}
 	return string(p[:n]), p[n:], nil
+}
+
+// syncFile opens the file at path and fsyncs it.
+func syncFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(f.Sync(), f.Close())
 }
 
 // syncDir fsyncs a directory so a rename is durable; best effort on

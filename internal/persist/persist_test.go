@@ -557,3 +557,113 @@ func TestAppendErrorSurfacesAtSnapshot(t *testing.T) {
 		t.Fatalf("second snapshot still failing: %v", err)
 	}
 }
+
+// TestJournalCarriesRules pins when the journal alone can make a
+// replication tick durable: never before this store committed an image,
+// then only while the ring is the image's, no append has failed since,
+// and the records journaled since stay under a quarter of the image's
+// keys. A journal-only tick is an fsync, and a reload replays the image
+// and its journal.
+func TestJournalCarriesRules(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	peers := []PeerState{{ID: "aaa", Capacity: 100}, {ID: "mmm", Capacity: 200}}
+	same := func(p []PeerState) bool { return reflect.DeepEqual(p, peers) }
+	if s.JournalCarries(same) {
+		t.Fatal("the journal carries a tick before any image")
+	}
+	nodes := make([]catalog.Entry, 8)
+	for i := range nodes {
+		nodes[i] = catalog.Entry{Key: string(rune('a' + i)), Values: []string{"ep"}}
+	}
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
+		t.Fatal(err)
+	}
+	if !s.JournalCarries(same) {
+		t.Fatal("an idle tick after an image needs another image")
+	}
+	if s.JournalCarries(func([]PeerState) bool { return false }) {
+		t.Fatal("the journal carries a tick across a ring change")
+	}
+	if err := s.Append(false, "zz", "ep"); err != nil {
+		t.Fatal(err)
+	}
+	if !s.JournalCarries(same) {
+		t.Fatal("one record over 8 keys needs an image")
+	}
+	if err := s.SyncJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(true, "zz", "ep"); err != nil {
+		t.Fatal(err)
+	}
+	if s.JournalCarries(same) {
+		t.Fatal("2 records over 8 keys (a quarter) carried without an image")
+	}
+	st, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshot == nil || len(nodeList(t, st.Snapshot)) != len(nodes) || len(st.Journal) != 2 {
+		t.Fatalf("reload: snapshot %v, %d records", st.Snapshot != nil, len(st.Journal))
+	}
+	st.Release()
+
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.journal.Close() // break the journal handle behind the store's back
+	s.mu.Unlock()
+	if err := s.Append(false, "k", "v"); err == nil {
+		t.Fatal("append on a closed handle succeeded")
+	}
+	if s.JournalCarries(same) {
+		t.Fatal("the journal carries a tick after a failed append")
+	}
+	if err := s.SyncJournal(); err != nil { // a closed handle is synced by name
+		t.Fatalf("sync of a closed journal handle: %v", err)
+	}
+	// A pending image is not the newest committed one.
+	p, err := s.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.JournalCarries(same) {
+		t.Fatal("the journal carries a tick while an image is pending")
+	}
+	if _, err := p.Commit(peers, entrySource(nodes)); err == nil {
+		t.Fatal("the failed append was not surfaced")
+	}
+	if !s.JournalCarries(same) {
+		t.Fatal("the committed image does not carry the next tick")
+	}
+}
+
+// TestAllocsPerAppend is the allocation budget of a journal append,
+// which every durable write pays: the record is encoded into the
+// store's own buffer.
+func TestAllocsPerAppend(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := s.Append(false, "dgemm_sparse", "ep://host:4000"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.2f allocs per append", allocs)
+	const ceiling = 0
+	if allocs > ceiling {
+		t.Fatalf("%.2f allocs per append, ceiling %d", allocs, ceiling)
+	}
+}

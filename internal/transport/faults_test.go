@@ -168,21 +168,42 @@ func TestFaultsOnWire(t *testing.T) {
 // TestFaultsReachEveryDialedFrame drops frames of the kinds a fault
 // plan once never saw: one REPLICA, then one QUERY. The dropped REPLICA
 // costs its batch the wire, not the tick — the runtime installs it
-// directly, so Replicate reports the fault-free snapshot count — and
-// the dropped QUERY is sent again by StreamQuery's retry on the same
-// pooled connection.
+// directly, so every node written since the previous tick has its
+// replica afterwards — and the dropped QUERY is sent again by
+// StreamQuery's retry on the same pooled connection.
 func TestFaultsReachEveryDialedFrame(t *testing.T) {
 	c, faults, corpus := startFaultyTCP(t, 5, 60)
-	want, err := c.Replicate()
-	if err != nil || want == 0 {
-		t.Fatalf("fault-free replicate: %d snapshots, %v", want, err)
+	if n, err := c.Replicate(); err != nil || n == 0 {
+		t.Fatalf("fault-free replicate: %d snapshots, %v", n, err)
+	}
+	// A tick ships what changed since the previous one. A fresh key
+	// beside every declared one gives every peer holding nodes a batch,
+	// and every batch a fresh node.
+	fresh := make([]keys.Key, len(corpus))
+	for i, k := range corpus {
+		fresh[i] = k + "zz"
+		if err := c.Register(fresh[i], "ep://fresh"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	faults.Inject(FaultRule{Type: frameReplica, Count: 1, Drop: true})
-	if got, err := c.Replicate(); err != nil || got != want {
-		t.Fatalf("replicate across a dropped REPLICA: %d snapshots, %v; fault-free %d", got, err, want)
+	if got, err := c.Replicate(); err != nil || got < len(fresh) {
+		t.Fatalf("replicate across a dropped REPLICA: %d snapshots, %v; %d fresh keys", got, err, len(fresh))
 	}
 	if rulesLeft(faults) != 0 {
 		t.Fatal("the REPLICA drop never matched")
+	}
+	c.Mu.RLock()
+	for _, k := range fresh {
+		if _, ok := c.Net.ReplicaHolder(k); !ok {
+			c.Mu.RUnlock()
+			t.Fatalf("fresh key %q has no replica: its dropped batch was not installed", k)
+		}
+	}
+	replicas, nodes, err := c.Net.NumReplicas(), c.Net.NumNodes(), c.Net.Validate()
+	c.Mu.RUnlock()
+	if replicas != nodes || err != nil {
+		t.Fatalf("after the tick: %d replicas of %d nodes, %v", replicas, nodes, err)
 	}
 
 	ctx := context.Background()
@@ -194,7 +215,7 @@ func TestFaultsReachEveryDialedFrame(t *testing.T) {
 	_, dialsBefore := c.PoolStats()
 	prefix := corpus[7][:2]
 	wantKeys := 0
-	for _, k := range corpus {
+	for _, k := range append(corpus, fresh...) {
 		if strings.HasPrefix(string(k), string(prefix)) {
 			wantKeys++
 		}

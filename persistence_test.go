@@ -416,3 +416,155 @@ func TestRestartDirectory(t *testing.T) {
 		}
 	})
 }
+
+// newestEpoch reads the epoch of the newest snapshot file in dir.
+func newestEpoch(t *testing.T, dir string) uint64 {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no snapshot in %s: %v", dir, err)
+	}
+	var newest uint64
+	for _, f := range files {
+		var seq uint64
+		if _, err := fmt.Sscanf(filepath.Base(f), "snapshot-%d.snap", &seq); err == nil {
+			newest = max(newest, seq)
+		}
+	}
+	return newest
+}
+
+// TestReplicateWritesImageOnlyWhenNeeded pins when a durable tick writes
+// a new image and when it only fsyncs the journal, one rule per case,
+// counting snapshot epochs: a tick after writes under a quarter of the
+// image's keys, or after none, rotates nothing; one after a membership
+// change, after the journal reached a quarter, or after a lossy
+// recovery (lost keys leave the catalogue without a record) writes an
+// image. Either way a restart from the directory serves exactly what
+// the overlay served when the tick ran.
+func TestReplicateWritesImageOnlyWhenNeeded(t *testing.T) {
+	const n = 400
+	corpus := workload.GridCorpus(n)
+	late := func(m int) []string {
+		out := make([]string, m)
+		for i := range out {
+			out[i] = fmt.Sprintf("zzlate%03d", i)
+		}
+		return out
+	}
+	register := func(names []string) func(*testing.T, context.Context, *Registry) {
+		return func(t *testing.T, ctx context.Context, reg *Registry) {
+			for _, k := range names {
+				if err := reg.Register(ctx, k, "ep"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	peers := func(t *testing.T, ctx context.Context, reg *Registry) []PeerInfo {
+		infos, err := reg.Peers(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return infos
+	}
+	for _, tc := range []struct {
+		name   string
+		act    func(*testing.T, context.Context, *Registry)
+		rotate bool
+	}{
+		{"idle", func(*testing.T, context.Context, *Registry) {}, false},
+		{"registrations under a quarter", register(late(n / 8)), false},
+		{"unregistrations under a quarter", func(t *testing.T, ctx context.Context, reg *Registry) {
+			for _, k := range corpus[:n/8] {
+				if ok, err := reg.Unregister(ctx, string(k), "ep"); !ok || err != nil {
+					t.Fatalf("unregister %q: %v %v", k, ok, err)
+				}
+			}
+		}, false},
+		{"registrations reach a quarter", register(late(n / 4)), true},
+		{"join", func(t *testing.T, ctx context.Context, reg *Registry) {
+			if err := reg.AddPeer(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"leave", func(t *testing.T, ctx context.Context, reg *Registry) {
+			ps := peers(t, ctx, reg)
+			if err := reg.RemovePeer(ctx, ps[len(ps)-1].ID); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"crash and lossless recovery", func(t *testing.T, ctx context.Context, reg *Registry) {
+			if err := reg.CrashPeer(ctx, busiestPeer(t, reg)); err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := reg.Recover(ctx); err != nil || rep.Lost != 0 {
+				t.Fatalf("recover: %+v %v", rep, err)
+			}
+		}, true},
+		{"lossy recovery on an unchanged ring", func(t *testing.T, ctx context.Context, reg *Registry) {
+			register(late(4))(t, ctx, reg)
+			ps := peers(t, ctx, reg)
+			host := ps[0].ID // the lexicographic host of the late keys
+			for _, p := range ps {
+				if p.ID >= "zzlate000" {
+					host = p.ID
+					break
+				}
+			}
+			if err := reg.CrashPeer(ctx, host); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reg.Replicate(ctx); err != nil { // the ring's image
+				t.Fatal(err)
+			}
+			if rep, err := reg.Recover(ctx); err != nil || rep.Lost == 0 {
+				t.Fatalf("recover lost nothing: %+v %v", rep, err)
+			}
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			dir := t.TempDir()
+			reg, err := New(6, WithSeed(43), WithAlphabet(keys.LowerAlnum),
+				WithEngine(EngineLocal), WithPersistence(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reg.Close()
+			names := make([]string, len(corpus))
+			for i, k := range corpus {
+				names[i] = string(k)
+			}
+			register(names)(t, ctx, reg)
+			if _, err := reg.Replicate(ctx); err != nil {
+				t.Fatal(err)
+			}
+			tc.act(t, ctx, reg)
+			before := newestEpoch(t, dir)
+			if _, err := reg.Replicate(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if rotated := newestEpoch(t, dir) > before; rotated != tc.rotate {
+				t.Fatalf("tick wrote an image: %v, want %v", rotated, tc.rotate)
+			}
+			want, err := reg.Services(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg.Close()
+			restarted, err := Restart(dir, WithSeed(43), WithAlphabet(keys.LowerAlnum), WithEngine(EngineLocal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restarted.Close()
+			got, err := restarted.Services(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("restart serves %d services, the overlay served %d at the tick", len(got), len(want))
+			}
+		})
+	}
+}
