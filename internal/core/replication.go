@@ -82,9 +82,8 @@ type ReplicaBatch struct {
 	Infos    []NodeInfo
 }
 
-// touch stamps n with the open replication epoch: the next ReplicaPlan
-// ships it. Every write to a field infoOf ships, and every change of
-// the node's host, touches the node.
+// touch stamps n with the open replication epoch, so the next
+// ReplicaPlan ships it.
 func (net *Network) touch(n *Node) { n.stamp = net.epoch }
 
 // replicaTarget returns the peer that must hold the replica of node

@@ -192,9 +192,10 @@ type imageState struct {
 	keys  int
 }
 
-// journalShare is the journal's limit, as a share of the newest image's
-// keys: at a quarter, replaying the records costs about what reading a
-// fresh image would, so the next tick writes one.
+// journalShare bounds the journal as a share of the newest image's
+// keys: once the records since the image reach a quarter of them, the
+// next tick writes a new image, so what a restart replays on top of an
+// image stays about that size.
 const journalShare = 4
 
 // Open creates or reopens the persistence directory. The journal of
