@@ -21,10 +21,9 @@ import (
 // (touch), and a tick ships only the nodes stamped since the previous
 // one, plus every node whose current-unit load differs from its
 // replica's (discoveries count visits without a stamp: they run under
-// the read lock). A crash
-// stamps the live nodes whose replicas it took, so the next tick
-// re-protects them; compaction looks only at the keys that left the
-// index holding a replica. Because replicas
+// the read lock). A crash stamps the live nodes whose replicas it
+// took, so the next tick re-protects them; compaction looks only at
+// the keys that left the index holding a replica. Because replicas
 // have a *place*, topology changes have a replication cost: a join,
 // leave, crash recovery or balancing rename moves the affected
 // replica sets to their new successor targets, and that transfer
@@ -121,10 +120,9 @@ func (net *Network) placeReplica(k keys.Key, info NodeInfo, tgt keys.Key) {
 // not the one their replica holds, bound for its ring successor, in
 // ascending host order, each batch in ν_P's order; peers with nothing
 // to ship have no batch. Applying the plan leaves every live node's
-// replica equal to its infoOf. The
-// sequential engine applies the plan inline (Replicate); the concurrent
-// engines route each batch through their real per-peer delivery paths
-// and apply it with AcceptReplicas.
+// replica equal to its infoOf. The sequential engine applies the plan
+// inline (Replicate); the concurrent engines route each batch through
+// their real per-peer delivery paths and apply it with AcceptReplicas.
 func (net *Network) ReplicaPlan() []ReplicaBatch {
 	epoch := net.epoch
 	net.epoch++
