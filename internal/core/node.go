@@ -84,7 +84,7 @@ type Node struct {
 	host *Peer // the peer running the node, set only by Peer.adopt
 	pos  int32 // the node's slot in Network.nodeList; -1 out of the index
 	// stamp is the replication epoch in which the node last changed
-	// what infoOf ships or its host (Network.touch): the next
+	// what infoOf ships (Network.touch): the next
 	// ReplicaPlan ships it. The epoch wraps harmlessly: a stale stamp
 	// that matches again only re-ships an unchanged node.
 	stamp uint32
@@ -240,6 +240,13 @@ func infoOf(n *Node) NodeInfo {
 		LoadPrev:  n.LoadPrev,
 		LoadCur:   n.Load(),
 	}
+}
+
+// captured reports whether info is what infoOf(n) captures now.
+func (n *Node) captured(info NodeInfo) bool {
+	return info.Key == n.Key && info.Father == n.Father && info.HasFather == n.HasFather &&
+		slices.EqualFunc(info.Children, n.Children, func(k keys.Key, c Child) bool { return k == c.Key }) &&
+		slices.Equal(info.Data, n.Data) && info.LoadPrev == n.LoadPrev && info.LoadCur == n.Load()
 }
 
 // materialize rebuilds a Node from its transferred form. The node owns

@@ -16,14 +16,16 @@ import (
 // ring successor of its host peer, refreshed by Replicate — e.g. once
 // per time unit — and used by Recover after a crash. The refresh is by
 // change, as in delta-state replication (Almeida, Shoker and Baquero,
-// JPDC 2018): every write to what a snapshot carries, and every change
-// of a node's host, stamps the node with the open replication epoch
-// (touch), and a tick ships only the nodes stamped since the previous
-// one, plus every node whose current-unit load differs from its
-// replica's (discoveries count visits without a stamp: they run under
-// the read lock). A crash stamps the live nodes whose replicas it
-// took, so the next tick re-protects them; compaction looks only at
-// the keys that left the index holding a replica. Because replicas
+// JPDC 2018): every write to what a snapshot carries stamps the node
+// with the open replication epoch (touch), and a tick ships only the
+// nodes stamped since the previous one, plus every node whose
+// current-unit load differs from its replica's (discoveries count
+// visits without a stamp: they run under the read lock). A node that
+// changes host keeps its stamp: the topology change re-homes its
+// replica. A crash stamps the live nodes whose replicas it took, so
+// the next tick re-protects them, and an install that leaves a replica
+// behind its node stamps the node; compaction looks only at the keys
+// that left the index holding a replica. Because replicas
 // have a *place*, topology changes have a replication cost: a join,
 // leave, crash recovery or balancing rename moves the affected
 // replica sets to their new successor targets, and that transfer
@@ -173,9 +175,13 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []NodeInfo) int {
 			tgt = to
 		}
 		net.placeReplica(info.Key, info, tgt)
-		if !net.HasNode(info.Key) {
+		if n, ok := net.nodes[info.Key]; !ok {
 			// Gone while the batch was in flight: compaction judges it.
 			net.dropped = append(net.dropped, info.Key)
+		} else if !n.captured(info) {
+			// Changed since the plan, or a batch delivered after a later
+			// tick's: the next tick ships the node again.
+			net.touch(n)
 		}
 		count++
 		net.Counters.MaintenanceMsgs++

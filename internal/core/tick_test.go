@@ -101,3 +101,30 @@ func TestReplicaGoneInFlightIsCompacted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLateBatchIsReshipped covers a batch that reaches its target after
+// a later tick's, as a REPLICA frame can when its connection fails after
+// delivery and the sender installs it itself: the late, older snapshot
+// overwrites the newer one, and the next tick must ship the node again.
+func TestLateBatchIsReshipped(t *testing.T) {
+	net, corpus, r, _ := gridNetwork(t)
+	net.Replicate()
+	fresh := corpus[0] + "zz"
+	if err := net.InsertKey(fresh, r); err != nil {
+		t.Fatal(err)
+	}
+	late := net.ReplicaPlan()
+	if err := net.InsertData(fresh, "second", r); err != nil {
+		t.Fatal(err)
+	}
+	net.Replicate()
+	for _, b := range late {
+		net.AcceptReplicas(b.From, b.To, b.Infos)
+	}
+	if n := net.Replicate(); n == 0 {
+		t.Fatal("the tick after a late batch shipped nothing")
+	}
+	if err := core.CheckReplicaStore(net); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -145,6 +145,11 @@ type Runtime struct {
 	entryMu  sync.Mutex
 	entryRng *rand.Rand // guarded by entryMu
 
+	// tickMu serialises replication ticks: a tick installs every batch
+	// it planned before the next one plans, so no batch of an older plan
+	// can overwrite a newer snapshot.
+	tickMu sync.Mutex
+
 	// The originator's side of the routed path (route.go): calls
 	// awaiting their direct reply by id, and the sweeper's clock that
 	// ages them.
@@ -382,11 +387,13 @@ func (r *Runtime) Recover() (restored int, lost []keys.Key, err error) {
 // batch makes the fallback re-install it idempotently, and the snapshot
 // counters count it twice. On a durable cluster the tick ends with its
 // durability point: the fsynced journal, or a new on-disk image where
-// the journal cannot carry the tick.
+// the journal cannot carry the tick. Ticks run one at a time.
 func (r *Runtime) Replicate() (int, error) {
 	if r.Stopped() {
 		return 0, ErrStopped
 	}
+	r.tickMu.Lock()
+	defer r.tickMu.Unlock()
 	r.Mu.Lock()
 	plan := r.Net.ReplicaPlan()
 	r.Mu.Unlock()
@@ -425,6 +432,8 @@ func (r *Runtime) ReplicateLocal() (int, error) {
 	if r.Stopped() {
 		return 0, ErrStopped
 	}
+	r.tickMu.Lock()
+	defer r.tickMu.Unlock()
 	r.Mu.Lock()
 	n := r.Net.Replicate()
 	commit, err := r.beginSnapshotLocked()
