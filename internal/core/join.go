@@ -125,7 +125,7 @@ func (net *Network) handleNewPredecessor(q *Peer, m message) error {
 
 	// Dispatch ν_Q between P and Q by identifier (lines 2.06-2.07,
 	// circular form): nodes in (pred(Q), P] move to P.
-	moved := net.cede(q, newp, func(n *Node) bool { return keys.BetweenRightIncl(n.Key, q.Pred, P) })
+	moved := q.cede(newp, func(n *Node) bool { return keys.BetweenRightIncl(n.Key, q.Pred, P) })
 	net.Counters.NodesTransferred += moved
 	// YourInformation to P (1 message carrying pred/succ/nodes).
 	net.Counters.MaintenanceMsgs++
@@ -166,7 +166,7 @@ func (net *Network) joinHashed(id keys.Key, capacity int) error {
 	net.ring.Insert(id)
 	net.relink(id)
 
-	moved := net.cede(owner, newp, func(n *Node) bool { h, _ := net.HostOf(n.Key); return h == id })
+	moved := owner.cede(newp, func(n *Node) bool { h, _ := net.HostOf(n.Key); return h == id })
 	net.Counters.NodesTransferred += moved
 	net.Counters.MaintenanceMsgs += moved
 	net.Counters.MaintenancePhysical += moved
@@ -231,7 +231,6 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	for _, n := range p.nodes { // the leaver's ν_P goes with it
 		host, _ := net.HostOf(n.Key)
 		net.peers[host].adopt(n)
-		net.touch(n)
 	}
 	moved := len(p.nodes)
 	net.Counters.NodesTransferred += moved

@@ -437,7 +437,6 @@ func (net *Network) MoveNode(k, fromID, toID keys.Key) error {
 	}
 	from.release(n)
 	to.adopt(n)
-	net.touch(n)
 	net.Counters.MaintenanceMsgs++
 	net.Counters.MaintenancePhysical++
 	net.Counters.NodesTransferred++

@@ -141,14 +141,13 @@ func (p *Peer) holds(n *Node) bool {
 	return n.slot >= 0 && int(n.slot) < len(p.nodes) && p.nodes[n.slot] == n
 }
 
-// cede moves every node of from's ν_P that sel picks to peer to,
-// returning how many moved.
-func (net *Network) cede(from, to *Peer, sel func(*Node) bool) (moved int) {
-	for i := len(from.nodes) - 1; i >= 0; i-- {
-		if n := from.nodes[i]; sel(n) {
-			from.release(n)
+// cede moves to peer to every node of ν_P that sel picks, returning how
+// many moved.
+func (p *Peer) cede(to *Peer, sel func(*Node) bool) (moved int) {
+	for i := len(p.nodes) - 1; i >= 0; i-- {
+		if n := p.nodes[i]; sel(n) {
+			p.release(n)
 			to.adopt(n)
-			net.touch(n)
 			moved++
 		}
 	}
