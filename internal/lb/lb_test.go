@@ -1,8 +1,12 @@
 package lb
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"dlpt/internal/core"
@@ -403,5 +407,119 @@ func TestMLTWithWrappedRange(t *testing.T) {
 		if res := net.DiscoverRandom(k, false, r); !res.Satisfied {
 			t.Fatalf("key %q lost", k)
 		}
+	}
+}
+
+// fullScanMLT is MLT without any shortcut: every pair gathers, sorts
+// and scans all of its candidate boundaries.
+type fullScanMLT struct{ MLT }
+
+func (fullScanMLT) Periodic(net *core.Network, sID keys.Key) (bool, error) {
+	st, ok, err := gatherPair(net, sID)
+	if err != nil || !ok {
+		return false, err
+	}
+	best, bestThr := st.split, st.throughputAt(st.split)
+	for j := 1; j <= len(st.nodes)-1; j++ {
+		if thr := st.throughputAt(j); thr > bestThr {
+			best, bestThr = j, thr
+		}
+	}
+	if best == st.split {
+		return false, nil
+	}
+	return true, st.apply(net, best)
+}
+
+// TestMLTRoundMatchesFullScan runs RunRound(MLT) and RunRound over the
+// full scan on twin random networks and requires the same outcome after
+// every round: the ring, the hosting of every node, the replica
+// placement, the traffic counters and the move count. Each peer's load
+// is zero, under its capacity, exactly its capacity or over it, and
+// capacities go down to 1, so pairs with neither, one or both peers
+// saturated all occur.
+func TestMLTRoundMatchesFullScan(t *testing.T) {
+	build := func(seed int64) *core.Network {
+		r := rand.New(rand.NewSource(seed))
+		net := core.NewNetwork(keys.LowerAlnum, core.PlacementLexicographic)
+		maxCap := []int{1, 3, 20}[r.Intn(3)]
+		for i, n := 0, 2+r.Intn(9); i < n; i++ {
+			if err := net.JoinPeer(keys.LowerAlnum.RandomKey(r, 12, 12), 1+r.Intn(maxCap), r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, n := 0, 4+r.Intn(60); i < n; i++ {
+			if err := net.InsertKey(keys.LowerAlnum.RandomKey(r, 1, 6), r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Replicate()
+		return net
+	}
+	// setLoads draws each peer's previous-unit load from r and spreads
+	// it over the peer's nodes in key order.
+	setLoads := func(net *core.Network, r *rand.Rand) {
+		for _, id := range net.PeerIDs() {
+			p, _ := net.Peer(id)
+			ns := slices.Clone(p.Nodes())
+			slices.SortFunc(ns, func(a, b *core.Node) int { return cmp.Compare(a.Key, b.Key) })
+			total := 0
+			switch r.Intn(4) {
+			case 1:
+				total = r.Intn(p.Capacity + 1)
+			case 2:
+				total = p.Capacity
+			case 3:
+				total = p.Capacity + 1 + r.Intn(2*p.Capacity+1)
+			}
+			for _, n := range ns {
+				n.LoadPrev = 0
+			}
+			for ; total > 0 && len(ns) > 0; total-- {
+				ns[r.Intn(len(ns))].LoadPrev++
+			}
+		}
+	}
+	state := func(net *core.Network) string {
+		var b strings.Builder
+		for _, id := range net.PeerIDs() {
+			p, _ := net.Peer(id)
+			ks := make([]string, 0, p.NumNodes())
+			for _, n := range p.Nodes() {
+				holder, _ := net.ReplicaHolder(n.Key)
+				ks = append(ks, fmt.Sprintf("%s>%s", n.Key, holder))
+			}
+			slices.Sort(ks)
+			fmt.Fprintf(&b, "%s/%d%v\n", id, p.Capacity, ks)
+		}
+		fmt.Fprintf(&b, "%+v %+v", net.Counters, net.Replication)
+		return b.String()
+	}
+	moved := 0
+	for seed := int64(0); seed < 300; seed++ {
+		skip, full := build(seed), build(seed)
+		rs, rf := rand.New(rand.NewSource(-seed)), rand.New(rand.NewSource(-seed))
+		for round := 0; round < 3; round++ {
+			setLoads(skip, rs)
+			setLoads(full, rf)
+			ms, errS := RunRound(skip, MLT{})
+			mf, errF := RunRound(full, fullScanMLT{})
+			if errS != nil || errF != nil {
+				t.Fatalf("seed %d round %d: %v / %v", seed, round, errS, errF)
+			}
+			if ms != mf {
+				t.Fatalf("seed %d round %d: %d moves, the full scan made %d", seed, round, ms, mf)
+			}
+			if got, want := state(skip), state(full); got != want {
+				t.Fatalf("seed %d round %d: state differs from the full scan's\n got %s\nwant %s", seed, round, got, want)
+			}
+			if err := skip.Validate(); err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, round, err)
+			}
+			moved += ms
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no round moved a boundary: the comparison saw only no-op rounds")
 	}
 }
