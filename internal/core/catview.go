@@ -88,11 +88,6 @@ var _ persist.EntrySource = (*CatalogueCapture)(nil)
 // rarely (a store-less steward, once per join), so it builds the
 // image for the capture alone and keeps nothing to maintain.
 func (net *Network) CaptureSnapshot() ([]persist.PeerState, *CatalogueCapture) {
-	ids := net.ring.IDs()
-	peers := make([]persist.PeerState, 0, len(ids))
-	for _, id := range ids {
-		peers = append(peers, persist.PeerState{ID: string(id), Capacity: net.peers[id].Capacity})
-	}
 	if net.cat == nil {
 		net.cat = net.buildCatImage()
 	}
@@ -102,7 +97,18 @@ func (net *Network) CaptureSnapshot() ([]persist.PeerState, *CatalogueCapture) {
 	if net.Journal == nil {
 		net.cat = nil
 	}
-	return peers, &CatalogueCapture{chunks: img.chunks, nkeys: img.nkeys}
+	return net.RingState(), &CatalogueCapture{chunks: img.chunks, nkeys: img.nkeys}
+}
+
+// RingState returns the ring as a store records it: the ids with their
+// capacities, in ring order, in a fresh slice.
+func (net *Network) RingState() []persist.PeerState {
+	ids := net.ring.IDs()
+	peers := make([]persist.PeerState, 0, len(ids))
+	for _, id := range ids {
+		peers = append(peers, persist.PeerState{ID: string(id), Capacity: net.peers[id].Capacity})
+	}
+	return peers
 }
 
 // CatalogueImaged reports whether the copy-on-write catalogue image is
@@ -110,21 +116,6 @@ func (net *Network) CaptureSnapshot() ([]persist.PeerState, *CatalogueCapture) {
 // the journal funnel. It is not after a lossy recovery, nor on a network
 // that has not captured yet.
 func (net *Network) CatalogueImaged() bool { return net.cat != nil }
-
-// RingIs reports whether the ring is exactly peers, in ring order: the
-// same ids with the same capacities.
-func (net *Network) RingIs(peers []persist.PeerState) bool {
-	ids := net.ring.IDs()
-	if len(ids) != len(peers) {
-		return false
-	}
-	for i, id := range ids {
-		if string(id) != peers[i].ID || net.peers[id].Capacity != peers[i].Capacity {
-			return false
-		}
-	}
-	return true
-}
 
 // catalogueData collects the durable catalogue: the union of the
 // replicated data nodes and the live tree's data nodes, live values

@@ -41,8 +41,8 @@ func (net *Network) AttachJournal(store *persist.Store) {
 }
 
 // RestoreFrom rebuilds an empty overlay from persisted state: the
-// ring is recreated peer by peer with its persisted identifiers and
-// capacities, the persisted nodes are seeded into the replica store,
+// ring — the newest one Load found, or the snapshot's — is recreated
+// peer by peer with its persisted identifiers and capacities, the persisted nodes are seeded into the replica store,
 // the existing canonical anti-entropy rebuild (Recover) reinstalls
 // them, and finally the journal replays the mutations recorded after
 // the snapshot. The restored overlay passes the full Validate set.
@@ -53,7 +53,11 @@ func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	if st == nil || st.Snapshot == nil {
 		return fmt.Errorf("core: nothing to restore (no valid snapshot on disk)")
 	}
-	for _, p := range st.Snapshot.Peers {
+	peers := st.Peers
+	if peers == nil { // an image installed from the wire has no journal
+		peers = st.Snapshot.Peers
+	}
+	for _, p := range peers {
 		if err := net.JoinPeer(keys.Key(p.ID), p.Capacity, r); err != nil {
 			return fmt.Errorf("core: restore peer %q: %w", p.ID, err)
 		}

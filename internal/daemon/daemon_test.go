@@ -4,14 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/transport"
 )
@@ -372,9 +370,10 @@ func TestStewardCatalogueRestart(t *testing.T) {
 }
 
 // The overlay has one byte form: for one state, the image a joiner is
-// sent in HELLO and the snapshot file the next replication tick writes
-// parse to the same peers and entries, and a daemon that installed the
-// image holds the steward's catalogue.
+// sent in HELLO and what a restart loads after the next replication
+// tick — the newest snapshot file, its journal and the ring journaled
+// with it — hold the same peers and entries, and a daemon that installed
+// the image holds the steward's catalogue.
 func TestJoinImageMatchesSnapshotFile(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.DataDir = t.TempDir()
@@ -431,25 +430,24 @@ func TestJoinImageMatchesSnapshotFile(t *testing.T) {
 	if err := s.ReplicateNow(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(cfg.DataDir, "snapshot-*.snap"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no snapshot written: %v", err)
-	}
-	sort.Slice(files, func(i, j int) bool { // snapshot-<epoch>.snap, newest last
-		return len(files[i]) < len(files[j]) || len(files[i]) == len(files[j]) && files[i] < files[j]
-	})
-	file, err := os.ReadFile(files[len(files)-1])
+	st, err := s.store.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Release()
 	sentPeers, sentNodes := parseImage(t, hello.Image)
-	filePeers, fileNodes := parseImage(t, file)
 	if len(sentPeers) != 3 || len(sentNodes) != 38 {
 		t.Fatalf("image carries %d peers and %d entries, want 3 and 38", len(sentPeers), len(sentNodes))
 	}
-	if !reflect.DeepEqual(sentPeers, filePeers) || !reflect.DeepEqual(sentNodes, fileNodes) {
-		t.Fatalf("HELLO image and snapshot file differ:\nhello %+v %+v\n file %+v %+v",
-			sentPeers, sentNodes, filePeers, fileNodes)
+	var sent []core.KV
+	for _, e := range sentNodes {
+		for _, v := range e.Values {
+			sent = append(sent, core.KV{Key: keys.Key(e.Key), Value: v})
+		}
+	}
+	if loaded := foldCatalogue(st); !reflect.DeepEqual(sentPeers, st.Peers) || !reflect.DeepEqual(sent, loaded) {
+		t.Fatalf("HELLO image and the state a restart loads differ:\nhello %+v %+v\n load %+v %+v",
+			sentPeers, sent, st.Peers, loaded)
 	}
 }
 

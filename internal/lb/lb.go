@@ -194,8 +194,17 @@ func (MLT) PlaceJoin(net *core.Network, r *rand.Rand, _ int) keys.Key {
 
 // Periodic implements Strategy: scan the |ν_S ∪ ν_P|-1 candidate
 // boundaries and apply the throughput-maximising one. The scan is
-// O(|ν_S ∪ ν_P|) as stated in the paper.
+// O(|ν_S ∪ ν_P|) as stated in the paper. A pair where neither peer is
+// saturated (L_P ≤ C_P and L_S ≤ C_S) is skipped before the scan, and
+// the skip is exact: the current split already scores L_P + L_S, which
+// bounds every split, and a move needs a strict gain. Summing the two
+// loads sorts and allocates nothing.
 func (MLT) Periodic(net *core.Network, sID keys.Key) (bool, error) {
+	if s, ok := net.Peer(sID); ok && s.Pred != s.ID {
+		if p, ok := net.Peer(s.Pred); ok && p.LoadPrev() <= p.Capacity && s.LoadPrev() <= s.Capacity {
+			return false, nil
+		}
+	}
 	st, ok, err := gatherPair(net, sID)
 	if err != nil || !ok {
 		return false, err
@@ -401,8 +410,11 @@ func RunRound(net *core.Network, s Strategy) (int, error) {
 	}
 	// Boundary moves and renames changed node hosting: the affected
 	// replica sets follow their hosts' new successors, paid as
-	// replication transfer traffic.
-	net.RehomeReplicas()
+	// replication transfer traffic. A round that moved nothing changed
+	// no host and no successor.
+	if moves > 0 {
+		net.RehomeReplicas()
+	}
 	return moves, nil
 }
 

@@ -523,3 +523,27 @@ func TestMLTRoundMatchesFullScan(t *testing.T) {
 		t.Fatal("no round moved a boundary: the comparison saw only no-op rounds")
 	}
 }
+
+// TestAllocsPerRound is the allocation budget of an MLT round over a
+// network where no peer is saturated: every pair is skipped before the
+// scan, and the round allocates only its snapshot of the peer ids.
+func TestAllocsPerRound(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	capacities := make([]int, 64)
+	for i := range capacities {
+		capacities[i] = 1 << 20
+	}
+	net, _, _ := buildLoaded(t, 15, capacities, 2000, 4000)
+	allocs := testing.AllocsPerRun(100, func() {
+		if moves, err := RunRound(net, MLT{}); moves != 0 || err != nil {
+			t.Fatalf("unsaturated round: %d moves, %v", moves, err)
+		}
+	})
+	t.Logf("%.2f allocs per round", allocs)
+	const ceiling = 2
+	if allocs > ceiling {
+		t.Fatalf("%.2f allocs per round, ceiling %d", allocs, ceiling)
+	}
+}

@@ -454,12 +454,13 @@ func (r *Runtime) InstallReplicas(b core.ReplicaBatch) int {
 }
 
 // beginSnapshotLocked is the tail of a replication tick on a durable
-// overlay. Where the journal can carry the tick — the ring is the
-// newest image's, the catalogue image has changed only through journaled
-// records (a lossy Recover or a wholesale mirror install drops it), and
-// the store's own rules hold (persist.Store.JournalCarries) — commit
-// just fsyncs the journal: the image and the records after it replay to
-// the state of this tick. Otherwise the tick writes a new image. The
+// overlay. Where the journal can carry the tick — the catalogue image
+// has changed only through journaled records (a lossy Recover or a
+// wholesale mirror install drops it), and the store's own rules hold
+// (persist.Store.JournalCarries, which journals the tick's ring where it
+// changed) — commit just fsyncs the journal: the image and the records
+// after it replay to the state of this tick. Otherwise the tick writes
+// a new image. The
 // caller holds Mu's write side, so the capture and the journal rotation
 // are atomic: a racing mutation journals either into the epoch this
 // snapshot supersedes and is contained in the capture, or into the new
@@ -473,7 +474,7 @@ func (r *Runtime) beginSnapshotLocked() (commit func() error, err error) {
 	if store == nil {
 		return func() error { met.MarkReplicated(); return nil }, nil
 	}
-	if r.Net.CatalogueImaged() && store.JournalCarries(r.Net.RingIs) {
+	if r.Net.CatalogueImaged() && store.JournalCarries(r.Net.RingState()) {
 		return func() error {
 			if err := store.SyncJournal(); err != nil {
 				return err

@@ -68,7 +68,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 
 	"dlpt/internal/catalog"
@@ -127,6 +129,9 @@ func (sn *Snapshot) Ascend(yield func(catalog.Entry) bool) error {
 type LoadedState struct {
 	Snapshot *Snapshot
 	Journal  []Record
+	// Peers is the newest ring: the snapshot's, or the last ring record
+	// journaled after it.
+	Peers []PeerState
 
 	release func()
 }
@@ -158,6 +163,13 @@ const (
 	jrnlSuffix         = ".log"
 )
 
+// The kinds of journal record, the first byte of each payload.
+const (
+	opRegister   = 0
+	opUnregister = 1
+	opRing       = 2
+)
+
 // keepSnapshots is how many snapshot epochs survive pruning: the
 // newest plus one fallback for torn writes.
 const keepSnapshots = 2
@@ -177,16 +189,18 @@ type Store struct {
 	// records described state the new snapshot now contains).
 	appendErr error
 	// records counts the appends since the newest BeginSnapshot; image
-	// is the ring and key count of the newest image this store
-	// committed, nil until one commits and while a newer epoch's image
-	// is pending. buf is the one buffer Append encodes into.
+	// is the key count of the newest image this store committed and the
+	// ring the journal carries, nil until one commits and while a newer
+	// epoch's image is pending. buf is the one buffer appends encode
+	// into.
 	records int
 	image   *imageState
 	buf     []byte
 }
 
-// imageState is what JournalCarries compares a tick against: the ring
-// and catalogue size of the newest committed image.
+// imageState is what JournalCarries compares a tick against: the
+// newest committed image's catalogue size, and its ring or the one a
+// ring record journaled since.
 type imageState struct {
 	peers []PeerState
 	keys  int
@@ -211,14 +225,14 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	s := &Store{dir: dir}
-	seqs, err := s.snapshotSeqs()
+	seqs, err := s.epochs(snapPrefix, snapSuffix)
 	if err != nil {
 		return nil, err
 	}
 	if len(seqs) > 0 {
 		s.seq = seqs[len(seqs)-1]
 	}
-	jseqs, err := s.journalSeqs()
+	jseqs, err := s.epochs(jrnlPrefix, jrnlSuffix)
 	if err != nil {
 		return nil, err
 	}
@@ -247,46 +261,22 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// snapshotSeqs lists the epochs that have a snapshot file, ascending.
-func (s *Store) snapshotSeqs() ([]uint64, error) {
+// epochs lists the epochs that have a file named prefix<epoch>suffix,
+// ascending.
+func (s *Store) epochs(prefix, suffix string) ([]uint64, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	var seqs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if len(name) <= len(snapPrefix)+len(snapSuffix) ||
-			name[:len(snapPrefix)] != snapPrefix ||
-			name[len(name)-len(snapSuffix):] != snapSuffix {
-			continue
+		mid, pre := strings.CutPrefix(e.Name(), prefix)
+		mid, suf := strings.CutSuffix(mid, suffix)
+		if seq, err := strconv.ParseUint(mid, 10, 64); pre && suf && err == nil {
+			seqs = append(seqs, seq)
 		}
-		var seq uint64
-		if _, err := fmt.Sscanf(name, snapPrefix+"%d"+snapSuffix, &seq); err != nil {
-			continue
-		}
-		seqs = append(seqs, seq)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
-// journalSeqs lists the epochs that have a journal file, ascending.
-func (s *Store) journalSeqs() ([]uint64, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		name := e.Name()
-		var seq uint64
-		if _, err := fmt.Sscanf(name, jrnlPrefix+"%d"+jrnlSuffix, &seq); err != nil {
-			continue
-		}
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	slices.Sort(seqs)
 	return seqs, nil
 }
 
@@ -318,41 +308,16 @@ func (s *Store) openJournalLocked() error {
 // truncateTornTail cuts a journal file back to its longest valid
 // record prefix. Missing files are fine.
 func truncateTornTail(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+	valid, err := scanJournal(path, func([]byte) error { return nil })
 	if err != nil {
+		return err
+	}
+	info, err := os.Stat(path)
+	if err == nil && info.Size() > valid {
+		err = os.Truncate(path, valid)
+	}
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("persist: %w", err)
-	}
-	valid := int64(0)
-	hdr := make([]byte, 4)
-	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			break
-		}
-		n := binary.BigEndian.Uint32(hdr)
-		if n > 1<<24 {
-			break
-		}
-		body := make([]byte, n+4)
-		if _, err := io.ReadFull(f, body); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(body[:n]) != binary.BigEndian.Uint32(body[n:]) {
-			break
-		}
-		valid += int64(4 + len(body))
-	}
-	info, err := f.Stat()
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if info.Size() > valid {
-		if err := os.Truncate(path, valid); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
 	}
 	return nil
 }
@@ -361,18 +326,22 @@ func truncateTornTail(path string) error {
 func (s *Store) Append(remove bool, key, value string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	op := byte(opRegister)
+	if remove {
+		op = opUnregister
+	}
+	frame := appendString(append(s.buf[:0], 0, 0, 0, 0, op), key)
+	return s.writeFrameLocked(appendString(frame, value))
+}
+
+// writeFrameLocked appends one record to the current epoch's journal.
+// frame is four placeholder bytes and the payload, encoded into the
+// store's buffer; the length and the CRC are filled in place, so a
+// durable write allocates nothing here.
+func (s *Store) writeFrameLocked(frame []byte) error {
 	if s.closed || s.journal == nil {
 		return errors.New("persist: store closed")
 	}
-	op := byte(0)
-	if remove {
-		op = 1
-	}
-	// The frame is length, payload, CRC, encoded in place into the
-	// store's buffer: a durable write allocates nothing here.
-	frame := append(s.buf[:0], 0, 0, 0, 0, op)
-	frame = appendString(frame, key)
-	frame = appendString(frame, value)
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
 	s.buf = frame
@@ -386,17 +355,28 @@ func (s *Store) Append(remove bool, key, value string) error {
 
 // JournalCarries reports whether the journal can make a replication
 // tick durable without a new image: an image committed by this store is
-// the newest epoch's, no append has failed since, sameRing confirms the
-// overlay's ring is still the image's (ids and capacities, which the
-// journal does not record), and the records journaled since stay under
-// a quarter of the image's keys. The caller fsyncs the journal
-// (SyncJournal) instead of writing an image only on true.
-func (s *Store) JournalCarries(sameRing func([]PeerState) bool) bool {
+// the newest epoch's, no append has failed since, and the records
+// journaled since stay under a quarter of the image's keys. peers is
+// the tick's ring, ids and capacities in ring order: where it differs
+// from the ring the journal carries, JournalCarries appends a ring
+// record, and answers false if that append fails. The caller fsyncs the
+// journal (SyncJournal) instead of writing an image only on true, and
+// must not modify peers afterwards.
+func (s *Store) JournalCarries(peers []PeerState) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	img := s.image
-	return img != nil && !s.closed && s.appendErr == nil &&
-		(s.records == 0 || journalShare*s.records < img.keys) && sameRing(img.peers)
+	if img == nil || s.closed || s.appendErr != nil || s.records > 0 && journalShare*s.records >= img.keys {
+		return false
+	}
+	if !slices.Equal(img.peers, peers) {
+		frame := AppendImage(append(s.buf[:0], 0, 0, 0, 0, opRing), s.seq, peers, noEntries{})
+		if s.writeFrameLocked(frame) != nil {
+			return false
+		}
+		img.peers = peers
+	}
+	return true
 }
 
 // SyncJournal fsyncs the current epoch's journal: the durability point
@@ -452,6 +432,12 @@ func AppendImage(dst []byte, seq uint64, peers []PeerState, cat EntrySource) []b
 	dst = append(dst, blob...)
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
+
+// noEntries is the empty catalogue of a ring record.
+type noEntries struct{}
+
+func (noEntries) Len() int                        { return 0 }
+func (noEntries) Ascend(func(catalog.Entry) bool) {}
 
 // PendingSnapshot is an epoch allocated by BeginSnapshot whose
 // snapshot file has not been written yet. Exactly one Commit (or
@@ -556,7 +542,7 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 // pruneLocked removes snapshots (and their journals) older than the
 // keepSnapshots newest epochs.
 func (s *Store) pruneLocked() {
-	seqs, err := s.snapshotSeqs()
+	seqs, err := s.epochs(snapPrefix, snapSuffix)
 	if err != nil || len(seqs) <= keepSnapshots {
 		return
 	}
@@ -568,13 +554,15 @@ func (s *Store) pruneLocked() {
 
 // Load recovers the persisted state: the newest snapshot whose CRC
 // verifies, plus the journals of its epoch and all later epochs in
-// order, each replayed until its first truncated or corrupt record.
-// A directory with no valid snapshot yields a nil Snapshot and only
-// epoch-0 journal records.
+// order, each replayed until its first truncated or corrupt record, and
+// the newest ring among the snapshot's and the ring records after it.
+// A record that passes its CRC but does not decode fails Load with a
+// *RecordError. A directory with no valid snapshot yields a nil
+// Snapshot and only epoch-0 journal records.
 func (s *Store) Load() (*LoadedState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seqs, err := s.snapshotSeqs()
+	seqs, err := s.epochs(snapPrefix, snapSuffix)
 	if err != nil {
 		return nil, err
 	}
@@ -585,34 +573,20 @@ func (s *Store) Load() (*LoadedState, error) {
 		if err != nil {
 			continue // corrupt or torn: fall back one epoch
 		}
-		st.Snapshot = snap
+		st.Snapshot, st.Peers = snap, snap.Peers
 		st.release = release
 		base = snap.Seq
 		break
 	}
-	// Every journal of the base epoch and later, ascending.
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
-	}
-	var jseqs []uint64
-	for _, e := range entries {
-		name := e.Name()
-		var seq uint64
-		if _, err := fmt.Sscanf(name, jrnlPrefix+"%d"+jrnlSuffix, &seq); err != nil {
-			continue
-		}
-		if seq >= base {
-			jseqs = append(jseqs, seq)
-		}
-	}
-	sort.Slice(jseqs, func(i, j int) bool { return jseqs[i] < jseqs[j] })
+	jseqs, err := s.epochs(jrnlPrefix, jrnlSuffix)
 	for _, seq := range jseqs {
-		recs, err := readJournal(s.jrnlPath(seq))
-		if err != nil {
-			return nil, err
+		if err == nil && seq >= base {
+			_, err = scanJournal(s.jrnlPath(seq), st.replay)
 		}
-		st.Journal = append(st.Journal, recs...)
+	}
+	if err != nil {
+		st.Release()
+		return nil, err
 	}
 	return st, nil
 }
@@ -706,58 +680,87 @@ func ParseImage(buf []byte) (*Snapshot, error) {
 	return snap, nil
 }
 
-// readJournal replays one journal file until EOF or the first record
-// that is truncated or fails its CRC (the torn tail of a crash).
-func readJournal(path string) ([]Record, error) {
+// RecordError is Load's refusal of a journal record that passed its CRC
+// but does not decode: a kind this build does not know, or a malformed
+// payload. It is not the torn tail of a crash, and stopping replay there
+// would silently drop every record after it.
+type RecordError struct {
+	Path   string
+	Offset int64
+	Err    error
+}
+
+func (e *RecordError) Error() string {
+	return fmt.Sprintf("persist: %s: journal record at offset %d: %v", e.Path, e.Offset, e.Err)
+}
+
+func (e *RecordError) Unwrap() error { return e.Err }
+
+// scanJournal hands the payload of every record of the journal at path
+// to fn, in order, until EOF or the first record that is truncated or
+// fails its CRC (the torn tail of a crash), and returns the length of
+// the valid prefix. A missing file is empty. A payload fn refuses ends
+// the scan with a *RecordError.
+func scanJournal(path string, fn func(payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return 0, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("persist: %w", err)
+		return 0, fmt.Errorf("persist: %w", err)
 	}
 	defer f.Close()
-	var out []Record
+	valid := int64(0)
 	hdr := make([]byte, 4)
 	for {
 		if _, err := io.ReadFull(f, hdr); err != nil {
-			return out, nil // clean EOF or torn header: stop
+			return valid, nil // clean EOF or torn header: stop
 		}
 		n := binary.BigEndian.Uint32(hdr)
 		if n > 1<<24 {
-			return out, nil // implausible length: corrupt tail
+			return valid, nil // implausible length: corrupt tail
 		}
 		body := make([]byte, n+4)
-		if _, err := io.ReadFull(f, body); err != nil {
-			return out, nil // torn record
+		if _, err := io.ReadFull(f, body); err != nil ||
+			crc32.ChecksumIEEE(body[:n]) != binary.BigEndian.Uint32(body[n:]) {
+			return valid, nil // torn or corrupt record: stop here
 		}
-		payload, tail := body[:n], body[n:]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(tail) {
-			return out, nil // corrupt record: stop replay here
+		if err := fn(body[:n]); err != nil {
+			return valid, &RecordError{Path: path, Offset: valid, Err: err}
 		}
-		rec, err := decodeRecord(payload)
-		if err != nil {
-			return out, nil
-		}
-		out = append(out, rec)
+		valid += int64(len(hdr) + len(body))
 	}
 }
 
-func decodeRecord(p []byte) (Record, error) {
-	var rec Record
-	if len(p) < 1 {
-		return rec, errors.New("persist: empty record")
+// replay applies one journal record's payload to st: a registration or
+// an unregistration joins the journal, a ring record replaces the ring.
+func (st *LoadedState) replay(p []byte) error {
+	if len(p) == 0 {
+		return errors.New("persist: empty record")
 	}
-	rec.Remove = p[0] == 1
-	p = p[1:]
-	var err error
-	if rec.Key, p, err = getString(p); err != nil {
-		return rec, err
+	switch op := p[0]; op {
+	case opRing:
+		img, err := ParseImage(p[1:])
+		if err == nil {
+			st.Peers = img.Peers
+		}
+		return err
+	case opRegister, opUnregister:
+		rec := Record{Remove: op == opUnregister}
+		var err error
+		if rec.Key, p, err = getString(p[1:]); err != nil {
+			return err
+		}
+		if rec.Value, p, err = getString(p); err != nil {
+			return err
+		}
+		if len(p) != 0 {
+			return errors.New("persist: trailing bytes after a record")
+		}
+		st.Journal = append(st.Journal, rec)
+		return nil
 	}
-	if rec.Value, _, err = getString(p); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	return fmt.Errorf("persist: unknown record kind %d", p[0])
 }
 
 // --- encoding helpers --------------------------------------------------------

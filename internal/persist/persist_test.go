@@ -3,10 +3,12 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dlpt/internal/catalog"
@@ -126,7 +128,7 @@ func TestSnapshotRotationPrunesOldEpochs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seqs, err := s.snapshotSeqs()
+	seqs, err := s.epochs(snapPrefix, snapSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +229,66 @@ func TestCorruptJournalRecordStopsReplay(t *testing.T) {
 	}
 	if len(st.Journal) != 1 {
 		t.Fatalf("corrupt journal replayed %d records, want 1", len(st.Journal))
+	}
+}
+
+// TestUndecodableJournalRecordFailsLoad pins that a record whose CRC
+// passes but whose payload does not decode — a kind this build does not
+// know, or a malformed register — fails Load with a *RecordError at that
+// record, instead of ending replay there as a torn tail does.
+func TestUndecodableJournalRecordFailsLoad(t *testing.T) {
+	frame := func(payload []byte) []byte {
+		out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		out = append(out, payload...)
+		return binary.BigEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"unknown kind", append([]byte{7}, appendString(appendString(nil, "key"), "value")...)},
+		{"malformed register", append([]byte{opRegister}, appendString(nil, "key")...)},
+		{"truncated unregister", append([]byte{opUnregister}, appendString(appendString(nil, "key"), "value")[:9]...)},
+		{"trailing bytes", append(append([]byte{opRegister}, appendString(appendString(nil, "key"), "value")...), 0)},
+		{"malformed ring", append([]byte{opRing}, "DLPTSNP1"...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			peers, nodes := testState()
+			if _, err := writeSnapshot(s, peers, nodes); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := s.Append(false, "key", "value"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			path := filepath.Join(dir, "journal-1.log")
+			buf, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := buf[:len(buf)/2]
+			buf = append(append(slices.Clone(first), frame(tc.payload)...), buf[len(first):]...)
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(dir) // the record passes its CRC: reopening keeps it
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			st, err := s2.Load()
+			var rerr *RecordError
+			if !errors.As(err, &rerr) || rerr.Path != path || rerr.Offset != int64(len(first)) {
+				t.Fatalf("Load = %v, %v; want a *RecordError at offset %d of %s", st, err, len(first), path)
+			}
+		})
 	}
 }
 
@@ -560,10 +622,11 @@ func TestAppendErrorSurfacesAtSnapshot(t *testing.T) {
 
 // TestJournalCarriesRules pins when the journal alone can make a
 // replication tick durable: never before this store committed an image,
-// then only while the ring is the image's, no append has failed since,
-// and the records journaled since stay under a quarter of the image's
-// keys. A journal-only tick is an fsync, and a reload replays the image
-// and its journal.
+// then only while no append has failed since and the records journaled
+// since stay under a quarter of the image's keys. A ring change is one
+// more record, written once, and a failure to write it needs an image.
+// A journal-only tick is an fsync, and a reload replays the image and
+// its journal, ring included.
 func TestJournalCarriesRules(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -572,44 +635,49 @@ func TestJournalCarriesRules(t *testing.T) {
 	}
 	defer s.Close()
 	peers := []PeerState{{ID: "aaa", Capacity: 100}, {ID: "mmm", Capacity: 200}}
-	same := func(p []PeerState) bool { return reflect.DeepEqual(p, peers) }
-	if s.JournalCarries(same) {
+	moved := []PeerState{{ID: "aaa", Capacity: 100}, {ID: "ggg", Capacity: 50}, {ID: "mmm", Capacity: 200}}
+	if s.JournalCarries(peers) {
 		t.Fatal("the journal carries a tick before any image")
 	}
-	nodes := make([]catalog.Entry, 8)
+	nodes := make([]catalog.Entry, 16)
 	for i := range nodes {
 		nodes[i] = catalog.Entry{Key: string(rune('a' + i)), Values: []string{"ep"}}
 	}
 	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		t.Fatal(err)
 	}
-	if !s.JournalCarries(same) {
-		t.Fatal("an idle tick after an image needs another image")
-	}
-	if s.JournalCarries(func([]PeerState) bool { return false }) {
-		t.Fatal("the journal carries a tick across a ring change")
+	if !s.JournalCarries(peers) || s.records != 0 {
+		t.Fatalf("an idle tick after an image needs another image, or journaled %d records", s.records)
 	}
 	if err := s.Append(false, "zz", "ep"); err != nil {
 		t.Fatal(err)
 	}
-	if !s.JournalCarries(same) {
-		t.Fatal("one record over 8 keys needs an image")
+	if !s.JournalCarries(peers) {
+		t.Fatal("one record over 16 keys needs an image")
+	}
+	if !s.JournalCarries(moved) || !s.JournalCarries(moved) || s.records != 2 {
+		t.Fatalf("a ring change: %d records journaled, want the registration and one ring record", s.records)
 	}
 	if err := s.SyncJournal(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(true, "zz", "ep"); err != nil {
-		t.Fatal(err)
+	for _, k := range []string{"zz", "zy"} {
+		if err := s.Append(true, k, "ep"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if s.JournalCarries(same) {
-		t.Fatal("2 records over 8 keys (a quarter) carried without an image")
+	if s.JournalCarries(moved) {
+		t.Fatal("4 records over 16 keys (a quarter) carried without an image")
 	}
 	st, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Snapshot == nil || len(nodeList(t, st.Snapshot)) != len(nodes) || len(st.Journal) != 2 {
+	if st.Snapshot == nil || len(nodeList(t, st.Snapshot)) != len(nodes) || len(st.Journal) != 3 {
 		t.Fatalf("reload: snapshot %v, %d records", st.Snapshot != nil, len(st.Journal))
+	}
+	if !reflect.DeepEqual(st.Peers, moved) || !reflect.DeepEqual(st.Snapshot.Peers, peers) {
+		t.Fatalf("reload: ring %v (image %v), want %v", st.Peers, st.Snapshot.Peers, moved)
 	}
 	st.Release()
 
@@ -619,10 +687,13 @@ func TestJournalCarriesRules(t *testing.T) {
 	s.mu.Lock()
 	s.journal.Close() // break the journal handle behind the store's back
 	s.mu.Unlock()
+	if s.JournalCarries(moved) {
+		t.Fatal("the journal carries a ring change it failed to record")
+	}
 	if err := s.Append(false, "k", "v"); err == nil {
 		t.Fatal("append on a closed handle succeeded")
 	}
-	if s.JournalCarries(same) {
+	if s.JournalCarries(peers) {
 		t.Fatal("the journal carries a tick after a failed append")
 	}
 	if err := s.SyncJournal(); err != nil { // a closed handle is synced by name
@@ -633,13 +704,13 @@ func TestJournalCarriesRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.JournalCarries(same) {
+	if s.JournalCarries(peers) {
 		t.Fatal("the journal carries a tick while an image is pending")
 	}
 	if _, err := p.Commit(peers, entrySource(nodes)); err == nil {
 		t.Fatal("the failed append was not surfaced")
 	}
-	if !s.JournalCarries(same) {
+	if !s.JournalCarries(peers) {
 		t.Fatal("the committed image does not carry the next tick")
 	}
 }

@@ -437,11 +437,11 @@ func newestEpoch(t *testing.T, dir string) uint64 {
 // TestReplicateWritesImageOnlyWhenNeeded pins when a durable tick writes
 // a new image and when it only fsyncs the journal, one rule per case,
 // counting snapshot epochs: a tick after writes under a quarter of the
-// image's keys, or after none, rotates nothing; one after a membership
-// change, after the journal reached a quarter, or after a lossy
-// recovery (lost keys leave the catalogue without a record) writes an
-// image. Either way a restart from the directory serves exactly what
-// the overlay served when the tick ran.
+// image's keys, after none, or after a join or a leave (the ring is one
+// journal record) rotates nothing; one after the journal reached a
+// quarter, or after a recovery, writes an image. Either way a restart
+// from the directory serves exactly what the overlay served when the
+// tick ran, on the ring it ran on.
 func TestReplicateWritesImageOnlyWhenNeeded(t *testing.T) {
 	const n = 400
 	corpus := workload.GridCorpus(n)
@@ -487,13 +487,13 @@ func TestReplicateWritesImageOnlyWhenNeeded(t *testing.T) {
 			if err := reg.AddPeer(ctx); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
+		}, false},
 		{"leave", func(t *testing.T, ctx context.Context, reg *Registry) {
 			ps := peers(t, ctx, reg)
 			if err := reg.RemovePeer(ctx, ps[len(ps)-1].ID); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
+		}, false},
 		{"crash and lossless recovery", func(t *testing.T, ctx context.Context, reg *Registry) {
 			if err := reg.CrashPeer(ctx, busiestPeer(t, reg)); err != nil {
 				t.Fatal(err)
@@ -552,6 +552,7 @@ func TestReplicateWritesImageOnlyWhenNeeded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ring := ringOf(peers(t, ctx, reg))
 			reg.Close()
 			restarted, err := Restart(dir, WithSeed(43), WithAlphabet(keys.LowerAlnum), WithEngine(EngineLocal))
 			if err != nil {
@@ -565,6 +566,114 @@ func TestReplicateWritesImageOnlyWhenNeeded(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("restart serves %d services, the overlay served %d at the tick", len(got), len(want))
 			}
+			if restartedRing := ringOf(peers(t, ctx, restarted)); restartedRing != ring {
+				t.Fatalf("restart runs on ring %s, the tick ran on %s", restartedRing, ring)
+			}
 		})
+	}
+}
+
+// ringOf renders a ring's ids and capacities, in ring order.
+func ringOf(infos []PeerInfo) string {
+	var b strings.Builder
+	for _, p := range infos {
+		fmt.Fprintf(&b, "%s/%d ", p.ID, p.Capacity)
+	}
+	return b.String()
+}
+
+// TestTornNewestImageFallsBack tears the newest image of a directory
+// whose ring changed on both sides of it. The restart falls back one
+// image and replays both journals: it serves exactly the catalogue of
+// the last tick, on a ring no older than the fallback image's — here the
+// last tick's, which the newest journal recorded.
+func TestTornNewestImageFallsBack(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	opts := []Option{WithSeed(47), WithAlphabet(keys.LowerAlnum), WithEngine(EngineLocal)}
+	reg, err := New(6, append(opts, WithPersistence(dir))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if _, err := reg.Replicate(ctx); err != nil {
+			t.Fatalf("replicate after %s: %v", what, err)
+		}
+	}
+	corpus := workload.GridCorpus(200)
+	for _, k := range corpus[:100] {
+		if err := reg.Register(ctx, string(k), "ep"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("the first registrations", nil)
+	fallback := newestEpoch(t, dir)
+	fallbackRing, err := reg.Peers(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("a join", reg.AddPeer(ctx))
+	for _, k := range corpus[100:] { // a quarter and more: the next tick writes an image
+		if err := reg.Register(ctx, string(k), "ep"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("the late registrations", nil)
+	newest := newestEpoch(t, dir)
+	if newest == fallback {
+		t.Fatal("the late registrations wrote no image")
+	}
+	ps, err := reg.Peers(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("a leave", reg.RemovePeer(ctx, ps[0].ID))
+	if newestEpoch(t, dir) != newest {
+		t.Fatal("the leave wrote an image")
+	}
+	want, err := reg.Services(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err = reg.Peers(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := ringOf(ps)
+	reg.Close()
+
+	path := filepath.Join(dir, fmt.Sprintf("snapshot-%d.snap", newest))
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)/2] ^= 0xff
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := Restart(dir, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	got, err := restarted.Services(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restart serves %d services, the overlay served %d at the tick", len(got), len(want))
+	}
+	ps, err = restarted.Peers(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restartedRing := ringOf(ps); restartedRing != ring {
+		t.Fatalf("restart runs on ring %s, the last tick ran on %s (the fallback image's: %s)",
+			restartedRing, ring, ringOf(fallbackRing))
 	}
 }
