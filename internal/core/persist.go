@@ -42,10 +42,11 @@ func (net *Network) AttachJournal(store *persist.Store) {
 
 // RestoreFrom rebuilds an empty overlay from persisted state: the
 // ring — the newest one Load found, or the snapshot's — is recreated
-// peer by peer with its persisted identifiers and capacities, the persisted nodes are seeded into the replica store,
-// the existing canonical anti-entropy rebuild (Recover) reinstalls
-// them, and finally the journal replays the mutations recorded after
-// the snapshot. The restored overlay passes the full Validate set.
+// peer by peer with its persisted identifiers and capacities, the
+// persisted nodes are seeded into the replica store, the existing
+// canonical anti-entropy rebuild (Recover) reinstalls them, and finally
+// the journal replays the mutations recorded after the snapshot. The
+// restored overlay passes the full Validate set.
 func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	if net.NumPeers() != 0 || net.NumNodes() != 0 {
 		return fmt.Errorf("core: restore into a non-empty overlay")

@@ -460,15 +460,14 @@ func (r *Runtime) InstallReplicas(b core.ReplicaBatch) int {
 // (persist.Store.JournalCarries, which journals the tick's ring where it
 // changed) — commit just fsyncs the journal: the image and the records
 // after it replay to the state of this tick. Otherwise the tick writes
-// a new image. The
-// caller holds Mu's write side, so the capture and the journal rotation
-// are atomic: a racing mutation journals either into the epoch this
-// snapshot supersedes and is contained in the capture, or into the new
-// epoch and replays on top of it. The capture is O(1) (a copy-on-write
-// catalogue image); commit encodes and fsyncs and is to be called after
-// the lock is released, so the write stall is independent of the
-// catalogue size. commit also stamps the tick as completed, with or
-// without a store.
+// a new image. The caller holds Mu's write side, so the capture and the
+// journal rotation are atomic: a racing mutation journals either into
+// the epoch this snapshot supersedes and is contained in the capture, or
+// into the new epoch and replays on top of it. The capture is O(1) (a
+// copy-on-write catalogue image); commit encodes and fsyncs and is to be
+// called after the lock is released, so the write stall is independent
+// of the catalogue size. commit also stamps the tick as completed, with
+// or without a store.
 func (r *Runtime) beginSnapshotLocked() (commit func() error, err error) {
 	met, store := r.Met, r.Store
 	if store == nil {

@@ -12,9 +12,10 @@
 //	                      values), CRC-protected, written to a temp
 //	                      file, fsynced and renamed into place.
 //	journal-<seq>.log   — every catalogue mutation (register /
-//	                      unregister) since snapshot <seq>, one
-//	                      CRC-framed record per operation, appended
-//	                      in order.
+//	                      unregister) since snapshot <seq>, and every
+//	                      ring a tick ran on that differs from the
+//	                      one before, one CRC-framed record each,
+//	                      appended in order.
 //
 // Snapshot writing is split in two so the expensive half runs off
 // the cluster write lock: BeginSnapshot allocates the next epoch and
@@ -32,9 +33,10 @@
 // one passes its CRC, then replays every journal of that epoch and
 // later in order, stopping cleanly at the first truncated or corrupt
 // record — a torn write costs at most the tail of a journal, never
-// the snapshot behind it. The two newest snapshots are kept so a
-// torn snapshot write can always fall back one epoch (the journals
-// of the older epoch bridge the gap forward).
+// the snapshot behind it; a record that passes its CRC but does not
+// decode fails Load instead (RecordError). The two newest snapshots are
+// kept so a torn snapshot write can always fall back one epoch (the
+// journals of the older epoch bridge the gap forward).
 //
 // A snapshot file is one overlay image (AppendImage / ParseImage):
 // magic, version, epoch, the peer ring, the catalogue as one LOUDS
@@ -45,16 +47,20 @@
 // restart materializes entries lazily while streaming them into the
 // overlay. Nothing writes the older encodings any more, but both
 // still parse: version-1 images (inline node list) and version-2
-// images whose envelope is legacy-coded.
+// images whose envelope is legacy-coded. A journal record's first byte
+// is its kind: register, unregister or ring, the last an image with an
+// empty catalogue. The journal format is upgrade-only: a build older
+// than the ring record reads one as a registration, or stops there.
 //
 // Journal appends ride the OS cache; a Replicate tick is the
 // durability point. A tick writes a new image only when the journal
-// cannot carry it (JournalCarries: the ring differs from the newest
-// image's, an append failed, or the records journaled since the image
-// reach a quarter of its keys; the caller adds what only it knows, a
-// catalogue that changed without a record); otherwise the tick fsyncs
-// the journal (SyncJournal), and the newest image plus its journal
-// replay to the same state. The durability contract is therefore
+// cannot carry it (JournalCarries: an append failed, or the records
+// journaled since the image reach a quarter of its keys; the caller
+// adds what only it knows, a catalogue that changed without a record);
+// otherwise the tick journals its ring if that changed and fsyncs the
+// journal (SyncJournal), and the newest image plus its journal replay
+// to the same state, ring included (a ring record counts as one record,
+// whatever its size). The durability contract is therefore
 // exactly the paper's replication model: everything declared before the
 // last Replicate survives any crash, and journaled mutations after it
 // survive ordinary process death (but not power loss).
@@ -693,8 +699,6 @@ type RecordError struct {
 func (e *RecordError) Error() string {
 	return fmt.Sprintf("persist: %s: journal record at offset %d: %v", e.Path, e.Offset, e.Err)
 }
-
-func (e *RecordError) Unwrap() error { return e.Err }
 
 // scanJournal hands the payload of every record of the journal at path
 // to fn, in order, until EOF or the first record that is truncated or

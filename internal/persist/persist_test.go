@@ -248,7 +248,6 @@ func TestUndecodableJournalRecordFailsLoad(t *testing.T) {
 	}{
 		{"unknown kind", append([]byte{7}, appendString(appendString(nil, "key"), "value")...)},
 		{"malformed register", append([]byte{opRegister}, appendString(nil, "key")...)},
-		{"truncated unregister", append([]byte{opUnregister}, appendString(appendString(nil, "key"), "value")[:9]...)},
 		{"trailing bytes", append(append([]byte{opRegister}, appendString(appendString(nil, "key"), "value")...), 0)},
 		{"malformed ring", append([]byte{opRing}, "DLPTSNP1"...)},
 	} {
