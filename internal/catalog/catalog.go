@@ -25,9 +25,12 @@
 package catalog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"iter"
+	"slices"
+	"strings"
 )
 
 // Entry is one catalogue entry: a tree node's key plus the optional
@@ -117,6 +120,27 @@ func Append(dst []byte, c Codec, entries []Entry, secs Sections) []byte {
 	return c.AppendPayload(dst, entries, secs)
 }
 
+// AppendSeq is Append with the LOUDS codec over a sequence it may walk
+// several times. Entries that come in ascending key order, without
+// duplicates, are encoded straight from the sequence, with no copy.
+func AppendSeq(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
+	return appendLOUDS(append(dst, versionLOUDS, byte(secs)), entries, secs)
+}
+
+// AppendPrefixed appends what fill appends to dst, preceded by its
+// length as a uvarint. fill writes behind a one-byte placeholder; a
+// length that needs more bytes moves what it wrote up in place.
+func AppendPrefixed(dst []byte, fill func([]byte) []byte) []byte {
+	at := len(dst) + 1
+	dst = fill(append(dst, 0))
+	var n [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(n[:], uint64(len(dst)-at))
+	dst = append(dst, n[1:w]...)
+	copy(dst[at+w-1:], dst[at:len(dst)-w+1])
+	copy(dst[at-1:], n[:w])
+	return dst
+}
+
 // Decode parses a full envelope, dispatching on its version byte.
 // Entries come back in ascending key order.
 func Decode(p []byte) ([]Entry, Sections, error) {
@@ -131,30 +155,11 @@ func Decode(p []byte) ([]Entry, Sections, error) {
 	return entries, secs, nil
 }
 
-// canonicalize returns entries sorted by key with later duplicates
-// winning — the canonical form every encoder writes. The input slice is
-// never mutated; when it is already canonical it is returned as is.
+// canonicalize returns a copy of entries sorted by key with later
+// duplicates winning — the canonical form every encoder writes.
 func canonicalize(entries []Entry) []Entry {
-	canon := true
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Key <= entries[i-1].Key {
-			canon = false
-			break
-		}
-	}
-	if canon {
-		return entries
-	}
-	sorted := make([]Entry, len(entries))
-	copy(sorted, entries)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	out := sorted[:0]
-	for _, e := range sorted {
-		if n := len(out); n > 0 && out[n-1].Key == e.Key {
-			out[n-1] = e // later duplicate wins
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
+	out := slices.Clone(entries)
+	slices.Reverse(out) // the stable sort then puts the later duplicate first
+	slices.SortStableFunc(out, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
+	return slices.CompactFunc(out, func(a, b Entry) bool { return a.Key == b.Key })
 }

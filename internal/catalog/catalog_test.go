@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -213,4 +215,20 @@ func entriesEqual(a, b []Entry) bool {
 		}
 	}
 	return true
+}
+
+// TestAppendPrefixed checks the in-place length prefix on both sides of
+// every uvarint width boundary, behind a non-empty dst.
+func TestAppendPrefixed(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300, 16383, 16384, 70000} {
+		body := make([]byte, n)
+		for i := range body {
+			body[i] = byte(i * 7)
+		}
+		got := AppendPrefixed([]byte("hdr"), func(b []byte) []byte { return append(b, body...) })
+		want := append(binary.AppendUvarint([]byte("hdr"), uint64(n)), body...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d bytes: prefixed form differs", n)
+		}
+	}
 }

@@ -2,8 +2,11 @@ package catalog
 
 import (
 	"encoding/binary"
+	"iter"
 	"math/bits"
-	"sort"
+	"slices"
+
+	"dlpt/internal/keys"
 )
 
 // loudsCodec is the version-1 succinct codec, after the LOUDS
@@ -34,7 +37,9 @@ import (
 // with the walk. Keys sharing prefixes share trie paths, which on
 // service-name corpora shrinks the key bytes by roughly an order of
 // magnitude; the rank directory is rebuilt at decode time from the
-// bitmap itself, so the wire form carries no redundancy.
+// bitmap itself, so the wire form carries no redundancy. The encoder
+// writes the trie from the sorted keys in two passes over adjacent
+// LCPs, as SuRF's builder does, with no trie in memory (appendTrie).
 type loudsCodec struct{}
 
 func (loudsCodec) Version() byte { return versionLOUDS }
@@ -147,188 +152,183 @@ func wordsFromBytes(p []byte, n int) []uint64 {
 
 // --- encoding ----------------------------------------------------------------
 
-// bnode is one trie node during encoding.
-type bnode struct {
-	lab  byte
-	kids []*bnode
-	id   int
-}
-
-// buildTrie inserts the sorted distinct strings into a byte trie and
-// returns the root plus each string's terminal node. Sorted insertion
-// keeps every node's children in ascending label order, which is what
-// makes the decoder's depth-first walk emit keys lexicographically.
-func buildTrie(strs []string) (*bnode, map[string]*bnode) {
-	root := &bnode{}
-	at := make(map[string]*bnode, len(strs))
-	for _, s := range strs {
-		n := root
-		for i := 0; i < len(s); i++ {
-			c := s[i]
-			if k := len(n.kids); k > 0 && n.kids[k-1].lab == c {
-				n = n.kids[k-1]
-				continue
-			}
-			kid := &bnode{lab: c}
-			n.kids = append(n.kids, kid)
-			n = kid
-		}
-		at[s] = n
-	}
-	return root, at
-}
-
 func setBit(p []byte, i int) { p[i>>3] |= 1 << uint(i&7) }
 
+// appendTrie appends the node count, m, the bitmap, the labels and the
+// entry bits of the byte trie over strs, which yields sorted, distinct
+// strings, in two passes over adjacent LCPs: string s opens the nodes at
+// depths |GCP(prev, s)|+1 … |s|. Pass 1 counts them per depth, and the
+// prefix sums give each level's first id: within a level of a trie with
+// label-sorted children, BFS order is the lexicographic order of the
+// prefixes. Pass 2 hands ids out from per-level cursors and writes each
+// label at its id. A new node's parent is the node opened last one
+// level up, so its one sits in the parent's run at bit (id-1) + parent:
+// after id-1 ones and the zeros closing nodes 0 … parent-1. ids, when
+// not nil, gets each string's terminal id; when nil, every terminal
+// carries an entry. ent is the entry bits.
+func appendTrie(dst []byte, strs iter.Seq[string], m int, ids []int) (_, ent []byte) {
+	next := []int{1} // per depth: the node count, then the next id
+	prev := ""
+	for s := range strs {
+		for len(next) <= len(s) {
+			next = append(next, 0)
+		}
+		for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
+			next[d]++
+		}
+		prev = s
+	}
+	n := 0
+	for d, c := range next {
+		next[d], n = n, n+c
+	}
+	next[0] = 1 // past the root
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(n)), uint64(m))
+	at, nb := len(dst), (2*n+6)/8
+	dst = append(dst, make([]byte, nb+n-1+(n+7)/8)...)
+	bitmap, labels, ent := dst[at:at+nb], dst[at+nb:], dst[at+nb+n-1:]
+	prev, i := "", 0
+	for s := range strs {
+		for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
+			labels[next[d]-1] = s[d-1]
+			setBit(bitmap, next[d]+next[d-1]-2)
+			next[d]++
+		}
+		if ids != nil {
+			ids[i] = next[len(s)] - 1
+		} else {
+			setBit(ent, next[len(s)]-1)
+		}
+		prev, i = s, i+1
+	}
+	return dst, ent
+}
+
+// AppendPayload encodes entries in key order, later duplicates winning,
+// building the trie from the sorted key list (appendTrie): entries are
+// indices into it, and under SecStruct the father and children ids come
+// from a binary search of the sorted strings the catalogue spells.
 func (loudsCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []byte {
-	entries = canonicalize(entries)
-	if len(entries) == 0 {
+	return appendLOUDS(dst, slices.Values(entries), secs)
+}
+
+// appendLOUDS is AppendPayload over a sequence it walks several times:
+// sorted, distinct keys are encoded straight from it, anything else
+// from its canonical copy.
+func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
+	m, nv, prev := 0, 0, ""
+	for e := range entries {
+		if m > 0 && e.Key <= prev {
+			return appendLOUDS(dst, slices.Values(canonicalize(slices.Collect(entries))), secs)
+		}
+		m, nv, prev = m+1, nv+len(e.Values), e.Key
+	}
+	if m == 0 {
 		return binary.AppendUvarint(dst, 0)
 	}
-
-	// Every string the catalogue must spell lives in one trie: the
-	// entry keys plus, when the struct section rides along, the father
-	// and children links (they are keys of the same tree, so they
-	// share the same prefixes).
-	strs := make([]string, 0, len(entries))
-	for _, e := range entries {
-		strs = append(strs, e.Key)
-		if secs&SecStruct != 0 {
-			if e.HasFather {
-				strs = append(strs, e.Father)
+	strs := func(yield func(string) bool) {
+		for e := range entries {
+			if !yield(e.Key) {
+				return
 			}
-			strs = append(strs, e.Children...)
 		}
 	}
-	sort.Strings(strs)
-	strs = dedupSorted(strs)
-	root, at := buildTrie(strs)
-
-	// BFS numbering; bitmap and labels fall out of the same pass.
-	n := 0
-	for queue := []*bnode{root}; len(queue) > 0; {
-		nd := queue[0]
-		queue = queue[1:]
-		nd.id = n
-		n++
-		queue = append(queue, nd.kids...)
-	}
-	bitmap := make([]byte, (2*n-1+7)/8)
-	labels := make([]byte, 0, n-1)
-	bit := 0
-	for queue := []*bnode{root}; len(queue) > 0; {
-		nd := queue[0]
-		queue = queue[1:]
-		for _, kid := range nd.kids {
-			setBit(bitmap, bit)
-			bit++
-			labels = append(labels, kid.lab)
+	// Under SecStruct the father and children links join the keys in
+	// the trie: they are keys of the same tree, sharing its prefixes.
+	var all []string
+	var ids []int
+	if secs&SecStruct != 0 {
+		for e := range entries {
+			all = append(append(all, e.Key), e.Children...)
+			if e.HasFather {
+				all = append(all, e.Father)
+			}
 		}
-		bit++ // the run-terminating zero
-		queue = append(queue, nd.kids...)
+		slices.Sort(all)
+		all = slices.Compact(all)
+		strs, ids = slices.Values(all), make([]int, len(all))
 	}
-	entBits := make([]byte, (n+7)/8)
-	for _, e := range entries {
-		setBit(entBits, at[e.Key].id)
+	dst, ent := appendTrie(dst, strs, m, ids)
+	id := func(s string) uint64 {
+		i, _ := slices.BinarySearch(all, s)
+		return uint64(ids[i])
 	}
-
-	dst = binary.AppendUvarint(dst, uint64(n))
-	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	dst = append(dst, bitmap...)
-	dst = append(dst, labels...)
-	dst = append(dst, entBits...)
-
+	if ids != nil {
+		for e := range entries {
+			setBit(ent, int(id(e.Key)))
+		}
+	}
 	if secs&SecValues != 0 {
-		dst = appendSection(dst, encodeValueSection(entries))
+		dst = AppendPrefixed(dst, func(sec []byte) []byte { return appendValues(sec, entries, nv) })
 	}
 	if secs&SecStruct != 0 {
-		var sec []byte
-		for _, e := range entries {
-			if e.HasFather {
-				sec = binary.AppendUvarint(sec, uint64(at[e.Father].id)+1)
-			} else {
-				sec = binary.AppendUvarint(sec, 0)
+		dst = AppendPrefixed(dst, func(sec []byte) []byte {
+			for e := range entries {
+				father := uint64(0)
+				if e.HasFather {
+					father = id(e.Father) + 1
+				}
+				sec = binary.AppendUvarint(binary.AppendUvarint(sec, father), uint64(len(e.Children)))
+				for _, c := range e.Children {
+					sec = binary.AppendUvarint(sec, id(c))
+				}
 			}
-			sec = binary.AppendUvarint(sec, uint64(len(e.Children)))
-			for _, c := range e.Children {
-				sec = binary.AppendUvarint(sec, uint64(at[c].id))
-			}
-		}
-		dst = appendSection(dst, sec)
+			return sec
+		})
 	}
 	if secs&SecLoads != 0 {
-		var sec []byte
-		for _, e := range entries {
-			sec = binary.AppendUvarint(sec, uint64(e.LoadPrev))
-			sec = binary.AppendUvarint(sec, uint64(e.LoadCur))
-		}
-		dst = appendSection(dst, sec)
+		dst = AppendPrefixed(dst, func(sec []byte) []byte {
+			for e := range entries {
+				sec = binary.AppendUvarint(binary.AppendUvarint(sec, uint64(e.LoadPrev)), uint64(e.LoadCur))
+			}
+			return sec
+		})
 	}
 	return dst
 }
 
-// encodeValueSection writes the distinct-value table (sorted) and the
+// appendValues writes the distinct-value table (sorted) and the
 // per-entry references into it, run-length grouped: each group is
 // `repeat | count | refs...` and covers repeat+1 consecutive entries
 // sharing the same value list. Catalogues where many services declare
 // the same endpoint — the common shape — collapse to a handful of
-// groups instead of two bytes per entry.
-func encodeValueSection(entries []Entry) []byte {
-	var all []string
-	for _, e := range entries {
+// groups instead of two bytes per entry. nv is the number of values.
+func appendValues(sec []byte, entries iter.Seq[Entry], nv int) []byte {
+	all := make([]string, 0, nv)
+	for e := range entries {
 		all = append(all, e.Values...)
 	}
-	sort.Strings(all)
-	all = dedupSorted(all)
-	idx := make(map[string]int, len(all))
-	for i, v := range all {
-		idx[v] = i
-	}
-	sec := binary.AppendUvarint(nil, uint64(len(all)))
+	slices.Sort(all)
+	all = slices.Compact(all)
+	sec = binary.AppendUvarint(sec, uint64(len(all)))
 	for _, v := range all {
 		sec = appendString(sec, v)
 	}
-	for i := 0; i < len(entries); {
-		j := i + 1
-		for j < len(entries) && equalStrings(entries[j].Values, entries[i].Values) {
-			j++
-		}
-		sec = binary.AppendUvarint(sec, uint64(j-i-1))
-		sec = binary.AppendUvarint(sec, uint64(len(entries[i].Values)))
-		for _, v := range entries[i].Values {
-			sec = binary.AppendUvarint(sec, uint64(idx[v]))
-		}
-		i = j
-	}
-	return sec
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func appendSection(dst, sec []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(sec)))
-	return append(dst, sec...)
-}
-
-func dedupSorted(ss []string) []string {
-	out := ss[:0]
-	for _, s := range ss {
-		if n := len(out); n > 0 && out[n-1] == s {
+	var run []string
+	repeat := -1
+	for e := range entries {
+		if repeat >= 0 && slices.Equal(e.Values, run) {
+			repeat++
 			continue
 		}
-		out = append(out, s)
+		sec = appendRun(sec, all, run, repeat)
+		run, repeat = e.Values, 0
 	}
-	return out
+	return appendRun(sec, all, run, repeat)
+}
+
+// appendRun writes one group of appendValues; a negative repeat is no
+// group.
+func appendRun(sec []byte, all, run []string, repeat int) []byte {
+	if repeat < 0 {
+		return sec
+	}
+	sec = binary.AppendUvarint(binary.AppendUvarint(sec, uint64(repeat)), uint64(len(run)))
+	for _, v := range run {
+		i, _ := slices.BinarySearch(all, v)
+		sec = binary.AppendUvarint(sec, uint64(i))
+	}
+	return sec
 }
 
 func (c loudsCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
@@ -341,8 +341,5 @@ func (c loudsCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
 		out = append(out, e)
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }

@@ -59,8 +59,8 @@
 // adds what only it knows, a catalogue that changed without a record);
 // otherwise the tick journals its ring if that changed and fsyncs the
 // journal (SyncJournal), and the newest image plus its journal replay
-// to the same state, ring included (a ring record counts as one record,
-// whatever its size). The durability contract is therefore
+// to the same state, ring included (a ring record counts as one record
+// per peer, so a churning ring cannot grow the journal past the rule). The durability contract is therefore
 // exactly the paper's replication model: everything declared before the
 // last Replicate survives any crash, and journaled mutations after it
 // survive ordinary process death (but not power loss).
@@ -194,11 +194,11 @@ type Store struct {
 	// surfaces it (the snapshot itself heals the gap — the lost
 	// records described state the new snapshot now contains).
 	appendErr error
-	// records counts the appends since the newest BeginSnapshot; image
-	// is the key count of the newest image this store committed and the
-	// ring the journal carries, nil until one commits and while a newer
-	// epoch's image is pending. buf is the one buffer appends encode
-	// into.
+	// records counts the records since the newest BeginSnapshot, a ring
+	// record once per peer; image is the key count of the newest image
+	// this store committed and the ring the journal carries, nil until
+	// one commits and while a newer epoch's image is pending. buf is the
+	// one buffer appends encode into.
 	records int
 	image   *imageState
 	buf     []byte
@@ -365,7 +365,8 @@ func (s *Store) writeFrameLocked(frame []byte) error {
 // journaled since stay under a quarter of the image's keys. peers is
 // the tick's ring, ids and capacities in ring order: where it differs
 // from the ring the journal carries, JournalCarries appends a ring
-// record, and answers false if that append fails. The caller fsyncs the
+// record, which counts as one record per peer, and answers false if
+// that append fails. The caller fsyncs the
 // journal (SyncJournal) instead of writing an image only on true, and
 // must not modify peers afterwards.
 func (s *Store) JournalCarries(peers []PeerState) bool {
@@ -380,7 +381,7 @@ func (s *Store) JournalCarries(peers []PeerState) bool {
 		if s.writeFrameLocked(frame) != nil {
 			return false
 		}
-		img.peers = peers
+		img.peers, s.records = peers, s.records+len(peers)-1 // one record per peer
 	}
 	return true
 }
@@ -417,7 +418,8 @@ type EntrySource interface {
 // AppendImage appends the overlay image of (peers, cat) to dst: the
 // one byte form of the whole-overlay state, written to snapshot files
 // by Commit and carried by the daemon's HELLO and RESYNC payloads.
-// seq is the snapshot epoch on disk and unused on the wire.
+// seq is the snapshot epoch on disk and unused on the wire. The
+// catalogue is encoded from cat straight into dst (catalog.AppendSeq).
 func AppendImage(dst []byte, seq uint64, peers []PeerState, cat EntrySource) []byte {
 	start := len(dst)
 	dst = append(dst, snapMagic...)
@@ -428,14 +430,9 @@ func AppendImage(dst []byte, seq uint64, peers []PeerState, cat EntrySource) []b
 		dst = appendString(dst, ps.ID)
 		dst = binary.AppendUvarint(dst, uint64(ps.Capacity))
 	}
-	entries := make([]catalog.Entry, 0, cat.Len())
-	cat.Ascend(func(e catalog.Entry) bool {
-		entries = append(entries, e)
-		return true
+	dst = catalog.AppendPrefixed(dst, func(b []byte) []byte {
+		return catalog.AppendSeq(b, cat.Ascend, catalog.SecValues)
 	})
-	blob := catalog.Append(nil, catalog.Default, entries, catalog.SecValues)
-	dst = binary.AppendUvarint(dst, uint64(len(blob)))
-	dst = append(dst, blob...)
 	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 

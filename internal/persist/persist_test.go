@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"dlpt/internal/catalog"
+	"dlpt/internal/workload"
 )
 
 func testState() ([]PeerState, []catalog.Entry) {
@@ -654,8 +656,14 @@ func TestJournalCarriesRules(t *testing.T) {
 	if !s.JournalCarries(peers) {
 		t.Fatal("one record over 16 keys needs an image")
 	}
-	if !s.JournalCarries(moved) || !s.JournalCarries(moved) || s.records != 2 {
-		t.Fatalf("a ring change: %d records journaled, want the registration and one ring record", s.records)
+	// A ring record counts once per peer: with the registration, the
+	// 3-peer ring reaches a quarter of the 16 keys, so the tick after the
+	// one that journaled it writes an image.
+	if !s.JournalCarries(moved) || s.records != 4 {
+		t.Fatalf("a ring change: %d records counted, want the registration and the ring's 3 peers", s.records)
+	}
+	if s.JournalCarries(moved) {
+		t.Fatal("a registration and a 3-peer ring record over 16 keys (a quarter) carried without an image")
 	}
 	if err := s.SyncJournal(); err != nil {
 		t.Fatal(err)
@@ -664,9 +672,6 @@ func TestJournalCarriesRules(t *testing.T) {
 		if err := s.Append(true, k, "ep"); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if s.JournalCarries(moved) {
-		t.Fatal("4 records over 16 keys (a quarter) carried without an image")
 	}
 	st, err := s.Load()
 	if err != nil {
@@ -680,6 +685,20 @@ func TestJournalCarriesRules(t *testing.T) {
 	}
 	st.Release()
 
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range []string{"a", "b", "c", "d"} {
+		if !s.JournalCarries(peers) {
+			t.Fatalf("%d records over 16 keys need an image", i)
+		}
+		if err := s.Append(false, k, "ep2"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.JournalCarries(peers) {
+		t.Fatal("4 records over 16 keys (a quarter) carried without an image")
+	}
 	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		t.Fatal(err)
 	}
@@ -735,5 +754,63 @@ func TestAllocsPerAppend(t *testing.T) {
 	const ceiling = 0
 	if allocs > ceiling {
 		t.Fatalf("%.2f allocs per append, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestAllocsPerImage is the allocation budget of one overlay image, which
+// every durable tick that cannot journal, every snapshot file and every
+// HELLO and RESYNC payload pays: the catalogue is encoded from the
+// capture straight into the buffer, so what it allocates is a handful
+// of tables that do not grow with the catalogue (the pointer-trie
+// encoder allocated 34,989 objects for GridCorpus(20000)).
+func TestAllocsPerImage(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	peers, _ := testState()
+	perImage := func(n int) float64 {
+		ks := workload.GridCorpus(n)
+		slices.Sort(ks)
+		var nodes entrySource // a capture: sorted, distinct keys
+		for i, k := range slices.Compact(ks) {
+			nodes = append(nodes, catalog.Entry{Key: string(k), Values: []string{fmt.Sprintf("ep://grid-%d", i%16)}})
+		}
+		buf := make([]byte, 0, 2*len(AppendImage(nil, 1, peers, nodes)))
+		return testing.AllocsPerRun(10, func() { AppendImage(buf, 1, peers, nodes) })
+	}
+	small, large := perImage(2000), perImage(20000)
+	t.Logf("%.0f allocs per image at 2k keys, %.0f at 20k", small, large)
+	if large > 64 || large > small+16 {
+		t.Fatalf("%.0f allocs per image at 20k keys (ceiling 64), %.0f at 2k (ceiling 16 more)", large, small)
+	}
+}
+
+// TestImageMatchesCopiedEncoding holds AppendImage, which encodes the
+// catalogue from the source straight into dst, to the bytes of the
+// encoder it replaced: the source copied into a slice, encoded into a
+// blob of its own, and the blob appended behind its length. Sorted and
+// unsorted sources, small and large, cross the length prefix's widths.
+func TestImageMatchesCopiedEncoding(t *testing.T) {
+	peers, nodes := testState()
+	ks := workload.GridCorpus(3000)
+	slices.Sort(ks)
+	var grid entrySource
+	for i, k := range slices.Compact(ks) {
+		grid = append(grid, catalog.Entry{Key: string(k), Values: []string{fmt.Sprintf("ep://grid-%d", i%16)}})
+	}
+	unsorted := entrySource{nodes[1], nodes[0], {Key: "dgemv", Values: []string{"ep://4"}}}
+	for _, cat := range []entrySource{nil, nodes, unsorted, grid[:20], grid} {
+		want := []byte(snapMagic)
+		want = binary.AppendUvarint(binary.AppendUvarint(want, snapVersionCatalog), 9)
+		want = binary.AppendUvarint(want, uint64(len(peers)))
+		for _, ps := range peers {
+			want = binary.AppendUvarint(appendString(want, ps.ID), uint64(ps.Capacity))
+		}
+		blob := catalog.Append(nil, catalog.Default, cat, catalog.SecValues)
+		want = append(binary.AppendUvarint(want, uint64(len(blob))), blob...)
+		want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+		if got := AppendImage(nil, 9, peers, cat); !bytes.Equal(got, want) {
+			t.Fatalf("%d entries: image differs from the copied encoding", len(cat))
+		}
 	}
 }
