@@ -757,6 +757,18 @@ func TestAllocsPerAppend(t *testing.T) {
 	}
 }
 
+// gridCapture is the n-key grid catalogue as the core's capture yields
+// it: sorted, distinct keys, each behind one of 16 endpoints.
+func gridCapture(n int) entrySource {
+	ks := workload.GridCorpus(n)
+	slices.Sort(ks)
+	var out entrySource
+	for i, k := range slices.Compact(ks) {
+		out = append(out, catalog.Entry{Key: string(k), Values: []string{fmt.Sprintf("ep://grid-%d", i%16)}})
+	}
+	return out
+}
+
 // TestAllocsPerImage is the allocation budget of one overlay image, which
 // every durable tick that cannot journal, every snapshot file and every
 // HELLO and RESYNC payload pays: the catalogue is encoded from the
@@ -769,12 +781,7 @@ func TestAllocsPerImage(t *testing.T) {
 	}
 	peers, _ := testState()
 	perImage := func(n int) float64 {
-		ks := workload.GridCorpus(n)
-		slices.Sort(ks)
-		var nodes entrySource // a capture: sorted, distinct keys
-		for i, k := range slices.Compact(ks) {
-			nodes = append(nodes, catalog.Entry{Key: string(k), Values: []string{fmt.Sprintf("ep://grid-%d", i%16)}})
-		}
+		nodes := gridCapture(n)
 		buf := make([]byte, 0, 2*len(AppendImage(nil, 1, peers, nodes)))
 		return testing.AllocsPerRun(10, func() { AppendImage(buf, 1, peers, nodes) })
 	}
@@ -792,12 +799,7 @@ func TestAllocsPerImage(t *testing.T) {
 // unsorted sources, small and large, cross the length prefix's widths.
 func TestImageMatchesCopiedEncoding(t *testing.T) {
 	peers, nodes := testState()
-	ks := workload.GridCorpus(3000)
-	slices.Sort(ks)
-	var grid entrySource
-	for i, k := range slices.Compact(ks) {
-		grid = append(grid, catalog.Entry{Key: string(k), Values: []string{fmt.Sprintf("ep://grid-%d", i%16)}})
-	}
+	grid := gridCapture(3000)
 	unsorted := entrySource{nodes[1], nodes[0], {Key: "dgemv", Values: []string{"ep://4"}}}
 	for _, cat := range []entrySource{nil, nodes, unsorted, grid[:20], grid} {
 		want := []byte(snapMagic)
