@@ -78,9 +78,10 @@ type Codec interface {
 }
 
 var (
-	// LOUDS is the version-1 succinct codec.
+	// LOUDS is the version-1 succinct codec, the one that writes every
+	// envelope: frames through Append, images through AppendSeq.
 	LOUDS Codec = loudsCodec{}
-	// Default is the codec snapshots and frames are written with.
+	// Deprecated: Default is LOUDS, the only codec that writes; name LOUDS.
 	Default = LOUDS
 )
 
@@ -120,9 +121,9 @@ func Append(dst []byte, c Codec, entries []Entry, secs Sections) []byte {
 	return c.AppendPayload(dst, entries, secs)
 }
 
-// AppendSeq is Append with the LOUDS codec over a sequence it may walk
-// several times. Entries that come in ascending key order, without
-// duplicates, are encoded straight from the sequence, with no copy.
+// AppendSeq is Append with LOUDS, the codec of every image, over a
+// sequence it may walk several times. Entries that come in ascending key
+// order, without duplicates, are encoded straight from the sequence.
 func AppendSeq(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
 	return appendLOUDS(append(dst, versionLOUDS, byte(secs)), entries, secs)
 }

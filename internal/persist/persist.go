@@ -59,11 +59,11 @@
 // adds what only it knows, a catalogue that changed without a record);
 // otherwise the tick journals its ring if that changed and fsyncs the
 // journal (SyncJournal), and the newest image plus its journal replay
-// to the same state, ring included (a ring record counts as one record
-// per peer, so a churning ring cannot grow the journal past the rule). The durability contract is therefore
-// exactly the paper's replication model: everything declared before the
-// last Replicate survives any crash, and journaled mutations after it
-// survive ordinary process death (but not power loss).
+// to the same state, ring included (a ring record counts once per peer,
+// so the journal passes the rule by at most one ring). The durability
+// contract is therefore exactly the paper's replication model: everything
+// declared before the last Replicate survives any crash, and journaled
+// mutations after it survive ordinary process death (but not power loss).
 package persist
 
 import (
@@ -365,10 +365,10 @@ func (s *Store) writeFrameLocked(frame []byte) error {
 // journaled since stay under a quarter of the image's keys. peers is
 // the tick's ring, ids and capacities in ring order: where it differs
 // from the ring the journal carries, JournalCarries appends a ring
-// record, which counts as one record per peer, and answers false if
-// that append fails. The caller fsyncs the
-// journal (SyncJournal) instead of writing an image only on true, and
-// must not modify peers afterwards.
+// record, which counts as one record per peer (at least one), and
+// answers false if that append fails. The caller fsyncs the journal
+// (SyncJournal) instead of writing an image only on true, and must not
+// modify peers afterwards.
 func (s *Store) JournalCarries(peers []PeerState) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -381,7 +381,7 @@ func (s *Store) JournalCarries(peers []PeerState) bool {
 		if s.writeFrameLocked(frame) != nil {
 			return false
 		}
-		img.peers, s.records = peers, s.records+len(peers)-1 // one record per peer
+		img.peers, s.records = peers, s.records+max(len(peers), 1)-1 // one record per peer
 	}
 	return true
 }

@@ -625,9 +625,9 @@ func TestAppendErrorSurfacesAtSnapshot(t *testing.T) {
 // replication tick durable: never before this store committed an image,
 // then only while no append has failed since and the records journaled
 // since stay under a quarter of the image's keys. A ring change is one
-// more record, written once, and a failure to write it needs an image.
-// A journal-only tick is an fsync, and a reload replays the image and
-// its journal, ring included.
+// ring record, written once, that counts once per peer, and a failure
+// to write it needs an image. A journal-only tick is an fsync, and a
+// reload replays the image and its journal, ring included.
 func TestJournalCarriesRules(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -640,7 +640,7 @@ func TestJournalCarriesRules(t *testing.T) {
 	if s.JournalCarries(peers) {
 		t.Fatal("the journal carries a tick before any image")
 	}
-	nodes := make([]catalog.Entry, 16)
+	nodes := make([]catalog.Entry, 32)
 	for i := range nodes {
 		nodes[i] = catalog.Entry{Key: string(rune('a' + i)), Values: []string{"ep"}}
 	}
@@ -654,30 +654,31 @@ func TestJournalCarriesRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.JournalCarries(peers) {
-		t.Fatal("one record over 16 keys needs an image")
+		t.Fatal("one record over 32 keys needs an image")
 	}
-	// A ring record counts once per peer: with the registration, the
-	// 3-peer ring reaches a quarter of the 16 keys, so the tick after the
-	// one that journaled it writes an image.
-	if !s.JournalCarries(moved) || s.records != 4 {
-		t.Fatalf("a ring change: %d records counted, want the registration and the ring's 3 peers", s.records)
-	}
-	if s.JournalCarries(moved) {
-		t.Fatal("a registration and a 3-peer ring record over 16 keys (a quarter) carried without an image")
+	// The ring record counts once per peer, and a tick with the same
+	// ring again appends nothing.
+	for range 2 {
+		if !s.JournalCarries(moved) || s.records != 4 {
+			t.Fatalf("a ring change: %d records counted, want the registration and the ring's 3 peers", s.records)
+		}
 	}
 	if err := s.SyncJournal(); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"zz", "zy"} {
+	for _, k := range []string{"zz", "zy", "zx", "zw"} {
 		if err := s.Append(true, k, "ep"); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if s.JournalCarries(moved) {
+		t.Fatal("8 records over 32 keys (a quarter) carried without an image")
 	}
 	st, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Snapshot == nil || len(nodeList(t, st.Snapshot)) != len(nodes) || len(st.Journal) != 3 {
+	if st.Snapshot == nil || len(nodeList(t, st.Snapshot)) != len(nodes) || len(st.Journal) != 5 {
 		t.Fatalf("reload: snapshot %v, %d records", st.Snapshot != nil, len(st.Journal))
 	}
 	if !reflect.DeepEqual(st.Peers, moved) || !reflect.DeepEqual(st.Snapshot.Peers, peers) {
@@ -685,7 +686,15 @@ func TestJournalCarriesRules(t *testing.T) {
 	}
 	st.Release()
 
-	if _, err := writeSnapshot(s, peers, nodes); err != nil {
+	// A ring with a quarter as many peers as the image has keys is a
+	// quarter of the image on its own: the tick after it writes an image.
+	if _, err := writeSnapshot(s, peers, nodes[:12]); err != nil {
+		t.Fatal(err)
+	}
+	if !s.JournalCarries(moved) || s.JournalCarries(moved) {
+		t.Fatal("a 3-peer ring record over 12 keys (a quarter) carried a second tick without an image")
+	}
+	if _, err := writeSnapshot(s, peers, nodes[:16]); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range []string{"a", "b", "c", "d"} {
@@ -808,7 +817,7 @@ func TestImageMatchesCopiedEncoding(t *testing.T) {
 		for _, ps := range peers {
 			want = binary.AppendUvarint(appendString(want, ps.ID), uint64(ps.Capacity))
 		}
-		blob := catalog.Append(nil, catalog.Default, cat, catalog.SecValues)
+		blob := catalog.Append(nil, catalog.LOUDS, cat, catalog.SecValues)
 		want = append(binary.AppendUvarint(want, uint64(len(blob))), blob...)
 		want = binary.BigEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
 		if got := AppendImage(nil, 9, peers, cat); !bytes.Equal(got, want) {

@@ -466,7 +466,7 @@ func appendReplicaBatch(b []byte, batch *core.ReplicaBatch) []byte {
 			entries[i].Children[j] = string(c)
 		}
 	}
-	return catalog.Append(w.b, catalog.Default, entries, catalog.SecAll)
+	return catalog.Append(w.b, catalog.LOUDS, entries, catalog.SecAll)
 }
 
 func decodeReplicaBatch(p []byte, batch *core.ReplicaBatch) error {
