@@ -2,7 +2,12 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
+
+	"dlpt/internal/keys"
+	"dlpt/internal/ring"
 )
 
 // CheckReplicaStore is the replica oracle the schedule tests hold a
@@ -38,4 +43,51 @@ func CheckReplicaStore(net *Network) error {
 		}
 	}
 	return nil
+}
+
+// CloneNetwork deep-copies net — its ring, peers, node index (hosts,
+// slots and edges relinked to the copies), replica store and crash
+// bookkeeping — so a test can run one operation two ways from one state.
+// The catalogue image, the journal hook and the instruments stay behind.
+func CloneNetwork(net *Network) *Network {
+	c := *net
+	c.Journal, c.cat, c.Obs, c.Tracer, c.queue = nil, nil, nil, nil, nil
+	c.ring = ring.New()
+	for _, id := range net.ring.IDs() {
+		c.ring.Insert(id)
+	}
+	c.hashPos, c.hashPeer, c.peerHash = slices.Clone(net.hashPos), maps.Clone(net.hashPeer), maps.Clone(net.peerHash)
+	c.replicaLoc, c.pendingLost, c.dropped = maps.Clone(net.replicaLoc), maps.Clone(net.pendingLost), slices.Clone(net.dropped)
+	c.peers = make(map[keys.Key]*Peer, len(net.peers))
+	for id, p := range net.peers {
+		c.peers[id] = &Peer{ID: p.ID, Pred: p.Pred, Succ: p.Succ, Capacity: p.Capacity,
+			Replicas: maps.Clone(p.Replicas), churn: p.churn, Processed: p.Processed}
+	}
+	c.nodes = make(map[keys.Key]*Node, len(net.nodes))
+	c.nodeList = make([]*Node, len(net.nodeList))
+	for i, n := range net.nodeList {
+		m := &Node{Key: n.Key, Father: n.Father, HasFather: n.HasFather, Children: slices.Clone(n.Children),
+			Data: slices.Clone(n.Data), LoadCur: n.LoadCur, LoadPrev: n.LoadPrev, pos: n.pos, stamp: n.stamp}
+		m.visits.Store(n.visits.Load())
+		c.nodes[n.Key], c.nodeList[i] = m, m
+	}
+	for id, p := range net.peers {
+		for _, n := range p.nodes {
+			c.peers[id].adopt(c.nodes[n.Key])
+		}
+	}
+	for _, m := range c.nodeList {
+		c.linkChildren(m)
+	}
+	return &c
+}
+
+// StripReplicaStructure drops the father and child links from every
+// replica net holds, keeping the key, the values and the loads.
+func StripReplicaStructure(net *Network) {
+	for _, p := range net.peers {
+		for k, info := range p.Replicas {
+			p.Replicas[k] = NodeInfo{Key: info.Key, Data: info.Data, LoadPrev: info.LoadPrev, LoadCur: info.LoadCur}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dlpt/internal/core"
@@ -23,7 +24,7 @@ func TestReplicaStoreMatchesOverlay(t *testing.T) {
 		seeds = 10
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		if err := replicaSchedule(seed, 400); err != nil {
+		if err := replicaSchedule(seed, 400, nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -31,7 +32,11 @@ func TestReplicaStoreMatchesOverlay(t *testing.T) {
 
 // replicaSchedule runs one schedule of the given length and reports the
 // first step at which the replica store or the overlay went wrong.
-func replicaSchedule(seed int64, steps int) error {
+// recover, when set, runs each recovery in place of net.Recover.
+func replicaSchedule(seed int64, steps int, recover func(net *core.Network) error) error {
+	if recover == nil {
+		recover = func(net *core.Network) error { net.Recover(); return nil }
+	}
 	r := rand.New(rand.NewSource(seed))
 	placement := core.PlacementLexicographic
 	if seed%4 == 0 {
@@ -115,7 +120,9 @@ func replicaSchedule(seed int64, steps int) error {
 				crashed = true
 			}
 		case op < 90:
-			net.Recover()
+			if err := recover(net); err != nil {
+				return fmt.Errorf("step %d recover: %v", step, err)
+			}
 			crashed = false
 		default:
 			net.Replicate()
@@ -130,10 +137,80 @@ func replicaSchedule(seed int64, steps int) error {
 			}
 		}
 	}
-	net.Recover()
+	if err := recover(net); err != nil {
+		return fmt.Errorf("final recover: %v", err)
+	}
 	net.Replicate()
 	if err := core.CheckReplicaStore(net); err != nil {
 		return fmt.Errorf("final tick: %v", err)
 	}
 	return net.Validate()
+}
+
+// TestRecoverNeedsNoReplicaStructure holds Recover to what the key set
+// derives: on the oracle's seeded schedules, under both placements,
+// every recovery also runs on a copy of the network whose replicas were
+// stripped of their father and child links, and the two trees must
+// agree node by node — label, host, father, children, values and loads.
+func TestRecoverNeedsNoReplicaStructure(t *testing.T) {
+	seeds := 60
+	if testing.Short() {
+		seeds = 10
+	}
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		err := replicaSchedule(seed, 400, func(net *core.Network) error {
+			stripped := core.CloneNetwork(net)
+			core.StripReplicaStructure(stripped)
+			net.Recover()
+			stripped.Recover()
+			if err := stripped.Validate(); err != nil {
+				return fmt.Errorf("recovered from stripped replicas: %v", err)
+			}
+			return sameTree(net, stripped)
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// sameTree compares two networks node by node: the same peers, each
+// hosting the same nodes with the same father, children, values and
+// loads, under the same root.
+func sameTree(a, b *core.Network) error {
+	ra, oka := a.Root()
+	rb, okb := b.Root()
+	if ra != rb || oka != okb {
+		return fmt.Errorf("root %q/%v, stripped %q/%v", ra, oka, rb, okb)
+	}
+	if ia, ib := a.PeerIDs(), b.PeerIDs(); !slices.Equal(ia, ib) {
+		return fmt.Errorf("peers %q, stripped %q", ia, ib)
+	}
+	for _, id := range a.PeerIDs() {
+		pa, _ := a.Peer(id)
+		pb, _ := b.Peer(id)
+		hosted := make(map[keys.Key]*core.Node, pb.NumNodes())
+		for _, n := range pb.Nodes() {
+			hosted[n.Key] = n
+		}
+		if pa.NumNodes() != len(hosted) {
+			return fmt.Errorf("peer %q hosts %d nodes, stripped %d", id, pa.NumNodes(), len(hosted))
+		}
+		for _, n := range pa.Nodes() {
+			m, ok := hosted[n.Key]
+			switch {
+			case !ok:
+				return fmt.Errorf("node %q on %q missing from the stripped recovery", n.Key, id)
+			case n.HasFather != m.HasFather || n.Father != m.Father:
+				return fmt.Errorf("node %q: father %q/%v, stripped %q/%v", n.Key, n.Father, n.HasFather, m.Father, m.HasFather)
+			case !slices.Equal(n.ChildrenSorted(), m.ChildrenSorted()):
+				return fmt.Errorf("node %q: children %q, stripped %q", n.Key, n.ChildrenSorted(), m.ChildrenSorted())
+			case !slices.Equal(n.Data, m.Data):
+				return fmt.Errorf("node %q: values %q, stripped %q", n.Key, n.Data, m.Data)
+			case n.LoadPrev != m.LoadPrev || n.Load() != m.Load():
+				return fmt.Errorf("node %q: loads %d/%d, stripped %d/%d", n.Key, n.LoadPrev, n.Load(), m.LoadPrev, m.Load())
+			}
+		}
+	}
+	return nil
 }
