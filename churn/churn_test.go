@@ -2,7 +2,9 @@ package churn
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"dlpt"
@@ -363,6 +365,68 @@ func TestGoldenStats(t *testing.T) {
 		}
 		if got := dirSummary(st); got != tc.want {
 			t.Errorf("RunDirectory seed %d:\n  got  %#v\n  want %#v", tc.cfg.Seed, got, tc.want)
+		}
+	}
+}
+
+// TestRecoverKeepsAckedSet holds Recover to a set model of the acked
+// operations on the sequential engine, over the churn loop's crash and
+// recovery schedule: after every recovery no key whose last acked
+// operation was an unregister is in the catalogue, and every key whose
+// last acked operation was a register is, unless the recovery named it
+// lost (its state is then unknown until the next acked operation).
+func TestRecoverKeepsAckedSet(t *testing.T) {
+	ctx := context.Background()
+	ks := corpus(80)
+	for seed := int64(1); seed <= 40; seed++ {
+		eng := startEngine(t, enginelocal.Factory, 8)
+		registered := make(map[string]bool) // the last acked operation on each key
+		cfg := Config{Seed: seed, Ops: 400, JoinRate: 0.04, LeaveRate: 0.02, CrashRate: 0.04,
+			RecoverRate: 0.03, ReplicateEvery: 16, Strategy: "EqualLoad", Keys: ks}
+		var st Stats
+		err := drive(ctx, eng, cfg, &st, func(_ int, r *rand.Rand, repair func() error) error {
+			key := ks[r.Intn(len(ks))]
+			if r.Intn(3) == 0 {
+				return nil // a read leaves the model alone
+			}
+			if err := repair(); err != nil {
+				return err
+			}
+			if r.Intn(2) == 0 {
+				registered[key] = true
+				return eng.Register(ctx, key, "ep://"+key)
+			}
+			registered[key] = false
+			_, err := eng.Unregister(ctx, key, "ep://"+key)
+			return err
+		}, func(rep engine.RecoveryReport) error {
+			snap, err := eng.Snapshot(ctx)
+			if err != nil {
+				return err
+			}
+			present := make(map[string]bool)
+			for _, k := range snap.Keys() {
+				present[string(k)] = true
+			}
+			lost := make(map[string]bool)
+			for _, k := range rep.LostKeys {
+				lost[k] = true
+			}
+			for k, reg := range registered {
+				switch {
+				case !reg && present[k]:
+					return fmt.Errorf("recovery %d: unregistered key %q is back", st.Recoveries, k)
+				case reg && !present[k] && !lost[k]:
+					return fmt.Errorf("recovery %d: registered key %q is gone and not declared lost", st.Recoveries, k)
+				}
+				if lost[k] {
+					delete(registered, k)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
