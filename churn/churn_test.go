@@ -302,22 +302,22 @@ func TestGoldenStats(t *testing.T) {
 		want Stats
 	}{
 		{3, Stats{
-			Ops: 400, Registers: 93, Unregisters: 86, Discoveries: 183, Found: 73,
+			Ops: 400, Registers: 93, Unregisters: 86, Discoveries: 183, Found: 58,
 			Joins: 21, Leaves: 8, Crashes: 9, Recoveries: 9, Replications: 6,
-			ReplicatedNodes: 275, RestoredNodes: 49, LostNodes: 5, BalanceRounds: 12, BalanceMoves: 54,
-			FinalPeers: 12, FinalKeys: 45,
+			ReplicatedNodes: 239, RestoredNodes: 24, LostNodes: 6, BalanceRounds: 12, BalanceMoves: 56,
+			FinalPeers: 12, FinalKeys: 39,
 		}},
 		{11, Stats{
 			Ops: 400, Registers: 90, Unregisters: 87, Discoveries: 176, Found: 45,
 			Joins: 22, Leaves: 12, Crashes: 6, Recoveries: 6, Replications: 6,
-			ReplicatedNodes: 216, RestoredNodes: 17, LostNodes: 5, BalanceRounds: 12, BalanceMoves: 43,
-			FinalPeers: 12, FinalKeys: 38,
+			ReplicatedNodes: 218, RestoredNodes: 16, LostNodes: 2, BalanceRounds: 12, BalanceMoves: 38,
+			FinalPeers: 12, FinalKeys: 39,
 		}},
 		{29, Stats{
-			Ops: 400, Registers: 84, Unregisters: 84, Discoveries: 182, Found: 62,
+			Ops: 400, Registers: 84, Unregisters: 84, Discoveries: 182, Found: 57,
 			Joins: 23, Leaves: 10, Crashes: 9, Recoveries: 8, Replications: 6,
-			ReplicatedNodes: 223, RestoredNodes: 38, LostNodes: 5, BalanceRounds: 12, BalanceMoves: 57,
-			FinalPeers: 12, FinalKeys: 38,
+			ReplicatedNodes: 206, RestoredNodes: 23, LostNodes: 4, BalanceRounds: 12, BalanceMoves: 57,
+			FinalPeers: 12, FinalKeys: 35,
 		}},
 	} {
 		eng := startEngine(t, enginelocal.Factory, 8)
@@ -342,9 +342,9 @@ func TestGoldenStats(t *testing.T) {
 		// no balancing rounds.
 		{6, 9, Config{Seed: 13, Ops: 300, JoinRate: 0.04, LeaveRate: 0.03, CrashRate: 0.02,
 			RecoverRate: 0.01, BalanceEvery: -1}, dirGolden{
-			Ops: 300, Registers: 62, Unregisters: 17, Finds: 130, Matches: 681,
+			Ops: 300, Registers: 62, Unregisters: 13, Finds: 130, Matches: 526,
 			Joins: 15, Leaves: 14, Crashes: 5, Recoveries: 5, Replications: 4,
-			FinalResources: 22,
+			FinalResources: 10,
 		}},
 		{5, 21, Config{Seed: 23, Ops: 400, JoinRate: 0.03, LeaveRate: 0.02, CrashRate: 0.03,
 			RecoverRate: 0.02, BalanceEvery: -1}, dirGolden{

@@ -211,10 +211,11 @@ type RecoveryReport struct {
 	// always len(LostKeys).
 	Lost int
 	// LostKeys names the crashed node keys that could not be brought
-	// back, in ascending order — only data declared after the last
-	// Replicate on a crashed peer (plus prefix labels whose whole
-	// subtree vanished with it) can appear here, so callers can
-	// assert loss windows precisely instead of by cardinality.
+	// back, or came back without some of their values, in ascending
+	// order — only data declared after the last Replicate on a crashed
+	// peer (plus prefix labels whose whole subtree vanished with it)
+	// can appear here, so callers can assert loss windows precisely
+	// instead of by cardinality.
 	LostKeys []string
 }
 

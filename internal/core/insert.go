@@ -204,6 +204,13 @@ func (net *Network) RemoveData(k keys.Key, value string) bool {
 	}
 	net.touch(n)
 	net.Counters.MaintenanceMsgs++
+	if loc, ok := net.replicaLoc[k]; ok {
+		// The unregister reaches the replica with the value, so a crash
+		// of the host before the next tick cannot bring it back.
+		rep := net.peers[loc].Replicas[k]
+		rep.Data, _ = removeValue(rep.Data, value)
+		net.peers[loc].Replicas[k] = rep
+	}
 	net.compactNode(n)
 	net.journal(true, k, value)
 	return true

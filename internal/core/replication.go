@@ -40,7 +40,9 @@ import (
 // the surviving data keys. Snapshots taken before later insertions
 // can therefore never resurrect stale structure; only *data* declared
 // after the last snapshot on a crashed peer can be lost — and Recover
-// reports exactly which keys, so loss windows are assertable. After
+// reports exactly which keys, so loss windows are assertable. Nothing
+// removed comes back: Recover first compacts the replicas of removed
+// nodes, and an unregister takes its value out of the replica too. After
 // Recover the full Validate invariant set holds again (asserted by
 // the failure-injection tests). Until Recover runs, tree-routed
 // operations may fail: a crash leaves dangling references, exactly as
@@ -59,7 +61,8 @@ type ReplicationCounters struct {
 	SnapshotMsgs int
 	// RestoredNodes counts nodes reinstalled from snapshots.
 	RestoredNodes int
-	// LostNodes counts crashed nodes that could not be recovered.
+	// LostNodes counts crashed nodes that could not be recovered, or
+	// were recovered without values declared after their replica.
 	LostNodes int
 	// Failures counts crash events.
 	Failures int
@@ -322,6 +325,9 @@ func (net *Network) FailPeer(id keys.Key) error {
 	}
 	for i := len(p.nodes) - 1; i >= 0; i-- {
 		n := p.nodes[i]
+		if !net.replicaCovers(n) {
+			net.dataLost = append(net.dataLost, n.Key)
+		}
 		net.unindexNode(n)
 		net.pendingLost[n.Key] = true
 		if net.hasRoot && net.root == n.Key {
@@ -336,13 +342,31 @@ func (net *Network) FailPeer(id keys.Key) error {
 	return nil
 }
 
+// replicaCovers reports whether n's replica holds every value n holds.
+func (net *Network) replicaCovers(n *Node) bool {
+	var rep []string
+	if loc, ok := net.replicaLoc[n.Key]; ok {
+		rep = net.peers[loc].Replicas[n.Key].Data
+	}
+	for _, v := range n.Data {
+		if !slices.Contains(rep, v) {
+			return false
+		}
+	}
+	return true
+}
+
 // Recover restores crashed node state from the successor replicas,
 // rebuilds the tree links canonically from the surviving data keys,
 // and re-homes replicas onto the repaired topology. It returns the
 // number of nodes restored from snapshots and the keys of the crashed
-// nodes that could not be brought back (ascending; only data declared
-// after the last Replicate on a crashed peer can appear there).
+// nodes that could not be brought back, or came back without some of
+// their values (ascending; only data declared after the last Replicate
+// on a crashed peer can appear there).
 func (net *Network) Recover() (restored int, lost []keys.Key) {
+	// Phase 0: drop the replicas of nodes removed since the last tick,
+	// or phase 1 would reinstall them.
+	net.CompactReplicas()
 	// Phase 1: reinstall every replicated node that is missing.
 	replicated := make([]keys.Key, 0, len(net.replicaLoc))
 	for k := range net.replicaLoc {
@@ -370,8 +394,13 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 			lost = append(lost, k)
 		}
 	}
+	for _, k := range net.dataLost {
+		if net.HasNode(k) { // back, but from an older replica
+			lost = append(lost, k)
+		}
+	}
 	keys.SortKeys(lost)
-	net.pendingLost = nil
+	net.pendingLost, net.dataLost = nil, nil
 	if restored > 0 || len(lost) > 0 {
 		// The catalogue changed without passing through the journal
 		// funnel: lost keys vanished, and restored nodes may have
