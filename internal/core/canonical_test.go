@@ -92,7 +92,7 @@ func TestRebuildLinksDropsEveryStaleNode(t *testing.T) {
 	root, _ := net.Root()
 	before := net.NumNodes()
 	for _, k := range []keys.Key{"x1", "x2", "x3"} {
-		net.installNode(NodeInfo{Key: k, Father: root, HasFather: true}, keys.Epsilon)
+		net.installNode(NodeInfo{Key: k, Father: root, HasFather: true}.materialize(), keys.Epsilon)
 	}
 	net.rebuildLinks()
 	mustValidate(t, net)

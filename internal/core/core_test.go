@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -556,7 +557,8 @@ func TestFollowOnlyIndexedLinks(t *testing.T) {
 	if got, _, ok := net.Follow(fresh.Edge()); !ok || got != n {
 		t.Fatalf("a materialized node's link reached %p, want the indexed %p", got, n)
 	}
-	net.installNode(infoOf(n), keys.Epsilon)
+	net.installNode(NodeInfo{Key: n.Key, Father: n.Father, HasFather: n.HasFather,
+		Children: slices.Clone(n.Children), Data: n.SortedValues()}.materialize(), keys.Epsilon)
 	fresh = net.nodes["abc"]
 	if got, _, ok := net.Follow(n.Edge()); !ok || got != fresh || got == n {
 		t.Fatalf("a replaced node's link reached %p, want its replacement %p", got, fresh)

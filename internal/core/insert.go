@@ -21,8 +21,7 @@ func (net *Network) InsertData(k keys.Key, value string, r *rand.Rand) error {
 		return fmt.Errorf("core: key %q not in alphabet", k)
 	}
 	if !net.hasRoot {
-		info := NodeInfo{Key: k, Data: []string{value}}
-		net.installNode(info, keys.Epsilon)
+		net.installNode(NodeInfo{Key: k, Data: []string{value}}.materialize(), keys.Epsilon)
 		net.journal(false, k, value)
 		return nil
 	}
@@ -88,16 +87,14 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		// itself (line 3.08).
 		info := NodeInfo{Key: k, Father: p.Key, HasFather: true, Data: []string{m.value}}
 		p.addChild(k, nil)
-		net.touch(p)
 		return net.routeSearchingHost(peer.ID, p.Key, info)
 
 	case keys.IsProperPrefix(k, p.Key):
 		// Lines 3.10-3.20: the sought node is upward.
 		if !p.HasFather {
 			// k becomes the new root, adopting p (lines 3.11-3.13).
-			info := NodeInfo{Key: k, Children: []keys.Key{p.Key}, Data: []string{m.value}}
+			info := NodeInfo{Key: k, Children: []Child{{Key: p.Key}}, Data: []string{m.value}}
 			p.Father, p.HasFather = k, true
-			net.touch(p)
 			return net.routeSearchingHost(peer.ID, p.Key, info)
 		}
 		if keys.IsPrefix(k, p.Father) {
@@ -107,10 +104,9 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		}
 		// k sits strictly between f_p and p (lines 3.18-3.20).
 		info := NodeInfo{Key: k, Father: p.Father, HasFather: true,
-			Children: []keys.Key{p.Key}, Data: []string{m.value}}
+			Children: []Child{{Key: p.Key}}, Data: []string{m.value}}
 		father := p.Father
 		p.Father, p.HasFather = k, true
-		net.touch(p)
 		if err := net.routeSearchingHost(peer.ID, father, info); err != nil {
 			return err
 		}
@@ -130,11 +126,10 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		// we use g (documented deviation).
 		g := keys.GCP(p.Key, k)
 		ginfo := NodeInfo{Key: g, Father: p.Father, HasFather: p.HasFather,
-			Children: []keys.Key{p.Key, k}}
+			Children: []Child{{Key: min(p.Key, k)}, {Key: max(p.Key, k)}}}
 		kinfo := NodeInfo{Key: k, Father: g, HasFather: true, Data: []string{m.value}}
 		father, hadFather := p.Father, p.HasFather
 		p.Father, p.HasFather = g, true
-		net.touch(p)
 		start := p.Key
 		if hadFather {
 			start = father
@@ -156,11 +151,11 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 // "unknown, route from scratch"). Under the lexicographic placement
 // the walk follows successor links; under the hashed placement the
 // owner is one DHT lookup away (modelled as ceil(log2 N) messages).
-func (net *Network) installNode(info NodeInfo, from keys.Key) {
+func (net *Network) installNode(n *Node, from keys.Key) {
 	var owner *Peer
 	switch net.Placement {
 	case PlacementHashed:
-		id, _ := net.HostOf(info.Key)
+		id, _ := net.HostOf(n.Key)
 		owner = net.peers[id]
 		cost := int(math.Ceil(math.Log2(float64(net.NumPeers() + 1))))
 		net.Counters.MaintenanceMsgs += cost
@@ -168,10 +163,10 @@ func (net *Network) installNode(info NodeInfo, from keys.Key) {
 	default:
 		cur, ok := net.peers[from]
 		if !ok {
-			id, _ := net.HostOf(info.Key)
+			id, _ := net.HostOf(n.Key)
 			cur = net.peers[id]
 		}
-		for !keys.BetweenRightIncl(info.Key, cur.Pred, cur.ID) {
+		for !keys.BetweenRightIncl(n.Key, cur.Pred, cur.ID) {
 			next := net.peers[cur.Succ]
 			net.Counters.MaintenanceMsgs++
 			net.Counters.MaintenancePhysical++
@@ -184,9 +179,10 @@ func (net *Network) installNode(info NodeInfo, from keys.Key) {
 	if owner.ID != from {
 		net.Counters.MaintenancePhysical++
 	}
-	net.indexNode(owner.absorb(info))
-	if !info.HasFather {
-		net.root = info.Key
+	owner.adopt(n)
+	net.indexNode(n)
+	if !n.HasFather {
+		net.root = n.Key
 		net.hasRoot = true
 	}
 }
@@ -233,7 +229,6 @@ func (net *Network) compactNode(n *Node) {
 				return
 			}
 			fn.removeChild(n.Key)
-			net.touch(fn)
 			net.Counters.MaintenanceMsgs++
 			n = fn
 		case 1:
@@ -246,7 +241,6 @@ func (net *Network) compactNode(n *Node) {
 				// Root with a single child: the child becomes root.
 				cn.HasFather = false
 				cn.Father = keys.Epsilon
-				net.touch(cn)
 				net.root = cn.Key
 				net.unindexNode(n)
 				net.Counters.MaintenanceMsgs++
@@ -255,8 +249,6 @@ func (net *Network) compactNode(n *Node) {
 			cn.Father = n.Father
 			fn.removeChild(n.Key)
 			fn.addChild(cn.Key, cn)
-			net.touch(cn)
-			net.touch(fn)
 			net.unindexNode(n)
 			net.Counters.MaintenanceMsgs += 2
 			return

@@ -127,7 +127,6 @@ func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Ke
 	}
 	n.removeChild(old)
 	n.addChild(new, net.nodes[new])
-	net.touch(n)
 	return nil
 }
 
@@ -151,7 +150,7 @@ func (net *Network) routeSearchingHost(fromPeer keys.Key, at keys.Key, info Node
 		}
 		q, ok := n.MaxChildAtMost(info.Key, false)
 		if !ok {
-			net.installNode(info, p.ID)
+			net.installNode(info.materialize(), p.ID)
 			return nil
 		}
 		cur = q

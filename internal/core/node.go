@@ -33,7 +33,9 @@
 // A node's children and values are sorted slices, so a routing step is
 // a binary search. They are shifted in place by the node's mutators,
 // which run under the engine's write lock; every accessor that hands
-// them out from under that lock returns a copy.
+// them out from under that lock returns a copy, except a replication
+// tick's: it ships the values without a copy and marks them shared, and
+// the node's next value write replaces them instead (copy on ship).
 //
 // A child is reached through its edge's link while it is in the node
 // index, otherwise (and a father always) by one probe of that index; the
@@ -60,12 +62,16 @@ import (
 // Children (by key) and Data are ascending and duplicate-free. They
 // change in place, only through addChild, removeChild, addValue and
 // removeValue, and only under the write lock; a slice handed out from
-// under the lock must therefore be a copy (SortedValues, ChildrenSorted,
-// infoOf), or a later mutation shifts the caller's elements.
+// under the lock must therefore be a copy (SortedValues, ChildrenSorted),
+// or a later mutation shifts the caller's elements. The one exception
+// is copy on ship: infoOf, under the write lock, hands Data to a
+// replica as it is and marks it shared, and the next addValue or
+// removeValue writes a fresh slice, leaving the shipped one as it was.
 type Node struct {
 	Key       keys.Key
 	Father    keys.Key
 	HasFather bool
+	shared    bool  // Data is held by a replica too: the next value write replaces it
 	slot      int32 // its slot in the host's ν_P (Peer.nodes), kept by adopt and release
 	Children  []Child
 	Data      []string
@@ -83,17 +89,17 @@ type Node struct {
 
 	host *Peer // the peer running the node, set only by Peer.adopt
 	pos  int32 // the node's slot in Network.nodeList; -1 out of the index
-	// stamp is the replication epoch in which the node last changed
-	// what infoOf ships (Network.touch): the next
-	// ReplicaPlan ships it. The epoch wraps harmlessly: a stale stamp
-	// that matches again only re-ships an unchanged node.
+	// stamp is the replication epoch in which the node was created or
+	// last changed what infoOf ships, its values or loads
+	// (Network.touch): the next ReplicaPlan ships it. The epoch wraps
+	// harmlessly: a stale stamp that matches again only re-ships an
+	// unchanged node.
 	stamp uint32
 }
 
-// Child is one tree edge: the child's key, which orders the edges and is
-// what travels (NodeInfo, the codecs), and a link to the child's node,
-// written only by addChild, indexNode and rebuildLinks and followed only
-// while that node is indexed (Follow).
+// Child is one tree edge: the child's key, which orders the edges, and a
+// link to the child's node, written only by addChild, indexNode and
+// rebuildLinks and followed only while that node is indexed (Follow).
 type Child struct {
 	Key  keys.Key
 	node *Node
@@ -107,26 +113,6 @@ func (n *Node) Edge() Child { return Child{Key: n.Key, node: n} }
 func (n *Node) edge(k keys.Key) (int, bool) { return slices.BinarySearchFunc(n.Children, k, edgeCmp) }
 
 func edgeCmp(c Child, k keys.Key) int { return strings.Compare(string(c.Key), string(k)) }
-
-// insertSorted adds v to the ascending set s, reporting whether it was
-// absent.
-func insertSorted[T cmp.Ordered](s []T, v T) ([]T, bool) {
-	i, found := slices.BinarySearch(s, v)
-	if found {
-		return s, false
-	}
-	return slices.Insert(s, i, v), true
-}
-
-// deleteSorted removes v from the ascending set s, reporting whether it
-// was present.
-func deleteSorted[T cmp.Ordered](s []T, v T) ([]T, bool) {
-	i, found := slices.BinarySearch(s, v)
-	if !found {
-		return s, false
-	}
-	return slices.Delete(s, i, i+1), true
-}
 
 // addChild adds the edge to k, linked to c: the child's node, or nil
 // when it is not indexed yet (indexNode links it).
@@ -142,14 +128,35 @@ func (n *Node) removeChild(k keys.Key) {
 	}
 }
 
-func (n *Node) addValue(v string) (added bool) {
-	n.Data, added = insertSorted(n.Data, v)
-	return added
+// addValue and removeValue write Data in place unless it is shared;
+// then they write a fresh slice, and a removal that empties it leaves
+// nil.
+func (n *Node) addValue(v string) bool {
+	i, found := slices.BinarySearch(n.Data, v)
+	if found {
+		return false
+	}
+	if n.shared {
+		// Clipped, the slice has no room: Insert moves it to a new array.
+		n.Data, n.shared = slices.Clip(n.Data), false
+	}
+	n.Data = slices.Insert(n.Data, i, v)
+	return true
 }
 
-func (n *Node) removeValue(v string) (removed bool) {
-	n.Data, removed = deleteSorted(n.Data, v)
-	return removed
+func (n *Node) removeValue(v string) bool {
+	i, found := slices.BinarySearch(n.Data, v)
+	switch {
+	case !found:
+		return false
+	case !n.shared:
+		n.Data = slices.Delete(n.Data, i, i+1)
+	case len(n.Data) == 1:
+		n.Data, n.shared = nil, false
+	default:
+		n.Data, n.shared = slices.Concat(n.Data[:i], n.Data[i+1:]), false
+	}
+	return true
 }
 
 // HasData reports whether any value is registered at the node.
@@ -214,60 +221,58 @@ func (n *Node) MaxChildAtMost(bound keys.Key, inclusive bool) (Child, bool) {
 	return n.Children[i-1], true
 }
 
-// NodeInfo is the serialized form of a node travelling inside
-// SearchingHost / Host / YourInformation messages.
+// NodeInfo is the paper's Host message: a node created by a data
+// insertion (Algorithm 3), travelling to the peer that will run it. Its
+// sender builds Children (unlinked) and Data for it, ascending, and the
+// node takes them over.
 type NodeInfo struct {
 	Key       keys.Key
 	Father    keys.Key
 	HasFather bool
-	Children  []keys.Key
+	Children  []Child
 	Data      []string
-	LoadPrev  int
-	LoadCur   int
 }
 
-// infoOf captures a node's state for transfer. Concurrently recorded
-// visits fold into the snapshot's current load; the original node
-// either travels with the transfer or stays behind as a dormant
-// replica, so the fold never double-counts a live node.
-func infoOf(n *Node) NodeInfo {
-	return NodeInfo{
-		Key:       n.Key,
-		Father:    n.Father,
-		HasFather: n.HasFather,
-		Children:  n.ChildrenSorted(),
-		Data:      slices.Clone(n.Data),
-		LoadPrev:  n.LoadPrev,
-		LoadCur:   n.Load(),
-	}
-}
-
-// captured reports whether info is what infoOf(n) captures now.
-func (n *Node) captured(info NodeInfo) bool {
-	return info.Key == n.Key && info.Father == n.Father && info.HasFather == n.HasFather &&
-		slices.EqualFunc(info.Children, n.Children, func(k keys.Key, c Child) bool { return k == c.Key }) &&
-		slices.Equal(info.Data, n.Data) && info.LoadPrev == n.LoadPrev && info.LoadCur == n.Load()
-}
-
-// materialize rebuilds a Node from its transferred form. The node owns
-// private, sorted copies: the form may list children in any order, and
-// its slices stay with the sender (a replica set, a wire buffer). It is
-// out of the index (pos -1), its edges unlinked, until indexNode.
+// materialize makes the node a Host message creates. It is out of the
+// index (pos -1), its edges unlinked, until indexNode.
 func (info NodeInfo) materialize() *Node {
-	kids := make([]Child, 0, len(info.Children))
-	for _, k := range sortedSet(info.Children) {
-		kids = append(kids, Child{Key: k})
-	}
-	return &Node{
-		Key:       info.Key,
-		Father:    info.Father,
-		HasFather: info.HasFather,
-		Children:  kids,
-		Data:      sortedSet(info.Data),
-		LoadPrev:  info.LoadPrev,
-		LoadCur:   info.LoadCur,
-		pos:       -1,
-	}
+	return &Node{Key: info.Key, Father: info.Father, HasFather: info.HasFather,
+		Children: info.Children, Data: info.Data, pos: -1}
+}
+
+// Replica is what successor replication keeps of a node: what its key
+// set cannot derive. The father and children are the PGCP tree's over
+// the data keys, which Recover rebuilds (rebuildLinks).
+type Replica struct {
+	Key      keys.Key
+	Data     []string
+	LoadPrev int
+	LoadCur  int
+}
+
+// infoOf captures a node's replica, sharing its values (see Node).
+// Concurrently recorded visits fold into the snapshot's current load;
+// the original node either travels with the transfer or stays behind as
+// a dormant replica, so the fold never double-counts a live node. Call
+// it under the write lock.
+func infoOf(n *Node) Replica {
+	n.shared = true
+	return Replica{Key: n.Key, Data: n.Data, LoadPrev: n.LoadPrev, LoadCur: n.Load()}
+}
+
+// captured reports whether rep is what infoOf(n) captures now.
+func (n *Node) captured(rep Replica) bool {
+	return rep.Key == n.Key && slices.Equal(rep.Data, n.Data) &&
+		rep.LoadPrev == n.LoadPrev && rep.LoadCur == n.Load()
+}
+
+// materialize rebuilds a node from its replica, its father and children
+// left to rebuildLinks. The node owns a private, sorted copy of the
+// values: the replica keeps its own, and one decoded from the wire may
+// list them in any order. It is out of the index (pos -1) until
+// indexNode.
+func (rep Replica) materialize() *Node {
+	return &Node{Key: rep.Key, Data: sortedSet(rep.Data), LoadPrev: rep.LoadPrev, LoadCur: rep.LoadCur, pos: -1}
 }
 
 // sortedSet returns an ascending, duplicate-free copy of s.

@@ -99,7 +99,10 @@ func TestChildSearchMatchesScan(t *testing.T) {
 // place, so what SortedValues, ChildrenSorted and infoOf hand out must
 // not follow later mutations.
 func TestNodeCopiesOut(t *testing.T) {
-	n := NodeInfo{Key: "a", Children: []keys.Key{"ad", "ab", "ac", "ae"}, Data: []string{"v2", "v1", "v3"}}.materialize()
+	n := Replica{Key: "a", Data: []string{"v2", "v1", "v3"}}.materialize()
+	for _, k := range []keys.Key{"ad", "ab", "ac", "ae"} {
+		n.addChild(k, nil)
+	}
 	vals, kids, info := n.SortedValues(), n.ChildrenSorted(), infoOf(n)
 	wantVals := []string{"v1", "v2", "v3"}
 	wantKids := []keys.Key{"ab", "ac", "ad", "ae"}
@@ -122,14 +125,14 @@ func TestNodeCopiesOut(t *testing.T) {
 			t.Errorf("%s followed the node: %q, want %q", name, got, wantVals)
 		}
 	}
-	for name, got := range map[string][]keys.Key{"ChildrenSorted": kids, "infoOf.Children": info.Children} {
+	for name, got := range map[string][]keys.Key{"ChildrenSorted": kids} {
 		if !slices.Equal(got, wantKids) {
 			t.Errorf("%s followed the node: %q, want %q", name, got, wantKids)
 		}
 	}
-	// The other direction: a materialized node must not share the
-	// form's slices either (a replica set keeps its NodeInfo).
-	form := NodeInfo{Key: "b", Data: []string{"x", "y"}}
+	// The other direction: a node materialized from a replica must not
+	// share the replica's slices either (a replica set keeps it).
+	form := Replica{Key: "b", Data: []string{"x", "y"}}
 	m := form.materialize()
 	m.removeValue("x")
 	if !slices.Equal(form.Data, []string{"x", "y"}) {

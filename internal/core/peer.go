@@ -26,7 +26,7 @@ type Peer struct {
 	// ring predecessor: the successor-placed snapshots of the nodes
 	// the predecessor runs (see replication.go). A crash of this peer
 	// loses the set; Replicate rebuilds it.
-	Replicas map[keys.Key]NodeInfo
+	Replicas map[keys.Key]Replica
 	// churn counts the entries Replicas lost, or took by re-homing,
 	// since it was last rebuilt at size (see CompactReplicas).
 	churn int
@@ -50,7 +50,7 @@ func NewPeer(id keys.Key, capacity int) *Peer {
 		Pred:     id,
 		Succ:     id,
 		Capacity: capacity,
-		Replicas: make(map[keys.Key]NodeInfo),
+		Replicas: make(map[keys.Key]Replica),
 	}
 }
 
@@ -110,13 +110,6 @@ func (p *Peer) TryProcess() bool {
 		return false
 	}
 	return true
-}
-
-// absorb installs a transferred node on the peer.
-func (p *Peer) absorb(info NodeInfo) *Node {
-	n := info.materialize()
-	p.adopt(n)
-	return n
 }
 
 // adopt makes p the host of n. With release, it is the only writer of

@@ -16,13 +16,17 @@ import (
 // ring successor of its host peer, refreshed by Replicate — e.g. once
 // per time unit — and used by Recover after a crash. The refresh is by
 // change, as in delta-state replication (Almeida, Shoker and Baquero,
-// JPDC 2018): every write to what a snapshot carries stamps the node
-// with the open replication epoch (touch), and a tick ships only the
-// nodes stamped since the previous one, plus every node whose
-// current-unit load differs from its replica's (discoveries count
-// visits without a stamp: they run under the read lock). A node that
-// changes host keeps its stamp: the topology change re-homes its
-// replica. A crash stamps the live nodes whose replicas it took, so
+// JPDC 2018): a snapshot carries a node's key, values and loads — its
+// father and children are the PGCP tree's over the data keys, which
+// Recover rebuilds — so a node's creation and every write to its values
+// or loads stamp it with the open replication epoch (touch), and a tick
+// ships only the nodes stamped since the previous one, plus every node
+// whose current-unit load differs from its replica's (discoveries count
+// visits without a stamp: they run under the read lock). A change of
+// links stamps nothing. A node that changes host keeps its stamp: the
+// topology change re-homes its replica. A tick shares each node's
+// values with its snapshot; the node's next value write copies them
+// (see Node). A crash stamps the live nodes whose replicas it took, so
 // the next tick re-protects them, and an install that leaves a replica
 // behind its node stamps the node; compaction looks only at the keys
 // that left the index holding a replica. Because replicas
@@ -83,11 +87,12 @@ type ReplicaBatch struct {
 	// From is the host peer whose nodes are snapshotted; To its ring
 	// successor, where the snapshots belong.
 	From, To keys.Key
-	Infos    []NodeInfo
+	Infos    []Replica
 }
 
 // touch stamps n with the open replication epoch, so the next
-// ReplicaPlan ships it.
+// ReplicaPlan ships it: on its creation, and on every write to its
+// values or loads.
 func (net *Network) touch(n *Node) { n.stamp = net.epoch }
 
 // replicaTarget returns the peer that must hold the replica of node
@@ -106,7 +111,7 @@ func (net *Network) replicaTarget(k keys.Key) (keys.Key, bool) {
 
 // placeReplica installs (or refreshes) the replica of k on peer tgt,
 // evicting any stale copy elsewhere. Counters are the caller's job.
-func (net *Network) placeReplica(k keys.Key, info NodeInfo, tgt keys.Key) {
+func (net *Network) placeReplica(k keys.Key, info Replica, tgt keys.Key) {
 	if net.replicaLoc == nil {
 		net.replicaLoc = make(map[keys.Key]keys.Key)
 	}
@@ -128,20 +133,37 @@ func (net *Network) placeReplica(k keys.Key, info NodeInfo, tgt keys.Key) {
 // replica equal to its infoOf. The sequential engine applies the plan
 // inline (Replicate); the concurrent engines route each batch through
 // their real per-peer delivery paths and apply it with AcceptReplicas.
+// The batches share one array, sized by a first pass that stamps the
+// nodes whose load moved, so a plan allocates the same few times
+// whatever it ships.
 func (net *Network) ReplicaPlan() []ReplicaBatch {
 	epoch := net.epoch
 	net.epoch++
-	var out []ReplicaBatch
-	for _, id := range net.ring.IDs() {
-		var infos []NodeInfo
+	ids, total := net.ring.IDs(), 0
+	for _, id := range ids {
 		for _, n := range net.peers[id].nodes {
-			if n.stamp == epoch || n.Load() != 0 && !net.loadReplicated(n) {
+			if n.stamp != epoch && n.Load() != 0 && !net.loadReplicated(n) {
+				n.stamp = epoch
+			}
+			if n.stamp == epoch {
+				total++
+			}
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	infos, out := make([]Replica, 0, total), make([]ReplicaBatch, 0, len(ids))
+	for _, id := range ids {
+		from := len(infos)
+		for _, n := range net.peers[id].nodes {
+			if n.stamp == epoch {
 				infos = append(infos, infoOf(n))
 			}
 		}
-		if len(infos) > 0 {
+		if len(infos) > from {
 			succ, _ := net.ring.Successor(id)
-			out = append(out, ReplicaBatch{From: id, To: succ, Infos: infos})
+			out = append(out, ReplicaBatch{From: id, To: succ, Infos: infos[from:len(infos):len(infos)]})
 		}
 	}
 	return out
@@ -167,7 +189,7 @@ func (net *Network) loadReplicated(n *Node) bool {
 // pin a replica on a stale successor. It returns the number of
 // snapshots installed and accounts them as replication maintenance
 // traffic.
-func (net *Network) AcceptReplicas(from, to keys.Key, infos []NodeInfo) int {
+func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 	count := 0
 	for _, info := range infos {
 		tgt, ok := net.replicaTarget(info.Key)
@@ -378,7 +400,7 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 			continue
 		}
 		holder := net.peers[net.replicaLoc[k]]
-		net.installNode(holder.Replicas[k], keys.Epsilon)
+		net.installNode(holder.Replicas[k].materialize(), keys.Epsilon)
 		restored++
 	}
 	// Phase 2: anti-entropy link rebuild — skipped when nothing was
@@ -448,7 +470,7 @@ func (net *Network) rebuildLinks() {
 	// replicated, which phase 1 already handled).
 	for label := range want {
 		if !net.HasNode(label) {
-			net.installNode(NodeInfo{Key: label}, keys.Epsilon)
+			net.installNode(NodeInfo{Key: label}.materialize(), keys.Epsilon)
 		}
 	}
 	// Reset the pointers that deviate from the canonical structure; relink
@@ -458,7 +480,6 @@ func (net *Network) rebuildLinks() {
 		if !linksCanonical(n, cn) {
 			n.Children = cn.kids
 			n.Father, n.HasFather = cn.father, cn.hasFather
-			net.touch(n)
 			net.Replication.RepairMsgs++
 			net.Counters.MaintenanceMsgs++
 		}

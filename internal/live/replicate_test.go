@@ -104,8 +104,7 @@ func replicasExact(c *Cluster, loads bool) error {
 		succ, _ := net.Ring().Successor(id)
 		holder, _ := net.Peer(succ)
 		for _, n := range p.Nodes() {
-			want := core.NodeInfo{Key: n.Key, Father: n.Father, HasFather: n.HasFather,
-				Children: n.ChildrenSorted(), Data: slices.Clone(n.Data), LoadPrev: n.LoadPrev, LoadCur: n.Load()}
+			want := core.Replica{Key: n.Key, Data: slices.Clone(n.Data), LoadPrev: n.LoadPrev, LoadCur: n.Load()}
 			got := holder.Replicas[n.Key]
 			if !loads {
 				got.LoadCur, want.LoadCur = 0, 0

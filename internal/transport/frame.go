@@ -442,33 +442,25 @@ func codeCounters(w *wire, r *core.QueryResult) {
 }
 
 // appendReplicaBatch frames one successor batch: From and To, then
-// the node snapshots as a versioned catalogue envelope (all sections
-// — structure, values and loads travel with each snapshot). The
-// succinct default codec shares the batch's common key prefixes in
-// one LOUDS trie instead of repeating every string, and the version
-// byte lets mixed-version peers interoperate during a rollout.
+// the node snapshots as a versioned catalogue envelope carrying each
+// snapshot's values and loads (its structure is rebuilt from the key
+// set, so none travels). The succinct default codec shares the batch's
+// common key prefixes in one LOUDS trie instead of repeating every
+// string, and the version byte lets mixed-version peers interoperate
+// during a rollout.
 func appendReplicaBatch(b []byte, batch *core.ReplicaBatch) []byte {
 	w := wire{b: b}
 	w.key(&batch.From)
 	w.key(&batch.To)
 	entries := make([]catalog.Entry, len(batch.Infos))
 	for i, info := range batch.Infos {
-		entries[i] = catalog.Entry{
-			Key:       string(info.Key),
-			Values:    info.Data,
-			Father:    string(info.Father),
-			HasFather: info.HasFather,
-			Children:  make([]string, len(info.Children)),
-			LoadPrev:  info.LoadPrev,
-			LoadCur:   info.LoadCur,
-		}
-		for j, c := range info.Children {
-			entries[i].Children[j] = string(c)
-		}
+		entries[i] = catalog.Entry{Key: string(info.Key), Values: info.Data, LoadPrev: info.LoadPrev, LoadCur: info.LoadCur}
 	}
-	return catalog.Append(w.b, catalog.LOUDS, entries, catalog.SecAll)
+	return catalog.Append(w.b, catalog.LOUDS, entries, catalog.SecValues|catalog.SecLoads)
 }
 
+// decodeReplicaBatch parses a REPLICA payload. A structure section, as
+// earlier versions wrote, decodes and is dropped.
 func decodeReplicaBatch(p []byte, batch *core.ReplicaBatch) error {
 	w := wire{p: p, dec: true}
 	w.key(&batch.From)
@@ -480,23 +472,9 @@ func decodeReplicaBatch(p []byte, batch *core.ReplicaBatch) error {
 	if err != nil {
 		return fmt.Errorf("replica batch: %w", err)
 	}
-	batch.Infos = make([]core.NodeInfo, len(entries))
+	batch.Infos = make([]core.Replica, len(entries))
 	for i, e := range entries {
-		info := core.NodeInfo{
-			Key:       keys.Key(e.Key),
-			Father:    keys.Key(e.Father),
-			HasFather: e.HasFather,
-			Data:      e.Values,
-			LoadPrev:  e.LoadPrev,
-			LoadCur:   e.LoadCur,
-		}
-		if len(e.Children) > 0 {
-			info.Children = make([]keys.Key, len(e.Children))
-			for j, c := range e.Children {
-				info.Children[j] = keys.Key(c)
-			}
-		}
-		batch.Infos[i] = info
+		batch.Infos[i] = core.Replica{Key: keys.Key(e.Key), Data: e.Values, LoadPrev: e.LoadPrev, LoadCur: e.LoadCur}
 	}
 	return nil
 }

@@ -73,7 +73,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 2, 'a', 'b', 3, 1, 'c'})
 	f.Add(appendReplicaBatch(nil, &core.ReplicaBatch{
 		From: "p1", To: "p2",
-		Infos: []core.NodeInfo{{Key: "k", Father: "f", HasFather: true, Children: []keys.Key{"c1"}, Data: []string{"d"}, LoadCur: 2}},
+		Infos: []core.Replica{{Key: "k", Data: []string{"d"}, LoadCur: 2}},
 	}))
 	// Frame-level seeds: a whole valid frame, a traced frame, a
 	// truncated trace extension, and a hostile length prefix.
@@ -254,12 +254,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 
 		batch := core.ReplicaBatch{From: keys.Key(key), To: keys.Key(at)}
-		for i, v := range values {
-			batch.Infos = append(batch.Infos, core.NodeInfo{
-				Key: keys.Key(v), Father: keys.Key(key), HasFather: i%2 == 0,
-				Children: []keys.Key{keys.Key(at)}, Data: []string{v},
-				LoadPrev: n1, LoadCur: n2,
-			})
+		for _, v := range values {
+			batch.Infos = append(batch.Infos, core.Replica{Key: keys.Key(v), Data: []string{v}, LoadPrev: n1, LoadCur: n2})
 		}
 		var gotBatch core.ReplicaBatch
 		if err := decodeReplicaBatch(appendReplicaBatch(nil, &batch), &gotBatch); err != nil {
@@ -267,19 +263,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		// The catalogue envelope canonicalizes the batch: snapshots
 		// arrive sorted by key with duplicates collapsed (later
-		// wins), the father of a fatherless node is dropped, and
-		// empty child/data slices come back nil.
+		// wins), and empty data slices come back nil.
 		sort.SliceStable(batch.Infos, func(i, j int) bool {
 			return batch.Infos[i].Key < batch.Infos[j].Key
 		})
 		dedup := batch.Infos[:0]
 		for i, info := range batch.Infos {
-			if !info.HasFather {
-				info.Father = ""
-			}
-			if len(info.Children) == 0 {
-				info.Children = nil
-			}
 			if len(info.Data) == 0 {
 				info.Data = nil
 			}
