@@ -156,3 +156,36 @@ func TestAllocsPerWrite(t *testing.T) {
 		t.Fatalf("%.2f allocs per write cycle, ceiling %d", allocs, ceiling)
 	}
 }
+
+// TestAllocsPerReplicaTick is the allocation budget of a replication
+// tick on the TestBytesPerKey overlay, every node already replicated:
+// the plan and the install of 1,000 stamped nodes and of 10,000. The
+// batches share one array and each snapshot shares its node's values,
+// so both ticks allocate the same few slices, not a copy per node.
+func TestAllocsPerReplicaTick(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, _, _, _ := gridNetwork(t)
+	net.Replicate()
+	var per [2]float64
+	for i, n := range []int{1000, 10000} {
+		shipped := 0
+		per[i] = testing.AllocsPerRun(20, func() {
+			core.TouchNodes(net, n)
+			shipped = 0
+			for _, b := range net.ReplicaPlan() {
+				shipped += net.AcceptReplicas(b.From, b.To, b.Infos)
+			}
+		})
+		if shipped != n {
+			t.Fatalf("a tick after %d stamps shipped %d nodes", n, shipped)
+		}
+		t.Logf("%.0f allocs per tick shipping %d nodes", per[i], n)
+	}
+	const ceiling = 4
+	if per[0] != per[1] || per[1] > ceiling {
+		t.Fatalf("%.0f and %.0f allocs per tick shipping 1,000 and 10,000 nodes, want the same, at most %d",
+			per[0], per[1], ceiling)
+	}
+}

@@ -86,3 +86,10 @@ func CloneNetwork(net *Network) *Network {
 // replica net holds, keeping the key, the values and the loads. A
 // Replica carries no links, so nothing is left to drop.
 func StripReplicaStructure(*Network) {}
+
+// TouchNodes stamps the first n nodes of the index for the next tick.
+func TouchNodes(net *Network, n int) {
+	for _, nd := range net.nodeList[:n] {
+		net.touch(nd)
+	}
+}

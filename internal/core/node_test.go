@@ -139,3 +139,38 @@ func TestNodeCopiesOut(t *testing.T) {
 		t.Fatalf("materialize shares the form's values: %q", form.Data)
 	}
 }
+
+// TestValuesCopyOnShip: a tick shares each shipped node's values with
+// its replica, so the node's next value write must leave the shipped
+// slice as it was — an insertion that would shift it in place, a removal
+// that would shift it or clear its tail, and one that empties it.
+func TestValuesCopyOnShip(t *testing.T) {
+	net, r := populate(t, 5, "a", "ab", "b")
+	for _, v := range []string{"v1", "v2", "v3", "v4"} { // five values: room for a sixth
+		if err := net.InsertData("a", v, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		key   keys.Key
+		write func(n *Node)
+		want  []string
+	}{
+		{"a", func(n *Node) { n.addValue("v0") }, []string{"a", "v0", "v1", "v2", "v3", "v4"}},
+		{"a", func(n *Node) { n.removeValue("v1") }, []string{"a", "v0", "v2", "v3", "v4"}},
+		{"a", func(n *Node) { n.removeValue("v4") }, []string{"a", "v0", "v2", "v3"}},
+		{"b", func(n *Node) { n.removeValue("b") }, nil},
+	} {
+		net.Replicate()
+		n := net.nodes[tc.key]
+		shipped := net.peers[net.replicaLoc[tc.key]].Replicas[tc.key].Data
+		was := slices.Clone(shipped)
+		tc.write(n)
+		if !slices.Equal(n.Data, tc.want) {
+			t.Fatalf("%q after the write: %q, want %q", tc.key, n.Data, tc.want)
+		}
+		if !slices.Equal(shipped, was) {
+			t.Fatalf("%q: the write reached the replica: %q, shipped %q", tc.key, shipped, was)
+		}
+	}
+}
