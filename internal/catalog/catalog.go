@@ -34,8 +34,9 @@ import (
 )
 
 // Entry is one catalogue entry: a tree node's key plus the optional
-// sections a particular use carries (snapshots: values only; replica
-// batches: everything).
+// sections a particular use carries (snapshots: values; replica
+// batches: values and loads; the structure fields only decode, from
+// envelopes earlier versions wrote).
 type Entry struct {
 	Key       string
 	Values    []string
@@ -53,13 +54,14 @@ type Sections uint8
 const (
 	// SecValues carries each entry's registered values.
 	SecValues Sections = 1 << iota
-	// SecStruct carries each entry's father and children links.
+	// SecStruct carries each entry's father and children links. It is
+	// decode-only: earlier REPLICA frames wrote it, and no encoder does
+	// any more.
 	SecStruct
 	// SecLoads carries each entry's load history (LoadPrev, LoadCur).
 	SecLoads
 
-	// SecAll is every section: the full NodeInfo fidelity replica
-	// batches need.
+	// SecAll is every section a decoder reads.
 	SecAll = SecValues | SecStruct | SecLoads
 )
 

@@ -54,7 +54,7 @@ func TestRoundTripBothCodecs(t *testing.T) {
 		}
 		want := canonicalize(entriesFor(ks, full))
 		for _, c := range []Codec{Legacy, LOUDS} {
-			enc := Append(nil, c, entriesFor(ks, full), secs)
+			enc := appendAny(nil, c, entriesFor(ks, full), secs)
 			got, gotSecs, err := Decode(enc)
 			if err != nil {
 				t.Fatalf("codec v%d: decode: %v", c.Version(), err)
@@ -78,7 +78,7 @@ func TestRoundTripWithChildren(t *testing.T) {
 		{Key: "sgemm_v2", Values: []string{"a"}, Father: "sgemm", HasFather: true},
 	}
 	for _, c := range []Codec{Legacy, LOUDS} {
-		enc := Append(nil, c, entries, SecAll)
+		enc := appendAny(nil, c, entries, SecAll)
 		got, _, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("codec v%d: decode: %v", c.Version(), err)
@@ -87,6 +87,17 @@ func TestRoundTripWithChildren(t *testing.T) {
 			t.Fatalf("codec v%d: mismatch\ngot  %+v\nwant %+v", c.Version(), got, entries)
 		}
 	}
+}
+
+// TestStructSectionIsDecodeOnly: the encoder refuses to write the
+// structure section rather than write an envelope its header misdescribes.
+func TestStructSectionIsDecodeOnly(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Append wrote a structure section")
+		}
+	}()
+	Append(nil, LOUDS, []Entry{{Key: "a", Children: []string{"ab"}}}, SecStruct)
 }
 
 func TestUnsortedInputCanonicalizes(t *testing.T) {
@@ -147,8 +158,8 @@ func TestSuccinctSizeWin(t *testing.T) {
 
 func TestDeterministicEncoding(t *testing.T) {
 	entries := entriesFor(corpus(300), true)
-	a := Append(nil, LOUDS, entries, SecAll)
-	b := Append(nil, LOUDS, entries, SecAll)
+	a := Append(nil, LOUDS, entries, SecValues|SecLoads)
+	b := Append(nil, LOUDS, entries, SecValues|SecLoads)
 	if string(a) != string(b) {
 		t.Fatal("encoding is not deterministic")
 	}
@@ -156,7 +167,7 @@ func TestDeterministicEncoding(t *testing.T) {
 
 func TestHostileInputsDoNotPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	seed := Append(nil, LOUDS, entriesFor(corpus(64), true), SecAll)
+	seed := appendAny(nil, LOUDS, entriesFor(corpus(64), true), SecAll)
 	for i := 0; i < 5000; i++ {
 		p := append([]byte(nil), seed...)
 		// Flip a handful of bytes and truncate somewhere.

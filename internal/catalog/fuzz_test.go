@@ -96,7 +96,7 @@ func FuzzCatalogRoundTrip(f *testing.F) {
 
 		decoded := make([][]Entry, 0, 2)
 		for _, c := range []Codec{Legacy, LOUDS} {
-			enc := Append(nil, c, entries, secs)
+			enc := appendAny(nil, c, entries, secs)
 			if enc[0] != c.Version() || Sections(enc[1]) != secs {
 				t.Fatalf("codec %d envelope header = %x/%x", c.Version(), enc[0], enc[1])
 			}
@@ -136,7 +136,7 @@ func FuzzCatalogDecode(f *testing.F) {
 	}
 	for _, c := range []Codec{Legacy, LOUDS} {
 		for _, secs := range []Sections{0, SecValues, SecStruct, SecLoads, SecAll} {
-			enc := Append(nil, c, entries, secs)
+			enc := appendAny(nil, c, entries, secs)
 			f.Add(enc)
 			// Truncations chop mid-section; the downgrade flips the
 			// version byte so one codec parses the other's payload.
@@ -163,7 +163,7 @@ func FuzzCatalogDecode(f *testing.F) {
 		}
 		want := expectEntries(entries, secs)
 		for _, rc := range []Codec{Legacy, LOUDS} {
-			got, gotSecs, err := Decode(Append(nil, rc, entries, secs))
+			got, gotSecs, err := Decode(appendAny(nil, rc, entries, secs))
 			if err != nil {
 				t.Fatalf("re-encode with codec %d: %v", rc.Version(), err)
 			}

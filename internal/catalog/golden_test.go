@@ -1,13 +1,16 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/hex"
 	"testing"
 )
 
 // goldenSets are fixed catalogues whose LOUDS envelopes are pinned
 // below: the byte form snapshot files, HELLO, RESYNC and REPLICA
-// frames carry must not move when the encoder changes.
+// frames carry must not move when the encoder changes. The envelopes
+// with the structure section, which no encoder writes any more, stay
+// as decode-only fixtures: earlier versions wrote them.
 var goldenSets = []struct {
 	name    string
 	entries []Entry
@@ -57,13 +60,17 @@ var goldenLOUDS = [][]string{
 }
 
 // TestLOUDSGoldens holds the LOUDS encoder to the envelopes pinned
-// above, byte for byte, and each envelope to its catalogue on decode.
+// above, byte for byte (the reference encoder where the structure
+// section is decode-only), and each envelope to its catalogue on decode.
 func TestLOUDSGoldens(t *testing.T) {
 	for i, set := range goldenSets {
 		for j, m := range goldenMasks {
-			enc := Append(nil, LOUDS, set.entries, m.secs)
-			if got := hex.EncodeToString(enc); got != goldenLOUDS[i][j] {
-				t.Errorf("%s, %s sections: envelope\n got %s\nwant %s", set.name, m.name, got, goldenLOUDS[i][j])
+			enc, err := hex.DecodeString(goldenLOUDS[i][j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendAny(nil, LOUDS, set.entries, m.secs); !bytes.Equal(got, enc) {
+				t.Errorf("%s, %s sections: envelope\n got %x\nwant %x", set.name, m.name, got, enc)
 				continue
 			}
 			dec, secs, err := Decode(enc)

@@ -29,7 +29,8 @@ import (
 //	          of a full copy — or even a count — per entry)
 //	struct  — per entry, the father and children links as trie-node
 //	          indexes (a full key collapses to a varint because the
-//	          trie already spells it)
+//	          trie already spells it); decode-only: earlier REPLICA
+//	          frames wrote it, the encoder no longer does
 //	loads   — per entry, LoadPrev and LoadCur varints
 //
 // Per-entry section records are in lexicographic key order — the
@@ -163,10 +164,9 @@ func setBit(p []byte, i int) { p[i>>3] |= 1 << uint(i&7) }
 // prefixes. Pass 2 hands ids out from per-level cursors and writes each
 // label at its id. A new node's parent is the node opened last one
 // level up, so its one sits in the parent's run at bit (id-1) + parent:
-// after id-1 ones and the zeros closing nodes 0 … parent-1. ids, when
-// not nil, gets each string's terminal id; when nil, every terminal
-// carries an entry. ent is the entry bits.
-func appendTrie(dst []byte, strs iter.Seq[string], m int, ids []int) (_, ent []byte) {
+// after id-1 ones and the zeros closing nodes 0 … parent-1. Every
+// string's terminal carries an entry.
+func appendTrie(dst []byte, strs iter.Seq[string], m int) []byte {
 	next := []int{1} // per depth: the node count, then the next id
 	prev := ""
 	for s := range strs {
@@ -187,35 +187,32 @@ func appendTrie(dst []byte, strs iter.Seq[string], m int, ids []int) (_, ent []b
 	at, nb := len(dst), (2*n+6)/8
 	dst = append(dst, make([]byte, nb+n-1+(n+7)/8)...)
 	bitmap, labels, ent := dst[at:at+nb], dst[at+nb:], dst[at+nb+n-1:]
-	prev, i := "", 0
+	prev = ""
 	for s := range strs {
 		for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
 			labels[next[d]-1] = s[d-1]
 			setBit(bitmap, next[d]+next[d-1]-2)
 			next[d]++
 		}
-		if ids != nil {
-			ids[i] = next[len(s)] - 1
-		} else {
-			setBit(ent, next[len(s)]-1)
-		}
-		prev, i = s, i+1
+		setBit(ent, next[len(s)]-1)
+		prev = s
 	}
-	return dst, ent
+	return dst
 }
 
 // AppendPayload encodes entries in key order, later duplicates winning,
-// building the trie from the sorted key list (appendTrie): entries are
-// indices into it, and under SecStruct the father and children ids come
-// from a binary search of the sorted strings the catalogue spells.
+// building the trie from the sorted key list (appendTrie).
 func (loudsCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []byte {
 	return appendLOUDS(dst, slices.Values(entries), secs)
 }
 
 // appendLOUDS is AppendPayload over a sequence it walks several times:
 // sorted, distinct keys are encoded straight from it, anything else
-// from its canonical copy.
+// from its canonical copy. It writes no structure section (SecStruct).
 func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
+	if secs&SecStruct != 0 {
+		panic("catalog: the structure section is decode-only")
+	}
 	m, nv, prev := 0, 0, ""
 	for e := range entries {
 		if m > 0 && e.Key <= prev {
@@ -226,55 +223,15 @@ func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
 	if m == 0 {
 		return binary.AppendUvarint(dst, 0)
 	}
-	strs := func(yield func(string) bool) {
+	dst = appendTrie(dst, func(yield func(string) bool) {
 		for e := range entries {
 			if !yield(e.Key) {
 				return
 			}
 		}
-	}
-	// Under SecStruct the father and children links join the keys in
-	// the trie: they are keys of the same tree, sharing its prefixes.
-	var all []string
-	var ids []int
-	if secs&SecStruct != 0 {
-		for e := range entries {
-			all = append(append(all, e.Key), e.Children...)
-			if e.HasFather {
-				all = append(all, e.Father)
-			}
-		}
-		slices.Sort(all)
-		all = slices.Compact(all)
-		strs, ids = slices.Values(all), make([]int, len(all))
-	}
-	dst, ent := appendTrie(dst, strs, m, ids)
-	id := func(s string) uint64 {
-		i, _ := slices.BinarySearch(all, s)
-		return uint64(ids[i])
-	}
-	if ids != nil {
-		for e := range entries {
-			setBit(ent, int(id(e.Key)))
-		}
-	}
+	}, m)
 	if secs&SecValues != 0 {
 		dst = AppendPrefixed(dst, func(sec []byte) []byte { return appendValues(sec, entries, nv) })
-	}
-	if secs&SecStruct != 0 {
-		dst = AppendPrefixed(dst, func(sec []byte) []byte {
-			for e := range entries {
-				father := uint64(0)
-				if e.HasFather {
-					father = id(e.Father) + 1
-				}
-				sec = binary.AppendUvarint(binary.AppendUvarint(sec, father), uint64(len(e.Children)))
-				for _, c := range e.Children {
-					sec = binary.AppendUvarint(sec, id(c))
-				}
-			}
-			return sec
-		})
 	}
 	if secs&SecLoads != 0 {
 		dst = AppendPrefixed(dst, func(sec []byte) []byte {

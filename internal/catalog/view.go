@@ -197,16 +197,10 @@ func (v *View) run(j int) (int, int) {
 // bool is false when the chain is corrupt (a cycle or an id outside
 // the trie).
 func (v *View) nodeString(id int) (string, bool) {
-	if id == 0 {
-		return "", true
-	}
-	if id < 0 || id >= v.n {
-		return "", false
-	}
 	buf := make([]byte, 0, 16)
 	for steps := 0; id != 0; steps++ {
-		if steps >= v.n {
-			return "", false // cycle in a hostile bitmap
+		if id < 0 || id >= v.n || steps >= v.n {
+			return "", false // outside the trie, or a cycle in a hostile bitmap
 		}
 		buf = append(buf, v.labels[id-1])
 		pos := v.louds.select1(id - 1)
