@@ -93,11 +93,12 @@ type Network struct {
 	// replicaLoc maps each replicated node key to the peer holding
 	// its snapshot (the host's ring successor; the data lives in
 	// Peer.Replicas), and pendingLost records the node keys dropped
-	// by crashes since the last Recover (see replication.go); dataLost
-	// lists those among them whose replicas lack some of their values.
+	// by crashes since the last Recover (see replication.go); crashed
+	// keeps those of the dropped nodes that held values, so Recover can
+	// tell which came back without some.
 	replicaLoc  map[keys.Key]keys.Key
 	pendingLost map[keys.Key]bool
-	dataLost    []keys.Key
+	crashed     []*Node
 	// epoch is the replication epoch open since the last ReplicaPlan:
 	// a node touched in it carries it as its stamp. dropped lists the
 	// keys that left the index holding a replica since the last

@@ -347,8 +347,8 @@ func (net *Network) FailPeer(id keys.Key) error {
 	}
 	for i := len(p.nodes) - 1; i >= 0; i-- {
 		n := p.nodes[i]
-		if !net.replicaCovers(n) {
-			net.dataLost = append(net.dataLost, n.Key)
+		if n.HasData() {
+			net.crashed = append(net.crashed, n)
 		}
 		net.unindexNode(n)
 		net.pendingLost[n.Key] = true
@@ -362,20 +362,6 @@ func (net *Network) FailPeer(id keys.Key) error {
 	net.Counters.MaintenanceMsgs += 2
 	net.Counters.MaintenancePhysical += 2
 	return nil
-}
-
-// replicaCovers reports whether n's replica holds every value n holds.
-func (net *Network) replicaCovers(n *Node) bool {
-	var rep []string
-	if loc, ok := net.replicaLoc[n.Key]; ok {
-		rep = net.peers[loc].Replicas[n.Key].Data
-	}
-	for _, v := range n.Data {
-		if !slices.Contains(rep, v) {
-			return false
-		}
-	}
-	return true
 }
 
 // Recover restores crashed node state from the successor replicas,
@@ -416,13 +402,13 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 			lost = append(lost, k)
 		}
 	}
-	for _, k := range net.dataLost {
-		if net.HasNode(k) { // back, but from an older replica
-			lost = append(lost, k)
+	for _, c := range net.crashed {
+		if n, ok := net.nodes[c.Key]; ok && !holdsAll(n.Data, c.Data) {
+			lost = append(lost, c.Key) // back, from an older replica
 		}
 	}
 	keys.SortKeys(lost)
-	net.pendingLost, net.dataLost = nil, nil
+	net.pendingLost, net.crashed = nil, nil
 	if restored > 0 || len(lost) > 0 {
 		// The catalogue changed without passing through the journal
 		// funnel: lost keys vanished, and restored nodes may have
@@ -436,6 +422,17 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 	// replicas to today's successors.
 	net.RehomeReplicas()
 	return restored, lost
+}
+
+// holdsAll reports whether the ascending set have holds every value of
+// want.
+func holdsAll(have, want []string) bool {
+	for _, v := range want {
+		if _, ok := slices.BinarySearch(have, v); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // rebuildLinks recomputes the canonical PGCP structure over the
