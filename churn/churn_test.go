@@ -13,6 +13,7 @@ import (
 	enginelocal "dlpt/engine/local"
 	enginetcp "dlpt/engine/tcp"
 	"dlpt/internal/keys"
+	"dlpt/internal/overlay"
 	"dlpt/internal/workload"
 )
 
@@ -428,5 +429,93 @@ func TestRecoverKeepsAckedSet(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+	}
+}
+
+// rehomeChecked wraps a local engine and runs the reference re-home
+// after every join, leave, recovery and balancing round that moved a
+// node: a full rescan that checks the replica of every live node against
+// the successor rule must find nothing to move.
+type rehomeChecked struct {
+	engine.Engine
+	rt *overlay.Runtime
+}
+
+func (e rehomeChecked) misplaced(what string) error {
+	e.rt.Mu.RLock()
+	defer e.rt.Mu.RUnlock()
+	net := e.rt.Net
+	for _, id := range net.PeerIDs() {
+		p, _ := net.Peer(id)
+		for _, n := range p.Nodes() {
+			loc, ok := net.ReplicaHolder(n.Key)
+			if !ok {
+				continue
+			}
+			host, _ := net.HostOf(n.Key)
+			if want, _ := net.Ring().Successor(host); loc != want {
+				return fmt.Errorf("after a %s: replica of %q on %q, successor rule says %q", what, n.Key, loc, want)
+			}
+		}
+	}
+	return nil
+}
+
+func (e rehomeChecked) AddPeer(ctx context.Context, capacity int) (string, error) {
+	id, err := e.Engine.AddPeer(ctx, capacity)
+	if err == nil {
+		err = e.misplaced("join")
+	}
+	return id, err
+}
+
+func (e rehomeChecked) RemovePeer(ctx context.Context, id string) error {
+	if err := e.Engine.RemovePeer(ctx, id); err != nil {
+		return err
+	}
+	return e.misplaced("leave")
+}
+
+func (e rehomeChecked) Recover(ctx context.Context) (engine.RecoveryReport, error) {
+	rep, err := e.Engine.Recover(ctx)
+	if err == nil {
+		err = e.misplaced("recovery")
+	}
+	return rep, err
+}
+
+func (e rehomeChecked) Balance(ctx context.Context, strategy string) (int, error) {
+	moves, err := e.Engine.Balance(ctx, strategy)
+	if err == nil && moves > 0 {
+		err = e.misplaced("balancing round")
+	}
+	return moves, err
+}
+
+// TestRehomeIsExact runs the churn loop on the sequential engine with
+// the reference re-home after every topology change, and pins the
+// replica transfer traffic the schedules pay: the re-homes move the
+// same replicas as a full rescan, so they count the same transfers.
+func TestRehomeIsExact(t *testing.T) {
+	ctx := context.Background()
+	ks := corpus(120)
+	msgs, moved := 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		eng := startEngine(t, enginelocal.Factory, 8)
+		checked := rehomeChecked{eng, &eng.(*enginelocal.Engine).Cluster().Runtime}
+		_, err := Run(ctx, checked, Config{Seed: seed, Ops: 400, JoinRate: 0.05, LeaveRate: 0.04,
+			CrashRate: 0.03, RecoverRate: 0.02, ReplicateEvery: 16, BalanceEvery: 24,
+			Strategy: "EqualLoad", Keys: ks})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ms, err := eng.MembershipStats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, moved = msgs+ms.ReplicaTransferMsgs, moved+ms.ReplicaTransferredNodes
+	}
+	if msgs != 3141 || moved != 22572 {
+		t.Fatalf("%d transfer messages moving %d replicas, want 3141 moving 22572", msgs, moved)
 	}
 }

@@ -17,7 +17,9 @@ import (
 // balancing rounds, and holds the replica store to the oracle after
 // every tick: each live node's replica on its host's successor, equal
 // to what a full tick would ship, and nothing else but the replicas of
-// crashed, unrecovered nodes.
+// crashed, unrecovered nodes. After every join, leave, recovery and
+// balancing round that moved a node, the reference re-home must find
+// nothing to move.
 func TestReplicaStoreMatchesOverlay(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -48,7 +50,10 @@ func replicaSchedule(seed int64, steps int, recover func(net *core.Network) erro
 		for {
 			id := keys.LowerAlnum.RandomKey(r, 12, 12)
 			if _, taken := net.Peer(id); !taken {
-				return net.JoinPeer(id, capacity(), r)
+				if err := net.JoinPeer(id, capacity(), r); err != nil {
+					return err
+				}
+				return misplacedReplica(net)
 			}
 		}
 	}
@@ -104,13 +109,23 @@ func replicaSchedule(seed int64, steps int, recover func(net *core.Network) erro
 				if err := net.LeavePeer(ids[r.Intn(len(ids))]); err != nil {
 					return fmt.Errorf("step %d leave: %v", step, err)
 				}
+				if err := misplacedReplica(net); err != nil {
+					return fmt.Errorf("step %d, after a leave: %v", step, err)
+				}
 			}
 		case op < 82:
 			if placement == core.PlacementHashed {
 				break
 			}
-			if _, err := lb.RunRound(net, strategies[r.Intn(len(strategies))]); err != nil {
+			moves, err := lb.RunRound(net, strategies[r.Intn(len(strategies))])
+			if err != nil {
 				return fmt.Errorf("step %d balance: %v", step, err)
+			}
+			// A round that moved nothing re-homes nothing: a key
+			// registered again after a ring change keeps its stale
+			// replica until the next tick or re-home.
+			if err := misplacedReplica(net); moves > 0 && err != nil {
+				return fmt.Errorf("step %d, after a balancing round: %v", step, err)
 			}
 		case op < 86:
 			if ids := net.PeerIDs(); len(ids) > 2 {
@@ -122,6 +137,9 @@ func replicaSchedule(seed int64, steps int, recover func(net *core.Network) erro
 		case op < 90:
 			if err := recover(net); err != nil {
 				return fmt.Errorf("step %d recover: %v", step, err)
+			}
+			if err := misplacedReplica(net); err != nil {
+				return fmt.Errorf("step %d, after a recovery: %v", step, err)
 			}
 			crashed = false
 		default:
@@ -140,11 +158,35 @@ func replicaSchedule(seed int64, steps int, recover func(net *core.Network) erro
 	if err := recover(net); err != nil {
 		return fmt.Errorf("final recover: %v", err)
 	}
+	if err := misplacedReplica(net); err != nil {
+		return fmt.Errorf("final recover: %v", err)
+	}
 	net.Replicate()
 	if err := core.CheckReplicaStore(net); err != nil {
 		return fmt.Errorf("final tick: %v", err)
 	}
 	return net.Validate()
+}
+
+// misplacedReplica is the reference re-home, a full rescan: it checks
+// the replica of every live node against the successor rule — the ring
+// successor of the peer the placement names for the node — and reports
+// the first replica such a rescan would move.
+func misplacedReplica(net *core.Network) error {
+	for _, id := range net.PeerIDs() {
+		p, _ := net.Peer(id)
+		for _, n := range p.Nodes() {
+			loc, ok := net.ReplicaHolder(n.Key)
+			if !ok {
+				continue
+			}
+			host, _ := net.HostOf(n.Key)
+			if want, _ := net.Ring().Successor(host); loc != want {
+				return fmt.Errorf("replica of %q on %q, successor rule says %q", n.Key, loc, want)
+			}
+		}
+	}
+	return nil
 }
 
 // TestRecoverNeedsNoReplicaStructure holds Recover to what the key set
