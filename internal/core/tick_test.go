@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
+	"dlpt/internal/workload"
 )
 
 // TestTickShipsChanges holds a replication tick on the TestBytesPerKey
@@ -126,5 +129,45 @@ func TestLateBatchIsReshipped(t *testing.T) {
 	}
 	if err := core.CheckReplicaStore(net); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStaleBatchCannotResurrect covers an unregister that lands between
+// a tick's plan and its install, as one can on the concurrent engines:
+// the batch still carries the value, and a crash of the node's host
+// before the next tick must not bring it back.
+func TestStaleBatchCannotResurrect(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	net := core.NewNetwork(keys.LowerAlnum, core.PlacementLexicographic)
+	for i := 0; i < 6; i++ {
+		if err := net.JoinPeer(keys.LowerAlnum.RandomKey(r, 12, 12), 100, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corpus := workload.GridCorpus(200)
+	for _, k := range corpus {
+		if err := net.InsertData(k, string(k), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Replicate()
+	key := corpus[len(corpus)/2]
+	if err := net.InsertData(key, "extra", r); err != nil {
+		t.Fatal(err)
+	}
+	plan := net.ReplicaPlan()
+	if !net.RemoveData(key, "extra") {
+		t.Fatalf("unregister of %q failed", key)
+	}
+	for _, b := range plan {
+		net.AcceptReplicas(b.From, b.To, b.Infos)
+	}
+	_, host, _ := net.NodeAt(key)
+	if err := net.FailPeer(host.ID); err != nil {
+		t.Fatal(err)
+	}
+	net.Recover()
+	if n, _, ok := net.NodeAt(key); ok && slices.Contains(n.Data, "extra") {
+		t.Fatalf("unregistered value \"extra\" of %q is back after a crash", key)
 	}
 }
