@@ -186,7 +186,9 @@ func (net *Network) loadReplicated(n *Node) bool {
 // placement changed while the batch was in flight: the shipped target
 // is only a hint — the successor rule at install time wins, so a
 // topology change racing a concurrent engine's Replicate tick cannot
-// pin a replica on a stale successor. It returns the number of
+// pin a replica on a stale successor. A snapshot its node no longer
+// matches is installed as the node is now: a write since the plan, an
+// acked unregister among them, is never undone by a crash. It returns the number of
 // snapshots installed and accounts them as replication maintenance
 // traffic.
 func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
@@ -199,15 +201,18 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 			}
 			tgt = to
 		}
-		net.placeReplica(info.Key, info, tgt)
 		if n, ok := net.nodes[info.Key]; !ok {
 			// Gone while the batch was in flight: compaction judges it.
 			net.dropped = append(net.dropped, info.Key)
 		} else if !n.captured(info) {
 			// Changed since the plan, or a batch delivered after a later
-			// tick's: the next tick ships the node again.
+			// tick's: the replica takes the node as it is now, so an
+			// unregister since the plan stays done, and the next tick
+			// ships the node again.
+			info = infoOf(n)
 			net.touch(n)
 		}
+		net.placeReplica(info.Key, info, tgt)
 		count++
 		net.Counters.MaintenanceMsgs++
 		if tgt != from {
