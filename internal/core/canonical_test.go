@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dlpt/internal/keys"
@@ -98,5 +99,71 @@ func TestRebuildLinksDropsEveryStaleNode(t *testing.T) {
 	mustValidate(t, net)
 	if net.NumNodes() != before {
 		t.Fatalf("%d nodes after the rebuild, want %d", net.NumNodes(), before)
+	}
+}
+
+// TestBuildCanonicalLabelsProperty holds the canonical construction to
+// the reference trie over random and adversarial key sets: the label set
+// equals trie.Tree.Labels(), every label's father is the reference
+// trie's, and the roots agree. The keys come from a two-letter alphabet
+// with the empty key allowed, so shared prefixes, keys that prefix
+// other keys, single keys and sets with an empty common prefix are all
+// common; the fixed cases name each shape once.
+func TestBuildCanonicalLabelsProperty(t *testing.T) {
+	cases := [][]keys.Key{
+		{""},
+		{"a"},
+		{"", "a"},
+		{"", "ab", "b"},
+		{"a", "b"},
+		{"ab", "ba"},
+		{"a", "ab", "abc", "abcd"},
+		{"abc", "abd", "abe"},
+		{"abcdef", "abcdeg", "abcdxx", "abyy"},
+		{"b", "ba", "bab", "bb", "c"},
+	}
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < 500; i++ {
+		set := make(map[keys.Key]bool)
+		for n := 1 + r.Intn(24); len(set) < n; {
+			b := make([]byte, r.Intn(7))
+			for j := range b {
+				b[j] = "ab"[r.Intn(2)]
+			}
+			set[keys.Key(b)] = true
+		}
+		ks := make([]keys.Key, 0, len(set))
+		for k := range set {
+			ks = append(ks, k)
+		}
+		cases = append(cases, ks)
+	}
+	for ci, ks := range cases {
+		keys.SortKeys(ks)
+		want, root, ok := buildCanonical(ks)
+		ref := trie.New()
+		for _, k := range ks {
+			ref.InsertKey(k)
+		}
+		labels := make([]keys.Key, 0, len(want))
+		for l := range want {
+			labels = append(labels, l)
+		}
+		keys.SortKeys(labels)
+		if refLabels := ref.Labels(); !slices.Equal(labels, refLabels) {
+			t.Fatalf("case %d %q: labels %q, reference %q", ci, ks, labels, refLabels)
+		}
+		if !ok || root != ref.Root().Label {
+			t.Fatalf("case %d %q: root %q (%v), reference %q", ci, ks, root, ok, ref.Root().Label)
+		}
+		ref.Walk(func(tn *trie.Node) {
+			cn := want[tn.Label]
+			switch {
+			case cn.hasFather != (tn.Parent != nil):
+				t.Fatalf("case %d %q: %q has a father: %v", ci, ks, tn.Label, cn.hasFather)
+			case tn.Parent != nil && cn.father != tn.Parent.Label:
+				t.Fatalf("case %d %q: father of %q is %q, reference %q", ci, ks, tn.Label, cn.father, tn.Parent.Label)
+			}
+		})
 	}
 }
