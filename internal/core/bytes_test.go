@@ -22,7 +22,7 @@ func heap() int64 {
 
 // gridNetwork is a 64-peer overlay holding the 20,000-key grid
 // catalogue, with the live heap the catalogue added to it.
-func gridNetwork(t *testing.T) (*core.Network, []keys.Key, *rand.Rand, int64) {
+func gridNetwork(t testing.TB) (*core.Network, []keys.Key, *rand.Rand, int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(1))
 	net := core.NewNetwork(keys.LowerAlnum, core.PlacementLexicographic)
@@ -61,6 +61,24 @@ func TestBytesPerKey(t *testing.T) {
 	const ceiling = 266
 	if perKey > ceiling {
 		t.Fatalf("%.0f bytes per key, ceiling %d", perKey, ceiling)
+	}
+}
+
+// BenchmarkJoinLeave times one join plus one leave on TestBytesPerKey's
+// 20,000-key grid overlay with every node replicated: the pair's
+// re-homing included, it is what a concurrent engine holds its write
+// lock for.
+func BenchmarkJoinLeave(b *testing.B) {
+	net, _, r, _ := gridNetwork(b)
+	net.Replicate()
+	for b.Loop() {
+		id := keys.LowerAlnum.RandomKey(r, 12, 12)
+		if err := net.JoinPeer(id, 100, r); err != nil {
+			b.Fatal(err)
+		}
+		if err := net.LeavePeer(id); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -126,17 +126,12 @@ func (net *Network) CatalogueImaged() bool { return net.cat != nil }
 // exists only in its replica. Keys are returned ascending with values
 // ascending per key.
 func (net *Network) catalogueData() ([]keys.Key, map[keys.Key][]string) {
-	data := make(map[keys.Key][]string, len(net.replicaLoc))
-	for k, loc := range net.replicaLoc {
-		if net.HasNode(k) || !net.pendingLost[k] {
-			// Either the live node wins below, or the node was
-			// deliberately removed and the replica is a stale snapshot
-			// the next tick compacts — persisting it would resurrect
-			// unregistered data on restart.
-			continue
-		}
-		if info := net.peers[loc].Replicas[k]; len(info.Data) > 0 {
-			data[k] = info.Data
+	// Only a node lost to a crash contributes its replica: a live node
+	// wins below, and a removed one's would resurrect it on restart.
+	data := make(map[keys.Key][]string, len(net.nodeList))
+	for k := range net.pendingLost {
+		if e, ok := net.replicas[k]; ok && !net.HasNode(k) && len(e.Data) > 0 {
+			data[k] = e.Data
 		}
 	}
 	for _, n := range net.nodeList {

@@ -14,31 +14,33 @@ import (
 // network to right after a replication tick: every live node's replica
 // sits on its host's ring successor and deep-equals infoOf(n); no other
 // replica exists unless its key was lost to a crash that is not
-// recovered yet; and the replicas held number exactly the location
-// index's entries.
+// recovered yet; and each peer holds as many replicas as it counts.
 func CheckReplicaStore(net *Network) error {
-	held := 0
-	for id, p := range net.peers {
-		for k := range p.Replicas {
-			held++
-			if !net.HasNode(k) && !net.pendingLost[k] {
-				return fmt.Errorf("replica of %q on %q: no such node, and none lost to a crash", k, id)
-			}
+	held := make(map[*Peer]int)
+	for k, e := range net.replicas {
+		held[e.at]++
+		if net.peers[e.at.ID] != e.at {
+			return fmt.Errorf("replica of %q held by %q, which left the ring", k, e.at.ID)
+		}
+		if !net.HasNode(k) && !net.pendingLost[k] {
+			return fmt.Errorf("replica of %q on %q: no such node, and none lost to a crash", k, e.at.ID)
 		}
 	}
-	if held != len(net.replicaLoc) {
-		return fmt.Errorf("%d replicas held, %d indexed", held, len(net.replicaLoc))
+	for id, p := range net.peers {
+		if held[p] != p.replicas {
+			return fmt.Errorf("%q holds %d replicas, counts %d", id, held[p], p.replicas)
+		}
 	}
 	for _, n := range net.nodeList {
 		succ, _ := net.ring.Successor(n.host.ID)
-		if loc, ok := net.replicaLoc[n.Key]; !ok || loc != succ {
-			return fmt.Errorf("replica of %q (host %q) indexed on %q, want successor %q", n.Key, n.host.ID, loc, succ)
-		}
-		got, ok := net.peers[succ].Replicas[n.Key]
+		e, ok := net.replicas[n.Key]
 		if !ok {
 			return fmt.Errorf("node %q has no replica on successor %q", n.Key, succ)
 		}
-		if want := infoOf(n); !reflect.DeepEqual(got, want) {
+		if e.at.ID != succ {
+			return fmt.Errorf("replica of %q (host %q) indexed on %q, want successor %q", n.Key, n.host.ID, e.at.ID, succ)
+		}
+		if got, want := e.Replica, infoOf(n); !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("replica of %q is stale:\n  got  %+v\n  want %+v", n.Key, got, want)
 		}
 	}
@@ -57,11 +59,16 @@ func CloneNetwork(net *Network) *Network {
 		c.ring.Insert(id)
 	}
 	c.hashPos, c.hashPeer, c.peerHash = slices.Clone(net.hashPos), maps.Clone(net.hashPeer), maps.Clone(net.peerHash)
-	c.replicaLoc, c.pendingLost, c.dropped = maps.Clone(net.replicaLoc), maps.Clone(net.pendingLost), slices.Clone(net.dropped)
+	c.pendingLost, c.dropped = maps.Clone(net.pendingLost), slices.Clone(net.dropped)
 	c.peers = make(map[keys.Key]*Peer, len(net.peers))
 	for id, p := range net.peers {
 		c.peers[id] = &Peer{ID: p.ID, Pred: p.Pred, Succ: p.Succ, Capacity: p.Capacity,
-			Replicas: maps.Clone(p.Replicas), churn: p.churn, Processed: p.Processed}
+			replicas: p.replicas, Processed: p.Processed}
+	}
+	c.replicas = make(map[keys.Key]held, len(net.replicas))
+	for k, e := range net.replicas {
+		e.at = c.peers[e.at.ID]
+		c.replicas[k] = e
 	}
 	c.nodes = make(map[keys.Key]*Node, len(net.nodes))
 	c.nodeList = make([]*Node, len(net.nodeList))

@@ -200,12 +200,11 @@ func (net *Network) RemoveData(k keys.Key, value string) bool {
 	}
 	net.touch(n)
 	net.Counters.MaintenanceMsgs++
-	if loc, ok := net.replicaLoc[k]; ok {
+	if e, ok := net.replicas[k]; ok {
 		// The unregister reaches the replica with the value, so a crash
 		// of the host before the next tick cannot bring it back.
-		rep := net.peers[loc].Replicas[k]
-		rep.Data, _ = removeValue(rep.Data, value)
-		net.peers[loc].Replicas[k] = rep
+		e.Data, _ = removeValue(e.Data, value)
+		net.replicas[k] = e
 	}
 	net.compactNode(n)
 	net.journal(true, k, value)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"dlpt/internal/keys"
 )
@@ -33,15 +34,10 @@ func (net *Network) JoinPeer(id keys.Key, capacity int, r *rand.Rand) error {
 		}
 		return nil
 	}
+	var err error
 	if net.Placement == PlacementHashed {
-		if err := net.joinHashed(id, capacity); err != nil {
-			return err
-		}
-		net.RehomeReplicas()
-		return nil
-	}
-	entry, host, ok := net.RandomEntry(r)
-	if !ok {
+		err = net.joinHashed(id, capacity)
+	} else if entry, host, ok := net.RandomEntry(r); !ok {
 		// No tree yet: hand the request straight to the peer layer,
 		// entering the ring at an arbitrary peer.
 		start, _ := net.RandomPeerID(r)
@@ -50,25 +46,24 @@ func (net *Network) JoinPeer(id keys.Key, capacity int, r *rand.Rand) error {
 			joinID:       id,
 			joinCapacity: capacity,
 		})
-		if err := net.drain(); err != nil {
-			return err
-		}
-		net.RehomeReplicas()
-		return nil
+		err = net.drain()
+	} else {
+		net.sendToNode(host, entry, message{
+			typ:          msgPeerJoin,
+			joinID:       id,
+			joinState:    0,
+			joinCapacity: capacity,
+		})
+		err = net.drain()
 	}
-	net.sendToNode(host, entry, message{
-		typ:          msgPeerJoin,
-		joinID:       id,
-		joinState:    0,
-		joinCapacity: capacity,
-	})
-	if err := net.drain(); err != nil {
+	if err != nil {
 		return err
 	}
-	// The join moved node responsibility (and shifted a successor
-	// interval): the affected replica sets follow, paid as transfer
-	// traffic.
-	net.RehomeReplicas()
+	// The join moved node responsibility to the joiner and made it its
+	// ring predecessor's successor: their replicas follow, paid as
+	// transfer traffic.
+	p := net.peers[id]
+	net.rehome(p, net.peers[p.Pred])
 	return nil
 }
 
@@ -199,9 +194,7 @@ func (net *Network) LeavePeer(id keys.Key) error {
 			id, p.NumNodes())
 	}
 	if net.NumPeers() == 1 {
-		for k := range p.Replicas {
-			delete(net.replicaLoc, k)
-		}
+		clear(net.replicas) // all of them its own
 		delete(net.peers, id)
 		net.ring.Remove(id)
 		if net.Placement == PlacementHashed {
@@ -228,9 +221,14 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	if net.Placement == PlacementHashed {
 		net.hashRemovePeer(id)
 	}
+	adopters := []*Peer{pred}   // and pred's successor changed
 	for _, n := range p.nodes { // the leaver's ν_P goes with it
 		host, _ := net.HostOf(n.Key)
-		net.peers[host].adopt(n)
+		to := net.peers[host]
+		to.adopt(n)
+		if !slices.Contains(adopters, to) {
+			adopters = append(adopters, to)
+		}
 	}
 	moved := len(p.nodes)
 	net.Counters.NodesTransferred += moved
@@ -239,22 +237,21 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	// The leaver hands its replica set over on the way out (part of
 	// the departure transfer), then the handoff's new hosting drives
 	// the usual re-homing.
-	if len(p.Replicas) > 0 {
-		targets := make(map[keys.Key]bool)
-		for k, info := range p.Replicas {
-			delete(net.replicaLoc, k)
-			tgt, ok := net.replicaTarget(k)
-			if !ok {
-				continue
-			}
-			net.placeReplica(k, info, tgt)
+	targets := make(map[*Peer]bool)
+	for _, e := range net.replicas {
+		if p.replicas == 0 {
+			break
+		}
+		if e.at == p {
+			tgt, _ := net.replicaTarget(e.Key)
+			net.placeReplica(e.Replica, tgt)
 			targets[tgt] = true
 			net.Replication.TransferredNodes++
 		}
-		net.Replication.TransferMsgs += len(targets)
-		net.Counters.MaintenanceMsgs += len(targets)
-		net.Counters.MaintenancePhysical += len(targets)
 	}
-	net.RehomeReplicas()
+	net.Replication.TransferMsgs += len(targets)
+	net.Counters.MaintenanceMsgs += len(targets)
+	net.Counters.MaintenancePhysical += len(targets)
+	net.rehome(adopters...)
 	return nil
 }

@@ -90,23 +90,25 @@ type Network struct {
 	Obs    *obs.Metrics
 	Tracer *trace.Recorder
 
-	// replicaLoc maps each replicated node key to the peer holding
-	// its snapshot (the host's ring successor; the data lives in
-	// Peer.Replicas), and pendingLost records the node keys dropped
-	// by crashes since the last Recover (see replication.go); crashed
+	// replicas is the replica index: each replicated node key's
+	// snapshot and the peer holding it (the host's ring successor, or
+	// wherever a crash left it; see replication.go). pendingLost records
+	// the node keys dropped by crashes since the last Recover; crashed
 	// keeps those of the dropped nodes that held values, so Recover can
 	// tell which came back without some.
-	replicaLoc  map[keys.Key]keys.Key
+	replicas    map[keys.Key]held
 	pendingLost map[keys.Key]bool
 	crashed     []*Node
 	// epoch is the replication epoch open since the last ReplicaPlan:
 	// a node touched in it carries it as its stamp. dropped lists the
 	// keys that left the index holding a replica since the last
 	// compaction, the only replicas CompactReplicas has to look at, and
-	// locChurn counts the entries replicaLoc lost since its last rebuild.
-	epoch    uint32
-	dropped  []keys.Key
-	locChurn int
+	// those whose replica a compaction kept: the only replicas of live
+	// nodes off their target that a host walk would not reach. churn
+	// counts the entries replicas lost since its last rebuild.
+	epoch   uint32
+	dropped []keys.Key
+	churn   int
 
 	// Journal, when set, is invoked after every successful catalogue
 	// mutation (register / unregister) — the persistence layer's
@@ -149,6 +151,7 @@ func NewNetwork(alpha *keys.Alphabet, placement Placement) *Network {
 		hashPeer:  make(map[uint64]keys.Key),
 		peerHash:  make(map[keys.Key]uint64),
 		nodes:     make(map[keys.Key]*Node),
+		replicas:  make(map[keys.Key]held),
 	}
 }
 
@@ -337,7 +340,7 @@ func (net *Network) linkChildren(n *Node) {
 // unindexNode takes n out of the index and out of its host's ν_P. A
 // replica of the node is left for CompactReplicas to judge.
 func (net *Network) unindexNode(n *Node) {
-	if _, ok := net.replicaLoc[n.Key]; ok {
+	if _, ok := net.replicas[n.Key]; ok {
 		net.dropped = append(net.dropped, n.Key)
 	}
 	n.host.release(n)
@@ -414,11 +417,6 @@ func (net *Network) RenamePeer(oldID, newID keys.Key) error {
 	if net.Placement == PlacementHashed {
 		net.hashRemovePeer(oldID)
 		net.hashInsertPeer(newID)
-	}
-	// The peer object (and its replica set) kept its circular
-	// position; only the location index must follow the new name.
-	for k := range p.Replicas {
-		net.replicaLoc[k] = newID
 	}
 	return nil
 }
@@ -548,30 +546,19 @@ func (net *Network) Validate() error {
 	if !net.hasRoot && seen != 0 {
 		return fmt.Errorf("core: %d nodes but no root", seen)
 	}
-	// Replica placement: the location index and the per-peer replica
-	// sets must agree, and every replica of a live node must sit on
-	// its host's ring successor (the successor placement rule; the
-	// replicas of crashed, unrecovered nodes stay wherever they
-	// survived).
-	replicaCount := 0
-	for id, p := range net.peers {
-		for k := range p.Replicas {
-			replicaCount++
-			if loc, ok := net.replicaLoc[k]; !ok || loc != id {
-				return fmt.Errorf("core: replica of %q on %q, index says %q", k, id, loc)
-			}
+	// Replica placement: every replica sits on a peer of the ring, and
+	// every replica of a live node on its host's ring successor (the
+	// successor placement rule; the replicas of crashed, unrecovered
+	// nodes stay wherever they survived).
+	for k, e := range net.replicas {
+		if net.peers[e.at.ID] != e.at {
+			return fmt.Errorf("core: replica of %q held by %q, which left the ring", k, e.at.ID)
 		}
-	}
-	if replicaCount != len(net.replicaLoc) {
-		return fmt.Errorf("core: %d held replicas vs %d indexed", replicaCount, len(net.replicaLoc))
-	}
-	for k, loc := range net.replicaLoc {
 		if !net.HasNode(k) {
 			continue
 		}
-		want, ok := net.replicaTarget(k)
-		if !ok || loc != want {
-			return fmt.Errorf("core: replica of %q on %q, successor rule says %q", k, loc, want)
+		if want, _ := net.replicaTarget(k); e.at != want {
+			return fmt.Errorf("core: replica of %q on %q, successor rule says %q", k, e.at.ID, want.ID)
 		}
 	}
 	// PGCP property: rebuild the key set into a reference trie and

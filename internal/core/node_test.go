@@ -163,7 +163,8 @@ func TestValuesCopyOnShip(t *testing.T) {
 	} {
 		net.Replicate()
 		n := net.nodes[tc.key]
-		shipped := net.peers[net.replicaLoc[tc.key]].Replicas[tc.key].Data
+		rep, _, _ := net.ReplicaOf(tc.key)
+		shipped := rep.Data
 		was := slices.Clone(shipped)
 		tc.write(n)
 		if !slices.Equal(n.Data, tc.want) {

@@ -22,14 +22,9 @@ type Peer struct {
 
 	nodes []*Node // ν_P; nodes[n.slot] == n
 
-	// Replicas is the replica set this peer holds on behalf of its
-	// ring predecessor: the successor-placed snapshots of the nodes
-	// the predecessor runs (see replication.go). A crash of this peer
-	// loses the set; Replicate rebuilds it.
-	Replicas map[keys.Key]Replica
-	// churn counts the entries Replicas lost, or took by re-homing,
-	// since it was last rebuilt at size (see CompactReplicas).
-	churn int
+	// replicas counts the replica index's entries this peer holds: the
+	// snapshots of its ring predecessor's nodes (see replication.go).
+	replicas int
 
 	// Processed counts discovery visits processed during the current
 	// time unit; reset by ResetUnit.
@@ -50,7 +45,6 @@ func NewPeer(id keys.Key, capacity int) *Peer {
 		Pred:     id,
 		Succ:     id,
 		Capacity: capacity,
-		Replicas: make(map[keys.Key]Replica),
 	}
 }
 
@@ -62,14 +56,8 @@ func (p *Peer) NumNodes() int { return len(p.nodes) }
 // it.
 func (p *Peer) Nodes() []*Node { return p.nodes }
 
-// dropReplica removes the replica of k from the peer's set.
-func (p *Peer) dropReplica(k keys.Key) {
-	delete(p.Replicas, k)
-	p.churn++
-}
-
-// NumReplicas returns the size of the replica set this peer holds.
-func (p *Peer) NumReplicas() int { return len(p.Replicas) }
+// NumReplicas returns the number of replicas this peer holds.
+func (p *Peer) NumReplicas() int { return p.replicas }
 
 // LoadPrev returns L_P of the previous time unit: the sum of the
 // previous-unit loads of the nodes the peer currently runs.

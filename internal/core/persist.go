@@ -73,7 +73,7 @@ func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 			restoreErr = fmt.Errorf("core: restore replica %q: no peers", e.Key)
 			return false
 		}
-		net.placeReplica(k, Replica{Key: k, Data: e.Values}, tgt)
+		net.placeReplica(Replica{Key: k, Data: e.Values}, tgt)
 		return true
 	})
 	if err == nil {

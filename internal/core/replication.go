@@ -30,11 +30,12 @@ import (
 // the next tick re-protects them, and an install that leaves a replica
 // behind its node stamps the node; compaction looks only at the keys
 // that left the index holding a replica. Because replicas
-// have a *place*, topology changes have a replication cost: a join,
-// leave, crash recovery or balancing rename moves the affected
-// replica sets to their new successor targets, and that transfer
-// traffic is counted (TransferMsgs/TransferredNodes) — replication
-// cost tracks churn as in the paper's model instead of being flat per
+// have a *place*, topology changes have a replication cost: a change
+// moves the replicas of the nodes of the hosts next to it (rehome) — a
+// join's joiner and its predecessor, a leave's predecessor and adopters,
+// every host after a balancing round or a recovery — and that transfer
+// traffic is counted (TransferMsgs/TransferredNodes): replication cost
+// tracks churn as in the paper's model instead of being flat per
 // Replicate tick.
 //
 // Recover restores every replicated node and then runs an
@@ -90,38 +91,43 @@ type ReplicaBatch struct {
 	Infos    []Replica
 }
 
+// held is one entry of the replica index: a node's snapshot and its
+// holder. A move is a write of at, so a rename moves nothing.
+type held struct {
+	at *Peer
+	Replica
+}
+
 // touch stamps n with the open replication epoch, so the next
 // ReplicaPlan ships it: on its creation, and on every write to its
 // values or loads.
 func (net *Network) touch(n *Node) { n.stamp = net.epoch }
 
-// replicaTarget returns the peer that must hold the replica of node
-// k: the ring successor of k's host.
-func (net *Network) replicaTarget(k keys.Key) (keys.Key, bool) {
-	host, ok := net.HostOf(k)
-	if !ok {
-		return keys.Epsilon, false
-	}
-	succ, ok := net.ring.Successor(host)
-	if !ok {
-		return keys.Epsilon, false
-	}
-	return succ, true
+// successorOf returns the ring successor of host p: the peer that holds
+// the replicas of the nodes p runs.
+func (net *Network) successorOf(p *Peer) *Peer {
+	succ, _ := net.ring.Successor(p.ID)
+	return net.peers[succ]
 }
 
-// placeReplica installs (or refreshes) the replica of k on peer tgt,
-// evicting any stale copy elsewhere. Counters are the caller's job.
-func (net *Network) placeReplica(k keys.Key, info Replica, tgt keys.Key) {
-	if net.replicaLoc == nil {
-		net.replicaLoc = make(map[keys.Key]keys.Key)
+// replicaTarget returns the peer that must hold the replica of node
+// k: the ring successor of k's host.
+func (net *Network) replicaTarget(k keys.Key) (*Peer, bool) {
+	host, ok := net.HostOf(k)
+	if !ok {
+		return nil, false
 	}
-	if cur, ok := net.replicaLoc[k]; ok && cur != tgt {
-		if p, ok := net.peers[cur]; ok {
-			p.dropReplica(k)
-		}
+	return net.successorOf(net.peers[host]), true
+}
+
+// placeReplica installs (or refreshes) info on peer tgt, in place of
+// any copy elsewhere. Counters are the caller's job.
+func (net *Network) placeReplica(info Replica, tgt *Peer) {
+	if e, ok := net.replicas[info.Key]; ok {
+		e.at.replicas--
 	}
-	net.peers[tgt].Replicas[k] = info
-	net.replicaLoc[k] = tgt
+	tgt.replicas++
+	net.replicas[info.Key] = held{tgt, info}
 }
 
 // ReplicaPlan computes one replication tick and closes the epoch it
@@ -174,12 +180,8 @@ func (net *Network) ReplicaPlan() []ReplicaBatch {
 // engines' run under the read lock), so a loaded node is compared with
 // its replica instead.
 func (net *Network) loadReplicated(n *Node) bool {
-	loc, ok := net.replicaLoc[n.Key]
-	if !ok {
-		return false
-	}
-	info, ok := net.peers[loc].Replicas[n.Key]
-	return ok && info.LoadCur == n.Load()
+	e, ok := net.replicas[n.Key]
+	return ok && e.LoadCur == n.Load()
 }
 
 // AcceptReplicas installs one shipped batch, re-routing entries whose
@@ -196,10 +198,9 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 	for _, info := range infos {
 		tgt, ok := net.replicaTarget(info.Key)
 		if !ok {
-			if _, alive := net.peers[to]; !alive {
+			if tgt, ok = net.peers[to]; !ok {
 				continue
 			}
-			tgt = to
 		}
 		if n, ok := net.nodes[info.Key]; !ok {
 			// Gone while the batch was in flight: compaction judges it.
@@ -212,10 +213,10 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 			info = infoOf(n)
 			net.touch(n)
 		}
-		net.placeReplica(info.Key, info, tgt)
+		net.placeReplica(info, tgt)
 		count++
 		net.Counters.MaintenanceMsgs++
-		if tgt != from {
+		if tgt.ID != from {
 			net.Counters.MaintenancePhysical++
 		}
 	}
@@ -223,41 +224,38 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 	return count
 }
 
-// replicaSlack bounds the room a replica map keeps for entries it no
-// longer holds: a Go map never shrinks, so one that has lost (or taken
-// by re-homing) a replicaSlack-th of its size since it was last built
-// is rebuilt at size. A rebuild costs the whole map, so rebuilding after
-// every loss would make each tick cost the catalogue again.
+// replicaSlack bounds the room the replica index keeps for entries it
+// no longer holds: a Go map never shrinks, so once it has lost a
+// replicaSlack-th of its size since it was last built it is rebuilt at
+// size. A rebuild costs the whole map, so rebuilding after every loss
+// would make each tick cost the catalogue again.
 const replicaSlack = 8
 
 // CompactReplicas drops the snapshots of nodes that no longer exist —
 // except those lost to a crash that has not been recovered yet, which
 // are exactly the snapshots Recover needs. Only the keys that left the
 // index holding a replica since the last compaction can be stale, so
-// only they are looked at. The replica maps that churned by a
-// replicaSlack-th since their last rebuild are rebuilt at size.
+// only they are looked at; one whose replica stays is kept for rehome
+// until its node is back with the replica on its target. The index is
+// rebuilt at size once it has lost a replicaSlack-th of its entries.
 func (net *Network) CompactReplicas() {
-	stale := 0
+	var kept []keys.Key
 	for _, k := range net.dropped {
-		loc, ok := net.replicaLoc[k]
-		if !ok || net.HasNode(k) || net.pendingLost[k] {
-			continue
+		e, ok := net.replicas[k]
+		n, live := net.nodes[k]
+		switch {
+		case !ok || live && e.at == net.successorOf(n.host):
+		case live || net.pendingLost[k]:
+			kept = append(kept, k)
+		default:
+			e.at.replicas--
+			delete(net.replicas, k)
+			net.churn++
 		}
-		if p, ok := net.peers[loc]; ok {
-			p.dropReplica(k)
-		}
-		delete(net.replicaLoc, k)
-		stale++
 	}
-	net.dropped = nil
-	net.locChurn += stale
-	if net.locChurn > 0 && replicaSlack*net.locChurn >= len(net.replicaLoc) {
-		net.replicaLoc, net.locChurn = maps.Clone(net.replicaLoc), 0
-	}
-	for _, p := range net.peers {
-		if p.churn > 0 && replicaSlack*p.churn >= len(p.Replicas) {
-			p.Replicas, p.churn = maps.Clone(p.Replicas), 0
-		}
+	net.dropped = kept
+	if net.churn > 0 && replicaSlack*net.churn >= len(net.replicas) {
+		net.replicas, net.churn = maps.Clone(net.replicas), 0
 	}
 }
 
@@ -275,29 +273,48 @@ func (net *Network) Replicate() int {
 }
 
 // RehomeReplicas moves every replica whose successor target changed —
-// after a join, leave, recovery or balancing round — back to the peer
-// the placement rule names. Replicas of crashed, unrecovered nodes
-// stay where they are (they are the recovery state). Transfers are
-// batched per source→target pair: one transfer message per pair, one
-// transferred node per snapshot.
+// after a recovery or a balancing round — back to the peer the
+// placement rule names: it re-homes every host.
 func (net *Network) RehomeReplicas() (msgs, moved int) {
-	type pair struct{ from, to keys.Key }
-	batches := make(map[pair]bool)
-	for k, loc := range net.replicaLoc {
-		if !net.HasNode(k) {
-			continue // crashed, unrecovered: leave the snapshot in place
+	hosts := make([]*Peer, 0, len(net.peers))
+	for _, id := range net.ring.IDs() {
+		hosts = append(hosts, net.peers[id])
+	}
+	return net.rehome(hosts...)
+}
+
+// rehome moves to its target the replica of every node the given hosts
+// run, and of every key in dropped that is a live node again. Given every
+// peer whose nodes or ring successor a change altered, it moves what a
+// rescan of the index would: every other live node's replica is on its
+// target already. Replicas of crashed, unrecovered nodes stay where they
+// are (they are the recovery state). Transfers are batched per
+// source→target pair: one transfer message per pair, one transferred
+// node per snapshot.
+func (net *Network) rehome(hosts ...*Peer) (msgs, moved int) {
+	batches := make(map[[2]*Peer]bool)
+	move := func(n *Node, to *Peer) {
+		e, ok := net.replicas[n.Key]
+		if !ok || e.at == to {
+			return
 		}
-		want, ok := net.replicaTarget(k)
-		if !ok || want == loc {
-			continue
-		}
-		info := net.peers[loc].Replicas[k]
-		net.peers[loc].dropReplica(k)
-		net.peers[want].Replicas[k] = info
-		net.peers[want].churn++
-		net.replicaLoc[k] = want
-		batches[pair{loc, want}] = true
+		batches[[2]*Peer{e.at, to}] = true
+		e.at.replicas--
+		to.replicas++
+		e.at = to
+		net.replicas[n.Key] = e
 		moved++
+	}
+	for _, h := range hosts {
+		succ := net.successorOf(h)
+		for _, n := range h.nodes {
+			move(n, succ)
+		}
+	}
+	for _, k := range net.dropped {
+		if n, ok := net.nodes[k]; ok {
+			move(n, net.successorOf(n.host))
+		}
 	}
 	msgs = len(batches)
 	net.Replication.TransferMsgs += msgs
@@ -309,13 +326,22 @@ func (net *Network) RehomeReplicas() (msgs, moved int) {
 
 // ReplicaHolder reports which peer holds the replica of node k.
 func (net *Network) ReplicaHolder(k keys.Key) (keys.Key, bool) {
-	loc, ok := net.replicaLoc[k]
-	return loc, ok
+	_, at, ok := net.ReplicaOf(k)
+	return at, ok
+}
+
+// ReplicaOf returns the replica of node k and the peer holding it.
+func (net *Network) ReplicaOf(k keys.Key) (Replica, keys.Key, bool) {
+	e, ok := net.replicas[k]
+	if !ok {
+		return Replica{}, keys.Epsilon, false
+	}
+	return e.Replica, e.at.ID, true
 }
 
 // NumReplicas returns the total number of replica snapshots held
 // across all peers.
-func (net *Network) NumReplicas() int { return len(net.replicaLoc) }
+func (net *Network) NumReplicas() int { return len(net.replicas) }
 
 // FailPeer crashes the peer with the given id: its node states vanish
 // without transfer, the replica set it held for its predecessor
@@ -341,10 +367,13 @@ func (net *Network) FailPeer(id keys.Key) error {
 	}
 	// The crashed peer's replica set is gone with it; its predecessor's
 	// live nodes are stamped, so the next tick re-replicates them.
-	for k := range p.Replicas {
-		delete(net.replicaLoc, k)
-		if n, ok := net.nodes[k]; ok {
-			net.touch(n)
+	for k, e := range net.replicas {
+		if e.at == p {
+			delete(net.replicas, k)
+			net.churn++
+			if n, ok := net.nodes[k]; ok {
+				net.touch(n)
+			}
 		}
 	}
 	if net.pendingLost == nil {
@@ -381,19 +410,17 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 	// or phase 1 would reinstall them.
 	net.CompactReplicas()
 	// Phase 1: reinstall every replicated node that is missing.
-	replicated := make([]keys.Key, 0, len(net.replicaLoc))
-	for k := range net.replicaLoc {
-		replicated = append(replicated, k)
-	}
-	keys.SortKeys(replicated)
-	for _, k := range replicated {
-		if net.HasNode(k) {
-			continue
+	var missing []keys.Key
+	for k := range net.replicas {
+		if !net.HasNode(k) {
+			missing = append(missing, k)
 		}
-		holder := net.peers[net.replicaLoc[k]]
-		net.installNode(holder.Replicas[k].materialize(), keys.Epsilon)
-		restored++
 	}
+	keys.SortKeys(missing)
+	for _, k := range missing {
+		net.installNode(net.replicas[k].materialize(), keys.Epsilon)
+	}
+	restored = len(missing)
 	// Phase 2: anti-entropy link rebuild — skipped when nothing was
 	// reinstalled and no crash is pending, i.e. the canonical
 	// structure cannot have been damaged since the last repair.

@@ -102,10 +102,12 @@ func replicasExact(c *Cluster, loads bool) error {
 	for _, id := range net.PeerIDs() {
 		p, _ := net.Peer(id)
 		succ, _ := net.Ring().Successor(id)
-		holder, _ := net.Peer(succ)
 		for _, n := range p.Nodes() {
 			want := core.Replica{Key: n.Key, Data: slices.Clone(n.Data), LoadPrev: n.LoadPrev, LoadCur: n.Load()}
-			got := holder.Replicas[n.Key]
+			got, at, _ := net.ReplicaOf(n.Key)
+			if at != succ {
+				return fmt.Errorf("replica of %q on %q, want its host's successor %q", n.Key, at, succ)
+			}
 			if !loads {
 				got.LoadCur, want.LoadCur = 0, 0
 			}
