@@ -221,7 +221,7 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	if net.Placement == PlacementHashed {
 		net.hashRemovePeer(id)
 	}
-	adopters := []*Peer{pred}   // and pred's successor changed
+	var adopters []*Peer
 	for _, n := range p.nodes { // the leaver's ν_P goes with it
 		host, _ := net.HostOf(n.Key)
 		to := net.peers[host]
@@ -235,8 +235,8 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	net.Counters.MaintenanceMsgs += moved
 	net.Counters.MaintenancePhysical += moved
 	// The leaver hands its replica set over on the way out (part of
-	// the departure transfer), then the handoff's new hosting drives
-	// the usual re-homing.
+	// the departure transfer), which puts its predecessor's on their new
+	// target; then the adopters' new hosting drives the usual re-homing.
 	targets := make(map[*Peer]bool)
 	for _, e := range net.replicas {
 		if p.replicas == 0 {

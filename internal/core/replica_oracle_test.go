@@ -256,3 +256,43 @@ func sameTree(a, b *core.Network) error {
 	}
 	return nil
 }
+
+// TestRehomeReachesKeysBackAfterCompaction follows a key through a
+// concurrent engine's tick: it is removed while the ring changes under
+// its old replica, registered again between the tick's plan and its
+// install, and the tick's compaction runs. Its replica is off target
+// and on no host a later join walks; the join must still re-home it, as
+// a full rescan would.
+func TestRehomeReachesKeysBackAfterCompaction(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	net := core.NewNetwork(keys.LowerAlnum, core.PlacementLexicographic)
+	for _, id := range []keys.Key{"a000", "h000", "p000", "w000"} {
+		if err := net.JoinPeer(id, 100, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []keys.Key{"akey", "mkey", "zkey"} {
+		if err := net.InsertData(k, "v", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Replicate()
+	net.RemoveData("mkey", "v")
+	if err := net.JoinPeer("mkey", 100, r); err != nil { // mkey's host now
+		t.Fatal(err)
+	}
+	plan := net.ReplicaPlan()
+	if err := net.InsertData("mkey", "v", r); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range plan {
+		net.AcceptReplicas(b.From, b.To, b.Infos)
+	}
+	net.CompactReplicas()
+	if err := net.JoinPeer("b000", 100, r); err != nil { // beside a000 only
+		t.Fatal(err)
+	}
+	if err := misplacedReplica(net); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -32,8 +32,9 @@ import (
 // that left the index holding a replica. Because replicas
 // have a *place*, topology changes have a replication cost: a change
 // moves the replicas of the nodes of the hosts next to it (rehome) — a
-// join's joiner and its predecessor, a leave's predecessor and adopters,
-// every host after a balancing round or a recovery — and that transfer
+// join's joiner and its predecessor, a leave's adopters (its handover
+// places the replicas the leaver held), every host after a balancing
+// round or a recovery — and that transfer
 // traffic is counted (TransferMsgs/TransferredNodes): replication cost
 // tracks churn as in the paper's model instead of being flat per
 // Replicate tick.
