@@ -34,10 +34,9 @@ import (
 // moves the replicas of the nodes of the hosts next to it (rehome) — a
 // join's joiner and its predecessor, a leave's adopters (its handover
 // places the replicas the leaver held), every host after a balancing
-// round or a recovery — and that transfer
-// traffic is counted (TransferMsgs/TransferredNodes): replication cost
-// tracks churn as in the paper's model instead of being flat per
-// Replicate tick.
+// round or a recovery — and that transfer traffic is counted
+// (TransferMsgs/TransferredNodes): replication cost tracks churn as in
+// the paper's model instead of being flat per Replicate tick.
 //
 // Recover restores every replicated node and then runs an
 // anti-entropy sweep that rebuilds the tree links canonically: the
@@ -191,9 +190,9 @@ func (net *Network) loadReplicated(n *Node) bool {
 // topology change racing a concurrent engine's Replicate tick cannot
 // pin a replica on a stale successor. A snapshot its node no longer
 // matches is installed as the node is now: a write since the plan, an
-// acked unregister among them, is never undone by a crash. It returns the number of
-// snapshots installed and accounts them as replication maintenance
-// traffic.
+// acked unregister among them, is never undone by a crash. It returns
+// the number of snapshots installed and accounts them as replication
+// maintenance traffic.
 func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 	count := 0
 	for _, info := range infos {
