@@ -5,7 +5,6 @@ import (
 	"iter"
 
 	"dlpt/internal/attrs"
-	"dlpt/internal/persist"
 )
 
 // Resource describes a service registered in a Directory: an
@@ -39,26 +38,25 @@ type QueryStats struct {
 // run concurrently on the engine's read side instead of serializing
 // behind a directory-wide lock. Close releases the engine.
 type Directory struct {
-	eng   Engine
+	reg   *Registry // the overlay the attribute tree runs on
 	inner *attrs.Directory
-	store *persist.Store // owned persistence store; nil without WithPersistence
 }
 
 // NewDirectory starts a directory over a fresh overlay of numPeers
 // peers, backed by the selected engine (EngineLive unless WithEngine
 // says otherwise).
 func NewDirectory(numPeers int, opts ...Option) (*Directory, error) {
-	eng, _, store, _, err := buildEngine(numPeers, opts, false)
+	reg, err := buildRegistry(numPeers, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	return &Directory{eng: eng, inner: attrs.NewDirectory(eng), store: store}, nil
+	return &Directory{reg: reg, inner: attrs.NewDirectory(reg.eng)}, nil
 }
 
 // NewDirectoryWithEngine wraps an already-running engine in a
 // Directory. The Directory takes ownership: Close closes the engine.
 func NewDirectoryWithEngine(eng Engine) *Directory {
-	return &Directory{eng: eng, inner: attrs.NewDirectory(eng)}
+	return &Directory{reg: NewWithEngine(eng), inner: attrs.NewDirectory(eng)}
 }
 
 // RestartDirectory rebuilds a durable directory from its persistence
@@ -69,12 +67,11 @@ func NewDirectoryWithEngine(eng Engine) *Directory {
 // attribute tree: every "attr=value" key's ids fold back into their
 // resource maps.
 func RestartDirectory(dir string, opts ...Option) (*Directory, error) {
-	opts = append(append([]Option(nil), opts...), WithPersistence(dir))
-	eng, _, store, _, err := buildEngine(0, opts, true)
+	reg, err := Restart(dir, opts...)
 	if err != nil {
 		return nil, err
 	}
-	d := &Directory{eng: eng, inner: attrs.NewDirectory(eng), store: store}
+	d := &Directory{reg: reg, inner: attrs.NewDirectory(reg.eng)}
 	if err := d.inner.Rehydrate(context.Background()); err != nil {
 		d.Close()
 		return nil, err
@@ -83,19 +80,11 @@ func RestartDirectory(dir string, opts ...Option) (*Directory, error) {
 }
 
 // Engine exposes the backing execution engine.
-func (d *Directory) Engine() Engine { return d.eng }
+func (d *Directory) Engine() Engine { return d.reg.eng }
 
 // Close shuts the directory's overlay down (and, on a durable
 // overlay, the persistence store's journal). It is idempotent.
-func (d *Directory) Close() error {
-	err := d.eng.Close()
-	if d.store != nil {
-		if serr := d.store.Close(); err == nil {
-			err = serr
-		}
-	}
-	return err
-}
+func (d *Directory) Close() error { return d.reg.Close() }
 
 // RegisterResource declares a resource with its attributes.
 func (d *Directory) RegisterResource(ctx context.Context, res Resource) error {
@@ -156,39 +145,39 @@ func (d *Directory) Validate(ctx context.Context) error {
 // AddPeerWithCapacity grows the directory's overlay by one peer of
 // the given capacity and returns its identifier.
 func (d *Directory) AddPeerWithCapacity(ctx context.Context, capacity int) (string, error) {
-	return d.eng.AddPeer(ctx, capacity)
+	return d.reg.AddPeerWithCapacity(ctx, capacity)
 }
 
 // RemovePeer removes a peer gracefully; the resource catalogue is
 // unchanged.
 func (d *Directory) RemovePeer(ctx context.Context, id string) error {
-	return d.eng.RemovePeer(ctx, id)
+	return d.reg.RemovePeer(ctx, id)
 }
 
 // CrashPeer fails a peer abruptly. Until Recover runs, queries may
 // miss resources and registrations must not be issued.
 func (d *Directory) CrashPeer(ctx context.Context, id string) error {
-	return d.eng.CrashPeer(ctx, id)
+	return d.reg.CrashPeer(ctx, id)
 }
 
 // Recover restores crashed attribute-tree state from the replica
 // store.
 func (d *Directory) Recover(ctx context.Context) (RecoveryReport, error) {
-	return d.eng.Recover(ctx)
+	return d.reg.Recover(ctx)
 }
 
 // Replicate snapshots the attribute tree to the replica store.
 func (d *Directory) Replicate(ctx context.Context) (int, error) {
-	return d.eng.Replicate(ctx)
+	return d.reg.Replicate(ctx)
 }
 
 // Peers lists the live peers in ring order.
 func (d *Directory) Peers(ctx context.Context) ([]PeerInfo, error) {
-	return d.eng.Peers(ctx)
+	return d.reg.Peers(ctx)
 }
 
 // MembershipStats reports the overlay's peer-lifecycle and
 // replication counters.
 func (d *Directory) MembershipStats(ctx context.Context) (MembershipStats, error) {
-	return d.eng.MembershipStats(ctx)
+	return d.reg.MembershipStats(ctx)
 }

@@ -69,7 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 
 	"dlpt/engine"
 	enginelive "dlpt/engine/live"
@@ -266,10 +266,10 @@ var ErrClosed = engine.ErrClosed
 // its per-time-unit capacity; compare with errors.Is.
 var ErrSaturated = engine.ErrSaturated
 
-// buildEngine resolves options into a running engine (plus the
-// persistence store it owns, when WithPersistence is set). restore
-// rebuilds the overlay from the store instead of starting fresh.
-func buildEngine(numPeers int, opts []Option, restore bool) (engine.Engine, *keys.Alphabet, *persist.Store, *Observability, error) {
+// buildRegistry resolves options into a Registry over a running engine
+// (and the persistence store it owns, when WithPersistence is set).
+// restore rebuilds the overlay from the store instead of starting fresh.
+func buildRegistry(numPeers int, opts []Option, restore bool) (*Registry, error) {
 	o := options{alphabet: keys.PrintableASCII, seed: 1, kind: EngineLive}
 	for _, opt := range opts {
 		opt(&o)
@@ -277,21 +277,18 @@ func buildEngine(numPeers int, opts []Option, restore bool) (engine.Engine, *key
 	caps := o.capacities
 	if caps == nil && !restore {
 		if numPeers < 1 {
-			return nil, nil, nil, nil, fmt.Errorf("dlpt: numPeers = %d", numPeers)
+			return nil, fmt.Errorf("dlpt: numPeers = %d", numPeers)
 		}
-		caps = make([]int, numPeers)
-		for i := range caps {
-			caps[i] = 1 << 20
-		}
+		caps = slices.Repeat([]int{1 << 20}, numPeers)
 	}
 	var store *persist.Store
 	if o.persistDir != "" {
 		var err error
 		if store, err = persist.Open(o.persistDir); err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
 	} else if restore {
-		return nil, nil, nil, nil, errors.New("dlpt: restart without a persistence directory")
+		return nil, errors.New("dlpt: restart without a persistence directory")
 	}
 	factory := o.factory
 	if factory == nil {
@@ -303,7 +300,7 @@ func buildEngine(numPeers int, opts []Option, restore bool) (engine.Engine, *key
 		case EngineTCP:
 			factory = enginetcp.Factory
 		default:
-			return nil, nil, nil, nil, fmt.Errorf("dlpt: unknown engine %q", o.kind)
+			return nil, fmt.Errorf("dlpt: unknown engine %q", o.kind)
 		}
 	}
 	cfg := engine.Config{
@@ -326,7 +323,7 @@ func buildEngine(numPeers int, opts []Option, restore bool) (engine.Engine, *key
 		if store != nil {
 			store.Close()
 		}
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	if store != nil && !restore {
 		// A fresh overlay must own its persistence epoch from the
@@ -339,10 +336,10 @@ func buildEngine(numPeers int, opts []Option, restore bool) (engine.Engine, *key
 		if _, err := eng.Replicate(context.Background()); err != nil {
 			eng.Close()
 			store.Close()
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
 	}
-	return eng, o.alphabet, store, o.ob, nil
+	return &Registry{eng: eng, alpha: o.alphabet, store: store, ob: o.ob}, nil
 }
 
 // Registry is a running service-discovery overlay. All methods are
@@ -357,11 +354,7 @@ type Registry struct {
 // New starts an overlay of numPeers peers over the selected engine
 // (EngineLive unless WithEngine says otherwise).
 func New(numPeers int, opts ...Option) (*Registry, error) {
-	eng, alpha, store, ob, err := buildEngine(numPeers, opts, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Registry{eng: eng, alpha: alpha, store: store, ob: ob}, nil
+	return buildRegistry(numPeers, opts, false)
 }
 
 // Restart rebuilds an overlay from a persistence directory after
@@ -376,12 +369,7 @@ func New(numPeers int, opts ...Option) (*Registry, error) {
 // Replicate tick to have run before the crash — Restart fails when no
 // valid snapshot exists.
 func Restart(dir string, opts ...Option) (*Registry, error) {
-	opts = append(append([]Option(nil), opts...), WithPersistence(dir))
-	eng, alpha, store, ob, err := buildEngine(0, opts, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Registry{eng: eng, alpha: alpha, store: store, ob: ob}, nil
+	return buildRegistry(0, append(append([]Option(nil), opts...), WithPersistence(dir)), true)
 }
 
 // NewWithEngine wraps an already-running engine in a Registry. The
@@ -412,13 +400,10 @@ func (r *Registry) ObsSnapshot() obs.Snapshot {
 // persistence store's journal — the on-disk state stays, ready for
 // Restart). It is idempotent.
 func (r *Registry) Close() error {
-	err := r.eng.Close()
-	if r.store != nil {
-		if serr := r.store.Close(); err == nil {
-			err = serr
-		}
+	if r.store == nil {
+		return r.eng.Close()
 	}
-	return err
+	return errors.Join(r.eng.Close(), r.store.Close())
 }
 
 // checkName validates a service name against the overlay alphabet.
@@ -550,43 +535,16 @@ func (r *Registry) RangeSeq(ctx context.Context, lo, hi string, limit int) iter.
 	return seq(ctx, r.eng, engine.Query{Kind: engine.QueryRange, Lo: lo, Hi: hi, Limit: limit})
 }
 
-// Endpoints returns the endpoints registered under name via a
-// consistent snapshot (no routing cost).
-func (r *Registry) Endpoints(ctx context.Context, name string) ([]string, error) {
-	snap, err := r.eng.Snapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n, ok := snap.Lookup(keys.Key(name))
-	if !ok || !n.HasData() {
-		return nil, nil
-	}
-	var out []string
-	for v := range n.Data {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Services returns every declared service name in order, via a
-// consistent snapshot (no routing cost).
+// Services returns every declared service name in lexicographic order.
+// It is a routed read, a thin wrapper draining ServicesSeq's stream: it
+// equals the live set once the overlay is quiescent, which after a peer
+// crash means after Recover.
 func (r *Registry) Services(ctx context.Context) ([]string, error) {
-	snap, err := r.eng.Snapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ks := snap.Keys()
-	out := make([]string, len(ks))
-	for i, k := range ks {
-		out[i] = string(k)
-	}
-	return out, nil
+	return drain(ctx, r.eng, engine.Query{Kind: engine.QueryComplete})
 }
 
 // ServicesSeq streams every declared service name in lexicographic
-// order through a routed traversal of the whole tree. Unlike
-// Services (a whole-catalogue snapshot read) the stream is
+// order through a routed traversal of the whole tree. The stream is
 // incremental: breaking out of the loop halts the traversal, so
 // paging through the first screen of a huge catalogue does not walk
 // all of it.

@@ -166,15 +166,15 @@ func TestEndpoints(t *testing.T) {
 	r := newRegistry(t, 3)
 	_ = r.Register(ctx, "fft", "h2")
 	_ = r.Register(ctx, "fft", "h1")
-	got, err := r.Endpoints(ctx, "fft")
-	if err != nil {
-		t.Fatal(err)
+	svc, ok, err := r.Discover(ctx, "fft")
+	if err != nil || !ok {
+		t.Fatal(ok, err)
 	}
-	if !reflect.DeepEqual(got, []string{"h1", "h2"}) {
-		t.Fatalf("Endpoints = %v", got)
+	if !reflect.DeepEqual(svc.Endpoints, []string{"h1", "h2"}) {
+		t.Fatalf("Endpoints = %v", svc.Endpoints)
 	}
-	if got, _ := r.Endpoints(ctx, "missing"); got != nil {
-		t.Fatalf("missing service endpoints = %v", got)
+	if svc, _, _ := r.Discover(ctx, "missing"); svc.Endpoints != nil {
+		t.Fatalf("missing service endpoints = %v", svc.Endpoints)
 	}
 }
 

@@ -196,22 +196,25 @@ func (net *Network) loadReplicated(n *Node) bool {
 func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 	count := 0
 	for _, info := range infos {
-		tgt, ok := net.replicaTarget(info.Key)
-		if !ok {
-			if tgt, ok = net.peers[to]; !ok {
-				continue
+		var tgt *Peer
+		if n, ok := net.nodes[info.Key]; ok {
+			tgt = net.successorOf(n.host)
+			if !n.captured(info) {
+				// Changed since the plan, or a batch delivered after a
+				// later tick's: the replica takes the node as it is now,
+				// so an unregister since the plan stays done, and the
+				// next tick ships the node again.
+				info = infoOf(n)
+				net.touch(n)
 			}
-		}
-		if n, ok := net.nodes[info.Key]; !ok {
+		} else {
 			// Gone while the batch was in flight: compaction judges it.
+			if tgt, ok = net.replicaTarget(info.Key); !ok {
+				if tgt, ok = net.peers[to]; !ok {
+					continue
+				}
+			}
 			net.dropped = append(net.dropped, info.Key)
-		} else if !n.captured(info) {
-			// Changed since the plan, or a batch delivered after a later
-			// tick's: the replica takes the node as it is now, so an
-			// unregister since the plan stays done, and the next tick
-			// ships the node again.
-			info = infoOf(n)
-			net.touch(n)
 		}
 		net.placeReplica(info, tgt)
 		count++
