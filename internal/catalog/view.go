@@ -178,9 +178,6 @@ func (v *View) value(i int) string {
 	return s
 }
 
-// Sections reports which per-entry sections the catalogue carries.
-func (v *View) Sections() Sections { return v.secs }
-
 // Len returns the number of entries.
 func (v *View) Len() int { return v.m }
 

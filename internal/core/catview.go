@@ -234,12 +234,8 @@ func (img *catImage) add(k keys.Key, v string) {
 		return
 	}
 	ch = img.writable(ci)
-	ch.keys = append(ch.keys, "")
-	copy(ch.keys[j+1:], ch.keys[j:])
-	ch.keys[j] = k
-	ch.vals = append(ch.vals, nil)
-	copy(ch.vals[j+1:], ch.vals[j:])
-	ch.vals[j] = []string{v}
+	ch.keys = slices.Insert(ch.keys, j, k)
+	ch.vals = slices.Insert(ch.vals, j, []string{v})
 	img.nkeys++
 	if len(ch.keys) > catChunkMax {
 		img.split(ci)
@@ -294,26 +290,19 @@ func (img *catImage) split(ci int) {
 // when v was already present. The result is always a fresh slice when
 // changed — captured views may share the old one.
 func insertValue(vals []string, v string) ([]string, bool) {
-	j := sort.SearchStrings(vals, v)
-	if j < len(vals) && vals[j] == v {
+	j, found := slices.BinarySearch(vals, v)
+	if found {
 		return vals, false
 	}
-	out := make([]string, 0, len(vals)+1)
-	out = append(out, vals[:j]...)
-	out = append(out, v)
-	out = append(out, vals[j:]...)
-	return out, true
+	return slices.Insert(slices.Clip(vals), j, v), true
 }
 
 // removeValue returns vals without v; changed is false when v was
 // absent. The result is a fresh slice when changed.
 func removeValue(vals []string, v string) ([]string, bool) {
-	j := sort.SearchStrings(vals, v)
-	if j >= len(vals) || vals[j] != v {
+	j, found := slices.BinarySearch(vals, v)
+	if !found {
 		return vals, false
 	}
-	out := make([]string, 0, len(vals)-1)
-	out = append(out, vals[:j]...)
-	out = append(out, vals[j+1:]...)
-	return out, true
+	return slices.Concat(vals[:j], vals[j+1:]), true
 }

@@ -120,27 +120,13 @@ func LoadConfig(path string) (*Config, error) {
 
 // withDefaults fills the zero fields.
 func (c Config) withDefaults() Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 64
-	}
-	if c.ReplicateEvery <= 0 {
-		c.ReplicateEvery = Duration(10 * time.Second)
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = Duration(time.Second)
-	}
-	if c.MissThreshold <= 0 {
-		c.MissThreshold = 3
-	}
-	if c.JoinTimeout <= 0 {
-		c.JoinTimeout = Duration(30 * time.Second)
-	}
-	if c.ElectionTimeout <= 0 {
-		c.ElectionTimeout = Duration(time.Second)
-	}
-	if c.ForwardRetry <= 0 {
-		c.ForwardRetry = Duration(10 * time.Second)
-	}
+	orDefault(&c.Capacity, 64)
+	orDefault(&c.ReplicateEvery, Duration(10*time.Second))
+	orDefault(&c.ProbeEvery, Duration(time.Second))
+	orDefault(&c.MissThreshold, 3)
+	orDefault(&c.JoinTimeout, Duration(30*time.Second))
+	orDefault(&c.ElectionTimeout, Duration(time.Second))
+	orDefault(&c.ForwardRetry, Duration(10*time.Second))
 	if c.Seed == 0 {
 		c.Seed = time.Now().UnixNano()
 	}
@@ -148,6 +134,13 @@ func (c Config) withDefaults() Config {
 		c.Net = transport.TCP
 	}
 	return c
+}
+
+// orDefault sets a field that is not positive to def.
+func orDefault[T int | Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // alphabetFor resolves the configured alphabet name (or literal digit

@@ -2,7 +2,10 @@
 
 package persist
 
-import "os"
+import (
+	"io"
+	"os"
+)
 
 // mapFile on platforms without the mmap fast path reads the file
 // into memory; release is a no-op. The lazy catalogue walk still
@@ -14,3 +17,37 @@ func mapFile(path string) ([]byte, func(), error) {
 	}
 	return buf, func() {}, nil
 }
+
+// journal on platforms without the mapped tail appends each record with
+// one write(2).
+type journal struct {
+	f *os.File
+}
+
+// openJournal opens the journal at path for appending after its first
+// valid bytes, cutting off whatever follows them.
+func openJournal(path string, valid int64) (*journal, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+	if err == nil {
+		err = f.Truncate(valid)
+	}
+	if err == nil {
+		_, err = f.Seek(valid, io.SeekStart)
+	}
+	if err != nil {
+		if f != nil {
+			f.Close()
+		}
+		return nil, err
+	}
+	return &journal{f: f}, nil
+}
+
+// append writes frame after the last record.
+func (j *journal) append(frame []byte) error {
+	_, err := j.f.Write(frame)
+	return err
+}
+
+// Close closes the file.
+func (j *journal) Close() error { return j.f.Close() }

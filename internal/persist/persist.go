@@ -15,7 +15,7 @@
 //	                      unregister) since snapshot <seq>, and every
 //	                      ring a tick ran on that differs from the
 //	                      one before, one CRC-framed record each,
-//	                      appended in order.
+//	                      appended in order; a zero length ends it.
 //
 // Snapshot writing is split in two so the expensive half runs off
 // the cluster write lock: BeginSnapshot allocates the next epoch and
@@ -32,11 +32,11 @@
 // is corruption-tolerant: it walks the snapshots newest-first until
 // one passes its CRC, then replays every journal of that epoch and
 // later in order, stopping cleanly at the first truncated or corrupt
-// record — a torn write costs at most the tail of a journal, never
-// the snapshot behind it; a record that passes its CRC but does not
-// decode fails Load instead (RecordError). The two newest snapshots are
-// kept so a torn snapshot write can always fall back one epoch (the
-// journals of the older epoch bridge the gap forward).
+// record or a zero length — a torn write costs at most the tail of a
+// journal, never the snapshot behind it; a record that passes its CRC
+// but does not decode fails Load instead (RecordError). The two newest
+// snapshots are kept so a torn snapshot write can always fall back one
+// epoch (the journals of the older epoch bridge the gap forward).
 //
 // A snapshot file is one overlay image (AppendImage / ParseImage):
 // magic, version, epoch, the peer ring, the catalogue as one LOUDS
@@ -50,17 +50,26 @@
 // images whose envelope is legacy-coded. A journal record's first byte
 // is its kind: register, unregister or ring, the last an image with an
 // empty catalogue. The journal format is upgrade-only: a build older
-// than the ring record reads one as a registration, or stops there.
+// than the ring record reads one as a registration, or stops there, and
+// a build older than the mapped tail refuses, with a *RecordError, a
+// journal that a crash left with its zeroed tail.
 //
-// Journal appends ride the OS cache; a Replicate tick is the
-// durability point. A tick writes a new image only when the journal
-// cannot carry it (JournalCarries: an append failed, or the records
-// journaled since the image reach a quarter of its keys; the caller
-// adds what only it knows, a catalogue that changed without a record);
-// otherwise the tick journals its ring if that changed and fsyncs the
-// journal (SyncJournal), and the newest image plus its journal replay
-// to the same state, ring included (a ring record counts once per peer,
-// so the journal passes the rule by at most one ring). The durability
+// A journal append is a copy into a shared mapping of a preallocated,
+// page-aligned window of the file (one write(2) where there is none):
+// no system call, and the record sits in the OS cache as a write would
+// leave it. The window reads zero past the last record, so a zero length
+// ends a journal; rotation and Close cut the file back to its records,
+// and a reopened journal loses what follows its valid prefix. A fault on
+// the mapping fails the append like a failed write. Journal appends
+// ride the OS cache; a Replicate tick is the durability point. A tick
+// writes a new image only when the journal cannot carry it
+// (JournalCarries: an append failed, or the records journaled since the
+// image reach a quarter of its keys; the caller adds what only it knows,
+// a catalogue that changed without a record); otherwise the tick
+// journals its ring if that changed and fsyncs the journal
+// (SyncJournal), and the newest image plus its journal replay to the
+// same state, ring included (a ring record counts once per peer, so the
+// journal passes the rule by at most one ring). The durability
 // contract is therefore exactly the paper's replication model: everything
 // declared before the last Replicate survives any crash, and journaled
 // mutations after it survive ordinary process death (but not power loss).
@@ -71,7 +80,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -187,7 +195,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	seq     uint64 // current epoch: newest snapshot or rotated journal
-	journal *os.File
+	journal *journal
 	closed  bool
 	// appendErr records the first journal-append failure of the
 	// current epoch so it cannot pass silently: the next snapshot
@@ -231,19 +239,14 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	s := &Store{dir: dir}
-	seqs, err := s.epochs(snapPrefix, snapSuffix)
-	if err != nil {
-		return nil, err
-	}
-	if len(seqs) > 0 {
-		s.seq = seqs[len(seqs)-1]
-	}
-	jseqs, err := s.epochs(jrnlPrefix, jrnlSuffix)
-	if err != nil {
-		return nil, err
-	}
-	if len(jseqs) > 0 && jseqs[len(jseqs)-1] > s.seq {
-		s.seq = jseqs[len(jseqs)-1]
+	for _, kind := range [][2]string{{snapPrefix, snapSuffix}, {jrnlPrefix, jrnlSuffix}} {
+		seqs, err := s.epochs(kind[0], kind[1])
+		if err != nil {
+			return nil, err
+		}
+		if len(seqs) > 0 {
+			s.seq = max(s.seq, seqs[len(seqs)-1])
+		}
 	}
 	if err := s.openJournalLocked(); err != nil {
 		return nil, err
@@ -251,10 +254,8 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the persistence directory path.
-func (s *Store) Dir() string { return s.dir }
-
-// Close releases the journal handle. The store's files stay on disk.
+// Close cuts the journal back to its records and releases it. The
+// store's files stay on disk.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,35 +295,18 @@ func (s *Store) jrnlPath(seq uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s%d%s", jrnlPrefix, seq, jrnlSuffix))
 }
 
-// openJournalLocked (re)opens the current epoch's journal for append,
-// first truncating any torn tail left by a crash mid-append: records
-// appended after corrupt bytes would be unreachable to replay (it
-// stops at the first bad record), so they must never exist.
+// openJournalLocked (re)opens the current epoch's journal for append
+// after its valid prefix, cutting off the torn tail or zeroed window a
+// crash left: records appended after corrupt bytes would be unreachable
+// to replay (it stops at the first bad record), so they must never
+// exist.
 func (s *Store) openJournalLocked() error {
 	path := s.jrnlPath(s.seq)
-	if err := truncateTornTail(path); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	s.journal = f
-	return nil
-}
-
-// truncateTornTail cuts a journal file back to its longest valid
-// record prefix. Missing files are fine.
-func truncateTornTail(path string) error {
 	valid, err := scanJournal(path, func([]byte) error { return nil })
 	if err != nil {
 		return err
 	}
-	info, err := os.Stat(path)
-	if err == nil && info.Size() > valid {
-		err = os.Truncate(path, valid)
-	}
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	if s.journal, err = openJournal(path, valid); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	return nil
@@ -351,7 +335,7 @@ func (s *Store) writeFrameLocked(frame []byte) error {
 	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
 	s.buf = frame
-	_, err := s.journal.Write(frame)
+	err := s.journal.append(frame)
 	if err != nil && s.appendErr == nil {
 		s.appendErr = err
 	}
@@ -392,14 +376,14 @@ func (s *Store) JournalCarries(peers []PeerState) bool {
 // the journal meanwhile, the rotated file is synced by name.
 func (s *Store) SyncJournal() error {
 	s.mu.Lock()
-	f, path := s.journal, s.jrnlPath(s.seq)
+	j, path := s.journal, s.jrnlPath(s.seq)
 	s.mu.Unlock()
-	if f == nil {
+	if j == nil {
 		return errors.New("persist: store closed")
 	}
-	err := f.Sync()
+	err := j.f.Sync()
 	if errors.Is(err, os.ErrClosed) {
-		err = syncFile(path)
+		err = syncPath(path)
 	}
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -501,28 +485,18 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 
 	tmp := s.snapPath(p.seq) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(buf)
+		err = errors.Join(err, f.Sync(), f.Close())
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.snapPath(p.seq))
+	}
 	if err != nil {
-		return 0, fmt.Errorf("persist: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
 		os.Remove(tmp)
 		return 0, fmt.Errorf("persist: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: %w", err)
-	}
-	if err := os.Rename(tmp, s.snapPath(p.seq)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: %w", err)
-	}
-	syncDir(s.dir)
+	_ = syncPath(s.dir) // best effort where directories cannot be synced
 
 	s.mu.Lock()
 	if p.seq == s.seq {
@@ -697,40 +671,46 @@ func (e *RecordError) Error() string {
 	return fmt.Sprintf("persist: %s: journal record at offset %d: %v", e.Path, e.Offset, e.Err)
 }
 
-// scanJournal hands the payload of every record of the journal at path
-// to fn, in order, until EOF or the first record that is truncated or
-// fails its CRC (the torn tail of a crash), and returns the length of
-// the valid prefix. A missing file is empty. A payload fn refuses ends
-// the scan with a *RecordError.
+// scanJournal maps the journal at path and hands the payload of every
+// record to fn, in order (scanRecords), returning the length of the
+// valid prefix. A missing file is empty. A payload fn refuses ends the
+// scan with a *RecordError.
 func scanJournal(path string, fn func(payload []byte) error) (int64, error) {
-	f, err := os.Open(path)
+	buf, release, err := mapFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("persist: %w", err)
 	}
-	defer f.Close()
-	valid := int64(0)
-	hdr := make([]byte, 4)
-	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return valid, nil // clean EOF or torn header: stop
-		}
-		n := binary.BigEndian.Uint32(hdr)
-		if n > 1<<24 {
-			return valid, nil // implausible length: corrupt tail
-		}
-		body := make([]byte, n+4)
-		if _, err := io.ReadFull(f, body); err != nil ||
-			crc32.ChecksumIEEE(body[:n]) != binary.BigEndian.Uint32(body[n:]) {
-			return valid, nil // torn or corrupt record: stop here
-		}
-		if err := fn(body[:n]); err != nil {
-			return valid, &RecordError{Path: path, Offset: valid, Err: err}
-		}
-		valid += int64(len(hdr) + len(body))
+	defer release()
+	valid, err := scanRecords(buf, fn)
+	if err != nil {
+		return int64(valid), &RecordError{Path: path, Offset: int64(valid), Err: err}
 	}
+	return int64(valid), nil
+}
+
+// scanRecords hands the payload of every record framed in buf to fn, in
+// order, until the end of buf, a zero length (the preallocated tail no
+// append reached) or the first record that is truncated or fails its
+// CRC (the torn tail of a crash), and returns the length of the valid
+// prefix. An error of fn ends the scan at the record it refused.
+func scanRecords(buf []byte, fn func(payload []byte) error) (int, error) {
+	valid := 0
+	for p := buf; len(p) >= 4; {
+		n := uint64(binary.BigEndian.Uint32(p))
+		if n == 0 || n+8 > uint64(len(p)) ||
+			crc32.ChecksumIEEE(p[4:4+n]) != binary.BigEndian.Uint32(p[4+n:]) {
+			break
+		}
+		if err := fn(p[4 : 4+n]); err != nil {
+			return valid, err
+		}
+		valid += int(n) + 8
+		p = p[n+8:]
+	}
+	return valid, nil
 }
 
 // replay applies one journal record's payload to st: a registration or
@@ -801,22 +781,12 @@ func getString(p []byte) (string, []byte, error) {
 	return string(p[:n]), p[n:], nil
 }
 
-// syncFile opens the file at path and fsyncs it.
-func syncFile(path string) error {
+// syncPath opens the file or directory at path and fsyncs it: a
+// directory so that a rename into it is durable.
+func syncPath(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	return errors.Join(f.Sync(), f.Close())
-}
-
-// syncDir fsyncs a directory so a rename is durable; best effort on
-// platforms where directories cannot be synced.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
 }

@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"dlpt/internal/catalog"
@@ -427,6 +429,127 @@ func TestReopenTruncatesTornTail(t *testing.T) {
 	}
 	if st.Journal[0].Key != "before" || st.Journal[1].Key != "after" {
 		t.Fatalf("journal = %+v", st.Journal)
+	}
+}
+
+// TestJournalLeftByProcessDeath pins what a killed process leaves: the
+// journal as it stands while its store is still open (the records, then
+// on Linux the zeroed rest of the mapped window) loads every appended
+// record, and a store reopened on it cuts the tail off and appends after
+// the last record.
+func TestJournalLeftByProcessDeath(t *testing.T) {
+	dir, killed := t.TempDir(), t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers, nodes := testState()
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000 // about 100 KB of records: more than one mapped window
+	for i := range n {
+		if err := s.Append(i%3 == 2, fmt.Sprintf("key%05d", i), "ep://host:4000"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"snapshot-1.snap", "journal-1.log"} {
+		buf, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(killed, name), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	records, err := os.ReadFile(filepath.Join(dir, "journal-1.log")) // Close cut it back
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, err := os.ReadFile(filepath.Join(killed, "journal-1.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, ok := bytes.CutPrefix(left, records)
+	if !ok || bytes.Count(tail, []byte{0}) != len(tail) {
+		t.Fatalf("the open journal is not its %d record bytes and a zeroed tail (%d bytes)", len(records), len(left))
+	}
+	if runtime.GOOS == "linux" && len(tail) == 0 {
+		t.Fatal("the open journal has no preallocated tail")
+	}
+
+	s2, err := Open(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if info, err := os.Stat(filepath.Join(killed, "journal-1.log")); err != nil || info.Size() != int64(len(records)) {
+		t.Fatalf("reopened journal: %v, %v; want %d bytes", info.Size(), err, len(records))
+	}
+	if err := s2.Append(false, "after", "ep"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s2.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Journal) != n+1 {
+		t.Fatalf("replayed %d records, want %d", len(st.Journal), n+1)
+	}
+	for i, rec := range st.Journal[:n] {
+		if want := (Record{Remove: i%3 == 2, Key: fmt.Sprintf("key%05d", i), Value: "ep://host:4000"}); rec != want {
+			t.Fatalf("record %d = %+v, want %+v", i, rec, want)
+		}
+	}
+	if rec := st.Journal[n]; rec.Key != "after" {
+		t.Fatalf("the append after reopening replays as %+v", rec)
+	}
+}
+
+// TestTruncatedJournalFailsAppend pins the fault guard of the mapped
+// journal: a journal file truncated behind an open store makes the next
+// append return an error instead of killing the process, and the next
+// snapshot reports it as the gap it heals.
+func TestTruncatedJournalFailsAppend(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("only the mapped journal faults on a truncated file")
+	}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	peers, nodes := testState()
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(false, "before", "ep"); err != nil { // maps the window
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, "journal-1.log"), 0); err != nil {
+		t.Fatal(err)
+	}
+	err = s.Append(false, "lost", "ep")
+	if err == nil {
+		t.Fatal("an append into a truncated journal succeeded")
+	}
+	t.Logf("append into a truncated journal: %v", err)
+	if _, err := writeSnapshot(s, peers, nodes); err == nil || !strings.Contains(err.Error(), "journal appends failed") {
+		t.Fatalf("snapshot after the failed append reported %v", err)
+	}
+	if err := s.Append(false, "healed", "ep"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Journal) != 1 || st.Journal[0].Key != "healed" {
+		t.Fatalf("journal after the heal = %+v", st.Journal)
 	}
 }
 

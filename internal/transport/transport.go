@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -263,11 +264,7 @@ func (c *Cluster) DropEndpointAddr(addr string) {
 func (c *Cluster) Addrs() map[keys.Key]string {
 	c.Mu.RLock()
 	defer c.Mu.RUnlock()
-	out := make(map[keys.Key]string, len(c.addrs))
-	for k, v := range c.addrs {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(c.addrs)
 }
 
 // PoolStats reports the client connection pool's live connection and
