@@ -93,12 +93,14 @@ func FuzzJournalScan(f *testing.F) {
 	if _, err := writeSnapshot(s, peers, nodes); err != nil {
 		f.Fatal(err)
 	}
+	if !s.JournalCarries(append(peers, PeerState{ID: "zzz", Capacity: 5})) { // journals a ring record
+		f.Fatal("the ring change was not journaled")
+	}
 	for i, key := range []string{"dgemm", "dgemv", "dgemm"} {
 		if err := s.Append(i == 2, key, "ep://1"); err != nil {
 			f.Fatal(err)
 		}
 	}
-	s.JournalCarries(append(peers, PeerState{ID: "zzz", Capacity: 5})) // a ring record
 	path := filepath.Join(dir, "journal-1.log")
 	whileOpen, err := os.ReadFile(path) // on Linux: the records, then the zeroed window
 	if err != nil {

@@ -28,16 +28,15 @@ type journal struct {
 // valid bytes, cutting off whatever follows them.
 func openJournal(path string, valid int64) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err == nil {
-		err = f.Truncate(valid)
-	}
-	if err == nil {
-		_, err = f.Seek(valid, io.SeekStart)
-	}
 	if err != nil {
-		if f != nil {
-			f.Close()
-		}
+		return nil, err
+	}
+	if err := f.Truncate(valid); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return &journal{f: f}, nil
