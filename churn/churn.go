@@ -315,10 +315,10 @@ func Run(ctx context.Context, eng engine.Engine, cfg Config) (Stats, error) {
 	if err := eng.Validate(ctx); err != nil {
 		return st, fmt.Errorf("churn: post-run validation: %w", err)
 	}
-	snap, err := eng.Snapshot(ctx)
+	all, err := eng.Complete(ctx, "")
 	if err != nil {
 		return st, err
 	}
-	st.FinalKeys = len(snap.Keys())
+	st.FinalKeys = len(all.Keys)
 	return st, nil
 }

@@ -401,13 +401,13 @@ func TestRecoverKeepsAckedSet(t *testing.T) {
 			_, err := eng.Unregister(ctx, key, "ep://"+key)
 			return err
 		}, func(rep engine.RecoveryReport) error {
-			snap, err := eng.Snapshot(ctx)
+			all, err := eng.Complete(ctx, "")
 			if err != nil {
 				return err
 			}
 			present := make(map[string]bool)
-			for _, k := range snap.Keys() {
-				present[string(k)] = true
+			for _, k := range all.Keys {
+				present[k] = true
 			}
 			lost := make(map[string]bool)
 			for _, k := range rep.LostKeys {

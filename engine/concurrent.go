@@ -9,7 +9,6 @@ import (
 	"dlpt/internal/keys"
 	"dlpt/internal/lb"
 	"dlpt/internal/overlay"
-	"dlpt/internal/trie"
 )
 
 // DataPath is the part of a cluster that is its own: how a discovery
@@ -301,14 +300,6 @@ func (e *Concurrent[C]) Balance(ctx context.Context, strategy string) (int, erro
 	moves, err := e.rt.Balance(strategy)
 	e.balanceMoves.Add(int64(moves))
 	return moves, mapErr(err)
-}
-
-// Snapshot returns a consistent copy of the whole tree.
-func (e *Concurrent[C]) Snapshot(ctx context.Context) (*trie.Tree, error) {
-	if err := e.readable(ctx); err != nil {
-		return nil, err
-	}
-	return e.rt.Snapshot(), nil
 }
 
 // Validate cross-checks every overlay invariant.

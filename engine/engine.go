@@ -35,7 +35,6 @@ import (
 	"dlpt/internal/obs"
 	"dlpt/internal/persist"
 	"dlpt/internal/trace"
-	"dlpt/internal/trie"
 )
 
 // ErrClosed is returned by every operation on a closed engine.
@@ -380,9 +379,6 @@ type Engine interface {
 	// moves applied. Peer identifiers may change: a move renames the
 	// predecessor peer to preserve the placement rule.
 	Balance(ctx context.Context, strategy string) (int, error)
-	// Snapshot returns a consistent copy of the whole prefix tree
-	// (whole-catalogue reads with no routing cost).
-	Snapshot(ctx context.Context) (*trie.Tree, error)
 	// Validate cross-checks every overlay invariant.
 	Validate(ctx context.Context) error
 

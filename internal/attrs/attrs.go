@@ -28,7 +28,6 @@ import (
 
 	"dlpt/engine"
 	"dlpt/internal/keys"
-	"dlpt/internal/trie"
 )
 
 // Sep separates attribute names from values in tree keys.
@@ -46,7 +45,6 @@ type Backend interface {
 	Query(ctx context.Context, q engine.Query) (engine.Stream, error)
 	Complete(ctx context.Context, prefix string) (engine.QueryResult, error)
 	Range(ctx context.Context, lo, hi string) (engine.QueryResult, error)
-	Snapshot(ctx context.Context) (*trie.Tree, error)
 	Validate(ctx context.Context) error
 }
 
@@ -190,39 +188,36 @@ func (d *Directory) Unregister(ctx context.Context, id string) (bool, error) {
 	return true, nil
 }
 
-// Rehydrate rebuilds the registration mirror from the overlay's tree
-// state — the restore path after a cold restart, where the attribute
-// keys came back from disk but the per-service maps did not. Every
-// "attr=value" data node's ids are folded back into the service
-// descriptions (attribute names cannot contain the separator, so the
-// first separator splits unambiguously). Existing mirror entries are
-// replaced wholesale.
+// Rehydrate rebuilds the registration mirror from the overlay — the
+// restore path after a cold restart, where the attribute keys came back
+// from disk but the per-service maps did not. It reads the overlay as
+// a client does: a drained completion of the empty prefix lists every
+// "attr=value" key, and one routed Discover per key returns its ids,
+// which are folded back into the service descriptions (attribute names
+// cannot contain the separator, so the first separator splits
+// unambiguously). Existing mirror entries are replaced wholesale.
 func (d *Directory) Rehydrate(ctx context.Context) error {
-	snap, err := d.b.Snapshot(ctx)
+	all, err := d.b.Complete(ctx, "")
 	if err != nil {
 		return err
 	}
 	services := make(map[string]map[string]string)
-	var walkErr error
-	snap.Walk(func(n *trie.Node) {
-		if walkErr != nil || !n.HasData() {
-			return
-		}
-		attr, value, ok := strings.Cut(string(n.Label), Sep)
+	for _, k := range all.Keys {
+		attr, value, ok := strings.Cut(k, Sep)
 		if !ok {
-			walkErr = fmt.Errorf("attrs: rehydrate: key %q has no separator", n.Label)
-			return
+			return fmt.Errorf("attrs: rehydrate: key %q has no separator", k)
 		}
-		for id := range n.Data {
+		res, err := d.b.Discover(ctx, k)
+		if err != nil {
+			return err
+		}
+		for _, id := range res.Values {
 			if svc, ok := services[id]; ok {
 				svc[attr] = value
 			} else {
 				services[id] = map[string]string{attr: value}
 			}
 		}
-	})
-	if walkErr != nil {
-		return walkErr
 	}
 	d.mu.Lock()
 	d.services = services

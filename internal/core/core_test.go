@@ -32,6 +32,16 @@ func mustValidate(t *testing.T, net *Network) {
 	}
 }
 
+// labels lists the network's node keys, ascending.
+func labels(net *Network) []keys.Key {
+	ks := make([]keys.Key, 0, len(net.nodeList))
+	for _, n := range net.nodeList {
+		ks = append(ks, n.Key)
+	}
+	keys.SortKeys(ks)
+	return ks
+}
+
 func TestBootstrapSinglePeer(t *testing.T) {
 	net, _ := buildNetwork(t, 1, 10, 1)
 	mustValidate(t, net)
@@ -83,9 +93,8 @@ func TestPaperFigure1aDistributed(t *testing.T) {
 		}
 		mustValidate(t, net)
 	}
-	snap := net.TreeSnapshot()
 	want := []keys.Key{"", "01", "101", "10101", "10111", "101111"}
-	if got := snap.Labels(); !reflect.DeepEqual(got, want) {
+	if got := labels(net); !reflect.DeepEqual(got, want) {
 		t.Fatalf("labels = %v, want %v", got, want)
 	}
 	if root, ok := net.Root(); !ok || root != keys.Epsilon {
@@ -367,7 +376,7 @@ func TestHashedPlacementBuildsSameTree(t *testing.T) {
 	lex, hsh := build(PlacementLexicographic), build(PlacementHashed)
 	mustValidate(t, lex)
 	mustValidate(t, hsh)
-	if !reflect.DeepEqual(lex.TreeSnapshot().Labels(), hsh.TreeSnapshot().Labels()) {
+	if !reflect.DeepEqual(labels(lex), labels(hsh)) {
 		t.Fatalf("placements must yield identical trees")
 	}
 }
@@ -544,6 +553,22 @@ func TestValidateChecksLinks(t *testing.T) {
 				t.Fatalf("Validate = %v, want an error about the link", err)
 			}
 		})
+	}
+}
+
+// Validate holds the links to the PGCP tree, not just to each other:
+// abc re-hung under a, with a's and ab's child lists edited to match,
+// keeps the label set and every pointer mutual, but ab, not a, is abc's
+// father in the PGCP tree over {a, ab, abc}.
+func TestValidateChecksCanonicalLinks(t *testing.T) {
+	net, _ := populate(t, 43, "a", "ab", "abc")
+	mustValidate(t, net)
+	a, ab, abc := net.nodes["a"], net.nodes["ab"], net.nodes["abc"]
+	a.Children = []Child{{Key: "ab", node: ab}, {Key: "abc", node: abc}}
+	ab.Children = nil
+	abc.Father = "a"
+	if err := net.Validate(); err == nil || !strings.Contains(err.Error(), "the PGCP tree's") {
+		t.Fatalf("Validate = %v, want an error about the PGCP tree's links", err)
 	}
 }
 

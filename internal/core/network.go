@@ -10,7 +10,6 @@ import (
 	"dlpt/internal/obs"
 	"dlpt/internal/ring"
 	"dlpt/internal/trace"
-	"dlpt/internal/trie"
 )
 
 // Placement selects how tree nodes are mapped onto peers.
@@ -448,8 +447,9 @@ func (net *Network) MoveNode(k, fromID, toID keys.Key) error {
 
 // Validate cross-checks every invariant of the overlay: ring order
 // and neighbour links, the mapping rule, the node index against the
-// peers' node sets, tree pointer consistency, and the PGCP property
-// (via a rebuilt reference trie).
+// peers' node sets, and the PGCP property: every node, with its father
+// and children, as the canonical pass over the sorted data keys
+// (buildCanonical) has it.
 func (net *Network) Validate() error {
 	if err := net.ring.Validate(); err != nil {
 		return err
@@ -497,8 +497,11 @@ func (net *Network) Validate() error {
 	if seen != len(net.nodes) || seen != len(net.nodeList) {
 		return fmt.Errorf("core: %d hosted nodes vs %d indexed, %d listed", seen, len(net.nodes), len(net.nodeList))
 	}
-	// Mapping rule and tree pointers, over the index.
-	roots := 0
+	// Mapping rule, and the tree against the canonical PGCP structure
+	// over the data keys: every node is a canonical label with the
+	// canonical father and children, each edge links the indexed
+	// child, and there are as many nodes as labels.
+	canon, root, hasRoot := net.canonical()
 	for i, n := range net.nodeList {
 		k := n.Key
 		if net.nodes[k] != n || int(n.pos) != i {
@@ -507,44 +510,28 @@ func (net *Network) Validate() error {
 		if host, _ := net.HostOf(k); host != n.host.ID {
 			return fmt.Errorf("core: node %q hosted on %q, mapping says %q", k, n.host.ID, host)
 		}
-		if !n.HasFather {
-			roots++
-			if !net.hasRoot || net.root != k {
-				return fmt.Errorf("core: root pointer %q does not match fatherless node %q", net.root, k)
-			}
-		} else if !keys.IsProperPrefix(n.Father, k) {
-			return fmt.Errorf("core: father %q of %q is not a proper prefix", n.Father, k)
+		if !strictlyAscending(n.Data) {
+			return fmt.Errorf("core: node %q values not strictly ascending", k)
 		}
-		if !strictlyAscending(n.ChildrenSorted()) || !strictlyAscending(n.Data) {
-			return fmt.Errorf("core: node %q children or values not strictly ascending", k)
+		cn := canon[k]
+		if cn == nil {
+			return fmt.Errorf("core: node %q is not a label of the PGCP tree", k)
+		}
+		if !linksCanonical(n, cn) {
+			return fmt.Errorf("core: node %q has father %q and %d children, the PGCP tree's has %q and %d",
+				k, n.Father, len(n.Children), cn.father, len(cn.kids))
 		}
 		for _, c := range n.Children {
-			cn, _, ok := net.nodeState(c.Key)
-			if !ok {
-				return fmt.Errorf("core: child %q of %q does not exist", c.Key, k)
-			}
-			if !cn.HasFather || cn.Father != k {
-				return fmt.Errorf("core: child %q of %q has father %q", c.Key, k, cn.Father)
-			}
-			if c.node != cn {
+			if c.node != net.nodes[c.Key] {
 				return fmt.Errorf("core: edge %q of %q does not link the indexed child", c.Key, k)
 			}
 		}
-		if n.HasFather {
-			fn, _, ok := net.nodeState(n.Father)
-			if !ok {
-				return fmt.Errorf("core: father %q of %q does not exist", n.Father, k)
-			}
-			if _, ok := fn.edge(k); !ok {
-				return fmt.Errorf("core: father %q does not list child %q", n.Father, k)
-			}
-		}
 	}
-	if net.hasRoot && roots != 1 {
-		return fmt.Errorf("core: %d fatherless nodes, want 1", roots)
+	if len(canon) != len(net.nodeList) {
+		return fmt.Errorf("core: %d nodes vs %d labels of the PGCP tree", len(net.nodeList), len(canon))
 	}
-	if !net.hasRoot && seen != 0 {
-		return fmt.Errorf("core: %d nodes but no root", seen)
+	if net.hasRoot != hasRoot || hasRoot && net.root != root {
+		return fmt.Errorf("core: root %q (%v), the PGCP tree's is %q (%v)", net.root, net.hasRoot, root, hasRoot)
 	}
 	// Replica placement: every replica sits on a peer of the ring, and
 	// every replica of a live node on its host's ring successor (the
@@ -561,43 +548,5 @@ func (net *Network) Validate() error {
 			return fmt.Errorf("core: replica of %q on %q, successor rule says %q", k, e.at.ID, want.ID)
 		}
 	}
-	// PGCP property: rebuild the key set into a reference trie and
-	// require identical node label sets.
-	if net.hasRoot {
-		ref := trie.New()
-		for _, n := range net.nodeList {
-			if n.HasData() {
-				ref.InsertKey(n.Key)
-			}
-		}
-		if err := ref.Validate(); err != nil {
-			return fmt.Errorf("core: reference trie invalid: %v", err)
-		}
-		want := make(map[keys.Key]bool)
-		for _, l := range ref.Labels() {
-			want[l] = true
-		}
-		for _, n := range net.nodeList {
-			if !want[n.Key] {
-				return fmt.Errorf("core: node %q not in reference PGCP tree", n.Key)
-			}
-		}
-		if len(want) != len(net.nodeList) {
-			return fmt.Errorf("core: %d nodes vs %d reference labels", len(net.nodeList), len(want))
-		}
-	}
 	return nil
-}
-
-// TreeSnapshot rebuilds a centralized trie.Tree equal to the
-// distributed tree (used by differential tests and by read-side
-// queries of the public API).
-func (net *Network) TreeSnapshot() *trie.Tree {
-	t := trie.New()
-	for _, n := range net.nodeList {
-		for _, v := range n.Data {
-			t.Insert(n.Key, v)
-		}
-	}
-	return t
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dlpt/internal/keys"
+	"dlpt/internal/trie"
 	"dlpt/internal/workload"
 )
 
@@ -77,6 +78,18 @@ func TestQueryEmptyTree(t *testing.T) {
 	}
 }
 
+// referenceTrie rebuilds the network's catalogue into a centralized
+// trie, the oracle of the distributed queries.
+func referenceTrie(net *Network) *trie.Tree {
+	t := trie.New()
+	for _, n := range net.nodeList {
+		for _, v := range n.Data {
+			t.Insert(n.Key, v)
+		}
+	}
+	return t
+}
+
 // TestQueryMatchesSnapshot differentially checks the distributed
 // traversal against the reference trie on random populations.
 func TestQueryMatchesSnapshot(t *testing.T) {
@@ -87,7 +100,7 @@ func TestQueryMatchesSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := net.TreeSnapshot()
+	snap := referenceTrie(net)
 	for trial := 0; trial < 40; trial++ {
 		lo := keys.LowerAlnum.RandomKey(r, 1, 6)
 		hi := keys.LowerAlnum.RandomKey(r, 1, 6)

@@ -470,22 +470,15 @@ func holdsAll(have, want []string) bool {
 	return true
 }
 
-// rebuildLinks recomputes the canonical PGCP structure over the
-// current data keys: stale structural nodes are dropped, missing
-// structural nodes recreated, and deviating father/child pointers and
-// the root reset. One repair message per actually-repaired node is
-// accounted — nodes whose links already match the canonical structure
-// cost nothing, so repeated recoveries of a mostly-intact tree are
-// cheap.
+// rebuildLinks repairs the tree to the canonical PGCP structure over
+// the current data keys (canonical, the pass Validate holds the tree
+// to): stale structural nodes are dropped, missing structural nodes
+// recreated, and deviating father/child pointers and the root reset.
+// One repair message per actually-repaired node is accounted — nodes
+// whose links already match the canonical structure cost nothing, so
+// repeated recoveries of a mostly-intact tree are cheap.
 func (net *Network) rebuildLinks() {
-	data := make([]keys.Key, 0, len(net.nodeList))
-	for _, n := range net.nodeList {
-		if n.HasData() {
-			data = append(data, n.Key)
-		}
-	}
-	keys.SortKeys(data)
-	want, root, hasRoot := buildCanonical(data)
+	want, root, hasRoot := net.canonical()
 
 	// Drop nodes that are not canonical labels (stale structural
 	// leftovers; data nodes are always canonical), backwards, as a
@@ -520,9 +513,23 @@ func (net *Network) rebuildLinks() {
 	net.root, net.hasRoot = root, hasRoot
 }
 
+// canonical computes the canonical PGCP structure over the current
+// data keys: buildCanonical over them, sorted.
+func (net *Network) canonical() (want map[keys.Key]*canonNode, root keys.Key, ok bool) {
+	data := make([]keys.Key, 0, len(net.nodeList))
+	for _, n := range net.nodeList {
+		if n.HasData() {
+			data = append(data, n.Key)
+		}
+	}
+	keys.SortKeys(data)
+	return buildCanonical(data)
+}
+
 // canonNode is one vertex of the structure computed by
 // buildCanonical: the father and children every live node must carry.
 type canonNode struct {
+	label     keys.Key
 	father    keys.Key
 	hasFather bool
 	kids      []Child // ascending and unlinked, as Node.Children
@@ -545,27 +552,28 @@ func linksCanonical(n *Node, cn *canonNode) bool {
 // the rightmost path, and a node's final father is known the moment
 // it leaves that path: either the label beneath it (still at least as
 // long as the branch point) or the branch point itself, interposed.
+// Every label is opened once: a branch point that is already a label
+// is a prefix of the last key, so it sits on the path, where the
+// unwinding stops.
 func buildCanonical(sorted []keys.Key) (want map[keys.Key]*canonNode, root keys.Key, ok bool) {
 	if len(sorted) == 0 {
 		return nil, keys.Epsilon, false
 	}
 	want = make(map[keys.Key]*canonNode, 2*len(sorted))
-	node := func(l keys.Key) *canonNode {
-		n, ok := want[l]
-		if !ok {
-			n = &canonNode{father: keys.Epsilon}
-			want[l] = n
-		}
+	// At most 2n-1 labels: the slab never grows, so its pointers hold.
+	slab := make([]canonNode, 0, 2*len(sorted))
+	open := func(l keys.Key) *canonNode {
+		slab = append(slab, canonNode{label: l})
+		n := &slab[len(slab)-1]
+		want[l] = n
 		return n
 	}
-	attach := func(father, child keys.Key) {
-		node(father).kids = append(node(father).kids, Child{Key: child})
-		c := node(child)
-		c.father, c.hasFather = father, true
+	attach := func(father, child *canonNode) {
+		father.kids = append(father.kids, Child{Key: child.label})
+		child.father, child.hasFather = father.label, true
 	}
-	stack := make([]keys.Key, 1, 16)
-	stack[0] = sorted[0]
-	node(sorted[0])
+	stack := make([]*canonNode, 1, 16)
+	stack[0] = open(sorted[0])
 	for i := 1; i < len(sorted); i++ {
 		g := keys.GCP(sorted[i-1], sorted[i])
 		// Unwind the rightmost path down to the branch point; after
@@ -573,24 +581,25 @@ func buildCanonical(sorted []keys.Key) (want map[keys.Key]*canonNode, root keys.
 		// attached only as it leaves the path — while it remains on
 		// it, a later key could still interpose a branch beneath the
 		// tentative father.
-		for len(stack[len(stack)-1]) > len(g) {
+		for len(stack[len(stack)-1].label) > len(g) {
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if len(stack) > 0 && len(stack[len(stack)-1]) >= len(g) {
+			if len(stack) > 0 && len(stack[len(stack)-1].label) >= len(g) {
 				attach(stack[len(stack)-1], top)
 				continue
 			}
 			// g sits strictly between top and the rest of the path
 			// (or the path is exhausted): interpose it.
-			attach(g, top)
-			stack = append(stack, g)
+			gn := open(g)
+			attach(gn, top)
+			stack = append(stack, gn)
 		}
-		stack = append(stack, sorted[i])
+		stack = append(stack, open(sorted[i]))
 	}
 	for len(stack) > 1 {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		attach(stack[len(stack)-1], top)
 	}
-	return want, stack[0], true
+	return want, stack[0].label, true
 }

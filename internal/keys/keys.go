@@ -8,6 +8,7 @@ package keys
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -170,7 +171,7 @@ func BetweenRightIncl(x, a, b Key) bool {
 
 // SortKeys sorts ks in increasing lexicographic order in place.
 func SortKeys(ks []Key) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 }
 
 // Bits returns the first n bits of k's byte representation as a

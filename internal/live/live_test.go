@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -387,16 +388,32 @@ func TestSnapshotQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := c.Snapshot()
-	if got := snap.Complete("sge", 0); len(got) != 2 {
+	ctx := context.Background()
+	s, err := c.StreamQuery(ctx, core.QuerySpec{Prefix: "sge"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := drain(t, s); len(got) != 2 {
 		t.Fatalf("Complete = %v", got)
 	}
-	if got := snap.Range("d", "e", 0); len(got) != 1 || got[0] != keys.Key("dgemm") {
+	s, err = c.StreamQuery(ctx, core.QuerySpec{Range: true, Lo: "d", Hi: "e"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := drain(t, s); len(got) != 1 || got[0] != keys.Key("dgemm") {
 		t.Fatalf("Range = %v", got)
 	}
 	if c.NumNodes() == 0 {
 		t.Fatalf("NumNodes = 0")
 	}
+}
+
+// declared lists the declared keys of a cluster, stopped or not, by a
+// completion over its network under the read lock.
+func declared(c *Cluster) []keys.Key {
+	c.Mu.RLock()
+	defer c.Mu.RUnlock()
+	return c.Net.Complete("", rand.New(rand.NewSource(1))).Keys
 }
 
 func TestStopIsIdempotentAndRejectsOps(t *testing.T) {
@@ -421,13 +438,15 @@ func TestStopIsIdempotentAndRejectsOps(t *testing.T) {
 	if ok, err := c.Unregister("k1", "v"); ok || !errors.Is(err, ErrStopped) {
 		t.Fatalf("Unregister after stop = %v, %v", ok, err)
 	}
-	if c.Snapshot().NumKeys() != 1 {
-		t.Fatalf("Unregister after stop edited the tree")
+	if got := declared(c); !slices.Equal(got, []keys.Key{"k1"}) {
+		t.Fatalf("the tree declares %q after refused mutations, want [k1]", got)
 	}
 }
 
 // TestDifferentialAgainstSnapshot routes every key through the live
-// cluster and cross-checks against the sequential reference.
+// cluster and cross-checks it against the corpus: a drained completion
+// declares exactly the corpus, and each routed Discover returns the
+// key's one value.
 func TestDifferentialAgainstSnapshot(t *testing.T) {
 	c := startCluster(t, 12)
 	corpus := workload.GridCorpus(200)
@@ -436,15 +455,19 @@ func TestDifferentialAgainstSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := c.Snapshot()
+	s, err := c.StreamQuery(context.Background(), core.QuerySpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(corpus)
+	keys.SortKeys(want)
+	if got, _ := drain(t, s); !slices.Equal(got, want) {
+		t.Fatalf("completion declares %d keys, the corpus %d", len(got), len(want))
+	}
 	for _, k := range corpus {
-		n, ok := snap.Lookup(k)
-		if !ok || !n.HasData() {
-			t.Fatalf("reference lost %q", k)
-		}
 		res, err := c.Discover(k)
-		if err != nil || !res.Found {
-			t.Fatalf("live lost %q", k)
+		if err != nil || !res.Found || !slices.Equal(res.Values, []string{string(k)}) {
+			t.Fatalf("live lost %q: %v, %v", k, res.Values, err)
 		}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"dlpt/internal/obs"
 	"dlpt/internal/persist"
 	"dlpt/internal/trace"
-	"dlpt/internal/trie"
 )
 
 // ErrStopped is returned by operations on a stopped cluster.
@@ -615,14 +614,6 @@ func (r *Runtime) NumNodes() int {
 	r.Mu.RLock()
 	defer r.Mu.RUnlock()
 	return r.Net.NumNodes()
-}
-
-// Snapshot returns a consistent copy of the whole tree (used by
-// whole-catalogue reads).
-func (r *Runtime) Snapshot() *trie.Tree {
-	r.Mu.RLock()
-	defer r.Mu.RUnlock()
-	return r.Net.TreeSnapshot()
 }
 
 // Validate cross-checks all overlay invariants.

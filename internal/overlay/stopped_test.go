@@ -3,6 +3,7 @@ package overlay_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dlpt/engine"
@@ -79,8 +80,11 @@ func TestStoppedRuntimeRefusesMutations(t *testing.T) {
 			check("ResetUnit", r.ResetUnit())
 			_, err = r.Balance("MLT")
 			check("Balance", err)
-			if n := r.Snapshot().NumKeys(); n != 10 {
-				t.Fatalf("tree holds %d keys after refused mutations, want 10", n)
+			r.Mu.RLock()
+			got := r.Net.Complete("", rand.New(rand.NewSource(1))).Keys
+			r.Mu.RUnlock()
+			if len(got) != 10 || got[0] != "svc000" || got[9] != "svc009" {
+				t.Fatalf("tree declares %q after refused mutations, want svc000..svc009", got)
 			}
 		})
 	}

@@ -58,16 +58,16 @@
 // page-aligned window of the file (one write(2) where there is none):
 // no system call, and the record sits in the OS cache as a write would
 // leave it. The window reads zero past the last record, so a zero length
-// ends a journal; rotation and Close cut the file back to its records,
-// and a reopened journal loses what follows its valid prefix. A fault on
-// the mapping fails the append like a failed write. Journal appends
-// ride the OS cache; a Replicate tick is the durability point. A tick
-// writes a new image only when the journal cannot carry it
-// (JournalCarries: an append failed, or the records journaled since the
-// image reach a quarter of its keys; the caller adds what only it knows,
-// a catalogue that changed without a record); otherwise the tick
-// journals its ring if that changed and fsyncs the journal
-// (SyncJournal), and the newest image plus its journal replay to the
+// ends a journal; the Commit after a rotation and Close cut the file
+// back to its records, and a reopened journal loses what follows its
+// valid prefix. A fault on the mapping fails the append like a failed
+// write. Journal appends ride the OS cache; a Replicate tick is the
+// durability point. A tick writes a new image only when the journal
+// cannot carry it (JournalCarries: an append failed, or the records
+// journaled since the image reach a quarter of its keys; the caller adds
+// what only it knows, a catalogue that changed without a record);
+// otherwise the tick journals its ring if that changed and fsyncs the
+// journal (SyncJournal), and the newest image plus its journal replay to the
 // same state, ring included (a ring record counts once per peer, so the
 // journal passes the rule by at most one ring). The durability
 // contract is therefore exactly the paper's replication model: everything
@@ -432,6 +432,9 @@ func (noEntries) Ascend(func(catalog.Entry) bool) {}
 type PendingSnapshot struct {
 	s   *Store
 	seq uint64
+	// rotated is the superseded epoch's journal, which takes no more
+	// appends; Commit cuts it back to its records and closes it.
+	rotated *journal
 	// healErr is the superseded epoch's first journal-append failure,
 	// surfaced by Commit.
 	healErr error
@@ -448,38 +451,46 @@ func (p *PendingSnapshot) Bytes() int { return p.bytes }
 // the only part of a snapshot that must be atomic with the caller's
 // state capture, so this is the only part the caller runs under its
 // cluster write lock. Everything that scales with catalogue size
-// (encode, write, fsync) happens in Commit, off the lock. Mutations
-// journaled between Begin and Commit land in the new epoch's journal
-// and replay on top of the committed snapshot; if the process dies
-// before Commit, Load falls back one epoch and replays both
-// journals.
+// (encode, write, fsync), and the cut of the rotated journal back to its
+// records, happens in Commit, off the lock. Mutations journaled between
+// Begin and Commit land in the new epoch's journal and replay on top of
+// the committed snapshot; if the process dies before Commit, Load falls
+// back one epoch and replays both journals (the rotated one ends at its
+// zeroed tail).
 func (s *Store) BeginSnapshot() (*PendingSnapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, errors.New("persist: store closed")
 	}
-	seq := s.seq + 1
-	if s.journal != nil {
-		_ = s.journal.Close()
-	}
-	s.seq = seq
+	p := &PendingSnapshot{s: s, seq: s.seq + 1, rotated: s.journal, healErr: s.appendErr}
+	s.seq, s.journal = p.seq, nil
 	s.records, s.image = 0, nil
 	if err := s.openJournalLocked(); err != nil {
+		if p.rotated != nil {
+			err = errors.Join(err, p.rotated.Close())
+		}
 		return nil, err
 	}
-	p := &PendingSnapshot{s: s, seq: seq, healErr: s.appendErr}
 	s.appendErr = nil
 	return p, nil
 }
 
 // Commit encodes and durably writes the snapshot allocated by
 // BeginSnapshot: temp file, fsync, rename, directory fsync, then
-// pruning of epochs older than the fallback. No store-wide lock is
-// held while encoding or syncing, so concurrent journal appends
-// proceed. It returns the committed epoch number.
+// pruning of epochs older than the fallback. First it cuts the rotated
+// journal back to its records and closes it; a failure there joins
+// Commit's error. No store-wide lock is held while encoding or syncing,
+// so concurrent journal appends proceed. It returns the committed epoch
+// number.
 func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, error) {
 	s := p.s
+	var closeErr error
+	if p.rotated != nil {
+		if err := p.rotated.Close(); err != nil {
+			closeErr = fmt.Errorf("persist: closing the rotated journal: %w", err)
+		}
+	}
 	buf := AppendImage(nil, p.seq, peers, cat)
 	p.bytes = len(buf)
 
@@ -494,7 +505,7 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: %w", err)
+		return 0, errors.Join(fmt.Errorf("persist: %w", err), closeErr)
 	}
 	_ = syncPath(s.dir) // best effort where directories cannot be synced
 
@@ -509,11 +520,11 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 		// letting them pass silently; the snapshot just written
 		// contains the state the lost records described, so durability
 		// is whole again from here on.
-		return p.seq, fmt.Errorf(
+		return p.seq, errors.Join(fmt.Errorf(
 			"persist: journal appends failed during the previous epoch (state healed by snapshot %d): %w",
-			p.seq, p.healErr)
+			p.seq, p.healErr), closeErr)
 	}
-	return p.seq, nil
+	return p.seq, closeErr
 }
 
 // pruneLocked removes snapshots (and their journals) older than the

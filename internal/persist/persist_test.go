@@ -553,6 +553,50 @@ func TestTruncatedJournalFailsAppend(t *testing.T) {
 	}
 }
 
+// The rotated journal keeps its preallocated tail through
+// BeginSnapshot, which runs under the caller's write lock, and Commit,
+// which runs off it, cuts the file back to its records.
+func TestCommitCutsRotatedJournal(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, k := range []string{"a", "b", "c"} {
+		if err := s.Append(false, k, "ep"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := s.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotated := s.jrnlPath(p.Seq() - 1)
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(rotated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	records := 0
+	valid, err := scanJournal(rotated, func([]byte) error { records++; return nil })
+	if err != nil || records != 3 {
+		t.Fatalf("the rotated journal scans %d records, %v", records, err)
+	}
+	if runtime.GOOS == "linux" && size() == valid {
+		t.Fatal("BeginSnapshot cut the rotated journal back under the caller's lock")
+	}
+	peers, nodes := testState()
+	if _, err := p.Commit(peers, entrySource(nodes)); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got != valid {
+		t.Fatalf("the rotated journal is %d bytes after Commit, its records %d", got, valid)
+	}
+}
+
 // TestBeginCommitCrashWindow pins the off-lock snapshot protocol's
 // crash safety: a process that dies between BeginSnapshot (journal
 // rotated into the new epoch) and Commit (snapshot file written)

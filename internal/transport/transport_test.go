@@ -172,8 +172,12 @@ func TestStopRejectsOps(t *testing.T) {
 	if ok, err := c.Unregister("k", "v"); ok || !errors.Is(err, ErrStopped) {
 		t.Fatalf("Unregister after stop = %v, %v", ok, err)
 	}
-	if c.Snapshot().NumKeys() != 1 {
-		t.Fatalf("Unregister after stop edited the tree")
+	c.Mu.RLock()
+	vals, ok := c.Net.Values("k")
+	n := c.Net.NumNodes()
+	c.Mu.RUnlock()
+	if !ok || len(vals) != 1 || n != 1 {
+		t.Fatalf("the tree holds %d nodes and k = %v after refused mutations, want k = [v] alone", n, vals)
 	}
 }
 

@@ -40,7 +40,7 @@ func busiestPeer(t *testing.T, reg *Registry) string {
 }
 
 // catalogue serializes the full observable catalogue: Services plus
-// Snapshot keys.
+// every service's endpoints, as Discover returns them.
 func catalogue(t *testing.T, reg *Registry) string {
 	t.Helper()
 	ctx := context.Background()
@@ -48,13 +48,15 @@ func catalogue(t *testing.T, reg *Registry) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := reg.Engine().Snapshot(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "services %v\n", svcs)
-	fmt.Fprintf(&b, "snapshot %v\n", snap.Keys())
+	for _, name := range svcs {
+		svc, ok, err := reg.Discover(ctx, name)
+		if err != nil || !ok {
+			t.Fatalf("Discover(%q) = %v, %v", name, ok, err)
+		}
+		fmt.Fprintf(&b, "endpoints %s %v\n", name, svc.Endpoints)
+	}
 	return b.String()
 }
 
