@@ -433,8 +433,7 @@ func TestRecoverKeepsAckedSet(t *testing.T) {
 }
 
 // rehomeChecked wraps a local engine and runs the reference re-home
-// after every join, leave, recovery and balancing round that moved a
-// node: a full rescan that checks the replica of every live node against
+// after every join, leave, recovery and balancing round: a full rescan that checks the replica of every live node against
 // the successor rule must find nothing to move.
 type rehomeChecked struct {
 	engine.Engine
@@ -486,7 +485,7 @@ func (e rehomeChecked) Recover(ctx context.Context) (engine.RecoveryReport, erro
 
 func (e rehomeChecked) Balance(ctx context.Context, strategy string) (int, error) {
 	moves, err := e.Engine.Balance(ctx, strategy)
-	if err == nil && moves > 0 {
+	if err == nil {
 		err = e.misplaced("balancing round")
 	}
 	return moves, err
@@ -515,7 +514,7 @@ func TestRehomeIsExact(t *testing.T) {
 		}
 		msgs, moved = msgs+ms.ReplicaTransferMsgs, moved+ms.ReplicaTransferredNodes
 	}
-	if msgs != 3141 || moved != 22572 {
-		t.Fatalf("%d transfer messages moving %d replicas, want 3141 moving 22572", msgs, moved)
+	if msgs != 3142 || moved != 22573 {
+		t.Fatalf("%d transfer messages moving %d replicas, want 3142 moving 22573", msgs, moved)
 	}
 }

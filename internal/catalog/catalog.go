@@ -1,13 +1,13 @@
 // Package catalog is the shared marshalling layer for node
-// catalogues: the sorted set of tree-node states that snapshots
-// persist and REPLICA frames ship. Every encoded catalogue is
-// a self-describing envelope
+// catalogues: the sorted set of data keys and their values that every
+// overlay image (snapshot files, HELLO, RESYNC) carries. Every encoded
+// catalogue is a self-describing envelope
 //
 //	version(1) | sections(1) | payload
 //
 // where the version byte selects the codec and the sections byte
-// records which optional per-entry sections (values, structure,
-// loads) the payload carries. Two versions exist:
+// records whether the payload carries each entry's values (SecValues,
+// the only section). Two versions exist:
 //
 //	version 0 — legacy: the verbose length-prefixed encoding the
 //	            transport frames used historically. Read-only: it
@@ -15,7 +15,7 @@
 //	version 1 — LOUDS: a succinct trie encoding (see louds.go) that
 //	            stores the key set as a breadth-first LOUDS bitmap
 //	            with a rank/select directory, one label byte per trie
-//	            node, and deduplicated value/structure sections. On
+//	            node, and a deduplicated value section. On
 //	            prefix-sharing service-key corpora it is roughly an
 //	            order of magnitude smaller than the legacy form.
 //
@@ -33,37 +33,20 @@ import (
 	"strings"
 )
 
-// Entry is one catalogue entry: a tree node's key plus the optional
-// sections a particular use carries (snapshots: values; replica
-// batches: values and loads; the structure fields only decode, from
-// envelopes earlier versions wrote).
+// Entry is one catalogue entry: a data key and its registered values.
 type Entry struct {
-	Key       string
-	Values    []string
-	Father    string
-	HasFather bool
-	Children  []string
-	LoadPrev  int
-	LoadCur   int
+	Key    string
+	Values []string
 }
 
 // Sections says which per-entry sections an encoded catalogue
 // carries. Keys are always present.
 type Sections uint8
 
-const (
-	// SecValues carries each entry's registered values.
-	SecValues Sections = 1 << iota
-	// SecStruct carries each entry's father and children links. It is
-	// decode-only: earlier REPLICA frames wrote it, and no encoder does
-	// any more.
-	SecStruct
-	// SecLoads carries each entry's load history (LoadPrev, LoadCur).
-	SecLoads
-
-	// SecAll is every section a decoder reads.
-	SecAll = SecValues | SecStruct | SecLoads
-)
+// SecValues carries each entry's registered values. It is the only
+// section: the load and structure sections only earlier REPLICA frames
+// carried, never an image, and a decoder refuses them.
+const SecValues Sections = 1
 
 // Codec encodes and decodes the payload part of an envelope. The
 // envelope (version and sections bytes) is handled by Append/Decode.
@@ -100,7 +83,7 @@ func envelope(p []byte) (decoder, Sections, []byte, error) {
 		return nil, 0, nil, errors.New("catalog: truncated envelope")
 	}
 	secs := Sections(p[1])
-	if secs&^SecAll != 0 {
+	if secs&^SecValues != 0 {
 		return nil, 0, nil, fmt.Errorf("catalog: unknown sections 0x%02x", p[1])
 	}
 	switch p[0] {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dlpt/internal/workload"
@@ -29,32 +30,20 @@ func corpus(n int) []string {
 	return out
 }
 
-func entriesFor(ks []string, full bool) []Entry {
+func entriesFor(ks []string) []Entry {
 	entries := make([]Entry, len(ks))
 	for i, k := range ks {
 		entries[i] = Entry{Key: k, Values: []string{"ep://grid-" + fmt.Sprint(i%16)}}
-		if full {
-			if len(k) > 1 {
-				entries[i].Father = k[:len(k)-1]
-				entries[i].HasFather = true
-			}
-			entries[i].LoadPrev = i % 7
-			entries[i].LoadCur = i % 5
-		}
 	}
 	return entries
 }
 
 func TestRoundTripBothCodecs(t *testing.T) {
 	ks := corpus(500)
-	for _, full := range []bool{false, true} {
-		secs := SecValues
-		if full {
-			secs = SecAll
-		}
-		want := canonicalize(entriesFor(ks, full))
+	for _, secs := range []Sections{0, SecValues} {
+		want := expectEntries(entriesFor(ks), secs)
 		for _, c := range []Codec{Legacy, LOUDS} {
-			enc := appendAny(nil, c, entriesFor(ks, full), secs)
+			enc := Append(nil, c, entriesFor(ks), secs)
 			got, gotSecs, err := Decode(enc)
 			if err != nil {
 				t.Fatalf("codec v%d: decode: %v", c.Version(), err)
@@ -67,37 +56,6 @@ func TestRoundTripBothCodecs(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestRoundTripWithChildren(t *testing.T) {
-	entries := []Entry{
-		{Key: "", Values: []string{"root"}, Children: []string{"dge", "sge"}},
-		{Key: "dgemm", Values: []string{"a", "b"}, Father: "dge", HasFather: true},
-		{Key: "dgemv", Father: "dge", HasFather: true},
-		{Key: "sgemm", Father: "sge", HasFather: true, Children: []string{"sgemm_v2"}},
-		{Key: "sgemm_v2", Values: []string{"a"}, Father: "sgemm", HasFather: true},
-	}
-	for _, c := range []Codec{Legacy, LOUDS} {
-		enc := appendAny(nil, c, entries, SecAll)
-		got, _, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("codec v%d: decode: %v", c.Version(), err)
-		}
-		if !entriesEqual(got, entries) {
-			t.Fatalf("codec v%d: mismatch\ngot  %+v\nwant %+v", c.Version(), got, entries)
-		}
-	}
-}
-
-// TestStructSectionIsDecodeOnly: the encoder refuses to write the
-// structure section rather than write an envelope its header misdescribes.
-func TestStructSectionIsDecodeOnly(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Append wrote a structure section")
-		}
-	}()
-	Append(nil, LOUDS, []Entry{{Key: "a", Children: []string{"ab"}}}, SecStruct)
 }
 
 func TestUnsortedInputCanonicalizes(t *testing.T) {
@@ -134,7 +92,7 @@ func TestEmptyCatalogue(t *testing.T) {
 // at most 3 bytes a key (the verbose encoding LOUDS replaced cost 14).
 // Encoded sizes are deterministic, so the ceiling needs no allowance.
 func TestSuccinctSizeWin(t *testing.T) {
-	entries := entriesFor(corpus(10000), false)
+	entries := entriesFor(corpus(10000))
 	legacy := len(Append(nil, Legacy, entries, SecValues))
 	louds := len(Append(nil, LOUDS, entries, SecValues))
 	t.Logf("legacy=%d bytes (%.1f/key), louds=%d bytes (%.1f/key), ratio=%.1fx",
@@ -157,9 +115,9 @@ func TestSuccinctSizeWin(t *testing.T) {
 }
 
 func TestDeterministicEncoding(t *testing.T) {
-	entries := entriesFor(corpus(300), true)
-	a := Append(nil, LOUDS, entries, SecValues|SecLoads)
-	b := Append(nil, LOUDS, entries, SecValues|SecLoads)
+	entries := entriesFor(corpus(300))
+	a := Append(nil, LOUDS, entries, SecValues)
+	b := Append(nil, LOUDS, entries, SecValues)
 	if string(a) != string(b) {
 		t.Fatal("encoding is not deterministic")
 	}
@@ -167,7 +125,7 @@ func TestDeterministicEncoding(t *testing.T) {
 
 func TestHostileInputsDoNotPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	seed := appendAny(nil, LOUDS, entriesFor(corpus(64), true), SecAll)
+	seed := Append(nil, LOUDS, entriesFor(corpus(64)), SecValues)
 	for i := 0; i < 5000; i++ {
 		p := append([]byte(nil), seed...)
 		// Flip a handful of bytes and truncate somewhere.
@@ -182,7 +140,7 @@ func TestHostileInputsDoNotPanic(t *testing.T) {
 }
 
 func TestViewStreamsLazily(t *testing.T) {
-	entries := entriesFor(corpus(100), false)
+	entries := entriesFor(corpus(100))
 	enc := Append(nil, LOUDS, entries, SecValues)
 	v, err := NewView(enc)
 	if err != nil {
@@ -202,30 +160,9 @@ func TestViewStreamsLazily(t *testing.T) {
 }
 
 func entriesEqual(a, b []Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.Key != y.Key || x.Father != y.Father || x.HasFather != y.HasFather ||
-			x.LoadPrev != y.LoadPrev || x.LoadCur != y.LoadCur {
-			return false
-		}
-		if len(x.Values) != len(y.Values) || len(x.Children) != len(y.Children) {
-			return false
-		}
-		for j := range x.Values {
-			if x.Values[j] != y.Values[j] {
-				return false
-			}
-		}
-		for j := range x.Children {
-			if x.Children[j] != y.Children[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y Entry) bool {
+		return x.Key == y.Key && slices.Equal(x.Values, y.Values)
+	})
 }
 
 // TestAppendPrefixed checks the in-place length prefix on both sides of

@@ -7,33 +7,18 @@ import (
 )
 
 // fuzzEntries builds a catalogue from fuzzed blobs: keys and values
-// come NUL-separated, structure links point back into the key set so
-// the LOUDS trie must spell them, and the father of a fatherless
-// entry is empty (the canonical form both codecs agree on).
-func fuzzEntries(keysBlob, valsBlob, father string, hasFather bool, lp, lc int) []Entry {
+// come NUL-separated, and some entries carry two values.
+func fuzzEntries(keysBlob, valsBlob string) []Entry {
 	ks := splitBlob(keysBlob)
 	vals := splitBlob(valsBlob)
-	if lp < 0 {
-		lp = -lp
-	}
-	if lc < 0 {
-		lc = -lc
-	}
 	entries := make([]Entry, 0, len(ks))
 	for i, k := range ks {
-		e := Entry{Key: k, LoadPrev: lp + i, LoadCur: lc}
+		e := Entry{Key: k}
 		if len(vals) > 0 {
 			e.Values = append(e.Values, vals[i%len(vals)])
 			if i%3 == 0 {
 				e.Values = append(e.Values, vals[0])
 			}
-		}
-		if i%2 == 0 && hasFather {
-			e.HasFather = true
-			e.Father = father
-		}
-		if i%2 == 1 {
-			e.Children = []string{ks[(i+1)%len(ks)], father}
 		}
 		entries = append(entries, e)
 	}
@@ -49,27 +34,13 @@ func splitBlob(blob string) []string {
 }
 
 // expectEntries is the canonical decode image of entries under secs:
-// sorted with later duplicates winning, absent sections zeroed, empty
-// slices nil.
+// sorted with later duplicates winning, values dropped unless secs
+// carries them, empty slices nil.
 func expectEntries(entries []Entry, secs Sections) []Entry {
 	want := append([]Entry(nil), canonicalize(entries)...)
 	for i := range want {
-		e := &want[i]
-		if secs&SecValues == 0 || len(e.Values) == 0 {
+		if e := &want[i]; secs&SecValues == 0 || len(e.Values) == 0 {
 			e.Values = nil
-		}
-		if secs&SecStruct == 0 {
-			e.Father, e.HasFather, e.Children = "", false, nil
-		} else {
-			if !e.HasFather {
-				e.Father = ""
-			}
-			if len(e.Children) == 0 {
-				e.Children = nil
-			}
-		}
-		if secs&SecLoads == 0 {
-			e.LoadPrev, e.LoadCur = 0, 0
 		}
 	}
 	if len(want) == 0 {
@@ -81,22 +52,21 @@ func expectEntries(entries []Entry, secs Sections) []Entry {
 // FuzzCatalogRoundTrip encodes fuzz-built catalogues through both
 // codecs and demands the decode equal the canonical image — and that
 // the two codecs, fed the same entries, decode to identical values.
-// This is the byte-determinism contract snapshots and REPLICA frames
-// rest on.
+// This is the byte-determinism contract overlay images rest on.
 func FuzzCatalogRoundTrip(f *testing.F) {
-	f.Add("a\x00ab\x00abc", "v1\x00v2", "a", true, 3, 9, byte(SecAll))
-	f.Add("", "", "", false, 0, 0, byte(0))
-	f.Add("dup\x00dup\x00z", "x", "dup", true, 1, 2, byte(SecValues|SecLoads))
-	f.Add("k\xffe\x00y\x00", "\x01\x02", "\xff", true, 1<<20, 7, byte(SecStruct))
+	f.Add("a\x00ab\x00abc", "v1\x00v2", byte(SecValues))
+	f.Add("", "", byte(0))
+	f.Add("dup\x00dup\x00z", "x", byte(SecValues))
+	f.Add("k\xffe\x00y\x00", "\x01\x02", byte(0))
 
-	f.Fuzz(func(t *testing.T, keysBlob, valsBlob, father string, hasFather bool, lp, lc int, secsByte byte) {
-		secs := Sections(secsByte) & SecAll
-		entries := fuzzEntries(keysBlob, valsBlob, father, hasFather, lp, lc)
+	f.Fuzz(func(t *testing.T, keysBlob, valsBlob string, secsByte byte) {
+		secs := Sections(secsByte) & SecValues
+		entries := fuzzEntries(keysBlob, valsBlob)
 		want := expectEntries(entries, secs)
 
 		decoded := make([][]Entry, 0, 2)
 		for _, c := range []Codec{Legacy, LOUDS} {
-			enc := appendAny(nil, c, entries, secs)
+			enc := Append(nil, c, entries, secs)
 			if enc[0] != c.Version() || Sections(enc[1]) != secs {
 				t.Fatalf("codec %d envelope header = %x/%x", c.Version(), enc[0], enc[1])
 			}
@@ -125,18 +95,24 @@ func FuzzCatalogRoundTrip(f *testing.F) {
 // decoder. The decoder owns the trust boundary with remote peers and
 // with snapshot files on disk: whatever the bytes — hostile bitmaps,
 // truncated sections, flipped version bytes — it must return an error
-// rather than panic or over-allocate. When the bytes do parse, the
-// decoded catalogue must re-encode and re-decode to its own canonical
-// image (decode is a fixpoint under every registered codec).
+// rather than panic or over-allocate, and Decode and NewView accept
+// only a registered version and a sections byte of 0 or SecValues.
+// When the bytes do parse, the decoded catalogue must re-encode and
+// re-decode to its own canonical image (decode is a fixpoint under
+// every registered codec).
 func FuzzCatalogDecode(f *testing.F) {
 	entries := []Entry{
-		{Key: "srv/a", Values: []string{"v"}, HasFather: true, Father: "srv", LoadCur: 2},
-		{Key: "srv/ab", Children: []string{"srv/a"}, LoadPrev: 1},
+		{Key: "srv/a", Values: []string{"v"}},
+		{Key: "srv/ab"},
 		{Key: "t", Values: []string{"v", "w"}},
 	}
 	for _, c := range []Codec{Legacy, LOUDS} {
-		for _, secs := range []Sections{0, SecValues, SecStruct, SecLoads, SecAll} {
-			enc := appendAny(nil, c, entries, secs)
+		// Besides the two sections bytes an encoder writes, headers
+		// naming the structure and load sections earlier REPLICA frames
+		// carried, which a decoder refuses.
+		for _, secs := range []byte{0, byte(SecValues), 2, 4, 7} {
+			enc := Append(nil, c, entries, Sections(secs)&SecValues)
+			enc[1] = secs
 			f.Add(enc)
 			// Truncations chop mid-section; the downgrade flips the
 			// version byte so one codec parses the other's payload.
@@ -153,17 +129,20 @@ func FuzzCatalogDecode(f *testing.F) {
 	f.Add([]byte{1, 0, 3, 1, 0xff, 'a', 'b', 0x07})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		known := len(data) >= 2 && data[0] <= versionLOUDS && data[1] <= byte(SecValues)
+		if _, err := NewView(data); err == nil && !known {
+			t.Fatalf("NewView accepted the header %x", data[:2])
+		}
 		entries, secs, err := Decode(data)
 		if err != nil {
 			return
 		}
-
-		if data[0] != versionLegacy && data[0] != versionLOUDS {
-			t.Fatalf("Decode accepted unregistered version %d", data[0])
+		if !known {
+			t.Fatalf("Decode accepted the header %x", data[:2])
 		}
 		want := expectEntries(entries, secs)
 		for _, rc := range []Codec{Legacy, LOUDS} {
-			got, gotSecs, err := Decode(appendAny(nil, rc, entries, secs))
+			got, gotSecs, err := Decode(Append(nil, rc, entries, secs))
 			if err != nil {
 				t.Fatalf("re-encode with codec %d: %v", rc.Version(), err)
 			}

@@ -8,11 +8,11 @@ import (
 
 // legacyCodec decodes version 0: the verbose length-prefixed entry
 // encoding the transport REPLICA frames and snapshots used before the
-// succinct codec existed. One entry costs its full key plus every
-// section inline — no sharing, no deduplication. Nothing writes it any
-// more (the encoder survives in legacy_test.go as the reference the
-// fuzzers hold LOUDS against); it stays readable so every snapshot
-// ever written loads.
+// succinct codec existed. One entry costs its full key plus its values
+// inline — no sharing, no deduplication. Nothing writes it any more
+// (the encoder survives in legacy_test.go as the reference the fuzzers
+// hold LOUDS against); it stays readable so every snapshot ever
+// written loads.
 type legacyCodec struct{}
 
 func (legacyCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
@@ -32,30 +32,6 @@ func (legacyCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
 		if e.Key, p, err = getString(p); err != nil {
 			return nil, fmt.Errorf("catalog: entry %d key: %w", i, err)
 		}
-		if secs&SecStruct != 0 {
-			if e.Father, p, err = getString(p); err != nil {
-				return nil, fmt.Errorf("catalog: entry %d father: %w", i, err)
-			}
-			if len(p) < 1 {
-				return nil, errors.New("catalog: truncated hasFather")
-			}
-			e.HasFather = p[0] != 0
-			p = p[1:]
-			var m uint64
-			if m, p, err = getUvarint(p); err != nil {
-				return nil, fmt.Errorf("catalog: entry %d child count: %w", i, err)
-			}
-			if m > uint64(len(p)) {
-				return nil, errors.New("catalog: implausible child count")
-			}
-			for j := uint64(0); j < m; j++ {
-				var c string
-				if c, p, err = getString(p); err != nil {
-					return nil, fmt.Errorf("catalog: entry %d child %d: %w", i, j, err)
-				}
-				e.Children = append(e.Children, c)
-			}
-		}
 		if secs&SecValues != 0 {
 			var m uint64
 			if m, p, err = getUvarint(p); err != nil {
@@ -71,17 +47,6 @@ func (legacyCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
 				}
 				e.Values = append(e.Values, v)
 			}
-		}
-		if secs&SecLoads != 0 {
-			var v uint64
-			if v, p, err = getUvarint(p); err != nil {
-				return nil, fmt.Errorf("catalog: entry %d loadPrev: %w", i, err)
-			}
-			e.LoadPrev = int(v)
-			if v, p, err = getUvarint(p); err != nil {
-				return nil, fmt.Errorf("catalog: entry %d loadCur: %w", i, err)
-			}
-			e.LoadCur = int(v)
 		}
 		out = append(out, e)
 	}

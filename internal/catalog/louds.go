@@ -21,20 +21,12 @@ import (
 //	labels  — one byte per non-root node, BFS order
 //	entries — one bit per node marking the nodes that carry an entry
 //
-// followed by the optional sections, each length-prefixed:
-//
-//	values  — a sorted distinct-value table plus run-length-grouped
-//	          per-entry varint references into it (a run of entries
-//	          sharing one value list costs a few bytes total instead
-//	          of a full copy — or even a count — per entry)
-//	struct  — per entry, the father and children links as trie-node
-//	          indexes (a full key collapses to a varint because the
-//	          trie already spells it); decode-only: earlier REPLICA
-//	          frames wrote it, the encoder no longer does
-//	loads   — per entry, LoadPrev and LoadCur varints
-//
-// Per-entry section records are in lexicographic key order — the
-// depth-first order of the trie — so decoding streams them in step
+// followed, when SecValues is set, by the length-prefixed values
+// section: a sorted distinct-value table plus run-length-grouped
+// per-entry varint references into it (a run of entries sharing one
+// value list costs a few bytes total instead of a full copy — or even
+// a count — per entry). The references are in lexicographic key order —
+// the depth-first order of the trie — so decoding streams them in step
 // with the walk. Keys sharing prefixes share trie paths, which on
 // service-name corpora shrinks the key bytes by roughly an order of
 // magnitude; the rank directory is rebuilt at decode time from the
@@ -81,27 +73,6 @@ func (b *bitvec) rank1(i int) int {
 		r += bits.OnesCount64(b.words[w] & (1<<off - 1))
 	}
 	return r
-}
-
-// rank0 counts zeros in [0, i).
-func (b *bitvec) rank0(i int) int { return i - b.rank1(i) }
-
-// select1 returns the position of the i-th one (0-based), or -1.
-func (b *bitvec) select1(i int) int {
-	if i < 0 || i >= b.ones() {
-		return -1
-	}
-	// Last word whose cumulative rank is still <= i.
-	lo, hi := 0, len(b.words)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if int(b.ranks[mid]) <= i {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return lo<<6 + selectInWord(b.words[lo], i-int(b.ranks[lo]))
 }
 
 // select0 returns the position of the i-th zero (0-based), or -1.
@@ -208,11 +179,8 @@ func (loudsCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []by
 
 // appendLOUDS is AppendPayload over a sequence it walks several times:
 // sorted, distinct keys are encoded straight from it, anything else
-// from its canonical copy. It writes no structure section (SecStruct).
+// from its canonical copy.
 func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
-	if secs&SecStruct != 0 {
-		panic("catalog: the structure section is decode-only")
-	}
 	m, nv, prev := 0, 0, ""
 	for e := range entries {
 		if m > 0 && e.Key <= prev {
@@ -232,14 +200,6 @@ func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
 	}, m)
 	if secs&SecValues != 0 {
 		dst = AppendPrefixed(dst, func(sec []byte) []byte { return appendValues(sec, entries, nv) })
-	}
-	if secs&SecLoads != 0 {
-		dst = AppendPrefixed(dst, func(sec []byte) []byte {
-			for e := range entries {
-				sec = binary.AppendUvarint(binary.AppendUvarint(sec, uint64(e.LoadPrev)), uint64(e.LoadCur))
-			}
-			return sec
-		})
 	}
 	return dst
 }

@@ -12,22 +12,10 @@ import (
 // as the test-side reference: it inserts every string into a byte trie
 // of linked nodes, numbers the nodes breadth-first with a queue and
 // looks each string's terminal up in a map. FuzzLOUDSMatchesReference
-// holds the production encoder to its bytes, and it alone still writes
-// the structure section earlier versions wrote (appendAny), for the
-// decoder's tests.
+// holds the production encoder to its bytes.
 
 // writtenMasks are the section masks the LOUDS encoder writes.
-var writtenMasks = []Sections{0, SecValues, SecLoads, SecValues | SecLoads}
-
-// appendAny is Append for the tests: a LOUDS envelope with the
-// structure section, which no encoder writes any more, comes from the
-// reference encoder, byte for byte what earlier versions wrote.
-func appendAny(dst []byte, c Codec, entries []Entry, secs Sections) []byte {
-	if c == LOUDS && secs&SecStruct != 0 {
-		return referenceLOUDS(append(dst, versionLOUDS, byte(secs)), entries, secs)
-	}
-	return Append(dst, c, entries, secs)
-}
+var writtenMasks = []Sections{0, SecValues}
 
 // bnode is one trie node during reference encoding.
 type bnode struct {
@@ -67,15 +55,7 @@ func referenceLOUDS(dst []byte, entries []Entry, secs Sections) []byte {
 	strs := make([]string, 0, len(entries))
 	for _, e := range entries {
 		strs = append(strs, e.Key)
-		if secs&SecStruct != 0 {
-			if e.HasFather {
-				strs = append(strs, e.Father)
-			}
-			strs = append(strs, e.Children...)
-		}
 	}
-	sort.Strings(strs)
-	strs = slices.Compact(strs)
 	root, at := buildTrie(strs)
 
 	n := 0
@@ -144,29 +124,6 @@ func referenceLOUDS(dst []byte, entries []Entry, secs Sections) []byte {
 		}
 		section(sec)
 	}
-	if secs&SecStruct != 0 {
-		var sec []byte
-		for _, e := range entries {
-			if e.HasFather {
-				sec = binary.AppendUvarint(sec, uint64(at[e.Father].id)+1)
-			} else {
-				sec = binary.AppendUvarint(sec, 0)
-			}
-			sec = binary.AppendUvarint(sec, uint64(len(e.Children)))
-			for _, c := range e.Children {
-				sec = binary.AppendUvarint(sec, uint64(at[c].id))
-			}
-		}
-		section(sec)
-	}
-	if secs&SecLoads != 0 {
-		var sec []byte
-		for _, e := range entries {
-			sec = binary.AppendUvarint(sec, uint64(e.LoadPrev))
-			sec = binary.AppendUvarint(sec, uint64(e.LoadCur))
-		}
-		section(sec)
-	}
 	return dst
 }
 
@@ -175,14 +132,14 @@ func referenceLOUDS(dst []byte, entries []Entry, secs Sections) []byte {
 // the encoder writes: the sorted-order build changes how the envelope
 // is computed, never what it is.
 func FuzzLOUDSMatchesReference(f *testing.F) {
-	f.Add("a\x00ab\x00abc", "v1\x00v2", "a", true, 3, 9)
-	f.Add("", "", "", false, 0, 0)
-	f.Add("dup\x00dup\x00z", "x", "dup", true, 1, 2)
-	f.Add("k\xffe\x00y\x00", "\x01\x02", "\xff", true, 1<<20, 7)
-	f.Add("dgemm\x00dge\x00dgemv\x00sgemm\x00s", "ep://1\x00ep://2", "dg", true, 200, 1)
+	f.Add("a\x00ab\x00abc", "v1\x00v2")
+	f.Add("", "")
+	f.Add("dup\x00dup\x00z", "x")
+	f.Add("k\xffe\x00y\x00", "\x01\x02")
+	f.Add("dgemm\x00dge\x00dgemv\x00sgemm\x00s", "ep://1\x00ep://2")
 
-	f.Fuzz(func(t *testing.T, keysBlob, valsBlob, father string, hasFather bool, lp, lc int) {
-		entries := fuzzEntries(keysBlob, valsBlob, father, hasFather, lp, lc)
+	f.Fuzz(func(t *testing.T, keysBlob, valsBlob string) {
+		entries := fuzzEntries(keysBlob, valsBlob)
 		for _, secs := range writtenMasks {
 			want := append([]byte{versionLOUDS, byte(secs)}, referenceLOUDS(nil, entries, secs)...)
 			if got := Append(nil, LOUDS, entries, secs); string(got) != string(want) {
@@ -194,8 +151,7 @@ func FuzzLOUDSMatchesReference(f *testing.F) {
 
 // TestLOUDSMatchesReferenceRandom runs the differential on seeded random
 // catalogues over a three-letter alphabet, so prefixes nest deeply and
-// keys repeat: unsorted input, duplicates, the empty key and structure
-// links that are no entry's key all occur.
+// keys repeat: unsorted input, duplicates and the empty key all occur.
 func TestLOUDSMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	word := func() string {
@@ -208,13 +164,9 @@ func TestLOUDSMatchesReferenceRandom(t *testing.T) {
 	for round := 0; round < 1000; round++ {
 		entries := make([]Entry, rng.Intn(12))
 		for i := range entries {
-			e := Entry{Key: word(), LoadPrev: rng.Intn(300), LoadCur: rng.Intn(3)}
+			e := Entry{Key: word()}
 			for j := rng.Intn(3); j > 0; j-- {
 				e.Values = append(e.Values, word())
-				e.Children = append(e.Children, word())
-			}
-			if e.HasFather = rng.Intn(2) == 0; e.HasFather {
-				e.Father = word()
 			}
 			entries[i] = e
 		}

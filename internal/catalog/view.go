@@ -9,7 +9,7 @@ import (
 // envelope bytes (possibly a memory-mapped snapshot region) plus the
 // small rank/select directory rebuilt from the LOUDS bitmap, and
 // materializes entries only as Ascend walks them — the lazy
-// cold-restart path. Keys, values and links are copied out of the
+// cold-restart path. Keys and values are copied out of the
 // underlying bytes as they are produced, so the mapping may be
 // released once the walk (or the last walk) returns.
 //
@@ -30,8 +30,6 @@ type View struct {
 	valRaw []byte
 	valStr []string // memoized materialized values
 	refs   []byte   // per-entry value references
-	strct  []byte   // per-entry father/children records
-	loads  []byte   // per-entry load records
 }
 
 // span is one string's location inside a section's raw bytes.
@@ -103,22 +101,12 @@ func viewFromPayload(p []byte, secs Sections) (*View, error) {
 	}
 
 	if secs&SecValues != 0 {
-		var sec []byte
-		if sec, p, err = getSection(p); err != nil {
+		sec, _, err := getSection(p)
+		if err != nil {
 			return nil, fmt.Errorf("catalog: value section: %w", err)
 		}
 		if err := v.indexValueTable(sec); err != nil {
 			return nil, err
-		}
-	}
-	if secs&SecStruct != 0 {
-		if v.strct, p, err = getSection(p); err != nil {
-			return nil, fmt.Errorf("catalog: struct section: %w", err)
-		}
-	}
-	if secs&SecLoads != 0 {
-		if v.loads, _, err = getSection(p); err != nil {
-			return nil, fmt.Errorf("catalog: load section: %w", err)
 		}
 	}
 	return v, nil
@@ -190,33 +178,10 @@ func (v *View) run(j int) (int, int) {
 	return start, v.louds.select0(j)
 }
 
-// nodeString spells node id's key by walking its ancestor chain. The
-// bool is false when the chain is corrupt (a cycle or an id outside
-// the trie).
-func (v *View) nodeString(id int) (string, bool) {
-	buf := make([]byte, 0, 16)
-	for steps := 0; id != 0; steps++ {
-		if id < 0 || id >= v.n || steps >= v.n {
-			return "", false // outside the trie, or a cycle in a hostile bitmap
-		}
-		buf = append(buf, v.labels[id-1])
-		pos := v.louds.select1(id - 1)
-		if pos < 0 {
-			return "", false
-		}
-		id = v.louds.rank0(pos)
-	}
-	for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
-		buf[i], buf[j] = buf[j], buf[i]
-	}
-	return string(buf), true
-}
-
 // Ascend walks the catalogue in ascending key order, materializing
-// one entry at a time. The walk stops early when yield returns
-// false; the per-entry section cursors make a stopped walk
-// non-resumable (open a fresh View to walk again — Views over
-// snapshots are cheap).
+// one entry at a time. The walk stops early when yield returns false;
+// the value cursor makes a stopped walk non-resumable (open a fresh
+// View to walk again — Views over snapshots are cheap).
 func (v *View) Ascend(yield func(Entry) bool) error {
 	if v.louds == nil {
 		for _, e := range v.eager {
@@ -230,7 +195,6 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 	stack := make([]frame, 0, 16)
 	key := make([]byte, 0, 32)
 	vc := valCursor{refs: v.refs}
-	strct, loads := v.strct, v.loads
 	emitted, visited := 0, 0
 
 	node := 0
@@ -240,19 +204,9 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 		}
 		if v.isEnt.get(node) {
 			e := Entry{Key: string(key)}
-			var err error
 			if v.secs&SecValues != 0 {
+				var err error
 				if e.Values, err = v.nextValues(&vc); err != nil {
-					return err
-				}
-			}
-			if v.secs&SecStruct != 0 {
-				if strct, err = v.decodeStruct(strct, &e); err != nil {
-					return err
-				}
-			}
-			if v.secs&SecLoads != 0 {
-				if loads, err = v.decodeLoads(loads, &e); err != nil {
 					return err
 				}
 			}
@@ -345,52 +299,6 @@ func (v *View) nextValues(c *valCursor) ([]string, error) {
 		return nil, nil
 	}
 	return append([]string(nil), vals...), nil
-}
-
-func (v *View) decodeStruct(p []byte, e *Entry) ([]byte, error) {
-	fu, p, err := getUvarint(p)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: father ref: %w", err)
-	}
-	if fu > 0 {
-		s, ok := v.nodeString(int(fu - 1))
-		if !ok {
-			return nil, errors.New("catalog: father ref out of trie")
-		}
-		e.Father, e.HasFather = s, true
-	}
-	cu, p, err := getUvarint(p)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: child ref count: %w", err)
-	}
-	if cu > uint64(len(p))+1 {
-		return nil, errors.New("catalog: implausible child ref count")
-	}
-	for i := uint64(0); i < cu; i++ {
-		var idx uint64
-		if idx, p, err = getUvarint(p); err != nil {
-			return nil, fmt.Errorf("catalog: child ref: %w", err)
-		}
-		s, ok := v.nodeString(int(idx))
-		if !ok {
-			return nil, errors.New("catalog: child ref out of trie")
-		}
-		e.Children = append(e.Children, s)
-	}
-	return p, nil
-}
-
-func (v *View) decodeLoads(p []byte, e *Entry) ([]byte, error) {
-	lu, p, err := getUvarint(p)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: loadPrev: %w", err)
-	}
-	e.LoadPrev = int(lu)
-	if lu, p, err = getUvarint(p); err != nil {
-		return nil, fmt.Errorf("catalog: loadCur: %w", err)
-	}
-	e.LoadCur = int(lu)
-	return p, nil
 }
 
 // get reports bit i of the entry bitmap.

@@ -21,7 +21,7 @@ func (net *Network) InsertData(k keys.Key, value string, r *rand.Rand) error {
 		return fmt.Errorf("core: key %q not in alphabet", k)
 	}
 	if !net.hasRoot {
-		net.installNode(NodeInfo{Key: k, Data: []string{value}}.materialize(), keys.Epsilon)
+		net.hostNode(NodeInfo{Key: k, Data: []string{value}}, keys.Epsilon)
 		net.journal(false, k, value)
 		return nil
 	}
@@ -184,6 +184,19 @@ func (net *Network) installNode(n *Node, from keys.Key) {
 	if !n.HasFather {
 		net.root = n.Key
 		net.hasRoot = true
+	}
+}
+
+// hostNode installs a node a registration creates. A key created again
+// may still hold the replica of its earlier node, placed on the ring of
+// that time: it follows the node to the successor rule. (Recover
+// re-homes the nodes it creates in one pass.)
+func (net *Network) hostNode(info NodeInfo, from keys.Key) {
+	n := info.materialize()
+	net.installNode(n, from)
+	if e, ok := net.replicas[n.Key]; ok && e.at != net.successorOf(n.host) {
+		net.placeReplica(e.Replica, net.successorOf(n.host))
+		net.countTransfers(1, 1)
 	}
 }
 

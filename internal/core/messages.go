@@ -150,7 +150,7 @@ func (net *Network) routeSearchingHost(fromPeer keys.Key, at keys.Key, info Node
 		}
 		q, ok := n.MaxChildAtMost(info.Key, false)
 		if !ok {
-			net.installNode(info.materialize(), p.ID)
+			net.hostNode(info, p.ID)
 			return nil
 		}
 		cur = q

@@ -302,10 +302,7 @@ func (net *Network) rehome(hosts ...*Peer) (msgs, moved int) {
 			return
 		}
 		batches[[2]*Peer{e.at, to}] = true
-		e.at.replicas--
-		to.replicas++
-		e.at = to
-		net.replicas[n.Key] = e
+		net.placeReplica(e.Replica, to)
 		moved++
 	}
 	for _, h := range hosts {
@@ -320,11 +317,17 @@ func (net *Network) rehome(hosts ...*Peer) (msgs, moved int) {
 		}
 	}
 	msgs = len(batches)
+	net.countTransfers(msgs, moved)
+	return msgs, moved
+}
+
+// countTransfers accounts msgs replica transfer messages moving moved
+// replicas.
+func (net *Network) countTransfers(msgs, moved int) {
 	net.Replication.TransferMsgs += msgs
 	net.Replication.TransferredNodes += moved
 	net.Counters.MaintenanceMsgs += msgs
 	net.Counters.MaintenancePhysical += msgs
-	return msgs, moved
 }
 
 // ReplicaHolder reports which peer holds the replica of node k.

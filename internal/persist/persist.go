@@ -33,10 +33,11 @@
 // one passes its CRC, then replays every journal of that epoch and
 // later in order, stopping cleanly at the first truncated or corrupt
 // record or a zero length — a torn write costs at most the tail of a
-// journal, never the snapshot behind it; a record that passes its CRC
-// but does not decode fails Load instead (RecordError). The two newest
-// snapshots are kept so a torn snapshot write can always fall back one
-// epoch (the journals of the older epoch bridge the gap forward).
+// journal, never the snapshot behind it; a snapshot or a record that
+// passes its CRC but does not parse fails Load instead (ImageError,
+// RecordError). The two newest snapshots are kept so a torn snapshot
+// write can always fall back one epoch (the journals of the older epoch
+// bridge the gap forward).
 //
 // A snapshot file is one overlay image (AppendImage / ParseImage):
 // magic, version, epoch, the peer ring, the catalogue as one LOUDS
@@ -544,9 +545,10 @@ func (s *Store) pruneLocked() {
 // verifies, plus the journals of its epoch and all later epochs in
 // order, each replayed until its first truncated or corrupt record, and
 // the newest ring among the snapshot's and the ring records after it.
-// A record that passes its CRC but does not decode fails Load with a
-// *RecordError. A directory with no valid snapshot yields a nil
-// Snapshot and only epoch-0 journal records.
+// A snapshot whose CRC verifies but which does not parse fails Load
+// with an *ImageError, and a record that passes its CRC but does not
+// decode with a *RecordError. A directory with no valid snapshot yields
+// a nil Snapshot and only epoch-0 journal records.
 func (s *Store) Load() (*LoadedState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -558,8 +560,11 @@ func (s *Store) Load() (*LoadedState, error) {
 	var base uint64
 	for i := len(seqs) - 1; i >= 0; i-- {
 		snap, release, err := loadSnapshot(s.snapPath(seqs[i]))
+		if _, bad := err.(*ImageError); bad {
+			return nil, err
+		}
 		if err != nil {
-			continue // corrupt or torn: fall back one epoch
+			continue // torn: fall back one epoch
 		}
 		st.Snapshot, st.Peers = snap, snap.Peers
 		st.release = release
@@ -581,7 +586,9 @@ func (s *Store) Load() (*LoadedState, error) {
 
 // loadSnapshot memory-maps and parses one snapshot file. The
 // catalogue stays in the mapping behind a lazy catalog view; the
-// returned release function unmaps it.
+// returned release function unmaps it. A file whose CRC verifies but
+// which does not parse is an *ImageError; anything else that fails is
+// a torn write.
 func loadSnapshot(path string) (*Snapshot, func(), error) {
 	buf, release, err := mapFile(path)
 	if err != nil {
@@ -590,9 +597,32 @@ func loadSnapshot(path string) (*Snapshot, func(), error) {
 	snap, err := ParseImage(buf)
 	if err != nil {
 		release()
+		if !errors.Is(err, errImageMagic) && !errors.Is(err, errImageCRC) {
+			err = &ImageError{Path: path, Err: err}
+		}
 		return nil, nil, err
 	}
 	return snap, release, nil
+}
+
+// The two ways an image can be torn; any other failure to parse one is
+// not a torn write.
+var (
+	errImageMagic = errors.New("persist: bad snapshot magic")
+	errImageCRC   = errors.New("persist: snapshot checksum mismatch")
+)
+
+// ImageError is Load's refusal of a snapshot whose CRC verifies but
+// which does not parse: a version or a catalogue section this build
+// does not know, or a malformed body. It is not a torn write, and
+// falling back an epoch past it would silently drop its catalogue.
+type ImageError struct {
+	Path string
+	Err  error
+}
+
+func (e *ImageError) Error() string {
+	return fmt.Sprintf("persist: %s: snapshot does not parse: %v", e.Path, e.Err)
 }
 
 // ParseImage CRC-verifies and parses an overlay image: what
@@ -603,11 +633,11 @@ func loadSnapshot(path string) (*Snapshot, func(), error) {
 // catalogue has been walked.
 func ParseImage(buf []byte) (*Snapshot, error) {
 	if len(buf) < len(snapMagic)+4 || string(buf[:len(snapMagic)]) != snapMagic {
-		return nil, errors.New("persist: bad snapshot magic")
+		return nil, errImageMagic
 	}
 	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(tail) {
-		return nil, errors.New("persist: snapshot checksum mismatch")
+		return nil, errImageCRC
 	}
 	p := body[len(snapMagic):]
 	version, p, err := getUvarint(p)

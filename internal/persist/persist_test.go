@@ -349,6 +349,55 @@ func TestCorruptSnapshotFallsBackOneEpoch(t *testing.T) {
 	}
 }
 
+// TestUnparsableSnapshotFailsLoad pins that a snapshot whose CRC
+// verifies but whose catalogue envelope does not parse — a codec
+// version this build does not know, or a section it does not carry —
+// fails Load with an *ImageError naming the file, instead of falling
+// back one epoch as a torn write does.
+func TestUnparsableSnapshotFailsLoad(t *testing.T) {
+	peers, nodes := testState()
+	envelope := len(catalog.AppendSeq(nil, entrySource(nodes).Ascend, catalog.SecValues))
+	for _, tc := range []struct {
+		name   string
+		at, to int // the envelope byte to overwrite, and its value
+	}{
+		{"unknown codec version", 0, 9},
+		{"load section", 1, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cat := range [][]catalog.Entry{nodes[:1], nodes} {
+				if _, err := writeSnapshot(s, peers, cat); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			img := AppendImage(nil, 2, peers, entrySource(nodes))
+			body := img[:len(img)-4]
+			body[len(body)-envelope+tc.at] = byte(tc.to)
+			img = binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+			path := filepath.Join(dir, "snapshot-2.snap")
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			st, err := s2.Load()
+			var ierr *ImageError
+			if !errors.As(err, &ierr) || ierr.Path != path {
+				t.Fatalf("Load = %+v, %v; want an *ImageError for %s", st, err, path)
+			}
+		})
+	}
+}
+
 func TestLoadEmptyDirectory(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -31,14 +31,13 @@
 // before it. A walk emits keys in ascending order, so a key costs its
 // new suffix and two small varints; any order round-trips exactly.
 //
-// Every other payload with a fixed layout — the hop, its reply, the
-// QUERY, the STREAM_END and the control messages — is a Message of the
+// Every other payload — the hop, its reply, the QUERY, the REPLICA
+// batch, the STREAM_END and the control messages — is a Message of the
 // one codec in wire.go: one code method per payload, for both
-// directions. The STREAM batch and the REPLICA batch (a catalogue
-// envelope) each hide a format of their own and keep their encoders,
-// which code their leading fields on the same wire. Encode buffers are
-// reused through a sync.Pool; each connection's single reader
-// goroutine owns a growable decode buffer.
+// directions. Only the STREAM batch hides a format of its own (the
+// front coding) and keeps its encoder, which codes its leading fields
+// on the same wire. Encode buffers are reused through a sync.Pool; each
+// connection's single reader goroutine owns a growable decode buffer.
 
 package transport
 
@@ -52,7 +51,6 @@ import (
 	"strings"
 	"sync"
 
-	"dlpt/internal/catalog"
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/obs"
@@ -84,10 +82,10 @@ const (
 	frameStreamEnd = 6
 	frameStreamAck = 7
 	// frameReplica ships one successor replica batch of a Replicate
-	// tick (payload: core.ReplicaBatch — source peer, target peer and
-	// the node snapshots). The receiver installs the batch under its
-	// topology write lock and acknowledges with a RESPONSE frame whose
-	// Logical field carries the installed count.
+	// tick (payload: a replicaBatch — source peer, target peer and
+	// each snapshot's key, values and loads). The receiver installs
+	// the batch under its topology write lock and acknowledges with a
+	// RESPONSE frame whose Logical field carries the installed count.
 	frameReplica = 8
 	// frameQRoute is the climb/descend route of a subtree query
 	// (payload: an overlay.Hop). It is forwarded one way between listeners
@@ -348,8 +346,7 @@ func (fc *frameConn) writeCancel(id uint64) error {
 
 func (fc *frameConn) writeReplica(id uint64, tc trace.Context, b *core.ReplicaBatch) error {
 	bp := framePool.Get().(*[]byte)
-	buf := beginTracedFrame(*bp, frameReplica, id, tc)
-	buf = appendReplicaBatch(buf, b)
+	buf := appendPayload(beginTracedFrame(*bp, frameReplica, id, tc), (*replicaBatch)(b))
 	if fc.met != nil {
 		fc.met.ReplicaTransferBytes.Add(float64(len(buf) - frameHeaderSize))
 	}
@@ -441,42 +438,26 @@ func codeCounters(w *wire, r *core.QueryResult) {
 	w.int(&r.NodesVisited)
 }
 
-// appendReplicaBatch frames one successor batch: From and To, then
-// the node snapshots as a versioned catalogue envelope carrying each
-// snapshot's values and loads (its structure is rebuilt from the key
-// set, so none travels). The succinct default codec shares the batch's
-// common key prefixes in one LOUDS trie instead of repeating every
-// string, and the version byte lets mixed-version peers interoperate
-// during a rollout.
-func appendReplicaBatch(b []byte, batch *core.ReplicaBatch) []byte {
-	w := wire{b: b}
-	w.key(&batch.From)
-	w.key(&batch.To)
-	entries := make([]catalog.Entry, len(batch.Infos))
-	for i, info := range batch.Infos {
-		entries[i] = catalog.Entry{Key: string(info.Key), Values: info.Data, LoadPrev: info.LoadPrev, LoadCur: info.LoadCur}
-	}
-	return catalog.Append(w.b, catalog.LOUDS, entries, catalog.SecValues|catalog.SecLoads)
-}
+// replicaBatch is the payload of a REPLICA frame: From and To, then
+// each snapshot's key, values and loads, in the order the plan shipped
+// them (its structure is rebuilt from the key set, so none travels).
+type replicaBatch core.ReplicaBatch
 
-// decodeReplicaBatch parses a REPLICA payload. A structure section, as
-// earlier versions wrote, decodes and is dropped.
-func decodeReplicaBatch(p []byte, batch *core.ReplicaBatch) error {
-	w := wire{p: p, dec: true}
-	w.key(&batch.From)
-	w.key(&batch.To)
-	if w.err != nil {
-		return fmt.Errorf("replica batch: %w", w.err)
+func (b *replicaBatch) code(w *wire) {
+	w.key(&b.From)
+	w.key(&b.To)
+	n := len(b.Infos)
+	w.count(&n)
+	if w.dec {
+		b.Infos = make([]core.Replica, n)
 	}
-	entries, _, err := catalog.Decode(w.p)
-	if err != nil {
-		return fmt.Errorf("replica batch: %w", err)
+	for i := range b.Infos {
+		r := &b.Infos[i]
+		w.key(&r.Key)
+		w.strs(&r.Data)
+		w.int(&r.LoadPrev)
+		w.int(&r.LoadCur)
 	}
-	batch.Infos = make([]core.Replica, len(entries))
-	for i, e := range entries {
-		batch.Infos[i] = core.Replica{Key: keys.Key(e.Key), Data: e.Values, LoadPrev: e.LoadPrev, LoadCur: e.LoadCur}
-	}
-	return nil
 }
 
 // appendStreamBatch encodes a STREAM payload: the counters of

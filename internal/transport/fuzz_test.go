@@ -8,7 +8,6 @@ import (
 	"math"
 	"net"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -71,10 +70,12 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(appendStreamBatch(nil, []keys.Key{"dgemm", "dgemv", "dgetrf", "dge", "sgemm"}, &streamEnd{QueryResult: counters(4, 2, 9)}))
 	f.Add(appendStreamBatch(nil, nil, &streamEnd{QueryResult: counters(0, 0, 1)}))
 	f.Add([]byte{0, 0, 0, 2, 0, 2, 'a', 'b', 3, 1, 'c'})
-	f.Add(appendReplicaBatch(nil, &core.ReplicaBatch{
+	// REPLICA payloads: a batch in ν_P order, not sorted, and an empty one.
+	f.Add(Marshal(&replicaBatch{
 		From: "p1", To: "p2",
-		Infos: []core.Replica{{Key: "k", Data: []string{"d"}, LoadCur: 2}},
+		Infos: []core.Replica{{Key: "k", Data: []string{"d"}, LoadCur: 2}, {Key: "a", LoadPrev: 300}},
 	}))
+	f.Add(Marshal(&replicaBatch{From: "p1", To: "p2"}))
 	// Frame-level seeds: a whole valid frame, a traced frame, a
 	// truncated trace extension, and a hostile length prefix.
 	fc := &frameConn{conn: &fuzzConn{}}
@@ -144,8 +145,6 @@ func FuzzFrameDecode(f *testing.F) {
 				_ = snap.Ascend(func(catalog.Entry) bool { return true })
 			}
 		}
-		var batch core.ReplicaBatch
-		_ = decodeReplicaBatch(data, &batch)
 		if batch, _, err := decodeStreamBatch(data); err == nil {
 			// Whatever decodes re-encodes to a payload that decodes to
 			// the same keys (the encoder picks the longest shared
@@ -206,10 +205,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		// empty string list nil and the others empty.
 		members := []Member{}
 		records := []*ApplyRecord{}
+		// A REPLICA batch keeps its order and its duplicates: the
+		// values as they come, each a snapshot holding itself, then
+		// the key with no data.
+		replicas := []core.Replica{}
 		for i, v := range values {
 			members = append(members, Member{ID: keys.Key(v), Addr: at, Capacity: n1})
 			records = append(records, &ApplyRecord{Seq: uint64(i), Epoch: spanID, Op: byte(n2), Key: keys.Key(v), Value: key, ID: keys.Key(at), Capacity: n3, Addr: errStr})
+			replicas = append(replicas, core.Replica{Key: keys.Key(v), Data: []string{v}, LoadPrev: n1, LoadCur: n2})
 		}
+		replicas = append(replicas, core.Replica{Key: keys.Key(key), LoadCur: n3})
 		mirror := Mirror{Epoch: traceID, Seq: spanID, StewardAddr: at, Members: members, Image: append([]byte{}, payload...)}
 		for _, m := range []Message{
 			&JoinRequest{Version: n1, Alphabet: key, Placement: at, Addr: errStr, Capacity: n2},
@@ -230,6 +235,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				Entry:     keys.Key(blob), Walk: !flag, QueryResult: counters(n2, n3, n1),
 			},
 			&streamEnd{QueryResult: counters(n1, n2, n3), Err: errStr},
+			&replicaBatch{From: keys.Key(key), To: keys.Key(at), Infos: replicas},
 		} {
 			got := reflect.New(reflect.TypeOf(m).Elem()).Interface().(Message)
 			if err := Unmarshal(Marshal(m), got); err != nil || !reflect.DeepEqual(m, got) {
@@ -251,41 +257,6 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(walk, gotStream) || !reflect.DeepEqual(gotProgress, progress) {
 			t.Fatalf("stream round-trip: %q %+v != %q", gotStream, gotProgress, walk)
-		}
-
-		batch := core.ReplicaBatch{From: keys.Key(key), To: keys.Key(at)}
-		for _, v := range values {
-			batch.Infos = append(batch.Infos, core.Replica{Key: keys.Key(v), Data: []string{v}, LoadPrev: n1, LoadCur: n2})
-		}
-		var gotBatch core.ReplicaBatch
-		if err := decodeReplicaBatch(appendReplicaBatch(nil, &batch), &gotBatch); err != nil {
-			t.Fatalf("decodeReplicaBatch: %v", err)
-		}
-		// The catalogue envelope canonicalizes the batch: snapshots
-		// arrive sorted by key with duplicates collapsed (later
-		// wins), and empty data slices come back nil.
-		sort.SliceStable(batch.Infos, func(i, j int) bool {
-			return batch.Infos[i].Key < batch.Infos[j].Key
-		})
-		dedup := batch.Infos[:0]
-		for i, info := range batch.Infos {
-			if len(info.Data) == 0 {
-				info.Data = nil
-			}
-			if i+1 < len(batch.Infos) && batch.Infos[i+1].Key == info.Key {
-				continue
-			}
-			dedup = append(dedup, info)
-		}
-		batch.Infos = dedup
-		if len(batch.Infos) == 0 {
-			batch.Infos = nil
-		}
-		if len(gotBatch.Infos) == 0 {
-			gotBatch.Infos = nil
-		}
-		if !reflect.DeepEqual(batch, gotBatch) {
-			t.Fatalf("replica round-trip: %+v != %+v", batch, gotBatch)
 		}
 
 		// Whole-frame round-trip, traced when traceID != 0 (0x80
@@ -344,6 +315,7 @@ var freshMessages = []func() Message{
 	func() Message { return new(reply) },
 	func() Message { return new(queryReq) },
 	func() Message { return new(streamEnd) },
+	func() Message { return new(replicaBatch) },
 }
 
 // counters builds the traversal counters the QUERY, STREAM and

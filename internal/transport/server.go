@@ -174,7 +174,7 @@ func (c *Cluster) handleConn(ps *peerServer, conn net.Conn) {
 			}(typ, id, cp)
 		case frameReplica:
 			var b core.ReplicaBatch
-			if err := decodeReplicaBatch(payload, &b); err != nil {
+			if err := Unmarshal(payload, (*replicaBatch)(&b)); err != nil {
 				return // protocol violation: drop the connection
 			}
 			// Replica installs take the topology write lock; a

@@ -1,9 +1,9 @@
 // The one payload codec. Every payload with a fixed layout — the
 // control messages of handshake.go, and the routed hop, its reply, the
-// QUERY and the STREAM_END of frame.go — has one code method that
-// names its fields in order over a wire. The wire appends each field
-// when it encodes and parses it when it decodes, so a field added to
-// one direction is in the other.
+// QUERY, the REPLICA batch and the STREAM_END of frame.go — has one
+// code method that names its fields in order over a wire. The wire
+// appends each field when it encodes and parses it when it decodes, so
+// a field added to one direction is in the other.
 //
 // A field is a uvarint (integers), one byte (booleans, opcodes), or a
 // uvarint length and that many bytes (strings, byte strings); a list is

@@ -119,7 +119,10 @@ func TestFramesOfPreviousEncoderDecode(t *testing.T) {
 // the same way: payloads captured from the hand-written per-message
 // encoders of handshake version 5 decode to the value they carried,
 // and Marshal writes them back byte for byte. An empty member table
-// or image decodes as empty, not nil, as it always has.
+// or image decodes as empty, not nil, as it always has. The REPLICA
+// batch is pinned as the one codec first wrote it: in the order it was
+// shipped (a host's ν_P, not sorted), a snapshot with no values and no
+// load among them.
 func TestControlPayloadsOfPreviousEncoderDecode(t *testing.T) {
 	mirror := Mirror{
 		Epoch: 2, Seq: 41, StewardAddr: "[::1]:7",
@@ -151,6 +154,12 @@ func TestControlPayloadsOfPreviousEncoderDecode(t *testing.T) {
 		{"fetch reply", "01650213290203016b0176026d3208075b3a3a315d3a390a2a020101780179000000",
 			&FetchReply{Records: []*ApplyRecord{&apply, {Seq: 42, Epoch: 2, Op: OpRegister, Key: "x", Value: "y"}}, Err: "e"}},
 		{"ack", "00000000000000077265667573656400", &Ack{Err: "refused"}},
+		{"replica", "02703102703203056467656d76010665703a2f2f3201ac0203646765000000056467656d6d020665703a2f2f310665703a2f2f320702",
+			&replicaBatch{From: "p1", To: "p2", Infos: []core.Replica{
+				{Key: "dgemv", Data: []string{"ep://2"}, LoadPrev: 1, LoadCur: 300},
+				{Key: "dge"},
+				{Key: "dgemm", Data: []string{"ep://1", "ep://2"}, LoadPrev: 7, LoadCur: 2},
+			}}},
 	} {
 		want, err := hex.DecodeString(c.payload)
 		if err != nil {
