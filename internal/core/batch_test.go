@@ -382,3 +382,84 @@ func TestRestoreMatchesRecover(t *testing.T) {
 		}
 	}
 }
+
+// indexOrder lists the node index's keys in slot order.
+func indexOrder(net *Network) []keys.Key {
+	ks := make([]keys.Key, len(net.nodeList))
+	for i, n := range net.nodeList {
+		ks[i] = n.Key
+	}
+	return ks
+}
+
+// TestRestoreIsReproducible restores one image twice: the two overlays
+// have the same node-index order, so a seeded generator draws the same
+// entry nodes on both.
+func TestRestoreIsReproducible(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	src := peersOnly(t, keys.LowerAlnum, PlacementLexicographic, 16, 12, r)
+	for _, k := range workload.GridCorpus(3000) {
+		if err := src.InsertKey(k, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := &persist.LoadedState{Snapshot: imageOf(t, src)}
+	var nets [2]*Network
+	for i := range nets {
+		nets[i] = NewNetwork(keys.LowerAlnum, PlacementLexicographic)
+		if err := nets[i].RestoreFrom(st, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := indexOrder(nets[0]), indexOrder(nets[1]); !slices.Equal(a, b) {
+		t.Fatal("two restores of one image differ in node-index order")
+	}
+	ra, rb := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+	for i := 0; i < 200; i++ {
+		ea, ha, _ := nets[0].RandomEntry(ra)
+		eb, hb, _ := nets[1].RandomEntry(rb)
+		if ea != eb || ha != hb {
+			t.Fatalf("draw %d: entry %q on %q vs %q on %q", i, ea, ha, eb, hb)
+		}
+	}
+}
+
+// TestRecoverRebuildsInFixedOrder crashes the peer whose nodes include
+// the most unreplicated structural nodes Recover has to rebuild, and
+// recovers two copies of the crashed overlay: both rebuild them in the
+// same node-index order. The hashed placement scatters the structural
+// nodes away from the data nodes beneath them.
+func TestRecoverRebuildsInFixedOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	net := peersOnly(t, keys.LowerAlnum, PlacementHashed, 16, 12, r)
+	for _, k := range workload.GridCorpus(3000) {
+		if err := net.InsertKey(k, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var victim keys.Key
+	most := 0
+	for _, id := range net.PeerIDs() {
+		c := CloneNetwork(net)
+		if err := c.FailPeer(id); err != nil {
+			t.Fatal(err)
+		}
+		left := c.NumNodes()
+		if restored, _ := c.Recover(); c.NumNodes()-left-restored > most {
+			victim, most = id, c.NumNodes()-left-restored
+		}
+	}
+	if most < 2 {
+		t.Fatalf("no crash leaves two structural nodes to rebuild (at most %d)", most)
+	}
+	if err := net.FailPeer(victim); err != nil {
+		t.Fatal(err)
+	}
+	a, b := CloneNetwork(net), CloneNetwork(net)
+	a.Recover()
+	b.Recover()
+	mustValidate(t, a)
+	if ka, kb := indexOrder(a), indexOrder(b); !slices.Equal(ka, kb) {
+		t.Fatalf("two recoveries of one crash (%d structural nodes rebuilt) differ in node-index order", most)
+	}
+}

@@ -82,6 +82,79 @@ func BenchmarkJoinLeave(b *testing.B) {
 	}
 }
 
+// gridBatch is a 64-peer overlay with no node, and the 20,000-key grid
+// catalogue as one batch, each key its own value.
+func gridBatch(t testing.TB) (*core.Network, []core.KV) {
+	t.Helper()
+	r := rand.New(rand.NewSource(1))
+	net := core.NewNetwork(keys.LowerAlnum, core.PlacementLexicographic)
+	for i := 0; i < 64; i++ {
+		if err := net.JoinPeer(keys.LowerAlnum.RandomKey(r, 12, 12), 100, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corpus := workload.GridCorpus(20000)
+	entries := make([]core.KV, len(corpus))
+	for i, k := range corpus {
+		entries[i] = core.KV{Key: k, Value: string(k)}
+	}
+	return net, entries
+}
+
+// BenchmarkInsertBatch times the set-up every engine workload runs: the
+// 20,000-key grid batch into an empty 64-peer overlay, routed key by key
+// (InsertData) and in InsertBatch's sorted pass.
+func BenchmarkInsertBatch(b *testing.B) {
+	base, entries := gridBatch(b)
+	for _, mode := range []string{"per-key", "batch"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				b.StopTimer()
+				net, r := core.CloneNetwork(base), rand.New(rand.NewSource(2))
+				b.StartTimer()
+				if mode == "batch" {
+					if err := net.InsertBatch(entries, r); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				for _, e := range entries {
+					if err := net.InsertData(e.Key, e.Value, r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAllocsPerBatchInsert is the allocation budget of BenchmarkInsertBatch's
+// sorted pass: the batch's runs and their values, the canonical pass's
+// slab, label map and child slices, the nodes, and the growth of the node
+// index and of each ν_P. It read 90,031 allocations for 20,000 keys and
+// 27,129 nodes.
+func TestAllocsPerBatchInsert(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	base, entries := gridBatch(t)
+	net, r := core.CloneNetwork(base), rand.New(rand.NewSource(2))
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	if err := net.InsertBatch(entries, r); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	allocs := ms.Mallocs - before
+	t.Logf("%d allocations for %d keys and %d nodes", allocs, len(entries), net.NumNodes())
+	const ceiling = 90031
+	if allocs > ceiling {
+		t.Fatalf("%d allocations for a %d-key batch, ceiling %d", allocs, len(entries), ceiling)
+	}
+}
+
 // TestReplicaHeapFlat replays a churning writer's cadence on a 16-peer
 // overlay: every write registers a fresh versioned key and unregisters
 // the one registered 64 writes before, with a replication tick every 500

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"dlpt/internal/keys"
 )
@@ -56,14 +58,133 @@ type KV struct {
 }
 
 // InsertBatch declares every entry in order, stopping at the first
-// failure.
+// failure, and leaves what InsertData entry by entry leaves. Into an
+// overlay with peers and no node it builds the tree in one sorted pass
+// (load) instead of routing each entry: the nodes, their hosts, links,
+// values and stamps, the order of the node index and of every ν_P, the
+// journal records (in batch order) and the generator's draws (one entry
+// node per entry) are per-key insertion's; only the maintenance counters
+// differ, charged one Host message per node in place of the routed hops.
 func (net *Network) InsertBatch(entries []KV, r *rand.Rand) error {
-	for _, e := range entries {
-		if err := net.InsertData(e.Key, e.Value, r); err != nil {
-			return err
+	if net.NumPeers() == 0 || net.NumNodes() > 0 {
+		for _, e := range entries {
+			if err := net.InsertData(e.Key, e.Value, r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var err error
+	runs := make([]run, 0, len(entries))
+	for i, e := range entries {
+		if !net.Alphabet.Valid(e.Key) {
+			err = fmt.Errorf("core: key %q not in alphabet", e.Key)
+			break
+		}
+		runs = append(runs, run{key: e.Key, vals: []string{e.Value}, first: i})
+	}
+	net.load(runs, func(i int) {
+		if n := net.NumNodes(); n > 0 {
+			r.Intn(n) // InsertData's draw of the entry node
+		}
+		net.journal(false, entries[i].Key, entries[i].Value)
+	})
+	return err
+}
+
+// run is one entry of a sorted pass: a key, its values and its position.
+type run struct {
+	key   keys.Key
+	vals  []string
+	first int
+}
+
+// load builds the PGCP tree over runs into an overlay with peers and no
+// node, in the order per-key insertion of the runs creates its nodes,
+// calling entry(i), if set, before run i's nodes. It sorts the runs by
+// key and position and merges those of one key; canonicalPass over the
+// keys makes the nodes, linked, and each is installed on the peer the
+// mapping names, charged the one Host message that hands it over, under
+// hostNode's replica rule. Run i creates at most two nodes: its branch
+// point, the longer GCP of its key with its sorted neighbours among the
+// keys of runs 0..i-1, unless that is a node already; then its own node.
+// Unlinking the keys from a sorted list, latest run first, leaves each
+// with exactly those neighbours, and the GCP of two neighbours is the
+// shorter of the GCPs across the key between them.
+func (net *Network) load(runs []run, entry func(i int)) {
+	n := len(runs)
+	order := func(a, b run) int {
+		if c := strings.Compare(string(a.key), string(b.key)); c != 0 {
+			return c
+		}
+		return a.first - b.first
+	}
+	if !slices.IsSortedFunc(runs, order) {
+		slices.SortFunc(runs, order)
+	}
+	ks, at := make([]keys.Key, 0, n), make([]int, n)
+	for _, ru := range runs {
+		if m := len(ks) - 1; m >= 0 && ks[m] == ru.key {
+			runs[m].vals, at[ru.first] = append(runs[m].vals, ru.vals...), -1
+			continue
+		}
+		at[ru.first] = len(ks)
+		runs[len(ks)] = ru
+		ks = append(ks, ru.key)
+	}
+	slab, own, link := canonicalPass(ks, true)
+	prev, next, branch := make([]int, len(ks)), make([]int, len(ks)), make([]*canonNode, len(ks))
+	for j := range ks {
+		prev[j], next[j] = j-1, j+1
+		if !strictlyAscending(runs[j].vals) {
+			runs[j].vals = sortedSet(runs[j].vals)
 		}
 	}
-	return nil
+	for i := n - 1; i >= 0; i-- {
+		j := at[i]
+		if j < 0 {
+			continue
+		}
+		p, q := prev[j], next[j]
+		if p >= 0 {
+			branch[j], next[p] = link[j], q
+		}
+		if q < len(ks) {
+			if branch[j] == nil || len(link[q].label) > len(branch[j].label) {
+				branch[j] = link[q]
+			}
+			if p >= 0 && len(link[j].label) < len(link[q].label) {
+				link[q] = link[j]
+			}
+			prev[q] = p
+		}
+	}
+	if len(net.nodes) == 0 {
+		net.nodes = make(map[keys.Key]*Node, len(slab))
+	}
+	install := func(c *canonNode) {
+		if c == nil || c.node.pos >= 0 {
+			return
+		}
+		id, _ := net.HostOf(c.label)
+		net.Counters.MaintenanceMsgs++
+		net.peers[id].adopt(c.node)
+		net.enter(c.node)
+		if !c.hasFather {
+			net.root, net.hasRoot = c.label, true
+		}
+		net.followReplica(c.node)
+	}
+	for i, j := range at {
+		if entry != nil {
+			entry(i)
+		}
+		if j >= 0 {
+			install(branch[j])
+			install(own[j])
+			own[j].node.Data = runs[j].vals
+		}
+	}
 }
 
 // handleDataInsertion is Algorithm 3, run on node p.
@@ -194,6 +315,12 @@ func (net *Network) installNode(n *Node, from keys.Key) {
 func (net *Network) hostNode(info NodeInfo, from keys.Key) {
 	n := info.materialize()
 	net.installNode(n, from)
+	net.followReplica(n)
+}
+
+// followReplica moves the replica an earlier node of n's key left to
+// n's host's successor.
+func (net *Network) followReplica(n *Node) {
 	if e, ok := net.replicas[n.Key]; ok && e.at != net.successorOf(n.host) {
 		net.placeReplica(e.Replica, net.successorOf(n.host))
 		net.countTransfers(1, 1)

@@ -307,10 +307,21 @@ func (net *Network) hashRemovePeer(id keys.Key) {
 
 // --- node index ------------------------------------------------------------
 
-// indexNode enters n in the index, in the slot of a node it replaces
-// (which leaves its host's ν_P too), and links it into its father's edge
-// and its edges to its children.
+// indexNode enters n in the index (enter) and links it into its
+// father's edge and its edges to its children.
 func (net *Network) indexNode(n *Node) {
+	net.enter(n)
+	if f, ok := net.nodes[n.Father]; ok && n.HasFather {
+		if i, found := f.edge(n.Key); found {
+			f.Children[i].node = n
+		}
+	}
+	net.linkChildren(n)
+}
+
+// enter puts n in the index, in the slot of a node it replaces (which
+// leaves its host's ν_P too), and stamps it.
+func (net *Network) enter(n *Node) {
 	if old, ok := net.nodes[n.Key]; ok {
 		n.pos, old.pos = old.pos, -1
 		old.host.release(old)
@@ -320,12 +331,6 @@ func (net *Network) indexNode(n *Node) {
 	}
 	net.nodes[n.Key], net.nodeList[n.pos] = n, n
 	net.touch(n)
-	if f, ok := net.nodes[n.Father]; ok && n.HasFather {
-		if i, found := f.edge(n.Key); found {
-			f.Children[i].node = n
-		}
-	}
-	net.linkChildren(n)
 }
 
 // linkChildren points every edge of n at the indexed child, nil where

@@ -43,10 +43,13 @@ func (net *Network) AttachJournal(store *persist.Store) {
 // RestoreFrom rebuilds an empty overlay from persisted state: the
 // ring — the newest one Load found, or the snapshot's — is recreated
 // peer by peer with its persisted identifiers and capacities, the
-// persisted nodes are seeded into the replica store, the existing
-// canonical anti-entropy rebuild (Recover) reinstalls them, and finally
-// the journal replays the mutations recorded after the snapshot. The
-// restored overlay passes the full Validate set.
+// image's catalogue is built in InsertBatch's sorted pass (load, with
+// no draws: its keys install in ascending order, each after its branch
+// point), each
+// data node's replica is placed on its host's successor, and finally the
+// journal replays the mutations recorded after the snapshot. The same
+// image and journal restore the same overlay, node-index order included,
+// and it passes the full Validate set.
 func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	if net.NumPeers() != 0 || net.NumNodes() != 0 {
 		return fmt.Errorf("core: restore into a non-empty overlay")
@@ -65,24 +68,26 @@ func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	}
 	// Stream the snapshot's catalogue: for a mapped version-2 snapshot
 	// each subtree materializes as the walk first touches it.
-	var restoreErr error
+	var runs []run
 	err := st.Snapshot.Ascend(func(e catalog.Entry) bool {
-		k := keys.Key(e.Key)
-		tgt, ok := net.replicaTarget(k)
-		if !ok {
-			restoreErr = fmt.Errorf("core: restore replica %q: no peers", e.Key)
-			return false
+		if len(e.Values) > 0 {
+			runs = append(runs, run{key: keys.Key(e.Key), vals: e.Values, first: len(runs)})
 		}
-		net.placeReplica(Replica{Key: k, Data: e.Values}, tgt)
 		return true
 	})
-	if err == nil {
-		err = restoreErr
-	}
 	if err != nil {
 		return err
 	}
-	net.Recover()
+	if len(runs) > 0 && net.NumPeers() == 0 {
+		return fmt.Errorf("core: restore replica %q: no peers", runs[0].key)
+	}
+	net.load(runs, nil)
+	for _, n := range net.nodeList {
+		if n.HasData() {
+			net.placeReplica(infoOf(n), net.successorOf(n.host))
+			net.Replication.RestoredNodes++
+		}
+	}
 	for _, rec := range st.Journal {
 		if rec.Remove {
 			net.RemoveData(keys.Key(rec.Key), rec.Value)

@@ -495,11 +495,16 @@ func (net *Network) rebuildLinks() {
 	}
 	// Create canonical labels that are missing (structural nodes are
 	// derivable; lost data nodes stay lost unless they were
-	// replicated, which phase 1 already handled).
+	// replicated, which phase 1 already handled), in ascending order.
+	var missing []keys.Key
 	for label := range want {
 		if !net.HasNode(label) {
-			net.installNode(NodeInfo{Key: label}.materialize(), keys.Epsilon)
+			missing = append(missing, label)
 		}
+	}
+	keys.SortKeys(missing)
+	for _, label := range missing {
+		net.installNode(NodeInfo{Key: label}.materialize(), keys.Epsilon)
 	}
 	// Reset the pointers that deviate from the canonical structure; relink
 	// all edges, as matching ones may link nodes replaced above.
@@ -535,7 +540,8 @@ type canonNode struct {
 	label     keys.Key
 	father    keys.Key
 	hasFather bool
-	kids      []Child // ascending and unlinked, as Node.Children
+	kids      []Child // ascending, as Node.Children; linked to nodes made with them
+	node      *Node   // the label's node, when canonicalPass makes nodes
 }
 
 // linksCanonical reports whether n's links already match the
@@ -547,62 +553,88 @@ func linksCanonical(n *Node, cn *canonNode) bool {
 	return slices.EqualFunc(n.Children, cn.kids, func(a, b Child) bool { return a.Key == b.Key })
 }
 
-// buildCanonical computes the canonical PGCP tree over sorted,
-// distinct data keys in one linear stack pass — the sorted-batch
-// construction the snapshot codec uses — instead of re-routing every
-// key through a fresh reference trie. The canonical label set is the
-// keys plus the pairwise GCPs of sorted neighbours; the stack holds
-// the rightmost path, and a node's final father is known the moment
-// it leaves that path: either the label beneath it (still at least as
-// long as the branch point) or the branch point itself, interposed.
-// Every label is opened once: a branch point that is already a label
-// is a prefix of the last key, so it sits on the path, where the
-// unwinding stops.
-func buildCanonical(sorted []keys.Key) (want map[keys.Key]*canonNode, root keys.Key, ok bool) {
-	if len(sorted) == 0 {
-		return nil, keys.Epsilon, false
-	}
-	want = make(map[keys.Key]*canonNode, 2*len(sorted))
+// canonicalPass computes the canonical PGCP tree over sorted, distinct
+// data keys in one linear stack pass — the sorted-batch construction the
+// snapshot codec uses — instead of re-routing every key through a fresh
+// reference trie. The canonical label set is the keys plus the pairwise
+// GCPs of sorted neighbours; the stack holds the rightmost path, and a
+// node's final father is known the moment it leaves that path: either
+// the label beneath it (still at least as long as the branch point) or
+// the branch point itself, interposed. Every label is opened once: a
+// branch point that is already a label is a prefix of the last key, so
+// it sits on the path, where the unwinding stops. It returns the labels
+// in the order it opens them, and for each key i its label (own[i]) and
+// that of GCP(sorted[i-1], sorted[i]) (gcp[i], for i > 0). With
+// makeNodes every label also gets its node, out of the index, with its
+// father and its edges linked to its children's nodes.
+func canonicalPass(sorted []keys.Key, makeNodes bool) (slab []canonNode, own, gcp []*canonNode) {
 	// At most 2n-1 labels: the slab never grows, so its pointers hold.
-	slab := make([]canonNode, 0, 2*len(sorted))
+	slab = make([]canonNode, 0, 2*len(sorted))
+	own, gcp = make([]*canonNode, len(sorted)), make([]*canonNode, len(sorted))
 	open := func(l keys.Key) *canonNode {
 		slab = append(slab, canonNode{label: l})
 		n := &slab[len(slab)-1]
-		want[l] = n
+		if makeNodes {
+			n.node = &Node{Key: l, pos: -1}
+		}
 		return n
 	}
 	attach := func(father, child *canonNode) {
-		father.kids = append(father.kids, Child{Key: child.label})
+		father.kids = append(father.kids, Child{Key: child.label, node: child.node})
 		child.father, child.hasFather = father.label, true
 	}
-	stack := make([]*canonNode, 1, 16)
-	stack[0] = open(sorted[0])
-	for i := 1; i < len(sorted); i++ {
-		g := keys.GCP(sorted[i-1], sorted[i])
-		// Unwind the rightmost path down to the branch point; after
-		// this loop the top of the stack is exactly g. A node is
-		// attached only as it leaves the path — while it remains on
-		// it, a later key could still interpose a branch beneath the
-		// tentative father.
-		for len(stack[len(stack)-1].label) > len(g) {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 && len(stack[len(stack)-1].label) >= len(g) {
-				attach(stack[len(stack)-1], top)
-				continue
+	stack := make([]*canonNode, 0, 16)
+	for i, k := range sorted {
+		if i > 0 {
+			g := keys.GCP(sorted[i-1], k)
+			// Unwind the rightmost path down to the branch point; after
+			// this loop the top of the stack is exactly g. A node is
+			// attached only as it leaves the path — while it remains
+			// on it, a later key could still interpose a branch beneath
+			// the tentative father.
+			for len(stack[len(stack)-1].label) > len(g) {
+				top := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if len(stack) > 0 && len(stack[len(stack)-1].label) >= len(g) {
+					attach(stack[len(stack)-1], top)
+					continue
+				}
+				// g sits strictly between top and the rest of the path
+				// (or the path is exhausted): interpose it.
+				gn := open(g)
+				attach(gn, top)
+				stack = append(stack, gn)
 			}
-			// g sits strictly between top and the rest of the path
-			// (or the path is exhausted): interpose it.
-			gn := open(g)
-			attach(gn, top)
-			stack = append(stack, gn)
+			gcp[i] = stack[len(stack)-1]
 		}
-		stack = append(stack, open(sorted[i]))
+		own[i] = open(k)
+		stack = append(stack, own[i])
 	}
 	for len(stack) > 1 {
 		top := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		attach(stack[len(stack)-1], top)
 	}
-	return want, stack[0].label, true
+	for i := range slab {
+		if c := &slab[i]; makeNodes {
+			c.node.Father, c.node.HasFather, c.node.Children = c.father, c.hasFather, c.kids
+		}
+	}
+	return slab, own, gcp
+}
+
+// buildCanonical is canonicalPass's tree by label, with its root.
+func buildCanonical(sorted []keys.Key) (want map[keys.Key]*canonNode, root keys.Key, ok bool) {
+	if len(sorted) == 0 {
+		return nil, keys.Epsilon, false
+	}
+	slab, _, _ := canonicalPass(sorted, false)
+	want = make(map[keys.Key]*canonNode, len(slab))
+	for i := range slab {
+		want[slab[i].label] = &slab[i]
+		if !slab[i].hasFather {
+			root = slab[i].label
+		}
+	}
+	return want, root, true
 }

@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Key is an identifier: a finite sequence of digits over some
@@ -198,9 +199,12 @@ func Bits(k Key, n int) string {
 
 // Alphabet is a finite ordered set of digits. Identifiers of a DLPT
 // deployment are drawn from one alphabet; the alphabet also provides
-// seeded random-identifier generation for peers.
+// seeded random-identifier generation for peers. Membership of an ASCII
+// digit is one bit of a 128-bit table; other runes are looked up in a
+// map.
 type Alphabet struct {
 	digits []rune
+	ascii  [2]uint64 // bit r of the table is set when ASCII rune r is a digit
 	member map[rune]bool
 }
 
@@ -217,6 +221,9 @@ func NewAlphabet(digits string) (*Alphabet, error) {
 		}
 		a.member[r] = true
 		a.digits = append(a.digits, r)
+		if r < utf8.RuneSelf {
+			a.ascii[r>>6] |= 1 << (r & 63)
+		}
 	}
 	sort.Slice(a.digits, func(i, j int) bool { return a.digits[i] < a.digits[j] })
 	return a, nil
@@ -261,12 +268,23 @@ func (a *Alphabet) Digits() []rune {
 // Contains reports whether r is a digit of the alphabet.
 func (a *Alphabet) Contains(r rune) bool { return a.member[r] }
 
-// Valid reports whether every digit of k belongs to the alphabet.
+// Valid reports whether every digit of k belongs to the alphabet. A
+// byte that does not start a valid UTF-8 sequence reads as
+// utf8.RuneError, as ranging over the string decodes it.
 func (a *Alphabet) Valid(k Key) bool {
-	for _, r := range string(k) {
+	for i := 0; i < len(k); {
+		if c := k[i]; c < utf8.RuneSelf {
+			if a.ascii[c>>6]&(1<<(c&63)) == 0 {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(string(k[i:]))
 		if !a.member[r] {
 			return false
 		}
+		i += size
 	}
 	return true
 }

@@ -414,3 +414,43 @@ func TestPropRandomKeyValid(t *testing.T) {
 		}
 	}
 }
+
+// validByMap is Valid as the rune map alone answers it, ranging over the
+// string: the reference for the ASCII table.
+func validByMap(a *Alphabet, k Key) bool {
+	for _, r := range string(k) {
+		if !a.member[r] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAlphabetValidMatchesMap holds Valid to validByMap for every byte
+// value alone, inside and after valid keys, and for multi-byte and
+// invalid UTF-8 sequences, over ASCII alphabets and one with non-ASCII
+// digits and utf8.RuneError among them.
+func TestAlphabetValidMatchesMap(t *testing.T) {
+	greek := MustAlphabet("αβγ09�")
+	inputs := []Key{"", "é", "αβ", "αβγ0", "\xce", "\xce\xb1\xce", "\xff\xfe", "\xed\xa0\x80", "\xf0\x9f\x98\x80", "0\x80", "aÿb"}
+	for b := 0; b < 256; b++ {
+		c := string([]byte{byte(b)})
+		inputs = append(inputs, Key(c), Key("01"+c), Key(c+"ab"), Key("α"+c))
+	}
+	for _, a := range []*Alphabet{Binary, LowerAlnum, PrintableASCII, greek} {
+		for _, k := range inputs {
+			if got, want := a.Valid(k), validByMap(a, k); got != want {
+				t.Errorf("alphabet %q: Valid(%q) = %v, the rune map says %v", string(a.digits), k, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkAlphabetValid times Valid on a 12-character key.
+func BenchmarkAlphabetValid(b *testing.B) {
+	for b.Loop() {
+		if !LowerAlnum.Valid("pdgesv_x86_4") {
+			b.Fatal("invalid")
+		}
+	}
+}
