@@ -109,7 +109,7 @@ func BenchmarkInsertBatch(b *testing.B) {
 	for _, mode := range []string{"per-key", "batch"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
-			for b.Loop() {
+			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				net, r := core.CloneNetwork(base), rand.New(rand.NewSource(2))
 				b.StartTimer()
@@ -130,10 +130,10 @@ func BenchmarkInsertBatch(b *testing.B) {
 }
 
 // TestAllocsPerBatchInsert is the allocation budget of BenchmarkInsertBatch's
-// sorted pass: the batch's runs and their values, the canonical pass's
-// slab, label map and child slices, the nodes, and the growth of the node
-// index and of each ν_P. It read 90,031 allocations for 20,000 keys and
-// 27,129 nodes.
+// sorted pass: each key's values, the canonical pass's slab and child
+// slices, the nodes, the node index and the growth of each ν_P. It read
+// 52,811 to 52,827 allocations for 20,000 keys and 21,056 nodes; the same
+// batch routed key by key reads 51,791.
 func TestAllocsPerBatchInsert(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -149,7 +149,7 @@ func TestAllocsPerBatchInsert(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	allocs := ms.Mallocs - before
 	t.Logf("%d allocations for %d keys and %d nodes", allocs, len(entries), net.NumNodes())
-	const ceiling = 90031
+	const ceiling = 52850
 	if allocs > ceiling {
 		t.Fatalf("%d allocations for a %d-key batch, ceiling %d", allocs, len(entries), ceiling)
 	}

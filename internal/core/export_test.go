@@ -89,6 +89,20 @@ func CloneNetwork(net *Network) *Network {
 	return &c
 }
 
+// buildCanonical is canonicalPass's tree over sorted keys by label, with
+// its root.
+func buildCanonical(sorted []keys.Key) (want map[keys.Key]*canonNode, root keys.Key, ok bool) {
+	slab, _ := canonicalPass(sorted)
+	want = make(map[keys.Key]*canonNode, len(slab))
+	for i := range slab {
+		want[slab[i].label] = &slab[i]
+		if !slab[i].hasFather {
+			root = slab[i].label
+		}
+	}
+	return want, root, len(slab) > 0
+}
+
 // StripReplicaStructure drops the father and child links from every
 // replica net holds, keeping the key, the values and the loads. A
 // Replica carries no links, so nothing is left to drop.

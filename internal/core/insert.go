@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -58,13 +59,12 @@ type KV struct {
 }
 
 // InsertBatch declares every entry in order, stopping at the first
-// failure, and leaves what InsertData entry by entry leaves. Into an
-// overlay with peers and no node it builds the tree in one sorted pass
-// (load) instead of routing each entry: the nodes, their hosts, links,
-// values and stamps, the order of the node index and of every ν_P, the
-// journal records (in batch order) and the generator's draws (one entry
-// node per entry) are per-key insertion's; only the maintenance counters
-// differ, charged one Host message per node in place of the routed hops.
+// failure. Into an overlay with peers and no node it builds the tree in
+// one sorted pass (load) and leaves exactly what InsertData entry by
+// entry leaves — nodes, hosts, links, values, stamps, the order of the
+// node index and of every ν_P, the journal records in batch order and
+// the generator's draws — but the maintenance counters, charged the Host
+// message of each node in place of the routed hops.
 func (net *Network) InsertBatch(entries []KV, r *rand.Rand) error {
 	if net.NumPeers() == 0 || net.NumNodes() > 0 {
 		for _, e := range entries {
@@ -74,116 +74,70 @@ func (net *Network) InsertBatch(entries []KV, r *rand.Rand) error {
 		}
 		return nil
 	}
-	var err error
-	runs := make([]run, 0, len(entries))
-	for i, e := range entries {
-		if !net.Alphabet.Valid(e.Key) {
-			err = fmt.Errorf("core: key %q not in alphabet", e.Key)
-			break
-		}
-		runs = append(runs, run{key: e.Key, vals: []string{e.Value}, first: i})
+	valid := slices.IndexFunc(entries, func(e KV) bool { return !net.Alphabet.Valid(e.Key) })
+	if valid < 0 {
+		valid = len(entries)
 	}
-	net.load(runs, func(i int) {
+	net.load(entries[:valid], func(i int) {
 		if n := net.NumNodes(); n > 0 {
 			r.Intn(n) // InsertData's draw of the entry node
 		}
 		net.journal(false, entries[i].Key, entries[i].Value)
 	})
-	return err
+	if valid < len(entries) {
+		return fmt.Errorf("core: key %q not in alphabet", entries[valid].Key)
+	}
+	return nil
 }
 
-// run is one entry of a sorted pass: a key, its values and its position.
-type run struct {
-	key   keys.Key
-	vals  []string
-	first int
-}
-
-// load builds the PGCP tree over runs into an overlay with peers and no
-// node, in the order per-key insertion of the runs creates its nodes,
-// calling entry(i), if set, before run i's nodes. It sorts the runs by
-// key and position and merges those of one key; canonicalPass over the
-// keys makes the nodes, linked, and each is installed on the peer the
-// mapping names, charged the one Host message that hands it over, under
-// hostNode's replica rule. Run i creates at most two nodes: its branch
-// point, the longer GCP of its key with its sorted neighbours among the
-// keys of runs 0..i-1, unless that is a node already; then its own node.
-// Unlinking the keys from a sorted list, latest run first, leaves each
-// with exactly those neighbours, and the GCP of two neighbours is the
-// shorter of the GCPs across the key between them.
-func (net *Network) load(runs []run, entry func(i int)) {
-	n := len(runs)
-	order := func(a, b run) int {
-		if c := strings.Compare(string(a.key), string(b.key)); c != 0 {
-			return c
-		}
-		return a.first - b.first
+// load builds the PGCP tree over entries into an overlay with peers and
+// no node, creating its nodes in the order per-key insertion of the
+// entries does and calling entry(i), if set, before entry i's. Entry i
+// creates at most two: its branch point, unless that is a node already,
+// then its own node. The branch point is the longest prefix its key
+// shares with the key of an earlier entry: the deepest node above or at
+// the key's whose subtree holds such a key. Marking those subtrees as
+// each key arrives finds it in the walk that marks. canonicalPass gives
+// every node its links, and hostNode installs it.
+func (net *Network) load(entries []KV, entry func(i int)) {
+	byKey := make([]int, len(entries))
+	for i := range byKey {
+		byKey[i] = i
 	}
-	if !slices.IsSortedFunc(runs, order) {
-		slices.SortFunc(runs, order)
-	}
-	ks, at := make([]keys.Key, 0, n), make([]int, n)
-	for _, ru := range runs {
-		if m := len(ks) - 1; m >= 0 && ks[m] == ru.key {
-			runs[m].vals, at[ru.first] = append(runs[m].vals, ru.vals...), -1
+	slices.SortFunc(byKey, func(a, b int) int {
+		return cmp.Or(strings.Compare(string(entries[a].Key), string(entries[b].Key)), a-b)
+	})
+	ks, vals, at := []keys.Key(nil), [][]string(nil), make([]int, len(entries))
+	for _, i := range byKey {
+		if m := len(ks) - 1; m >= 0 && ks[m] == entries[i].Key {
+			vals[m], at[i] = append(vals[m], entries[i].Value), -1
 			continue
 		}
-		at[ru.first] = len(ks)
-		runs[len(ks)] = ru
-		ks = append(ks, ru.key)
+		at[i] = len(ks)
+		ks, vals = append(ks, entries[i].Key), append(vals, []string{entries[i].Value})
 	}
-	slab, own, link := canonicalPass(ks, true)
-	prev, next, branch := make([]int, len(ks)), make([]int, len(ks)), make([]*canonNode, len(ks))
-	for j := range ks {
-		prev[j], next[j] = j-1, j+1
-		if !strictlyAscending(runs[j].vals) {
-			runs[j].vals = sortedSet(runs[j].vals)
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		j := at[i]
-		if j < 0 {
-			continue
-		}
-		p, q := prev[j], next[j]
-		if p >= 0 {
-			branch[j], next[p] = link[j], q
-		}
-		if q < len(ks) {
-			if branch[j] == nil || len(link[q].label) > len(branch[j].label) {
-				branch[j] = link[q]
-			}
-			if p >= 0 && len(link[j].label) < len(link[q].label) {
-				link[q] = link[j]
-			}
-			prev[q] = p
-		}
-	}
-	if len(net.nodes) == 0 {
-		net.nodes = make(map[keys.Key]*Node, len(slab))
-	}
+	slab, own := canonicalPass(ks)
+	net.nodes = make(map[keys.Key]*Node, len(slab))
 	install := func(c *canonNode) {
-		if c == nil || c.node.pos >= 0 {
-			return
+		if c != nil && c.node == nil {
+			c.node = net.hostNode(NodeInfo{Key: c.label, Father: c.father, HasFather: c.hasFather, Children: c.kids}, keys.Epsilon)
 		}
-		id, _ := net.HostOf(c.label)
-		net.Counters.MaintenanceMsgs++
-		net.peers[id].adopt(c.node)
-		net.enter(c.node)
-		if !c.hasFather {
-			net.root, net.hasRoot = c.label, true
-		}
-		net.followReplica(c.node)
 	}
 	for i, j := range at {
 		if entry != nil {
 			entry(i)
 		}
-		if j >= 0 {
-			install(branch[j])
-			install(own[j])
-			own[j].node.Data = runs[j].vals
+		if j < 0 {
+			continue
 		}
+		branch := own[j]
+		for ; branch != nil && !branch.marked; branch = branch.up {
+			branch.marked = true
+		}
+		install(branch)
+		install(own[j])
+		slices.Sort(vals[j])
+		own[j].node.Data = slices.Compact(vals[j])
 	}
 }
 
@@ -308,23 +262,18 @@ func (net *Network) installNode(n *Node, from keys.Key) {
 	}
 }
 
-// hostNode installs a node a registration creates. A key created again
-// may still hold the replica of its earlier node, placed on the ring of
-// that time: it follows the node to the successor rule. (Recover
-// re-homes the nodes it creates in one pass.)
-func (net *Network) hostNode(info NodeInfo, from keys.Key) {
+// hostNode installs a node a registration creates, and returns it. A
+// key created again may still hold the replica of its earlier node,
+// placed on the ring of that time: it follows the node to the successor
+// rule. (Recover re-homes the nodes it creates in one pass.)
+func (net *Network) hostNode(info NodeInfo, from keys.Key) *Node {
 	n := info.materialize()
 	net.installNode(n, from)
-	net.followReplica(n)
-}
-
-// followReplica moves the replica an earlier node of n's key left to
-// n's host's successor.
-func (net *Network) followReplica(n *Node) {
 	if e, ok := net.replicas[n.Key]; ok && e.at != net.successorOf(n.host) {
 		net.placeReplica(e.Replica, net.successorOf(n.host))
 		net.countTransfers(1, 1)
 	}
+	return n
 }
 
 // RemoveData unregisters value from key k. This operation is not part

@@ -307,21 +307,10 @@ func (net *Network) hashRemovePeer(id keys.Key) {
 
 // --- node index ------------------------------------------------------------
 
-// indexNode enters n in the index (enter) and links it into its
-// father's edge and its edges to its children.
+// indexNode enters n in the index, in the slot of a node it replaces
+// (which leaves its host's ν_P too), and links it into its father's edge
+// and its edges to its children.
 func (net *Network) indexNode(n *Node) {
-	net.enter(n)
-	if f, ok := net.nodes[n.Father]; ok && n.HasFather {
-		if i, found := f.edge(n.Key); found {
-			f.Children[i].node = n
-		}
-	}
-	net.linkChildren(n)
-}
-
-// enter puts n in the index, in the slot of a node it replaces (which
-// leaves its host's ν_P too), and stamps it.
-func (net *Network) enter(n *Node) {
 	if old, ok := net.nodes[n.Key]; ok {
 		n.pos, old.pos = old.pos, -1
 		old.host.release(old)
@@ -331,6 +320,12 @@ func (net *Network) enter(n *Node) {
 	}
 	net.nodes[n.Key], net.nodeList[n.pos] = n, n
 	net.touch(n)
+	if f, ok := net.nodes[n.Father]; ok && n.HasFather {
+		if i, found := f.edge(n.Key); found {
+			f.Children[i].node = n
+		}
+	}
+	net.linkChildren(n)
 }
 
 // linkChildren points every edge of n at the indexed child, nil where
@@ -454,7 +449,7 @@ func (net *Network) MoveNode(k, fromID, toID keys.Key) error {
 // and neighbour links, the mapping rule, the node index against the
 // peers' node sets, and the PGCP property: every node, with its father
 // and children, as the canonical pass over the sorted data keys
-// (buildCanonical) has it.
+// (canonicalPass) has it.
 func (net *Network) Validate() error {
 	if err := net.ring.Validate(); err != nil {
 		return err
@@ -506,7 +501,7 @@ func (net *Network) Validate() error {
 	// over the data keys: every node is a canonical label with the
 	// canonical father and children, each edge links the indexed
 	// child, and there are as many nodes as labels.
-	canon, root, hasRoot := net.canonical()
+	slab, canon := net.canonical()
 	for i, n := range net.nodeList {
 		k := n.Key
 		if net.nodes[k] != n || int(n.pos) != i {
@@ -535,8 +530,10 @@ func (net *Network) Validate() error {
 	if len(canon) != len(net.nodeList) {
 		return fmt.Errorf("core: %d nodes vs %d labels of the PGCP tree", len(net.nodeList), len(canon))
 	}
-	if net.hasRoot != hasRoot || hasRoot && net.root != root {
-		return fmt.Errorf("core: root %q (%v), the PGCP tree's is %q (%v)", net.root, net.hasRoot, root, hasRoot)
+	// With every node's links canonical, the root is the one without a
+	// father.
+	if root := net.nodes[net.root]; net.hasRoot != (len(slab) > 0) || net.hasRoot && (root == nil || root.HasFather) {
+		return fmt.Errorf("core: root %q (%v), the PGCP tree has %d labels", net.root, net.hasRoot, len(slab))
 	}
 	// Replica placement: every replica sits on a peer of the ring, and
 	// every replica of a live node on its host's ring successor (the

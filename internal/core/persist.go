@@ -43,13 +43,12 @@ func (net *Network) AttachJournal(store *persist.Store) {
 // RestoreFrom rebuilds an empty overlay from persisted state: the
 // ring — the newest one Load found, or the snapshot's — is recreated
 // peer by peer with its persisted identifiers and capacities, the
-// image's catalogue is built in InsertBatch's sorted pass (load, with
-// no draws: its keys install in ascending order, each after its branch
-// point), each
-// data node's replica is placed on its host's successor, and finally the
-// journal replays the mutations recorded after the snapshot. The same
-// image and journal restore the same overlay, node-index order included,
-// and it passes the full Validate set.
+// image's catalogue is built in InsertBatch's sorted pass (load, with no
+// draws: its keys install in ascending order, each after its branch
+// point), each data node's replica is placed on its host's successor,
+// and finally the journal replays the mutations recorded after the
+// snapshot. The same image and journal restore the same overlay,
+// node-index order included, and it passes the full Validate set.
 func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	if net.NumPeers() != 0 || net.NumNodes() != 0 {
 		return fmt.Errorf("core: restore into a non-empty overlay")
@@ -68,20 +67,20 @@ func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	}
 	// Stream the snapshot's catalogue: for a mapped version-2 snapshot
 	// each subtree materializes as the walk first touches it.
-	var runs []run
+	var entries []KV
 	err := st.Snapshot.Ascend(func(e catalog.Entry) bool {
-		if len(e.Values) > 0 {
-			runs = append(runs, run{key: keys.Key(e.Key), vals: e.Values, first: len(runs)})
+		for _, v := range e.Values {
+			entries = append(entries, KV{Key: keys.Key(e.Key), Value: v})
 		}
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	if len(runs) > 0 && net.NumPeers() == 0 {
-		return fmt.Errorf("core: restore replica %q: no peers", runs[0].key)
+	if len(entries) > 0 && net.NumPeers() == 0 {
+		return fmt.Errorf("core: restore replica %q: no peers", entries[0].Key)
 	}
-	net.load(runs, nil)
+	net.load(entries, nil)
 	for _, n := range net.nodeList {
 		if n.HasData() {
 			net.placeReplica(infoOf(n), net.successorOf(n.host))

@@ -481,7 +481,7 @@ func holdsAll(have, want []string) bool {
 // whose links already match the canonical structure cost nothing, so
 // repeated recoveries of a mostly-intact tree are cheap.
 func (net *Network) rebuildLinks() {
-	want, root, hasRoot := net.canonical()
+	slab, want := net.canonical()
 
 	// Drop nodes that are not canonical labels (stale structural
 	// leftovers; data nodes are always canonical), backwards, as a
@@ -495,21 +495,19 @@ func (net *Network) rebuildLinks() {
 	}
 	// Create canonical labels that are missing (structural nodes are
 	// derivable; lost data nodes stay lost unless they were
-	// replicated, which phase 1 already handled), in ascending order.
-	var missing []keys.Key
-	for label := range want {
-		if !net.HasNode(label) {
-			missing = append(missing, label)
+	// replicated, which phase 1 already handled), in the pass's order.
+	for _, cn := range slab {
+		if !net.HasNode(cn.label) {
+			net.installNode(NodeInfo{Key: cn.label}.materialize(), keys.Epsilon)
 		}
 	}
-	keys.SortKeys(missing)
-	for _, label := range missing {
-		net.installNode(NodeInfo{Key: label}.materialize(), keys.Epsilon)
-	}
-	// Reset the pointers that deviate from the canonical structure; relink
-	// all edges, as matching ones may link nodes replaced above.
-	for label, cn := range want {
-		n := net.nodes[label]
+	// Reset the pointers and the root that deviate from the canonical
+	// structure; relink all edges, as matching ones may link nodes
+	// replaced above.
+	net.hasRoot = len(slab) > 0
+	for i := range slab {
+		cn := &slab[i]
+		n := net.nodes[cn.label]
 		if !linksCanonical(n, cn) {
 			n.Children = cn.kids
 			n.Father, n.HasFather = cn.father, cn.hasFather
@@ -517,13 +515,15 @@ func (net *Network) rebuildLinks() {
 			net.Counters.MaintenanceMsgs++
 		}
 		net.linkChildren(n)
+		if !cn.hasFather {
+			net.root = cn.label
+		}
 	}
-	net.root, net.hasRoot = root, hasRoot
 }
 
-// canonical computes the canonical PGCP structure over the current
-// data keys: buildCanonical over them, sorted.
-func (net *Network) canonical() (want map[keys.Key]*canonNode, root keys.Key, ok bool) {
+// canonical is canonicalPass over the current data keys, sorted, with
+// its vertices by label.
+func (net *Network) canonical() (slab []canonNode, want map[keys.Key]*canonNode) {
 	data := make([]keys.Key, 0, len(net.nodeList))
 	for _, n := range net.nodeList {
 		if n.HasData() {
@@ -531,17 +531,26 @@ func (net *Network) canonical() (want map[keys.Key]*canonNode, root keys.Key, ok
 		}
 	}
 	keys.SortKeys(data)
-	return buildCanonical(data)
+	slab, _ = canonicalPass(data)
+	want = make(map[keys.Key]*canonNode, len(slab))
+	for i := range slab {
+		want[slab[i].label] = &slab[i]
+	}
+	return slab, want
 }
 
 // canonNode is one vertex of the structure computed by
-// buildCanonical: the father and children every live node must carry.
+// canonicalPass: the father and children every live node must carry.
 type canonNode struct {
 	label     keys.Key
 	father    keys.Key
 	hasFather bool
-	kids      []Child // ascending, as Node.Children; linked to nodes made with them
-	node      *Node   // the label's node, when canonicalPass makes nodes
+	kids      []Child    // ascending and unlinked, as Node.Children
+	up        *canonNode // the father's vertex
+	// node and marked serve a sorted pass (load): the label's node once
+	// installed, and whether its subtree holds a key loaded already.
+	node   *Node
+	marked bool
 }
 
 // linksCanonical reports whether n's links already match the
@@ -563,51 +572,46 @@ func linksCanonical(n *Node, cn *canonNode) bool {
 // the branch point itself, interposed. Every label is opened once: a
 // branch point that is already a label is a prefix of the last key, so
 // it sits on the path, where the unwinding stops. It returns the labels
-// in the order it opens them, and for each key i its label (own[i]) and
-// that of GCP(sorted[i-1], sorted[i]) (gcp[i], for i > 0). With
-// makeNodes every label also gets its node, out of the index, with its
-// father and its edges linked to its children's nodes.
-func canonicalPass(sorted []keys.Key, makeNodes bool) (slab []canonNode, own, gcp []*canonNode) {
+// in the order it opens them, and each key's.
+func canonicalPass(sorted []keys.Key) (slab []canonNode, own []*canonNode) {
+	if len(sorted) == 0 {
+		return nil, nil
+	}
 	// At most 2n-1 labels: the slab never grows, so its pointers hold.
 	slab = make([]canonNode, 0, 2*len(sorted))
-	own, gcp = make([]*canonNode, len(sorted)), make([]*canonNode, len(sorted))
+	own = make([]*canonNode, len(sorted))
 	open := func(l keys.Key) *canonNode {
 		slab = append(slab, canonNode{label: l})
-		n := &slab[len(slab)-1]
-		if makeNodes {
-			n.node = &Node{Key: l, pos: -1}
-		}
-		return n
+		return &slab[len(slab)-1]
 	}
 	attach := func(father, child *canonNode) {
-		father.kids = append(father.kids, Child{Key: child.label, node: child.node})
-		child.father, child.hasFather = father.label, true
+		father.kids = append(father.kids, Child{Key: child.label})
+		child.father, child.hasFather, child.up = father.label, true, father
 	}
-	stack := make([]*canonNode, 0, 16)
-	for i, k := range sorted {
-		if i > 0 {
-			g := keys.GCP(sorted[i-1], k)
-			// Unwind the rightmost path down to the branch point; after
-			// this loop the top of the stack is exactly g. A node is
-			// attached only as it leaves the path — while it remains
-			// on it, a later key could still interpose a branch beneath
-			// the tentative father.
-			for len(stack[len(stack)-1].label) > len(g) {
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 && len(stack[len(stack)-1].label) >= len(g) {
-					attach(stack[len(stack)-1], top)
-					continue
-				}
-				// g sits strictly between top and the rest of the path
-				// (or the path is exhausted): interpose it.
-				gn := open(g)
-				attach(gn, top)
-				stack = append(stack, gn)
+	stack := make([]*canonNode, 1, 16)
+	own[0] = open(sorted[0])
+	stack[0] = own[0]
+	for i := 1; i < len(sorted); i++ {
+		g := keys.GCP(sorted[i-1], sorted[i])
+		// Unwind the rightmost path down to the branch point; after
+		// this loop the top of the stack is exactly g. A node is
+		// attached only as it leaves the path — while it remains on
+		// it, a later key could still interpose a branch beneath the
+		// tentative father.
+		for len(stack[len(stack)-1].label) > len(g) {
+			top := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 && len(stack[len(stack)-1].label) >= len(g) {
+				attach(stack[len(stack)-1], top)
+				continue
 			}
-			gcp[i] = stack[len(stack)-1]
+			// g sits strictly between top and the rest of the path
+			// (or the path is exhausted): interpose it.
+			gn := open(g)
+			attach(gn, top)
+			stack = append(stack, gn)
 		}
-		own[i] = open(k)
+		own[i] = open(sorted[i])
 		stack = append(stack, own[i])
 	}
 	for len(stack) > 1 {
@@ -615,26 +619,5 @@ func canonicalPass(sorted []keys.Key, makeNodes bool) (slab []canonNode, own, gc
 		stack = stack[:len(stack)-1]
 		attach(stack[len(stack)-1], top)
 	}
-	for i := range slab {
-		if c := &slab[i]; makeNodes {
-			c.node.Father, c.node.HasFather, c.node.Children = c.father, c.hasFather, c.kids
-		}
-	}
-	return slab, own, gcp
-}
-
-// buildCanonical is canonicalPass's tree by label, with its root.
-func buildCanonical(sorted []keys.Key) (want map[keys.Key]*canonNode, root keys.Key, ok bool) {
-	if len(sorted) == 0 {
-		return nil, keys.Epsilon, false
-	}
-	slab, _, _ := canonicalPass(sorted, false)
-	want = make(map[keys.Key]*canonNode, len(slab))
-	for i := range slab {
-		want[slab[i].label] = &slab[i]
-		if !slab[i].hasFather {
-			root = slab[i].label
-		}
-	}
-	return want, root, true
+	return slab, own
 }
