@@ -242,10 +242,9 @@ func (net *Network) installNode(n *Node, from keys.Key) {
 			cur = net.peers[id]
 		}
 		for !keys.BetweenRightIncl(n.Key, cur.Pred, cur.ID) {
-			next := net.peers[cur.Succ]
+			cur = net.peers[cur.Succ]
 			net.Counters.MaintenanceMsgs++
 			net.Counters.MaintenancePhysical++
-			cur = next
 		}
 		owner = cur
 	}

@@ -181,6 +181,17 @@ func (net *Network) relink(id keys.Key) {
 	net.peers[pred].Succ = id
 }
 
+// dropPeer takes p off the ring and out of the peer map, linking its
+// ring neighbours to each other.
+func (net *Network) dropPeer(p *Peer) {
+	net.peers[p.Pred].Succ, net.peers[p.Succ].Pred = p.Succ, p.Pred
+	delete(net.peers, p.ID)
+	net.ring.Remove(p.ID)
+	if net.Placement == PlacementHashed {
+		net.hashRemovePeer(p.ID)
+	}
+}
+
 // LeavePeer removes a peer gracefully: its tree nodes transfer to the
 // peers that become responsible for them, and ring links are mended.
 // Removing the last peer while tree nodes remain is an error.
@@ -195,18 +206,9 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	}
 	if net.NumPeers() == 1 {
 		clear(net.replicas) // all of them its own
-		delete(net.peers, id)
-		net.ring.Remove(id)
-		if net.Placement == PlacementHashed {
-			net.hashRemovePeer(id)
-		}
+		net.dropPeer(p)
 		return nil
 	}
-	// Mend the ring first so HostOf resolves without the leaver.
-	pred := net.peers[p.Pred]
-	succ := net.peers[p.Succ]
-	pred.Succ = p.Succ
-	succ.Pred = p.Pred
 	net.Counters.MaintenanceMsgs += 2 // link-repair notifications
 	net.Counters.MaintenancePhysical += 2
 	if net.Placement == PlacementHashed {
@@ -216,11 +218,8 @@ func (net *Network) LeavePeer(id keys.Key) error {
 		net.Counters.MaintenanceMsgs += logN * logN
 		net.Counters.MaintenancePhysical += logN * logN
 	}
-	delete(net.peers, id)
-	net.ring.Remove(id)
-	if net.Placement == PlacementHashed {
-		net.hashRemovePeer(id)
-	}
+	// Mend the ring first so HostOf resolves without the leaver.
+	net.dropPeer(p)
 	var adopters []*Peer
 	for _, n := range p.nodes { // the leaver's ν_P goes with it
 		host, _ := net.HostOf(n.Key)
@@ -237,7 +236,7 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	// The leaver hands its replica set over on the way out (part of
 	// the departure transfer), which puts its predecessor's on their new
 	// target; then the adopters' new hosting drives the usual re-homing.
-	targets := make(map[*Peer]bool)
+	targets, handed := make(map[*Peer]bool), 0
 	for _, e := range net.replicas {
 		if p.replicas == 0 {
 			break
@@ -246,12 +245,10 @@ func (net *Network) LeavePeer(id keys.Key) error {
 			tgt, _ := net.replicaTarget(e.Key)
 			net.placeReplica(e.Replica, tgt)
 			targets[tgt] = true
-			net.Replication.TransferredNodes++
+			handed++
 		}
 	}
-	net.Replication.TransferMsgs += len(targets)
-	net.Counters.MaintenanceMsgs += len(targets)
-	net.Counters.MaintenancePhysical += len(targets)
+	net.countTransfers(len(targets), handed)
 	net.rehome(adopters...)
 	return nil
 }

@@ -29,21 +29,17 @@
 //     the local peer; that peer is not always the key's successor, so
 //     we finish with an explicit peer-level ring walk to the owner.
 //     The walk is counted as maintenance traffic.
+//   - A batch into an overlay with no node (InsertBatch) is built in one
+//     sorted pass, not routed entry by entry; it leaves the state
+//     Algorithm 3 leaves, and each node is charged its Host message
+//     (plus, hashed, the owner lookup) in place of the routed hops.
 //
-// A node's children and values are sorted slices, so a routing step is
-// a binary search. They are shifted in place by the node's mutators,
-// which run under the engine's write lock; every accessor that hands
-// them out from under that lock returns a copy, except a replication
-// tick's: it ships the values without a copy and marks them shared, and
-// the node's next value write replaces them instead (copy on ship).
-//
-// A child is reached through its edge's link while it is in the node
-// index, otherwise (and a father always) by one probe of that index; the
-// mapping rule says where a node must be, and Validate checks both.
-//
-// A node's placement is the index entry and the node's host; the host's
-// node set ν_P is an unordered slice in which the node records its slot.
-// Passes over every node range the index's list, not the peers.
+// A node's children and values are sorted slices (a routing step is a
+// binary search), shifted in place under the engine's write lock (Node);
+// a child is reached through its edge's link (Child, Follow); a node's
+// placement is its index entry and its host, in whose unordered node set
+// ν_P it records its slot (Peer). Passes over every node range the
+// index's list, not the peers.
 package core
 
 import (

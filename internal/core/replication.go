@@ -12,46 +12,26 @@ import (
 // graceful departures only; its companion work ([5], [6] and the
 // PGCP-tree self-stabilization line of the same authors) motivates
 // replicating node state so the tree survives crashes. We implement
-// true successor replication: every tree node's snapshot lives on the
-// ring successor of its host peer, refreshed by Replicate — e.g. once
-// per time unit — and used by Recover after a crash. The refresh is by
-// change, as in delta-state replication (Almeida, Shoker and Baquero,
-// JPDC 2018): a snapshot carries a node's key, values and loads — its
-// father and children are the PGCP tree's over the data keys, which
-// Recover rebuilds — so a node's creation and every write to its values
-// or loads stamp it with the open replication epoch (touch), and a tick
-// ships only the nodes stamped since the previous one, plus every node
-// whose current-unit load differs from its replica's (discoveries count
-// visits without a stamp: they run under the read lock). A change of
-// links stamps nothing. A node that changes host keeps its stamp: the
-// topology change re-homes its replica. A tick shares each node's
-// values with its snapshot; the node's next value write copies them
-// (see Node). A crash stamps the live nodes whose replicas it took, so
-// the next tick re-protects them, and an install that leaves a replica
-// behind its node stamps the node; compaction looks only at the keys
-// that left the index holding a replica. Because replicas
-// have a *place*, topology changes have a replication cost: a change
-// moves the replicas of the nodes of the hosts next to it (rehome) — a
-// join's joiner and its predecessor, a leave's adopters (its handover
-// places the replicas the leaver held), every host after a balancing
-// round or a recovery — and that transfer traffic is counted
+// true successor replication: every tree node's snapshot (key, values
+// and loads; its links are the PGCP tree's over the data keys) lives on
+// the ring successor of its host peer, refreshed by Replicate and used
+// by Recover after a crash. The refresh is by change, as in delta-state
+// replication (Almeida, Shoker and Baquero, JPDC 2018): a tick ships the
+// nodes stamped since the previous one (touch), plus every node whose
+// current-unit load differs from its replica's, and shares each node's
+// values with its snapshot (copy on ship, see Node). Because replicas
+// have a *place*, a topology change moves the replicas of the nodes of
+// the hosts next to it (rehome), and that transfer traffic is counted
 // (TransferMsgs/TransferredNodes): replication cost tracks churn as in
 // the paper's model instead of being flat per Replicate tick.
 //
-// Recover restores every replicated node and then runs an
-// anti-entropy sweep that rebuilds the tree links canonically: the
-// PGCP tree over a given key set is unique, so the structural
-// (dataless) nodes and all father/child pointers are derivable from
-// the surviving data keys. Snapshots taken before later insertions
-// can therefore never resurrect stale structure; only *data* declared
-// after the last snapshot on a crashed peer can be lost — and Recover
-// reports exactly which keys, so loss windows are assertable. Nothing
-// removed comes back: Recover first compacts the replicas of removed
-// nodes, and an unregister takes its value out of the replica too. After
-// Recover the full Validate invariant set holds again (asserted by
-// the failure-injection tests). Until Recover runs, tree-routed
-// operations may fail: a crash leaves dangling references, exactly as
-// in a real deployment before repair.
+// Recover reinstalls every replicated node and rebuilds the structure
+// canonically from the surviving data keys (the PGCP tree over a key set
+// is unique), so an old snapshot never resurrects stale structure and
+// nothing removed comes back; only data declared after the last tick on
+// a crashed peer can be lost, and Recover names those keys. Until it
+// runs, tree-routed operations may fail: a crash leaves dangling
+// references, as in a real deployment before repair.
 //
 // A crash loses two things at once: the peer's node states (their
 // replicas survive on the peer's successor) and the replica set the
@@ -362,15 +342,7 @@ func (net *Network) FailPeer(id keys.Key) error {
 	if net.NumPeers() == 1 {
 		return fmt.Errorf("core: cannot crash the last peer")
 	}
-	pred := net.peers[p.Pred]
-	succ := net.peers[p.Succ]
-	pred.Succ = p.Succ
-	succ.Pred = p.Pred
-	delete(net.peers, id)
-	net.ring.Remove(id)
-	if net.Placement == PlacementHashed {
-		net.hashRemovePeer(id)
-	}
+	net.dropPeer(p)
 	// The crashed peer's replica set is gone with it; its predecessor's
 	// live nodes are stamped, so the next tick re-replicates them.
 	for k, e := range net.replicas {
