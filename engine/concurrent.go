@@ -102,8 +102,7 @@ func (e *Concurrent[C]) Register(ctx context.Context, key, value string) error {
 	return mapErr(e.rt.Register(keys.Key(key), value))
 }
 
-// RegisterBatch declares every entry under one write-lock
-// acquisition.
+// RegisterBatch is the runtime's, under one write-lock acquisition.
 func (e *Concurrent[C]) RegisterBatch(ctx context.Context, entries []Entry) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 
 	"dlpt/internal/keys"
 )
@@ -100,21 +98,20 @@ func (net *Network) InsertBatch(entries []KV, r *rand.Rand) error {
 // each key arrives finds it in the walk that marks. canonicalPass gives
 // every node its links, and hostNode installs it.
 func (net *Network) load(entries []KV, entry func(i int)) {
-	byKey := make([]int, len(entries))
-	for i := range byKey {
-		byKey[i] = i
+	ks := make([]keys.Key, len(entries))
+	for i, e := range entries {
+		ks[i] = e.Key
 	}
-	slices.SortFunc(byKey, func(a, b int) int {
-		return cmp.Or(strings.Compare(string(entries[a].Key), string(entries[b].Key)), a-b)
-	})
-	ks, vals, at := []keys.Key(nil), [][]string(nil), make([]int, len(entries))
-	for _, i := range byKey {
-		if m := len(ks) - 1; m >= 0 && ks[m] == entries[i].Key {
-			vals[m], at[i] = append(vals[m], entries[i].Value), -1
-			continue
-		}
-		at[i] = len(ks)
-		ks, vals = append(ks, entries[i].Key), append(vals, []string{entries[i].Value})
+	slices.Sort(ks)
+	ks = slices.Compact(ks)
+	vals, at := make([][]string, len(ks)), make([]int, len(entries))
+	for i, e := range entries {
+		at[i], _ = slices.BinarySearch(ks, e.Key)
+		vals[at[i]] = append(vals[at[i]], e.Value)
+	}
+	for j := range vals {
+		slices.Sort(vals[j])
+		vals[j] = slices.Compact(vals[j])
 	}
 	slab, own := canonicalPass(ks)
 	net.nodes = make(map[keys.Key]*Node, len(slab))
@@ -127,17 +124,13 @@ func (net *Network) load(entries []KV, entry func(i int)) {
 		if entry != nil {
 			entry(i)
 		}
-		if j < 0 {
-			continue
-		}
 		branch := own[j]
 		for ; branch != nil && !branch.marked; branch = branch.up {
 			branch.marked = true
 		}
 		install(branch)
 		install(own[j])
-		slices.Sort(vals[j])
-		own[j].node.Data = slices.Compact(vals[j])
+		own[j].node.Data = vals[j]
 	}
 }
 

@@ -566,7 +566,9 @@ func (r *Runtime) Register(key keys.Key, value string) error {
 }
 
 // RegisterBatch declares every entry under a single acquisition of
-// the write lock, stopping at the first failure.
+// the write lock, stopping at the first failure. Into an overlay with
+// no node it is core.InsertBatch's sorted pass: the state per-key
+// insertion leaves, each node charged its Host message, not routed hops.
 func (r *Runtime) RegisterBatch(entries []core.KV) error {
 	if r.Stopped() {
 		return ErrStopped

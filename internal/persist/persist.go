@@ -17,16 +17,9 @@
 //	                      one before, one CRC-framed record each,
 //	                      appended in order; a zero length ends it.
 //
-// Snapshot writing is split in two so the expensive half runs off
-// the cluster write lock: BeginSnapshot allocates the next epoch and
-// rotates the journal — the only steps that must be atomic with the
-// caller's state capture — and the returned PendingSnapshot's Commit
-// encodes, writes and fsyncs the snapshot file with no store-wide
-// lock held, so concurrent journal appends (and therefore the
-// cluster's registration path) never stall behind an fsync. A crash
-// between Begin and Commit is safe by construction: Load falls back
-// to the previous epoch's snapshot and replays both epochs' journals
-// forward.
+// Snapshot writing is split in two so the expensive half runs off the
+// cluster write lock: BeginSnapshot rotates the journal under it, and
+// Commit encodes, writes and fsyncs with no store-wide lock held.
 //
 // Journal records land in the journal of the epoch they follow. Load
 // is corruption-tolerant: it walks the snapshots newest-first until
@@ -55,25 +48,17 @@
 // a build older than the mapped tail refuses, with a *RecordError, a
 // journal that a crash left with its zeroed tail.
 //
-// A journal append is a copy into a shared mapping of a preallocated,
-// page-aligned window of the file (one write(2) where there is none):
-// no system call, and the record sits in the OS cache as a write would
-// leave it. The window reads zero past the last record, so a zero length
-// ends a journal; the Commit after a rotation and Close cut the file
-// back to its records, and a reopened journal loses what follows its
-// valid prefix. A fault on the mapping fails the append like a failed
-// write. Journal appends ride the OS cache; a Replicate tick is the
-// durability point. A tick writes a new image only when the journal
-// cannot carry it (JournalCarries: an append failed, or the records
-// journaled since the image reach a quarter of its keys; the caller adds
-// what only it knows, a catalogue that changed without a record);
-// otherwise the tick journals its ring if that changed and fsyncs the
-// journal (SyncJournal), and the newest image plus its journal replay to the
-// same state, ring included (a ring record counts once per peer, so the
-// journal passes the rule by at most one ring). The durability
-// contract is therefore exactly the paper's replication model: everything
-// declared before the last Replicate survives any crash, and journaled
-// mutations after it survive ordinary process death (but not power loss).
+// A journal append is a copy into a shared mapping of a preallocated
+// window of the file (one write(2) where there is none, see journal):
+// no system call, and the window reads zero past the last record, so a
+// zero length ends a journal. Journal appends ride the OS cache; a
+// Replicate tick is the durability point: it writes a new image only
+// when the journal cannot carry it (JournalCarries), and otherwise
+// fsyncs the journal (SyncJournal), whose records replay onto the newest
+// image to the same state, ring included. The durability contract is
+// therefore exactly the paper's replication model: everything declared
+// before the last Replicate survives any crash, and journaled mutations
+// after it survive ordinary process death (but not power loss).
 package persist
 
 import (
