@@ -226,8 +226,7 @@ func (net *Network) installNode(n *Node, from keys.Key) {
 		id, _ := net.HostOf(n.Key)
 		owner = net.peers[id]
 		cost := int(math.Ceil(math.Log2(float64(net.NumPeers() + 1))))
-		net.Counters.MaintenanceMsgs += cost
-		net.Counters.MaintenancePhysical += cost
+		net.charge(cost, true)
 	default:
 		cur, ok := net.peers[from]
 		if !ok {
@@ -236,16 +235,12 @@ func (net *Network) installNode(n *Node, from keys.Key) {
 		}
 		for !keys.BetweenRightIncl(n.Key, cur.Pred, cur.ID) {
 			cur = net.peers[cur.Succ]
-			net.Counters.MaintenanceMsgs++
-			net.Counters.MaintenancePhysical++
+			net.charge(1, true)
 		}
 		owner = cur
 	}
 	// The Host message itself.
-	net.Counters.MaintenanceMsgs++
-	if owner.ID != from {
-		net.Counters.MaintenancePhysical++
-	}
+	net.charge(1, owner.ID != from)
 	owner.adopt(n)
 	net.indexNode(n)
 	if !n.HasFather {

@@ -123,13 +123,9 @@ func (net *Network) handleNewPredecessor(q *Peer, m message) error {
 	moved := q.cede(newp, func(n *Node) bool { return keys.BetweenRightIncl(n.Key, q.Pred, P) })
 	net.Counters.NodesTransferred += moved
 	// YourInformation to P (1 message carrying pred/succ/nodes).
-	net.Counters.MaintenanceMsgs++
-	net.Counters.MaintenancePhysical++
+	net.charge(1, true)
 	// UpdateSuccessor to pred(Q).
-	net.Counters.MaintenanceMsgs++
-	if q.Pred != q.ID {
-		net.Counters.MaintenancePhysical++
-	}
+	net.charge(1, q.Pred != q.ID)
 	if pred, ok := net.peers[q.Pred]; ok {
 		pred.Succ = P
 	}
@@ -148,8 +144,7 @@ func (net *Network) handleNewPredecessor(q *Peer, m message) error {
 func (net *Network) joinHashed(id keys.Key, capacity int) error {
 	logN := int(math.Ceil(math.Log2(float64(net.NumPeers() + 1))))
 	lookupCost := logN + logN*logN
-	net.Counters.MaintenanceMsgs += lookupCost
-	net.Counters.MaintenancePhysical += lookupCost
+	net.charge(lookupCost, true)
 
 	// The peer that currently owns the new peer's hash position will
 	// cede part of its range.
@@ -163,8 +158,7 @@ func (net *Network) joinHashed(id keys.Key, capacity int) error {
 
 	moved := owner.cede(newp, func(n *Node) bool { h, _ := net.HostOf(n.Key); return h == id })
 	net.Counters.NodesTransferred += moved
-	net.Counters.MaintenanceMsgs += moved
-	net.Counters.MaintenancePhysical += moved
+	net.charge(moved, true)
 	return nil
 }
 
@@ -209,14 +203,12 @@ func (net *Network) LeavePeer(id keys.Key) error {
 		net.dropPeer(p)
 		return nil
 	}
-	net.Counters.MaintenanceMsgs += 2 // link-repair notifications
-	net.Counters.MaintenancePhysical += 2
+	net.charge(2, true) // link-repair notifications
 	if net.Placement == PlacementHashed {
 		// Finger tables referencing the leaver must be repaired
 		// (Chord bound, as in joinHashed).
 		logN := int(math.Ceil(math.Log2(float64(net.NumPeers()))))
-		net.Counters.MaintenanceMsgs += logN * logN
-		net.Counters.MaintenancePhysical += logN * logN
+		net.charge(logN*logN, true)
 	}
 	// Mend the ring first so HostOf resolves without the leaver.
 	net.dropPeer(p)
@@ -231,8 +223,7 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	}
 	moved := len(p.nodes)
 	net.Counters.NodesTransferred += moved
-	net.Counters.MaintenanceMsgs += moved
-	net.Counters.MaintenancePhysical += moved
+	net.charge(moved, true)
 	// The leaver hands its replica set over on the way out (part of
 	// the departure transfer), which puts its predecessor's on their new
 	// target; then the adopters' new hosting drives the usual re-homing.

@@ -93,10 +93,7 @@ func (net *Network) deliver(m message) error {
 	} else if p, ok = net.peers[m.toPeer]; !ok {
 		return fmt.Errorf("core: %v addressed to unknown peer %q", m.typ, m.toPeer)
 	}
-	net.Counters.MaintenanceMsgs++
-	if m.fromPeer != p.ID {
-		net.Counters.MaintenancePhysical++
-	}
+	net.charge(1, m.fromPeer != p.ID)
 	if m.nodeAddressed {
 		switch m.typ {
 		case msgPeerJoin:
@@ -121,10 +118,7 @@ func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Ke
 	if !ok {
 		return fmt.Errorf("core: UpdateChild to absent node %q", father)
 	}
-	net.Counters.MaintenanceMsgs++
-	if p.ID != fromPeer {
-		net.Counters.MaintenancePhysical++
-	}
+	net.charge(1, p.ID != fromPeer)
 	n.removeChild(old)
 	n.addChild(new, net.nodes[new])
 	return nil
@@ -144,10 +138,7 @@ func (net *Network) routeSearchingHost(fromPeer keys.Key, at keys.Key, info Node
 		if !ok {
 			return fmt.Errorf("core: SearchingHost routed to absent node %q", cur.Key)
 		}
-		net.Counters.MaintenanceMsgs++
-		if p.ID != from {
-			net.Counters.MaintenancePhysical++
-		}
+		net.charge(1, p.ID != from)
 		q, ok := n.MaxChildAtMost(info.Key, false)
 		if !ok {
 			net.hostNode(info, p.ID)

@@ -56,6 +56,15 @@ type Counters struct {
 	NodesTransferred int
 }
 
+// charge counts n maintenance messages, and them as physical too when
+// cross is set: they left the sending peer.
+func (net *Network) charge(n int, cross bool) {
+	net.Counters.MaintenanceMsgs += n
+	if cross {
+		net.Counters.MaintenancePhysical += n
+	}
+}
+
 // RequestResult reports the fate of one discovery request.
 type RequestResult struct {
 	Key keys.Key
@@ -437,8 +446,7 @@ func (net *Network) MoveNode(k, fromID, toID keys.Key) error {
 	}
 	from.release(n)
 	to.adopt(n)
-	net.Counters.MaintenanceMsgs++
-	net.Counters.MaintenancePhysical++
+	net.charge(1, true)
 	net.Counters.NodesTransferred++
 	return nil
 }

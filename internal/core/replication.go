@@ -198,10 +198,7 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 		}
 		net.placeReplica(info, tgt)
 		count++
-		net.Counters.MaintenanceMsgs++
-		if tgt.ID != from {
-			net.Counters.MaintenancePhysical++
-		}
+		net.charge(1, tgt.ID != from)
 	}
 	net.Replication.SnapshotMsgs += count
 	return count
@@ -306,8 +303,7 @@ func (net *Network) rehome(hosts ...*Peer) (msgs, moved int) {
 func (net *Network) countTransfers(msgs, moved int) {
 	net.Replication.TransferMsgs += msgs
 	net.Replication.TransferredNodes += moved
-	net.Counters.MaintenanceMsgs += msgs
-	net.Counters.MaintenancePhysical += msgs
+	net.charge(msgs, true)
 }
 
 // ReplicaHolder reports which peer holds the replica of node k.
@@ -371,8 +367,7 @@ func (net *Network) FailPeer(id keys.Key) error {
 	}
 	net.Replication.Failures++
 	// Failure detection + ring repair messages.
-	net.Counters.MaintenanceMsgs += 2
-	net.Counters.MaintenancePhysical += 2
+	net.charge(2, true)
 	return nil
 }
 
