@@ -425,12 +425,11 @@ func (r *Registry) Register(ctx context.Context, name, endpoint string) error {
 	return r.eng.Register(ctx, name, endpoint)
 }
 
-// RegisterBatch declares every registration in one engine call,
-// holding the engine's write side once where the backend permits. It
-// stops at the first failing entry. Into an overlay with no node (a new
-// Registry's first batch) the tree is built in one sorted pass: the
-// state registering one by one leaves, but the maintenance counters,
-// which charge each node its Host message in place of the routed hops.
+// RegisterBatch declares every registration in one engine call, holding
+// the engine's write side once where the backend permits, and stops at
+// the first failing entry. Into an overlay with no node (a new Registry's
+// first batch) it builds the tree in one sorted pass: the state of
+// registering one by one, but with each node charged one Host message.
 func (r *Registry) RegisterBatch(ctx context.Context, regs []Registration) error {
 	entries := make([]engine.Entry, len(regs))
 	for i, reg := range regs {

@@ -317,10 +317,9 @@ type Engine interface {
 	// Register declares key with a value.
 	Register(ctx context.Context, key, value string) error
 	// RegisterBatch declares every entry, holding the write side once
-	// where the backend permits. It stops at the first failing entry.
-	// Into an overlay with no node it builds the tree in one sorted
-	// pass: the state registering entry by entry leaves, but with one
-	// Host message charged per node in place of the routed hops.
+	// where the backend permits, and stops at the first failing entry.
+	// Into an empty overlay it builds the tree in one sorted pass: the
+	// state per-key registration leaves, one Host message charged a node.
 	RegisterBatch(ctx context.Context, entries []Entry) error
 	// Unregister removes value from key, reporting whether it was
 	// registered.

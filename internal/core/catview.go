@@ -10,19 +10,14 @@ import (
 )
 
 // Copy-on-write catalogue image. A durable overlay snapshots its
-// catalogue once per replication tick; doing that by walking every
-// peer's nodes under the cluster write lock stalls writers for a time
-// proportional to the catalogue. Instead the network maintains a
-// chunked, sorted image of the data catalogue incrementally from the
-// journal funnel (every successful register/unregister passes through
-// journal), and CaptureSnapshot freezes it in O(1): bump the image
-// epoch and hand out the chunk list. Mutations after a capture clone
-// only the chunks they touch — the captured view stays immutable
-// while the encoder and fsync run outside the lock.
-//
-// The image is rebuilt lazily (on the next capture) after the one
-// event that changes the catalogue without passing through the
-// journal funnel: a Recover pass that declares keys lost.
+// catalogue once per replication tick; walking every node under the
+// cluster write lock would stall writers for a time proportional to the
+// catalogue. Instead the network keeps a chunked, sorted image of the
+// data catalogue, maintained from the journal funnel (every successful
+// register/unregister), which CaptureSnapshot freezes in O(1); a
+// mutation after a capture clones only the chunks it touches (writable).
+// A Recover pass that declares keys lost, the one change that bypasses
+// the funnel, drops the image; the next capture rebuilds it.
 
 // catChunkMax bounds a chunk; a full chunk splits in half, so chunks
 // hold between catChunkMax/2 and catChunkMax entries (except the

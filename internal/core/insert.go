@@ -72,31 +72,27 @@ func (net *Network) InsertBatch(entries []KV, r *rand.Rand) error {
 		}
 		return nil
 	}
-	valid := slices.IndexFunc(entries, func(e KV) bool { return !net.Alphabet.Valid(e.Key) })
-	if valid < 0 {
-		valid = len(entries)
+	var err error
+	if bad := slices.IndexFunc(entries, func(e KV) bool { return !net.Alphabet.Valid(e.Key) }); bad >= 0 {
+		entries, err = entries[:bad], fmt.Errorf("core: key %q not in alphabet", entries[bad].Key)
 	}
-	net.load(entries[:valid], func(i int) {
+	net.load(entries, func(i int) {
 		if n := net.NumNodes(); n > 0 {
 			r.Intn(n) // InsertData's draw of the entry node
 		}
 		net.journal(false, entries[i].Key, entries[i].Value)
 	})
-	if valid < len(entries) {
-		return fmt.Errorf("core: key %q not in alphabet", entries[valid].Key)
-	}
-	return nil
+	return err
 }
 
 // load builds the PGCP tree over entries into an overlay with peers and
-// no node, creating its nodes in the order per-key insertion of the
-// entries does and calling entry(i), if set, before entry i's. Entry i
-// creates at most two: its branch point, unless that is a node already,
-// then its own node. The branch point is the longest prefix its key
-// shares with the key of an earlier entry: the deepest node above or at
-// the key's whose subtree holds such a key. Marking those subtrees as
-// each key arrives finds it in the walk that marks. canonicalPass gives
-// every node its links, and hostNode installs it.
+// no node, creating the nodes in the order per-key insertion does and
+// calling entry(i), if set, before entry i's. Entry i creates at most
+// two: its branch point, unless that is a node already, then its own.
+// The branch point is the longest prefix its key shares with an earlier
+// entry's key: the deepest node at or above the key's whose subtree
+// holds one, which the walk that marks those subtrees finds.
+// canonicalPass gives every node its links, and hostNode installs it.
 func (net *Network) load(entries []KV, entry func(i int)) {
 	ks := make([]keys.Key, len(entries))
 	for i, e := range entries {

@@ -22,17 +22,9 @@ const (
 	msgDataInsertion                 // <DataInsertion, k> — node-addressed
 )
 
-func (t msgType) String() string {
-	switch t {
-	case msgPeerJoin:
-		return "PeerJoin"
-	case msgNewPredecessor:
-		return "NewPredecessor"
-	case msgDataInsertion:
-		return "DataInsertion"
-	}
-	return fmt.Sprintf("msgType(%d)", int(t))
-}
+var msgNames = [...]string{msgPeerJoin: "PeerJoin", msgNewPredecessor: "NewPredecessor", msgDataInsertion: "DataInsertion"}
+
+func (t msgType) String() string { return msgNames[t] }
 
 // message is one in-flight protocol message.
 type message struct {

@@ -538,8 +538,7 @@ func (net *Network) Validate() error {
 	if len(canon) != len(net.nodeList) {
 		return fmt.Errorf("core: %d nodes vs %d labels of the PGCP tree", len(net.nodeList), len(canon))
 	}
-	// With every node's links canonical, the root is the one without a
-	// father.
+	// With every node's links canonical, the root is the fatherless one.
 	if root := net.nodes[net.root]; net.hasRoot != (len(slab) > 0) || net.hasRoot && (root == nil || root.HasFather) {
 		return fmt.Errorf("core: root %q (%v), the PGCP tree has %d labels", net.root, net.hasRoot, len(slab))
 	}

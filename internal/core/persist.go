@@ -40,15 +40,14 @@ func (net *Network) AttachJournal(store *persist.Store) {
 	}
 }
 
-// RestoreFrom rebuilds an empty overlay from persisted state: the
-// ring — the newest one Load found, or the snapshot's — is recreated
-// peer by peer with its persisted identifiers and capacities, the
-// image's catalogue is built in InsertBatch's sorted pass (load, with no
-// draws: its keys install in ascending order, each after its branch
-// point), each data node's replica is placed on its host's successor,
-// and finally the journal replays the mutations recorded after the
-// snapshot. The same image and journal restore the same overlay,
-// node-index order included, and it passes the full Validate set.
+// RestoreFrom rebuilds an empty overlay from persisted state: the ring —
+// the newest one Load found, or the snapshot's — is recreated peer by
+// peer with its persisted identifiers and capacities, the image's
+// catalogue is built in InsertBatch's sorted pass (load, with no draws),
+// each data node's replica is placed on its host's successor, and the
+// journal replays the mutations recorded after the snapshot. One image
+// and journal always restore one overlay, node-index order included, and
+// it passes the full Validate set.
 func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	if net.NumPeers() != 0 || net.NumNodes() != 0 {
 		return fmt.Errorf("core: restore into a non-empty overlay")

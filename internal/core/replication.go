@@ -19,11 +19,12 @@ import (
 // replication (Almeida, Shoker and Baquero, JPDC 2018): a tick ships the
 // nodes stamped since the previous one (touch), plus every node whose
 // current-unit load differs from its replica's, and shares each node's
-// values with its snapshot (copy on ship, see Node). Because replicas
-// have a *place*, a topology change moves the replicas of the nodes of
-// the hosts next to it (rehome), and that transfer traffic is counted
-// (TransferMsgs/TransferredNodes): replication cost tracks churn as in
-// the paper's model instead of being flat per Replicate tick.
+// values with its snapshot (copy on ship, see Node). A change of links
+// or host stamps nothing: replicas have a *place*, so a topology change
+// moves those of the nodes of the hosts next to it (rehome), and that
+// transfer traffic is counted (TransferMsgs/TransferredNodes):
+// replication cost tracks churn as in the paper's model instead of
+// being flat per Replicate tick.
 //
 // Recover reinstalls every replicated node and rebuilds the structure
 // canonically from the surviving data keys (the PGCP tree over a key set
@@ -514,10 +515,8 @@ type canonNode struct {
 	hasFather bool
 	kids      []Child    // ascending and unlinked, as Node.Children
 	up        *canonNode // the father's vertex
-	// node and marked serve a sorted pass (load): the label's node once
-	// installed, and whether its subtree holds a key loaded already.
-	node   *Node
-	marked bool
+	node      *Node      // in a sorted pass (load), the label's node once installed
+	marked    bool       // and whether its subtree holds a key loaded already
 }
 
 // linksCanonical reports whether n's links already match the

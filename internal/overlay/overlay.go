@@ -565,10 +565,9 @@ func (r *Runtime) Register(key keys.Key, value string) error {
 	return r.Net.InsertData(key, value, r.Rng)
 }
 
-// RegisterBatch declares every entry under a single acquisition of
-// the write lock, stopping at the first failure. Into an overlay with
-// no node it is core.InsertBatch's sorted pass: the state per-key
-// insertion leaves, each node charged its Host message, not routed hops.
+// RegisterBatch declares every entry under one write-lock acquisition,
+// stopping at the first failure; into an overlay with no node it is
+// core.InsertBatch's sorted pass (per-key state, a Host message a node).
 func (r *Runtime) RegisterBatch(entries []core.KV) error {
 	if r.Stopped() {
 		return ErrStopped

@@ -9,6 +9,7 @@ import (
 
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
+	"dlpt/internal/overlay"
 	"dlpt/internal/workload"
 )
 
@@ -136,7 +137,7 @@ func TestPartitionedReplyAddress(t *testing.T) {
 	faults.Partition(replyTo)
 	began := time.Now()
 	_, err := c.Discover(corpus[3])
-	if !errors.Is(err, ErrNoReply) {
+	if !errors.Is(err, overlay.ErrNoReply) {
 		t.Fatalf("discover with the reply address partitioned: %v", err)
 	}
 	if d := time.Since(began); d > 3*reissueBound { // three attempts

@@ -106,10 +106,6 @@ type Cluster struct {
 // ErrStopped is returned by operations on a stopped cluster.
 var ErrStopped = overlay.ErrStopped
 
-// ErrNoReply is returned by a discovery or query none of whose
-// attempts was answered (see overlay.ErrNoReply).
-var ErrNoReply = overlay.ErrNoReply
-
 // Start launches a TCP-backed overlay with one listener per capacity
 // entry, all bound to 127.0.0.1 ephemeral ports.
 func Start(alpha *keys.Alphabet, capacities []int, seed int64) (*Cluster, error) {
