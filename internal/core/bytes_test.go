@@ -131,8 +131,8 @@ func BenchmarkInsertBatch(b *testing.B) {
 
 // TestAllocsPerBatchInsert is the allocation budget of BenchmarkInsertBatch's
 // sorted pass: each key's values, the canonical pass's slab and child
-// slices, the nodes, the node index and the growth of each ν_P. It read
-// 52,811 to 52,827 allocations for 20,000 keys and 21,056 nodes; the same
+// slices, the nodes, the node index and the growth of each ν_P. It reads
+// 52,778 or 52,779 allocations for 20,000 keys and 21,056 nodes; the same
 // batch routed key by key reads 51,791.
 func TestAllocsPerBatchInsert(t *testing.T) {
 	if raceDetector {
@@ -149,7 +149,7 @@ func TestAllocsPerBatchInsert(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	allocs := ms.Mallocs - before
 	t.Logf("%d allocations for %d keys and %d nodes", allocs, len(entries), net.NumNodes())
-	const ceiling = 52850
+	const ceiling = 52800
 	if allocs > ceiling {
 		t.Fatalf("%d allocations for a %d-key batch, ceiling %d", allocs, len(entries), ceiling)
 	}

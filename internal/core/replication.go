@@ -513,10 +513,10 @@ type canonNode struct {
 	label     keys.Key
 	father    keys.Key
 	hasFather bool
+	marked    bool       // in a sorted pass (load): its subtree holds a key loaded already
 	kids      []Child    // ascending and unlinked, as Node.Children
 	up        *canonNode // the father's vertex
-	node      *Node      // in a sorted pass (load), the label's node once installed
-	marked    bool       // and whether its subtree holds a key loaded already
+	node      *Node      // in a sorted pass, the label's node once installed
 }
 
 // linksCanonical reports whether n's links already match the
