@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 
+	"dlpt/internal/catalog"
 	"dlpt/internal/keys"
 	"dlpt/internal/ring"
 )
@@ -113,4 +114,15 @@ func TouchNodes(net *Network, n int) {
 	for _, nd := range net.nodeList[:n] {
 		net.touch(nd)
 	}
+}
+
+// CatalogueData is the durable catalogue the tree holds (catalogueData)
+// as sorted entries: what an image of net captured now must encode.
+func CatalogueData(net *Network) []catalog.Entry {
+	ks, data := net.catalogueData()
+	out := make([]catalog.Entry, len(ks))
+	for i, k := range ks {
+		out[i] = catalog.Entry{Key: string(k), Values: data[k]}
+	}
+	return out
 }
