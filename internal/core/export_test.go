@@ -91,9 +91,12 @@ func CloneNetwork(net *Network) *Network {
 }
 
 // buildCanonical is canonicalPass's tree over sorted keys by label, with
-// its root.
+// its root. It panics if canonicalLabels did not size the slab exactly.
 func buildCanonical(sorted []keys.Key) (want map[keys.Key]*canonNode, root keys.Key, ok bool) {
 	slab, _ := canonicalPass(sorted)
+	if len(slab) != cap(slab) {
+		panic(fmt.Sprintf("canonicalPass opened %d labels into a slab sized %d", len(slab), cap(slab)))
+	}
 	want = make(map[keys.Key]*canonNode, len(slab))
 	for i := range slab {
 		want[slab[i].label] = &slab[i]

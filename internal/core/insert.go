@@ -94,15 +94,23 @@ func (net *Network) InsertBatch(entries []KV, r *rand.Rand) error {
 // holds one, which the walk that marks those subtrees finds.
 // canonicalPass gives every node its links, and hostNode installs it.
 func (net *Network) load(entries []KV, entry func(i int)) {
-	ks := make([]keys.Key, len(entries))
-	for i, e := range entries {
-		ks[i] = e.Key
+	// One sort of the entries' positions by key gives the distinct keys
+	// in order and each entry's index among them (at).
+	idx := make([]int, 2*len(entries))
+	perm, at := idx[:len(entries)], idx[len(entries):]
+	for i := range perm {
+		perm[i] = i
 	}
-	slices.Sort(ks)
-	ks = slices.Compact(ks)
-	vals, at := make([][]string, len(ks)), make([]int, len(entries))
+	slices.SortFunc(perm, func(a, b int) int { return keys.Compare(entries[a].Key, entries[b].Key) })
+	ks := make([]keys.Key, 0, len(entries))
+	for _, i := range perm {
+		if len(ks) == 0 || ks[len(ks)-1] != entries[i].Key {
+			ks = append(ks, entries[i].Key)
+		}
+		at[i] = len(ks) - 1
+	}
+	vals := make([][]string, len(ks))
 	for i, e := range entries {
-		at[i], _ = slices.BinarySearch(ks, e.Key)
 		vals[at[i]] = append(vals[at[i]], e.Value)
 	}
 	for j := range vals {

@@ -543,8 +543,9 @@ func canonicalPass(sorted []keys.Key) (slab []canonNode, own []*canonNode) {
 	if len(sorted) == 0 {
 		return nil, nil
 	}
-	// At most 2n-1 labels: the slab never grows, so its pointers hold.
-	slab = make([]canonNode, 0, 2*len(sorted))
+	// The slab is sized to the labels, so it never grows and its
+	// pointers hold.
+	slab = make([]canonNode, 0, canonicalLabels(sorted))
 	own = make([]*canonNode, len(sorted))
 	open := func(l keys.Key) *canonNode {
 		slab = append(slab, canonNode{label: l})
@@ -586,4 +587,22 @@ func canonicalPass(sorted []keys.Key) (slab []canonNode, own []*canonNode) {
 		attach(stack[len(stack)-1], top)
 	}
 	return slab, own
+}
+
+// canonicalLabels counts the labels canonicalPass opens over sorted: the
+// keys and each branch point interposed, by the same unwinding over the
+// lengths of the labels on the path.
+func canonicalLabels(sorted []keys.Key) int {
+	var buf [32]int
+	path, n := append(buf[:0], len(sorted[0])), len(sorted)
+	for i := 1; i < len(sorted); i++ {
+		g := len(keys.GCP(sorted[i-1], sorted[i]))
+		for path[len(path)-1] > g {
+			if path = path[:len(path)-1]; len(path) == 0 || path[len(path)-1] < g {
+				path, n = append(path, g), n+1
+			}
+		}
+		path = append(path, len(sorted[i]))
+	}
+	return n
 }
