@@ -32,7 +32,8 @@ import (
 // magnitude; the rank directory is rebuilt at decode time from the
 // bitmap itself, so the wire form carries no redundancy. The encoder
 // writes the trie from the sorted keys in two passes over adjacent
-// LCPs, as SuRF's builder does, with no trie in memory (appendTrie).
+// LCPs, as SuRF's builder does, with no trie in memory (trie), and
+// walks its entries twice in all (appendLOUDS).
 type loudsCodec struct{}
 
 func (loudsCodec) Version() byte { return versionLOUDS }
@@ -96,15 +97,34 @@ func (b *bitvec) select0(i int) int {
 	return pos
 }
 
-// selectInWord returns the position of the r-th set bit of w.
+// selectInWord returns the position of the r-th set bit of w, or -1:
+// halves by popcount down to a byte, then clears the bits below it.
 func selectInWord(w uint64, r int) int {
-	for i := 0; i < 64; i++ {
-		if w&(1<<uint(i)) != 0 {
-			if r == 0 {
+	if r >= bits.OnesCount64(w) {
+		return -1
+	}
+	off := 0
+	for _, width := range [...]int{32, 16, 8} {
+		if c := bits.OnesCount64(w & (1<<width - 1)); r >= c {
+			r, w, off = r-c, w>>width, off+width
+		}
+	}
+	for ; r > 0; r-- {
+		w &= w - 1
+	}
+	return off + bits.TrailingZeros64(w)
+}
+
+// nextZero returns the position of the first zero at or after i, or -1.
+func (b *bitvec) nextZero(i int) int {
+	for w := i >> 6; i >= 0 && w < len(b.words); w++ {
+		if z := ^b.words[w] >> uint(i&63); z != 0 {
+			if i += bits.TrailingZeros64(z); i < b.n {
 				return i
 			}
-			r--
+			return -1
 		}
+		i = (w + 1) << 6
 	}
 	return -1
 }
@@ -126,116 +146,145 @@ func wordsFromBytes(p []byte, n int) []uint64 {
 
 func setBit(p []byte, i int) { p[i>>3] |= 1 << uint(i&7) }
 
-// appendTrie appends the node count, m, the bitmap, the labels and the
-// entry bits of the byte trie over strs, which yields sorted, distinct
-// strings, in two passes over adjacent LCPs: string s opens the nodes at
-// depths |GCP(prev, s)|+1 … |s|. Pass 1 counts them per depth, and the
+// trie lays out the byte trie over sorted, distinct strings in two
+// passes over adjacent LCPs: string s opens the nodes at depths
+// |GCP(prev, s)|+1 … |s|. Pass 1 (count) counts them per depth, and the
 // prefix sums give each level's first id: within a level of a trie with
 // label-sorted children, BFS order is the lexicographic order of the
-// prefixes. Pass 2 hands ids out from per-level cursors and writes each
-// label at its id. A new node's parent is the node opened last one
-// level up, so its one sits in the parent's run at bit (id-1) + parent:
-// after id-1 ones and the zeros closing nodes 0 … parent-1. Every
-// string's terminal carries an entry.
-func appendTrie(dst []byte, strs iter.Seq[string], m int) []byte {
-	next := []int{1} // per depth: the node count, then the next id
-	prev := ""
-	for s := range strs {
-		for len(next) <= len(s) {
-			next = append(next, 0)
-		}
-		for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
-			next[d]++
-		}
-		prev = s
+// prefixes. Pass 2 (place) hands ids out from per-level cursors and
+// writes each label at its id. A new node's parent is the node opened
+// last one level up, so its one sits in the parent's run at bit
+// (id-1) + parent: after id-1 ones and the zeros closing nodes
+// 0 … parent-1. Every string's terminal carries an entry.
+type trie struct {
+	next []int // per depth: the node count, then the next id
+	// the offsets of the bitmap, the labels and the entry bits in the
+	// buffer, which may grow while place fills them in
+	bitmap, labels, ent int
+}
+
+func (t *trie) count(prev, s string) {
+	if t.next == nil {
+		t.next = []int{1} // the root
 	}
+	for len(t.next) <= len(s) {
+		t.next = append(t.next, 0)
+	}
+	for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
+		t.next[d]++
+	}
+}
+
+// layout appends the node count, m and the zeroed bitmap, labels and
+// entry bits to dst, which place fills in.
+func (t *trie) layout(dst []byte, m int) []byte {
 	n := 0
-	for d, c := range next {
-		next[d], n = n, n+c
+	for d, c := range t.next {
+		t.next[d], n = n, n+c
 	}
-	next[0] = 1 // past the root
+	t.next[0] = 1 // past the root
 	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(n)), uint64(m))
-	at, nb := len(dst), (2*n+6)/8
-	dst = append(dst, make([]byte, nb+n-1+(n+7)/8)...)
-	bitmap, labels, ent := dst[at:at+nb], dst[at+nb:], dst[at+nb+n-1:]
-	prev = ""
-	for s := range strs {
-		for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
-			labels[next[d]-1] = s[d-1]
-			setBit(bitmap, next[d]+next[d-1]-2)
-			next[d]++
-		}
-		setBit(ent, next[len(s)]-1)
-		prev = s
+	t.bitmap = len(dst)
+	t.labels = t.bitmap + (2*n+6)/8
+	t.ent = t.labels + n - 1
+	return append(dst, make([]byte, t.ent+(n+7)/8-t.bitmap)...)
+}
+
+func (t *trie) place(buf []byte, prev, s string) {
+	for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
+		buf[t.labels+t.next[d]-1] = s[d-1]
+		setBit(buf[t.bitmap:], t.next[d]+t.next[d-1]-2)
+		t.next[d]++
 	}
-	return dst
+	setBit(buf[t.ent:], t.next[len(s)]-1)
 }
 
 // AppendPayload encodes entries in key order, later duplicates winning,
-// building the trie from the sorted key list (appendTrie).
+// building the trie from the sorted key list.
 func (loudsCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []byte {
 	return appendLOUDS(dst, slices.Values(entries), secs)
 }
 
-// appendLOUDS is AppendPayload over a sequence it walks several times:
-// sorted, distinct keys are encoded straight from it, anything else
-// from its canonical copy.
+// appendLOUDS is AppendPayload over a sequence it walks twice: sorted,
+// distinct keys are encoded straight from it, anything else from its
+// canonical copy. The first walk checks the order, counts the trie's
+// nodes per depth and collects the values; the second places the trie
+// and writes the values' groups after their table. The sequence may
+// reuse an entry's Values once the entry is passed on: nothing keeps
+// them.
 func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
-	m, nv, prev := 0, 0, ""
+	var t trie
+	var all []string
+	m, prev := 0, ""
 	for e := range entries {
 		if m > 0 && e.Key <= prev {
-			return appendLOUDS(dst, slices.Values(canonicalize(slices.Collect(entries))), secs)
+			var owned []Entry
+			for e := range entries {
+				owned = append(owned, Entry{Key: e.Key, Values: slices.Clone(e.Values)})
+			}
+			return appendLOUDS(dst, slices.Values(canonicalize(owned)), secs)
 		}
-		m, nv, prev = m+1, nv+len(e.Values), e.Key
+		t.count(prev, e.Key)
+		if secs&SecValues != 0 {
+			all = append(all, e.Values...)
+		}
+		m, prev = m+1, e.Key
 	}
 	if m == 0 {
 		return binary.AppendUvarint(dst, 0)
 	}
-	dst = appendTrie(dst, func(yield func(string) bool) {
+	dst = t.layout(dst, m)
+	place := func(buf []byte, g *valueGroups, all []string) []byte {
+		prev := ""
 		for e := range entries {
-			if !yield(e.Key) {
-				return
+			t.place(buf, prev, e.Key)
+			if g != nil {
+				buf = g.add(buf, all, e.Values)
 			}
+			prev = e.Key
 		}
-	}, m)
-	if secs&SecValues != 0 {
-		dst = AppendPrefixed(dst, func(sec []byte) []byte { return appendValues(sec, entries, nv) })
+		return buf
 	}
-	return dst
-}
-
-// appendValues writes the distinct-value table (sorted) and the
-// per-entry references into it, run-length grouped: each group is
-// `repeat | count | refs...` and covers repeat+1 consecutive entries
-// sharing the same value list. Catalogues where many services declare
-// the same endpoint — the common shape — collapse to a handful of
-// groups instead of two bytes per entry. nv is the number of values.
-func appendValues(sec []byte, entries iter.Seq[Entry], nv int) []byte {
-	all := make([]string, 0, nv)
-	for e := range entries {
-		all = append(all, e.Values...)
+	if secs&SecValues == 0 {
+		return place(dst, nil, nil)
 	}
 	slices.Sort(all)
 	all = slices.Compact(all)
-	sec = binary.AppendUvarint(sec, uint64(len(all)))
-	for _, v := range all {
-		sec = appendString(sec, v)
-	}
-	var run []string
-	repeat := -1
-	for e := range entries {
-		if repeat >= 0 && slices.Equal(e.Values, run) {
-			repeat++
-			continue
+	return AppendPrefixed(dst, func(sec []byte) []byte {
+		sec = binary.AppendUvarint(sec, uint64(len(all)))
+		for _, v := range all {
+			sec = appendString(sec, v)
 		}
-		sec = appendRun(sec, all, run, repeat)
-		run, repeat = e.Values, 0
-	}
-	return appendRun(sec, all, run, repeat)
+		g := valueGroups{repeat: -1}
+		sec = place(sec, &g, all)
+		return appendRun(sec, all, g.run, g.repeat)
+	})
 }
 
-// appendRun writes one group of appendValues; a negative repeat is no
-// group.
+// valueGroups writes the per-entry references into the sorted
+// distinct-value table, run-length grouped: each group is
+// `repeat | count | refs...` and covers repeat+1 consecutive entries
+// sharing the same value list. Catalogues where many services declare
+// the same endpoint — the common shape — collapse to a handful of
+// groups instead of two bytes per entry.
+type valueGroups struct {
+	run    []string // the open group's list, a copy
+	repeat int      // -1 while no group is open
+}
+
+// add appends the open group to sec unless vals continues it; the last
+// group is the caller's to append.
+func (g *valueGroups) add(sec []byte, all, vals []string) []byte {
+	if g.repeat >= 0 && slices.Equal(vals, g.run) {
+		g.repeat++
+		return sec
+	}
+	sec = appendRun(sec, all, g.run, g.repeat)
+	g.run, g.repeat = append(g.run[:0], vals...), 0
+	return sec
+}
+
+// appendRun writes one group; a negative repeat is no group.
 func appendRun(sec []byte, all, run []string, repeat int) []byte {
 	if repeat < 0 {
 		return sec

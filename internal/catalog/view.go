@@ -3,6 +3,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // View is a decoded-but-not-materialized catalogue: it holds the
@@ -169,20 +170,41 @@ func (v *View) value(i int) string {
 // Len returns the number of entries.
 func (v *View) Len() int { return v.m }
 
-// run returns node j's child run [start, end) in the bitmap.
-func (v *View) run(j int) (int, int) {
+// run returns node j's child run [start, end) in the bitmap. last
+// holds, per depth, the last node a walk found the run of and the run's
+// end: a walk in key order reaches the nodes of one depth in id order,
+// so j's run starts past the end of j-1's and ends at the next zero,
+// and only the first node of each depth needs a select.
+func (v *View) run(j, depth int, last *[]int) (int, int) {
+	for len(*last) <= 2*depth+1 {
+		*last = append(*last, -1, -1)
+	}
+	at := (*last)[2*depth:]
 	start := 0
-	if j > 0 {
+	switch {
+	case j > 0 && at[0] == j-1:
+		start = at[1] + 1
+	case j > 0:
 		start = v.louds.select0(j-1) + 1
 	}
-	return start, v.louds.select0(j)
+	end := v.louds.nextZero(start)
+	at[0], at[1] = j, end
+	return start, end
 }
 
 // Ascend walks the catalogue in ascending key order, materializing
-// one entry at a time. The walk stops early when yield returns false;
-// the value cursor makes a stopped walk non-resumable (open a fresh
-// View to walk again — Views over snapshots are cheap).
-func (v *View) Ascend(yield func(Entry) bool) error {
+// one entry at a time: its key is carved from a chunk shared with the
+// keys around it, and its Values are the caller's own. The walk stops
+// early when yield returns false, and any walk starts again from the
+// first entry.
+func (v *View) Ascend(yield func(Entry) bool) error { return v.ascend(yield, false) }
+
+// Walk is Ascend for a caller that keeps no entry's Values past its
+// yield: they are the walk's buffer, which the next entry overwrites.
+// It allocates per chunk of keys, not per entry.
+func (v *View) Walk(yield func(Entry) bool) error { return v.ascend(yield, true) }
+
+func (v *View) ascend(yield func(Entry) bool, shared bool) error {
 	if v.louds == nil {
 		for _, e := range v.eager {
 			if !yield(e) {
@@ -194,7 +216,9 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 	type frame struct{ kid, end int }
 	stack := make([]frame, 0, 16)
 	key := make([]byte, 0, 32)
-	vc := valCursor{refs: v.refs}
+	vc := valCursor{refs: v.refs, shared: shared}
+	var keys Arena
+	var last []int
 	emitted, visited := 0, 0
 
 	node := 0
@@ -203,7 +227,7 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 			return errors.New("catalog: cyclic LOUDS bitmap")
 		}
 		if v.isEnt.get(node) {
-			e := Entry{Key: string(key)}
+			e := Entry{Key: keys.String(key)}
 			if v.secs&SecValues != 0 {
 				var err error
 				if e.Values, err = v.nextValues(&vc); err != nil {
@@ -215,7 +239,7 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 				return nil
 			}
 		}
-		start, end := v.run(node)
+		start, end := v.run(node, len(stack), &last)
 		if start < end { // descend to the first child
 			kid := v.louds.rank1(start) + 1
 			if kid >= v.n {
@@ -257,13 +281,17 @@ type valCursor struct {
 	refs   []byte
 	repeat uint64   // entries left that reuse vals
 	vals   []string // current group's value list
+	shared bool     // hand out vals itself (Walk), not a copy
 }
 
 func (v *View) nextValues(c *valCursor) ([]string, error) {
 	if c.repeat > 0 {
 		c.repeat--
-		if c.vals == nil {
+		if len(c.vals) == 0 {
 			return nil, nil
+		}
+		if c.shared {
+			return c.vals, nil
 		}
 		// Each entry gets its own slice: decoded entries are handed to
 		// callers that own and may mutate them.
@@ -284,6 +312,9 @@ func (v *View) nextValues(c *valCursor) ([]string, error) {
 		return nil, errors.New("catalog: implausible value ref count")
 	}
 	var vals []string
+	if c.shared {
+		vals = c.vals[:0]
+	}
 	for i := uint64(0); i < cu; i++ {
 		var idx uint64
 		if idx, refs, err = getUvarint(refs); err != nil {
@@ -295,10 +326,32 @@ func (v *View) nextValues(c *valCursor) ([]string, error) {
 		vals = append(vals, v.value(int(idx)))
 	}
 	c.refs, c.repeat, c.vals = refs, rep, vals
-	if vals == nil {
+	if len(vals) == 0 {
 		return nil, nil
 	}
+	if c.shared {
+		return vals, nil
+	}
 	return append([]string(nil), vals...), nil
+}
+
+// Arena hands out strings copied from byte slices, carved from shared
+// chunks: one allocation per chunk instead of one per string. A chunk
+// stays alive while any string carved from it does; chunks double from
+// 64 bytes to 16 KiB, so a short walk keeps little. The zero Arena is
+// ready to use.
+type Arena struct{ b strings.Builder }
+
+// String returns a string with the bytes of p.
+func (a *Arena) String(p []byte) string {
+	if a.b.Cap()-a.b.Len() < len(p) {
+		size := max(min(2*a.b.Cap(), 16<<10), 64, len(p))
+		a.b = strings.Builder{}
+		a.b.Grow(size)
+	}
+	start := a.b.Len()
+	a.b.Write(p)
+	return a.b.String()[start:]
 }
 
 // get reports bit i of the entry bitmap.

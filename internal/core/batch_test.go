@@ -320,8 +320,7 @@ func sortedFields(t *testing.T, net *Network) overlayFields {
 // imageOf captures net as an image and parses it back.
 func imageOf(t *testing.T, net *Network) *persist.Snapshot {
 	t.Helper()
-	peers, cat := net.CaptureSnapshot()
-	snap, err := persist.ParseImage(persist.AppendImage(nil, 1, peers, cat))
+	snap, err := persist.ParseImage(persist.AppendImage(nil, 1, net.RingState(), net.Catalogue()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,6 +248,37 @@ func TestAllocsPerWrite(t *testing.T) {
 	}
 }
 
+// TestAllocsPerJournaledWrite is TestAllocsPerWrite on a durable
+// overlay: a journal hook installed and a snapshot captured. A journaled
+// write pays nothing for the image: the next image is the last one
+// folded with the journal. A copy-on-write catalogue image kept for the
+// capture read 3 per cycle, its inserts and concatenations allocating
+// on every write.
+func TestAllocsPerJournaledWrite(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, corpus, r, _ := gridNetwork(t)
+	net.Journal = func(bool, keys.Key, string) {}
+	net.CaptureSnapshot()
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		k := corpus[i%len(corpus)]
+		i++
+		if err := net.InsertData(k, "extra", r); err != nil {
+			t.Fatal(err)
+		}
+		if !net.RemoveData(k, "extra") {
+			t.Fatalf("unregister %q: not registered", k)
+		}
+	})
+	t.Logf("%.2f allocs per journaled register/unregister cycle", allocs)
+	const ceiling = 1
+	if allocs > ceiling {
+		t.Fatalf("%.2f allocs per journaled write cycle, ceiling %d", allocs, ceiling)
+	}
+}
+
 // TestAllocsPerReplicaTick is the allocation budget of a replication
 // tick on the TestBytesPerKey overlay, every node already replicated:
 // the plan and the install of 1,000 stamped nodes and of 10,000. The

@@ -10,9 +10,9 @@ import (
 	"dlpt/internal/persist"
 )
 
-// PersistState is the eager reference the copy-on-write capture is
-// held against: every peer (id, capacity) in ring order and the
-// durable catalogue, collected by walking the whole overlay.
+// PersistState is the eager reference a capture is held against: every
+// peer (id, capacity) in ring order and the durable catalogue, collected
+// by walking the whole overlay.
 func (net *Network) PersistState() ([]persist.PeerState, []catalog.Entry) {
 	ids := net.ring.IDs()
 	peers := make([]persist.PeerState, 0, len(ids))
@@ -27,14 +27,13 @@ func (net *Network) PersistState() ([]persist.PeerState, []catalog.Entry) {
 	return peers, nodes
 }
 
-// journaled attaches a no-op journal: a network keeps its catalogue
-// image between captures only when it has a journal to snapshot for.
+// journaled attaches a no-op journal, as a durable overlay has one.
 func journaled(net *Network) {
 	net.Journal = func(bool, keys.Key, string) {}
 }
 
-func captureToNodes(c *CatalogueCapture) []catalog.Entry {
-	out := make([]catalog.Entry, 0, c.Len())
+func captureToNodes(c persist.EntrySource) []catalog.Entry {
+	var out []catalog.Entry
 	c.Ascend(func(e catalog.Entry) bool {
 		vals := append([]string(nil), e.Values...)
 		out = append(out, catalog.Entry{Key: e.Key, Values: vals})
@@ -63,21 +62,21 @@ func nodesEqual(a, b []catalog.Entry) bool {
 // TestCaptureSnapshotMatchesPersistState drives a random mix of
 // registrations, unregistrations, churn and crash/recover cycles,
 // capturing the catalogue along the way. Every capture must equal the
-// eager PersistState walk at capture time, and — the copy-on-write
-// property — must still equal it after arbitrary later mutations.
+// eager PersistState walk at capture time, and must still equal it
+// after arbitrary later mutations: Commit encodes it off the lock.
 func TestCaptureSnapshotMatchesPersistState(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	net, _ := buildNetwork(t, 6, 1<<30, 51)
 	journaled(net)
 	type frozen struct {
-		cap  *CatalogueCapture
+		cap  persist.EntrySource
 		want []catalog.Entry
 	}
 	var caps []frozen
 	live := make([]KV, 0, 256)
 	check := func(step int) {
 		_, want := net.PersistState()
-		peers, c := net.CaptureSnapshot()
+		peers, c := net.RingState(), net.CaptureSnapshot()
 		if len(peers) != net.NumPeers() {
 			t.Fatalf("step %d: captured %d peers, overlay has %d", step, len(peers), net.NumPeers())
 		}
@@ -131,77 +130,5 @@ func TestCaptureSnapshotMatchesPersistState(t *testing.T) {
 		if got := captureToNodes(f.cap); !nodesEqual(got, f.want) {
 			t.Fatalf("capture %d mutated after the fact:\n got %+v\nwant %+v", i, got, f.want)
 		}
-	}
-}
-
-// TestCaptureSnapshotChunkSplits exercises chunk split and drain
-// paths around the chunk size bound.
-func TestCaptureSnapshotChunkSplits(t *testing.T) {
-	r := rand.New(rand.NewSource(29))
-	net, _ := buildNetwork(t, 3, 1<<30, 52)
-	journaled(net)
-	var inserted []keys.Key
-	for i := 0; i < 3*catChunkMax; i++ {
-		k := keys.Key(fmt.Sprintf("svc%04d", i))
-		if err := net.InsertKey(k, r); err != nil {
-			t.Fatal(err)
-		}
-		inserted = append(inserted, k)
-	}
-	_, c := net.CaptureSnapshot()
-	if c.Len() != len(inserted) {
-		t.Fatalf("capture len = %d, want %d", c.Len(), len(inserted))
-	}
-	// Drain everything (in random order) with captures interleaved.
-	r.Shuffle(len(inserted), func(i, j int) { inserted[i], inserted[j] = inserted[j], inserted[i] })
-	for i, k := range inserted {
-		net.RemoveData(k, string(k))
-		if i%64 == 0 {
-			_, want := net.PersistState()
-			_, cc := net.CaptureSnapshot()
-			if got := captureToNodes(cc); !nodesEqual(got, want) {
-				t.Fatalf("drain step %d: capture diverges", i)
-			}
-		}
-	}
-	_, cc := net.CaptureSnapshot()
-	if cc.Len() != 0 {
-		t.Fatalf("drained capture len = %d", cc.Len())
-	}
-	if got := captureToNodes(c); len(got) != 3*catChunkMax {
-		t.Fatalf("first capture shrank to %d entries", len(got))
-	}
-}
-
-// TestCaptureWithoutJournalKeepsNoImage pins what a store-less steward
-// pays between joins: nothing. With no journal to snapshot for, a
-// capture is built for the caller alone — later mutations maintain no
-// image, leave the capture untouched, and show up in the next one.
-func TestCaptureWithoutJournalKeepsNoImage(t *testing.T) {
-	net, r := buildNetwork(t, 3, 1<<30, 53)
-	for i := 0; i < 2*catChunkMax; i++ {
-		if err := net.InsertKey(keys.Key(fmt.Sprintf("svc%04d", i)), r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, first := net.CaptureSnapshot()
-	if net.cat != nil {
-		t.Fatal("journal-less network retained its catalogue image")
-	}
-	want := captureToNodes(first)
-	if err := net.InsertKey("svc0000x", r); err != nil {
-		t.Fatal(err)
-	}
-	net.RemoveData("svc0001", "svc0001")
-	if net.cat != nil {
-		t.Fatal("mutations rebuilt an image nobody asked for")
-	}
-	if got := captureToNodes(first); !nodesEqual(got, want) {
-		t.Fatal("capture changed after the fact")
-	}
-	_, wantNow := net.PersistState()
-	_, second := net.CaptureSnapshot()
-	if got := captureToNodes(second); !nodesEqual(got, wantNow) || second.Len() != first.Len() {
-		t.Fatalf("second capture has %d entries, first %d", second.Len(), first.Len())
 	}
 }

@@ -51,10 +51,10 @@ func CheckReplicaStore(net *Network) error {
 // CloneNetwork deep-copies net — its ring, peers, node index (hosts,
 // slots and edges relinked to the copies), replica store and crash
 // bookkeeping — so a test can run one operation two ways from one state.
-// The catalogue image, the journal hook and the instruments stay behind.
+// The journal hook and the instruments stay behind.
 func CloneNetwork(net *Network) *Network {
 	c := *net
-	c.Journal, c.cat, c.Obs, c.Tracer, c.queue = nil, nil, nil, nil, nil
+	c.Journal, c.Obs, c.Tracer, c.queue = nil, nil, nil, nil
 	c.ring = ring.New()
 	for _, id := range net.ring.IDs() {
 		c.ring.Insert(id)

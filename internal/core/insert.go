@@ -35,10 +35,8 @@ func (net *Network) InsertData(k keys.Key, value string, r *rand.Rand) error {
 	return nil
 }
 
-// journal feeds the copy-on-write catalogue image and the
-// persistence hook, if one is installed.
+// journal feeds the persistence hook, if one is installed.
 func (net *Network) journal(remove bool, k keys.Key, value string) {
-	net.journalCat(remove, k, value)
 	if net.Journal != nil {
 		net.Journal(remove, k, value)
 	}

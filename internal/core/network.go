@@ -123,10 +123,10 @@ type Network struct {
 	// append-only journal hook.
 	Journal func(remove bool, key keys.Key, value string)
 
-	// cat is the copy-on-write catalogue image behind CaptureSnapshot
-	// (see catview.go); nil until the first capture and after a lossy
-	// recovery invalidates it.
-	cat *catImage
+	// offJournal marks a catalogue that changed outside the journal
+	// funnel since the last CaptureSnapshot: the store's newest image and
+	// the journal after it no longer fold to it (see catview.go).
+	offJournal bool
 
 	peers map[keys.Key]*Peer
 	ring  *ring.Ring

@@ -99,5 +99,6 @@ func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 	if err := net.Validate(); err != nil {
 		return fmt.Errorf("core: restored overlay invalid: %w", err)
 	}
+	net.offJournal = true // no image of this network's to fold yet
 	return nil
 }

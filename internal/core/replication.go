@@ -418,9 +418,8 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 	if restored > 0 || len(lost) > 0 {
 		// The catalogue changed without passing through the journal
 		// funnel: lost keys vanished, and restored nodes may have
-		// rolled back to the values of an older replica. The image is
-		// stale; rebuild it on the next capture.
-		net.invalidateCatalogue()
+		// rolled back to the values of an older replica.
+		net.offJournal = true
 	}
 	net.Replication.RestoredNodes += restored
 	net.Replication.LostNodes += len(lost)

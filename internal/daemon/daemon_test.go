@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"dlpt/internal/catalog"
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
+	"dlpt/internal/persist"
 	"dlpt/internal/transport"
 )
 
@@ -445,7 +447,14 @@ func TestJoinImageMatchesSnapshotFile(t *testing.T) {
 			sent = append(sent, core.KV{Key: keys.Key(e.Key), Value: v})
 		}
 	}
-	if loaded := foldCatalogue(st); !reflect.DeepEqual(sentPeers, st.Peers) || !reflect.DeepEqual(sent, loaded) {
+	var loaded []core.KV
+	persist.NewFold(st.Snapshot, st.Journal).Ascend(func(e catalog.Entry) bool {
+		for _, v := range e.Values {
+			loaded = append(loaded, core.KV{Key: keys.Key(e.Key), Value: v})
+		}
+		return true
+	})
+	if !reflect.DeepEqual(sentPeers, st.Peers) || !reflect.DeepEqual(sent, loaded) {
 		t.Fatalf("HELLO image and the state a restart loads differ:\nhello %+v %+v\n load %+v %+v",
 			sentPeers, sent, st.Peers, loaded)
 	}

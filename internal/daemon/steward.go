@@ -6,7 +6,6 @@ package daemon
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"dlpt/internal/catalog"
@@ -19,9 +18,9 @@ import (
 
 // startSteward seeds a fresh single-peer overlay. With a data
 // directory, the previous catalogue — snapshot plus journal tail — is
-// folded and re-registered: the catalogue survives a steward restart,
-// the membership does not (members always rejoin through the
-// handshake and receive fresh mirrors).
+// folded (persist.Fold) and re-registered: the catalogue survives a
+// steward restart, the membership does not (members always rejoin
+// through the handshake and receive fresh mirrors).
 //
 // dlptlint:exclusive — runs during Start before the listener serves
 // control frames; the daemon has not escaped to other goroutines.
@@ -37,9 +36,19 @@ func (d *Daemon) startSteward() error {
 			store.Close()
 			return err
 		}
-		d.store = store
-		entries = foldCatalogue(st)
+		fold := persist.NewFold(st.Snapshot, st.Journal)
+		fold.Ascend(func(e catalog.Entry) bool {
+			for _, v := range e.Values {
+				entries = append(entries, core.KV{Key: keys.Key(e.Key), Value: v})
+			}
+			return true
+		})
 		st.Release()
+		if err := fold.Err(); err != nil {
+			store.Close()
+			return err
+		}
+		d.store = store
 	}
 	opts := transport.Options{
 		Options:       overlay.Options{Persist: d.store, Obs: d.met, Trace: d.rec, Placement: d.placement},
@@ -76,33 +85,6 @@ func (d *Daemon) startSteward() error {
 		d.logf("dlptd steward restored %d catalogue entries from %s", len(entries), d.cfg.DataDir)
 	}
 	return nil
-}
-
-// foldCatalogue flattens a loaded persistent state — snapshot plus
-// journal tail — into the sorted registration list for a fresh overlay.
-func foldCatalogue(st *persist.LoadedState) []core.KV {
-	live := make(map[core.KV]bool)
-	if st.Snapshot != nil {
-		_ = st.Snapshot.Ascend(func(e catalog.Entry) bool {
-			for _, v := range e.Values {
-				live[core.KV{Key: keys.Key(e.Key), Value: v}] = true
-			}
-			return true
-		})
-	}
-	for _, r := range st.Journal {
-		live[core.KV{Key: keys.Key(r.Key), Value: r.Value}] = !r.Remove
-	}
-	var out []core.KV
-	for kv, ok := range live {
-		if ok {
-			out = append(out, kv)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Key < out[j].Key || out[i].Key == out[j].Key && out[i].Value < out[j].Value
-	})
-	return out
 }
 
 // errDeposed reports a commit whose broadcast met a newer epoch: the

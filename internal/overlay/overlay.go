@@ -453,26 +453,28 @@ func (r *Runtime) InstallReplicas(b core.ReplicaBatch) int {
 }
 
 // beginSnapshotLocked is the tail of a replication tick on a durable
-// overlay. Where the journal can carry the tick — the catalogue image
-// has changed only through journaled records (a lossy Recover or a
-// wholesale mirror install drops it), and the store's own rules hold
+// overlay. Where the journal can carry the tick — every catalogue change
+// since the last snapshot went through it (a lossy Recover, a restore or
+// a mirror install did not), and the store's own rules hold
 // (persist.Store.JournalCarries, which journals the tick's ring where it
 // changed) — commit just fsyncs the journal: the image and the records
 // after it replay to the state of this tick. Otherwise the tick writes
 // a new image. The caller holds Mu's write side, so the capture and the
 // journal rotation are atomic: a racing mutation journals either into
-// the epoch this snapshot supersedes and is contained in the capture, or
-// into the new epoch and replays on top of it. The capture is O(1) (a
-// copy-on-write catalogue image); commit encodes and fsyncs and is to be
-// called after the lock is released, so the write stall is independent
-// of the catalogue size. commit also stamps the tick as completed, with
-// or without a store.
+// the epoch this snapshot supersedes and is contained in the image, or
+// into the new epoch and replays on top of it. The capture is the ring
+// and the rotation: commit folds the previous image with the rotated
+// journal (persist.Fold) and encodes and fsyncs after the lock is
+// released, so the write stall is independent of the catalogue size.
+// Only where the store cannot fold, or the catalogue changed outside
+// the journal, is the catalogue built from the tree under the lock.
+// commit also stamps the tick as completed, with or without a store.
 func (r *Runtime) beginSnapshotLocked() (commit func() error, err error) {
 	met, store := r.Met, r.Store
 	if store == nil {
 		return func() error { met.MarkReplicated(); return nil }, nil
 	}
-	if r.Net.CatalogueImaged() && store.JournalCarries(r.Net.RingState()) {
+	if r.Net.CatalogueJournaled() && store.JournalCarries(r.Net.RingState()) {
 		return func() error {
 			if err := store.SyncJournal(); err != nil {
 				return err
@@ -482,17 +484,21 @@ func (r *Runtime) beginSnapshotLocked() (commit func() error, err error) {
 		}, nil
 	}
 	start := time.Now()
-	peers, cat := r.Net.CaptureSnapshot()
+	peers := r.Net.RingState()
 	pending, err := store.BeginSnapshot()
 	if err != nil {
 		return nil, err
+	}
+	var cat persist.EntrySource // nil: Commit folds
+	if !r.Net.CatalogueJournaled() || !pending.Folds() {
+		cat = r.Net.CaptureSnapshot()
 	}
 	stall := time.Since(start)
 	return func() error {
 		if _, err := pending.Commit(peers, cat); err != nil {
 			return err
 		}
-		met.MarkSnapshot(stall, pending.Bytes(), cat.Len())
+		met.MarkSnapshot(stall, pending.Bytes(), pending.Keys())
 		met.MarkReplicated()
 		return nil
 	}, nil

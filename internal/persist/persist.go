@@ -19,7 +19,11 @@
 //
 // Snapshot writing is split in two so the expensive half runs off the
 // cluster write lock: BeginSnapshot rotates the journal under it, and
-// Commit encodes, writes and fsyncs with no store-wide lock held.
+// Commit encodes, writes and fsyncs with no store-wide lock held. The
+// journal is the image's delta: where the previous image is this
+// store's and its journal took every append, Commit folds the two
+// (Fold, one level of a log-structured merge) into the next image, so
+// the caller captures no catalogue under its lock.
 //
 // Journal records land in the journal of the epoch they follow. Load
 // is corruption-tolerant: it walks the snapshots newest-first until
@@ -113,6 +117,14 @@ func (sn *Snapshot) Ascend(yield func(catalog.Entry) bool) error {
 	if sn.view != nil {
 		return sn.view.Ascend(yield)
 	}
+	return sn.walk(yield)
+}
+
+// walk is Ascend for a caller that keeps no entry's Values (View.Walk).
+func (sn *Snapshot) walk(yield func(catalog.Entry) bool) error {
+	if sn.view != nil {
+		return sn.view.Walk(yield)
+	}
 	for _, e := range sn.nodes {
 		if !yield(e) {
 			break
@@ -134,6 +146,7 @@ type LoadedState struct {
 	Peers []PeerState
 
 	release func()
+	strs    catalog.Arena // the journal's strings
 }
 
 // Release unmaps the snapshot file backing a lazily loaded
@@ -189,13 +202,17 @@ type Store struct {
 	// records described state the new snapshot now contains).
 	appendErr error
 	// records counts the records since the newest BeginSnapshot, a ring
-	// record once per peer; image is the key count of the newest image
-	// this store committed and the ring the journal carries, nil until
-	// one commits and while a newer epoch's image is pending. buf is the
-	// one buffer appends encode into.
+	// record once per peer, and size their bytes in the epoch's journal;
+	// image is the key count of the newest image this store committed
+	// and the ring the journal carries, nil until one commits and while
+	// a newer epoch's image is pending. buf is the one buffer appends
+	// encode into. pins counts the folds that still read an epoch's
+	// image and journal: pruning keeps them.
 	records int
+	size    int64
 	image   *imageState
 	buf     []byte
+	pins    map[uint64]int
 }
 
 // imageState is what JournalCarries compares a tick against: the
@@ -295,6 +312,7 @@ func (s *Store) openJournalLocked() error {
 	if s.journal, err = openJournal(path, valid); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
+	s.size = valid
 	return nil
 }
 
@@ -325,7 +343,7 @@ func (s *Store) writeFrameLocked(frame []byte) error {
 	if err != nil && s.appendErr == nil {
 		s.appendErr = err
 	}
-	s.records++
+	s.records, s.size = s.records+1, s.size+int64(len(frame))
 	return err
 }
 
@@ -378,11 +396,96 @@ func (s *Store) SyncJournal() error {
 }
 
 // EntrySource is a sorted stream of catalogue entries — what an
-// image encodes. The core's copy-on-write capture is the one product
-// code has.
+// image encodes: the tree's catalogue at a capture, or a Fold. An
+// entry's Values may be reused by the source once yield returns.
 type EntrySource interface {
-	Len() int
 	Ascend(yield func(catalog.Entry) bool)
+}
+
+// Fold is the catalogue an image and the journal records after it
+// replay to, as a sorted EntrySource: one level of a log-structured
+// merge. The records are sorted stably by key, so each key keeps its
+// records in journal order, and merged into the image's walk key by
+// key: a key's values are the image's with its records applied in
+// order, and a key left with none is dropped, as replay leaves it.
+// Every Ascend walks the image again; nothing of the whole catalogue is
+// built. Err reports an image catalogue that could not be walked.
+type Fold struct {
+	img  *Snapshot
+	recs []Record
+	vals []string // the merged values of the key being yielded
+	err  error
+}
+
+// NewFold folds records, in journal order, into img's catalogue (nil:
+// an empty one). records itself is not reordered.
+func NewFold(img *Snapshot, records []Record) *Fold {
+	// Sorting positions, ties broken by position, is a stable sort that
+	// moves no record until the end.
+	order := make([]int32, len(records))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := strings.Compare(records[a].Key, records[b].Key); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	recs := make([]Record, len(records))
+	for i, j := range order {
+		recs[i] = records[j]
+	}
+	return &Fold{img: img, recs: recs}
+}
+
+// Err returns the error that stopped the last walk, if any.
+func (f *Fold) Err() error { return f.err }
+
+// Ascend yields the folded catalogue in ascending key order.
+func (f *Fold) Ascend(yield func(catalog.Entry) bool) {
+	recs, more := f.recs, true
+	// merge yields key with its records applied to vals, and the keys
+	// before it that only the journal holds.
+	merge := func(key string, vals []string) bool {
+		for len(recs) > 0 && recs[0].Key < key {
+			if !f.apply(&recs, nil, yield) {
+				return false
+			}
+		}
+		if len(recs) > 0 && recs[0].Key == key {
+			return f.apply(&recs, vals, yield)
+		}
+		return yield(catalog.Entry{Key: key, Values: vals})
+	}
+	f.err = nil
+	if f.img != nil {
+		f.err = f.img.walk(func(e catalog.Entry) bool {
+			more = merge(e.Key, e.Values)
+			return more
+		})
+	}
+	for more && f.err == nil && len(recs) > 0 {
+		more = f.apply(&recs, nil, yield)
+	}
+}
+
+// apply yields the first key of *recs with its records applied to base,
+// unless that leaves it no value, and advances *recs past them.
+func (f *Fold) apply(recs *[]Record, base []string, yield func(catalog.Entry) bool) bool {
+	key, vals := (*recs)[0].Key, append(f.vals[:0], base...)
+	for len(*recs) > 0 && (*recs)[0].Key == key {
+		r := (*recs)[0]
+		*recs = (*recs)[1:]
+		switch i, found := slices.BinarySearch(vals, r.Value); {
+		case r.Remove && found:
+			vals = slices.Delete(vals, i, i+1)
+		case !r.Remove && !found:
+			vals = slices.Insert(vals, i, r.Value)
+		}
+	}
+	f.vals = vals
+	return len(vals) == 0 || yield(catalog.Entry{Key: key, Values: vals})
 }
 
 // AppendImage appends the overlay image of (peers, cat) to dst: the
@@ -409,7 +512,6 @@ func AppendImage(dst []byte, seq uint64, peers []PeerState, cat EntrySource) []b
 // noEntries is the empty catalogue of a ring record.
 type noEntries struct{}
 
-func (noEntries) Len() int                        { return 0 }
 func (noEntries) Ascend(func(catalog.Entry) bool) {}
 
 // PendingSnapshot is an epoch allocated by BeginSnapshot whose
@@ -424,14 +526,26 @@ type PendingSnapshot struct {
 	// healErr is the superseded epoch's first journal-append failure,
 	// surfaced by Commit.
 	healErr error
-	bytes   int
+	// folds is set when the superseded epoch's image is one this store
+	// committed and its journal took every append: the two fold to this
+	// snapshot, and the epoch is pinned until Commit.
+	folds bool
+	bytes int
+	keys  int
 }
 
 // Seq returns the epoch this snapshot will commit as.
 func (p *PendingSnapshot) Seq() uint64 { return p.seq }
 
+// Folds reports whether Commit can fold the previous image with the
+// rotated journal, so the caller need not capture a catalogue.
+func (p *PendingSnapshot) Folds() bool { return p.folds }
+
 // Bytes returns the encoded snapshot size after Commit.
 func (p *PendingSnapshot) Bytes() int { return p.bytes }
+
+// Keys returns the committed snapshot's key count after Commit.
+func (p *PendingSnapshot) Keys() int { return p.keys }
 
 // BeginSnapshot allocates the next epoch and rotates the journal —
 // the only part of a snapshot that must be atomic with the caller's
@@ -449,7 +563,8 @@ func (s *Store) BeginSnapshot() (*PendingSnapshot, error) {
 	if s.closed {
 		return nil, errors.New("persist: store closed")
 	}
-	p := &PendingSnapshot{s: s, seq: s.seq + 1, rotated: s.journal, healErr: s.appendErr}
+	p := &PendingSnapshot{s: s, seq: s.seq + 1, rotated: s.journal, healErr: s.appendErr,
+		folds: s.image != nil && s.appendErr == nil}
 	s.seq, s.journal = p.seq, nil
 	s.records, s.image = 0, nil
 	if err := s.openJournalLocked(); err != nil {
@@ -459,6 +574,9 @@ func (s *Store) BeginSnapshot() (*PendingSnapshot, error) {
 		return nil, err
 	}
 	s.appendErr = nil
+	if p.folds {
+		s.pinLocked(p.seq-1, 1)
+	}
 	return p, nil
 }
 
@@ -466,9 +584,11 @@ func (s *Store) BeginSnapshot() (*PendingSnapshot, error) {
 // BeginSnapshot: temp file, fsync, rename, directory fsync, then
 // pruning of epochs older than the fallback. First it cuts the rotated
 // journal back to its records and closes it; a failure there joins
-// Commit's error. No store-wide lock is held while encoding or syncing,
-// so concurrent journal appends proceed. It returns the committed epoch
-// number.
+// Commit's error. cat is the catalogue captured with BeginSnapshot, or
+// nil where Folds: the previous image folded with the rotated journal,
+// which pruning keeps until the new image is in place. No store-wide
+// lock is held while folding, encoding or syncing, so concurrent journal
+// appends proceed. It returns the committed epoch number.
 func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, error) {
 	s := p.s
 	var closeErr error
@@ -477,8 +597,26 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 			closeErr = fmt.Errorf("persist: closing the rotated journal: %w", err)
 		}
 	}
-	buf := AppendImage(nil, p.seq, peers, cat)
-	p.bytes = len(buf)
+	if p.folds {
+		defer s.pin(p.seq-1, -1)
+	}
+	if cat == nil {
+		if !p.folds {
+			return 0, errors.Join(errors.New("persist: no catalogue to commit and no image to fold"), closeErr)
+		}
+		fold, release, err := s.openFold(p.seq-1, -1)
+		if err != nil {
+			return 0, errors.Join(err, closeErr)
+		}
+		defer release()
+		cat = fold
+	}
+	count := &counter{EntrySource: cat}
+	buf := AppendImage(nil, p.seq, peers, count)
+	if fold, ok := cat.(*Fold); ok && fold.Err() != nil {
+		return 0, errors.Join(fmt.Errorf("persist: folding image %d: %w", p.seq-1, fold.Err()), closeErr)
+	}
+	p.bytes, p.keys = len(buf), count.n
 
 	tmp := s.snapPath(p.seq) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
@@ -497,7 +635,7 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 
 	s.mu.Lock()
 	if p.seq == s.seq {
-		s.image = &imageState{peers: peers, keys: cat.Len()}
+		s.image = &imageState{peers: peers, keys: p.keys}
 	}
 	s.pruneLocked()
 	s.mu.Unlock()
@@ -514,16 +652,114 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 }
 
 // pruneLocked removes snapshots (and their journals) older than the
-// keepSnapshots newest epochs.
+// keepSnapshots newest epochs, but for those a fold still reads.
 func (s *Store) pruneLocked() {
 	seqs, err := s.epochs(snapPrefix, snapSuffix)
 	if err != nil || len(seqs) <= keepSnapshots {
 		return
 	}
 	for _, seq := range seqs[:len(seqs)-keepSnapshots] {
-		os.Remove(s.snapPath(seq))
-		os.Remove(s.jrnlPath(seq))
+		if s.pins[seq] == 0 {
+			os.Remove(s.snapPath(seq))
+			os.Remove(s.jrnlPath(seq))
+		}
 	}
+}
+
+// pinLocked adds d to the folds that read epoch seq.
+func (s *Store) pinLocked(seq uint64, d int) {
+	if s.pins == nil {
+		s.pins = make(map[uint64]int)
+	}
+	if s.pins[seq] += d; s.pins[seq] == 0 {
+		delete(s.pins, seq)
+	}
+}
+
+func (s *Store) pin(seq uint64, d int) {
+	s.mu.Lock()
+	s.pinLocked(seq, d)
+	s.mu.Unlock()
+}
+
+// openFold opens the image of epoch seq, which this store committed,
+// and the first size bytes of its journal (all of it if size < 0) as a
+// Fold; release unmaps the image once the fold's last walk is done.
+func (s *Store) openFold(seq uint64, size int64) (*Fold, func(), error) {
+	img, release, err := loadSnapshot(s.snapPath(seq))
+	if err != nil {
+		return nil, nil, err
+	}
+	buf, unmap, err := mapFile(s.jrnlPath(seq))
+	if errors.Is(err, os.ErrNotExist) {
+		buf, unmap, err = nil, func() {}, nil
+	}
+	if err != nil {
+		release()
+		return nil, nil, fmt.Errorf("persist: %w", err)
+	}
+	defer unmap()
+	if size >= 0 {
+		buf = buf[:min(size, int64(len(buf)))]
+	}
+	st := &LoadedState{}
+	if _, err := scanRecords(buf, st.replay); err != nil {
+		release()
+		return nil, nil, &RecordError{Path: s.jrnlPath(seq), Err: err}
+	}
+	return NewFold(img, st.Journal), release, nil
+}
+
+// Mirror is the store's part of an image of the current state: the
+// newest image this store committed and the journal records appended
+// since, up to those a capture under the caller's lock saw.
+type Mirror struct {
+	s    *Store
+	seq  uint64
+	size int64
+}
+
+// Mirror captures the newest image this store committed and the size
+// of the journal after it, and pins them against pruning. Call it under
+// the lock that serializes the journal's appends, so the two describe
+// the caller's state, and Image off it. It returns nil where the store
+// has no such image (none committed, or a newer one pending) or an
+// append failed since: the caller builds the catalogue itself.
+func (s *Store) Mirror() *Mirror {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.image == nil || s.appendErr != nil || s.closed {
+		return nil
+	}
+	s.pinLocked(s.seq, 1)
+	return &Mirror{s: s, seq: s.seq, size: s.size}
+}
+
+// Image folds the captured image with the captured journal and appends
+// the overlay image of (peers, the fold) to dst, then releases the pin.
+func (m *Mirror) Image(dst []byte, peers []PeerState) ([]byte, error) {
+	defer m.s.pin(m.seq, -1)
+	fold, release, err := m.s.openFold(m.seq, m.size)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	dst = AppendImage(dst, 0, peers, fold)
+	return dst, fold.Err()
+}
+
+// counter counts the entries of its source's last walk.
+type counter struct {
+	EntrySource
+	n int
+}
+
+func (c *counter) Ascend(yield func(catalog.Entry) bool) {
+	c.n = 0
+	c.EntrySource.Ascend(func(e catalog.Entry) bool {
+		c.n++
+		return yield(e)
+	})
 }
 
 // Load recovers the persisted state: the newest snapshot whose CRC
@@ -753,18 +989,18 @@ func (st *LoadedState) replay(p []byte) error {
 		}
 		return err
 	case opRegister, opUnregister:
-		rec := Record{Remove: op == opUnregister}
-		var err error
-		if rec.Key, p, err = getString(p[1:]); err != nil {
+		key, p, err := getBytes(p[1:])
+		if err != nil {
 			return err
 		}
-		if rec.Value, p, err = getString(p); err != nil {
+		value, p, err := getBytes(p)
+		if err != nil {
 			return err
 		}
 		if len(p) != 0 {
 			return errors.New("persist: trailing bytes after a record")
 		}
-		st.Journal = append(st.Journal, rec)
+		st.Journal = append(st.Journal, Record{Remove: op == opUnregister, Key: st.strs.String(key), Value: st.strs.String(value)})
 		return nil
 	}
 	return fmt.Errorf("persist: unknown record kind %d", p[0])
@@ -800,11 +1036,16 @@ func getCount(p []byte) (uint64, []byte, error) {
 }
 
 func getString(p []byte) (string, []byte, error) {
+	b, p, err := getBytes(p)
+	return string(b), p, err
+}
+
+func getBytes(p []byte) ([]byte, []byte, error) {
 	n, p, err := getCount(p)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	return string(p[:n]), p[n:], nil
+	return p[:n], p[n:], nil
 }
 
 // syncPath opens the file or directory at path and fsyncs it: a

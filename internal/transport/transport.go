@@ -220,12 +220,29 @@ func (c *Cluster) InstallMirror(image []byte, members map[keys.Key]string, self 
 }
 
 // MirrorImage returns the overlay image of the current state, for a
-// steward's Mirror. Only the capture holds the write lock (it freezes
-// the copy-on-write catalogue: O(1) on a durable steward); the encode,
-// which scales with the catalogue, runs after it.
+// steward's Mirror. On a durable steward whose catalogue changed only
+// through the journal, the capture under the write lock is the ring,
+// the store's newest image and the journal's length; the fold of the
+// two and the encode, which scale with the catalogue, run after it.
+// Otherwise (no store, a change outside the journal, no image of the
+// store's own, or a fold that fails) the catalogue is built from the
+// tree under the lock.
 func (c *Cluster) MirrorImage() []byte {
 	c.Mu.Lock()
-	peers, cat := c.Net.CaptureSnapshot()
+	peers := c.Net.RingState()
+	var mirror *persist.Mirror
+	if c.Store != nil && c.Net.CatalogueJournaled() {
+		mirror = c.Store.Mirror()
+	}
+	if mirror != nil {
+		c.Mu.Unlock()
+		if img, err := mirror.Image(nil, peers); err == nil {
+			return img
+		}
+		c.Mu.Lock()
+		peers = c.Net.RingState()
+	}
+	cat := c.Net.Catalogue()
 	c.Mu.Unlock()
 	return persist.AppendImage(nil, 0, peers, cat)
 }
