@@ -97,22 +97,17 @@ func (b *bitvec) select0(i int) int {
 	return pos
 }
 
-// selectInWord returns the position of the r-th set bit of w, or -1:
-// halves by popcount down to a byte, then clears the bits below it.
+// selectInWord returns the position of the r-th set bit of w.
 func selectInWord(w uint64, r int) int {
-	if r >= bits.OnesCount64(w) {
-		return -1
-	}
-	off := 0
-	for _, width := range [...]int{32, 16, 8} {
-		if c := bits.OnesCount64(w & (1<<width - 1)); r >= c {
-			r, w, off = r-c, w>>width, off+width
+	for i := 0; i < 64; i++ {
+		if w&(1<<uint(i)) != 0 {
+			if r == 0 {
+				return i
+			}
+			r--
 		}
 	}
-	for ; r > 0; r-- {
-		w &= w - 1
-	}
-	return off + bits.TrailingZeros64(w)
+	return -1
 }
 
 // nextZero returns the position of the first zero at or after i, or -1.
@@ -157,16 +152,13 @@ func setBit(p []byte, i int) { p[i>>3] |= 1 << uint(i&7) }
 // (id-1) + parent: after id-1 ones and the zeros closing nodes
 // 0 … parent-1. Every string's terminal carries an entry.
 type trie struct {
-	next []int // per depth: the node count, then the next id
-	// the offsets of the bitmap, the labels and the entry bits in the
-	// buffer, which may grow while place fills them in
+	next []int // per depth: the node count (the root's 1), then the next id
+	// where the bitmap, labels and entry bits start in a buffer that may
+	// grow while place fills them in
 	bitmap, labels, ent int
 }
 
 func (t *trie) count(prev, s string) {
-	if t.next == nil {
-		t.next = []int{1} // the root
-	}
 	for len(t.next) <= len(s) {
 		t.next = append(t.next, 0)
 	}
@@ -209,11 +201,10 @@ func (loudsCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []by
 // distinct keys are encoded straight from it, anything else from its
 // canonical copy. The first walk checks the order, counts the trie's
 // nodes per depth and collects the values; the second places the trie
-// and writes the values' groups after their table. The sequence may
-// reuse an entry's Values once the entry is passed on: nothing keeps
-// them.
+// and writes the value groups after the value table. Nothing keeps an
+// entry's Values, so the sequence may reuse them.
 func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
-	var t trie
+	t, values := trie{next: []int{1}}, secs&SecValues != 0
 	var all []string
 	m, prev := 0, ""
 	for e := range entries {
@@ -225,7 +216,7 @@ func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
 			return appendLOUDS(dst, slices.Values(canonicalize(owned)), secs)
 		}
 		t.count(prev, e.Key)
-		if secs&SecValues != 0 {
+		if values {
 			all = append(all, e.Values...)
 		}
 		m, prev = m+1, e.Key
@@ -234,57 +225,42 @@ func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
 		return binary.AppendUvarint(dst, 0)
 	}
 	dst = t.layout(dst, m)
-	place := func(buf []byte, g *valueGroups, all []string) []byte {
-		prev := ""
-		for e := range entries {
-			t.place(buf, prev, e.Key)
-			if g != nil {
-				buf = g.add(buf, all, e.Values)
-			}
-			prev = e.Key
-		}
-		return buf
-	}
-	if secs&SecValues == 0 {
-		return place(dst, nil, nil)
-	}
 	slices.Sort(all)
 	all = slices.Compact(all)
-	return AppendPrefixed(dst, func(sec []byte) []byte {
-		sec = binary.AppendUvarint(sec, uint64(len(all)))
-		for _, v := range all {
-			sec = appendString(sec, v)
+	fill := func(buf []byte) []byte {
+		if values {
+			buf = binary.AppendUvarint(buf, uint64(len(all)))
+			for _, v := range all {
+				buf = appendString(buf, v)
+			}
 		}
-		g := valueGroups{repeat: -1}
-		sec = place(sec, &g, all)
-		return appendRun(sec, all, g.run, g.repeat)
-	})
-}
-
-// valueGroups writes the per-entry references into the sorted
-// distinct-value table, run-length grouped: each group is
-// `repeat | count | refs...` and covers repeat+1 consecutive entries
-// sharing the same value list. Catalogues where many services declare
-// the same endpoint — the common shape — collapse to a handful of
-// groups instead of two bytes per entry.
-type valueGroups struct {
-	run    []string // the open group's list, a copy
-	repeat int      // -1 while no group is open
-}
-
-// add appends the open group to sec unless vals continues it; the last
-// group is the caller's to append.
-func (g *valueGroups) add(sec []byte, all, vals []string) []byte {
-	if g.repeat >= 0 && slices.Equal(vals, g.run) {
-		g.repeat++
-		return sec
+		var run []string // the open group's values, a copy
+		repeat, prev := -1, ""
+		for e := range entries {
+			t.place(buf, prev, e.Key)
+			if prev = e.Key; !values || repeat >= 0 && slices.Equal(e.Values, run) {
+				repeat++
+				continue
+			}
+			buf = appendRun(buf, all, run, repeat)
+			run, repeat = append(run[:0], e.Values...), 0
+		}
+		if !values {
+			return buf
+		}
+		return appendRun(buf, all, run, repeat)
 	}
-	sec = appendRun(sec, all, g.run, g.repeat)
-	g.run, g.repeat = append(g.run[:0], vals...), 0
-	return sec
+	if !values {
+		return fill(dst)
+	}
+	return AppendPrefixed(dst, fill)
 }
 
-// appendRun writes one group; a negative repeat is no group.
+// appendRun writes one group of value references into the sorted
+// distinct-value table: `repeat | count | refs...`, covering repeat+1
+// consecutive entries that share the list. Catalogues where many
+// services declare the same endpoint — the common shape — collapse to a
+// handful of groups. A negative repeat is no group.
 func appendRun(sec []byte, all, run []string, repeat int) []byte {
 	if repeat < 0 {
 		return sec

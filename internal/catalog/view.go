@@ -170,38 +170,31 @@ func (v *View) value(i int) string {
 // Len returns the number of entries.
 func (v *View) Len() int { return v.m }
 
-// run returns node j's child run [start, end) in the bitmap. last
-// holds, per depth, the last node a walk found the run of and the run's
-// end: a walk in key order reaches the nodes of one depth in id order,
-// so j's run starts past the end of j-1's and ends at the next zero,
-// and only the first node of each depth needs a select.
-func (v *View) run(j, depth int, last *[]int) (int, int) {
-	for len(*last) <= 2*depth+1 {
-		*last = append(*last, -1, -1)
+// run returns node j's child run [start, end) in the bitmap. A walk in
+// key order reaches each depth's nodes in id order, so last[depth]
+// holds node j-1 there and the end of its run, where j's starts: only
+// the first node of a depth needs a select.
+func (v *View) run(j, depth int, last *[][2]int) (int, int) {
+	for len(*last) <= depth {
+		*last = append(*last, [2]int{-1, -1})
 	}
-	at := (*last)[2*depth:]
-	start := 0
-	switch {
-	case j > 0 && at[0] == j-1:
+	at, start := &(*last)[depth], 0
+	if j > 0 && at[0] == j-1 {
 		start = at[1] + 1
-	case j > 0:
+	} else if j > 0 {
 		start = v.louds.select0(j-1) + 1
 	}
-	end := v.louds.nextZero(start)
-	at[0], at[1] = j, end
-	return start, end
+	*at = [2]int{j, v.louds.nextZero(start)}
+	return start, at[1]
 }
 
 // Ascend walks the catalogue in ascending key order, materializing
-// one entry at a time: its key is carved from a chunk shared with the
-// keys around it, and its Values are the caller's own. The walk stops
-// early when yield returns false, and any walk starts again from the
-// first entry.
+// one entry at a time (keys from an Arena, Values the caller's own),
+// and stops early when yield returns false.
 func (v *View) Ascend(yield func(Entry) bool) error { return v.ascend(yield, false) }
 
 // Walk is Ascend for a caller that keeps no entry's Values past its
 // yield: they are the walk's buffer, which the next entry overwrites.
-// It allocates per chunk of keys, not per entry.
 func (v *View) Walk(yield func(Entry) bool) error { return v.ascend(yield, true) }
 
 func (v *View) ascend(yield func(Entry) bool, shared bool) error {
@@ -218,7 +211,7 @@ func (v *View) ascend(yield func(Entry) bool, shared bool) error {
 	key := make([]byte, 0, 32)
 	vc := valCursor{refs: v.refs, shared: shared}
 	var keys Arena
-	var last []int
+	var last [][2]int
 	emitted, visited := 0, 0
 
 	node := 0
@@ -279,67 +272,55 @@ func (v *View) ascend(yield func(Entry) bool, shared bool) error {
 // entries sharing one value list.
 type valCursor struct {
 	refs   []byte
-	repeat uint64   // entries left that reuse vals
+	repeat uint64   // entries left that use vals
 	vals   []string // current group's value list
 	shared bool     // hand out vals itself (Walk), not a copy
 }
 
 func (v *View) nextValues(c *valCursor) ([]string, error) {
-	if c.repeat > 0 {
-		c.repeat--
-		if len(c.vals) == 0 {
-			return nil, nil
+	if c.repeat == 0 {
+		rep, refs, err := getUvarint(c.refs)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: value run length: %w", err)
 		}
-		if c.shared {
-			return c.vals, nil
+		if rep > uint64(v.m) {
+			return nil, errors.New("catalog: implausible value run length")
 		}
-		// Each entry gets its own slice: decoded entries are handed to
-		// callers that own and may mutate them.
-		return append([]string(nil), c.vals...), nil
-	}
-	rep, refs, err := getUvarint(c.refs)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: value run length: %w", err)
-	}
-	if rep > uint64(v.m) {
-		return nil, errors.New("catalog: implausible value run length")
-	}
-	cu, refs, err := getUvarint(refs)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: value ref count: %w", err)
-	}
-	if cu > uint64(len(refs))+1 {
-		return nil, errors.New("catalog: implausible value ref count")
-	}
-	var vals []string
-	if c.shared {
-		vals = c.vals[:0]
-	}
-	for i := uint64(0); i < cu; i++ {
-		var idx uint64
-		if idx, refs, err = getUvarint(refs); err != nil {
-			return nil, fmt.Errorf("catalog: value ref: %w", err)
+		cu, refs, err := getUvarint(refs)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: value ref count: %w", err)
 		}
-		if idx >= uint64(len(v.valTab)) {
-			return nil, errors.New("catalog: value ref out of table")
+		if cu > uint64(len(refs))+1 {
+			return nil, errors.New("catalog: implausible value ref count")
 		}
-		vals = append(vals, v.value(int(idx)))
+		vals := c.vals[:0]
+		for i := uint64(0); i < cu; i++ {
+			var idx uint64
+			if idx, refs, err = getUvarint(refs); err != nil {
+				return nil, fmt.Errorf("catalog: value ref: %w", err)
+			}
+			if idx >= uint64(len(v.valTab)) {
+				return nil, errors.New("catalog: value ref out of table")
+			}
+			vals = append(vals, v.value(int(idx)))
+		}
+		c.refs, c.repeat, c.vals = refs, rep+1, vals
 	}
-	c.refs, c.repeat, c.vals = refs, rep, vals
-	if len(vals) == 0 {
+	c.repeat--
+	switch {
+	case len(c.vals) == 0:
 		return nil, nil
+	case c.shared:
+		return c.vals, nil
 	}
-	if c.shared {
-		return vals, nil
-	}
-	return append([]string(nil), vals...), nil
+	// Each entry gets its own slice: decoded entries are handed to
+	// callers that own and may mutate them.
+	return append([]string(nil), c.vals...), nil
 }
 
 // Arena hands out strings copied from byte slices, carved from shared
-// chunks: one allocation per chunk instead of one per string. A chunk
-// stays alive while any string carved from it does; chunks double from
-// 64 bytes to 16 KiB, so a short walk keeps little. The zero Arena is
-// ready to use.
+// chunks that double from 64 bytes to 16 KiB: one allocation per chunk,
+// which lives while any of its strings does. The zero Arena is ready.
 type Arena struct{ b strings.Builder }
 
 // String returns a string with the bytes of p.

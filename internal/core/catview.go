@@ -2,40 +2,27 @@ package core
 
 import (
 	"slices"
+	"strings"
 
 	"dlpt/internal/catalog"
-	"dlpt/internal/keys"
 	"dlpt/internal/persist"
 )
 
-// The durable catalogue of a capture. A durable tick's image is the
-// store's previous image folded with the journal after it
-// (persist.Fold), off the lock, whenever that journal carries every
-// change since: only a catalogue that changed outside the journal
-// funnel (offJournal), or a store with no image of its own to fold, is
-// built from the tree under the lock.
-
-// CaptureSnapshot builds the tree's catalogue for a snapshot that
-// cannot fold: it must run under the same critical section as the
-// store's BeginSnapshot, so the journal rotation is atomic with it.
-// The capture is the image's delta base from then on, so it clears the
-// mark of a change outside the journal.
+// CaptureSnapshot builds the tree's catalogue for a durable snapshot
+// that cannot fold the store's previous image with the journal after it
+// (persist.Fold): the catalogue changed outside the journal funnel
+// (offJournal), or the store has no image of its own. It runs under the
+// same critical section as the store's BeginSnapshot, so the journal
+// rotation is atomic with it, and it makes the snapshot the journal's
+// base again.
 func (net *Network) CaptureSnapshot() persist.EntrySource {
 	net.offJournal = false
-	return net.Catalogue()
+	return net.catalogueData()
 }
 
-// Catalogue builds the tree's catalogue, sorted, in fresh slices that
-// later mutations leave alone: the capture of an image where no fold
-// can stand in for it.
-func (net *Network) Catalogue() persist.EntrySource {
-	ks, data := net.catalogueData()
-	out := make(entries, len(ks))
-	for i, k := range ks {
-		out[i] = catalog.Entry{Key: string(k), Values: data[k]}
-	}
-	return out
-}
+// Catalogue builds the tree's catalogue for an image no fold can stand
+// in for, leaving the journal's base alone.
+func (net *Network) Catalogue() persist.EntrySource { return net.catalogueData() }
 
 // CatalogueJournaled reports whether every change to the catalogue
 // since the last CaptureSnapshot went through the journal funnel: not
@@ -64,34 +51,34 @@ func (net *Network) RingState() []persist.PeerState {
 	return peers
 }
 
-// catalogueData collects the durable catalogue: the union of the
-// replicated data nodes and the live tree's data nodes, live values
-// winning — they are at least as fresh. The union matters on the
-// concurrent engines: a registration racing the Replicate tick has
-// journaled into the epoch this snapshot supersedes, so the snapshot
-// itself must contain it; conversely a crashed, unrecovered node
-// exists only in its replica. Keys are returned ascending with values
-// ascending per key.
-func (net *Network) catalogueData() ([]keys.Key, map[keys.Key][]string) {
+// catalogueData collects the durable catalogue, in ascending key order
+// with values ascending per key, in fresh slices later mutations leave
+// alone: the union of the replicated data nodes and the live tree's data
+// nodes, live values winning — they are at least as fresh. The union
+// matters on the concurrent engines: a registration racing the
+// Replicate tick has journaled into the epoch this snapshot supersedes,
+// so the snapshot itself must contain it; conversely a crashed,
+// unrecovered node exists only in its replica.
+func (net *Network) catalogueData() entries {
 	// Only a node lost to a crash contributes its replica: a live node
 	// wins below, and a removed one's would resurrect it on restart.
-	data := make(map[keys.Key][]string, len(net.nodeList))
+	data := make(map[string][]string, len(net.nodeList))
 	for k := range net.pendingLost {
 		if e, ok := net.replicas[k]; ok && !net.HasNode(k) && len(e.Data) > 0 {
-			data[k] = e.Data
+			data[string(k)] = e.Data
 		}
 	}
 	for _, n := range net.nodeList {
 		if n.HasData() {
-			data[n.Key] = slices.Clone(n.Data)
+			data[string(n.Key)] = slices.Clone(n.Data)
 		}
 	}
-	ks := make([]keys.Key, 0, len(data))
-	for k := range data {
-		ks = append(ks, k)
+	out := make(entries, 0, len(data))
+	for k, vals := range data {
+		out = append(out, catalog.Entry{Key: k, Values: vals})
 	}
-	keys.SortKeys(ks)
-	return ks, data
+	slices.SortFunc(out, func(a, b catalog.Entry) int { return strings.Compare(a.Key, b.Key) })
+	return out
 }
 
 // removeValue returns vals without v; changed is false when v was

@@ -14,17 +14,7 @@ import (
 // peer (id, capacity) in ring order and the durable catalogue, collected
 // by walking the whole overlay.
 func (net *Network) PersistState() ([]persist.PeerState, []catalog.Entry) {
-	ids := net.ring.IDs()
-	peers := make([]persist.PeerState, 0, len(ids))
-	for _, id := range ids {
-		peers = append(peers, persist.PeerState{ID: string(id), Capacity: net.peers[id].Capacity})
-	}
-	ks, data := net.catalogueData()
-	nodes := make([]catalog.Entry, 0, len(ks))
-	for _, k := range ks {
-		nodes = append(nodes, catalog.Entry{Key: string(k), Values: data[k]})
-	}
-	return peers, nodes
+	return net.RingState(), net.catalogueData()
 }
 
 // journaled attaches a no-op journal, as a durable overlay has one.

@@ -121,11 +121,4 @@ func TouchNodes(net *Network, n int) {
 
 // CatalogueData is the durable catalogue the tree holds (catalogueData)
 // as sorted entries: what an image of net captured now must encode.
-func CatalogueData(net *Network) []catalog.Entry {
-	ks, data := net.catalogueData()
-	out := make([]catalog.Entry, len(ks))
-	for i, k := range ks {
-		out[i] = catalog.Entry{Key: string(k), Values: data[k]}
-	}
-	return out
-}
+func CatalogueData(net *Network) []catalog.Entry { return net.catalogueData() }

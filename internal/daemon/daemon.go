@@ -21,8 +21,9 @@
 // ring id, commits the join as a record like any other, and answers
 // HELLO with the assigned ring id and a transport.Mirror: epoch,
 // sequence number, member table and the overlay image (the bytes a
-// snapshot file holds, captured copy-on-write and encoded off the
-// cluster lock) consistent with that sequence number. The joiner
+// snapshot file holds, on a durable steward folded from its newest
+// image and journal and encoded off the cluster lock) consistent with
+// that sequence number. The joiner
 // installs it through installMirrorLocked, the one install a first
 // join, a RESYNC and a deposed steward's rejoin share. A member that
 // receives JOIN redirects the joiner to the steward.

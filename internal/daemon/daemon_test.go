@@ -382,7 +382,7 @@ func TestJoinImageMatchesSnapshotFile(t *testing.T) {
 	cfg.ProbeEvery = Duration(time.Hour) // the raw joiner below never answers: keep it from being crashed out
 	s := startDaemon(t, cfg)
 	// Multi-valued, unregistered, re-registered and emptied keys, so the
-	// copy-on-write image has seen every kind of mutation.
+	// journal the images fold has seen every kind of mutation.
 	for i := 0; i < 40; i++ {
 		register(t, s, fmt.Sprintf("svc%02d", i), "ep://a")
 	}

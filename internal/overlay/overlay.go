@@ -455,20 +455,14 @@ func (r *Runtime) InstallReplicas(b core.ReplicaBatch) int {
 // beginSnapshotLocked is the tail of a replication tick on a durable
 // overlay. Where the journal can carry the tick — every catalogue change
 // since the last snapshot went through it (a lossy Recover, a restore or
-// a mirror install did not), and the store's own rules hold
-// (persist.Store.JournalCarries, which journals the tick's ring where it
-// changed) — commit just fsyncs the journal: the image and the records
-// after it replay to the state of this tick. Otherwise the tick writes
-// a new image. The caller holds Mu's write side, so the capture and the
-// journal rotation are atomic: a racing mutation journals either into
-// the epoch this snapshot supersedes and is contained in the image, or
-// into the new epoch and replays on top of it. The capture is the ring
-// and the rotation: commit folds the previous image with the rotated
-// journal (persist.Fold) and encodes and fsyncs after the lock is
-// released, so the write stall is independent of the catalogue size.
-// Only where the store cannot fold, or the catalogue changed outside
-// the journal, is the catalogue built from the tree under the lock.
-// commit also stamps the tick as completed, with or without a store.
+// a mirror install did not), and persist.Store.JournalCarries holds —
+// commit just fsyncs the journal. Otherwise the tick writes a new image:
+// under Mu's write side it captures the ring and rotates the journal,
+// and commit folds the previous image with the rotated journal, encodes
+// and fsyncs after the lock is released. Only where the store cannot
+// fold, or the catalogue changed outside the journal, is the catalogue
+// built from the tree under the lock. commit also stamps the tick as
+// completed, with or without a store.
 func (r *Runtime) beginSnapshotLocked() (commit func() error, err error) {
 	met, store := r.Met, r.Store
 	if store == nil {

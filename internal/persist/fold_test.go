@@ -144,8 +144,8 @@ var killFoldingRounds atomic.Int64
 
 // TestMirrorFoldsWhatItSaw pins Store.Mirror: it folds the newest image
 // this store committed with the journal records appended before the
-// capture, none after, and keeps the image from pruning until Image
-// returns; without an image of the store's own it declines.
+// capture, none after; without an image of the store's own it declines,
+// and once two later snapshots have pruned its image, Image fails.
 func TestMirrorFoldsWhatItSaw(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -168,11 +168,8 @@ func TestMirrorFoldsWhatItSaw(t *testing.T) {
 	if err := s.Append(false, "late", "ep://5"); err != nil {
 		t.Fatal(err)
 	}
-	// Two more images would prune the mirrored one but for the pin.
-	for range 2 {
-		if _, err := writeSnapshot(s, peers, nodes); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := writeSnapshot(s, peers, nodes); err != nil {
+		t.Fatal(err)
 	}
 	img, err := m.Image(nil, peers)
 	if err != nil {
@@ -186,12 +183,6 @@ func TestMirrorFoldsWhatItSaw(t *testing.T) {
 	if got := nodeList(t, snap); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(snap.Peers, peers) {
 		t.Fatalf("mirror image holds %v %v, want %v %v", snap.Peers, got, peers, want)
 	}
-	if _, err := writeSnapshot(s, peers, nodes); err != nil {
-		t.Fatal(err)
-	}
-	if seqs, _ := s.epochs(snapPrefix, snapSuffix); len(seqs) != keepSnapshots {
-		t.Fatalf("snapshots %v left once the mirror is done", seqs)
-	}
 	p, err := s.BeginSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -201,5 +192,8 @@ func TestMirrorFoldsWhatItSaw(t *testing.T) {
 	}
 	if _, err := p.Commit(peers, nil); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := m.Image(nil, peers); err == nil {
+		t.Fatal("a mirror of a pruned image folded")
 	}
 }

@@ -3,19 +3,18 @@
 // cold restart — every peer dead, including the last one — can
 // rebuild the tree from the persistence directory.
 //
-// The on-disk layout is a sequence of versioned snapshot files plus
-// one append-only journal per snapshot epoch:
+// The directory holds versioned snapshot files and one append-only
+// journal per snapshot epoch:
 //
-//	snapshot-<seq>.snap — the full replica state at one Replicate
-//	                      tick: the peer ring (ids and capacities)
-//	                      and every replicated data node (key and
-//	                      values), CRC-protected, written to a temp
-//	                      file, fsynced and renamed into place.
+//	snapshot-<seq>.snap — the peer ring (ids and capacities) and every
+//	                      replicated data node (key and values) at one
+//	                      Replicate tick: one overlay image (AppendImage),
+//	                      written to a temp file, fsynced and renamed.
 //	journal-<seq>.log   — every catalogue mutation (register /
 //	                      unregister) since snapshot <seq>, and every
-//	                      ring a tick ran on that differs from the
-//	                      one before, one CRC-framed record each,
-//	                      appended in order; a zero length ends it.
+//	                      ring a tick ran on that differs from the one
+//	                      before, one CRC-framed record each, in order;
+//	                      a zero length ends it.
 //
 // Snapshot writing is split in two so the expensive half runs off the
 // cluster write lock: BeginSnapshot rotates the journal under it, and
@@ -25,42 +24,29 @@
 // (Fold, one level of a log-structured merge) into the next image, so
 // the caller captures no catalogue under its lock.
 //
-// Journal records land in the journal of the epoch they follow. Load
-// is corruption-tolerant: it walks the snapshots newest-first until
-// one passes its CRC, then replays every journal of that epoch and
-// later in order, stopping cleanly at the first truncated or corrupt
-// record or a zero length — a torn write costs at most the tail of a
-// journal, never the snapshot behind it; a snapshot or a record that
-// passes its CRC but does not parse fails Load instead (ImageError,
-// RecordError). The two newest snapshots are kept so a torn snapshot
-// write can always fall back one epoch (the journals of the older epoch
-// bridge the gap forward).
+// Load walks the snapshots newest-first until one passes its CRC, then
+// replays every journal of that epoch and later, each up to its first
+// torn record or zero length: a torn write costs at most the tail of a
+// journal, and the two newest snapshots are kept so a torn snapshot
+// falls back one epoch. A snapshot or record that passes its CRC but
+// does not parse fails Load instead (ImageError, RecordError).
 //
-// A snapshot file is one overlay image (AppendImage / ParseImage):
-// magic, version, epoch, the peer ring, the catalogue as one LOUDS
-// catalog envelope (see internal/catalog) and a CRC. The same bytes
-// are what a steward sends a joining or resynchronizing daemon in
-// HELLO and RESYNC, so the whole-overlay state has one byte form, one
-// encoder and one parser. Files are memory-mapped at load so a cold
-// restart materializes entries lazily while streaming them into the
-// overlay. Nothing writes the older encodings any more, but both
-// still parse: version-1 images (inline node list) and version-2
-// images whose envelope is legacy-coded. A journal record's first byte
-// is its kind: register, unregister or ring, the last an image with an
-// empty catalogue. The journal format is upgrade-only: a build older
-// than the ring record reads one as a registration, or stops there, and
-// a build older than the mapped tail refuses, with a *RecordError, a
-// journal that a crash left with its zeroed tail.
+// An image is also what a steward sends a joining or resynchronizing
+// daemon in HELLO and RESYNC: the whole-overlay state has one byte form,
+// one encoder and one parser. Snapshot files are memory-mapped, so a
+// cold restart materializes entries as it streams them into the
+// overlay. Version-1 images (inline node list) and version-2 images
+// with a legacy-coded envelope still parse; nothing writes them. The
+// journal format is upgrade-only: a build older than the ring record
+// reads one as a registration, or stops there, and one older than the
+// mapped tail refuses a journal a crash left with its zeroed tail.
 //
 // A journal append is a copy into a shared mapping of a preallocated
-// window of the file (one write(2) where there is none, see journal):
-// no system call, and the window reads zero past the last record, so a
-// zero length ends a journal. Journal appends ride the OS cache; a
-// Replicate tick is the durability point: it writes a new image only
-// when the journal cannot carry it (JournalCarries), and otherwise
-// fsyncs the journal (SyncJournal), whose records replay onto the newest
-// image to the same state, ring included. The durability contract is
-// therefore exactly the paper's replication model: everything declared
+// window of the file (see journal): no system call. Appends ride the OS
+// cache; a Replicate tick is the durability point: it writes a new
+// image only when the journal cannot carry it (JournalCarries), and
+// otherwise fsyncs the journal (SyncJournal). The durability contract
+// is therefore the paper's replication model: everything declared
 // before the last Replicate survives any crash, and journaled mutations
 // after it survive ordinary process death (but not power loss).
 package persist
@@ -116,14 +102,6 @@ type Snapshot struct {
 func (sn *Snapshot) Ascend(yield func(catalog.Entry) bool) error {
 	if sn.view != nil {
 		return sn.view.Ascend(yield)
-	}
-	return sn.walk(yield)
-}
-
-// walk is Ascend for a caller that keeps no entry's Values (View.Walk).
-func (sn *Snapshot) walk(yield func(catalog.Entry) bool) error {
-	if sn.view != nil {
-		return sn.view.Walk(yield)
 	}
 	for _, e := range sn.nodes {
 		if !yield(e) {
@@ -202,17 +180,15 @@ type Store struct {
 	// records described state the new snapshot now contains).
 	appendErr error
 	// records counts the records since the newest BeginSnapshot, a ring
-	// record once per peer, and size their bytes in the epoch's journal;
+	// record once per peer, and size is the epoch's journal length;
 	// image is the key count of the newest image this store committed
 	// and the ring the journal carries, nil until one commits and while
 	// a newer epoch's image is pending. buf is the one buffer appends
-	// encode into. pins counts the folds that still read an epoch's
-	// image and journal: pruning keeps them.
+	// encode into.
 	records int
 	size    int64
 	image   *imageState
 	buf     []byte
-	pins    map[uint64]int
 }
 
 // imageState is what JournalCarries compares a tick against: the
@@ -404,24 +380,22 @@ type EntrySource interface {
 
 // Fold is the catalogue an image and the journal records after it
 // replay to, as a sorted EntrySource: one level of a log-structured
-// merge. The records are sorted stably by key, so each key keeps its
-// records in journal order, and merged into the image's walk key by
-// key: a key's values are the image's with its records applied in
-// order, and a key left with none is dropped, as replay leaves it.
-// Every Ascend walks the image again; nothing of the whole catalogue is
-// built. Err reports an image catalogue that could not be walked.
+// merge. The records, sorted stably by key, merge into the image's walk
+// key by key, each key's applied in journal order; a key left with no
+// value is dropped, as replay leaves it. Every Ascend walks the image
+// again and builds nothing of the whole catalogue; Err reports an image
+// that could not be walked.
 type Fold struct {
 	img  *Snapshot
 	recs []Record
-	vals []string // the merged values of the key being yielded
+	vals []string // the values of the key being yielded, records applied
 	err  error
 }
 
 // NewFold folds records, in journal order, into img's catalogue (nil:
-// an empty one). records itself is not reordered.
+// an empty one). records itself is not reordered: sorting positions,
+// ties broken by position, is a stable sort that moves no record.
 func NewFold(img *Snapshot, records []Record) *Fold {
-	// Sorting positions, ties broken by position, is a stable sort that
-	// moves no record until the end.
 	order := make([]int32, len(records))
 	for i := range order {
 		order[i] = int32(i)
@@ -445,47 +419,41 @@ func (f *Fold) Err() error { return f.err }
 // Ascend yields the folded catalogue in ascending key order.
 func (f *Fold) Ascend(yield func(catalog.Entry) bool) {
 	recs, more := f.recs, true
-	// merge yields key with its records applied to vals, and the keys
-	// before it that only the journal holds.
-	merge := func(key string, vals []string) bool {
-		for len(recs) > 0 && recs[0].Key < key {
-			if !f.apply(&recs, nil, yield) {
-				return false
+	// emit yields key with the records at the head of recs that name it
+	// applied to vals, unless that leaves it none.
+	emit := func(key string, vals []string) bool {
+		if len(recs) == 0 || recs[0].Key != key {
+			return yield(catalog.Entry{Key: key, Values: vals})
+		}
+		vals = append(f.vals[:0], vals...)
+		for ; len(recs) > 0 && recs[0].Key == key; recs = recs[1:] {
+			switch i, found := slices.BinarySearch(vals, recs[0].Value); {
+			case recs[0].Remove && found:
+				vals = slices.Delete(vals, i, i+1)
+			case !recs[0].Remove && !found:
+				vals = slices.Insert(vals, i, recs[0].Value)
 			}
 		}
-		if len(recs) > 0 && recs[0].Key == key {
-			return f.apply(&recs, vals, yield)
-		}
-		return yield(catalog.Entry{Key: key, Values: vals})
+		f.vals = vals
+		return len(vals) == 0 || yield(catalog.Entry{Key: key, Values: vals})
 	}
 	f.err = nil
 	if f.img != nil {
-		f.err = f.img.walk(func(e catalog.Entry) bool {
-			more = merge(e.Key, e.Values)
+		walk := f.img.Ascend
+		if f.img.view != nil {
+			walk = f.img.view.Walk // nothing keeps the image's values
+		}
+		f.err = walk(func(e catalog.Entry) bool {
+			for more && len(recs) > 0 && recs[0].Key < e.Key {
+				more = emit(recs[0].Key, nil)
+			}
+			more = more && emit(e.Key, e.Values)
 			return more
 		})
 	}
 	for more && f.err == nil && len(recs) > 0 {
-		more = f.apply(&recs, nil, yield)
+		more = emit(recs[0].Key, nil)
 	}
-}
-
-// apply yields the first key of *recs with its records applied to base,
-// unless that leaves it no value, and advances *recs past them.
-func (f *Fold) apply(recs *[]Record, base []string, yield func(catalog.Entry) bool) bool {
-	key, vals := (*recs)[0].Key, append(f.vals[:0], base...)
-	for len(*recs) > 0 && (*recs)[0].Key == key {
-		r := (*recs)[0]
-		*recs = (*recs)[1:]
-		switch i, found := slices.BinarySearch(vals, r.Value); {
-		case r.Remove && found:
-			vals = slices.Delete(vals, i, i+1)
-		case !r.Remove && !found:
-			vals = slices.Insert(vals, i, r.Value)
-		}
-	}
-	f.vals = vals
-	return len(vals) == 0 || yield(catalog.Entry{Key: key, Values: vals})
 }
 
 // AppendImage appends the overlay image of (peers, cat) to dst: the
@@ -528,7 +496,7 @@ type PendingSnapshot struct {
 	healErr error
 	// folds is set when the superseded epoch's image is one this store
 	// committed and its journal took every append: the two fold to this
-	// snapshot, and the epoch is pinned until Commit.
+	// snapshot.
 	folds bool
 	bytes int
 	keys  int
@@ -574,9 +542,6 @@ func (s *Store) BeginSnapshot() (*PendingSnapshot, error) {
 		return nil, err
 	}
 	s.appendErr = nil
-	if p.folds {
-		s.pinLocked(p.seq-1, 1)
-	}
 	return p, nil
 }
 
@@ -585,10 +550,12 @@ func (s *Store) BeginSnapshot() (*PendingSnapshot, error) {
 // pruning of epochs older than the fallback. First it cuts the rotated
 // journal back to its records and closes it; a failure there joins
 // Commit's error. cat is the catalogue captured with BeginSnapshot, or
-// nil where Folds: the previous image folded with the rotated journal,
-// which pruning keeps until the new image is in place. No store-wide
-// lock is held while folding, encoding or syncing, so concurrent journal
-// appends proceed. It returns the committed epoch number.
+// nil where Folds: the previous image folded with the rotated journal.
+// Pruning runs after the rename and keeps the two newest images, so the
+// previous one outlives the fold unless two later snapshots commit
+// during it. No store-wide lock is held while folding, encoding or
+// syncing, so concurrent journal appends proceed. It returns the
+// committed epoch number.
 func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, error) {
 	s := p.s
 	var closeErr error
@@ -596,9 +563,6 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 		if err := p.rotated.Close(); err != nil {
 			closeErr = fmt.Errorf("persist: closing the rotated journal: %w", err)
 		}
-	}
-	if p.folds {
-		defer s.pin(p.seq-1, -1)
 	}
 	if cat == nil {
 		if !p.folds {
@@ -652,34 +616,16 @@ func (p *PendingSnapshot) Commit(peers []PeerState, cat EntrySource) (uint64, er
 }
 
 // pruneLocked removes snapshots (and their journals) older than the
-// keepSnapshots newest epochs, but for those a fold still reads.
+// keepSnapshots newest epochs.
 func (s *Store) pruneLocked() {
 	seqs, err := s.epochs(snapPrefix, snapSuffix)
 	if err != nil || len(seqs) <= keepSnapshots {
 		return
 	}
 	for _, seq := range seqs[:len(seqs)-keepSnapshots] {
-		if s.pins[seq] == 0 {
-			os.Remove(s.snapPath(seq))
-			os.Remove(s.jrnlPath(seq))
-		}
+		os.Remove(s.snapPath(seq))
+		os.Remove(s.jrnlPath(seq))
 	}
-}
-
-// pinLocked adds d to the folds that read epoch seq.
-func (s *Store) pinLocked(seq uint64, d int) {
-	if s.pins == nil {
-		s.pins = make(map[uint64]int)
-	}
-	if s.pins[seq] += d; s.pins[seq] == 0 {
-		delete(s.pins, seq)
-	}
-}
-
-func (s *Store) pin(seq uint64, d int) {
-	s.mu.Lock()
-	s.pinLocked(seq, d)
-	s.mu.Unlock()
 }
 
 // openFold opens the image of epoch seq, which this store committed,
@@ -690,55 +636,50 @@ func (s *Store) openFold(seq uint64, size int64) (*Fold, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	st := &LoadedState{}
 	buf, unmap, err := mapFile(s.jrnlPath(seq))
-	if errors.Is(err, os.ErrNotExist) {
-		buf, unmap, err = nil, func() {}, nil
+	if err == nil {
+		defer unmap()
+		if size >= 0 {
+			buf = buf[:min(size, int64(len(buf)))]
+		}
+		if _, err = scanRecords(buf, st.replay); err != nil {
+			err = &RecordError{Path: s.jrnlPath(seq), Err: err}
+		}
 	}
 	if err != nil {
 		release()
-		return nil, nil, fmt.Errorf("persist: %w", err)
-	}
-	defer unmap()
-	if size >= 0 {
-		buf = buf[:min(size, int64(len(buf)))]
-	}
-	st := &LoadedState{}
-	if _, err := scanRecords(buf, st.replay); err != nil {
-		release()
-		return nil, nil, &RecordError{Path: s.jrnlPath(seq), Err: err}
+		return nil, nil, err
 	}
 	return NewFold(img, st.Journal), release, nil
 }
 
-// Mirror is the store's part of an image of the current state: the
-// newest image this store committed and the journal records appended
-// since, up to those a capture under the caller's lock saw.
+// Mirror is what Image folds: the newest image this store committed and
+// the records its journal held at the capture.
 type Mirror struct {
 	s    *Store
 	seq  uint64
 	size int64
 }
 
-// Mirror captures the newest image this store committed and the size
-// of the journal after it, and pins them against pruning. Call it under
-// the lock that serializes the journal's appends, so the two describe
-// the caller's state, and Image off it. It returns nil where the store
-// has no such image (none committed, or a newer one pending) or an
-// append failed since: the caller builds the catalogue itself.
+// Mirror captures the newest image this store committed and the length
+// of the journal after it, under the caller's lock that serializes the
+// appends; Image folds them off it. It returns nil where there is no
+// such image (none committed, or a newer one pending) or an append
+// failed since: the caller builds the catalogue itself.
 func (s *Store) Mirror() *Mirror {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.image == nil || s.appendErr != nil || s.closed {
 		return nil
 	}
-	s.pinLocked(s.seq, 1)
 	return &Mirror{s: s, seq: s.seq, size: s.size}
 }
 
-// Image folds the captured image with the captured journal and appends
-// the overlay image of (peers, the fold) to dst, then releases the pin.
+// Image appends the overlay image of peers and the captured image's
+// fold with the captured records to dst. It fails where two snapshots
+// committed since Mirror and pruned the image.
 func (m *Mirror) Image(dst []byte, peers []PeerState) ([]byte, error) {
-	defer m.s.pin(m.seq, -1)
 	fold, release, err := m.s.openFold(m.seq, m.size)
 	if err != nil {
 		return nil, err

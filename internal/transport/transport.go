@@ -220,31 +220,27 @@ func (c *Cluster) InstallMirror(image []byte, members map[keys.Key]string, self 
 }
 
 // MirrorImage returns the overlay image of the current state, for a
-// steward's Mirror. On a durable steward whose catalogue changed only
-// through the journal, the capture under the write lock is the ring,
-// the store's newest image and the journal's length; the fold of the
-// two and the encode, which scale with the catalogue, run after it.
-// Otherwise (no store, a change outside the journal, no image of the
-// store's own, or a fold that fails) the catalogue is built from the
-// tree under the lock.
+// steward's Mirror: the store's fold (Store.Mirror) where the catalogue
+// changed only through the journal, else, or if the fold fails, the
+// tree's catalogue. The write lock covers only the capture.
 func (c *Cluster) MirrorImage() []byte {
-	c.Mu.Lock()
-	peers := c.Net.RingState()
-	var mirror *persist.Mirror
-	if c.Store != nil && c.Net.CatalogueJournaled() {
-		mirror = c.Store.Mirror()
-	}
-	if mirror != nil {
+	for fold := true; ; fold = false {
+		c.Mu.Lock()
+		peers := c.Net.RingState()
+		var m *persist.Mirror
+		if fold && c.Store != nil && c.Net.CatalogueJournaled() {
+			m = c.Store.Mirror()
+		}
+		if m == nil {
+			cat := c.Net.Catalogue()
+			c.Mu.Unlock()
+			return persist.AppendImage(nil, 0, peers, cat)
+		}
 		c.Mu.Unlock()
-		if img, err := mirror.Image(nil, peers); err == nil {
+		if img, err := m.Image(nil, peers); err == nil {
 			return img
 		}
-		c.Mu.Lock()
-		peers = c.Net.RingState()
 	}
-	cat := c.Net.Catalogue()
-	c.Mu.Unlock()
-	return persist.AppendImage(nil, 0, peers, cat)
 }
 
 // ControlRoundTrip sends one control frame (JOIN, LEAVE, APPLY,
