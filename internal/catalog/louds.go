@@ -216,6 +216,14 @@ func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
 			return appendLOUDS(dst, slices.Values(canonicalize(owned)), secs)
 		}
 		t.count(prev, e.Key)
+		if values && len(all)+len(e.Values) > cap(all) {
+			// Deduplicate before growing, then leave as much room again:
+			// a catalogue whose services share a few endpoints keeps a
+			// short table.
+			slices.Sort(all)
+			all = slices.Compact(all)
+			all = slices.Grow(all, len(all)+len(e.Values)+64)
+		}
 		if values {
 			all = append(all, e.Values...)
 		}
