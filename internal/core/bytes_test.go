@@ -250,10 +250,8 @@ func TestAllocsPerWrite(t *testing.T) {
 
 // TestAllocsPerJournaledWrite is TestAllocsPerWrite on a durable
 // overlay: a journal hook installed and a snapshot captured. A journaled
-// write pays nothing for the image: the next image is the last one
-// folded with the journal. A copy-on-write catalogue image kept for the
-// capture read 3 per cycle, its inserts and concatenations allocating
-// on every write.
+// write pays nothing for the next image, which is the last one folded
+// with the journal.
 func TestAllocsPerJournaledWrite(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under the race detector")
