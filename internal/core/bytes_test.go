@@ -258,7 +258,7 @@ func TestAllocsPerJournaledWrite(t *testing.T) {
 	}
 	net, corpus, r, _ := gridNetwork(t)
 	net.Journal = func(bool, keys.Key, string) {}
-	net.CaptureSnapshot()
+	net.CaptureSnapshot(false)
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
 		k := corpus[i%len(corpus)]

@@ -8,24 +8,26 @@ import (
 	"dlpt/internal/persist"
 )
 
-// CaptureSnapshot builds the tree's catalogue for a durable snapshot
-// that cannot fold the store's previous image with the journal after it
-// (persist.Fold): the catalogue changed outside the journal funnel
-// (offJournal), or the store has no image of its own. It runs under the
-// same critical section as the store's BeginSnapshot, so the journal
-// rotation is atomic with it, and it makes the snapshot the journal's
-// base again.
-func (net *Network) CaptureSnapshot() persist.EntrySource {
+// CaptureSnapshot returns the catalogue a durable snapshot encodes,
+// under the same critical section as the store's BeginSnapshot, so the
+// journal rotation is atomic with it: nil where the store folds its
+// previous image with the rotated journal (folds, persist.Fold) and
+// every catalogue change since went through the journal funnel; else the
+// tree's, which makes the snapshot the journal's base again.
+func (net *Network) CaptureSnapshot(folds bool) persist.EntrySource {
+	if folds && !net.offJournal {
+		return nil
+	}
 	net.offJournal = false
 	return net.catalogueData()
 }
 
-// Catalogue builds the tree's catalogue for an image no fold can stand
-// in for, leaving the journal's base alone.
+// Catalogue builds the tree's catalogue, leaving the journal's base
+// alone.
 func (net *Network) Catalogue() persist.EntrySource { return net.catalogueData() }
 
 // CatalogueJournaled reports whether every change to the catalogue
-// since the last CaptureSnapshot went through the journal funnel: not
+// since the last snapshot's capture went through the journal funnel: not
 // after a lossy recovery, a restore or a mirror install.
 func (net *Network) CatalogueJournaled() bool { return !net.offJournal }
 

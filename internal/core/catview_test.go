@@ -12,8 +12,9 @@ import (
 
 // PersistState is the eager reference a capture is held against: every
 // peer (id, capacity) in ring order and the durable catalogue, collected
-// by walking the whole overlay.
-func (net *Network) PersistState() ([]persist.PeerState, []catalog.Entry) {
+// by walking the whole overlay, as sorted entries that are also a
+// persist.EntrySource.
+func (net *Network) PersistState() ([]persist.PeerState, entries) {
 	return net.RingState(), net.catalogueData()
 }
 
@@ -66,7 +67,7 @@ func TestCaptureSnapshotMatchesPersistState(t *testing.T) {
 	live := make([]KV, 0, 256)
 	check := func(step int) {
 		_, want := net.PersistState()
-		peers, c := net.RingState(), net.CaptureSnapshot()
+		peers, c := net.RingState(), net.CaptureSnapshot(false)
 		if len(peers) != net.NumPeers() {
 			t.Fatalf("step %d: captured %d peers, overlay has %d", step, len(peers), net.NumPeers())
 		}

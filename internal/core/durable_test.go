@@ -14,24 +14,10 @@ import (
 
 	"dlpt/engine"
 	"dlpt/engine/local"
-	"dlpt/internal/catalog"
 	"dlpt/internal/core"
 	"dlpt/internal/keys"
 	"dlpt/internal/persist"
 )
-
-// entries adapts a sorted entry list to persist.EntrySource.
-type entries []catalog.Entry
-
-func (es entries) Len() int { return len(es) }
-
-func (es entries) Ascend(yield func(catalog.Entry) bool) {
-	for _, e := range es {
-		if !yield(e) {
-			return
-		}
-	}
-}
 
 // durableOverlay is an engine/local overlay on a store in dir.
 type durableOverlay struct {
@@ -99,7 +85,7 @@ func TestCommittedImagesMatchTheTree(t *testing.T) {
 		tick := func(step int) {
 			t.Helper()
 			net := d.net()
-			peers, want := net.RingState(), entries(core.CatalogueData(net))
+			peers, want := net.PersistState()
 			if _, err := d.eng.Replicate(ctx); err != nil {
 				t.Fatalf("seed %d step %d: tick: %v", seed, step, err)
 			}

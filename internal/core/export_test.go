@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"slices"
 
-	"dlpt/internal/catalog"
 	"dlpt/internal/keys"
 	"dlpt/internal/ring"
 )
@@ -118,7 +117,3 @@ func TouchNodes(net *Network, n int) {
 		net.touch(nd)
 	}
 }
-
-// CatalogueData is the durable catalogue the tree holds (catalogueData)
-// as sorted entries: what an image of net captured now must encode.
-func CatalogueData(net *Network) []catalog.Entry { return net.catalogueData() }

@@ -206,8 +206,31 @@ func (d *Daemon) mirrorLocked() transport.Mirror {
 		Seq:         d.seq,
 		StewardAddr: d.selfAddr,
 		Members:     d.memberListLocked(),
-		Image:       d.cluster.MirrorImage(),
+		Image:       d.mirrorImage(),
 	}
+}
+
+// mirrorImage is a Mirror's overlay image: on a durable steward whose
+// catalogue changed only through the journal, its store's newest image
+// folded, off the cluster lock, with the records after it
+// (persist.Store.Mirror); else, or where that fold fails, the tree's
+// catalogue (transport.Cluster.MirrorImage).
+func (d *Daemon) mirrorImage() []byte {
+	c := d.cluster
+	c.Mu.RLock() // d.mu holds off the writers; this, the readers' view
+	peers, m := c.Net.RingState(), (*persist.Mirror)(nil)
+	if c.Store != nil && c.Net.CatalogueJournaled() {
+		m = c.Store.Mirror()
+	}
+	c.Mu.RUnlock()
+	if m != nil {
+		img, err := m.Image(nil, peers)
+		if err == nil {
+			return img
+		}
+		d.logf("dlptd steward: mirror image built from the tree: %v", err)
+	}
+	return c.MirrorImage()
 }
 
 // crashPeerLocked serializes one member's crash under the current

@@ -483,10 +483,7 @@ func (r *Runtime) beginSnapshotLocked() (commit func() error, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var cat persist.EntrySource // nil: Commit folds
-	if !r.Net.CatalogueJournaled() || !pending.Folds() {
-		cat = r.Net.CaptureSnapshot()
-	}
+	cat := r.Net.CaptureSnapshot(pending.Folds()) // nil: Commit folds
 	stall := time.Since(start)
 	return func() error {
 		if _, err := pending.Commit(peers, cat); err != nil {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"sync/atomic"
@@ -195,5 +196,49 @@ func TestMirrorFoldsWhatItSaw(t *testing.T) {
 	}
 	if _, err := m.Image(nil, peers); err == nil {
 		t.Fatal("a mirror of a pruned image folded")
+	}
+}
+
+// TestMirrorOfUnreadableImageStopsFolding: where the newest image does
+// not read back, Image fails and the store folds it no more; Mirror,
+// JournalCarries and BeginSnapshot send the next tick to a captured
+// catalogue, whose image the store folds again.
+func TestMirrorOfUnreadableImageStopsFolding(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	peers, nodes := testState()
+	seq, err := writeSnapshot(s, peers, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(s.snapPath(seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)/2] ^= 0xff
+	if err := os.WriteFile(s.snapPath(seq), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Mirror().Image(nil, peers); err == nil {
+		t.Fatal("a mirror of a corrupt image folded")
+	}
+	if s.Mirror() != nil || s.JournalCarries(peers) {
+		t.Fatal("the store still folds an image that does not read back")
+	}
+	p, err := s.BeginSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Folds() {
+		t.Fatal("a snapshot folds an image that does not read back")
+	}
+	if _, err := p.Commit(peers, entrySource(nodes)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Mirror().Image(nil, peers); err != nil {
+		t.Fatalf("the store's next image: %v", err)
 	}
 }

@@ -124,7 +124,6 @@ type LoadedState struct {
 	Peers []PeerState
 
 	release func()
-	strs    catalog.Arena // the journal's strings
 }
 
 // Release unmaps the snapshot file backing a lazily loaded
@@ -372,44 +371,29 @@ func (s *Store) SyncJournal() error {
 }
 
 // EntrySource is a sorted stream of catalogue entries — what an
-// image encodes: the tree's catalogue at a capture, or a Fold. An
-// entry's Values may be reused by the source once yield returns.
+// image encodes: the tree's catalogue at a capture, or a Fold. The
+// encoder walks it several times and may keep an entry's Values.
 type EntrySource interface {
 	Ascend(yield func(catalog.Entry) bool)
 }
 
 // Fold is the catalogue an image and the journal records after it
 // replay to, as a sorted EntrySource: one level of a log-structured
-// merge. The records, sorted stably by key, merge into the image's walk
-// key by key, each key's applied in journal order; a key left with no
-// value is dropped, as replay leaves it. Every Ascend walks the image
-// again and builds nothing of the whole catalogue; Err reports an image
-// that could not be walked.
+// merge. The records, sorted stably by key, merge into every walk of the
+// image, each key's applied in journal order; a key left with no value
+// is dropped, as replay leaves it. Nothing of the whole catalogue is
+// built; Err reports an image that could not be walked.
 type Fold struct {
 	img  *Snapshot
 	recs []Record
-	vals []string // the values of the key being yielded, records applied
 	err  error
 }
 
 // NewFold folds records, in journal order, into img's catalogue (nil:
-// an empty one). records itself is not reordered: sorting positions,
-// ties broken by position, is a stable sort that moves no record.
+// an empty one).
 func NewFold(img *Snapshot, records []Record) *Fold {
-	order := make([]int32, len(records))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := strings.Compare(records[a].Key, records[b].Key); c != 0 {
-			return c
-		}
-		return int(a - b)
-	})
-	recs := make([]Record, len(records))
-	for i, j := range order {
-		recs[i] = records[j]
-	}
+	recs := slices.Clone(records)
+	slices.SortStableFunc(recs, func(a, b Record) int { return strings.Compare(a.Key, b.Key) })
 	return &Fold{img: img, recs: recs}
 }
 
@@ -420,30 +404,21 @@ func (f *Fold) Err() error { return f.err }
 func (f *Fold) Ascend(yield func(catalog.Entry) bool) {
 	recs, more := f.recs, true
 	// emit yields key with the records at the head of recs that name it
-	// applied to vals, unless that leaves it none.
+	// applied to vals, copied first, unless that leaves it none.
 	emit := func(key string, vals []string) bool {
-		if len(recs) == 0 || recs[0].Key != key {
-			return yield(catalog.Entry{Key: key, Values: vals})
-		}
-		vals = append(f.vals[:0], vals...)
 		for ; len(recs) > 0 && recs[0].Key == key; recs = recs[1:] {
 			switch i, found := slices.BinarySearch(vals, recs[0].Value); {
 			case recs[0].Remove && found:
-				vals = slices.Delete(vals, i, i+1)
+				vals = slices.Delete(slices.Clone(vals), i, i+1)
 			case !recs[0].Remove && !found:
-				vals = slices.Insert(vals, i, recs[0].Value)
+				vals = slices.Insert(slices.Clip(vals), i, recs[0].Value)
 			}
 		}
-		f.vals = vals
 		return len(vals) == 0 || yield(catalog.Entry{Key: key, Values: vals})
 	}
 	f.err = nil
 	if f.img != nil {
-		walk := f.img.Ascend
-		if f.img.view != nil {
-			walk = f.img.view.Walk // nothing keeps the image's values
-		}
-		f.err = walk(func(e catalog.Entry) bool {
+		f.err = f.img.Ascend(func(e catalog.Entry) bool {
 			for more && len(recs) > 0 && recs[0].Key < e.Key {
 				more = emit(recs[0].Key, nil)
 			}
@@ -636,18 +611,13 @@ func (s *Store) openFold(seq uint64, size int64) (*Fold, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &LoadedState{}
-	buf, unmap, err := mapFile(s.jrnlPath(seq))
-	if err == nil {
-		defer unmap()
-		if size >= 0 {
-			buf = buf[:min(size, int64(len(buf)))]
+	st, end := &LoadedState{}, int64(0)
+	if _, err = scanJournal(s.jrnlPath(seq), func(p []byte) error {
+		if end += int64(len(p)) + 8; size >= 0 && end > size {
+			return nil // appended after the capture
 		}
-		if _, err = scanRecords(buf, st.replay); err != nil {
-			err = &RecordError{Path: s.jrnlPath(seq), Err: err}
-		}
-	}
-	if err != nil {
+		return st.replay(p)
+	}); err != nil {
 		release()
 		return nil, nil, err
 	}
@@ -678,15 +648,25 @@ func (s *Store) Mirror() *Mirror {
 
 // Image appends the overlay image of peers and the captured image's
 // fold with the captured records to dst. It fails where two snapshots
-// committed since Mirror and pruned the image.
+// committed since Mirror and pruned the image, or where the image or the
+// journal does not read back; then, if no snapshot committed since, the
+// store stops folding that image: the next tick writes one from the
+// tree (JournalCarries and Mirror refuse, BeginSnapshot does not fold).
 func (m *Mirror) Image(dst []byte, peers []PeerState) ([]byte, error) {
 	fold, release, err := m.s.openFold(m.seq, m.size)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		defer release()
+		dst = AppendImage(dst, 0, peers, fold)
+		err = fold.Err()
 	}
-	defer release()
-	dst = AppendImage(dst, 0, peers, fold)
-	return dst, fold.Err()
+	if err != nil {
+		m.s.mu.Lock()
+		if m.s.seq == m.seq {
+			m.s.image = nil
+		}
+		m.s.mu.Unlock()
+	}
+	return dst, err
 }
 
 // counter counts the entries of its source's last walk.
@@ -697,10 +677,7 @@ type counter struct {
 
 func (c *counter) Ascend(yield func(catalog.Entry) bool) {
 	c.n = 0
-	c.EntrySource.Ascend(func(e catalog.Entry) bool {
-		c.n++
-		return yield(e)
-	})
+	c.EntrySource.Ascend(func(e catalog.Entry) bool { c.n++; return yield(e) })
 }
 
 // Load recovers the persisted state: the newest snapshot whose CRC
@@ -930,18 +907,18 @@ func (st *LoadedState) replay(p []byte) error {
 		}
 		return err
 	case opRegister, opUnregister:
-		key, p, err := getBytes(p[1:])
-		if err != nil {
+		rec := Record{Remove: op == opUnregister}
+		var err error
+		if rec.Key, p, err = getString(p[1:]); err != nil {
 			return err
 		}
-		value, p, err := getBytes(p)
-		if err != nil {
+		if rec.Value, p, err = getString(p); err != nil {
 			return err
 		}
 		if len(p) != 0 {
 			return errors.New("persist: trailing bytes after a record")
 		}
-		st.Journal = append(st.Journal, Record{Remove: op == opUnregister, Key: st.strs.String(key), Value: st.strs.String(value)})
+		st.Journal = append(st.Journal, rec)
 		return nil
 	}
 	return fmt.Errorf("persist: unknown record kind %d", p[0])
@@ -977,16 +954,11 @@ func getCount(p []byte) (uint64, []byte, error) {
 }
 
 func getString(p []byte) (string, []byte, error) {
-	b, p, err := getBytes(p)
-	return string(b), p, err
-}
-
-func getBytes(p []byte) ([]byte, []byte, error) {
 	n, p, err := getCount(p)
 	if err != nil {
-		return nil, nil, err
+		return "", nil, err
 	}
-	return p[:n], p[n:], nil
+	return string(p[:n]), p[n:], nil
 }
 
 // syncPath opens the file or directory at path and fsyncs it: a

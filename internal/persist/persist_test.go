@@ -30,8 +30,6 @@ func testState() ([]PeerState, []catalog.Entry) {
 // entrySource adapts an eager sorted entry list to EntrySource.
 type entrySource []catalog.Entry
 
-func (es entrySource) Len() int { return len(es) }
-
 func (es entrySource) Ascend(yield func(catalog.Entry) bool) {
 	for _, e := range es {
 		if !yield(e) {

@@ -327,8 +327,6 @@ func counters(logical, physical, visited int) core.QueryResult {
 // fuzzCatalogue is the two-entry catalogue of the mirror seeds.
 type fuzzCatalogue struct{}
 
-func (fuzzCatalogue) Len() int { return 2 }
-
 func (fuzzCatalogue) Ascend(yield func(catalog.Entry) bool) {
 	_ = yield(catalog.Entry{Key: "dgemm", Values: []string{"ep://1", "ep://2"}}) &&
 		yield(catalog.Entry{Key: "dgemv", Values: []string{"ep://3"}})

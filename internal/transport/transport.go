@@ -219,28 +219,15 @@ func (c *Cluster) InstallMirror(image []byte, members map[keys.Key]string, self 
 	return nil
 }
 
-// MirrorImage returns the overlay image of the current state, for a
-// steward's Mirror: the store's fold (Store.Mirror) where the catalogue
-// changed only through the journal, else, or if the fold fails, the
-// tree's catalogue. The write lock covers only the capture.
+// MirrorImage returns the overlay image of the current state built
+// from the tree, for a steward's Mirror where no store folds one (see
+// persist.Store.Mirror). Only the capture holds the lock, read side;
+// the encode runs after it.
 func (c *Cluster) MirrorImage() []byte {
-	for fold := true; ; fold = false {
-		c.Mu.Lock()
-		peers := c.Net.RingState()
-		var m *persist.Mirror
-		if fold && c.Store != nil && c.Net.CatalogueJournaled() {
-			m = c.Store.Mirror()
-		}
-		if m == nil {
-			cat := c.Net.Catalogue()
-			c.Mu.Unlock()
-			return persist.AppendImage(nil, 0, peers, cat)
-		}
-		c.Mu.Unlock()
-		if img, err := m.Image(nil, peers); err == nil {
-			return img
-		}
-	}
+	c.Mu.RLock()
+	peers, cat := c.Net.RingState(), c.Net.Catalogue()
+	c.Mu.RUnlock()
+	return persist.AppendImage(nil, 0, peers, cat)
 }
 
 // ControlRoundTrip sends one control frame (JOIN, LEAVE, APPLY,
