@@ -32,7 +32,8 @@ import (
 // magnitude; the rank directory is rebuilt at decode time from the
 // bitmap itself, so the wire form carries no redundancy. The encoder
 // writes the trie from the sorted keys in two passes over adjacent
-// LCPs, as SuRF's builder does, with no trie in memory (appendTrie).
+// LCPs, as SuRF's builder does, with no trie in memory (trie), and
+// walks its entries twice in all (appendLOUDS).
 type loudsCodec struct{}
 
 func (loudsCodec) Version() byte { return versionLOUDS }
@@ -109,6 +110,20 @@ func selectInWord(w uint64, r int) int {
 	return -1
 }
 
+// nextZero returns the position of the first zero at or after i, or -1.
+func (b *bitvec) nextZero(i int) int {
+	for w := i >> 6; i >= 0 && w < len(b.words); w++ {
+		if z := ^b.words[w] >> uint(i&63); z != 0 {
+			if i += bits.TrailingZeros64(z); i < b.n {
+				return i
+			}
+			return -1
+		}
+		i = (w + 1) << 6
+	}
+	return -1
+}
+
 // wordsFromBytes loads a little-endian byte serialization into words,
 // masking any tail bits beyond n so popcount validation is exact.
 func wordsFromBytes(p []byte, n int) []uint64 {
@@ -126,116 +141,134 @@ func wordsFromBytes(p []byte, n int) []uint64 {
 
 func setBit(p []byte, i int) { p[i>>3] |= 1 << uint(i&7) }
 
-// appendTrie appends the node count, m, the bitmap, the labels and the
-// entry bits of the byte trie over strs, which yields sorted, distinct
-// strings, in two passes over adjacent LCPs: string s opens the nodes at
-// depths |GCP(prev, s)|+1 … |s|. Pass 1 counts them per depth, and the
+// trie lays out the byte trie over sorted, distinct strings in two
+// passes over adjacent LCPs: string s opens the nodes at depths
+// |GCP(prev, s)|+1 … |s|. Pass 1 (count) counts them per depth, and the
 // prefix sums give each level's first id: within a level of a trie with
 // label-sorted children, BFS order is the lexicographic order of the
-// prefixes. Pass 2 hands ids out from per-level cursors and writes each
-// label at its id. A new node's parent is the node opened last one
-// level up, so its one sits in the parent's run at bit (id-1) + parent:
-// after id-1 ones and the zeros closing nodes 0 … parent-1. Every
-// string's terminal carries an entry.
-func appendTrie(dst []byte, strs iter.Seq[string], m int) []byte {
-	next := []int{1} // per depth: the node count, then the next id
-	prev := ""
-	for s := range strs {
-		for len(next) <= len(s) {
-			next = append(next, 0)
-		}
-		for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
-			next[d]++
-		}
-		prev = s
+// prefixes. Pass 2 (place) hands ids out from per-level cursors and
+// writes each label at its id. A new node's parent is the node opened
+// last one level up, so its one sits in the parent's run at bit
+// (id-1) + parent: after id-1 ones and the zeros closing nodes
+// 0 … parent-1. Every string's terminal carries an entry.
+type trie struct {
+	next []int // per depth: the node count (the root's 1), then the next id
+	// where the bitmap, labels and entry bits start in a buffer that may
+	// grow while place fills them in
+	bitmap, labels, ent int
+}
+
+func (t *trie) count(prev, s string) {
+	for len(t.next) <= len(s) {
+		t.next = append(t.next, 0)
 	}
+	for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
+		t.next[d]++
+	}
+}
+
+// layout appends the node count, m and the zeroed bitmap, labels and
+// entry bits to dst, which place fills in.
+func (t *trie) layout(dst []byte, m int) []byte {
 	n := 0
-	for d, c := range next {
-		next[d], n = n, n+c
+	for d, c := range t.next {
+		t.next[d], n = n, n+c
 	}
-	next[0] = 1 // past the root
+	t.next[0] = 1 // past the root
 	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(n)), uint64(m))
-	at, nb := len(dst), (2*n+6)/8
-	dst = append(dst, make([]byte, nb+n-1+(n+7)/8)...)
-	bitmap, labels, ent := dst[at:at+nb], dst[at+nb:], dst[at+nb+n-1:]
-	prev = ""
-	for s := range strs {
-		for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
-			labels[next[d]-1] = s[d-1]
-			setBit(bitmap, next[d]+next[d-1]-2)
-			next[d]++
-		}
-		setBit(ent, next[len(s)]-1)
-		prev = s
+	t.bitmap = len(dst)
+	t.labels = t.bitmap + (2*n+6)/8
+	t.ent = t.labels + n - 1
+	return append(dst, make([]byte, t.ent+(n+7)/8-t.bitmap)...)
+}
+
+func (t *trie) place(buf []byte, prev, s string) {
+	for d := len(keys.GCP(keys.Key(prev), keys.Key(s))) + 1; d <= len(s); d++ {
+		buf[t.labels+t.next[d]-1] = s[d-1]
+		setBit(buf[t.bitmap:], t.next[d]+t.next[d-1]-2)
+		t.next[d]++
 	}
-	return dst
+	setBit(buf[t.ent:], t.next[len(s)]-1)
 }
 
 // AppendPayload encodes entries in key order, later duplicates winning,
-// building the trie from the sorted key list (appendTrie).
+// building the trie from the sorted key list.
 func (loudsCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []byte {
 	return appendLOUDS(dst, slices.Values(entries), secs)
 }
 
-// appendLOUDS is AppendPayload over a sequence it walks several times:
-// sorted, distinct keys are encoded straight from it, anything else
-// from its canonical copy.
+// appendLOUDS is AppendPayload over a sequence it walks twice: sorted,
+// distinct keys are encoded straight from it, anything else from its
+// canonical copy. The first walk checks the order, counts the trie's
+// nodes per depth and collects the values; the second places the trie
+// and writes the value groups after the value table. Nothing keeps an
+// entry's Values, so the sequence may reuse them.
 func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
-	m, nv, prev := 0, 0, ""
+	t, values := trie{next: []int{1}}, secs&SecValues != 0
+	var all []string
+	m, prev := 0, ""
 	for e := range entries {
 		if m > 0 && e.Key <= prev {
-			return appendLOUDS(dst, slices.Values(canonicalize(slices.Collect(entries))), secs)
+			var owned []Entry
+			for e := range entries {
+				owned = append(owned, Entry{Key: e.Key, Values: slices.Clone(e.Values)})
+			}
+			return appendLOUDS(dst, slices.Values(canonicalize(owned)), secs)
 		}
-		m, nv, prev = m+1, nv+len(e.Values), e.Key
+		t.count(prev, e.Key)
+		if values && len(all)+len(e.Values) > cap(all) {
+			// Deduplicate before growing, then leave as much room again:
+			// a catalogue whose services share a few endpoints keeps a
+			// short table.
+			slices.Sort(all)
+			all = slices.Compact(all)
+			all = slices.Grow(all, len(all)+len(e.Values)+64)
+		}
+		if values {
+			all = append(all, e.Values...)
+		}
+		m, prev = m+1, e.Key
 	}
 	if m == 0 {
 		return binary.AppendUvarint(dst, 0)
 	}
-	dst = appendTrie(dst, func(yield func(string) bool) {
-		for e := range entries {
-			if !yield(e.Key) {
-				return
-			}
-		}
-	}, m)
-	if secs&SecValues != 0 {
-		dst = AppendPrefixed(dst, func(sec []byte) []byte { return appendValues(sec, entries, nv) })
-	}
-	return dst
-}
-
-// appendValues writes the distinct-value table (sorted) and the
-// per-entry references into it, run-length grouped: each group is
-// `repeat | count | refs...` and covers repeat+1 consecutive entries
-// sharing the same value list. Catalogues where many services declare
-// the same endpoint — the common shape — collapse to a handful of
-// groups instead of two bytes per entry. nv is the number of values.
-func appendValues(sec []byte, entries iter.Seq[Entry], nv int) []byte {
-	all := make([]string, 0, nv)
-	for e := range entries {
-		all = append(all, e.Values...)
-	}
+	dst = t.layout(dst, m)
 	slices.Sort(all)
 	all = slices.Compact(all)
-	sec = binary.AppendUvarint(sec, uint64(len(all)))
-	for _, v := range all {
-		sec = appendString(sec, v)
-	}
-	var run []string
-	repeat := -1
-	for e := range entries {
-		if repeat >= 0 && slices.Equal(e.Values, run) {
-			repeat++
-			continue
+	fill := func(buf []byte) []byte {
+		if values {
+			buf = binary.AppendUvarint(buf, uint64(len(all)))
+			for _, v := range all {
+				buf = appendString(buf, v)
+			}
 		}
-		sec = appendRun(sec, all, run, repeat)
-		run, repeat = e.Values, 0
+		var run []string // the open group's values, a copy
+		repeat, prev := -1, ""
+		for e := range entries {
+			t.place(buf, prev, e.Key)
+			if prev = e.Key; !values || repeat >= 0 && slices.Equal(e.Values, run) {
+				repeat++
+				continue
+			}
+			buf = appendRun(buf, all, run, repeat)
+			run, repeat = append(run[:0], e.Values...), 0
+		}
+		if !values {
+			return buf
+		}
+		return appendRun(buf, all, run, repeat)
 	}
-	return appendRun(sec, all, run, repeat)
+	if !values {
+		return fill(dst)
+	}
+	return AppendPrefixed(dst, fill)
 }
 
-// appendRun writes one group of appendValues; a negative repeat is no
-// group.
+// appendRun writes one group of value references into the sorted
+// distinct-value table: `repeat | count | refs...`, covering repeat+1
+// consecutive entries that share the list. Catalogues where many
+// services declare the same endpoint — the common shape — collapse to a
+// handful of groups. A negative repeat is no group.
 func appendRun(sec []byte, all, run []string, repeat int) []byte {
 	if repeat < 0 {
 		return sec

@@ -3,6 +3,7 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // View is a decoded-but-not-materialized catalogue: it holds the
@@ -169,20 +170,35 @@ func (v *View) value(i int) string {
 // Len returns the number of entries.
 func (v *View) Len() int { return v.m }
 
-// run returns node j's child run [start, end) in the bitmap.
-func (v *View) run(j int) (int, int) {
-	start := 0
-	if j > 0 {
+// run returns node j's child run [start, end) in the bitmap. A walk in
+// key order reaches each depth's nodes in id order, so last[depth]
+// holds node j-1 there and the end of its run, where j's starts: only
+// the first node of a depth needs a select.
+func (v *View) run(j, depth int, last *[][2]int) (int, int) {
+	for len(*last) <= depth {
+		*last = append(*last, [2]int{-1, -1})
+	}
+	at, start := &(*last)[depth], 0
+	if j > 0 && at[0] == j-1 {
+		start = at[1] + 1
+	} else if j > 0 {
 		start = v.louds.select0(j-1) + 1
 	}
-	return start, v.louds.select0(j)
+	*at = [2]int{j, v.louds.nextZero(start)}
+	return start, at[1]
 }
 
 // Ascend walks the catalogue in ascending key order, materializing
-// one entry at a time. The walk stops early when yield returns false;
-// the value cursor makes a stopped walk non-resumable (open a fresh
-// View to walk again — Views over snapshots are cheap).
-func (v *View) Ascend(yield func(Entry) bool) error {
+// one entry at a time, and stops early when yield returns false.
+func (v *View) Ascend(yield func(Entry) bool) error { return v.ascend(yield, false) }
+
+// Walk is Ascend for a caller that keeps no entry's Values past its
+// yield (they are the walk's buffer, which the next group overwrites)
+// and few of its keys (they share chunks, an Arena): it allocates per
+// chunk, not per entry.
+func (v *View) Walk(yield func(Entry) bool) error { return v.ascend(yield, true) }
+
+func (v *View) ascend(yield func(Entry) bool, shared bool) error {
 	if v.louds == nil {
 		for _, e := range v.eager {
 			if !yield(e) {
@@ -194,7 +210,12 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 	type frame struct{ kid, end int }
 	stack := make([]frame, 0, 16)
 	key := make([]byte, 0, 32)
-	vc := valCursor{refs: v.refs}
+	vc := valCursor{refs: v.refs, shared: shared}
+	var keys *Arena // nil: a string per key
+	if shared {
+		keys = new(Arena)
+	}
+	var last [][2]int // per depth: the node whose run ended last, and where
 	emitted, visited := 0, 0
 
 	node := 0
@@ -203,7 +224,7 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 			return errors.New("catalog: cyclic LOUDS bitmap")
 		}
 		if v.isEnt.get(node) {
-			e := Entry{Key: string(key)}
+			e := Entry{Key: keys.String(key)}
 			if v.secs&SecValues != 0 {
 				var err error
 				if e.Values, err = v.nextValues(&vc); err != nil {
@@ -215,7 +236,7 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 				return nil
 			}
 		}
-		start, end := v.run(node)
+		start, end := v.run(node, len(stack), &last)
 		if start < end { // descend to the first child
 			kid := v.louds.rank1(start) + 1
 			if kid >= v.n {
@@ -255,50 +276,71 @@ func (v *View) Ascend(yield func(Entry) bool) error {
 // entries sharing one value list.
 type valCursor struct {
 	refs   []byte
-	repeat uint64   // entries left that reuse vals
+	repeat uint64   // entries left that use vals
 	vals   []string // current group's value list
+	shared bool     // hand out vals itself (Walk), not a copy
 }
 
 func (v *View) nextValues(c *valCursor) ([]string, error) {
-	if c.repeat > 0 {
-		c.repeat--
-		if c.vals == nil {
-			return nil, nil
+	if c.repeat == 0 {
+		rep, refs, err := getUvarint(c.refs)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: value run length: %w", err)
 		}
-		// Each entry gets its own slice: decoded entries are handed to
-		// callers that own and may mutate them.
-		return append([]string(nil), c.vals...), nil
-	}
-	rep, refs, err := getUvarint(c.refs)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: value run length: %w", err)
-	}
-	if rep > uint64(v.m) {
-		return nil, errors.New("catalog: implausible value run length")
-	}
-	cu, refs, err := getUvarint(refs)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: value ref count: %w", err)
-	}
-	if cu > uint64(len(refs))+1 {
-		return nil, errors.New("catalog: implausible value ref count")
-	}
-	var vals []string
-	for i := uint64(0); i < cu; i++ {
-		var idx uint64
-		if idx, refs, err = getUvarint(refs); err != nil {
-			return nil, fmt.Errorf("catalog: value ref: %w", err)
+		if rep > uint64(v.m) {
+			return nil, errors.New("catalog: implausible value run length")
 		}
-		if idx >= uint64(len(v.valTab)) {
-			return nil, errors.New("catalog: value ref out of table")
+		cu, refs, err := getUvarint(refs)
+		if err != nil {
+			return nil, fmt.Errorf("catalog: value ref count: %w", err)
 		}
-		vals = append(vals, v.value(int(idx)))
+		if cu > uint64(len(refs))+1 {
+			return nil, errors.New("catalog: implausible value ref count")
+		}
+		vals := c.vals[:0]
+		for i := uint64(0); i < cu; i++ {
+			var idx uint64
+			if idx, refs, err = getUvarint(refs); err != nil {
+				return nil, fmt.Errorf("catalog: value ref: %w", err)
+			}
+			if idx >= uint64(len(v.valTab)) {
+				return nil, errors.New("catalog: value ref out of table")
+			}
+			vals = append(vals, v.value(int(idx)))
+		}
+		c.refs, c.repeat, c.vals = refs, rep+1, vals
 	}
-	c.refs, c.repeat, c.vals = refs, rep, vals
-	if vals == nil {
+	c.repeat--
+	switch {
+	case len(c.vals) == 0:
 		return nil, nil
+	case c.shared:
+		return c.vals, nil
 	}
-	return append([]string(nil), vals...), nil
+	// Each entry gets its own slice: decoded entries are handed to
+	// callers that own and may mutate them.
+	return append([]string(nil), c.vals...), nil
+}
+
+// Arena hands out strings copied from byte slices, carved from shared
+// chunks that double from 64 bytes to 16 KiB: one allocation per chunk,
+// which lives while any of its strings does. The zero Arena is ready.
+type Arena struct{ b strings.Builder }
+
+// String returns a string with the bytes of p; a nil Arena allocates
+// it alone.
+func (a *Arena) String(p []byte) string {
+	if a == nil {
+		return string(p)
+	}
+	if a.b.Cap()-a.b.Len() < len(p) {
+		size := max(min(2*a.b.Cap(), 16<<10), 64, len(p))
+		a.b = strings.Builder{}
+		a.b.Grow(size)
+	}
+	start := a.b.Len()
+	a.b.Write(p)
+	return a.b.String()[start:]
 }
 
 // get reports bit i of the entry bitmap.

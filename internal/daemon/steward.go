@@ -6,6 +6,7 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"dlpt/internal/catalog"
@@ -38,8 +39,9 @@ func (d *Daemon) startSteward() error {
 		}
 		fold := persist.NewFold(st.Snapshot, st.Journal)
 		fold.Ascend(func(e catalog.Entry) bool {
+			k := keys.Key(strings.Clone(e.Key)) // a fold's keys share chunks
 			for _, v := range e.Values {
-				entries = append(entries, core.KV{Key: keys.Key(e.Key), Value: v})
+				entries = append(entries, core.KV{Key: k, Value: v})
 			}
 			return true
 		})

@@ -124,6 +124,7 @@ type LoadedState struct {
 	Peers []PeerState
 
 	release func()
+	strs    *catalog.Arena // the journal's strings; nil: one allocation each
 }
 
 // Release unmaps the snapshot file backing a lazily loaded
@@ -372,7 +373,8 @@ func (s *Store) SyncJournal() error {
 
 // EntrySource is a sorted stream of catalogue entries — what an
 // image encodes: the tree's catalogue at a capture, or a Fold. The
-// encoder walks it several times and may keep an entry's Values.
+// encoder walks it several times, and an entry's Values may be the
+// source's buffer, reused once yield returns.
 type EntrySource interface {
 	Ascend(yield func(catalog.Entry) bool)
 }
@@ -386,6 +388,7 @@ type EntrySource interface {
 type Fold struct {
 	img  *Snapshot
 	recs []Record
+	vals []string // the values of the key being yielded, records applied
 	err  error
 }
 
@@ -404,21 +407,30 @@ func (f *Fold) Err() error { return f.err }
 func (f *Fold) Ascend(yield func(catalog.Entry) bool) {
 	recs, more := f.recs, true
 	// emit yields key with the records at the head of recs that name it
-	// applied to vals, copied first, unless that leaves it none.
+	// applied to vals, unless that leaves it none.
 	emit := func(key string, vals []string) bool {
+		if len(recs) == 0 || recs[0].Key != key {
+			return yield(catalog.Entry{Key: key, Values: vals})
+		}
+		vals = append(f.vals[:0], vals...)
 		for ; len(recs) > 0 && recs[0].Key == key; recs = recs[1:] {
 			switch i, found := slices.BinarySearch(vals, recs[0].Value); {
 			case recs[0].Remove && found:
-				vals = slices.Delete(slices.Clone(vals), i, i+1)
+				vals = slices.Delete(vals, i, i+1)
 			case !recs[0].Remove && !found:
-				vals = slices.Insert(slices.Clip(vals), i, recs[0].Value)
+				vals = slices.Insert(vals, i, recs[0].Value)
 			}
 		}
+		f.vals = vals
 		return len(vals) == 0 || yield(catalog.Entry{Key: key, Values: vals})
 	}
 	f.err = nil
 	if f.img != nil {
-		f.err = f.img.Ascend(func(e catalog.Entry) bool {
+		walk := f.img.Ascend
+		if f.img.view != nil {
+			walk = f.img.view.Walk // keeps no values and few keys
+		}
+		f.err = walk(func(e catalog.Entry) bool {
 			for more && len(recs) > 0 && recs[0].Key < e.Key {
 				more = emit(recs[0].Key, nil)
 			}
@@ -611,7 +623,8 @@ func (s *Store) openFold(seq uint64, size int64) (*Fold, func(), error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	st, end := &LoadedState{}, int64(0)
+	// The records live as long as the fold: their strings share chunks.
+	st, end := &LoadedState{strs: &catalog.Arena{}}, int64(0)
 	if _, err = scanJournal(s.jrnlPath(seq), func(p []byte) error {
 		if end += int64(len(p)) + 8; size >= 0 && end > size {
 			return nil // appended after the capture
@@ -907,18 +920,18 @@ func (st *LoadedState) replay(p []byte) error {
 		}
 		return err
 	case opRegister, opUnregister:
-		rec := Record{Remove: op == opUnregister}
-		var err error
-		if rec.Key, p, err = getString(p[1:]); err != nil {
+		key, p, err := getBytes(p[1:])
+		if err != nil {
 			return err
 		}
-		if rec.Value, p, err = getString(p); err != nil {
+		value, p, err := getBytes(p)
+		if err != nil {
 			return err
 		}
 		if len(p) != 0 {
 			return errors.New("persist: trailing bytes after a record")
 		}
-		st.Journal = append(st.Journal, rec)
+		st.Journal = append(st.Journal, Record{Remove: op == opUnregister, Key: st.strs.String(key), Value: st.strs.String(value)})
 		return nil
 	}
 	return fmt.Errorf("persist: unknown record kind %d", p[0])
@@ -954,11 +967,16 @@ func getCount(p []byte) (uint64, []byte, error) {
 }
 
 func getString(p []byte) (string, []byte, error) {
+	b, p, err := getBytes(p)
+	return string(b), p, err
+}
+
+func getBytes(p []byte) ([]byte, []byte, error) {
 	n, p, err := getCount(p)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
-	return string(p[:n]), p[n:], nil
+	return p[:n], p[n:], nil
 }
 
 // syncPath opens the file or directory at path and fsyncs it: a
