@@ -82,6 +82,33 @@ func BenchmarkJoinLeave(b *testing.B) {
 	}
 }
 
+// BenchmarkDiscover times one ungated discovery of a catalogue key from
+// a random entry node on TestBytesPerKey's grid overlay: the routing step
+// every engine's hops run.
+func BenchmarkDiscover(b *testing.B) {
+	net, corpus, r, _ := gridNetwork(b)
+	for b.Loop() {
+		if res := net.DiscoverRandom(corpus[r.Intn(len(corpus))], false, r); !res.Satisfied {
+			b.Fatalf("discovery of %q not satisfied", res.Key)
+		}
+	}
+}
+
+// TestAllocsPerDiscover holds BenchmarkDiscover's discovery to no
+// allocation: a routing step reads the node's edges and links in place.
+func TestAllocsPerDiscover(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	net, corpus, r, _ := gridNetwork(t)
+	allocs := testing.AllocsPerRun(2000, func() {
+		net.DiscoverRandom(corpus[r.Intn(len(corpus))], false, r)
+	})
+	if allocs != 0 {
+		t.Fatalf("%.2f allocs per discovery, want none", allocs)
+	}
+}
+
 // gridBatch is a 64-peer overlay with no node, and the 20,000-key grid
 // catalogue as one batch, each key its own value.
 func gridBatch(t testing.TB) (*core.Network, []core.KV) {

@@ -574,7 +574,8 @@ func TestValidateChecksCanonicalLinks(t *testing.T) {
 
 // Follow takes a link only to a node in the index: not to a node
 // materialized but not yet installed, not to a node another install
-// replaced under the same key, not to a node removed from the index.
+// replaced under the same key, not to a node removed from the index;
+// and a father's link only to the indexed node its child names.
 func TestFollowOnlyIndexedLinks(t *testing.T) {
 	net, _ := populate(t, 38, "abc", "abd", "b")
 	n := net.nodes["abc"]
@@ -592,6 +593,19 @@ func TestFollowOnlyIndexedLinks(t *testing.T) {
 	net.unindexNode(fresh)
 	if got, _, ok := net.Follow(fresh.Edge()); ok {
 		t.Fatalf("a removed node's link reached %p", got)
+	}
+	// The same for a father: abd's edge up, taken before ab is replaced,
+	// reaches the replacement, and none once that is removed.
+	abd, ab := net.nodes["abd"], net.nodes["ab"]
+	up := fatherEdge(abd)
+	net.installNode(NodeInfo{Key: ab.Key, Father: ab.Father, HasFather: ab.HasFather,
+		Children: slices.Clone(ab.Children), Data: ab.SortedValues()}.materialize(), keys.Epsilon)
+	if got, _, ok := net.Follow(up); !ok || got != net.nodes["ab"] || got == ab {
+		t.Fatalf("a replaced father's link reached %p, want its replacement %p", got, net.nodes["ab"])
+	}
+	net.unindexNode(net.nodes["ab"])
+	if got, _, ok := net.Follow(fatherEdge(abd)); ok {
+		t.Fatalf("a removed father's link reached %p", got)
 	}
 }
 

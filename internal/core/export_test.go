@@ -117,3 +117,6 @@ func TouchNodes(net *Network, n int) {
 		net.touch(nd)
 	}
 }
+
+// fatherEdge is the edge a climb from n takes.
+func fatherEdge(n *Node) Child { return Child{Key: n.Father} }

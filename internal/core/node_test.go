@@ -40,15 +40,46 @@ func scanMaxChildAtMost(children map[keys.Key]struct{}, bound keys.Key, inclusiv
 }
 
 // TestChildSearchMatchesScan holds the two binary searches against
-// their scans over seeded random child sets: children sharing long
-// prefixes with each other and with the probe, empty sets, probes
-// equal to a child, and both descent rules.
+// their scans over seeded random child sets. BestChildFor runs over
+// canonical ones, as a valid tree has them: every child extends the
+// node's key and no two share the symbol after it. Its probes extend the
+// key or a child, are equal to the key or a child, or are no extension
+// of the key at all. MaxChildAtMost runs over arbitrary ones: children
+// sharing long prefixes with each other and with the probe, empty sets,
+// probes equal to a child, and both descent rules.
 func TestChildSearchMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	for _, alpha := range []*keys.Alphabet{keys.Binary, keys.LowerAlnum} {
 		for trial := 0; trial < 3000; trial++ {
 			stem := alpha.RandomKey(r, 0, 8)
 			prefix := func() keys.Key { return stem[:r.Intn(len(stem)+1)] }
+
+			canon := &Node{Key: prefix()}
+			cset := make(map[keys.Key]struct{})
+			next := make(map[byte]bool)
+			for i := r.Intn(alpha.Size() + 1); i > 0; i-- { // zero iterations: no child
+				if c := canon.Key + alpha.RandomKey(r, 1, 4); !next[c[len(canon.Key)]] {
+					next[c[len(canon.Key)]] = true
+					cset[c] = struct{}{}
+					canon.addChild(c, nil)
+				}
+			}
+			ckids := canon.ChildrenSorted()
+			probes := []keys.Key{canon.Key, canon.Key + alpha.RandomKey(r, 1, 5), stem + alpha.RandomKey(r, 0, 2),
+				prefix(), alpha.RandomKey(r, 0, 8)}
+			if len(ckids) > 0 {
+				c := ckids[r.Intn(len(ckids))]
+				probes = append(probes, c, c+alpha.RandomKey(r, 1, 3))
+			}
+			for _, k := range probes {
+				gotEdge, gotOK := canon.BestChildFor(k)
+				want, wantOK := scanBestChildFor(canon.Key, cset, k)
+				if gotOK != wantOK || gotEdge.Key != want {
+					t.Fatalf("BestChildFor(%q) at %q over %q = %q, %v; scan %q, %v",
+						k, canon.Key, ckids, gotEdge.Key, gotOK, want, wantOK)
+				}
+			}
+
 			set := make(map[keys.Key]struct{})
 			for i := r.Intn(10); i > 0; i-- { // zero iterations: the empty set
 				set[prefix()+alpha.RandomKey(r, 0, 4)] = struct{}{}
@@ -61,27 +92,11 @@ func TestChildSearchMatchesScan(t *testing.T) {
 			if len(kids) != len(set) || !strictlyAscending(kids) {
 				t.Fatalf("children %q from set of %d", kids, len(set))
 			}
-			probes := []keys.Key{prefix() + alpha.RandomKey(r, 0, 5), stem + alpha.RandomKey(r, 0, 2), prefix()}
+			probes = []keys.Key{prefix() + alpha.RandomKey(r, 0, 5), stem + alpha.RandomKey(r, 0, 2), prefix()}
 			if len(kids) > 0 {
 				probes = append(probes, kids[r.Intn(len(kids))])
 			}
 			for _, k := range probes {
-				gotEdge, gotOK := n.BestChildFor(k)
-				got := gotEdge.Key
-				want, wantOK := scanBestChildFor(n.Key, set, k)
-				if gotOK != wantOK || len(keys.GCP(got, k)) != len(keys.GCP(want, k)) {
-					t.Fatalf("BestChildFor(%q) at %q over %q = %q, %v; scan %q, %v",
-						k, n.Key, kids, got, gotOK, want, wantOK)
-				}
-				ties := 0
-				for c := range set {
-					if len(keys.GCP(c, k)) == len(keys.GCP(want, k)) {
-						ties++
-					}
-				}
-				if wantOK && ties == 1 && got != want {
-					t.Fatalf("BestChildFor(%q) over %q = %q, unique best %q", k, kids, got, want)
-				}
 				for _, inclusive := range []bool{false, true} {
 					got, gotOK := n.MaxChildAtMost(k, inclusive)
 					want, wantOK := scanMaxChildAtMost(set, k, inclusive)

@@ -308,6 +308,96 @@ func TestWalkFollowsLinksAcrossWrites(t *testing.T) {
 		}
 	}
 	t.Logf("%d keys over %d visits, writes %v", len(got), p.res.NodesVisited, writes)
+
+	// The climb: walkers entering at random nodes climb towards ε, the
+	// QueryWalker by its father links, the oracle by probing each father's
+	// key, one hop at a time in lockstep. Between hops a write lands on the
+	// father of the node the climb stands at: a key inserted between the two,
+	// which re-parents the node; a removal of the father's values, which
+	// splices it out; a crash of its host, recovered from the last snapshot,
+	// which re-materializes it under the same key.
+	for i := 0; i < 200; i++ { // long edges, where a key fits between
+		if err := net.InsertKey(keys.LowerAlnum.RandomKey(r, 3, 9), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	climbs := make(map[string]int)
+	for trial, step := 0, 0; trial < 150; trial++ {
+		entry := net.nodeList[r.Intn(len(net.nodeList))]
+		w := NewQueryWalker(net, QuerySpec{})
+		w.Start(entry.Key)
+		at, want := entry.Key, QueryResult{NodesVisited: 1}
+		for ; w.phase == phaseClimb; step++ {
+			n, _, ok := net.NodeAt(at)
+			if !ok {
+				t.Fatalf("trial %d: the climb stands at %q, which is gone", trial, at)
+			}
+			if f, _, _ := net.NodeAt(n.Father); n.HasFather {
+				// split inserts a key between n and f; splice removes the
+				// values of one with a single child: one just split in, or f.
+				split := func() bool {
+					if len(n.Key)-len(f.Key) < 2 {
+						return false
+					}
+					if err := net.InsertKey(n.Key[:len(f.Key)+1], r); err != nil {
+						t.Fatal(err)
+					}
+					climbs["split"]++
+					return true
+				}
+				writes := []func() bool{split, func() bool {
+					if split() {
+						f, _, _ = net.NodeAt(n.Father)
+					}
+					if !f.HasData() || len(f.Children) != 1 {
+						return false
+					}
+					removeAll(f)
+					climbs["splice"]++
+					return true
+				}, func() bool {
+					net.Replicate()
+					if err := net.FailPeer(f.host.ID); err != nil {
+						t.Fatal(err)
+					}
+					net.Recover()
+					if err := net.JoinPeer(keys.LowerAlnum.RandomKey(r, 12, 12), 1<<30, r); err != nil {
+						t.Fatal(err)
+					}
+					climbs["crash+recover"]++
+					return true
+				}}
+				_ = writes[step%3]() || step%3 < 2 && writes[1-step%3]()
+			}
+			// The oracle's hop: stop where the walker's climb stops.
+			n, h, _ := net.NodeAt(at)
+			f, fh, okf := net.NodeAt(n.Father)
+			w.StepN(nil, 0, 1)
+			if n.Key == "" || !n.HasFather || !okf {
+				if w.phase == phaseClimb {
+					t.Fatalf("trial %d: the walker climbs on from %q", trial, at)
+				}
+				break
+			}
+			want.LogicalHops++
+			want.NodesVisited++
+			if fh.ID != h.ID {
+				want.PhysicalHops++
+			}
+			at = f.Key
+			if w.phase != phaseClimb || w.cur.Key != at || !reflect.DeepEqual(w.Stats(), want) {
+				t.Fatalf("trial %d step %d (writes %v): walker at %q, %+v; oracle at %q, %+v",
+					trial, step, climbs, w.cur.Key, w.Stats(), at, want)
+			}
+		}
+	}
+	mustValidate(t, net)
+	for _, kind := range []string{"split", "splice", "crash+recover"} {
+		if climbs[kind] < 5 {
+			t.Errorf("%d %s writes landed on a climb, want at least 5", climbs[kind], kind)
+		}
+	}
+	t.Logf("climbs: writes %v", climbs)
 }
 
 // TestQueryLocality checks that the lexicographic mapping keeps most
