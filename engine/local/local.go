@@ -124,7 +124,7 @@ func (c *cluster) DiscoverContext(ctx context.Context, key keys.Key) (overlay.Re
 		Dropped:      res.Dropped,
 	}
 	if res.Satisfied && !res.Dropped {
-		out.Values, _ = c.Net.Values(key)
+		out.Values = res.Node.SortedValues()
 	}
 	return out, nil
 }

@@ -16,7 +16,7 @@ import (
 type legacyCodec struct{}
 
 func (legacyCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
-	n, p, err := getUvarint(p)
+	n, p, err := Uvarint(p)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: entry count: %w", err)
 	}
@@ -34,7 +34,7 @@ func (legacyCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
 		}
 		if secs&SecValues != 0 {
 			var m uint64
-			if m, p, err = getUvarint(p); err != nil {
+			if m, p, err = Uvarint(p); err != nil {
 				return nil, fmt.Errorf("catalog: entry %d value count: %w", i, err)
 			}
 			if m > uint64(len(p)) {
@@ -53,14 +53,16 @@ func (legacyCodec) DecodePayload(p []byte, secs Sections) ([]Entry, error) {
 	return out, nil
 }
 
-// --- shared wire helpers -----------------------------------------------------
+// --- shared wire helpers (persist's records and images use them too) --------
 
-func appendString(b []byte, s string) []byte {
+// AppendString appends s to b, prefixed by its length as a uvarint.
+func AppendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-func getUvarint(p []byte) (uint64, []byte, error) {
+// Uvarint reads a uvarint off p, and returns it with the bytes after it.
+func Uvarint(p []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {
 		return 0, nil, errors.New("catalog: truncated varint")
@@ -69,7 +71,7 @@ func getUvarint(p []byte) (uint64, []byte, error) {
 }
 
 func getString(p []byte) (string, []byte, error) {
-	n, p, err := getUvarint(p)
+	n, p, err := Uvarint(p)
 	if err != nil {
 		return "", nil, err
 	}

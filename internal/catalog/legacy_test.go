@@ -15,11 +15,11 @@ func (legacyCodec) AppendPayload(dst []byte, entries []Entry, secs Sections) []b
 	entries = canonicalize(entries)
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
-		dst = appendString(dst, e.Key)
+		dst = AppendString(dst, e.Key)
 		if secs&SecValues != 0 {
 			dst = binary.AppendUvarint(dst, uint64(len(e.Values)))
 			for _, v := range e.Values {
-				dst = appendString(dst, v)
+				dst = AppendString(dst, v)
 			}
 		}
 	}

@@ -239,7 +239,7 @@ func appendLOUDS(dst []byte, entries iter.Seq[Entry], secs Sections) []byte {
 		if values {
 			buf = binary.AppendUvarint(buf, uint64(len(all)))
 			for _, v := range all {
-				buf = appendString(buf, v)
+				buf = AppendString(buf, v)
 			}
 		}
 		var run []string // the open group's values, a copy

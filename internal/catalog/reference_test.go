@@ -108,7 +108,7 @@ func referenceLOUDS(dst []byte, entries []Entry, secs Sections) []byte {
 		}
 		sec := binary.AppendUvarint(nil, uint64(len(all)))
 		for _, v := range all {
-			sec = appendString(sec, v)
+			sec = AppendString(sec, v)
 		}
 		for i := 0; i < len(entries); {
 			j := i + 1

@@ -57,7 +57,7 @@ func NewView(p []byte) (*View, error) {
 // section bounds, bitmap population) without materializing any
 // entry.
 func viewFromPayload(p []byte, secs Sections) (*View, error) {
-	nu, p, err := getUvarint(p)
+	nu, p, err := Uvarint(p)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: node count: %w", err)
 	}
@@ -68,7 +68,7 @@ func viewFromPayload(p []byte, secs Sections) (*View, error) {
 		return nil, errors.New("catalog: implausible node count")
 	}
 	n := int(nu)
-	mu, p, err := getUvarint(p)
+	mu, p, err := Uvarint(p)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: entry count: %w", err)
 	}
@@ -114,7 +114,7 @@ func viewFromPayload(p []byte, secs Sections) (*View, error) {
 }
 
 func getSection(p []byte) ([]byte, []byte, error) {
-	n, p, err := getUvarint(p)
+	n, p, err := Uvarint(p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -127,7 +127,7 @@ func getSection(p []byte) ([]byte, []byte, error) {
 // indexValueTable records the table strings' spans; the strings
 // themselves materialize on first reference.
 func (v *View) indexValueTable(sec []byte) error {
-	cu, rest, err := getUvarint(sec)
+	cu, rest, err := Uvarint(sec)
 	if err != nil {
 		return fmt.Errorf("catalog: value table count: %w", err)
 	}
@@ -138,7 +138,7 @@ func (v *View) indexValueTable(sec []byte) error {
 	v.valTab = make([]span, 0, cu)
 	off := len(sec) - len(rest)
 	for i := uint64(0); i < cu; i++ {
-		lu, after, err := getUvarint(sec[off:])
+		lu, after, err := Uvarint(sec[off:])
 		if err != nil {
 			return fmt.Errorf("catalog: value table string %d: %w", i, err)
 		}
@@ -283,14 +283,14 @@ type valCursor struct {
 
 func (v *View) nextValues(c *valCursor) ([]string, error) {
 	if c.repeat == 0 {
-		rep, refs, err := getUvarint(c.refs)
+		rep, refs, err := Uvarint(c.refs)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: value run length: %w", err)
 		}
 		if rep > uint64(v.m) {
 			return nil, errors.New("catalog: implausible value run length")
 		}
-		cu, refs, err := getUvarint(refs)
+		cu, refs, err := Uvarint(refs)
 		if err != nil {
 			return nil, fmt.Errorf("catalog: value ref count: %w", err)
 		}
@@ -300,7 +300,7 @@ func (v *View) nextValues(c *valCursor) ([]string, error) {
 		vals := c.vals[:0]
 		for i := uint64(0); i < cu; i++ {
 			var idx uint64
-			if idx, refs, err = getUvarint(refs); err != nil {
+			if idx, refs, err = Uvarint(refs); err != nil {
 				return nil, fmt.Errorf("catalog: value ref: %w", err)
 			}
 			if idx >= uint64(len(v.valTab)) {

@@ -77,7 +77,7 @@ func fieldsOf(t *testing.T, net *Network) overlayFields {
 		}
 		st.Nodes = append(st.Nodes, nodeFields{Key: n.Key, Father: n.Father, HasFather: n.HasFather, Shared: n.shared,
 			Host: n.host.ID, Pos: n.pos, Slot: n.slot, Children: n.ChildrenSorted(), Data: data,
-			LoadPrev: n.LoadPrev, LoadCur: n.LoadCur, Stamp: n.stamp})
+			LoadPrev: n.LoadPrev, LoadCur: n.Load(), Stamp: n.stamp})
 	}
 	for _, id := range net.ring.IDs() {
 		p := net.peers[id]

@@ -336,13 +336,13 @@ func TestLoadAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		net.Discover("aa", "aa", true) // entry == target: 1 visit each
 	}
-	n, _, _ := net.nodeState("aa")
-	if n.LoadCur != 10 {
-		t.Fatalf("LoadCur = %d, want 10", n.LoadCur)
+	n, _, _ := net.NodeAt("aa")
+	if n.Load() != 10 {
+		t.Fatalf("Load() = %d, want 10", n.Load())
 	}
 	net.ResetUnit()
-	if n.LoadPrev != 10 || n.LoadCur != 0 {
-		t.Fatalf("after reset LoadPrev=%d LoadCur=%d", n.LoadPrev, n.LoadCur)
+	if n.LoadPrev != 10 || n.Load() != 0 {
+		t.Fatalf("after reset LoadPrev=%d Load()=%d", n.LoadPrev, n.Load())
 	}
 }
 
@@ -529,7 +529,8 @@ func TestRemoveDataBesideLostNeighbour(t *testing.T) {
 
 // Validate holds every edge's link to the index: a link to a node out of
 // the index, a link to another indexed node, and no link to an indexed
-// child each fail it.
+// child each fail it; so do a father link to another indexed node and
+// one to a node out of the index.
 func TestValidateChecksLinks(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -538,6 +539,8 @@ func TestValidateChecksLinks(t *testing.T) {
 		{"unindexed node", func(n *Node) { n.Children[0].node = NodeInfo{Key: n.Children[0].Key}.materialize() }},
 		{"wrong node", func(n *Node) { n.Children[0].node = n }},
 		{"no link", func(n *Node) { n.Children[0].node = nil }},
+		{"wrong father", func(n *Node) { n.Children[0].node.up = n.Children[0].node }},
+		{"stale father", func(n *Node) { n.Children[0].node.up = NodeInfo{Key: n.Key}.materialize() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net, r := buildNetwork(t, 4, 10, 25)
@@ -597,14 +600,14 @@ func TestFollowOnlyIndexedLinks(t *testing.T) {
 	// The same for a father: abd's edge up, taken before ab is replaced,
 	// reaches the replacement, and none once that is removed.
 	abd, ab := net.nodes["abd"], net.nodes["ab"]
-	up := fatherEdge(abd)
+	up := abd.FatherEdge()
 	net.installNode(NodeInfo{Key: ab.Key, Father: ab.Father, HasFather: ab.HasFather,
 		Children: slices.Clone(ab.Children), Data: ab.SortedValues()}.materialize(), keys.Epsilon)
 	if got, _, ok := net.Follow(up); !ok || got != net.nodes["ab"] || got == ab {
 		t.Fatalf("a replaced father's link reached %p, want its replacement %p", got, net.nodes["ab"])
 	}
 	net.unindexNode(net.nodes["ab"])
-	if got, _, ok := net.Follow(fatherEdge(abd)); ok {
+	if got, _, ok := net.Follow(abd.FatherEdge()); ok {
 		t.Fatalf("a removed father's link reached %p", got)
 	}
 }
@@ -814,14 +817,14 @@ func TestUpperNodesReceiveMoreLoad(t *testing.T) {
 	if !ok {
 		t.Fatal("no root")
 	}
-	rn, _, _ := net.nodeState(rootKey)
+	rn, _, _ := net.NodeAt(rootKey)
 	// The root must be far busier than an average leaf.
 	leafLoad, leaves := 0, 0
 	for _, id := range net.PeerIDs() {
 		p, _ := net.Peer(id)
 		for _, n := range p.Nodes() {
 			if len(n.Children) == 0 {
-				leafLoad += n.LoadCur
+				leafLoad += n.Load()
 				leaves++
 			}
 		}
@@ -829,8 +832,8 @@ func TestUpperNodesReceiveMoreLoad(t *testing.T) {
 	if leaves == 0 {
 		t.Fatal("no leaves")
 	}
-	if rn.LoadCur*leaves <= leafLoad*2 {
+	if rn.Load()*leaves <= leafLoad*2 {
 		t.Fatalf("root load %d should dominate mean leaf load %d/%d",
-			rn.LoadCur, leafLoad, leaves)
+			rn.Load(), leafLoad, leaves)
 	}
 }

@@ -15,16 +15,22 @@ import (
 // peers (Section 4's request model); maintenance-style lookups pass
 // gated=false.
 func (net *Network) Discover(k keys.Key, entry keys.Key, gated bool) RequestResult {
-	res := RequestResult{Key: k}
-	cur, host, ok := net.nodeState(entry)
+	cur, ok := net.nodes[entry]
 	if !ok {
-		res.NotFound = true
-		return res
+		return RequestResult{Key: k, NotFound: true}
 	}
-	goingUp := true
-	for {
+	return net.discover(k, cur, gated)
+}
+
+// discover is Discover from the indexed node cur: every step is
+// RouteStep towards k, over the link of the edge it takes (Follow). The
+// walk ends at k's node, or where no edge leads towards k.
+func (net *Network) discover(k keys.Key, cur *Node, gated bool) RequestResult {
+	res := RequestResult{Key: k}
+	host := cur.host
+	for down := false; ; {
 		// The current node receives the request.
-		cur.LoadCur++
+		cur.RecordVisit()
 		if gated {
 			if host.Saturated() {
 				res.Dropped = true
@@ -34,36 +40,16 @@ func (net *Network) Discover(k keys.Key, entry keys.Key, gated bool) RequestResu
 			host.Processed++
 		}
 		net.Counters.DiscoveryVisits++
-
-		if cur.Key == k {
-			// A structural node (no data) means the key was never
-			// declared: the discovery fails.
-			if cur.HasData() {
-				res.Satisfied = true
+		next, end := RouteStep(cur, k, &down)
+		if end {
+			// Elsewhere than at k's node, or at a structural node (no
+			// data), the key was never declared: the discovery fails.
+			if cur.Key == k && cur.HasData() {
+				res.Satisfied, res.Node = true, cur
 			} else {
 				res.NotFound = true
 			}
 			return res
-		}
-		if goingUp && keys.IsPrefix(cur.Key, k) {
-			goingUp = false
-		}
-		var next Child
-		if goingUp {
-			if !cur.HasFather {
-				// Root does not prefix k: the key cannot exist.
-				res.NotFound = true
-				return res
-			}
-			next = Child{Key: cur.Father}
-		} else {
-			q, ok := cur.BestChildFor(k)
-			if !ok || !keys.IsPrefix(q.Key, k) {
-				// No branch leads towards k: absent key.
-				res.NotFound = true
-				return res
-			}
-			next = q
 		}
 		nextNode, nextHost, ok := net.Follow(next)
 		if !ok {
@@ -71,7 +57,7 @@ func (net *Network) Discover(k keys.Key, entry keys.Key, gated bool) RequestResu
 			return res
 		}
 		res.LogicalHops++
-		if nextHost.ID != host.ID {
+		if nextHost != host {
 			res.PhysicalHops++
 		}
 		cur, host = nextNode, nextHost
@@ -79,13 +65,13 @@ func (net *Network) Discover(k keys.Key, entry keys.Key, gated bool) RequestResu
 }
 
 // DiscoverRandom routes a discovery request entering at a uniformly
-// random tree node, as in the paper's experiments.
+// random tree node, as in the paper's experiments. A satisfied
+// request's Node is the node it reached.
 func (net *Network) DiscoverRandom(k keys.Key, gated bool, r *rand.Rand) RequestResult {
-	entry, ok := net.RandomNodeKey(r)
-	if !ok {
+	if len(net.nodeList) == 0 {
 		return RequestResult{Key: k, NotFound: true}
 	}
-	return net.Discover(k, entry, gated)
+	return net.discover(k, net.nodeList[r.Intn(len(net.nodeList))], gated)
 }
 
 // Lookup returns the values registered under k, routing ungated from
@@ -96,23 +82,7 @@ func (net *Network) Lookup(k keys.Key, r *rand.Rand) ([]string, bool) {
 	if !res.Satisfied {
 		return nil, false
 	}
-	n, _, ok := net.nodeState(k)
-	if !ok {
-		return nil, false
-	}
-	return n.SortedValues(), true
-}
-
-// Values returns the values stored under k by direct state access on
-// the owner peer (no routing, no cost accounting). Engines use it to
-// read a node's data after a discovery already routed to it. The
-// values come back sorted (see SortedValues).
-func (net *Network) Values(k keys.Key) ([]string, bool) {
-	n, _, ok := net.nodeState(k)
-	if !ok || !n.HasData() {
-		return nil, false
-	}
-	return n.SortedValues(), true
+	return res.Node.SortedValues(), true
 }
 
 // String summarizes the network.

@@ -74,7 +74,7 @@ func CloneNetwork(net *Network) *Network {
 	c.nodeList = make([]*Node, len(net.nodeList))
 	for i, n := range net.nodeList {
 		m := &Node{Key: n.Key, Father: n.Father, HasFather: n.HasFather, Children: slices.Clone(n.Children),
-			Data: slices.Clone(n.Data), LoadCur: n.LoadCur, LoadPrev: n.LoadPrev, pos: n.pos, stamp: n.stamp}
+			Data: slices.Clone(n.Data), LoadPrev: n.LoadPrev, pos: n.pos, stamp: n.stamp}
 		m.visits.Store(n.visits.Load())
 		c.nodes[n.Key], c.nodeList[i] = m, m
 	}
@@ -117,6 +117,3 @@ func TouchNodes(net *Network, n int) {
 		net.touch(nd)
 	}
 }
-
-// fatherEdge is the edge a climb from n takes.
-func fatherEdge(n *Node) Child { return Child{Key: n.Father} }

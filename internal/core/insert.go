@@ -22,7 +22,7 @@ func (net *Network) InsertData(k keys.Key, value string, r *rand.Rand) error {
 		return fmt.Errorf("core: key %q not in alphabet", k)
 	}
 	if !net.hasRoot {
-		net.hostNode(NodeInfo{Key: k, Data: []string{value}}, keys.Epsilon)
+		net.hostNode(NodeInfo{Key: k, Data: []string{value}}, keys.Epsilon) // the root: nothing to link
 		net.journal(false, k, value)
 		return nil
 	}
@@ -90,7 +90,9 @@ func (net *Network) InsertBatch(entries []KV, r *rand.Rand) error {
 // The branch point is the longest prefix its key shares with an earlier
 // entry's key: the deepest node at or above the key's whose subtree
 // holds one, which the walk that marks those subtrees finds.
-// canonicalPass gives every node its links, and hostNode installs it.
+// canonicalPass gives every node its father and children, hostNode
+// installs it, and the pass's own vertices link them once every node is
+// in: no link costs a probe of the index.
 func (net *Network) load(entries []KV, entry func(i int)) {
 	// One sort of the entries' positions by key gives the distinct keys
 	// in order and each entry's index among them (at).
@@ -134,6 +136,11 @@ func (net *Network) load(entries []KV, entry func(i int)) {
 		install(own[j])
 		own[j].node.Data = vals[j]
 	}
+	for i := range slab {
+		if c := &slab[i]; c.up != nil {
+			c.node.up, c.up.node.Children[c.at].node = c.up.node, c.node
+		}
+	}
 }
 
 // handleDataInsertion is Algorithm 3, run on node p.
@@ -164,7 +171,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		if !p.HasFather {
 			// k becomes the new root, adopting p (lines 3.11-3.13).
 			info := NodeInfo{Key: k, Children: []Child{{Key: p.Key}}, Data: []string{m.value}}
-			p.Father, p.HasFather = k, true
+			p.Father, p.HasFather, p.up = k, true, nil
 			return net.routeSearchingHost(peer.ID, p.Key, info)
 		}
 		if keys.IsPrefix(k, p.Father) {
@@ -176,7 +183,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		info := NodeInfo{Key: k, Father: p.Father, HasFather: true,
 			Children: []Child{{Key: p.Key}}, Data: []string{m.value}}
 		father := p.Father
-		p.Father, p.HasFather = k, true
+		p.Father, p.HasFather, p.up = k, true, nil
 		if err := net.routeSearchingHost(peer.ID, father, info); err != nil {
 			return err
 		}
@@ -199,7 +206,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 			Children: []Child{{Key: min(p.Key, k)}, {Key: max(p.Key, k)}}}
 		kinfo := NodeInfo{Key: k, Father: g, HasFather: true, Data: []string{m.value}}
 		father, hadFather := p.Father, p.HasFather
-		p.Father, p.HasFather = g, true
+		p.Father, p.HasFather, p.up = g, true, nil
 		start := p.Key
 		if hadFather {
 			start = father
@@ -216,12 +223,18 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 	}
 }
 
-// installNode places a freshly created tree node on its owner peer.
-// from is the peer at which the host search bottomed out (ε means
-// "unknown, route from scratch"). Under the lexicographic placement
-// the walk follows successor links; under the hashed placement the
-// owner is one DHT lookup away (modelled as ceil(log2 N) messages).
+// installNode places a freshly created tree node and links it.
 func (net *Network) installNode(n *Node, from keys.Key) {
+	net.placeNode(n, from)
+	net.linkNode(n)
+}
+
+// placeNode puts n on its owner peer and in the index. from is the peer
+// at which the host search bottomed out (ε means "unknown, route from
+// scratch"). Under the lexicographic placement the walk follows
+// successor links; under the hashed placement the owner is one DHT
+// lookup away (modelled as ceil(log2 N) messages).
+func (net *Network) placeNode(n *Node, from keys.Key) {
 	var owner *Peer
 	switch net.Placement {
 	case PlacementHashed:
@@ -251,13 +264,13 @@ func (net *Network) installNode(n *Node, from keys.Key) {
 	}
 }
 
-// hostNode installs a node a registration creates, and returns it. A
-// key created again may still hold the replica of its earlier node,
-// placed on the ring of that time: it follows the node to the successor
-// rule. (Recover re-homes the nodes it creates in one pass.)
+// hostNode places a node a registration creates, and returns it for the
+// caller to link. A key created again may still hold the replica of its
+// earlier node, placed on the ring of that time: it follows the node to
+// the successor rule. (Recover re-homes the nodes it creates in one pass.)
 func (net *Network) hostNode(info NodeInfo, from keys.Key) *Node {
 	n := info.materialize()
-	net.installNode(n, from)
+	net.placeNode(n, from)
 	if e, ok := net.replicas[n.Key]; ok && e.at != net.successorOf(n.host) {
 		net.placeReplica(e.Replica, net.successorOf(n.host))
 		net.countTransfers(1, 1)
@@ -301,7 +314,7 @@ func (net *Network) compactNode(n *Node) {
 				net.root = keys.Epsilon
 				return
 			}
-			fn, ok := net.nodes[n.Father]
+			fn, _, ok := net.Follow(n.FatherEdge())
 			if !ok {
 				return
 			}
@@ -310,20 +323,19 @@ func (net *Network) compactNode(n *Node) {
 			n = fn
 		case 1:
 			cn, _, ok := net.Follow(n.Children[0])
-			fn, _, okf := net.nodeState(n.Father)
+			fn, _, okf := net.Follow(n.FatherEdge())
 			if !ok || n.HasFather && !okf {
 				return
 			}
 			if !n.HasFather {
 				// Root with a single child: the child becomes root.
-				cn.HasFather = false
-				cn.Father = keys.Epsilon
+				cn.Father, cn.HasFather, cn.up = keys.Epsilon, false, nil
 				net.root = cn.Key
 				net.unindexNode(n)
 				net.Counters.MaintenanceMsgs++
 				return
 			}
-			cn.Father = n.Father
+			cn.Father, cn.up = n.Father, fn
 			fn.removeChild(n.Key)
 			fn.addChild(cn.Key, cn)
 			net.unindexNode(n)

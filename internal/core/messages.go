@@ -79,7 +79,7 @@ func (net *Network) deliver(m message) error {
 	var p *Peer
 	var ok bool
 	if m.nodeAddressed {
-		if n, p, ok = net.nodeState(m.toNode); !ok {
+		if n, p, ok = net.NodeAt(m.toNode); !ok {
 			return fmt.Errorf("core: %v addressed to absent node %q", m.typ, m.toNode)
 		}
 	} else if p, ok = net.peers[m.toPeer]; !ok {
@@ -106,7 +106,7 @@ func (net *Network) deliver(m message) error {
 // node with key father, replacing old with new in its child set. It
 // is executed synchronously and accounted as one message.
 func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Key) error {
-	n, p, ok := net.nodeState(father)
+	n, p, ok := net.NodeAt(father)
 	if !ok {
 		return fmt.Errorf("core: UpdateChild to absent node %q", father)
 	}
@@ -133,7 +133,7 @@ func (net *Network) routeSearchingHost(fromPeer keys.Key, at keys.Key, info Node
 		net.charge(1, p.ID != from)
 		q, ok := n.MaxChildAtMost(info.Key, false)
 		if !ok {
-			net.hostNode(info, p.ID)
+			net.linkNode(net.hostNode(info, p.ID))
 			return nil
 		}
 		cur = q

@@ -80,6 +80,8 @@ type RequestResult struct {
 	// PhysicalHops counts the traversed edges whose endpoints were
 	// hosted on different peers (actual network communications).
 	PhysicalHops int
+	// Node is Key's node when Satisfied, to read under the routing lock.
+	Node *Node
 }
 
 // Network is the complete DLPT overlay: the peer ring, the
@@ -218,11 +220,11 @@ func (net *Network) ResetUnit() {
 		p.procConc.Store(0)
 	}
 	for _, n := range net.nodeList {
-		load := n.LoadCur + int(n.visits.Swap(0))
+		load := int(n.visits.Swap(0))
 		if load != 0 || n.LoadPrev != 0 {
 			net.touch(n)
 		}
-		n.LoadPrev, n.LoadCur = load, 0
+		n.LoadPrev = load
 	}
 }
 
@@ -317,8 +319,7 @@ func (net *Network) hashRemovePeer(id keys.Key) {
 // --- node index ------------------------------------------------------------
 
 // indexNode enters n in the index, in the slot of a node it replaces
-// (which leaves its host's ν_P too), and links it into its father's edge
-// and its edges to its children.
+// (which leaves its host's ν_P too).
 func (net *Network) indexNode(n *Node) {
 	if old, ok := net.nodes[n.Key]; ok {
 		n.pos, old.pos = old.pos, -1
@@ -329,19 +330,30 @@ func (net *Network) indexNode(n *Node) {
 	}
 	net.nodes[n.Key], net.nodeList[n.pos] = n, n
 	net.touch(n)
-	if f, ok := net.nodes[n.Father]; ok && n.HasFather {
-		if i, found := f.edge(n.Key); found {
-			f.Children[i].node = n
+}
+
+// linkNode links the indexed n to its father and into the father's edge,
+// and to its children and up from those that name it.
+func (net *Network) linkNode(n *Node) {
+	if n.up = nil; n.HasFather {
+		if f, ok := net.nodes[n.Father]; ok {
+			if i, found := f.edge(n.Key); found {
+				f.Children[i].node = n
+			}
+			n.up = f
 		}
 	}
 	net.linkChildren(n)
 }
 
 // linkChildren points every edge of n at the indexed child, nil where
-// there is none.
+// there is none, and the father link of each child that names n at n.
 func (net *Network) linkChildren(n *Node) {
 	for i := range n.Children {
-		n.Children[i].node = net.nodes[n.Children[i].Key]
+		c := net.nodes[n.Children[i].Key]
+		if n.Children[i].node = c; c != nil && c.HasFather && c.Father == n.Key {
+			c.up = n
+		}
 	}
 }
 
@@ -367,8 +379,10 @@ func (net *Network) HasNode(k keys.Key) bool {
 	return ok
 }
 
-// nodeState fetches node k and its host: one probe of the index.
-func (net *Network) nodeState(k keys.Key) (*Node, *Peer, bool) {
+// NodeAt resolves k to its live tree node and the peer hosting it by one
+// probe of the index: what Follow falls back to, and where a hop that
+// arrives at a peer by key starts.
+func (net *Network) NodeAt(k keys.Key) (*Node, *Peer, bool) {
 	n, ok := net.nodes[k]
 	if !ok {
 		return nil, nil, false
@@ -383,7 +397,7 @@ func (net *Network) Follow(e Child) (*Node, *Peer, bool) {
 	if n := e.node; n != nil && n.pos >= 0 {
 		return n, n.host, true
 	}
-	return net.nodeState(e.Key)
+	return net.NodeAt(e.Key)
 }
 
 // --- peer rename (MLT primitive) --------------------------------------------
@@ -533,6 +547,9 @@ func (net *Network) Validate() error {
 			if c.node != net.nodes[c.Key] {
 				return fmt.Errorf("core: edge %q of %q does not link the indexed child", c.Key, k)
 			}
+		}
+		if n.up != nil && (!n.HasFather || n.up != net.nodes[n.Father]) {
+			return fmt.Errorf("core: the father edge of %q does not link the indexed %q", k, n.Father)
 		}
 	}
 	if len(canon) != len(net.nodeList) {

@@ -34,12 +34,12 @@
 //     Algorithm 3 leaves, and each node is charged its Host message
 //     (plus, hashed, the owner lookup) in place of the routed hops.
 //
-// A node's children and values are sorted slices (a routing step is a
-// binary search), shifted in place under the engine's write lock (Node);
-// a child is reached through its edge's link (Child, Follow); a node's
-// placement is its index entry and its host, in whose unordered node set
-// ν_P it records its slot (Peer). Passes over every node range the
-// index's list, not the peers.
+// A node's children and values are sorted slices, shifted in place
+// under the engine's write lock (Node); a routing step reaches the father
+// or the one child towards a key (a binary search over one symbol)
+// through a link (Child, Follow); a node's placement is its index entry
+// and its host, in whose unordered node set ν_P it records its slot
+// (Peer). Passes over every node range the index's list, not the peers.
 package core
 
 import (
@@ -52,8 +52,14 @@ import (
 )
 
 // Node is the state of one logical tree node, held by the peer
-// currently hosting it. Its father is a node key (NodeAt), its children
-// linked edges (Child, Follow); Validate checks both against the index.
+// currently hosting it. Its father and children are linked edges
+// (FatherEdge, Child), taken through Follow and checked by Validate.
+// Siblings differ at the first symbol after their father's key, so the
+// edges are ordered by that symbol too (BestChildFor). The father link is
+// the node Father names, or nil: written under the write lock with the
+// child links (linkNode, load, rebuildLinks, compactNode's splice), and
+// cleared where Algorithm 3 re-parents a node until linkNode links the
+// new father. Follow takes it while that node is in the index.
 //
 // Children (by key) and Data are ascending and duplicate-free. They
 // change in place, only through addChild, removeChild, addValue and
@@ -72,18 +78,14 @@ type Node struct {
 	Children  []Child
 	Data      []string
 
-	// LoadCur counts requests received by this node during the
-	// current time unit; LoadPrev is the previous unit's count (the
-	// l_n of Section 3.3, the input of the MLT heuristic).
-	LoadCur  int
+	// visits counts the requests received during the current time unit
+	// (Load), under the read lock or the write lock; ResetUnit moves it to
+	// LoadPrev (the l_n of Section 3.3, the input of the MLT heuristic).
 	LoadPrev int
-
-	// visits counts discovery visits recorded by the concurrent
-	// engines, whose routing holds only a read lock and therefore
-	// cannot touch LoadCur. ResetUnit folds it into the load history.
-	visits atomic.Int64
+	visits   atomic.Int64
 
 	host *Peer // the peer running the node, set only by Peer.adopt
+	up   *Node // the father link (see above)
 	pos  int32 // the node's slot in Network.nodeList; -1 out of the index
 	// stamp is the replication epoch in which the node was created or
 	// last changed what infoOf ships, its values or loads
@@ -94,7 +96,7 @@ type Node struct {
 }
 
 // Child is one tree edge: the child's key, which orders the edges, and a
-// link to the child's node, written only by addChild, indexNode and
+// link to the child's node, written only by addChild, linkNode, load and
 // rebuildLinks and followed only while that node is indexed (Follow).
 type Child struct {
 	Key  keys.Key
@@ -103,6 +105,9 @@ type Child struct {
 
 // Edge returns an edge linked to n.
 func (n *Node) Edge() Child { return Child{Key: n.Key, node: n} }
+
+// FatherEdge returns the edge up to n's father: the step a climb takes.
+func (n *Node) FatherEdge() Child { return Child{Key: n.Father, node: n.up} }
 
 // edge returns the position of child key k among n's edges, or where it
 // would be inserted.
@@ -167,13 +172,11 @@ func (n *Node) SortedValues() []string {
 	return slices.Clone(n.Data)
 }
 
-// RecordVisit counts one discovery visit from a concurrent engine.
-// Safe to call under a read lock.
+// RecordVisit counts one discovery visit. Safe under the read lock.
 func (n *Node) RecordVisit() { n.visits.Add(1) }
 
-// Load returns the current-unit load including concurrently recorded
-// visits.
-func (n *Node) Load() int { return n.LoadCur + int(n.visits.Load()) }
+// Load returns the visits recorded since the last ResetUnit.
+func (n *Node) Load() int { return int(n.visits.Load()) }
 
 // ChildrenSorted returns a copy of the child keys in ascending order.
 func (n *Node) ChildrenSorted() []keys.Key {
@@ -185,21 +188,27 @@ func (n *Node) ChildrenSorted() []keys.Key {
 }
 
 // BestChildFor returns the edge to the child sharing a strictly longer
-// prefix with k than the node itself (Algorithm 3 line 3.05). In a
-// valid PGCP tree at most one such child exists. In ascending order the
-// common prefix with k only grows towards k's insertion point, so the
-// two children beside it are the only candidates.
+// prefix with k than the node itself (Algorithm 3 line 3.05), false when
+// the node's key is not a proper prefix of k. Siblings differ at the
+// symbol after the node's key (Node), so that child is the one whose key
+// has k's symbol there, found by a binary search over that one symbol.
 func (n *Node) BestChildFor(k keys.Key) (Child, bool) {
-	i, _ := n.edge(k)
-	var best Child
-	bestLen := len(keys.GCP(n.Key, k))
-	found := false
-	for _, c := range n.Children[max(i-1, 0):min(i+1, len(n.Children))] {
-		if l := len(keys.GCP(c.Key, k)); l > bestLen {
-			best, bestLen, found = c, l, true
+	d := len(n.Key)
+	if !keys.IsProperPrefix(n.Key, k) {
+		return Child{}, false
+	}
+	lo, hi := 0, len(n.Children) // the first edge whose symbol at d is not below k's
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); n.Children[m].Key[d] < k[d] {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return best, found
+	if lo == len(n.Children) || n.Children[lo].Key[d] != k[d] {
+		return Child{}, false
+	}
+	return n.Children[lo], true
 }
 
 // MaxChildAtMost returns the edge to the greatest child strictly below
@@ -268,7 +277,9 @@ func (n *Node) captured(rep Replica) bool {
 // list them in any order. It is out of the index (pos -1) until
 // indexNode.
 func (rep Replica) materialize() *Node {
-	return &Node{Key: rep.Key, Data: sortedSet(rep.Data), LoadPrev: rep.LoadPrev, LoadCur: rep.LoadCur, pos: -1}
+	n := &Node{Key: rep.Key, Data: sortedSet(rep.Data), LoadPrev: rep.LoadPrev, pos: -1}
+	n.visits.Store(int64(rep.LoadCur))
+	return n
 }
 
 // sortedSet returns an ascending, duplicate-free copy of s.

@@ -69,15 +69,6 @@ func (p *Peer) LoadPrev() int {
 	return sum
 }
 
-// LoadCur returns the running request count of the current unit.
-func (p *Peer) LoadCur() int {
-	sum := 0
-	for _, n := range p.nodes {
-		sum += n.LoadCur
-	}
-	return sum
-}
-
 // Saturated reports whether the peer has exhausted its capacity for
 // the current time unit, counting both the sequential and the
 // concurrently recorded visits.

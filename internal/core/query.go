@@ -176,7 +176,7 @@ func (w *QueryWalker) Start(entry keys.Key) {
 	if w.empty {
 		return
 	}
-	n, h, ok := w.net.nodeState(entry)
+	n, h, ok := w.net.NodeAt(entry)
 	if !ok {
 		return
 	}
@@ -360,7 +360,7 @@ func (w *QueryWalker) ResumeWalk(anchor keys.Key, pre QueryResult) {
 	// QROUTE legs); the visit counter folds only this walker's own.
 	w.visitBase = pre.NodesVisited
 	w.phHops = pre.LogicalHops
-	n, h, ok := w.net.nodeState(anchor)
+	n, h, ok := w.net.NodeAt(anchor)
 	if !ok {
 		w.done()
 		return
@@ -369,19 +369,21 @@ func (w *QueryWalker) ResumeWalk(anchor keys.Key, pre QueryResult) {
 	w.beginWalk(n)
 }
 
-// RouteStep is the Section 2 transition of a subtree query standing at
-// n: climb until the node's subtree covers the anchor (its label is a
+// RouteStep is the Section 2 transition of a request standing at n:
+// climb until the node's subtree covers the anchor (its label is a
 // prefix of the anchor) or the root is reached, then descend while a
-// single child still covers the whole query, narrowing the traversal
-// root. It returns the node to move to, or covers when n is where the
-// subtree walk starts; down is the route's phase, flipped here when the
-// climb ends; a step up names the father by key. The rule is pure: the
-// drivers (the walker above, the hop-by-hop route of internal/overlay)
-// Follow next, which checks that it still exists, and do the counting.
+// single child still covers it. For a subtree query that narrows the
+// traversal root; for a discovery (the anchor is the key) it ends at the
+// key's node or where no child leads towards it. It returns the edge to
+// move over, or covers when n is where the route ends; down is the
+// route's phase, flipped here when the climb ends. The rule is pure: the
+// drivers (Discover, the walker above, the hop-by-hop route of
+// internal/overlay) Follow next, which checks that it still exists, and
+// do the counting.
 func RouteStep(n *Node, anchor keys.Key, down *bool) (next Child, covers bool) {
 	if !*down {
 		if !keys.IsPrefix(n.Key, anchor) && n.HasFather {
-			return Child{Key: n.Father}, false
+			return n.FatherEdge(), false
 		}
 		*down = true
 	}
@@ -390,13 +392,6 @@ func RouteStep(n *Node, anchor keys.Key, down *bool) (next Child, covers bool) {
 		return Child{}, true
 	}
 	return q, false
-}
-
-// NodeAt resolves k to its live tree node and the peer hosting it by
-// one probe of the node index, what Follow falls back to — made
-// available to the hop-by-hop route relays.
-func (net *Network) NodeAt(k keys.Key) (*Node, *Peer, bool) {
-	return net.nodeState(k)
 }
 
 // beginWalk seeds the subtree traversal at the covering node reached

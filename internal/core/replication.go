@@ -469,8 +469,8 @@ func (net *Network) rebuildLinks() {
 		}
 	}
 	// Reset the pointers and the root that deviate from the canonical
-	// structure; relink all edges, as matching ones may link nodes
-	// replaced above.
+	// structure; relink all edges and fathers, as matching ones may link
+	// nodes replaced above.
 	net.hasRoot = len(slab) > 0
 	for i := range slab {
 		cn := &slab[i]
@@ -482,8 +482,8 @@ func (net *Network) rebuildLinks() {
 			net.Counters.MaintenanceMsgs++
 		}
 		net.linkChildren(n)
-		if !cn.hasFather {
-			net.root = cn.label
+		if n.up = net.nodes[cn.father]; !cn.hasFather {
+			n.up, net.root = nil, cn.label
 		}
 	}
 }
@@ -513,6 +513,7 @@ type canonNode struct {
 	father    keys.Key
 	hasFather bool
 	marked    bool       // in a sorted pass (load): its subtree holds a key loaded already
+	at        int32      // its edge's position among up's kids
 	kids      []Child    // ascending and unlinked, as Node.Children
 	up        *canonNode // the father's vertex
 	node      *Node      // in a sorted pass, the label's node once installed
@@ -551,8 +552,8 @@ func canonicalPass(sorted []keys.Key) (slab []canonNode, own []*canonNode) {
 		return &slab[len(slab)-1]
 	}
 	attach := func(father, child *canonNode) {
+		child.father, child.hasFather, child.up, child.at = father.label, true, father, int32(len(father.kids))
 		father.kids = append(father.kids, Child{Key: child.label})
-		child.father, child.hasFather, child.up = father.label, true, father
 	}
 	stack := make([]*canonNode, 1, 16)
 	own[0] = open(sorted[0])

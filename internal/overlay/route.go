@@ -129,10 +129,10 @@ func (r *Runtime) ServeHop(at *keys.Key, h *Hop) {
 // advance routes the hop at self for as long as the walk stays on
 // nodes that peer hosts. When the walk leaves the peer it returns the
 // next host, with the hop updated in place and ready to send; where
-// routing ends it reports done with the outcome in rep. A step down
-// follows the edge's link and a step up probes the index for the
-// father; either way the next iteration starts from that link
-// (Network.Follow re-checks it), so no node is probed twice.
+// routing ends it reports done with the outcome in rep. A step follows
+// the link of the edge it takes, the father's or a child's, and the next
+// iteration starts from that link (Network.Follow re-checks it), so only
+// the node a hop arrives at is probed.
 func (r *Runtime) advance(self keys.Key, h *Hop, rep *Reply) (next keys.Key, done bool) {
 	at := core.Child{Key: h.At}
 	for {
@@ -177,8 +177,8 @@ func (r *Runtime) advance(self keys.Key, h *Hop, rep *Reply) (next keys.Key, don
 
 // stepLocked is the Section 2 discovery transition at node, hosted by
 // peer: the node to move to, or done with the outcome in rep (Found and
-// Values, or Dropped). The hop's phase flips here once a prefix of the
-// key is reached. core.Network.Discover is the sequential reference the
+// Values, or Dropped): core.RouteStep, which flips the hop's phase once
+// a prefix of the key is reached. core.Network.Discover is the sequential reference the
 // differential tests hold this against. Callers hold Mu; the read side
 // suffices, visit and capacity accounting being atomic.
 func (r *Runtime) stepLocked(peer *core.Peer, node *core.Node, h *Hop, rep *Reply) (next core.Child, done bool) {
@@ -195,20 +195,12 @@ func (r *Runtime) stepLocked(peer *core.Peer, node *core.Node, h *Hop, rep *Repl
 		rep.Dropped = true
 		return core.Child{}, true
 	}
-	if node.Key == h.Key {
+	if next, done = core.RouteStep(node, h.Key, &h.Down); done && node.Key == h.Key {
 		// A structural node (no data) means the key was never declared.
 		rep.Values = node.SortedValues()
 		rep.Found = rep.Values != nil
-		return core.Child{}, true
 	}
-	if !h.Down && keys.IsPrefix(node.Key, h.Key) {
-		h.Down = true
-	}
-	if !h.Down {
-		return core.Child{Key: node.Father}, !node.HasFather // a root that is no prefix of key: absent
-	}
-	q, ok := node.BestChildFor(h.Key)
-	return q, !ok || !keys.IsPrefix(q.Key, h.Key)
+	return next, done
 }
 
 // hostLocked resolves the node a hop moves to: the edge linked to it and

@@ -248,9 +248,9 @@ func TestUndecodableJournalRecordFailsLoad(t *testing.T) {
 		name    string
 		payload []byte
 	}{
-		{"unknown kind", append([]byte{7}, appendString(appendString(nil, "key"), "value")...)},
-		{"malformed register", append([]byte{opRegister}, appendString(nil, "key")...)},
-		{"trailing bytes", append(append([]byte{opRegister}, appendString(appendString(nil, "key"), "value")...), 0)},
+		{"unknown kind", append([]byte{7}, catalog.AppendString(catalog.AppendString(nil, "key"), "value")...)},
+		{"malformed register", append([]byte{opRegister}, catalog.AppendString(nil, "key")...)},
+		{"trailing bytes", append(append([]byte{opRegister}, catalog.AppendString(catalog.AppendString(nil, "key"), "value")...), 0)},
 		{"malformed ring", append([]byte{opRing}, "DLPTSNP1"...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -716,15 +716,15 @@ func v1Image(peers []PeerState, nodes []catalog.Entry) []byte {
 	buf = binary.AppendUvarint(buf, 1) // seq
 	buf = binary.AppendUvarint(buf, uint64(len(peers)))
 	for _, p := range peers {
-		buf = appendString(buf, p.ID)
+		buf = catalog.AppendString(buf, p.ID)
 		buf = binary.AppendUvarint(buf, uint64(p.Capacity))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(nodes)))
 	for _, n := range nodes {
-		buf = appendString(buf, n.Key)
+		buf = catalog.AppendString(buf, n.Key)
 		buf = binary.AppendUvarint(buf, uint64(len(n.Values)))
 		for _, v := range n.Values {
-			buf = appendString(buf, v)
+			buf = catalog.AppendString(buf, v)
 		}
 	}
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
@@ -1029,7 +1029,7 @@ func TestImageMatchesCopiedEncoding(t *testing.T) {
 		want = binary.AppendUvarint(binary.AppendUvarint(want, snapVersionCatalog), 9)
 		want = binary.AppendUvarint(want, uint64(len(peers)))
 		for _, ps := range peers {
-			want = binary.AppendUvarint(appendString(want, ps.ID), uint64(ps.Capacity))
+			want = binary.AppendUvarint(catalog.AppendString(want, ps.ID), uint64(ps.Capacity))
 		}
 		blob := catalog.Append(nil, catalog.LOUDS, cat, catalog.SecValues)
 		want = append(binary.AppendUvarint(want, uint64(len(blob))), blob...)

@@ -173,7 +173,11 @@ func TestStopRejectsOps(t *testing.T) {
 		t.Fatalf("Unregister after stop = %v, %v", ok, err)
 	}
 	c.Mu.RLock()
-	vals, ok := c.Net.Values("k")
+	var vals []string
+	node, _, ok := c.Net.NodeAt("k")
+	if ok {
+		vals = node.SortedValues()
+	}
 	n := c.Net.NumNodes()
 	c.Mu.RUnlock()
 	if !ok || len(vals) != 1 || n != 1 {
