@@ -117,3 +117,10 @@ func TouchNodes(net *Network, n int) {
 		net.touch(nd)
 	}
 }
+
+// installNode places a freshly created tree node and links it, as a
+// registration does.
+func (net *Network) installNode(n *Node, from keys.Key) {
+	net.placeNode(n, from)
+	net.linkNode(n)
+}

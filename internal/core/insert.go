@@ -223,12 +223,6 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 	}
 }
 
-// installNode places a freshly created tree node and links it.
-func (net *Network) installNode(n *Node, from keys.Key) {
-	net.placeNode(n, from)
-	net.linkNode(n)
-}
-
 // placeNode puts n on its owner peer and in the index. from is the peer
 // at which the host search bottomed out (ε means "unknown, route from
 // scratch"). Under the lexicographic placement the walk follows

@@ -119,7 +119,7 @@ func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Ke
 // routeSearchingHost performs the host search of Algorithm 3 lines
 // 3.32-3.37 synchronously: starting at node `at`, descend to the
 // greatest child strictly below the key being placed until no such
-// child exists, then hand the node to the local peer (installNode
+// child exists, then hand the node to the local peer (placeNode
 // finishes with the peer-level walk to the true owner). Each hop is
 // accounted as one message.
 func (net *Network) routeSearchingHost(fromPeer keys.Key, at keys.Key, info NodeInfo) error {

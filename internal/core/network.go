@@ -335,13 +335,12 @@ func (net *Network) indexNode(n *Node) {
 // linkNode links the indexed n to its father and into the father's edge,
 // and to its children and up from those that name it.
 func (net *Network) linkNode(n *Node) {
-	if n.up = nil; n.HasFather {
-		if f, ok := net.nodes[n.Father]; ok {
-			if i, found := f.edge(n.Key); found {
-				f.Children[i].node = n
-			}
-			n.up = f
+	n.up = nil
+	if f, ok := net.nodes[n.Father]; ok && n.HasFather {
+		if i, found := f.edge(n.Key); found {
+			f.Children[i].node = n
 		}
+		n.up = f
 	}
 	net.linkChildren(n)
 }

@@ -392,7 +392,7 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 	}
 	keys.SortKeys(missing)
 	for _, k := range missing {
-		net.installNode(net.replicas[k].materialize(), keys.Epsilon)
+		net.placeNode(net.replicas[k].materialize(), keys.Epsilon) // linked by rebuildLinks
 	}
 	restored = len(missing)
 	// Phase 2: anti-entropy link rebuild — skipped when nothing was
@@ -465,7 +465,7 @@ func (net *Network) rebuildLinks() {
 	// replicated, which phase 1 already handled), in the pass's order.
 	for _, cn := range slab {
 		if !net.HasNode(cn.label) {
-			net.installNode(NodeInfo{Key: cn.label}.materialize(), keys.Epsilon)
+			net.placeNode(NodeInfo{Key: cn.label}.materialize(), keys.Epsilon)
 		}
 	}
 	// Reset the pointers and the root that deviate from the canonical

@@ -177,10 +177,11 @@ func (r *Runtime) advance(self keys.Key, h *Hop, rep *Reply) (next keys.Key, don
 
 // stepLocked is the Section 2 discovery transition at node, hosted by
 // peer: the node to move to, or done with the outcome in rep (Found and
-// Values, or Dropped): core.RouteStep, which flips the hop's phase once
-// a prefix of the key is reached. core.Network.Discover is the sequential reference the
-// differential tests hold this against. Callers hold Mu; the read side
-// suffices, visit and capacity accounting being atomic.
+// Values, or Dropped). The step is core.RouteStep, which flips the hop's
+// phase once a prefix of the key is reached. core.Network.Discover is
+// the sequential reference the differential tests hold this against.
+// Callers hold Mu; the read side suffices, visit and capacity accounting
+// being atomic.
 func (r *Runtime) stepLocked(peer *core.Peer, node *core.Node, h *Hop, rep *Reply) (next core.Child, done bool) {
 	node.RecordVisit()
 	if r.Met != nil {
