@@ -116,7 +116,7 @@ func (n *Node) edge(k keys.Key) (int, bool) { return slices.BinarySearchFunc(n.C
 func edgeCmp(c Child, k keys.Key) int { return strings.Compare(string(c.Key), string(k)) }
 
 // addChild adds the edge to k, linked to c: the child's node, or nil
-// when it is not indexed yet (indexNode links it).
+// when it is not indexed yet (linkNode links it).
 func (n *Node) addChild(k keys.Key, c *Node) {
 	if i, found := n.edge(k); !found {
 		n.Children = slices.Insert(n.Children, i, Child{Key: k, node: c})
@@ -239,7 +239,7 @@ type NodeInfo struct {
 }
 
 // materialize makes the node a Host message creates. It is out of the
-// index (pos -1), its edges unlinked, until indexNode.
+// index (pos -1) until indexNode, its links unset until linkNode or load.
 func (info NodeInfo) materialize() *Node {
 	return &Node{Key: info.Key, Father: info.Father, HasFather: info.HasFather,
 		Children: info.Children, Data: info.Data, pos: -1}
