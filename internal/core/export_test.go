@@ -47,6 +47,22 @@ func CheckReplicaStore(net *Network) error {
 	return nil
 }
 
+// HeldReplica is one entry of the replica store: a snapshot and the
+// peer holding it.
+type HeldReplica struct {
+	At keys.Key
+	Replica
+}
+
+// ReplicaStore returns every replica net holds, by node key.
+func ReplicaStore(net *Network) map[keys.Key]HeldReplica {
+	out := make(map[keys.Key]HeldReplica, len(net.replicas))
+	for k, e := range net.replicas {
+		out[k] = HeldReplica{e.at.ID, e.Replica}
+	}
+	return out
+}
+
 // CloneNetwork deep-copies net — its ring, peers, node index (hosts,
 // slots and edges relinked to the copies), replica store and crash
 // bookkeeping — so a test can run one operation two ways from one state.

@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"dlpt/internal/core"
@@ -170,4 +171,49 @@ func TestStaleBatchCannotResurrect(t *testing.T) {
 	if n, _, ok := net.NodeAt(key); ok && slices.Contains(n.Data, "extra") {
 		t.Fatalf("unregistered value \"extra\" of %q is back after a crash", key)
 	}
+}
+
+// BenchmarkReplicaTick times one replication tick on TestBytesPerKey's
+// grid overlay, between ticks shaped like churn-live's: 250
+// register/unregister pairs of versioned keys (64 of them registered at
+// any time) and 500 hot-spot discoveries, with a unit reset before every
+// fourth tick. Only the tick is timed: plan, install and compaction. It
+// reports ns/tick, the snapshots a tick ships and its allocations.
+func BenchmarkReplicaTick(b *testing.B) {
+	net, corpus, r, _ := gridNetwork(b)
+	net.Replicate()
+	const lag = 64
+	versioned := func(i int) keys.Key {
+		return corpus[i*7919%len(corpus)] + keys.Key("w"+strconv.Itoa(i))
+	}
+	for i := 0; i < lag; i++ {
+		if err := net.InsertData(versioned(i), "v", r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	hot, next, shipped := workload.Figure8Schedule(), lag, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for tick := 0; tick < b.N; tick++ {
+		b.StopTimer()
+		if tick%4 == 0 {
+			net.ResetUnit()
+		}
+		for i := 0; i < 250; i++ {
+			if err := net.InsertData(versioned(next), "v", r); err != nil {
+				b.Fatal(err)
+			}
+			if !net.RemoveData(versioned(next-lag), "v") {
+				b.Fatalf("unregister %q: not registered", versioned(next-lag))
+			}
+			next++
+		}
+		for i := 0; i < 500; i++ {
+			net.DiscoverRandom(hot.Pick(r, corpus, 60), false, r)
+		}
+		b.StartTimer()
+		shipped += net.Replicate()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tick")
+	b.ReportMetric(float64(shipped)/float64(b.N), "snapshots/tick")
 }
