@@ -328,7 +328,7 @@ func TestAllocsPerReplicaTick(t *testing.T) {
 					if path == "decoded" {
 						b = core.ReplicaBatch{From: b.From, To: b.To, Infos: b.Infos}
 					}
-					shipped += net.AcceptReplicas(b.From, b.To, b.Infos)
+					shipped += net.AcceptReplicas(b)
 				}
 			})
 			if shipped != n {

@@ -62,11 +62,11 @@ func (tw *twins) tick(window func(*core.Network, *rand.Rand) error) error {
 	}
 	var installed [2]int
 	for _, b := range plans[0] {
-		installed[0] += tw.net[0].AcceptReplicas(b.From, b.To, b.Infos)
+		installed[0] += tw.net[0].AcceptReplicas(b)
 	}
 	for _, b := range plans[1] {
 		d := decoded(b)
-		installed[1] += tw.net[1].AcceptReplicas(d.From, d.To, d.Infos)
+		installed[1] += tw.net[1].AcceptReplicas(d)
 	}
 	if installed[0] != installed[1] {
 		return fmt.Errorf("installed %d snapshots as planned, %d decoded", installed[0], installed[1])

@@ -281,7 +281,7 @@ func TestRehomeReachesKeysBackAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range plan {
-		net.AcceptReplicas(b.From, b.To, b.Infos)
+		net.AcceptReplicas(b)
 	}
 	net.CompactReplicas()
 	if err := net.JoinPeer("b000", 100, r); err != nil { // beside a000 only

@@ -70,6 +70,9 @@ type ReplicaBatch struct {
 	// successor, where the snapshots belong.
 	From, To keys.Key
 	Infos    []Replica
+	// nodes are the snapshots' nodes, one per snapshot, in a batch a plan
+	// built in this process; a batch decoded from the wire has none.
+	nodes []*Node
 }
 
 // held is one entry of the replica index: a node's snapshot and its
@@ -120,38 +123,39 @@ func (net *Network) placeReplica(info Replica, tgt *Peer) {
 // replica equal to its infoOf. The sequential engine applies the plan
 // inline (Replicate); the concurrent engines route each batch through
 // their real per-peer delivery paths and apply it with AcceptReplicas.
-// The batches share one array, sized by a first pass that stamps the
-// nodes whose load moved, so a plan allocates the same few times
-// whatever it ships.
+// One pass over the nodes collects those to ship, and each batch carries
+// them beside their snapshots, so the install need not look them up.
+// The batches share one array of nodes and one of snapshots, so a plan
+// allocates the same few times whatever it ships.
 func (net *Network) ReplicaPlan() []ReplicaBatch {
 	epoch := net.epoch
 	net.epoch++
-	ids, total := net.ring.IDs(), 0
-	for _, id := range ids {
-		for _, n := range net.peers[id].nodes {
-			if n.stamp != epoch && n.Load() != 0 && !net.loadReplicated(n) {
-				n.stamp = epoch
-			}
-			if n.stamp == epoch {
-				total++
+	var nodes []*Node
+	var out []ReplicaBatch
+	for i := 0; i < net.ring.Len(); i++ {
+		from := len(nodes)
+		for _, n := range net.peers[net.ring.At(i)].nodes {
+			if n.stamp == epoch || n.Load() != 0 && !net.loadReplicated(n) {
+				if nodes == nil {
+					nodes, out = make([]*Node, 0, len(net.nodeList)), make([]ReplicaBatch, 0, net.ring.Len())
+				}
+				nodes = append(nodes, n)
 			}
 		}
+		if len(nodes) > from {
+			out = append(out, ReplicaBatch{From: net.ring.At(i), To: net.ring.At((i + 1) % net.ring.Len()),
+				nodes: nodes[from:len(nodes):len(nodes)]})
+		}
 	}
-	if total == 0 {
+	if nodes == nil {
 		return nil
 	}
-	infos, out := make([]Replica, 0, total), make([]ReplicaBatch, 0, len(ids))
-	for _, id := range ids {
-		from := len(infos)
-		for _, n := range net.peers[id].nodes {
-			if n.stamp == epoch {
-				infos = append(infos, infoOf(n))
-			}
-		}
-		if len(infos) > from {
-			succ, _ := net.ring.Successor(id)
-			out = append(out, ReplicaBatch{From: id, To: succ, Infos: infos[from:len(infos):len(infos)]})
-		}
+	infos := make([]Replica, len(nodes))
+	for i, n := range nodes {
+		infos[i] = infoOf(n)
+	}
+	for i := range out {
+		out[i].Infos, infos = infos[:len(out[i].nodes):len(out[i].nodes)], infos[len(out[i].nodes):]
 	}
 	return out
 }
@@ -171,15 +175,29 @@ func (net *Network) loadReplicated(n *Node) bool {
 // topology change racing a concurrent engine's Replicate tick cannot
 // pin a replica on a stale successor. A snapshot its node no longer
 // matches is installed as the node is now: a write since the plan, an
-// acked unregister among them, is never undone by a crash. It returns
-// the number of snapshots installed and accounts them as replication
-// maintenance traffic.
-func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
+// acked unregister among them, is never undone by a crash. A node the
+// batch carries is taken as it is while it is indexed (pos >= 0, as
+// Follow does); a batch from the wire carries none, and a node out of
+// the index now is looked up by key, which finds the node that replaced
+// it, if any. The successor is resolved once per run of snapshots of
+// one host. It returns the number of snapshots installed and accounts
+// them as replication maintenance traffic.
+func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 	count := 0
-	for _, info := range infos {
+	var host, succ *Peer
+	for i, info := range b.Infos {
 		var tgt *Peer
-		if n, ok := net.nodes[info.Key]; ok {
-			tgt = net.successorOf(n.host)
+		n, ok := (*Node)(nil), false
+		if i < len(b.nodes) && b.nodes[i].pos >= 0 {
+			n, ok = b.nodes[i], true
+		} else {
+			n, ok = net.nodes[info.Key]
+		}
+		if ok {
+			if n.host != host {
+				host, succ = n.host, net.successorOf(n.host)
+			}
+			tgt = succ
 			if !n.captured(info) {
 				// Changed since the plan, or a batch delivered after a
 				// later tick's: the replica takes the node as it is now,
@@ -191,7 +209,7 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 		} else {
 			// Gone while the batch was in flight: compaction judges it.
 			if tgt, ok = net.replicaTarget(info.Key); !ok {
-				if tgt, ok = net.peers[to]; !ok {
+				if tgt, ok = net.peers[b.To]; !ok {
 					continue
 				}
 			}
@@ -199,7 +217,7 @@ func (net *Network) AcceptReplicas(from, to keys.Key, infos []Replica) int {
 		}
 		net.placeReplica(info, tgt)
 		count++
-		net.charge(1, tgt.ID != from)
+		net.charge(1, tgt.ID != b.From)
 	}
 	net.Replication.SnapshotMsgs += count
 	return count
@@ -247,7 +265,7 @@ func (net *Network) CompactReplicas() {
 func (net *Network) Replicate() int {
 	count := 0
 	for _, b := range net.ReplicaPlan() {
-		count += net.AcceptReplicas(b.From, b.To, b.Infos)
+		count += net.AcceptReplicas(b)
 	}
 	net.CompactReplicas()
 	return count

@@ -94,7 +94,7 @@ func TestReplicaGoneInFlightIsCompacted(t *testing.T) {
 		t.Fatalf("unregister %q: not registered", fresh)
 	}
 	for _, b := range plan {
-		net.AcceptReplicas(b.From, b.To, b.Infos)
+		net.AcceptReplicas(b)
 	}
 	net.CompactReplicas()
 	if _, ok := net.ReplicaHolder(fresh); ok {
@@ -123,7 +123,7 @@ func TestLateBatchIsReshipped(t *testing.T) {
 	}
 	net.Replicate()
 	for _, b := range late {
-		net.AcceptReplicas(b.From, b.To, b.Infos)
+		net.AcceptReplicas(b)
 	}
 	if n := net.Replicate(); n == 0 {
 		t.Fatal("the tick after a late batch shipped nothing")
@@ -161,7 +161,7 @@ func TestStaleBatchCannotResurrect(t *testing.T) {
 		t.Fatalf("unregister of %q failed", key)
 	}
 	for _, b := range plan {
-		net.AcceptReplicas(b.From, b.To, b.Infos)
+		net.AcceptReplicas(b)
 	}
 	_, host, _ := net.NodeAt(key)
 	if err := net.FailPeer(host.ID); err != nil {

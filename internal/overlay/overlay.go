@@ -449,7 +449,7 @@ func (r *Runtime) ReplicateLocal() (int, error) {
 func (r *Runtime) InstallReplicas(b core.ReplicaBatch) int {
 	r.Mu.Lock()
 	defer r.Mu.Unlock()
-	return r.Net.AcceptReplicas(b.From, b.To, b.Infos)
+	return r.Net.AcceptReplicas(b)
 }
 
 // beginSnapshotLocked is the tail of a replication tick on a durable

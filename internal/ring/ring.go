@@ -29,6 +29,9 @@ func New() *Ring { return &Ring{} }
 // Len returns the number of peers.
 func (r *Ring) Len() int { return len(r.ids) }
 
+// At returns the i-th lowest peer identifier, 0 <= i < Len.
+func (r *Ring) At(i int) keys.Key { return r.ids[i] }
+
 // IDs returns a copy of the peer identifiers in ascending order.
 func (r *Ring) IDs() []keys.Key {
 	out := make([]keys.Key, len(r.ids))
