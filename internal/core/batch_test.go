@@ -284,7 +284,7 @@ func restoreByRecover(net *Network, st *persist.LoadedState, r *rand.Rand) error
 	if err := st.Snapshot.Ascend(func(e catalog.Entry) bool {
 		k := keys.Key(e.Key)
 		tgt, _ := net.replicaTarget(k)
-		net.placeReplica(Replica{Key: k, Data: e.Values}, tgt)
+		net.placeReplica(nil, Replica{Key: k, Data: e.Values}, tgt)
 		return true
 	}); err != nil {
 		return err

@@ -66,7 +66,7 @@ func (net *Network) catalogueData() entries {
 	// wins below, and a removed one's would resurrect it on restart.
 	data := make(map[string][]string, len(net.nodeList))
 	for k := range net.pendingLost {
-		if e, ok := net.replicas[k]; ok && !net.HasNode(k) && len(e.Data) > 0 {
+		if e, ok := net.replicas[k]; ok && len(e.Data) > 0 {
 			data[string(k)] = e.Data
 		}
 	}

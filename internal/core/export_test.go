@@ -17,12 +17,20 @@ import (
 // recovered yet; and each peer holds as many replicas as it counts.
 func CheckReplicaStore(net *Network) error {
 	held := make(map[*Peer]int)
+	for _, e := range net.slots {
+		if e.at != nil {
+			held[e.at]++
+		}
+	}
 	for k, e := range net.replicas {
 		held[e.at]++
 		if net.peers[e.at.ID] != e.at {
 			return fmt.Errorf("replica of %q held by %q, which left the ring", k, e.at.ID)
 		}
-		if !net.HasNode(k) && !net.pendingLost[k] {
+		if net.HasNode(k) {
+			return fmt.Errorf("replica of the indexed %q held by key", k)
+		}
+		if !net.pendingLost[k] {
 			return fmt.Errorf("replica of %q on %q: no such node, and none lost to a crash", k, e.at.ID)
 		}
 	}
@@ -33,7 +41,7 @@ func CheckReplicaStore(net *Network) error {
 	}
 	for _, n := range net.nodeList {
 		succ, _ := net.ring.Successor(n.host.ID)
-		e, ok := net.replicas[n.Key]
+		e, ok := net.slotOf(n)
 		if !ok {
 			return fmt.Errorf("node %q has no replica on successor %q", n.Key, succ)
 		}
@@ -60,6 +68,11 @@ func ReplicaStore(net *Network) map[keys.Key]HeldReplica {
 	for k, e := range net.replicas {
 		out[k] = HeldReplica{e.at.ID, e.Replica}
 	}
+	for _, n := range net.nodeList {
+		if e, ok := net.slotOf(n); ok {
+			out[n.Key] = HeldReplica{e.at.ID, e.Replica}
+		}
+	}
 	return out
 }
 
@@ -85,6 +98,12 @@ func CloneNetwork(net *Network) *Network {
 	for k, e := range net.replicas {
 		e.at = c.peers[e.at.ID]
 		c.replicas[k] = e
+	}
+	c.slots = slices.Clone(net.slots)
+	for i := range c.slots {
+		if e := &c.slots[i]; e.at != nil {
+			e.at = c.peers[e.at.ID]
+		}
 	}
 	c.nodes = make(map[keys.Key]*Node, len(net.nodes))
 	c.nodeList = make([]*Node, len(net.nodeList))

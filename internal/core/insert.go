@@ -265,8 +265,8 @@ func (net *Network) placeNode(n *Node, from keys.Key) {
 func (net *Network) hostNode(info NodeInfo, from keys.Key) *Node {
 	n := info.materialize()
 	net.placeNode(n, from)
-	if e, ok := net.replicas[n.Key]; ok && e.at != net.successorOf(n.host) {
-		net.placeReplica(e.Replica, net.successorOf(n.host))
+	if e, ok := net.slotOf(n); ok && e.at != net.successorOf(n.host) {
+		moveReplica(e, net.successorOf(n.host))
 		net.countTransfers(1, 1)
 	}
 	return n
@@ -285,11 +285,10 @@ func (net *Network) RemoveData(k keys.Key, value string) bool {
 	}
 	net.touch(n)
 	net.Counters.MaintenanceMsgs++
-	if e, ok := net.replicas[k]; ok {
+	if e, ok := net.slotOf(n); ok {
 		// The unregister reaches the replica with the value, so a crash
 		// of the host before the next tick cannot bring it back.
 		e.Data, _ = removeValue(e.Data, value)
-		net.replicas[k] = e
 	}
 	net.compactNode(n)
 	net.journal(true, k, value)

@@ -228,13 +228,16 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	// the departure transfer), which puts its predecessor's on their new
 	// target; then the adopters' new hosting drives the usual re-homing.
 	targets, handed := make(map[*Peer]bool), 0
+	net.heldBy(p, net.peers[p.Pred], func(n *Node, e *held) {
+		tgt := net.successorOf(n.host)
+		moveReplica(e, tgt)
+		targets[tgt] = true
+		handed++
+	})
 	for _, e := range net.replicas {
-		if p.replicas == 0 {
-			break
-		}
 		if e.at == p {
 			tgt, _ := net.replicaTarget(e.Key)
-			net.placeReplica(e.Replica, tgt)
+			net.placeReplica(nil, e.Replica, tgt)
 			targets[tgt] = true
 			handed++
 		}

@@ -100,12 +100,19 @@ type Network struct {
 	Obs    *obs.Metrics
 	Tracer *trace.Recorder
 
-	// replicas is the replica index: each replicated node key's
+	// The replica store holds one entry per replicated node key, its
 	// snapshot and the peer holding it (the host's ring successor, or
-	// wherever a crash left it; see replication.go). pendingLost records
-	// the node keys dropped by crashes since the last Recover; crashed
-	// keeps those of the dropped nodes that held values, so Recover can
-	// tell which came back without some.
+	// wherever a crash left it; see replication.go), in one of two
+	// places. slots holds those of indexed nodes, slots[n.pos] beside
+	// nodeList[n.pos] (no holder where a node has none), and is nil until
+	// the first replica is placed; replicas, by key, those of keys out of
+	// the index: lost to a crash and not recovered yet, or removed and
+	// awaiting compaction. indexNode and unindexNode move an entry from
+	// one to the other. pendingLost records the node keys dropped by
+	// crashes since the last Recover; crashed keeps those of the dropped
+	// nodes that held values, so Recover can tell which came back without
+	// some.
+	slots       []held
 	replicas    map[keys.Key]held
 	pendingLost map[keys.Key]bool
 	crashed     []*Node
@@ -114,11 +121,9 @@ type Network struct {
 	// keys that left the index holding a replica since the last
 	// compaction, the only replicas CompactReplicas has to look at, and
 	// those whose replica a compaction kept: the only replicas of live
-	// nodes off their target that a host walk would not reach. churn
-	// counts the entries replicas lost since its last rebuild.
+	// nodes off their target that a host walk would not reach.
 	epoch   uint32
 	dropped []keys.Key
-	churn   int
 
 	// Journal, when set, is invoked after every successful catalogue
 	// mutation (register / unregister) — the persistence layer's
@@ -319,7 +324,8 @@ func (net *Network) hashRemovePeer(id keys.Key) {
 // --- node index ------------------------------------------------------------
 
 // indexNode enters n in the index, in the slot of a node it replaces
-// (which leaves its host's ν_P too).
+// (which leaves its host's ν_P too). A new key takes its replica back
+// from the store by key.
 func (net *Network) indexNode(n *Node) {
 	if old, ok := net.nodes[n.Key]; ok {
 		n.pos, old.pos = old.pos, -1
@@ -327,6 +333,13 @@ func (net *Network) indexNode(n *Node) {
 	} else {
 		n.pos = int32(len(net.nodeList))
 		net.nodeList = append(net.nodeList, nil)
+		if net.slots != nil {
+			net.slots = append(net.slots, held{})
+		}
+		if e, ok := net.replicas[n.Key]; ok {
+			delete(net.replicas, n.Key)
+			*net.slot(n) = e
+		}
 	}
 	net.nodes[n.Key], net.nodeList[n.pos] = n, n
 	net.touch(n)
@@ -357,13 +370,19 @@ func (net *Network) linkChildren(n *Node) {
 }
 
 // unindexNode takes n out of the index and out of its host's ν_P. A
-// replica of the node is left for CompactReplicas to judge.
+// replica of the node moves to the store by key, for CompactReplicas to
+// judge; the last slot takes n's, as the last node does.
 func (net *Network) unindexNode(n *Node) {
-	if _, ok := net.replicas[n.Key]; ok {
-		net.dropped = append(net.dropped, n.Key)
-	}
 	n.host.release(n)
 	last := len(net.nodeList) - 1
+	if net.slots != nil {
+		if e := net.slots[n.pos]; e.at != nil {
+			net.replicas[n.Key] = e
+			net.dropped = append(net.dropped, n.Key)
+		}
+		net.slots[n.pos], net.slots[last] = net.slots[last], held{}
+		net.slots = net.slots[:last]
+	}
 	net.nodeList[n.pos] = net.nodeList[last]
 	net.nodeList[n.pos].pos = n.pos
 	net.nodeList[last] = nil
@@ -558,19 +577,24 @@ func (net *Network) Validate() error {
 	if root := net.nodes[net.root]; net.hasRoot != (len(slab) > 0) || net.hasRoot && (root == nil || root.HasFather) {
 		return fmt.Errorf("core: root %q (%v), the PGCP tree has %d labels", net.root, net.hasRoot, len(slab))
 	}
-	// Replica placement: every replica sits on a peer of the ring, and
-	// every replica of a live node on its host's ring successor (the
-	// successor placement rule; the replicas of crashed, unrecovered
-	// nodes stay wherever they survived).
+	// Replica placement: every replica of a live node sits in its slot,
+	// on its host's ring successor (the successor placement rule), and
+	// every other one, held by key, on a peer of the ring (the replicas
+	// of crashed, unrecovered nodes stay wherever they survived).
+	if net.slots != nil && len(net.slots) != len(net.nodeList) {
+		return fmt.Errorf("core: %d replica slots for %d nodes", len(net.slots), len(net.nodeList))
+	}
+	for _, n := range net.nodeList {
+		if e, ok := net.slotOf(n); ok && e.at != net.successorOf(n.host) {
+			return fmt.Errorf("core: replica of %q on %q, successor rule says %q", n.Key, e.at.ID, net.successorOf(n.host).ID)
+		}
+	}
 	for k, e := range net.replicas {
-		if net.peers[e.at.ID] != e.at {
+		switch {
+		case net.peers[e.at.ID] != e.at:
 			return fmt.Errorf("core: replica of %q held by %q, which left the ring", k, e.at.ID)
-		}
-		if !net.HasNode(k) {
-			continue
-		}
-		if want, _ := net.replicaTarget(k); e.at != want {
-			return fmt.Errorf("core: replica of %q on %q, successor rule says %q", k, e.at.ID, want.ID)
+		case net.HasNode(k):
+			return fmt.Errorf("core: replica of the indexed %q is held by key", k)
 		}
 	}
 	return nil

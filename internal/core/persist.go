@@ -80,10 +80,9 @@ func (net *Network) RestoreFrom(st *persist.LoadedState, r *rand.Rand) error {
 		return fmt.Errorf("core: restore replica %q: no peers", entries[0].Key)
 	}
 	net.load(entries, nil)
-	net.replicas = make(map[keys.Key]held, len(entries))
 	for _, n := range net.nodeList {
 		if n.HasData() {
-			net.placeReplica(infoOf(n), net.successorOf(n.host))
+			net.placeReplica(n, infoOf(n), net.successorOf(n.host))
 			net.Replication.RestoredNodes++
 		}
 	}

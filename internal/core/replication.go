@@ -75,8 +75,9 @@ type ReplicaBatch struct {
 	nodes []*Node
 }
 
-// held is one entry of the replica index: a node's snapshot and its
-// holder. A move is a write of at, so a rename moves nothing.
+// held is one entry of the replica store: a node's snapshot and its
+// holder, nil in a slot whose node has no replica. A move is a write of
+// at, so a rename moves nothing.
 type held struct {
 	at *Peer
 	Replica
@@ -104,14 +105,45 @@ func (net *Network) replicaTarget(k keys.Key) (*Peer, bool) {
 	return net.successorOf(net.peers[host]), true
 }
 
+// slot returns the replica slot of the indexed n, making the slots on
+// the first write.
+func (net *Network) slot(n *Node) *held {
+	if net.slots == nil {
+		net.slots = make([]held, len(net.nodeList), cap(net.nodeList))
+	}
+	return &net.slots[n.pos]
+}
+
+// slotOf returns the replica of the indexed n, and whether it has one.
+func (net *Network) slotOf(n *Node) (*held, bool) {
+	if net.slots == nil || net.slots[n.pos].at == nil {
+		return nil, false
+	}
+	return &net.slots[n.pos], true
+}
+
 // placeReplica installs (or refreshes) info on peer tgt, in place of
-// any copy elsewhere. Counters are the caller's job.
-func (net *Network) placeReplica(info Replica, tgt *Peer) {
-	if e, ok := net.replicas[info.Key]; ok {
-		e.at.replicas--
+// any copy elsewhere: in the slot of n, info's indexed node, or by key
+// when n is nil (no node holds the key). Counters are the caller's job.
+func (net *Network) placeReplica(n *Node, info Replica, tgt *Peer) {
+	var old held
+	if n != nil {
+		s := net.slot(n)
+		old, *s = *s, held{tgt, info}
+	} else {
+		old, net.replicas[info.Key] = net.replicas[info.Key], held{tgt, info}
+	}
+	if old.at != nil {
+		old.at.replicas--
 	}
 	tgt.replicas++
-	net.replicas[info.Key] = held{tgt, info}
+}
+
+// moveReplica re-homes the replica e to peer to.
+func moveReplica(e *held, to *Peer) {
+	e.at.replicas--
+	to.replicas++
+	e.at = to
 }
 
 // ReplicaPlan computes one replication tick and closes the epoch it
@@ -165,7 +197,7 @@ func (net *Network) ReplicaPlan() []ReplicaBatch {
 // engines' run under the read lock), so a loaded node is compared with
 // its replica instead.
 func (net *Network) loadReplicated(n *Node) bool {
-	e, ok := net.replicas[n.Key]
+	e, ok := net.slotOf(n)
 	return ok && e.LoadCur == n.Load()
 }
 
@@ -179,21 +211,22 @@ func (net *Network) loadReplicated(n *Node) bool {
 // batch carries is taken as it is while it is indexed (pos >= 0, as
 // Follow does); a batch from the wire carries none, and a node out of
 // the index now is looked up by key, which finds the node that replaced
-// it, if any. The successor is resolved once per run of snapshots of
-// one host. It returns the number of snapshots installed and accounts
+// it, if any: either way the replica lands in the node's slot without a
+// probe of the store. The successor is resolved once per run of
+// snapshots of one host. It returns the number of snapshots installed and accounts
 // them as replication maintenance traffic.
 func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 	count := 0
 	var host, succ *Peer
 	for i, info := range b.Infos {
 		var tgt *Peer
-		n, ok := (*Node)(nil), false
+		var n *Node
 		if i < len(b.nodes) && b.nodes[i].pos >= 0 {
-			n, ok = b.nodes[i], true
+			n = b.nodes[i]
 		} else {
-			n, ok = net.nodes[info.Key]
+			n = net.nodes[info.Key]
 		}
-		if ok {
+		if n != nil {
 			if n.host != host {
 				host, succ = n.host, net.successorOf(n.host)
 			}
@@ -208,6 +241,7 @@ func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 			}
 		} else {
 			// Gone while the batch was in flight: compaction judges it.
+			var ok bool
 			if tgt, ok = net.replicaTarget(info.Key); !ok {
 				if tgt, ok = net.peers[b.To]; !ok {
 					continue
@@ -215,7 +249,7 @@ func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 			}
 			net.dropped = append(net.dropped, info.Key)
 		}
-		net.placeReplica(info, tgt)
+		net.placeReplica(n, info, tgt)
 		count++
 		net.charge(1, tgt.ID != b.From)
 	}
@@ -223,39 +257,27 @@ func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 	return count
 }
 
-// replicaSlack bounds the room the replica index keeps for entries it
-// no longer holds: a Go map never shrinks, so once it has lost a
-// replicaSlack-th of its size since it was last built it is rebuilt at
-// size. A rebuild costs the whole map, so rebuilding after every loss
-// would make each tick cost the catalogue again.
-const replicaSlack = 8
-
 // CompactReplicas drops the snapshots of nodes that no longer exist —
 // except those lost to a crash that has not been recovered yet, which
 // are exactly the snapshots Recover needs. Only the keys that left the
 // index holding a replica since the last compaction can be stale, so
 // only they are looked at; one whose replica stays is kept for rehome
-// until its node is back with the replica on its target. The index is
-// rebuilt at size once it has lost a replicaSlack-th of its entries.
+// until its node is back with the replica on its target.
 func (net *Network) CompactReplicas() {
 	var kept []keys.Key
 	for _, k := range net.dropped {
-		e, ok := net.replicas[k]
-		n, live := net.nodes[k]
-		switch {
-		case !ok || live && e.at == net.successorOf(n.host):
-		case live || net.pendingLost[k]:
+		if n, live := net.nodes[k]; live {
+			if e, ok := net.slotOf(n); ok && e.at != net.successorOf(n.host) {
+				kept = append(kept, k)
+			}
+		} else if e, ok := net.replicas[k]; ok && net.pendingLost[k] {
 			kept = append(kept, k)
-		default:
+		} else if ok {
 			e.at.replicas--
 			delete(net.replicas, k)
-			net.churn++
 		}
 	}
 	net.dropped = kept
-	if net.churn > 0 && replicaSlack*net.churn >= len(net.replicas) {
-		net.replicas, net.churn = maps.Clone(net.replicas), 0
-	}
 }
 
 // Replicate snapshots the state of every tree node that changed since
@@ -293,12 +315,12 @@ func (net *Network) RehomeReplicas() (msgs, moved int) {
 func (net *Network) rehome(hosts ...*Peer) (msgs, moved int) {
 	batches := make(map[[2]*Peer]bool)
 	move := func(n *Node, to *Peer) {
-		e, ok := net.replicas[n.Key]
+		e, ok := net.slotOf(n)
 		if !ok || e.at == to {
 			return
 		}
 		batches[[2]*Peer{e.at, to}] = true
-		net.placeReplica(e.Replica, to)
+		moveReplica(e, to)
 		moved++
 	}
 	for _, h := range hosts {
@@ -334,6 +356,12 @@ func (net *Network) ReplicaHolder(k keys.Key) (keys.Key, bool) {
 // ReplicaOf returns the replica of node k and the peer holding it.
 func (net *Network) ReplicaOf(k keys.Key) (Replica, keys.Key, bool) {
 	e, ok := net.replicas[k]
+	if n, live := net.nodes[k]; live {
+		var s *held
+		if s, ok = net.slotOf(n); ok {
+			e = *s
+		}
+	}
 	if !ok {
 		return Replica{}, keys.Epsilon, false
 	}
@@ -342,7 +370,35 @@ func (net *Network) ReplicaOf(k keys.Key) (Replica, keys.Key, bool) {
 
 // NumReplicas returns the total number of replica snapshots held
 // across all peers.
-func (net *Network) NumReplicas() int { return len(net.replicas) }
+func (net *Network) NumReplicas() int {
+	count := len(net.replicas)
+	for _, e := range net.slots {
+		if e.at != nil {
+			count++
+		}
+	}
+	return count
+}
+
+// heldBy calls f on every replica of a live node that peer p held as
+// its successor: those of its predecessor's nodes, and those of the keys
+// that may sit off their target (dropped). Any other live node's replica
+// is on its target, which p is not.
+func (net *Network) heldBy(p, pred *Peer, f func(*Node, *held)) {
+	visit := func(n *Node) {
+		if e, ok := net.slotOf(n); ok && e.at == p {
+			f(n, e)
+		}
+	}
+	for _, n := range pred.nodes {
+		visit(n)
+	}
+	for _, k := range net.dropped {
+		if n, ok := net.nodes[k]; ok {
+			visit(n)
+		}
+	}
+}
 
 // FailPeer crashes the peer with the given id: its node states vanish
 // without transfer, the replica set it held for its predecessor
@@ -360,13 +416,13 @@ func (net *Network) FailPeer(id keys.Key) error {
 	net.dropPeer(p)
 	// The crashed peer's replica set is gone with it; its predecessor's
 	// live nodes are stamped, so the next tick re-replicates them.
+	net.heldBy(p, net.peers[p.Pred], func(n *Node, e *held) {
+		*e = held{}
+		net.touch(n)
+	})
 	for k, e := range net.replicas {
 		if e.at == p {
 			delete(net.replicas, k)
-			net.churn++
-			if n, ok := net.nodes[k]; ok {
-				net.touch(n)
-			}
 		}
 	}
 	if net.pendingLost == nil {
@@ -401,13 +457,9 @@ func (net *Network) Recover() (restored int, lost []keys.Key) {
 	// Phase 0: drop the replicas of nodes removed since the last tick,
 	// or phase 1 would reinstall them.
 	net.CompactReplicas()
-	// Phase 1: reinstall every replicated node that is missing.
-	var missing []keys.Key
-	for k := range net.replicas {
-		if !net.HasNode(k) {
-			missing = append(missing, k)
-		}
-	}
+	// Phase 1: reinstall every replicated node that is missing: every key
+	// the store holds out of the index.
+	missing := slices.Collect(maps.Keys(net.replicas))
 	keys.SortKeys(missing)
 	for _, k := range missing {
 		net.placeNode(net.replicas[k].materialize(), keys.Epsilon) // linked by rebuildLinks
