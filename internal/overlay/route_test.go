@@ -209,6 +209,55 @@ func TestAttemptsStopAtMax(t *testing.T) {
 	discoverAll(t, r, corpus)
 }
 
+// A call is not failed by churn: an issue whose entry host left the
+// ring before the hop reached it is answered Retry ("peer gone"), and
+// one drawn before the ring changed does not count against maxAttempts.
+// Three such issues in a row, which used to spend every attempt, leave
+// the call to a fourth that is answered. When every issue meets a ring
+// change, maxIssues ends the call with the typed ErrNoReply.
+func TestRingChangesSpendNoAttempts(t *testing.T) {
+	r, f, corpus := startCorpus(t, 10, 80)
+	entries := 0
+	f.hook(func(_ int, h Hop) (bool, error) {
+		if midPath(h) {
+			return false, nil
+		}
+		if entries++; entries <= maxAttempts {
+			r.Mu.RLock()
+			_, host, _ := r.Net.NodeAt(h.At)
+			r.Mu.RUnlock()
+			if err := r.RemovePeer(host.ID); err != nil {
+				t.Error(err)
+			}
+		}
+		return false, nil
+	}, nil)
+	res, err := r.Discover(corpus[3])
+	if err != nil || !res.Found {
+		t.Fatalf("discover behind %d departed entry hosts: %+v, %v", maxAttempts, res, err)
+	}
+	if entries != maxAttempts+1 {
+		t.Fatalf("%d issues, want %d", entries, maxAttempts+1)
+	}
+	idle(t, r)
+	f.hook(func(_ int, h Hop) (bool, error) {
+		if _, err := r.AddPeer(100); err != nil {
+			t.Error(err)
+		}
+		return false, errors.New("link down")
+	}, nil)
+	before := f.sent()
+	if _, err := r.Discover(corpus[5]); !errors.Is(err, ErrNoReply) {
+		t.Fatalf("discover with the ring changing under every issue: %v", err)
+	}
+	if n := f.sent() - before; n != maxIssues {
+		t.Fatalf("%d issues, want %d", n, maxIssues)
+	}
+	idle(t, r)
+	f.hook(nil, nil)
+	discoverAll(t, r, corpus)
+}
+
 // Waiters whose hops are lost are released at once by what ends the
 // wait early — the caller's context, or Halt — each with the matching
 // error and with its pending entry withdrawn.

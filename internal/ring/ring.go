@@ -20,7 +20,8 @@ import (
 // pred/succ links that internal/core maintains; invariants between
 // the two are cross-checked in tests.
 type Ring struct {
-	ids []keys.Key // sorted ascending, unique
+	ids     []keys.Key // sorted ascending, unique
+	changes uint64     // see Changes
 }
 
 // New returns an empty ring.
@@ -28,6 +29,10 @@ func New() *Ring { return &Ring{} }
 
 // Len returns the number of peers.
 func (r *Ring) Len() int { return len(r.ids) }
+
+// Changes counts the changes to the ring since it was made: each
+// member inserted, removed or renamed (Replace).
+func (r *Ring) Changes() uint64 { return r.changes }
 
 // At returns the i-th lowest peer identifier, 0 <= i < Len.
 func (r *Ring) At(i int) keys.Key { return r.ids[i] }
@@ -59,6 +64,7 @@ func (r *Ring) Insert(id keys.Key) bool {
 	r.ids = append(r.ids, "")
 	copy(r.ids[i+1:], r.ids[i:])
 	r.ids[i] = id
+	r.changes++
 	return true
 }
 
@@ -70,6 +76,7 @@ func (r *Ring) Remove(id keys.Key) bool {
 	}
 	copy(r.ids[i:], r.ids[i+1:])
 	r.ids = r.ids[:len(r.ids)-1]
+	r.changes++
 	return true
 }
 
@@ -160,6 +167,7 @@ func (r *Ring) Replace(oldID, newID keys.Key) error {
 		}
 	}
 	r.ids[i] = newID
+	r.changes++
 	// With 1 or 2 peers any position is order-equivalent, but keep
 	// the slice sorted.
 	sort.Slice(r.ids, func(a, b int) bool { return r.ids[a] < r.ids[b] })
