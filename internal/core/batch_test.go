@@ -55,7 +55,6 @@ type overlayFields struct {
 	Replication ReplicationCounters
 	Transferred int
 	PendingLost map[keys.Key]bool
-	Dropped     []keys.Key
 }
 
 // fieldsOf reads net's state, checking on the way that every edge links
@@ -64,7 +63,7 @@ func fieldsOf(t *testing.T, net *Network) overlayFields {
 	t.Helper()
 	st := overlayFields{Replicas: make(map[keys.Key]replicaFields), Root: net.root, HasRoot: net.hasRoot,
 		Epoch: net.epoch, Replication: net.Replication, Transferred: net.Counters.NodesTransferred,
-		PendingLost: net.pendingLost, Dropped: net.dropped}
+		PendingLost: net.pendingLost}
 	for _, n := range net.nodeList {
 		for _, c := range n.Children {
 			if c.node != net.nodes[c.Key] {
@@ -87,8 +86,8 @@ func fieldsOf(t *testing.T, net *Network) overlayFields {
 		}
 		st.Peers = append(st.Peers, pf)
 	}
-	for k, e := range net.replicas {
-		st.Replicas[k] = replicaFields{At: e.at.ID, Replica: e.Replica}
+	for k, e := range ReplicaStore(net) {
+		st.Replicas[k] = replicaFields{At: e.At, Replica: e.Replica}
 	}
 	return st
 }
@@ -281,10 +280,12 @@ func restoreByRecover(net *Network, st *persist.LoadedState, r *rand.Rand) error
 			return err
 		}
 	}
+	net.pendingLost = make(map[keys.Key]bool) // staged as lost, so compaction keeps them
 	if err := st.Snapshot.Ascend(func(e catalog.Entry) bool {
 		k := keys.Key(e.Key)
 		tgt, _ := net.replicaTarget(k)
 		net.placeReplica(nil, Replica{Key: k, Data: e.Values}, tgt)
+		net.pendingLost[k] = true
 		return true
 	}); err != nil {
 		return err

@@ -7,24 +7,14 @@ import (
 	"dlpt/internal/keys"
 )
 
-// Discover routes a discovery request for key k, entering the tree at
-// the given node (Section 2: "the request moves upward until reaching
-// a node whose subtree contains the requested node and then moves
-// downward to this node"). When gated is true the request consumes
-// peer capacity at every node visit and is ignored by saturated
-// peers (Section 4's request model); maintenance-style lookups pass
-// gated=false.
-func (net *Network) Discover(k keys.Key, entry keys.Key, gated bool) RequestResult {
-	cur, ok := net.nodes[entry]
-	if !ok {
-		return RequestResult{Key: k, NotFound: true}
-	}
-	return net.discover(k, cur, gated)
-}
-
-// discover is Discover from the indexed node cur: every step is
-// RouteStep towards k, over the link of the edge it takes (Follow). The
-// walk ends at k's node, or where no edge leads towards k.
+// discover routes a discovery request for key k from the indexed node
+// cur (Section 2: "the request moves upward until reaching a node whose
+// subtree contains the requested node and then moves downward to this
+// node"). When gated is true the request consumes peer capacity at every
+// node visit and is ignored by saturated peers (Section 4's request
+// model). Every step is RouteStep towards k, over the link of the edge
+// it takes (Follow). The walk ends at k's node, or where no edge leads
+// towards k.
 func (net *Network) discover(k keys.Key, cur *Node, gated bool) RequestResult {
 	res := RequestResult{Key: k}
 	host := cur.host
@@ -72,17 +62,6 @@ func (net *Network) DiscoverRandom(k keys.Key, gated bool, r *rand.Rand) Request
 		return RequestResult{Key: k, NotFound: true}
 	}
 	return net.discover(k, net.nodeList[r.Intn(len(net.nodeList))], gated)
-}
-
-// Lookup returns the values registered under k, routing ungated from
-// a random entry point. It is the read-side operation of the public
-// API.
-func (net *Network) Lookup(k keys.Key, r *rand.Rand) ([]string, bool) {
-	res := net.DiscoverRandom(k, false, r)
-	if !res.Satisfied {
-		return nil, false
-	}
-	return res.Node.SortedValues(), true
 }
 
 // String summarizes the network.

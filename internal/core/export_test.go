@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"reflect"
 	"slices"
 
@@ -88,7 +89,7 @@ func CloneNetwork(net *Network) *Network {
 		c.ring.Insert(id)
 	}
 	c.hashPos, c.hashPeer, c.peerHash = slices.Clone(net.hashPos), maps.Clone(net.hashPeer), maps.Clone(net.peerHash)
-	c.pendingLost, c.dropped = maps.Clone(net.pendingLost), slices.Clone(net.dropped)
+	c.pendingLost = maps.Clone(net.pendingLost)
 	c.peers = make(map[keys.Key]*Peer, len(net.peers))
 	for id, p := range net.peers {
 		c.peers[id] = &Peer{ID: p.ID, Pred: p.Pred, Succ: p.Succ, Capacity: p.Capacity,
@@ -158,4 +159,24 @@ func TouchNodes(net *Network, n int) {
 func (net *Network) installNode(n *Node, from keys.Key) {
 	net.placeNode(n, from)
 	net.linkNode(n)
+}
+
+// Discover routes a discovery request for key k entering the tree at the
+// node entry, not found when there is none.
+func (net *Network) Discover(k keys.Key, entry keys.Key, gated bool) RequestResult {
+	cur, ok := net.nodes[entry]
+	if !ok {
+		return RequestResult{Key: k, NotFound: true}
+	}
+	return net.discover(k, cur, gated)
+}
+
+// Lookup returns the values registered under k, routing ungated from a
+// random entry node.
+func (net *Network) Lookup(k keys.Key, r *rand.Rand) ([]string, bool) {
+	res := net.DiscoverRandom(k, false, r)
+	if !res.Satisfied {
+		return nil, false
+	}
+	return res.Node.SortedValues(), true
 }

@@ -228,12 +228,14 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	// the departure transfer), which puts its predecessor's on their new
 	// target; then the adopters' new hosting drives the usual re-homing.
 	targets, handed := make(map[*Peer]bool), 0
-	net.heldBy(p, net.peers[p.Pred], func(n *Node, e *held) {
-		tgt := net.successorOf(n.host)
-		moveReplica(e, tgt)
-		targets[tgt] = true
-		handed++
-	})
+	pred := net.peers[p.Pred] // the host of every live node whose replica it held
+	for _, n := range pred.nodes {
+		if e, ok := net.slotOf(n); ok && e.at == p {
+			moveReplica(e, net.successorOf(pred))
+			targets[e.at] = true
+			handed++
+		}
+	}
 	for _, e := range net.replicas {
 		if e.at == p {
 			tgt, _ := net.replicaTarget(e.Key)

@@ -100,30 +100,23 @@ type Network struct {
 	Obs    *obs.Metrics
 	Tracer *trace.Recorder
 
-	// The replica store holds one entry per replicated node key, its
-	// snapshot and the peer holding it (the host's ring successor, or
-	// wherever a crash left it; see replication.go), in one of two
-	// places. slots holds those of indexed nodes, slots[n.pos] beside
-	// nodeList[n.pos] (no holder where a node has none), and is nil until
-	// the first replica is placed; replicas, by key, those of keys out of
-	// the index: lost to a crash and not recovered yet, or removed and
-	// awaiting compaction. indexNode and unindexNode move an entry from
-	// one to the other. pendingLost records the node keys dropped by
-	// crashes since the last Recover; crashed keeps those of the dropped
-	// nodes that held values, so Recover can tell which came back without
-	// some.
+	// The replica store holds each replicated node key's snapshot and
+	// the peer holding it (the host's ring successor, or wherever a crash
+	// left it; see replication.go). slots holds those of indexed nodes,
+	// slots[n.pos] beside nodeList[n.pos], nil until a replica is placed;
+	// replicas, by key, those of keys out of the index: lost to a crash
+	// and not recovered yet, or removed and awaiting compaction. indexNode
+	// and unindexNode move an entry across. pendingLost records the node
+	// keys dropped by crashes since the last Recover; crashed keeps those
+	// of the dropped nodes that held values, so Recover can tell which
+	// came back without some.
 	slots       []held
 	replicas    map[keys.Key]held
 	pendingLost map[keys.Key]bool
 	crashed     []*Node
 	// epoch is the replication epoch open since the last ReplicaPlan:
-	// a node touched in it carries it as its stamp. dropped lists the
-	// keys that left the index holding a replica since the last
-	// compaction, the only replicas CompactReplicas has to look at, and
-	// those whose replica a compaction kept: the only replicas of live
-	// nodes off their target that a host walk would not reach.
-	epoch   uint32
-	dropped []keys.Key
+	// a node touched in it carries it as its stamp.
+	epoch uint32
 
 	// Journal, when set, is invoked after every successful catalogue
 	// mutation (register / unregister) — the persistence layer's
@@ -209,11 +202,10 @@ func (net *Network) RandomEntry(r *rand.Rand) (entry, host keys.Key, ok bool) {
 
 // RandomPeerID returns a uniformly random peer id.
 func (net *Network) RandomPeerID(r *rand.Rand) (keys.Key, bool) {
-	if len(net.ring.IDs()) == 0 {
+	if net.ring.Len() == 0 {
 		return keys.Epsilon, false
 	}
-	ids := net.ring.IDs()
-	return ids[r.Intn(len(ids))], true
+	return net.ring.At(r.Intn(net.ring.Len())), true
 }
 
 // ResetUnit starts a new time unit: peers' processed counters reset
@@ -324,8 +316,8 @@ func (net *Network) hashRemovePeer(id keys.Key) {
 // --- node index ------------------------------------------------------------
 
 // indexNode enters n in the index, in the slot of a node it replaces
-// (which leaves its host's ν_P too). A new key takes its replica back
-// from the store by key.
+// (which leaves its host's ν_P too). A new key takes back any replica
+// it held out of the index.
 func (net *Network) indexNode(n *Node) {
 	if old, ok := net.nodes[n.Key]; ok {
 		n.pos, old.pos = old.pos, -1
@@ -333,12 +325,11 @@ func (net *Network) indexNode(n *Node) {
 	} else {
 		n.pos = int32(len(net.nodeList))
 		net.nodeList = append(net.nodeList, nil)
-		if net.slots != nil {
-			net.slots = append(net.slots, held{})
-		}
-		if e, ok := net.replicas[n.Key]; ok {
-			delete(net.replicas, n.Key)
-			*net.slot(n) = e
+		if net.slots != nil { // made before any replica is held by key
+			e, ok := net.replicas[n.Key]
+			if net.slots = append(net.slots, e); ok {
+				delete(net.replicas, n.Key)
+			}
 		}
 	}
 	net.nodes[n.Key], net.nodeList[n.pos] = n, n
@@ -378,7 +369,6 @@ func (net *Network) unindexNode(n *Node) {
 	if net.slots != nil {
 		if e := net.slots[n.pos]; e.at != nil {
 			net.replicas[n.Key] = e
-			net.dropped = append(net.dropped, n.Key)
 		}
 		net.slots[n.pos], net.slots[last] = net.slots[last], held{}
 		net.slots = net.slots[:last]
@@ -566,6 +556,9 @@ func (net *Network) Validate() error {
 				return fmt.Errorf("core: edge %q of %q does not link the indexed child", c.Key, k)
 			}
 		}
+		if e, ok := net.slotOf(n); ok && e.at != net.successorOf(n.host) {
+			return fmt.Errorf("core: replica of %q on %q, successor rule says %q", k, e.at.ID, net.successorOf(n.host).ID)
+		}
 		if n.up != nil && (!n.HasFather || n.up != net.nodes[n.Father]) {
 			return fmt.Errorf("core: the father edge of %q does not link the indexed %q", k, n.Father)
 		}
@@ -577,18 +570,9 @@ func (net *Network) Validate() error {
 	if root := net.nodes[net.root]; net.hasRoot != (len(slab) > 0) || net.hasRoot && (root == nil || root.HasFather) {
 		return fmt.Errorf("core: root %q (%v), the PGCP tree has %d labels", net.root, net.hasRoot, len(slab))
 	}
-	// Replica placement: every replica of a live node sits in its slot,
-	// on its host's ring successor (the successor placement rule), and
-	// every other one, held by key, on a peer of the ring (the replicas
-	// of crashed, unrecovered nodes stay wherever they survived).
-	if net.slots != nil && len(net.slots) != len(net.nodeList) {
-		return fmt.Errorf("core: %d replica slots for %d nodes", len(net.slots), len(net.nodeList))
-	}
-	for _, n := range net.nodeList {
-		if e, ok := net.slotOf(n); ok && e.at != net.successorOf(n.host) {
-			return fmt.Errorf("core: replica of %q on %q, successor rule says %q", n.Key, e.at.ID, net.successorOf(n.host).ID)
-		}
-	}
+	// Every replica held by key sits on a peer of the ring (the replicas
+	// of crashed, unrecovered nodes stay wherever they survived); every
+	// live node's is in its slot, on its host's successor (above).
 	for k, e := range net.replicas {
 		switch {
 		case net.peers[e.at.ID] != e.at:

@@ -105,15 +105,6 @@ func (net *Network) replicaTarget(k keys.Key) (*Peer, bool) {
 	return net.successorOf(net.peers[host]), true
 }
 
-// slot returns the replica slot of the indexed n, making the slots on
-// the first write.
-func (net *Network) slot(n *Node) *held {
-	if net.slots == nil {
-		net.slots = make([]held, len(net.nodeList), cap(net.nodeList))
-	}
-	return &net.slots[n.pos]
-}
-
 // slotOf returns the replica of the indexed n, and whether it has one.
 func (net *Network) slotOf(n *Node) (*held, bool) {
 	if net.slots == nil || net.slots[n.pos].at == nil {
@@ -124,12 +115,15 @@ func (net *Network) slotOf(n *Node) (*held, bool) {
 
 // placeReplica installs (or refreshes) info on peer tgt, in place of
 // any copy elsewhere: in the slot of n, info's indexed node, or by key
-// when n is nil (no node holds the key). Counters are the caller's job.
+// when n is nil (no node holds the key). The first replica placed makes
+// the slots. Counters are the caller's job.
 func (net *Network) placeReplica(n *Node, info Replica, tgt *Peer) {
+	if net.slots == nil {
+		net.slots = make([]held, len(net.nodeList), cap(net.nodeList))
+	}
 	var old held
 	if n != nil {
-		s := net.slot(n)
-		old, *s = *s, held{tgt, info}
+		old, net.slots[n.pos] = net.slots[n.pos], held{tgt, info}
 	} else {
 		old, net.replicas[info.Key] = net.replicas[info.Key], held{tgt, info}
 	}
@@ -155,10 +149,9 @@ func moveReplica(e *held, to *Peer) {
 // replica equal to its infoOf. The sequential engine applies the plan
 // inline (Replicate); the concurrent engines route each batch through
 // their real per-peer delivery paths and apply it with AcceptReplicas.
-// One pass over the nodes collects those to ship, and each batch carries
-// them beside their snapshots, so the install need not look them up.
-// The batches share one array of nodes and one of snapshots, so a plan
-// allocates the same few times whatever it ships.
+// One pass collects the nodes to ship; each batch carries them beside
+// their snapshots, and all share two arrays, so a plan allocates the
+// same few times whatever it ships.
 func (net *Network) ReplicaPlan() []ReplicaBatch {
 	epoch := net.epoch
 	net.epoch++
@@ -179,9 +172,6 @@ func (net *Network) ReplicaPlan() []ReplicaBatch {
 				nodes: nodes[from:len(nodes):len(nodes)]})
 		}
 	}
-	if nodes == nil {
-		return nil
-	}
 	infos := make([]Replica, len(nodes))
 	for i, n := range nodes {
 		infos[i] = infoOf(n)
@@ -193,9 +183,8 @@ func (net *Network) ReplicaPlan() []ReplicaBatch {
 }
 
 // loadReplicated reports whether n's replica holds n's current-unit
-// load. Discoveries count visits without a stamp (the concurrent
-// engines' run under the read lock), so a loaded node is compared with
-// its replica instead.
+// load: discoveries count visits without a stamp (the concurrent
+// engines' under the read lock).
 func (net *Network) loadReplicated(n *Node) bool {
 	e, ok := net.slotOf(n)
 	return ok && e.LoadCur == n.Load()
@@ -207,14 +196,13 @@ func (net *Network) loadReplicated(n *Node) bool {
 // topology change racing a concurrent engine's Replicate tick cannot
 // pin a replica on a stale successor. A snapshot its node no longer
 // matches is installed as the node is now: a write since the plan, an
-// acked unregister among them, is never undone by a crash. A node the
-// batch carries is taken as it is while it is indexed (pos >= 0, as
-// Follow does); a batch from the wire carries none, and a node out of
-// the index now is looked up by key, which finds the node that replaced
-// it, if any: either way the replica lands in the node's slot without a
-// probe of the store. The successor is resolved once per run of
-// snapshots of one host. It returns the number of snapshots installed and accounts
-// them as replication maintenance traffic.
+// acked unregister among them, is never undone by a crash. The node a
+// batch carries is taken while it is indexed (pos >= 0, as in Follow);
+// a batch from the wire carries none, and is looked up by key, as is a
+// node out of the index, which finds any node that replaced it. The
+// successor is resolved once per run of one host's snapshots. It
+// returns the number of snapshots installed and accounts them as
+// replication maintenance traffic.
 func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 	count := 0
 	var host, succ *Peer
@@ -239,15 +227,12 @@ func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 				info = infoOf(n)
 				net.touch(n)
 			}
-		} else {
-			// Gone while the batch was in flight: compaction judges it.
-			var ok bool
-			if tgt, ok = net.replicaTarget(info.Key); !ok {
-				if tgt, ok = net.peers[b.To]; !ok {
-					continue
-				}
+		} else if tgt, _ = net.replicaTarget(info.Key); tgt == nil {
+			// Gone while the batch was in flight (compaction judges it),
+			// with no host now.
+			if tgt = net.peers[b.To]; tgt == nil {
+				continue
 			}
-			net.dropped = append(net.dropped, info.Key)
 		}
 		net.placeReplica(n, info, tgt)
 		count++
@@ -259,25 +244,15 @@ func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 
 // CompactReplicas drops the snapshots of nodes that no longer exist —
 // except those lost to a crash that has not been recovered yet, which
-// are exactly the snapshots Recover needs. Only the keys that left the
-// index holding a replica since the last compaction can be stale, so
-// only they are looked at; one whose replica stays is kept for rehome
-// until its node is back with the replica on its target.
+// are exactly the snapshots Recover needs. Only the store by key holds
+// snapshots of keys out of the index, so only it is looked at.
 func (net *Network) CompactReplicas() {
-	var kept []keys.Key
-	for _, k := range net.dropped {
-		if n, live := net.nodes[k]; live {
-			if e, ok := net.slotOf(n); ok && e.at != net.successorOf(n.host) {
-				kept = append(kept, k)
-			}
-		} else if e, ok := net.replicas[k]; ok && net.pendingLost[k] {
-			kept = append(kept, k)
-		} else if ok {
+	for k, e := range net.replicas {
+		if !net.pendingLost[k] {
 			e.at.replicas--
 			delete(net.replicas, k)
 		}
 	}
-	net.dropped = kept
 }
 
 // Replicate snapshots the state of every tree node that changed since
@@ -297,18 +272,14 @@ func (net *Network) Replicate() int {
 // after a recovery or a balancing round — back to the peer the
 // placement rule names: it re-homes every host.
 func (net *Network) RehomeReplicas() (msgs, moved int) {
-	hosts := make([]*Peer, 0, len(net.peers))
-	for _, id := range net.ring.IDs() {
-		hosts = append(hosts, net.peers[id])
-	}
-	return net.rehome(hosts...)
+	return net.rehome(slices.Collect(maps.Values(net.peers))...)
 }
 
 // rehome moves to its target the replica of every node the given hosts
-// run, and of every key in dropped that is a live node again. Given every
-// peer whose nodes or ring successor a change altered, it moves what a
-// rescan of the index would: every other live node's replica is on its
-// target already. Replicas of crashed, unrecovered nodes stay where they
+// run. Given every peer whose nodes or ring successor a change altered,
+// it moves what a rescan of the index would: every other live node's
+// replica is on its target already (a key back in the index takes its
+// replica to its target as it is placed: hostNode, Recover). Replicas of crashed, unrecovered nodes stay where they
 // are (they are the recovery state). Transfers are batched per
 // source→target pair: one transfer message per pair, one transferred
 // node per snapshot.
@@ -327,11 +298,6 @@ func (net *Network) rehome(hosts ...*Peer) (msgs, moved int) {
 		succ := net.successorOf(h)
 		for _, n := range h.nodes {
 			move(n, succ)
-		}
-	}
-	for _, k := range net.dropped {
-		if n, ok := net.nodes[k]; ok {
-			move(n, net.successorOf(n.host))
 		}
 	}
 	msgs = len(batches)
@@ -355,14 +321,11 @@ func (net *Network) ReplicaHolder(k keys.Key) (keys.Key, bool) {
 
 // ReplicaOf returns the replica of node k and the peer holding it.
 func (net *Network) ReplicaOf(k keys.Key) (Replica, keys.Key, bool) {
-	e, ok := net.replicas[k]
-	if n, live := net.nodes[k]; live {
-		var s *held
-		if s, ok = net.slotOf(n); ok {
-			e = *s
-		}
+	e := net.replicas[k]
+	if n := net.nodes[k]; n != nil && net.slots != nil {
+		e = net.slots[n.pos]
 	}
-	if !ok {
+	if e.at == nil {
 		return Replica{}, keys.Epsilon, false
 	}
 	return e.Replica, e.at.ID, true
@@ -371,33 +334,11 @@ func (net *Network) ReplicaOf(k keys.Key) (Replica, keys.Key, bool) {
 // NumReplicas returns the total number of replica snapshots held
 // across all peers.
 func (net *Network) NumReplicas() int {
-	count := len(net.replicas)
-	for _, e := range net.slots {
-		if e.at != nil {
-			count++
-		}
+	count := 0
+	for _, p := range net.peers {
+		count += p.replicas
 	}
 	return count
-}
-
-// heldBy calls f on every replica of a live node that peer p held as
-// its successor: those of its predecessor's nodes, and those of the keys
-// that may sit off their target (dropped). Any other live node's replica
-// is on its target, which p is not.
-func (net *Network) heldBy(p, pred *Peer, f func(*Node, *held)) {
-	visit := func(n *Node) {
-		if e, ok := net.slotOf(n); ok && e.at == p {
-			f(n, e)
-		}
-	}
-	for _, n := range pred.nodes {
-		visit(n)
-	}
-	for _, k := range net.dropped {
-		if n, ok := net.nodes[k]; ok {
-			visit(n)
-		}
-	}
 }
 
 // FailPeer crashes the peer with the given id: its node states vanish
@@ -414,17 +355,15 @@ func (net *Network) FailPeer(id keys.Key) error {
 		return fmt.Errorf("core: cannot crash the last peer")
 	}
 	net.dropPeer(p)
-	// The crashed peer's replica set is gone with it; its predecessor's
-	// live nodes are stamped, so the next tick re-replicates them.
-	net.heldBy(p, net.peers[p.Pred], func(n *Node, e *held) {
-		*e = held{}
-		net.touch(n)
-	})
-	for k, e := range net.replicas {
-		if e.at == p {
-			delete(net.replicas, k)
+	// The crashed peer's replica set is gone with it: its predecessor's
+	// live nodes, whose replicas it held, are stamped for the next tick.
+	for _, n := range net.peers[p.Pred].nodes {
+		if e, ok := net.slotOf(n); ok && e.at == p {
+			*e = held{}
+			net.touch(n)
 		}
 	}
+	maps.DeleteFunc(net.replicas, func(_ keys.Key, e held) bool { return e.at == p })
 	if net.pendingLost == nil {
 		net.pendingLost = make(map[keys.Key]bool)
 	}

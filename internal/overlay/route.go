@@ -32,9 +32,7 @@ var ErrNoReply = errors.New("overlay: no reply from the overlay")
 // one to two periods counts as lost and is re-issued. It is far above
 // any healthy discovery (microseconds in process, tens of them on
 // loopback, a dial's worth on a cold pool), because a needless re-issue
-// costs an extra entry draw. maxAttempts bounds the issues of one call
-// that failed on the ring they were drawn from; maxIssues bounds them
-// all (see Originate).
+// costs an extra entry draw. Originate bounds the issues of one call.
 const (
 	reissueAfter = 500 * time.Millisecond
 	maxAttempts  = 3
@@ -318,10 +316,9 @@ func (r *Runtime) DrawEntryLocked() (entry, host keys.Key, ok bool) {
 // reply, one attempt at a time (see attempt), each from a fresh entry
 // draw. An attempt is re-issued, up to maxAttempts, when the sweeper
 // finds it overdue (the hop or its reply was lost) or at once when a
-// peer reports that it could not pass the hop on. An attempt that failed
-// after the ring changed since its entry draw (a join, a departure or a
-// balancing rename: churn, not a fault) is re-issued without counting
-// against maxAttempts, up to maxIssues issues in all. ok is false on an
+// peer reports that it could not pass the hop on; one that failed after
+// the ring changed since its draw (churn, not a fault) is not counted,
+// up to maxIssues issues in all. ok is false on an
 // empty tree (nothing was sent). The root span, named phase, opens
 // with the first attempt and is the caller's to end.
 func (r *Runtime) Originate(ctx context.Context, phase string, h Hop, rep *Reply) (root trace.Handle, ok bool, err error) {
