@@ -229,10 +229,11 @@ func (net *Network) LeavePeer(id keys.Key) error {
 	// target; then the adopters' new hosting drives the usual re-homing.
 	targets, handed := make(map[*Peer]bool), 0
 	pred := net.peers[p.Pred] // the host of every live node whose replica it held
+	succ := net.successorOf(pred)
 	for _, n := range pred.nodes {
 		if e, ok := net.slotOf(n); ok && e.at == p {
-			moveReplica(e, net.successorOf(pred))
-			targets[e.at] = true
+			moveReplica(e, succ)
+			targets[succ] = true
 			handed++
 		}
 	}

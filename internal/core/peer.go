@@ -22,7 +22,7 @@ type Peer struct {
 
 	nodes []*Node // ν_P; nodes[n.slot] == n
 
-	// replicas counts the replica index's entries this peer holds: the
+	// replicas counts the replica store's entries this peer holds: the
 	// snapshots of its ring predecessor's nodes (see replication.go).
 	replicas int
 

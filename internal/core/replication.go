@@ -228,8 +228,8 @@ func (net *Network) AcceptReplicas(b ReplicaBatch) int {
 				net.touch(n)
 			}
 		} else if tgt, _ = net.replicaTarget(info.Key); tgt == nil {
-			// Gone while the batch was in flight (compaction judges it),
-			// with no host now.
+			// Gone while the batch was in flight (held by key for
+			// compaction to judge), and no host for the key now.
 			if tgt = net.peers[b.To]; tgt == nil {
 				continue
 			}

@@ -318,9 +318,9 @@ func (r *Runtime) DrawEntryLocked() (entry, host keys.Key, ok bool) {
 // finds it overdue (the hop or its reply was lost) or at once when a
 // peer reports that it could not pass the hop on; one that failed after
 // the ring changed since its draw (churn, not a fault) is not counted,
-// up to maxIssues issues in all. ok is false on an
-// empty tree (nothing was sent). The root span, named phase, opens
-// with the first attempt and is the caller's to end.
+// up to maxIssues issues in all. ok is false on an empty tree (nothing
+// was sent). The root span, named phase, opens with the first attempt
+// and is the caller's to end.
 func (r *Runtime) Originate(ctx context.Context, phase string, h Hop, rep *Reply) (root trace.Handle, ok bool, err error) {
 	p := callPool.Get().(*pendingCall)
 	defer callPool.Put(p)
