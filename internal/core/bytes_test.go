@@ -275,6 +275,24 @@ func TestAllocsPerWrite(t *testing.T) {
 	}
 }
 
+// BenchmarkWrite times TestAllocsPerWrite's cycle: one more value
+// registered under a declared key, routed from a random entry node by
+// Algorithm 3, and unregistered.
+func BenchmarkWrite(b *testing.B) {
+	net, corpus, r, _ := gridNetwork(b)
+	i := 0
+	for b.Loop() {
+		k := corpus[i%len(corpus)]
+		i++
+		if err := net.InsertData(k, "extra", r); err != nil {
+			b.Fatal(err)
+		}
+		if !net.RemoveData(k, "extra") {
+			b.Fatalf("unregister %q: not registered", k)
+		}
+	}
+}
+
 // TestAllocsPerJournaledWrite is TestAllocsPerWrite on a durable
 // overlay: a journal hook installed and a snapshot captured. A journaled
 // write pays nothing for the next image, which is the last one folded
