@@ -250,8 +250,8 @@ func TestReplicaHeapFlat(t *testing.T) {
 // TestAllocsPerWrite is the allocation budget of a write on the
 // TestBytesPerKey overlay: registering one more value under a declared
 // key, routed from a random entry node, and unregistering it. The
-// routed hops reuse the message queue's buffer, so what is left is the
-// value slice's growth. A queue popped by reslicing read 14 per cycle.
+// routed hops allocate nothing, so what is left is the value slice's
+// growth. A message queue popped by reslicing read 14 per cycle.
 func TestAllocsPerWrite(t *testing.T) {
 	if raceDetector {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -83,7 +83,7 @@ func ReplicaStore(net *Network) map[keys.Key]HeldReplica {
 // The journal hook and the instruments stay behind.
 func CloneNetwork(net *Network) *Network {
 	c := *net
-	c.Journal, c.Obs, c.Tracer, c.queue = nil, nil, nil, nil
+	c.Journal, c.Obs, c.Tracer = nil, nil, nil
 	c.ring = ring.New()
 	for _, id := range net.ring.IDs() {
 		c.ring.Insert(id)

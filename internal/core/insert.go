@@ -26,10 +26,18 @@ func (net *Network) InsertData(k keys.Key, value string, r *rand.Rand) error {
 		net.journal(false, k, value)
 		return nil
 	}
-	entry, host, _ := net.RandomEntry(r)
-	net.sendToNode(host, entry, message{typ: msgDataInsertion, key: k, value: value})
-	if err := net.drain(); err != nil {
-		return err
+	entry, from, _ := net.RandomEntry(r)
+	for at, fwd := (Child{Key: entry}), true; fwd; {
+		p, peer, ok := net.Follow(at)
+		if !ok {
+			return fmt.Errorf("core: DataInsertion addressed to absent node %q", at.Key)
+		}
+		net.charge(1, from != peer.ID)
+		var err error
+		if at, fwd, err = net.handleDataInsertion(peer, p, k, value); err != nil {
+			return err
+		}
+		from = peer.ID
 	}
 	net.journal(false, k, value)
 	return nil
@@ -143,59 +151,57 @@ func (net *Network) load(entries []KV, entry func(i int)) {
 	}
 }
 
-// handleDataInsertion is Algorithm 3, run on node p.
-func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
-	k := m.key
+// handleDataInsertion is Algorithm 3, run on node p hosted by peer: it
+// places k, or returns the edge the DataInsertion message is forwarded
+// along (fwd).
+func (net *Network) handleDataInsertion(peer *Peer, p *Node, k keys.Key, value string) (next Child, fwd bool, err error) {
 	switch {
 	case p.Key == k:
 		// Line 3.03: the proper node.
-		if p.addValue(m.value) {
+		if p.addValue(value) {
 			net.touch(p)
 		}
-		return nil
+		return Child{}, false, nil
 
 	case keys.IsProperPrefix(p.Key, k):
 		// Lines 3.04-3.09: the sought node is in p's subtree.
 		if q, ok := p.BestChildFor(k); ok {
-			net.sendToNode(peer.ID, q.Key, m)
-			return nil
+			return q, true, nil
 		}
 		// Create k as a new child of p; the host search starts at p
 		// itself (line 3.08).
-		info := NodeInfo{Key: k, Father: p.Key, HasFather: true, Data: []string{m.value}}
+		info := NodeInfo{Key: k, Father: p.Key, HasFather: true, Data: []string{value}}
 		p.addChild(k, nil)
-		return net.routeSearchingHost(peer.ID, p.Key, info)
+		return Child{}, false, net.routeSearchingHost(peer.ID, p.Key, info)
 
 	case keys.IsProperPrefix(k, p.Key):
 		// Lines 3.10-3.20: the sought node is upward.
 		if !p.HasFather {
 			// k becomes the new root, adopting p (lines 3.11-3.13).
-			info := NodeInfo{Key: k, Children: []Child{{Key: p.Key}}, Data: []string{m.value}}
+			info := NodeInfo{Key: k, Children: []Child{{Key: p.Key}}, Data: []string{value}}
 			p.Father, p.HasFather, p.up = k, true, nil
-			return net.routeSearchingHost(peer.ID, p.Key, info)
+			return Child{}, false, net.routeSearchingHost(peer.ID, p.Key, info)
 		}
 		if keys.IsPrefix(k, p.Father) {
 			// k is also a prefix of f_p: forward upward (line 3.16).
-			net.sendToNode(peer.ID, p.Father, m)
-			return nil
+			return p.FatherEdge(), true, nil
 		}
 		// k sits strictly between f_p and p (lines 3.18-3.20).
 		info := NodeInfo{Key: k, Father: p.Father, HasFather: true,
-			Children: []Child{{Key: p.Key}}, Data: []string{m.value}}
+			Children: []Child{{Key: p.Key}}, Data: []string{value}}
 		father := p.Father
 		p.Father, p.HasFather, p.up = k, true, nil
 		if err := net.routeSearchingHost(peer.ID, father, info); err != nil {
-			return err
+			return Child{}, false, err
 		}
-		return net.applyUpdateChild(peer.ID, father, p.Key, k)
+		return Child{}, false, net.applyUpdateChild(peer.ID, father, p.Key, k)
 
 	default:
 		// Lines 3.21-3.31: k and p diverge.
 		if p.HasFather && len(keys.GCP(k, p.Key)) == len(keys.GCP(k, p.Father)) {
 			// The father shares the same prefix with k: forward up
 			// (lines 3.22-3.23).
-			net.sendToNode(peer.ID, p.Father, m)
-			return nil
+			return p.FatherEdge(), true, nil
 		}
 		// p and k become siblings under a created PGCP parent
 		// g = GCP(p,k) (lines 3.24-3.31). The paper's line 3.30 sends
@@ -204,7 +210,7 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 		g := keys.GCP(p.Key, k)
 		ginfo := NodeInfo{Key: g, Father: p.Father, HasFather: p.HasFather,
 			Children: []Child{{Key: min(p.Key, k)}, {Key: max(p.Key, k)}}}
-		kinfo := NodeInfo{Key: k, Father: g, HasFather: true, Data: []string{m.value}}
+		kinfo := NodeInfo{Key: k, Father: g, HasFather: true, Data: []string{value}}
 		father, hadFather := p.Father, p.HasFather
 		p.Father, p.HasFather, p.up = g, true, nil
 		start := p.Key
@@ -212,14 +218,53 @@ func (net *Network) handleDataInsertion(peer *Peer, p *Node, m message) error {
 			start = father
 		}
 		if err := net.routeSearchingHost(peer.ID, start, ginfo); err != nil {
-			return err
+			return Child{}, false, err
 		}
 		if hadFather {
 			if err := net.applyUpdateChild(peer.ID, father, p.Key, g); err != nil {
-				return err
+				return Child{}, false, err
 			}
 		}
-		return net.routeSearchingHost(peer.ID, start, kinfo)
+		return Child{}, false, net.routeSearchingHost(peer.ID, start, kinfo)
+	}
+}
+
+// applyUpdateChild performs Algorithm 3's UpdateChild message on the
+// node with key father, replacing old with new in its child set,
+// accounted as one message.
+func (net *Network) applyUpdateChild(fromPeer keys.Key, father, old, new keys.Key) error {
+	n, p, ok := net.NodeAt(father)
+	if !ok {
+		return fmt.Errorf("core: UpdateChild to absent node %q", father)
+	}
+	net.charge(1, p.ID != fromPeer)
+	n.removeChild(old)
+	n.addChild(new, net.nodes[new])
+	return nil
+}
+
+// routeSearchingHost performs the host search of Algorithm 3 lines
+// 3.32-3.37: starting at node `at`, descend to the greatest child
+// strictly below the key being placed until no such child exists, then
+// hand the node to the local peer (placeNode finishes with the
+// peer-level walk to the true owner). Each hop is accounted as one
+// message.
+func (net *Network) routeSearchingHost(fromPeer keys.Key, at keys.Key, info NodeInfo) error {
+	cur := Child{Key: at}
+	from := fromPeer
+	for {
+		n, p, ok := net.Follow(cur)
+		if !ok {
+			return fmt.Errorf("core: SearchingHost routed to absent node %q", cur.Key)
+		}
+		net.charge(1, p.ID != from)
+		q, ok := n.MaxChildAtMost(info.Key, false)
+		if !ok {
+			net.linkNode(net.hostNode(info, p.ID))
+			return nil
+		}
+		cur = q
+		from = p.ID
 	}
 }
 

@@ -41,20 +41,9 @@ func (net *Network) JoinPeer(id keys.Key, capacity int, r *rand.Rand) error {
 		// No tree yet: hand the request straight to the peer layer,
 		// entering the ring at an arbitrary peer.
 		start, _ := net.RandomPeerID(r)
-		net.sendToPeer(start, start, message{
-			typ:          msgNewPredecessor,
-			joinID:       id,
-			joinCapacity: capacity,
-		})
-		err = net.drain()
+		err = net.handleNewPredecessor(start, net.peers[start], id, capacity)
 	} else {
-		net.sendToNode(host, entry, message{
-			typ:          msgPeerJoin,
-			joinID:       id,
-			joinState:    0,
-			joinCapacity: capacity,
-		})
-		err = net.drain()
+		err = net.handlePeerJoin(host, entry, id, capacity)
 	}
 	if err != nil {
 		return err
@@ -67,54 +56,54 @@ func (net *Network) JoinPeer(id keys.Key, capacity int, r *rand.Rand) error {
 	return nil
 }
 
-// handlePeerJoin is Algorithm 1, run on node p. State 0 climbs until
-// the current node's label prefixes the joining id (or the root);
-// state 1 descends towards the highest node not above the joining id,
-// then delegates to the peer layer.
-func (net *Network) handlePeerJoin(p *Peer, n *Node, m message) error {
-	P := m.joinID
-	if m.joinState == 0 {
-		if !keys.IsPrefix(n.Key, P) {
-			if n.HasFather {
-				m2 := m
-				net.sendToNode(p.ID, n.Father, m2)
-				return nil
-			}
-			// Root reached: switch to the downward phase here.
+// handlePeerJoin is Algorithm 1, delivering the PeerJoin message of
+// peer P from peer `from` to node entry and on: it climbs until the
+// current node's label prefixes P (or the root), then descends towards
+// the highest node not above P, whose host takes the request on to the
+// peer layer.
+func (net *Network) handlePeerJoin(from, entry, P keys.Key, capacity int) error {
+	at, down := Child{Key: entry}, false
+	for {
+		n, p, ok := net.Follow(at)
+		if !ok {
+			return fmt.Errorf("core: PeerJoin addressed to absent node %q", at.Key)
 		}
-		m.joinState = 1
+		net.charge(1, from != p.ID)
+		from = p.ID
+		if !down && !keys.IsPrefix(n.Key, P) && n.HasFather {
+			at = n.FatherEdge()
+			continue
+		}
+		down = true // the root, if not a prefix of P, turns the request down
+		q, ok := n.MaxChildAtMost(P, true)
+		if !ok {
+			// n is the highest node <= P known here; delegate to the
+			// peer layer on n's host ("send to host", line 1.16).
+			return net.handleNewPredecessor(p.ID, p, P, capacity)
+		}
+		at = q
 	}
-	if q, ok := n.MaxChildAtMost(P, true); ok {
-		m2 := m
-		net.sendToNode(p.ID, q.Key, m2)
-		return nil
-	}
-	// n is the highest node <= P known here; delegate to the peer
-	// layer on n's host ("send to host", line 1.16).
-	net.sendToPeer(p.ID, p.ID, message{
-		typ:          msgNewPredecessor,
-		joinID:       P,
-		joinCapacity: m.joinCapacity,
-	})
-	return nil
 }
 
-// handleNewPredecessor is Algorithm 2, run on peer Q, extended with
-// the wrap-around termination the paper leaves implicit: the request
-// walks successors until P falls within (pred(Q), Q], then P is
-// installed as Q's new predecessor and takes over the tree nodes now
-// in its range. YourInformation and UpdateSuccessor are applied
-// inline and accounted as messages.
-func (net *Network) handleNewPredecessor(q *Peer, m message) error {
-	P := m.joinID
-	if P == q.ID {
-		return fmt.Errorf("core: joining peer id %q collides with existing peer", P)
+// handleNewPredecessor is Algorithm 2, delivering the NewPredecessor
+// message of peer P from peer `from` to peer q and on, extended with the
+// wrap-around termination the paper leaves implicit: the request walks
+// successors until P falls within (pred(Q), Q], then P is installed as
+// Q's new predecessor and takes over the tree nodes now in its range.
+// YourInformation and UpdateSuccessor are applied inline and accounted
+// as messages.
+func (net *Network) handleNewPredecessor(from keys.Key, q *Peer, P keys.Key, capacity int) error {
+	for {
+		net.charge(1, from != q.ID)
+		if P == q.ID {
+			return fmt.Errorf("core: joining peer id %q collides with existing peer", P)
+		}
+		if keys.BetweenRightIncl(P, q.Pred, q.ID) {
+			break
+		}
+		from, q = q.ID, net.peers[q.Succ]
 	}
-	if !keys.BetweenRightIncl(P, q.Pred, q.ID) {
-		net.sendToPeer(q.ID, q.Succ, m)
-		return nil
-	}
-	newp := NewPeer(P, m.joinCapacity)
+	newp := NewPeer(P, capacity)
 	newp.Pred = q.Pred
 	newp.Succ = q.ID
 

@@ -144,8 +144,6 @@ type Network struct {
 
 	root    keys.Key
 	hasRoot bool
-
-	queue []message
 }
 
 // NewNetwork returns an empty overlay using the given alphabet and

@@ -5,15 +5,18 @@
 // insertion growing the tree (Algorithm 3), discovery routing, and
 // capacity-limited request processing.
 //
-// The package is a deterministic, message-driven simulation core:
-// protocol messages are processed from a FIFO queue so that the code
-// keeps the shape of the paper's per-node and per-peer handlers. Two
-// placements are provided: the lexicographic mapping contributed by
-// the paper (host(n) = lowest peer id >= n, wrapping) and the hashed
-// Chord-style mapping of the original DLPT (the "random mapping"
-// baseline of Figure 9).
+// The package is a deterministic simulation core in the shape of the
+// paper's per-node and per-peer handlers: a PeerJoin, NewPredecessor or
+// DataInsertion message travels as one loop from node to node or peer to
+// peer, and each handler applies the messages it sends (SearchingHost,
+// Host, UpdateChild, YourInformation, UpdateSuccessor) by a call. Every
+// delivery is one maintenance message, physical when the receiving host
+// differs from the sender. Two placements are provided: the
+// lexicographic mapping contributed by the paper (host(n) = lowest peer
+// id >= n, wrapping) and the hashed Chord-style mapping of the original
+// DLPT (the "random mapping" baseline of Figure 9).
 //
-// Documented deviations from the paper's pseudo-code (see DESIGN.md):
+// Documented deviations from the paper's pseudo-code:
 //
 //   - Algorithm 1 line 1.04 tests "P ∉ Prefixes(p)" while the text
 //     says the upward phase stops at "a node that is a prefix of P or
@@ -21,10 +24,12 @@
 //   - Algorithm 3 line 3.30 sends the new sibling node with father p;
 //     structurally its father is the newly created GCP(p,k) node, so
 //     we use that.
-//   - Algorithm 3's SearchingHost descent excludes the key being
-//     placed itself from the candidate children (the paper enqueues
-//     the message before adding the key to C_p, which a synchronous
-//     queue would otherwise turn into a self-forwarding loop).
+//   - A request runs to completion before the next one starts, so no
+//     message can reach a node that a SearchingHost is still placing; a
+//     deployment would hold such a message until the node exists.
+//   - Algorithm 3 adds the key being placed to C_p right after it sends
+//     SearchingHost, so the host search's descent excludes that key from
+//     the candidate children: it has no node yet.
 //   - After SearchingHost bottoms out, the paper hands the node to
 //     the local peer; that peer is not always the key's successor, so
 //     we finish with an explicit peer-level ring walk to the owner.

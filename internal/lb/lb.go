@@ -226,7 +226,7 @@ func (MLT) Periodic(net *core.Network, sID keys.Key) (bool, error) {
 // EqualLoad performs the same boundary move as MLT but minimises
 // |L_P - L_S|, ignoring peer capacities — the behaviour of classic
 // DHT item balancing under heterogeneous peers. It exists to quantify
-// the value of MLT's throughput objective (ablation A2 of DESIGN.md).
+// the value of MLT's throughput objective (experiments.AblationObjective).
 type EqualLoad struct{}
 
 // Name implements Strategy.

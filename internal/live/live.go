@@ -1,7 +1,7 @@
 // Package live is the in-process link of the overlay runtime
 // (internal/overlay): one goroutine per peer and a channel mailbox each
 // — the shape a deployment of the paper's protocol would take (the
-// authors' future-work prototype; see DESIGN.md substitutions).
+// authors' future-work prototype).
 //
 // Membership, replication, balancing, registration and the routed
 // request end to end — the hop, the driver that takes it through a

@@ -9,7 +9,7 @@
 // O(log |Π|) routing with |Π| key-space partitions.
 //
 // The package constructs the *converged* state of the exchange-based
-// P-Grid protocol directly (documented substitution in DESIGN.md):
+// P-Grid protocol directly, in place of running the exchanges:
 // the partition trie is built by splitting while partitions overflow
 // and peers remain, then peers are assigned and routing tables drawn
 // randomly among the correct candidates.
